@@ -58,6 +58,7 @@ fn sphg_scaling(c: &mut Criterion) {
                     black_box(&keys),
                     CountSum,
                     GroupingStrategy::StaticPerfectHash { min: 0, max },
+                    &[0, keys.len()],
                     DEFAULT_MORSEL_ROWS,
                 )
                 .expect("parallel")
@@ -99,10 +100,16 @@ fn hj_scaling(c: &mut Criterion) {
             ThreadPool::with_pool(threads, std::sync::Arc::new(PersistentPool::new(threads)));
         group.bench_with_input(BenchmarkId::new("parallel", threads), &threads, |b, _| {
             b.iter(|| {
-                parallel_hash_join(&pool, black_box(&lk), black_box(&rk), DEFAULT_MORSEL_ROWS)
-                    .expect("parallel HJ")
-                    .0
-                    .len()
+                parallel_hash_join(
+                    &pool,
+                    black_box(&lk),
+                    black_box(&rk),
+                    &[0, lk.len()],
+                    DEFAULT_MORSEL_ROWS,
+                )
+                .expect("parallel HJ")
+                .0
+                .len()
             })
         });
     }

@@ -7,8 +7,8 @@ use dqo_exec::composite::KeyPacker;
 use dqo_exec::grouping::{execute_grouping, GroupingAlgorithm, GroupingHints};
 use dqo_exec::join::hj::hash_join;
 use dqo_parallel::{
-    parallel_grouping, parallel_grouping_segmented, parallel_hash_join, GroupingStrategy,
-    PersistentPool, ThreadPool, DEFAULT_MORSEL_ROWS,
+    parallel_grouping, parallel_hash_join, GroupingStrategy, PersistentPool, ThreadPool,
+    DEFAULT_MORSEL_ROWS,
 };
 use dqo_storage::datagen::{DatasetSpec, ForeignKeySpec};
 use dqo_storage::{PartitionSpec, PartitionedRelation, Relation};
@@ -86,6 +86,7 @@ pub fn run(rows: usize, groups: usize, threads: &[usize], reps: usize) -> Vec<Sc
                 &keys,
                 CountSum,
                 GroupingStrategy::StaticPerfectHash { min: 0, max },
+                &[0, keys.len()],
                 DEFAULT_MORSEL_ROWS,
             )
             .expect("parallel SPHG")
@@ -150,6 +151,7 @@ pub fn run(rows: usize, groups: usize, threads: &[usize], reps: usize) -> Vec<Sc
                     min: 0,
                     max: packed_max,
                 },
+                &[0, packed.len()],
                 DEFAULT_MORSEL_ROWS,
             )
             .expect("parallel composite SPHG")
@@ -212,7 +214,7 @@ pub fn run(rows: usize, groups: usize, threads: &[usize], reps: usize) -> Vec<Sc
     for &t in threads {
         let pool = ThreadPool::with_pool(t, std::sync::Arc::new(PersistentPool::new(t)));
         let ms = best_of(reps, || {
-            parallel_grouping_segmented(
+            parallel_grouping(
                 &pool,
                 &part_keys,
                 &part_keys,
@@ -262,7 +264,7 @@ pub fn run(rows: usize, groups: usize, threads: &[usize], reps: usize) -> Vec<Sc
     for &t in threads {
         let pool = ThreadPool::with_pool(t, std::sync::Arc::new(PersistentPool::new(t)));
         let ms = best_of(reps, || {
-            parallel_hash_join(&pool, &lk, &rk, DEFAULT_MORSEL_ROWS)
+            parallel_hash_join(&pool, &lk, &rk, &[0, lk.len()], DEFAULT_MORSEL_ROWS)
                 .expect("parallel HJ")
                 .0
                 .len() as u64

@@ -153,7 +153,7 @@ pub fn run(rows: usize, groups: usize, threads: &[usize], reps: usize) -> Vec<So
         "SORT",
         &mut || argsort(&keys).len() as u64,
         &mut |tp| {
-            parallel_argsort(tp, &keys, molecule)
+            parallel_argsort(tp, &keys, molecule, &[])
                 .expect("parallel sort")
                 .0
                 .len() as u64
@@ -164,7 +164,7 @@ pub fn run(rows: usize, groups: usize, threads: &[usize], reps: usize) -> Vec<So
         "SOG",
         &mut || sort_order_grouping(&keys, &keys, CountSum).len() as u64,
         &mut |tp| {
-            parallel_sog(tp, &keys, &keys, CountSum, molecule)
+            parallel_sog(tp, &keys, &keys, CountSum, molecule, &[])
                 .expect("parallel SOG")
                 .0
                 .len() as u64
@@ -175,7 +175,7 @@ pub fn run(rows: usize, groups: usize, threads: &[usize], reps: usize) -> Vec<So
         "SOJ",
         &mut || sort_merge_join(&lk, &rk).len() as u64,
         &mut |tp| {
-            parallel_sort_merge_join(tp, &lk, &rk, molecule)
+            parallel_sort_merge_join(tp, &lk, &rk, molecule, &[])
                 .expect("parallel SOJ")
                 .0
                 .len() as u64

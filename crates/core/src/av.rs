@@ -308,8 +308,7 @@ pub fn materialise_av(catalog: &Catalog, sig: &AvSignature) -> Result<Av> {
     let keys = entry.relation.column(&sig.column)?.as_u32()?;
     match sig.kind {
         AvKind::SortedProjection => {
-            let order: Vec<usize> = argsort(keys).into_iter().map(|i| i as usize).collect();
-            let sorted = entry.relation.gather(&order);
+            let sorted = entry.relation.gather(&argsort(keys));
             catalog.register(sig.av_table_name(), sorted.clone());
             av.artifact = Some(AvArtifact::SortedProjection(Arc::new(sorted)));
         }
@@ -348,8 +347,7 @@ pub fn materialise_av_on(catalog: &Catalog, sig: &AvSignature, pool: &ThreadPool
     let keys = entry.relation.column(&sig.column)?.as_u32()?;
     match sig.kind {
         AvKind::SortedProjection => {
-            let (perm, _) = parallel_argsort(pool, keys, RunSortMolecule::Comparison)?;
-            let order: Vec<usize> = perm.into_iter().map(|i| i as usize).collect();
+            let (order, _) = parallel_argsort(pool, keys, RunSortMolecule::Comparison, &[])?;
             let sorted = parallel_gather(pool, &entry.relation, &order)?;
             catalog.register(sig.av_table_name(), sorted.clone());
             av.artifact = Some(AvArtifact::SortedProjection(Arc::new(sorted)));
@@ -372,10 +370,17 @@ pub fn materialise_av_on(catalog: &Catalog, sig: &AvSignature, pool: &ThreadPool
                     max: props.max,
                 }
             } else {
-                GroupingStrategy::Hash
+                GroupingStrategy::Hash(Default::default())
             };
-            let (g, _) =
-                parallel_grouping(pool, keys, keys, CountSum, strategy, DEFAULT_MORSEL_ROWS)?;
+            let (g, _) = parallel_grouping(
+                pool,
+                keys,
+                keys,
+                CountSum,
+                strategy,
+                &[0, keys.len()],
+                DEFAULT_MORSEL_ROWS,
+            )?;
             let rel = grouping_relation(sig, g)?;
             catalog.register(sig.av_table_name(), rel.clone());
             av.artifact = Some(AvArtifact::MaterialisedGrouping(Arc::new(rel)));
@@ -409,7 +414,9 @@ fn materialise_composite(
                 Some(p) => {
                     let packed = p.pack(&key_cols);
                     match pool {
-                        Some(tp) => parallel_argsort(tp, &packed, RunSortMolecule::Comparison)?.0,
+                        Some(tp) => {
+                            parallel_argsort(tp, &packed, RunSortMolecule::Comparison, &[])?.0
+                        }
                         None => argsort(&packed),
                     }
                     .into_iter()
@@ -453,7 +460,8 @@ fn materialise_composite(
                                 &packed,
                                 values,
                                 CountSum,
-                                GroupingStrategy::Hash,
+                                GroupingStrategy::Hash(Default::default()),
+                                &[0, packed.len()],
                                 DEFAULT_MORSEL_ROWS,
                             )?
                             .0

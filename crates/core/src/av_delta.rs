@@ -61,8 +61,8 @@ use dqo_exec::grouping::hg::hash_grouping_chaining;
 use dqo_exec::grouping::GroupedResult;
 use dqo_exec::sort::argsort;
 use dqo_obs::{names, Counter, Gauge, Histogram, MetricsRegistry, DURATION_BUCKETS};
-use dqo_parallel::{parallel_gather, ThreadPool};
-use dqo_storage::Relation;
+use dqo_parallel::ThreadPool;
+use dqo_storage::{Relation, Selection};
 use parking_lot::RwLock;
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -468,10 +468,10 @@ impl ViewMaintainer {
         }
         let delta_sorted = sort_by_keys(delta, &key_names)?;
         let tail = match &state.tail {
-            Some(tail) => Arc::new(merge_sorted(tail, &delta_sorted, &key_names, pool)?),
+            Some(tail) => Arc::new(merge_sorted(tail, &delta_sorted, &key_names)?),
             None => Arc::new(delta_sorted),
         };
-        let visible = Arc::new(merge_sorted(&state.base, &tail, &key_names, pool)?);
+        let visible = Arc::new(merge_sorted(&state.base, &tail, &key_names)?);
         let action = if self.policy.should_compact(state.base.rows(), tail.rows()) {
             *state = SortedRuns {
                 visible: Arc::clone(&visible),
@@ -653,68 +653,61 @@ fn sort_by_keys(rel: &Relation, key_names: &[&str]) -> Result<Relation> {
     Ok(rel.gather(&order))
 }
 
-/// Linear two-way merge of two key-sorted relations, `a` winning ties —
-/// the stability that makes run-merges reproduce a stable rebuild. The
-/// gather materialising the output goes through the pool when one is
-/// offered (deterministic at any DOP); dictionaries prefer `b`'s, which
-/// on every maintenance path carries the newest (superset) dictionary.
-fn merge_sorted(
-    a: &Relation,
-    b: &Relation,
-    key_names: &[&str],
-    pool: Option<&ThreadPool>,
-) -> Result<Relation> {
-    let ka: Vec<&[u32]> = key_names
-        .iter()
-        .map(|k| -> Result<&[u32]> { Ok(a.column(k)?.as_u32()?) })
-        .collect::<Result<_>>()?;
-    let kb: Vec<&[u32]> = key_names
-        .iter()
-        .map(|k| -> Result<&[u32]> { Ok(b.column(k)?.as_u32()?) })
-        .collect::<Result<_>>()?;
+/// Two-way merge of two key-sorted relations, `a` winning ties — the
+/// stability that makes run-merges reproduce a stable rebuild. `b` is the
+/// small side (a tail run, a sorted delta): each of its rows is placed by
+/// binary search after every row of `a` that is not greater, and the
+/// merged order is a list of row *ranges* of the concatenation `a ++ b` —
+/// runs of `a` between insertion points, rows of `b` at them — so the
+/// output columns are built by slice copies, not row by row. Dictionaries
+/// prefer `b`'s, which on every maintenance path carries the newest
+/// (superset) dictionary.
+fn merge_sorted(a: &Relation, b: &Relation, key_names: &[&str]) -> Result<Relation> {
+    let keys_of = |rel| -> Result<Vec<&[u32]>> {
+        let column = |k| -> Result<&[u32]> { Ok(Relation::column(rel, k)?.as_u32()?) };
+        key_names.iter().copied().map(column).collect()
+    };
+    let (ka, kb) = (keys_of(a)?, keys_of(b)?);
     let (n, m) = (a.rows(), b.rows());
-    let mut order = Vec::with_capacity(n + m);
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < n && j < m {
-        let a_le_b = ka
-            .iter()
-            .zip(&kb)
-            .map(|(x, y)| x[i].cmp(&y[j]))
+    let a_le_b = |i: usize, j: usize| {
+        let mut order = ka.iter().zip(&kb).map(|(x, y)| x[i].cmp(&y[j]));
+        order
             .find(|o| *o != Ordering::Equal)
             .unwrap_or(Ordering::Equal)
-            != Ordering::Greater;
-        if a_le_b {
-            order.push(i);
-            i += 1;
-        } else {
-            order.push(n + j);
-            j += 1;
+            != Ordering::Greater
+    };
+    let mut ranges = Vec::with_capacity(2 * m + 1);
+    let mut at = 0usize;
+    for j in 0..m {
+        // First row of `a[at..]` that is greater than `b[j]`.
+        let (mut lo, mut hi) = (at, n);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if a_le_b(mid, j) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
         }
+        ranges.push(at..lo);
+        ranges.push(n + j..n + j + 1);
+        at = lo;
     }
-    order.extend(i..n);
-    order.extend((n + j)..(n + m));
+    ranges.push(at..n);
 
-    // Concatenate columns, then gather the merged order out of the
-    // concatenation (through the pool for large outputs).
     let mut cols = Vec::with_capacity(a.schema().width());
     for idx in 0..a.schema().width() {
         let mut col = a.column_at(idx)?.clone();
         col.append(b.column_at(idx)?)?;
         cols.push(col);
     }
-    let concat = {
-        let mut rel = Relation::new(a.schema().clone(), cols)?;
-        for idx in 0..a.schema().width() {
-            if let Some(dict) = b.dictionary_at(idx)?.or(a.dictionary_at(idx)?) {
-                rel = rel.with_dictionary_at(idx, Arc::clone(dict))?;
-            }
+    let mut concat = Relation::new(a.schema().clone(), cols)?;
+    for idx in 0..a.schema().width() {
+        if let Some(dict) = b.dictionary_at(idx)?.or(a.dictionary_at(idx)?) {
+            concat = concat.with_dictionary_at(idx, Arc::clone(dict))?;
         }
-        rel
-    };
-    match pool {
-        Some(tp) => Ok(parallel_gather(tp, &concat, &order)?),
-        None => Ok(concat.gather(&order)),
     }
+    Ok(concat.select(&Selection::Ranges(ranges)))
 }
 
 #[cfg(test)]
@@ -738,7 +731,7 @@ mod tests {
     fn merge_sorted_is_stable_left_first() {
         let a = rel2(vec![1, 3, 3, 7], vec![0, 1, 2, 3]);
         let b = rel2(vec![0, 3, 7, 9], vec![10, 11, 12, 13]);
-        let merged = merge_sorted(&a, &b, &["k"], None).unwrap();
+        let merged = merge_sorted(&a, &b, &["k"]).unwrap();
         assert_eq!(
             merged.column("k").unwrap().as_u32().unwrap(),
             &[0, 1, 3, 3, 3, 7, 7, 9]
@@ -754,9 +747,9 @@ mod tests {
     fn merge_sorted_handles_empty_sides() {
         let a = rel2(vec![], vec![]);
         let b = rel2(vec![2, 5], vec![1, 2]);
-        let m = merge_sorted(&a, &b, &["k"], None).unwrap();
+        let m = merge_sorted(&a, &b, &["k"]).unwrap();
         assert_eq!(m.column("k").unwrap().as_u32().unwrap(), &[2, 5]);
-        let m = merge_sorted(&b, &a, &["k"], None).unwrap();
+        let m = merge_sorted(&b, &a, &["k"]).unwrap();
         assert_eq!(m.rows(), 2);
     }
 

@@ -150,6 +150,7 @@ struct EngineObs {
     queries: Counter,
     optimise: Histogram,
     exec: Histogram,
+    exec_bytes: Counter,
     opt_groups: Gauge,
     opt_group_exprs: Gauge,
     opt_rules_fired: Counter,
@@ -171,6 +172,7 @@ impl EngineObs {
             queries: registry.counter(names::ENGINE_QUERIES),
             optimise: registry.histogram(names::OPTIMISE_SECONDS, &DURATION_BUCKETS),
             exec: registry.histogram(names::EXEC_SECONDS, &DURATION_BUCKETS),
+            exec_bytes: registry.counter(names::EXEC_BYTES_MATERIALISED),
             opt_groups: registry.gauge(names::OPT_GROUPS),
             opt_group_exprs: registry.gauge(names::OPT_GROUP_EXPRS),
             opt_rules_fired: registry.counter(names::OPT_RULES_FIRED),
@@ -601,6 +603,7 @@ impl Engine {
         };
         let exec_wall = trace.end(Phase::Execute, began);
         self.obs.exec.observe_duration(exec_wall);
+        self.obs.exec_bytes.add(output.bytes_materialised);
         self.obs.queries.inc();
         self.obs.record_partitions(&planned.plan);
         // Close the adaptive loop: mine the traced per-operator actuals
@@ -742,6 +745,7 @@ estimated cost: {:.0}
 actual rows: {}
 wall time: {:?} (queue {:?} + exec {:?})
 {}pipeline: {}
+materialised: {} bytes
 {}",
             result.planned.mode,
             result.planned.est_cost,
@@ -751,6 +755,7 @@ wall time: {:?} (queue {:?} + exec {:?})
             result.exec_wall,
             phases,
             result.output.pipeline,
+            result.output.bytes_materialised,
             render_annotated_with(
                 &result.planned.plan,
                 &self.catalog,

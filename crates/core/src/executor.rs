@@ -1,30 +1,49 @@
 //! Executes a [`PhysicalPlan`] on the `dqo-exec` engine.
 //!
 //! The executor is deliberately thin: every algorithmic decision was made
-//! by the optimiser; this module maps plan vocabulary onto `dqo-exec`
-//! implementations, moves columns around, and accounts for pipeline
-//! breakers. A [`naive_eval`] reference evaluator (nested loops +
-//! BTreeMap) provides the correctness oracle for integration tests.
+//! by the optimiser; this module maps plan vocabulary onto `dqo-exec` and
+//! `dqo-parallel` kernels and accounts for pipeline breakers and copies.
+//!
+//! What flows between plan nodes is a `View` — a relation handle plus a
+//! [`Selection`] of its rows — not a copied relation. Scans select row
+//! ranges, filters narrow the selection with a branch-free kernel, sort
+//! permutes it, limit truncates it, project drops column handles. Column
+//! data is copied in three places only: morsel-local kernel scratch (the
+//! key and value columns a grouping, sort or join reads through a
+//! selection that is not one dense run), the output of a join (the columns
+//! something above it reads, nothing else), and the plan root.
+//!
+//! A [`naive_eval`] reference evaluator (nested loops + BTreeMap + a
+//! row-at-a-time predicate) provides the correctness oracle for
+//! integration tests; it shares none of the selection code.
 
 use crate::av::{AvArtifact, AvCatalog, AvKind};
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, TableEntry};
 use crate::error::CoreError;
 use crate::Result;
 use dqo_exec::aggregate::{FullAgg, FullAggState};
 use dqo_exec::composite::{rowwise_group, unpack_grouped, KeyPacker};
-use dqo_exec::grouping::{execute_grouping, GroupingAlgorithm, GroupingHints};
+use dqo_exec::grouping::hg::{hash_grouping_with, HgHash, HgTable};
+use dqo_exec::grouping::{execute_grouping, GroupedResult, GroupingAlgorithm, GroupingHints};
 use dqo_exec::join::{execute_join as run_join, JoinAlgorithm, JoinHints};
 use dqo_exec::pipeline::{
     grouping_blocking, join_blocking, Blocking, OperatorMetrics, PipelineStats,
 };
 use dqo_exec::sort::{argsort, radix_sort_pairs_by_key};
-use dqo_parallel::{BatchObs, GroupingStrategy, PersistentPool, ThreadPool, DEFAULT_MORSEL_ROWS};
-use dqo_plan::expr::{AggExpr, AggFunc, Predicate};
-use dqo_plan::{GroupingImpl, JoinImpl, LogicalPlan, PhysicalPlan};
-use dqo_storage::{Column, DataType, Dictionary, Field, Relation, Schema, Value};
+use dqo_exec::ExecError;
+use dqo_parallel::{
+    BatchObs, GroupingStrategy, PersistentPool, RunSortMolecule, ThreadPool, DEFAULT_MORSEL_ROWS,
+};
+use dqo_plan::expr::{AggExpr, AggFunc, CmpOp, Predicate};
+use dqo_plan::physical::GroupingMolecules;
+use dqo_plan::{GroupingImpl, JoinImpl, LogicalPlan, PhysicalPlan, SortMolecule};
+use dqo_storage::{
+    narrow_rows, Column, DataType, Dictionary, Field, Piece, Relation, Schema, Selection, Value,
+};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The result of executing a plan.
 #[derive(Debug, Clone)]
@@ -33,6 +52,9 @@ pub struct ExecOutput {
     pub relation: Relation,
     /// Pipeline-breaker accounting along the plan.
     pub pipeline: PipelineStats,
+    /// Bytes of column data the execution copied into new buffers: kernel
+    /// scratch, join outputs and the root's materialisation.
+    pub bytes_materialised: u64,
 }
 
 /// Execute a physical plan against the catalog.
@@ -70,11 +92,11 @@ pub fn execute_on_pool(
 /// output, returns one [`OperatorMetrics`] per plan node in pre-order
 /// (the numbering of [`PhysicalPlan::preorder`] and the `explain` line
 /// order), carrying actual rows, inclusive wall time, the node's
-/// pipeline-stats contribution, and — for `Exchange` nodes — the DOP,
-/// morsels dispatched and morsel steals. The relation produced is
-/// bit-identical to the untraced path: instrumentation only reads clocks
-/// and counters, never the data. `pool: None` resolves the process-global
-/// pool lazily, exactly like [`execute_with_avs`].
+/// pipeline-stats contribution, the bytes it copied, and — for `Exchange`
+/// nodes — the DOP, morsels dispatched and morsel steals. The relation
+/// produced is bit-identical to the untraced path: instrumentation only
+/// reads clocks and counters, never the data. `pool: None` resolves the
+/// process-global pool lazily, exactly like [`execute_with_avs`].
 pub fn execute_traced(
     plan: &PhysicalPlan,
     catalog: &Catalog,
@@ -98,22 +120,44 @@ fn exec_root(
         Some(pool) => Arc::clone(pool),
         None => PersistentPool::global(),
     };
-    let mut stats = PipelineStats::default();
-    let mut obs = collect.then(|| OpCollector::new(plan));
-    let relation = exec_node(plan, catalog, avs, &resolve, &mut stats, &mut obs)?;
+    let mut needs = HashMap::new();
+    join_needs(plan, None, &mut needs);
+    let mut exec = Exec {
+        catalog,
+        avs,
+        pool: &resolve,
+        needs,
+        stats: PipelineStats::default(),
+        bytes: 0,
+        obs: collect.then(|| OpCollector::new(plan)),
+    };
+    let view = exec.run(plan, None)?;
+    // The one whole-relation copy: the root materialises its selection
+    // (a selection of every row hands the column buffers over as they are).
+    let relation = view.rel.select(&view.sel);
+    if view.sel.as_range() != Some(0..view.rel.rows()) {
+        exec.bytes += relation.byte_size() as u64;
+    }
     Ok((
         ExecOutput {
             relation,
-            pipeline: stats,
+            pipeline: exec.stats,
+            bytes_materialised: exec.bytes,
         },
-        obs.map(|c| c.nodes).unwrap_or_default(),
+        exec.obs.map(|c| c.nodes).unwrap_or_default(),
     ))
 }
 
-/// Per-node metrics sink for an instrumented execution. Nodes are keyed
-/// by address — the plan tree is borrowed immutably for the whole run, so
-/// a node's address is a stable identity — and mapped to their pre-order
-/// index so the metrics vector zips with the rendered plan.
+/// Identity of a plan node for the duration of one execution: the plan
+/// tree is borrowed immutably for the whole run, so a node's address is
+/// stable.
+fn node_id(plan: &PhysicalPlan) -> usize {
+    plan as *const PhysicalPlan as usize
+}
+
+/// Per-node metrics sink for an instrumented execution, mapping nodes to
+/// their pre-order index so the metrics vector zips with the rendered
+/// plan.
 struct OpCollector {
     ids: HashMap<usize, usize>,
     nodes: Vec<OperatorMetrics>,
@@ -125,7 +169,7 @@ impl OpCollector {
         let ids = pre
             .iter()
             .enumerate()
-            .map(|(i, p)| (*p as *const PhysicalPlan as usize, i))
+            .map(|(i, p)| (node_id(p), i))
             .collect();
         OpCollector {
             ids,
@@ -134,17 +178,11 @@ impl OpCollector {
     }
 
     fn slot(&mut self, plan: &PhysicalPlan) -> Option<&mut OperatorMetrics> {
-        let id = *self.ids.get(&(plan as *const PhysicalPlan as usize))?;
+        let id = *self.ids.get(&node_id(plan))?;
         Some(&mut self.nodes[id])
     }
 
-    fn record(
-        &mut self,
-        plan: &PhysicalPlan,
-        rows_out: u64,
-        wall: std::time::Duration,
-        stats: PipelineStats,
-    ) {
+    fn record(&mut self, plan: &PhysicalPlan, rows_out: u64, wall: Duration, stats: PipelineStats) {
         if let Some(m) = self.slot(plan) {
             m.rows_out = rows_out;
             m.wall = wall;
@@ -153,268 +191,877 @@ impl OpCollector {
     }
 }
 
-/// Execute one node, recording its [`OperatorMetrics`] when instrumented.
-/// The untraced path short-circuits to [`exec_node_inner`] so disabled
-/// observability costs one branch per node, not a clock read.
-fn exec_node(
-    plan: &PhysicalPlan,
-    catalog: &Catalog,
-    avs: Option<&AvCatalog>,
-    pool: &dyn Fn() -> Arc<PersistentPool>,
-    stats: &mut PipelineStats,
-    obs: &mut Option<OpCollector>,
-) -> Result<Relation> {
-    if obs.is_none() {
-        return exec_node_inner(plan, catalog, avs, pool, stats, obs);
-    }
-    let began = Instant::now();
-    let before = *stats;
-    let rel = exec_node_inner(plan, catalog, avs, pool, stats, obs)?;
-    if let Some(c) = obs.as_mut() {
-        c.record(
-            plan,
-            rel.rows() as u64,
-            began.elapsed(),
-            stats.since(&before),
-        );
-    }
-    Ok(rel)
+/// What one plan node hands the next: the rows `sel` of `rel`, in `sel`'s
+/// order.
+struct View<'a> {
+    rel: Relation,
+    sel: Selection,
+    /// The catalog entry whose exact column statistics still cover `rel`'s
+    /// columns: set by scans, kept by everything that only narrows,
+    /// reorders or projects, dropped where new columns are computed.
+    stats: Option<Arc<TableEntry>>,
+    /// Bounds filters have put on `u32` columns: every selected row has
+    /// `lo <= column <= hi`.
+    known: Vec<(&'a str, u32, u32)>,
 }
 
-fn exec_node_inner(
-    plan: &PhysicalPlan,
-    catalog: &Catalog,
-    avs: Option<&AvCatalog>,
-    pool: &dyn Fn() -> Arc<PersistentPool>,
-    stats: &mut PipelineStats,
-    obs: &mut Option<OpCollector>,
-) -> Result<Relation> {
-    match plan {
-        PhysicalPlan::Scan { table } => {
-            let rel = catalog.get(table)?.relation.as_ref().clone();
-            stats.record(Blocking::Pipelined, rel.rows() as u64);
-            Ok(rel)
+impl View<'_> {
+    /// Every row of a freshly computed relation.
+    fn of(rel: Relation) -> Self {
+        View {
+            sel: Selection::all(rel.rows()),
+            rel,
+            stats: None,
+            known: Vec::new(),
         }
-        PhysicalPlan::PartitionedScan { table, parts, .. } => {
-            let entry = catalog.get(table)?;
-            let rel = entry.relation.as_ref();
-            // Surviving ranges are gathered in flat row order, so a scan
-            // of all partitions is bit-identical to the flat scan — and a
-            // pruned scan is the flat scan minus the pruned rows, order
-            // preserved. Without a partition map (spec dropped by a
-            // re-register) the scan degrades to the full flat scan,
-            // which is always sound.
-            let rel = match &entry.partitioning {
-                Some(p) if parts.len() < p.part_count() => {
-                    let idx: Vec<usize> = p
-                        .flat_order_ranges(parts)
-                        .into_iter()
-                        .flat_map(|(s, e)| s..e)
-                        .collect();
-                    rel.gather(&idx)
-                }
-                _ => rel.clone(),
-            };
-            stats.record(Blocking::Pipelined, rel.rows() as u64);
-            Ok(rel)
+    }
+
+    /// A covering `[min, max]` for `column` over the selected rows: the
+    /// catalog's exact range of the base column, tightened by the bounds
+    /// filters have put on it. SPHG and SPHJ emit occupied slots only, so
+    /// any covering domain gives the answer the exact one would. `None`
+    /// when the columns are not a base table's.
+    fn domain(&self, column: &str) -> Option<(u32, u32)> {
+        let props = self.stats.as_ref()?.column_props.get(column)?;
+        let (mut lo, mut hi) = (props.min, props.max);
+        for &(_, l, h) in self.known.iter().filter(|k| k.0 == column) {
+            (lo, hi) = (lo.max(l), hi.min(h));
         }
-        PhysicalPlan::Filter { input, predicate } => {
-            let rel = exec_node(input, catalog, avs, pool, stats, obs)?;
-            let mask = eval_predicate(&rel, predicate)?;
-            stats.record(Blocking::Pipelined, rel.rows() as u64);
-            Ok(rel.filter(&mask)?)
+        // Contradictory bounds select no row; every domain covers none.
+        Some((lo, hi.max(lo)))
+    }
+}
+
+/// The state of one execution.
+struct Exec<'a> {
+    catalog: &'a Catalog,
+    avs: Option<&'a AvCatalog>,
+    pool: &'a dyn Fn() -> Arc<PersistentPool>,
+    /// The columns each `Join` node's output must carry (see [`join_needs`]).
+    needs: HashMap<usize, Vec<&'a str>>,
+    stats: PipelineStats,
+    bytes: u64,
+    obs: Option<OpCollector>,
+}
+
+impl<'a> Exec<'a> {
+    /// Execute one node — on `tp` when an `Exchange` above asked for it
+    /// and the operator has a parallel kernel, serially otherwise —
+    /// recording its [`OperatorMetrics`] when instrumented. Untraced, this
+    /// costs one branch per node, not a clock read.
+    fn run(&mut self, plan: &'a PhysicalPlan, tp: Option<&ThreadPool>) -> Result<View<'a>> {
+        if self.obs.is_none() {
+            return self.op(plan, tp);
         }
-        PhysicalPlan::Project { input, columns } => {
-            let rel = exec_node(input, catalog, avs, pool, stats, obs)?;
-            let names: Vec<&str> = columns.iter().map(String::as_str).collect();
-            Ok(rel.project(&names)?)
+        let began = Instant::now();
+        let before = self.stats;
+        let view = self.op(plan, tp)?;
+        let delta = self.stats.since(&before);
+        if let Some(c) = self.obs.as_mut() {
+            c.record(plan, view.sel.len() as u64, began.elapsed(), delta);
         }
-        PhysicalPlan::Sort {
-            input,
-            key,
-            molecule,
-        } => {
-            let rel = exec_node(input, catalog, avs, pool, stats, obs)?;
-            let keys = rel.column(key)?.as_u32()?;
-            let order: Vec<usize> = match molecule {
-                dqo_plan::SortMolecule::Comparison => {
-                    argsort(keys).into_iter().map(|i| i as usize).collect()
-                }
-                dqo_plan::SortMolecule::Radix => {
-                    let mut pairs: Vec<(u32, u32)> = keys
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &k)| (k, i as u32))
-                        .collect();
-                    radix_sort_pairs_by_key(&mut pairs);
-                    pairs.into_iter().map(|(_, i)| i as usize).collect()
-                }
-            };
-            stats.record(Blocking::FullBreaker, rel.rows() as u64);
-            Ok(rel.gather(&order))
+        Ok(view)
+    }
+
+    /// Account `bytes` of column data `plan` copied into new buffers.
+    fn copied(&mut self, plan: &PhysicalPlan, bytes: usize) {
+        self.bytes += bytes as u64;
+        if let Some(m) = self.obs.as_mut().and_then(|c| c.slot(plan)) {
+            m.bytes_materialised += bytes as u64;
         }
-        PhysicalPlan::Join {
-            left,
-            right,
-            left_key,
-            right_key,
-            algo,
-        } => {
-            // Prebuilt SPH index AV: probe it instead of rebuilding.
-            let prebuilt = match (avs, *algo, left.as_ref()) {
-                (Some(avs), JoinImpl::Sphj, PhysicalPlan::Scan { table }) => avs
-                    .lookup(table, left_key, AvKind::SphIndex)
-                    .and_then(|av| match &av.artifact {
-                        Some(AvArtifact::SphIndex(idx)) => Some(idx.clone()),
-                        _ => None,
-                    }),
-                _ => None,
-            };
-            let l = exec_node(left, catalog, avs, pool, stats, obs)?;
-            let r = exec_node(right, catalog, avs, pool, stats, obs)?;
-            if let Some(idx) = prebuilt {
-                let rk = r.column(right_key)?.as_u32()?;
-                let result = idx.probe(rk);
-                stats.record(Blocking::Pipelined, rk.len() as u64);
-                return assemble_join_output(&l, &r, &result);
+    }
+
+    /// `col` through `sel` for a kernel that needs the whole column at
+    /// once: the dense slice itself, or a compacted copy in `buf`.
+    fn read<'s>(
+        &mut self,
+        plan: &PhysicalPlan,
+        sel: &Selection,
+        col: &'s [u32],
+        buf: &'s mut Vec<u32>,
+    ) -> &'s [u32] {
+        let data = sel.read(col, buf);
+        if sel.as_range().is_none() {
+            self.copied(plan, std::mem::size_of_val(data));
+        }
+        data
+    }
+
+    fn scan(&mut self, entry: Arc<TableEntry>, sel: Selection) -> View<'a> {
+        self.stats.record(Blocking::Pipelined, sel.len() as u64);
+        View {
+            rel: entry.relation.as_ref().clone(),
+            sel,
+            stats: Some(entry),
+            known: Vec::new(),
+        }
+    }
+
+    fn op(&mut self, plan: &'a PhysicalPlan, tp: Option<&ThreadPool>) -> Result<View<'a>> {
+        match plan {
+            PhysicalPlan::Scan { table } => {
+                let entry = self.catalog.get(table)?;
+                let rows = entry.relation.rows();
+                Ok(self.scan(entry, Selection::all(rows)))
             }
-            exec_join(&l, &r, left_key, right_key, *algo, stats)
-        }
-        PhysicalPlan::GroupBy {
-            input,
-            keys,
-            aggs,
-            algo,
-            molecules,
-        } => {
-            let rel = exec_node(input, catalog, avs, pool, stats, obs)?;
-            exec_group_by(&rel, keys, aggs, *algo, *molecules, stats)
-        }
-        PhysicalPlan::Limit { input, n } => {
-            let rel = exec_node(input, catalog, avs, pool, stats, obs)?;
-            Ok(take_rows(&rel, *n))
-        }
-        PhysicalPlan::Exchange { input, dop } => {
-            // A cheap handle: DOP for this Exchange, dispatch onto the
-            // session's persistent pool. When instrumented, a per-batch
-            // observation sink captures morsel and steal counts for this
-            // subtree without touching the shared pool's registry.
-            let mut tp = ThreadPool::with_pool(*dop, pool());
-            let batch_obs = obs.as_ref().map(|_| Arc::new(BatchObs::default()));
-            if let Some(b) = &batch_obs {
-                tp = tp.with_obs(Arc::clone(b));
+            PhysicalPlan::PartitionedScan { table, parts, .. } => {
+                let entry = self.catalog.get(table)?;
+                // The surviving partitions are row ranges of the flat
+                // relation, one segment per partition range, in flat row
+                // order: a scan of all partitions is the flat scan, a
+                // pruned scan is the flat scan minus the pruned rows —
+                // nothing is copied either way, and morsels cut from the
+                // ranges never cross a partition boundary. Without a
+                // partition map (spec dropped by a re-register) the scan
+                // degrades to the full flat scan, which is always sound.
+                let sel = match &entry.partitioning {
+                    Some(p) => Selection::Ranges(
+                        p.flat_order_segments(parts)
+                            .into_iter()
+                            .map(|(s, e)| s..e)
+                            .collect(),
+                    ),
+                    None => Selection::all(entry.relation.rows()),
+                };
+                Ok(self.scan(entry, sel))
             }
-            let began = Instant::now();
-            let before = *stats;
-            let rel = match input.as_ref() {
-                PhysicalPlan::GroupBy {
-                    input: child,
-                    keys,
-                    aggs,
-                    algo,
-                    ..
-                } if matches!(
-                    algo,
-                    GroupingImpl::Hg | GroupingImpl::Sphg | GroupingImpl::Sog
-                ) =>
+            PhysicalPlan::Filter { input, predicate } => {
+                let mut view = self.run(input, None)?;
+                self.stats
+                    .record(Blocking::Pipelined, view.sel.len() as u64);
+                view.sel = narrow(&view.sel, &compile(&view.rel, predicate)?, tp)?;
+                tighten(&mut view.known, predicate);
+                Ok(view)
+            }
+            PhysicalPlan::Project { input, columns } => {
+                let mut view = self.run(input, None)?;
+                let names: Vec<&str> = columns.iter().map(String::as_str).collect();
+                view.rel = view.rel.project(&names)?;
+                Ok(view)
+            }
+            PhysicalPlan::Sort {
+                input,
+                key,
+                molecule,
+            } => {
+                let mut view = self.run(input, None)?;
+                let mut buf = Vec::new();
+                let keys = self.read(plan, &view.sel, view.rel.column(key)?.as_u32()?, &mut buf);
+                // The argsort of the selected keys is a permutation *of
+                // the selection*; no column moves.
+                let order = match (tp, molecule) {
+                    (Some(tp), _) => {
+                        let (order, par) = dqo_parallel::parallel_argsort(
+                            tp,
+                            keys,
+                            to_run_molecule(*molecule),
+                            &view.sel.bounds(),
+                        )
+                        .map_err(ExecError::from)?;
+                        self.stats.merge(&par);
+                        order
+                    }
+                    (None, SortMolecule::Comparison) => argsort(keys),
+                    (None, SortMolecule::Radix) => {
+                        let mut pairs: Vec<(u32, u32)> = keys.iter().copied().zip(0..).collect();
+                        radix_sort_pairs_by_key(&mut pairs);
+                        pairs.into_iter().map(|(_, i)| i).collect()
+                    }
+                };
+                if tp.is_none() {
+                    self.stats.record(Blocking::FullBreaker, keys.len() as u64);
+                }
+                view.sel = Selection::Rows(view.sel.pick(order));
+                Ok(view)
+            }
+            PhysicalPlan::Join {
+                left,
+                right,
+                left_key,
+                right_key,
+                algo,
+            } => self.join(plan, left, right, left_key, right_key, *algo, tp),
+            PhysicalPlan::GroupBy {
+                input,
+                keys,
+                aggs,
+                algo,
+                molecules,
+            } => self.group_by(plan, input, keys, aggs, *algo, *molecules, tp),
+            PhysicalPlan::Limit { input, n } => {
+                let mut view = self.run(input, None)?;
+                view.sel.truncate(usize::try_from(*n).unwrap_or(usize::MAX));
+                Ok(view)
+            }
+            PhysicalPlan::Exchange { input, dop } => {
+                // A cheap handle: DOP for this Exchange, dispatch onto the
+                // session's persistent pool. The operator below uses it if
+                // it has a parallel kernel and runs serially otherwise.
+                // When instrumented, a per-batch observation sink captures
+                // morsel and steal counts for this subtree without
+                // touching the shared pool's registry.
+                let mut handle = ThreadPool::with_pool(*dop, (self.pool)());
+                let batch_obs = self.obs.as_ref().map(|_| Arc::new(BatchObs::default()));
+                if let Some(b) = &batch_obs {
+                    handle = handle.with_obs(Arc::clone(b));
+                }
+                let view = self.run(input, Some(&handle))?;
+                if let (Some(b), Some(m)) =
+                    (batch_obs, self.obs.as_mut().and_then(|c| c.slot(plan)))
                 {
-                    let seg = partition_bounds(child, catalog);
-                    let rel = exec_node(child, catalog, avs, pool, stats, obs)?;
-                    exec_group_by_parallel(&rel, keys, aggs, *algo, &tp, seg.as_deref(), stats)
-                }
-                PhysicalPlan::Join {
-                    left,
-                    right,
-                    left_key,
-                    right_key,
-                    algo,
-                } if matches!(algo, JoinImpl::Hj | JoinImpl::Sphj | JoinImpl::Soj) => {
-                    // Partition-native seeding applies to the build side.
-                    let seg = partition_bounds(left, catalog);
-                    let l = exec_node(left, catalog, avs, pool, stats, obs)?;
-                    let r = exec_node(right, catalog, avs, pool, stats, obs)?;
-                    exec_join_parallel(
-                        &l,
-                        &r,
-                        left_key,
-                        right_key,
-                        *algo,
-                        &tp,
-                        seg.as_deref(),
-                        stats,
-                    )
-                }
-                PhysicalPlan::Sort {
-                    input: child,
-                    key,
-                    molecule,
-                } => {
-                    let seg = partition_bounds(child, catalog);
-                    let rel = exec_node(child, catalog, avs, pool, stats, obs)?;
-                    exec_sort_parallel(&rel, key, *molecule, &tp, seg.as_deref(), stats)
-                }
-                PhysicalPlan::Filter {
-                    input: child,
-                    predicate,
-                } => {
-                    let seg = partition_bounds(child, catalog);
-                    let rel = exec_node(child, catalog, avs, pool, stats, obs)?;
-                    exec_filter_parallel(&rel, predicate, &tp, seg.as_deref(), stats)
-                }
-                // Anything the parallel runtime does not cover degrades
-                // gracefully to the serial executor.
-                other => exec_node(other, catalog, avs, pool, stats, obs),
-            }?;
-            if let Some(c) = obs.as_mut() {
-                // The operator under the Exchange bypasses `exec_node` on
-                // the parallel paths, so its metrics are recorded here
-                // (inclusive of its children, like every other node).
-                c.record(
-                    input,
-                    rel.rows() as u64,
-                    began.elapsed(),
-                    stats.since(&before),
-                );
-                if let Some(m) = c.slot(plan) {
                     m.dop = Some(*dop);
-                    if let Some(b) = &batch_obs {
-                        m.morsels = b.tasks();
-                        m.steals = b.steals();
+                    m.morsels = b.tasks();
+                    m.steals = b.steals();
+                }
+                Ok(view)
+            }
+        }
+    }
+}
+
+impl<'a> Exec<'a> {
+    #[allow(clippy::too_many_arguments)]
+    fn join(
+        &mut self,
+        plan: &'a PhysicalPlan,
+        left: &'a PhysicalPlan,
+        right: &'a PhysicalPlan,
+        left_key: &str,
+        right_key: &str,
+        algo: JoinImpl,
+        tp: Option<&ThreadPool>,
+    ) -> Result<View<'a>> {
+        let tp = tp.filter(|_| matches!(algo, JoinImpl::Hj | JoinImpl::Sphj | JoinImpl::Soj));
+        // Prebuilt SPH index AV: probe it instead of rebuilding.
+        let prebuilt = match (self.avs, algo, left) {
+            (Some(avs), JoinImpl::Sphj, PhysicalPlan::Scan { table }) => avs
+                .lookup(table, left_key, AvKind::SphIndex)
+                .and_then(|av| match &av.artifact {
+                    Some(AvArtifact::SphIndex(idx)) => Some(idx.clone()),
+                    _ => None,
+                }),
+            _ => None,
+        };
+        let l = self.run(left, None)?;
+        let r = self.run(right, None)?;
+        // The kernels see the key columns through the selections and
+        // answer in selection coordinates.
+        let (mut lbuf, mut rbuf) = (Vec::new(), Vec::new());
+        let rk = self.read(plan, &r.sel, r.rel.column(right_key)?.as_u32()?, &mut rbuf);
+        let result = if let Some(idx) = prebuilt {
+            self.stats.record(Blocking::Pipelined, rk.len() as u64);
+            idx.probe(rk)
+        } else {
+            let lcol = l.rel.column(left_key)?.as_u32()?;
+            let lk = self.read(plan, &l.sel, lcol, &mut lbuf);
+            let exec_algo = to_exec_join(algo);
+            let domain = l.domain(left_key).or_else(|| min_max(&l.sel, lcol));
+            let sort = RunSortMolecule::Comparison;
+            let (result, par) = match (tp, algo, domain) {
+                // Empty build side: no matches, nothing to build.
+                (_, JoinImpl::Sphj, None) => Default::default(),
+                (Some(tp), JoinImpl::Sphj, Some((min, max))) => {
+                    dqo_parallel::parallel_sph_join(tp, lk, rk, min, max, DEFAULT_MORSEL_ROWS)?
+                }
+                (Some(tp), JoinImpl::Soj, _) => {
+                    dqo_parallel::parallel_sort_merge_join(tp, lk, rk, sort, &l.sel.bounds())?
+                }
+                (Some(tp), _, _) => dqo_parallel::parallel_hash_join(
+                    tp,
+                    lk,
+                    rk,
+                    &l.sel.bounds(),
+                    DEFAULT_MORSEL_ROWS,
+                )?,
+                (None, _, _) => {
+                    let (build_min, build_max) = domain.unzip();
+                    let hints = JoinHints {
+                        build_min,
+                        build_max,
+                        build_distinct: None,
+                    };
+                    let mut stats = PipelineStats::default();
+                    stats.record(join_blocking(exec_algo), (lk.len() + rk.len()) as u64);
+                    (run_join(exec_algo, lk, rk, &hints)?, stats)
+                }
+            };
+            self.stats.merge(&par);
+            result
+        };
+        let (li, ri) = (l.sel.pick(result.left_rows), r.sel.pick(result.right_rows));
+        // Join output: gather, from either side, the columns something
+        // above this node reads — under the qualified join schema, `Str`
+        // dictionaries carried across (codes are copied verbatim).
+        let schema = l.rel.schema().join(r.rel.schema(), "right")?;
+        let need = self.needs.get(&node_id(plan));
+        let wanted = |f: &Field| need.is_none_or(|n| n.contains(&f.name.as_str()));
+        let mut keep: Vec<usize> = (0..schema.width())
+            .filter(|&i| wanted(&schema.fields()[i]))
+            .collect();
+        if keep.is_empty() {
+            // Nothing above reads a column; one still carries the row count.
+            keep.push(0);
+        }
+        let width_left = l.rel.schema().width();
+        let (mut fields, mut columns, mut dicts) = (Vec::new(), Vec::new(), Vec::new());
+        for i in keep {
+            let (side, rows, at) = match i.checked_sub(width_left) {
+                None => (&l.rel, &li, i),
+                Some(at) => (&r.rel, &ri, at),
+            };
+            columns.push(side.column_at(at)?.gather(rows));
+            dicts.push(side.dictionary_at(at)?.cloned());
+            fields.push(schema.fields()[i].clone());
+        }
+        let rel = assemble(fields, columns, dicts)?;
+        self.copied(plan, rel.byte_size());
+        Ok(View::of(rel))
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn group_by(
+        &mut self,
+        plan: &'a PhysicalPlan,
+        input: &'a PhysicalPlan,
+        keys: &[String],
+        aggs: &[AggExpr],
+        algo: GroupingImpl,
+        molecules: GroupingMolecules,
+        tp: Option<&ThreadPool>,
+    ) -> Result<View<'a>> {
+        let tp = tp.filter(|_| {
+            matches!(
+                algo,
+                GroupingImpl::Hg | GroupingImpl::Sphg | GroupingImpl::Sog
+            )
+        });
+        // A filter directly beneath a morsel-parallel single-key HG/SPHG
+        // is fused: its predicate runs inside the grouping's own morsel
+        // tasks, so filter → group is one pass per morsel and the
+        // survivors' row ids never leave the worker's scratch.
+        let fused = fusable_filter(input)
+            .filter(|_| tp.is_some() && keys.len() == 1 && algo != GroupingImpl::Sog);
+        let mut view = self.run(fused.as_ref().map_or(input, |f| f.input), None)?;
+        let conjuncts = match &fused {
+            Some(f) => {
+                self.stats
+                    .record(Blocking::Pipelined, view.sel.len() as u64);
+                tighten(&mut view.known, f.predicate);
+                compile(&view.rel, f.predicate)?
+            }
+            None => Vec::new(),
+        };
+
+        let (rel, sel) = (&view.rel, &view.sel);
+        let layouts = key_layouts(rel, keys)?;
+        let key_cols: Vec<&[u32]> = keys
+            .iter()
+            .map(|k| Ok(rel.column(k)?.as_u32()?))
+            .collect::<Result<_>>()?;
+        let values: &[u32] = match agg_input_column(aggs)? {
+            Some(name) => rel.column(name)?.as_u32()?,
+            None => key_cols[0],
+        };
+        let grouping = Grouping {
+            algo,
+            table: hg_table(molecules),
+            tp,
+        };
+        let out = if keys.len() == 1 {
+            // Single key: the kernels run on the raw column, through the
+            // selection.
+            let domain = view.domain(&keys[0]);
+            let (result, ran) = self.grouped(
+                plan,
+                &grouping,
+                key_cols[0],
+                values,
+                sel,
+                &conjuncts,
+                domain,
+            )?;
+            if let (Some(f), Some(c)) = (&fused, self.obs.as_mut()) {
+                f.record(c, &ran, tp.map_or(1, ThreadPool::threads));
+            }
+            grouped_to_relation(&layouts, vec![result.keys], aggs, &result.states)?
+        } else {
+            // Composite key: compact the key columns through the
+            // selection, pack them into the u32 code domain where the
+            // per-column widths allow, and run the very same single-column
+            // kernels on the packed codes; otherwise fall back to the
+            // row-wise kernel.
+            let mut bufs = vec![Vec::new(); keys.len() + 1];
+            let (vbuf, kbufs) = bufs.split_last_mut().expect("keys.len() + 1 buffers");
+            let values = self.read(plan, sel, values, vbuf);
+            let key_cols: Vec<&[u32]> = key_cols
+                .iter()
+                .zip(kbufs.iter_mut())
+                .map(|(col, buf)| self.read(plan, sel, col, buf))
+                .collect();
+            match KeyPacker::fit(&key_cols) {
+                Some(packer) => {
+                    let packed = packer.pack(&key_cols);
+                    self.copied(plan, std::mem::size_of_val(&packed[..]));
+                    let all = Selection::all(packed.len());
+                    let (result, _) =
+                        self.grouped(plan, &grouping, &packed, values, &all, &[], None)?;
+                    let (cols, states) = unpack_grouped(&packer, result);
+                    grouped_to_relation(&layouts, cols, aggs, &states)?
+                }
+                None => {
+                    let (cols, states) = rowwise_group(&key_cols, values, FullAgg);
+                    self.stats
+                        .record(Blocking::FullBreaker, values.len() as u64);
+                    grouped_to_relation(&layouts, cols, aggs, &states)?
+                }
+            }
+        };
+        Ok(View::of(out))
+    }
+
+    /// Group `keys`/`values` read through `sel` — and, in the morsel tasks
+    /// of parallel HG/SPHG, through the fused filter `conjuncts`, whose
+    /// run is reported back.
+    #[allow(clippy::too_many_arguments)]
+    fn grouped(
+        &mut self,
+        plan: &PhysicalPlan,
+        how: &Grouping<'_>,
+        keys: &[u32],
+        values: &[u32],
+        sel: &Selection,
+        conjuncts: &[Conjunct<'_>],
+        domain: Option<(u32, u32)>,
+    ) -> Result<(GroupedResult<FullAggState>, FusedRun)> {
+        let exec_algo = to_exec_grouping(how.algo);
+        let Some(tp) = how.tp.filter(|_| how.algo != GroupingImpl::Sog) else {
+            // Whole-column kernels: serial execution (the one-morsel
+            // case) and the parallel sort behind SOG.
+            let (mut kbuf, mut vbuf) = (Vec::new(), Vec::new());
+            let keys = self.read(plan, sel, keys, &mut kbuf);
+            let values = self.read(plan, sel, values, &mut vbuf);
+            let result = match (how.tp, how.algo) {
+                (Some(tp), _) => {
+                    let sort = RunSortMolecule::Comparison;
+                    let bounds = sel.bounds();
+                    let (result, par) =
+                        dqo_parallel::parallel_sog(tp, keys, values, FullAgg, sort, &bounds)?;
+                    self.stats.merge(&par);
+                    result
+                }
+                // The optimiser's table/hash molecules select the
+                // concrete hash-grouping implementation.
+                (None, GroupingImpl::Hg) => {
+                    hash_grouping_with(keys, values, FullAgg, how.table, 1024)
+                }
+                (None, _) => {
+                    let (min, max) = domain.unzip();
+                    let hints = GroupingHints {
+                        min,
+                        max,
+                        ..GroupingHints::default()
+                    };
+                    execute_grouping(exec_algo, keys, values, FullAgg, &hints)?
+                }
+            };
+            if how.tp.is_none() {
+                self.stats
+                    .record(grouping_blocking(exec_algo), keys.len() as u64);
+            }
+            return Ok((result, FusedRun::default()));
+        };
+        // Morsel-parallel HG/SPHG: each task narrows its piece of the
+        // selection, compacts only the key and value columns through the
+        // survivors into its worker's scratch (a dense run is read in
+        // place), and folds them into the worker's partial aggregate.
+        let strategy = match how.algo {
+            GroupingImpl::Hg => GroupingStrategy::Hash(how.table),
+            _ => {
+                // Without statistics (a column computed by a join or a
+                // grouping) the domain is folded from the column itself,
+                // through the selection.
+                let (min, max) = domain.or_else(|| min_max(sel, keys)).unwrap_or((0, 0));
+                GroupingStrategy::StaticPerfectHash { min, max }
+            }
+        };
+        let pieces = sel.pieces(DEFAULT_MORSEL_ROWS);
+        let timed = self.obs.is_some();
+        let (copied, survivors, busy) = (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
+        let (result, par) = dqo_parallel::parallel_grouping_tasks(
+            tp,
+            pieces.len(),
+            FullAgg,
+            strategy,
+            |t, scratch, sink| {
+                let mut piece = pieces[t].clone();
+                if !conjuncts.is_empty() {
+                    let began = timed.then(Instant::now);
+                    scratch.ids.clear();
+                    narrow_piece(&piece, conjuncts, &mut scratch.ids)?;
+                    piece = match piece {
+                        Piece::Range(_) => Piece::ascending(&scratch.ids),
+                        Piece::Rows(_) => Piece::Rows(&scratch.ids),
+                    };
+                    survivors.fetch_add(piece.len() as u64, Ordering::Relaxed);
+                    if let Some(began) = began {
+                        busy.fetch_add(began.elapsed().as_nanos() as u64, Ordering::Relaxed);
                     }
                 }
+                if let Piece::Rows(ids) = &piece {
+                    copied.fetch_add(8 * ids.len() as u64, Ordering::Relaxed);
+                }
+                sink(
+                    piece.read(keys, &mut scratch.keys),
+                    piece.read(values, &mut scratch.values),
+                );
+                Ok(())
+            },
+        )?;
+        self.stats.merge(&par);
+        self.copied(plan, copied.into_inner() as usize);
+        Ok((
+            result,
+            FusedRun {
+                rows_out: survivors.into_inner(),
+                busy: Duration::from_nanos(busy.into_inner()),
+                pieces: pieces.len() as u64,
+            },
+        ))
+    }
+}
+
+/// How a `GroupBy` node groups: the organelle, the HG table molecule and
+/// the pool handle when an `Exchange` asked for morsel parallelism.
+struct Grouping<'t> {
+    algo: GroupingImpl,
+    table: HgTable,
+    tp: Option<&'t ThreadPool>,
+}
+
+/// A `Filter` (with its own `Exchange`, if any) that a morsel-parallel
+/// grouping runs inside its tasks instead of as a node of its own.
+struct Fused<'a> {
+    exchange: Option<(&'a PhysicalPlan, usize)>,
+    node: &'a PhysicalPlan,
+    predicate: &'a Predicate,
+    input: &'a PhysicalPlan,
+}
+
+/// What a fused filter did inside the grouping's tasks.
+#[derive(Default)]
+struct FusedRun {
+    rows_out: u64,
+    /// Summed kernel time across tasks (measured only when instrumented).
+    busy: Duration,
+    pieces: u64,
+}
+
+fn fusable_filter(plan: &PhysicalPlan) -> Option<Fused<'_>> {
+    let (exchange, node) = match plan {
+        PhysicalPlan::Exchange { input, dop } => (Some((plan, *dop)), input.as_ref()),
+        other => (None, other),
+    };
+    match node {
+        PhysicalPlan::Filter { input, predicate } => Some(Fused {
+            exchange,
+            node,
+            predicate,
+            input,
+        }),
+        _ => None,
+    }
+}
+
+impl Fused<'_> {
+    /// The metrics the filter (and its `Exchange`) would have recorded as
+    /// nodes of their own: the survivors, its input's pipeline stats plus
+    /// the rows it streamed, and as wall time its input's plus the
+    /// filter's summed kernel time spread over the workers that shared it.
+    fn record(&self, c: &mut OpCollector, ran: &FusedRun, workers: usize) {
+        let input = c.slot(self.input).cloned().unwrap_or_default();
+        let wall = input.wall + ran.busy / workers.max(1) as u32;
+        let mut stats = input.stats;
+        stats.record(Blocking::Pipelined, input.rows_out);
+        c.record(self.node, ran.rows_out, wall, stats);
+        if let Some((exchange, dop)) = self.exchange {
+            c.record(exchange, ran.rows_out, wall, stats);
+            if let Some(m) = c.slot(exchange) {
+                m.dop = Some(dop);
+                m.morsels = ran.pieces;
             }
-            Ok(rel)
         }
     }
 }
 
-/// Segment offsets, in the scan's **output** row coordinates, of a
-/// partitioned scan's surviving ranges: `[0, l1, l1+l2, …, rows]`, one
-/// segment per per-partition range in flat order. The parallel runtime
-/// seeds one sort run / morsel block per segment, so parallel work over
-/// the scan never crosses a partition boundary. `None` for any other
-/// node — the partition-native seeding only fires when the parallel
-/// operator reads a `PartitionedScan` directly.
-fn partition_bounds(plan: &PhysicalPlan, catalog: &Catalog) -> Option<Vec<usize>> {
-    let PhysicalPlan::PartitionedScan { table, parts, .. } = plan else {
-        return None;
+/// The columns each `Join`'s output must carry, computed once, top-down:
+/// what the nodes above it project, filter, group or sort on. A join whose
+/// whole output reaches the root (or feeds another join) has no entry and
+/// carries every column of both sides.
+fn join_needs<'a>(
+    plan: &'a PhysicalPlan,
+    need: Option<Vec<&'a str>>,
+    out: &mut HashMap<usize, Vec<&'a str>>,
+) {
+    let plus = |need: Option<Vec<&'a str>>, extra: Vec<&'a str>| {
+        need.map(|mut n| {
+            n.extend(extra);
+            n
+        })
     };
-    let partitioning = catalog.get(table).ok()?.partitioning.clone()?;
-    let mut bounds = vec![0usize];
-    for (s, e) in partitioning.flat_order_segments(parts) {
-        bounds.push(bounds.last().expect("non-empty") + (e - s));
+    match plan {
+        PhysicalPlan::Scan { .. } | PhysicalPlan::PartitionedScan { .. } => {}
+        PhysicalPlan::Filter { input, predicate } => {
+            join_needs(input, plus(need, predicate.columns()), out)
+        }
+        PhysicalPlan::Sort { input, key, .. } => join_needs(input, plus(need, vec![key]), out),
+        PhysicalPlan::Project { input, columns } => join_needs(
+            input,
+            Some(columns.iter().map(String::as_str).collect()),
+            out,
+        ),
+        PhysicalPlan::GroupBy {
+            input, keys, aggs, ..
+        } => {
+            let read = keys
+                .iter()
+                .chain(aggs.iter().filter_map(|a| a.column.as_ref()));
+            join_needs(input, Some(read.map(String::as_str).collect()), out)
+        }
+        PhysicalPlan::Limit { input, .. } | PhysicalPlan::Exchange { input, .. } => {
+            join_needs(input, need, out)
+        }
+        PhysicalPlan::Join { left, right, .. } => {
+            out.extend(need.map(|n| (node_id(plan), n)));
+            join_needs(left, None, out);
+            join_needs(right, None, out);
+        }
     }
-    Some(bounds)
 }
 
-/// First `n` rows of a relation.
-fn take_rows(rel: &Relation, n: u64) -> Relation {
-    let keep = (rel.rows() as u64).min(n) as usize;
-    let idx: Vec<usize> = (0..keep).collect();
-    rel.gather(&idx)
+// ---------------------------------------------------------------------------
+// Filters: compiled conjuncts narrowing a selection
+// ---------------------------------------------------------------------------
+
+/// One conjunct of a filter predicate, bound to its column.
+enum Conjunct<'r> {
+    /// `u32` column against a `u32` constant — the dominant case.
+    U32 { data: &'r [u32], op: CmpOp, v: u32 },
+    /// Dictionary-encoded string column (comparison, prefix, `LIKE`): the
+    /// predicate is evaluated once per *code* under real string order,
+    /// regardless of how codes were assigned; rows look their code up.
+    Code {
+        codes: &'r [u32],
+        hits: Vec<bool>,
+        column: &'r str,
+    },
+    /// Any other column type against a constant, value by value.
+    Slow {
+        col: &'r Column,
+        op: CmpOp,
+        value: &'r Value,
+        column: &'r str,
+    },
 }
 
-/// Map plan vocabulary onto the execution engine.
+/// Bind `pred`'s conjuncts to the columns of `rel`.
+fn compile<'r>(rel: &'r Relation, pred: &'r Predicate) -> Result<Vec<Conjunct<'r>>> {
+    let per_code = |column: &'r str, like: bool, matches: &dyn Fn(&str) -> bool| {
+        let col = rel.column(column)?;
+        if like && col.data_type() != DataType::Str {
+            return Err(CoreError::Unsupported(format!(
+                "LIKE on non-string column '{column}'"
+            )));
+        }
+        // Codes without a dictionary cannot be compared to strings.
+        let dict = rel.dictionary(column)?.ok_or_else(|| {
+            CoreError::Unsupported(format!(
+                "string column '{column}' has no dictionary attached"
+            ))
+        })?;
+        Ok(Conjunct::Code {
+            codes: col.as_u32()?,
+            hits: dict.match_table(matches),
+            column,
+        })
+    };
+    Ok(match pred {
+        Predicate::And(ps) => {
+            let mut all = Vec::with_capacity(ps.len());
+            for p in ps {
+                all.extend(compile(rel, p)?);
+            }
+            all
+        }
+        Predicate::Compare { column, op, value } => {
+            let col = rel.column(column)?;
+            vec![match (col.data_type(), col.as_u32(), value) {
+                (DataType::Str, _, Value::Str(lit)) => {
+                    per_code(column, false, &|s| op.eval(s.cmp(lit.as_str())))?
+                }
+                (DataType::Str, _, _) => {
+                    return Err(CoreError::Unsupported(format!(
+                        "string column '{column}' compared to non-string literal {value}"
+                    )))
+                }
+                (_, Ok(data), Value::U32(v)) => Conjunct::U32 {
+                    data,
+                    op: *op,
+                    v: *v,
+                },
+                _ => Conjunct::Slow {
+                    col,
+                    op: *op,
+                    value,
+                    column,
+                },
+            }]
+        }
+        Predicate::Prefix { column, prefix } => {
+            vec![per_code(column, true, &|s| s.starts_with(prefix.as_str()))?]
+        }
+        Predicate::Like { column, pattern } => {
+            vec![per_code(column, true, &|s| {
+                dqo_plan::like_match(pattern, s)
+            })?]
+        }
+    })
+}
+
+/// Record the bounds `pred`'s `u32` comparisons put on their columns. (A
+/// comparison with a `u32` constant only executes on a `u32` column.)
+fn tighten<'a>(known: &mut Vec<(&'a str, u32, u32)>, pred: &'a Predicate) {
+    match pred {
+        Predicate::And(ps) => ps.iter().for_each(|p| tighten(known, p)),
+        Predicate::Compare {
+            column,
+            op,
+            value: Value::U32(v),
+        } => known.push(match op {
+            CmpOp::Eq => (column, *v, *v),
+            CmpOp::Lt => (column, 0, v.saturating_sub(1)),
+            CmpOp::Le => (column, 0, *v),
+            CmpOp::Gt => (column, v.saturating_add(1), u32::MAX),
+            CmpOp::Ge => (column, *v, u32::MAX),
+            CmpOp::Ne => return,
+        }),
+        _ => {}
+    }
+}
+
+/// Append to `out` the rows of `piece` that satisfy every conjunct: the
+/// first conjunct reads the piece, each further one runs over the
+/// survivors of the previous one.
+fn narrow_piece(
+    piece: &Piece<'_>,
+    conjuncts: &[Conjunct<'_>],
+    out: &mut Vec<u32>,
+) -> std::result::Result<(), ExecError> {
+    let from = out.len();
+    for (n, conjunct) in conjuncts.iter().enumerate() {
+        // One monomorphic loop per predicate.
+        macro_rules! keep {
+            ($row:expr) => {
+                match n {
+                    0 => piece.narrow($row, out),
+                    _ => narrow_rows(out, from, $row),
+                }
+            };
+        }
+        match conjunct {
+            Conjunct::U32 { data, op, v } => match op {
+                CmpOp::Eq => keep!(|i| data[i] == *v),
+                CmpOp::Ne => keep!(|i| data[i] != *v),
+                CmpOp::Lt => keep!(|i| data[i] < *v),
+                CmpOp::Le => keep!(|i| data[i] <= *v),
+                CmpOp::Gt => keep!(|i| data[i] > *v),
+                CmpOp::Ge => keep!(|i| data[i] >= *v),
+            },
+            Conjunct::Code {
+                codes,
+                hits,
+                column,
+            } => {
+                let missing = std::cell::Cell::new(None);
+                keep!(|i| *hits.get(codes[i] as usize).unwrap_or_else(|| {
+                    missing.set(Some(codes[i]));
+                    &false
+                }));
+                if let Some(c) = missing.get() {
+                    return Err(ExecError::PreconditionViolated {
+                        algorithm: "filter",
+                        detail: format!(
+                            "code {c} of column '{column}' missing from its dictionary"
+                        ),
+                    });
+                }
+            }
+            // The slow path: one decoded value per row.
+            Conjunct::Slow {
+                col,
+                op,
+                value,
+                column,
+            } => {
+                let cmp = |i| col.value_at(i).ok().and_then(|cell| cell.total_cmp(value));
+                if !piece.is_empty() && cmp(0).is_none() {
+                    return Err(ExecError::PreconditionViolated {
+                        algorithm: "filter",
+                        detail: format!("cross-type comparison {column} vs {value}"),
+                    });
+                }
+                keep!(|i| cmp(i).is_some_and(|ord| op.eval(ord)));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Narrow `sel` to the rows satisfying every conjunct, one task per
+/// morsel-sized piece on `tp`; serial execution is the one-morsel call of
+/// the same kernel. Pieces concatenate in order, so row order is kept.
+fn narrow(
+    sel: &Selection,
+    conjuncts: &[Conjunct<'_>],
+    tp: Option<&ThreadPool>,
+) -> Result<Selection> {
+    if conjuncts.is_empty() {
+        return Ok(sel.clone());
+    }
+    let pieces = sel.pieces(tp.map_or(usize::MAX, |_| DEFAULT_MORSEL_ROWS));
+    let task = |t: usize| {
+        let mut ids = Vec::new();
+        narrow_piece(&pieces[t], conjuncts, &mut ids).map(|()| ids)
+    };
+    let chunks = match tp {
+        Some(tp) => tp.map_tasks(pieces.len(), task)?,
+        None => (0..pieces.len()).map(task).collect(),
+    };
+    let chunks = chunks
+        .into_iter()
+        .collect::<std::result::Result<Vec<_>, _>>()?;
+    Ok(match sel {
+        Selection::Ranges(_) => Selection::from_ascending(chunks),
+        Selection::Rows(_) => Selection::Rows(chunks.concat()),
+    })
+}
+
+/// Smallest and largest value of `col` over the rows of `sel`.
+fn min_max(sel: &Selection, col: &[u32]) -> Option<(u32, u32)> {
+    let fold = |(lo, hi): (u32, u32), k: u32| (lo.min(k), hi.max(k));
+    let range = sel
+        .pieces(usize::MAX)
+        .into_iter()
+        .fold((u32::MAX, 0), |acc, piece| match piece {
+            Piece::Range(r) => col[r].iter().copied().fold(acc, fold),
+            Piece::Rows(ids) => ids.iter().map(|&i| col[i as usize]).fold(acc, fold),
+        });
+    (!sel.is_empty()).then_some(range)
+}
+
+// ---------------------------------------------------------------------------
+// Plan vocabulary → kernels, and output assembly
+// ---------------------------------------------------------------------------
+
 fn to_exec_join(algo: JoinImpl) -> JoinAlgorithm {
     match algo {
         JoinImpl::Hj => JoinAlgorithm::HashBased,
@@ -435,64 +1082,29 @@ fn to_exec_grouping(algo: GroupingImpl) -> GroupingAlgorithm {
     }
 }
 
-fn exec_join(
-    l: &Relation,
-    r: &Relation,
-    left_key: &str,
-    right_key: &str,
-    algo: JoinImpl,
-    stats: &mut PipelineStats,
-) -> Result<Relation> {
-    let lk = l.column(left_key)?.as_u32()?;
-    let rk = r.column(right_key)?.as_u32()?;
-    let hints = JoinHints {
-        build_min: lk.iter().copied().min(),
-        build_max: lk.iter().copied().max(),
-        build_distinct: None,
+/// The parallel run-sort molecule matching a plan-side [`SortMolecule`].
+fn to_run_molecule(molecule: SortMolecule) -> RunSortMolecule {
+    match molecule {
+        SortMolecule::Comparison => RunSortMolecule::Comparison,
+        SortMolecule::Radix => RunSortMolecule::Radix,
+    }
+}
+
+/// The HG table the optimiser's table/hash molecules name
+/// (`dqo-core::molecule`); unknown combinations fall back to the paper's
+/// chaining + Murmur3 default.
+fn hg_table(molecules: GroupingMolecules) -> HgTable {
+    use dqo_plan::{HashFnMolecule as H, TableMolecule as T};
+    let hash = |h| match h {
+        H::Murmur3 => HgHash::Murmur3,
+        H::Fibonacci => HgHash::Fibonacci,
+        H::Identity => HgHash::Identity,
     };
-    let result = run_join(to_exec_join(algo), lk, rk, &hints)?;
-    stats.record(
-        join_blocking(to_exec_join(algo)),
-        (lk.len() + rk.len()) as u64,
-    );
-    assemble_join_output(l, r, &result)
-}
-
-fn assemble_join_output(
-    l: &Relation,
-    r: &Relation,
-    result: &dqo_exec::join::JoinResult,
-) -> Result<Relation> {
-    let li: Vec<usize> = result.left_rows.iter().map(|&i| i as usize).collect();
-    let ri: Vec<usize> = result.right_rows.iter().map(|&i| i as usize).collect();
-    concat_columns(&l.gather(&li), &r.gather(&ri))
-}
-
-/// Concatenate the columns of two equal-length relations under the
-/// qualified join schema, carrying `Str` dictionaries across (the codes
-/// are copied verbatim, so the source dictionaries stay valid).
-fn concat_columns(left: &Relation, right: &Relation) -> Result<Relation> {
-    let schema = left.schema().join(right.schema(), "right")?;
-    let mut columns: Vec<Column> = Vec::with_capacity(schema.width());
-    for i in 0..left.schema().width() {
-        columns.push(left.column_at(i)?.clone());
+    match (molecules.table, molecules.hash) {
+        (Some(T::LinearProbing), Some(h)) => HgTable::LinearProbing(hash(h)),
+        (Some(T::RobinHood), Some(h)) => HgTable::RobinHood(hash(h)),
+        _ => HgTable::Chaining,
     }
-    for i in 0..right.schema().width() {
-        columns.push(right.column_at(i)?.clone());
-    }
-    let mut rel = Relation::new(schema, columns)?;
-    let width_left = left.schema().width();
-    for i in 0..width_left {
-        if let Some(dict) = left.dictionary_at(i)? {
-            rel = rel.with_dictionary_at(i, Arc::clone(dict))?;
-        }
-    }
-    for i in 0..right.schema().width() {
-        if let Some(dict) = right.dictionary_at(i)? {
-            rel = rel.with_dictionary_at(width_left + i, Arc::clone(dict))?;
-        }
-    }
-    Ok(rel)
 }
 
 /// The output shape of one grouping key column: its field (name + type,
@@ -512,76 +1124,21 @@ fn key_layouts(rel: &Relation, keys: &[String]) -> Result<Vec<KeyLayout>> {
         .collect()
 }
 
-fn exec_group_by(
-    rel: &Relation,
-    keys: &[String],
-    aggs: &[AggExpr],
-    algo: GroupingImpl,
-    molecules: dqo_plan::physical::GroupingMolecules,
-    stats: &mut PipelineStats,
+/// A relation over freshly built columns, `Str` dictionaries re-attached
+/// (wherever codes are copied they are copied verbatim, so the source
+/// dictionaries stay valid).
+fn assemble(
+    fields: Vec<Field>,
+    columns: Vec<Column>,
+    dicts: Vec<Option<Arc<Dictionary>>>,
 ) -> Result<Relation> {
-    let layouts = key_layouts(rel, keys)?;
-    let key_cols: Vec<&[u32]> = keys
-        .iter()
-        .map(|k| Ok(rel.column(k)?.as_u32()?))
-        .collect::<Result<_>>()?;
-    let value_col = agg_input_column(aggs)?;
-    let values: &[u32] = match value_col {
-        Some(name) => rel.column(name)?.as_u32()?,
-        None => key_cols[0],
-    };
-    let exec_algo = to_exec_grouping(algo);
-
-    if keys.len() == 1 {
-        // Single-key fast path: the kernels run on the raw column.
-        let data = key_cols[0];
-        let (min, max) = min_max(data);
-        let hints = GroupingHints {
-            min: Some(min),
-            max: Some(max),
-            distinct: None,
-            known_keys: None,
-        };
-        // Molecule-aware dispatch for the hash organelle: the optimiser's
-        // table/hash decision selects the concrete implementation.
-        let result = if algo == GroupingImpl::Hg {
-            run_hash_grouping_with_molecules(data, values, molecules)
-        } else {
-            execute_grouping(exec_algo, data, values, FullAgg, &hints)?
-        };
-        stats.record(grouping_blocking(exec_algo), data.len() as u64);
-        return grouped_to_relation(&layouts, vec![result.keys.clone()], aggs, &result.states);
-    }
-
-    // Composite key: pack into the u32 code domain where the per-column
-    // widths allow, and run the very same single-column kernels on the
-    // packed codes; otherwise fall back to the row-wise kernel.
-    let rows = key_cols[0].len() as u64;
-    match KeyPacker::fit(&key_cols) {
-        Some(packer) => {
-            let packed = packer.pack(&key_cols);
-            let (min, max) = min_max(&packed);
-            let hints = GroupingHints {
-                min: Some(min),
-                max: Some(max),
-                distinct: None,
-                known_keys: None,
-            };
-            let result = if algo == GroupingImpl::Hg {
-                run_hash_grouping_with_molecules(&packed, values, molecules)
-            } else {
-                execute_grouping(exec_algo, &packed, values, FullAgg, &hints)?
-            };
-            stats.record(grouping_blocking(exec_algo), rows);
-            let (cols, states) = unpack_grouped(&packer, result);
-            grouped_to_relation(&layouts, cols, aggs, &states)
-        }
-        None => {
-            let (cols, states) = rowwise_group(&key_cols, values, FullAgg);
-            stats.record(Blocking::FullBreaker, rows);
-            grouped_to_relation(&layouts, cols, aggs, &states)
+    let mut rel = Relation::new(Schema::new(fields)?, columns)?;
+    for (idx, dict) in dicts.into_iter().enumerate() {
+        if let Some(dict) = dict {
+            rel = rel.with_dictionary_at(idx, dict)?;
         }
     }
+    Ok(rel)
 }
 
 /// Assemble a grouping output relation: one column per grouping key (with
@@ -593,227 +1150,21 @@ fn grouped_to_relation(
     states: &[FullAggState],
 ) -> Result<Relation> {
     debug_assert_eq!(layouts.len(), key_columns.len());
-    let mut fields = Vec::with_capacity(layouts.len() + aggs.len());
-    let mut columns = Vec::with_capacity(layouts.len() + aggs.len());
-    for ((field, _), data) in layouts.iter().zip(key_columns) {
+    let (mut fields, mut columns, mut dicts) = (Vec::new(), Vec::new(), Vec::new());
+    for ((field, dict), data) in layouts.iter().zip(key_columns) {
         fields.push(field.clone());
         columns.push(match field.data_type {
             DataType::Str => Column::Str(data),
             _ => Column::U32(data),
         });
+        dicts.push(dict.clone());
     }
     for agg in aggs {
         let (field, column) = materialise_agg(agg, states)?;
         fields.push(field);
         columns.push(column);
     }
-    let mut rel = Relation::new(Schema::new(fields)?, columns)?;
-    for (idx, (_, dict)) in layouts.iter().enumerate() {
-        if let Some(dict) = dict {
-            rel = rel.with_dictionary_at(idx, Arc::clone(dict))?;
-        }
-    }
-    Ok(rel)
-}
-
-/// The parallel run-sort molecule matching a plan-side [`dqo_plan::SortMolecule`].
-fn to_run_molecule(molecule: dqo_plan::SortMolecule) -> dqo_parallel::RunSortMolecule {
-    match molecule {
-        dqo_plan::SortMolecule::Comparison => dqo_parallel::RunSortMolecule::Comparison,
-        dqo_plan::SortMolecule::Radix => dqo_parallel::RunSortMolecule::Radix,
-    }
-}
-
-/// Morsel-parallel sort enforcer (dispatched from an `Exchange` node):
-/// parallel run formation + Merge Path merge produce the stable argsort
-/// permutation, bit-identical to the serial enforcer at any DOP.
-fn exec_sort_parallel(
-    rel: &Relation,
-    key: &str,
-    molecule: dqo_plan::SortMolecule,
-    pool: &ThreadPool,
-    seg: Option<&[usize]>,
-    stats: &mut PipelineStats,
-) -> Result<Relation> {
-    let keys = rel.column(key)?.as_u32()?;
-    let (order, par_stats) = match seg {
-        Some(bounds) => {
-            dqo_parallel::parallel_argsort_segmented(pool, keys, to_run_molecule(molecule), bounds)
-        }
-        None => dqo_parallel::parallel_argsort(pool, keys, to_run_molecule(molecule)),
-    }
-    .map_err(dqo_exec::ExecError::from)?;
-    stats.merge(&par_stats);
-    let order: Vec<usize> = order.into_iter().map(|i| i as usize).collect();
-    Ok(rel.gather(&order))
-}
-
-/// Morsel-parallel group-by (dispatched from an `Exchange` node): the
-/// grouping key/value columns run through `dqo-parallel`'s thread-local
-/// aggregation — or, for SOG, the parallel sort subsystem — and the
-/// parallel kernels' own [`PipelineStats`] merge into the query's
-/// accounting. Composite keys run the identical kernels on the packed
-/// code column (bit-identical to serial at any DOP, since the packing is
-/// deterministic and the parallel merges are); an unpackable composite
-/// degrades gracefully to the serial row-wise kernel.
-fn exec_group_by_parallel(
-    rel: &Relation,
-    keys: &[String],
-    aggs: &[AggExpr],
-    algo: GroupingImpl,
-    pool: &ThreadPool,
-    seg: Option<&[usize]>,
-    stats: &mut PipelineStats,
-) -> Result<Relation> {
-    let layouts = key_layouts(rel, keys)?;
-    let key_cols: Vec<&[u32]> = keys
-        .iter()
-        .map(|k| Ok(rel.column(k)?.as_u32()?))
-        .collect::<Result<_>>()?;
-    let value_col = agg_input_column(aggs)?;
-    let values: &[u32] = match value_col {
-        Some(name) => rel.column(name)?.as_u32()?,
-        None => key_cols[0],
-    };
-
-    // Composite keys pack (or bail to the serial row-wise fallback).
-    let packed_storage;
-    let (packer, data): (Option<KeyPacker>, &[u32]) = if keys.len() == 1 {
-        (None, key_cols[0])
-    } else {
-        match KeyPacker::fit(&key_cols) {
-            Some(p) => {
-                packed_storage = p.pack(&key_cols);
-                (Some(p), packed_storage.as_slice())
-            }
-            None => {
-                let (cols, states) = rowwise_group(&key_cols, values, FullAgg);
-                stats.record(Blocking::FullBreaker, key_cols[0].len() as u64);
-                return grouped_to_relation(&layouts, cols, aggs, &states);
-            }
-        }
-    };
-
-    let result = if algo == GroupingImpl::Sog {
-        let molecule = dqo_parallel::RunSortMolecule::Comparison;
-        let (result, par_stats) = match seg {
-            Some(bounds) => {
-                dqo_parallel::parallel_sog_segmented(pool, data, values, FullAgg, molecule, bounds)?
-            }
-            None => dqo_parallel::parallel_sog(pool, data, values, FullAgg, molecule)?,
-        };
-        stats.merge(&par_stats);
-        result
-    } else {
-        let strategy = match algo {
-            GroupingImpl::Sphg => {
-                let (min, max) = min_max(data);
-                GroupingStrategy::StaticPerfectHash { min, max }
-            }
-            _ => GroupingStrategy::Hash,
-        };
-        let (result, par_stats) = match seg {
-            Some(bounds) => dqo_parallel::parallel_grouping_segmented(
-                pool,
-                data,
-                values,
-                FullAgg,
-                strategy,
-                bounds,
-                DEFAULT_MORSEL_ROWS,
-            )?,
-            None => dqo_parallel::parallel_grouping(
-                pool,
-                data,
-                values,
-                FullAgg,
-                strategy,
-                DEFAULT_MORSEL_ROWS,
-            )?,
-        };
-        stats.merge(&par_stats);
-        result
-    };
-    match packer {
-        Some(packer) => {
-            let (cols, states) = unpack_grouped(&packer, result);
-            grouped_to_relation(&layouts, cols, aggs, &states)
-        }
-        None => grouped_to_relation(&layouts, vec![result.keys.clone()], aggs, &result.states),
-    }
-}
-
-/// Morsel-parallel join (dispatched from an `Exchange` node): partitioned
-/// parallel HJ, parallel-probe SPHJ, or parallel-sort SOJ on the key
-/// columns, then the usual gather-based output assembly.
-#[allow(clippy::too_many_arguments)]
-fn exec_join_parallel(
-    l: &Relation,
-    r: &Relation,
-    left_key: &str,
-    right_key: &str,
-    algo: JoinImpl,
-    pool: &ThreadPool,
-    seg: Option<&[usize]>,
-    stats: &mut PipelineStats,
-) -> Result<Relation> {
-    let lk = l.column(left_key)?.as_u32()?;
-    let rk = r.column(right_key)?.as_u32()?;
-    let molecule = dqo_parallel::RunSortMolecule::Comparison;
-    let (result, par_stats) = match algo {
-        JoinImpl::Soj => match seg {
-            Some(bounds) => {
-                dqo_parallel::parallel_sort_merge_join_segmented(pool, lk, rk, molecule, bounds)?
-            }
-            None => dqo_parallel::parallel_sort_merge_join(pool, lk, rk, molecule)?,
-        },
-        JoinImpl::Sphj => match (lk.iter().copied().min(), lk.iter().copied().max()) {
-            (Some(min), Some(max)) => {
-                dqo_parallel::parallel_sph_join(pool, lk, rk, min, max, DEFAULT_MORSEL_ROWS)?
-            }
-            // Empty build side: no matches, nothing to build.
-            _ => (
-                dqo_exec::join::JoinResult::default(),
-                PipelineStats::default(),
-            ),
-        },
-        _ => match seg {
-            Some(bounds) => dqo_parallel::parallel_hash_join_segmented(
-                pool,
-                lk,
-                rk,
-                bounds,
-                DEFAULT_MORSEL_ROWS,
-            )?,
-            None => dqo_parallel::parallel_hash_join(pool, lk, rk, DEFAULT_MORSEL_ROWS)?,
-        },
-    };
-    stats.merge(&par_stats);
-    assemble_join_output(l, r, &result)
-}
-
-/// Morsel-parallel filter (dispatched from an `Exchange` node): evaluate
-/// the predicate mask per morsel in parallel, then apply it once.
-fn exec_filter_parallel(
-    rel: &Relation,
-    predicate: &Predicate,
-    pool: &ThreadPool,
-    seg: Option<&[usize]>,
-    stats: &mut PipelineStats,
-) -> Result<Relation> {
-    let ms = match seg {
-        Some(bounds) => dqo_parallel::morsels_within(bounds, DEFAULT_MORSEL_ROWS),
-        None => dqo_parallel::morsels(rel.rows(), DEFAULT_MORSEL_ROWS),
-    };
-    let chunks = pool.map_morsel_list(&ms, |m| {
-        eval_predicate_range(rel, predicate, m.start, m.end)
-    })?;
-    let mut mask = Vec::with_capacity(rel.rows());
-    for chunk in chunks {
-        mask.extend_from_slice(&chunk?);
-    }
-    stats.record(Blocking::Pipelined, rel.rows() as u64);
-    Ok(rel.filter(&mask)?)
+    assemble(fields, columns, dicts)
 }
 
 /// All aggregates must read the same input column (engine restriction,
@@ -861,181 +1212,27 @@ fn materialise_agg(agg: &AggExpr, states: &[FullAggState]) -> Result<(Field, Col
     })
 }
 
-/// Dispatch HG onto the optimiser-chosen table/hash molecules
-/// (`dqo-core::molecule`); unknown combinations fall back to the paper's
-/// chaining + Murmur3 default.
-fn run_hash_grouping_with_molecules(
-    keys: &[u32],
-    values: &[u32],
-    molecules: dqo_plan::physical::GroupingMolecules,
-) -> dqo_exec::GroupedResult<dqo_exec::aggregate::FullAggState> {
-    use dqo_exec::grouping::hg;
-    use dqo_hashtable::hash_fn::{Fibonacci, Identity, Murmur3Finalizer};
-    use dqo_plan::{HashFnMolecule as H, TableMolecule as T};
-    let cap = 1024;
-    match (molecules.table, molecules.hash) {
-        (Some(T::LinearProbing), Some(H::Identity)) => {
-            hg::hash_grouping_linear(keys, values, FullAgg, cap, Identity)
-        }
-        (Some(T::LinearProbing), Some(H::Fibonacci)) => {
-            hg::hash_grouping_linear(keys, values, FullAgg, cap, Fibonacci)
-        }
-        (Some(T::LinearProbing), Some(H::Murmur3)) => {
-            hg::hash_grouping_linear(keys, values, FullAgg, cap, Murmur3Finalizer)
-        }
-        (Some(T::RobinHood), Some(H::Identity)) => {
-            hg::hash_grouping_robin_hood(keys, values, FullAgg, cap, Identity)
-        }
-        (Some(T::RobinHood), Some(H::Fibonacci)) => {
-            hg::hash_grouping_robin_hood(keys, values, FullAgg, cap, Fibonacci)
-        }
-        (Some(T::RobinHood), Some(H::Murmur3)) => {
-            hg::hash_grouping_robin_hood(keys, values, FullAgg, cap, Murmur3Finalizer)
-        }
-        _ => hg::hash_grouping_chaining(keys, values, FullAgg, cap),
-    }
-}
-
-fn min_max(keys: &[u32]) -> (u32, u32) {
-    let mut lo = u32::MAX;
-    let mut hi = 0;
-    for &k in keys {
-        lo = lo.min(k);
-        hi = hi.max(k);
-    }
-    if keys.is_empty() {
-        (0, 0)
-    } else {
-        (lo, hi)
-    }
-}
-
-fn eval_predicate(rel: &Relation, pred: &Predicate) -> Result<Vec<bool>> {
-    eval_predicate_range(rel, pred, 0, rel.rows())
-}
-
-/// Evaluate a predicate over the row range `[start, end)` — the morsel
-/// granularity the parallel filter runs at (serial evaluation is simply
-/// the full-range call).
-fn eval_predicate_range(
-    rel: &Relation,
-    pred: &Predicate,
-    start: usize,
-    end: usize,
-) -> Result<Vec<bool>> {
-    let rows = end - start;
-    match pred {
-        Predicate::And(ps) => {
-            let mut mask = vec![true; rows];
-            for p in ps {
-                let m = eval_predicate_range(rel, p, start, end)?;
-                for (a, b) in mask.iter_mut().zip(m) {
-                    *a &= b;
-                }
-            }
-            Ok(mask)
-        }
-        Predicate::Compare { column, op, value } => {
-            let col = rel.column(column)?;
-            // Dictionary-encoded string column vs string literal: compare
-            // once per *code* (under real string order, regardless of how
-            // codes were assigned), then mask rows by table lookup.
-            if col.data_type() == DataType::Str {
-                let Value::Str(lit) = value else {
-                    return Err(CoreError::Unsupported(format!(
-                        "string column '{column}' compared to non-string literal {value}"
-                    )));
-                };
-                let dict = str_dictionary(rel, column)?;
-                let table = dict.match_table(|s| op.eval(s.cmp(lit.as_str())));
-                return mask_by_code_table(col.as_u32()?, &table, start, end, column);
-            }
-            // Fast path for the dominant u32 case.
-            if let (Ok(data), Some(v)) = (col.as_u32(), value.as_u32()) {
-                return Ok(data[start..end]
-                    .iter()
-                    .map(|&x| op.eval(x.cmp(&v)))
-                    .collect());
-            }
-            let mut mask = Vec::with_capacity(rows);
-            for row in start..end {
-                let cell = col.value_at(row)?;
-                let ord = cell.total_cmp(value).ok_or_else(|| {
-                    CoreError::Unsupported(format!("cross-type comparison {column} vs {value}"))
-                })?;
-                mask.push(op.eval(ord));
-            }
-            Ok(mask)
-        }
-        Predicate::Prefix { column, prefix } => {
-            let col = rel.column(column)?;
-            if col.data_type() != DataType::Str {
-                return Err(CoreError::Unsupported(format!(
-                    "LIKE on non-string column '{column}'"
-                )));
-            }
-            let dict = str_dictionary(rel, column)?;
-            let table = dict.match_table(|s| s.starts_with(prefix.as_str()));
-            mask_by_code_table(col.as_u32()?, &table, start, end, column)
-        }
-        Predicate::Like { column, pattern } => {
-            let col = rel.column(column)?;
-            if col.data_type() != DataType::Str {
-                return Err(CoreError::Unsupported(format!(
-                    "LIKE on non-string column '{column}'"
-                )));
-            }
-            let dict = str_dictionary(rel, column)?;
-            let table = dict.match_table(|s| dqo_plan::like_match(pattern, s));
-            mask_by_code_table(col.as_u32()?, &table, start, end, column)
-        }
-    }
-}
-
-/// The dictionary of a `Str` column, or a clear error when none is
-/// attached (codes without a dictionary cannot be compared to strings).
-fn str_dictionary<'a>(rel: &'a Relation, column: &str) -> Result<&'a Arc<Dictionary>> {
-    rel.dictionary(column)?.ok_or_else(|| {
-        CoreError::Unsupported(format!(
-            "string column '{column}' has no dictionary attached"
-        ))
-    })
-}
-
-/// Apply a per-code boolean table to the code column over `[start, end)`.
-fn mask_by_code_table(
-    codes: &[u32],
-    table: &[bool],
-    start: usize,
-    end: usize,
-    column: &str,
-) -> Result<Vec<bool>> {
-    codes[start..end]
-        .iter()
-        .map(|&c| {
-            table.get(c as usize).copied().ok_or_else(|| {
-                CoreError::Unsupported(format!(
-                    "code {c} of column '{column}' missing from its dictionary"
-                ))
-            })
-        })
-        .collect()
-}
-
 // ---------------------------------------------------------------------------
 // Reference evaluator
 // ---------------------------------------------------------------------------
 
 /// Direct evaluation of a *logical* plan with naive algorithms — the
-/// oracle for executor correctness tests. Group-by output is ordered by
-/// key; joins are nested loops.
+/// oracle for executor correctness tests. Predicates are evaluated one
+/// row and one decoded value at a time, group-by output is ordered by
+/// key, joins are nested loops: nothing here goes through selections or
+/// the executor's kernels.
 pub fn naive_eval(plan: &LogicalPlan, catalog: &Catalog) -> Result<Relation> {
     match plan {
         LogicalPlan::Scan { table } => Ok(catalog.get(table)?.relation.as_ref().clone()),
         LogicalPlan::Filter { input, predicate } => {
             let rel = naive_eval(input, catalog)?;
-            let mask = eval_predicate(&rel, predicate)?;
-            Ok(rel.filter(&mask)?)
+            let mut keep = Vec::new();
+            for row in 0..rel.rows() {
+                if naive_matches(&rel, predicate, row)? {
+                    keep.push(row);
+                }
+            }
+            Ok(rel.gather(&keep))
         }
         LogicalPlan::Project { input, columns } => {
             let rel = naive_eval(input, catalog)?;
@@ -1044,9 +1241,7 @@ pub fn naive_eval(plan: &LogicalPlan, catalog: &Catalog) -> Result<Relation> {
         }
         LogicalPlan::Sort { input, key } => {
             let rel = naive_eval(input, catalog)?;
-            let keys = rel.column(key)?.as_u32()?;
-            let order: Vec<usize> = argsort(keys).into_iter().map(|i| i as usize).collect();
-            Ok(rel.gather(&order))
+            Ok(rel.gather(&argsort(rel.column(key)?.as_u32()?)))
         }
         LogicalPlan::Join {
             left,
@@ -1072,7 +1267,8 @@ pub fn naive_eval(plan: &LogicalPlan, catalog: &Catalog) -> Result<Relation> {
         }
         LogicalPlan::Limit { input, n } => {
             let rel = naive_eval(input, catalog)?;
-            Ok(take_rows(&rel, *n))
+            let keep = (rel.rows() as u64).min(*n) as usize;
+            Ok(rel.gather(&(0..keep).collect::<Vec<usize>>()))
         }
         LogicalPlan::GroupBy { input, keys, aggs } => {
             let rel = naive_eval(input, catalog)?;
@@ -1109,6 +1305,47 @@ pub fn naive_eval(plan: &LogicalPlan, catalog: &Catalog) -> Result<Relation> {
             grouped_to_relation(&layouts, cols, aggs, &states)
         }
     }
+}
+
+/// Whether `row` of `rel` satisfies `pred`, on decoded values.
+fn naive_matches(rel: &Relation, pred: &Predicate, row: usize) -> Result<bool> {
+    let text = |column: &str| match rel.value_at(row, column)? {
+        Value::Str(s) => Ok(s),
+        _ => Err(CoreError::Unsupported(format!(
+            "LIKE on non-string column '{column}'"
+        ))),
+    };
+    Ok(match pred {
+        Predicate::And(ps) => {
+            let mut all = true;
+            for p in ps {
+                all &= naive_matches(rel, p, row)?;
+            }
+            all
+        }
+        Predicate::Compare { column, op, value } => {
+            let ord = rel.value_at(row, column)?.total_cmp(value).ok_or_else(|| {
+                CoreError::Unsupported(format!("cross-type comparison {column} vs {value}"))
+            })?;
+            op.eval(ord)
+        }
+        Predicate::Prefix { column, prefix } => text(column)?.starts_with(prefix.as_str()),
+        Predicate::Like { column, pattern } => dqo_plan::like_match(pattern, &text(column)?),
+    })
+}
+
+/// Concatenate the columns of two equal-length relations under the
+/// qualified join schema, carrying `Str` dictionaries across.
+fn concat_columns(left: &Relation, right: &Relation) -> Result<Relation> {
+    let schema = left.schema().join(right.schema(), "right")?;
+    let (mut columns, mut dicts) = (Vec::new(), Vec::new());
+    for side in [left, right] {
+        for i in 0..side.schema().width() {
+            columns.push(side.column_at(i)?.clone());
+            dicts.push(side.dictionary_at(i)?.cloned());
+        }
+    }
+    assemble(schema.fields().to_vec(), columns, dicts)
 }
 
 /// All rows of a relation as `Value` vectors, sorted — result comparison
@@ -1409,8 +1646,8 @@ mod tests {
             &cat,
         )
         .unwrap();
-        // Masks concatenate in morsel order: row order is preserved, so
-        // the outputs are identical, not merely equal as sets.
+        // Per-morsel survivors concatenate in morsel order: row order is
+        // preserved, so the outputs are identical, not merely equal as sets.
         assert_eq!(
             par.relation.column("key").unwrap().as_u32().unwrap(),
             serial.relation.column("key").unwrap().as_u32().unwrap()

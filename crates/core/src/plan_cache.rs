@@ -97,7 +97,7 @@ impl PlanCache {
     /// that pruned a partitioned scan did so against the *previous*
     /// execution's constants, so serving it verbatim would scan the wrong
     /// survivor set. The rebind recomputes the survivors from the fresh
-    /// predicate (see [`rebind_node`]); partition specs only change via
+    /// predicate (see `rebind_node`); partition specs only change via
     /// re-registration, which moves the DDL clock and makes the entry
     /// unreachable, so the spec consulted here is always the one the plan
     /// was built against.

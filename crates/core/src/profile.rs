@@ -5,8 +5,9 @@
 //! module turns that vector into the annotated tree a user reads:
 //! estimated-vs-actual cardinality per node (the estimates recomputed with
 //! the optimiser's own rules, so the delta audits the cost model that
-//! picked the plan), wall time, rows produced, pipeline breakers, and —
-//! on `Exchange` nodes — granted DOP, morsels dispatched, and steals.
+//! picked the plan), wall time, rows produced, pipeline breakers, bytes the
+//! node copied into new column buffers, and — on `Exchange` nodes —
+//! granted DOP, morsels dispatched, and steals.
 
 use crate::catalog::Catalog;
 use crate::feedback::FeedbackStore;
@@ -62,8 +63,9 @@ pub fn estimate_rows_with(
 }
 
 /// Render the annotated `EXPLAIN ANALYZE` tree: the plain explain lines
-/// with ` (est=… act=… Δ=… wall=…)` per node, plus parallel-runtime
-/// detail on `Exchange` nodes. Empty runtimes (untraced execution) render
+/// with ` (est=… act=… Δ=… wall=…)` per node — `breakers=` and `bytes=`
+/// (bytes materialised) where non-zero — plus parallel-runtime detail on
+/// `Exchange` nodes. Empty runtimes (untraced execution) render
 /// the plain tree.
 pub fn render_annotated(plan: &PhysicalPlan, catalog: &Catalog, runtime: &PlanRuntime) -> String {
     render_annotated_with(plan, catalog, runtime, None)
@@ -93,6 +95,9 @@ pub fn render_annotated_with(
         ];
         if m.stats.breakers > 0 {
             parts.push(format!("breakers={}", m.stats.breakers));
+        }
+        if m.bytes_materialised > 0 {
+            parts.push(format!("bytes={}", m.bytes_materialised));
         }
         if let PhysicalPlan::Exchange { .. } = node {
             parts.push(format!("dop={}", m.dop.unwrap_or(0)));

@@ -13,8 +13,8 @@
 use crate::aggregate::Aggregator;
 use crate::grouping::GroupedResult;
 use dqo_hashtable::{
-    ChainingTable, GroupTable, HashFn, LinearProbingTable, Murmur3Finalizer, QuadraticProbingTable,
-    RobinHoodTable,
+    ChainingTable, Fibonacci, GroupTable, HashFn, Identity, LinearProbingTable, Murmur3Finalizer,
+    QuadraticProbingTable, RobinHoodTable,
 };
 
 /// Hash grouping over any key→state table — the operator is one loop; the
@@ -109,6 +109,80 @@ pub fn hash_grouping_robin_hood<A: Aggregator, H: HashFn>(
 
 /// The paper's default molecule for HG, re-exported for plan rendering.
 pub type DefaultHash = Murmur3Finalizer;
+
+/// The hash-function molecule of an open-addressing HG table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum HgHash {
+    /// Murmur3 finaliser (the paper's choice).
+    #[default]
+    Murmur3,
+    /// Fibonacci (multiplicative) hashing.
+    Fibonacci,
+    /// The key itself.
+    Identity,
+}
+
+/// The backing-table molecule of HG: what the optimiser decides beneath
+/// the organelle, for serial and parallel execution alike.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum HgTable {
+    /// Chained buckets + Murmur3 — the paper's configuration.
+    #[default]
+    Chaining,
+    /// Open addressing, linear probing.
+    LinearProbing(HgHash),
+    /// Open addressing, Robin-Hood displacement.
+    RobinHood(HgHash),
+}
+
+/// A computation generic in the concrete table type: [`HgTable::run`]
+/// resolves the molecule to a table factory once and hands it over.
+pub trait WithTable<V> {
+    /// What the computation returns.
+    type Out;
+    /// Run with `make` building fresh, empty tables of the chosen type.
+    fn run<T: GroupTable<V> + Send>(self, make: impl Fn() -> T + Sync) -> Self::Out;
+}
+
+impl HgTable {
+    /// Run `user` with a factory for this molecule's tables, each
+    /// pre-sized for `capacity` keys.
+    pub fn run<V: Send, U: WithTable<V>>(self, capacity: usize, user: U) -> U::Out {
+        use HgHash::{Fibonacci as Fib, Identity as Id, Murmur3 as Mur};
+        use HgTable::{Chaining, LinearProbing as Lp, RobinHood as Rh};
+        let c = capacity;
+        match self {
+            Chaining => user.run(|| ChainingTable::with_capacity(c)),
+            Lp(Mur) => {
+                user.run(|| LinearProbingTable::with_capacity_and_hasher(c, Murmur3Finalizer))
+            }
+            Lp(Fib) => user.run(|| LinearProbingTable::with_capacity_and_hasher(c, Fibonacci)),
+            Lp(Id) => user.run(|| LinearProbingTable::with_capacity_and_hasher(c, Identity)),
+            Rh(Mur) => user.run(|| RobinHoodTable::with_capacity_and_hasher(c, Murmur3Finalizer)),
+            Rh(Fib) => user.run(|| RobinHoodTable::with_capacity_and_hasher(c, Fibonacci)),
+            Rh(Id) => user.run(|| RobinHoodTable::with_capacity_and_hasher(c, Identity)),
+        }
+    }
+}
+
+/// HG over the table molecule `table` — the serial kernel behind a plan's
+/// `{table=…, hash=…}` annotation.
+pub fn hash_grouping_with<A: Aggregator>(
+    keys: &[u32],
+    values: &[u32],
+    agg: A,
+    table: HgTable,
+    capacity: usize,
+) -> GroupedResult<A::State> {
+    struct Serial<'a, A>(&'a [u32], &'a [u32], A);
+    impl<A: Aggregator> WithTable<A::State> for Serial<'_, A> {
+        type Out = GroupedResult<A::State>;
+        fn run<T: GroupTable<A::State> + Send>(self, make: impl Fn() -> T + Sync) -> Self::Out {
+            hash_grouping(self.0, self.1, self.2, make())
+        }
+    }
+    table.run(capacity, Serial(keys, values, agg))
+}
 
 #[cfg(test)]
 mod tests {

@@ -85,6 +85,12 @@ pub struct OperatorMetrics {
     pub morsels: u64,
     /// Successful morsel steals under this node (`Exchange` subtrees).
     pub steals: u64,
+    /// Bytes of column data this node itself (children excluded) copied
+    /// into new buffers: kernel scratch for a key or value column read
+    /// through a selection, and the columns a join gathers into its
+    /// output. Nodes that only narrow, reorder or project a selection
+    /// copy nothing.
+    pub bytes_materialised: u64,
 }
 
 impl fmt::Display for PipelineStats {

@@ -62,6 +62,8 @@ pub mod names {
     pub const OPTIMISE_SECONDS: &str = "dqo_optimise_seconds";
     /// Execution wall time per query, admission excluded (histogram, s).
     pub const EXEC_SECONDS: &str = "dqo_exec_seconds";
+    /// Bytes of column data executions copied into new buffers (counter).
+    pub const EXEC_BYTES_MATERIALISED: &str = "dqo_exec_bytes_materialised_total";
     /// Algorithmic views materialised (counter).
     pub const AV_BUILDS: &str = "dqo_av_builds_total";
     /// Bytes across all materialised AV artifacts (counter).
@@ -138,6 +140,7 @@ pub mod names {
         ENGINE_QUERIES,
         OPTIMISE_SECONDS,
         EXEC_SECONDS,
+        EXEC_BYTES_MATERIALISED,
         AV_BUILDS,
         AV_BUILD_BYTES,
         AV_BUILD_SECONDS,

@@ -28,7 +28,7 @@
 use crate::pool::{PoolError, ThreadPool};
 use dqo_exec::join::sphj::SphIndex;
 use dqo_exec::ExecError;
-use dqo_storage::{DataType, Relation};
+use dqo_storage::{DataType, Relation, RowId};
 use std::sync::Mutex;
 
 /// Smallest per-block row count worth a dedicated histogram pass; below
@@ -160,10 +160,10 @@ pub fn parallel_sph_index_build(
 /// (column, chunk) task gathers independently and the chunks
 /// concatenate in chunk order, so the output is deterministic for any
 /// DOP or steal order.
-pub fn parallel_gather(
+pub fn parallel_gather<I: RowId + Sync>(
     pool: &ThreadPool,
     rel: &Relation,
-    indices: &[usize],
+    indices: &[I],
 ) -> Result<Relation, PoolError> {
     let width = rel.schema().width();
     let chunks = pool
@@ -318,12 +318,15 @@ mod tests {
     fn gather_empty_and_tiny_selections() {
         let rel = sample_relation(100);
         let pool = ThreadPool::new(4);
-        assert_eq!(parallel_gather(&pool, &rel, &[]).unwrap().rows(), 0);
-        let one = parallel_gather(&pool, &rel, &[99]).unwrap();
+        assert_eq!(
+            parallel_gather::<usize>(&pool, &rel, &[]).unwrap().rows(),
+            0
+        );
+        let one = parallel_gather(&pool, &rel, &[99usize]).unwrap();
         assert_eq!(one.rows(), 1);
         assert_eq!(
             format!("{:?}", one.column_at(0).unwrap()),
-            format!("{:?}", rel.gather(&[99]).column_at(0).unwrap())
+            format!("{:?}", rel.gather(&[99usize]).column_at(0).unwrap())
         );
     }
 }

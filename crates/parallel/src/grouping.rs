@@ -2,28 +2,35 @@
 //! deterministic merge.
 //!
 //! Every worker folds the morsels it executes into a thread-local
-//! structure — the same *molecule* choice the serial engine makes
-//! (chaining hash table for HG, dense SPH array for SPHG) — and the
+//! structure — the same *molecule* the plan chose for the serial engine
+//! (the HG table/hash pair, or the dense SPH array for SPHG) — and the
 //! partial states are merged once at the end. Correctness rests on the
 //! aggregate being decomposable
 //! ([`Aggregator::IS_DECOMPOSABLE`]): per-key partial states over a
 //! disjoint row partition merge to the same final state regardless of how
 //! work stealing split the morsels, so the output is **deterministic**
 //! (and emitted in ascending key order) for any thread count.
+//!
+//! A task obtains its key and value slices from a caller-supplied loader,
+//! so the rows of a morsel can be read *through a selection* (narrowed
+//! and compacted into morsel-local [`Scratch`]) inside the task that
+//! aggregates them; the dense entry points are loaders that slice.
 
-use crate::morsel::{morsels, morsels_within, Morsel};
+use crate::morsel::morsels_within;
 use crate::pool::ThreadPool;
 use dqo_exec::aggregate::Aggregator;
-use dqo_exec::grouping::{hg, GroupedResult};
+use dqo_exec::grouping::hg::{HgTable, WithTable};
+use dqo_exec::grouping::GroupedResult;
 use dqo_exec::pipeline::{Blocking, PipelineStats};
 use dqo_exec::ExecError;
-use std::collections::{BTreeMap, HashMap};
+use dqo_hashtable::GroupTable;
+use std::collections::BTreeMap;
 
 /// Which thread-local structure each worker aggregates into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GroupingStrategy {
-    /// Chaining hash table per worker (parallel HG).
-    Hash,
+    /// One hash table of the plan's molecule per worker (parallel HG).
+    Hash(HgTable),
     /// Dense array indexed by `key - min` per worker (parallel SPHG);
     /// requires the dense domain `[min, max]`.
     StaticPerfectHash {
@@ -34,7 +41,30 @@ pub enum GroupingStrategy {
     },
 }
 
+/// Morsel-local buffers a loader may fill; one set per worker, reused
+/// across the morsels that worker runs.
+#[derive(Debug, Default)]
+pub struct Scratch {
+    /// Row ids surviving a fused filter.
+    pub ids: Vec<u32>,
+    /// Compacted grouping keys.
+    pub keys: Vec<u32>,
+    /// Compacted aggregate inputs.
+    pub values: Vec<u32>,
+}
+
+/// Where a loader delivers a task's equal-length key and value slices.
+pub type Sink<'a> = &'a mut dyn FnMut(&[u32], &[u32]);
+
 /// Parallel grouping of `keys`/`values` under `agg`.
+///
+/// Morsels are generated within the segment `bounds` — offsets from `0`
+/// to `keys.len()`, one segment per surviving base-table partition range
+/// (`&[0, keys.len()]` for an unpartitioned input; see
+/// [`crate::morsel::morsels_within`]) — so no work unit mixes rows from
+/// two partitions. Because the aggregate is decomposable and the merge is
+/// key-ordered, the result is bit-identical for any bounds: the
+/// segmentation only changes which rows travel together.
 ///
 /// Returns the grouped result (ascending key order, [`GroupedResult::sorted_by_key`]
 /// set) plus the pipeline accounting: the input pass is a full breaker
@@ -46,69 +76,53 @@ pub fn parallel_grouping<A: Aggregator>(
     values: &[u32],
     agg: A,
     strategy: GroupingStrategy,
-    morsel_rows: usize,
-) -> Result<(GroupedResult<A::State>, PipelineStats), ExecError> {
-    grouping_over(
-        pool,
-        keys,
-        values,
-        agg,
-        strategy,
-        &morsels(keys.len(), morsel_rows),
-    )
-}
-
-/// Partition-native [`parallel_grouping`]: morsels are generated within
-/// the segment `bounds` (see [`crate::morsel::morsels_within`]) so no
-/// work unit mixes rows from two partitions. Because the aggregate is
-/// decomposable and the merge is key-ordered, the result is bit-identical
-/// to [`parallel_grouping`] for any bounds — the segmentation only
-/// changes which rows travel together.
-pub fn parallel_grouping_segmented<A: Aggregator>(
-    pool: &ThreadPool,
-    keys: &[u32],
-    values: &[u32],
-    agg: A,
-    strategy: GroupingStrategy,
     bounds: &[usize],
     morsel_rows: usize,
 ) -> Result<(GroupedResult<A::State>, PipelineStats), ExecError> {
-    grouping_over(
-        pool,
-        keys,
-        values,
-        agg,
-        strategy,
-        &morsels_within(bounds, morsel_rows),
-    )
-}
-
-fn grouping_over<A: Aggregator>(
-    pool: &ThreadPool,
-    keys: &[u32],
-    values: &[u32],
-    agg: A,
-    strategy: GroupingStrategy,
-    ms: &[Morsel],
-) -> Result<(GroupedResult<A::State>, PipelineStats), ExecError> {
-    assert!(
-        A::IS_DECOMPOSABLE,
-        "parallel grouping requires a decomposable aggregate"
-    );
     if keys.len() != values.len() {
         return Err(ExecError::LengthMismatch {
             keys: keys.len(),
             values: values.len(),
         });
     }
-    let mut stats = PipelineStats::default();
-    stats.record(Blocking::FullBreaker, keys.len() as u64);
-    let result = match strategy {
-        GroupingStrategy::Hash => hash_strategy(pool, keys, values, agg, ms)?,
-        GroupingStrategy::StaticPerfectHash { min, max } => {
-            sph_strategy(pool, keys, values, agg, min, max, ms)?
-        }
+    let ms = morsels_within(bounds, morsel_rows);
+    parallel_grouping_tasks(pool, ms.len(), agg, strategy, |t, _, sink| {
+        sink(ms[t].of(keys), ms[t].of(values));
+        Ok(())
+    })
+}
+
+/// [`parallel_grouping`] over `tasks` work units whose rows `load`
+/// supplies: `load(t, scratch, sink)` hands task `t`'s key and value
+/// slices — borrowed from the columns or compacted into the worker's
+/// scratch — to `sink`. The breaker accounting counts the rows the loader
+/// actually delivered.
+pub fn parallel_grouping_tasks<A, L>(
+    pool: &ThreadPool,
+    tasks: usize,
+    agg: A,
+    strategy: GroupingStrategy,
+    load: L,
+) -> Result<(GroupedResult<A::State>, PipelineStats), ExecError>
+where
+    A: Aggregator,
+    L: Fn(usize, &mut Scratch, Sink<'_>) -> Result<(), ExecError> + Sync,
+{
+    assert!(
+        A::IS_DECOMPOSABLE,
+        "parallel grouping requires a decomposable aggregate"
+    );
+    let fold = Fold {
+        pool,
+        tasks,
+        load: &load,
     };
+    let (result, rows) = match strategy {
+        GroupingStrategy::Hash(table) => table.run(1024, HashStrategy { fold, agg })?,
+        GroupingStrategy::StaticPerfectHash { min, max } => sph_strategy(fold, agg, min, max)?,
+    };
+    let mut stats = PipelineStats::default();
+    stats.record(Blocking::FullBreaker, rows);
     // The merge pass is a second breaker. It is accounted at the merged
     // group count (not the per-worker partial count, which depends on
     // the nondeterministic work-stealing split) so the stats honour the
@@ -117,32 +131,85 @@ fn grouping_over<A: Aggregator>(
     Ok((result, stats))
 }
 
-/// Parallel HG: per morsel, run the serial chaining kernel (the molecule
-/// the paper's HG names); fold its output into the worker's map; merge
-/// worker maps into a sorted result.
-fn hash_strategy<A: Aggregator>(
-    pool: &ThreadPool,
-    keys: &[u32],
-    values: &[u32],
-    agg: A,
-    ms: &[Morsel],
-) -> Result<GroupedResult<A::State>, ExecError> {
-    let worker_maps = pool.fold_morsel_list(ms, HashMap::<u32, A::State>::new, |map, m| {
-        let local = hg::hash_grouping_chaining(m.of(keys), m.of(values), agg, 64);
-        for (k, s) in local.keys.into_iter().zip(local.states) {
-            match map.entry(k) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    agg.merge(e.get_mut(), &s);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(s);
-                }
+/// One worker's share of a fold: its partial aggregate, its scratch, the
+/// rows it has consumed and the first loader error it met.
+struct Worker<P> {
+    partial: P,
+    scratch: Scratch,
+    rows: u64,
+    failed: Option<ExecError>,
+}
+
+/// The task list of one grouping batch and how to load each task.
+struct Fold<'a, L> {
+    pool: &'a ThreadPool,
+    tasks: usize,
+    load: &'a L,
+}
+
+impl<L: Fn(usize, &mut Scratch, Sink<'_>) -> Result<(), ExecError> + Sync> Fold<'_, L> {
+    /// Fold every task into per-worker partials: returns the partials of
+    /// the workers that ran at least one task, and the rows consumed.
+    fn run<P: Send>(
+        &self,
+        init: impl Fn() -> P + Sync,
+        step: impl Fn(&mut P, &[u32], &[u32]) + Sync,
+    ) -> Result<(Vec<P>, u64), ExecError> {
+        let workers = self.pool.fold_tasks(
+            self.tasks,
+            || Worker {
+                partial: init(),
+                scratch: Scratch::default(),
+                rows: 0,
+                failed: None,
+            },
+            |w, t| {
+                let (partial, rows) = (&mut w.partial, &mut w.rows);
+                let loaded = (self.load)(t, &mut w.scratch, &mut |keys, values| {
+                    assert_eq!(keys.len(), values.len(), "loader delivers aligned slices");
+                    *rows += keys.len() as u64;
+                    step(partial, keys, values);
+                });
+                w.failed = w.failed.take().or(loaded.err());
+            },
+        )?;
+        let mut rows = 0;
+        let mut partials = Vec::with_capacity(workers.len());
+        for w in workers {
+            if let Some(e) = w.failed {
+                return Err(e);
             }
+            rows += w.rows;
+            partials.push(w.partial);
         }
-    })?;
-    let mut merged: BTreeMap<u32, A::State> = BTreeMap::new();
-    for map in worker_maps {
-        for (k, s) in map {
+        Ok((partials, rows))
+    }
+}
+
+/// Parallel HG: every worker upserts its morsels straight into one table
+/// of the plan's molecule; worker tables merge into a key-sorted result,
+/// so the output does not depend on the molecule or on the split.
+struct HashStrategy<'a, A, L> {
+    fold: Fold<'a, L>,
+    agg: A,
+}
+
+impl<A, L> WithTable<A::State> for HashStrategy<'_, A, L>
+where
+    A: Aggregator,
+    L: Fn(usize, &mut Scratch, Sink<'_>) -> Result<(), ExecError> + Sync,
+{
+    type Out = Result<(GroupedResult<A::State>, u64), ExecError>;
+
+    fn run<T: GroupTable<A::State> + Send>(self, make: impl Fn() -> T + Sync) -> Self::Out {
+        let agg = self.agg;
+        let (tables, rows) = self.fold.run(make, |table, keys, values| {
+            for (&k, &v) in keys.iter().zip(values) {
+                agg.update(table.upsert_with(k, A::State::default), v);
+            }
+        })?;
+        let mut merged: BTreeMap<u32, A::State> = BTreeMap::new();
+        for (k, s) in tables.into_iter().flat_map(GroupTable::drain) {
             match merged.entry(k) {
                 std::collections::btree_map::Entry::Occupied(mut e) => {
                     agg.merge(e.get_mut(), &s);
@@ -152,13 +219,16 @@ fn hash_strategy<A: Aggregator>(
                 }
             }
         }
+        let (keys, states) = merged.into_iter().unzip();
+        Ok((
+            GroupedResult {
+                keys,
+                states,
+                sorted_by_key: true,
+            },
+            rows,
+        ))
     }
-    let (keys_out, states): (Vec<u32>, Vec<A::State>) = merged.into_iter().unzip();
-    Ok(GroupedResult {
-        keys: keys_out,
-        states,
-        sorted_by_key: true,
-    })
 }
 
 /// Per-worker SPH state: the dense aggregate array plus occupancy.
@@ -171,15 +241,16 @@ struct SphPartial<S> {
 /// Parallel SPHG: each worker owns a dense `[min, max]` array — the same
 /// static-perfect-hash molecule as serial SPHG — and arrays merge
 /// element-wise. Output order is the array order: ascending keys.
-fn sph_strategy<A: Aggregator>(
-    pool: &ThreadPool,
-    keys: &[u32],
-    values: &[u32],
+fn sph_strategy<A, L>(
+    fold: Fold<'_, L>,
     agg: A,
     min: u32,
     max: u32,
-    ms: &[Morsel],
-) -> Result<GroupedResult<A::State>, ExecError> {
+) -> Result<(GroupedResult<A::State>, u64), ExecError>
+where
+    A: Aggregator,
+    L: Fn(usize, &mut Scratch, Sink<'_>) -> Result<(), ExecError> + Sync,
+{
     if max < min {
         return Err(ExecError::PreconditionViolated {
             algorithm: "parallel SPHG",
@@ -187,15 +258,14 @@ fn sph_strategy<A: Aggregator>(
         });
     }
     let domain = (u64::from(max) - u64::from(min) + 1) as usize;
-    let partials = pool.fold_morsel_list(
-        ms,
+    let (partials, rows) = fold.run(
         || SphPartial {
             slots: vec![A::State::default(); domain],
             occupied: vec![false; domain],
             out_of_domain: None,
         },
-        |p, m| {
-            for (&k, &v) in m.of(keys).iter().zip(m.of(values)) {
+        |p, keys, values| {
+            for (&k, &v) in keys.iter().zip(values) {
                 match k.checked_sub(min) {
                     Some(off) if (off as usize) < domain => {
                         p.occupied[off as usize] = true;
@@ -230,11 +300,14 @@ fn sph_strategy<A: Aggregator>(
             states.push(state);
         }
     }
-    Ok(GroupedResult {
-        keys: keys_out,
-        states,
-        sorted_by_key: true,
-    })
+    Ok((
+        GroupedResult {
+            keys: keys_out,
+            states,
+            sorted_by_key: true,
+        },
+        rows,
+    ))
 }
 
 #[cfg(test)]
@@ -274,9 +347,16 @@ mod tests {
         let serial = serial_sorted(&keys, &vals);
         for threads in [1, 2, 8] {
             let pool = ThreadPool::new(threads);
-            let (r, stats) =
-                parallel_grouping(&pool, &keys, &vals, CountSum, GroupingStrategy::Hash, 1024)
-                    .unwrap();
+            let (r, stats) = parallel_grouping(
+                &pool,
+                &keys,
+                &vals,
+                CountSum,
+                GroupingStrategy::Hash(HgTable::default()),
+                &[0, keys.len()],
+                1024,
+            )
+            .unwrap();
             assert_eq!(r, serial, "threads={threads}");
             assert!(stats.breakers >= 2);
         }
@@ -286,22 +366,30 @@ mod tests {
     fn segmented_grouping_is_bit_identical_to_plain() {
         let (keys, vals) = dataset(40_000, 53);
         let pool = ThreadPool::new(4);
-        let (plain, _) =
-            parallel_grouping(&pool, &keys, &vals, CountSum, GroupingStrategy::Hash, 512).unwrap();
-        // Uneven partition-style segments, including an empty one.
-        let bounds = [0usize, 1, 1, 7_000, 19_999, 40_000];
-        let (seg, _) = parallel_grouping_segmented(
+        let (plain, _) = parallel_grouping(
             &pool,
             &keys,
             &vals,
             CountSum,
-            GroupingStrategy::Hash,
+            GroupingStrategy::Hash(HgTable::default()),
+            &[0, keys.len()],
+            512,
+        )
+        .unwrap();
+        // Uneven partition-style segments, including an empty one.
+        let bounds = [0usize, 1, 1, 7_000, 19_999, 40_000];
+        let (seg, _) = parallel_grouping(
+            &pool,
+            &keys,
+            &vals,
+            CountSum,
+            GroupingStrategy::Hash(HgTable::default()),
             &bounds,
             512,
         )
         .unwrap();
         assert_eq!(seg, plain);
-        let (seg_sph, _) = parallel_grouping_segmented(
+        let (seg_sph, _) = parallel_grouping(
             &pool,
             &keys,
             &vals,
@@ -325,6 +413,7 @@ mod tests {
             &vals,
             CountSum,
             GroupingStrategy::StaticPerfectHash { min: 0, max: 63 },
+            &[0, keys.len()],
             512,
         )
         .unwrap();
@@ -341,6 +430,7 @@ mod tests {
             &[0, 0, 0],
             CountSum,
             GroupingStrategy::StaticPerfectHash { min: 0, max: 7 },
+            &[0, 3],
             DEFAULT_MORSEL_ROWS,
         );
         assert!(matches!(r, Err(ExecError::PreconditionViolated { .. })));
@@ -349,8 +439,16 @@ mod tests {
     #[test]
     fn empty_input() {
         let pool = ThreadPool::new(4);
-        let (r, stats) =
-            parallel_grouping(&pool, &[], &[], CountSum, GroupingStrategy::Hash, 64).unwrap();
+        let (r, stats) = parallel_grouping(
+            &pool,
+            &[],
+            &[],
+            CountSum,
+            GroupingStrategy::Hash(HgTable::default()),
+            &[0, 0],
+            64,
+        )
+        .unwrap();
         assert!(r.is_empty());
         assert!(r.sorted_by_key);
         assert_eq!(stats.materialised_rows, 0);
@@ -360,7 +458,15 @@ mod tests {
     fn length_mismatch_is_an_error() {
         let pool = ThreadPool::new(2);
         assert!(matches!(
-            parallel_grouping(&pool, &[1, 2], &[1], CountSum, GroupingStrategy::Hash, 64),
+            parallel_grouping(
+                &pool,
+                &[1, 2],
+                &[1],
+                CountSum,
+                GroupingStrategy::Hash(HgTable::default()),
+                &[0, 2],
+                64
+            ),
             Err(ExecError::LengthMismatch { .. })
         ));
     }
@@ -369,12 +475,27 @@ mod tests {
     fn repeated_runs_are_identical() {
         let (keys, vals) = dataset(20_000, 31);
         let pool = ThreadPool::new(8);
-        let (first, _) =
-            parallel_grouping(&pool, &keys, &vals, CountSum, GroupingStrategy::Hash, 256).unwrap();
+        let (first, _) = parallel_grouping(
+            &pool,
+            &keys,
+            &vals,
+            CountSum,
+            GroupingStrategy::Hash(HgTable::default()),
+            &[0, keys.len()],
+            256,
+        )
+        .unwrap();
         for _ in 0..5 {
-            let (again, _) =
-                parallel_grouping(&pool, &keys, &vals, CountSum, GroupingStrategy::Hash, 256)
-                    .unwrap();
+            let (again, _) = parallel_grouping(
+                &pool,
+                &keys,
+                &vals,
+                CountSum,
+                GroupingStrategy::Hash(HgTable::default()),
+                &[0, keys.len()],
+                256,
+            )
+            .unwrap();
             assert_eq!(again, first);
         }
     }

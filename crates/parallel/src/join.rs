@@ -17,7 +17,7 @@
 //! Output pairs are concatenated in probe-morsel order, so results are
 //! byte-identical across runs and thread counts.
 
-use crate::morsel::{morsels, morsels_within, Morsel};
+use crate::morsel::morsels_within;
 use crate::pool::ThreadPool;
 use dqo_exec::join::sphj::SphIndex;
 use dqo_exec::join::JoinResult;
@@ -41,6 +41,14 @@ fn partition_of(key: u32, mask: usize) -> usize {
 
 /// Partitioned parallel hash join: build on `left`, probe with `right`.
 ///
+/// The **build side** is scattered morsel-by-morsel within the segment
+/// `build_bounds` — offsets from `0` to `left.len()`, one segment per
+/// surviving base-table partition range (`&[0, left.len()]` for an
+/// unpartitioned input) — so no build work unit mixes rows from two
+/// partitions. Probe-side morsels and the output do not depend on them:
+/// morsel-order concatenation keeps the result bit-identical for any
+/// bounds.
+///
 /// Stats mirror serial HJ's full-breaker accounting (`|L| + |R|` rows at
 /// the build/probe breaker) plus one extra breaker for the partition pass
 /// materialising the build side.
@@ -48,46 +56,10 @@ pub fn parallel_hash_join(
     pool: &ThreadPool,
     left: &[u32],
     right: &[u32],
-    morsel_rows: usize,
-) -> Result<(JoinResult, PipelineStats), ExecError> {
-    hash_join_over(
-        pool,
-        left,
-        right,
-        &morsels(left.len(), morsel_rows),
-        morsel_rows,
-    )
-}
-
-/// Partition-native [`parallel_hash_join`]: the **build side** is
-/// scattered morsel-by-morsel within the segment `build_bounds` (one
-/// segment per surviving base-table partition range), so no build work
-/// unit mixes rows from two partitions. Probe-side morsels and the
-/// output are unchanged — morsel-order concatenation keeps the result
-/// bit-identical to [`parallel_hash_join`] for any bounds.
-pub fn parallel_hash_join_segmented(
-    pool: &ThreadPool,
-    left: &[u32],
-    right: &[u32],
     build_bounds: &[usize],
     morsel_rows: usize,
 ) -> Result<(JoinResult, PipelineStats), ExecError> {
-    hash_join_over(
-        pool,
-        left,
-        right,
-        &morsels_within(build_bounds, morsel_rows),
-        morsel_rows,
-    )
-}
-
-fn hash_join_over(
-    pool: &ThreadPool,
-    left: &[u32],
-    right: &[u32],
-    build_ms: &[Morsel],
-    morsel_rows: usize,
-) -> Result<(JoinResult, PipelineStats), ExecError> {
+    let build_ms = morsels_within(build_bounds, morsel_rows);
     let mut stats = PipelineStats::default();
     let p = partition_count(pool);
     let mask = p - 1;
@@ -95,7 +67,7 @@ fn hash_join_over(
     // Phase 1 — parallel partition: each morsel scatters its (key, row)
     // pairs into P local buckets; morsel order keeps the concatenation
     // deterministic.
-    let morsel_buckets = pool.map_morsel_list(build_ms, |m| {
+    let morsel_buckets = pool.map_morsel_list(&build_ms, |m| {
         let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); p];
         for (i, &k) in m.of(left).iter().enumerate() {
             buckets[partition_of(k, mask)].push((k, (m.start + i) as u32));
@@ -199,7 +171,8 @@ mod tests {
         let oracle = nested_loop_oracle(&left, &right);
         for threads in [1, 2, 8] {
             let pool = ThreadPool::new(threads);
-            let (r, stats) = parallel_hash_join(&pool, &left, &right, 64).unwrap();
+            let (r, stats) =
+                parallel_hash_join(&pool, &left, &right, &[0, left.len()], 64).unwrap();
             assert_eq!(r.normalised_pairs(), oracle, "threads={threads}");
             assert_eq!(stats.breakers, 2);
         }
@@ -222,10 +195,10 @@ mod tests {
         let left = dataset(5_000, 40);
         let right = dataset(7_000, 40);
         let pool = ThreadPool::new(8);
-        let (plain, _) = parallel_hash_join(&pool, &left, &right, 128).unwrap();
+        let (plain, _) = parallel_hash_join(&pool, &left, &right, &[0, left.len()], 128).unwrap();
         // Partition-style build segments, uneven and with an empty one.
         let bounds = [0usize, 613, 613, 1_999, 5_000];
-        let (seg, _) = parallel_hash_join_segmented(&pool, &left, &right, &bounds, 128).unwrap();
+        let (seg, _) = parallel_hash_join(&pool, &left, &right, &bounds, 128).unwrap();
         assert_eq!(seg.left_rows, plain.left_rows);
         assert_eq!(seg.right_rows, plain.right_rows);
     }
@@ -235,9 +208,10 @@ mod tests {
         let left = dataset(5_000, 40);
         let right = dataset(5_000, 40);
         let pool = ThreadPool::new(8);
-        let (first, _) = parallel_hash_join(&pool, &left, &right, 128).unwrap();
+        let (first, _) = parallel_hash_join(&pool, &left, &right, &[0, left.len()], 128).unwrap();
         for _ in 0..3 {
-            let (again, _) = parallel_hash_join(&pool, &left, &right, 128).unwrap();
+            let (again, _) =
+                parallel_hash_join(&pool, &left, &right, &[0, left.len()], 128).unwrap();
             assert_eq!(again.left_rows, first.left_rows);
             assert_eq!(again.right_rows, first.right_rows);
         }
@@ -246,9 +220,9 @@ mod tests {
     #[test]
     fn empty_sides() {
         let pool = ThreadPool::new(4);
-        let (r, _) = parallel_hash_join(&pool, &[], &[1, 2], 64).unwrap();
+        let (r, _) = parallel_hash_join(&pool, &[], &[1, 2], &[0, 0], 64).unwrap();
         assert!(r.is_empty());
-        let (r, _) = parallel_hash_join(&pool, &[1, 2], &[], 64).unwrap();
+        let (r, _) = parallel_hash_join(&pool, &[1, 2], &[], &[0, 2], 64).unwrap();
         assert!(r.is_empty());
         let (r, _) = parallel_sph_join(&pool, &[], &[1], 0, 0, 64).unwrap();
         assert!(r.is_empty());
@@ -265,7 +239,7 @@ mod tests {
         let left: Vec<u32> = (0..100).collect();
         let right: Vec<u32> = (0..5_000).map(|i| (i * 7) % 100).collect();
         let pool = ThreadPool::new(4);
-        let (hj, _) = parallel_hash_join(&pool, &left, &right, 256).unwrap();
+        let (hj, _) = parallel_hash_join(&pool, &left, &right, &[0, left.len()], 256).unwrap();
         assert_eq!(hj.len(), 5_000);
         let (sphj, _) = parallel_sph_join(&pool, &left, &right, 0, 99, 256).unwrap();
         assert_eq!(sphj.len(), 5_000);

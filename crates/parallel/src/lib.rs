@@ -20,11 +20,12 @@
 //!   work-stealing over per-runner deques seeded with contiguous morsel
 //!   blocks;
 //! * [`grouping`] — parallel HG/SPHG: thread-local aggregation with the
-//!   serial molecules (chaining table, dense SPH array) and a
-//!   deterministic sorted merge;
+//!   plan's molecules (the HG table/hash pair, the dense SPH array) and a
+//!   deterministic sorted merge; a task's rows come from a loader, so a
+//!   morsel can be narrowed by a filter and read through a selection
+//!   inside the task that aggregates it;
 //! * [`join`] — the partitioned parallel hash join (parallel partition →
 //!   per-partition build → parallel probe) and a parallel SPHJ probe;
-//! * [`filter`] — morsel-parallel predicate masks;
 //! * [`sort`] + [`merge_path`] — the parallel sort subsystem: per-worker
 //!   run formation (pdqsort or LSB radix, the serial molecule decision)
 //!   followed by a Merge Path multi-way merge whose per-worker output
@@ -57,7 +58,6 @@
 
 pub mod admission;
 pub mod av_build;
-pub mod filter;
 pub mod grouping;
 pub mod join;
 pub mod merge_path;
@@ -68,14 +68,11 @@ pub mod sort;
 
 pub use admission::{AdmissionController, AdmissionPermit};
 pub use av_build::{parallel_gather, parallel_sph_index_build};
-pub use filter::{parallel_compare_mask, parallel_mask};
-pub use grouping::{parallel_grouping, parallel_grouping_segmented, GroupingStrategy};
-pub use join::{parallel_hash_join, parallel_hash_join_segmented, parallel_sph_join};
+pub use grouping::{parallel_grouping, parallel_grouping_tasks, GroupingStrategy, Scratch, Sink};
+pub use join::{parallel_hash_join, parallel_sph_join};
 pub use morsel::{morsels, morsels_within, Morsel, DEFAULT_MORSEL_ROWS};
 pub use persistent::{default_threads, BatchHandle, PersistentPool};
 pub use pool::{BatchObs, PoolError, ThreadPool};
 pub use sort::{
-    parallel_argsort, parallel_argsort_segmented, parallel_sog, parallel_sog_segmented,
-    parallel_sort_index, parallel_sort_index_segmented, parallel_sort_merge_join,
-    parallel_sort_merge_join_segmented, RunSortMolecule,
+    parallel_argsort, parallel_sog, parallel_sort_index, parallel_sort_merge_join, RunSortMolecule,
 };

@@ -288,14 +288,26 @@ impl ThreadPool {
         I: Fn() -> S + Sync,
         F: Fn(&mut S, Morsel) + Sync,
     {
-        let workers = self.dop.min(ms.len().max(1));
+        self.fold_tasks(ms.len(), init, |s, t| step(s, ms[t]))
+    }
+
+    /// [`ThreadPool::fold_morsel_list`] over bare task indices `0..tasks`
+    /// — for work units that are not plain row ranges (pieces of a
+    /// selection).
+    pub fn fold_tasks<S, I, F>(&self, tasks: usize, init: I, step: F) -> Result<Vec<S>, PoolError>
+    where
+        S: Send,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, usize) + Sync,
+    {
+        let workers = self.dop.min(tasks.max(1));
         let states: Vec<Mutex<Option<S>>> = (0..workers).map(|_| Mutex::new(None)).collect();
-        self.run_batch(ms.len(), |w, t| {
+        self.run_batch(tasks, |w, t| {
             // Uncontended: slot `w` is the only one touching state `w`
             // while the batch runs; the Mutex just proves it to the
             // compiler.
             let mut slot = states[w].lock().expect("worker state");
-            step(slot.get_or_insert_with(&init), ms[t]);
+            step(slot.get_or_insert_with(&init), t);
         })?;
         Ok(states
             .into_iter()

@@ -60,27 +60,16 @@ pub enum RunSortMolecule {
 /// column is the stable argsort permutation — plus pipeline accounting
 /// (run formation is a full breaker; the merge, when it happens, is a
 /// second one).
+///
+/// `bounds` are segment offsets from `0` to `keys.len()` — one per
+/// surviving base-table partition range. With several segments, run
+/// formation is partition-native: one sorted run per segment, so no run
+/// crosses a partition boundary. One segment (`&[0, n]`, an unpartitioned
+/// input) or bounds that do not span the input split evenly, one run per
+/// worker. The Merge Path merge is correct and deterministic for **any**
+/// run bounds, so the output is bit-identical (and equal to serial
+/// argsort) however the input was segmented.
 pub fn parallel_sort_index(
-    pool: &ThreadPool,
-    keys: &[u32],
-    molecule: RunSortMolecule,
-) -> Result<(Vec<(u32, u32)>, PipelineStats), PoolError> {
-    let n = keys.len();
-    let runs_n = pool.threads().min(n.div_ceil(MIN_RUN_ROWS)).max(1);
-    // Block boundaries depend only on (n, runs_n), never on scheduling.
-    let bounds: Vec<usize> = (0..=runs_n).map(|r| r * n / runs_n).collect();
-    sort_index_over(pool, keys, molecule, &bounds)
-}
-
-/// Partition-native [`parallel_sort_index`]: run formation uses the
-/// given segment `bounds` — one sorted run per surviving base-table
-/// partition range — instead of an even split, so no run ever crosses a
-/// partition boundary. The Merge Path merge is correct and deterministic
-/// for **any** run bounds, so the output is bit-identical to
-/// [`parallel_sort_index`] (and to serial argsort) regardless of how the
-/// input was segmented. Degenerate bounds (not spanning `0..n`) fall
-/// back to the even split.
-pub fn parallel_sort_index_segmented(
     pool: &ThreadPool,
     keys: &[u32],
     molecule: RunSortMolecule,
@@ -94,19 +83,12 @@ pub fn parallel_sort_index_segmented(
             b.push(x);
         }
     }
-    if b.len() < 2 || b.first() != Some(&0) || b.last() != Some(&n) {
-        return parallel_sort_index(pool, keys, molecule);
+    if b.len() <= 2 || b.first() != Some(&0) || b.last() != Some(&n) {
+        let runs_n = pool.threads().min(n.div_ceil(MIN_RUN_ROWS)).max(1);
+        // Block boundaries depend only on (n, runs_n), never on scheduling.
+        b = (0..=runs_n).map(|r| r * n / runs_n).collect();
     }
-    sort_index_over(pool, keys, molecule, &b)
-}
-
-fn sort_index_over(
-    pool: &ThreadPool,
-    keys: &[u32],
-    molecule: RunSortMolecule,
-    bounds: &[usize],
-) -> Result<(Vec<(u32, u32)>, PipelineStats), PoolError> {
-    let n = keys.len();
+    let bounds = b;
     let mut stats = PipelineStats::default();
     stats.record(Blocking::FullBreaker, n as u64);
     let runs_n = bounds.len() - 1;
@@ -182,31 +164,20 @@ fn sort_index_over(
 
 /// Indices that would sort `keys` ascending, equal keys in input order —
 /// the parallel twin of [`dqo_exec::sort::argsort`], bit-identical to it
-/// at every DOP.
+/// at every DOP and for any segment `bounds` (see [`parallel_sort_index`]).
 pub fn parallel_argsort(
-    pool: &ThreadPool,
-    keys: &[u32],
-    molecule: RunSortMolecule,
-) -> Result<(Vec<u32>, PipelineStats), PoolError> {
-    let (pairs, stats) = parallel_sort_index(pool, keys, molecule)?;
-    Ok((pairs.into_iter().map(|(_, row)| row).collect(), stats))
-}
-
-/// Partition-native [`parallel_argsort`]: one run per segment of
-/// `bounds` (see [`parallel_sort_index_segmented`]). Bit-identical to
-/// the plain variant at every DOP.
-pub fn parallel_argsort_segmented(
     pool: &ThreadPool,
     keys: &[u32],
     molecule: RunSortMolecule,
     bounds: &[usize],
 ) -> Result<(Vec<u32>, PipelineStats), PoolError> {
-    let (pairs, stats) = parallel_sort_index_segmented(pool, keys, molecule, bounds)?;
+    let (pairs, stats) = parallel_sort_index(pool, keys, molecule, bounds)?;
     Ok((pairs.into_iter().map(|(_, row)| row).collect(), stats))
 }
 
-/// Parallel SOG: parallel sort of the grouping key, then range-parallel
-/// run aggregation with deterministic run-boundary stitching. Requires a
+/// Parallel SOG: parallel sort of the grouping key (one run per segment
+/// of `bounds`, see [`parallel_sort_index`]), then range-parallel run
+/// aggregation with deterministic run-boundary stitching. Requires a
 /// decomposable aggregate (merging the two partial states of a group
 /// split across a range boundary must be exact) — true for
 /// COUNT/SUM/MIN/MAX/AVG, which is all the engine plans in parallel.
@@ -218,30 +189,8 @@ pub fn parallel_sog<A: Aggregator>(
     values: &[u32],
     agg: A,
     molecule: RunSortMolecule,
-) -> Result<(GroupedResult<A::State>, PipelineStats), ExecError> {
-    check_sog_inputs::<A>(keys, values)?;
-    let (sorted, stats) = parallel_sort_index(pool, keys, molecule)?;
-    sog_finish(pool, values, agg, sorted, stats)
-}
-
-/// Partition-native [`parallel_sog`]: the sort phase seeds one run per
-/// segment of `bounds` (see [`parallel_sort_index_segmented`]); the
-/// range-parallel aggregation over the *sorted* pairs is unchanged.
-/// Bit-identical to the plain variant at every DOP.
-pub fn parallel_sog_segmented<A: Aggregator>(
-    pool: &ThreadPool,
-    keys: &[u32],
-    values: &[u32],
-    agg: A,
-    molecule: RunSortMolecule,
     bounds: &[usize],
 ) -> Result<(GroupedResult<A::State>, PipelineStats), ExecError> {
-    check_sog_inputs::<A>(keys, values)?;
-    let (sorted, stats) = parallel_sort_index_segmented(pool, keys, molecule, bounds)?;
-    sog_finish(pool, values, agg, sorted, stats)
-}
-
-fn check_sog_inputs<A: Aggregator>(keys: &[u32], values: &[u32]) -> Result<(), ExecError> {
     assert!(
         A::IS_DECOMPOSABLE,
         "parallel SOG requires a decomposable aggregate"
@@ -252,7 +201,8 @@ fn check_sog_inputs<A: Aggregator>(keys: &[u32], values: &[u32]) -> Result<(), E
             values: values.len(),
         });
     }
-    Ok(())
+    let (sorted, stats) = parallel_sort_index(pool, keys, molecule, bounds)?;
+    sog_finish(pool, values, agg, sorted, stats)
 }
 
 fn sog_finish<A: Aggregator>(
@@ -318,46 +268,23 @@ fn sog_finish<A: Aggregator>(
 }
 
 /// Parallel SOJ: parallel sort of both inputs into canonical (key, row)
-/// views, then a range-partitioned merge join — the sorted left view is
-/// cut into contiguous partitions **aligned to key boundaries** (no key
-/// run is ever split), each worker binary-searches the right view for its
-/// partition's key range and runs the serial merge kernel, and chunks
-/// concatenate in partition order. Output pairs equal serial
-/// [`dqo_exec::join::soj::sort_merge_join`] bit for bit at every DOP.
+/// views — the **left (build) side** with one run per segment of
+/// `left_bounds` (see [`parallel_sort_index`]) — then a range-partitioned
+/// merge join: the sorted left view is cut into contiguous partitions
+/// **aligned to key boundaries** (no key run is ever split), each worker
+/// binary-searches the right view for its partition's key range and runs
+/// the serial merge kernel, and chunks concatenate in partition order.
+/// Output pairs equal serial [`dqo_exec::join::soj::sort_merge_join`] bit
+/// for bit at every DOP.
 pub fn parallel_sort_merge_join(
-    pool: &ThreadPool,
-    left: &[u32],
-    right: &[u32],
-    molecule: RunSortMolecule,
-) -> Result<(JoinResult, PipelineStats), ExecError> {
-    let (ls, stats) = parallel_sort_index(pool, left, molecule)?;
-    soj_finish(pool, ls, right, molecule, stats)
-}
-
-/// Partition-native [`parallel_sort_merge_join`]: the **left (build)
-/// side** is sorted with one run per segment of `left_bounds` (see
-/// [`parallel_sort_index_segmented`]); the right-side sort and the
-/// range-partitioned merge are unchanged. Bit-identical to the plain
-/// variant at every DOP.
-pub fn parallel_sort_merge_join_segmented(
     pool: &ThreadPool,
     left: &[u32],
     right: &[u32],
     molecule: RunSortMolecule,
     left_bounds: &[usize],
 ) -> Result<(JoinResult, PipelineStats), ExecError> {
-    let (ls, stats) = parallel_sort_index_segmented(pool, left, molecule, left_bounds)?;
-    soj_finish(pool, ls, right, molecule, stats)
-}
-
-fn soj_finish(
-    pool: &ThreadPool,
-    ls: Vec<(u32, u32)>,
-    right: &[u32],
-    molecule: RunSortMolecule,
-    mut stats: PipelineStats,
-) -> Result<(JoinResult, PipelineStats), ExecError> {
-    let (rs, right_stats) = parallel_sort_index(pool, right, molecule)?;
+    let (ls, mut stats) = parallel_sort_index(pool, left, molecule, left_bounds)?;
+    let (rs, right_stats) = parallel_sort_index(pool, right, molecule, &[])?;
     stats.merge(&right_stats);
 
     let n = ls.len();
@@ -424,7 +351,7 @@ mod tests {
         for molecule in MOLECULES {
             for threads in [1, 2, 8] {
                 let pool = ThreadPool::new(threads);
-                let (par, stats) = parallel_argsort(&pool, &keys, molecule).unwrap();
+                let (par, stats) = parallel_argsort(&pool, &keys, molecule, &[]).unwrap();
                 assert_eq!(par, serial, "threads={threads} {molecule:?}");
                 assert!(stats.breakers >= 1);
             }
@@ -435,7 +362,8 @@ mod tests {
     fn sorted_pairs_are_fully_ordered_and_a_permutation() {
         let keys = dataset(50_000, 1 << 20, 9);
         let pool = ThreadPool::new(4);
-        let (pairs, _) = parallel_sort_index(&pool, &keys, RunSortMolecule::Comparison).unwrap();
+        let (pairs, _) =
+            parallel_sort_index(&pool, &keys, RunSortMolecule::Comparison, &[]).unwrap();
         assert_eq!(pairs.len(), keys.len());
         assert!(pairs.windows(2).all(|w| w[0] < w[1]), "total order");
         let mut rows: Vec<u32> = pairs.iter().map(|p| p.1).collect();
@@ -451,17 +379,17 @@ mod tests {
         // Partition-style run bounds: uneven, with an empty segment.
         let bounds = [0usize, 9_001, 9_001, 17_432, 60_000];
         for molecule in MOLECULES {
-            let (par, _) = parallel_argsort_segmented(&pool, &keys, molecule, &bounds).unwrap();
+            let (par, _) = parallel_argsort(&pool, &keys, molecule, &bounds).unwrap();
             assert_eq!(par, serial, "{molecule:?}");
         }
         // Degenerate bounds fall back to the even split.
         let (par, _) =
-            parallel_argsort_segmented(&pool, &keys, RunSortMolecule::Comparison, &[3, 7]).unwrap();
+            parallel_argsort(&pool, &keys, RunSortMolecule::Comparison, &[3, 7]).unwrap();
         assert_eq!(par, serial);
 
         let vals = dataset(60_000, 900, 8);
         let serial_sog = sort_order_grouping(&keys, &vals, CountSum);
-        let (sog, _) = parallel_sog_segmented(
+        let (sog, _) = parallel_sog(
             &pool,
             &keys,
             &vals,
@@ -474,14 +402,9 @@ mod tests {
 
         let right = dataset(10_000, 40, 2);
         let serial_soj = sort_merge_join(&keys, &right);
-        let (soj, _) = parallel_sort_merge_join_segmented(
-            &pool,
-            &keys,
-            &right,
-            RunSortMolecule::Comparison,
-            &bounds,
-        )
-        .unwrap();
+        let (soj, _) =
+            parallel_sort_merge_join(&pool, &keys, &right, RunSortMolecule::Comparison, &bounds)
+                .unwrap();
         assert_eq!(soj.left_rows, serial_soj.left_rows);
         assert_eq!(soj.right_rows, serial_soj.right_rows);
     }
@@ -490,8 +413,8 @@ mod tests {
     fn molecules_agree() {
         let keys = dataset(30_000, 1000, 1);
         let pool = ThreadPool::new(8);
-        let (a, _) = parallel_sort_index(&pool, &keys, RunSortMolecule::Comparison).unwrap();
-        let (b, _) = parallel_sort_index(&pool, &keys, RunSortMolecule::Radix).unwrap();
+        let (a, _) = parallel_sort_index(&pool, &keys, RunSortMolecule::Comparison, &[]).unwrap();
+        let (b, _) = parallel_sort_index(&pool, &keys, RunSortMolecule::Radix, &[]).unwrap();
         assert_eq!(a, b);
     }
 
@@ -503,7 +426,8 @@ mod tests {
         for molecule in MOLECULES {
             for threads in [1, 2, 8] {
                 let pool = ThreadPool::new(threads);
-                let (par, stats) = parallel_sog(&pool, &keys, &vals, CountSum, molecule).unwrap();
+                let (par, stats) =
+                    parallel_sog(&pool, &keys, &vals, CountSum, molecule, &[]).unwrap();
                 assert_eq!(par, serial, "threads={threads} {molecule:?}");
                 assert!(par.sorted_by_key);
                 assert!(stats.breakers >= 2, "sort + group breakers");
@@ -518,8 +442,15 @@ mod tests {
         let keys = vec![7u32; 50_000];
         let vals: Vec<u32> = (0..50_000).map(|i| (i % 100) as u32).collect();
         let pool = ThreadPool::new(8);
-        let (r, _) =
-            parallel_sog(&pool, &keys, &vals, CountSum, RunSortMolecule::Comparison).unwrap();
+        let (r, _) = parallel_sog(
+            &pool,
+            &keys,
+            &vals,
+            CountSum,
+            RunSortMolecule::Comparison,
+            &[],
+        )
+        .unwrap();
         assert_eq!(r.keys, vec![7]);
         assert_eq!(r.states[0].count, 50_000);
         assert_eq!(
@@ -536,7 +467,8 @@ mod tests {
         for molecule in MOLECULES {
             for threads in [1, 2, 8] {
                 let pool = ThreadPool::new(threads);
-                let (par, _) = parallel_sort_merge_join(&pool, &left, &right, molecule).unwrap();
+                let (par, _) =
+                    parallel_sort_merge_join(&pool, &left, &right, molecule, &[]).unwrap();
                 // Bit-identical: same pairs in the same emission order.
                 assert_eq!(par.left_rows, serial.left_rows, "threads={threads}");
                 assert_eq!(par.right_rows, serial.right_rows, "threads={threads}");
@@ -554,7 +486,8 @@ mod tests {
         let serial = sort_merge_join(&left, &right);
         let pool = ThreadPool::new(8);
         let (par, _) =
-            parallel_sort_merge_join(&pool, &left, &right, RunSortMolecule::Comparison).unwrap();
+            parallel_sort_merge_join(&pool, &left, &right, RunSortMolecule::Comparison, &[])
+                .unwrap();
         assert_eq!(par.left_rows, serial.left_rows);
         assert_eq!(par.right_rows, serial.right_rows);
     }
@@ -562,18 +495,19 @@ mod tests {
     #[test]
     fn empty_and_tiny_inputs() {
         let pool = ThreadPool::new(4);
-        let (pairs, _) = parallel_sort_index(&pool, &[], RunSortMolecule::Comparison).unwrap();
+        let (pairs, _) = parallel_sort_index(&pool, &[], RunSortMolecule::Comparison, &[]).unwrap();
         assert!(pairs.is_empty());
-        let (r, _) = parallel_sog(&pool, &[], &[], CountSum, RunSortMolecule::Radix).unwrap();
+        let (r, _) = parallel_sog(&pool, &[], &[], CountSum, RunSortMolecule::Radix, &[]).unwrap();
         assert!(r.is_empty());
         assert!(r.sorted_by_key);
         let (j, _) =
-            parallel_sort_merge_join(&pool, &[], &[1, 2], RunSortMolecule::Comparison).unwrap();
+            parallel_sort_merge_join(&pool, &[], &[1, 2], RunSortMolecule::Comparison, &[])
+                .unwrap();
         assert!(j.is_empty());
         let (j, _) =
-            parallel_sort_merge_join(&pool, &[1], &[1], RunSortMolecule::Comparison).unwrap();
+            parallel_sort_merge_join(&pool, &[1], &[1], RunSortMolecule::Comparison, &[]).unwrap();
         assert_eq!(j.len(), 1);
-        let (one, _) = parallel_sort_index(&pool, &[42], RunSortMolecule::Radix).unwrap();
+        let (one, _) = parallel_sort_index(&pool, &[42], RunSortMolecule::Radix, &[]).unwrap();
         assert_eq!(one, vec![(42, 0)]);
     }
 
@@ -581,7 +515,14 @@ mod tests {
     fn length_mismatch_is_an_error() {
         let pool = ThreadPool::new(2);
         assert!(matches!(
-            parallel_sog(&pool, &[1, 2], &[1], CountSum, RunSortMolecule::Comparison),
+            parallel_sog(
+                &pool,
+                &[1, 2],
+                &[1],
+                CountSum,
+                RunSortMolecule::Comparison,
+                &[]
+            ),
             Err(ExecError::LengthMismatch { .. })
         ));
     }
@@ -590,10 +531,11 @@ mod tests {
     fn repeated_runs_are_identical() {
         let keys = dataset(120_000, 64, 77);
         let pool = ThreadPool::new(8);
-        let (first, _) = parallel_sort_index(&pool, &keys, RunSortMolecule::Comparison).unwrap();
+        let (first, _) =
+            parallel_sort_index(&pool, &keys, RunSortMolecule::Comparison, &[]).unwrap();
         for _ in 0..3 {
             let (again, _) =
-                parallel_sort_index(&pool, &keys, RunSortMolecule::Comparison).unwrap();
+                parallel_sort_index(&pool, &keys, RunSortMolecule::Comparison, &[]).unwrap();
             assert_eq!(again, first);
         }
     }

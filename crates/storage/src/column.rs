@@ -6,6 +6,7 @@
 //! boundary and tests.
 
 use crate::error::StorageError;
+use crate::selection::Selection;
 use crate::value::{DataType, Value};
 use crate::Result;
 use serde::{Deserialize, Serialize};
@@ -26,6 +27,40 @@ pub enum Column {
     /// Dictionary codes; the dictionary itself lives in the relation's
     /// schema-adjacent metadata (see [`crate::dictionary`]).
     Str(Vec<u32>),
+}
+
+/// A row id usable as a gather index: the executor's native `u32` ids and
+/// plain `usize` positions.
+pub trait RowId: Copy {
+    /// The row position this id names.
+    fn index(self) -> usize;
+}
+
+impl RowId for u32 {
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
+impl RowId for usize {
+    fn index(self) -> usize {
+        self
+    }
+}
+
+/// Rebuild a column of the same type from its data vector `$v`, whatever
+/// its element type.
+macro_rules! per_type {
+    ($col:expr, $v:ident => $body:expr) => {
+        match $col {
+            Column::U32($v) => Column::U32($body),
+            Column::U64($v) => Column::U64($body),
+            Column::I64($v) => Column::I64($body),
+            Column::F64($v) => Column::F64($body),
+            Column::Bool($v) => Column::Bool($body),
+            Column::Str($v) => Column::Str($body),
+        }
+    };
 }
 
 impl Column {
@@ -146,44 +181,27 @@ impl Column {
         })
     }
 
-    /// Build a new column by picking the rows at `indices` (gather).
+    /// Build a new column by picking the rows at `indices` (gather); row
+    /// ids come in whichever width the caller holds them ([`RowId`]).
     ///
-    /// Out-of-range indices are a programming error and panic in debug; in
-    /// release they would panic via slice indexing as well, which is the
-    /// desired fail-fast behaviour for a corrupted selection vector.
-    pub fn gather(&self, indices: &[usize]) -> Column {
-        match self {
-            Column::U32(v) => Column::U32(indices.iter().map(|&i| v[i]).collect()),
-            Column::U64(v) => Column::U64(indices.iter().map(|&i| v[i]).collect()),
-            Column::I64(v) => Column::I64(indices.iter().map(|&i| v[i]).collect()),
-            Column::F64(v) => Column::F64(indices.iter().map(|&i| v[i]).collect()),
-            Column::Bool(v) => Column::Bool(indices.iter().map(|&i| v[i]).collect()),
-            Column::Str(v) => Column::Str(indices.iter().map(|&i| v[i]).collect()),
-        }
+    /// Out-of-range indices are a programming error and panic via slice
+    /// indexing, which is the desired fail-fast behaviour for a corrupted
+    /// selection vector.
+    pub fn gather<I: RowId>(&self, indices: &[I]) -> Column {
+        per_type!(self, v => indices.iter().map(|&i| v[i.index()]).collect())
     }
 
-    /// Filter by a boolean selection mask of the same length.
-    pub fn filter(&self, mask: &[bool]) -> Result<Column> {
-        if mask.len() != self.len() {
-            return Err(StorageError::ColumnLengthMismatch {
-                expected: self.len(),
-                found: mask.len(),
-            });
+    /// Build a new column from the rows `sel` selects, in its order:
+    /// slice copies for ranges, a gather for row ids.
+    pub fn select(&self, sel: &Selection) -> Column {
+        match sel {
+            Selection::Rows(ids) => self.gather(ids),
+            Selection::Ranges(rs) => per_type!(self, v => {
+                let mut out = Vec::with_capacity(sel.len());
+                rs.iter().for_each(|r| out.extend_from_slice(&v[r.clone()]));
+                out
+            }),
         }
-        fn keep<T: Copy>(v: &[T], mask: &[bool]) -> Vec<T> {
-            v.iter()
-                .zip(mask)
-                .filter_map(|(x, &m)| m.then_some(*x))
-                .collect()
-        }
-        Ok(match self {
-            Column::U32(v) => Column::U32(keep(v, mask)),
-            Column::U64(v) => Column::U64(keep(v, mask)),
-            Column::I64(v) => Column::I64(keep(v, mask)),
-            Column::F64(v) => Column::F64(keep(v, mask)),
-            Column::Bool(v) => Column::Bool(keep(v, mask)),
-            Column::Str(v) => Column::Str(keep(v, mask)),
-        })
     }
 
     /// Concatenate another column of the same type onto this one.
@@ -303,21 +321,17 @@ mod tests {
     #[test]
     fn gather_reorders() {
         let c = Column::U32(vec![10, 20, 30]);
-        let g = c.gather(&[2, 0, 0]);
+        let g = c.gather(&[2u32, 0, 0]);
         assert_eq!(g.as_u32().unwrap(), &[30, 10, 10]);
     }
 
     #[test]
-    fn filter_by_mask() {
-        let c = Column::F64(vec![1.0, 2.0, 3.0]);
-        let f = c.filter(&[true, false, true]).unwrap();
-        assert_eq!(f.as_f64().unwrap(), &[1.0, 3.0]);
-    }
-
-    #[test]
-    fn filter_mask_length_checked() {
-        let c = Column::U32(vec![1]);
-        assert!(c.filter(&[true, false]).is_err());
+    fn select_copies_ranges_and_rows() {
+        let c = Column::F64(vec![1.0, 2.0, 3.0, 4.0]);
+        let ranges = c.select(&Selection::Ranges(vec![0..1, 2..4]));
+        assert_eq!(ranges.as_f64().unwrap(), &[1.0, 3.0, 4.0]);
+        let rows = c.select(&Selection::Rows(vec![3, 0]));
+        assert_eq!(rows.as_f64().unwrap(), &[4.0, 1.0]);
     }
 
     #[test]

@@ -30,10 +30,11 @@ pub mod properties;
 pub mod relation;
 pub mod rowcodec;
 pub mod schema;
+pub mod selection;
 pub mod stats;
 pub mod value;
 
-pub use column::Column;
+pub use column::{Column, RowId};
 pub use datagen::{DatasetSpec, ForeignKeySpec};
 pub use dictionary::Dictionary;
 pub use error::StorageError;
@@ -43,6 +44,7 @@ pub use partition::{
 pub use properties::{DataProps, Density, Sortedness};
 pub use relation::{AppendedRelation, Relation};
 pub use schema::{Field, Schema};
+pub use selection::{narrow_rows, Piece, Selection};
 pub use stats::ColumnStats;
 pub use value::{DataType, Value};
 

@@ -237,26 +237,13 @@ impl Partitioning {
     }
 
     /// The surviving partitions' row ranges in **flat row order** (sorted
-    /// by start, adjacent ranges merged). Scanning these in order yields
-    /// rows in the same relative order as the flat relation — the
-    /// bit-identity anchor for partitioned scans.
-    pub fn flat_order_ranges(&self, parts: &[usize]) -> Vec<(usize, usize)> {
-        let ranges = self.flat_order_segments(parts);
-        let mut merged: Vec<(usize, usize)> = Vec::with_capacity(ranges.len());
-        for (s, e) in ranges {
-            match merged.last_mut() {
-                Some(last) if last.1 == s => last.1 = e,
-                _ => merged.push((s, e)),
-            }
-        }
-        merged
-    }
-
-    /// The surviving partitions' row ranges in flat row order **without**
-    /// merging adjacent ranges: one segment per per-partition range. The
-    /// parallel runtime seeds one sort run / morsel block per segment so
-    /// parallel work never crosses a partition boundary on the build
-    /// side, even when surviving partitions happen to be contiguous.
+    /// by start), one segment per per-partition range, adjacent ranges
+    /// left unmerged. Scanning these in order yields rows in the same
+    /// relative order as the flat relation — the bit-identity anchor for
+    /// partitioned scans, which select exactly these ranges — and the
+    /// parallel runtime seeds one sort run / morsel block per segment, so
+    /// parallel work never crosses a partition boundary even when
+    /// surviving partitions happen to be contiguous.
     pub fn flat_order_segments(&self, parts: &[usize]) -> Vec<(usize, usize)> {
         let mut ranges: Vec<(usize, usize)> = parts
             .iter()
@@ -519,14 +506,17 @@ mod tests {
     }
 
     #[test]
-    fn flat_order_ranges_sorts_and_merges() {
+    fn flat_order_segments_sort_without_merging() {
         let r = rel(vec![5, 15, 25], vec![0, 1, 2]);
         let pr = PartitionedRelation::new(r, PartitionSpec::range("k", vec![10, 20])).unwrap();
         let p = pr.partitioning();
-        assert_eq!(p.flat_order_ranges(&[0, 1, 2]), vec![(0, 3)]);
-        assert_eq!(p.flat_order_ranges(&[2, 0]), vec![(0, 1), (2, 3)]);
-        assert_eq!(p.flat_order_ranges(&[1]), vec![(1, 2)]);
-        assert_eq!(p.flat_order_ranges(&[]), Vec::<(usize, usize)>::new());
+        assert_eq!(
+            p.flat_order_segments(&[0, 1, 2]),
+            vec![(0, 1), (1, 2), (2, 3)]
+        );
+        assert_eq!(p.flat_order_segments(&[2, 0]), vec![(0, 1), (2, 3)]);
+        assert_eq!(p.flat_order_segments(&[1]), vec![(1, 2)]);
+        assert_eq!(p.flat_order_segments(&[]), Vec::<(usize, usize)>::new());
         assert_eq!(p.rows_in(&[0, 2]), 2);
     }
 
@@ -563,10 +553,9 @@ mod tests {
         let pr = PartitionedRelation::new(r, PartitionSpec::hash("k", 16)).unwrap();
         let p = pr.partitioning();
         assert_eq!(p.rows_in(&(0..16).collect::<Vec<_>>()), 500);
-        assert_eq!(
-            p.flat_order_ranges(&(0..16).collect::<Vec<_>>()),
-            vec![(0, 500)]
-        );
+        let segments = p.flat_order_segments(&(0..16).collect::<Vec<_>>());
+        assert!(segments.windows(2).all(|w| w[0].1 == w[1].0), "tiling");
+        assert_eq!((segments[0].0, segments[segments.len() - 1].1), (0, 500));
         // Multiset preserved.
         let mut orig = keys;
         let mut flat: Vec<u32> = pr.flat().column("k").unwrap().as_u32().unwrap().to_vec();

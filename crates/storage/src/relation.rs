@@ -1,9 +1,10 @@
 //! Relations: schemas plus equal-length columns.
 
-use crate::column::Column;
+use crate::column::{Column, RowId};
 use crate::dictionary::Dictionary;
 use crate::error::StorageError;
 use crate::schema::{Field, Schema};
+use crate::selection::Selection;
 use crate::value::{DataType, Value};
 use crate::Result;
 use serde::{Deserialize, Serialize};
@@ -206,34 +207,28 @@ impl Relation {
     }
 
     /// Gather rows at `indices` into a new relation (materialising copy).
-    pub fn gather(&self, indices: &[usize]) -> Relation {
-        let columns = self
-            .columns
-            .iter()
-            .map(|c| Arc::new(c.gather(indices)))
-            .collect();
-        Relation {
-            schema: self.schema.clone(),
-            columns,
-            dictionaries: self.dictionaries.clone(),
-            rows: indices.len(),
-        }
+    pub fn gather<I: RowId>(&self, indices: &[I]) -> Relation {
+        self.rebuilt(indices.len(), |c| c.gather(indices))
     }
 
-    /// Filter rows by a boolean mask.
-    pub fn filter(&self, mask: &[bool]) -> Result<Relation> {
-        let columns = self
-            .columns
-            .iter()
-            .map(|c| c.filter(mask).map(Arc::new))
-            .collect::<Result<Vec<_>>>()?;
-        let rows = columns.first().map_or(0, |c| c.len());
-        Ok(Relation {
+    /// Materialise the rows `sel` selects, in its order. Selecting every
+    /// row shares the column buffers instead of copying them.
+    pub fn select(&self, sel: &Selection) -> Relation {
+        if sel.as_range() == Some(0..self.rows) {
+            return self.clone();
+        }
+        self.rebuilt(sel.len(), |c| c.select(sel))
+    }
+
+    /// The same schema and dictionaries over `rows`-long columns derived
+    /// from this relation's.
+    fn rebuilt(&self, rows: usize, column: impl Fn(&Column) -> Column) -> Relation {
+        Relation {
             schema: self.schema.clone(),
-            columns,
+            columns: self.columns.iter().map(|c| Arc::new(column(c))).collect(),
             dictionaries: self.dictionaries.clone(),
             rows,
-        })
+        }
     }
 
     /// Total heap footprint of all columns, in bytes.
@@ -422,13 +417,19 @@ mod tests {
     }
 
     #[test]
-    fn gather_and_filter() {
+    fn gather_and_select() {
         let r = sample();
-        let g = r.gather(&[2, 0]);
+        let g = r.gather(&[2u32, 0]);
         assert_eq!(g.column("k").unwrap().as_u32().unwrap(), &[3, 1]);
-        let f = r.filter(&[false, true, false]).unwrap();
+        let f = r.select(&Selection::Ranges(vec![1..2, 2..2]));
         assert_eq!(f.rows(), 1);
         assert_eq!(f.column("k").unwrap().as_u32().unwrap(), &[2]);
+        // Selecting every row shares the buffers instead of copying them.
+        let all = r.select(&Selection::all(3));
+        assert!(Arc::ptr_eq(
+            &r.column_arc("k").unwrap(),
+            &all.column_arc("k").unwrap()
+        ));
     }
 
     #[test]

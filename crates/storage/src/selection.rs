@@ -1,0 +1,340 @@
+//! Selections: which rows of a relation an operator's output consists of.
+//!
+//! Executor nodes hand each other a *view* — a relation handle plus a
+//! [`Selection`] — instead of a freshly copied relation. A selection is
+//! either a list of row ranges (a scan, a pruned partitioned scan, a
+//! filter over sorted data) or explicit row ids (a filter's survivors, a
+//! sort's permutation). Filters narrow it with the branch-free kernel in
+//! [`Piece::narrow`]; consumers read columns *through* it with
+//! [`Piece::read`] / [`Selection::read`], and only the plan root (and the
+//! output of a join) gathers whole columns.
+
+// A selection really is a list holding (often) one range.
+#![allow(clippy::single_range_in_vec_init)]
+
+use std::ops::Range;
+
+/// The rows of a relation that are selected, in output order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Selection {
+    /// Half-open row ranges, in output order. Scans build them ascending
+    /// and non-overlapping — which is what lets narrowed row ids collapse
+    /// back into a range ([`Selection::from_ascending`]); a merge may
+    /// interleave ranges in any order. Adjacent ranges are allowed (one
+    /// per partition segment) and are never joined by
+    /// [`Selection::pieces`], so morsel work stays partition-native.
+    Ranges(Vec<Range<usize>>),
+    /// Explicit row ids. Strictly ascending when produced by narrowing
+    /// ranges; a sort replaces them with a permutation of themselves.
+    Rows(Vec<u32>),
+}
+
+/// A morsel-sized part of a [`Selection`]: the unit a narrowing or
+/// reading task works on.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Piece<'a> {
+    /// A dense run of rows.
+    Range(Range<usize>),
+    /// A slice of explicit row ids.
+    Rows(&'a [u32]),
+}
+
+impl Selection {
+    /// Every row of a relation with `rows` rows.
+    pub fn all(rows: usize) -> Self {
+        Selection::Ranges(vec![0..rows])
+    }
+
+    /// The selection holding the strictly ascending row ids of `chunks`,
+    /// taken in order: one range when they are contiguous (decided from
+    /// the first id, the last id and the count, without touching the
+    /// rest), the concatenated ids otherwise.
+    pub fn from_ascending(mut chunks: Vec<Vec<u32>>) -> Self {
+        let len: usize = chunks.iter().map(Vec::len).sum();
+        let first = chunks.iter().find_map(|c| c.first().copied());
+        let last = chunks.iter().rev().find_map(|c| c.last().copied());
+        match first.zip(last) {
+            None => Selection::Ranges(vec![0..0]),
+            Some((first, last)) if (last - first) as usize + 1 == len => {
+                Selection::Ranges(vec![first as usize..last as usize + 1])
+            }
+            Some(_) if chunks.len() == 1 => Selection::Rows(chunks.pop().unwrap_or_default()),
+            Some(_) => Selection::Rows(chunks.concat()),
+        }
+    }
+
+    /// Number of selected rows.
+    pub fn len(&self) -> usize {
+        match self {
+            Selection::Ranges(rs) => rs.iter().map(Range::len).sum(),
+            Selection::Rows(ids) => ids.len(),
+        }
+    }
+
+    /// True when no row is selected.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The single dense run this selection covers, if it is one (adjacent
+    /// ranges count as one run; the empty selection is the run `0..0`).
+    pub fn as_range(&self) -> Option<Range<usize>> {
+        let Selection::Ranges(rs) = self else {
+            return None;
+        };
+        let mut live = rs.iter().filter(|r| !r.is_empty());
+        let mut run = live.next().cloned().unwrap_or(0..0);
+        for r in live {
+            if r.start != run.end {
+                return None;
+            }
+            run.end = r.end;
+        }
+        Some(run)
+    }
+
+    /// The selection cut into pieces of at most `max_rows` rows, in
+    /// order; no piece crosses a range boundary.
+    pub fn pieces(&self, max_rows: usize) -> Vec<Piece<'_>> {
+        let step = max_rows.max(1);
+        match self {
+            Selection::Ranges(rs) => rs
+                .iter()
+                .flat_map(|r| {
+                    r.clone()
+                        .step_by(step)
+                        .map(move |s| Piece::Range(s..s.saturating_add(step).min(r.end)))
+                })
+                .collect(),
+            Selection::Rows(ids) => ids.chunks(step).map(Piece::Rows).collect(),
+        }
+    }
+
+    /// Offsets, in selection coordinates, at which each range starts:
+    /// `[0, l1, l1 + l2, …, len]`. One segment per range (a `Rows`
+    /// selection is one segment) — what the parallel sort seeds its runs
+    /// from.
+    pub fn bounds(&self) -> Vec<usize> {
+        let mut bounds = vec![0];
+        match self {
+            Selection::Ranges(rs) => {
+                for r in rs {
+                    bounds.push(bounds[bounds.len() - 1] + r.len());
+                }
+            }
+            Selection::Rows(ids) => bounds.push(ids.len()),
+        }
+        bounds
+    }
+
+    /// Keep only the first `n` selected rows.
+    pub fn truncate(&mut self, n: usize) {
+        match self {
+            Selection::Rows(ids) => ids.truncate(n),
+            Selection::Ranges(rs) => {
+                let mut left = n;
+                for r in rs.iter_mut() {
+                    r.end = r.end.min(r.start + left);
+                    left -= r.len();
+                }
+            }
+        }
+    }
+
+    /// The selected row ids, in order.
+    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        let (ranges, ids): (&[Range<usize>], &[u32]) = match self {
+            Selection::Ranges(rs) => (rs, &[]),
+            Selection::Rows(ids) => (&[], ids),
+        };
+        ranges
+            .iter()
+            .flat_map(|r| r.clone().map(|i| i as u32))
+            .chain(ids.iter().copied())
+    }
+
+    /// Compose: `positions` index into this selection (a sort
+    /// permutation, a join's matching rows); returns the row ids they
+    /// stand for, in `positions` order.
+    pub fn pick(&self, mut positions: Vec<u32>) -> Vec<u32> {
+        match (self, self.as_range()) {
+            (_, Some(run)) if run.start == 0 => {}
+            (_, Some(run)) => positions.iter_mut().for_each(|p| *p += run.start as u32),
+            (Selection::Rows(ids), _) => positions.iter_mut().for_each(|p| *p = ids[*p as usize]),
+            (Selection::Ranges(_), _) => {
+                let ids: Vec<u32> = self.iter().collect();
+                positions.iter_mut().for_each(|p| *p = ids[*p as usize]);
+            }
+        }
+        positions
+    }
+
+    /// The values of `col` at the selected rows: borrowed when the
+    /// selection is one dense run, otherwise gathered into `buf`.
+    pub fn read<'s, T: Copy>(&self, col: &'s [T], buf: &'s mut Vec<T>) -> &'s [T] {
+        if let Some(run) = self.as_range() {
+            return &col[run];
+        }
+        buf.clear();
+        buf.reserve(self.len());
+        for piece in self.pieces(usize::MAX) {
+            match piece {
+                Piece::Range(r) => buf.extend_from_slice(&col[r]),
+                Piece::Rows(ids) => buf.extend(ids.iter().map(|&i| col[i as usize])),
+            }
+        }
+        buf
+    }
+}
+
+impl<'a> Piece<'a> {
+    /// The piece holding the strictly ascending row ids `ids`: a dense
+    /// range when they are contiguous.
+    pub fn ascending(ids: &'a [u32]) -> Piece<'a> {
+        match (ids.first(), ids.last()) {
+            (Some(&first), Some(&last)) if (last - first) as usize + 1 == ids.len() => {
+                Piece::Range(first as usize..last as usize + 1)
+            }
+            (None, _) => Piece::Range(0..0),
+            _ => Piece::Rows(ids),
+        }
+    }
+
+    /// Number of rows in the piece.
+    pub fn len(&self) -> usize {
+        match self {
+            Piece::Range(r) => r.len(),
+            Piece::Rows(ids) => ids.len(),
+        }
+    }
+
+    /// True for a piece without rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Append to `out` the row ids of this piece that satisfy `keep`.
+    /// Branch-free: every row id is written, and the write cursor
+    /// advances only for survivors, so the loop's speed does not depend
+    /// on how predictable the predicate is.
+    pub fn narrow(&self, keep: impl Fn(usize) -> bool, out: &mut Vec<u32>) {
+        out.reserve(self.len());
+        let dst = &mut out.spare_capacity_mut()[..self.len()];
+        let mut n = 0;
+        let mut test = |i: usize| {
+            dst[n].write(i as u32);
+            n += usize::from(keep(i));
+        };
+        match self {
+            Piece::Range(r) => r.clone().for_each(&mut test),
+            Piece::Rows(ids) => ids.iter().for_each(|&i| test(i as usize)),
+        }
+        // SAFETY: `reserve` made room for `self.len()` more elements, `n`
+        // never exceeds the rows tested (`<= self.len()`), and the loop
+        // initialised `dst[0..n]` — slot `k` is written before the cursor
+        // moves past it.
+        unsafe { out.set_len(out.len() + n) };
+    }
+
+    /// The values of `col` at this piece's rows: borrowed for a dense
+    /// range, otherwise gathered into `buf` (morsel-local scratch).
+    pub fn read<'s, T: Copy>(&self, col: &'s [T], buf: &'s mut Vec<T>) -> &'s [T] {
+        match self {
+            Piece::Range(r) => &col[r.clone()],
+            Piece::Rows(ids) => {
+                buf.clear();
+                buf.extend(ids.iter().map(|&i| col[i as usize]));
+                buf
+            }
+        }
+    }
+}
+
+/// Keep, in place, the row ids in `ids[from..]` that satisfy `keep` — a
+/// further conjunct running over the survivors of the previous one.
+/// Branch-free like [`Piece::narrow`].
+pub fn narrow_rows(ids: &mut Vec<u32>, from: usize, keep: impl Fn(usize) -> bool) {
+    let mut n = from;
+    for at in from..ids.len() {
+        let i = ids[at];
+        ids[n] = i;
+        n += usize::from(keep(i as usize));
+    }
+    ids.truncate(n);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn pieces_respect_range_boundaries_and_size() {
+        let sel = Selection::Ranges(vec![0..5, 5..7, 10..10, 20..23]);
+        assert_eq!(sel.len(), 10);
+        assert_eq!(
+            sel.pieces(3),
+            vec![
+                Piece::Range(0..3),
+                Piece::Range(3..5),
+                Piece::Range(5..7),
+                Piece::Range(20..23)
+            ]
+        );
+        assert_eq!(sel.bounds(), vec![0, 5, 7, 7, 10]);
+        assert_eq!(sel.as_range(), None);
+        assert_eq!(
+            Selection::Ranges(vec![2..4, 4..4, 4..9]).as_range(),
+            Some(2..9)
+        );
+        let rows = Selection::Rows(vec![1, 4, 6, 7, 9]);
+        assert_eq!(
+            rows.pieces(2),
+            vec![
+                Piece::Rows(&[1, 4]),
+                Piece::Rows(&[6, 7]),
+                Piece::Rows(&[9])
+            ]
+        );
+        assert_eq!(rows.bounds(), vec![0, 5]);
+    }
+
+    #[test]
+    fn narrow_is_order_preserving_on_both_piece_kinds() {
+        let col: Vec<u32> = vec![9, 1, 8, 2, 7, 3];
+        let mut out = vec![77];
+        Piece::Range(1..6).narrow(|i| col[i] < 5, &mut out);
+        assert_eq!(out, vec![77, 1, 3, 5]);
+        let mut out = Vec::new();
+        Piece::Rows(&[5, 0, 3]).narrow(|i| col[i] != 9, &mut out);
+        assert_eq!(out, vec![5, 3]);
+        narrow_rows(&mut out, 1, |i| col[i] > 100);
+        assert_eq!(out, vec![5]);
+    }
+
+    #[test]
+    fn truncate_pick_and_read() {
+        let mut sel = Selection::Ranges(vec![2..4, 8..12]);
+        assert_eq!(sel.pick(vec![5, 0, 2]), vec![11, 2, 8]);
+        sel.truncate(3);
+        assert_eq!(sel.iter().collect::<Vec<_>>(), vec![2, 3, 8]);
+        let col: Vec<u32> = (100..120).collect();
+        let mut buf = Vec::new();
+        assert_eq!(sel.read(&col, &mut buf), &[102, 103, 108]);
+        // A dense run borrows and offsets; it never copies.
+        let dense = Selection::Ranges(vec![3..5, 5..6]);
+        assert_eq!(dense.read(&col, &mut buf), &col[3..6]);
+        assert_eq!(dense.pick(vec![2, 0]), vec![5, 3]);
+        assert_eq!(
+            Selection::from_ascending(vec![vec![4], vec![], vec![5, 6]]),
+            Selection::Ranges(vec![4..7])
+        );
+        assert_eq!(
+            Selection::from_ascending(vec![]),
+            Selection::Ranges(vec![0..0])
+        );
+        assert_eq!(
+            Selection::from_ascending(vec![vec![4], vec![6]]),
+            Selection::Rows(vec![4, 6])
+        );
+    }
+}

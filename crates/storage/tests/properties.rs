@@ -4,7 +4,7 @@
 use dqo_storage::datagen::DatasetSpec;
 use dqo_storage::rowcodec::{decode_rows, encode_rows};
 use dqo_storage::stats::ColumnStats;
-use dqo_storage::{Column, DataType, Dictionary, Field, Relation, Schema};
+use dqo_storage::{narrow_rows, Column, DataType, Dictionary, Field, Relation, Schema, Selection};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -131,18 +131,126 @@ proptest! {
     }
 
     #[test]
-    fn gather_then_filter_consistency(
+    fn select_matches_a_direct_filter_and_gather_identity_is_a_noop(
         data in proptest::collection::vec(any::<u32>(), 1..500),
         threshold in any::<u32>(),
     ) {
         let rel = Relation::single_u32("k", data.clone());
-        let mask: Vec<bool> = data.iter().map(|&v| v < threshold).collect();
-        let filtered = rel.filter(&mask).unwrap();
+        let sel = narrowed(&Selection::all(data.len()), 64, |i| data[i] < threshold);
         let expected: Vec<u32> = data.iter().copied().filter(|&v| v < threshold).collect();
-        prop_assert_eq!(filtered.column("k").unwrap().as_u32().unwrap(), &expected[..]);
+        let selected = rel.select(&sel);
+        prop_assert_eq!(selected.column("k").unwrap().as_u32().unwrap(), &expected[..]);
         // gather with identity permutation is a no-op.
         let idx: Vec<usize> = (0..data.len()).collect();
         let gathered = rel.gather(&idx);
         prop_assert_eq!(gathered.column("k").unwrap().as_u32().unwrap(), &data[..]);
     }
+
+    #[test]
+    fn narrowing_twice_is_narrowing_by_the_conjunction(
+        data in proptest::collection::vec(any::<u32>(), 0..700),
+        cuts in proptest::collection::vec(any::<u32>(), 0..6),
+        (a, b) in (any::<u32>(), any::<u32>()),
+        morsel in 1usize..200,
+    ) {
+        // A base selection of ranges cut at arbitrary places (adjacent,
+        // empty and gapped ranges included).
+        let base = ranges_over(data.len(), &cuts);
+        let (p, q) = (|i: usize| data[i] % 7 < a % 8, |i: usize| data[i] < b);
+        let stepwise = narrowed(&narrowed(&base, morsel, p), morsel, q);
+        let at_once = narrowed(&base, morsel, |i| p(i) && q(i));
+        let ids: Vec<u32> = at_once.iter().collect();
+        prop_assert_eq!(stepwise.iter().collect::<Vec<_>>(), ids.clone());
+        // In-place narrowing of explicit rows agrees as well.
+        let mut rows: Vec<u32> = base.iter().collect();
+        narrow_rows(&mut rows, 0, p);
+        narrow_rows(&mut rows, 0, q);
+        prop_assert_eq!(&rows, &ids);
+        // Row ids are strictly ascending, lie in the base selection and
+        // are exactly the rows satisfying both predicates.
+        prop_assert!(ids.windows(2).all(|w| w[0] < w[1]));
+        let expected: Vec<u32> = base.iter().filter(|&i| p(i as usize) && q(i as usize)).collect();
+        prop_assert_eq!(ids, expected);
+    }
+
+    #[test]
+    fn ranges_and_row_ids_round_trip(
+        rows in 0usize..600,
+        cuts in proptest::collection::vec(any::<u32>(), 0..6),
+        morsel in 1usize..100,
+        take in 0usize..700,
+    ) {
+        let sel = ranges_over(rows, &cuts);
+        let ids: Vec<u32> = sel.iter().collect();
+        prop_assert_eq!(ids.len(), sel.len());
+        prop_assert_eq!(sel.is_empty(), ids.is_empty());
+        // Row ids → selection → row ids; a contiguous run collapses back
+        // into a range, anything else stays explicit.
+        let back = Selection::from_ascending(vec![ids.clone()]);
+        prop_assert_eq!(back.iter().collect::<Vec<_>>(), ids.clone());
+        prop_assert_eq!(back.as_range().is_some(), sel.as_range().is_some());
+        // Pieces tile the selection in order, within the size limit, and
+        // `bounds` are the ranges' offsets in selection coordinates.
+        let pieces = sel.pieces(morsel);
+        prop_assert!(pieces.iter().all(|p| !p.is_empty() && p.len() <= morsel));
+        let mut tiled = Vec::new();
+        pieces.iter().for_each(|p| p.narrow(|_| true, &mut tiled));
+        prop_assert_eq!(&tiled, &ids);
+        prop_assert_eq!(sel.bounds().last().copied(), Some(ids.len()));
+        // Both representations read, pick and truncate alike.
+        let col: Vec<u32> = (0..rows as u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
+        let explicit = Selection::Rows(ids.clone());
+        let (mut b1, mut b2) = (Vec::new(), Vec::new());
+        prop_assert_eq!(sel.read(&col, &mut b1), explicit.read(&col, &mut b2));
+        let positions: Vec<u32> = (0..ids.len() as u32).rev().collect();
+        prop_assert_eq!(sel.pick(positions.clone()), explicit.pick(positions));
+        let (mut cut, mut cut_rows) = (sel.clone(), explicit);
+        cut.truncate(take);
+        cut_rows.truncate(take);
+        prop_assert_eq!(cut.iter().collect::<Vec<_>>(), cut_rows.iter().collect::<Vec<_>>());
+        prop_assert_eq!(cut.len(), take.min(ids.len()));
+    }
+
+    #[test]
+    fn empty_and_full_selections(rows in 0usize..300, morsel in 1usize..64) {
+        let all = Selection::all(rows);
+        prop_assert_eq!(all.as_range(), Some(0..rows));
+        prop_assert_eq!(all.len(), rows);
+        // Keeping everything is the identity; keeping nothing is empty,
+        // and the empty selection is still a (zero-length) dense run.
+        prop_assert_eq!(narrowed(&all, morsel, |_| true).as_range(), Some(0..rows));
+        let none = narrowed(&all, morsel, |_| false);
+        prop_assert!(none.is_empty());
+        prop_assert_eq!(none.as_range().map(|r| r.len()), Some(0));
+        prop_assert!(narrowed(&none, morsel, |_| true).is_empty());
+        prop_assert!(none.pieces(morsel).is_empty());
+        let rel = Relation::single_u32("k", (0..rows as u32).collect());
+        prop_assert_eq!(rel.select(&none).rows(), 0);
+        prop_assert_eq!(rel.select(&all).rows(), rows);
+    }
+}
+
+/// Narrow `sel` the way the executor does: piece by piece, pieces
+/// concatenated in order, contiguous survivors collapsed into a range.
+fn narrowed(sel: &Selection, morsel: usize, keep: impl Fn(usize) -> bool) -> Selection {
+    let narrow = |piece: dqo_storage::Piece<'_>| {
+        let mut ids = Vec::new();
+        piece.narrow(&keep, &mut ids);
+        ids
+    };
+    let chunks: Vec<Vec<u32>> = sel.pieces(morsel).into_iter().map(narrow).collect();
+    match sel {
+        Selection::Ranges(_) => Selection::from_ascending(chunks),
+        Selection::Rows(_) => Selection::Rows(chunks.concat()),
+    }
+}
+
+/// The rows `0..rows` cut into ranges at `cuts`, every other non-first
+/// range dropped: adjacent, empty and gapped ranges all occur.
+fn ranges_over(rows: usize, cuts: &[u32]) -> Selection {
+    let mut at: Vec<usize> = cuts.iter().map(|&c| c as usize % (rows + 1)).collect();
+    at.extend([0, rows]);
+    at.sort_unstable();
+    let ranges = at.windows(2).enumerate().filter(|(n, _)| n % 3 != 2);
+    Selection::Ranges(ranges.map(|(_, w)| w[0]..w[1]).collect())
 }

@@ -203,3 +203,120 @@ fn metrics_exposition_formats_cover_the_registry() {
         "Prometheus exposition lacks TYPE lines"
     );
 }
+
+#[test]
+fn bytes_materialised_shows_copies_were_removed_not_moved() {
+    use dqo::core::executor::execute_traced;
+    use dqo::plan::physical::GroupingMolecules;
+    use dqo::plan::{AggExpr, AggFunc, CmpOp, GroupingImpl, PhysicalPlan, Predicate};
+    use dqo::storage::{PartitionSpec, PartitionedRelation};
+
+    let cat = dqo::Catalog::new();
+    cat.register("t", grouping_table(3));
+    let spec = PartitionSpec::range("key", vec![128, 256, 384]);
+    cat.register_partitioned(
+        "p",
+        PartitionedRelation::new(grouping_table(3), spec).unwrap(),
+    );
+    let filter = |input: PhysicalPlan| PhysicalPlan::Filter {
+        input: Box::new(input),
+        predicate: Predicate::cmp("key", CmpOp::Lt, 200u32),
+    };
+    let scan = || PhysicalPlan::Scan { table: "t".into() };
+
+    // Scan, pruned partitioned scan, filter, project and limit narrow a
+    // view and copy nothing: only the root pays, for the rows it returns.
+    let pruned = PhysicalPlan::PartitionedScan {
+        table: "p".into(),
+        parts: vec![0, 1],
+        total: 4,
+    };
+    for source in [scan(), pruned] {
+        let plan = PhysicalPlan::Limit {
+            input: Box::new(PhysicalPlan::Project {
+                input: Box::new(filter(source)),
+                columns: vec!["key".into()],
+            }),
+            n: 1_000,
+        };
+        let (out, nodes) = execute_traced(&plan, &cat, None, None).unwrap();
+        assert_eq!(nodes.len(), 4);
+        for (node, m) in plan.preorder().iter().zip(&nodes) {
+            assert_eq!(m.bytes_materialised, 0, "{}", node.explain());
+        }
+        assert_eq!(out.relation.rows(), 1_000);
+        assert_eq!(out.bytes_materialised, 4 * 1_000, "the root's one column");
+    }
+
+    // filter → group: whatever the DOP (serial kernel, or the filter fused
+    // into the grouping's morsel tasks), at most the survivors' key and
+    // value bytes are copied — into kernel scratch, by the grouping — and
+    // the grouped result reaches the root without another copy.
+    let survivors = {
+        let (out, _) = execute_traced(&filter(scan()), &cat, None, None).unwrap();
+        out.relation.rows() as u64
+    };
+    assert!(
+        survivors > 100_000,
+        "the predicate keeps ~200/512 of 300k rows"
+    );
+    for (dop, algo) in [
+        (1, GroupingImpl::Sphg),
+        (4, GroupingImpl::Sphg),
+        (4, GroupingImpl::Hg),
+    ] {
+        let group = PhysicalPlan::GroupBy {
+            input: Box::new(filter(scan())),
+            keys: vec!["key".into()],
+            aggs: vec![
+                AggExpr::count_star("n"),
+                AggExpr::on(AggFunc::Sum, "key", "s"),
+            ],
+            algo,
+            molecules: GroupingMolecules::defaults_for(algo),
+        };
+        let plan = match dop {
+            1 => group,
+            _ => PhysicalPlan::Exchange {
+                input: Box::new(group),
+                dop,
+            },
+        };
+        let (out, nodes) = execute_traced(&plan, &cat, None, None).unwrap();
+        let total: u64 = nodes.iter().map(|m| m.bytes_materialised).sum();
+        assert_eq!(
+            out.bytes_materialised, total,
+            "dop={dop}: root copies nothing"
+        );
+        assert!(total > 0 && total <= 8 * survivors, "dop={dop}: {total}");
+        for (node, m) in plan.preorder().iter().zip(&nodes) {
+            if !matches!(node, PhysicalPlan::GroupBy { .. }) {
+                assert_eq!(m.bytes_materialised, 0, "{}", node.explain());
+            }
+        }
+        // The filter's row count survives fusion.
+        let filter_at = nodes.len() - 2;
+        assert_eq!(nodes[filter_at].rows_out, survivors, "dop={dop}");
+    }
+
+    // Through the engine: EXPLAIN ANALYZE renders the numbers and the
+    // registry counter carries the per-query total.
+    let registry = Arc::new(MetricsRegistry::new());
+    let db = Dqo::with_engine(
+        Engine::new()
+            .with_threads(4)
+            .with_tracing(true)
+            .with_metrics_registry(Arc::clone(&registry)),
+    );
+    db.register_table("t", grouping_table(3));
+    let result = db.sql(SQL).expect("query runs");
+    let text = db.explain_analyze(SQL).expect("explain analyze runs");
+    assert!(text.contains("materialised: "), "{text}");
+    assert!(text.contains("bytes="), "{text}");
+    assert!(result.output.bytes_materialised > 0);
+    assert_eq!(
+        db.metrics().counter(names::EXEC_BYTES_MATERIALISED),
+        Some(2 * result.output.bytes_materialised),
+        "two executions of the same statement"
+    );
+}

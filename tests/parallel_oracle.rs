@@ -8,6 +8,7 @@ use dqo::core::av::{materialise_av, materialise_av_on, AvArtifact, AvKind, AvSig
 use dqo::core::avsp::{self, Solver, WorkloadQuery};
 use dqo::core::executor::sorted_rows;
 use dqo::exec::aggregate::CountSum;
+use dqo::exec::grouping::hg::{HgHash, HgTable};
 use dqo::exec::grouping::sog::sort_order_grouping;
 use dqo::exec::grouping::{execute_grouping, GroupingAlgorithm, GroupingHints};
 use dqo::exec::join::soj::sort_merge_join;
@@ -22,6 +23,21 @@ use dqo::storage::Value;
 use dqo::{Dqo, OptimizerMode};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
+
+/// Every HG table molecule: chaining, and each open-addressing table under
+/// each hash function.
+fn hg_tables() -> [HgTable; 7] {
+    use HgHash::{Fibonacci, Identity, Murmur3};
+    [
+        HgTable::Chaining,
+        HgTable::LinearProbing(Murmur3),
+        HgTable::LinearProbing(Fibonacci),
+        HgTable::LinearProbing(Identity),
+        HgTable::RobinHood(Murmur3),
+        HgTable::RobinHood(Fibonacci),
+        HgTable::RobinHood(Identity),
+    ]
+}
 
 fn db_with_table(rows: usize, groups: usize, seed: u64, threads: usize) -> Dqo {
     let mut db = Dqo::new();
@@ -85,12 +101,22 @@ fn grouping_matches_serial_under_skew() {
         };
         for threads in THREAD_COUNTS {
             let pool = ThreadPool::new(threads);
-            for strategy in [
-                GroupingStrategy::Hash,
-                GroupingStrategy::StaticPerfectHash { min: 0, max: 127 },
-            ] {
-                let (par, _) =
-                    parallel_grouping(&pool, &keys, &keys, CountSum, strategy, 4096).unwrap();
+            let sph = GroupingStrategy::StaticPerfectHash { min: 0, max: 127 };
+            for strategy in hg_tables()
+                .map(GroupingStrategy::Hash)
+                .into_iter()
+                .chain([sph])
+            {
+                let (par, _) = parallel_grouping(
+                    &pool,
+                    &keys,
+                    &keys,
+                    CountSum,
+                    strategy,
+                    &[0, keys.len()],
+                    4096,
+                )
+                .unwrap();
                 assert_eq!(
                     par, reference,
                     "threads={threads} exponent={exponent} {strategy:?}"
@@ -142,7 +168,8 @@ fn join_kernels_match_serial_under_skew() {
         .unwrap();
         for threads in THREAD_COUNTS {
             let pool = ThreadPool::new(threads);
-            let (par, _) = parallel_hash_join(&pool, &left, &right, 4096).unwrap();
+            let (par, _) =
+                parallel_hash_join(&pool, &left, &right, &[0, left.len()], 4096).unwrap();
             assert_eq!(
                 par.normalised_pairs(),
                 serial.normalised_pairs(),
@@ -173,7 +200,7 @@ fn parallel_sort_bit_identical_to_stable_argsort() {
             for threads in THREAD_COUNTS {
                 for molecule in [RunSortMolecule::Comparison, RunSortMolecule::Radix] {
                     let pool = ThreadPool::new(threads);
-                    let (par, _) = parallel_argsort(&pool, &keys, molecule).unwrap();
+                    let (par, _) = parallel_argsort(&pool, &keys, molecule, &[]).unwrap();
                     assert_eq!(
                         par, reference,
                         "seed={seed} exponent={exponent} threads={threads} {molecule:?}"
@@ -193,9 +220,15 @@ fn sog_bit_identical_across_dop_seeds_and_skew() {
             let serial = sort_order_grouping(&keys, &vals, CountSum);
             for threads in THREAD_COUNTS {
                 let pool = ThreadPool::new(threads);
-                let (par, _) =
-                    parallel_sog(&pool, &keys, &vals, CountSum, RunSortMolecule::Comparison)
-                        .unwrap();
+                let (par, _) = parallel_sog(
+                    &pool,
+                    &keys,
+                    &vals,
+                    CountSum,
+                    RunSortMolecule::Comparison,
+                    &[],
+                )
+                .unwrap();
                 // Full structural equality, not sorted-set equality: keys,
                 // states and the sortedness property all match.
                 assert_eq!(
@@ -216,9 +249,14 @@ fn soj_bit_identical_across_dop_seeds_and_skew() {
             let serial = sort_merge_join(&left, &right);
             for threads in THREAD_COUNTS {
                 let pool = ThreadPool::new(threads);
-                let (par, _) =
-                    parallel_sort_merge_join(&pool, &left, &right, RunSortMolecule::Comparison)
-                        .unwrap();
+                let (par, _) = parallel_sort_merge_join(
+                    &pool,
+                    &left,
+                    &right,
+                    RunSortMolecule::Comparison,
+                    &[],
+                )
+                .unwrap();
                 // Bit-identical emission order, not just the same pair set.
                 assert_eq!(
                     par.left_rows, serial.left_rows,
@@ -626,6 +664,70 @@ fn multi_column_grouping_kernels_bit_identical_across_dop() {
                 &serial.relation,
                 &format!("{algo:?} dop={dop}"),
             );
+        }
+    }
+}
+
+#[test]
+fn parallel_hg_runs_every_planned_molecule_pair() {
+    use dqo::plan::physical::GroupingMolecules;
+    use dqo::plan::{GroupingImpl, HashFnMolecule, LoopMolecule, PhysicalPlan, TableMolecule};
+
+    // The plan names a (table, hash) molecule pair for HG; serial and
+    // morsel-parallel execution must both run it, and whichever pair it
+    // is, the key-ordered merge makes the parallel output one relation:
+    // equal to the serial groups, and byte-identical across pairs and DOPs.
+    let cat = dqo::Catalog::new();
+    cat.register(
+        "t",
+        DatasetSpec::new(90_000, 700)
+            .sorted(false)
+            .dense(false)
+            .seed(5)
+            .relation()
+            .unwrap(),
+    );
+    let group_by = |table, hash| PhysicalPlan::GroupBy {
+        input: Box::new(PhysicalPlan::Scan { table: "t".into() }),
+        keys: vec!["key".into()],
+        aggs: vec![
+            dqo::plan::AggExpr::count_star("n"),
+            dqo::plan::AggExpr::on(dqo::plan::AggFunc::Sum, "key", "s"),
+        ],
+        algo: GroupingImpl::Hg,
+        molecules: GroupingMolecules {
+            table: Some(table),
+            hash: Some(hash),
+            load_loop: Some(LoopMolecule::Serial),
+        },
+    };
+    let mut first: Option<dqo::Relation> = None;
+    for table in [
+        TableMolecule::Chaining,
+        TableMolecule::LinearProbing,
+        TableMolecule::RobinHood,
+    ] {
+        for hash in [
+            HashFnMolecule::Murmur3,
+            HashFnMolecule::Fibonacci,
+            HashFnMolecule::Identity,
+        ] {
+            let serial = dqo::core::executor::execute(&group_by(table, hash), &cat).unwrap();
+            for dop in THREAD_COUNTS {
+                let wrapped = PhysicalPlan::Exchange {
+                    input: Box::new(group_by(table, hash)),
+                    dop,
+                };
+                let par = dqo::core::executor::execute(&wrapped, &cat).unwrap();
+                let what = format!("{table:?}/{hash:?} dop={dop}");
+                assert_eq!(
+                    sorted_rows(&par.relation),
+                    sorted_rows(&serial.relation),
+                    "{what}"
+                );
+                let reference = first.get_or_insert_with(|| par.relation.clone());
+                assert_relations_identical(&par.relation, reference, &what);
+            }
         }
     }
 }

@@ -1,0 +1,456 @@
+//! Selection-vector oracle: every predicate kind × selectivity × DOP ×
+//! table layout × consumer, pinned physical plans against the naive
+//! reference evaluator.
+//!
+//! The executor hands views (relation + selection) between nodes and
+//! fuses a filter into a morsel-parallel grouping above it; the oracle
+//! (`naive_eval`) evaluates the same query one row and one decoded value
+//! at a time and shares none of that code. Every plan must produce the
+//! oracle's rows — byte for byte where the pipeline fixes the row order,
+//! as sorted rows where it does not — and the same bytes on a second run.
+
+use dqo::core::executor::{execute, naive_eval, sorted_rows};
+use dqo::core::Catalog;
+use dqo::plan::physical::GroupingMolecules;
+use dqo::plan::{
+    AggExpr, AggFunc, CmpOp, GroupingImpl, JoinImpl, LogicalPlan, PhysicalPlan, Predicate,
+    SortMolecule,
+};
+use dqo::storage::{
+    Column, DataType, Dictionary, Field, PartitionSpec, PartitionedRelation, Relation, Schema,
+    Value,
+};
+use std::sync::Arc;
+
+const ROWS: u32 = 2_400;
+const GROUPS: u32 = 300;
+const PARTS: usize = 4;
+const DOPS: [usize; 3] = [1, 2, 8];
+
+/// `t(id, k, v, w, s)`: `id` unique, `k` ascending and dense (so every
+/// grouping organelle applies, OG included), `v` scattered, `w` a `u64`
+/// column (the value-by-value predicate path), `s` a dictionary column.
+fn table() -> Relation {
+    table_of(ROWS)
+}
+
+fn table_of(rows: u32) -> Relation {
+    let words = [
+        "apple", "apricot", "banana", "bay", "cherry", "clove", "date", "dill", "elder", "fig",
+    ];
+    let k: Vec<u32> = (0..rows).map(|i| i / (rows / GROUPS)).collect();
+    let v: Vec<u32> = (0..rows)
+        .map(|i| i.wrapping_mul(2_654_435_761) % 1000)
+        .collect();
+    let w: Vec<u64> = v.iter().map(|&x| u64::from(x) * 3).collect();
+    let strings: Vec<&str> = v.iter().map(|&x| words[x as usize % words.len()]).collect();
+    let (dict, codes) = Dictionary::encode_all(&strings);
+    let schema = Schema::new(vec![
+        Field::new("id", DataType::U32),
+        Field::new("k", DataType::U32),
+        Field::new("v", DataType::U32),
+        Field::new("w", DataType::U64),
+        Field::new("s", DataType::Str),
+    ])
+    .unwrap();
+    let columns = vec![
+        Column::U32((0..rows).collect()),
+        Column::U32(k),
+        Column::U32(v),
+        Column::U64(w),
+        Column::Str(codes),
+    ];
+    Relation::new(schema, columns)
+        .unwrap()
+        .with_dictionary("s", Arc::new(dict))
+        .unwrap()
+}
+
+/// `d(dk, payload)`: one row for every third group of `t`.
+fn dimension() -> Relation {
+    let dk: Vec<u32> = (0..GROUPS).step_by(3).collect();
+    let payload: Vec<u32> = dk.iter().map(|&x| x * 7 % 11).collect();
+    let schema = Schema::new(vec![
+        Field::new("dk", DataType::U32),
+        Field::new("payload", DataType::U32),
+    ])
+    .unwrap();
+    Relation::new(schema, vec![Column::U32(dk), Column::U32(payload)]).unwrap()
+}
+
+fn catalog() -> Catalog {
+    let cat = Catalog::new();
+    cat.register("t", table());
+    cat.register("d", dimension());
+    // `k` ascends, so range partitioning keeps the flat row order: `p` is
+    // `t` with a partition map.
+    let step = GROUPS / PARTS as u32;
+    let spec = PartitionSpec::range("k", (1..PARTS as u32).map(|i| i * step).collect());
+    cat.register_partitioned("p", PartitionedRelation::new(table(), spec).unwrap());
+    cat
+}
+
+/// Where the filter's input comes from: the scan to execute, and the
+/// predicate describing the rows it delivers (for the oracle, which scans
+/// the whole flat table).
+struct Layout {
+    name: &'static str,
+    scan: PhysicalPlan,
+    table: &'static str,
+    delivers: Option<Predicate>,
+}
+
+fn layouts() -> Vec<Layout> {
+    let step = GROUPS / PARTS as u32;
+    let parts = |parts: Vec<usize>| PhysicalPlan::PartitionedScan {
+        table: "p".into(),
+        parts,
+        total: PARTS,
+    };
+    vec![
+        Layout {
+            name: "flat",
+            scan: PhysicalPlan::Scan { table: "t".into() },
+            table: "t",
+            delivers: None,
+        },
+        Layout {
+            name: "partitioned, none pruned",
+            scan: parts((0..PARTS).collect()),
+            table: "p",
+            delivers: None,
+        },
+        Layout {
+            name: "partitioned, first pruned",
+            scan: parts((1..PARTS).collect()),
+            table: "p",
+            delivers: Some(Predicate::cmp("k", CmpOp::Ge, step)),
+        },
+        Layout {
+            name: "partitioned, all pruned",
+            scan: parts(Vec::new()),
+            table: "p",
+            delivers: Some(Predicate::cmp("k", CmpOp::Gt, u32::MAX)),
+        },
+    ]
+}
+
+/// Every predicate kind, at selectivities none / one row / about half /
+/// all, with one to three conjuncts.
+fn predicates() -> Vec<(&'static str, Predicate)> {
+    let half = ROWS / 2;
+    let cmp = |c: &str, op, v: u32| Predicate::cmp(c, op, v);
+    vec![
+        ("id = one row", cmp("id", CmpOp::Eq, 77)),
+        ("id <> one row", cmp("id", CmpOp::Ne, 77)),
+        ("id < half", cmp("id", CmpOp::Lt, half)),
+        ("id <= half", cmp("id", CmpOp::Le, half)),
+        ("id > half", cmp("id", CmpOp::Gt, half)),
+        ("id >= half", cmp("id", CmpOp::Ge, half)),
+        ("id < 0 (none)", cmp("id", CmpOp::Lt, 0)),
+        ("id < 1 (one)", cmp("id", CmpOp::Lt, 1)),
+        ("id >= 0 (all)", cmp("id", CmpOp::Ge, 0)),
+        ("v scattered half", cmp("v", CmpOp::Lt, 500)),
+        ("k range prefix", cmp("k", CmpOp::Lt, GROUPS / 3)),
+        ("s = 'cherry'", Predicate::cmp("s", CmpOp::Eq, "cherry")),
+        ("s < 'cherry'", Predicate::cmp("s", CmpOp::Lt, "cherry")),
+        ("s = absent", Predicate::cmp("s", CmpOp::Eq, "zucchini")),
+        ("s prefix ap", Predicate::prefix("s", "ap")),
+        ("s like %a%", Predicate::like("s", "%a%")),
+        ("s like _a_", Predicate::like("s", "_a_")),
+        ("s like % (all)", Predicate::like("s", "%")),
+        (
+            "w u64 value path",
+            Predicate::cmp("w", CmpOp::Ge, Value::U64(1500)),
+        ),
+        (
+            "two conjuncts",
+            Predicate::And(vec![
+                cmp("v", CmpOp::Ge, 250),
+                Predicate::cmp("s", CmpOp::Ne, "fig"),
+            ]),
+        ),
+        (
+            "three conjuncts",
+            Predicate::And(vec![
+                cmp("id", CmpOp::Ge, half / 2),
+                Predicate::prefix("s", "b"),
+                Predicate::cmp("w", CmpOp::Lt, Value::U64(2400)),
+            ]),
+        ),
+        (
+            "contradiction (none)",
+            Predicate::And(vec![cmp("v", CmpOp::Lt, 10), cmp("v", CmpOp::Gt, 990)]),
+        ),
+    ]
+}
+
+fn aggs() -> Vec<AggExpr> {
+    vec![
+        AggExpr::count_star("n"),
+        AggExpr::on(AggFunc::Sum, "v", "total"),
+        AggExpr::on(AggFunc::Min, "v", "lo"),
+        AggExpr::on(AggFunc::Max, "v", "hi"),
+    ]
+}
+
+/// What sits on top of the filter: the physical consumer, the logical
+/// query for the oracle, and whether the pipeline fixes the row order.
+struct Consumer {
+    name: String,
+    physical: Box<dyn Fn(PhysicalPlan, usize) -> PhysicalPlan>,
+    logical: Box<dyn Fn(Arc<LogicalPlan>) -> Arc<LogicalPlan>>,
+    ordered: bool,
+}
+
+/// `Exchange` at `dop`, or the bare serial operator at DOP 1.
+fn at_dop(plan: PhysicalPlan, dop: usize) -> PhysicalPlan {
+    match dop {
+        1 => plan,
+        _ => PhysicalPlan::Exchange {
+            input: Box::new(plan),
+            dop,
+        },
+    }
+}
+
+fn consumers() -> Vec<Consumer> {
+    let mut out = Vec::new();
+    for (algo, via_project) in [
+        (GroupingImpl::Hg, false),
+        (GroupingImpl::Sphg, false),
+        (GroupingImpl::Og, false),
+        (GroupingImpl::Sog, false),
+        (GroupingImpl::Bsg, false),
+        // A projection between filter and grouping: the parallel kernels
+        // read through a materialised selection instead of fusing.
+        (GroupingImpl::Hg, true),
+        (GroupingImpl::Sphg, true),
+    ] {
+        let columns = || vec!["k".to_string(), "v".to_string()];
+        out.push(Consumer {
+            name: format!(
+                "group {algo:?}{}",
+                if via_project { " via project" } else { "" }
+            ),
+            physical: Box::new(move |input, dop| {
+                let input = match via_project {
+                    true => PhysicalPlan::Project {
+                        input: Box::new(input),
+                        columns: columns(),
+                    },
+                    false => input,
+                };
+                let group = PhysicalPlan::GroupBy {
+                    input: Box::new(input),
+                    keys: vec!["k".into()],
+                    aggs: aggs(),
+                    algo,
+                    molecules: GroupingMolecules::defaults_for(algo),
+                };
+                at_dop(group, dop)
+            }),
+            logical: Box::new(|input| LogicalPlan::group_by(input, "k", aggs())),
+            // Serial HG emits in table order; everything else by key.
+            ordered: algo != GroupingImpl::Hg,
+        });
+    }
+    for (algo, filtered_left) in [(JoinImpl::Hj, true), (JoinImpl::Sphj, false)] {
+        let dim = || Box::new(PhysicalPlan::Scan { table: "d".into() });
+        out.push(Consumer {
+            name: format!(
+                "join {algo:?}, filter on the {}",
+                if filtered_left {
+                    "build side"
+                } else {
+                    "probe side"
+                }
+            ),
+            physical: Box::new(move |input, dop| {
+                let (left, right, left_key, right_key) = match filtered_left {
+                    true => (Box::new(input), dim(), "k", "dk"),
+                    false => (dim(), Box::new(input), "dk", "k"),
+                };
+                let join = PhysicalPlan::Join {
+                    left,
+                    right,
+                    left_key: left_key.into(),
+                    right_key: right_key.into(),
+                    algo,
+                };
+                at_dop(join, dop)
+            }),
+            logical: Box::new(move |input| match filtered_left {
+                true => LogicalPlan::join(input, LogicalPlan::scan("d"), "k", "dk"),
+                false => LogicalPlan::join(LogicalPlan::scan("d"), input, "dk", "k"),
+            }),
+            ordered: false,
+        });
+    }
+    for molecule in [SortMolecule::Comparison, SortMolecule::Radix] {
+        out.push(Consumer {
+            name: format!("sort {molecule:?}"),
+            physical: Box::new(move |input, dop| {
+                let sort = PhysicalPlan::Sort {
+                    input: Box::new(input),
+                    key: "v".into(),
+                    molecule,
+                };
+                at_dop(sort, dop)
+            }),
+            logical: Box::new(|input| LogicalPlan::sort(input, "v")),
+            ordered: true,
+        });
+    }
+    out.push(Consumer {
+        name: "limit".into(),
+        physical: Box::new(|input, _| PhysicalPlan::Limit {
+            input: Box::new(input),
+            n: 40,
+        }),
+        logical: Box::new(|input| LogicalPlan::limit(input, 40)),
+        ordered: true,
+    });
+    out.push(Consumer {
+        name: "bare filter".into(),
+        physical: Box::new(|input, _| input),
+        logical: Box::new(|input| input),
+        ordered: true,
+    });
+    out
+}
+
+fn assert_identical(a: &Relation, b: &Relation, what: &str) {
+    assert_eq!(a.schema(), b.schema(), "{what}");
+    assert_eq!(a.rows(), b.rows(), "{what}");
+    for c in 0..a.schema().width() {
+        assert_eq!(
+            a.column_at(c).unwrap(),
+            b.column_at(c).unwrap(),
+            "{what} column {c}"
+        );
+    }
+}
+
+#[test]
+fn every_predicate_layout_consumer_and_dop_matches_the_oracle() {
+    let cat = catalog();
+    let consumers = consumers();
+    for layout in layouts() {
+        for (pname, predicate) in predicates() {
+            let logical_filter = {
+                let scan = LogicalPlan::scan(layout.table);
+                let scan = match &layout.delivers {
+                    Some(delivered) => LogicalPlan::filter(scan, delivered.clone()),
+                    None => scan,
+                };
+                LogicalPlan::filter(scan, predicate.clone())
+            };
+            for consumer in &consumers {
+                let oracle = naive_eval(&(consumer.logical)(logical_filter.clone()), &cat).unwrap();
+                for dop in DOPS {
+                    let what = format!("{} | {pname} | {} | dop={dop}", layout.name, consumer.name);
+                    let filter = PhysicalPlan::Filter {
+                        input: Box::new(layout.scan.clone()),
+                        predicate: predicate.clone(),
+                    };
+                    let plan = (consumer.physical)(at_dop(filter, dop), dop);
+                    let out = execute(&plan, &cat).unwrap_or_else(|e| panic!("{what}: {e}"));
+                    if consumer.ordered {
+                        assert_identical(&out.relation, &oracle, &what);
+                    } else {
+                        assert_eq!(out.relation.schema(), oracle.schema(), "{what}");
+                        assert_eq!(sorted_rows(&out.relation), sorted_rows(&oracle), "{what}");
+                    }
+                    // Stable across runs, whatever the work stealing did.
+                    let again = execute(&plan, &cat).unwrap();
+                    assert_identical(&again.relation, &out.relation, &what);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn many_morsels_per_worker_match_the_oracle() {
+    // Large enough that every parallel operator cuts several morsels per
+    // worker: narrowing concatenates chunks, the fused grouping narrows
+    // and compacts morsel by morsel, work stealing moves morsels around.
+    let rows = 3 * (1u32 << 16) + 4_321;
+    let cat = Catalog::new();
+    cat.register("t", table_of(rows));
+    let consumers = consumers();
+    let wanted = [
+        "group Hg",
+        "group Sphg",
+        "group Sphg via project",
+        "sort Radix",
+        "bare filter",
+    ];
+    let predicates = [
+        Predicate::cmp("v", CmpOp::Lt, 500u32),
+        Predicate::cmp("id", CmpOp::Ge, rows / 2),
+        Predicate::And(vec![
+            Predicate::prefix("s", "c"),
+            Predicate::cmp("w", CmpOp::Lt, Value::U64(2000)),
+            Predicate::cmp("k", CmpOp::Ne, 17u32),
+        ]),
+    ];
+    for predicate in predicates {
+        let logical_filter = LogicalPlan::filter(LogicalPlan::scan("t"), predicate.clone());
+        for consumer in consumers
+            .iter()
+            .filter(|c| wanted.contains(&c.name.as_str()))
+        {
+            let oracle = naive_eval(&(consumer.logical)(logical_filter.clone()), &cat).unwrap();
+            for dop in [2, 8] {
+                let what = format!("{predicate} | {} | dop={dop}", consumer.name);
+                let filter = PhysicalPlan::Filter {
+                    input: Box::new(PhysicalPlan::Scan { table: "t".into() }),
+                    predicate: predicate.clone(),
+                };
+                let plan = (consumer.physical)(at_dop(filter, dop), dop);
+                let out = execute(&plan, &cat).unwrap();
+                assert_identical(&out.relation, &oracle, &what);
+                let again = execute(&plan, &cat).unwrap();
+                assert_identical(&again.relation, &out.relation, &what);
+            }
+        }
+    }
+}
+
+#[test]
+fn selectivities_cover_none_one_half_and_all() {
+    // The matrix above is only as good as its predicates: pin that the
+    // four selectivity classes really occur on the flat table.
+    let cat = catalog();
+    let mut seen = [false; 4];
+    for (_, predicate) in predicates() {
+        let q = LogicalPlan::filter(LogicalPlan::scan("t"), predicate);
+        match naive_eval(&q, &cat).unwrap().rows() as u32 {
+            0 => seen[0] = true,
+            1 => seen[1] = true,
+            ROWS => seen[3] = true,
+            n if n > ROWS / 3 && n < 2 * ROWS / 3 => seen[2] = true,
+            _ => {}
+        }
+    }
+    assert_eq!(seen, [true; 4], "none / one row / about half / all");
+}
+
+#[test]
+fn cross_type_comparison_is_an_error_on_both_sides() {
+    // A `u64` column against a `u32` constant has no ordering: the
+    // executor and the oracle must both refuse, not guess.
+    let cat = catalog();
+    let predicate = Predicate::cmp("w", CmpOp::Lt, 5u32);
+    let logical = LogicalPlan::filter(LogicalPlan::scan("t"), predicate.clone());
+    assert!(naive_eval(&logical, &cat).is_err());
+    for dop in DOPS {
+        let filter = PhysicalPlan::Filter {
+            input: Box::new(PhysicalPlan::Scan { table: "t".into() }),
+            predicate: predicate.clone(),
+        };
+        assert!(execute(&at_dop(filter, dop), &cat).is_err(), "dop={dop}");
+    }
+}
