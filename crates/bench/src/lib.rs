@@ -17,7 +17,6 @@
 //! | Network serving (socket clients, prepared statements, plan cache) | `serving` | — |
 //! | Mixed read/write serving (INSERT + incremental AV maintenance) | `mixed_rw` | — |
 //! | Offline AV builds (per-kind speedup + queue pressure) | `av_build` | — |
-//! | Optimisation latency tiers (cold / memo reuse / plan-cache hit) | `opt_time` | — |
 //!
 //! Binaries print the same rows/series the paper reports, plus `--csv`.
 //! Dataset sizes default to laptop scale; `--full` switches to the paper's
@@ -31,7 +30,6 @@ pub mod concurrency;
 pub mod fig4;
 pub mod fig5;
 pub mod mixed_rw;
-pub mod opt_time;
 pub mod report;
 pub mod scaling;
 pub mod serving;

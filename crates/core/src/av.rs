@@ -22,7 +22,7 @@
 //! AVSP solvers reason over) or **materialised** (artifact built). The
 //! optimiser treats an applicable AV as a zero-build-cost alternative.
 
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, TableEntry};
 use crate::error::CoreError;
 use crate::Result;
 use dqo_exec::aggregate::{CountSum, CountSumState};
@@ -289,6 +289,18 @@ pub(crate) fn grouping_relation(
     )?)
 }
 
+/// The key column's properties from the **same** entry the keys are read
+/// from. A second catalog lookup could return a table registered in
+/// between, and a build racing DDL would then run old keys against the
+/// new table's domain (an SPH kernel error instead of a superseded build).
+fn snapshot_props(entry: &TableEntry, sig: &AvSignature) -> Result<dqo_storage::DataProps> {
+    entry
+        .column_props
+        .get(&sig.column)
+        .copied()
+        .ok_or_else(|| CoreError::UnknownColumn(format!("{}.{}", sig.table, sig.column)))
+}
+
 /// Materialise an AV's artifact from the base table with the **serial**
 /// kernels (`argsort`, [`SphIndex::build`], `hash_grouping_chaining`) on
 /// the caller thread. Relation-shaped artifacts are also registered in
@@ -313,7 +325,7 @@ pub fn materialise_av(catalog: &Catalog, sig: &AvSignature) -> Result<Av> {
             av.artifact = Some(AvArtifact::SortedProjection(Arc::new(sorted)));
         }
         AvKind::SphIndex => {
-            let props = catalog.column_props(&sig.table, &sig.column)?;
+            let props = snapshot_props(&entry, sig)?;
             let index = SphIndex::build(keys, props.min, props.max)?;
             av.byte_size = index.byte_size();
             av.artifact = Some(AvArtifact::SphIndex(Arc::new(index)));
@@ -353,13 +365,13 @@ pub fn materialise_av_on(catalog: &Catalog, sig: &AvSignature, pool: &ThreadPool
             av.artifact = Some(AvArtifact::SortedProjection(Arc::new(sorted)));
         }
         AvKind::SphIndex => {
-            let props = catalog.column_props(&sig.table, &sig.column)?;
+            let props = snapshot_props(&entry, sig)?;
             let index = parallel_sph_index_build(pool, keys, props.min, props.max)?;
             av.byte_size = index.byte_size();
             av.artifact = Some(AvArtifact::SphIndex(Arc::new(index)));
         }
         AvKind::MaterialisedGrouping => {
-            let props = catalog.column_props(&sig.table, &sig.column)?;
+            let props = snapshot_props(&entry, sig)?;
             // The same molecule split the query engine uses: the dense
             // SPH array when density admits it, chaining hash otherwise.
             // Both kernels emit ascending keys with exactly-merged

@@ -86,9 +86,8 @@ impl Catalog {
     /// Register (or replace) a table, computing exact column statistics.
     pub fn register(&self, name: impl Into<String>, relation: Relation) -> Arc<TableEntry> {
         let generation = self.generations.fetch_add(1, Ordering::Relaxed);
-        self.stats_generations.fetch_add(1, Ordering::Relaxed);
         let entry = Arc::new(TableEntry::from_relation(Arc::new(relation), generation, 0));
-        self.tables.write().insert(name.into(), Arc::clone(&entry));
+        self.publish(name.into(), &entry);
         entry
     }
 
@@ -102,14 +101,23 @@ impl Catalog {
         partitioned: PartitionedRelation,
     ) -> Arc<TableEntry> {
         let generation = self.generations.fetch_add(1, Ordering::Relaxed);
-        self.stats_generations.fetch_add(1, Ordering::Relaxed);
         let partitioning = Arc::new(partitioned.partitioning().clone());
         let entry = Arc::new(
             TableEntry::from_relation(Arc::new(partitioned.flat().clone()), generation, 0)
                 .with_partitioning(Some(partitioning)),
         );
-        self.tables.write().insert(name.into(), Arc::clone(&entry));
+        self.publish(name.into(), &entry);
         entry
+    }
+
+    /// Insert a registered entry, then move the statistics clock while
+    /// still holding the write lock: a planner that reads the new clock
+    /// value can only take its read lock after this one is released, so
+    /// it never stamps a plan costed from the old entry as current.
+    fn publish(&self, name: String, entry: &Arc<TableEntry>) {
+        let mut tables = self.tables.write();
+        tables.insert(name, Arc::clone(entry));
+        self.stats_generations.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Swap a table's rows in place — the append path. Statistics are

@@ -15,7 +15,7 @@ use crate::executor::{execute_on_pool, execute_traced, execute_with_avs, ExecOut
 use crate::feedback::FeedbackStore;
 use crate::memo::{Memo, MemoOptimizer, MemoStamp, MemoStats};
 use crate::optimizer::{OptimizerMode, PlannedQuery, PropertyModel};
-use crate::plan_cache::{plan_shape, PlanCache};
+use crate::plan_cache::{plan_shape, text_hash, Knobs, Lookup, PlanCache, StoreKey, Validity};
 use crate::profile::{render_annotated_with, PlanRuntime};
 use crate::Result;
 use dqo_obs::{
@@ -25,7 +25,7 @@ use dqo_obs::{
 use dqo_parallel::{PersistentPool, ThreadPool};
 use dqo_plan::{LogicalPlan, PhysicalPlan};
 use dqo_storage::{PartitionedRelation, Relation, Value};
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -83,24 +83,22 @@ pub struct Engine {
     /// (default from `DQO_OBS`, on unless `off`/`0`/`false`).
     tracing: bool,
     /// Plan-time partition pruning on partitioned tables (default from
-    /// `DQO_PRUNE`, on unless `off`/`0`/`false`). Folded into both the
-    /// memo's winner keys and the plan-cache key, so toggling it never
-    /// serves a plan derived under the other setting.
+    /// `DQO_PRUNE`, on unless `off`/`0`/`false`). Folded into the plan
+    /// store's keys, so toggling it never serves a plan derived under the
+    /// other setting.
     pruning: bool,
     /// Engine-level metric handles and the registry they live in.
     obs: EngineObs,
-    /// Cached plans for the prepared-statement path, keyed on (shape,
-    /// mode, property model, DOP) × catalog generation. Plain `query`
-    /// never consults it — but both paths share the memo below, so a
-    /// cold prepared plan is a winner extraction, not a fresh search.
+    /// The plan store: the only optimiser state that outlives a
+    /// statement. Prepared statements are keyed on their masked shape and
+    /// valid per DDL generation; ad-hoc ones on their exact text and
+    /// valid while the [`MemoStamp`] they were planned under is current.
+    /// Every search builds and drops its own [`Memo`].
     plan_cache: PlanCache,
-    /// The session's persistent optimiser memo. Winner tables survive
-    /// across queries while the [`MemoStamp`] (statistics clock, AV
-    /// clock, feedback epoch) holds; any movement empties the memo
-    /// before the next optimisation.
-    memo: Mutex<Memo>,
+    /// What the searches so far did, for [`Engine::memo_stats`].
+    searches: SearchTotals,
     /// Learned selectivity corrections, mined from traced executions and
-    /// fed to the memo's coster on every optimisation.
+    /// fed to the coster on every search.
     feedback: Arc<FeedbackStore>,
     /// Incremental AV maintenance for the write path ([`Engine::insert`]).
     maintainer: ViewMaintainer,
@@ -127,11 +125,13 @@ impl InsertReport {
 }
 
 /// A prepared statement handle from [`Engine::prepare`]: the normalised
-/// plan shape the plan cache keys on. Cheap to clone and independent of
-/// any parameter values.
+/// plan shape the plan store keys on, hashed once here so an execution
+/// never renders or re-hashes it. Cheap to clone and independent of any
+/// parameter values.
 #[derive(Debug, Clone)]
 pub struct PreparedPlan {
-    shape: String,
+    shape: Arc<str>,
+    shape_hash: u64,
 }
 
 impl PreparedPlan {
@@ -160,10 +160,35 @@ struct EngineObs {
     part_pruned: Counter,
     part_scanned: Counter,
     part_total: Counter,
-    /// The memo totals already pushed into the counters above; memo
-    /// stats are cumulative, counters only move forward, so each publish
-    /// adds the delta since the last one.
-    opt_published: Mutex<MemoStats>,
+}
+
+/// Engine-level totals over every search so far, plus the size of the
+/// most recent search's memo. Plain statistics: each field is its own
+/// relaxed atomic and nothing is published through them.
+#[derive(Debug, Default)]
+struct SearchTotals {
+    rules_fired: AtomicU64,
+    winner_hits: AtomicU64,
+    feedback_applied: AtomicU64,
+    last_groups: AtomicUsize,
+    last_candidates: AtomicUsize,
+}
+
+impl SearchTotals {
+    /// Fold in one finished search.
+    fn record(&self, memo: &Memo) {
+        let stats = memo.stats();
+        self.rules_fired
+            .fetch_add(stats.rules_fired, Ordering::Relaxed);
+        self.winner_hits
+            .fetch_add(stats.winner_hits, Ordering::Relaxed);
+        self.feedback_applied
+            .fetch_add(stats.feedback_applied, Ordering::Relaxed);
+        self.last_groups
+            .store(memo.group_count(), Ordering::Relaxed);
+        self.last_candidates
+            .store(memo.candidate_count(), Ordering::Relaxed);
+    }
 }
 
 impl EngineObs {
@@ -182,29 +207,19 @@ impl EngineObs {
             part_pruned: registry.counter(names::PART_PRUNED),
             part_scanned: registry.counter(names::PART_SCANNED),
             part_total: registry.counter(names::PART_TOTAL),
-            opt_published: Mutex::new(MemoStats::default()),
             registry,
         }
     }
 
-    /// Push the memo's current state into the `dqo_opt_*` metrics:
-    /// gauges track the live group/candidate population, counters absorb
-    /// the stats delta since the previous publish.
-    fn publish_memo(&self, memo: &Memo) {
+    /// Push one finished search into the `dqo_opt_*` metrics: gauges show
+    /// its memo's group/candidate population, counters absorb its stats.
+    fn record_search(&self, memo: &Memo) {
+        let stats = memo.stats();
         self.opt_groups.set(memo.group_count() as u64);
         self.opt_group_exprs.set(memo.candidate_count() as u64);
-        let stats = memo.stats();
-        let mut published = self.opt_published.lock();
-        self.opt_rules_fired
-            .add(stats.rules_fired.saturating_sub(published.rules_fired));
-        self.opt_winner_hits
-            .add(stats.winner_hits.saturating_sub(published.winner_hits));
-        self.opt_feedback_applied.add(
-            stats
-                .feedback_applied
-                .saturating_sub(published.feedback_applied),
-        );
-        *published = stats;
+        self.opt_rules_fired.add(stats.rules_fired);
+        self.opt_winner_hits.add(stats.winner_hits);
+        self.opt_feedback_applied.add(stats.feedback_applied);
     }
 
     /// Record the per-query partition accounting: for every
@@ -247,7 +262,7 @@ impl Default for Engine {
             tracing: tracing_default(),
             pruning: crate::partition_prune::prune_default(),
             plan_cache: PlanCache::new(crate::plan_cache::DEFAULT_CAPACITY, &registry),
-            memo: Mutex::new(Memo::new()),
+            searches: SearchTotals::default(),
             feedback: Arc::new(FeedbackStore::new()),
             maintainer: ViewMaintainer::new(&registry),
             obs: EngineObs::new(registry),
@@ -324,8 +339,8 @@ impl Engine {
     }
 
     /// Enable or disable plan-time partition pruning (see
-    /// [`Engine::with_pruning`]). Memo winners and cached plans are both
-    /// keyed on the flag, so no invalidation is needed on toggle.
+    /// [`Engine::with_pruning`]). Stored plans are keyed on the flag, so
+    /// no invalidation is needed on toggle.
     pub fn set_pruning(&mut self, pruning: bool) {
         self.pruning = pruning;
     }
@@ -490,18 +505,61 @@ impl Engine {
 
     /// Optimise a logical plan (no execution). Plans at the session's
     /// full configured DOP; in shared-pool mode the DOP actually granted
-    /// to a `query` may be lower under load.
+    /// to a `query` may be lower under load. Consults the plan store as
+    /// an ad-hoc `query` does.
     pub fn plan(&self, logical: &LogicalPlan) -> Result<PlannedQuery> {
-        self.plan_with_dop(logical, self.threads)
+        self.planned(logical, self.threads, None)
     }
 
-    fn plan_with_dop(&self, logical: &LogicalPlan, dop: usize) -> Result<PlannedQuery> {
-        let mut memo = self.memo.lock();
-        memo.ensure_stamp(MemoStamp::current(
-            &self.catalog,
-            Some(&self.avs),
-            Some(&self.feedback),
-        ));
+    /// The one way a statement gets its plan: from the store when it
+    /// holds one that is still valid, else from a search whose result the
+    /// store may keep. `prepared` selects the key kind (see
+    /// [`crate::plan_cache`]): a prepared statement reuses across
+    /// constants and DDL-stable appends; an ad-hoc one only while the
+    /// stamp read here — *before* the search — is current, so a stored
+    /// plan never outlives the facts it was costed from.
+    fn planned(
+        &self,
+        logical: &LogicalPlan,
+        dop: usize,
+        prepared: Option<&PreparedPlan>,
+    ) -> Result<PlannedQuery> {
+        let knobs = Knobs {
+            mode: self.mode,
+            pmodel: self.pmodel,
+            dop,
+            pruning: self.pruning,
+        };
+        let (key, valid) = match prepared {
+            Some(p) => (
+                StoreKey::prepared(&p.shape, p.shape_hash, knobs),
+                Validity::Generation(self.catalog.current_generation()),
+            ),
+            None => (
+                StoreKey::adhoc(logical, knobs),
+                Validity::Stamp(MemoStamp::current(
+                    &self.catalog,
+                    Some(&self.avs),
+                    Some(&self.feedback),
+                )),
+            ),
+        };
+        match self.plan_cache.lookup(&key, valid, logical, &self.catalog) {
+            Lookup::Hit(planned) => Ok(planned),
+            Lookup::Miss { admit } => {
+                let planned = self.search(logical, dop)?;
+                if admit {
+                    self.plan_cache.insert(key, valid, &planned);
+                }
+                Ok(planned)
+            }
+        }
+    }
+
+    /// One cold search in a memo of its own — no engine-wide lock, so
+    /// sessions sharing this engine search concurrently.
+    fn search(&self, logical: &LogicalPlan, dop: usize) -> Result<PlannedQuery> {
+        let mut memo = Memo::new();
         let planned = MemoOptimizer::new(
             &mut memo,
             &self.catalog,
@@ -514,16 +572,28 @@ impl Engine {
         )
         .with_pruning(self.pruning)
         .optimize(logical);
-        self.obs.publish_memo(&memo);
+        self.searches.record(&memo);
+        self.obs.record_search(&memo);
         planned
     }
 
-    /// The session memo's operational counters (rules fired, winner-table
-    /// hits, feedback applications) plus its live group / candidate
-    /// population — the numbers behind the `dqo_opt_*` metrics.
+    /// The optimiser's operational counters, cumulative over every search
+    /// this engine ran (rules fired, winner-table hits within a search,
+    /// feedback applications), plus the group / candidate population of
+    /// the **most recent** search's memo — the numbers behind the
+    /// `dqo_opt_*` metrics. A statement served from the plan store moves
+    /// none of them.
     pub fn memo_stats(&self) -> (MemoStats, usize, usize) {
-        let memo = self.memo.lock();
-        (memo.stats(), memo.group_count(), memo.candidate_count())
+        let totals = &self.searches;
+        (
+            MemoStats {
+                rules_fired: totals.rules_fired.load(Ordering::Relaxed),
+                winner_hits: totals.winner_hits.load(Ordering::Relaxed),
+                feedback_applied: totals.feedback_applied.load(Ordering::Relaxed),
+            },
+            totals.last_groups.load(Ordering::Relaxed),
+            totals.last_candidates.load(Ordering::Relaxed),
+        )
     }
 
     /// The session's adaptive-feedback store: selectivity corrections
@@ -537,24 +607,33 @@ impl Engine {
     /// pool's FIFO admission queue while `max_inflight` queries are
     /// already running, and plans at the admission-granted DOP.
     pub fn query(&self, logical: &LogicalPlan) -> Result<QueryResult> {
-        let trace = if self.tracing {
-            TraceBuilder::start()
-        } else {
-            TraceBuilder::disabled()
-        };
-        self.query_traced(logical, trace)
+        self.run(logical, None, self.new_trace())
     }
 
     /// [`Engine::query`] continuing an existing trace — the SQL facade
     /// times parse/bind into the same trace before handing over, so the
     /// final [`QueryProfile`] covers the full statement lifecycle.
-    /// Admission waiting, optimisation and execution are each timed
-    /// separately: `queue_wait` is measured around `admit()` itself, so
-    /// time spent queued behind other sessions is no longer folded into
-    /// (or hidden from) the execution wall time.
-    pub fn query_traced(
+    pub fn query_traced(&self, logical: &LogicalPlan, trace: TraceBuilder) -> Result<QueryResult> {
+        self.run(logical, None, trace)
+    }
+
+    fn new_trace(&self) -> TraceBuilder {
+        if self.tracing {
+            TraceBuilder::start()
+        } else {
+            TraceBuilder::disabled()
+        }
+    }
+
+    /// The one statement driver: admission → plan → execute. Admission
+    /// waiting, planning and execution are each timed separately:
+    /// `queue_wait` is measured around `admit()` itself, so time spent
+    /// queued behind other sessions is neither folded into nor hidden
+    /// from the execution wall time.
+    fn run(
         &self,
         logical: &LogicalPlan,
+        prepared: Option<&PreparedPlan>,
         mut trace: TraceBuilder,
     ) -> Result<QueryResult> {
         let began = trace.begin();
@@ -566,7 +645,7 @@ impl Engine {
         let dop = permit.as_ref().map_or(self.threads, |p| p.dop());
 
         let began = trace.begin();
-        let planned = self.plan_with_dop(logical, dop)?;
+        let planned = self.planned(logical, dop, prepared)?;
         let optimise = trace.end(Phase::Optimise, began);
         self.obs.optimise.observe_duration(optimise);
 
@@ -575,10 +654,9 @@ impl Engine {
         result
     }
 
-    /// The shared back half of `query_traced` and
-    /// `execute_prepared_traced`: run an already-optimised plan, record
-    /// the execute phase and assemble the [`QueryResult`]. The caller
-    /// holds the admission permit across this call.
+    /// Run an already-optimised plan, record the execute phase and
+    /// assemble the [`QueryResult`]. The caller holds the admission
+    /// permit across this call.
     fn execute_planned(
         &self,
         planned: PlannedQuery,
@@ -608,7 +686,8 @@ impl Engine {
         self.obs.record_partitions(&planned.plan);
         // Close the adaptive loop: mine the traced per-operator actuals
         // for mis-estimated filters. Recording bumps the feedback epoch,
-        // so the next optimisation re-costs with corrected selectivities.
+        // which outdates every stored ad-hoc plan, so the next search
+        // re-costs with corrected selectivities.
         if !ops.is_empty() {
             let corrections = self
                 .feedback
@@ -628,22 +707,24 @@ impl Engine {
         })
     }
 
-    /// Prepare a logical plan for repeated execution: computes the
-    /// normalised shape the plan cache keys on. The statement's physical
-    /// plan is optimised lazily — on the first `execute_prepared` at each
-    /// (catalog generation, granted DOP) — so preparation itself is
-    /// cheap and never blocks on admission.
+    /// Prepare a logical plan for repeated execution: computes and hashes
+    /// the normalised shape the plan store keys on. The statement's
+    /// physical plan is optimised lazily — on the first `execute_prepared`
+    /// at each (catalog generation, granted DOP) — so preparation itself
+    /// is cheap and never blocks on admission.
     pub fn prepare(&self, template: &LogicalPlan) -> PreparedPlan {
+        let shape = plan_shape(template);
         PreparedPlan {
-            shape: plan_shape(template),
+            shape_hash: text_hash(&shape),
+            shape: shape.into(),
         }
     }
 
     /// Execute a prepared statement. `logical` is the template with the
     /// current parameter values spliced in (same shape, different
-    /// constants). On a cache hit the cached physical plan is rebound to
+    /// constants). On a store hit the stored physical plan is rebound to
     /// the fresh constants and optimisation is skipped entirely; on a
-    /// miss the query plans cold and the result is cached. Results are
+    /// miss the query plans cold and the result is stored. Results are
     /// bit-identical either way: the runtime is deterministic across
     /// plan choices, DOPs and steal orders.
     pub fn execute_prepared(
@@ -651,12 +732,7 @@ impl Engine {
         prepared: &PreparedPlan,
         logical: &LogicalPlan,
     ) -> Result<QueryResult> {
-        let trace = if self.tracing {
-            TraceBuilder::start()
-        } else {
-            TraceBuilder::disabled()
-        };
-        self.execute_prepared_traced(prepared, logical, trace)
+        self.run(logical, Some(prepared), self.new_trace())
     }
 
     /// [`Engine::execute_prepared`] continuing an existing trace (the SQL
@@ -665,45 +741,12 @@ impl Engine {
         &self,
         prepared: &PreparedPlan,
         logical: &LogicalPlan,
-        mut trace: TraceBuilder,
+        trace: TraceBuilder,
     ) -> Result<QueryResult> {
-        let began = trace.begin();
-        let permit = self
-            .pool
-            .as_ref()
-            .map(|pool| pool.admission().admit(self.threads));
-        let queue_wait = trace.end(Phase::AdmissionWait, began);
-        let dop = permit.as_ref().map_or(self.threads, |p| p.dop());
-
-        let began = trace.begin();
-        // The cache key folds in everything that changes the optimiser's
-        // answer besides the catalog: plan shape, session knobs, DOP.
-        let key = format!(
-            "{}#mode={:?}#pmodel={:?}#dop={dop}#prune={}",
-            prepared.shape, self.mode, self.pmodel, self.pruning
-        );
-        let generation = self.catalog.current_generation();
-        let planned =
-            match self
-                .plan_cache
-                .lookup(&key, generation, logical, &self.catalog, self.pruning)
-            {
-                Some(planned) => planned,
-                None => {
-                    let planned = self.plan_with_dop(logical, dop)?;
-                    self.plan_cache.insert(key, generation, &planned);
-                    planned
-                }
-            };
-        let optimise = trace.end(Phase::Optimise, began);
-        self.obs.optimise.observe_duration(optimise);
-
-        let result = self.execute_planned(planned, trace, queue_wait);
-        drop(permit);
-        result
+        self.run(logical, Some(prepared), trace)
     }
 
-    /// The session's plan cache (prepared-statement path only).
+    /// The session's plan store (prepared and ad-hoc statements).
     pub fn plan_cache(&self) -> &PlanCache {
         &self.plan_cache
     }
@@ -973,47 +1016,66 @@ mod tests {
     }
 
     #[test]
-    fn session_memo_reuses_winners_and_invalidates_on_ddl() {
+    fn plan_store_serves_repeats_and_every_clock_forces_a_search() {
         let registry = Arc::new(MetricsRegistry::new());
-        let engine = engine_with_table(false, true).with_metrics_registry(Arc::clone(&registry));
+        let engine = engine_with_table(false, true)
+            .with_metrics_registry(Arc::clone(&registry))
+            .with_tracing(false);
         let q = count_sum_query();
+        let fired = || engine.memo_stats().0.rules_fired;
+
+        // First sighting searches; the second searches and is admitted;
+        // from the third on the store answers and no rule fires.
         let p1 = engine.plan(&q).unwrap();
         let (stats, groups, candidates) = engine.memo_stats();
         assert!(groups > 0 && candidates > 0);
-        assert_eq!(stats.winner_hits, 0, "cold plan fires rules");
-        let p2 = engine.plan(&q).unwrap();
-        assert_eq!(p1.plan.explain(), p2.plan.explain());
-        let (stats2, _, _) = engine.memo_stats();
-        assert!(stats2.winner_hits > 0, "re-plan answers from the memo");
-        assert_eq!(
-            stats2.rules_fired, stats.rules_fired,
-            "no rule re-fires on a warm memo"
-        );
-        // The dqo_opt_* metrics mirror the memo.
+        let per_search = stats.rules_fired;
+        assert!(per_search > 0);
+        assert!(engine.plan_cache().is_empty());
+        engine.plan(&q).unwrap();
+        assert_eq!(fired(), 2 * per_search);
+        assert_eq!(engine.plan_cache().len(), 1);
+        let p3 = engine.plan(&q).unwrap();
+        assert_eq!(p1.plan.explain(), p3.plan.explain());
+        assert_eq!(p1.est_cost.to_bits(), p3.est_cost.to_bits());
+        assert_eq!(fired(), 2 * per_search, "a stored plan fires no rule");
+        // `query` and `plan` share the store.
+        engine.query(&q).unwrap();
+        assert_eq!(fired(), 2 * per_search);
+        // The memo is one search's: its size is the plan's, not history's.
+        assert_eq!(engine.memo_stats().1, groups);
+
+        // The dqo_opt_* metrics mirror the totals.
         let snap = registry.snapshot();
         assert_eq!(snap.gauge(names::OPT_GROUPS), Some(groups as u64));
-        assert_eq!(
-            snap.counter(names::OPT_RULES_FIRED),
-            Some(stats2.rules_fired)
-        );
-        assert_eq!(
-            snap.counter(names::OPT_WINNER_HITS),
-            Some(stats2.winner_hits)
-        );
+        assert_eq!(snap.counter(names::OPT_RULES_FIRED), Some(2 * per_search));
+        assert_eq!(snap.counter(names::PLAN_CACHE_HITS), Some(2));
 
-        // DDL moves the statistics clock → the next plan starts from an
-        // emptied memo (groups re-derive; counters keep counting).
+        // Each of the stamp's three clocks outdates the stored plan, and
+        // the statement is re-admitted by the search that follows.
+        let mut expected = 2 * per_search;
+        let mut assert_researched = |what: &str| {
+            engine.plan(&q).unwrap();
+            assert!(fired() > expected, "{what} must force a search");
+            expected = fired();
+            engine.plan(&q).unwrap();
+            assert_eq!(fired(), expected, "{what}: re-admitted at once");
+        };
         engine.register_table(
             "t",
             DatasetSpec::new(5_000, 64).dense(true).relation().unwrap(),
         );
-        engine.plan(&q).unwrap();
-        let (stats3, groups3, _) = engine.memo_stats();
-        assert!(groups3 > 0);
-        assert!(
-            stats3.rules_fired > stats2.rules_fired,
-            "post-DDL plan must re-derive, not reuse stale winners"
-        );
+        assert_researched("DDL");
+        engine.insert("t", &[vec![Value::U32(0)]]).unwrap();
+        assert_researched("an INSERT's statistics bump");
+        assert!(engine.feedback().record("t", "key = ?", 25.0, (0, 0)));
+        assert_researched("a recorded correction");
+        let workload = vec![WorkloadQuery::new(q.clone(), 100.0)];
+        engine
+            .select_and_materialise_avs(&workload, usize::MAX, Solver::Greedy)
+            .unwrap();
+        assert_researched("AV materialisation");
+        assert_eq!(engine.plan_cache().len(), 1, "one statement, one entry");
     }
 
     #[test]

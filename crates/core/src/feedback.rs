@@ -19,13 +19,15 @@
 //! converge instead of compounding.
 //!
 //! The store has an **epoch** clock that bumps whenever a correction is
-//! added or materially changed — part of the optimiser memo's staleness
-//! stamp, so a learned correction invalidates memoised winners and the
-//! next optimisation of the same shape re-costs with corrected
-//! cardinalities. The prepared-statement plan cache is deliberately
-//! *not* invalidated by the epoch: cached winners keep their bit-identical
-//! rebind guarantee and pick up corrections on their next cold plan
-//! (DDL-clock movement), keeping PR 7's serving semantics intact.
+//! added or materially changed — part of the [`MemoStamp`] the plan store
+//! puts on ad-hoc plans, so a learned correction outdates them and the
+//! next search of the same statement re-costs with corrected
+//! cardinalities. Prepared statements' stored plans are deliberately
+//! *not* outdated by the epoch: they keep their bit-identical rebind
+//! guarantee and pick up corrections on their next cold plan (DDL-clock
+//! movement), keeping PR 7's serving semantics intact.
+//!
+//! [`MemoStamp`]: crate::memo::MemoStamp
 
 use crate::catalog::Catalog;
 use crate::profile::PlanRuntime;
@@ -33,7 +35,7 @@ use crate::property_builder::PropertyBuilder;
 use dqo_plan::PhysicalPlan;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Minimum estimated-vs-actual selectivity deviation (as a ratio, larger
 /// side over smaller) before a correction is recorded. Well-estimated
@@ -55,7 +57,15 @@ pub struct Correction {
 /// corrections. See the module docs for the data flow.
 #[derive(Debug, Default)]
 pub struct FeedbackStore {
-    corrections: Mutex<HashMap<(String, String), Correction>>,
+    /// table → predicate shape → correction (nested so a lookup borrows
+    /// both strings).
+    corrections: Mutex<HashMap<String, HashMap<String, Correction>>>,
+    /// Number of stored corrections, so the optimiser's per-filter lookup
+    /// can skip the mutex while the store is empty. Written under the
+    /// mutex with `Release` before the epoch's `Release` bump; a planner
+    /// that `Acquire`-loads an epoch therefore sees at least the count
+    /// that epoch was bumped for.
+    len: AtomicUsize,
     /// Bumps whenever a correction is added or materially changed.
     epoch: AtomicU64,
 }
@@ -68,12 +78,12 @@ impl FeedbackStore {
 
     /// The store's change clock (see module docs).
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
+        self.epoch.load(Ordering::Acquire)
     }
 
-    /// Number of stored corrections.
+    /// Number of stored corrections (one atomic load).
     pub fn len(&self) -> usize {
-        self.corrections.lock().len()
+        self.len.load(Ordering::Acquire)
     }
 
     /// Whether no corrections are stored.
@@ -91,22 +101,22 @@ impl FeedbackStore {
         }
         let factor = factor.clamp(1e-6, 1e6);
         let mut map = self.corrections.lock();
-        let key = (table.to_owned(), shape.to_owned());
-        let changed = match map.get(&key) {
+        let changed = match map.get(table).and_then(|shapes| shapes.get(shape)) {
             Some(existing) if existing.stats_version == stats_version => {
                 (existing.factor / factor - 1.0).abs() > 0.01
             }
             _ => true,
         };
         if changed {
-            map.insert(
-                key,
-                Correction {
-                    factor,
-                    stats_version,
-                },
-            );
-            self.epoch.fetch_add(1, Ordering::Relaxed);
+            let correction = Correction {
+                factor,
+                stats_version,
+            };
+            let shapes = map.entry(table.to_owned()).or_default();
+            if shapes.insert(shape.to_owned(), correction).is_none() {
+                self.len.fetch_add(1, Ordering::Release);
+            }
+            self.epoch.fetch_add(1, Ordering::Release);
         }
         changed
     }
@@ -114,8 +124,12 @@ impl FeedbackStore {
     /// The correction factor for `(table, shape)`, if one was learned
     /// against the table's *current* statistics version.
     pub fn correction(&self, table: &str, shape: &str, stats_version: (u64, u64)) -> Option<f64> {
+        if self.is_empty() {
+            return None;
+        }
         let map = self.corrections.lock();
-        map.get(&(table.to_owned(), shape.to_owned()))
+        map.get(table)?
+            .get(shape)
             .filter(|c| c.stats_version == stats_version)
             .map(|c| c.factor)
     }
@@ -126,7 +140,8 @@ impl FeedbackStore {
         let mut map = self.corrections.lock();
         if !map.is_empty() {
             map.clear();
-            self.epoch.fetch_add(1, Ordering::Relaxed);
+            self.len.store(0, Ordering::Release);
+            self.epoch.fetch_add(1, Ordering::Release);
         }
     }
 

@@ -37,9 +37,11 @@
 //!   maintained artifact bit-identical to a from-scratch build;
 //! * [`partial_av`] — partial AVs (§6): granules frozen offline with
 //!   named decisions left open for query time;
-//! * [`plan_cache`] — the prepared-statement plan cache: optimise a
-//!   query *shape* once, rebind parameter constants per execution,
-//!   invalidated by the catalog's registration-generation clock;
+//! * [`plan_cache`] — the plan store, the one bounded structure that
+//!   outlives a statement: prepared statements keyed on their *shape*
+//!   (rebound per execution, valid per DDL generation), ad-hoc ones on
+//!   their exact text (served while their statistics / AV / feedback
+//!   stamp is current);
 //! * [`adaptive`] — runtime-adaptive AVs (§6): a cracking-style index
 //!   whose optimisation decisions are delegated to query time.
 //!

@@ -1,30 +1,26 @@
 //! The optimiser memo: groups, group expressions, derived properties and
-//! per-group winner tables.
+//! per-group winner tables — **scratch for one search**.
 //!
-//! PR 9 refactors the property-annotated dynamic program into a
-//! Cascades-style **memo**. Each logical subtree is interned into a
-//! [`Group`] — an equivalence class holding the representative logical
-//! expression (children referenced by [`GroupId`], so shared subtrees
-//! share groups), the subtree's normalised *shape* (constants masked; the
-//! key the winner-extraction plan cache uses), and a **winner table**:
-//! the pruned candidate set per `(focus column, optimiser mode, property
-//! model, granted DOP)` — one cheapest [`Candidate`] per interesting
-//! property class, exactly what the DP's `prune` kept.
+//! Each logical subtree is interned into a [`Group`] — an equivalence
+//! class holding the representative logical expression (children
+//! referenced by [`GroupId`], so shared subtrees share groups) and a
+//! **winner table**: the pruned candidate set per `(focus column,
+//! optimiser mode, property model, granted DOP)` — one cheapest
+//! [`Candidate`] per interesting property class.
 //!
 //! Group *identity* is the fully rendered logical subtree **including
-//! constants**: costs depend on predicate selectivities, so two queries
-//! differing only in a literal are distinct groups. Cross-constant reuse
-//! is the plan cache's job (structural rebind over equal shapes); the
-//! memo's job is exact-cost reuse *within* and *across* identical
-//! queries.
+//! constants**: costs depend on predicate selectivities, so two subtrees
+//! differing only in a literal are distinct groups.
 //!
-//! The memo is incremental across queries: the engine keeps one per
-//! session and re-uses winner tables whenever the [`MemoStamp`] — the
-//! catalog's statistics clock, the AV catalog's change clock and the
-//! feedback store's epoch — still matches. Any statistics change, AV
-//! (de)registration or newly learned cardinality correction moves the
-//! stamp and empties the memo, so no winner ever outlives the facts it
-//! was costed from.
+//! A memo lives as long as the search that built it (Cascades' memo, as
+//! optd keeps it): the engine and the free `optimize_*` entry points
+//! build one per call and drop it with the answer, so its size is
+//! O(plan), never O(history). What persists between statements is the
+//! chosen plan, in the engine's [plan store](crate::plan_cache); the
+//! [`MemoStamp`] defined here is the validity stamp that store puts on
+//! the plans of ad-hoc statements. Callers that plan several related
+//! trees in a row (mid-query re-optimisation) may keep one memo across
+//! those calls to share winner tables; they own its staleness.
 //!
 //! Rule application lives in `crate::rules`: implementation rules
 //! (Scan → AV-backed scan, GroupBy → {HG, SPHG, OG, SOG, BSG, composite},
@@ -48,8 +44,9 @@ use std::sync::Arc;
 /// Index of a [`Group`] within its [`Memo`].
 pub type GroupId = usize;
 
-/// The staleness stamp a memo's winners are valid under. Any component
-/// moving means previously derived properties or costs may be wrong.
+/// The facts a search's costs were derived from, as three clocks. Any
+/// component moving means a plan chosen under the old stamp may no longer
+/// be the plan a fresh search would return.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoStamp {
     /// [`Catalog::stats_generation`] — moves on any statistics change.
@@ -107,7 +104,6 @@ struct WinnerKey {
 #[derive(Debug)]
 pub struct Group {
     logical: Arc<LogicalPlan>,
-    shape: String,
     children: Vec<GroupId>,
     winners: HashMap<WinnerKey, Arc<Vec<Candidate>>>,
 }
@@ -116,12 +112,6 @@ impl Group {
     /// The representative logical expression.
     pub fn logical(&self) -> &Arc<LogicalPlan> {
         &self.logical
-    }
-
-    /// The subtree's normalised shape (constants masked) — the derived
-    /// attribute shared with the plan cache's rebind layer.
-    pub fn shape(&self) -> &str {
-        &self.shape
     }
 
     /// Child groups, in operator order.
@@ -135,12 +125,11 @@ impl Group {
     }
 }
 
-/// The memo proper: interned groups plus the stamp and statistics.
+/// The memo proper: interned groups plus operational statistics.
 #[derive(Debug, Default)]
 pub struct Memo {
     groups: Vec<Group>,
     index: HashMap<String, GroupId>,
-    stamp: Option<MemoStamp>,
     stats: MemoStats,
     rule_counts: BTreeMap<&'static str, u64>,
 }
@@ -166,7 +155,6 @@ impl Memo {
         let gid = self.groups.len();
         self.groups.push(Group {
             logical: Arc::clone(node),
-            shape: node.shape(),
             children,
             winners: HashMap::new(),
         });
@@ -206,8 +194,7 @@ impl Memo {
         self.groups.iter().map(Group::candidate_count).sum()
     }
 
-    /// Operational counters (cumulative over the memo's lifetime; they
-    /// survive stamp-driven clears so metric deltas stay monotone).
+    /// Operational counters, cumulative over the memo's lifetime.
     pub fn stats(&self) -> MemoStats {
         self.stats
     }
@@ -215,38 +202,6 @@ impl Memo {
     /// Per-rule firing counts, in rule-name order.
     pub fn rule_counts(&self) -> Vec<(&'static str, u64)> {
         self.rule_counts.iter().map(|(k, v)| (*k, *v)).collect()
-    }
-
-    /// The stamp the current contents were derived under.
-    pub fn stamp(&self) -> Option<MemoStamp> {
-        self.stamp
-    }
-
-    /// Make the memo valid for `stamp`: if the current contents were
-    /// derived under a different stamp they are dropped. Returns `true`
-    /// when the memo was cleared.
-    pub fn ensure_stamp(&mut self, stamp: MemoStamp) -> bool {
-        if self.stamp == Some(stamp) {
-            return false;
-        }
-        let had_content = !self.groups.is_empty();
-        self.clear_groups();
-        self.stamp = Some(stamp);
-        had_content
-    }
-
-    /// Adopt `stamp` *without* dropping contents — only sound when the
-    /// caller knows the stamp movement cannot have invalidated existing
-    /// groups (e.g. registering a brand-new table no group refers to,
-    /// as re-optimisation does for its observed intermediate).
-    pub fn adopt_stamp(&mut self, stamp: MemoStamp) {
-        self.stamp = Some(stamp);
-    }
-
-    /// Drop all groups and winner tables (statistics keep counting).
-    pub fn clear_groups(&mut self) {
-        self.groups.clear();
-        self.index.clear();
     }
 }
 
@@ -411,7 +366,7 @@ mod tests {
         // GroupBy, Sort and ONE shared Scan group.
         assert_eq!(memo.group_count(), 3);
         assert_eq!(memo.group(g1).children(), memo.group(g2).children());
-        // Shapes mask constants; identities do not.
+        // Identities keep constants; shapes (the prepared key) mask them.
         let f30 = LogicalPlan::filter(
             LogicalPlan::scan("t"),
             dqo_plan::expr::Predicate::cmp("key", dqo_plan::CmpOp::Lt, 30u32),
@@ -423,7 +378,7 @@ mod tests {
         let gf30 = memo.intern(&f30);
         let gf70 = memo.intern(&f70);
         assert_ne!(gf30, gf70, "different constants are different groups");
-        assert_eq!(memo.group(gf30).shape(), memo.group(gf70).shape());
+        assert_eq!(f30.shape(), f70.shape());
         assert_eq!(memo.intern(&f30), gf30, "re-interning is idempotent");
     }
 
@@ -431,7 +386,6 @@ mod tests {
     fn repeated_optimisation_answers_from_winner_tables() {
         let cat = catalog();
         let mut memo = Memo::new();
-        memo.ensure_stamp(MemoStamp::current(&cat, None, None));
         let q = query();
         let first = optimize_in(&mut memo, &cat, &q);
         let fired = memo.stats().rules_fired;
@@ -449,28 +403,22 @@ mod tests {
     }
 
     #[test]
-    fn stamp_movement_clears_groups_but_counters_survive() {
+    fn stamp_moves_with_every_statistics_change() {
         let cat = catalog();
-        let mut memo = Memo::new();
         let stamp = MemoStamp::current(&cat, None, None);
-        assert!(!memo.ensure_stamp(stamp), "empty memo: nothing to clear");
-        optimize_in(&mut memo, &cat, &query());
-        assert!(memo.group_count() > 0);
-        assert!(!memo.ensure_stamp(stamp), "same stamp: contents survive");
-        assert!(memo.group_count() > 0);
-
-        // Any statistics change moves the stamp and empties the memo.
+        assert_eq!(stamp, MemoStamp::current(&cat, None, None));
         cat.register(
             "u",
             DatasetSpec::new(100, 10).dense(true).relation().unwrap(),
         );
-        let moved = MemoStamp::current(&cat, None, None);
-        assert_ne!(stamp, moved);
-        let fired = memo.stats().rules_fired;
-        assert!(memo.ensure_stamp(moved), "stale contents must drop");
-        assert_eq!(memo.group_count(), 0);
-        assert_eq!(memo.candidate_count(), 0);
-        assert_eq!(memo.stats().rules_fired, fired, "counters are cumulative");
+        let registered = MemoStamp::current(&cat, None, None);
+        assert_ne!(stamp, registered);
+        // Appends move the statistics clock without moving the DDL clock.
+        let ddl = cat.current_generation();
+        let rel = (*cat.get("u").unwrap().relation).clone();
+        cat.replace_data("u", rel).unwrap();
+        assert_eq!(cat.current_generation(), ddl);
+        assert_ne!(registered, MemoStamp::current(&cat, None, None));
     }
 
     #[test]

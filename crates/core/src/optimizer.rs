@@ -202,10 +202,8 @@ pub fn optimize_full_dop(
     pmodel: PropertyModel,
     dop: usize,
 ) -> Result<PlannedQuery> {
-    // Free entry points build a fresh memo per call: callers may pass
-    // arbitrary cost models or hypothetical AV catalogs (the AVSP
-    // advisor does), so no state can be shared safely. The engine keeps
-    // a persistent memo for session queries.
+    // A memo is scratch for one search (the engine builds one per
+    // search too; only its plan store persists).
     let mut memo = Memo::new();
     MemoOptimizer::new(&mut memo, catalog, mode, model, avs, pmodel, dop, None).optimize(logical)
 }

@@ -1,48 +1,149 @@
-//! A prepared-statement plan cache: optimise a query *shape* once, reuse
-//! the physical plan across executions with different parameter values.
+//! The plan store: the one thing the engine keeps between statements.
 //!
-//! At high QPS the optimiser's per-query enumeration becomes the hot
-//! path (the ROADMAP's memo item); for the prepared-statement serving
-//! path this cache removes it entirely. Entries are keyed on
+//! A search's [memo](crate::memo) is scratch and dies with the search;
+//! what survives is the chosen plan, here, for both entry paths:
 //!
-//! * the **normalised plan shape** — the logical tree rendered with every
-//!   comparison constant masked out (plus the session's optimiser mode,
-//!   property model and the admission-granted DOP, folded into the key
-//!   string by the engine), and
-//! * the **catalog registration generation** — the existing DDL clock:
-//!   every table registration or drop (including hidden `__av::`
-//!   relations, so AV materialisation and invalidation count) bumps it,
-//!   which makes every cached plan from before the change unreachable.
+//! * A **prepared** statement is keyed on its *normalised shape* — the
+//!   logical tree rendered with every comparison constant masked out
+//!   ([`plan_shape`], computed and hashed once at `PREPARE`) — plus the
+//!   session knobs and the admission-granted DOP (`Knobs`). Its entry is
+//!   valid for one **catalog registration generation** (the DDL clock:
+//!   every table registration or drop, hidden `__av::` relations
+//!   included, moves it). It is admitted on first execution, and a hit
+//!   does **not** execute the stored plan verbatim — its filter constants
+//!   are the *previous* execution's parameters — but structurally rebinds
+//!   the fresh logical plan's predicates into the stored physical tree
+//!   (the optimiser copies logical `Filter` predicates into physical
+//!   `Filter` nodes unchanged, so the preorder filter sequences
+//!   correspond one to one). If the shapes do not line up — an AV rewrite
+//!   swallowed the filter, say — the lookup reports a miss and the engine
+//!   searches; correctness never depends on a hit.
+//! * An **ad-hoc** statement is keyed on its exact rendered logical plan,
+//!   literals included (the memo's group identity), plus the same knobs.
+//!   Its entry carries the [`MemoStamp`] — statistics clock, AV clock,
+//!   feedback epoch — read before the search that produced it, and is
+//!   served only while that stamp is current: a served plan is the plan a
+//!   search would return now. It is admitted on its **second** sighting
+//!   (a fixed-size, direct-mapped ghost array of key hashes remembers the
+//!   first), so a stream of never-repeating statements costs one search
+//!   each and evicts nothing, while statements that do repeat live here.
 //!
-//! A hit does **not** execute the cached plan verbatim: its filter
-//! constants are the *previous* execution's parameters. The cache
-//! structurally rebinds the fresh logical plan's predicates into the
-//! cached physical tree (the optimiser copies logical `Filter` predicates
-//! into physical `Filter` nodes unchanged, so the preorder filter
-//! sequences correspond one to one). If the shapes do not line up — an
-//! AV rewrite swallowed the filter, say — the lookup reports a miss and
-//! the engine plans cold; correctness never depends on a hit.
-//!
-//! Capacity is bounded with LRU eviction; stale generations are swept on
-//! insert. Hit/miss/eviction counters and an entry gauge live in the
-//! engine's metrics registry under the canonical `dqo_plan_cache_*`
-//! names.
+//! Capacity is bounded with LRU eviction; an entry whose generation or
+//! stamp has moved is replaced when its statement is next planned.
+//! Hit/miss/eviction counters and an entry gauge live in the engine's
+//! metrics registry under the canonical `dqo_plan_cache_*` names.
 
 use crate::catalog::Catalog;
-use crate::optimizer::PlannedQuery;
+use crate::memo::MemoStamp;
+use crate::optimizer::{OptimizerMode, PlannedQuery, PropertyModel};
 use crate::partition_prune::prune_partitions;
 use dqo_obs::{names, Counter, Gauge, MetricsRegistry};
 use dqo_plan::expr::Predicate;
 use dqo_plan::{LogicalPlan, PhysicalPlan};
 use parking_lot::Mutex;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// Default maximum number of cached plans per engine session.
+/// Default maximum number of stored plans per engine session.
 pub const DEFAULT_CAPACITY: usize = 128;
 
-/// A bounded, generation-invalidated cache of optimised plans. See the
-/// module docs for keying and rebinding semantics.
+/// Slots in the ghost array of once-seen ad-hoc key hashes. A repeating
+/// statement is admitted if fewer than about this many other first
+/// sightings fall between two of its own.
+const GHOST_SLOTS: usize = 1024;
+
+/// Everything besides the statement and the catalog that changes the
+/// optimiser's answer: the session knobs and the granted DOP.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct Knobs {
+    /// Shallow or deep optimisation.
+    pub(crate) mode: OptimizerMode,
+    /// Sortedness propagation model.
+    pub(crate) pmodel: PropertyModel,
+    /// Degree of parallelism the plan is for.
+    pub(crate) dop: usize,
+    /// Whether plan-time partition pruning is on.
+    pub(crate) pruning: bool,
+}
+
+/// What an entry was planned under; it is served only to a lookup that
+/// presents the same value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Validity {
+    /// Prepared statements: the catalog's DDL clock.
+    Generation(u64),
+    /// Ad-hoc statements: the three clocks a search's costs depend on.
+    Stamp(MemoStamp),
+}
+
+/// A statement's identity in the store. `text` is the masked shape for a
+/// prepared statement and the exact rendering for an ad-hoc one.
+#[derive(Debug, Clone)]
+pub(crate) struct StoreKey {
+    text: Arc<str>,
+    prepared: bool,
+    knobs: Knobs,
+    hash: u64,
+}
+
+/// SipHash of a key text — what `Engine::prepare` precomputes.
+pub(crate) fn text_hash(text: &str) -> u64 {
+    let mut h = DefaultHasher::new();
+    text.hash(&mut h);
+    h.finish()
+}
+
+impl StoreKey {
+    /// The key of a prepared statement whose shape hashed to `shape_hash`
+    /// (see [`text_hash`]) at `PREPARE`.
+    pub(crate) fn prepared(shape: &Arc<str>, shape_hash: u64, knobs: Knobs) -> Self {
+        StoreKey::new(Arc::clone(shape), shape_hash, true, knobs)
+    }
+
+    /// The key of an ad-hoc statement.
+    pub(crate) fn adhoc(logical: &LogicalPlan, knobs: Knobs) -> Self {
+        let text = logical.to_string();
+        let hash = text_hash(&text);
+        StoreKey::new(text.into(), hash, false, knobs)
+    }
+
+    fn new(text: Arc<str>, text_hash: u64, prepared: bool, knobs: Knobs) -> Self {
+        let mut h = DefaultHasher::new();
+        (text_hash, prepared, knobs).hash(&mut h);
+        StoreKey {
+            text,
+            prepared,
+            knobs,
+            hash: h.finish(),
+        }
+    }
+
+    /// Full identity, not just equal hashes. (`Arc` equality is by
+    /// pointer first, which is what a prepared statement's key hits.)
+    fn same(&self, other: &StoreKey) -> bool {
+        self.hash == other.hash
+            && self.prepared == other.prepared
+            && self.knobs == other.knobs
+            && self.text == other.text
+    }
+}
+
+/// The outcome of [`PlanCache::lookup`].
+#[derive(Debug)]
+pub(crate) enum Lookup {
+    /// A plan ready to execute.
+    Hit(PlannedQuery),
+    /// Search; store the result only if `admit`.
+    Miss {
+        /// Whether the statement has earned a place in the store.
+        admit: bool,
+    },
+}
+
+/// A bounded store of optimised plans. See the module docs for keying,
+/// validity, admission and rebinding semantics.
 #[derive(Debug)]
 pub struct PlanCache {
     inner: Mutex<Inner>,
@@ -53,24 +154,35 @@ pub struct PlanCache {
     entries: Gauge,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Inner {
-    map: HashMap<(String, u64), Entry>,
+    /// Keyed on [`StoreKey::hash`]; an entry is only served to the
+    /// [same](StoreKey::same) key, so a hash collision is a miss.
+    map: HashMap<u64, Entry>,
+    /// Key hashes of ad-hoc statements seen once and not admitted,
+    /// direct-mapped.
+    ghosts: Box<[u64]>,
     /// Recency clock for LRU eviction.
     tick: u64,
 }
 
 #[derive(Debug)]
 struct Entry {
+    key: StoreKey,
+    valid: Validity,
     planned: Arc<PlannedQuery>,
     last_used: u64,
 }
 
 impl PlanCache {
-    /// A cache holding at most `capacity` plans, metrics in `registry`.
+    /// A store holding at most `capacity` plans, metrics in `registry`.
     pub fn new(capacity: usize, registry: &MetricsRegistry) -> Self {
         PlanCache {
-            inner: Mutex::new(Inner::default()),
+            inner: Mutex::new(Inner {
+                map: HashMap::new(),
+                ghosts: vec![0; GHOST_SLOTS].into(),
+                tick: 0,
+            }),
             capacity: capacity.max(1),
             hits: registry.counter(names::PLAN_CACHE_HITS),
             misses: registry.counter(names::PLAN_CACHE_MISSES),
@@ -88,97 +200,107 @@ impl PlanCache {
         self.entries = registry.gauge(names::PLAN_CACHE_ENTRIES);
     }
 
-    /// Look up `key` at `generation` and rebind `fresh`'s predicates into
-    /// the cached physical plan. Counts a hit only when the rebind
-    /// succeeds; a missing entry *or* a failed rebind is a miss (the
-    /// caller plans cold either way).
+    /// Find the plan stored for `key` and still valid under `valid`.
     ///
-    /// `catalog`/`pruning` drive **re-pruning on rebind**: a cached plan
-    /// that pruned a partitioned scan did so against the *previous*
-    /// execution's constants, so serving it verbatim would scan the wrong
-    /// survivor set. The rebind recomputes the survivors from the fresh
-    /// predicate (see `rebind_node`); partition specs only change via
-    /// re-registration, which moves the DDL clock and makes the entry
-    /// unreachable, so the spec consulted here is always the one the plan
-    /// was built against.
-    pub fn lookup(
+    /// A prepared hit rebinds `fresh`'s predicates into the stored
+    /// physical plan and counts only when the rebind succeeds; a missing
+    /// or outdated entry *or* a failed rebind is a miss (the caller
+    /// searches either way). `catalog` and the key's pruning knob drive
+    /// **re-pruning on rebind**: a stored plan that pruned a partitioned
+    /// scan did so against the *previous* execution's constants, so
+    /// serving it verbatim would scan the wrong survivor set. The rebind
+    /// recomputes the survivors from the fresh predicate (see
+    /// `rebind_node`); partition specs only change via re-registration,
+    /// which moves the DDL clock and outdates the entry, so the spec
+    /// consulted here is always the one the plan was built against.
+    ///
+    /// An ad-hoc hit is the stored plan itself. An ad-hoc miss also says
+    /// whether this is the statement's second sighting.
+    pub(crate) fn lookup(
         &self,
-        key: &str,
-        generation: u64,
+        key: &StoreKey,
+        valid: Validity,
         fresh: &LogicalPlan,
         catalog: &Catalog,
-        pruning: bool,
-    ) -> Option<PlannedQuery> {
-        let cached = {
-            let mut inner = self.inner.lock();
+    ) -> Lookup {
+        let (stored, admit) = {
+            let mut guard = self.inner.lock();
+            let inner = &mut *guard;
             inner.tick += 1;
             let tick = inner.tick;
-            match inner.map.get_mut(&(key.to_owned(), generation)) {
-                Some(entry) => {
+            match inner.map.get_mut(&key.hash).filter(|e| e.key.same(key)) {
+                Some(entry) if entry.valid == valid => {
                     entry.last_used = tick;
-                    Some(Arc::clone(&entry.planned))
+                    (Some(Arc::clone(&entry.planned)), true)
                 }
-                None => None,
+                // Outdated: known to repeat, replace at once.
+                Some(_) => (None, true),
+                None => {
+                    let slot = &mut inner.ghosts[key.hash as usize % GHOST_SLOTS];
+                    let seen = key.prepared || *slot == key.hash;
+                    if !key.prepared {
+                        *slot = key.hash;
+                    }
+                    (None, seen)
+                }
             }
         };
-        let rebound = cached.and_then(|planned| {
-            rebind_plan(&planned.plan, fresh, catalog, pruning).map(|plan| PlannedQuery {
-                plan,
-                ..(*planned).clone()
-            })
+        let plan = stored.and_then(|planned| {
+            let plan = if key.prepared {
+                rebind_plan(&planned.plan, fresh, catalog, key.knobs.pruning)?
+            } else {
+                planned.plan.clone()
+            };
+            Some(PlannedQuery { plan, ..*planned })
         });
-        match &rebound {
-            Some(_) => self.hits.inc(),
-            None => self.misses.inc(),
+        match plan {
+            Some(planned) => {
+                self.hits.inc();
+                Lookup::Hit(planned)
+            }
+            None => {
+                self.misses.inc();
+                Lookup::Miss { admit }
+            }
         }
-        rebound
     }
 
-    /// Insert a freshly optimised plan for `key` at `generation`. Sweeps
-    /// entries from older generations (the DDL clock only moves forward,
-    /// so they can never hit again) and LRU-evicts beyond capacity.
-    pub fn insert(&self, key: String, generation: u64, planned: &PlannedQuery) {
+    /// Store a freshly optimised plan for `key`, valid under `valid`,
+    /// replacing the key's previous entry or LRU-evicting beyond capacity.
+    pub(crate) fn insert(&self, key: StoreKey, valid: Validity, planned: &PlannedQuery) {
         let mut inner = self.inner.lock();
-        let stale: Vec<(String, u64)> = inner
-            .map
-            .keys()
-            .filter(|(_, g)| *g != generation)
-            .cloned()
-            .collect();
-        for k in stale {
-            inner.map.remove(&k);
+        inner.tick += 1;
+        let hash = key.hash;
+        let entry = Entry {
+            key,
+            valid,
+            planned: Arc::new(planned.clone()),
+            last_used: inner.tick,
+        };
+        if inner.map.insert(hash, entry).is_some() {
             self.evictions.inc();
         }
-        while inner.map.len() >= self.capacity {
+        while inner.map.len() > self.capacity {
             let Some(lru) = inner
                 .map
                 .iter()
                 .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
+                .map(|(k, _)| *k)
             else {
                 break;
             };
             inner.map.remove(&lru);
             self.evictions.inc();
         }
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.map.insert(
-            (key, generation),
-            Entry {
-                planned: Arc::new(planned.clone()),
-                last_used: tick,
-            },
-        );
         self.entries.set(inner.map.len() as u64);
     }
 
-    /// Number of cached plans.
+    /// Number of stored plans.
     pub fn len(&self) -> usize {
         self.inner.lock().map.len()
     }
 
-    /// Whether the cache is empty.
+    /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -196,17 +318,30 @@ impl PlanCache {
 /// Render a logical plan's *shape*: the tree with every comparison
 /// constant masked as `?`. LIKE prefixes and LIMIT counts stay — they are
 /// plan constants (they shape candidate enumeration), and the prepared
-/// path never parameterises them. Delegates to [`LogicalPlan::shape`] —
-/// the same renderer the optimiser memo uses, so the cache and the memo
-/// can never disagree about what "the same statement" means.
+/// path never parameterises them. Delegates to [`LogicalPlan::shape`].
 pub fn plan_shape(plan: &LogicalPlan) -> String {
     plan.shape()
 }
 
-/// A predicate with comparison constants masked (`k < ?`), conjuncts in
-/// order (see [`Predicate::shape`]).
-fn predicate_shape(p: &Predicate) -> String {
-    p.shape()
+/// Whether two predicates have the same structure and differ at most in
+/// their comparison constants — what [`Predicate::shape`] equality says of
+/// a template and its bound copy, decided without rendering either side.
+fn same_shape(a: &Predicate, b: &Predicate) -> bool {
+    match (a, b) {
+        (
+            Predicate::Compare { column, op, .. },
+            Predicate::Compare {
+                column: other_column,
+                op: other_op,
+                ..
+            },
+        ) => column == other_column && op == other_op,
+        (Predicate::And(ps), Predicate::And(qs)) => {
+            ps.len() == qs.len() && ps.iter().zip(qs).all(|(p, q)| same_shape(p, q))
+        }
+        (Predicate::Compare { .. }, _) | (Predicate::And(_), _) => false,
+        _ => a == b,
+    }
 }
 
 /// Rebind `fresh`'s filter predicates into a cached physical plan. The
@@ -252,7 +387,7 @@ fn rebind_node(plan: &PhysicalPlan, cx: &RebindCx<'_>, next: &mut usize) -> Opti
     match plan {
         PhysicalPlan::Filter { input, predicate } => {
             let fresh = cx.predicates.get(*next)?;
-            if predicate_shape(predicate) != predicate_shape(fresh) {
+            if !same_shape(predicate, fresh) {
                 return None;
             }
             *next += 1;
@@ -345,7 +480,7 @@ mod tests {
     use super::*;
     use crate::catalog::Catalog;
     use crate::cost::TupleCostModel;
-    use crate::optimizer::{optimize_full_dop, OptimizerMode, PropertyModel};
+    use crate::optimizer::optimize_full_dop;
     use dqo_plan::expr::AggExpr;
     use dqo_plan::CmpOp;
     use dqo_storage::datagen::DatasetSpec;
@@ -362,7 +497,7 @@ mod tests {
         )
     }
 
-    fn plan(catalog: &Catalog, logical: &LogicalPlan) -> PlannedQuery {
+    fn plan_at(catalog: &Catalog, logical: &LogicalPlan, dop: usize) -> PlannedQuery {
         optimize_full_dop(
             logical,
             catalog,
@@ -370,9 +505,13 @@ mod tests {
             &TupleCostModel,
             None,
             PropertyModel::AttributeStrict,
-            1,
+            dop,
         )
         .unwrap()
+    }
+
+    fn plan(catalog: &Catalog, logical: &LogicalPlan) -> PlannedQuery {
+        plan_at(catalog, logical, 1)
     }
 
     fn catalog() -> Catalog {
@@ -382,6 +521,37 @@ mod tests {
             DatasetSpec::new(10_000, 64).dense(true).relation().unwrap(),
         );
         cat
+    }
+
+    const KNOBS: Knobs = Knobs {
+        mode: OptimizerMode::Deep,
+        pmodel: PropertyModel::AttributeStrict,
+        dop: 1,
+        pruning: true,
+    };
+
+    /// A prepared key as `Engine::prepare` + `Engine::planned` build it.
+    fn prepared_key(shape: &str) -> StoreKey {
+        StoreKey::prepared(&shape.into(), text_hash(shape), KNOBS)
+    }
+
+    fn generation(g: u64) -> Validity {
+        Validity::Generation(g)
+    }
+
+    fn stamp(stats_generation: u64) -> Validity {
+        Validity::Stamp(MemoStamp {
+            stats_generation,
+            av_generation: 0,
+            feedback_epoch: 0,
+        })
+    }
+
+    fn hit(lookup: Lookup) -> Option<PlannedQuery> {
+        match lookup {
+            Lookup::Hit(planned) => Some(planned),
+            Lookup::Miss { .. } => None,
+        }
     }
 
     #[test]
@@ -410,27 +580,69 @@ mod tests {
     }
 
     #[test]
-    fn hit_rebinds_fresh_constants() {
+    fn structural_shape_check_agrees_with_rendered_shapes() {
+        let str_eq = |v: &str| Predicate::Compare {
+            column: "s".into(),
+            op: CmpOp::Eq,
+            value: Value::Str(v.into()),
+        };
+        assert_eq!(str_eq("x").shape(), "s = ?");
+        let preds = [
+            Predicate::cmp("key", CmpOp::Lt, 5u32),
+            Predicate::cmp("key", CmpOp::Lt, 99u32),
+            Predicate::cmp("key", CmpOp::Ge, 5u32),
+            Predicate::cmp("val", CmpOp::Lt, 5u32),
+            str_eq("x"),
+            str_eq("y"),
+            Predicate::prefix("s", "ab"),
+            Predicate::prefix("s", "zz"),
+            Predicate::And(vec![
+                Predicate::cmp("key", CmpOp::Ge, 1u32),
+                Predicate::cmp("key", CmpOp::Lt, 5u32),
+            ]),
+            Predicate::And(vec![
+                Predicate::cmp("key", CmpOp::Ge, 30u32),
+                Predicate::cmp("key", CmpOp::Lt, 60u32),
+            ]),
+        ];
+        for a in &preds {
+            for b in &preds {
+                assert_eq!(same_shape(a, b), a.shape() == b.shape(), "{a:?} vs {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn prepared_hit_rebinds_fresh_constants() {
         let cat = catalog();
         let registry = MetricsRegistry::new();
         let cache = PlanCache::new(8, &registry);
         let cold = plan(&cat, &filtered_group(5));
-        let shape = plan_shape(&filtered_group(5));
-        cache.insert(shape.clone(), 1, &cold);
+        let key = prepared_key(&plan_shape(&filtered_group(5)));
+        // A prepared statement is admitted on its first execution.
+        assert!(matches!(
+            cache.lookup(&key, generation(1), &filtered_group(5), &cat),
+            Lookup::Miss { admit: true }
+        ));
+        cache.insert(key.clone(), generation(1), &cold);
 
         let fresh = filtered_group(42);
-        let hit = cache.lookup(&shape, 1, &fresh, &cat, true).expect("hit");
-        let text = hit.plan.explain();
+        let served = hit(cache.lookup(&key, generation(1), &fresh, &cat)).expect("hit");
+        let text = served.plan.explain();
         assert!(text.contains("key < 42"), "{text}");
         assert!(!text.contains("key < 5"), "{text}");
-        assert_eq!(hit.est_cost, cold.est_cost);
+        assert_eq!(served.est_cost, cold.est_cost);
         assert!(
-            cache.lookup(&shape, 2, &fresh, &cat, true).is_none(),
-            "stale generation"
+            hit(cache.lookup(&key, generation(2), &fresh, &cat)).is_none(),
+            "outdated generation"
         );
+        // Same shape under other knobs is another statement.
+        let parallel =
+            StoreKey::prepared(&key.text, text_hash(&key.text), Knobs { dop: 4, ..KNOBS });
+        assert!(hit(cache.lookup(&parallel, generation(1), &fresh, &cat)).is_none());
         let snap = registry.snapshot();
         assert_eq!(snap.counter(names::PLAN_CACHE_HITS), Some(1));
-        assert_eq!(snap.counter(names::PLAN_CACHE_MISSES), Some(1));
+        assert_eq!(snap.counter(names::PLAN_CACHE_MISSES), Some(3));
     }
 
     #[test]
@@ -439,9 +651,9 @@ mod tests {
         let registry = MetricsRegistry::new();
         let cache = PlanCache::new(8, &registry);
         let cold = plan(&cat, &filtered_group(5));
-        let shape = plan_shape(&filtered_group(5));
-        cache.insert(shape.clone(), 1, &cold);
-        // Same key string claimed, but the fresh plan's predicate uses a
+        let key = prepared_key(&plan_shape(&filtered_group(5)));
+        cache.insert(key.clone(), generation(1), &cold);
+        // Same key claimed, but the fresh plan's predicate uses a
         // different operator: the structural check must refuse to serve.
         let fresh = LogicalPlan::group_by(
             LogicalPlan::filter(
@@ -451,7 +663,7 @@ mod tests {
             "key",
             vec![AggExpr::count_star("n")],
         );
-        assert!(cache.lookup(&shape, 1, &fresh, &cat, true).is_none());
+        assert!(hit(cache.lookup(&key, generation(1), &fresh, &cat)).is_none());
         assert_eq!(
             registry.snapshot().counter(names::PLAN_CACHE_MISSES),
             Some(1)
@@ -459,30 +671,69 @@ mod tests {
     }
 
     #[test]
-    fn insert_sweeps_stale_generations_and_lru_evicts() {
+    fn adhoc_is_admitted_on_second_sighting_and_served_while_its_stamp_holds() {
+        let cat = catalog();
+        let registry = MetricsRegistry::new();
+        let cache = PlanCache::new(8, &registry);
+        let q = filtered_group(5);
+        let cold = plan(&cat, &q);
+        let key = || StoreKey::adhoc(&q, KNOBS);
+        assert!(matches!(
+            cache.lookup(&key(), stamp(1), &q, &cat),
+            Lookup::Miss { admit: false }
+        ));
+        assert!(cache.is_empty(), "a first sighting leaves no entry");
+        assert!(matches!(
+            cache.lookup(&key(), stamp(1), &q, &cat),
+            Lookup::Miss { admit: true }
+        ));
+        cache.insert(key(), stamp(1), &cold);
+        let served = hit(cache.lookup(&key(), stamp(1), &q, &cat)).expect("hit");
+        assert_eq!(served.plan.explain(), cold.plan.explain());
+        assert_eq!(served.est_cost.to_bits(), cold.est_cost.to_bits());
+        // Another literal is another statement; so is the prepared key
+        // with the same text.
+        let other = filtered_group(6);
+        assert!(
+            hit(cache.lookup(&StoreKey::adhoc(&other, KNOBS), stamp(1), &other, &cat)).is_none()
+        );
+        let same_text = prepared_key(&q.to_string());
+        assert!(hit(cache.lookup(&same_text, stamp(1), &q, &cat)).is_none());
+        // A moved stamp outdates the entry; the statement is known to
+        // repeat, so it is re-admitted at once and replaces the old plan.
+        assert!(matches!(
+            cache.lookup(&key(), stamp(2), &q, &cat),
+            Lookup::Miss { admit: true }
+        ));
+        cache.insert(key(), stamp(2), &cold);
+        assert_eq!(cache.len(), 1);
+        assert!(hit(cache.lookup(&key(), stamp(2), &q, &cat)).is_some());
+    }
+
+    #[test]
+    fn insert_lru_evicts_beyond_capacity() {
         let cat = catalog();
         let registry = MetricsRegistry::new();
         let cache = PlanCache::new(2, &registry);
         let cold = plan(&cat, &filtered_group(5));
-        cache.insert("a".into(), 1, &cold);
-        cache.insert("b".into(), 1, &cold);
+        let (a, b, c) = (prepared_key("a"), prepared_key("b"), prepared_key("c"));
+        cache.insert(a.clone(), generation(1), &cold);
+        cache.insert(b.clone(), generation(1), &cold);
         assert_eq!(cache.len(), 2);
         // Touch "a" so "b" is the LRU victim.
-        let _ = cache.lookup("a", 1, &filtered_group(9), &cat, true);
-        cache.insert("c".into(), 1, &cold);
+        let fresh = filtered_group(9);
+        assert!(hit(cache.lookup(&a, generation(1), &fresh, &cat)).is_some());
+        cache.insert(c, generation(1), &cold);
         assert_eq!(cache.len(), 2);
-        assert!(cache
-            .lookup("b", 1, &filtered_group(9), &cat, true)
-            .is_none());
-        assert!(cache
-            .lookup("a", 1, &filtered_group(9), &cat, true)
-            .is_some());
-        // A new generation sweeps everything from the old one.
-        cache.insert("d".into(), 2, &cold);
-        assert_eq!(cache.len(), 1);
+        assert!(hit(cache.lookup(&b, generation(1), &fresh, &cat)).is_none());
+        assert!(hit(cache.lookup(&a, generation(1), &fresh, &cat)).is_some());
+        // Re-planning a key after DDL replaces its entry in place.
+        cache.insert(a.clone(), generation(2), &cold);
+        assert_eq!(cache.len(), 2);
+        assert!(hit(cache.lookup(&a, generation(2), &fresh, &cat)).is_some());
         let snap = registry.snapshot();
-        assert_eq!(snap.counter(names::PLAN_CACHE_EVICTIONS), Some(3));
-        assert_eq!(snap.gauge(names::PLAN_CACHE_ENTRIES), Some(1));
+        assert_eq!(snap.counter(names::PLAN_CACHE_EVICTIONS), Some(2));
+        assert_eq!(snap.gauge(names::PLAN_CACHE_ENTRIES), Some(2));
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(
@@ -503,23 +754,14 @@ mod tests {
                 .relation()
                 .unwrap(),
         );
-        let cold = optimize_full_dop(
-            &filtered_group(5),
-            &cat,
-            OptimizerMode::Deep,
-            &TupleCostModel,
-            None,
-            PropertyModel::AttributeStrict,
-            4,
-        )
-        .unwrap();
+        let cold = plan_at(&cat, &filtered_group(5), 4);
         let registry = MetricsRegistry::new();
         let cache = PlanCache::new(8, &registry);
-        cache.insert("k".into(), 1, &cold);
-        let hit = cache
-            .lookup("k", 1, &filtered_group(77), &cat, true)
-            .expect("hit");
-        let text = hit.plan.explain();
+        let key = prepared_key("k");
+        cache.insert(key.clone(), generation(1), &cold);
+        let served =
+            hit(cache.lookup(&key, generation(1), &filtered_group(77), &cat)).expect("hit");
+        let text = served.plan.explain();
         assert!(text.contains("key < 77"), "{text}");
     }
 
@@ -541,21 +783,11 @@ mod tests {
         let cold = plan(&cat, &with_values(1, 5));
         let registry = MetricsRegistry::new();
         let cache = PlanCache::new(8, &registry);
-        cache.insert("k".into(), 1, &cold);
-        let hit = cache
-            .lookup("k", 1, &with_values(30, 60), &cat, true)
-            .expect("hit");
-        let text = hit.plan.explain();
+        let key = prepared_key("k");
+        cache.insert(key.clone(), generation(1), &cold);
+        let served =
+            hit(cache.lookup(&key, generation(1), &with_values(30, 60), &cat)).expect("hit");
+        let text = served.plan.explain();
         assert!(text.contains("key >= 30 AND key < 60"), "{text}");
-    }
-
-    #[test]
-    fn string_comparison_shapes_mask_the_constant() {
-        let p = Predicate::Compare {
-            column: "s".into(),
-            op: CmpOp::Eq,
-            value: Value::Str("x".into()),
-        };
-        assert_eq!(predicate_shape(&p), "s = ?");
     }
 }

@@ -106,7 +106,10 @@ impl<'a> PropertyBuilder<'a> {
         parts: Option<&[usize]>,
     ) -> f64 {
         let base = estimate_selectivity(predicate, props);
-        if let (Some(store), Some(table)) = (self.feedback, table) {
+        // An empty store is one atomic load: no shape is rendered and no
+        // lock taken on the search path until something was learned.
+        let feedback = self.feedback.filter(|store| !store.is_empty());
+        if let (Some(store), Some(table)) = (feedback, table) {
             if let Some(version) = self.catalog.stats_version_for(table, parts) {
                 if let Some(factor) = store.correction(table, &predicate.shape(), version) {
                     self.applied.set(self.applied.get() + 1);

@@ -15,19 +15,16 @@
 //! possible reoptimisation point.
 //!
 //! All three planning calls (static comparison plan, input sub-plan,
-//! re-grouped remainder) share **one memo**: the input sub-plan's groups
-//! and winner tables are built once and answered from the memo
-//! thereafter, and stage 3 only pays for the two new groups over the
-//! observed intermediate — registering that brand-new table moves the
-//! catalog's statistics clock, but cannot invalidate any existing group,
-//! so the memo [adopts](Memo::adopt_stamp) the new stamp instead of
-//! clearing. Before the memo, every stage re-ran the full dynamic
-//! program from scratch.
+//! re-grouped remainder) share **one memo**, private to this call: the
+//! input sub-plan's groups and winner tables are built once and answered
+//! from the memo thereafter, and stage 3 only pays for the two new
+//! groups over the observed intermediate — registering that brand-new
+//! table cannot invalidate any existing group, so nothing is cleared.
 
 use crate::catalog::Catalog;
 use crate::cost::TupleCostModel;
 use crate::executor::{execute_with_avs, ExecOutput};
-use crate::memo::{Memo, MemoOptimizer, MemoStamp};
+use crate::memo::{Memo, MemoOptimizer};
 use crate::optimizer::{OptimizerMode, PlannedQuery, PropertyModel};
 use crate::Result;
 use dqo_plan::{LogicalPlan, PhysicalPlan};
@@ -81,7 +78,6 @@ pub fn execute_adaptively(
     mode: OptimizerMode,
 ) -> Result<(ExecOutput, ReoptReport)> {
     let mut memo = Memo::new();
-    memo.ensure_stamp(MemoStamp::current(catalog, None, None));
 
     let LogicalPlan::GroupBy { input, keys, aggs } = logical else {
         let planned = plan_shared(&mut memo, logical, catalog, mode)?;
@@ -131,11 +127,9 @@ pub fn execute_adaptively(
         .join("; ");
 
     // Stage 3: re-plan **only** the remaining grouping group against the
-    // observed table. Registering `tmp` moved the statistics clock, but a
-    // brand-new table invalidates nothing the memo holds, so adopt the
-    // stamp instead of clearing — the join/scan winner tables from the
-    // static plan stay warm and only the grouping is re-costed.
-    memo.adopt_stamp(MemoStamp::current(catalog, None, None));
+    // observed table. A brand-new table invalidates nothing the memo
+    // holds: the join/scan winner tables from the static plan stay warm
+    // and only the grouping is re-costed.
     let groups_before = memo.group_count();
     let regroup = LogicalPlan::group_by_multi(LogicalPlan::scan(tmp), keys.clone(), aggs.clone());
     let replanned = plan_shared(&mut memo, &regroup, catalog, mode)?;
