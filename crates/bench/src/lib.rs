@@ -1,22 +1,20 @@
 //! # dqo-bench — the harness that regenerates every table and figure of
 //! *The Case for Deep Query Optimisation*.
 //!
-//! | Paper artefact | Binary | Criterion bench |
-//! |---|---|---|
-//! | Figure 4 (grouping runtime vs #groups, 4 datasets) | `fig4` | `fig4_grouping` |
-//! | Figure 4 zoom-in (BSG beats HG ≤ ~14 groups) | `crossover` | `crossover_bsg_hg` |
-//! | Figure 5 (DQO/SQO improvement factors) | `fig5` | `fig5_dqo_dp` |
-//! | Table 1 (granularity ladder) | `table1` | — |
-//! | Table 2 (cost models) | `table2` | — |
-//! | AVSP ablation (E7) | `avsp` | `avsp_selection` |
-//! | Unnest-depth / optimisation-time ablation (E8) | `depth_ablation` | `opt_time` |
-//! | Hash-table molecule ablation (E9) | `molecules` | `hashtable_molecules` |
-//! | Parallel scaling (morsel-driven HJ/SPHG) | `scaling` | `scaling` |
-//! | Parallel sort subsystem (SORT/SOG/SOJ + queue pressure) | `sort_scaling` | — |
-//! | Inter-query concurrency (shared pool + admission) | `concurrency` | — |
-//! | Network serving (socket clients, prepared statements, plan cache) | `serving` | — |
-//! | Mixed read/write serving (INSERT + incremental AV maintenance) | `mixed_rw` | — |
-//! | Offline AV builds (per-kind speedup + queue pressure) | `av_build` | — |
+//! | Paper artefact | Binary |
+//! |---|---|
+//! | Figure 4 (grouping runtime vs #groups, 4 datasets) | `fig4` |
+//! | Figure 4 zoom-in (BSG beats HG ≤ ~14 groups) | `crossover` |
+//! | Figure 5 (DQO/SQO improvement factors) | `fig5` |
+//! | Table 1 (granularity ladder) | `table1` |
+//! | Table 2 (cost models) | `table2` |
+//! | AVSP ablation (E7) | `avsp` |
+//! | Unnest-depth / optimisation-time ablation (E8) | `depth_ablation` |
+//! | Hash-table molecule ablation (E9) | `molecules` |
+//! | Adaptive-AV convergence (cracking; extension, §6) | `cracking` |
+//!
+//! Serving, concurrency and scaling are measured by the `spine` package
+//! at the repository root (`BENCHMARK.json` is its contract), not here.
 //!
 //! Binaries print the same rows/series the paper reports, plus `--csv`.
 //! Dataset sizes default to laptop scale; `--full` switches to the paper's
@@ -25,15 +23,9 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod av_build;
-pub mod concurrency;
 pub mod fig4;
 pub mod fig5;
-pub mod mixed_rw;
 pub mod report;
-pub mod scaling;
-pub mod serving;
-pub mod sort_scaling;
 
 /// Parse `--key value` style arguments (plus boolean flags) very simply.
 #[derive(Debug, Clone, Default)]
@@ -59,10 +51,28 @@ impl Args {
         self.raw.iter().any(|a| a == name)
     }
 
-    /// Value of `--key <value>`, parsed.
+    /// Value of `--key <value>`, parsed; a value that is present but does
+    /// not parse ends the process with an error naming the flag, so a run
+    /// is never labelled with a size it did not use.
     pub fn value<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
-        let idx = self.raw.iter().position(|a| a == name)?;
-        self.raw.get(idx + 1)?.parse().ok()
+        self.try_value(name).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
+    }
+
+    /// [`Args::value`] with the malformed case returned instead of fatal.
+    fn try_value<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        let Some(idx) = self.raw.iter().position(|a| a == name) else {
+            return Ok(None);
+        };
+        match self.raw.get(idx + 1) {
+            None => Ok(None),
+            Some(raw) => raw
+                .parse()
+                .map(Some)
+                .map_err(|_| format!("invalid value {raw:?} for {name}")),
+        }
     }
 }
 
@@ -77,6 +87,11 @@ mod tests {
         assert!(!a.flag("--full"));
         assert_eq!(a.value::<usize>("--rows"), Some(1000));
         assert_eq!(a.value::<usize>("--groups"), None);
+        for bad in ["1e6", "1_000_000"] {
+            let a = Args::from_vec(vec!["--rows".into(), bad.into()]);
+            let err = a.try_value::<usize>("--rows").unwrap_err();
+            assert!(err.contains("--rows") && err.contains(bad), "{err}");
+        }
     }
 
     #[test]

@@ -19,7 +19,8 @@
 
 use crate::av::{plan_av, Av, AvCatalog, AvKind, AvSignature};
 use crate::catalog::Catalog;
-use crate::optimizer::{optimize_with_avs, OptimizerMode};
+use crate::memo::Memo;
+use crate::optimizer::{optimize_in, OptimizerMode, SearchContext};
 use crate::Result;
 use dqo_plan::LogicalPlan;
 use std::sync::Arc;
@@ -106,7 +107,11 @@ pub fn workload_cost(
     }
     let mut total = 0.0;
     for q in workload {
-        let planned = optimize_with_avs(&q.plan, catalog, OptimizerMode::Deep, &avs)?;
+        let ctx = SearchContext {
+            avs: Some(&avs),
+            ..SearchContext::new(OptimizerMode::Deep)
+        };
+        let planned = optimize_in(&mut Memo::new(), &q.plan, catalog, &ctx)?;
         total += q.weight * planned.est_cost;
     }
     Ok(total)

@@ -85,10 +85,10 @@ impl Catalog {
 
     /// Register (or replace) a table, computing exact column statistics.
     pub fn register(&self, name: impl Into<String>, relation: Relation) -> Arc<TableEntry> {
-        let generation = self.generations.fetch_add(1, Ordering::Relaxed);
-        let entry = Arc::new(TableEntry::from_relation(Arc::new(relation), generation, 0));
-        self.publish(name.into(), &entry);
-        entry
+        self.publish(
+            name.into(),
+            TableEntry::from_relation(Arc::new(relation), 0, 0),
+        )
     }
 
     /// Register (or replace) a **partitioned** table. The flat relation
@@ -100,24 +100,26 @@ impl Catalog {
         name: impl Into<String>,
         partitioned: PartitionedRelation,
     ) -> Arc<TableEntry> {
-        let generation = self.generations.fetch_add(1, Ordering::Relaxed);
         let partitioning = Arc::new(partitioned.partitioning().clone());
-        let entry = Arc::new(
-            TableEntry::from_relation(Arc::new(partitioned.flat().clone()), generation, 0)
+        self.publish(
+            name.into(),
+            TableEntry::from_relation(Arc::new(partitioned.flat().clone()), 0, 0)
                 .with_partitioning(Some(partitioning)),
-        );
-        self.publish(name.into(), &entry);
-        entry
+        )
     }
 
-    /// Insert a registered entry, then move the statistics clock while
-    /// still holding the write lock: a planner that reads the new clock
-    /// value can only take its read lock after this one is released, so
-    /// it never stamps a plan costed from the old entry as current.
-    fn publish(&self, name: String, entry: &Arc<TableEntry>) {
+    /// Stamp a freshly registered entry with its registration generation
+    /// and insert it, moving the DDL and statistics clocks while holding
+    /// the write lock: a planner that reads a new clock value can only
+    /// take its read lock after this one is released, so it never stamps
+    /// a plan costed from the old entry as current.
+    fn publish(&self, name: String, mut entry: TableEntry) -> Arc<TableEntry> {
         let mut tables = self.tables.write();
-        tables.insert(name, Arc::clone(entry));
+        entry.generation = self.generations.fetch_add(1, Ordering::Relaxed);
+        let entry = Arc::new(entry);
+        tables.insert(name, Arc::clone(&entry));
         self.stats_generations.fetch_add(1, Ordering::Relaxed);
+        entry
     }
 
     /// Swap a table's rows in place — the append path. Statistics are
@@ -368,6 +370,32 @@ mod tests {
         assert_eq!(cat.current_generation(), g2, "no-op drop does not bump");
         assert!(cat.drop_table("t"));
         assert!(cat.current_generation() > g2, "real drop bumps");
+    }
+
+    #[test]
+    fn ddl_clock_never_runs_ahead_of_the_visible_entry() {
+        // A reader that sees the clock at `g` must find an entry from
+        // registration `g - 1` or later: otherwise it would cost a plan
+        // against the old entry and store it under the new generation.
+        let cat = Catalog::new();
+        cat.register("t", Relation::single_u32("key", vec![0]));
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                for v in 1..2_000u32 {
+                    cat.register("t", Relation::single_u32("key", vec![v]));
+                }
+                done.store(true, Ordering::Relaxed);
+            });
+            start.wait();
+            while !done.load(Ordering::Relaxed) {
+                let clock = cat.current_generation();
+                let seen = cat.get("t").unwrap().generation;
+                assert!(seen + 1 >= clock, "clock {clock} ahead of entry {seen}");
+            }
+        });
     }
 
     #[test]

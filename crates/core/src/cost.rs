@@ -28,9 +28,10 @@ pub fn log2(x: f64) -> f64 {
 }
 
 /// Per-batch overhead of dispatching a parallel operator onto the
-/// persistent pool, in the model's tuple-operation units: seeding the
-/// batch queues, taking the submit lock, and the final join handshake
-/// cost about as much as streaming this many tuples.
+/// persistent pool, in the model's tuple-operation units: cutting the
+/// batch into per-runner blocks, one push onto the pool's job queue, and
+/// the final join handshake cost about as much as streaming this many
+/// tuples.
 pub const PARALLEL_BATCH_TUPLES: f64 = 1_000.0;
 
 /// Per-worker dispatch overhead of a parallel batch: waking one parked

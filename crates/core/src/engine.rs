@@ -10,11 +10,10 @@ use crate::av_build::{AvBuildHandle, AvBuilder};
 use crate::av_delta::{MaintenanceReport, ViewMaintainer};
 use crate::avsp::{self, AvspSolution, Solver, WorkloadQuery};
 use crate::catalog::Catalog;
-use crate::cost::TupleCostModel;
-use crate::executor::{execute_on_pool, execute_traced, execute_with_avs, ExecOutput};
+use crate::executor::{execute_with, ExecContext, ExecOutput};
 use crate::feedback::FeedbackStore;
-use crate::memo::{Memo, MemoOptimizer, MemoStamp, MemoStats};
-use crate::optimizer::{OptimizerMode, PlannedQuery, PropertyModel};
+use crate::memo::{Memo, MemoStamp, MemoStats};
+use crate::optimizer::{optimize_in, OptimizerMode, PlannedQuery, PropertyModel, SearchContext};
 use crate::plan_cache::{plan_shape, text_hash, Knobs, Lookup, PlanCache, StoreKey, Validity};
 use crate::profile::{render_annotated_with, PlanRuntime};
 use crate::Result;
@@ -363,9 +362,9 @@ impl Engine {
 
     /// A combined metrics snapshot: the engine's registry (queries,
     /// phase histograms, AV builds) merged with the session pool's
-    /// (workers, jobs, steals, parks, admission). Note this resolves the
-    /// pool, forcing the process-global pool into existence for a
-    /// default engine.
+    /// (workers, jobs, parks, batch steals, admission). Note this
+    /// resolves the pool, forcing the process-global pool into existence
+    /// for a default engine.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.obs.registry.snapshot();
         snap.merge(&self.pool().metrics_snapshot());
@@ -560,18 +559,15 @@ impl Engine {
     /// sessions sharing this engine search concurrently.
     fn search(&self, logical: &LogicalPlan, dop: usize) -> Result<PlannedQuery> {
         let mut memo = Memo::new();
-        let planned = MemoOptimizer::new(
-            &mut memo,
-            &self.catalog,
-            self.mode,
-            &TupleCostModel,
-            Some(&self.avs),
-            self.pmodel,
+        let ctx = SearchContext {
+            avs: Some(&self.avs),
+            pmodel: self.pmodel,
             dop,
-            Some(&self.feedback),
-        )
-        .with_pruning(self.pruning)
-        .optimize(logical);
+            feedback: Some(&self.feedback),
+            pruning: self.pruning,
+            ..SearchContext::new(self.mode)
+        };
+        let planned = optimize_in(&mut memo, logical, &self.catalog, &ctx);
         self.searches.record(&memo);
         self.obs.record_search(&memo);
         planned
@@ -664,21 +660,13 @@ impl Engine {
         queue_wait: Duration,
     ) -> Result<QueryResult> {
         let began = trace.begin();
-        let (output, ops) = if trace.is_enabled() {
-            let (output, nodes) = execute_traced(
-                &planned.plan,
-                &self.catalog,
-                Some(&self.avs),
-                self.pool.as_ref(),
-            )?;
-            (output, PlanRuntime { nodes })
-        } else {
-            let output = match &self.pool {
-                Some(pool) => execute_on_pool(&planned.plan, &self.catalog, Some(&self.avs), pool)?,
-                None => execute_with_avs(&planned.plan, &self.catalog, Some(&self.avs))?,
-            };
-            (output, PlanRuntime::default())
+        let ctx = ExecContext {
+            avs: Some(&self.avs),
+            pool: self.pool.as_ref(),
+            collect_metrics: trace.is_enabled(),
         };
+        let (output, nodes) = execute_with(&planned.plan, &self.catalog, &ctx)?;
+        let ops = PlanRuntime { nodes };
         let exec_wall = trace.end(Phase::Execute, began);
         self.obs.exec.observe_duration(exec_wall);
         self.obs.exec_bytes.add(output.bytes_materialised);

@@ -57,66 +57,45 @@ pub struct ExecOutput {
     pub bytes_materialised: u64,
 }
 
+/// What an execution takes besides the plan and the catalog; the default
+/// is what [`execute`] runs with.
+#[derive(Clone, Copy, Default)]
+pub struct ExecContext<'a> {
+    /// Materialised Algorithmic Views the plan was optimised against
+    /// (prebuilt SPH join indexes are probed instead of rebuilt;
+    /// relation-shaped AVs are plain catalog tables already).
+    pub avs: Option<&'a AvCatalog>,
+    /// The pool Exchange nodes dispatch onto — the engine's shared-pool
+    /// serving mode routes every session's batches through one. `None`
+    /// resolves the process-wide shared pool lazily: a plan with no
+    /// Exchange never spawns pool workers.
+    pub pool: Option<&'a Arc<PersistentPool>>,
+    /// Collect per-operator metrics (see [`execute_with`]).
+    pub collect_metrics: bool,
+}
+
 /// Execute a physical plan against the catalog.
 pub fn execute(plan: &PhysicalPlan, catalog: &Catalog) -> Result<ExecOutput> {
-    execute_with_avs(plan, catalog, None)
+    execute_with(plan, catalog, &ExecContext::default()).map(|(out, _)| out)
 }
 
-/// Execute, reusing materialised Algorithmic Views where the plan was
-/// optimised against them (prebuilt SPH join indexes are probed instead of
-/// rebuilt; relation-shaped AVs are plain catalog tables already).
-/// Exchange nodes dispatch onto the process-wide shared pool, resolved
-/// lazily — a plan with no Exchange never spawns pool workers; use
-/// [`execute_on_pool`] to target a specific pool.
-pub fn execute_with_avs(
-    plan: &PhysicalPlan,
-    catalog: &Catalog,
-    avs: Option<&AvCatalog>,
-) -> Result<ExecOutput> {
-    exec_root(plan, catalog, avs, None, false).map(|(out, _)| out)
-}
-
-/// Execute with Exchange nodes dispatching onto `pool` — the engine's
-/// shared-pool serving mode routes every session's batches through here
-/// so they multiplex one set of persistent workers.
-pub fn execute_on_pool(
-    plan: &PhysicalPlan,
-    catalog: &Catalog,
-    avs: Option<&AvCatalog>,
-    pool: &Arc<PersistentPool>,
-) -> Result<ExecOutput> {
-    exec_root(plan, catalog, avs, Some(pool), false).map(|(out, _)| out)
-}
-
-/// [`execute_on_pool`] with per-operator instrumentation: alongside the
-/// output, returns one [`OperatorMetrics`] per plan node in pre-order
+/// The general entry point. With `ctx.collect_metrics`, alongside the
+/// output it returns one [`OperatorMetrics`] per plan node in pre-order
 /// (the numbering of [`PhysicalPlan::preorder`] and the `explain` line
 /// order), carrying actual rows, inclusive wall time, the node's
 /// pipeline-stats contribution, the bytes it copied, and — for `Exchange`
-/// nodes — the DOP, morsels dispatched and morsel steals. The relation
-/// produced is bit-identical to the untraced path: instrumentation only
-/// reads clocks and counters, never the data. `pool: None` resolves the
-/// process-global pool lazily, exactly like [`execute_with_avs`].
-pub fn execute_traced(
+/// nodes — the DOP, morsels dispatched and morsel steals; otherwise the
+/// vector is empty. The relation produced is bit-identical either way:
+/// instrumentation only reads clocks and counters, never the data.
+pub fn execute_with(
     plan: &PhysicalPlan,
     catalog: &Catalog,
-    avs: Option<&AvCatalog>,
-    pool: Option<&Arc<PersistentPool>>,
-) -> Result<(ExecOutput, Vec<OperatorMetrics>)> {
-    exec_root(plan, catalog, avs, pool, true)
-}
-
-fn exec_root(
-    plan: &PhysicalPlan,
-    catalog: &Catalog,
-    avs: Option<&AvCatalog>,
-    preset: Option<&Arc<PersistentPool>>,
-    collect: bool,
+    ctx: &ExecContext<'_>,
 ) -> Result<(ExecOutput, Vec<OperatorMetrics>)> {
     // The pool is resolved only if the plan actually reaches an Exchange
     // node, so serial plans never force the process-global pool (and its
     // parked worker threads) into existence.
-    let resolve = move || match preset {
+    let resolve = move || match ctx.pool {
         Some(pool) => Arc::clone(pool),
         None => PersistentPool::global(),
     };
@@ -124,12 +103,12 @@ fn exec_root(
     join_needs(plan, None, &mut needs);
     let mut exec = Exec {
         catalog,
-        avs,
+        avs: ctx.avs,
         pool: &resolve,
         needs,
         stats: PipelineStats::default(),
         bytes: 0,
-        obs: collect.then(|| OpCollector::new(plan)),
+        obs: ctx.collect_metrics.then(|| OpCollector::new(plan)),
     };
     let view = exec.run(plan, None)?;
     // The one whole-relation copy: the root materialises its selection

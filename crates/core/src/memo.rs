@@ -13,7 +13,7 @@
 //! differing only in a literal are distinct groups.
 //!
 //! A memo lives as long as the search that built it (Cascades' memo, as
-//! optd keeps it): the engine and the free `optimize_*` entry points
+//! optd keeps it): the engine and [`crate::optimizer::optimize`]
 //! build one per call and drop it with the answer, so its size is
 //! O(plan), never O(history). What persists between statements is the
 //! chosen plan, in the engine's [plan store](crate::plan_cache); the
@@ -34,7 +34,9 @@ use crate::catalog::Catalog;
 use crate::cost::CostModel;
 use crate::error::CoreError;
 use crate::feedback::FeedbackStore;
-use crate::optimizer::{candidate_order, Candidate, OptimizerMode, PlannedQuery, PropertyModel};
+use crate::optimizer::{
+    candidate_order, Candidate, OptimizerMode, PlannedQuery, PropertyModel, SearchContext,
+};
 use crate::property_builder::PropertyBuilder;
 use crate::Result;
 use dqo_plan::LogicalPlan;
@@ -223,35 +225,18 @@ pub struct MemoOptimizer<'a> {
 
 impl<'a> MemoOptimizer<'a> {
     /// Bind a memo to an optimisation context.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        memo: &'a mut Memo,
-        catalog: &'a Catalog,
-        mode: OptimizerMode,
-        model: &'a dyn CostModel,
-        avs: Option<&'a AvCatalog>,
-        pmodel: PropertyModel,
-        dop: usize,
-        feedback: Option<&'a FeedbackStore>,
-    ) -> Self {
+    pub fn new(memo: &'a mut Memo, catalog: &'a Catalog, ctx: &SearchContext<'a>) -> Self {
         MemoOptimizer {
             memo,
             catalog,
-            mode,
-            model,
-            avs,
-            pmodel,
-            dop: dop.max(1),
-            pruning: crate::partition_prune::prune_default(),
-            props: PropertyBuilder::with_feedback(catalog, feedback),
+            mode: ctx.mode,
+            model: ctx.model,
+            avs: ctx.avs,
+            pmodel: ctx.pmodel,
+            dop: ctx.dop.max(1),
+            pruning: ctx.pruning,
+            props: PropertyBuilder::with_feedback(catalog, ctx.feedback),
         }
-    }
-
-    /// Override whether the partition-pruning rule fires (default: the
-    /// `DQO_PRUNE` environment knob).
-    pub fn with_pruning(mut self, pruning: bool) -> Self {
-        self.pruning = pruning;
-        self
     }
 
     /// Optimise a logical plan: intern it, explore its group, return the
@@ -316,7 +301,6 @@ impl<'a> MemoOptimizer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::TupleCostModel;
     use dqo_plan::expr::AggExpr;
     use dqo_storage::datagen::DatasetSpec;
 
@@ -341,18 +325,11 @@ mod tests {
     }
 
     fn optimize_in(memo: &mut Memo, cat: &Catalog, q: &LogicalPlan) -> PlannedQuery {
-        MemoOptimizer::new(
-            memo,
-            cat,
-            OptimizerMode::Deep,
-            &TupleCostModel,
-            None,
-            PropertyModel::AttributeStrict,
-            1,
-            None,
-        )
-        .optimize(q)
-        .unwrap()
+        let ctx = SearchContext {
+            pmodel: PropertyModel::AttributeStrict,
+            ..SearchContext::new(OptimizerMode::Deep)
+        };
+        crate::optimizer::optimize_in(memo, q, cat, &ctx).unwrap()
     }
 
     #[test]

@@ -21,14 +21,15 @@
 //! under both modes yields Figure 5's improvement factors.
 //!
 //! Since PR 9 the enumeration itself lives in the memo engine
-//! ([`crate::memo`] + `crate::rules`): every entry point below interns
-//! the query into a fresh [`crate::memo::Memo`] and fires the uniform
-//! rule set. This file keeps the public API, the candidate/pruning
+//! ([`crate::memo`] + `crate::rules`): both entry points below intern
+//! the query into a [`crate::memo::Memo`] and fire the uniform rule
+//! set. This file keeps the public API, the candidate/pruning
 //! vocabulary, and the estimation arithmetic the rules share.
 
 use crate::av::AvCatalog;
 use crate::catalog::Catalog;
 use crate::cost::{CostModel, TupleCostModel};
+use crate::feedback::FeedbackStore;
 use crate::memo::{Memo, MemoOptimizer};
 use crate::Result;
 use dqo_plan::expr::Predicate;
@@ -113,99 +114,75 @@ pub struct PlannedQuery {
     pub mode: OptimizerMode,
 }
 
-/// Optimise `logical` against `catalog` with the Table 2 cost model under
-/// the paper's stream property model (reproduces Figure 5 verbatim).
+/// Everything a search reads besides the query and the catalog. Build
+/// one with [`SearchContext::new`] (the paper's defaults) and override
+/// fields with struct-update syntax.
+#[derive(Clone, Copy)]
+pub struct SearchContext<'a> {
+    /// Shallow (SQO) or deep (DQO) property visibility.
+    pub mode: OptimizerMode,
+    /// The cost model candidates are priced with.
+    pub model: &'a dyn CostModel,
+    /// Registered Algorithmic Views (§3): an applicable AV becomes a
+    /// zero-build-cost leaf alternative.
+    pub avs: Option<&'a AvCatalog>,
+    /// How sortedness propagates through operators.
+    pub pmodel: PropertyModel,
+    /// Granted degree of parallelism: above 1 the search also enumerates,
+    /// for every parallelisable organelle, an
+    /// [`PhysicalPlan::Exchange`]-wrapped twin costed with the parallel
+    /// extension of the cost model — so plans only go parallel when the
+    /// dispatch + merge overhead pays.
+    pub dop: usize,
+    /// Learned selectivity corrections applied to estimates.
+    pub feedback: Option<&'a FeedbackStore>,
+    /// Whether the partition-pruning rule fires.
+    pub pruning: bool,
+}
+
+impl SearchContext<'_> {
+    /// The paper's configuration under `mode`: Table 2 cost model, no
+    /// AVs, stream property model (reproduces Figure 5 verbatim), serial
+    /// plans, no feedback, pruning as the `DQO_PRUNE` environment says.
+    pub fn new(mode: OptimizerMode) -> Self {
+        SearchContext {
+            mode,
+            model: &TupleCostModel,
+            avs: None,
+            pmodel: PropertyModel::PaperStream,
+            dop: 1,
+            feedback: None,
+            pruning: crate::partition_prune::prune_default(),
+        }
+    }
+}
+
+/// Optimise `logical` against `catalog` under the paper's defaults
+/// ([`SearchContext::new`]).
 pub fn optimize(
     logical: &LogicalPlan,
     catalog: &Catalog,
     mode: OptimizerMode,
 ) -> Result<PlannedQuery> {
-    optimize_with(logical, catalog, mode, &TupleCostModel)
-}
-
-/// Optimise under the sound attribute-strict property model.
-pub fn optimize_strict(
-    logical: &LogicalPlan,
-    catalog: &Catalog,
-    mode: OptimizerMode,
-) -> Result<PlannedQuery> {
-    optimize_full(
+    optimize_in(
+        &mut Memo::new(),
         logical,
         catalog,
-        mode,
-        &TupleCostModel,
-        None,
-        PropertyModel::AttributeStrict,
+        &SearchContext::new(mode),
     )
 }
 
-/// Optimise with an explicit cost model (paper property model).
-pub fn optimize_with(
+/// The general entry point: search for `logical`'s cheapest plan under
+/// `ctx`, in `memo`. A memo is scratch for one search — pass a fresh one
+/// unless several related trees are planned in a row and should share
+/// winner tables.
+pub fn optimize_in(
+    memo: &mut Memo,
     logical: &LogicalPlan,
     catalog: &Catalog,
-    mode: OptimizerMode,
-    model: &dyn CostModel,
+    ctx: &SearchContext<'_>,
 ) -> Result<PlannedQuery> {
-    optimize_full(
-        logical,
-        catalog,
-        mode,
-        model,
-        None,
-        PropertyModel::PaperStream,
-    )
-}
-
-/// Optimise while also considering registered Algorithmic Views (§3):
-/// an applicable AV becomes a zero-build-cost leaf alternative.
-pub fn optimize_with_avs(
-    logical: &LogicalPlan,
-    catalog: &Catalog,
-    mode: OptimizerMode,
-    avs: &AvCatalog,
-) -> Result<PlannedQuery> {
-    optimize_full(
-        logical,
-        catalog,
-        mode,
-        &TupleCostModel,
-        Some(avs),
-        PropertyModel::PaperStream,
-    )
-}
-
-/// The fully general entry point (serial plans only; see
-/// [`optimize_full_dop`] for DOP-aware planning).
-pub fn optimize_full(
-    logical: &LogicalPlan,
-    catalog: &Catalog,
-    mode: OptimizerMode,
-    model: &dyn CostModel,
-    avs: Option<&AvCatalog>,
-    pmodel: PropertyModel,
-) -> Result<PlannedQuery> {
-    optimize_full_dop(logical, catalog, mode, model, avs, pmodel, 1)
-}
-
-/// The fully general, DOP-aware entry point: with `dop > 1` the DP also
-/// enumerates, for every parallelisable organelle (HG/SPHG groupings,
-/// HJ/SPHJ joins, filters), an [`PhysicalPlan::Exchange`]-wrapped twin
-/// costed with the parallel extension of the cost model — so plans only
-/// go parallel when the startup + merge overhead pays.
-#[allow(clippy::too_many_arguments)]
-pub fn optimize_full_dop(
-    logical: &LogicalPlan,
-    catalog: &Catalog,
-    mode: OptimizerMode,
-    model: &dyn CostModel,
-    avs: Option<&AvCatalog>,
-    pmodel: PropertyModel,
-    dop: usize,
-) -> Result<PlannedQuery> {
-    // A memo is scratch for one search (the engine builds one per
-    // search too; only its plan store persists).
-    let mut memo = Memo::new();
-    MemoOptimizer::new(&mut memo, catalog, mode, model, avs, pmodel, dop, None).optimize(logical)
+    MemoOptimizer::new(memo, catalog, ctx).optimize(logical)
 }
 
 /// Expose the full (pruned) candidate set of the root — used by tests and
@@ -215,18 +192,7 @@ pub fn enumerate_candidates(
     catalog: &Catalog,
     mode: OptimizerMode,
 ) -> Result<Vec<Candidate>> {
-    let mut memo = Memo::new();
-    MemoOptimizer::new(
-        &mut memo,
-        catalog,
-        mode,
-        &TupleCostModel,
-        None,
-        PropertyModel::PaperStream,
-        1,
-        None,
-    )
-    .candidates(logical)
+    MemoOptimizer::new(&mut Memo::new(), catalog, &SearchContext::new(mode)).candidates(logical)
 }
 
 /// Interesting-property pruning: keep the cheapest candidate per property
@@ -529,16 +495,11 @@ mod tests {
                     .unwrap(),
             );
             let q = LogicalPlan::sort(LogicalPlan::scan("t"), "key");
-            optimize_full_dop(
-                &q,
-                &cat,
-                OptimizerMode::Deep,
-                &TupleCostModel,
-                None,
-                PropertyModel::PaperStream,
+            let ctx = SearchContext {
                 dop,
-            )
-            .unwrap()
+                ..SearchContext::new(OptimizerMode::Deep)
+            };
+            optimize_in(&mut Memo::new(), &q, &cat, &ctx).unwrap()
         };
         let small = plan_for(2_000, 4);
         assert!(
@@ -584,16 +545,11 @@ mod tests {
         cat.register("S", s);
         let q = dqo_plan::logical::example_query_4_3();
         let plan_at = |dop| {
-            optimize_full_dop(
-                &q,
-                &cat,
-                OptimizerMode::Shallow,
-                &TupleCostModel,
-                None,
-                PropertyModel::PaperStream,
+            let ctx = SearchContext {
                 dop,
-            )
-            .unwrap()
+                ..SearchContext::new(OptimizerMode::Shallow)
+            };
+            optimize_in(&mut Memo::new(), &q, &cat, &ctx).unwrap()
         };
         let serial = plan_at(1);
         assert_eq!(serial.plan.algo_signature(), vec!["OG", "OJ", "SORT"]);

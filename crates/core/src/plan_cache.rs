@@ -479,8 +479,8 @@ fn rebind_node(plan: &PhysicalPlan, cx: &RebindCx<'_>, next: &mut usize) -> Opti
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
-    use crate::cost::TupleCostModel;
-    use crate::optimizer::optimize_full_dop;
+    use crate::memo::Memo;
+    use crate::optimizer::{optimize_in, SearchContext};
     use dqo_plan::expr::AggExpr;
     use dqo_plan::CmpOp;
     use dqo_storage::datagen::DatasetSpec;
@@ -498,16 +498,12 @@ mod tests {
     }
 
     fn plan_at(catalog: &Catalog, logical: &LogicalPlan, dop: usize) -> PlannedQuery {
-        optimize_full_dop(
-            logical,
-            catalog,
-            OptimizerMode::Deep,
-            &TupleCostModel,
-            None,
-            PropertyModel::AttributeStrict,
+        let ctx = SearchContext {
+            pmodel: PropertyModel::AttributeStrict,
             dop,
-        )
-        .unwrap()
+            ..SearchContext::new(OptimizerMode::Deep)
+        };
+        optimize_in(&mut Memo::new(), logical, catalog, &ctx).unwrap()
     }
 
     fn plan(catalog: &Catalog, logical: &LogicalPlan) -> PlannedQuery {

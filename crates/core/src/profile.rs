@@ -1,6 +1,6 @@
 //! Per-operator runtime profiles behind `EXPLAIN ANALYZE`.
 //!
-//! The instrumented executor ([`crate::executor::execute_traced`]) hands
+//! The instrumented executor ([`crate::executor::execute_with`]) hands
 //! back one [`OperatorMetrics`] per physical-plan node in pre-order. This
 //! module turns that vector into the annotated tree a user reads:
 //! estimated-vs-actual cardinality per node (the estimates recomputed with

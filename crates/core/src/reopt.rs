@@ -22,10 +22,9 @@
 //! table cannot invalidate any existing group, so nothing is cleared.
 
 use crate::catalog::Catalog;
-use crate::cost::TupleCostModel;
-use crate::executor::{execute_with_avs, ExecOutput};
-use crate::memo::{Memo, MemoOptimizer};
-use crate::optimizer::{OptimizerMode, PlannedQuery, PropertyModel};
+use crate::executor::{execute, ExecOutput};
+use crate::memo::Memo;
+use crate::optimizer::{optimize_in, OptimizerMode, PlannedQuery, PropertyModel, SearchContext};
 use crate::Result;
 use dqo_plan::{LogicalPlan, PhysicalPlan};
 
@@ -57,17 +56,11 @@ fn plan_shared(
     catalog: &Catalog,
     mode: OptimizerMode,
 ) -> Result<PlannedQuery> {
-    MemoOptimizer::new(
-        memo,
-        catalog,
-        mode,
-        &TupleCostModel,
-        None,
-        PropertyModel::AttributeStrict,
-        1,
-        None,
-    )
-    .optimize(logical)
+    let ctx = SearchContext {
+        pmodel: PropertyModel::AttributeStrict,
+        ..SearchContext::new(mode)
+    };
+    optimize_in(memo, logical, catalog, &ctx)
 }
 
 /// Execute `GroupBy(input)` adaptively: run `input`, observe, re-plan the
@@ -81,7 +74,7 @@ pub fn execute_adaptively(
 
     let LogicalPlan::GroupBy { input, keys, aggs } = logical else {
         let planned = plan_shared(&mut memo, logical, catalog, mode)?;
-        let out = execute_with_avs(&planned.plan, catalog, None)?;
+        let out = execute(&planned.plan, catalog)?;
         let sig = planned.plan.algo_signature();
         return Ok((
             out,
@@ -108,7 +101,7 @@ pub fn execute_adaptively(
 
     // Stage 1: plan + execute the input sub-plan.
     let input_planned = plan_shared(&mut memo, input, catalog, mode)?;
-    let intermediate = execute_with_avs(&input_planned.plan, catalog, None)?;
+    let intermediate = execute(&input_planned.plan, catalog)?;
 
     // Stage 2: register the materialised intermediate; its registration
     // computes *exact* observed statistics (sortedness, density, distinct)
@@ -134,7 +127,7 @@ pub fn execute_adaptively(
     let regroup = LogicalPlan::group_by_multi(LogicalPlan::scan(tmp), keys.clone(), aggs.clone());
     let replanned = plan_shared(&mut memo, &regroup, catalog, mode)?;
     let regroup_groups_added = memo.group_count() - groups_before;
-    let out = execute_with_avs(&replanned.plan, catalog, None);
+    let out = execute(&replanned.plan, catalog);
     catalog.drop_table(tmp);
     let mut out = out?;
     // Account the stage-1 pipeline work too.

@@ -138,9 +138,10 @@ pub fn aggregate_bundle_parallel<A: Aggregator>(
     let n = bundle.len();
     let mut states: Vec<A::State> = vec![A::State::default(); n];
     let chunk = n.div_ceil(workers);
-    crossbeam::thread::scope(|scope| {
+    // The scope joins every worker and re-raises a worker's panic here.
+    std::thread::scope(|scope| {
         for (pi, si) in bundle.producers.chunks(chunk).zip(states.chunks_mut(chunk)) {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (p, s) in pi.iter().zip(si.iter_mut()) {
                     for v in p.values(values) {
                         agg.update(s, v);
@@ -148,8 +149,7 @@ pub fn aggregate_bundle_parallel<A: Aggregator>(
                 }
             });
         }
-    })
-    .expect("worker panicked");
+    });
     GroupedResult {
         keys: bundle.producers.iter().map(|p| p.key).collect(),
         states,

@@ -32,11 +32,9 @@ pub use trace::{Phase, PhaseSpan, QueryProfile, TraceBuilder};
 pub mod names {
     /// Runner jobs executed by pool workers (counter).
     pub const POOL_JOBS: &str = "dqo_pool_jobs_total";
-    /// Runner jobs stolen from another worker's deque (counter).
-    pub const POOL_STEALS: &str = "dqo_pool_steals_total";
     /// Times a pool worker parked on the idle condvar (counter).
     pub const POOL_PARKS: &str = "dqo_pool_parks_total";
-    /// Jobs queued and not yet picked up, racy snapshot (gauge).
+    /// Runner jobs in the pool's job queue at snapshot time (gauge).
     pub const POOL_QUEUE_DEPTH: &str = "dqo_pool_queue_depth";
     /// Pool worker count (gauge).
     pub const POOL_WORKERS: &str = "dqo_pool_workers";
@@ -44,7 +42,7 @@ pub mod names {
     pub const POOL_BATCHES: &str = "dqo_pool_batches_total";
     /// Morsel/partition tasks executed across all batches (counter).
     pub const POOL_BATCH_TASKS: &str = "dqo_pool_batch_tasks_total";
-    /// Tasks stolen across runner slots inside batches (counter).
+    /// Tasks a runner slot claimed from another slot's block (counter).
     pub const POOL_BATCH_STEALS: &str = "dqo_pool_batch_steals_total";
     /// Queries (and AV builds) admitted by the controller (counter).
     pub const ADMISSION_ADMITTED: &str = "dqo_admission_admitted_total";
@@ -125,7 +123,6 @@ pub mod names {
     /// cannot ship without a docs entry (and vice versa).
     pub const ALL: &[&str] = &[
         POOL_JOBS,
-        POOL_STEALS,
         POOL_PARKS,
         POOL_QUEUE_DEPTH,
         POOL_WORKERS,

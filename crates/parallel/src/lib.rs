@@ -8,17 +8,17 @@
 //!
 //! * [`morsel`] — cache-sized row ranges, the unit of parallel work;
 //! * [`persistent`] — the [`PersistentPool`]: long-lived workers parked
-//!   on a condvar, a global injector plus per-worker deques that
-//!   interleave jobs from multiple queries, batch handles with blocking
-//!   join, panic capture, and graceful shutdown on drop;
+//!   on a condvar over one job queue that interleaves runner jobs from
+//!   multiple queries, a blocking join per batch, panic capture, and
+//!   graceful shutdown on drop;
 //! * [`admission`] — the [`AdmissionController`]: bounded in-flight
 //!   queries with a FIFO overflow queue and a per-query DOP clamp under
 //!   load, so a shared pool degrades gracefully instead of
 //!   oversubscribing;
 //! * [`pool`] — the [`ThreadPool`] dispatch handle (a DOP plus a pool)
-//!   with the morsel batch APIs; batch-internal scheduling is
-//!   work-stealing over per-runner deques seeded with contiguous morsel
-//!   blocks;
+//!   with the morsel batch APIs; inside a batch each runner claims
+//!   morsels from its own contiguous block through an atomic cursor,
+//!   then from the other runners' blocks;
 //! * [`grouping`] — parallel HG/SPHG: thread-local aggregation with the
 //!   plan's molecules (the HG table/hash pair, the dense SPH array) and a
 //!   deterministic sorted merge; a task's rows come from a loader, so a
@@ -71,7 +71,7 @@ pub use av_build::{parallel_gather, parallel_sph_index_build};
 pub use grouping::{parallel_grouping, parallel_grouping_tasks, GroupingStrategy, Scratch, Sink};
 pub use join::{parallel_hash_join, parallel_sph_join};
 pub use morsel::{morsels, morsels_within, Morsel, DEFAULT_MORSEL_ROWS};
-pub use persistent::{default_threads, BatchHandle, PersistentPool};
+pub use persistent::{default_threads, PersistentPool};
 pub use pool::{BatchObs, PoolError, ThreadPool};
 pub use sort::{
     parallel_argsort, parallel_sog, parallel_sort_index, parallel_sort_merge_join, RunSortMolecule,

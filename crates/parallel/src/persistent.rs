@@ -1,43 +1,39 @@
-//! The persistent work-stealing pool: long-lived workers shared across
-//! queries and sessions.
+//! The persistent pool: long-lived workers shared across queries and
+//! sessions.
 //!
-//! PR 1's scheduler spawned scoped workers per operator batch — fine for
-//! one query (the spawn cost is the cost model's startup term), wasteful
-//! under inter-query concurrency where every operator of every session
-//! pays it again. [`PersistentPool`] keeps `threads` workers alive for
-//! the life of the pool, parked on a condvar when idle:
+//! [`PersistentPool`] keeps `threads` workers alive for the life of the
+//! pool, parked on a condvar when idle, so no operator pays a thread
+//! spawn:
 //!
-//! * **jobs** — the unit the pool schedules is a *runner*: one worker
-//!   slot of one batch. A batch at DOP `d` enqueues `d` runners (or
-//!   `d - 1` when the submitting thread participates), and each runner
-//!   drains the batch's own `WorkQueues` — so work stealing happens at
-//!   two levels: runners across pool workers, morsels across runners.
-//! * **a global injector plus per-worker deques** — runners are
-//!   round-robined across the per-worker deques (overflow beyond the
-//!   worker count goes to the injector), so the queues interleave jobs
-//!   from multiple queries simultaneously; idle workers steal from the
-//!   back of a victim's deque.
-//! * **batch handles** — [`PersistentPool::submit`] returns a
-//!   [`BatchHandle`] whose blocking [`BatchHandle::join`] reports a
-//!   captured task panic as [`PoolError::TaskPanicked`] to the
-//!   submitting query only; other queries sharing the pool are
-//!   unaffected and the workers stay alive.
+//! * **jobs** — the unit the pool schedules is a *runner*: one slot of
+//!   one batch. A batch at DOP `d` enqueues `d - 1` runners (the
+//!   submitting thread is slot 0) and each runner drains the batch's
+//!   `TaskCursors`. Morsels are balanced across runners there; the
+//!   pool itself only hands runners to workers.
+//! * **one job queue** — a FIFO guarded by the mutex the idle condvar
+//!   uses, so enqueue, take, park and shutdown are all ordered by one
+//!   lock: a worker parks only after seeing the queue empty under it,
+//!   and an enqueue under it is seen by every worker before it parks or
+//!   exits. Jobs from concurrent queries interleave in arrival order.
+//! * **panic capture** — a panicking task aborts its runner and is
+//!   reported as [`PoolError::TaskPanicked`] to the submitting query
+//!   only; other queries sharing the pool are unaffected and the workers
+//!   stay alive.
 //! * **graceful shutdown** — [`PersistentPool::shutdown`] (also run on
 //!   drop, idempotently) lets workers finish every queued job before
 //!   they exit; batches submitted after shutdown run inline on the
 //!   submitting thread so nothing deadlocks.
 //!
 //! One constraint, by design: a task must not block on a nested batch
-//! join (submit-and-join from inside a pool worker can idle-wait on
+//! join (a batch joined from inside a pool worker can idle-wait on
 //! runners that have no free worker). The engine never nests — parallel
 //! operators submit batches from the session thread only.
 
-use crate::pool::{PoolError, WorkQueues};
+use crate::pool::{PoolError, TaskCursors};
 use dqo_obs::{names, Counter, Gauge, MetricsRegistry, MetricsSnapshot};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 use crate::admission::AdmissionController;
 
@@ -69,10 +65,17 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Completion state shared between a batch's runners and its waiter.
-struct BatchCore {
-    state: Mutex<BatchStatus>,
-    cv: Condvar,
+/// A batch whose task closure and cursors are *borrowed* from the
+/// submitting stack frame, plus the completion state its runners and its
+/// waiter share. Soundness contract: the lifetimes are erased to
+/// `'static` on submission, and [`BorrowedJoin`] (returned to the
+/// submitter) blocks in `wait`/`Drop` until every runner has finished —
+/// so the borrow outlives all uses even if the submitter unwinds.
+struct BorrowedBatch {
+    status: Mutex<BatchStatus>,
+    done: Condvar,
+    cursors: &'static TaskCursors,
+    f: &'static (dyn Fn(usize, usize) + Sync),
 }
 
 struct BatchStatus {
@@ -82,98 +85,42 @@ struct BatchStatus {
     panic: Option<String>,
 }
 
-impl BatchCore {
-    fn new(pending: usize) -> Self {
-        BatchCore {
-            state: Mutex::new(BatchStatus {
-                pending,
-                panic: None,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// One runner finished (optionally with a captured panic).
-    fn finish(&self, panicked: Option<String>) {
-        let mut s = self.state.lock().expect("batch state");
-        s.pending -= 1;
+impl BorrowedBatch {
+    /// `runners` runners are done: finished (optionally with a captured
+    /// panic), or never enqueued because the pool had shut down.
+    fn finish(&self, runners: usize, panicked: Option<String>) {
+        let mut s = self.status.lock().expect("batch status");
+        s.pending -= runners;
         if s.panic.is_none() {
             s.panic = panicked;
         }
         drop(s);
-        self.cv.notify_all();
+        self.done.notify_all();
     }
 
-    /// Abort `n` runners that were never enqueued (pool shut down).
-    fn cancel(&self, n: usize) {
-        let mut s = self.state.lock().expect("batch state");
-        s.pending -= n;
-        drop(s);
-        self.cv.notify_all();
-    }
-
-    /// Block until every runner finished; the first captured panic is
-    /// taken and surfaced as an error (subsequent waits return `Ok`).
-    fn wait(&self) -> Result<(), PoolError> {
-        let mut s = self.state.lock().expect("batch state");
+    /// Block until every runner is done.
+    fn wait(&self) -> MutexGuard<'_, BatchStatus> {
+        let mut s = self.status.lock().expect("batch status");
         while s.pending > 0 {
-            s = self.cv.wait(s).expect("batch state");
+            s = self.done.wait(s).expect("batch status");
         }
-        match s.panic.take() {
-            Some(msg) => Err(PoolError::TaskPanicked(msg)),
-            None => Ok(()),
-        }
+        s
     }
-
-    /// Block until every runner finished, keeping any panic in place.
-    fn wait_quiet(&self) {
-        let mut s = self.state.lock().expect("batch state");
-        while s.pending > 0 {
-            s = self.cv.wait(s).expect("batch state");
-        }
-    }
-}
-
-/// A batch whose task closure and queues are *borrowed* from the
-/// submitting stack frame. Soundness contract: the lifetimes are erased
-/// to `'static` on submission, and [`BorrowedJoin`] (returned to the
-/// submitter) blocks in `wait`/`Drop` until every runner has finished —
-/// so the borrow outlives all uses even if the submitter unwinds.
-struct BorrowedBatch {
-    core: BatchCore,
-    queues: &'static WorkQueues,
-    f: &'static (dyn Fn(usize, usize) + Sync),
-}
-
-/// A batch owning its closure (`'static` public [`PersistentPool::submit`] API).
-struct OwnedBatch {
-    core: BatchCore,
-    queues: WorkQueues,
-    f: Box<dyn Fn(usize) + Send + Sync>,
 }
 
 /// One schedulable unit: a runner slot of some batch.
-enum Job {
-    Borrowed(Arc<BorrowedBatch>, usize),
-    Owned(Arc<OwnedBatch>, usize),
+struct Job {
+    batch: Arc<BorrowedBatch>,
+    slot: usize,
 }
 
 impl Job {
     /// Execute this runner to completion, capturing any task panic into
-    /// the batch so `join` reports it to the submitting query only.
+    /// the batch so the join reports it to the submitting query only.
     fn run(self) {
-        match self {
-            Job::Borrowed(batch, slot) => {
-                let result = catch_unwind(AssertUnwindSafe(|| batch.queues.drain(slot, batch.f)));
-                batch.core.finish(result.err().map(panic_message));
-            }
-            Job::Owned(batch, slot) => {
-                let f = &batch.f;
-                let result =
-                    catch_unwind(AssertUnwindSafe(|| batch.queues.drain(slot, &|_w, t| f(t))));
-                batch.core.finish(result.err().map(panic_message));
-            }
-        }
+        let batch = &self.batch;
+        let result = catch_unwind(AssertUnwindSafe(|| batch.cursors.drain(self.slot, batch.f)));
+        batch.finish(1, result.err().map(panic_message));
     }
 }
 
@@ -185,42 +132,26 @@ pub(crate) struct BorrowedJoin {
 }
 
 impl BorrowedJoin {
+    /// Block until every runner finished; the first captured panic is
+    /// taken and surfaced as an error.
     pub(crate) fn wait(&self) -> Result<(), PoolError> {
-        self.batch.core.wait()
+        match self.batch.wait().panic.take() {
+            Some(msg) => Err(PoolError::TaskPanicked(msg)),
+            None => Ok(()),
+        }
     }
 }
 
 impl Drop for BorrowedJoin {
     fn drop(&mut self) {
-        self.batch.core.wait_quiet();
+        drop(self.batch.wait());
     }
 }
 
-/// Handle to a batch submitted via [`PersistentPool::submit`]. Dropping
-/// the handle detaches the batch (its tasks still run); [`join`] blocks
-/// until completion and surfaces a task panic as an error.
-///
-/// [`join`]: BatchHandle::join
-pub struct BatchHandle {
-    batch: Arc<OwnedBatch>,
-}
-
-impl BatchHandle {
-    /// Block until every task of the batch has run. A panicking task
-    /// aborts its runner (sibling runners still drain the remaining
-    /// tasks) and surfaces here as [`PoolError::TaskPanicked`].
-    pub fn join(self) -> Result<(), PoolError> {
-        self.batch.core.wait()
-    }
-}
-
-impl std::fmt::Debug for BatchHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BatchHandle").finish_non_exhaustive()
-    }
-}
-
-struct PoolSync {
+/// Everything the workers and submitters coordinate on, under one lock.
+struct PoolState {
+    /// Runner jobs waiting for a worker, in arrival order.
+    queue: VecDeque<Job>,
     shutdown: bool,
 }
 
@@ -229,17 +160,15 @@ struct PoolSync {
 struct PoolMetrics {
     /// Runner jobs executed.
     jobs: Counter,
-    /// Runner jobs taken from another worker's deque.
-    steals: Counter,
     /// Times a worker parked on the idle condvar.
     parks: Counter,
     /// Morsel batches completed (reported by [`crate::ThreadPool`]).
     batches: Counter,
     /// Tasks executed across all batches.
     batch_tasks: Counter,
-    /// Intra-batch steals across runner slots.
+    /// Tasks a runner slot claimed outside its own block.
     batch_steals: Counter,
-    /// Refreshed from the queues at snapshot time.
+    /// Refreshed from the job queue at snapshot time.
     queue_depth: Gauge,
 }
 
@@ -247,7 +176,6 @@ impl PoolMetrics {
     fn new(registry: &MetricsRegistry) -> Self {
         PoolMetrics {
             jobs: registry.counter(names::POOL_JOBS),
-            steals: registry.counter(names::POOL_STEALS),
             parks: registry.counter(names::POOL_PARKS),
             batches: registry.counter(names::POOL_BATCHES),
             batch_tasks: registry.counter(names::POOL_BATCH_TASKS),
@@ -259,71 +187,29 @@ impl PoolMetrics {
 
 /// State shared between the pool handle and its workers.
 struct PoolShared {
-    /// Per-worker job deques: a worker pops its own from the front,
-    /// thieves take from the back.
-    locals: Vec<Mutex<VecDeque<Job>>>,
-    /// Global overflow queue.
-    injector: Mutex<VecDeque<Job>>,
-    /// Bumped (under `sync`) on every submit/shutdown so parked workers
-    /// can distinguish "new work arrived" from a spurious wakeup.
-    generation: AtomicU64,
-    sync: Mutex<PoolSync>,
+    state: Mutex<PoolState>,
+    /// Signalled (under `state`) when jobs arrive or shutdown begins.
     cv: Condvar,
-    /// Round-robin cursor for spreading runners across worker deques.
-    rr: AtomicUsize,
-    /// Scheduler counters (jobs, steals, parks, batch totals).
+    /// Scheduler counters (jobs, parks, batch totals).
     metrics: PoolMetrics,
 }
 
-impl PoolShared {
-    /// Own deque front → injector → steal one job from the back of a
-    /// victim's deque. `None` means every queue was empty at scan time.
-    fn find_job(&self, me: usize) -> Option<Job> {
-        if let Some(job) = self.locals[me].lock().expect("local deque").pop_front() {
-            self.metrics.jobs.inc();
-            return Some(job);
-        }
-        if let Some(job) = self.injector.lock().expect("injector").pop_front() {
-            self.metrics.jobs.inc();
-            return Some(job);
-        }
-        let n = self.locals.len();
-        for offset in 1..n {
-            let victim = (me + offset) % n;
-            if let Some(job) = self.locals[victim].lock().expect("victim deque").pop_back() {
-                self.metrics.jobs.inc();
-                self.metrics.steals.inc();
-                return Some(job);
-            }
-        }
-        None
-    }
-}
-
-fn worker_loop(shared: &PoolShared, me: usize) {
+fn worker_loop(shared: &PoolShared) {
+    let mut state = shared.state.lock().expect("pool state");
     loop {
-        let gen = shared.generation.load(Ordering::Acquire);
-        if let Some(job) = shared.find_job(me) {
+        if let Some(job) = state.queue.pop_front() {
+            drop(state);
+            shared.metrics.jobs.inc();
             job.run();
-            continue;
-        }
-        let guard = shared.sync.lock().expect("pool sync");
-        if shared.generation.load(Ordering::Acquire) != gen {
-            // Jobs may have been enqueued between the empty scan and
-            // taking the lock: re-scan before considering parking or
-            // exiting, so a submit racing a shutdown is never abandoned.
-            continue;
-        }
-        // Generation unchanged ⇒ the queues were truly empty at scan
-        // time and nothing has been enqueued since (enqueue bumps the
-        // generation under this lock, and refuses once shutdown is set).
-        if guard.shutdown {
+            state = shared.state.lock().expect("pool state");
+        } else if state.shutdown {
+            // The queue is empty under the lock and enqueue refuses once
+            // `shutdown` is set, so no job can be abandoned by exiting.
             return;
+        } else {
+            shared.metrics.parks.inc();
+            state = shared.cv.wait(state).expect("pool state");
         }
-        // Park. A submit bumps the generation under `sync` before
-        // notifying, so the wakeup cannot be missed.
-        shared.metrics.parks.inc();
-        drop(shared.cv.wait(guard).expect("pool sync"));
     }
 }
 
@@ -356,12 +242,11 @@ impl PersistentPool {
         let registry = Arc::new(MetricsRegistry::new());
         registry.gauge(names::POOL_WORKERS).set(threads as u64);
         let shared = Arc::new(PoolShared {
-            locals: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            injector: Mutex::new(VecDeque::new()),
-            generation: AtomicU64::new(0),
-            sync: Mutex::new(PoolSync { shutdown: false }),
+            state: Mutex::new(PoolState {
+                queue: VecDeque::new(),
+                shutdown: false,
+            }),
             cv: Condvar::new(),
-            rr: AtomicUsize::new(0),
             metrics: PoolMetrics::new(&registry),
         });
         let workers = (0..threads)
@@ -369,7 +254,7 @@ impl PersistentPool {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("dqo-pool-{w}"))
-                    .spawn(move || worker_loop(&shared, w))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn pool worker")
             })
             .collect();
@@ -384,8 +269,8 @@ impl PersistentPool {
 
     /// The process-wide shared pool every [`crate::ThreadPool`] handle
     /// uses unless given a dedicated pool. Sized at
-    /// `max(2, default_threads())` so stealing paths are exercised even
-    /// on single-core machines; created lazily, lives for the process.
+    /// `max(2, default_threads())` so cross-thread dispatch is exercised
+    /// even on single-core machines; created lazily, lives for the process.
     pub fn global() -> Arc<PersistentPool> {
         static GLOBAL: OnceLock<Arc<PersistentPool>> = OnceLock::new();
         Arc::clone(GLOBAL.get_or_init(|| Arc::new(PersistentPool::new(default_threads().max(2)))))
@@ -402,26 +287,16 @@ impl PersistentPool {
         &self.admission
     }
 
-    /// Runner jobs currently queued and not yet picked up, summed over
-    /// the per-worker deques and the global injector — a read-only
-    /// scheduler-pressure signal for benches and the adaptive-admission
-    /// work. A racy snapshot by design: queues move while it is read.
-    pub fn queued_now(&self) -> usize {
-        self.depth().iter().sum()
-    }
-
     /// The pool's metrics registry (scheduler + admission counters).
     pub fn metrics_registry(&self) -> &Arc<MetricsRegistry> {
         &self.registry
     }
 
     /// A point-in-time snapshot of the pool's metrics, with the queue
-    /// depth gauge refreshed from the live queues first.
+    /// depth gauge refreshed from the live job queue first.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.shared
-            .metrics
-            .queue_depth
-            .set(self.queued_now() as u64);
+        let queued = self.shared.state.lock().expect("pool state").queue.len();
+        self.shared.metrics.queue_depth.set(queued as u64);
         self.registry.snapshot()
     }
 
@@ -433,121 +308,68 @@ impl PersistentPool {
         self.shared.metrics.batch_steals.add(steals);
     }
 
-    /// Per-queue snapshot of the scheduler's backlog: one entry per
-    /// worker deque, plus the global injector's depth as the final
-    /// element. Same racy-snapshot caveat as [`PersistentPool::queued_now`].
-    pub fn depth(&self) -> Vec<usize> {
-        let mut out: Vec<usize> = self
-            .shared
-            .locals
-            .iter()
-            .map(|q| q.lock().expect("local deque").len())
-            .collect();
-        out.push(self.shared.injector.lock().expect("injector").len());
-        out
-    }
-
-    /// Enqueue jobs (round-robin across worker deques up to the worker
-    /// count, overflow into the global injector) and wake the workers.
+    /// Append jobs to the queue and wake one parked worker per job.
     /// Returns `false` — enqueuing nothing — if the pool has shut down.
-    fn enqueue(&self, jobs: Vec<Job>) -> bool {
-        let sync = self.shared.sync.lock().expect("pool sync");
-        if sync.shutdown {
+    fn enqueue(&self, jobs: impl Iterator<Item = Job>) -> bool {
+        let mut state = self.shared.state.lock().expect("pool state");
+        if state.shutdown {
             return false;
         }
-        let workers = self.shared.locals.len();
-        for (i, job) in jobs.into_iter().enumerate() {
-            if i < workers {
-                let target = self.shared.rr.fetch_add(1, Ordering::Relaxed) % workers;
-                self.shared.locals[target]
-                    .lock()
-                    .expect("local deque")
-                    .push_back(job);
-            } else {
-                self.shared
-                    .injector
-                    .lock()
-                    .expect("injector")
-                    .push_back(job);
-            }
+        for job in jobs {
+            state.queue.push_back(job);
+            self.shared.cv.notify_one();
         }
-        self.shared.generation.fetch_add(1, Ordering::Release);
-        self.shared.cv.notify_all();
         true
     }
 
-    /// Submit a `'static` batch: `f(task)` runs once per index in
-    /// `0..tasks`, at most `dop` tasks concurrently, on the pool's
-    /// workers. Returns immediately; call [`BatchHandle::join`] to block.
-    /// If the pool has shut down the batch runs inline here instead.
-    pub fn submit<F>(&self, tasks: usize, dop: usize, f: F) -> BatchHandle
-    where
-        F: Fn(usize) + Send + Sync + 'static,
-    {
-        let slots = dop.clamp(1, tasks.max(1));
-        let batch = Arc::new(OwnedBatch {
-            core: BatchCore::new(slots),
-            queues: WorkQueues::seeded(slots, tasks),
-            f: Box::new(f),
-        });
-        let jobs = (0..slots)
-            .map(|s| Job::Owned(Arc::clone(&batch), s))
-            .collect();
-        if !self.enqueue(jobs) {
-            for s in 0..slots {
-                Job::Owned(Arc::clone(&batch), s).run();
-            }
-        }
-        BatchHandle { batch }
-    }
-
-    /// Enqueue runner `slots` of a batch whose queues and closure are
+    /// Enqueue runner `slots` of a batch whose cursors and closure are
     /// borrowed from the caller's stack.
     ///
     /// # Safety
     ///
-    /// The caller must keep `queues` and `f` alive until the returned
+    /// The caller must keep `cursors` and `f` alive until the returned
     /// [`BorrowedJoin`] reports completion — which its `Drop` guarantees
     /// by blocking, so holding the join on the same stack frame as the
     /// borrows is sufficient.
     pub(crate) unsafe fn spawn_borrowed(
         &self,
-        queues: &WorkQueues,
+        cursors: &TaskCursors,
         f: &(dyn Fn(usize, usize) + Sync),
         slots: std::ops::Range<usize>,
     ) -> BorrowedJoin {
         let n = slots.len();
         // Erase the lifetimes (plain and trait-object alike), made sound
         // by BorrowedJoin's blocking Drop.
-        let queues: &'static WorkQueues = &*(queues as *const WorkQueues);
+        let cursors: &'static TaskCursors = &*(cursors as *const TaskCursors);
         let f: &'static (dyn Fn(usize, usize) + Sync) = std::mem::transmute(f);
         let batch = Arc::new(BorrowedBatch {
-            core: BatchCore::new(n),
-            queues,
+            status: Mutex::new(BatchStatus {
+                pending: n,
+                panic: None,
+            }),
+            done: Condvar::new(),
+            cursors,
             f,
         });
-        let jobs = slots
-            .map(|s| Job::Borrowed(Arc::clone(&batch), s))
-            .collect();
+        let jobs = slots.map(|slot| Job {
+            batch: Arc::clone(&batch),
+            slot,
+        });
         if !self.enqueue(jobs) {
             // Pool already shut down: nothing enqueued; the caller's own
-            // drain (slot 0) steals and runs every task.
-            batch.core.cancel(n);
+            // drain (slot 0) claims and runs every task.
+            batch.finish(n, None);
         }
         BorrowedJoin { batch }
     }
 
-    /// Ask the workers to exit once the queues are drained, and join
+    /// Ask the workers to exit once the queue is drained, and join
     /// them. Idempotent: later calls (including the one from `Drop`) are
     /// no-ops. Batches submitted after shutdown run inline on the
     /// submitting thread.
     pub fn shutdown(&self) {
-        {
-            let mut sync = self.shared.sync.lock().expect("pool sync");
-            sync.shutdown = true;
-            self.shared.generation.fetch_add(1, Ordering::Release);
-            self.shared.cv.notify_all();
-        }
+        self.shared.state.lock().expect("pool state").shutdown = true;
+        self.shared.cv.notify_all();
         let handles = std::mem::take(&mut *self.workers.lock().expect("worker handles"));
         for h in handles {
             // A worker that somehow died still must not poison shutdown.
@@ -574,36 +396,30 @@ impl std::fmt::Debug for PersistentPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use crate::ThreadPool;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{mpsc, Barrier};
 
-    #[test]
-    fn submit_runs_every_task_once() {
-        let pool = PersistentPool::new(3);
-        let counter = Arc::new(AtomicUsize::new(0));
-        let c = Arc::clone(&counter);
-        let handle = pool.submit(500, 3, move |_t| {
-            c.fetch_add(1, Ordering::Relaxed);
-        });
-        handle.join().unwrap();
-        assert_eq!(counter.load(Ordering::Relaxed), 500);
+    /// Run `tasks` counting tasks at `dop` on `pool`; the number that ran.
+    fn count_batch(pool: &Arc<PersistentPool>, dop: usize, tasks: usize) -> usize {
+        let ran = AtomicUsize::new(0);
+        ThreadPool::with_pool(dop, Arc::clone(pool))
+            .map_tasks(tasks, |_| {
+                ran.fetch_add(1, Ordering::Relaxed);
+            })
+            .unwrap();
+        ran.load(Ordering::Relaxed)
     }
 
     #[test]
     fn concurrent_batches_from_many_threads_share_one_pool() {
         let pool = Arc::new(PersistentPool::new(2));
-        let total = Arc::new(AtomicUsize::new(0));
+        let total = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..6 {
-                let pool = Arc::clone(&pool);
-                let total = Arc::clone(&total);
-                scope.spawn(move || {
+                scope.spawn(|| {
                     for _ in 0..10 {
-                        let t = Arc::clone(&total);
-                        pool.submit(40, 2, move |_| {
-                            t.fetch_add(1, Ordering::Relaxed);
-                        })
-                        .join()
-                        .unwrap();
+                        total.fetch_add(count_batch(&pool, 2, 40), Ordering::Relaxed);
                     }
                 });
             }
@@ -613,138 +429,114 @@ mod tests {
 
     #[test]
     fn task_panic_surfaces_as_err_and_pool_survives() {
-        let pool = PersistentPool::new(2);
-        let handle = pool.submit(64, 2, |t| {
-            if t == 13 {
-                panic!("boom at task 13");
-            }
-        });
-        let err = handle.join().unwrap_err();
+        let pool = Arc::new(PersistentPool::new(2));
+        let err = ThreadPool::with_pool(2, Arc::clone(&pool))
+            .map_tasks(64, |t| {
+                if t == 13 {
+                    panic!("boom at task 13");
+                }
+            })
+            .unwrap_err();
         assert!(matches!(err, PoolError::TaskPanicked(ref m) if m.contains("boom")));
         // The pool keeps serving other queries.
-        let ran = Arc::new(AtomicUsize::new(0));
-        let r = Arc::clone(&ran);
-        pool.submit(32, 2, move |_| {
-            r.fetch_add(1, Ordering::Relaxed);
-        })
-        .join()
-        .unwrap();
-        assert_eq!(ran.load(Ordering::Relaxed), 32);
+        assert_eq!(count_batch(&pool, 2, 32), 32);
     }
 
     #[test]
     fn shutdown_is_idempotent_and_drop_safe() {
-        let pool = PersistentPool::new(2);
-        let ran = Arc::new(AtomicUsize::new(0));
-        let r = Arc::clone(&ran);
-        let handle = pool.submit(100, 2, move |_| {
-            r.fetch_add(1, Ordering::Relaxed);
-        });
+        let pool = Arc::new(PersistentPool::new(2));
+        assert_eq!(count_batch(&pool, 2, 100), 100);
         pool.shutdown();
         pool.shutdown(); // second call is a no-op
-        handle.join().unwrap(); // queued work drained before exit
-        assert_eq!(ran.load(Ordering::Relaxed), 100);
-        // Submitting after shutdown runs inline rather than deadlocking.
-        let r2 = Arc::new(AtomicUsize::new(0));
-        let c = Arc::clone(&r2);
-        pool.submit(10, 4, move |_| {
-            c.fetch_add(1, Ordering::Relaxed);
-        })
-        .join()
-        .unwrap();
-        assert_eq!(r2.load(Ordering::Relaxed), 10);
+
+        // A batch after shutdown runs inline on the submitting thread
+        // rather than deadlocking on workers that are gone.
+        let me = std::thread::current().id();
+        let threads = ThreadPool::with_pool(4, Arc::clone(&pool))
+            .map_tasks(10, |_| std::thread::current().id())
+            .unwrap();
+        assert!(threads.iter().all(|&t| t == me));
         drop(pool); // Drop after explicit shutdown is fine too.
     }
 
     #[test]
-    fn shutdown_racing_a_submit_never_abandons_jobs() {
-        // Regression: a worker's empty scan racing an enqueue-then-
-        // shutdown must re-scan before exiting, or the batch's runners
-        // are abandoned and join deadlocks.
+    fn shutdown_racing_a_batch_never_abandons_jobs() {
+        // A job enqueued just before shutdown must still be run by a
+        // worker before it exits, or the batch's join deadlocks.
         for _ in 0..50 {
             let pool = Arc::new(PersistentPool::new(1));
             let p2 = Arc::clone(&pool);
-            let ran = Arc::new(AtomicUsize::new(0));
-            let r = Arc::clone(&ran);
-            let submitter = std::thread::spawn(move || {
-                p2.submit(16, 2, move |_| {
-                    r.fetch_add(1, Ordering::Relaxed);
-                })
-                .join()
-                .unwrap();
-            });
+            let submitter = std::thread::spawn(move || count_batch(&p2, 2, 16));
             pool.shutdown();
-            submitter.join().unwrap();
-            assert_eq!(ran.load(Ordering::Relaxed), 16);
+            assert_eq!(submitter.join().unwrap(), 16);
         }
     }
 
     #[test]
     fn dop_larger_than_pool_still_completes() {
-        let pool = PersistentPool::new(1);
-        let ran = Arc::new(AtomicUsize::new(0));
-        let r = Arc::clone(&ran);
-        pool.submit(200, 8, move |_| {
-            r.fetch_add(1, Ordering::Relaxed);
-        })
-        .join()
-        .unwrap();
-        assert_eq!(ran.load(Ordering::Relaxed), 200);
+        let pool = Arc::new(PersistentPool::new(1));
+        assert_eq!(count_batch(&pool, 8, 200), 200);
     }
 
     #[test]
     fn queue_depth_observability() {
-        let pool = PersistentPool::new(2);
-        // Idle pool: nothing queued, one depth entry per worker plus the
-        // injector.
-        assert_eq!(pool.depth().len(), 3);
-        // Both workers plus this thread rendezvous: the two runner tasks
-        // hold the workers until the main thread joins the barrier.
-        let blocker = Arc::new(std::sync::Barrier::new(3));
-        let b = Arc::clone(&blocker);
-        let busy = pool.submit(2, 2, move |_| {
-            b.wait();
-        });
-        // With every worker occupied, additional batches pile up in the
-        // queues and the counter must eventually see them.
-        let queued = pool.submit(4, 4, |_| {});
-        let mut seen = 0;
-        for _ in 0..1_000 {
-            seen = seen.max(pool.queued_now());
-            if seen > 0 {
-                break;
+        let pool = Arc::new(PersistentPool::new(1));
+        let depth = |pool: &PersistentPool| {
+            pool.metrics_snapshot()
+                .gauge(names::POOL_QUEUE_DEPTH)
+                .unwrap()
+        };
+        assert_eq!(depth(&pool), 0);
+        // Occupy the only worker: both tasks of a DOP-2 batch report in
+        // and then hold their thread until the main thread joins the gate.
+        let gate = Barrier::new(3);
+        let (started, running) = mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                ThreadPool::with_pool(2, Arc::clone(&pool))
+                    .map_tasks(2, |_| {
+                        started.send(()).unwrap();
+                        gate.wait();
+                    })
+                    .unwrap();
+            });
+            running.recv().unwrap();
+            running.recv().unwrap();
+            // With the worker held, a second batch's runner job can only
+            // wait in the queue, where the gauge must see it.
+            let queued = scope.spawn(|| count_batch(&pool, 2, 4));
+            while depth(&pool) == 0 {
+                std::thread::yield_now();
             }
-            std::thread::yield_now();
-        }
-        assert!(seen > 0, "queued jobs never became visible");
-        blocker.wait();
-        busy.join().unwrap();
-        queued.join().unwrap();
-        assert_eq!(pool.queued_now(), 0, "drained pool reports empty queues");
+            assert_eq!(depth(&pool), 1);
+            gate.wait();
+            assert_eq!(queued.join().unwrap(), 4);
+        });
+        assert_eq!(depth(&pool), 0, "drained pool reports an empty queue");
     }
 
     #[test]
     fn metrics_snapshot_counts_jobs_and_admissions() {
-        let pool = PersistentPool::with_admission(2, 2);
+        let pool = Arc::new(PersistentPool::with_admission(2, 2));
         let permit = pool.admission().admit(2);
         drop(permit);
         let p2 = pool.admission().admit(2);
         drop(p2);
-        pool.submit(64, 2, |_| {}).join().unwrap();
+        assert_eq!(count_batch(&pool, 2, 64), 64);
         let snap = pool.metrics_snapshot();
-        assert_eq!(snap.gauge(dqo_obs::names::POOL_WORKERS), Some(2));
-        assert!(snap.counter(dqo_obs::names::POOL_JOBS).unwrap() > 0);
-        let admitted = snap.counter(dqo_obs::names::ADMISSION_ADMITTED).unwrap();
+        assert_eq!(snap.gauge(names::POOL_WORKERS), Some(2));
+        assert_eq!(snap.counter(names::POOL_JOBS), Some(1));
+        let admitted = snap.counter(names::ADMISSION_ADMITTED).unwrap();
         assert_eq!(admitted, 2);
         let (wait_count, _) = snap
-            .histogram_count_sum(dqo_obs::names::ADMISSION_WAIT_SECONDS)
+            .histogram_count_sum(names::ADMISSION_WAIT_SECONDS)
             .unwrap();
         assert_eq!(
             wait_count, admitted,
             "every admission records exactly one wait"
         );
-        assert_eq!(snap.gauge(dqo_obs::names::ADMISSION_INFLIGHT), Some(0));
-        assert_eq!(snap.gauge(dqo_obs::names::POOL_QUEUE_DEPTH), Some(0));
+        assert_eq!(snap.gauge(names::ADMISSION_INFLIGHT), Some(0));
+        assert_eq!(snap.gauge(names::POOL_QUEUE_DEPTH), Some(0));
     }
 
     #[test]

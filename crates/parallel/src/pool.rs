@@ -5,31 +5,26 @@
 //! shared pool by default, or a dedicated/session-shared one via
 //! [`ThreadPool::with_pool`]). Each parallel operator invocation runs a
 //! fixed batch of tasks (morsel or partition indices) at that DOP.
-//! Batch-internal scheduling is still the classic work-stealing triple:
+//! Batch-internal scheduling is one atomic range cursor per runner slot
+//! (`TaskCursors`): the task list is cut into one contiguous block per
+//! slot, a slot claims from its own block with a `fetch_add`, and once
+//! that is empty it claims from the other slots' blocks the same way —
+//! so a slow block is finished by whoever is idle, a runner's tasks stay
+//! contiguous while it is not, and no claim takes a lock.
 //!
-//! * **per-runner deques** (`WorkQueues`) — each runner slot pops from
-//!   the front of its own deque (LIFO-ish locality on its contiguous
-//!   task block);
-//! * **a batch injector** — overflow queue every runner falls back to;
-//! * **stealing** — an idle runner takes half of a victim's remaining
-//!   tasks from the back of the victim's deque.
-//!
-//! What changed from the scoped-spawn scheduler of PR 1: runner slots
-//! `1..dop` are enqueued as jobs on the persistent pool's parked workers
-//! instead of `std::thread::scope` spawns, the submitting thread still
-//! drains slot 0 itself (so a batch always makes progress even on a
-//! saturated pool), and every API returns `Result` — a panicking task is
-//! captured and surfaced as [`PoolError::TaskPanicked`] to the
-//! submitting query only, leaving the pool workers alive for everyone
-//! else. The spawn cost disappears from the hot path, which is exactly
-//! the amortisation `dqo-core`'s cost model now reflects with its much
-//! smaller per-worker dispatch term.
+//! Runner slots `1..dop` are enqueued as jobs on the persistent pool's
+//! parked workers, the submitting thread drains slot 0 itself (so a
+//! batch always makes progress even on a saturated pool), and every API
+//! returns `Result` — a panicking task is captured and surfaced as
+//! [`PoolError::TaskPanicked`] to the submitting query only, leaving the
+//! pool workers alive for everyone else. What a batch pays is one queue
+//! push and one wakeup per extra slot, which is the per-worker dispatch
+//! term in `dqo-core`'s cost model.
 
 use crate::morsel::{morsels, Morsel};
-use crate::persistent::{default_threads, panic_message, PersistentPool};
-use std::collections::VecDeque;
+use crate::persistent::{panic_message, PersistentPool};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Scheduler failure surfaced to the submitting query.
@@ -58,9 +53,10 @@ impl From<PoolError> for dqo_exec::ExecError {
 
 /// Per-handle batch observation: how many batches this [`ThreadPool`]
 /// handle dispatched, how many morsel/partition tasks they executed, and
-/// how many times a runner slot stole work from a sibling. The executor
-/// attaches one per `Exchange` node (via [`ThreadPool::with_obs`]) so
-/// per-operator morsel/steal counts land in the query's plan metrics.
+/// how many tasks a runner slot claimed from a sibling's block. The
+/// executor attaches one per `Exchange` node (via
+/// [`ThreadPool::with_obs`]) so per-operator morsel/steal counts land in
+/// the query's plan metrics.
 #[derive(Debug, Default)]
 pub struct BatchObs {
     batches: AtomicU64,
@@ -79,8 +75,7 @@ impl BatchObs {
         self.tasks.load(Ordering::Relaxed)
     }
 
-    /// Successful intra-batch steals (a runner taking tasks from a
-    /// sibling's deque).
+    /// Tasks a runner slot claimed outside its own block.
     pub fn steals(&self) -> u64 {
         self.steals.load(Ordering::Relaxed)
     }
@@ -121,25 +116,9 @@ impl ThreadPool {
         self
     }
 
-    /// The attached batch-observation sink, if any.
-    pub fn obs(&self) -> Option<&Arc<BatchObs>> {
-        self.obs.as_ref()
-    }
-
-    /// A handle at the default DOP (`DQO_THREADS` env override, else the
-    /// machine's available parallelism).
-    pub fn with_default_parallelism() -> Self {
-        ThreadPool::new(default_threads())
-    }
-
     /// Configured degree of parallelism.
     pub fn threads(&self) -> usize {
         self.dop
-    }
-
-    /// The persistent pool this handle dispatches onto.
-    pub fn pool(&self) -> &Arc<PersistentPool> {
-        &self.pool
     }
 
     /// Run `f` once per task index in `0..tasks` across up to `dop`
@@ -165,23 +144,23 @@ impl ThreadPool {
             }
             return result;
         }
-        let queues = WorkQueues::seeded(workers, tasks);
+        let cursors = TaskCursors::split(workers, tasks);
         // Slots 1..workers go to the pool; slot 0 is the caller thread,
         // so a dop-n batch occupies at most n-1 pool workers and always
         // progresses even when the pool is saturated by other queries.
         //
         // SAFETY: `join` blocks (in `wait` and, on unwind, in its Drop)
         // until every pool runner has finished, so the borrows of
-        // `queues` and `f` outlive all uses.
-        let join = unsafe { self.pool.spawn_borrowed(&queues, &f, 1..workers) };
-        let caller = catch_unwind(AssertUnwindSafe(|| queues.drain(0, &f)));
+        // `cursors` and `f` outlive all uses.
+        let join = unsafe { self.pool.spawn_borrowed(&cursors, &f, 1..workers) };
+        let caller = catch_unwind(AssertUnwindSafe(|| cursors.drain(0, &f)));
         let runners = join.wait();
         let result = match caller {
             Err(p) => Err(PoolError::TaskPanicked(panic_message(p))),
             Ok(()) => runners,
         };
         if result.is_ok() {
-            self.record_batch(tasks as u64, queues.steals.load(Ordering::Relaxed));
+            self.record_batch(tasks as u64, cursors.steals.load(Ordering::Relaxed));
         }
         result
     }
@@ -248,52 +227,16 @@ impl ThreadPool {
             .collect())
     }
 
-    /// Fold all morsels into **per-slot** states: each runner slot lazily
-    /// creates one state with `init` and folds every morsel it executes
-    /// into it with `step`. Returns the states of slots that ran at
-    /// least one morsel, in slot order.
+    /// Fold task indices `0..tasks` into **per-slot** states: each runner
+    /// slot lazily creates one state with `init` and folds every task it
+    /// executes into it with `step`. Returns the states of slots that ran
+    /// at least one task, in slot order.
     ///
-    /// Which morsels land in which state depends on stealing, so this is
+    /// Which tasks land in which state depends on scheduling, so this is
     /// only deterministic downstream if the caller's merge of the states
     /// is insensitive to that split — true for decomposable aggregates
     /// ([`dqo_exec::aggregate::Aggregator::IS_DECOMPOSABLE`]), which is
     /// why the optimiser only parallelises those.
-    pub fn fold_morsels<S, I, F>(
-        &self,
-        rows: usize,
-        morsel_rows: usize,
-        init: I,
-        step: F,
-    ) -> Result<Vec<S>, PoolError>
-    where
-        S: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, Morsel) + Sync,
-    {
-        self.fold_morsel_list(&morsels(rows, morsel_rows), init, step)
-    }
-
-    /// [`ThreadPool::fold_morsels`] over an explicit morsel list — the
-    /// partition-native twin of [`ThreadPool::map_morsel_list`]. The same
-    /// determinism caveat applies: downstream merges must be insensitive
-    /// to which slot folded which morsel.
-    pub fn fold_morsel_list<S, I, F>(
-        &self,
-        ms: &[Morsel],
-        init: I,
-        step: F,
-    ) -> Result<Vec<S>, PoolError>
-    where
-        S: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, Morsel) + Sync,
-    {
-        self.fold_tasks(ms.len(), init, |s, t| step(s, ms[t]))
-    }
-
-    /// [`ThreadPool::fold_morsel_list`] over bare task indices `0..tasks`
-    /// — for work units that are not plain row ranges (pieces of a
-    /// selection).
     pub fn fold_tasks<S, I, F>(&self, tasks: usize, init: I, step: F) -> Result<Vec<S>, PoolError>
     where
         S: Send,
@@ -316,86 +259,63 @@ impl ThreadPool {
     }
 }
 
-impl Default for ThreadPool {
-    fn default() -> Self {
-        ThreadPool::with_default_parallelism()
-    }
-}
-
-/// The task-scheduling state of one batch (shared by the persistent
-/// pool's runner jobs and the submitting thread).
-pub(crate) struct WorkQueues {
-    /// One deque per runner slot, pre-seeded with a contiguous task block.
-    locals: Vec<Mutex<VecDeque<usize>>>,
-    /// Batch-local overflow queue (tasks beyond the even split).
-    injector: Mutex<VecDeque<usize>>,
-    /// Successful steals between runner slots in this batch.
+/// The task-claim state of one batch (shared by the persistent pool's
+/// runner jobs and the submitting thread): one contiguous block of task
+/// indices per runner slot, each behind an atomic cursor.
+pub(crate) struct TaskCursors {
+    blocks: Vec<Block>,
+    /// Tasks claimed by a slot other than the block's own.
     steals: AtomicU64,
 }
 
-impl WorkQueues {
-    /// Split `tasks` into equal contiguous blocks per slot; the
-    /// remainder seeds the injector.
-    pub(crate) fn seeded(workers: usize, tasks: usize) -> Self {
-        let per_worker = tasks / workers;
-        let mut locals = Vec::with_capacity(workers);
-        for w in 0..workers {
-            locals.push(Mutex::new((w * per_worker..(w + 1) * per_worker).collect()));
-        }
-        let injector = Mutex::new((workers * per_worker..tasks).collect());
-        WorkQueues {
-            locals,
-            injector,
+/// The unclaimed tasks `next..end` of one slot's block.
+struct Block {
+    next: AtomicUsize,
+    end: usize,
+}
+
+impl Block {
+    /// Claim the block's next task, if any is left.
+    fn claim(&self) -> Option<usize> {
+        // Relaxed: the cursor hands out indices and publishes no data —
+        // what a task reads was written before the batch was enqueued,
+        // and what it writes is read after the join, both under a mutex.
+        // Each drain overshoots `end` at most once per block, so the
+        // cursor cannot wrap.
+        let t = self.next.fetch_add(1, Ordering::Relaxed);
+        (t < self.end).then_some(t)
+    }
+}
+
+impl TaskCursors {
+    /// Cut `0..tasks` into `slots` contiguous blocks of near-equal size.
+    pub(crate) fn split(slots: usize, tasks: usize) -> Self {
+        TaskCursors {
+            blocks: (0..slots)
+                .map(|w| Block {
+                    next: AtomicUsize::new(w * tasks / slots),
+                    end: (w + 1) * tasks / slots,
+                })
+                .collect(),
             steals: AtomicU64::new(0),
         }
     }
 
-    /// Runner loop: own deque front → injector → steal half from the
-    /// back of a victim's deque; exit when a full scan finds nothing.
-    pub(crate) fn drain<F: Fn(usize, usize) + ?Sized>(&self, worker: usize, f: &F) {
-        loop {
-            let task = self
-                .pop_local(worker)
-                .or_else(|| self.pop_injector())
-                .or_else(|| self.steal(worker));
-            match task {
-                Some(t) => f(worker, t),
-                None => return,
+    /// Runner loop: empty the slot's own block, then each other block in
+    /// turn. Blocks only shrink, so one pass leaves nothing unclaimed.
+    pub(crate) fn drain<F: Fn(usize, usize) + ?Sized>(&self, slot: usize, f: &F) {
+        let n = self.blocks.len();
+        for offset in 0..n {
+            let block = &self.blocks[(slot + offset) % n];
+            let mut claimed = 0;
+            while let Some(t) = block.claim() {
+                claimed += 1;
+                f(slot, t);
+            }
+            if offset > 0 {
+                self.steals.fetch_add(claimed, Ordering::Relaxed);
             }
         }
-    }
-
-    fn pop_local(&self, worker: usize) -> Option<usize> {
-        self.locals[worker].lock().expect("local deque").pop_front()
-    }
-
-    fn pop_injector(&self) -> Option<usize> {
-        self.injector.lock().expect("injector").pop_front()
-    }
-
-    fn steal(&self, thief: usize) -> Option<usize> {
-        let n = self.locals.len();
-        for offset in 1..n {
-            let victim = (thief + offset) % n;
-            let mut deque = self.locals[victim].lock().expect("victim deque");
-            let available = deque.len();
-            if available == 0 {
-                continue;
-            }
-            // Take half the victim's remaining tasks from the back, run
-            // one, queue the rest locally.
-            let take = available.div_ceil(2);
-            let stolen: Vec<usize> = (0..take).filter_map(|_| deque.pop_back()).collect();
-            drop(deque);
-            self.steals.fetch_add(1, Ordering::Relaxed);
-            let mut mine = self.locals[thief].lock().expect("own deque");
-            let first = stolen[0];
-            for &t in &stolen[1..] {
-                mine.push_back(t);
-            }
-            return Some(first);
-        }
-        None
     }
 }
 
@@ -432,10 +352,11 @@ mod tests {
     }
 
     #[test]
-    fn fold_morsels_partitions_all_rows() {
+    fn fold_tasks_partitions_all_rows() {
         let pool = ThreadPool::new(4);
+        let ms = morsels(10_000, 128);
         let counts = pool
-            .fold_morsels(10_000, 128, || 0usize, |acc, m| *acc += m.len())
+            .fold_tasks(ms.len(), || 0usize, |acc, t| *acc += ms[t].len())
             .unwrap();
         assert!(counts.len() <= 4);
         assert_eq!(counts.iter().sum::<usize>(), 10_000);
@@ -453,21 +374,51 @@ mod tests {
     }
 
     #[test]
+    fn a_slow_block_is_finished_by_the_idle_slot() {
+        // Block 0 (tasks 0..50) is ~100x slower than block 1, and its
+        // first task does not return before block 1 is done — so slot 1
+        // is idle while most of block 0 is still unclaimed.
+        const TASKS: usize = 100;
+        let fast_done = (Mutex::new(0usize), std::sync::Condvar::new());
+        let obs = Arc::new(BatchObs::default());
+        let pool = ThreadPool::with_pool(2, Arc::new(PersistentPool::new(1)));
+        let per_slot = pool
+            .with_obs(Arc::clone(&obs))
+            .fold_tasks(TASKS, Vec::new, |ran: &mut Vec<usize>, t| {
+                let (done, cv) = &fast_done;
+                if t >= TASKS / 2 {
+                    *done.lock().unwrap() += 1;
+                    cv.notify_all();
+                } else if t == 0 {
+                    let guard = done.lock().unwrap();
+                    drop(cv.wait_while(guard, |d| *d < TASKS / 2).unwrap());
+                } else {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                ran.push(t);
+            })
+            .unwrap();
+        let mut all: Vec<usize> = per_slot.into_iter().flatten().collect();
+        all.sort_unstable();
+        assert_eq!(all, (0..TASKS).collect::<Vec<_>>(), "each task ran once");
+        assert!(
+            obs.steals() > 0,
+            "the idle slot claimed from the slow block"
+        );
+    }
+
+    #[test]
     fn zero_tasks_and_zero_rows() {
         let pool = ThreadPool::new(4);
         assert!(pool.map_tasks(0, |t| t).unwrap().is_empty());
         assert!(pool.map_morsels(0, 64, |m| m.len()).unwrap().is_empty());
-        assert!(pool
-            .fold_morsels(0, 64, || 0usize, |_, _| {})
-            .unwrap()
-            .is_empty());
+        assert!(pool.fold_tasks(0, || 0usize, |_, _| {}).unwrap().is_empty());
     }
 
     #[test]
     fn pool_configuration() {
         assert_eq!(ThreadPool::new(0).threads(), 1);
         assert_eq!(ThreadPool::new(6).threads(), 6);
-        assert!(ThreadPool::default().threads() >= 1);
     }
 
     #[test]
@@ -492,7 +443,6 @@ mod tests {
         assert!(obs.steals() <= obs.tasks());
         // A handle without a sink records nothing extra (and still works).
         let plain = ThreadPool::new(2);
-        assert!(plain.obs().is_none());
         plain.map_tasks(10, |t| t).unwrap();
         assert_eq!(obs.batches(), 2);
     }

@@ -3,11 +3,10 @@
 //! holds the code each name denotes, and `dqo-core` does the mapping.
 
 use crate::granule::Granularity;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Organelle-level grouping implementations (§4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GroupingImpl {
     /// HG — hash-based grouping.
     Hg,
@@ -70,7 +69,7 @@ impl fmt::Display for GroupingImpl {
 }
 
 /// Organelle-level join implementations (§4.3, Table 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JoinImpl {
     /// HJ — hash join.
     Hj,
@@ -130,7 +129,7 @@ impl fmt::Display for JoinImpl {
 }
 
 /// Macro-molecule: which index structure backs a hash-style operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TableMolecule {
     /// Chained buckets, per-node allocation (`std::unordered_map` shape).
     Chaining,
@@ -172,7 +171,7 @@ impl fmt::Display for TableMolecule {
 }
 
 /// Molecule: hash function choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HashFnMolecule {
     /// Murmur3 64-bit finaliser (the paper's HG choice).
     Murmur3,
@@ -195,7 +194,7 @@ impl fmt::Display for HashFnMolecule {
 /// Molecule: loop execution strategy — the paper's Figure 3(e) shows a
 /// *parallel* load as one unnesting alternative where Figure 1's textbook
 /// code silently assumed *serial* inserts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LoopMolecule {
     /// One thread, in input order (the implicit textbook default).
     Serial,
@@ -213,7 +212,7 @@ impl fmt::Display for LoopMolecule {
 }
 
 /// Molecule: sort implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SortMolecule {
     /// Pattern-defeating comparison sort.
     Comparison,

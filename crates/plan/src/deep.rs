@@ -17,11 +17,10 @@
 
 use crate::algorithms::{GroupingImpl, HashFnMolecule, LoopMolecule, SortMolecule, TableMolecule};
 use crate::granule::Granularity;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One node of a deep plan.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Granule {
     /// Figure 3(a): the unopened logical grouping operator γ.
     LogicalGroupBy,
@@ -97,7 +96,7 @@ impl Granule {
 }
 
 /// A deep plan tree.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DeepPlan {
     /// This node.
     pub granule: Granule,

@@ -1,11 +1,10 @@
 //! Predicates and aggregate expressions — the scalar layer of plans.
 
 use dqo_storage::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Comparison operators for filter predicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// `=`
     Eq,
@@ -55,7 +54,7 @@ impl fmt::Display for CmpOp {
 }
 
 /// A simple predicate: `column <op> constant`, optionally AND-ed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Predicate {
     /// `column <op> constant`.
     Compare {
@@ -198,7 +197,7 @@ impl fmt::Display for Predicate {
 }
 
 /// Aggregate function names.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggFunc {
     /// `COUNT(*)`
     CountStar,
@@ -234,7 +233,7 @@ impl AggFunc {
 }
 
 /// One aggregate expression in a GROUP BY output list.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AggExpr {
     /// The function.
     pub func: AggFunc,

@@ -12,11 +12,10 @@
 //! macro-molecules from molecules rather than only living cells from
 //! organelles."*
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A level on the Table 1 granularity ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Granularity {
     /// A whole "physical" query plan (the living cell).
     Cell,
@@ -32,7 +31,7 @@ pub enum Granularity {
 }
 
 /// Who synthesises/optimises components of a granularity, in a regime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OptimisedBy {
     /// The query optimiser decides at plan time.
     QueryOptimiser,

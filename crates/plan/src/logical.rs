@@ -1,12 +1,11 @@
 //! Logical plans — the purely logical end of the Figure 3 continuum.
 
 use crate::expr::{AggExpr, Predicate};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// A logical operator tree (extended relational algebra).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LogicalPlan {
     /// Base-table scan.
     Scan {

@@ -11,12 +11,11 @@ use crate::algorithms::{
     GroupingImpl, HashFnMolecule, JoinImpl, LoopMolecule, SortMolecule, TableMolecule,
 };
 use crate::expr::{AggExpr, Predicate};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Molecule-level decisions inside a grouping operator. `None` means "the
 /// developer default" (what SQO ships with).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GroupingMolecules {
     /// Backing table.
     pub table: Option<TableMolecule>,
@@ -53,7 +52,7 @@ impl GroupingMolecules {
 }
 
 /// A fully decided physical plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PhysicalPlan {
     /// Base-table scan.
     Scan {

@@ -14,11 +14,10 @@
 //! the property vector rather than two separate optimisers.
 
 use dqo_storage::{DataProps, Density, Sortedness};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Physical layout of an intermediate (paper: "row, col, PAXish").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Layout {
     /// Column-major (this engine's native layout).
     Columnar,
@@ -29,7 +28,7 @@ pub enum Layout {
 /// The property vector of a (sub-)plan output, keyed on its primary key
 /// column (join key upstream of a join, grouping key upstream of a
 /// group-by).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanProps {
     /// Sort order of the key column.
     pub sortedness: Sortedness,

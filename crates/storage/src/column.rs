@@ -9,10 +9,9 @@ use crate::error::StorageError;
 use crate::selection::Selection;
 use crate::value::{DataType, Value};
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// A typed, fully materialised column.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Column {
     /// u32 data (grouping keys in the paper's experiments).
     U32(Vec<u32>),

@@ -8,14 +8,12 @@
 
 use crate::error::StorageError;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// An order-of-insertion string dictionary with dense `u32` codes.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Dictionary {
     values: Vec<String>,
-    #[serde(skip)]
     index: HashMap<String, u32>,
 }
 

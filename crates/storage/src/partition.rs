@@ -26,10 +26,9 @@ use crate::relation::Relation;
 use crate::stats::ColumnStats;
 use crate::value::DataType;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// How rows are routed to partitions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PartitionScheme {
     /// Range partitioning. `bounds` are strictly ascending *exclusive
     /// upper* bounds: partition `i < bounds.len()` covers
@@ -50,7 +49,7 @@ pub enum PartitionScheme {
 }
 
 /// A partitioning specification: the routed column plus the scheme.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionSpec {
     /// Name of the routed column (must be a plain `u32` column).
     pub column: String,
@@ -142,7 +141,7 @@ impl PartitionSpec {
 }
 
 /// One partition's physical placement and observed statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitionMeta {
     /// Half-open row ranges in the flat relation, ascending and disjoint.
     pub ranges: Vec<(usize, usize)>,
@@ -162,7 +161,7 @@ impl PartitionMeta {
 }
 
 /// The full partition map of one table: spec + per-partition placement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Partitioning {
     spec: PartitionSpec,
     parts: Vec<PartitionMeta>,

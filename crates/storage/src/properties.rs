@@ -9,7 +9,6 @@
 //! distinct values to be known", §4.1), in a form shared by the data layer
 //! and the optimiser.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Sort order of a key column.
@@ -17,7 +16,7 @@ use std::fmt;
 /// The paper's model treats sortedness as a property of an *input* (Figure 4
 /// datasets are "sorted" or "unsorted"); we additionally distinguish the
 /// direction so order-based operators can verify their precondition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Sortedness {
     /// Non-decreasing.
     Ascending,
@@ -63,7 +62,7 @@ impl fmt::Display for Sortedness {
 /// `d == max - min + 1` (every value in the range occurs — the SPH is then
 /// *minimal*), and more generally record the fill factor so the optimiser
 /// can decide whether a non-minimal SPH is still worthwhile.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Density {
     /// Every key in `[min, max]` occurs; SPH over `max - min + 1` slots is
     /// minimal and perfect.
@@ -111,7 +110,7 @@ impl fmt::Display for Density {
 
 /// The bundle of data properties for one key column of one relation,
 /// as consumed by the optimiser.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DataProps {
     /// Sort order of the column.
     pub sortedness: Sortedness,

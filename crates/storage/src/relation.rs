@@ -7,7 +7,6 @@ use crate::schema::{Field, Schema};
 use crate::selection::Selection;
 use crate::value::{DataType, Value};
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -15,7 +14,7 @@ use std::sync::Arc;
 ///
 /// Columns are shared via `Arc` so projections and property-preserving
 /// rewrites are O(1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Relation {
     schema: Schema,
     columns: Vec<Arc<Column>>,

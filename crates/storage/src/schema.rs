@@ -3,11 +3,10 @@
 use crate::error::StorageError;
 use crate::value::DataType;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One named, typed field of a relation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Field {
     /// Field name (unique within a schema, case-sensitive).
     pub name: String,
@@ -32,7 +31,7 @@ impl fmt::Display for Field {
 }
 
 /// An ordered list of fields.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     fields: Vec<Field>,
 }

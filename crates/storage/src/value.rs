@@ -5,12 +5,11 @@
 //! covers exactly what the reproduction needs (plus dictionary-encoded
 //! strings, which motivate dense key domains in §2.1 of the paper).
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
 /// The data types supported by the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// Unsigned 32-bit integer — the paper's grouping-key type.
     U32,
@@ -62,7 +61,7 @@ impl DataType {
 ///
 /// `Value` is used at the API boundary (constants in predicates, row
 /// accessors, test oracles). Hot paths operate on raw column slices instead.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// u32 value.
     U32(u32),

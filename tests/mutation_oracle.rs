@@ -198,6 +198,11 @@ fn randomized_interleavings_stay_bit_identical_at_all_dops() {
             };
 
             run_query(&engine, &mirror, &ctx(0));
+            // Reads alone never maintain a view.
+            let snap = registry.snapshot();
+            for delta in [names::AV_DELTA_MERGES, names::AV_DELTA_ROWS] {
+                assert_eq!(snap.counter(delta).unwrap_or(0), 0, "{delta}");
+            }
             for op in 1..=14usize {
                 match next(&mut state) % 4 {
                     0 | 1 => {

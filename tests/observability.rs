@@ -206,7 +206,11 @@ fn metrics_exposition_formats_cover_the_registry() {
 
 #[test]
 fn bytes_materialised_shows_copies_were_removed_not_moved() {
-    use dqo::core::executor::execute_traced;
+    use dqo::core::executor::{execute_with, ExecContext};
+    let traced = ExecContext {
+        collect_metrics: true,
+        ..ExecContext::default()
+    };
     use dqo::plan::physical::GroupingMolecules;
     use dqo::plan::{AggExpr, AggFunc, CmpOp, GroupingImpl, PhysicalPlan, Predicate};
     use dqo::storage::{PartitionSpec, PartitionedRelation};
@@ -239,7 +243,7 @@ fn bytes_materialised_shows_copies_were_removed_not_moved() {
             }),
             n: 1_000,
         };
-        let (out, nodes) = execute_traced(&plan, &cat, None, None).unwrap();
+        let (out, nodes) = execute_with(&plan, &cat, &traced).unwrap();
         assert_eq!(nodes.len(), 4);
         for (node, m) in plan.preorder().iter().zip(&nodes) {
             assert_eq!(m.bytes_materialised, 0, "{}", node.explain());
@@ -253,7 +257,7 @@ fn bytes_materialised_shows_copies_were_removed_not_moved() {
     // value bytes are copied — into kernel scratch, by the grouping — and
     // the grouped result reaches the root without another copy.
     let survivors = {
-        let (out, _) = execute_traced(&filter(scan()), &cat, None, None).unwrap();
+        let (out, _) = execute_with(&filter(scan()), &cat, &traced).unwrap();
         out.relation.rows() as u64
     };
     assert!(
@@ -282,7 +286,7 @@ fn bytes_materialised_shows_copies_were_removed_not_moved() {
                 dop,
             },
         };
-        let (out, nodes) = execute_traced(&plan, &cat, None, None).unwrap();
+        let (out, nodes) = execute_with(&plan, &cat, &traced).unwrap();
         let total: u64 = nodes.iter().map(|m| m.bytes_materialised).sum();
         assert_eq!(
             out.bytes_materialised, total,

@@ -11,8 +11,8 @@
 //! ```
 
 use dqo::core::catalog::Catalog;
-use dqo::core::cost::TupleCostModel;
-use dqo::core::optimizer::{optimize_full_dop, OptimizerMode, PropertyModel};
+use dqo::core::memo::Memo;
+use dqo::core::optimizer::{optimize_in, OptimizerMode, PropertyModel, SearchContext};
 use dqo::plan::expr::{AggExpr, CmpOp, Predicate};
 use dqo::plan::LogicalPlan;
 use dqo::storage::datagen::{DatasetSpec, ForeignKeySpec};
@@ -202,16 +202,12 @@ fn render_snapshot() -> String {
     let mut out = String::new();
     for (name, q) in corpus_queries() {
         for dop in [1usize, 4] {
-            let planned = optimize_full_dop(
-                &q,
-                &cat,
-                OptimizerMode::Deep,
-                &TupleCostModel,
-                None,
-                PropertyModel::AttributeStrict,
+            let ctx = SearchContext {
+                pmodel: PropertyModel::AttributeStrict,
                 dop,
-            )
-            .unwrap();
+                ..SearchContext::new(OptimizerMode::Deep)
+            };
+            let planned = optimize_in(&mut Memo::new(), &q, &cat, &ctx).unwrap();
             writeln!(out, "== {name} | dop={dop} | cost={}", planned.est_cost).unwrap();
             out.push_str(planned.plan.explain().trim_end());
             out.push_str("\n\n");

@@ -11,15 +11,14 @@
 //! * **concurrent** — threads sharing one engine get the serial answers
 //!   and lose no count.
 //!
-//! The cold search is [`MemoOptimizer`] over a fresh [`Memo`] — what
-//! `optimize_full_dop` wraps — handed the engine's own feedback store so
-//! the comparison still holds after a correction is learned.
+//! The cold search is `optimize_in` over a fresh [`Memo`], handed the
+//! engine's own feedback store so the comparison still holds after a
+//! correction is learned.
 
 use dqo::core::av::{AvKind, AvSignature};
-use dqo::core::cost::TupleCostModel;
 use dqo::core::executor::sorted_rows;
-use dqo::core::memo::{Memo, MemoOptimizer};
-use dqo::core::optimizer::{PlannedQuery, PropertyModel};
+use dqo::core::memo::Memo;
+use dqo::core::optimizer::{optimize_in, PlannedQuery, PropertyModel, SearchContext};
 use dqo::core::plan_cache::DEFAULT_CAPACITY;
 use dqo::core::Engine;
 use dqo::obs::{names, MetricsRegistry};
@@ -112,19 +111,15 @@ fn rules_fired(engine: &Engine) -> u64 {
 /// What a search that shares nothing with the engine's store returns now.
 fn cold_search(engine: &Engine, q: &LogicalPlan) -> (PlannedQuery, usize) {
     let mut memo = Memo::new();
-    let planned = MemoOptimizer::new(
-        &mut memo,
-        engine.catalog(),
-        engine.mode(),
-        &TupleCostModel,
-        Some(engine.avs()),
-        PropertyModel::default(),
-        engine.threads(),
-        Some(engine.feedback()),
-    )
-    .with_pruning(engine.pruning())
-    .optimize(q)
-    .expect("plans");
+    let ctx = SearchContext {
+        avs: Some(engine.avs()),
+        pmodel: PropertyModel::default(),
+        dop: engine.threads(),
+        feedback: Some(engine.feedback()),
+        pruning: engine.pruning(),
+        ..SearchContext::new(engine.mode())
+    };
+    let planned = optimize_in(&mut memo, q, engine.catalog(), &ctx).expect("plans");
     (planned, memo.group_count())
 }
 

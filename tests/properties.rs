@@ -3,12 +3,24 @@
 //! robustness.
 
 use dqo::core::executor::{naive_eval, sorted_rows};
-use dqo::core::optimizer::{optimize_strict, OptimizerMode};
+use dqo::core::memo::Memo;
+use dqo::core::optimizer::{
+    optimize_in, OptimizerMode, PlannedQuery, PropertyModel, SearchContext,
+};
 use dqo::core::{execute, Catalog};
 use dqo::plan::expr::AggExpr;
 use dqo::plan::LogicalPlan;
 use dqo::storage::Relation;
 use proptest::prelude::*;
+
+/// Optimise under the sound attribute-strict property model.
+fn optimize_strict(q: &LogicalPlan, catalog: &Catalog, mode: OptimizerMode) -> PlannedQuery {
+    let ctx = SearchContext {
+        pmodel: PropertyModel::AttributeStrict,
+        ..SearchContext::new(mode)
+    };
+    optimize_in(&mut Memo::new(), q, catalog, &ctx).unwrap()
+}
 
 /// Build a two-column relation r(id, a) and one-column fk side s(r_id)
 /// from arbitrary data, with ids deduplicated to keep the PK property.
@@ -54,7 +66,7 @@ proptest! {
         );
         let naive = naive_eval(&q, &catalog).unwrap();
         for mode in [OptimizerMode::Shallow, OptimizerMode::Deep] {
-            let planned = optimize_strict(&q, &catalog, mode).unwrap();
+            let planned = optimize_strict(&q, &catalog, mode);
             let out = execute(&planned.plan, &catalog).unwrap();
             prop_assert_eq!(sorted_rows(&out.relation), sorted_rows(&naive));
         }
@@ -77,7 +89,7 @@ proptest! {
         );
         let naive = naive_eval(&q, &catalog).unwrap();
         for mode in [OptimizerMode::Shallow, OptimizerMode::Deep] {
-            let planned = optimize_strict(&q, &catalog, mode).unwrap();
+            let planned = optimize_strict(&q, &catalog, mode);
             let out = execute(&planned.plan, &catalog).unwrap();
             prop_assert_eq!(
                 sorted_rows(&out.relation),
@@ -96,8 +108,8 @@ proptest! {
         let q = LogicalPlan::group_by(
             LogicalPlan::scan("t"), "key", vec![AggExpr::count_star("n")],
         );
-        let deep = optimize_strict(&q, &catalog, OptimizerMode::Deep).unwrap();
-        let shallow = optimize_strict(&q, &catalog, OptimizerMode::Shallow).unwrap();
+        let deep = optimize_strict(&q, &catalog, OptimizerMode::Deep);
+        let shallow = optimize_strict(&q, &catalog, OptimizerMode::Shallow);
         prop_assert!(deep.est_cost <= shallow.est_cost + 1e-9);
     }
 
