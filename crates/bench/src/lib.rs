@@ -51,9 +51,9 @@ impl Args {
         self.raw.iter().any(|a| a == name)
     }
 
-    /// Value of `--key <value>`, parsed; a value that is present but does
-    /// not parse ends the process with an error naming the flag, so a run
-    /// is never labelled with a size it did not use.
+    /// Value of `--key <value>`, parsed; a flag given without a value, or
+    /// with one that does not parse, ends the process with an error naming
+    /// the flag, so a run is never labelled with a size it did not use.
     pub fn value<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
         self.try_value(name).unwrap_or_else(|e| {
             eprintln!("error: {e}");
@@ -61,18 +61,18 @@ impl Args {
         })
     }
 
-    /// [`Args::value`] with the malformed case returned instead of fatal.
+    /// [`Args::value`] with the error cases returned instead of fatal.
     fn try_value<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
         let Some(idx) = self.raw.iter().position(|a| a == name) else {
             return Ok(None);
         };
-        match self.raw.get(idx + 1) {
-            None => Ok(None),
-            Some(raw) => raw
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("invalid value {raw:?} for {name}")),
-        }
+        let raw = self
+            .raw
+            .get(idx + 1)
+            .ok_or_else(|| format!("missing value for {name}"))?;
+        raw.parse()
+            .map(Some)
+            .map_err(|_| format!("invalid value {raw:?} for {name}"))
     }
 }
 
@@ -95,8 +95,9 @@ mod tests {
     }
 
     #[test]
-    fn missing_value_is_none() {
-        let a = Args::from_vec(vec!["--rows".into()]);
-        assert_eq!(a.value::<usize>("--rows"), None);
+    fn missing_value_is_an_error() {
+        let a = Args::from_vec(vec!["--csv".into(), "--rows".into()]);
+        let err = a.try_value::<usize>("--rows").unwrap_err();
+        assert_eq!(err, "missing value for --rows");
     }
 }

@@ -21,6 +21,18 @@
 //! AVs can be **planned** (signature + size/cost metadata only — what the
 //! AVSP solvers reason over) or **materialised** (artifact built). The
 //! optimiser treats an applicable AV as a zero-build-cost alternative.
+//!
+//! A materialised AV has **one lifecycle**, and each step has one home:
+//!
+//! 1. **build** — [`materialise_av`]: a pure function from a table
+//!    snapshot to the [`Av`]; no catalog is touched;
+//! 2. **publish** — [`AvCatalog::publish`]: the only function that
+//!    registers or swaps a hidden `__av::` relation and the only one that
+//!    inserts a built or maintained artifact, after checking under the
+//!    catalog's write lock that the snapshot is still the table;
+//! 3. **maintain** — [`crate::av_delta`]: per kind, a pure function from
+//!    (published artifact, combined snapshot, delta) to the next artifact,
+//!    published the same way.
 
 use crate::catalog::{Catalog, TableEntry};
 use crate::error::CoreError;
@@ -201,46 +213,49 @@ pub fn combine_composite_props(cols: &[dqo_storage::DataProps]) -> dqo_storage::
     }
 }
 
-/// Statistics backing a signature: the key column's `DataProps`, or —
-/// for composite signatures — the derived bundle of
-/// [`combine_composite_props`].
-pub fn signature_props(catalog: &Catalog, sig: &AvSignature) -> Result<dqo_storage::DataProps> {
-    if !sig.is_composite() {
-        return catalog.column_props(&sig.table, &sig.column);
-    }
+/// Statistics backing a signature, read from one table snapshot: the key
+/// column's `DataProps`, or — for composite signatures — the derived
+/// bundle of [`combine_composite_props`]. Taking the **entry** rather
+/// than the catalog is what keeps a build racing DDL coherent: a second
+/// catalog lookup could return a table registered in between, and the
+/// build would then run old keys against the new table's domain (an SPH
+/// kernel error instead of a superseded build).
+pub fn signature_props(entry: &TableEntry, sig: &AvSignature) -> Result<dqo_storage::DataProps> {
     let cols: Vec<dqo_storage::DataProps> = sig
         .key_columns()
         .iter()
-        .map(|col| catalog.column_props(&sig.table, col))
+        .map(|col| {
+            entry
+                .column_props
+                .get(*col)
+                .copied()
+                .ok_or_else(|| CoreError::UnknownColumn(format!("{}.{col}", sig.table)))
+        })
         .collect::<Result<_>>()?;
-    Ok(combine_composite_props(&cols))
+    Ok(match cols[..] {
+        [single] => single,
+        _ => combine_composite_props(&cols),
+    })
 }
 
-/// Plan an AV (metadata only) from catalog statistics. Composite keys
-/// admit sorted projections and materialised groupings; a composite SPH
-/// *join* index has no composite join to serve and is rejected.
-pub fn plan_av(catalog: &Catalog, sig: &AvSignature) -> Result<Av> {
+/// Plan an AV (metadata only) from a table snapshot's statistics.
+/// Composite keys admit sorted projections and materialised groupings; a
+/// composite SPH *join* index has no composite join to serve and is
+/// rejected.
+pub fn plan_av(entry: &TableEntry, sig: &AvSignature) -> Result<Av> {
     if sig.is_composite() && sig.kind == AvKind::SphIndex {
         return Err(CoreError::Unsupported(format!(
             "composite-key SPH index {sig} (joins are single-key)"
         )));
     }
-    let props = signature_props(catalog, sig)?;
+    let props = signature_props(entry, sig)?;
     let rows = props.rows as f64;
     let mut provides = PlanProps::from_data(&props);
     let (build_cost, byte_size) = match sig.kind {
         AvKind::SortedProjection => {
             provides.sortedness = Sortedness::Ascending;
             provides.partitioned = true;
-            let width: usize = catalog
-                .get(&sig.table)?
-                .relation
-                .schema()
-                .fields()
-                .iter()
-                .map(|f| f.data_type.byte_width())
-                .sum();
-            (rows * crate::cost::log2(rows), props.rows as usize * width)
+            (rows * crate::cost::log2(rows), entry.relation.byte_size())
         }
         AvKind::SphIndex => {
             let domain = props.sph_domain().unwrap_or(0) as usize;
@@ -289,213 +304,149 @@ pub(crate) fn grouping_relation(
     )?)
 }
 
-/// The key column's properties from the **same** entry the keys are read
-/// from. A second catalog lookup could return a table registered in
-/// between, and a build racing DDL would then run old keys against the
-/// new table's domain (an SPH kernel error instead of a superseded build).
-fn snapshot_props(entry: &TableEntry, sig: &AvSignature) -> Result<dqo_storage::DataProps> {
-    entry
-        .column_props
-        .get(&sig.column)
-        .copied()
-        .ok_or_else(|| CoreError::UnknownColumn(format!("{}.{}", sig.table, sig.column)))
+/// The key columns of `sig` in `rel`, in key order.
+pub(crate) fn key_columns<'r>(rel: &'r Relation, sig: &AvSignature) -> Result<Vec<&'r [u32]>> {
+    let column = |k: &&str| Ok(rel.column(k)?.as_u32()?);
+    sig.key_columns().iter().map(column).collect()
 }
 
-/// Materialise an AV's artifact from the base table with the **serial**
-/// kernels (`argsort`, [`SphIndex::build`], `hash_grouping_chaining`) on
-/// the caller thread. Relation-shaped artifacts are also registered in
-/// the catalog under [`AvSignature::av_table_name`], so plans can scan
-/// them directly.
+/// The stable ascending order of the rows of `key_cols` (lexicographic
+/// for composites): row ids sorted by `(key tuple, row id)` — the order
+/// every sorted projection is in, whether built here or maintained by
+/// [`crate::av_delta`]. A composite whose tuples pack into the `u32` code
+/// domain sorts its packed codes (packing preserves lexicographic order)
+/// with the single-key kernels; one that does not falls back to a
+/// comparison sort over the raw tuples, identically with or without a
+/// pool.
+pub(crate) fn key_order(key_cols: &[&[u32]], pool: Option<&ThreadPool>) -> Result<Vec<u32>> {
+    let sort = |keys: &[u32]| match pool {
+        Some(tp) => Ok(parallel_argsort(tp, keys, RunSortMolecule::Comparison, &[])?.0),
+        None => Ok(argsort(keys)),
+    };
+    if let [keys] = key_cols {
+        return sort(keys);
+    }
+    match KeyPacker::fit(key_cols) {
+        Some(packer) => sort(&packer.pack(key_cols)),
+        None => {
+            let mut idx: Vec<u32> = (0..key_cols[0].len() as u32).collect();
+            idx.sort_by(|&a, &b| {
+                let tuple = |row: u32| key_cols.iter().map(move |c| c[row as usize]);
+                tuple(a).cmp(tuple(b))
+            });
+            Ok(idx)
+        }
+    }
+}
+
+/// **Build**: materialise `sig`'s artifact from one table snapshot. Pure
+/// — it reads `entry` and returns the [`Av`]; nothing becomes visible
+/// until [`AvCatalog::publish`] accepts it.
 ///
-/// This is the reference implementation the parallel builder
-/// ([`materialise_av_on`]) is tested bit-identical against; offline
-/// batch builds should go through [`crate::av_build::AvBuilder`], which
-/// runs on the shared pool under admission control.
-pub fn materialise_av(catalog: &Catalog, sig: &AvSignature) -> Result<Av> {
-    if sig.is_composite() {
-        return materialise_composite(catalog, sig, None);
-    }
-    let mut av = plan_av(catalog, sig)?;
-    let entry = catalog.get(&sig.table)?;
-    let keys = entry.relation.column(&sig.column)?.as_u32()?;
-    match sig.kind {
-        AvKind::SortedProjection => {
-            let sorted = entry.relation.gather(&argsort(keys));
-            catalog.register(sig.av_table_name(), sorted.clone());
-            av.artifact = Some(AvArtifact::SortedProjection(Arc::new(sorted)));
-        }
-        AvKind::SphIndex => {
-            let props = snapshot_props(&entry, sig)?;
-            let index = SphIndex::build(keys, props.min, props.max)?;
-            av.byte_size = index.byte_size();
-            av.artifact = Some(AvArtifact::SphIndex(Arc::new(index)));
-        }
-        AvKind::MaterialisedGrouping => {
-            let mut g = hash_grouping_chaining(keys, keys, CountSum, keys.len().min(1 << 20));
-            g.sort_by_key();
-            let rel = grouping_relation(sig, g)?;
-            catalog.register(sig.av_table_name(), rel.clone());
-            av.artifact = Some(AvArtifact::MaterialisedGrouping(Arc::new(rel)));
-        }
-    }
-    Ok(av)
-}
-
-/// Materialise an AV's artifact through the persistent pool behind
-/// `pool`: the sorted projection via the parallel sort plus a
-/// range-partitioned gather, the SPH index via the partitioned CSR
-/// build, the materialised grouping via the parallel SPHG/HG kernels.
-///
-/// Artifacts are **bit-identical** to [`materialise_av`]'s at any DOP or
-/// steal order (the parallel kernels are deterministic by construction),
-/// and at DOP 1 everything runs inline on the caller thread without
-/// touching the pool. Registration side effects match the serial path.
-pub fn materialise_av_on(catalog: &Catalog, sig: &AvSignature, pool: &ThreadPool) -> Result<Av> {
-    if sig.is_composite() {
-        return materialise_composite(catalog, sig, Some(pool));
-    }
-    let mut av = plan_av(catalog, sig)?;
-    let entry = catalog.get(&sig.table)?;
-    let keys = entry.relation.column(&sig.column)?.as_u32()?;
-    match sig.kind {
-        AvKind::SortedProjection => {
-            let (order, _) = parallel_argsort(pool, keys, RunSortMolecule::Comparison, &[])?;
-            let sorted = parallel_gather(pool, &entry.relation, &order)?;
-            catalog.register(sig.av_table_name(), sorted.clone());
-            av.artifact = Some(AvArtifact::SortedProjection(Arc::new(sorted)));
-        }
-        AvKind::SphIndex => {
-            let props = snapshot_props(&entry, sig)?;
-            let index = parallel_sph_index_build(pool, keys, props.min, props.max)?;
-            av.byte_size = index.byte_size();
-            av.artifact = Some(AvArtifact::SphIndex(Arc::new(index)));
-        }
-        AvKind::MaterialisedGrouping => {
-            let props = snapshot_props(&entry, sig)?;
-            // The same molecule split the query engine uses: the dense
-            // SPH array when density admits it, chaining hash otherwise.
-            // Both kernels emit ascending keys with exactly-merged
-            // decomposable states, i.e. the serial artifact.
-            let strategy = if props.rows > 0 && props.density.is_dense() {
-                GroupingStrategy::StaticPerfectHash {
-                    min: props.min,
-                    max: props.max,
-                }
-            } else {
-                GroupingStrategy::Hash(Default::default())
-            };
-            let (g, _) = parallel_grouping(
-                pool,
-                keys,
-                keys,
-                CountSum,
-                strategy,
-                &[0, keys.len()],
-                DEFAULT_MORSEL_ROWS,
-            )?;
-            let rel = grouping_relation(sig, g)?;
-            catalog.register(sig.av_table_name(), rel.clone());
-            av.artifact = Some(AvArtifact::MaterialisedGrouping(Arc::new(rel)));
-        }
-    }
-    Ok(av)
-}
-
-/// Materialise a **composite-key** AV (sorted projection or materialised
-/// grouping), serially or on a pool. Both paths share one kernel choice:
-/// when the key tuple packs into the `u32` code domain, the packed code
-/// column drives the ordinary single-key machinery (parallel twins and
-/// serial kernels are bit-identical on it); otherwise the build falls
-/// back to the deterministic row-wise kernels, identically in both modes.
-fn materialise_composite(
-    catalog: &Catalog,
+/// With `pool = None` the serial reference kernels run on the caller
+/// thread (`argsort`, [`SphIndex::build`], `hash_grouping_chaining`);
+/// with a pool, their parallel twins (parallel sort + range-partitioned
+/// gather, partitioned CSR build, parallel SPHG/HG). The two are
+/// **bit-identical** at any DOP or steal order — the parallel kernels
+/// are deterministic by construction, and `tests/parallel_oracle.rs`
+/// pins it — so the serial path is the oracle, not a second behaviour.
+/// Offline batch builds go through [`crate::av_build::AvBuilder`], which
+/// adds admission control and the publish step.
+pub fn materialise_av(
+    entry: &TableEntry,
     sig: &AvSignature,
     pool: Option<&ThreadPool>,
 ) -> Result<Av> {
-    let mut av = plan_av(catalog, sig)?;
-    let entry = catalog.get(&sig.table)?;
-    let key_names = sig.key_columns();
-    let key_cols: Vec<&[u32]> = key_names
-        .iter()
-        .map(|k| Ok(entry.relation.column(k)?.as_u32()?))
-        .collect::<Result<_>>()?;
-    let packer = KeyPacker::fit(&key_cols);
-    match sig.kind {
+    let mut av = plan_av(entry, sig)?;
+    let base = &entry.relation;
+    let key_cols = key_columns(base, sig)?;
+    av.artifact = Some(match sig.kind {
         AvKind::SortedProjection => {
-            let order: Vec<usize> = match &packer {
-                Some(p) => {
-                    let packed = p.pack(&key_cols);
-                    match pool {
-                        Some(tp) => {
-                            parallel_argsort(tp, &packed, RunSortMolecule::Comparison, &[])?.0
-                        }
-                        None => argsort(&packed),
-                    }
-                    .into_iter()
-                    .map(|i| i as usize)
-                    .collect()
-                }
-                None => {
-                    // Stable lexicographic argsort over the raw tuples —
-                    // the order the packed path would have produced.
-                    let rows = key_cols[0].len();
-                    let mut idx: Vec<usize> = (0..rows).collect();
-                    idx.sort_by(|&a, &b| {
-                        key_cols
-                            .iter()
-                            .map(|c| c[a].cmp(&c[b]))
-                            .find(|o| *o != std::cmp::Ordering::Equal)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    });
-                    idx
-                }
-            };
+            let order = key_order(&key_cols, pool)?;
             let sorted = match pool {
-                Some(tp) => parallel_gather(tp, &entry.relation, &order)?,
-                None => entry.relation.gather(&order),
+                Some(tp) => parallel_gather(tp, base, &order)?,
+                None => base.gather(&order),
             };
-            catalog.register(sig.av_table_name(), sorted.clone());
-            av.artifact = Some(AvArtifact::SortedProjection(Arc::new(sorted)));
+            AvArtifact::SortedProjection(Arc::new(sorted))
+        }
+        AvKind::SphIndex => {
+            let props = signature_props(entry, sig)?;
+            let keys = key_cols[0]; // plan_av rejected composite indexes
+            let index = match pool {
+                Some(tp) => parallel_sph_index_build(tp, keys, props.min, props.max)?,
+                None => SphIndex::build(keys, props.min, props.max)?,
+            };
+            av.byte_size = index.byte_size();
+            AvArtifact::SphIndex(Arc::new(index))
         }
         AvKind::MaterialisedGrouping => {
-            // The canonical composite shape: one column per key, then
-            // COUNT(*) and SUM of the *first* key column (matching the
-            // single-key AV, whose sum aggregates the key itself).
-            let values = key_cols[0];
-            let (cols, states) = match &packer {
-                Some(p) => {
-                    let packed = p.pack(&key_cols);
-                    let grouped = match pool {
-                        Some(tp) => {
-                            parallel_grouping(
-                                tp,
-                                &packed,
-                                values,
-                                CountSum,
-                                GroupingStrategy::Hash(Default::default()),
-                                &[0, packed.len()],
-                                DEFAULT_MORSEL_ROWS,
-                            )?
-                            .0
-                        }
-                        None => hash_grouping_chaining(
-                            &packed,
-                            values,
-                            CountSum,
-                            packed.len().min(1 << 20),
-                        ),
-                    };
-                    unpack_grouped(p, grouped)
-                }
-                None => rowwise_group(&key_cols, values, CountSum),
-            };
-            let rel = composite_grouping_relation(&entry.relation, &key_names, cols, &states)?;
-            catalog.register(sig.av_table_name(), rel.clone());
-            av.artifact = Some(AvArtifact::MaterialisedGrouping(Arc::new(rel)));
+            AvArtifact::MaterialisedGrouping(Arc::new(build_grouping(entry, sig, &key_cols, pool)?))
         }
-        AvKind::SphIndex => unreachable!("plan_av rejects composite SPH indexes"),
-    }
+    });
     Ok(av)
+}
+
+/// The materialised-grouping artifact: `(key, count, sum)` for a single
+/// key; for a composite, one column per key (base-table types and
+/// dictionaries kept), then COUNT(*) and SUM of the *first* key column
+/// (matching the single-key AV, whose sum aggregates the key itself).
+fn build_grouping(
+    entry: &TableEntry,
+    sig: &AvSignature,
+    key_cols: &[&[u32]],
+    pool: Option<&ThreadPool>,
+) -> Result<Relation> {
+    let group = |keys: &[u32], strategy| -> Result<GroupedResult<CountSumState>> {
+        let values = key_cols[0];
+        Ok(match pool {
+            Some(tp) => {
+                let bounds = [0, keys.len()];
+                parallel_grouping(
+                    tp,
+                    keys,
+                    values,
+                    CountSum,
+                    strategy,
+                    &bounds,
+                    DEFAULT_MORSEL_ROWS,
+                )?
+                .0
+            }
+            None => {
+                let mut g = hash_grouping_chaining(keys, values, CountSum, keys.len().min(1 << 20));
+                g.sort_by_key();
+                g
+            }
+        })
+    };
+    if let [keys] = key_cols {
+        // The same molecule split the query engine uses: the dense SPH
+        // array when density admits it, chaining hash otherwise. Both
+        // emit ascending keys with exactly-merged decomposable states,
+        // i.e. the serial artifact.
+        let props = signature_props(entry, sig)?;
+        let strategy = if props.rows > 0 && props.density.is_dense() {
+            GroupingStrategy::StaticPerfectHash {
+                min: props.min,
+                max: props.max,
+            }
+        } else {
+            GroupingStrategy::Hash(Default::default())
+        };
+        return grouping_relation(sig, group(keys, strategy)?);
+    }
+    // When the key tuple packs into the `u32` code domain the packed code
+    // column drives the single-key kernels; otherwise the deterministic
+    // row-wise kernel runs, identically with or without a pool.
+    let (cols, states) = match KeyPacker::fit(key_cols) {
+        Some(packer) => {
+            let packed = packer.pack(key_cols);
+            let grouped = group(&packed, GroupingStrategy::Hash(Default::default()))?;
+            unpack_grouped(&packer, grouped)
+        }
+        None => rowwise_group(key_cols, key_cols[0], CountSum),
+    };
+    composite_grouping_relation(&entry.relation, &sig.key_columns(), cols, &states)
 }
 
 /// Assemble the composite grouping artifact: the key columns keep their
@@ -561,7 +512,9 @@ impl AvCatalog {
         self.generation.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Register a (planned or materialised) AV.
+    /// Register a *planned* AV (or, in tests, a hand-made one) without any
+    /// currency check. Artifacts built or maintained from table data go
+    /// through [`AvCatalog::publish`].
     pub fn register(&self, av: Av) -> Arc<Av> {
         let av = Arc::new(av);
         self.views
@@ -571,16 +524,41 @@ impl AvCatalog {
         av
     }
 
-    /// Register `av` only if `still_valid` holds, evaluated **under the
-    /// catalog's write lock** so the check cannot interleave with an
-    /// [`AvCatalog::invalidate_table`] (which takes the same lock).
-    /// Returns `None` without registering when the check fails — how a
-    /// long-running build refuses to publish an artifact whose base
-    /// table was replaced mid-build.
-    pub fn register_if(&self, av: Av, still_valid: impl FnOnce() -> bool) -> Option<Arc<Av>> {
+    /// **Publish**: the one way a built or maintained artifact becomes
+    /// visible. Under this catalog's write lock it (1) checks that
+    /// `table`'s registration *and* data generation are still those of
+    /// `built_from` — the snapshot the artifact was computed from — and
+    /// refuses otherwise (`None`; nothing was touched, no clock moved);
+    /// (2) for a relation-shaped artifact, makes the artifact itself the
+    /// hidden [`AvSignature::av_table_name`] relation plans scan — swapped
+    /// through [`Catalog::replace_data`] when it exists (data clock only:
+    /// stored plans survive and observe the new rows), first-registered
+    /// otherwise (DDL clock: stored plans re-plan and may now use the
+    /// view); (3) inserts the entry.
+    ///
+    /// The check cannot interleave with [`AvCatalog::invalidate_table`],
+    /// which takes the same lock *after* the DDL that calls it has moved
+    /// the table's generation: a build that lost a race with DDL or an
+    /// append is either refused here or removed by that invalidation.
+    ///
+    /// **Lock order: AV views → catalog tables.** This function holds the
+    /// views lock across its catalog calls; nothing may take the views
+    /// lock while holding the table catalog's.
+    pub fn publish(&self, catalog: &Catalog, av: Av, built_from: &TableEntry) -> Option<Arc<Av>> {
         let mut views = self.views.write();
-        if !still_valid() {
+        let snapshot = (built_from.generation, built_from.data_generation);
+        if catalog.table_stats_version(&av.signature.table) != Some(snapshot) {
             return None;
+        }
+        if let Some(AvArtifact::SortedProjection(rel) | AvArtifact::MaterialisedGrouping(rel)) =
+            &av.artifact
+        {
+            let hidden = av.signature.av_table_name();
+            // A hidden relation is flat, so the swap only fails when it
+            // is not registered yet.
+            if catalog.replace_data(&hidden, (**rel).clone()).is_err() {
+                catalog.register(hidden, (**rel).clone());
+            }
         }
         let av = Arc::new(av);
         views.insert(av.signature.clone(), Arc::clone(&av));
@@ -696,7 +674,7 @@ mod tests {
     fn plan_av_metadata() {
         let cat = catalog_with_t(false, true);
         let sig = AvSignature::new("t", "key", AvKind::SortedProjection);
-        let av = plan_av(&cat, &sig).unwrap();
+        let av = plan_av(&cat.get("t").unwrap(), &sig).unwrap();
         assert!(!av.is_materialised());
         assert!(av.build_cost > 0.0);
         assert!(av.byte_size >= 2_000 * 4);
@@ -704,22 +682,39 @@ mod tests {
     }
 
     #[test]
-    fn materialise_sorted_projection() {
+    fn materialise_is_pure_and_publish_registers_the_hidden_relation() {
         let cat = catalog_with_t(false, true);
+        let avs = AvCatalog::new();
+        let entry = cat.get("t").unwrap();
+        let (ddl, stats) = (cat.current_generation(), cat.stats_generation());
         let sig = AvSignature::new("t", "key", AvKind::SortedProjection);
-        let av = materialise_av(&cat, &sig).unwrap();
+        let av = materialise_av(&entry, &sig, None).unwrap();
         assert!(av.is_materialised());
+        assert!(cat.get(&sig.av_table_name()).is_err(), "build is pure");
+        assert_eq!(
+            (cat.current_generation(), cat.stats_generation()),
+            (ddl, stats)
+        );
+
+        assert!(avs.publish(&cat, av.clone(), &entry).is_some());
         // Registered as a hidden table with sorted stats.
         let props = cat.column_props(&sig.av_table_name(), "key").unwrap();
         assert!(props.sortedness.is_sorted());
         assert_eq!(props.rows, 2_000);
+        assert!(cat.current_generation() > ddl, "first registration is DDL");
+
+        // Republishing swaps the hidden relation on the data clock only.
+        let ddl = cat.current_generation();
+        assert!(avs.publish(&cat, av, &entry).is_some());
+        assert_eq!(cat.current_generation(), ddl);
+        assert_eq!(cat.data_generation_of(&sig.av_table_name()), Some(1));
     }
 
     #[test]
     fn materialise_sph_index() {
         let cat = catalog_with_t(false, true);
         let sig = AvSignature::new("t", "key", AvKind::SphIndex);
-        let av = materialise_av(&cat, &sig).unwrap();
+        let av = materialise_av(&cat.get("t").unwrap(), &sig, None).unwrap();
         match av.artifact {
             Some(AvArtifact::SphIndex(idx)) => {
                 let probe = idx.probe(&[0, 39]);
@@ -733,11 +728,27 @@ mod tests {
     fn materialise_grouping_matches_data() {
         let cat = catalog_with_t(false, true);
         let sig = AvSignature::new("t", "key", AvKind::MaterialisedGrouping);
-        materialise_av(&cat, &sig).unwrap();
-        let grouped = cat.get(&sig.av_table_name()).unwrap();
-        assert_eq!(grouped.relation.rows(), 40);
-        let counts = grouped.relation.column("count").unwrap().as_u64().unwrap();
+        let av = materialise_av(&cat.get("t").unwrap(), &sig, None).unwrap();
+        let Some(AvArtifact::MaterialisedGrouping(grouped)) = av.artifact else {
+            panic!("expected a grouping artifact");
+        };
+        assert_eq!(grouped.rows(), 40);
+        let counts = grouped.column("count").unwrap().as_u64().unwrap();
         assert_eq!(counts.iter().sum::<u64>(), 2_000);
+    }
+
+    /// The one tuple argsort: `(key tuple, row id)` order, whether the
+    /// tuples pack into `u32` codes or need the comparison fallback.
+    #[test]
+    fn key_order_is_stable_and_lexicographic() {
+        let a = [1u32, 0, 1, 0, 1];
+        let b = [2u32, 9, 1, 9, 1];
+        assert_eq!(key_order(&[&a, &b], None).unwrap(), [1, 3, 2, 4, 0]);
+        // Spans whose product leaves the u32 code domain cannot pack.
+        let wide = [u32::MAX, 0, u32::MAX, 0, u32::MAX];
+        assert!(KeyPacker::fit(&[&wide, &wide]).is_none());
+        assert_eq!(key_order(&[&wide, &b], None).unwrap(), [1, 3, 2, 4, 0]);
+        assert_eq!(key_order(&[&b], None).unwrap(), [2, 4, 0, 1, 3]);
     }
 
     #[test]
@@ -745,7 +756,7 @@ mod tests {
         let cat = catalog_with_t(true, true);
         let avs = AvCatalog::new();
         let sig = AvSignature::new("t", "key", AvKind::SphIndex);
-        avs.register(plan_av(&cat, &sig).unwrap());
+        avs.register(plan_av(&cat.get("t").unwrap(), &sig).unwrap());
         assert!(avs.lookup("t", "key", AvKind::SphIndex).is_some());
         assert!(avs.lookup("t", "key", AvKind::SortedProjection).is_none());
         assert_eq!(avs.signatures().len(), 1);
@@ -761,16 +772,16 @@ mod tests {
         // Planning succeeds (metadata), but the huge sparse domain would
         // blow up the array; the planner records the honest byte size so
         // AVSP will never select it.
-        let av = plan_av(&cat, &sig).unwrap();
+        let av = plan_av(&cat.get("t").unwrap(), &sig).unwrap();
         assert!(av.byte_size > 1 << 20);
     }
 
-    /// Fast unit smoke for `materialise_av_on` (the exhaustive
+    /// Fast unit smoke for the pooled build (the exhaustive
     /// seed × skew × DOP matrix lives in `tests/parallel_oracle.rs`):
     /// one realistic table plus the degenerate empty/single-row bases,
     /// all three kinds, parallel vs serial at DOP 4.
     #[test]
-    fn materialise_av_on_matches_serial_smoke() {
+    fn pooled_build_matches_serial_smoke() {
         let pool = ThreadPool::new(4);
         for data in [
             None, // the 2k-row datagen table
@@ -791,8 +802,9 @@ mod tests {
                 AvKind::MaterialisedGrouping,
             ] {
                 let sig = AvSignature::new("t", "key", kind);
-                let serial = materialise_av(&cat, &sig).unwrap();
-                let par = materialise_av_on(&cat, &sig, &pool).unwrap();
+                let entry = cat.get("t").unwrap();
+                let serial = materialise_av(&entry, &sig, None).unwrap();
+                let par = materialise_av(&entry, &sig, Some(&pool)).unwrap();
                 let ctx = format!("{kind} rows={:?}", data.as_ref().map(Vec::len));
                 assert_eq!(par.byte_size, serial.byte_size, "{ctx}");
                 match (par.artifact.unwrap(), serial.artifact.unwrap()) {
@@ -820,24 +832,13 @@ mod tests {
     fn invalidate_table_drops_views_and_partials() {
         let cat = catalog_with_t(false, true);
         let avs = AvCatalog::new();
-        avs.register(plan_av(&cat, &AvSignature::new("t", "key", AvKind::SphIndex)).unwrap());
-        avs.register(
-            plan_av(
-                &cat,
-                &AvSignature::new("t", "key", AvKind::SortedProjection),
-            )
-            .unwrap(),
-        );
+        let t = cat.get("t").unwrap();
+        avs.register(plan_av(&t, &AvSignature::new("t", "key", AvKind::SphIndex)).unwrap());
+        avs.register(plan_av(&t, &AvSignature::new("t", "key", AvKind::SortedProjection)).unwrap());
         avs.register_partial("t", "key", crate::partial_av::PartialAv::fully_open("p"));
         // A view on another table must survive.
-        cat.register("u", Relation::single_u32("key", vec![1, 2, 3]));
-        avs.register(
-            plan_av(
-                &cat,
-                &AvSignature::new("u", "key", AvKind::SortedProjection),
-            )
-            .unwrap(),
-        );
+        let u = cat.register("u", Relation::single_u32("key", vec![1, 2, 3]));
+        avs.register(plan_av(&u, &AvSignature::new("u", "key", AvKind::SortedProjection)).unwrap());
 
         let removed = avs.invalidate_table("t");
         assert_eq!(removed.len(), 2);

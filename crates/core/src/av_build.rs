@@ -21,12 +21,15 @@
 //!   [`estimates`](crate::cost::CostModel::parallel_av_build) — the
 //!   observability the adaptive-admission roadmap item feeds on.
 //!
-//! Artifacts are built with [`materialise_av_on`], bit-identical to the
-//! serial [`crate::av::materialise_av`] at any granted DOP.
+//! A build is the first two steps of the AV lifecycle: the pure
+//! [`materialise_av`] over one table snapshot at the granted DOP
+//! (bit-identical to the serial kernels at any DOP), then
+//! [`AvCatalog::publish`], which refuses the artifact if the table moved
+//! meanwhile. A refused build leaves no trace.
 
-use crate::av::{materialise_av_on, AvCatalog, AvSignature};
+use crate::av::{build_shape, materialise_av, signature_props, AvCatalog, AvSignature};
 use crate::avsp::AvspSolution;
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, TableEntry};
 use crate::cost::{CostModel, TupleCostModel};
 use crate::error::CoreError;
 use crate::Result;
@@ -61,8 +64,8 @@ pub struct AvBuildStats {
 /// controller. Cheap to clone; see the module docs for the policy.
 #[derive(Debug, Clone)]
 pub struct AvBuilder {
-    catalog: Arc<Catalog>,
-    avs: Arc<AvCatalog>,
+    pub(crate) catalog: Arc<Catalog>,
+    pub(crate) avs: Arc<AvCatalog>,
     pool: Arc<PersistentPool>,
     requested_dop: usize,
     builds: Counter,
@@ -105,61 +108,42 @@ impl AvBuilder {
         self
     }
 
-    /// The cost model's size parameters for `sig`'s kind (composite
-    /// signatures derive their stats from the component columns).
-    fn shape_of(&self, sig: &AvSignature) -> Result<(f64, f64)> {
-        let props = crate::av::signature_props(&self.catalog, sig)?;
-        Ok(crate::av::build_shape(&props, sig.kind))
-    }
-
-    /// Build one AV: admit, materialise at the granted DOP, register the
-    /// result in the AV catalog, release the slot.
+    /// Build one AV: admit, materialise the current table snapshot at the
+    /// granted DOP, publish, release the slot.
     ///
-    /// A build races table replacement by design (it runs in the
-    /// background while the session serves DDL): the artifact is only
-    /// published if the base table's registration
-    /// [generation](crate::catalog::TableEntry::generation) is unchanged
-    /// since the build read it — checked atomically against
-    /// [`AvCatalog::invalidate_table`] — so a table replaced mid-build
-    /// can never end up served from the stale snapshot. A superseded
-    /// build discards its artifact (and hidden relation) and reports
-    /// [`AvBuildStats::superseded`].
+    /// The build holds the table's [mutation lock](Catalog::mutation_lock)
+    /// from its snapshot to its publish, so an append can never supersede
+    /// it: an INSERT waits, then maintains what the build published, and a
+    /// background rebuild an INSERT spawned snapshots only after that
+    /// INSERT finished. The lock is taken *after* admission (a writer
+    /// never waits behind the admission queue's view of this build). DDL
+    /// takes no lock — a build races table replacement by design — and is
+    /// caught by the publish step instead.
     pub fn build(&self, sig: &AvSignature) -> Result<AvBuildStats> {
-        let (rows, shape) = self.shape_of(sig)?;
         let permit = self.pool.admission().admit(self.requested_dop);
-        // Serialise against writers: the materialiser registers the
-        // hidden `__av::` relation mid-build and a superseded build
-        // drops it, either of which could clobber an artifact the
-        // incremental maintainer (`av_delta`) just published for the
-        // same table. The lock is taken *after* admission (a writer
-        // never waits behind the admission queue's view of this build)
-        // and before the clock snapshot, so a build that waited out an
-        // insert sees the post-insert clocks and publishes cleanly.
         let table_lock = self.catalog.mutation_lock(&sig.table);
         let _write_guard = table_lock.lock();
-        let generation = self.catalog.generation_of(&sig.table);
-        let data_generation = self.catalog.data_generation_of(&sig.table);
-        let granted_dop = permit.dop();
+        let entry = self.catalog.get(&sig.table)?;
+        self.build_from(&entry, sig, permit.dop())
+    }
+
+    /// Materialise `sig` from the snapshot `entry` and publish it. When
+    /// the table was replaced or dropped since `entry` was read, the
+    /// artifact is discarded — no relation registered, no clock moved —
+    /// and the stats report [`AvBuildStats::superseded`].
+    fn build_from(
+        &self,
+        entry: &TableEntry,
+        sig: &AvSignature,
+        granted_dop: usize,
+    ) -> Result<AvBuildStats> {
+        let (rows, shape) = build_shape(&signature_props(entry, sig)?, sig.kind);
         let tp = ThreadPool::with_pool(granted_dop, Arc::clone(&self.pool));
         let start = Instant::now();
-        let av = materialise_av_on(&self.catalog, sig, &tp)?;
+        let av = materialise_av(entry, sig, Some(&tp))?;
         let wall = start.elapsed();
         let bytes = av.byte_size;
-        // Both clocks must be still: a table replaced (DDL) *or* appended
-        // to (data) mid-build would leave this artifact stale.
-        let published = self
-            .avs
-            .register_if(av, || {
-                self.catalog.generation_of(&sig.table) == generation
-                    && self.catalog.data_generation_of(&sig.table) == data_generation
-            })
-            .is_some();
-        if !published {
-            // The base table moved mid-build: the hidden relation the
-            // materialiser registered is a stale snapshot — drop it.
-            self.catalog.drop_table(&sig.av_table_name());
-        }
-        drop(permit);
+        let published = self.avs.publish(&self.catalog, av, entry).is_some();
         self.builds.inc();
         self.bytes.add(bytes as u64);
         self.wall.observe_duration(wall);
@@ -228,7 +212,7 @@ impl AvBuildHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::av::{materialise_av, AvArtifact, AvKind};
+    use crate::av::{AvArtifact, AvKind};
     use dqo_storage::datagen::DatasetSpec;
 
     fn setup(rows: usize, groups: usize) -> (Arc<Catalog>, Arc<AvCatalog>) {
@@ -279,14 +263,54 @@ mod tests {
         let builder = AvBuilder::new(Arc::clone(&catalog), Arc::clone(&avs), pool);
         let sig = AvSignature::new("t", "key", AvKind::SphIndex);
         builder.build(&sig).unwrap();
-        let reference_catalog = Arc::new(Catalog::new());
-        reference_catalog.register("t", (*catalog.get("t").unwrap().relation).clone());
-        let serial = materialise_av(&reference_catalog, &sig).unwrap();
+        let serial = materialise_av(&catalog.get("t").unwrap(), &sig, None).unwrap();
         match (avs.get(&sig).unwrap().artifact.as_ref(), serial.artifact) {
             (Some(AvArtifact::SphIndex(par)), Some(AvArtifact::SphIndex(ser))) => {
                 assert_eq!(**par, *ser)
             }
             other => panic!("expected SPH artifacts, got {other:?}"),
+        }
+    }
+
+    /// A build whose table moved before it publishes — re-registered
+    /// (DDL) or appended to (data clock) — must not move the DDL,
+    /// statistics or AV clock (which would flush every stored plan), must
+    /// not leave a hidden relation behind, and must say so.
+    #[test]
+    fn superseded_build_leaves_no_trace() {
+        let (catalog, avs) = setup(5_000, 32);
+        let pool = Arc::new(PersistentPool::new(2));
+        let builder = AvBuilder::new(Arc::clone(&catalog), Arc::clone(&avs), pool);
+        for (kind, append) in [
+            (AvKind::SortedProjection, false),
+            (AvKind::MaterialisedGrouping, true),
+        ] {
+            let sig = AvSignature::new("t", "key", kind);
+            let snapshot = catalog.get("t").unwrap();
+            let same_rows = (*snapshot.relation).clone();
+            if append {
+                catalog.replace_data("t", same_rows).unwrap();
+            } else {
+                catalog.register("t", same_rows);
+            }
+            let clocks = (
+                catalog.current_generation(),
+                catalog.stats_generation(),
+                avs.generation(),
+            );
+            let stats = builder.build_from(&snapshot, &sig, 2).unwrap();
+            assert!(stats.superseded, "{sig}");
+            assert_eq!(
+                (
+                    catalog.current_generation(),
+                    catalog.stats_generation(),
+                    avs.generation()
+                ),
+                clocks,
+                "{sig}: a superseded build moved a clock"
+            );
+            assert!(catalog.get(&sig.av_table_name()).is_err(), "{sig}");
+            assert!(avs.get(&sig).is_none(), "{sig}");
         }
     }
 

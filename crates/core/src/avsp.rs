@@ -87,7 +87,7 @@ pub fn enumerate_candidates(catalog: &Catalog) -> Result<Vec<Av>> {
                 kinds.push(AvKind::SphIndex);
             }
             for kind in kinds {
-                out.push(plan_av(catalog, &AvSignature::new(&table, col, kind))?);
+                out.push(plan_av(&entry, &AvSignature::new(&table, col, kind))?);
             }
         }
     }
@@ -153,7 +153,7 @@ pub fn workload_composite_candidates(
             // Missing statistics (unknown table/column) just skip the
             // candidate — the workload may reference tables that are not
             // registered yet.
-            if let Ok(av) = plan_av(catalog, &sig) {
+            if let Ok(av) = catalog.get(table).and_then(|entry| plan_av(&entry, &sig)) {
                 out.push(av);
             }
         }

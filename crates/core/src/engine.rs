@@ -355,7 +355,7 @@ impl Engine {
     /// counts.
     pub fn with_metrics_registry(mut self, registry: Arc<MetricsRegistry>) -> Self {
         self.plan_cache.rebind_metrics(&registry);
-        self.maintainer.rebind_metrics(&registry);
+        self.maintainer = ViewMaintainer::new(&registry);
         self.obs = EngineObs::new(registry);
         self
     }
@@ -452,7 +452,6 @@ impl Engine {
         for sig in self.avs.invalidate_table(table) {
             self.catalog.drop_table(&sig.av_table_name());
         }
-        self.maintainer.forget_table(table);
     }
 
     /// Append `rows` to `table` (schema-ordered values per row),
@@ -463,37 +462,25 @@ impl Engine {
     /// into one table serialise; readers never block. The base table
     /// publishes **first** through [`Catalog::replace_data`] — the data
     /// clock bumps but the DDL clock does not, so prepared plans stay
-    /// cached and simply observe the new rows — and only then are the
-    /// views maintained (see [`crate::av_delta`] for why that order
-    /// defuses the race with background AV builds). Between the two
-    /// steps a concurrent query may observe new base rows with a
+    /// cached and simply observe the new rows — and only then is each
+    /// view maintained and published against the entry that replacement
+    /// returned (see [`crate::av_delta`]). Between the two steps a
+    /// concurrent query may observe new base rows with a
     /// not-yet-maintained view; the window is bounded by this call.
     pub fn insert(&self, table: &str, rows: &[Vec<Value>]) -> Result<InsertReport> {
         let lock = self.catalog.mutation_lock(table);
         let guard = lock.lock();
-        let entry = self.catalog.get(table)?;
-        let first_row = entry.relation.rows();
-        let appended = entry.relation.append_rows(rows)?;
-        let combined = Arc::new(appended.combined);
-        self.catalog.replace_data(table, (*combined).clone())?;
-        // Maintenance kernels (run merges, rebuild gathers) go through
-        // the session pool only when this session is parallel at all.
-        let tp;
-        let pool_ref = if self.threads > 1 {
-            tp = ThreadPool::with_pool(self.threads, self.pool());
-            Some(&tp)
-        } else {
-            None
-        };
+        let appended = self.catalog.get(table)?.relation.append_rows(rows)?;
+        let combined = self.catalog.replace_data(table, appended.combined)?;
+        // Maintenance kernels (rebuild sorts and gathers) go through the
+        // session pool only when this session is parallel at all.
+        let tp = (self.threads > 1).then(|| ThreadPool::with_pool(self.threads, self.pool()));
         let maintenance = self.maintainer.maintain_table(
-            &self.catalog,
-            &self.avs,
             &self.av_builder(),
             table,
             &combined,
             &appended.delta,
-            first_row,
-            pool_ref,
+            tp.as_ref(),
         )?;
         drop(guard);
         Ok(InsertReport {

@@ -23,18 +23,22 @@
 //! * [`executor`] — runs the chosen `PhysicalPlan` on `dqo-exec`,
 //!   returning results plus pipeline statistics;
 //! * [`av`] — **Algorithmic Views** (§3): precomputed granules (sorted
-//!   projections, SPH join indexes, hash indexes, materialised groupings)
-//!   the optimiser can substitute at zero build cost;
+//!   projections, SPH join indexes, materialised groupings) the
+//!   optimiser can substitute at zero build cost. One lifecycle: a pure
+//!   *build* from a table snapshot ([`av::materialise_av`]), one
+//!   *publish* ([`av::AvCatalog::publish`]), a pure *maintain*
+//!   ([`av_delta`]);
 //! * [`avsp`] — the **Algorithmic View Selection Problem**: exhaustive,
 //!   greedy and knapsack solvers choosing which AVs to materialise under a
 //!   space budget for a given workload;
-//! * [`av_build`] — the offline AV build service: batch-materialises an
-//!   AVSP solution on the shared persistent pool, admission-controlled
+//! * [`av_build`] — the offline AV build service: builds and publishes
+//!   an AVSP solution on the shared persistent pool, admission-controlled
 //!   and optionally in the background, with per-build stats;
 //! * [`av_delta`] — incremental AV maintenance on the write path:
-//!   appends delta-merge groupings, run-merge sorted projections and
-//!   patch SPH indexes (or fall back to rebuilds), keeping every
-//!   maintained artifact bit-identical to a from-scratch build;
+//!   appends delta-merge groupings, merge their sorted delta into sorted
+//!   projections and patch SPH indexes (or fall back to rebuilds),
+//!   keeping every maintained artifact bit-identical to a from-scratch
+//!   build and publishing it the way a build does;
 //! * [`partial_av`] — partial AVs (§6): granules frozen offline with
 //!   named decisions left open for query time;
 //! * [`plan_cache`] — the plan store, the one bounded structure that
@@ -75,9 +79,7 @@ pub mod reopt;
 mod rules;
 
 pub use av_build::{AvBuildHandle, AvBuildStats, AvBuilder};
-pub use av_delta::{
-    DeltaAction, DeltaPolicy, MaintenanceOutcome, MaintenanceReport, ViewMaintainer,
-};
+pub use av_delta::{DeltaAction, MaintenanceOutcome, MaintenanceReport, ViewMaintainer};
 pub use catalog::Catalog;
 pub use cost::{CostModel, TupleCostModel};
 pub use engine::{Engine, InsertReport, PreparedPlan};

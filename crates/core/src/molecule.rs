@@ -148,7 +148,6 @@ pub fn refine_grouping_molecules(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dqo_plan::properties::Layout;
     use dqo_storage::{Density, Sortedness};
 
     fn props(rows: u64, dense: bool) -> PlanProps {
@@ -163,7 +162,6 @@ mod tests {
             distinct: Some(1000),
             key_range: dense.then_some((0, 999)),
             rows,
-            layout: Layout::Columnar,
         }
     }
 

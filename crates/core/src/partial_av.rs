@@ -164,7 +164,6 @@ mod tests {
             distinct: Some(distinct),
             key_range: Some((0, distinct.max(1) as u32 - 1)),
             rows,
-            layout: dqo_plan::properties::Layout::Columnar,
         }
     }
 

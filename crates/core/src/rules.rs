@@ -318,7 +318,7 @@ fn join_rules(
                     join_cost = opt.model.scan(rc.props.rows as f64);
                 }
                 let cost = lc.cost + rc.cost + join_cost;
-                let props = opt.join_output_props(algo, lc, rc, out_rows);
+                let props = opt.join_output_props(algo, out_rows);
                 let plan = PhysicalPlan::Join {
                     left: Box::new(lc.plan.clone()),
                     right: Box::new(rc.plan.clone()),
@@ -467,7 +467,6 @@ fn group_by_rules(
                 distinct: groups,
                 key_range,
                 rows: out_rows,
-                layout: ic.props.layout,
             });
             // Molecule refinement is the step Table 1 adds: in deep mode
             // the optimiser decides the table/hash/loop molecules from
@@ -629,7 +628,6 @@ fn composite_group_by_rules(
                 distinct: groups,
                 key_range,
                 rows: out_rows,
-                layout: ic.props.layout,
             });
             let molecules = match opt.mode {
                 OptimizerMode::Deep => {
@@ -787,13 +785,7 @@ impl MemoOptimizer<'_> {
         }
     }
 
-    fn join_output_props(
-        &self,
-        algo: JoinImpl,
-        lc: &Candidate,
-        rc: &Candidate,
-        out_rows: u64,
-    ) -> PlanProps {
+    fn join_output_props(&self, algo: JoinImpl, out_rows: u64) -> PlanProps {
         // The paper's simplified stream model: order-based joins produce
         // "sorted" output; everything else is unordered (a black-box hash
         // table's order must be assumed unknown, §2.1).
@@ -812,9 +804,7 @@ impl MemoOptimizer<'_> {
             distinct: None,
             key_range: None,
             rows: out_rows,
-            layout: lc.props.layout,
         };
-        let _ = rc;
         self.mode.project(props)
     }
 

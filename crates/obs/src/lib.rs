@@ -86,14 +86,10 @@ pub mod names {
     pub const SERVER_QUERIES: &str = "dqo_server_queries_total";
     /// Incremental AV maintenance merges applied on append (counter).
     pub const AV_DELTA_MERGES: &str = "dqo_av_delta_merges_total";
-    /// Sorted-run compactions promoting the tail into the base (counter).
-    pub const AV_DELTA_COMPACTIONS: &str = "dqo_av_delta_compactions_total";
     /// Maintenance falls back to a full artifact rebuild (counter).
     pub const AV_DELTA_REBUILDS: &str = "dqo_av_delta_rebuilds_total";
     /// Delta rows folded into maintained artifacts (counter).
     pub const AV_DELTA_ROWS: &str = "dqo_av_delta_rows_total";
-    /// Un-compacted sorted-run tail rows across maintained AVs (gauge).
-    pub const AV_DELTA_BACKLOG_ROWS: &str = "dqo_av_delta_backlog_rows";
     /// Wall time of one AV's maintenance step on append (histogram, s).
     pub const AV_DELTA_SECONDS: &str = "dqo_av_delta_seconds";
     /// Logical groups interned in the session's optimiser memo (gauge).
@@ -150,10 +146,8 @@ pub mod names {
         SERVER_PROTOCOL_ERRORS,
         SERVER_QUERIES,
         AV_DELTA_MERGES,
-        AV_DELTA_COMPACTIONS,
         AV_DELTA_REBUILDS,
         AV_DELTA_ROWS,
-        AV_DELTA_BACKLOG_ROWS,
         AV_DELTA_SECONDS,
         OPT_GROUPS,
         OPT_GROUP_EXPRS,

@@ -16,15 +16,6 @@
 use dqo_storage::{DataProps, Density, Sortedness};
 use std::fmt;
 
-/// Physical layout of an intermediate (paper: "row, col, PAXish").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Layout {
-    /// Column-major (this engine's native layout).
-    Columnar,
-    /// Row-major (the rowcodec spill format).
-    Row,
-}
-
 /// The property vector of a (sub-)plan output, keyed on its primary key
 /// column (join key upstream of a join, grouping key upstream of a
 /// group-by).
@@ -42,8 +33,6 @@ pub struct PlanProps {
     pub key_range: Option<(u32, u32)>,
     /// Estimated output cardinality.
     pub rows: u64,
-    /// Physical layout.
-    pub layout: Layout,
 }
 
 impl PlanProps {
@@ -56,7 +45,6 @@ impl PlanProps {
             distinct: Some(props.distinct),
             key_range: (props.rows > 0).then_some((props.min, props.max)),
             rows: props.rows,
-            layout: Layout::Columnar,
         }
     }
 
@@ -69,7 +57,6 @@ impl PlanProps {
             distinct: None,
             key_range: None,
             rows,
-            layout: Layout::Columnar,
         }
     }
 
@@ -85,7 +72,6 @@ impl PlanProps {
             distinct: self.distinct, // cardinalities are classic statistics
             key_range: None,
             rows: self.rows,
-            layout: self.layout,
         }
     }
 
@@ -94,18 +80,9 @@ impl PlanProps {
         self.density.is_dense() && self.key_range.is_some()
     }
 
-    /// Does this output satisfy `required`? Used by the DP when matching a
-    /// sub-plan against an operator's input contract.
-    pub fn satisfies(&self, required: &PropRequirement) -> bool {
-        (!required.sorted || self.sortedness.is_sorted())
-            && (!required.partitioned || self.partitioned || self.sortedness.is_sorted())
-            && (!required.dense || self.admits_sph())
-            && (!required.known_distinct || self.distinct.is_some())
-    }
-
-    /// DP memo key: the facts that differentiate property states. Rows and
-    /// layout are not part of the key (identical for all plans of one
-    /// relation set).
+    /// DP memo key: the facts that differentiate property states. Rows
+    /// are not part of the key (identical for all plans of one relation
+    /// set).
     pub fn memo_key(&self) -> PropKey {
         PropKey {
             sorted: self.sortedness.is_sorted(),
@@ -140,19 +117,6 @@ impl fmt::Display for PlanProps {
     }
 }
 
-/// An operator's requirement on its input properties.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PropRequirement {
-    /// Input must be sorted by the key.
-    pub sorted: bool,
-    /// Input must be partitioned by the key (equal keys contiguous).
-    pub partitioned: bool,
-    /// Key domain must be dense (admits SPH).
-    pub dense: bool,
-    /// The distinct count must be known.
-    pub known_distinct: bool,
-}
-
 /// The discrete part of the property vector — the DP memo key dimension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PropKey {
@@ -176,7 +140,6 @@ mod tests {
             distinct: Some(10),
             key_range: Some((0, 9)),
             rows,
-            layout: Layout::Columnar,
         }
     }
 
@@ -205,45 +168,6 @@ mod tests {
         assert!(!s.admits_sph()); // SQO can never choose SPH
         assert_eq!(s.sortedness, Sortedness::Ascending); // order survives
         assert_eq!(s.rows, 100);
-    }
-
-    #[test]
-    fn satisfies_requirements() {
-        let p = dense_sorted(10);
-        assert!(p.satisfies(&PropRequirement {
-            sorted: true,
-            ..Default::default()
-        }));
-        assert!(p.satisfies(&PropRequirement {
-            dense: true,
-            ..Default::default()
-        }));
-        assert!(p.satisfies(&PropRequirement {
-            sorted: true,
-            partitioned: true,
-            dense: true,
-            known_distinct: true
-        }));
-        let u = PlanProps::unknown(10);
-        assert!(!u.satisfies(&PropRequirement {
-            sorted: true,
-            ..Default::default()
-        }));
-        assert!(!u.satisfies(&PropRequirement {
-            dense: true,
-            ..Default::default()
-        }));
-        assert!(u.satisfies(&PropRequirement::default()));
-    }
-
-    #[test]
-    fn sorted_implies_partitioned_for_requirements() {
-        let mut p = dense_sorted(10);
-        p.partitioned = false; // sorted but not flagged partitioned
-        assert!(p.satisfies(&PropRequirement {
-            partitioned: true,
-            ..Default::default()
-        }));
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! `docs/PROTOCOL.md`; [`wire_constants`] keeps that document honest.
 //!
 //! The codec is pure functions over byte buffers — no sockets — so the
-//! decode paths can be hardened against truncation and corruption the
-//! same way `dqo_storage::rowcodec` is: any input either decodes or
-//! returns a typed [`ProtocolError`], never panics.
+//! decode paths can be hardened against truncation and corruption: any
+//! input either decodes or returns a typed [`ProtocolError`], never
+//! panics.
 
 use dqo_storage::{DataType, Relation, Value};
 use std::fmt;
@@ -933,7 +933,7 @@ mod tests {
     }
 
     /// Every truncation point of every frame decodes to a typed error —
-    /// never a panic (mirrors the rowcodec hardening regression).
+    /// never a panic.
     #[test]
     fn every_truncation_point_is_a_typed_error() {
         for frame in client_frames() {

@@ -10,8 +10,7 @@
 //! * the paper's four benchmark datasets and foreign-key join inputs in
 //!   [`datagen`],
 //! * [`dictionary`] compression (dense dictionary codes are the paper's
-//!   natural candidate for static perfect hashing),
-//! * a compact row-wise [`rowcodec`] used for spilling and golden tests.
+//!   natural candidate for static perfect hashing).
 //!
 //! The design goal is faithfulness to the paper's experimental setup
 //! (§4.1: 100M uniformly distributed `u32` grouping keys, with the
@@ -28,7 +27,6 @@ pub mod error;
 pub mod partition;
 pub mod properties;
 pub mod relation;
-pub mod rowcodec;
 pub mod schema;
 pub mod selection;
 pub mod stats;

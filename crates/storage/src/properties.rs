@@ -78,18 +78,6 @@ pub enum Density {
 }
 
 impl Density {
-    /// True if an SPH array indexed by `key - min` is applicable without
-    /// unacceptable space blow-up. The paper's experiments use exactly-dense
-    /// domains; we accept fill factors above `threshold` as "relatively
-    /// dense" (§2.1's wording) when the caller opts in.
-    pub fn admits_sph(self, threshold: f64) -> bool {
-        match self {
-            Density::Dense => true,
-            Density::Sparse { fill } => fill >= threshold,
-            Density::Unknown => false,
-        }
-    }
-
     /// Strict paper semantics: only exactly-dense domains admit SPH.
     pub fn is_dense(self) -> bool {
         matches!(self, Density::Dense)
@@ -183,11 +171,7 @@ mod tests {
     }
 
     #[test]
-    fn density_sph_admission() {
-        assert!(Density::Dense.admits_sph(1.0));
-        assert!(Density::Sparse { fill: 0.9 }.admits_sph(0.5));
-        assert!(!Density::Sparse { fill: 0.3 }.admits_sph(0.5));
-        assert!(!Density::Unknown.admits_sph(0.0));
+    fn only_exactly_dense_domains_are_dense() {
         assert!(Density::Dense.is_dense());
         assert!(!Density::Sparse { fill: 0.99 }.is_dense());
     }

@@ -1,10 +1,9 @@
 //! Property tests for the storage substrate: statistics vs oracles,
-//! generator guarantees, and codec roundtrips.
+//! generator guarantees, and dictionary roundtrips.
 
 use dqo_storage::datagen::DatasetSpec;
-use dqo_storage::rowcodec::{decode_rows, encode_rows};
 use dqo_storage::stats::ColumnStats;
-use dqo_storage::{narrow_rows, Column, DataType, Dictionary, Field, Relation, Schema, Selection};
+use dqo_storage::{narrow_rows, Dictionary, Relation, Selection};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -57,30 +56,6 @@ proptest! {
         if dense {
             prop_assert!(s.density().is_dense());
             prop_assert_eq!(s.min, 0);
-        }
-    }
-
-    #[test]
-    fn rowcodec_roundtrips_arbitrary_relations(
-        keys in proptest::collection::vec(any::<u32>(), 0..300),
-        floats in proptest::collection::vec(any::<f64>().prop_filter("finite", |f| f.is_finite()), 0..300),
-    ) {
-        let n = keys.len().min(floats.len());
-        let schema = Schema::new(vec![
-            Field::new("k", DataType::U32),
-            Field::new("f", DataType::F64),
-        ]).unwrap();
-        let rel = Relation::new(
-            schema,
-            vec![
-                Column::U32(keys[..n].to_vec()),
-                Column::F64(floats[..n].to_vec()),
-            ],
-        ).unwrap();
-        let back = decode_rows(rel.schema(), encode_rows(&rel)).unwrap();
-        prop_assert_eq!(back.rows(), n);
-        for r in 0..n {
-            prop_assert_eq!(back.row(r).unwrap(), rel.row(r).unwrap());
         }
     }
 

@@ -1,13 +1,13 @@
 //! Mutation oracle: every incrementally maintained AV must be
 //! **bit-identical** to a from-scratch rebuild over the same combined
 //! data — at DOP 1, 2 and 8, under randomised append/query
-//! interleavings, and across every [`DeltaAction`] the policy can take
-//! (delta-merge, run-merge, compaction, inline rebuild, background SPH
+//! interleavings, and across every [`DeltaAction`] maintenance can take
+//! (delta-merge, run-merge, CSR patch, inline rebuild, background SPH
 //! rebuild after a domain widening).
 //!
-//! The oracle is [`materialise_av`] against a scratch catalog holding a
-//! copy of the current combined table: whatever the maintainer published
-//! must match what a cold build would have produced, column for column
+//! The oracle is the serial [`materialise_av`] over the current combined
+//! table: whatever the maintainer published must match what a cold
+//! build would have produced, column for column
 //! (relations) or structurally (`SphIndex` is `PartialEq`). The hidden
 //! `__av::` relation registered for plan scans is checked against the
 //! artifact too, so a publish that updates one but not the other fails.
@@ -18,7 +18,7 @@
 //! one plan-cache miss is allowed.
 
 use dqo::core::av::{materialise_av, AvArtifact, AvKind, AvSignature};
-use dqo::core::{Catalog, DeltaAction, Engine};
+use dqo::core::{DeltaAction, Engine};
 use dqo::obs::{names, MetricsRegistry};
 use dqo::plan::expr::{AggExpr, CmpOp, Predicate};
 use dqo::plan::{AggFunc, LogicalPlan};
@@ -87,19 +87,21 @@ fn engine_with_avs(rows: &[(u32, u32)], dop: usize) -> (Engine, Arc<MetricsRegis
 }
 
 /// The oracle: every maintained artifact equals a from-scratch rebuild
-/// over a copy of the current combined table, and the hidden `__av::`
-/// relation agrees with the published artifact.
+/// over the current combined table, and the hidden `__av::` relation
+/// agrees with the published artifact.
 fn assert_matches_rebuild(engine: &Engine, ctx: &str) {
-    let combined = Arc::clone(&engine.catalog().get("t").expect("t").relation);
-    let scratch = Catalog::new();
-    scratch.register("t", (*combined).clone());
-    for kind in ALL_KINDS {
-        let sig = AvSignature::new("t", "key", kind);
+    let sigs = ALL_KINDS.map(|kind| AvSignature::new("t", "key", kind));
+    assert_sigs_match_rebuild(engine, &sigs, ctx);
+}
+
+fn assert_sigs_match_rebuild(engine: &Engine, sigs: &[AvSignature], ctx: &str) {
+    let combined = engine.catalog().get("t").expect("t");
+    for sig in sigs {
         let maintained = engine
             .avs()
-            .get(&sig)
+            .get(sig)
             .unwrap_or_else(|| panic!("{ctx}: {sig} missing from catalog"));
-        let fresh = materialise_av(&scratch, &sig).expect("rebuild");
+        let fresh = materialise_av(&combined, sig, None).expect("rebuild");
         match (
             maintained.artifact.as_ref().expect("materialised"),
             fresh.artifact.as_ref().expect("materialised"),
@@ -257,44 +259,56 @@ fn insert(engine: &Engine, mirror: &mut Vec<(u32, u32)>, rows: &[(u32, u32)]) {
     mirror.extend_from_slice(rows);
 }
 
-/// Repeated small appends outgrow the sorted projection's tail run and
-/// trigger a compaction (tail promoted into the base); the artifact must
-/// stay bit-identical through merge *and* compact steps.
+/// Repeated small appends — 40 × 30 rows onto a 240-row base, so the
+/// appended rows end up five times the original table — each merge
+/// straight into the published sorted projection, single-key and
+/// composite, and every step stays bit-identical to a rebuild.
 #[test]
-fn compaction_promotes_tail_and_stays_bit_identical() {
+fn repeated_small_appends_stay_bit_identical() {
     let mut state = 42u64;
-    let mut mirror = seed_rows(240, 16, &mut state);
+    let mirror = seed_rows(240, 16, &mut state);
     let (engine, _) = engine_with_avs(&mirror, 1);
-    let sorted_sig = AvSignature::new("t", "key", AvKind::SortedProjection);
+    // `v` is arbitrary u32, so (key, v) tuples do not pack into u32
+    // codes: the composite runs the comparison-sort fallback.
+    let composite = AvSignature::composite(
+        "t",
+        &["key".to_owned(), "v".to_owned()],
+        AvKind::SortedProjection,
+    );
+    engine.av_builder().build(&composite).expect("AV build");
+    let mut sigs = ALL_KINDS
+        .map(|kind| AvSignature::new("t", "key", kind))
+        .to_vec();
+    sigs.push(composite);
 
-    let mut actions = Vec::new();
-    for step in 0..4 {
-        let rows: Vec<(u32, u32)> = (0..30)
-            .map(|_| (next(&mut state) as u32 % 16, next(&mut state) as u32))
-            .collect();
-        let values: Vec<Vec<Value>> = rows
-            .iter()
-            .map(|(k, v)| vec![Value::U32(*k), Value::U32(*v)])
+    for step in 0..40 {
+        let values: Vec<Vec<Value>> = (0..30)
+            .map(|_| {
+                let key = next(&mut state) as u32 % 16;
+                vec![Value::U32(key), Value::U32(next(&mut state) as u32)]
+            })
             .collect();
         let report = engine.insert("t", &values).expect("insert");
-        mirror.extend_from_slice(&rows);
-        let outcome = report
-            .maintenance
-            .outcomes
-            .iter()
-            .find(|o| o.signature == sorted_sig)
-            .expect("sorted projection maintained");
-        actions.push(outcome.action);
-        assert_matches_rebuild(&engine, &format!("compaction step {step}"));
+        let outcomes = &report.maintenance.outcomes;
+        assert_eq!(
+            outcomes.len(),
+            sigs.len(),
+            "step {step}: every view maintained"
+        );
+        for outcome in outcomes {
+            assert_eq!(
+                outcome.action,
+                DeltaAction::Merge,
+                "step {step}: {}",
+                outcome.signature
+            );
+        }
+        assert_sigs_match_rebuild(&engine, &sigs, &format!("append step {step}"));
     }
-    assert!(
-        actions.contains(&DeltaAction::Merge) && actions.contains(&DeltaAction::Compact),
-        "4 × 30 rows on a 240-row base must both merge and compact (0.25 ratio): {actions:?}"
-    );
 }
 
-/// A delta larger than half the table makes the policy rebuild the
-/// sorted projection inline instead of merging.
+/// A delta larger than half the combined table rebuilds the sorted
+/// projection inline instead of merging.
 #[test]
 fn oversized_delta_rebuilds_sorted_projection_inline() {
     let mut state = 7u64;
@@ -318,7 +332,7 @@ fn oversized_delta_rebuilds_sorted_projection_inline() {
     assert_eq!(
         outcome.action,
         DeltaAction::Rebuild,
-        "120 delta rows over a 100-row base exceed rebuild_ratio"
+        "120 delta rows are more than half of the 220 combined"
     );
     assert_matches_rebuild(&engine, "oversized delta");
 }

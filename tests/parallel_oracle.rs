@@ -4,7 +4,7 @@
 //! thread counts 1/2/8 — and identical output byte-for-byte across
 //! repeated runs of the same query at the same thread count.
 
-use dqo::core::av::{materialise_av, materialise_av_on, AvArtifact, AvKind, AvSignature};
+use dqo::core::av::{materialise_av, AvArtifact, AvKind, AvSignature};
 use dqo::core::avsp::{self, Solver, WorkloadQuery};
 use dqo::core::executor::sorted_rows;
 use dqo::exec::aggregate::CountSum;
@@ -377,32 +377,26 @@ fn av_builds_bit_identical_across_dop_seeds_and_skew() {
                 zipf_keys(60_000, 256, exponent, seed)
             };
             let payload: Vec<u32> = (0..keys.len() as u32).rev().collect();
-            let make_catalog = || {
-                let cat = dqo::Catalog::new();
-                let schema = dqo::storage::Schema::new(vec![
-                    dqo::storage::Field::new("key", dqo::storage::DataType::U32),
-                    dqo::storage::Field::new("val", dqo::storage::DataType::U32),
-                ])
-                .unwrap();
-                let rel = dqo::Relation::new(
-                    schema,
-                    vec![
-                        dqo::storage::Column::U32(keys.clone()),
-                        dqo::storage::Column::U32(payload.clone()),
-                    ],
-                )
-                .unwrap();
-                cat.register("t", rel);
-                cat
-            };
-            let serial_cat = make_catalog();
+            let schema = dqo::storage::Schema::new(vec![
+                dqo::storage::Field::new("key", dqo::storage::DataType::U32),
+                dqo::storage::Field::new("val", dqo::storage::DataType::U32),
+            ])
+            .unwrap();
+            let rel = dqo::Relation::new(
+                schema,
+                vec![
+                    dqo::storage::Column::U32(keys),
+                    dqo::storage::Column::U32(payload),
+                ],
+            )
+            .unwrap();
+            let entry = dqo::Catalog::new().register("t", rel);
             for kind in AV_KINDS {
                 let sig = AvSignature::new("t", "key", kind);
-                let serial = materialise_av(&serial_cat, &sig).unwrap();
+                let serial = materialise_av(&entry, &sig, None).unwrap();
                 for threads in THREAD_COUNTS {
-                    let par_cat = make_catalog();
                     let pool = ThreadPool::new(threads);
-                    let par = materialise_av_on(&par_cat, &sig, &pool).unwrap();
+                    let par = materialise_av(&entry, &sig, Some(&pool)).unwrap();
                     let ctx =
                         format!("seed={seed} exponent={exponent} threads={threads} kind={kind}");
                     assert_eq!(par.byte_size, serial.byte_size, "{ctx}");
@@ -424,13 +418,13 @@ fn av_builds_handle_degenerate_columns_at_every_dop() {
     // DOP, identical to the serial build.
     for data in [vec![], vec![7u32]] {
         let cat = dqo::Catalog::new();
-        cat.register("t", dqo::Relation::single_u32("key", data.clone()));
+        let entry = cat.register("t", dqo::Relation::single_u32("key", data.clone()));
         for kind in AV_KINDS {
             let sig = AvSignature::new("t", "key", kind);
-            let serial = materialise_av(&cat, &sig).unwrap();
+            let serial = materialise_av(&entry, &sig, None).unwrap();
             for threads in THREAD_COUNTS {
                 let pool = ThreadPool::new(threads);
-                let par = materialise_av_on(&cat, &sig, &pool).unwrap();
+                let par = materialise_av(&entry, &sig, Some(&pool)).unwrap();
                 assert_artifacts_identical(
                     par.artifact.unwrap(),
                     serial.artifact.clone().unwrap(),
@@ -791,14 +785,11 @@ fn composite_av_builds_bit_identical_across_dop() {
     ] {
         for kind in [AvKind::SortedProjection, AvKind::MaterialisedGrouping] {
             let sig = AvSignature::composite("m", &keys, kind);
-            let serial_cat = dqo::Catalog::new();
-            serial_cat.register("m", rel.clone());
-            let serial = materialise_av(&serial_cat, &sig).unwrap();
+            let entry = dqo::Catalog::new().register("m", rel.clone());
+            let serial = materialise_av(&entry, &sig, None).unwrap();
             for threads in THREAD_COUNTS {
                 let pool = ThreadPool::new(threads);
-                let par_cat = dqo::Catalog::new();
-                par_cat.register("m", rel.clone());
-                let par = materialise_av_on(&par_cat, &sig, &pool).unwrap();
+                let par = materialise_av(&entry, &sig, Some(&pool)).unwrap();
                 assert_artifacts_identical(
                     par.artifact.clone().unwrap(),
                     serial.artifact.clone().unwrap(),
@@ -808,8 +799,7 @@ fn composite_av_builds_bit_identical_across_dop() {
         }
     }
     // Composite SPH join indexes are rejected at planning time.
-    let cat = dqo::Catalog::new();
-    cat.register("m", mixed_relation(100, 4, 1, 0.0));
+    let entry = dqo::Catalog::new().register("m", mixed_relation(100, 4, 1, 0.0));
     let sig = AvSignature::composite("m", &keys, AvKind::SphIndex);
-    assert!(dqo::core::av::plan_av(&cat, &sig).is_err());
+    assert!(dqo::core::av::plan_av(&entry, &sig).is_err());
 }
