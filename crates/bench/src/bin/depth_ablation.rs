@@ -10,7 +10,7 @@
 
 use dqo_bench::report::Table;
 use dqo_bench::Args;
-use dqo_core::optimizer::{enumerate_candidates, optimize, OptimizerMode};
+use dqo_core::optimizer::{enumerate_candidates, optimize, OptimizerMode, SearchContext};
 use dqo_core::Catalog;
 use dqo_plan::deep::enumerate_grouping_plans;
 use dqo_plan::granule::Granularity;
@@ -67,7 +67,7 @@ fn main() {
         }
         let micros = start.elapsed().as_secs_f64() * 1e6 / reps as f64;
         let planned = optimize(&q, &catalog, mode).expect("plans");
-        let kept = enumerate_candidates(&q, &catalog, mode)
+        let kept = enumerate_candidates(&q, &catalog, &SearchContext::new(mode))
             .expect("enumerates")
             .len();
         table.row(vec![

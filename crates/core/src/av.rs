@@ -125,6 +125,20 @@ impl AvSignature {
     }
 }
 
+/// The base table whose rows a scan of catalog relation `name` reads:
+/// `name` itself, or, for a sorted projection's hidden relation (a
+/// reordered copy of its table), that table. `None` for a materialised
+/// grouping's hidden relation, whose rows are groups.
+pub(crate) fn rows_source(name: &str) -> Option<&str> {
+    match name.strip_prefix("__av::") {
+        None => Some(name),
+        Some(hidden) => hidden
+            .strip_prefix("sorted-projection::")?
+            .rsplit_once("::")
+            .map(|(table, _)| table),
+    }
+}
+
 impl fmt::Display for AvSignature {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "AV[{} on {}.{}]", self.kind, self.table, self.column)
@@ -575,17 +589,25 @@ impl AvCatalog {
         existed
     }
 
-    /// Drop every AV and partial AV built from `table`, returning the
-    /// removed signatures so the caller can also deregister their hidden
-    /// `__av::` relations from the table catalog.
+    /// Drop every AV and partial AV built from `table` and deregister
+    /// their hidden `__av::` relations from `catalog`, returning the
+    /// removed signatures.
     ///
     /// Must be called whenever the base table's data changes (re-register
     /// or drop): artifacts are snapshots, and a catalog that keeps
     /// serving them after the data moved would answer queries from stale
     /// data — the bug `Engine::register_table` guards against.
-    pub fn invalidate_table(&self, table: &str) -> Vec<AvSignature> {
+    ///
+    /// The hidden relations are dropped under the views write lock (lock
+    /// order views → tables, as in [`AvCatalog::publish`]): a publish
+    /// from the new snapshot therefore lands either before the removal
+    /// (and is removed with it) or after the drop (and registers its own
+    /// relation) — never in between, where the drop would take the
+    /// relation its entry scans.
+    pub fn invalidate_table(&self, catalog: &Catalog, table: &str) -> Vec<AvSignature> {
+        let mut views = self.views.write();
         let mut removed = Vec::new();
-        self.views.write().retain(|sig, _| {
+        views.retain(|sig, _| {
             if sig.table == table {
                 removed.push(sig.clone());
                 false
@@ -593,6 +615,9 @@ impl AvCatalog {
                 true
             }
         });
+        for sig in &removed {
+            catalog.drop_table(&sig.av_table_name());
+        }
         self.partials.write().retain(|(t, _), _| t != table);
         self.bump();
         removed
@@ -840,13 +865,13 @@ mod tests {
         let u = cat.register("u", Relation::single_u32("key", vec![1, 2, 3]));
         avs.register(plan_av(&u, &AvSignature::new("u", "key", AvKind::SortedProjection)).unwrap());
 
-        let removed = avs.invalidate_table("t");
+        let removed = avs.invalidate_table(&cat, "t");
         assert_eq!(removed.len(), 2);
         assert!(removed.iter().all(|sig| sig.table == "t"));
         assert!(avs.lookup("t", "key", AvKind::SphIndex).is_none());
         assert!(avs.partial_for("t", "key").is_none());
         assert!(avs.lookup("u", "key", AvKind::SortedProjection).is_some());
-        assert!(avs.invalidate_table("t").is_empty(), "idempotent");
+        assert!(avs.invalidate_table(&cat, "t").is_empty(), "idempotent");
     }
 
     #[test]
@@ -856,5 +881,15 @@ mod tests {
         let c = AvSignature::new("u", "k", AvKind::SphIndex).av_table_name();
         assert_ne!(a, b);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn only_sorted_projections_read_their_base_tables_rows() {
+        let keys = ["a".to_owned(), "b".to_owned()];
+        let sorted = AvSignature::composite("t", &keys, AvKind::SortedProjection);
+        assert_eq!(rows_source(&sorted.av_table_name()), Some("t"));
+        let grouped = AvSignature::new("t", "k", AvKind::MaterialisedGrouping);
+        assert_eq!(rows_source(&grouped.av_table_name()), None);
+        assert_eq!(rows_source("t"), Some("t"));
     }
 }

@@ -110,9 +110,10 @@ impl Catalog {
 
     /// Stamp a freshly registered entry with its registration generation
     /// and insert it, moving the DDL and statistics clocks while holding
-    /// the write lock: a planner that reads a new clock value can only
-    /// take its read lock after this one is released, so it never stamps
-    /// a plan costed from the old entry as current.
+    /// the write lock ([`Catalog::drop_table`] does the same): a planner
+    /// that reads a new clock value can only take its read lock after this
+    /// one is released, so it never stamps a plan costed from the old
+    /// entry as current.
     fn publish(&self, name: String, mut entry: TableEntry) -> Arc<TableEntry> {
         let mut tables = self.tables.write();
         entry.generation = self.generations.fetch_add(1, Ordering::Relaxed);
@@ -274,10 +275,13 @@ impl Catalog {
     }
 
     /// Drop a table; returns whether it existed. An actual removal bumps
-    /// the DDL clock (see [`Catalog::current_generation`]) so cached
-    /// plans referencing the table stop being served.
+    /// the DDL and statistics clocks (see [`Catalog::current_generation`])
+    /// while holding the write lock, as [`Catalog::register`] does, so a
+    /// reader that no longer sees the table also sees the moved clocks and
+    /// cached plans referencing it stop being served.
     pub fn drop_table(&self, name: &str) -> bool {
-        let existed = self.tables.write().remove(name).is_some();
+        let mut tables = self.tables.write();
+        let existed = tables.remove(name).is_some();
         if existed {
             self.generations.fetch_add(1, Ordering::Relaxed);
             self.stats_generations.fetch_add(1, Ordering::Relaxed);
@@ -300,22 +304,19 @@ impl Catalog {
             .ok_or_else(|| CoreError::UnknownColumn(format!("{table}.{column}")))
     }
 
-    /// Find the first registered table (searching `tables`, in the given
-    /// order) whose schema contains `column` — how the optimiser resolves a
-    /// grouping key back to its source statistics across joins.
+    /// The statistics of `column` in the first registered table (searching
+    /// `tables`, in the given order) whose schema contains it — how the
+    /// optimiser resolves a column back to its source statistics across
+    /// joins.
     pub fn resolve_column<'a>(
         &self,
         tables: impl IntoIterator<Item = &'a str>,
         column: &str,
-    ) -> Result<(String, DataProps)> {
-        for t in tables {
-            if let Ok(entry) = self.get(t) {
-                if let Some(p) = entry.column_props.get(column) {
-                    return Ok((t.to_owned(), *p));
-                }
-            }
-        }
-        Err(CoreError::UnknownColumn(column.to_owned()))
+    ) -> Option<DataProps> {
+        let map = self.tables.read();
+        tables
+            .into_iter()
+            .find_map(|t| map.get(t)?.column_props.get(column).copied())
     }
 }
 
@@ -399,6 +400,40 @@ mod tests {
     }
 
     #[test]
+    fn ddl_clock_never_lags_a_visible_drop() {
+        // A reader that no longer finds an entry it saw registered at
+        // generation `g` must read the clock past that drop (`g + 2`):
+        // otherwise it would stamp a plan that failed on — or was costed
+        // without — the table with a generation from before the drop.
+        let cat = Catalog::new();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                for v in 0..2_000u32 {
+                    cat.register("t", Relation::single_u32("key", vec![v]));
+                    cat.drop_table("t");
+                }
+                done.store(true, Ordering::Relaxed);
+            });
+            start.wait();
+            let mut last_seen = None;
+            while !done.load(Ordering::Relaxed) {
+                match cat.get("t") {
+                    Ok(entry) => last_seen = Some(entry.generation),
+                    Err(_) => {
+                        let clock = cat.current_generation();
+                        if let Some(g) = last_seen {
+                            assert!(clock >= g + 2, "clock {clock} lags the drop of {g}");
+                        }
+                    }
+                }
+            }
+        });
+    }
+
+    #[test]
     fn replace_data_bumps_data_clock_but_not_ddl_clock() {
         let cat = Catalog::new();
         cat.register("t", Relation::single_u32("key", vec![1, 2]));
@@ -466,10 +501,8 @@ mod tests {
         let cat = Catalog::new();
         cat.register("r", Relation::single_u32("a", vec![0, 1]));
         cat.register("s", Relation::single_u32("b", vec![5]));
-        let (t, p) = cat.resolve_column(["r", "s"], "b").unwrap();
-        assert_eq!(t, "s");
-        assert_eq!(p.rows, 1);
-        assert!(cat.resolve_column(["r", "s"], "zzz").is_err());
+        assert_eq!(cat.resolve_column(["r", "s"], "b").unwrap().rows, 1);
+        assert!(cat.resolve_column(["r", "s"], "zzz").is_none());
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::feedback::FeedbackStore;
 use crate::memo::{Memo, MemoStamp, MemoStats};
 use crate::optimizer::{optimize_in, OptimizerMode, PlannedQuery, PropertyModel, SearchContext};
 use crate::plan_cache::{plan_shape, text_hash, Knobs, Lookup, PlanCache, StoreKey, Validity};
-use crate::profile::{render_annotated_with, PlanRuntime};
+use crate::profile::{render_annotated, PlanRuntime};
 use crate::Result;
 use dqo_obs::{
     names, Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, Phase, QueryProfile,
@@ -417,7 +417,7 @@ impl Engine {
     pub fn register_table(&self, name: impl Into<String>, relation: Relation) {
         let name = name.into();
         self.catalog.register(name.clone(), relation);
-        self.invalidate_avs_of(&name);
+        self.avs.invalidate_table(&self.catalog, &name);
     }
 
     /// Register (or replace) a **partitioned** table: the catalog keeps
@@ -433,7 +433,7 @@ impl Engine {
     ) {
         let name = name.into();
         self.catalog.register_partitioned(name.clone(), partitioned);
-        self.invalidate_avs_of(&name);
+        self.avs.invalidate_table(&self.catalog, &name);
     }
 
     /// Drop a table, invalidating its AVs and partial AVs; returns
@@ -442,16 +442,8 @@ impl Engine {
     /// generation check.
     pub fn drop_table(&self, name: &str) -> bool {
         let existed = self.catalog.drop_table(name);
-        self.invalidate_avs_of(name);
+        self.avs.invalidate_table(&self.catalog, name);
         existed
-    }
-
-    /// Remove every AV/partial built from `table` and deregister their
-    /// hidden `__av::` relations from the table catalog.
-    fn invalidate_avs_of(&self, table: &str) {
-        for sig in self.avs.invalidate_table(table) {
-            self.catalog.drop_table(&sig.av_table_name());
-        }
     }
 
     /// Append `rows` to `table` (schema-ordered values per row),
@@ -774,7 +766,7 @@ materialised: {} bytes
             phases,
             result.output.pipeline,
             result.output.bytes_materialised,
-            render_annotated_with(
+            render_annotated(
                 &result.planned.plan,
                 &self.catalog,
                 &result.ops,
@@ -1306,6 +1298,62 @@ mod tests {
                         "round={round}: orphaned hidden relation {name}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn publish_racing_reregistration_keeps_every_av_paired_with_its_relation() {
+        // A build from the *new* snapshot publishes the moment the
+        // re-registration is visible, i.e. while that registration is
+        // invalidating the old views. Whatever the interleaving, every
+        // registered view must keep its hidden relation and no hidden
+        // relation may outlive its view.
+        use crate::av::{materialise_av, AvKind, AvSignature};
+        let sig = AvSignature::new("t", "key", AvKind::SortedProjection);
+        let rel = Relation::single_u32("key", vec![3, 1, 2]);
+        for round in 0..500 {
+            let engine = Engine::new().with_threads(1);
+            engine.register_table("t", rel.clone());
+            let old = engine.catalog().get("t").unwrap();
+            let av = materialise_av(&old, &sig, None).unwrap();
+            engine
+                .avs()
+                .publish(engine.catalog(), av.clone(), &old)
+                .unwrap();
+            let start = std::sync::Barrier::new(2);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    start.wait();
+                    engine.register_table("t", rel.clone());
+                });
+                start.wait();
+                let fresh = loop {
+                    match engine.catalog().get("t") {
+                        Ok(e) if e.generation != old.generation => break e,
+                        _ => std::hint::spin_loop(),
+                    }
+                };
+                engine.avs().publish(engine.catalog(), av, &fresh);
+            });
+            let sigs = engine.avs().signatures();
+            let hidden: Vec<String> = engine
+                .catalog()
+                .table_names()
+                .into_iter()
+                .filter(|n| n.starts_with("__av::"))
+                .collect();
+            for s in &sigs {
+                assert!(
+                    hidden.contains(&s.av_table_name()),
+                    "round={round}: view {s} lost its hidden relation"
+                );
+            }
+            for name in &hidden {
+                assert!(
+                    sigs.iter().any(|s| &s.av_table_name() == name),
+                    "round={round}: orphaned hidden relation {name}"
+                );
             }
         }
     }

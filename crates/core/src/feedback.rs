@@ -5,14 +5,17 @@
 //! terminal. The [`FeedbackStore`] persists it where the optimiser can
 //! eat it: per **(table, predicate shape)** selectivity *correction
 //! factors*, derived from a [`PlanRuntime`]
-//! whenever a filter's actual selectivity deviates from the textbook
-//! estimate by at least [`DEVIATION_THRESHOLD`]×.
+//! whenever the actual selectivity of a filter over a base scan deviates
+//! from the memo's own row estimate — the number the plan was costed
+//! with — by at least [`DEVIATION_THRESHOLD`]×.
 //!
 //! Corrections are stamped with the table's **statistics version** (the
 //! `(registration generation, data generation)` pair — or, for a filter
-//! over a pruned partitioned scan, the *surviving partitions'* version
-//! from [`Catalog::stats_version_for`]): a correction learned against
-//! one snapshot of the data is never applied to another.
+//! over a partitioned table, the version of the partitions that can hold
+//! its matches, from [`Catalog::stats_version_for`]): a correction
+//! learned against one snapshot of the data is never applied to another.
+//! A filter over a sorted projection's hidden relation is keyed by the
+//! base table it copies, as the memo reads it.
 //! The memo's coster ([`crate::property_builder::PropertyBuilder`])
 //! multiplies the stored factor into the base estimate; recording always
 //! compares actuals against the *uncorrected* base estimate, so factors
@@ -146,11 +149,11 @@ impl FeedbackStore {
     }
 
     /// Mine an executed plan's runtime profile for mis-estimated filters
-    /// and record corrections. `runtime` is the traced per-node metrics
-    /// in plan pre-order; estimates are recomputed *without* feedback so
-    /// stored factors are always relative to the base estimate (no
-    /// compounding). Returns how many corrections were recorded or
-    /// updated.
+    /// over base scans and record corrections. `runtime` is the traced
+    /// per-node metrics in plan pre-order; estimates are the memo's row
+    /// derivation *without* feedback, so stored factors are always
+    /// relative to the base estimate (no compounding). Returns how many
+    /// corrections were recorded or updated.
     pub fn observe_runtime(
         &self,
         plan: &PhysicalPlan,
@@ -160,13 +163,17 @@ impl FeedbackStore {
         if runtime.is_empty() {
             return 0;
         }
-        let base_est = PropertyBuilder::new(catalog).estimate_rows(plan);
-        let mut nodes = Vec::new();
-        preorder(plan, &mut nodes);
+        let props = PropertyBuilder::new(catalog, None);
+        let base_est = props.estimate_rows(plan);
         let mut recorded = 0;
-        for (idx, node) in nodes.iter().enumerate() {
+        for (idx, node) in plan.preorder().into_iter().enumerate() {
             let PhysicalPlan::Filter { input, predicate } = node else {
                 continue;
+            };
+            // Keyed and versioned like the memo reads it: by the base
+            // table and the partitions that can hold matches.
+            let Some((table, parts)) = props.filter_target(input, predicate) else {
+                continue; // no single base scan owns the statistics
             };
             // In pre-order the filter's input subtree starts right after
             // the filter itself.
@@ -182,9 +189,6 @@ impl FeedbackStore {
             if est_in == 0 || act_in == 0 {
                 continue;
             }
-            let Some((table, parts)) = crate::property_builder::scan_target_below(input) else {
-                continue; // multi-table input: no single stats owner
-            };
             let est_sel = (est_out.max(1) as f64) / (est_in as f64);
             let act_sel = (act_out.max(1) as f64) / (act_in as f64);
             let factor = act_sel / est_sel;
@@ -192,10 +196,10 @@ impl FeedbackStore {
             if deviation < DEVIATION_THRESHOLD {
                 continue;
             }
-            // Partitioned scans stamp the *survivors'* stats version, so
-            // appends to pruned-away partitions don't invalidate (or
-            // wrongly validate) the correction.
-            let Some(stats_version) = catalog.stats_version_for(table, parts) else {
+            // Partitioned tables stamp the *survivors'* stats version, so
+            // appends to partitions that cannot hold matches don't
+            // invalidate (or wrongly validate) the correction.
+            let Some(stats_version) = catalog.stats_version_for(table, parts.as_deref()) else {
                 continue;
             };
             if self.record(table, &predicate.shape(), factor, stats_version) {
@@ -203,15 +207,6 @@ impl FeedbackStore {
             }
         }
         recorded
-    }
-}
-
-/// Flatten a physical plan to pre-order node references (the order
-/// [`PlanRuntime`] and estimate vectors are indexed in).
-fn preorder<'a>(plan: &'a PhysicalPlan, out: &mut Vec<&'a PhysicalPlan>) {
-    out.push(plan);
-    for child in plan.children() {
-        preorder(child, out);
     }
 }
 

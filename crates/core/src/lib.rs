@@ -12,11 +12,11 @@
 //!   adds density and friends), with sort enforcers, implementation
 //!   choice at the organelle level and molecule decisions below it;
 //! * [`memo`] — the Cascades-style memo behind it: groups keyed by
-//!   logical subtree, derived properties, per-group winner tables, and
+//!   logical subtree, each group's derived rows, per-group winner tables, and
 //!   uniform implementation / enforcer / parallel-twin rule application;
-//! * [`property_builder`] — the one place logical properties (rows,
-//!   distinct counts, selectivities) are derived, shared by the memo's
-//!   coster and `EXPLAIN ANALYZE`;
+//! * [`property_builder`] — the one row derivation: each memo group's
+//!   rows are derived once and read by the coster, `EXPLAIN ANALYZE` and
+//!   the feedback recorder alike;
 //! * [`feedback`] — adaptive cardinality feedback: per-(table,
 //!   predicate-shape) selectivity corrections learned from executed
 //!   plans' est-vs-actual deltas, consumed by the memo's coster;

@@ -1,9 +1,11 @@
-//! The optimiser memo: groups, group expressions, derived properties and
+//! The optimiser memo: groups, group expressions, derived rows and
 //! per-group winner tables — **scratch for one search**.
 //!
 //! Each logical subtree is interned into a [`Group`] — an equivalence
 //! class holding the representative logical expression (children
-//! referenced by [`GroupId`], so shared subtrees share groups) and a
+//! referenced by [`GroupId`], so shared subtrees share groups), its
+//! **rows** — derived once, by [`PropertyBuilder`], from its children's
+//! rows, and stamped on every candidate the group holds — and a
 //! **winner table**: the pruned candidate set per `(focus column,
 //! optimiser mode, property model, granted DOP)` — one cheapest
 //! [`Candidate`] per interesting property class.
@@ -20,7 +22,8 @@
 //! [`MemoStamp`] defined here is the validity stamp that store puts on
 //! the plans of ad-hoc statements. Callers that plan several related
 //! trees in a row (mid-query re-optimisation) may keep one memo across
-//! those calls to share winner tables; they own its staleness.
+//! those calls to share winner tables and rows; they own its staleness
+//! and must keep the feedback store fixed.
 //!
 //! Rule application lives in `crate::rules`: implementation rules
 //! (Scan → AV-backed scan, GroupBy → {HG, SPHG, OG, SOG, BSG, composite},
@@ -37,7 +40,7 @@ use crate::feedback::FeedbackStore;
 use crate::optimizer::{
     candidate_order, Candidate, OptimizerMode, PlannedQuery, PropertyModel, SearchContext,
 };
-use crate::property_builder::PropertyBuilder;
+use crate::property_builder::{Input, PropertyBuilder, RowOp};
 use crate::Result;
 use dqo_plan::LogicalPlan;
 use std::collections::{BTreeMap, HashMap};
@@ -83,7 +86,7 @@ pub struct MemoStats {
     pub rules_fired: u64,
     /// Winner-table lookups answered from the memo without re-deriving.
     pub winner_hits: u64,
-    /// Feedback corrections folded into selectivity estimates.
+    /// Feedback corrections folded into filter groups' row estimates.
     pub feedback_applied: u64,
 }
 
@@ -107,7 +110,18 @@ struct WinnerKey {
 pub struct Group {
     logical: Arc<LogicalPlan>,
     children: Vec<GroupId>,
+    derived: Option<Derived>,
     winners: HashMap<WinnerKey, Arc<Vec<Candidate>>>,
+}
+
+/// What a group derives once per search, whatever its candidates.
+#[derive(Debug, Clone)]
+pub(crate) struct Derived {
+    /// The group's output rows.
+    pub rows: u64,
+    /// For a filter directly over a partitioned scan: the partitions that
+    /// can hold its matches, which the pruning rule scans.
+    pub survivors: Option<Vec<usize>>,
 }
 
 impl Group {
@@ -158,6 +172,7 @@ impl Memo {
         self.groups.push(Group {
             logical: Arc::clone(node),
             children,
+            derived: None,
             winners: HashMap::new(),
         });
         self.index.insert(identity, gid);
@@ -235,7 +250,7 @@ impl<'a> MemoOptimizer<'a> {
             pmodel: ctx.pmodel,
             dop: ctx.dop.max(1),
             pruning: ctx.pruning,
-            props: PropertyBuilder::with_feedback(catalog, ctx.feedback),
+            props: PropertyBuilder::new(catalog, ctx.feedback),
         }
     }
 
@@ -284,11 +299,56 @@ impl<'a> MemoOptimizer<'a> {
             self.memo.stats.winner_hits += 1;
             return Ok(Arc::clone(winners));
         }
-        let cands = Arc::new(crate::rules::apply(self, gid, focus)?);
+        let derived = self.derive(gid);
+        let cands = crate::rules::apply(self, gid, focus, &derived)?;
+        debug_assert!(cands.iter().all(|c| c.props.rows == derived.rows));
+        let cands = Arc::new(cands);
         self.memo.groups[gid]
             .winners
             .insert(key, Arc::clone(&cands));
         Ok(cands)
+    }
+
+    /// The group's [`Derived`] properties, computed once from its
+    /// children's rows by [`PropertyBuilder::derive`]: the rows every
+    /// candidate of the group carries and `EXPLAIN ANALYZE` shows for the
+    /// chosen one.
+    fn derive(&mut self, gid: GroupId) -> Derived {
+        if let Some(derived) = &self.memo.groups[gid].derived {
+            return derived.clone();
+        }
+        let node = Arc::clone(&self.memo.groups[gid].logical);
+        let mut inputs = Vec::new();
+        for (i, child) in node.children().into_iter().enumerate() {
+            let kid = self.memo.groups[gid].children[i];
+            inputs.push(Input {
+                rows: self.derive(kid).rows,
+                tables: child.tables(),
+            });
+        }
+        let mut survivors = None;
+        let op = match node.as_ref() {
+            LogicalPlan::Scan { table } => RowOp::Scan((table, None)),
+            LogicalPlan::Filter { input, predicate } => match input.as_ref() {
+                LogicalPlan::Scan { table } => {
+                    survivors = self.props.survivors(table, predicate);
+                    RowOp::Filter(predicate, Some((table, survivors.as_deref())))
+                }
+                _ => RowOp::Filter(predicate, None),
+            },
+            LogicalPlan::Join {
+                left_key,
+                right_key,
+                ..
+            } => RowOp::Join(left_key, right_key),
+            LogicalPlan::GroupBy { keys, .. } => RowOp::GroupBy(keys),
+            LogicalPlan::Limit { n, .. } => RowOp::Limit(*n),
+            LogicalPlan::Sort { .. } | LogicalPlan::Project { .. } => RowOp::Pass,
+        };
+        let rows = self.props.derive(op, &inputs);
+        let derived = Derived { rows, survivors };
+        self.memo.groups[gid].derived = Some(derived.clone());
+        derived
     }
 
     /// Record one rule application that produced candidates.

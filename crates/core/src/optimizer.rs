@@ -23,8 +23,9 @@
 //! Since PR 9 the enumeration itself lives in the memo engine
 //! ([`crate::memo`] + `crate::rules`): both entry points below intern
 //! the query into a [`crate::memo::Memo`] and fire the uniform rule
-//! set. This file keeps the public API, the candidate/pruning
-//! vocabulary, and the estimation arithmetic the rules share.
+//! set. This file keeps the public API and the candidate/pruning
+//! vocabulary; row estimates come from
+//! [`crate::property_builder::PropertyBuilder`], once per memo group.
 
 use crate::av::AvCatalog;
 use crate::catalog::Catalog;
@@ -32,9 +33,8 @@ use crate::cost::{CostModel, TupleCostModel};
 use crate::feedback::FeedbackStore;
 use crate::memo::{Memo, MemoOptimizer};
 use crate::Result;
-use dqo_plan::expr::Predicate;
 use dqo_plan::properties::PropKey;
-use dqo_plan::{CmpOp, GroupingImpl, JoinImpl, LogicalPlan, PhysicalPlan, PlanProps};
+use dqo_plan::{GroupingImpl, JoinImpl, LogicalPlan, PhysicalPlan, PlanProps};
 use std::collections::HashMap;
 
 /// Shallow (SQO) vs deep (DQO) optimisation.
@@ -185,14 +185,14 @@ pub fn optimize_in(
     MemoOptimizer::new(memo, catalog, ctx).optimize(logical)
 }
 
-/// Expose the full (pruned) candidate set of the root — used by tests and
-/// the depth-ablation experiment.
+/// Expose the full (pruned) candidate set of the root under `ctx` — used
+/// by tests and the depth-ablation experiment.
 pub fn enumerate_candidates(
     logical: &LogicalPlan,
     catalog: &Catalog,
-    mode: OptimizerMode,
+    ctx: &SearchContext<'_>,
 ) -> Result<Vec<Candidate>> {
-    MemoOptimizer::new(&mut Memo::new(), catalog, &SearchContext::new(mode)).candidates(logical)
+    MemoOptimizer::new(&mut Memo::new(), catalog, ctx).candidates(logical)
 }
 
 /// Interesting-property pruning: keep the cheapest candidate per property
@@ -247,57 +247,6 @@ fn plan_rank(plan: &PhysicalPlan) -> u32 {
         _ => 0,
     };
     own + plan.children().iter().map(|c| plan_rank(c)).sum::<u32>()
-}
-
-/// Join cardinality under the uniform containment assumption:
-/// `|L ⋈ R| = |L|·|R| / max(d_L, d_R)` — with a PK on one side this yields
-/// exactly the FK-side cardinality (the paper's 90,000).
-pub(crate) fn estimate_join_rows(l: u64, r: u64, d_l: Option<u64>, d_r: Option<u64>) -> u64 {
-    let d = d_l.unwrap_or(l).max(d_r.unwrap_or(r)).max(1);
-    (((l as f64) * (r as f64)) / d as f64).round() as u64
-}
-
-/// Textbook selectivity estimation for simple predicates.
-pub(crate) fn estimate_selectivity(pred: &Predicate, props: &PlanProps) -> f64 {
-    match pred {
-        Predicate::And(ps) => ps.iter().map(|p| estimate_selectivity(p, props)).product(),
-        // Prefix matches sit between equality and a half-open range; with
-        // no per-string histogram we charge a flat fraction that shrinks
-        // with the prefix length (each extra character filters harder).
-        Predicate::Prefix { prefix, .. } => match prefix.len() {
-            0 => 1.0,
-            1 => 0.25,
-            _ => 0.1,
-        },
-        // General wildcard patterns are unanchored; charge by how much
-        // literal text the pattern pins down (a contains-match with a
-        // long needle filters about as hard as a long prefix).
-        Predicate::Like { pattern, .. } => {
-            match pattern.chars().filter(|&c| c != '%' && c != '_').count() {
-                0 => 1.0,
-                1 => 0.5,
-                _ => 0.2,
-            }
-        }
-        Predicate::Compare { op, value, .. } => match op {
-            CmpOp::Eq => 1.0 / props.distinct.unwrap_or(10).max(1) as f64,
-            CmpOp::Ne => 1.0 - 1.0 / props.distinct.unwrap_or(10).max(1) as f64,
-            CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge => {
-                // Uniform over the known key range if available.
-                match (props.key_range, value.as_u32()) {
-                    (Some((lo, hi)), Some(v)) if hi > lo => {
-                        let frac = (f64::from(v.saturating_sub(lo))) / f64::from(hi - lo).max(1.0);
-                        let frac = frac.clamp(0.0, 1.0);
-                        match op {
-                            CmpOp::Lt | CmpOp::Le => frac,
-                            _ => 1.0 - frac,
-                        }
-                    }
-                    _ => 1.0 / 3.0,
-                }
-            }
-        },
-    }
 }
 
 #[cfg(test)]
@@ -440,33 +389,6 @@ mod tests {
         assert_eq!(deep.plan.algo_signature(), vec!["SPHG", "SPHJ"]);
         let factor = shallow.est_cost / deep.est_cost;
         assert!((factor - 2.78).abs() < 0.02, "factor = {factor}");
-    }
-
-    #[test]
-    fn selectivity_estimates() {
-        let props = PlanProps {
-            distinct: Some(100),
-            key_range: Some((0, 99)),
-            ..PlanProps::unknown(1000)
-        };
-        let eq = Predicate::cmp("k", CmpOp::Eq, 5u32);
-        assert!((estimate_selectivity(&eq, &props) - 0.01).abs() < 1e-12);
-        let lt = Predicate::cmp("k", CmpOp::Lt, 50u32);
-        let s = estimate_selectivity(&lt, &props);
-        assert!((s - 0.5051).abs() < 0.01, "s = {s}");
-        let and = Predicate::And(vec![eq.clone(), eq]);
-        assert!((estimate_selectivity(&and, &props) - 0.0001).abs() < 1e-12);
-    }
-
-    #[test]
-    fn join_cardinality_fk_case() {
-        // PK side distinct = |R| → output = |S|.
-        assert_eq!(
-            estimate_join_rows(25_000, 90_000, Some(25_000), Some(20_000)),
-            90_000
-        );
-        // Unknown distincts: fall back to max of sizes.
-        assert_eq!(estimate_join_rows(10, 10, None, None), 10);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! The instrumented executor ([`crate::executor::execute_with`]) hands
 //! back one [`OperatorMetrics`] per physical-plan node in pre-order. This
 //! module turns that vector into the annotated tree a user reads:
-//! estimated-vs-actual cardinality per node (the estimates recomputed with
-//! the optimiser's own rules, so the delta audits the cost model that
-//! picked the plan), wall time, rows produced, pipeline breakers, bytes the
+//! estimated-vs-actual cardinality per node (the estimates are the rows
+//! the memo costed the plan with, so the delta audits the cost model that
+//! picked it), wall time, rows produced, pipeline breakers, bytes the
 //! node copied into new column buffers, and — on `Exchange` nodes —
 //! granted DOP, morsels dispatched, and steals.
 
@@ -41,40 +41,27 @@ impl PlanRuntime {
     }
 }
 
-/// Estimated output cardinality for every node of `plan`, pre-order,
-/// recomputed with the optimiser's estimation rules (uniform-containment
-/// joins, textbook predicate selectivities, distinct-count grouping).
-/// A table or column missing from the catalog degrades that node's
-/// estimate to a pass-through instead of failing — EXPLAIN ANALYZE must
-/// render for any plan the executor accepts. The arithmetic lives in
-/// [`PropertyBuilder`], shared with the optimiser memo's coster.
-pub fn estimate_rows(plan: &PhysicalPlan, catalog: &Catalog) -> Vec<u64> {
-    PropertyBuilder::new(catalog).estimate_rows(plan)
-}
-
-/// [`estimate_rows`] with adaptive-feedback corrections folded in — the
-/// estimates the memo would use when re-planning this shape.
-pub fn estimate_rows_with(
+/// Estimated output cardinality for every node of `plan`, pre-order: the
+/// memo's row derivation ([`PropertyBuilder::estimate_rows`]) folded over
+/// the physical tree, with `feedback`'s corrections when given — the rows
+/// the memo costs this plan's groups with under the same store. A table
+/// or column missing from the catalog degrades that node's estimate
+/// instead of failing — EXPLAIN ANALYZE must render for any plan the
+/// executor accepts.
+pub fn estimate_rows(
     plan: &PhysicalPlan,
     catalog: &Catalog,
     feedback: Option<&FeedbackStore>,
 ) -> Vec<u64> {
-    PropertyBuilder::with_feedback(catalog, feedback).estimate_rows(plan)
+    PropertyBuilder::new(catalog, feedback).estimate_rows(plan)
 }
 
 /// Render the annotated `EXPLAIN ANALYZE` tree: the plain explain lines
 /// with ` (est=… act=… Δ=… wall=…)` per node — `breakers=` and `bytes=`
 /// (bytes materialised) where non-zero — plus parallel-runtime detail on
-/// `Exchange` nodes. Empty runtimes (untraced execution) render
-/// the plain tree.
-pub fn render_annotated(plan: &PhysicalPlan, catalog: &Catalog, runtime: &PlanRuntime) -> String {
-    render_annotated_with(plan, catalog, runtime, None)
-}
-
-/// [`render_annotated`] with feedback-corrected estimates (the engine's
-/// `EXPLAIN ANALYZE` path, so the est column reflects what the optimiser
-/// actually believed when the plan was costed under feedback).
-pub fn render_annotated_with(
+/// `Exchange` nodes. The estimates are [`estimate_rows`] under
+/// `feedback`. Empty runtimes (untraced execution) render the plain tree.
+pub fn render_annotated(
     plan: &PhysicalPlan,
     catalog: &Catalog,
     runtime: &PlanRuntime,
@@ -83,7 +70,7 @@ pub fn render_annotated_with(
     if runtime.is_empty() {
         return plan.explain();
     }
-    let est = estimate_rows_with(plan, catalog, feedback);
+    let est = estimate_rows(plan, catalog, feedback);
     plan.explain_annotated(&|id, node| {
         let m = runtime.node(id)?;
         let e = est.get(id).copied().unwrap_or(0);
@@ -137,78 +124,6 @@ pub(crate) fn fmt_duration(d: Duration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dqo_plan::expr::{AggExpr, CmpOp, Predicate};
-    use dqo_plan::physical::GroupingMolecules;
-    use dqo_plan::{GroupingImpl, JoinImpl};
-    use dqo_storage::datagen::DatasetSpec;
-
-    fn catalog_10k_100() -> Catalog {
-        let cat = Catalog::new();
-        let rel = DatasetSpec::new(10_000, 100)
-            .dense(true)
-            .relation()
-            .unwrap();
-        cat.register("t", rel);
-        cat
-    }
-
-    fn scan() -> Box<PhysicalPlan> {
-        Box::new(PhysicalPlan::Scan { table: "t".into() })
-    }
-
-    #[test]
-    fn estimates_follow_optimiser_rules() {
-        let cat = catalog_10k_100();
-        // Scan → 10 000 rows.
-        assert_eq!(estimate_rows(&scan(), &cat), vec![10_000]);
-        // Eq filter on a 100-distinct key → 1/100 selectivity.
-        let filt = PhysicalPlan::Filter {
-            input: scan(),
-            predicate: Predicate::cmp("key", CmpOp::Eq, 5u32),
-        };
-        assert_eq!(estimate_rows(&filt, &cat), vec![100, 10_000]);
-        // Grouping on the key → distinct count, capped by input.
-        let gb = PhysicalPlan::GroupBy {
-            input: Box::new(filt),
-            keys: vec!["key".into()],
-            aggs: vec![AggExpr::count_star("n")],
-            algo: GroupingImpl::Hg,
-            molecules: GroupingMolecules::default(),
-        };
-        assert_eq!(estimate_rows(&gb, &cat), vec![100, 100, 10_000]);
-        // Exchange is cardinality-transparent.
-        let ex = PhysicalPlan::Exchange {
-            input: Box::new(gb),
-            dop: 4,
-        };
-        assert_eq!(estimate_rows(&ex, &cat), vec![100, 100, 100, 10_000]);
-    }
-
-    #[test]
-    fn join_estimate_uses_uniform_containment() {
-        let cat = catalog_10k_100();
-        let join = PhysicalPlan::Join {
-            left: scan(),
-            right: scan(),
-            left_key: "key".into(),
-            right_key: "key".into(),
-            algo: JoinImpl::Hj,
-        };
-        // |L⋈R| = 10 000·10 000 / max(100, 100) = 1 000 000.
-        assert_eq!(estimate_rows(&join, &cat), vec![1_000_000, 10_000, 10_000]);
-    }
-
-    #[test]
-    fn unknown_tables_degrade_instead_of_failing() {
-        let cat = Catalog::new();
-        let plan = PhysicalPlan::Limit {
-            input: Box::new(PhysicalPlan::Scan {
-                table: "nope".into(),
-            }),
-            n: 7,
-        };
-        assert_eq!(estimate_rows(&plan, &cat), vec![0, 0]);
-    }
 
     #[test]
     fn delta_and_duration_formatting() {
@@ -223,10 +138,9 @@ mod tests {
 
     #[test]
     fn empty_runtime_renders_plain_explain() {
-        let cat = catalog_10k_100();
-        let plan = *scan();
+        let plan = PhysicalPlan::Scan { table: "t".into() };
         assert_eq!(
-            render_annotated(&plan, &cat, &PlanRuntime::default()),
+            render_annotated(&plan, &Catalog::new(), &PlanRuntime::default(), None),
             plan.explain()
         );
     }

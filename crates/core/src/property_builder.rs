@@ -1,63 +1,94 @@
-//! Derived-property construction for the optimiser memo.
+//! Row estimation: the one derivation of how many rows an operator emits.
 //!
-//! The [`PropertyBuilder`] is the one place where logical properties —
-//! row counts, distinct counts, density, selectivities — are derived,
-//! shared by three consumers that previously each had a private copy of
-//! the arithmetic:
+//! Rows are a property of the memo *group*, not of a candidate plan:
+//! every physical alternative of one logical subtree emits the same rows.
+//! `PropertyBuilder::derive` computes them from the operator, its
+//! inputs' rows and the base tables beneath each input, and three
+//! consumers read that one number:
 //!
-//! 1. the memo's rules (`crate::rules`) when costing candidates,
+//! 1. the memo (`crate::memo`), which derives each group's rows once per
+//!    search and hands them to the rules (`crate::rules`) that cost its
+//!    candidates;
 //! 2. `EXPLAIN ANALYZE`'s estimated-cardinality column
-//!    ([`crate::profile::estimate_rows`]), and
+//!    ([`crate::profile::estimate_rows`]), a fold of `derive` over the
+//!    physical tree;
 //! 3. the adaptive-feedback recorder ([`crate::feedback::FeedbackStore`]),
-//!    which needs the *base* (feedback-free) estimates to compute
-//!    correction factors without compounding.
+//!    which folds without feedback so the factors it stores are relative
+//!    to the base estimate and never compound.
 //!
-//! When constructed with a [`FeedbackStore`], selectivity estimates are
-//! multiplied by any learned correction for the predicate's `(table,
-//! shape)` — validated against the table's current statistics version —
-//! and the number of corrections applied is counted for the
-//! `dqo_opt_feedback_applied_total` metric.
+//! The estimators are textbook: a conjunct's selectivity comes from *its
+//! own* column's statistics, resolved through the tables beneath (joins
+//! included); joins assume uniform containment; a grouping emits the
+//! product of its key distincts, capped by its input. A filter directly
+//! over a base scan applies its selectivity to the table's rows and is
+//! capped by the rows of the partitions that can hold its matches:
+//! partition pruning removes only rows the predicate rejects, so the
+//! survivors must not be filtered by the full selectivity a second time.
+//! That target — the base table and its surviving partitions — is the
+//! same whatever the plan scans: a pruned or unpruned partitioned scan,
+//! or a sorted projection's hidden relation (a reordered copy of the
+//! table).
+//!
+//! With a [`FeedbackStore`], a filter's selectivity is multiplied by any
+//! learned correction for its `(table, predicate shape)` — validated
+//! against the surviving partitions' statistics version — and every
+//! application is counted for the `dqo_opt_feedback_applied_total`
+//! metric.
 
+use crate::av::rows_source;
 use crate::catalog::Catalog;
 use crate::feedback::FeedbackStore;
-use crate::optimizer::{estimate_join_rows, estimate_selectivity};
 use crate::Result;
 use dqo_plan::expr::Predicate;
-use dqo_plan::{LogicalPlan, PhysicalPlan, PlanProps};
-use dqo_storage::Density;
+use dqo_plan::{CmpOp, PhysicalPlan, PlanProps};
+use dqo_storage::DataProps;
 use std::cell::Cell;
 
-/// Derives logical plan properties, optionally correcting selectivities
-/// with adaptive feedback. See the module docs.
+/// Derives row estimates, optionally correcting filter selectivities with
+/// adaptive feedback. See the module docs.
 pub struct PropertyBuilder<'a> {
     catalog: &'a Catalog,
     feedback: Option<&'a FeedbackStore>,
     applied: Cell<u64>,
 }
 
-impl<'a> PropertyBuilder<'a> {
-    /// A feedback-free builder: estimates are the textbook rules only.
-    pub fn new(catalog: &'a Catalog) -> Self {
-        PropertyBuilder {
-            catalog,
-            feedback: None,
-            applied: Cell::new(0),
-        }
-    }
+/// A base table and, on a partitioned table, a subset of its partitions.
+pub(crate) type ScanTarget<'p> = (&'p str, Option<&'p [usize]>);
 
-    /// A builder that folds learned selectivity corrections into its
-    /// estimates.
-    pub fn with_feedback(catalog: &'a Catalog, feedback: Option<&'a FeedbackStore>) -> Self {
+/// One operator as [`PropertyBuilder::derive`] sees it.
+#[derive(Clone, Copy)]
+pub(crate) enum RowOp<'p> {
+    /// A base-table scan of the given partitions.
+    Scan(ScanTarget<'p>),
+    /// A selection; directly over a base scan, with that table and the
+    /// partitions that can hold matches ([`PropertyBuilder::survivors`]).
+    Filter(&'p Predicate, Option<ScanTarget<'p>>),
+    /// An equi-join on (left key, right key).
+    Join(&'p str, &'p str),
+    /// A grouping on its keys.
+    GroupBy(&'p [String]),
+    /// A row cap.
+    Limit(u64),
+    /// Sort, Project and Exchange: rows pass through.
+    Pass,
+}
+
+/// One input of an operator: its rows and the base tables beneath it,
+/// which resolve the operator's columns to catalog statistics.
+pub(crate) struct Input<'p> {
+    pub rows: u64,
+    pub tables: Vec<&'p str>,
+}
+
+impl<'a> PropertyBuilder<'a> {
+    /// A builder over `catalog`; with `feedback`, learned selectivity
+    /// corrections are folded into filter estimates.
+    pub fn new(catalog: &'a Catalog, feedback: Option<&'a FeedbackStore>) -> Self {
         PropertyBuilder {
             catalog,
             feedback,
             applied: Cell::new(0),
         }
-    }
-
-    /// How many feedback corrections have been applied so far.
-    pub fn applied(&self) -> u64 {
-        self.applied.get()
     }
 
     /// Drain the applied-corrections counter (returns the count and
@@ -66,210 +97,244 @@ impl<'a> PropertyBuilder<'a> {
         self.applied.replace(0)
     }
 
-    /// Base-table scan properties for `table`, as seen through `focus`
+    /// Base-table column properties for `table`, as seen through `focus`
     /// (the column the parent will consume this output by). Unprojected —
     /// the caller applies the optimiser mode's visibility.
     pub fn scan_props(&self, table: &str, focus: Option<&str>) -> Result<PlanProps> {
         let entry = self.catalog.get(table)?;
-        let rows = entry.relation.rows() as u64;
-        Ok(match focus {
-            Some(col) => match entry.column_props.get(col) {
-                Some(p) => PlanProps::from_data(p),
-                None => PlanProps::unknown(rows),
-            },
-            None => PlanProps::unknown(rows),
+        Ok(match focus.and_then(|col| entry.column_props.get(col)) {
+            Some(p) => PlanProps::from_data(p),
+            None => PlanProps::unknown(entry.relation.rows() as u64),
         })
     }
 
-    /// Predicate selectivity against `props`, corrected by feedback when
-    /// a valid correction exists for `(table, predicate shape)`.
-    pub fn selectivity(
-        &self,
-        predicate: &Predicate,
-        props: &PlanProps,
-        table: Option<&str>,
-    ) -> f64 {
-        self.selectivity_for(predicate, props, table, None)
-    }
-
-    /// [`PropertyBuilder::selectivity`] for a scan restricted to the
-    /// given partitions: the correction's validity is checked against the
-    /// *survivors'* statistics version (see
-    /// [`Catalog::stats_version_for`]), so corrections learned over a
-    /// pruned scan keep applying across appends to pruned-away partitions
-    /// and stop applying when the survivor set or its data changes.
-    pub fn selectivity_for(
-        &self,
-        predicate: &Predicate,
-        props: &PlanProps,
-        table: Option<&str>,
-        parts: Option<&[usize]>,
-    ) -> f64 {
-        let base = estimate_selectivity(predicate, props);
-        // An empty store is one atomic load: no shape is rendered and no
-        // lock taken on the search path until something was learned.
-        let feedback = self.feedback.filter(|store| !store.is_empty());
-        if let (Some(store), Some(table)) = (feedback, table) {
-            if let Some(version) = self.catalog.stats_version_for(table, parts) {
-                if let Some(factor) = store.correction(table, &predicate.shape(), version) {
-                    self.applied.set(self.applied.get() + 1);
-                    return (base * factor).clamp(0.0, 1.0);
-                }
+    /// The output rows of `op` over `inputs` — the one row derivation
+    /// (see the module docs). A table or column missing from the catalog
+    /// degrades to an unknown statistic instead of failing.
+    pub(crate) fn derive(&self, op: RowOp<'_>, inputs: &[Input<'_>]) -> u64 {
+        let rows = |i: usize| inputs[i].rows;
+        let stats = |i: usize, column: &str| {
+            let tables: &[&str] = &inputs[i].tables;
+            self.catalog.resolve_column(tables.iter().copied(), column)
+        };
+        let distinct = |i: usize, column: &str| stats(i, column).map(|p| p.distinct);
+        match op {
+            RowOp::Scan((table, parts)) => match (parts, self.catalog.partitioning_of(table)) {
+                (Some(parts), Some(p)) => p.rows_in(parts) as u64,
+                _ => self.table_rows(table),
+            },
+            RowOp::Filter(predicate, scan) => {
+                let sel = estimate_selectivity(predicate, &|column| stats(0, column));
+                // Over a base scan the selectivity (times any correction)
+                // applies to the whole table, capped by the partitions
+                // that can hold matches; anywhere else, to the input.
+                let (base, cap, sel) = match scan {
+                    Some(target @ (table, _)) => (
+                        self.table_rows(table),
+                        self.derive(RowOp::Scan(target), &[]),
+                        sel * self.correction(predicate, target),
+                    ),
+                    None => (rows(0), rows(0), sel),
+                };
+                (((base as f64) * sel.min(1.0)).ceil() as u64).min(cap)
             }
+            RowOp::Join(left_key, right_key) => estimate_join_rows(
+                rows(0),
+                rows(1),
+                distinct(0, left_key),
+                distinct(1, right_key),
+            ),
+            RowOp::GroupBy(keys) => keys
+                .iter()
+                .fold(1u64, |groups, key| {
+                    groups.saturating_mul(distinct(0, key).unwrap_or(rows(0)).max(1))
+                })
+                .min(rows(0)),
+            RowOp::Limit(n) => rows(0).min(n),
+            RowOp::Pass => rows(0),
         }
-        base
     }
 
-    /// Filter output properties: rows scaled by `selectivity`, density
-    /// and key range degraded (filtering punches holes into a dense
-    /// domain), distinct count scaled and clamped. Unprojected.
-    pub fn derive_filter(&self, input: PlanProps, selectivity: f64) -> PlanProps {
-        let out_rows = ((input.rows as f64) * selectivity).ceil() as u64;
-        let mut props = input;
-        props.rows = out_rows;
-        props.density = Density::Unknown;
-        props.key_range = None;
-        props.distinct = props.distinct.map(|d| {
-            (((d as f64) * selectivity).ceil() as u64)
-                .max(1)
-                .min(out_rows.max(1))
-        });
-        props
-    }
-
-    /// Estimated output cardinality for every node of a physical plan,
-    /// pre-order, using the optimiser's own estimation rules
-    /// (uniform-containment joins, textbook predicate selectivities with
-    /// any feedback corrections, distinct-count grouping). A table or
-    /// column missing from the catalog degrades that node's estimate to a
-    /// pass-through instead of failing.
+    /// Estimated output rows of every node of a physical plan, pre-order:
+    /// `derive` folded over the tree, so the numbers are the ones the
+    /// memo costed the plan with.
     pub fn estimate_rows(&self, plan: &PhysicalPlan) -> Vec<u64> {
         let mut out = Vec::with_capacity(plan.node_count());
-        self.est_node(plan, &mut out);
+        self.fold(plan, &mut out);
         out
     }
 
-    fn est_node(&self, plan: &PhysicalPlan, out: &mut Vec<u64>) -> u64 {
+    /// Derive `plan`'s rows into `out` (pre-order); returns them with the
+    /// base tables beneath `plan`.
+    fn fold<'p>(&self, plan: &'p PhysicalPlan, out: &mut Vec<u64>) -> Input<'p> {
         let idx = out.len();
         out.push(0);
-        let rows = match plan {
-            PhysicalPlan::Scan { table } => self
-                .catalog
-                .get(table)
-                .map(|t| t.relation.rows() as u64)
-                .unwrap_or(0),
-            // Post-pruning estimate: the survivors' observed rowcounts,
-            // not the whole table's — this is what `explain_analyze`
-            // compares actual rows against.
-            PhysicalPlan::PartitionedScan { table, parts, .. } => {
-                match self.catalog.partitioning_of(table) {
-                    Some(p) => p.rows_in(parts) as u64,
-                    None => self
-                        .catalog
-                        .get(table)
-                        .map(|t| t.relation.rows() as u64)
-                        .unwrap_or(0),
-                }
-            }
+        let inputs: Vec<Input<'p>> = plan
+            .children()
+            .into_iter()
+            .map(|c| self.fold(c, out))
+            .collect();
+        // A sorted projection's hidden relation reads its base table's rows.
+        let scanned = |table: &'p str| rows_source(table).unwrap_or(table);
+        let target;
+        let op = match plan {
+            PhysicalPlan::Scan { table } => RowOp::Scan((scanned(table), None)),
+            PhysicalPlan::PartitionedScan { table, parts, .. } => RowOp::Scan((table, Some(parts))),
             PhysicalPlan::Filter { input, predicate } => {
-                let child = self.est_node(input, out);
-                let props = predicate
-                    .columns()
-                    .first()
-                    .and_then(|col| column_props_below(input, col, self.catalog))
-                    .unwrap_or_else(|| PlanProps::unknown(child));
-                let (table, parts) =
-                    scan_target_below(input).map_or((None, None), |(t, p)| (Some(t), p));
-                let sel = self.selectivity_for(predicate, &props, table, parts);
-                ((child as f64) * sel).ceil() as u64
+                target = self.filter_target(input, predicate);
+                let scan = target
+                    .as_ref()
+                    .map(|(table, parts)| (*table, parts.as_deref()));
+                RowOp::Filter(predicate, scan)
             }
-            PhysicalPlan::Sort { input, .. }
-            | PhysicalPlan::Project { input, .. }
-            | PhysicalPlan::Exchange { input, .. } => self.est_node(input, out),
-            PhysicalPlan::Limit { input, n } => self.est_node(input, out).min(*n),
             PhysicalPlan::Join {
-                left,
-                right,
                 left_key,
                 right_key,
                 ..
-            } => {
-                let l = self.est_node(left, out);
-                let r = self.est_node(right, out);
-                let d_l = column_props_below(left, left_key, self.catalog).and_then(|p| p.distinct);
-                let d_r =
-                    column_props_below(right, right_key, self.catalog).and_then(|p| p.distinct);
-                estimate_join_rows(l, r, d_l, d_r)
-            }
-            PhysicalPlan::GroupBy { input, keys, .. } => {
-                let child = self.est_node(input, out);
-                // Output rows = distinct key combinations; assume key
-                // independence (product of per-column distincts) and cap
-                // by the input cardinality.
-                let mut groups: u64 = 1;
-                for key in keys {
-                    let d = column_props_below(input, key, self.catalog)
-                        .and_then(|p| p.distinct)
-                        .unwrap_or(child);
-                    groups = groups.saturating_mul(d.max(1));
-                }
-                groups.min(child)
-            }
+            } => RowOp::Join(left_key, right_key),
+            PhysicalPlan::GroupBy { keys, .. } => RowOp::GroupBy(keys),
+            PhysicalPlan::Limit { n, .. } => RowOp::Limit(*n),
+            PhysicalPlan::Sort { .. }
+            | PhysicalPlan::Project { .. }
+            | PhysicalPlan::Exchange { .. } => RowOp::Pass,
         };
+        let rows = self.derive(op, &inputs);
         out[idx] = rows;
-        rows
+        let tables = match plan {
+            PhysicalPlan::Scan { table } | PhysicalPlan::PartitionedScan { table, .. } => {
+                vec![scanned(table)]
+            }
+            _ => inputs.into_iter().flat_map(|input| input.tables).collect(),
+        };
+        Input { rows, tables }
+    }
+
+    /// The partitions of `table` that can hold rows matching `predicate`
+    /// (`None` for a flat table). Pruning is sound, so a filter's matches
+    /// lie in these whether or not its plan prunes: they cap the filter's
+    /// rows and version its feedback corrections.
+    pub(crate) fn survivors(&self, table: &str, predicate: &Predicate) -> Option<Vec<usize>> {
+        let p = self.catalog.partitioning_of(table)?;
+        Some(crate::partition_prune::prune_partitions(
+            p.spec(),
+            predicate,
+        ))
+    }
+
+    /// The target of a physical filter by `predicate` over `input` — the
+    /// one the memo derived the filter's group from: the base table whose
+    /// rows `input` scans, and its [`survivors`](Self::survivors). `None`
+    /// when `input` is not a scan of a base table's rows.
+    pub(crate) fn filter_target<'p>(
+        &self,
+        input: &'p PhysicalPlan,
+        predicate: &Predicate,
+    ) -> Option<(&'p str, Option<Vec<usize>>)> {
+        let table = match input {
+            PhysicalPlan::Scan { table } | PhysicalPlan::PartitionedScan { table, .. } => {
+                rows_source(table)?
+            }
+            _ => return None,
+        };
+        Some((table, self.survivors(table, predicate)))
+    }
+
+    /// The learned selectivity correction for `predicate` over `target`
+    /// (1 when there is none), counted when applied. Its validity is
+    /// checked against the target partitions' statistics version
+    /// ([`Catalog::stats_version_for`]), so a correction learned over a
+    /// partitioned table keeps applying across appends to partitions that
+    /// cannot hold matches and stops when the survivors' data changes.
+    fn correction(&self, predicate: &Predicate, (table, parts): ScanTarget) -> f64 {
+        // An empty store is one atomic load: no shape is rendered and no
+        // lock taken on the search path until something was learned.
+        let feedback = self.feedback.filter(|store| !store.is_empty());
+        let factor = feedback.and_then(|store| {
+            let version = self.catalog.stats_version_for(table, parts)?;
+            store.correction(table, &predicate.shape(), version)
+        });
+        if factor.is_some() {
+            self.applied.set(self.applied.get() + 1);
+        }
+        factor.unwrap_or(1.0)
+    }
+
+    /// A table's rows (0 when unknown).
+    fn table_rows(&self, table: &str) -> u64 {
+        self.catalog
+            .get(table)
+            .map_or(0, |entry| entry.relation.rows() as u64)
     }
 }
 
-/// Resolve a column's base-table statistics by walking down the
-/// single-child spine beneath `plan` to its `Scan`. Joins and missing
-/// columns yield `None` (the estimate falls back to unknown props).
-pub(crate) fn column_props_below(
-    plan: &PhysicalPlan,
-    column: &str,
-    catalog: &Catalog,
-) -> Option<PlanProps> {
-    match plan {
-        PhysicalPlan::Scan { table } | PhysicalPlan::PartitionedScan { table, .. } => catalog
-            .column_props(table, column)
-            .ok()
-            .map(|d| PlanProps::from_data(&d)),
-        PhysicalPlan::Join { .. } => None,
-        _ => plan
-            .children()
-            .first()
-            .and_then(|c| column_props_below(c, column, catalog)),
-    }
+/// Join cardinality under the uniform containment assumption:
+/// `|L ⋈ R| = |L|·|R| / max(d_L, d_R)` — with a PK on one side this yields
+/// exactly the FK-side cardinality (the paper's 90,000).
+fn estimate_join_rows(l: u64, r: u64, d_l: Option<u64>, d_r: Option<u64>) -> u64 {
+    let d = d_l.unwrap_or(l).max(d_r.unwrap_or(r)).max(1);
+    (((l as f64) * (r as f64)) / d as f64).round() as u64
 }
 
-/// The single base scan beneath a physical plan: its table plus, for a
-/// partitioned scan, the surviving partition set (the stats owner a
-/// filter's learned corrections are keyed and versioned by). `None` once
-/// a join makes ownership ambiguous.
-pub(crate) fn scan_target_below(plan: &PhysicalPlan) -> Option<(&str, Option<&[usize]>)> {
-    match plan {
-        PhysicalPlan::Scan { table } => Some((table, None)),
-        PhysicalPlan::PartitionedScan { table, parts, .. } => Some((table, Some(parts))),
-        PhysicalPlan::Join { .. } => None,
-        _ => plan.children().first().and_then(|c| scan_target_below(c)),
-    }
-}
-
-/// The single base table beneath a logical plan (the stats owner a
-/// filter's learned corrections are keyed by).
-pub(crate) fn logical_base_table(plan: &LogicalPlan) -> Option<&str> {
-    match plan {
-        LogicalPlan::Scan { table } => Some(table),
-        LogicalPlan::Join { .. } => None,
-        _ => plan.children().first().and_then(|c| logical_base_table(c)),
+/// Textbook selectivity of a predicate; every comparison reads the
+/// statistics of its own column through `stats` (`None` when unknown).
+fn estimate_selectivity(pred: &Predicate, stats: &dyn Fn(&str) -> Option<DataProps>) -> f64 {
+    match pred {
+        Predicate::And(ps) => ps.iter().map(|p| estimate_selectivity(p, stats)).product(),
+        // Prefix matches sit between equality and a half-open range; with
+        // no per-string histogram we charge a flat fraction that shrinks
+        // with the prefix length (each extra character filters harder).
+        Predicate::Prefix { prefix, .. } => match prefix.len() {
+            0 => 1.0,
+            1 => 0.25,
+            _ => 0.1,
+        },
+        // General wildcard patterns are unanchored; charge by how much
+        // literal text the pattern pins down (a contains-match with a
+        // long needle filters about as hard as a long prefix).
+        Predicate::Like { pattern, .. } => {
+            match pattern.chars().filter(|&c| c != '%' && c != '_').count() {
+                0 => 1.0,
+                1 => 0.5,
+                _ => 0.2,
+            }
+        }
+        Predicate::Compare { column, op, value } => {
+            let stats = stats(column);
+            let distinct = stats.map_or(10, |s| s.distinct).max(1) as f64;
+            match op {
+                CmpOp::Eq => 1.0 / distinct,
+                CmpOp::Ne => 1.0 - 1.0 / distinct,
+                // Uniform over the column's range when it is known.
+                CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge => {
+                    match (
+                        stats.filter(|s| s.rows > 0 && s.max > s.min),
+                        value.as_u32(),
+                    ) {
+                        (Some(s), Some(v)) => {
+                            let frac =
+                                f64::from(v.saturating_sub(s.min)) / f64::from(s.max - s.min);
+                            let frac = frac.clamp(0.0, 1.0);
+                            match op {
+                                CmpOp::Lt | CmpOp::Le => frac,
+                                _ => 1.0 - frac,
+                            }
+                        }
+                        _ => 1.0 / 3.0,
+                    }
+                }
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dqo_plan::expr::CmpOp;
+    use dqo_plan::expr::AggExpr;
+    use dqo_plan::physical::GroupingMolecules;
+    use dqo_plan::{GroupingImpl, JoinImpl};
     use dqo_storage::datagen::DatasetSpec;
+    use dqo_storage::{Column, DataType, Field, Relation, Schema};
 
     fn catalog_10k_100() -> Catalog {
         let cat = Catalog::new();
@@ -281,29 +346,143 @@ mod tests {
         cat
     }
 
+    fn scan() -> Box<PhysicalPlan> {
+        Box::new(PhysicalPlan::Scan { table: "t".into() })
+    }
+
+    fn filter(predicate: Predicate) -> PhysicalPlan {
+        PhysicalPlan::Filter {
+            input: scan(),
+            predicate,
+        }
+    }
+
+    fn estimate(plan: &PhysicalPlan, cat: &Catalog) -> Vec<u64> {
+        PropertyBuilder::new(cat, None).estimate_rows(plan)
+    }
+
     #[test]
-    fn feedback_scales_selectivity_and_counts_applications() {
+    fn estimates_follow_the_textbook_rules() {
+        let cat = catalog_10k_100();
+        assert_eq!(estimate(&scan(), &cat), vec![10_000]);
+        // Eq filter on a 100-distinct key → 1/100 selectivity.
+        let filt = filter(Predicate::cmp("key", CmpOp::Eq, 5u32));
+        assert_eq!(estimate(&filt, &cat), vec![100, 10_000]);
+        // Ranges are uniform over [min, max].
+        let lt = filter(Predicate::cmp("key", CmpOp::Lt, 50u32));
+        assert_eq!(estimate(&lt, &cat), vec![5_051, 10_000]);
+        // Grouping on the key → distinct count, capped by its input.
+        let gb = PhysicalPlan::GroupBy {
+            input: Box::new(filt),
+            keys: vec!["key".into()],
+            aggs: vec![AggExpr::count_star("n")],
+            algo: GroupingImpl::Hg,
+            molecules: GroupingMolecules::default(),
+        };
+        assert_eq!(estimate(&gb, &cat), vec![100, 100, 10_000]);
+        // Exchange is cardinality-transparent.
+        let ex = PhysicalPlan::Exchange {
+            input: Box::new(gb),
+            dop: 4,
+        };
+        assert_eq!(estimate(&ex, &cat), vec![100, 100, 100, 10_000]);
+    }
+
+    #[test]
+    fn join_estimate_uses_uniform_containment() {
+        // PK side distinct = |R| → output = |S|; unknown distincts fall
+        // back to the larger side.
+        assert_eq!(
+            estimate_join_rows(25_000, 90_000, Some(25_000), Some(20_000)),
+            90_000
+        );
+        assert_eq!(estimate_join_rows(10, 10, None, None), 10);
+        let cat = catalog_10k_100();
+        let join = PhysicalPlan::Join {
+            left: scan(),
+            right: scan(),
+            left_key: "key".into(),
+            right_key: "key".into(),
+            algo: JoinImpl::Hj,
+        };
+        // |L⋈R| = 10 000·10 000 / max(100, 100) = 1 000 000.
+        assert_eq!(estimate(&join, &cat), vec![1_000_000, 10_000, 10_000]);
+    }
+
+    #[test]
+    fn each_conjunct_reads_its_own_column_even_above_a_join() {
+        // t(key: 10 distinct, val: unique over 0..1000); u(id: unique).
+        let cat = Catalog::new();
+        let rel = Relation::new(
+            Schema::new(vec![
+                Field::new("key", DataType::U32),
+                Field::new("val", DataType::U32),
+            ])
+            .unwrap(),
+            vec![
+                Column::U32((0..1_000).map(|i| i % 10).collect()),
+                Column::U32((0..1_000).collect()),
+            ],
+        )
+        .unwrap();
+        cat.register("t", rel);
+        cat.register("u", Relation::single_u32("id", (0..10).collect()));
+        let pred = Predicate::And(vec![
+            Predicate::cmp("key", CmpOp::Eq, 3u32),
+            Predicate::cmp("val", CmpOp::Lt, 100u32),
+        ]);
+        // 1/10 from key's distincts × ~1/10 from val's range.
+        let over_scan = filter(pred.clone());
+        assert_eq!(estimate(&over_scan, &cat)[0], 11);
+        let over_join = PhysicalPlan::Filter {
+            input: Box::new(PhysicalPlan::Join {
+                left: Box::new(PhysicalPlan::Scan { table: "u".into() }),
+                right: scan(),
+                left_key: "id".into(),
+                right_key: "key".into(),
+                algo: JoinImpl::Hj,
+            }),
+            predicate: pred,
+        };
+        assert_eq!(estimate(&over_join, &cat), vec![11, 1_000, 10, 1_000]);
+    }
+
+    #[test]
+    fn unknown_tables_degrade_instead_of_failing() {
+        let cat = Catalog::new();
+        let plan = PhysicalPlan::Limit {
+            input: Box::new(PhysicalPlan::Scan {
+                table: "nope".into(),
+            }),
+            n: 7,
+        };
+        assert_eq!(estimate(&plan, &cat), vec![0, 0]);
+    }
+
+    #[test]
+    fn feedback_corrects_the_estimate_and_counts_applications() {
         let cat = catalog_10k_100();
         let store = FeedbackStore::new();
-        let version = cat.table_stats_version("t").unwrap();
         let pred = Predicate::cmp("key", CmpOp::Eq, 5u32);
+        let plan = filter(pred.clone());
+        let version = cat.table_stats_version("t").unwrap();
         store.record("t", &pred.shape(), 50.0, version);
-
-        let props = PlanProps {
-            distinct: Some(100),
-            ..PlanProps::unknown(10_000)
-        };
-        let base = PropertyBuilder::new(&cat);
-        assert!((base.selectivity(&pred, &props, Some("t")) - 0.01).abs() < 1e-12);
-        assert_eq!(base.applied(), 0);
-
-        let fed = PropertyBuilder::with_feedback(&cat, Some(&store));
-        assert!((fed.selectivity(&pred, &props, Some("t")) - 0.5).abs() < 1e-12);
-        assert_eq!(fed.applied(), 1);
-        // Unknown table: no correction, no count.
-        assert!((fed.selectivity(&pred, &props, None) - 0.01).abs() < 1e-12);
+        assert_eq!(estimate(&plan, &cat), vec![100, 10_000]);
+        let fed = PropertyBuilder::new(&cat, Some(&store));
+        assert_eq!(fed.estimate_rows(&plan), vec![5_000, 10_000]);
         assert_eq!(fed.take_applied(), 1);
-        assert_eq!(fed.applied(), 0);
+        assert_eq!(fed.take_applied(), 0);
+        // A filter over anything but a base scan has no stats owner: no
+        // correction, no count.
+        let over_limit = PhysicalPlan::Filter {
+            input: Box::new(PhysicalPlan::Limit {
+                input: scan(),
+                n: 10_000,
+            }),
+            predicate: pred,
+        };
+        assert_eq!(fed.estimate_rows(&over_limit)[0], 100);
+        assert_eq!(fed.take_applied(), 0);
     }
 
     #[test]
@@ -323,48 +502,8 @@ mod tests {
             .relation()
             .unwrap();
         cat.replace_data("t", rel).unwrap();
-        let props = PlanProps {
-            distinct: Some(100),
-            ..PlanProps::unknown(10_000)
-        };
-        let fed = PropertyBuilder::with_feedback(&cat, Some(&store));
-        assert!((fed.selectivity(&pred, &props, Some("t")) - 0.01).abs() < 1e-12);
-        assert_eq!(fed.applied(), 0);
-    }
-
-    #[test]
-    fn corrected_estimates_flow_into_estimate_rows() {
-        let cat = catalog_10k_100();
-        let store = FeedbackStore::new();
-        let pred = Predicate::cmp("key", CmpOp::Eq, 5u32);
-        let plan = PhysicalPlan::Filter {
-            input: Box::new(PhysicalPlan::Scan { table: "t".into() }),
-            predicate: pred.clone(),
-        };
-        let base = PropertyBuilder::new(&cat).estimate_rows(&plan);
-        assert_eq!(base, vec![100, 10_000]);
-        store.record(
-            "t",
-            &pred.shape(),
-            50.0,
-            cat.table_stats_version("t").unwrap(),
-        );
-        let fed = PropertyBuilder::with_feedback(&cat, Some(&store)).estimate_rows(&plan);
-        assert_eq!(fed, vec![5_000, 10_000]);
-    }
-
-    #[test]
-    fn derive_filter_matches_the_dp_arithmetic() {
-        let cat = catalog_10k_100();
-        let pb = PropertyBuilder::new(&cat);
-        let input = PlanProps {
-            distinct: Some(100),
-            ..PlanProps::unknown(10_000)
-        };
-        let out = pb.derive_filter(input, 0.01);
-        assert_eq!(out.rows, 100);
-        assert_eq!(out.distinct, Some(1));
-        assert_eq!(out.density, Density::Unknown);
-        assert_eq!(out.key_range, None);
+        let fed = PropertyBuilder::new(&cat, Some(&store));
+        assert_eq!(fed.estimate_rows(&filter(pred)), vec![100, 10_000]);
+        assert_eq!(fed.take_applied(), 0);
     }
 }

@@ -17,18 +17,19 @@
 //!
 //! Rules fire in exactly the order the pre-memo DP enumerated
 //! alternatives and feed the same interesting-property pruning
-//! ([`crate::optimizer::prune`]), which is what keeps winning plans
-//! bit-identical to the pre-memo optimiser. The only intentional semantic
-//! addition is adaptive feedback: filter selectivities flow through
-//! [`crate::property_builder::PropertyBuilder::selectivity`], which
-//! multiplies in any learned correction for the predicate's shape.
+//! ([`crate::optimizer::prune`]). No rule estimates a cardinality: every
+//! rule receives its group's rows — derived once per group by
+//! [`crate::property_builder::PropertyBuilder::derive`], feedback
+//! corrections and partition pruning included — prices its candidates
+//! from its inputs' rows, and stamps the group's rows on every candidate
+//! it emits.
 
 use crate::av::AvKind;
 use crate::error::CoreError;
-use crate::memo::{GroupId, MemoOptimizer};
+use crate::memo::{Derived, GroupId, MemoOptimizer};
 use crate::molecule::{refine_grouping_molecules, MoleculeCosts};
-use crate::optimizer::{estimate_join_rows, prune, Candidate, OptimizerMode};
-use crate::property_builder::logical_base_table;
+use crate::optimizer::{prune, Candidate, OptimizerMode};
+use crate::property_builder::RowOp;
 use crate::Result;
 use dqo_plan::expr::Predicate;
 use dqo_plan::physical::GroupingMolecules;
@@ -41,29 +42,32 @@ use crate::optimizer::PropertyModel;
 /// Fire the rules for one group and return its pruned candidate set.
 /// `focus` is the column by which the parent will consume this group's
 /// output (join key / grouping key); it determines which column's base
-/// properties a scan exposes.
+/// properties a scan exposes. `derived` is what the group derived once.
 pub(crate) fn apply(
     opt: &mut MemoOptimizer<'_>,
     gid: GroupId,
     focus: Option<&str>,
+    derived: &Derived,
 ) -> Result<Vec<Candidate>> {
     let node = Arc::clone(opt.memo.group(gid).logical());
     let kids: Vec<GroupId> = opt.memo.group(gid).children().to_vec();
+    let rows = derived.rows;
     match node.as_ref() {
-        LogicalPlan::Scan { table } => scan_rules(opt, table, focus),
-        LogicalPlan::Filter { input, predicate } => {
-            filter_rules(opt, kids[0], input, predicate, focus)
+        LogicalPlan::Scan { table } => scan_rules(opt, table, focus, rows),
+        LogicalPlan::Filter { predicate, .. } => {
+            let survivors = derived.survivors.as_deref();
+            filter_rules(opt, kids[0], predicate, focus, rows, survivors)
         }
         LogicalPlan::Sort { key, .. } => sort_rules(opt, kids[0], key),
         LogicalPlan::Project { columns, .. } => project_rules(opt, kids[0], columns, focus),
-        LogicalPlan::Limit { n, .. } => limit_rules(opt, kids[0], *n, focus),
+        LogicalPlan::Limit { n, .. } => limit_rules(opt, kids[0], *n, focus, rows),
         LogicalPlan::Join {
             left_key,
             right_key,
             ..
-        } => join_rules(opt, &node, kids[0], kids[1], left_key, right_key),
+        } => join_rules(opt, &node, kids[0], kids[1], left_key, right_key, rows),
         LogicalPlan::GroupBy { input, keys, aggs } => {
-            group_by_rules(opt, &node, kids[0], input, keys, aggs)
+            group_by_rules(opt, &node, kids[0], input, keys, aggs, rows)
         }
     }
 }
@@ -72,9 +76,10 @@ fn scan_rules(
     opt: &mut MemoOptimizer<'_>,
     table: &str,
     focus: Option<&str>,
+    rows: u64,
 ) -> Result<Vec<Candidate>> {
     let props = opt.props.scan_props(table, focus)?;
-    let projected = opt.mode.project(props);
+    let projected = opt.mode.project(PlanProps { rows, ..props });
     // A partitioned table's baseline scan is a PartitionedScan naming
     // every partition: the filter rule narrows the survivor set at
     // plan time and the runtime seeds partition-native morsels from it.
@@ -114,7 +119,10 @@ fn scan_rules(
                     table: av.signature.av_table_name(),
                 },
                 cost: 0.0,
-                props: opt.mode.project(av.provides),
+                props: opt.mode.project(PlanProps {
+                    rows,
+                    ..av.provides
+                }),
                 sort_col: Some(col.to_owned()),
             });
         }
@@ -125,42 +133,37 @@ fn scan_rules(
 fn filter_rules(
     opt: &mut MemoOptimizer<'_>,
     input_gid: GroupId,
-    input: &LogicalPlan,
     predicate: &Predicate,
     focus: Option<&str>,
+    rows: u64,
+    survivors: Option<&[usize]>,
 ) -> Result<Vec<Candidate>> {
     let inputs = opt.explore(input_gid, focus)?.as_ref().clone();
-    let table = logical_base_table(input).map(str::to_owned);
     let mut all = Vec::with_capacity(inputs.len() * 2);
     for mut c in inputs {
-        // Partition-pruning rule: intersect the bound predicate with the
-        // scan's partition spec and keep only partitions that might hold
-        // matches. The decision reads **only the spec** (append-proof —
-        // see `crate::partition_prune`), and both the scan's cost and the
-        // estimate below shrink to the survivors' observed rowcounts.
-        if opt.pruning {
-            if let PhysicalPlan::PartitionedScan { table, parts, .. } = &mut c.plan {
-                if let Some(p) = opt.catalog.partitioning_of(table) {
-                    let survivors = crate::partition_prune::prune_partitions(p.spec(), predicate);
-                    let before = parts.len();
-                    parts.retain(|i| survivors.contains(i));
-                    c.props.rows = p.rows_in(parts) as u64;
-                    if parts.len() < before {
-                        opt.fire("filter-partition-prune");
-                    }
-                }
+        // Partition-pruning rule: scan only the group's survivors — the
+        // partitions the bound predicate, intersected with the spec, may
+        // match. The decision reads **only the spec** (append-proof — see
+        // `crate::partition_prune`); the filter's cost shrinks to the
+        // survivors' observed rowcounts.
+        if let (true, Some(survivors), PhysicalPlan::PartitionedScan { table, parts, .. }) =
+            (opt.pruning, survivors, &mut c.plan)
+        {
+            if survivors.len() < parts.len() {
+                opt.fire("filter-partition-prune");
             }
+            *parts = survivors.to_vec();
+            c.props.rows = opt.props.derive(RowOp::Scan((table, Some(parts))), &[]);
         }
-        let parts = match &c.plan {
-            PhysicalPlan::PartitionedScan { parts, .. } => Some(parts.clone()),
-            _ => None,
-        };
-        let selectivity =
-            opt.props
-                .selectivity_for(predicate, &c.props, table.as_deref(), parts.as_deref());
-        let props = opt
-            .mode
-            .project(opt.props.derive_filter(c.props, selectivity));
+        // Filtering punches holes into a dense domain and can only shrink
+        // the focus column's distinct count.
+        let props = opt.mode.project(PlanProps {
+            density: Density::Unknown,
+            key_range: None,
+            distinct: c.props.distinct.map(|d| d.min(rows.max(1))),
+            rows,
+            ..c.props
+        });
         opt.fire("filter-impl");
         let serial = Candidate {
             cost: c.cost + opt.model.scan(c.props.rows as f64),
@@ -237,21 +240,18 @@ fn limit_rules(
     input_gid: GroupId,
     n: u64,
     focus: Option<&str>,
+    rows: u64,
 ) -> Result<Vec<Candidate>> {
     let inputs = opt.explore(input_gid, focus)?.as_ref().clone();
     opt.fire("limit-impl");
-    Ok(prune(inputs.into_iter().map(|c| {
-        let mut props = c.props;
-        props.rows = props.rows.min(n);
-        Candidate {
-            plan: PhysicalPlan::Limit {
-                input: Box::new(c.plan),
-                n,
-            },
-            cost: c.cost, // truncation is free in a columnar store
-            props,
-            sort_col: c.sort_col,
-        }
+    Ok(prune(inputs.into_iter().map(|c| Candidate {
+        plan: PhysicalPlan::Limit {
+            input: Box::new(c.plan),
+            n,
+        },
+        cost: c.cost, // truncation is free in a columnar store
+        props: PlanProps { rows, ..c.props },
+        sort_col: c.sort_col,
     })))
 }
 
@@ -262,35 +262,22 @@ fn join_rules(
     right_gid: GroupId,
     left_key: &str,
     right_key: &str,
+    rows: u64,
 ) -> Result<Vec<Candidate>> {
     let left_cands = opt.explore(left_gid, Some(left_key))?.as_ref().clone();
     let left_cands = opt.with_sort_enforcers(left_cands, left_key);
     let right_cands = opt.explore(right_gid, Some(right_key))?.as_ref().clone();
     let right_cands = opt.with_sort_enforcers(right_cands, right_key);
-
-    let (left, right) = match node.as_ref() {
-        LogicalPlan::Join { left, right, .. } => (left, right),
+    // BSJ's search depth: the build key's distinct count in its table.
+    let d_left = match node.as_ref() {
+        LogicalPlan::Join { left, .. } => opt.catalog.resolve_column(left.tables(), left_key),
         _ => unreachable!("join_rules on a non-join group"),
-    };
-
-    // Join-key distinct counts for cardinality estimation and BSJ depth.
-    let left_tables: Vec<&str> = left.tables();
-    let right_tables: Vec<&str> = right.tables();
-    let d_left = opt
-        .catalog
-        .resolve_column(left_tables.iter().copied(), left_key)
-        .ok()
-        .map(|(_, p)| p.distinct);
-    let d_right = opt
-        .catalog
-        .resolve_column(right_tables.iter().copied(), right_key)
-        .ok()
-        .map(|(_, p)| p.distinct);
+    }
+    .map(|p| p.distinct);
 
     let mut out: Vec<Candidate> = Vec::new();
     for lc in &left_cands {
         for rc in &right_cands {
-            let out_rows = estimate_join_rows(lc.props.rows, rc.props.rows, d_left, d_right);
             // Enumerate in preference order: on exact cost ties the
             // order-based plan wins (the paper's both-sorted cell).
             for algo in [
@@ -318,7 +305,7 @@ fn join_rules(
                     join_cost = opt.model.scan(rc.props.rows as f64);
                 }
                 let cost = lc.cost + rc.cost + join_cost;
-                let props = opt.join_output_props(algo, out_rows);
+                let props = opt.join_output_props(algo, rows);
                 let plan = PhysicalPlan::Join {
                     left: Box::new(lc.plan.clone()),
                     right: Box::new(rc.plan.clone()),
@@ -380,9 +367,10 @@ fn group_by_rules(
     input: &LogicalPlan,
     keys: &[String],
     aggs: &[dqo_plan::AggExpr],
+    rows: u64,
 ) -> Result<Vec<Candidate>> {
     if keys.len() > 1 {
-        return composite_group_by_rules(opt, node, input_gid, input, keys, aggs);
+        return composite_group_by_rules(opt, node, input_gid, input, keys, aggs, rows);
     }
     let key = keys[0].as_str();
     let input_cands = opt.explore(input_gid, Some(key))?.as_ref().clone();
@@ -409,7 +397,10 @@ fn group_by_rules(
                         table: av.signature.av_table_name(),
                     },
                     cost: opt.model.scan(av.provides.rows as f64),
-                    props: opt.mode.project(av.provides),
+                    props: opt.mode.project(PlanProps {
+                        rows,
+                        ..av.provides
+                    }),
                     sort_col: Some(key.to_owned()),
                 });
             }
@@ -422,12 +413,11 @@ fn group_by_rules(
     let key_stats = opt
         .catalog
         .resolve_column(node.tables(), key)
-        .ok()
-        .map(|(_, p)| opt.mode.project(PlanProps::from_data(&p)));
+        .map(|p| opt.mode.project(PlanProps::from_data(&p)));
 
-    let groups = key_stats.and_then(|p| p.distinct);
     let key_dense = key_stats.map(|p| p.admits_sph()).unwrap_or(false);
     let key_range = key_stats.and_then(|p| p.key_range);
+    let g = rows.max(1) as f64;
 
     let mut out = av_candidates;
     for ic in &input_cands {
@@ -441,15 +431,13 @@ fn group_by_rules(
             let applicable = match algo {
                 GroupingImpl::Og => opt.is_sorted_on(ic, key),
                 GroupingImpl::Sphg => key_dense,
-                GroupingImpl::Bsg => groups.is_some(),
+                GroupingImpl::Bsg => key_stats.is_some(),
                 GroupingImpl::Hg | GroupingImpl::Sog => true,
             };
             if !applicable {
                 continue;
             }
-            let g = groups.unwrap_or(ic.props.rows).max(1) as f64;
             let cost = ic.cost + opt.model.grouping(algo, ic.props.rows as f64, g);
-            let out_rows = groups.unwrap_or(ic.props.rows);
             let sorted = algo.produces_sorted_output()
                 || (algo == GroupingImpl::Og && ic.props.sortedness.is_sorted());
             let props = opt.mode.project(PlanProps {
@@ -464,9 +452,9 @@ fn group_by_rules(
                 } else {
                     Density::Unknown
                 },
-                distinct: groups,
+                distinct: key_stats.map(|_| rows),
                 key_range,
-                rows: out_rows,
+                rows,
             });
             // Molecule refinement is the step Table 1 adds: in deep mode
             // the optimiser decides the table/hash/loop molecules from
@@ -566,14 +554,15 @@ fn composite_group_by_rules(
     input: &LogicalPlan,
     keys: &[String],
     aggs: &[dqo_plan::AggExpr],
+    rows: u64,
 ) -> Result<Vec<Candidate>> {
     // SOG/HG/SPHG need no input order, so no sort enforcers here; the
     // first key is the focus column for scan properties.
     let input_cands = opt.explore(input_gid, Some(&keys[0]))?.as_ref().clone();
     let key_stats = opt.composite_key_stats(node, keys);
-    let groups = key_stats.and_then(|p| p.distinct);
     let key_dense = key_stats.map(|p| p.admits_sph()).unwrap_or(false);
     let key_range = key_stats.and_then(|p| p.key_range);
+    let g = rows.max(1) as f64;
 
     // AV implementation rule: a composite materialised grouping
     // (registered under the canonical `a+b` key name) answers the node
@@ -597,7 +586,10 @@ fn composite_group_by_rules(
                         table: av.signature.av_table_name(),
                     },
                     cost: opt.model.scan(av.provides.rows as f64),
-                    props: opt.mode.project(av.provides),
+                    props: opt.mode.project(PlanProps {
+                        rows,
+                        ..av.provides
+                    }),
                     sort_col: Some(keys[0].clone()),
                 });
             }
@@ -609,11 +601,9 @@ fn composite_group_by_rules(
             if algo == GroupingImpl::Sphg && !key_dense {
                 continue;
             }
-            let rows = ic.props.rows as f64;
-            let g = groups.unwrap_or(ic.props.rows).max(1) as f64;
-            let pack = opt.model.composite_key_pack(rows, keys.len());
-            let cost = ic.cost + pack + opt.model.grouping(algo, rows, g);
-            let out_rows = groups.unwrap_or(ic.props.rows);
+            let in_rows = ic.props.rows as f64;
+            let pack = opt.model.composite_key_pack(in_rows, keys.len());
+            let cost = ic.cost + pack + opt.model.grouping(algo, in_rows, g);
             // Packed outputs are normalised to ascending packed-code
             // order (lexicographic tuple order), so every composite
             // grouping emits sorted-by-first-key output.
@@ -625,9 +615,9 @@ fn composite_group_by_rules(
                 } else {
                     Density::Unknown
                 },
-                distinct: groups,
+                distinct: key_stats.map(|_| rows),
                 key_range,
-                rows: out_rows,
+                rows,
             });
             let molecules = match opt.mode {
                 OptimizerMode::Deep => {
@@ -661,7 +651,7 @@ fn composite_group_by_rules(
                     },
                     // The pack pass stays serial; only the grouping
                     // itself divides.
-                    cost: ic.cost + pack + opt.model.parallel_grouping(algo, rows, g, opt.dop),
+                    cost: ic.cost + pack + opt.model.parallel_grouping(algo, in_rows, g, opt.dop),
                     sort_col: Some(keys[0].clone()),
                     props,
                 });
@@ -785,7 +775,7 @@ impl MemoOptimizer<'_> {
         }
     }
 
-    fn join_output_props(&self, algo: JoinImpl, out_rows: u64) -> PlanProps {
+    fn join_output_props(&self, algo: JoinImpl, rows: u64) -> PlanProps {
         // The paper's simplified stream model: order-based joins produce
         // "sorted" output; everything else is unordered (a black-box hash
         // table's order must be assumed unknown, §2.1).
@@ -803,7 +793,7 @@ impl MemoOptimizer<'_> {
             density: Density::Unknown,
             distinct: None,
             key_range: None,
-            rows: out_rows,
+            rows,
         };
         self.mode.project(props)
     }
@@ -817,12 +807,7 @@ impl MemoOptimizer<'_> {
         let tables = node.tables();
         let cols: Option<Vec<dqo_storage::DataProps>> = keys
             .iter()
-            .map(|key| {
-                self.catalog
-                    .resolve_column(tables.iter().copied(), key)
-                    .ok()
-                    .map(|(_, p)| p)
-            })
+            .map(|key| self.catalog.resolve_column(tables.iter().copied(), key))
             .collect();
         let combined = crate::av::combine_composite_props(&cols?);
         Some(self.mode.project(PlanProps::from_data(&combined)))

@@ -100,7 +100,8 @@ pub mod names {
     pub const OPT_RULES_FIRED: &str = "dqo_opt_rules_fired_total";
     /// Group explorations answered from a memo winner table (counter).
     pub const OPT_WINNER_HITS: &str = "dqo_opt_winner_hits_total";
-    /// Feedback corrections folded into cardinality estimates (counter).
+    /// Feedback corrections folded into row estimates, once per filter
+    /// group per search (counter).
     pub const OPT_FEEDBACK_APPLIED: &str = "dqo_opt_feedback_applied_total";
     /// Selectivity corrections learned from executed plans (counter).
     pub const OPT_FEEDBACK_CORRECTIONS: &str = "dqo_opt_feedback_corrections_total";

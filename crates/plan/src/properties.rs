@@ -31,7 +31,8 @@ pub struct PlanProps {
     pub distinct: Option<u64>,
     /// Key range, if known (SPH array bounds).
     pub key_range: Option<(u32, u32)>,
-    /// Estimated output cardinality.
+    /// Estimated output cardinality — a property of the logical subtree,
+    /// so every alternative plan for it carries the same value.
     pub rows: u64,
 }
 
@@ -81,8 +82,8 @@ impl PlanProps {
     }
 
     /// DP memo key: the facts that differentiate property states. Rows
-    /// are not part of the key (identical for all plans of one relation
-    /// set).
+    /// are not part of the key (identical for all plans of one logical
+    /// subtree).
     pub fn memo_key(&self) -> PropKey {
         PropKey {
             sorted: self.sortedness.is_sorted(),

@@ -5,7 +5,7 @@
 //! one — while results stay bit-identical throughout.
 
 use dqo::core::executor::{naive_eval, sorted_rows};
-use dqo::core::profile::estimate_rows_with;
+use dqo::core::profile::estimate_rows;
 use dqo::core::Engine;
 use dqo::obs::names;
 use dqo::plan::expr::{AggExpr, CmpOp, Predicate};
@@ -35,22 +35,13 @@ fn skewed_query() -> Arc<LogicalPlan> {
 
 /// The estimated output rows of the plan's Filter node (pre-order).
 fn filter_estimate(engine: &Engine, plan: &dqo::plan::PhysicalPlan) -> u64 {
-    let est = estimate_rows_with(plan, engine.catalog(), Some(engine.feedback()));
-    let mut nodes = Vec::new();
-    preorder(plan, &mut nodes);
-    nodes
-        .iter()
+    let est = estimate_rows(plan, engine.catalog(), Some(engine.feedback()));
+    plan.preorder()
+        .into_iter()
         .zip(&est)
         .find(|(n, _)| matches!(n, dqo::plan::PhysicalPlan::Filter { .. }))
         .map(|(_, e)| *e)
         .expect("plan has a filter")
-}
-
-fn preorder<'a>(plan: &'a dqo::plan::PhysicalPlan, out: &mut Vec<&'a dqo::plan::PhysicalPlan>) {
-    out.push(plan);
-    for child in plan.children() {
-        preorder(child, out);
-    }
 }
 
 #[test]
@@ -167,12 +158,32 @@ fn partition_stamped_corrections_survive_appends_to_pruned_partitions() {
         "correction must lift the estimate: {est_base} → {est_corrected}"
     );
 
+    // The corrected estimate is the table's rows times the corrected
+    // selectivity (1 over the key's distinct count, times the learned
+    // factor), capped by the survivor p0's rows.
+    let shape = Predicate::cmp("key", CmpOp::Eq, 0u32).shape();
+    let corrected_estimate = || {
+        let catalog = engine.catalog();
+        let entry = catalog.get("t").unwrap();
+        let version = catalog.stats_version_for("t", Some(&[0])).unwrap();
+        let factor = engine
+            .feedback()
+            .correction("t", &shape, version)
+            .expect("the correction is live");
+        let sel = 1.0 / entry.column_props["key"].distinct as f64 * factor;
+        let survivors = entry.partitioning.as_ref().unwrap().rows_in(&[0]) as u64;
+        ((entry.relation.rows() as f64 * sel).ceil() as u64).min(survivors)
+    };
+    assert_eq!(est_corrected, corrected_estimate());
+
     // Append into the pruned-away partition 1: the survivors' snapshot
-    // is untouched, so the correction keeps applying.
+    // is untouched, so the correction keeps applying — to the table's
+    // rows, one more than before.
     engine.insert("t", &[vec![Value::U32(700)]]).unwrap();
     let est_after_pruned_append = filter_estimate(&engine, &engine.plan(&q).unwrap().plan);
     assert_eq!(
-        est_after_pruned_append, est_corrected,
+        est_after_pruned_append,
+        corrected_estimate(),
         "append to a pruned-away partition must not invalidate the correction"
     );
 

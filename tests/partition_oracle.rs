@@ -354,6 +354,60 @@ fn prepared_statements_reprune_on_rebind() {
     assert_eq!(all.rows(), flat.rows());
 }
 
+/// Runs `sql` traced over 16 range partitions of uniform keys and checks
+/// that the filter over the pruned scan counts pruning once: its selectivity
+/// applies to the whole table, capped by the survivors, so `est=` lands
+/// within 1.5× of `act=` and the execution teaches the feedback store
+/// nothing. (Skewed keys would trip the uniform estimator on their own.)
+fn assert_pruned_filter_estimate(sql: &str, parts: &str) {
+    const DOMAIN: u32 = 1_600;
+    let spec = PartitionSpec::range("key", range_bounds(16, DOMAIN));
+    let pr = PartitionedRelation::new(part_table(50_000, DOMAIN, 0.0, 0xAC), spec).unwrap();
+    let annotation = |line: &str, key: &str| -> u64 {
+        let at = line
+            .find(key)
+            .unwrap_or_else(|| panic!("no {key} in {line}"))
+            + key.len();
+        let digits: String = line[at..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits.parse().unwrap()
+    };
+    for dop in [1usize, 4] {
+        let mut engine = Engine::new().with_pruning(true).with_tracing(true);
+        engine.set_threads(dop);
+        engine.register_table_partitioned("t", pr.clone());
+        let db = Dqo::with_engine(engine);
+        let analyzed = db.explain_analyze(sql).unwrap();
+        assert!(analyzed.contains(parts), "dop={dop} plan:\n{analyzed}");
+        let filter = analyzed
+            .lines()
+            .find(|l| l.contains("Filter"))
+            .unwrap_or_else(|| panic!("no Filter line in:\n{analyzed}"));
+        let (est, act) = (annotation(filter, "est="), annotation(filter, "act="));
+        assert!(
+            est.max(act) as f64 <= 1.5 * est.min(act) as f64,
+            "dop={dop} {sql}: est={est} act={act}"
+        );
+        assert_eq!(
+            db.engine().feedback().len(),
+            0,
+            "dop={dop} {sql}: a well-estimated filter learns no correction"
+        );
+    }
+}
+
+#[test]
+fn majority_pruned_filter_counts_pruning_once() {
+    assert_pruned_filter_estimate("SELECT key, val FROM t WHERE key < 200", "parts=2/16");
+}
+
+#[test]
+fn boundary_straddling_filter_counts_pruning_once() {
+    assert_pruned_filter_estimate("SELECT key, val FROM t WHERE key < 250", "parts=3/16");
+}
+
 #[test]
 fn explain_analyze_reports_post_pruning_estimate() {
     // Satellite fix pin: the est-vs-actual annotation on a pruned

@@ -18,7 +18,12 @@
 use dqo::core::av::{AvKind, AvSignature};
 use dqo::core::avsp::{Solver, WorkloadQuery};
 use dqo::core::executor::{execute, naive_eval, sorted_rows};
-use dqo::plan::PhysicalPlan;
+use dqo::core::memo::Memo;
+use dqo::core::optimizer::{enumerate_candidates, optimize_in, OptimizerMode, SearchContext};
+use dqo::core::profile::estimate_rows;
+use dqo::core::{prune_partitions, Catalog};
+use dqo::plan::expr::{AggExpr, CmpOp, Predicate};
+use dqo::plan::{LogicalPlan, PhysicalPlan};
 use dqo::storage::{
     Column, DataType, Dictionary, Field, PartitionSpec, PartitionedRelation, Relation, Schema,
     Value,
@@ -107,28 +112,7 @@ fn build_query(shape: u8, preds: &[(u8, u8)], aggs_pick: u8, order: bool) -> Str
         sql.push_str(agg_list);
     }
     sql.push_str(" FROM t");
-    let mut conjuncts: Vec<String> = Vec::new();
-    for &(kind, param) in preds {
-        let word = WORDS[param as usize % WORDS.len()];
-        match kind % 6 {
-            0 => conjuncts.push(format!("k < {}", param % 40)),
-            1 => conjuncts.push(format!("s = '{word}'")),
-            2 => conjuncts.push(format!("s < '{word}'")),
-            3 => conjuncts.push(format!("s > '{word}'")),
-            4 => conjuncts.push(format!(
-                "s LIKE '{}%'",
-                PREFIXES[param as usize % PREFIXES.len()]
-            )),
-            _ => conjuncts.push(format!(
-                "s LIKE '{}'",
-                LIKE_PATTERNS[param as usize % LIKE_PATTERNS.len()]
-            )),
-        }
-    }
-    if !conjuncts.is_empty() {
-        sql.push_str(" WHERE ");
-        sql.push_str(&conjuncts.join(" AND "));
-    }
+    sql.push_str(&where_clause(preds));
     if !group.is_empty() {
         sql.push_str(" GROUP BY ");
         sql.push_str(group);
@@ -138,6 +122,33 @@ fn build_query(shape: u8, preds: &[(u8, u8)], aggs_pick: u8, order: bool) -> Str
         }
     }
     sql
+}
+
+/// ` WHERE …` over t(k, v, s) from the generator's raw predicate draws
+/// (empty for none).
+fn where_clause(preds: &[(u8, u8)]) -> String {
+    let conjuncts: Vec<String> = preds
+        .iter()
+        .map(|&(kind, param)| {
+            let word = WORDS[param as usize % WORDS.len()];
+            match kind % 6 {
+                0 => format!("k < {}", param % 40),
+                1 => format!("s = '{word}'"),
+                2 => format!("s < '{word}'"),
+                3 => format!("s > '{word}'"),
+                4 => format!("s LIKE '{}%'", PREFIXES[param as usize % PREFIXES.len()]),
+                _ => format!(
+                    "s LIKE '{}'",
+                    LIKE_PATTERNS[param as usize % LIKE_PATTERNS.len()]
+                ),
+            }
+        })
+        .collect();
+    if conjuncts.is_empty() {
+        String::new()
+    } else {
+        format!(" WHERE {}", conjuncts.join(" AND "))
+    }
 }
 
 /// Recursively wrap every parallelisable operator in `Exchange{dop}` —
@@ -389,6 +400,26 @@ fn check_mixed_rw(
     Ok(())
 }
 
+/// A random partitioning of t: range or hash, 1–16 parts, on the key or
+/// the payload column.
+fn partition_spec(k_groups: u32, scheme_pick: u8, parts_pick: u8, on_v: bool) -> PartitionSpec {
+    let parts = [1usize, 2, 3, 5, 16][parts_pick as usize % 5];
+    let (column, domain) = if on_v {
+        ("v", 1_000u32)
+    } else {
+        ("k", k_groups)
+    };
+    if scheme_pick.is_multiple_of(2) {
+        let mut bounds: Vec<u32> = (1..parts)
+            .map(|i| (u64::from(domain) * i as u64 / parts as u64) as u32)
+            .collect();
+        bounds.dedup();
+        PartitionSpec::range(column, bounds)
+    } else {
+        PartitionSpec::hash(column, parts)
+    }
+}
+
 /// The partitioned arm: re-lay the same random table under a random
 /// partitioning (range or hash, 1–16 parts, on the key or the payload
 /// column) and require
@@ -410,21 +441,7 @@ fn check_partitioned(
     sql: &str,
 ) -> std::result::Result<(), String> {
     let rel = build_table(raw, k_groups, sorted_dict);
-    let parts = [1usize, 2, 3, 5, 16][parts_pick as usize % 5];
-    let (column, domain) = if on_v {
-        ("v", 1_000u32)
-    } else {
-        ("k", k_groups)
-    };
-    let spec = if scheme_pick.is_multiple_of(2) {
-        let mut bounds: Vec<u32> = (1..parts)
-            .map(|i| (u64::from(domain) * i as u64 / parts as u64) as u32)
-            .collect();
-        bounds.dedup();
-        PartitionSpec::range(column, bounds)
-    } else {
-        PartitionSpec::hash(column, parts)
-    };
+    let spec = partition_spec(k_groups, scheme_pick, parts_pick, on_v);
     let pr = PartitionedRelation::new(rel, spec.clone())
         .map_err(|e| format!("partition {spec:?}: {e}"))?;
 
@@ -477,8 +494,157 @@ fn check_partitioned(
     Ok(())
 }
 
+/// The rows `EXPLAIN ANALYZE` shows for `s`'s chosen plan under `ctx`.
+fn shown_rows(s: &LogicalPlan, catalog: &Catalog, ctx: &SearchContext) -> Result<u64, String> {
+    let planned =
+        optimize_in(&mut Memo::new(), s, catalog, ctx).map_err(|e| format!("optimise {s}: {e}"))?;
+    Ok(estimate_rows(&planned.plan, catalog, ctx.feedback)[0])
+}
+
+/// The one-estimate invariant: for every subtree of `logical` rooted at
+/// a Filter, Join, GroupBy or Limit, every candidate the memo keeps is
+/// costed with the rows `EXPLAIN ANALYZE` shows for the chosen plan, and
+/// would show them if chosen itself — in both optimiser modes, with
+/// `ctx`'s AVs and feedback.
+fn check_one_estimate(
+    logical: &LogicalPlan,
+    catalog: &Catalog,
+    ctx: &SearchContext,
+) -> Result<(), String> {
+    let mut stack = vec![logical];
+    while let Some(s) = stack.pop() {
+        stack.extend(s.children().into_iter().map(|c| c.as_ref()));
+        if !matches!(
+            s,
+            LogicalPlan::Filter { .. }
+                | LogicalPlan::Join { .. }
+                | LogicalPlan::GroupBy { .. }
+                | LogicalPlan::Limit { .. }
+        ) {
+            continue;
+        }
+        for mode in [OptimizerMode::Deep, OptimizerMode::Shallow] {
+            let ctx = SearchContext { mode, ..*ctx };
+            let shown = shown_rows(s, catalog, &ctx)?;
+            let cands = enumerate_candidates(s, catalog, &ctx)
+                .map_err(|e| format!("enumerate {s}: {e}"))?;
+            for c in cands {
+                let own = estimate_rows(&c.plan, catalog, ctx.feedback)[0];
+                if c.props.rows != shown || own != shown {
+                    return Err(format!(
+                        "{mode} costs {s} at {} rows, shows {shown} for the chosen plan \
+                         and {own} for the candidate:\n{}",
+                        c.props.rows,
+                        c.plan.explain()
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The one-estimate arm's statement over t (flat, or under a random
+/// partitioning) and u(uk, w): a [`build_query`] statement, or a grouped
+/// join of t with u, optionally capped by a LIMIT. With a `learned`
+/// factor, sorted projections of t on `k` and `v` are built first and
+/// every filter over t carries that correction, stamped as the recorder
+/// stamps it.
+fn check_estimates(
+    raw: &[(u32, u32, u8)],
+    k_groups: u32,
+    sorted_dict: bool,
+    layout: (u8, u8, u8),
+    learned: Option<f64>,
+    sql: &str,
+) -> Result<(), String> {
+    let rel = build_table(raw, k_groups, sorted_dict);
+    let db = Dqo::with_engine(Engine::new().with_threads(1));
+    let (flat_pick, scheme_pick, parts_pick) = layout;
+    if flat_pick.is_multiple_of(3) {
+        db.register_table("t", rel);
+    } else {
+        let spec = partition_spec(k_groups, scheme_pick, parts_pick, flat_pick % 3 == 2);
+        let pr = PartitionedRelation::new(rel, spec.clone())
+            .map_err(|e| format!("partition {spec:?}: {e}"))?;
+        db.register_table_partitioned("t", pr);
+    }
+    let uk: Vec<u32> = (0..2 * k_groups).collect();
+    let w: Vec<u32> = uk.iter().map(|k| k % 3).collect();
+    db.register_table(
+        "u",
+        Relation::new(
+            Schema::new(vec![
+                Field::new("uk", DataType::U32),
+                Field::new("w", DataType::U32),
+            ])
+            .unwrap(),
+            vec![Column::U32(uk), Column::U32(w)],
+        )
+        .unwrap(),
+    );
+    let engine = db.engine();
+    let catalog = engine.catalog();
+    let logical = db.compile(sql).map_err(|e| format!("compile {sql}: {e}"))?;
+    if let Some(factor) = learned {
+        for column in ["k", "v"] {
+            engine
+                .av_builder()
+                .build(&AvSignature::new("t", column, AvKind::SortedProjection))
+                .map_err(|e| format!("AV build on {column}: {e}"))?;
+        }
+        let mut stack = vec![logical.as_ref()];
+        while let Some(node) = stack.pop() {
+            stack.extend(node.children().into_iter().map(|c| c.as_ref()));
+            if let LogicalPlan::Filter { input, predicate } = node {
+                if let LogicalPlan::Scan { table } = input.as_ref() {
+                    let survivors = catalog
+                        .partitioning_of(table)
+                        .map(|p| prune_partitions(p.spec(), predicate));
+                    let version = catalog.stats_version_for(table, survivors.as_deref());
+                    engine
+                        .feedback()
+                        .record(table, &predicate.shape(), factor, version.unwrap());
+                }
+            }
+        }
+    }
+    let ctx = SearchContext {
+        avs: Some(engine.avs()),
+        feedback: Some(engine.feedback()),
+        ..SearchContext::new(OptimizerMode::Deep)
+    };
+    check_one_estimate(&logical, catalog, &ctx).map_err(|e| format!("{sql}: {e}"))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
+
+    #[test]
+    fn random_statements_are_costed_at_the_rows_explain_shows(
+        raw in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<u8>()), 0..400),
+        k_groups in 1u32..24,
+        sorted_dict in any::<bool>(),
+        layout in (any::<u8>(), any::<u8>(), any::<u8>()),
+        shape in any::<u8>(),
+        preds in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..3),
+        aggs_pick in any::<u8>(),
+        order in any::<bool>(),
+        join_pick in any::<u8>(),
+        limit in any::<u8>(),
+        learn_pick in any::<u8>(),
+    ) {
+        let learned = [None, Some(0.1), Some(0.5), Some(3.0), Some(20.0)][learn_pick as usize % 5];
+        let mut sql = match join_pick % 4 {
+            0 => format!("SELECT k, COUNT(*) AS n FROM t JOIN u ON k = uk{} GROUP BY k", where_clause(&preds)),
+            1 => format!("SELECT w, COUNT(*) AS n FROM t JOIN u ON k = uk{} GROUP BY w", where_clause(&preds)),
+            _ => build_query(shape, &preds, aggs_pick, order),
+        };
+        if limit % 2 == 1 {
+            sql.push_str(&format!(" LIMIT {}", limit / 2));
+        }
+        check_estimates(&raw, k_groups, sorted_dict, layout, learned, &sql)?;
+    }
 
     #[test]
     fn random_queries_agree_across_naive_parallel_and_av_plans(
@@ -649,4 +815,184 @@ fn composite_grouping_av_answers_canonical_shape() {
     );
     // …and the answers are identical.
     assert_eq!(sorted_rows(&out.output.relation), expect);
+}
+
+/// t(key: 100 distinct, val: unique) over 100 000 rows, flat or range
+/// partitioned on `key` every 10 keys; u(id: unique over t's keys,
+/// grp: 10 distinct).
+fn estimate_catalog(partitioned: bool) -> Catalog {
+    let rel = Relation::new(
+        Schema::new(vec![
+            Field::new("key", DataType::U32),
+            Field::new("val", DataType::U32),
+        ])
+        .unwrap(),
+        vec![
+            Column::U32((0..100_000).map(|i| i % 100).collect()),
+            Column::U32((0..100_000).collect()),
+        ],
+    )
+    .unwrap();
+    let cat = Catalog::new();
+    if partitioned {
+        let spec = PartitionSpec::range("key", (1..10).map(|i| i * 10).collect());
+        cat.register_partitioned("t", PartitionedRelation::new(rel, spec).unwrap());
+    } else {
+        cat.register("t", rel);
+    }
+    let u = Relation::new(
+        Schema::new(vec![
+            Field::new("id", DataType::U32),
+            Field::new("grp", DataType::U32),
+        ])
+        .unwrap(),
+        vec![
+            Column::U32((0..100).collect()),
+            Column::U32((0..100).map(|i| i % 10).collect()),
+        ],
+    )
+    .unwrap();
+    cat.register("u", u);
+    cat
+}
+
+fn filtered(predicate: Predicate) -> Arc<LogicalPlan> {
+    LogicalPlan::filter(LogicalPlan::scan("t"), predicate)
+}
+
+fn grouped(input: Arc<LogicalPlan>, key: &str) -> Arc<LogicalPlan> {
+    LogicalPlan::group_by(input, key, vec![AggExpr::count_star("n")])
+}
+
+/// Check the invariant on `q` and return the rows shown for its root.
+fn one_estimate(q: &LogicalPlan, cat: &Catalog) -> u64 {
+    let ctx = SearchContext::new(OptimizerMode::Deep);
+    check_one_estimate(q, cat, &ctx).unwrap();
+    shown_rows(q, cat, &ctx).unwrap()
+}
+
+/// `WHERE val < 1000 GROUP BY key`: the filter is priced with `val`'s
+/// statistics, not those of the grouping key it is explored under.
+#[test]
+fn estimate_of_a_filter_under_another_focus_column() {
+    let cat = estimate_catalog(false);
+    let filter = filtered(Predicate::cmp("val", CmpOp::Lt, 1_000u32));
+    assert_eq!(
+        one_estimate(&grouped(Arc::clone(&filter), "key"), &cat),
+        100
+    );
+    assert_eq!(one_estimate(&filter, &cat), 1_001);
+}
+
+/// `WHERE key = 5 AND val < 1000`: each conjunct reads its own column.
+#[test]
+fn estimate_of_an_and_over_two_columns() {
+    let cat = estimate_catalog(false);
+    let q = filtered(Predicate::And(vec![
+        Predicate::cmp("key", CmpOp::Eq, 5u32),
+        Predicate::cmp("val", CmpOp::Lt, 1_000u32),
+    ]));
+    // 10 rows qualify: 1/100 × ~1/100 of 100 000, rounded up.
+    assert_eq!(one_estimate(&q, &cat), 11);
+}
+
+/// `t JOIN u ON key = id GROUP BY grp`: the grouping key resolves through
+/// the join to u's statistics.
+#[test]
+fn estimate_of_a_group_by_over_a_join() {
+    let cat = estimate_catalog(false);
+    let join = LogicalPlan::join(LogicalPlan::scan("t"), LogicalPlan::scan("u"), "key", "id");
+    assert_eq!(one_estimate(&join, &cat), 100_000);
+    assert_eq!(one_estimate(&grouped(join, "grp"), &cat), 10);
+}
+
+/// `WHERE key = 5 GROUP BY val`: 100 000 distinct values, but only 1 000
+/// rows reach the grouping.
+#[test]
+fn estimate_of_a_group_count_above_its_filtered_input() {
+    let cat = estimate_catalog(false);
+    let filter = filtered(Predicate::cmp("key", CmpOp::Eq, 5u32));
+    assert_eq!(one_estimate(&grouped(filter, "val"), &cat), 1_000);
+}
+
+/// `WHERE key < 20` over ten range partitions: two survive, and every
+/// one of their 20 000 rows qualifies — pruning is not counted twice.
+#[test]
+fn estimate_of_a_filter_over_a_pruned_scan() {
+    let cat = estimate_catalog(true);
+    let q = filtered(Predicate::cmp("key", CmpOp::Lt, 20u32));
+    let shown = one_estimate(&q, &cat);
+    assert!(
+        (13_334..=30_000).contains(&shown),
+        "shown {shown} vs 20 000 actual"
+    );
+    let limited = LogicalPlan::limit(grouped(q, "key"), 5);
+    assert_eq!(one_estimate(&limited, &cat), 5);
+}
+
+/// `WHERE key < 20 AND val < 50000 GROUP BY val` with a sorted projection
+/// on `val` and a learned 4× correction for the filter: a candidate that
+/// filters the projection's hidden relation shows the rows the memo
+/// derived from t — the correction keyed on t and, over ten range
+/// partitions on `key`, the cap of the two that can hold matches.
+#[test]
+fn estimate_of_a_filter_over_a_sorted_projection_with_feedback() {
+    let rel = Relation::new(
+        Schema::new(vec![
+            Field::new("key", DataType::U32),
+            Field::new("val", DataType::U32),
+        ])
+        .unwrap(),
+        vec![
+            Column::U32((0..100_000).map(|i| i % 100).collect()),
+            Column::U32((0..100_000).map(|i| i * 7_919 % 100_000).collect()),
+        ],
+    )
+    .unwrap();
+    let predicate = Predicate::And(vec![
+        Predicate::cmp("key", CmpOp::Lt, 20u32),
+        Predicate::cmp("val", CmpOp::Lt, 50_000u32),
+    ]);
+    let q = grouped(filtered(predicate.clone()), "val");
+    for (partitioned, expect) in [(false, 40_405), (true, 20_000)] {
+        let engine = Engine::new();
+        let survivors: Option<&[usize]> = if partitioned {
+            let spec = PartitionSpec::range("key", (1..10).map(|i| i * 10).collect());
+            engine.register_table_partitioned(
+                "t",
+                PartitionedRelation::new(rel.clone(), spec).unwrap(),
+            );
+            Some(&[0, 1])
+        } else {
+            engine.register_table("t", rel.clone());
+            None
+        };
+        engine
+            .av_builder()
+            .build(&AvSignature::new("t", "val", AvKind::SortedProjection))
+            .unwrap();
+        let version = engine.catalog().stats_version_for("t", survivors).unwrap();
+        engine
+            .feedback()
+            .record("t", &predicate.shape(), 4.0, version);
+        let ctx = SearchContext {
+            avs: Some(engine.avs()),
+            feedback: Some(engine.feedback()),
+            ..SearchContext::new(OptimizerMode::Deep)
+        };
+        check_one_estimate(&q, engine.catalog(), &ctx).unwrap();
+        // 20/99 × 50 000/99 999 × 4 of 100 000 rows; over partitions,
+        // capped by the two survivors' 20 000.
+        let shown = shown_rows(&filtered(predicate.clone()), engine.catalog(), &ctx).unwrap();
+        assert_eq!(shown, expect, "partitioned={partitioned}");
+        // The plan the memo prices for the grouping's sorted input.
+        let over_projection = PhysicalPlan::Filter {
+            input: Box::new(PhysicalPlan::Scan {
+                table: AvSignature::new("t", "val", AvKind::SortedProjection).av_table_name(),
+            }),
+            predicate: predicate.clone(),
+        };
+        let est = estimate_rows(&over_projection, engine.catalog(), ctx.feedback);
+        assert_eq!(est, vec![expect, 100_000], "partitioned={partitioned}");
+    }
 }
