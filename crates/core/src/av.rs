@@ -202,15 +202,14 @@ pub fn build_shape(props: &dqo_storage::DataProps, kind: AvKind) -> (f64, f64) {
 pub fn combine_composite_props(cols: &[dqo_storage::DataProps]) -> dqo_storage::DataProps {
     let mut rows = 0u64;
     let mut distinct: u128 = 1;
-    let mut span: u128 = 1;
     let mut all_dense = true;
     for p in cols {
         rows = rows.max(p.rows);
         distinct *= u128::from(p.distinct.max(1));
-        span *= u128::from(p.sph_domain().unwrap_or(1).max(1));
         all_dense &= p.density.is_dense() && p.rows > 0;
     }
-    let packable = span <= u128::from(u32::MAX) + 1;
+    let span = composite_span(cols);
+    let packable = composite_packs(cols);
     let bounded = span <= u128::from(rows.max(1)).saturating_mul(4).max(1 << 16);
     let distinct = u64::try_from(distinct).unwrap_or(u64::MAX).min(rows.max(1));
     dqo_storage::DataProps {
@@ -225,6 +224,21 @@ pub fn combine_composite_props(cols: &[dqo_storage::DataProps]) -> dqo_storage::
         max: u32::try_from(span.max(1) - 1).unwrap_or(u32::MAX),
         rows,
     }
+}
+
+/// The size of a composite key's packed code domain: the product of its
+/// columns' value spans.
+fn composite_span(cols: &[dqo_storage::DataProps]) -> u128 {
+    cols.iter()
+        .map(|p| u128::from(p.sph_domain().unwrap_or(1).max(1)))
+        .product()
+}
+
+/// Whether composite keys within these columns' ranges pack into the
+/// `u32` code domain, as [`KeyPacker::fit`] requires — else the executor
+/// groups them with the serial row-wise kernel.
+pub(crate) fn composite_packs(cols: &[dqo_storage::DataProps]) -> bool {
+    composite_span(cols) <= u128::from(u32::MAX) + 1
 }
 
 /// Statistics backing a signature, read from one table snapshot: the key
@@ -494,13 +508,10 @@ fn composite_grouping_relation(
     Ok(rel)
 }
 
-/// The AV catalog: the set of views the optimiser may assume, plus
-/// registered *partial* AVs (§6) — grouping granules with some molecule
-/// decisions frozen offline and the rest completed at query time.
+/// The AV catalog: the set of views the optimiser may assume.
 #[derive(Debug, Default)]
 pub struct AvCatalog {
     views: RwLock<HashMap<AvSignature, Arc<Av>>>,
-    partials: RwLock<HashMap<(String, String), Arc<crate::partial_av::PartialAv>>>,
     /// Bumps on every registration, removal or invalidation — the AV
     /// half of the optimiser memo's staleness stamp (the set of scan/
     /// grouping alternatives a memoised group enumerated depends on
@@ -520,7 +531,7 @@ impl AvCatalog {
     }
 
     /// The AV catalog's change clock: two reads returning the same value
-    /// guarantee the set of registered AVs and partials did not change in
+    /// guarantee the set of registered AVs did not change in
     /// between — the optimiser memo's invalidation signal.
     pub fn generation(&self) -> u64 {
         self.generation.load(std::sync::atomic::Ordering::Relaxed)
@@ -589,7 +600,7 @@ impl AvCatalog {
         existed
     }
 
-    /// Drop every AV and partial AV built from `table` and deregister
+    /// Drop every AV built from `table` and deregister
     /// their hidden `__av::` relations from `catalog`, returning the
     /// removed signatures.
     ///
@@ -618,7 +629,6 @@ impl AvCatalog {
         for sig in &removed {
             catalog.drop_table(&sig.av_table_name());
         }
-        self.partials.write().retain(|(t, _), _| t != table);
         self.bump();
         removed
     }
@@ -647,33 +657,6 @@ impl AvCatalog {
     /// do I want to spend on DQO offline" side of the §3 trade-off.
     pub fn total_build_cost(&self) -> f64 {
         self.views.read().values().map(|v| v.build_cost).sum()
-    }
-
-    /// Register a partial AV for groupings on `(table, column)`. The
-    /// optimiser will honour its frozen molecule decisions and complete
-    /// only the open ones at query time.
-    pub fn register_partial(
-        &self,
-        table: impl Into<String>,
-        column: impl Into<String>,
-        pav: crate::partial_av::PartialAv,
-    ) {
-        self.partials
-            .write()
-            .insert((table.into(), column.into()), Arc::new(pav));
-        self.bump();
-    }
-
-    /// Look up the partial AV for `(table, column)`.
-    pub fn partial_for(
-        &self,
-        table: &str,
-        column: &str,
-    ) -> Option<Arc<crate::partial_av::PartialAv>> {
-        self.partials
-            .read()
-            .get(&(table.to_owned(), column.to_owned()))
-            .cloned()
     }
 }
 
@@ -854,13 +837,12 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_table_drops_views_and_partials() {
+    fn invalidate_table_drops_its_views_only() {
         let cat = catalog_with_t(false, true);
         let avs = AvCatalog::new();
         let t = cat.get("t").unwrap();
         avs.register(plan_av(&t, &AvSignature::new("t", "key", AvKind::SphIndex)).unwrap());
         avs.register(plan_av(&t, &AvSignature::new("t", "key", AvKind::SortedProjection)).unwrap());
-        avs.register_partial("t", "key", crate::partial_av::PartialAv::fully_open("p"));
         // A view on another table must survive.
         let u = cat.register("u", Relation::single_u32("key", vec![1, 2, 3]));
         avs.register(plan_av(&u, &AvSignature::new("u", "key", AvKind::SortedProjection)).unwrap());
@@ -869,7 +851,6 @@ mod tests {
         assert_eq!(removed.len(), 2);
         assert!(removed.iter().all(|sig| sig.table == "t"));
         assert!(avs.lookup("t", "key", AvKind::SphIndex).is_none());
-        assert!(avs.partial_for("t", "key").is_none());
         assert!(avs.lookup("u", "key", AvKind::SortedProjection).is_some());
         assert!(avs.invalidate_table(&cat, "t").is_empty(), "idempotent");
     }

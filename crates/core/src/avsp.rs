@@ -19,7 +19,6 @@
 
 use crate::av::{plan_av, Av, AvCatalog, AvKind, AvSignature};
 use crate::catalog::Catalog;
-use crate::memo::Memo;
 use crate::optimizer::{optimize_in, OptimizerMode, SearchContext};
 use crate::Result;
 use dqo_plan::LogicalPlan;
@@ -111,7 +110,7 @@ pub fn workload_cost(
             avs: Some(&avs),
             ..SearchContext::new(OptimizerMode::Deep)
         };
-        let planned = optimize_in(&mut Memo::new(), &q.plan, catalog, &ctx)?;
+        let planned = optimize_in(&q.plan, catalog, &ctx)?;
         total += q.weight * planned.est_cost;
     }
     Ok(total)

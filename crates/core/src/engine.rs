@@ -12,8 +12,8 @@ use crate::avsp::{self, AvspSolution, Solver, WorkloadQuery};
 use crate::catalog::Catalog;
 use crate::executor::{execute_with, ExecContext, ExecOutput};
 use crate::feedback::FeedbackStore;
-use crate::memo::{Memo, MemoStamp, MemoStats};
-use crate::optimizer::{optimize_in, OptimizerMode, PlannedQuery, PropertyModel, SearchContext};
+use crate::memo::{Memo, MemoOptimizer, MemoStamp, MemoStats};
+use crate::optimizer::{OptimizerMode, PlannedQuery, PropertyModel, SearchContext};
 use crate::plan_cache::{plan_shape, text_hash, Knobs, Lookup, PlanCache, StoreKey, Validity};
 use crate::profile::{render_annotated, PlanRuntime};
 use crate::Result;
@@ -436,7 +436,7 @@ impl Engine {
         self.avs.invalidate_table(&self.catalog, &name);
     }
 
-    /// Drop a table, invalidating its AVs and partial AVs; returns
+    /// Drop a table, invalidating its AVs; returns
     /// whether the table existed. Like [`Engine::register_table`], the
     /// catalog entry goes first so racing background builds fail their
     /// generation check.
@@ -537,7 +537,6 @@ impl Engine {
     /// One cold search in a memo of its own — no engine-wide lock, so
     /// sessions sharing this engine search concurrently.
     fn search(&self, logical: &LogicalPlan, dop: usize) -> Result<PlannedQuery> {
-        let mut memo = Memo::new();
         let ctx = SearchContext {
             avs: Some(&self.avs),
             pmodel: self.pmodel,
@@ -546,9 +545,10 @@ impl Engine {
             pruning: self.pruning,
             ..SearchContext::new(self.mode)
         };
-        let planned = optimize_in(&mut memo, logical, &self.catalog, &ctx);
-        self.searches.record(&memo);
-        self.obs.record_search(&memo);
+        let mut search = MemoOptimizer::new(&self.catalog, &ctx);
+        let planned = search.optimize(logical);
+        self.searches.record(search.memo());
+        self.obs.record_search(search.memo());
         planned
     }
 

@@ -373,12 +373,15 @@ impl<'a> Exec<'a> {
                 Ok(view)
             }
             PhysicalPlan::Exchange { input, dop } => {
+                // An operator outside the kernel list runs serially.
+                if !input.has_parallel_kernel() {
+                    return self.run(input, None);
+                }
                 // A cheap handle: DOP for this Exchange, dispatch onto the
-                // session's persistent pool. The operator below uses it if
-                // it has a parallel kernel and runs serially otherwise.
-                // When instrumented, a per-batch observation sink captures
-                // morsel and steal counts for this subtree without
-                // touching the shared pool's registry.
+                // session's persistent pool. When instrumented, a
+                // per-batch observation sink captures morsel and steal
+                // counts for this subtree without touching the shared
+                // pool's registry.
                 let mut handle = ThreadPool::with_pool(*dop, (self.pool)());
                 let batch_obs = self.obs.as_ref().map(|_| Arc::new(BatchObs::default()));
                 if let Some(b) = &batch_obs {
@@ -410,7 +413,6 @@ impl<'a> Exec<'a> {
         algo: JoinImpl,
         tp: Option<&ThreadPool>,
     ) -> Result<View<'a>> {
-        let tp = tp.filter(|_| matches!(algo, JoinImpl::Hj | JoinImpl::Sphj | JoinImpl::Soj));
         // Prebuilt SPH index AV: probe it instead of rebuilding.
         let prebuilt = match (self.avs, algo, left) {
             (Some(avs), JoinImpl::Sphj, PhysicalPlan::Scan { table }) => avs
@@ -508,12 +510,6 @@ impl<'a> Exec<'a> {
         molecules: GroupingMolecules,
         tp: Option<&ThreadPool>,
     ) -> Result<View<'a>> {
-        let tp = tp.filter(|_| {
-            matches!(
-                algo,
-                GroupingImpl::Hg | GroupingImpl::Sphg | GroupingImpl::Sog
-            )
-        });
         // A filter directly beneath a morsel-parallel single-key HG/SPHG
         // is fused: its predicate runs inside the grouping's own morsel
         // tasks, so filter → group is one pass per morsel and the

@@ -11,9 +11,10 @@
 //!   vector it is allowed to see (§4.3: SQO tracks sortedness only; DQO
 //!   adds density and friends), with sort enforcers, implementation
 //!   choice at the organelle level and molecule decisions below it;
-//! * [`memo`] — the Cascades-style memo behind it: groups keyed by
-//!   logical subtree, each group's derived rows, per-group winner tables, and
-//!   uniform implementation / enforcer / parallel-twin rule application;
+//! * [`memo`] — the Cascades-style memo behind it, scratch for one search:
+//!   groups keyed by logical subtree, each group's derived rows, per-group
+//!   winner tables, and uniform implementation / enforcer / parallel-twin
+//!   rule application;
 //! * [`property_builder`] — the one row derivation: each memo group's
 //!   rows are derived once and read by the coster, `EXPLAIN ANALYZE` and
 //!   the feedback recorder alike;
@@ -39,13 +40,14 @@
 //!   projections and patch SPH indexes (or fall back to rebuilds),
 //!   keeping every maintained artifact bit-identical to a from-scratch
 //!   build and publishing it the way a build does;
-//! * [`partial_av`] — partial AVs (§6): granules frozen offline with
-//!   named decisions left open for query time;
 //! * [`plan_cache`] — the plan store, the one bounded structure that
 //!   outlives a statement: prepared statements keyed on their *shape*
 //!   (rebound per execution, valid per DDL generation), ad-hoc ones on
 //!   their exact text (served while their statistics / AV / feedback
 //!   stamp is current);
+//! * [`molecule`] — the one refiner of a grouping's table and hash
+//!   molecules (Table 1's step below the organelle);
+//! * [`deep_exec`] — an interpreter for Figure 3's deep grouping plans;
 //! * [`adaptive`] — runtime-adaptive AVs (§6): a cracking-style index
 //!   whose optimisation decisions are delegated to query time.
 //!
@@ -70,12 +72,10 @@ pub mod feedback;
 pub mod memo;
 pub mod molecule;
 pub mod optimizer;
-pub mod partial_av;
 pub mod partition_prune;
 pub mod plan_cache;
 pub mod profile;
 pub mod property_builder;
-pub mod reopt;
 mod rules;
 
 pub use av_build::{AvBuildHandle, AvBuildStats, AvBuilder};

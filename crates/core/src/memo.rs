@@ -6,31 +6,27 @@
 //! referenced by [`GroupId`], so shared subtrees share groups), its
 //! **rows** — derived once, by [`PropertyBuilder`], from its children's
 //! rows, and stamped on every candidate the group holds — and a
-//! **winner table**: the pruned candidate set per `(focus column,
-//! optimiser mode, property model, granted DOP)` — one cheapest
-//! [`Candidate`] per interesting property class.
+//! **winner table**: the pruned candidate set per focus column — one
+//! cheapest [`Candidate`] per interesting property class. Everything else
+//! a candidate set depends on (mode, property model, DOP, pruning, AVs,
+//! feedback) is the search's [`SearchContext`], fixed for the memo's life.
 //!
 //! Group *identity* is the fully rendered logical subtree **including
 //! constants**: costs depend on predicate selectivities, so two subtrees
 //! differing only in a literal are distinct groups.
 //!
-//! A memo lives as long as the search that built it (Cascades' memo, as
-//! optd keeps it): the engine and [`crate::optimizer::optimize`]
-//! build one per call and drop it with the answer, so its size is
-//! O(plan), never O(history). What persists between statements is the
-//! chosen plan, in the engine's [plan store](crate::plan_cache); the
-//! [`MemoStamp`] defined here is the validity stamp that store puts on
-//! the plans of ad-hoc statements. Callers that plan several related
-//! trees in a row (mid-query re-optimisation) may keep one memo across
-//! those calls to share winner tables and rows; they own its staleness
-//! and must keep the feedback store fixed.
+//! A memo serves one search (Cascades' memo, as optd keeps it): a
+//! [`MemoOptimizer`] creates its own, no caller can hand it one, and it
+//! is dropped with the answer, so its size is O(plan), never O(history).
+//! What persists between statements is the chosen plan, in the engine's
+//! [plan store](crate::plan_cache); the [`MemoStamp`] defined here is the
+//! validity stamp that store puts on the plans of ad-hoc statements.
 //!
 //! Rule application lives in `crate::rules`: implementation rules
 //! (Scan → AV-backed scan, GroupBy → {HG, SPHG, OG, SOG, BSG, composite},
-//! Join → {HJ, SPHJ, OJ, SOJ, BSJ}), enforcer rules (Sort) and
-//! parallel-twin rules (`Exchange{dop}`) — fired in the same order the
-//! DP enumerated, feeding the same pruning, so winning plans are
-//! bit-identical to the pre-memo optimiser.
+//! Join → {HJ, SPHJ, OJ, SOJ, BSJ}), the Sort enforcer and the one
+//! parallel-twin rule (`Exchange{dop}`), feeding interesting-property
+//! pruning.
 
 use crate::av::AvCatalog;
 use crate::catalog::Catalog;
@@ -90,20 +86,10 @@ pub struct MemoStats {
     pub feedback_applied: u64,
 }
 
-/// Key of one winner-table entry: the physical context a candidate set
-/// was derived under.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct WinnerKey {
-    /// The column the parent consumes this output by (drives which base
-    /// properties a scan exposes and which orders are interesting).
-    focus: Option<String>,
-    mode: OptimizerMode,
-    pmodel: PropertyModel,
-    dop: usize,
-    /// Whether plan-time partition pruning was enabled — pruned and
-    /// unpruned winners are different physical plans.
-    pruning: bool,
-}
+/// Key of one winner-table entry: the column the parent consumes the
+/// group's output by (it drives which base properties a scan exposes and
+/// which orders are interesting).
+type WinnerKey = Option<String>;
 
 /// One equivalence class of logical plans. See the module docs.
 #[derive(Debug)]
@@ -195,11 +181,6 @@ impl Memo {
         &self.groups[gid]
     }
 
-    /// Look up the group a logical subtree was interned into.
-    pub fn find(&self, node: &LogicalPlan) -> Option<GroupId> {
-        self.index.get(&format!("{node}")).copied()
-    }
-
     /// Number of groups.
     pub fn group_count(&self) -> usize {
         self.groups.len()
@@ -222,12 +203,12 @@ impl Memo {
     }
 }
 
-/// The rule-application engine: explores groups of a [`Memo`] under one
-/// optimisation context (catalog, cost model, AVs, mode, property model,
+/// One search: explores the groups of its own [`Memo`] under one
+/// [`SearchContext`] (catalog, cost model, AVs, mode, property model,
 /// DOP, feedback), memoising each group's pruned candidate set in its
 /// winner table.
 pub struct MemoOptimizer<'a> {
-    pub(crate) memo: &'a mut Memo,
+    pub(crate) memo: Memo,
     pub(crate) catalog: &'a Catalog,
     pub(crate) mode: OptimizerMode,
     pub(crate) model: &'a dyn CostModel,
@@ -239,10 +220,10 @@ pub struct MemoOptimizer<'a> {
 }
 
 impl<'a> MemoOptimizer<'a> {
-    /// Bind a memo to an optimisation context.
-    pub fn new(memo: &'a mut Memo, catalog: &'a Catalog, ctx: &SearchContext<'a>) -> Self {
+    /// Start a search under `ctx`, in a memo of its own.
+    pub fn new(catalog: &'a Catalog, ctx: &SearchContext<'a>) -> Self {
         MemoOptimizer {
-            memo,
+            memo: Memo::new(),
             catalog,
             mode: ctx.mode,
             model: ctx.model,
@@ -252,6 +233,11 @@ impl<'a> MemoOptimizer<'a> {
             pruning: ctx.pruning,
             props: PropertyBuilder::new(catalog, ctx.feedback),
         }
+    }
+
+    /// The search's memo: its groups, candidates and counters so far.
+    pub fn memo(&self) -> &Memo {
+        &self.memo
     }
 
     /// Optimise a logical plan: intern it, explore its group, return the
@@ -288,13 +274,7 @@ impl<'a> MemoOptimizer<'a> {
         gid: GroupId,
         focus: Option<&str>,
     ) -> Result<Arc<Vec<Candidate>>> {
-        let key = WinnerKey {
-            focus: focus.map(str::to_owned),
-            mode: self.mode,
-            pmodel: self.pmodel,
-            dop: self.dop,
-            pruning: self.pruning,
-        };
+        let key = focus.map(str::to_owned);
         if let Some(winners) = self.memo.groups[gid].winners.get(&key) {
             self.memo.stats.winner_hits += 1;
             return Ok(Arc::clone(winners));
@@ -384,12 +364,15 @@ mod tests {
         )
     }
 
-    fn optimize_in(memo: &mut Memo, cat: &Catalog, q: &LogicalPlan) -> PlannedQuery {
+    /// One finished search of `q`.
+    fn search<'a>(cat: &'a Catalog, q: &LogicalPlan) -> MemoOptimizer<'a> {
         let ctx = SearchContext {
             pmodel: PropertyModel::AttributeStrict,
             ..SearchContext::new(OptimizerMode::Deep)
         };
-        crate::optimizer::optimize_in(memo, q, cat, &ctx).unwrap()
+        let mut search = MemoOptimizer::new(cat, &ctx);
+        search.optimize(q).unwrap();
+        search
     }
 
     #[test]
@@ -420,26 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn repeated_optimisation_answers_from_winner_tables() {
-        let cat = catalog();
-        let mut memo = Memo::new();
-        let q = query();
-        let first = optimize_in(&mut memo, &cat, &q);
-        let fired = memo.stats().rules_fired;
-        assert!(fired > 0);
-        assert_eq!(memo.stats().winner_hits, 0);
-        let second = optimize_in(&mut memo, &cat, &q);
-        assert_eq!(first.plan.explain(), second.plan.explain());
-        assert_eq!(first.est_cost.to_bits(), second.est_cost.to_bits());
-        assert!(memo.stats().winner_hits > 0, "second run must be memoised");
-        assert_eq!(
-            memo.stats().rules_fired,
-            fired,
-            "no rule re-fires on a warm memo"
-        );
-    }
-
-    #[test]
     fn stamp_moves_with_every_statistics_change() {
         let cat = catalog();
         let stamp = MemoStamp::current(&cat, None, None);
@@ -461,8 +424,8 @@ mod tests {
     #[test]
     fn rule_counts_name_the_fired_rules() {
         let cat = catalog();
-        let mut memo = Memo::new();
-        optimize_in(&mut memo, &cat, &query());
+        let search = search(&cat, &query());
+        let memo = search.memo();
         let counts = memo.rule_counts();
         let names: Vec<&str> = counts.iter().map(|(n, _)| *n).collect();
         assert!(names.contains(&"scan-impl"), "{names:?}");

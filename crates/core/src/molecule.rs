@@ -3,17 +3,19 @@
 //! Table 1's proposal is precisely that the choices at the macro-molecule
 //! and molecule level — *which* hash table, *which* hash function, *which*
 //! loop — move from the developer to the query optimiser. This module is
-//! that optimiser step: given the organelle the property-annotated DP
-//! picked and the input's properties, choose the molecules by a small
-//! constant-based cost table (constants in the ratios the E9 ablation
-//! measures; refittable via [`MoleculeCosts`]).
+//! the one refiner of a grouping's table and hash molecules: given the
+//! organelle the property-annotated DP picked and the input's properties,
+//! choose them by a small constant-based cost table (constants in the
+//! ratios the E9 ablation measures; refittable via [`MoleculeCosts`]).
+//! The loop decision is the parallel-twin rule's: a plan runs a loop in
+//! parallel exactly where it carries an `Exchange`.
 //!
 //! Shallow mode never calls this — it ships the developer defaults
 //! ([`GroupingMolecules::defaults_for`]), exactly as Table 1's SQO column
 //! says.
 
 use dqo_plan::physical::GroupingMolecules;
-use dqo_plan::{GroupingImpl, HashFnMolecule, LoopMolecule, PlanProps, TableMolecule};
+use dqo_plan::{GroupingImpl, HashFnMolecule, PlanProps, TableMolecule};
 
 /// Per-tuple relative costs of the hash-table molecules (dimensionless;
 /// only ratios matter). Defaults reflect the E9 ablation on uniform dense
@@ -94,11 +96,6 @@ impl MoleculeCosts {
     }
 }
 
-/// Row-count threshold above which a partition-parallel aggregation loop
-/// pays for its coordination (decomposable aggregates only; all the
-/// engine's aggregates are).
-pub const PARALLEL_LOOP_THRESHOLD: u64 = 8_000_000;
-
 /// Refine the molecule choices under a grouping organelle — the DQO step
 /// Table 1 adds below the classical optimiser.
 pub fn refine_grouping_molecules(
@@ -135,13 +132,6 @@ pub fn refine_grouping_molecules(
         m.table = best.1;
         m.hash = best.2;
     }
-    // The load-loop molecule: parallel only where the input is large
-    // enough to amortise worker coordination.
-    m.load_loop = Some(if input.rows >= PARALLEL_LOOP_THRESHOLD {
-        LoopMolecule::Parallel
-    } else {
-        LoopMolecule::Serial
-    });
     m
 }
 
@@ -174,7 +164,6 @@ mod tests {
         );
         assert_eq!(m.table, Some(TableMolecule::LinearProbing));
         assert_eq!(m.hash, Some(HashFnMolecule::Identity));
-        assert_eq!(m.load_loop, Some(LoopMolecule::Serial));
     }
 
     #[test]
@@ -188,16 +177,6 @@ mod tests {
         // risk premium still beats Murmur3's two multiply rounds.
         assert_eq!(m.hash, Some(HashFnMolecule::Fibonacci));
         assert_ne!(m.table, Some(TableMolecule::Chaining));
-    }
-
-    #[test]
-    fn huge_inputs_get_a_parallel_loop() {
-        let m = refine_grouping_molecules(
-            GroupingImpl::Hg,
-            &props(PARALLEL_LOOP_THRESHOLD, true),
-            &MoleculeCosts::default(),
-        );
-        assert_eq!(m.load_loop, Some(LoopMolecule::Parallel));
     }
 
     #[test]

@@ -20,10 +20,10 @@
 //! SPH-based implementations simply never qualify. Running the *same* DP
 //! under both modes yields Figure 5's improvement factors.
 //!
-//! Since PR 9 the enumeration itself lives in the memo engine
-//! ([`crate::memo`] + `crate::rules`): both entry points below intern
-//! the query into a [`crate::memo::Memo`] and fire the uniform rule
-//! set. This file keeps the public API and the candidate/pruning
+//! The enumeration itself lives in the memo engine ([`crate::memo`] +
+//! `crate::rules`): every entry point below starts one search, which
+//! interns the query into a [`crate::memo::Memo`] of its own and fires
+//! the uniform rule set. This file keeps the public API and the candidate/pruning
 //! vocabulary; row estimates come from
 //! [`crate::property_builder::PropertyBuilder`], once per memo group.
 
@@ -31,7 +31,7 @@ use crate::av::AvCatalog;
 use crate::catalog::Catalog;
 use crate::cost::{CostModel, TupleCostModel};
 use crate::feedback::FeedbackStore;
-use crate::memo::{Memo, MemoOptimizer};
+use crate::memo::MemoOptimizer;
 use crate::Result;
 use dqo_plan::properties::PropKey;
 use dqo_plan::{GroupingImpl, JoinImpl, LogicalPlan, PhysicalPlan, PlanProps};
@@ -164,25 +164,19 @@ pub fn optimize(
     catalog: &Catalog,
     mode: OptimizerMode,
 ) -> Result<PlannedQuery> {
-    optimize_in(
-        &mut Memo::new(),
-        logical,
-        catalog,
-        &SearchContext::new(mode),
-    )
+    optimize_in(logical, catalog, &SearchContext::new(mode))
 }
 
 /// The general entry point: search for `logical`'s cheapest plan under
-/// `ctx`, in `memo`. A memo is scratch for one search — pass a fresh one
-/// unless several related trees are planned in a row and should share
-/// winner tables.
+/// `ctx`. The search builds its own memo and drops it with the answer;
+/// a caller that wants the search's counters drives a
+/// [`MemoOptimizer`] and reads [`MemoOptimizer::memo`] afterwards.
 pub fn optimize_in(
-    memo: &mut Memo,
     logical: &LogicalPlan,
     catalog: &Catalog,
     ctx: &SearchContext<'_>,
 ) -> Result<PlannedQuery> {
-    MemoOptimizer::new(memo, catalog, ctx).optimize(logical)
+    MemoOptimizer::new(catalog, ctx).optimize(logical)
 }
 
 /// Expose the full (pruned) candidate set of the root under `ctx` — used
@@ -192,7 +186,7 @@ pub fn enumerate_candidates(
     catalog: &Catalog,
     ctx: &SearchContext<'_>,
 ) -> Result<Vec<Candidate>> {
-    MemoOptimizer::new(&mut Memo::new(), catalog, ctx).candidates(logical)
+    MemoOptimizer::new(catalog, ctx).candidates(logical)
 }
 
 /// Interesting-property pruning: keep the cheapest candidate per property
@@ -421,7 +415,7 @@ mod tests {
                 dop,
                 ..SearchContext::new(OptimizerMode::Deep)
             };
-            optimize_in(&mut Memo::new(), &q, &cat, &ctx).unwrap()
+            optimize_in(&q, &cat, &ctx).unwrap()
         };
         let small = plan_for(2_000, 4);
         assert!(
@@ -471,7 +465,7 @@ mod tests {
                 dop,
                 ..SearchContext::new(OptimizerMode::Shallow)
             };
-            optimize_in(&mut Memo::new(), &q, &cat, &ctx).unwrap()
+            optimize_in(&q, &cat, &ctx).unwrap()
         };
         let serial = plan_at(1);
         assert_eq!(serial.plan.algo_signature(), vec!["OG", "OJ", "SORT"]);

@@ -479,7 +479,6 @@ fn rebind_node(plan: &PhysicalPlan, cx: &RebindCx<'_>, next: &mut usize) -> Opti
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
-    use crate::memo::Memo;
     use crate::optimizer::{optimize_in, SearchContext};
     use dqo_plan::expr::AggExpr;
     use dqo_plan::CmpOp;
@@ -503,7 +502,7 @@ mod tests {
             dop,
             ..SearchContext::new(OptimizerMode::Deep)
         };
-        optimize_in(&mut Memo::new(), logical, catalog, &ctx).unwrap()
+        optimize_in(logical, catalog, &ctx).unwrap()
     }
 
     fn plan(catalog: &Catalog, logical: &LogicalPlan) -> PlannedQuery {

@@ -11,9 +11,11 @@
 //! * **enforcer rules** — the Sort enforcer that *establishes* the
 //!   sortedness property where an order-based implementation would
 //!   otherwise be inapplicable (partial-sort plans fall out of this);
-//! * **parallel-twin rules** — the `Exchange{dop}`-wrapped twin of every
-//!   organelle with a morsel-parallel implementation, costed with the
-//!   parallel cost model so plans only go parallel past break-even.
+//! * **the parallel-twin rule** — the one place a plan gains an
+//!   `Exchange{dop}`: the wrapped copy of any serial candidate whose
+//!   operator is in the kernel list
+//!   ([`PhysicalPlan::has_parallel_kernel`]), costed with the parallel
+//!   cost model so plans only go parallel past break-even.
 //!
 //! Rules fire in exactly the order the pre-memo DP enumerated
 //! alternatives and feed the same interesting-property pruning
@@ -24,7 +26,8 @@
 //! from its inputs' rows, and stamps the group's rows on every candidate
 //! it emits.
 
-use crate::av::AvKind;
+use crate::av::{combine_composite_props, composite_packs, AvKind};
+use crate::cost::CostModel;
 use crate::error::CoreError;
 use crate::memo::{Derived, GroupId, MemoOptimizer};
 use crate::molecule::{refine_grouping_molecules, MoleculeCosts};
@@ -34,7 +37,7 @@ use crate::Result;
 use dqo_plan::expr::Predicate;
 use dqo_plan::physical::GroupingMolecules;
 use dqo_plan::{GroupingImpl, JoinImpl, LogicalPlan, PhysicalPlan, PlanProps, SortMolecule};
-use dqo_storage::{Density, Sortedness};
+use dqo_storage::{DataProps, Density, Sortedness};
 use std::sync::Arc;
 
 use crate::optimizer::PropertyModel;
@@ -165,31 +168,18 @@ fn filter_rules(
             ..c.props
         });
         opt.fire("filter-impl");
+        let in_rows = c.props.rows as f64;
         let serial = Candidate {
-            cost: c.cost + opt.model.scan(c.props.rows as f64),
+            cost: c.cost + opt.model.scan(in_rows),
             plan: PhysicalPlan::Filter {
                 input: Box::new(c.plan),
                 predicate: predicate.clone(),
             },
             props,
-            sort_col: c.sort_col.clone(),
+            sort_col: c.sort_col,
         };
-        let mut out = vec![serial];
-        // Parallel-twin rule: same properties (mask concatenation
-        // preserves row order), cheaper only past the startup cost.
-        if opt.dop > 1 {
-            opt.fire("filter-parallel-twin");
-            out.push(Candidate {
-                cost: c.cost + opt.model.parallel_scan(c.props.rows as f64, opt.dop),
-                plan: PhysicalPlan::Exchange {
-                    input: Box::new(out[0].plan.clone()),
-                    dop: opt.dop,
-                },
-                props,
-                sort_col: c.sort_col,
-            });
-        }
-        all.extend(out);
+        all.extend(opt.parallel_twin(&serial, c.cost, |m, dop| m.parallel_scan(in_rows, dop)));
+        all.push(serial);
     }
     Ok(prune(all.into_iter()))
 }
@@ -304,53 +294,30 @@ fn join_rules(
                     opt.fire("join-av-sph-index");
                     join_cost = opt.model.scan(rc.props.rows as f64);
                 }
-                let cost = lc.cost + rc.cost + join_cost;
-                let props = opt.join_output_props(algo, rows);
-                let plan = PhysicalPlan::Join {
-                    left: Box::new(lc.plan.clone()),
-                    right: Box::new(rc.plan.clone()),
-                    left_key: left_key.to_owned(),
-                    right_key: right_key.to_owned(),
-                    algo,
-                };
-                // Parallel-twin rule for the partition-parallel joins:
-                // the partitioned HJ, the parallel-probe SPHJ, and the
-                // parallel-sort + range-partitioned-merge SOJ. (A
-                // prebuilt AV index already removed the build pass;
-                // re-partitioning it would forfeit the AV, so AV probes
-                // stay serial.)
-                let parallelisable =
-                    matches!(algo, JoinImpl::Hj | JoinImpl::Sphj | JoinImpl::Soj) && !av_probe;
-                if opt.dop > 1 && parallelisable {
-                    opt.fire("join-parallel-twin");
-                    out.push(Candidate {
-                        plan: PhysicalPlan::Exchange {
-                            input: Box::new(plan.clone()),
-                            dop: opt.dop,
-                        },
-                        cost: lc.cost
-                            + rc.cost
-                            + opt.model.parallel_join(
-                                algo,
-                                lc.props.rows as f64,
-                                rc.props.rows as f64,
-                                build_groups,
-                                opt.dop,
-                            ),
-                        props,
-                        // Parallel SOJ concatenates partitions in key
-                        // order, keeping the order-based property.
-                        sort_col: algo.produces_sorted_output().then(|| left_key.to_owned()),
-                    });
-                }
                 opt.fire("join-impl");
-                out.push(Candidate {
-                    plan,
-                    cost,
-                    props,
+                let serial = Candidate {
+                    plan: PhysicalPlan::Join {
+                        left: Box::new(lc.plan.clone()),
+                        right: Box::new(rc.plan.clone()),
+                        left_key: left_key.to_owned(),
+                        right_key: right_key.to_owned(),
+                        algo,
+                    },
+                    cost: lc.cost + rc.cost + join_cost,
+                    props: opt.join_output_props(algo, rows),
                     // Order-based joins emit in join-key order.
                     sort_col: algo.produces_sorted_output().then(|| left_key.to_owned()),
-                });
+                };
+                // A prebuilt AV index already removed the build pass;
+                // re-partitioning it would forfeit the AV, so AV probes
+                // stay serial.
+                if !av_probe {
+                    let (l, r) = (lc.props.rows as f64, rc.props.rows as f64);
+                    out.extend(opt.parallel_twin(&serial, lc.cost + rc.cost, |m, dop| {
+                        m.parallel_join(algo, l, r, build_groups, dop)
+                    }));
+                }
+                out.push(serial);
             }
         }
     }
@@ -456,80 +423,24 @@ fn group_by_rules(
                 key_range,
                 rows,
             });
-            // Molecule refinement is the step Table 1 adds: in deep mode
-            // the optimiser decides the table/hash/loop molecules from
-            // input properties; shallow mode ships the developer defaults
-            // behind the organelle name. A registered partial AV (§6)
-            // overrides: its frozen decisions stand, and only its open
-            // decisions are completed here.
-            let molecules = match opt.mode {
-                OptimizerMode::Deep => {
-                    let mut ref_props = key_stats.unwrap_or(ic.props);
-                    ref_props.rows = ic.props.rows;
-                    let partial = match (opt.avs, input) {
-                        (Some(avs), LogicalPlan::Scan { table }) => avs.partial_for(table, key),
-                        _ => None,
-                    };
-                    match partial {
-                        Some(pav) if algo == GroupingImpl::Hg => pav.complete(&ref_props),
-                        _ => refine_grouping_molecules(algo, &ref_props, &MoleculeCosts::default()),
-                    }
-                }
-                OptimizerMode::Shallow => GroupingMolecules::defaults_for(algo),
-            };
-            let plan = PhysicalPlan::GroupBy {
-                input: Box::new(ic.plan.clone()),
-                keys: vec![key.to_owned()],
-                aggs: aggs.to_vec(),
-                algo,
-                molecules,
-            };
-            // Parallel-twin rule for the groupings with a parallel
-            // implementation: thread-local aggregation (HG, SPHG) and
-            // the parallel-sort + boundary-stitch SOG. Requires
-            // decomposable aggregates — COUNT/SUM/MIN/MAX/AVG all are.
-            // The deterministic merges emit ascending keys, so the
-            // parallel plan *gains* the sorted property serial HG lacks.
-            if opt.dop > 1
-                && matches!(
-                    algo,
-                    GroupingImpl::Hg | GroupingImpl::Sphg | GroupingImpl::Sog
-                )
-            {
-                let mut par_props = props;
-                par_props.sortedness = Sortedness::Ascending;
-                par_props.partitioned = true;
-                // The load loop *is* the parallel molecule decision
-                // (Figure 3(e)): record it in the plan.
-                let mut par_molecules = molecules;
-                par_molecules.load_loop = Some(dqo_plan::LoopMolecule::Parallel);
-                opt.fire("group-by-parallel-twin");
-                out.push(Candidate {
-                    plan: PhysicalPlan::Exchange {
-                        input: Box::new(PhysicalPlan::GroupBy {
-                            input: Box::new(ic.plan.clone()),
-                            keys: vec![key.to_owned()],
-                            aggs: aggs.to_vec(),
-                            algo,
-                            molecules: par_molecules,
-                        }),
-                        dop: opt.dop,
-                    },
-                    cost: ic.cost
-                        + opt
-                            .model
-                            .parallel_grouping(algo, ic.props.rows as f64, g, opt.dop),
-                    sort_col: Some(key.to_owned()),
-                    props: opt.mode.project(par_props),
-                });
-            }
             opt.fire("group-by-impl");
-            out.push(Candidate {
-                plan,
+            let serial = Candidate {
+                plan: PhysicalPlan::GroupBy {
+                    input: Box::new(ic.plan.clone()),
+                    keys: vec![key.to_owned()],
+                    aggs: aggs.to_vec(),
+                    algo,
+                    molecules: opt.grouping_molecules(algo, key_stats, ic),
+                },
                 cost,
                 sort_col: sorted.then(|| key.to_owned()),
                 props,
-            });
+            };
+            let in_rows = ic.props.rows as f64;
+            out.extend(opt.parallel_twin(&serial, ic.cost, |m, dop| {
+                m.parallel_grouping(algo, in_rows, g, dop)
+            }));
+            out.push(serial);
         }
     }
     if out.is_empty() {
@@ -539,8 +450,8 @@ fn group_by_rules(
 }
 
 /// Implementation rules for a **composite** (multi-column) grouping. The
-/// executor runs these on the 64-bit packed-value domain where the
-/// per-column widths allow, so the Table-2 arithmetic carries over with
+/// executor runs these on the `u32` packed-code domain where the
+/// per-column spans allow, so the Table-2 arithmetic carries over with
 /// one extension: a normalise-and-pack pass per extra key column
 /// ([`crate::cost::CostModel::composite_key_pack`]). Applicable
 /// organelles are the ones with packed serial kernels *and* parallel
@@ -559,7 +470,19 @@ fn composite_group_by_rules(
     // SOG/HG/SPHG need no input order, so no sort enforcers here; the
     // first key is the focus column for scan properties.
     let input_cands = opt.explore(input_gid, Some(&keys[0]))?.as_ref().clone();
-    let key_stats = opt.composite_key_stats(node, keys);
+    let tables = node.tables();
+    let cols: Option<Vec<DataProps>> = keys
+        .iter()
+        .map(|key| opt.catalog.resolve_column(tables.iter().copied(), key))
+        .collect();
+    // The composite key's properties derive through the same
+    // `combine_composite_props` AV planning uses; `None` when a key
+    // column has no statistics (and then nothing proves it packs).
+    let key_stats = cols.as_deref().map(|cols| {
+        opt.mode
+            .project(PlanProps::from_data(&combine_composite_props(cols)))
+    });
+    let packs = cols.as_deref().is_some_and(composite_packs);
     let key_dense = key_stats.map(|p| p.admits_sph()).unwrap_or(false);
     let key_range = key_stats.and_then(|p| p.key_range);
     let g = rows.max(1) as f64;
@@ -619,50 +542,28 @@ fn composite_group_by_rules(
                 key_range,
                 rows,
             });
-            let molecules = match opt.mode {
-                OptimizerMode::Deep => {
-                    let mut ref_props = key_stats.unwrap_or(ic.props);
-                    ref_props.rows = ic.props.rows;
-                    refine_grouping_molecules(algo, &ref_props, &MoleculeCosts::default())
-                }
-                OptimizerMode::Shallow => GroupingMolecules::defaults_for(algo),
-            };
-            let plan = PhysicalPlan::GroupBy {
-                input: Box::new(ic.plan.clone()),
-                keys: keys.to_vec(),
-                aggs: aggs.to_vec(),
-                algo,
-                molecules,
-            };
-            if opt.dop > 1 {
-                let mut par_molecules = molecules;
-                par_molecules.load_loop = Some(dqo_plan::LoopMolecule::Parallel);
-                opt.fire("group-by-parallel-twin");
-                out.push(Candidate {
-                    plan: PhysicalPlan::Exchange {
-                        input: Box::new(PhysicalPlan::GroupBy {
-                            input: Box::new(ic.plan.clone()),
-                            keys: keys.to_vec(),
-                            aggs: aggs.to_vec(),
-                            algo,
-                            molecules: par_molecules,
-                        }),
-                        dop: opt.dop,
-                    },
-                    // The pack pass stays serial; only the grouping
-                    // itself divides.
-                    cost: ic.cost + pack + opt.model.parallel_grouping(algo, in_rows, g, opt.dop),
-                    sort_col: Some(keys[0].clone()),
-                    props,
-                });
-            }
             opt.fire("group-by-impl");
-            out.push(Candidate {
-                plan,
+            let serial = Candidate {
+                plan: PhysicalPlan::GroupBy {
+                    input: Box::new(ic.plan.clone()),
+                    keys: keys.to_vec(),
+                    aggs: aggs.to_vec(),
+                    algo,
+                    molecules: opt.grouping_molecules(algo, key_stats, ic),
+                },
                 cost,
                 sort_col: Some(keys[0].clone()),
                 props,
-            });
+            };
+            // Keys that cannot pack run the serial row-wise kernel, so
+            // only packable ones have a parallel twin; the pack pass stays
+            // serial and only the grouping itself divides.
+            if packs {
+                out.extend(opt.parallel_twin(&serial, ic.cost + pack, |m, dop| {
+                    m.parallel_grouping(algo, in_rows, g, dop)
+                }));
+            }
+            out.push(serial);
         }
     }
     if out.is_empty() {
@@ -691,33 +592,69 @@ impl MemoOptimizer<'_> {
     }
 
     /// The sort-enforcer alternatives for an unsorted candidate: the
-    /// serial enforcer plus, at `dop > 1`, its Exchange-wrapped twin
-    /// (morsel-parallel run formation + Merge Path merge). The parallel
-    /// sort is stable by construction, so both provide the identical
-    /// ascending-order property.
+    /// serial enforcer plus its parallel twin (morsel-parallel run
+    /// formation + Merge Path merge).
     fn sort_enforcer_candidates(&mut self, c: Candidate, key: &str) -> Vec<Candidate> {
-        let mut out = Vec::with_capacity(2);
-        if self.dop > 1 {
-            let mut props = c.props;
+        let (inputs, rows) = (c.cost, c.props.rows as f64);
+        let serial = self.add_sort(c, key);
+        let twin = self.parallel_twin(&serial, inputs, |m, dop| m.parallel_sort(rows, dop));
+        twin.into_iter().chain([serial]).collect()
+    }
+
+    /// The parallel-twin rule — the one place a plan gains an `Exchange`:
+    /// at `dop > 1`, the `Exchange{dop}`-wrapped copy of `serial` when its
+    /// operator has a morsel-parallel kernel
+    /// ([`PhysicalPlan::has_parallel_kernel`]), priced at what the
+    /// operator's inputs cost plus `parallel`, the operator's price at the
+    /// granted DOP. The twin keeps the serial candidate's properties —
+    /// the parallel filter, sort and joins emit what their serial kernels
+    /// emit — except that a parallel grouping's deterministic merge
+    /// emits ascending keys, a property serial HG lacks.
+    fn parallel_twin(
+        &mut self,
+        serial: &Candidate,
+        inputs: f64,
+        parallel: impl FnOnce(&dyn CostModel, usize) -> f64,
+    ) -> Option<Candidate> {
+        if self.dop < 2 || !serial.plan.has_parallel_kernel() {
+            return None;
+        }
+        let (mut props, mut sort_col) = (serial.props, serial.sort_col.clone());
+        if let PhysicalPlan::GroupBy { keys, .. } = &serial.plan {
             props.sortedness = Sortedness::Ascending;
             props.partitioned = true;
-            self.fire("sort-parallel-enforcer");
-            out.push(Candidate {
-                cost: c.cost + self.model.parallel_sort(c.props.rows as f64, self.dop),
-                plan: PhysicalPlan::Exchange {
-                    input: Box::new(PhysicalPlan::Sort {
-                        input: Box::new(c.plan.clone()),
-                        key: key.to_owned(),
-                        molecule: SortMolecule::Comparison,
-                    }),
-                    dop: self.dop,
-                },
-                props,
-                sort_col: Some(key.to_owned()),
-            });
+            sort_col = Some(keys[0].clone());
         }
-        out.push(self.add_sort(c, key));
-        out
+        self.fire("parallel-twin");
+        Some(Candidate {
+            plan: PhysicalPlan::Exchange {
+                input: Box::new(serial.plan.clone()),
+                dop: self.dop,
+            },
+            cost: inputs + parallel(self.model, self.dop),
+            props,
+            sort_col,
+        })
+    }
+
+    /// The molecules under grouping organelle `algo` — the step Table 1
+    /// adds below the organelle: deep mode refines them from the key's
+    /// statistics (the input's properties when it has none); shallow mode
+    /// ships the developer defaults behind the organelle name.
+    fn grouping_molecules(
+        &self,
+        algo: GroupingImpl,
+        key_stats: Option<PlanProps>,
+        input: &Candidate,
+    ) -> GroupingMolecules {
+        match self.mode {
+            OptimizerMode::Deep => refine_grouping_molecules(
+                algo,
+                &key_stats.unwrap_or(input.props),
+                &MoleculeCosts::default(),
+            ),
+            OptimizerMode::Shallow => GroupingMolecules::defaults_for(algo),
+        }
     }
 
     /// Is this candidate's output usable as "sorted by `key`" under the
@@ -796,20 +733,5 @@ impl MemoOptimizer<'_> {
             rows,
         };
         self.mode.project(props)
-    }
-
-    /// The composite key's plan properties, derived from the per-column
-    /// catalog statistics through the same
-    /// [`crate::av::combine_composite_props`] bundle AV planning uses
-    /// (one derivation, no drift). `None` when any key column has no
-    /// statistics.
-    fn composite_key_stats(&self, node: &LogicalPlan, keys: &[String]) -> Option<PlanProps> {
-        let tables = node.tables();
-        let cols: Option<Vec<dqo_storage::DataProps>> = keys
-            .iter()
-            .map(|key| self.catalog.resolve_column(tables.iter().copied(), key))
-            .collect();
-        let combined = crate::av::combine_composite_props(&cols?);
-        Some(self.mode.project(PlanProps::from_data(&combined)))
     }
 }

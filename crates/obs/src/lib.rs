@@ -92,9 +92,10 @@ pub mod names {
     pub const AV_DELTA_ROWS: &str = "dqo_av_delta_rows_total";
     /// Wall time of one AV's maintenance step on append (histogram, s).
     pub const AV_DELTA_SECONDS: &str = "dqo_av_delta_seconds";
-    /// Logical groups interned in the session's optimiser memo (gauge).
+    /// Logical groups interned in the most recent search's memo (gauge).
     pub const OPT_GROUPS: &str = "dqo_opt_groups";
-    /// Retained physical candidates across memo winner tables (gauge).
+    /// Retained physical candidates across the most recent search's
+    /// winner tables (gauge).
     pub const OPT_GROUP_EXPRS: &str = "dqo_opt_group_exprs";
     /// Optimiser rule applications that produced candidates (counter).
     pub const OPT_RULES_FIRED: &str = "dqo_opt_rules_fired_total";

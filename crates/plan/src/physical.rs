@@ -7,9 +7,7 @@
 //! fields at their developer defaults, which is precisely SQO's behaviour
 //! per Table 1.
 
-use crate::algorithms::{
-    GroupingImpl, HashFnMolecule, JoinImpl, LoopMolecule, SortMolecule, TableMolecule,
-};
+use crate::algorithms::{GroupingImpl, HashFnMolecule, JoinImpl, SortMolecule, TableMolecule};
 use crate::expr::{AggExpr, Predicate};
 use std::fmt;
 
@@ -21,8 +19,6 @@ pub struct GroupingMolecules {
     pub table: Option<TableMolecule>,
     /// Hash function (hash-based tables only).
     pub hash: Option<HashFnMolecule>,
-    /// Load loop strategy.
-    pub load_loop: Option<LoopMolecule>,
 }
 
 impl GroupingMolecules {
@@ -33,19 +29,16 @@ impl GroupingMolecules {
             GroupingImpl::Hg => GroupingMolecules {
                 table: Some(TableMolecule::Chaining),
                 hash: Some(HashFnMolecule::Murmur3),
-                load_loop: Some(LoopMolecule::Serial),
             },
             GroupingImpl::Sphg => GroupingMolecules {
                 table: Some(TableMolecule::StaticPerfectHash),
                 hash: None,
-                load_loop: Some(LoopMolecule::Serial),
             },
             GroupingImpl::Og => GroupingMolecules::default(),
             GroupingImpl::Sog => GroupingMolecules::default(),
             GroupingImpl::Bsg => GroupingMolecules {
                 table: Some(TableMolecule::SortedArray),
                 hash: None,
-                load_loop: Some(LoopMolecule::Serial),
             },
         }
     }
@@ -133,11 +126,12 @@ pub enum PhysicalPlan {
         n: u64,
     },
     /// Morsel-driven parallel execution of the operator below at a given
-    /// degree of parallelism — the DOP annotation the optimiser attaches
-    /// when the DOP-aware cost model says the startup + merge overhead
-    /// pays off. The executor runs the child's work-sensitive phase on
-    /// `dqo-parallel`; an `Exchange` around an operator the parallel
-    /// runtime does not cover degrades gracefully to serial execution.
+    /// degree of parallelism — the plan's only statement of parallelism,
+    /// attached when the DOP-aware cost model says the startup + merge
+    /// overhead pays off. The executor runs the child's work-sensitive
+    /// phase on `dqo-parallel` when the child is in the kernel list,
+    /// [`PhysicalPlan::has_parallel_kernel`]; an `Exchange` around any
+    /// other operator degrades to serial execution.
     Exchange {
         /// The operator to parallelise.
         input: Box<PhysicalPlan>,
@@ -158,6 +152,25 @@ impl PhysicalPlan {
             | PhysicalPlan::Limit { input, .. }
             | PhysicalPlan::Exchange { input, .. } => vec![input],
             PhysicalPlan::Join { left, right, .. } => vec![left, right],
+        }
+    }
+
+    /// Whether this operator has a morsel-parallel kernel — the one list
+    /// of what an [`PhysicalPlan::Exchange`] above it can run in
+    /// parallel: filter, sort, the HJ / SPHJ / SOJ joins and the
+    /// HG / SPHG / SOG groupings. The optimiser's parallel-twin rule and
+    /// the executor both read it.
+    pub fn has_parallel_kernel(&self) -> bool {
+        match self {
+            PhysicalPlan::Filter { .. } | PhysicalPlan::Sort { .. } => true,
+            PhysicalPlan::Join { algo, .. } => {
+                matches!(algo, JoinImpl::Hj | JoinImpl::Sphj | JoinImpl::Soj)
+            }
+            PhysicalPlan::GroupBy { algo, .. } => matches!(
+                algo,
+                GroupingImpl::Hg | GroupingImpl::Sphg | GroupingImpl::Sog
+            ),
+            _ => false,
         }
     }
 
@@ -279,9 +292,6 @@ impl PhysicalPlan {
                 if let Some(h) = molecules.hash {
                     mol.push(format!("hash={h}"));
                 }
-                if let Some(l) = molecules.load_loop {
-                    mol.push(format!("load={l}"));
-                }
                 let mol = if mol.is_empty() {
                     String::new()
                 } else {
@@ -342,7 +352,6 @@ mod tests {
         let m = GroupingMolecules::defaults_for(GroupingImpl::Hg);
         assert_eq!(m.table, Some(TableMolecule::Chaining));
         assert_eq!(m.hash, Some(HashFnMolecule::Murmur3));
-        assert_eq!(m.load_loop, Some(LoopMolecule::Serial));
     }
 
     #[test]

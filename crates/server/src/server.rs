@@ -383,9 +383,9 @@ impl Connection {
             Err(e) => return sql_error(&e),
         };
         match self.engine.insert(&stmt.table, &rows) {
-            // Background AV rebuilds (if the delta policy chose any)
+            // Background AV rebuilds (an SPH index whose key domain grew)
             // finish on the builder's own threads; the client only waits
-            // for the base table and merge-maintained views.
+            // for the base table and the views maintained inline.
             Ok(report) => ServerFrame::RowsAffected {
                 rows: report.rows_inserted,
             },

@@ -3,18 +3,13 @@
 //! 1. AVSP — give the engine a workload and a space budget and let it
 //!    decide which granules to precompute (sorted projections, SPH join
 //!    indexes, materialised groupings);
-//! 2. partial AVs — freeze some molecule decisions offline, leave the
-//!    rest for query time;
-//! 3. runtime-adaptive AVs — a cracking column that *becomes* an index as
+//! 2. runtime-adaptive AVs — a cracking column that *becomes* an index as
 //!    queries touch it.
 //!
 //! Run with: `cargo run --release --example algorithmic_views`
 
 use dqo::core::adaptive::CrackedColumn;
 use dqo::core::avsp::{Solver, WorkloadQuery};
-use dqo::core::partial_av::{OpenDecision, PartialAv};
-use dqo::plan::physical::GroupingMolecules;
-use dqo::plan::GroupingImpl;
 use dqo::storage::datagen::DatasetSpec;
 use dqo::Dqo;
 
@@ -86,30 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("    hot-query planned cost: {before:.0} → {after:.0}\n");
     }
 
-    // --- 2. Partial AVs ----------------------------------------------------
-    println!("=== Partial AVs: freeze offline, adapt at query time ===\n");
-    let defaults = GroupingMolecules::defaults_for(GroupingImpl::Hg);
-    let mut pav = PartialAv::fully_open("grouping-granule");
-    println!("{pav}");
-    for d in [OpenDecision::LoadLoop, OpenDecision::HashFunction] {
-        pav = pav.freeze(d, &defaults);
-        println!(
-            "freeze {d} → {} query-time decisions left",
-            pav.query_time_decisions()
-        );
-    }
-    // At query time, the one open decision (table kind) adapts to density:
-    let dense_props = {
-        let stats = db.engine().catalog().column_props("events", "key")?;
-        dqo::plan::PlanProps::from_data(&stats)
-    };
-    let chosen = pav.complete(&dense_props);
-    println!(
-        "query-time completion on a dense input picks table = {:?}\n",
-        chosen.table
-    );
-
-    // --- 3. Adaptive AV: database cracking ---------------------------------
+    // --- 2. Adaptive AV: database cracking ---------------------------------
     println!("=== Adaptive AV: a column that becomes an index as it is queried ===\n");
     let data = DatasetSpec::new(1_000_000, 100_000)
         .sorted(false)

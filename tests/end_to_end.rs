@@ -355,43 +355,3 @@ fn explain_analyze_reports_measurements() {
     assert!(text.contains("pipeline:"));
     assert!(text.contains("SPHG"));
 }
-
-#[test]
-fn partial_av_freezes_molecules_at_query_time() {
-    use dqo::core::partial_av::{OpenDecision, PartialAv};
-    use dqo::plan::physical::GroupingMolecules;
-    use dqo::plan::{HashFnMolecule, TableMolecule};
-
-    let db = Dqo::new();
-    db.register_table(
-        "t",
-        DatasetSpec::new(4_000, 800)
-            .sorted(false)
-            .dense(false)
-            .relation()
-            .unwrap(),
-    );
-    let sql = "SELECT key, COUNT(*) FROM t GROUP BY key";
-    // Without a partial AV, deep mode refines molecules freely.
-    let free = db.explain(sql).unwrap();
-    assert!(free.contains("HG"), "{free}");
-
-    // Freeze the table kind to chaining offline; leave hash/loop open.
-    let pav = PartialAv::fully_open("t-grouping").freeze(
-        OpenDecision::TableKind,
-        &GroupingMolecules {
-            table: Some(TableMolecule::Chaining),
-            ..Default::default()
-        },
-    );
-    db.engine().avs().register_partial("t", "key", pav);
-    let pinned = db.explain(sql).unwrap();
-    assert!(pinned.contains("table=chaining"), "{pinned}");
-    // The open hash decision still adapted at query time (sparse keys →
-    // a real hash function, not identity).
-    assert!(pinned.contains("hash=murmur3"), "{pinned}");
-    // Results remain correct.
-    let r = db.sql(sql).unwrap();
-    assert_eq!(r.output.relation.rows(), 800);
-    let _ = HashFnMolecule::Murmur3; // silence unused import path in case of edits
-}

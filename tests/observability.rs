@@ -13,7 +13,7 @@
 use dqo::core::executor::sorted_rows;
 use dqo::obs::names;
 use dqo::storage::datagen::DatasetSpec;
-use dqo::storage::Value;
+use dqo::storage::{Column, DataType, Field, Schema, Value};
 use dqo::{Dqo, Engine, MetricsRegistry, PersistentPool, Phase};
 use std::sync::Arc;
 
@@ -72,6 +72,46 @@ fn explain_analyze_annotates_every_operator_of_a_parallel_plan() {
     assert!(text.contains("dop=4"), "missing parallel detail:\n{text}");
     assert!(text.contains("morsels="), "{text}");
     assert!(text.contains("steals="), "{text}");
+}
+
+#[test]
+fn an_exchange_over_a_composite_grouping_dispatches_morsels() {
+    // Columns `a` and `b` each take the values {0, 100 000}: four groups,
+    // but the product of the two value spans (≈ 1.0 × 10¹⁰) leaves the
+    // `u32` code domain, so the key tuples cannot pack and the executor
+    // groups them with its serial row-wise kernel. No plan may then
+    // claim an `Exchange` over that grouping.
+    let rows = 300_000u32;
+    let value = |bit: u32| (0..rows).map(move |i| ((i >> bit) & 1) * 100_000);
+    let rel = dqo::Relation::new(
+        Schema::new(vec![
+            Field::new("a", DataType::U32),
+            Field::new("b", DataType::U32),
+        ])
+        .unwrap(),
+        vec![
+            Column::U32(value(0).collect()),
+            Column::U32(value(1).collect()),
+        ],
+    )
+    .unwrap();
+    let db = Dqo::with_engine(Engine::new().with_threads(4).with_tracing(true));
+    db.register_table("t", rel);
+    let result = db
+        .sql("SELECT a, b, COUNT(*) AS n FROM t GROUP BY a, b")
+        .expect("query runs");
+    assert_eq!(result.output.relation.rows(), 4);
+    let plan = &result.planned.plan;
+    let nodes = &result.ops.nodes;
+    for (i, node) in plan.preorder().into_iter().enumerate() {
+        if matches!(node, dqo::plan::PhysicalPlan::Exchange { .. }) && nodes[i + 1].rows_out > 0 {
+            assert!(
+                nodes[i].morsels > 0,
+                "an Exchange ran serially:\n{}",
+                plan.explain()
+            );
+        }
+    }
 }
 
 #[test]

@@ -665,7 +665,7 @@ fn multi_column_grouping_kernels_bit_identical_across_dop() {
 #[test]
 fn parallel_hg_runs_every_planned_molecule_pair() {
     use dqo::plan::physical::GroupingMolecules;
-    use dqo::plan::{GroupingImpl, HashFnMolecule, LoopMolecule, PhysicalPlan, TableMolecule};
+    use dqo::plan::{GroupingImpl, HashFnMolecule, PhysicalPlan, TableMolecule};
 
     // The plan names a (table, hash) molecule pair for HG; serial and
     // morsel-parallel execution must both run it, and whichever pair it
@@ -692,7 +692,6 @@ fn parallel_hg_runs_every_planned_molecule_pair() {
         molecules: GroupingMolecules {
             table: Some(table),
             hash: Some(hash),
-            load_loop: Some(LoopMolecule::Serial),
         },
     };
     let mut first: Option<dqo::Relation> = None;

@@ -1,5 +1,7 @@
 //! Golden plan snapshots: the optimiser's chosen plan (EXPLAIN tree +
-//! estimated cost) for a corpus of queries, pinned at DOP 1 and 4.
+//! estimated cost) for a corpus of queries, pinned at DOP 1 and 4 — and,
+//! over the same corpus, the contract that `Exchange` is a plan's only
+//! statement of parallelism and that every one it states really runs.
 //!
 //! Any change to enumeration order, costing, property derivation or the
 //! memo that moves a winning plan shows up here as a readable diff. To
@@ -11,10 +13,12 @@
 //! ```
 
 use dqo::core::catalog::Catalog;
-use dqo::core::memo::Memo;
-use dqo::core::optimizer::{optimize_in, OptimizerMode, PropertyModel, SearchContext};
+use dqo::core::executor::{execute_with, ExecContext};
+use dqo::core::optimizer::{
+    optimize_in, OptimizerMode, PlannedQuery, PropertyModel, SearchContext,
+};
 use dqo::plan::expr::{AggExpr, CmpOp, Predicate};
-use dqo::plan::LogicalPlan;
+use dqo::plan::{LogicalPlan, PhysicalPlan};
 use dqo::storage::datagen::{DatasetSpec, ForeignKeySpec};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -197,17 +201,21 @@ fn corpus_queries() -> Vec<(&'static str, Arc<LogicalPlan>)> {
     ]
 }
 
+fn plan(cat: &Catalog, q: &LogicalPlan, dop: usize) -> PlannedQuery {
+    let ctx = SearchContext {
+        pmodel: PropertyModel::AttributeStrict,
+        dop,
+        ..SearchContext::new(OptimizerMode::Deep)
+    };
+    optimize_in(q, cat, &ctx).unwrap()
+}
+
 fn render_snapshot() -> String {
     let cat = corpus_catalog();
     let mut out = String::new();
     for (name, q) in corpus_queries() {
         for dop in [1usize, 4] {
-            let ctx = SearchContext {
-                pmodel: PropertyModel::AttributeStrict,
-                dop,
-                ..SearchContext::new(OptimizerMode::Deep)
-            };
-            let planned = optimize_in(&mut Memo::new(), &q, &cat, &ctx).unwrap();
+            let planned = plan(&cat, &q, dop);
             writeln!(out, "== {name} | dop={dop} | cost={}", planned.est_cost).unwrap();
             out.push_str(planned.plan.explain().trim_end());
             out.push_str("\n\n");
@@ -230,4 +238,53 @@ fn plans_match_golden_snapshots() {
         "winning plans moved; if intentional, regenerate with \
          DQO_UPDATE_SNAPSHOTS=1 and review the diff"
     );
+}
+
+#[test]
+fn explain_names_parallelism_only_on_exchange_lines() {
+    let cat = corpus_catalog();
+    for (name, q) in corpus_queries() {
+        for dop in [1usize, 4] {
+            let planned = plan(&cat, &q, dop);
+            let text = planned.plan.explain();
+            for line in text.lines() {
+                assert!(
+                    !line.contains("parallel") || line.trim_start().starts_with("Exchange dop="),
+                    "{name} dop={dop}: parallelism named off an Exchange line:\n{text}"
+                );
+            }
+            for node in planned.plan.preorder() {
+                if let PhysicalPlan::Exchange { input, .. } = node {
+                    assert!(
+                        input.has_parallel_kernel(),
+                        "{name} dop={dop}: Exchange over an operator with no parallel kernel:\n{text}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Every `Exchange` of a traced run dispatched morsels whenever its input
+/// produced rows: a plan never states a parallelism its run lacked.
+#[test]
+fn every_exchange_in_the_corpus_dispatches_morsels() {
+    let cat = corpus_catalog();
+    let traced = ExecContext {
+        collect_metrics: true,
+        ..ExecContext::default()
+    };
+    for (name, q) in corpus_queries() {
+        let plan = plan(&cat, &q, 4).plan;
+        let (_, nodes) = execute_with(&plan, &cat, &traced).unwrap();
+        for (i, node) in plan.preorder().into_iter().enumerate() {
+            if matches!(node, PhysicalPlan::Exchange { .. }) && nodes[i + 1].rows_out > 0 {
+                assert!(
+                    nodes[i].morsels > 0,
+                    "{name}: an Exchange ran serially:\n{}",
+                    plan.explain()
+                );
+            }
+        }
+    }
 }

@@ -11,14 +11,14 @@
 //! * **concurrent** — threads sharing one engine get the serial answers
 //!   and lose no count.
 //!
-//! The cold search is `optimize_in` over a fresh [`Memo`], handed the
+//! The cold search is a fresh [`MemoOptimizer`] search, handed the
 //! engine's own feedback store so the comparison still holds after a
 //! correction is learned.
 
 use dqo::core::av::{AvKind, AvSignature};
 use dqo::core::executor::sorted_rows;
-use dqo::core::memo::Memo;
-use dqo::core::optimizer::{optimize_in, PlannedQuery, PropertyModel, SearchContext};
+use dqo::core::memo::MemoOptimizer;
+use dqo::core::optimizer::{PlannedQuery, PropertyModel, SearchContext};
 use dqo::core::plan_cache::DEFAULT_CAPACITY;
 use dqo::core::Engine;
 use dqo::obs::{names, MetricsRegistry};
@@ -110,7 +110,6 @@ fn rules_fired(engine: &Engine) -> u64 {
 
 /// What a search that shares nothing with the engine's store returns now.
 fn cold_search(engine: &Engine, q: &LogicalPlan) -> (PlannedQuery, usize) {
-    let mut memo = Memo::new();
     let ctx = SearchContext {
         avs: Some(engine.avs()),
         pmodel: PropertyModel::default(),
@@ -119,8 +118,9 @@ fn cold_search(engine: &Engine, q: &LogicalPlan) -> (PlannedQuery, usize) {
         pruning: engine.pruning(),
         ..SearchContext::new(engine.mode())
     };
-    let planned = optimize_in(&mut memo, q, engine.catalog(), &ctx).expect("plans");
-    (planned, memo.group_count())
+    let mut search = MemoOptimizer::new(engine.catalog(), &ctx);
+    let planned = search.optimize(q).expect("plans");
+    (planned, search.memo().group_count())
 }
 
 #[test]

@@ -3,7 +3,6 @@
 //! robustness.
 
 use dqo::core::executor::{naive_eval, sorted_rows};
-use dqo::core::memo::Memo;
 use dqo::core::optimizer::{
     optimize_in, OptimizerMode, PlannedQuery, PropertyModel, SearchContext,
 };
@@ -19,7 +18,7 @@ fn optimize_strict(q: &LogicalPlan, catalog: &Catalog, mode: OptimizerMode) -> P
         pmodel: PropertyModel::AttributeStrict,
         ..SearchContext::new(mode)
     };
-    optimize_in(&mut Memo::new(), q, catalog, &ctx).unwrap()
+    optimize_in(q, catalog, &ctx).unwrap()
 }
 
 /// Build a two-column relation r(id, a) and one-column fk side s(r_id)

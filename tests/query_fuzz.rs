@@ -18,7 +18,6 @@
 use dqo::core::av::{AvKind, AvSignature};
 use dqo::core::avsp::{Solver, WorkloadQuery};
 use dqo::core::executor::{execute, naive_eval, sorted_rows};
-use dqo::core::memo::Memo;
 use dqo::core::optimizer::{enumerate_candidates, optimize_in, OptimizerMode, SearchContext};
 use dqo::core::profile::estimate_rows;
 use dqo::core::{prune_partitions, Catalog};
@@ -496,8 +495,7 @@ fn check_partitioned(
 
 /// The rows `EXPLAIN ANALYZE` shows for `s`'s chosen plan under `ctx`.
 fn shown_rows(s: &LogicalPlan, catalog: &Catalog, ctx: &SearchContext) -> Result<u64, String> {
-    let planned =
-        optimize_in(&mut Memo::new(), s, catalog, ctx).map_err(|e| format!("optimise {s}: {e}"))?;
+    let planned = optimize_in(s, catalog, ctx).map_err(|e| format!("optimise {s}: {e}"))?;
     Ok(estimate_rows(&planned.plan, catalog, ctx.feedback)[0])
 }
 
