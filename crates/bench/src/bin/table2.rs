@@ -8,7 +8,7 @@
 use dqo_bench::report::Table;
 use dqo_bench::Args;
 use dqo_core::cost::{CostModel, TupleCostModel};
-use dqo_plan::{GroupingImpl, JoinImpl};
+use dqo_plan::{GroupingAlgorithm, JoinAlgorithm};
 
 fn main() {
     let args = Args::from_env();
@@ -17,29 +17,29 @@ fn main() {
     // grouping input 90,000 (the join output), 20,000 groups.
     let (r, s, j, g) = (25_000.0, 90_000.0, 90_000.0, 20_000.0);
 
-    let grouping_formula = |a: GroupingImpl| match a {
-        GroupingImpl::Hg => "4·|R|",
-        GroupingImpl::Og => "|R|",
-        GroupingImpl::Sog => "|R|·log2(|R|) + |R|",
-        GroupingImpl::Sphg => "|R|",
-        GroupingImpl::Bsg => "|R|·log2(#groups)",
+    let grouping_formula = |a: GroupingAlgorithm| match a {
+        GroupingAlgorithm::HashBased => "4·|R|",
+        GroupingAlgorithm::OrderBased => "|R|",
+        GroupingAlgorithm::SortOrderBased => "|R|·log2(|R|) + |R|",
+        GroupingAlgorithm::StaticPerfectHash => "|R|",
+        GroupingAlgorithm::BinarySearch => "|R|·log2(#groups)",
     };
-    let join_formula = |a: JoinImpl| match a {
-        JoinImpl::Hj => "4·(|R|+|S|)",
-        JoinImpl::Oj => "|R|+|S|",
-        JoinImpl::Soj => "|R|·log2(|R|) + |S|·log2(|S|) + |R|+|S|",
-        JoinImpl::Sphj => "|R|+|S|",
-        JoinImpl::Bsj => "(|R|+|S|)·log2(#groups)",
+    let join_formula = |a: JoinAlgorithm| match a {
+        JoinAlgorithm::HashBased => "4·(|R|+|S|)",
+        JoinAlgorithm::OrderBased => "|R|+|S|",
+        JoinAlgorithm::SortOrderBased => "|R|·log2(|R|) + |S|·log2(|S|) + |R|+|S|",
+        JoinAlgorithm::StaticPerfectHash => "|R|+|S|",
+        JoinAlgorithm::BinarySearch => "(|R|+|S|)·log2(#groups)",
     };
 
     println!("Table 2: cost models (evaluated at |R|=25k, |S|=90k, |J|=90k, g=20k)\n");
     let mut grouping = Table::new(&["family", "grouping", "formula", "cost at |J|=90k"]);
     let rows = [
-        ("hash-based", GroupingImpl::Hg),
-        ("order-based", GroupingImpl::Og),
-        ("sort & order-based", GroupingImpl::Sog),
-        ("static perfect hash", GroupingImpl::Sphg),
-        ("binary search-based", GroupingImpl::Bsg),
+        ("hash-based", GroupingAlgorithm::HashBased),
+        ("order-based", GroupingAlgorithm::OrderBased),
+        ("sort & order-based", GroupingAlgorithm::SortOrderBased),
+        ("static perfect hash", GroupingAlgorithm::StaticPerfectHash),
+        ("binary search-based", GroupingAlgorithm::BinarySearch),
     ];
     for (family, algo) in rows {
         grouping.row(vec![
@@ -51,11 +51,11 @@ fn main() {
     }
     let mut join = Table::new(&["family", "join", "formula", "cost at |R|=25k,|S|=90k"]);
     let rows = [
-        ("hash-based", JoinImpl::Hj),
-        ("order-based", JoinImpl::Oj),
-        ("sort & order-based", JoinImpl::Soj),
-        ("static perfect hash", JoinImpl::Sphj),
-        ("binary search-based", JoinImpl::Bsj),
+        ("hash-based", JoinAlgorithm::HashBased),
+        ("order-based", JoinAlgorithm::OrderBased),
+        ("sort & order-based", JoinAlgorithm::SortOrderBased),
+        ("static perfect hash", JoinAlgorithm::StaticPerfectHash),
+        ("binary search-based", JoinAlgorithm::BinarySearch),
     ];
     for (family, algo) in rows {
         join.row(vec![
@@ -76,7 +76,7 @@ fn main() {
     }
     println!(
         "\nIdentity check: Sort(R) + Sort(S) + OJ = {:.0} equals SOJ = {:.0}",
-        m.sort(r) + m.sort(s) + m.join(JoinImpl::Oj, r, s, r),
-        m.join(JoinImpl::Soj, r, s, r)
+        m.sort(r) + m.sort(s) + m.join(JoinAlgorithm::OrderBased, r, s, r),
+        m.join(JoinAlgorithm::SortOrderBased, r, s, r)
     );
 }

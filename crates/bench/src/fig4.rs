@@ -4,7 +4,7 @@
 use dqo_exec::aggregate::CountSum;
 use dqo_exec::grouping::{execute_grouping, GroupingAlgorithm, GroupingHints};
 use dqo_storage::datagen::DatasetSpec;
-use dqo_storage::stats::detect_props;
+use dqo_storage::DataProps;
 use std::time::Instant;
 
 /// One of the four dataset shapes (the plots of Figure 4).
@@ -101,7 +101,7 @@ pub fn measure_cell(
         .dense(shape.dense)
         .generate()
         .expect("valid spec");
-    let props = detect_props(&keys);
+    let props = DataProps::compute(&keys);
     let mut known: Vec<u32> = keys.clone();
     known.sort_unstable();
     known.dedup();

@@ -45,9 +45,9 @@ use dqo_exec::join::sphj::SphIndex;
 use dqo_exec::sort::argsort;
 use dqo_parallel::{
     parallel_argsort, parallel_gather, parallel_grouping, parallel_sph_index_build,
-    GroupingStrategy, RunSortMolecule, ThreadPool, DEFAULT_MORSEL_ROWS,
+    GroupingStrategy, ThreadPool, DEFAULT_MORSEL_ROWS,
 };
-use dqo_plan::PlanProps;
+use dqo_plan::{PlanProps, SortMolecule};
 use dqo_storage::{Column, DataType, Field, Relation, Schema, Sortedness};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -348,7 +348,7 @@ pub(crate) fn key_columns<'r>(rel: &'r Relation, sig: &AvSignature) -> Result<Ve
 /// pool.
 pub(crate) fn key_order(key_cols: &[&[u32]], pool: Option<&ThreadPool>) -> Result<Vec<u32>> {
     let sort = |keys: &[u32]| match pool {
-        Some(tp) => Ok(parallel_argsort(tp, keys, RunSortMolecule::Comparison, &[])?.0),
+        Some(tp) => Ok(parallel_argsort(tp, keys, SortMolecule::Comparison, &[])?.0),
         None => Ok(argsort(keys)),
     };
     if let [keys] = key_cols {
@@ -651,12 +651,6 @@ impl AvCatalog {
     /// Total bytes across registered AVs.
     pub fn total_bytes(&self) -> usize {
         self.views.read().values().map(|v| v.byte_size).sum()
-    }
-
-    /// Total offline build cost across registered AVs — the "how much time
-    /// do I want to spend on DQO offline" side of the §3 trade-off.
-    pub fn total_build_cost(&self) -> f64 {
-        self.views.read().values().map(|v| v.build_cost).sum()
     }
 }
 

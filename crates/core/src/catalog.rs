@@ -6,7 +6,7 @@
 
 use crate::error::CoreError;
 use crate::Result;
-use dqo_storage::{stats, DataProps, DataType, PartitionedRelation, Partitioning, Relation};
+use dqo_storage::{DataProps, DataType, PartitionedRelation, Partitioning, Relation};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,7 +44,7 @@ impl TableEntry {
             if matches!(field.data_type, DataType::U32 | DataType::Str) {
                 if let Ok(col) = relation.column(&field.name) {
                     if let Ok(data) = col.as_u32() {
-                        column_props.insert(field.name.clone(), stats::detect_props(data));
+                        column_props.insert(field.name.clone(), DataProps::compute(data));
                     }
                 }
             }

@@ -14,7 +14,7 @@
 //! pieces, which is exactly what Figure 5's 2.8× cell requires.
 
 use crate::av::AvKind;
-use dqo_plan::{GroupingImpl, JoinImpl};
+use dqo_plan::{GroupingAlgorithm, JoinAlgorithm};
 
 /// log₂ with the convention `log2(x) = 0` for `x ≤ 1` (sorting one row is
 /// free; a single group needs no search).
@@ -54,11 +54,11 @@ pub const PARALLEL_DISPATCH_TUPLES: f64 = 2_500.0;
 /// when that sum beats the serial cost.
 pub trait CostModel: Send + Sync {
     /// Cost of grouping `rows` input tuples into `groups` groups.
-    fn grouping(&self, algo: GroupingImpl, rows: f64, groups: f64) -> f64;
+    fn grouping(&self, algo: GroupingAlgorithm, rows: f64, groups: f64) -> f64;
 
     /// Cost of joining `left` with `right` tuples, where the build side
     /// holds `build_groups` distinct keys (BSJ's search depth).
-    fn join(&self, algo: JoinImpl, left: f64, right: f64, build_groups: f64) -> f64;
+    fn join(&self, algo: JoinAlgorithm, left: f64, right: f64, build_groups: f64) -> f64;
 
     /// Cost of an explicit sort enforcer over `rows` tuples.
     fn sort(&self, rows: f64) -> f64;
@@ -91,16 +91,22 @@ pub trait CostModel: Send + Sync {
     /// work; the merge touches up to `dop · groups` partial states.
     /// SOG decomposes differently — parallel sort, a divided OG pass,
     /// and a boundary stitch over at most `groups` merged states.
-    fn parallel_grouping(&self, algo: GroupingImpl, rows: f64, groups: f64, dop: usize) -> f64 {
+    fn parallel_grouping(
+        &self,
+        algo: GroupingAlgorithm,
+        rows: f64,
+        groups: f64,
+        dop: usize,
+    ) -> f64 {
         let serial = self.grouping(algo, rows, groups);
         if dop <= 1 {
             return serial;
         }
         let d = dop as f64;
         match algo {
-            GroupingImpl::Sog => {
+            GroupingAlgorithm::SortOrderBased => {
                 self.parallel_sort(rows, dop)
-                    + self.grouping(GroupingImpl::Og, rows, groups) / d
+                    + self.grouping(GroupingAlgorithm::OrderBased, rows, groups) / d
                     + self.parallel_overhead(dop, groups)
             }
             _ => serial / d + self.parallel_overhead(dop, groups * d),
@@ -114,7 +120,7 @@ pub trait CostModel: Send + Sync {
     /// parallel sorts then a divided range-partitioned merge.
     fn parallel_join(
         &self,
-        algo: JoinImpl,
+        algo: JoinAlgorithm,
         left: f64,
         right: f64,
         build_groups: f64,
@@ -125,13 +131,13 @@ pub trait CostModel: Send + Sync {
         }
         let d = dop as f64;
         match algo {
-            JoinImpl::Sphj => {
+            JoinAlgorithm::StaticPerfectHash => {
                 self.join(algo, left, right / d, build_groups) + self.parallel_overhead(dop, 0.0)
             }
-            JoinImpl::Soj => {
+            JoinAlgorithm::SortOrderBased => {
                 self.parallel_sort(left, dop)
                     + self.parallel_sort(right, dop)
-                    + self.join(JoinImpl::Oj, left, right, build_groups) / d
+                    + self.join(JoinAlgorithm::OrderBased, left, right, build_groups) / d
                     + self.parallel_overhead(dop, 0.0)
             }
             _ => {
@@ -192,7 +198,7 @@ pub trait CostModel: Send + Sync {
                 }
             }
             AvKind::MaterialisedGrouping => {
-                self.parallel_grouping(GroupingImpl::Hg, rows, shape, dop)
+                self.parallel_grouping(GroupingAlgorithm::HashBased, rows, shape, dop)
             }
         }
     }
@@ -206,23 +212,23 @@ pub trait CostModel: Send + Sync {
 pub struct TupleCostModel;
 
 impl CostModel for TupleCostModel {
-    fn grouping(&self, algo: GroupingImpl, rows: f64, groups: f64) -> f64 {
+    fn grouping(&self, algo: GroupingAlgorithm, rows: f64, groups: f64) -> f64 {
         match algo {
-            GroupingImpl::Hg => 4.0 * rows,
-            GroupingImpl::Og => rows,
-            GroupingImpl::Sog => rows * log2(rows) + rows,
-            GroupingImpl::Sphg => rows,
-            GroupingImpl::Bsg => rows * log2(groups),
+            GroupingAlgorithm::HashBased => 4.0 * rows,
+            GroupingAlgorithm::OrderBased => rows,
+            GroupingAlgorithm::SortOrderBased => rows * log2(rows) + rows,
+            GroupingAlgorithm::StaticPerfectHash => rows,
+            GroupingAlgorithm::BinarySearch => rows * log2(groups),
         }
     }
 
-    fn join(&self, algo: JoinImpl, left: f64, right: f64, build_groups: f64) -> f64 {
+    fn join(&self, algo: JoinAlgorithm, left: f64, right: f64, build_groups: f64) -> f64 {
         match algo {
-            JoinImpl::Hj => 4.0 * (left + right),
-            JoinImpl::Oj => left + right,
-            JoinImpl::Soj => left * log2(left) + right * log2(right) + left + right,
-            JoinImpl::Sphj => left + right,
-            JoinImpl::Bsj => (left + right) * log2(build_groups),
+            JoinAlgorithm::HashBased => 4.0 * (left + right),
+            JoinAlgorithm::OrderBased => left + right,
+            JoinAlgorithm::SortOrderBased => left * log2(left) + right * log2(right) + left + right,
+            JoinAlgorithm::StaticPerfectHash => left + right,
+            JoinAlgorithm::BinarySearch => (left + right) * log2(build_groups),
         }
     }
 
@@ -266,24 +272,32 @@ impl Default for CalibratedCostModel {
 }
 
 impl CostModel for CalibratedCostModel {
-    fn grouping(&self, algo: GroupingImpl, rows: f64, groups: f64) -> f64 {
+    fn grouping(&self, algo: GroupingAlgorithm, rows: f64, groups: f64) -> f64 {
         match algo {
-            GroupingImpl::Hg => self.ns_hash_op * rows,
-            GroupingImpl::Og | GroupingImpl::Sphg => self.ns_seq_op * rows,
-            GroupingImpl::Sog => self.ns_log_op * rows * log2(rows) + self.ns_seq_op * rows,
-            GroupingImpl::Bsg => self.ns_log_op * rows * log2(groups) + self.ns_seq_op * rows,
+            GroupingAlgorithm::HashBased => self.ns_hash_op * rows,
+            GroupingAlgorithm::OrderBased | GroupingAlgorithm::StaticPerfectHash => {
+                self.ns_seq_op * rows
+            }
+            GroupingAlgorithm::SortOrderBased => {
+                self.ns_log_op * rows * log2(rows) + self.ns_seq_op * rows
+            }
+            GroupingAlgorithm::BinarySearch => {
+                self.ns_log_op * rows * log2(groups) + self.ns_seq_op * rows
+            }
         }
     }
 
-    fn join(&self, algo: JoinImpl, left: f64, right: f64, build_groups: f64) -> f64 {
+    fn join(&self, algo: JoinAlgorithm, left: f64, right: f64, build_groups: f64) -> f64 {
         match algo {
-            JoinImpl::Hj => self.ns_hash_op * (left + right),
-            JoinImpl::Oj | JoinImpl::Sphj => self.ns_seq_op * (left + right),
-            JoinImpl::Soj => {
+            JoinAlgorithm::HashBased => self.ns_hash_op * (left + right),
+            JoinAlgorithm::OrderBased | JoinAlgorithm::StaticPerfectHash => {
+                self.ns_seq_op * (left + right)
+            }
+            JoinAlgorithm::SortOrderBased => {
                 self.ns_log_op * (left * log2(left) + right * log2(right))
                     + self.ns_seq_op * (left + right)
             }
-            JoinImpl::Bsj => {
+            JoinAlgorithm::BinarySearch => {
                 self.ns_log_op * (left + right) * log2(build_groups)
                     + self.ns_seq_op * (left + right)
             }
@@ -313,14 +327,20 @@ mod tests {
     fn table2_grouping_formulas_exact() {
         // |R| = 1024 so log₂ = 10 exactly.
         let r = 1024.0;
-        assert_eq!(M.grouping(GroupingImpl::Hg, r, 16.0), 4096.0);
-        assert_eq!(M.grouping(GroupingImpl::Og, r, 16.0), 1024.0);
-        assert_eq!(M.grouping(GroupingImpl::Sphg, r, 16.0), 1024.0);
+        assert_eq!(M.grouping(GroupingAlgorithm::HashBased, r, 16.0), 4096.0);
+        assert_eq!(M.grouping(GroupingAlgorithm::OrderBased, r, 16.0), 1024.0);
         assert_eq!(
-            M.grouping(GroupingImpl::Sog, r, 16.0),
+            M.grouping(GroupingAlgorithm::StaticPerfectHash, r, 16.0),
+            1024.0
+        );
+        assert_eq!(
+            M.grouping(GroupingAlgorithm::SortOrderBased, r, 16.0),
             1024.0 * 10.0 + 1024.0
         );
-        assert_eq!(M.grouping(GroupingImpl::Bsg, r, 16.0), 1024.0 * 4.0);
+        assert_eq!(
+            M.grouping(GroupingAlgorithm::BinarySearch, r, 16.0),
+            1024.0 * 4.0
+        );
     }
 
     #[test]
@@ -330,22 +350,25 @@ mod tests {
         assert_eq!(M.composite_key_pack(1_000.0, 3), 2_000.0);
         // A 2-column SPHG still beats a single-column HG on the model:
         // pack pass + |R| < 4·|R|.
-        let two_col_sphg =
-            M.composite_key_pack(1_000.0, 2) + M.grouping(GroupingImpl::Sphg, 1_000.0, 16.0);
-        assert!(two_col_sphg < M.grouping(GroupingImpl::Hg, 1_000.0, 16.0));
+        let two_col_sphg = M.composite_key_pack(1_000.0, 2)
+            + M.grouping(GroupingAlgorithm::StaticPerfectHash, 1_000.0, 16.0);
+        assert!(two_col_sphg < M.grouping(GroupingAlgorithm::HashBased, 1_000.0, 16.0));
     }
 
     #[test]
     fn table2_join_formulas_exact() {
         let (l, s) = (1024.0, 4096.0);
-        assert_eq!(M.join(JoinImpl::Hj, l, s, 64.0), 4.0 * (l + s));
-        assert_eq!(M.join(JoinImpl::Oj, l, s, 64.0), l + s);
-        assert_eq!(M.join(JoinImpl::Sphj, l, s, 64.0), l + s);
+        assert_eq!(M.join(JoinAlgorithm::HashBased, l, s, 64.0), 4.0 * (l + s));
+        assert_eq!(M.join(JoinAlgorithm::OrderBased, l, s, 64.0), l + s);
+        assert_eq!(M.join(JoinAlgorithm::StaticPerfectHash, l, s, 64.0), l + s);
         assert_eq!(
-            M.join(JoinImpl::Soj, l, s, 64.0),
+            M.join(JoinAlgorithm::SortOrderBased, l, s, 64.0),
             l * 10.0 + s * 12.0 + l + s
         );
-        assert_eq!(M.join(JoinImpl::Bsj, l, s, 64.0), (l + s) * 6.0);
+        assert_eq!(
+            M.join(JoinAlgorithm::BinarySearch, l, s, 64.0),
+            (l + s) * 6.0
+        );
     }
 
     #[test]
@@ -353,8 +376,8 @@ mod tests {
         // Sort(R) + Sort(S) + OJ(R,S) must equal SOJ(R,S) exactly —
         // the identity the partial-sort plans rely on.
         let (l, s) = (25_000.0, 90_000.0);
-        let composed = M.sort(l) + M.sort(s) + M.join(JoinImpl::Oj, l, s, 1.0);
-        let monolithic = M.join(JoinImpl::Soj, l, s, 1.0);
+        let composed = M.sort(l) + M.sort(s) + M.join(JoinAlgorithm::OrderBased, l, s, 1.0);
+        let monolithic = M.join(JoinAlgorithm::SortOrderBased, l, s, 1.0);
         assert!((composed - monolithic).abs() < 1e-6);
     }
 
@@ -365,7 +388,7 @@ mod tests {
         assert_eq!(log2(2.0), 1.0);
         // Sorting one row is free; BSG over one group probes for free.
         assert_eq!(M.sort(1.0), 0.0);
-        assert_eq!(M.grouping(GroupingImpl::Bsg, 100.0, 1.0), 0.0);
+        assert_eq!(M.grouping(GroupingAlgorithm::BinarySearch, 100.0, 1.0), 0.0);
     }
 
     #[test]
@@ -375,13 +398,16 @@ mod tests {
         // zoom-in observation.
         let rows = 1e8;
         assert!(
-            M.grouping(GroupingImpl::Bsg, rows, 14.0) < M.grouping(GroupingImpl::Hg, rows, 14.0)
+            M.grouping(GroupingAlgorithm::BinarySearch, rows, 14.0)
+                < M.grouping(GroupingAlgorithm::HashBased, rows, 14.0)
         );
         assert!(
-            M.grouping(GroupingImpl::Bsg, rows, 15.0) < M.grouping(GroupingImpl::Hg, rows, 15.0)
+            M.grouping(GroupingAlgorithm::BinarySearch, rows, 15.0)
+                < M.grouping(GroupingAlgorithm::HashBased, rows, 15.0)
         );
         assert!(
-            M.grouping(GroupingImpl::Bsg, rows, 17.0) > M.grouping(GroupingImpl::Hg, rows, 17.0)
+            M.grouping(GroupingAlgorithm::BinarySearch, rows, 17.0)
+                > M.grouping(GroupingAlgorithm::HashBased, rows, 17.0)
         );
     }
 
@@ -390,9 +416,9 @@ mod tests {
         let c = CalibratedCostModel::default();
         let rows = 1e6;
         // SPHG fastest, HG 4× slower, SOG slower than both at scale.
-        let sphg = c.grouping(GroupingImpl::Sphg, rows, 1000.0);
-        let hg = c.grouping(GroupingImpl::Hg, rows, 1000.0);
-        let sog = c.grouping(GroupingImpl::Sog, rows, 1000.0);
+        let sphg = c.grouping(GroupingAlgorithm::StaticPerfectHash, rows, 1000.0);
+        let hg = c.grouping(GroupingAlgorithm::HashBased, rows, 1000.0);
+        let sog = c.grouping(GroupingAlgorithm::SortOrderBased, rows, 1000.0);
         assert!(sphg < hg);
         assert!(hg < sog);
         assert_eq!(c.name(), "calibrated-ns");
@@ -405,17 +431,17 @@ mod tests {
         // spawn scheduler: the persistent pool amortised the spawn away.)
         let small = 2_000.0;
         assert!(
-            M.parallel_grouping(GroupingImpl::Hg, small, 64.0, 4)
-                > M.grouping(GroupingImpl::Hg, small, 64.0)
+            M.parallel_grouping(GroupingAlgorithm::HashBased, small, 64.0, 4)
+                > M.grouping(GroupingAlgorithm::HashBased, small, 64.0)
         );
         // Large input: near-linear division wins despite overhead.
         let large = 1e7;
-        let par = M.parallel_grouping(GroupingImpl::Hg, large, 64.0, 4);
-        let serial = M.grouping(GroupingImpl::Hg, large, 64.0);
+        let par = M.parallel_grouping(GroupingAlgorithm::HashBased, large, 64.0, 4);
+        let serial = M.grouping(GroupingAlgorithm::HashBased, large, 64.0);
         assert!(par < serial / 2.0, "par={par} serial={serial}");
         // dop = 1 degenerates to the serial formula exactly.
         assert_eq!(
-            M.parallel_grouping(GroupingImpl::Hg, large, 64.0, 1),
+            M.parallel_grouping(GroupingAlgorithm::HashBased, large, 64.0, 1),
             serial
         );
     }
@@ -424,15 +450,15 @@ mod tests {
     fn parallel_join_and_scan_overheads() {
         let (l, r) = (1e6, 4e6);
         let overhead4 = PARALLEL_BATCH_TUPLES + 4.0 * PARALLEL_DISPATCH_TUPLES;
-        let serial = M.join(JoinImpl::Hj, l, r, 100.0);
-        let par = M.parallel_join(JoinImpl::Hj, l, r, 100.0, 4);
+        let serial = M.join(JoinAlgorithm::HashBased, l, r, 100.0);
+        let par = M.parallel_join(JoinAlgorithm::HashBased, l, r, 100.0, 4);
         // work/4 + batch + 4·dispatch + |L| partition pass
         assert!((par - (serial / 4.0 + overhead4 + l)).abs() < 1e-6);
         assert!(par < serial);
         // SPHJ: serial build (|L|) + probe/4 + overhead, no partition pass.
-        let sphj = M.parallel_join(JoinImpl::Sphj, l, r, 100.0, 4);
+        let sphj = M.parallel_join(JoinAlgorithm::StaticPerfectHash, l, r, 100.0, 4);
         assert!((sphj - (l + r / 4.0 + overhead4)).abs() < 1e-6);
-        assert!(sphj < M.join(JoinImpl::Sphj, l, r, 100.0));
+        assert!(sphj < M.join(JoinAlgorithm::StaticPerfectHash, l, r, 100.0));
         assert_eq!(M.parallel_scan(100.0, 1), 100.0);
         assert!(M.parallel_scan(100.0, 4) > 100.0, "tiny scans stay serial");
         assert!(M.parallel_scan(1e8, 4) < 1e8);
@@ -465,10 +491,10 @@ mod tests {
         // (vs the old 10k-tuple spawn) without eliminating it: at 5k rows
         // a dense SPHG stays serial for every DOP the engine offers.
         let rows = 5_000.0;
-        let serial = M.grouping(GroupingImpl::Sphg, rows, 64.0);
+        let serial = M.grouping(GroupingAlgorithm::StaticPerfectHash, rows, 64.0);
         for dop in [2, 4, 8, 16] {
             assert!(
-                M.parallel_grouping(GroupingImpl::Sphg, rows, 64.0, dop) > serial,
+                M.parallel_grouping(GroupingAlgorithm::StaticPerfectHash, rows, 64.0, dop) > serial,
                 "dop={dop}"
             );
         }
@@ -476,8 +502,8 @@ mod tests {
         // break-even (~54k rows at dop 4, when each worker cost a 10k-
         // tuple spawn) — now parallelises profitably.
         let rows = 20_000.0;
-        let serial = M.grouping(GroupingImpl::Sphg, rows, 64.0);
-        assert!(M.parallel_grouping(GroupingImpl::Sphg, rows, 64.0, 4) < serial);
+        let serial = M.grouping(GroupingAlgorithm::StaticPerfectHash, rows, 64.0);
+        assert!(M.parallel_grouping(GroupingAlgorithm::StaticPerfectHash, rows, 64.0, 4) < serial);
     }
 
     #[test]
@@ -505,29 +531,29 @@ mod tests {
     fn parallel_sog_and_soj_follow_the_sort_decomposition() {
         let (rows, groups) = (1e6, 500.0);
         let d = 4.0;
-        let sog = M.parallel_grouping(GroupingImpl::Sog, rows, groups, 4);
+        let sog = M.parallel_grouping(GroupingAlgorithm::SortOrderBased, rows, groups, 4);
         let expect = M.parallel_sort(rows, 4)
-            + M.grouping(GroupingImpl::Og, rows, groups) / d
+            + M.grouping(GroupingAlgorithm::OrderBased, rows, groups) / d
             + PARALLEL_BATCH_TUPLES
             + d * PARALLEL_DISPATCH_TUPLES
             + groups;
         assert!((sog - expect).abs() < 1e-6);
-        assert!(sog < M.grouping(GroupingImpl::Sog, rows, groups));
+        assert!(sog < M.grouping(GroupingAlgorithm::SortOrderBased, rows, groups));
 
         let (l, r) = (2.5e5, 1e6);
-        let soj = M.parallel_join(JoinImpl::Soj, l, r, 100.0, 4);
+        let soj = M.parallel_join(JoinAlgorithm::SortOrderBased, l, r, 100.0, 4);
         let expect = M.parallel_sort(l, 4)
             + M.parallel_sort(r, 4)
-            + M.join(JoinImpl::Oj, l, r, 100.0) / d
+            + M.join(JoinAlgorithm::OrderBased, l, r, 100.0) / d
             + PARALLEL_BATCH_TUPLES
             + d * PARALLEL_DISPATCH_TUPLES;
         assert!((soj - expect).abs() < 1e-6);
-        assert!(soj < M.join(JoinImpl::Soj, l, r, 100.0));
+        assert!(soj < M.join(JoinAlgorithm::SortOrderBased, l, r, 100.0));
         // Small sort-based operators stay serial at every offered DOP.
         for dop in [2, 4, 8] {
             assert!(
-                M.parallel_grouping(GroupingImpl::Sog, 3_000.0, 50.0, dop)
-                    > M.grouping(GroupingImpl::Sog, 3_000.0, 50.0),
+                M.parallel_grouping(GroupingAlgorithm::SortOrderBased, 3_000.0, 50.0, dop)
+                    > M.grouping(GroupingAlgorithm::SortOrderBased, 3_000.0, 50.0),
                 "dop={dop}"
             );
         }
@@ -539,13 +565,16 @@ mod tests {
         // SQO best (R unsorted, S sorted, dense) = Sort(R)+OJ+OG;
         // DQO best = SPHJ+SPHG; ratio ≈ 2.78 → rounds to 2.8.
         let (r, s, j) = (25_000.0, 90_000.0, 90_000.0);
-        let sqo =
-            M.sort(r) + M.join(JoinImpl::Oj, r, s, 1.0) + M.grouping(GroupingImpl::Og, j, 20_000.0);
-        let dqo = M.join(JoinImpl::Sphj, r, s, 1.0) + M.grouping(GroupingImpl::Sphg, j, 20_000.0);
+        let sqo = M.sort(r)
+            + M.join(JoinAlgorithm::OrderBased, r, s, 1.0)
+            + M.grouping(GroupingAlgorithm::OrderBased, j, 20_000.0);
+        let dqo = M.join(JoinAlgorithm::StaticPerfectHash, r, s, 1.0)
+            + M.grouping(GroupingAlgorithm::StaticPerfectHash, j, 20_000.0);
         let factor = sqo / dqo;
         assert!((factor - 2.78).abs() < 0.01, "factor = {factor}");
         // And the all-unsorted cell: HJ+HG over SPHJ+SPHG = 4 exactly.
-        let sqo4 = M.join(JoinImpl::Hj, r, s, 1.0) + M.grouping(GroupingImpl::Hg, j, 20_000.0);
+        let sqo4 = M.join(JoinAlgorithm::HashBased, r, s, 1.0)
+            + M.grouping(GroupingAlgorithm::HashBased, j, 20_000.0);
         assert!((sqo4 / dqo - 4.0).abs() < 1e-9);
     }
 }

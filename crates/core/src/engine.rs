@@ -69,7 +69,6 @@ pub struct Engine {
     catalog: Arc<Catalog>,
     avs: Arc<AvCatalog>,
     mode: OptimizerMode,
-    pmodel: PropertyModel,
     /// Degree of parallelism offered to the optimiser; 1 disables the
     /// morsel-driven parallel runtime entirely.
     threads: usize,
@@ -255,7 +254,6 @@ impl Default for Engine {
             catalog: Arc::new(Catalog::default()),
             avs: Arc::new(AvCatalog::default()),
             mode: OptimizerMode::default(),
-            pmodel: PropertyModel::default(),
             threads: dqo_parallel::default_threads(),
             pool: None,
             tracing: tracing_default(),
@@ -381,13 +379,6 @@ impl Engine {
         self.mode = mode;
     }
 
-    /// Switch the sortedness propagation model. The engine defaults to the
-    /// sound [`PropertyModel::AttributeStrict`]; the paper-faithful stream
-    /// model is available for reproducing Figure 5 verbatim.
-    pub fn set_property_model(&mut self, pmodel: PropertyModel) {
-        self.pmodel = pmodel;
-    }
-
     /// Current optimiser mode.
     pub fn mode(&self) -> OptimizerMode {
         self.mode
@@ -504,7 +495,6 @@ impl Engine {
     ) -> Result<PlannedQuery> {
         let knobs = Knobs {
             mode: self.mode,
-            pmodel: self.pmodel,
             dop,
             pruning: self.pruning,
         };
@@ -539,7 +529,7 @@ impl Engine {
     fn search(&self, logical: &LogicalPlan, dop: usize) -> Result<PlannedQuery> {
         let ctx = SearchContext {
             avs: Some(&self.avs),
-            pmodel: self.pmodel,
+            pmodel: PropertyModel::AttributeStrict,
             dop,
             feedback: Some(&self.feedback),
             pruning: self.pruning,
@@ -700,17 +690,6 @@ impl Engine {
         logical: &LogicalPlan,
     ) -> Result<QueryResult> {
         self.run(logical, Some(prepared), self.new_trace())
-    }
-
-    /// [`Engine::execute_prepared`] continuing an existing trace (the SQL
-    /// facade times parse-free statement dispatch into it).
-    pub fn execute_prepared_traced(
-        &self,
-        prepared: &PreparedPlan,
-        logical: &LogicalPlan,
-        trace: TraceBuilder,
-    ) -> Result<QueryResult> {
-        self.run(logical, Some(prepared), trace)
     }
 
     /// The session's plan store (prepared and ad-hoc statements).

@@ -23,20 +23,18 @@ use crate::error::CoreError;
 use crate::Result;
 use dqo_exec::aggregate::{FullAgg, FullAggState};
 use dqo_exec::composite::{rowwise_group, unpack_grouped, KeyPacker};
-use dqo_exec::grouping::hg::{hash_grouping_with, HgHash, HgTable};
-use dqo_exec::grouping::{execute_grouping, GroupedResult, GroupingAlgorithm, GroupingHints};
-use dqo_exec::join::{execute_join as run_join, JoinAlgorithm, JoinHints};
+use dqo_exec::grouping::hg::{hash_grouping_with, HgTable};
+use dqo_exec::grouping::{execute_grouping, GroupedResult, GroupingHints};
+use dqo_exec::join::{execute_join as run_join, JoinHints};
 use dqo_exec::pipeline::{
     grouping_blocking, join_blocking, Blocking, OperatorMetrics, PipelineStats,
 };
 use dqo_exec::sort::{argsort, radix_sort_pairs_by_key};
 use dqo_exec::ExecError;
-use dqo_parallel::{
-    BatchObs, GroupingStrategy, PersistentPool, RunSortMolecule, ThreadPool, DEFAULT_MORSEL_ROWS,
-};
+use dqo_parallel::{BatchObs, GroupingStrategy, PersistentPool, ThreadPool, DEFAULT_MORSEL_ROWS};
 use dqo_plan::expr::{AggExpr, AggFunc, CmpOp, Predicate};
 use dqo_plan::physical::GroupingMolecules;
-use dqo_plan::{GroupingImpl, JoinImpl, LogicalPlan, PhysicalPlan, SortMolecule};
+use dqo_plan::{GroupingAlgorithm, JoinAlgorithm, LogicalPlan, PhysicalPlan, SortMolecule};
 use dqo_storage::{
     narrow_rows, Column, DataType, Dictionary, Field, Piece, Relation, Schema, Selection, Value,
 };
@@ -330,13 +328,9 @@ impl<'a> Exec<'a> {
                 // the selection*; no column moves.
                 let order = match (tp, molecule) {
                     (Some(tp), _) => {
-                        let (order, par) = dqo_parallel::parallel_argsort(
-                            tp,
-                            keys,
-                            to_run_molecule(*molecule),
-                            &view.sel.bounds(),
-                        )
-                        .map_err(ExecError::from)?;
+                        let (order, par) =
+                            dqo_parallel::parallel_argsort(tp, keys, *molecule, &view.sel.bounds())
+                                .map_err(ExecError::from)?;
                         self.stats.merge(&par);
                         order
                     }
@@ -410,12 +404,12 @@ impl<'a> Exec<'a> {
         right: &'a PhysicalPlan,
         left_key: &str,
         right_key: &str,
-        algo: JoinImpl,
+        algo: JoinAlgorithm,
         tp: Option<&ThreadPool>,
     ) -> Result<View<'a>> {
         // Prebuilt SPH index AV: probe it instead of rebuilding.
         let prebuilt = match (self.avs, algo, left) {
-            (Some(avs), JoinImpl::Sphj, PhysicalPlan::Scan { table }) => avs
+            (Some(avs), JoinAlgorithm::StaticPerfectHash, PhysicalPlan::Scan { table }) => avs
                 .lookup(table, left_key, AvKind::SphIndex)
                 .and_then(|av| match &av.artifact {
                     Some(AvArtifact::SphIndex(idx)) => Some(idx.clone()),
@@ -435,16 +429,15 @@ impl<'a> Exec<'a> {
         } else {
             let lcol = l.rel.column(left_key)?.as_u32()?;
             let lk = self.read(plan, &l.sel, lcol, &mut lbuf);
-            let exec_algo = to_exec_join(algo);
             let domain = l.domain(left_key).or_else(|| min_max(&l.sel, lcol));
-            let sort = RunSortMolecule::Comparison;
+            let sort = SortMolecule::Comparison;
             let (result, par) = match (tp, algo, domain) {
                 // Empty build side: no matches, nothing to build.
-                (_, JoinImpl::Sphj, None) => Default::default(),
-                (Some(tp), JoinImpl::Sphj, Some((min, max))) => {
+                (_, JoinAlgorithm::StaticPerfectHash, None) => Default::default(),
+                (Some(tp), JoinAlgorithm::StaticPerfectHash, Some((min, max))) => {
                     dqo_parallel::parallel_sph_join(tp, lk, rk, min, max, DEFAULT_MORSEL_ROWS)?
                 }
-                (Some(tp), JoinImpl::Soj, _) => {
+                (Some(tp), JoinAlgorithm::SortOrderBased, _) => {
                     dqo_parallel::parallel_sort_merge_join(tp, lk, rk, sort, &l.sel.bounds())?
                 }
                 (Some(tp), _, _) => dqo_parallel::parallel_hash_join(
@@ -462,8 +455,8 @@ impl<'a> Exec<'a> {
                         build_distinct: None,
                     };
                     let mut stats = PipelineStats::default();
-                    stats.record(join_blocking(exec_algo), (lk.len() + rk.len()) as u64);
-                    (run_join(exec_algo, lk, rk, &hints)?, stats)
+                    stats.record(join_blocking(algo), (lk.len() + rk.len()) as u64);
+                    (run_join(algo, lk, rk, &hints)?, stats)
                 }
             };
             self.stats.merge(&par);
@@ -506,7 +499,7 @@ impl<'a> Exec<'a> {
         input: &'a PhysicalPlan,
         keys: &[String],
         aggs: &[AggExpr],
-        algo: GroupingImpl,
+        algo: GroupingAlgorithm,
         molecules: GroupingMolecules,
         tp: Option<&ThreadPool>,
     ) -> Result<View<'a>> {
@@ -514,8 +507,9 @@ impl<'a> Exec<'a> {
         // is fused: its predicate runs inside the grouping's own morsel
         // tasks, so filter → group is one pass per morsel and the
         // survivors' row ids never leave the worker's scratch.
-        let fused = fusable_filter(input)
-            .filter(|_| tp.is_some() && keys.len() == 1 && algo != GroupingImpl::Sog);
+        let fused = fusable_filter(input).filter(|_| {
+            tp.is_some() && keys.len() == 1 && algo != GroupingAlgorithm::SortOrderBased
+        });
         let mut view = self.run(fused.as_ref().map_or(input, |f| f.input), None)?;
         let conjuncts = match &fused {
             Some(f) => {
@@ -539,7 +533,7 @@ impl<'a> Exec<'a> {
         };
         let grouping = Grouping {
             algo,
-            table: hg_table(molecules),
+            table: HgTable::of(molecules),
             tp,
         };
         let out = if keys.len() == 1 {
@@ -608,8 +602,10 @@ impl<'a> Exec<'a> {
         conjuncts: &[Conjunct<'_>],
         domain: Option<(u32, u32)>,
     ) -> Result<(GroupedResult<FullAggState>, FusedRun)> {
-        let exec_algo = to_exec_grouping(how.algo);
-        let Some(tp) = how.tp.filter(|_| how.algo != GroupingImpl::Sog) else {
+        let Some(tp) = how
+            .tp
+            .filter(|_| how.algo != GroupingAlgorithm::SortOrderBased)
+        else {
             // Whole-column kernels: serial execution (the one-morsel
             // case) and the parallel sort behind SOG.
             let (mut kbuf, mut vbuf) = (Vec::new(), Vec::new());
@@ -617,7 +613,7 @@ impl<'a> Exec<'a> {
             let values = self.read(plan, sel, values, &mut vbuf);
             let result = match (how.tp, how.algo) {
                 (Some(tp), _) => {
-                    let sort = RunSortMolecule::Comparison;
+                    let sort = SortMolecule::Comparison;
                     let bounds = sel.bounds();
                     let (result, par) =
                         dqo_parallel::parallel_sog(tp, keys, values, FullAgg, sort, &bounds)?;
@@ -626,7 +622,7 @@ impl<'a> Exec<'a> {
                 }
                 // The optimiser's table/hash molecules select the
                 // concrete hash-grouping implementation.
-                (None, GroupingImpl::Hg) => {
+                (None, GroupingAlgorithm::HashBased) => {
                     hash_grouping_with(keys, values, FullAgg, how.table, 1024)
                 }
                 (None, _) => {
@@ -636,12 +632,12 @@ impl<'a> Exec<'a> {
                         max,
                         ..GroupingHints::default()
                     };
-                    execute_grouping(exec_algo, keys, values, FullAgg, &hints)?
+                    execute_grouping(how.algo, keys, values, FullAgg, &hints)?
                 }
             };
             if how.tp.is_none() {
                 self.stats
-                    .record(grouping_blocking(exec_algo), keys.len() as u64);
+                    .record(grouping_blocking(how.algo), keys.len() as u64);
             }
             return Ok((result, FusedRun::default()));
         };
@@ -650,7 +646,7 @@ impl<'a> Exec<'a> {
         // survivors into its worker's scratch (a dense run is read in
         // place), and folds them into the worker's partial aggregate.
         let strategy = match how.algo {
-            GroupingImpl::Hg => GroupingStrategy::Hash(how.table),
+            GroupingAlgorithm::HashBased => GroupingStrategy::Hash(how.table),
             _ => {
                 // Without statistics (a column computed by a join or a
                 // grouping) the domain is folded from the column itself,
@@ -708,7 +704,7 @@ impl<'a> Exec<'a> {
 /// How a `GroupBy` node groups: the organelle, the HG table molecule and
 /// the pool handle when an `Exchange` asked for morsel parallelism.
 struct Grouping<'t> {
-    algo: GroupingImpl,
+    algo: GroupingAlgorithm,
     table: HgTable,
     tp: Option<&'t ThreadPool>,
 }
@@ -1034,53 +1030,8 @@ fn min_max(sel: &Selection, col: &[u32]) -> Option<(u32, u32)> {
 }
 
 // ---------------------------------------------------------------------------
-// Plan vocabulary → kernels, and output assembly
+// Output assembly
 // ---------------------------------------------------------------------------
-
-fn to_exec_join(algo: JoinImpl) -> JoinAlgorithm {
-    match algo {
-        JoinImpl::Hj => JoinAlgorithm::HashBased,
-        JoinImpl::Oj => JoinAlgorithm::OrderBased,
-        JoinImpl::Soj => JoinAlgorithm::SortOrderBased,
-        JoinImpl::Sphj => JoinAlgorithm::StaticPerfectHash,
-        JoinImpl::Bsj => JoinAlgorithm::BinarySearch,
-    }
-}
-
-fn to_exec_grouping(algo: GroupingImpl) -> GroupingAlgorithm {
-    match algo {
-        GroupingImpl::Hg => GroupingAlgorithm::HashBased,
-        GroupingImpl::Sphg => GroupingAlgorithm::StaticPerfectHash,
-        GroupingImpl::Og => GroupingAlgorithm::OrderBased,
-        GroupingImpl::Sog => GroupingAlgorithm::SortOrderBased,
-        GroupingImpl::Bsg => GroupingAlgorithm::BinarySearch,
-    }
-}
-
-/// The parallel run-sort molecule matching a plan-side [`SortMolecule`].
-fn to_run_molecule(molecule: SortMolecule) -> RunSortMolecule {
-    match molecule {
-        SortMolecule::Comparison => RunSortMolecule::Comparison,
-        SortMolecule::Radix => RunSortMolecule::Radix,
-    }
-}
-
-/// The HG table the optimiser's table/hash molecules name
-/// (`dqo-core::molecule`); unknown combinations fall back to the paper's
-/// chaining + Murmur3 default.
-fn hg_table(molecules: GroupingMolecules) -> HgTable {
-    use dqo_plan::{HashFnMolecule as H, TableMolecule as T};
-    let hash = |h| match h {
-        H::Murmur3 => HgHash::Murmur3,
-        H::Fibonacci => HgHash::Fibonacci,
-        H::Identity => HgHash::Identity,
-    };
-    match (molecules.table, molecules.hash) {
-        (Some(T::LinearProbing), Some(h)) => HgTable::LinearProbing(hash(h)),
-        (Some(T::RobinHood), Some(h)) => HgTable::RobinHood(hash(h)),
-        _ => HgTable::Chaining,
-    }
-}
 
 /// The output shape of one grouping key column: its field (name + type,
 /// `U32` or `Str`) and, for dictionary-encoded columns, the dictionary to
@@ -1520,8 +1471,11 @@ mod tests {
             algo,
             molecules: dqo_plan::physical::GroupingMolecules::defaults_for(algo),
         };
-        let serial = execute(&group_by(GroupingImpl::Sphg), &cat).unwrap();
-        for algo in [GroupingImpl::Sphg, GroupingImpl::Hg] {
+        let serial = execute(&group_by(GroupingAlgorithm::StaticPerfectHash), &cat).unwrap();
+        for algo in [
+            GroupingAlgorithm::StaticPerfectHash,
+            GroupingAlgorithm::HashBased,
+        ] {
             for dop in [2, 4] {
                 let plan = PhysicalPlan::Exchange {
                     input: Box::new(group_by(algo)),
@@ -1554,7 +1508,7 @@ mod tests {
         // cover (BSG grouping has no parallel twin) must fall back to
         // serial execution, not fail.
         let bsg_plan = PhysicalPlan::Exchange {
-            input: Box::new(group_by(GroupingImpl::Bsg)),
+            input: Box::new(group_by(GroupingAlgorithm::BinarySearch)),
             dop: 4,
         };
         let fallback = execute(&bsg_plan, &cat).unwrap();
@@ -1588,8 +1542,8 @@ mod tests {
             right_key: "r_id".into(),
             algo,
         };
-        let serial = execute(&join(JoinImpl::Hj), &cat).unwrap();
-        for algo in [JoinImpl::Hj, JoinImpl::Sphj] {
+        let serial = execute(&join(JoinAlgorithm::HashBased), &cat).unwrap();
+        for algo in [JoinAlgorithm::HashBased, JoinAlgorithm::StaticPerfectHash] {
             let plan = PhysicalPlan::Exchange {
                 input: Box::new(join(algo)),
                 dop: 4,

@@ -15,7 +15,7 @@
 //! says.
 
 use dqo_plan::physical::GroupingMolecules;
-use dqo_plan::{GroupingImpl, HashFnMolecule, PlanProps, TableMolecule};
+use dqo_plan::{GroupingAlgorithm, HashFnMolecule, PlanProps, TableMolecule};
 
 /// Per-tuple relative costs of the hash-table molecules (dimensionless;
 /// only ratios matter). Defaults reflect the E9 ablation on uniform dense
@@ -99,14 +99,14 @@ impl MoleculeCosts {
 /// Refine the molecule choices under a grouping organelle — the DQO step
 /// Table 1 adds below the classical optimiser.
 pub fn refine_grouping_molecules(
-    algo: GroupingImpl,
+    algo: GroupingAlgorithm,
     input: &PlanProps,
     costs: &MoleculeCosts,
 ) -> GroupingMolecules {
     let mut m = GroupingMolecules::defaults_for(algo);
     // Only the hash-based organelle has open table/hash molecules; the
     // others are structurally determined (SPH array, sorted array, runs).
-    if algo == GroupingImpl::Hg {
+    if algo == GroupingAlgorithm::HashBased {
         // A dense key domain implies a uniform, collision-friendly key
         // set (the dictionary-code case of §2.1).
         let keys_uniform = input.admits_sph() || input.density.is_dense();
@@ -158,7 +158,7 @@ mod tests {
     #[test]
     fn uniform_keys_get_cheap_hash_and_open_addressing() {
         let m = refine_grouping_molecules(
-            GroupingImpl::Hg,
+            GroupingAlgorithm::HashBased,
             &props(1_000_000, true),
             &MoleculeCosts::default(),
         );
@@ -169,7 +169,7 @@ mod tests {
     #[test]
     fn sparse_keys_keep_a_real_hash_function() {
         let m = refine_grouping_molecules(
-            GroupingImpl::Hg,
+            GroupingAlgorithm::HashBased,
             &props(1_000_000, false),
             &MoleculeCosts::default(),
         );
@@ -182,14 +182,14 @@ mod tests {
     #[test]
     fn non_hash_organelles_keep_structural_molecules() {
         let m = refine_grouping_molecules(
-            GroupingImpl::Sphg,
+            GroupingAlgorithm::StaticPerfectHash,
             &props(1_000, true),
             &MoleculeCosts::default(),
         );
         assert_eq!(m.table, Some(TableMolecule::StaticPerfectHash));
         assert_eq!(m.hash, None);
         let m = refine_grouping_molecules(
-            GroupingImpl::Og,
+            GroupingAlgorithm::OrderBased,
             &props(1_000, true),
             &MoleculeCosts::default(),
         );
@@ -204,8 +204,34 @@ mod tests {
             murmur3: 0.0,
             ..Default::default()
         };
-        let m = refine_grouping_molecules(GroupingImpl::Hg, &props(1_000, false), &costs);
+        let m =
+            refine_grouping_molecules(GroupingAlgorithm::HashBased, &props(1_000, false), &costs);
         assert_eq!(m.table, Some(TableMolecule::Chaining));
         assert_eq!(m.hash, Some(HashFnMolecule::Murmur3));
+    }
+
+    /// The kernel `HgTable::of` selects is the table and hash EXPLAIN
+    /// prints, for every pair the refiner emits under default costs: an
+    /// unmatched pair would silently run chaining + Murmur3.
+    #[test]
+    fn every_refined_pair_selects_the_named_hg_table() {
+        use dqo_exec::grouping::hg::HgTable;
+        for dense in [true, false] {
+            let m = refine_grouping_molecules(
+                GroupingAlgorithm::HashBased,
+                &props(1_000_000, dense),
+                &MoleculeCosts::default(),
+            );
+            let ran = match HgTable::of(m) {
+                HgTable::Chaining => (TableMolecule::Chaining, HashFnMolecule::Murmur3),
+                HgTable::LinearProbing(h) => (TableMolecule::LinearProbing, h),
+                HgTable::RobinHood(h) => (TableMolecule::RobinHood, h),
+            };
+            assert_eq!(
+                (m.table, m.hash),
+                (Some(ran.0), Some(ran.1)),
+                "dense={dense}"
+            );
+        }
     }
 }

@@ -34,7 +34,7 @@ use crate::feedback::FeedbackStore;
 use crate::memo::MemoOptimizer;
 use crate::Result;
 use dqo_plan::properties::PropKey;
-use dqo_plan::{GroupingImpl, JoinImpl, LogicalPlan, PhysicalPlan, PlanProps};
+use dqo_plan::{GroupingAlgorithm, JoinAlgorithm, LogicalPlan, PhysicalPlan, PlanProps};
 use std::collections::HashMap;
 
 /// Shallow (SQO) vs deep (DQO) optimisation.
@@ -224,18 +224,18 @@ pub(crate) fn candidate_order(a: &Candidate, b: &Candidate) -> std::cmp::Orderin
 fn plan_rank(plan: &PhysicalPlan) -> u32 {
     let own = match plan {
         PhysicalPlan::Join { algo, .. } => match algo {
-            JoinImpl::Oj => 0,
-            JoinImpl::Sphj => 1,
-            JoinImpl::Bsj => 2,
-            JoinImpl::Hj => 3,
-            JoinImpl::Soj => 4,
+            JoinAlgorithm::OrderBased => 0,
+            JoinAlgorithm::StaticPerfectHash => 1,
+            JoinAlgorithm::BinarySearch => 2,
+            JoinAlgorithm::HashBased => 3,
+            JoinAlgorithm::SortOrderBased => 4,
         },
         PhysicalPlan::GroupBy { algo, .. } => match algo {
-            GroupingImpl::Og => 0,
-            GroupingImpl::Sphg => 1,
-            GroupingImpl::Bsg => 2,
-            GroupingImpl::Hg => 3,
-            GroupingImpl::Sog => 4,
+            GroupingAlgorithm::OrderBased => 0,
+            GroupingAlgorithm::StaticPerfectHash => 1,
+            GroupingAlgorithm::BinarySearch => 2,
+            GroupingAlgorithm::HashBased => 3,
+            GroupingAlgorithm::SortOrderBased => 4,
         },
         PhysicalPlan::Sort { .. } => 1,
         _ => 0,
@@ -483,8 +483,8 @@ mod tests {
         // just lost to the parallel hash plan.
         let model = TupleCostModel;
         let par_sort_plan = model.parallel_sort(100_000.0, 4)
-            + model.join(JoinImpl::Oj, 100_000.0, 360_000.0, 100_000.0)
-            + model.grouping(GroupingImpl::Og, 360_000.0, 20_000.0);
+            + model.join(JoinAlgorithm::OrderBased, 100_000.0, 360_000.0, 100_000.0)
+            + model.grouping(GroupingAlgorithm::OrderBased, 360_000.0, 20_000.0);
         assert!(par_sort_plan < serial.est_cost);
         assert!(par.est_cost < par_sort_plan);
     }

@@ -35,7 +35,7 @@
 
 use crate::catalog::Catalog;
 use crate::memo::MemoStamp;
-use crate::optimizer::{OptimizerMode, PlannedQuery, PropertyModel};
+use crate::optimizer::{OptimizerMode, PlannedQuery};
 use crate::partition_prune::prune_partitions;
 use dqo_obs::{names, Counter, Gauge, MetricsRegistry};
 use dqo_plan::expr::Predicate;
@@ -60,8 +60,6 @@ const GHOST_SLOTS: usize = 1024;
 pub(crate) struct Knobs {
     /// Shallow or deep optimisation.
     pub(crate) mode: OptimizerMode,
-    /// Sortedness propagation model.
-    pub(crate) pmodel: PropertyModel,
     /// Degree of parallelism the plan is for.
     pub(crate) dop: usize,
     /// Whether plan-time partition pruning is on.
@@ -479,7 +477,7 @@ fn rebind_node(plan: &PhysicalPlan, cx: &RebindCx<'_>, next: &mut usize) -> Opti
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
-    use crate::optimizer::{optimize_in, SearchContext};
+    use crate::optimizer::{optimize_in, PropertyModel, SearchContext};
     use dqo_plan::expr::AggExpr;
     use dqo_plan::CmpOp;
     use dqo_storage::datagen::DatasetSpec;
@@ -520,7 +518,6 @@ mod tests {
 
     const KNOBS: Knobs = Knobs {
         mode: OptimizerMode::Deep,
-        pmodel: PropertyModel::AttributeStrict,
         dop: 1,
         pruning: true,
     };

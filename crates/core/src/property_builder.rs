@@ -332,7 +332,7 @@ mod tests {
     use super::*;
     use dqo_plan::expr::AggExpr;
     use dqo_plan::physical::GroupingMolecules;
-    use dqo_plan::{GroupingImpl, JoinImpl};
+    use dqo_plan::{GroupingAlgorithm, JoinAlgorithm};
     use dqo_storage::datagen::DatasetSpec;
     use dqo_storage::{Column, DataType, Field, Relation, Schema};
 
@@ -376,7 +376,7 @@ mod tests {
             input: Box::new(filt),
             keys: vec!["key".into()],
             aggs: vec![AggExpr::count_star("n")],
-            algo: GroupingImpl::Hg,
+            algo: GroupingAlgorithm::HashBased,
             molecules: GroupingMolecules::default(),
         };
         assert_eq!(estimate(&gb, &cat), vec![100, 100, 10_000]);
@@ -403,7 +403,7 @@ mod tests {
             right: scan(),
             left_key: "key".into(),
             right_key: "key".into(),
-            algo: JoinImpl::Hj,
+            algo: JoinAlgorithm::HashBased,
         };
         // |L⋈R| = 10 000·10 000 / max(100, 100) = 1 000 000.
         assert_eq!(estimate(&join, &cat), vec![1_000_000, 10_000, 10_000]);
@@ -440,7 +440,7 @@ mod tests {
                 right: scan(),
                 left_key: "id".into(),
                 right_key: "key".into(),
-                algo: JoinImpl::Hj,
+                algo: JoinAlgorithm::HashBased,
             }),
             predicate: pred,
         };

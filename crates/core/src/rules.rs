@@ -36,7 +36,9 @@ use crate::property_builder::RowOp;
 use crate::Result;
 use dqo_plan::expr::Predicate;
 use dqo_plan::physical::GroupingMolecules;
-use dqo_plan::{GroupingImpl, JoinImpl, LogicalPlan, PhysicalPlan, PlanProps, SortMolecule};
+use dqo_plan::{
+    GroupingAlgorithm, JoinAlgorithm, LogicalPlan, PhysicalPlan, PlanProps, SortMolecule,
+};
 use dqo_storage::{DataProps, Density, Sortedness};
 use std::sync::Arc;
 
@@ -271,11 +273,11 @@ fn join_rules(
             // Enumerate in preference order: on exact cost ties the
             // order-based plan wins (the paper's both-sorted cell).
             for algo in [
-                JoinImpl::Oj,
-                JoinImpl::Sphj,
-                JoinImpl::Bsj,
-                JoinImpl::Hj,
-                JoinImpl::Soj,
+                JoinAlgorithm::OrderBased,
+                JoinAlgorithm::StaticPerfectHash,
+                JoinAlgorithm::BinarySearch,
+                JoinAlgorithm::HashBased,
+                JoinAlgorithm::SortOrderBased,
             ] {
                 if !opt.join_applicable(algo, lc, rc, left_key, right_key) {
                     continue;
@@ -289,7 +291,8 @@ fn join_rules(
                 );
                 // AV implementation rule: a prebuilt SPH index over the
                 // build side removes the build pass — probe cost only.
-                let av_probe = algo == JoinImpl::Sphj && opt.sph_index_av(&lc.plan, left_key);
+                let av_probe = algo == JoinAlgorithm::StaticPerfectHash
+                    && opt.sph_index_av(&lc.plan, left_key);
                 if av_probe {
                     opt.fire("join-av-sph-index");
                     join_cost = opt.model.scan(rc.props.rows as f64);
@@ -389,24 +392,24 @@ fn group_by_rules(
     let mut out = av_candidates;
     for ic in &input_cands {
         for algo in [
-            GroupingImpl::Og,
-            GroupingImpl::Sphg,
-            GroupingImpl::Bsg,
-            GroupingImpl::Hg,
-            GroupingImpl::Sog,
+            GroupingAlgorithm::OrderBased,
+            GroupingAlgorithm::StaticPerfectHash,
+            GroupingAlgorithm::BinarySearch,
+            GroupingAlgorithm::HashBased,
+            GroupingAlgorithm::SortOrderBased,
         ] {
             let applicable = match algo {
-                GroupingImpl::Og => opt.is_sorted_on(ic, key),
-                GroupingImpl::Sphg => key_dense,
-                GroupingImpl::Bsg => key_stats.is_some(),
-                GroupingImpl::Hg | GroupingImpl::Sog => true,
+                GroupingAlgorithm::OrderBased => opt.is_sorted_on(ic, key),
+                GroupingAlgorithm::StaticPerfectHash => key_dense,
+                GroupingAlgorithm::BinarySearch => key_stats.is_some(),
+                GroupingAlgorithm::HashBased | GroupingAlgorithm::SortOrderBased => true,
             };
             if !applicable {
                 continue;
             }
             let cost = ic.cost + opt.model.grouping(algo, ic.props.rows as f64, g);
             let sorted = algo.produces_sorted_output()
-                || (algo == GroupingImpl::Og && ic.props.sortedness.is_sorted());
+                || (algo == GroupingAlgorithm::OrderBased && ic.props.sortedness.is_sorted());
             let props = opt.mode.project(PlanProps {
                 sortedness: if sorted {
                     Sortedness::Ascending
@@ -520,8 +523,12 @@ fn composite_group_by_rules(
     }
 
     for ic in &input_cands {
-        for algo in [GroupingImpl::Sphg, GroupingImpl::Hg, GroupingImpl::Sog] {
-            if algo == GroupingImpl::Sphg && !key_dense {
+        for algo in [
+            GroupingAlgorithm::StaticPerfectHash,
+            GroupingAlgorithm::HashBased,
+            GroupingAlgorithm::SortOrderBased,
+        ] {
+            if algo == GroupingAlgorithm::StaticPerfectHash && !key_dense {
                 continue;
             }
             let in_rows = ic.props.rows as f64;
@@ -643,7 +650,7 @@ impl MemoOptimizer<'_> {
     /// ships the developer defaults behind the organelle name.
     fn grouping_molecules(
         &self,
-        algo: GroupingImpl,
+        algo: GroupingAlgorithm,
         key_stats: Option<PlanProps>,
         input: &Candidate,
     ) -> GroupingMolecules {
@@ -696,23 +703,25 @@ impl MemoOptimizer<'_> {
 
     fn join_applicable(
         &self,
-        algo: JoinImpl,
+        algo: JoinAlgorithm,
         lc: &Candidate,
         rc: &Candidate,
         left_key: &str,
         right_key: &str,
     ) -> bool {
         match algo {
-            JoinImpl::Oj => self.is_sorted_on(lc, left_key) && self.is_sorted_on(rc, right_key),
+            JoinAlgorithm::OrderBased => {
+                self.is_sorted_on(lc, left_key) && self.is_sorted_on(rc, right_key)
+            }
             // SPHJ builds over the left side: needs a provably dense
             // domain — invisible in shallow mode by construction.
-            JoinImpl::Sphj => lc.props.admits_sph(),
-            JoinImpl::Bsj => lc.props.distinct.is_some(),
-            JoinImpl::Hj | JoinImpl::Soj => true,
+            JoinAlgorithm::StaticPerfectHash => lc.props.admits_sph(),
+            JoinAlgorithm::BinarySearch => lc.props.distinct.is_some(),
+            JoinAlgorithm::HashBased | JoinAlgorithm::SortOrderBased => true,
         }
     }
 
-    fn join_output_props(&self, algo: JoinImpl, rows: u64) -> PlanProps {
+    fn join_output_props(&self, algo: JoinAlgorithm, rows: u64) -> PlanProps {
         // The paper's simplified stream model: order-based joins produce
         // "sorted" output; everything else is unordered (a black-box hash
         // table's order must be assumed unknown, §2.1).

@@ -8,7 +8,7 @@
 use dqo_core::cost::{CostModel, TupleCostModel};
 use dqo_core::optimizer::{optimize, OptimizerMode};
 use dqo_core::Catalog;
-use dqo_plan::{GroupingImpl, JoinImpl};
+use dqo_plan::{GroupingAlgorithm, JoinAlgorithm};
 use dqo_storage::datagen::ForeignKeySpec;
 
 /// Brute-force the §4.3 plan space under the paper's stream model:
@@ -37,10 +37,10 @@ fn brute_force_cost(
             if sort_s {
                 cost_base += m.sort(s_rows);
             }
-            for join in JoinImpl::all() {
+            for join in JoinAlgorithm::all() {
                 let applicable = match join {
-                    JoinImpl::Oj => r_ordered && s_ordered,
-                    JoinImpl::Sphj => dense && deep,
+                    JoinAlgorithm::OrderBased => r_ordered && s_ordered,
+                    JoinAlgorithm::StaticPerfectHash => dense && deep,
                     _ => true,
                 };
                 if !applicable {
@@ -51,10 +51,10 @@ fn brute_force_cost(
                 for sort_j in [false, true] {
                     let group_in_sorted = join_out_sorted || sort_j;
                     let sort_j_cost = if sort_j { m.sort(join_rows) } else { 0.0 };
-                    for grouping in GroupingImpl::all() {
+                    for grouping in GroupingAlgorithm::all() {
                         let applicable = match grouping {
-                            GroupingImpl::Og => group_in_sorted,
-                            GroupingImpl::Sphg => dense && deep,
+                            GroupingAlgorithm::OrderBased => group_in_sorted,
+                            GroupingAlgorithm::StaticPerfectHash => dense && deep,
                             _ => true,
                         };
                         if !applicable {

@@ -16,6 +16,8 @@ use dqo_hashtable::{
     ChainingTable, Fibonacci, GroupTable, HashFn, Identity, LinearProbingTable, Murmur3Finalizer,
     QuadraticProbingTable, RobinHoodTable,
 };
+use dqo_plan::physical::GroupingMolecules;
+use dqo_plan::{HashFnMolecule, TableMolecule};
 
 /// Hash grouping over any key→state table — the operator is one loop; the
 /// *table* is the DQO decision.
@@ -107,21 +109,6 @@ pub fn hash_grouping_robin_hood<A: Aggregator, H: HashFn>(
     )
 }
 
-/// The paper's default molecule for HG, re-exported for plan rendering.
-pub type DefaultHash = Murmur3Finalizer;
-
-/// The hash-function molecule of an open-addressing HG table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HgHash {
-    /// Murmur3 finaliser (the paper's choice).
-    #[default]
-    Murmur3,
-    /// Fibonacci (multiplicative) hashing.
-    Fibonacci,
-    /// The key itself.
-    Identity,
-}
-
 /// The backing-table molecule of HG: what the optimiser decides beneath
 /// the organelle, for serial and parallel execution alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -130,9 +117,9 @@ pub enum HgTable {
     #[default]
     Chaining,
     /// Open addressing, linear probing.
-    LinearProbing(HgHash),
+    LinearProbing(HashFnMolecule),
     /// Open addressing, Robin-Hood displacement.
-    RobinHood(HgHash),
+    RobinHood(HashFnMolecule),
 }
 
 /// A computation generic in the concrete table type: [`HgTable::run`]
@@ -145,10 +132,20 @@ pub trait WithTable<V> {
 }
 
 impl HgTable {
+    /// The HG table a plan's `{table=…, hash=…}` molecules name. Pairs no
+    /// table here implements fall back to the paper's chaining + Murmur3.
+    pub fn of(molecules: GroupingMolecules) -> HgTable {
+        match (molecules.table, molecules.hash) {
+            (Some(TableMolecule::LinearProbing), Some(h)) => HgTable::LinearProbing(h),
+            (Some(TableMolecule::RobinHood), Some(h)) => HgTable::RobinHood(h),
+            _ => HgTable::Chaining,
+        }
+    }
+
     /// Run `user` with a factory for this molecule's tables, each
     /// pre-sized for `capacity` keys.
     pub fn run<V: Send, U: WithTable<V>>(self, capacity: usize, user: U) -> U::Out {
-        use HgHash::{Fibonacci as Fib, Identity as Id, Murmur3 as Mur};
+        use HashFnMolecule::{Fibonacci as Fib, Identity as Id, Murmur3 as Mur};
         use HgTable::{Chaining, LinearProbing as Lp, RobinHood as Rh};
         let c = capacity;
         match self {

@@ -21,6 +21,7 @@ pub mod sphg;
 use crate::aggregate::Aggregator;
 use crate::error::ExecError;
 use crate::Result;
+pub use dqo_plan::GroupingAlgorithm;
 
 /// The result of a grouping operator: parallel arrays of group keys and
 /// final aggregate states, plus the **output-order plan property** that DQO
@@ -72,82 +73,6 @@ impl<S> GroupedResult<S> {
             let i = self.keys.iter().position(|&k| k == key)?;
             Some(&self.states[i])
         }
-    }
-}
-
-/// Identifies a grouping variant — the organelle-level plan decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum GroupingAlgorithm {
-    /// HG — hash table (chaining + Murmur3, the paper's configuration).
-    HashBased,
-    /// SPHG — array indexed by `key - min`; dense domains only.
-    StaticPerfectHash,
-    /// OG — one sequential pass; input must be partitioned by key.
-    OrderBased,
-    /// SOG — sort a copy, then OG.
-    SortOrderBased,
-    /// BSG — sorted key array + binary-search probes.
-    BinarySearch,
-}
-
-impl GroupingAlgorithm {
-    /// Paper abbreviation.
-    pub fn abbrev(self) -> &'static str {
-        match self {
-            GroupingAlgorithm::HashBased => "HG",
-            GroupingAlgorithm::StaticPerfectHash => "SPHG",
-            GroupingAlgorithm::OrderBased => "OG",
-            GroupingAlgorithm::SortOrderBased => "SOG",
-            GroupingAlgorithm::BinarySearch => "BSG",
-        }
-    }
-
-    /// Full name as in §4.1.
-    pub fn name(self) -> &'static str {
-        match self {
-            GroupingAlgorithm::HashBased => "Hash-based Grouping",
-            GroupingAlgorithm::StaticPerfectHash => "Static Perfect Hash-based Grouping",
-            GroupingAlgorithm::OrderBased => "Order-based Grouping",
-            GroupingAlgorithm::SortOrderBased => "Sort & Order-based Grouping",
-            GroupingAlgorithm::BinarySearch => "Binary Search-based Grouping",
-        }
-    }
-
-    /// Requires the input partitioned (e.g. sorted) by the grouping key.
-    pub fn requires_partitioned_input(self) -> bool {
-        matches!(self, GroupingAlgorithm::OrderBased)
-    }
-
-    /// Requires a dense key domain.
-    pub fn requires_dense_domain(self) -> bool {
-        matches!(self, GroupingAlgorithm::StaticPerfectHash)
-    }
-
-    /// Produces output sorted by group key (a plan property; §2.2).
-    pub fn output_sorted(self) -> bool {
-        matches!(
-            self,
-            GroupingAlgorithm::StaticPerfectHash
-                | GroupingAlgorithm::SortOrderBased
-                | GroupingAlgorithm::BinarySearch
-        )
-    }
-
-    /// All five variants, in the paper's presentation order.
-    pub fn all() -> [GroupingAlgorithm; 5] {
-        [
-            GroupingAlgorithm::HashBased,
-            GroupingAlgorithm::StaticPerfectHash,
-            GroupingAlgorithm::OrderBased,
-            GroupingAlgorithm::SortOrderBased,
-            GroupingAlgorithm::BinarySearch,
-        ]
-    }
-}
-
-impl std::fmt::Display for GroupingAlgorithm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.abbrev())
     }
 }
 
@@ -227,17 +152,6 @@ fn domain_of(keys: &[u32], hints: &GroupingHints) -> (u32, u32) {
 mod tests {
     use super::*;
     use crate::aggregate::CountSum;
-
-    #[test]
-    fn metadata_matches_paper() {
-        use GroupingAlgorithm::*;
-        assert_eq!(HashBased.abbrev(), "HG");
-        assert!(StaticPerfectHash.requires_dense_domain());
-        assert!(OrderBased.requires_partitioned_input());
-        assert!(!HashBased.output_sorted());
-        assert!(StaticPerfectHash.output_sorted());
-        assert_eq!(GroupingAlgorithm::all().len(), 5);
-    }
 
     #[test]
     fn grouped_result_sort_and_get() {

@@ -24,6 +24,7 @@ pub mod sphj;
 
 use crate::error::ExecError;
 use crate::Result;
+pub use dqo_plan::JoinAlgorithm;
 
 /// The output of an equi-join: matching row-index pairs into the left and
 /// right inputs, plus the output-order plan property.
@@ -59,69 +60,6 @@ impl JoinResult {
             .collect();
         pairs.sort_unstable();
         pairs
-    }
-}
-
-/// Identifies a join variant — the organelle-level plan decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum JoinAlgorithm {
-    /// HJ — hash join (build left, probe right).
-    HashBased,
-    /// OJ — merge join; both inputs must be sorted by the join key.
-    OrderBased,
-    /// SOJ — sort both inputs, then merge.
-    SortOrderBased,
-    /// SPHJ — static-perfect-hash join; build side domain must be dense.
-    StaticPerfectHash,
-    /// BSJ — binary-search join over the sorted build-key array.
-    BinarySearch,
-}
-
-impl JoinAlgorithm {
-    /// Paper abbreviation.
-    pub fn abbrev(self) -> &'static str {
-        match self {
-            JoinAlgorithm::HashBased => "HJ",
-            JoinAlgorithm::OrderBased => "OJ",
-            JoinAlgorithm::SortOrderBased => "SOJ",
-            JoinAlgorithm::StaticPerfectHash => "SPHJ",
-            JoinAlgorithm::BinarySearch => "BSJ",
-        }
-    }
-
-    /// Requires both inputs sorted by the join key.
-    pub fn requires_sorted_inputs(self) -> bool {
-        matches!(self, JoinAlgorithm::OrderBased)
-    }
-
-    /// Requires a dense build-side key domain.
-    pub fn requires_dense_domain(self) -> bool {
-        matches!(self, JoinAlgorithm::StaticPerfectHash)
-    }
-
-    /// Output ordered by join key.
-    pub fn output_sorted(self) -> bool {
-        matches!(
-            self,
-            JoinAlgorithm::OrderBased | JoinAlgorithm::SortOrderBased
-        )
-    }
-
-    /// All five variants.
-    pub fn all() -> [JoinAlgorithm; 5] {
-        [
-            JoinAlgorithm::HashBased,
-            JoinAlgorithm::OrderBased,
-            JoinAlgorithm::SortOrderBased,
-            JoinAlgorithm::StaticPerfectHash,
-            JoinAlgorithm::BinarySearch,
-        ]
-    }
-}
-
-impl std::fmt::Display for JoinAlgorithm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.abbrev())
     }
 }
 
@@ -194,15 +132,6 @@ pub fn nested_loop_oracle(left_keys: &[u32], right_keys: &[u32]) -> Vec<(u32, u3
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn metadata() {
-        assert_eq!(JoinAlgorithm::HashBased.abbrev(), "HJ");
-        assert!(JoinAlgorithm::OrderBased.requires_sorted_inputs());
-        assert!(JoinAlgorithm::StaticPerfectHash.requires_dense_domain());
-        assert!(JoinAlgorithm::SortOrderBased.output_sorted());
-        assert!(!JoinAlgorithm::HashBased.output_sorted());
-    }
 
     #[test]
     fn all_variants_agree_on_sorted_dense_inputs() {

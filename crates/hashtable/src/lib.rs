@@ -45,4 +45,4 @@ pub use quadratic::QuadraticProbingTable;
 pub use robin_hood::RobinHoodTable;
 pub use sorted_array::SortedArrayTable;
 pub use sph::StaticPerfectHash;
-pub use table::{GroupTable, TableKind};
+pub use table::GroupTable;

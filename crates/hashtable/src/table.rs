@@ -2,47 +2,6 @@
 //! need from any key→state table, making the table implementation a
 //! swappable DQO sub-component.
 
-/// Identifies a hash-table implementation — the *molecule* choice surfaced
-/// to the optimiser and plan printer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TableKind {
-    /// Chained buckets with per-node allocation (C++ `std::unordered_map`
-    /// analogue — the paper's HG baseline).
-    Chaining,
-    /// Open addressing, linear probing.
-    LinearProbing,
-    /// Open addressing, Robin-Hood displacement.
-    RobinHood,
-    /// Static perfect hash over a dense domain (§2.1).
-    StaticPerfectHash,
-    /// Sorted array + binary search (the paper's BSG table).
-    SortedArray,
-}
-
-impl TableKind {
-    /// Whether this table requires a dense key domain.
-    pub fn requires_dense_domain(self) -> bool {
-        matches!(self, TableKind::StaticPerfectHash)
-    }
-
-    /// Display name used in plans and benchmark output.
-    pub fn name(self) -> &'static str {
-        match self {
-            TableKind::Chaining => "chaining",
-            TableKind::LinearProbing => "linear-probing",
-            TableKind::RobinHood => "robin-hood",
-            TableKind::StaticPerfectHash => "static-perfect-hash",
-            TableKind::SortedArray => "sorted-array",
-        }
-    }
-}
-
-impl std::fmt::Display for TableKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// A mutable table from `u32` keys to per-group state `V`.
 ///
 /// This is the contract hash-based grouping needs: *upsert* (find the
@@ -75,31 +34,5 @@ pub trait GroupTable<V> {
     /// plan property DQO must not discard (§2.2).
     fn output_sorted(&self) -> bool {
         false
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn kind_metadata() {
-        assert!(TableKind::StaticPerfectHash.requires_dense_domain());
-        assert!(!TableKind::Chaining.requires_dense_domain());
-        assert_eq!(TableKind::RobinHood.to_string(), "robin-hood");
-    }
-
-    #[test]
-    fn kind_names_unique() {
-        use std::collections::HashSet;
-        let kinds = [
-            TableKind::Chaining,
-            TableKind::LinearProbing,
-            TableKind::RobinHood,
-            TableKind::StaticPerfectHash,
-            TableKind::SortedArray,
-        ];
-        let names: HashSet<_> = kinds.iter().map(|k| k.name()).collect();
-        assert_eq!(names.len(), kinds.len());
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! The paper treats the sort as an unnestable granule and *which* sort to
 //! run as a molecule-level decision (the E9 ablation); this module keeps
-//! that decision ([`RunSortMolecule`]: pdqsort vs LSB radix) and
+//! that decision ([`SortMolecule`]: pdqsort vs LSB radix) and
 //! parallelises around it:
 //!
 //! 1. **Run formation** — the input splits into one contiguous block per
@@ -35,25 +35,13 @@ use dqo_exec::join::JoinResult;
 use dqo_exec::pipeline::{Blocking, PipelineStats};
 use dqo_exec::sort::radix_sort_pairs_by_key;
 use dqo_exec::ExecError;
+use dqo_plan::SortMolecule;
 
 use crate::merge_path::{kway_merge_to, partition_merge};
 
 /// Smallest block worth a dedicated sort run: below this, splitting costs
 /// more in merge overhead than the run sort saves.
 pub const MIN_RUN_ROWS: usize = 1 << 12;
-
-/// The sort molecule each worker runs over its block — the same
-/// comparison-vs-radix decision the serial sort enforcer takes
-/// (`dqo_plan::SortMolecule`), mirrored here so `dqo-parallel` does not
-/// depend on the plan vocabulary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RunSortMolecule {
-    /// Pattern-defeating comparison sort (`sort_unstable` on the tuple).
-    #[default]
-    Comparison,
-    /// LSB radix sort by key (stable, so ties keep row order).
-    Radix,
-}
 
 /// Sort `keys` into the canonical `(key, original_row)` order: ascending
 /// by key, ties in input order. Returns the sorted pairs — the payload
@@ -72,7 +60,7 @@ pub enum RunSortMolecule {
 pub fn parallel_sort_index(
     pool: &ThreadPool,
     keys: &[u32],
-    molecule: RunSortMolecule,
+    molecule: SortMolecule,
     bounds: &[usize],
 ) -> Result<(Vec<(u32, u32)>, PipelineStats), PoolError> {
     let n = keys.len();
@@ -103,8 +91,8 @@ pub fn parallel_sort_index(
             .map(|(i, &k)| (k, (start + i) as u32))
             .collect();
         match molecule {
-            RunSortMolecule::Comparison => pairs.sort_unstable(),
-            RunSortMolecule::Radix => radix_sort_pairs_by_key(&mut pairs),
+            SortMolecule::Comparison => pairs.sort_unstable(),
+            SortMolecule::Radix => radix_sort_pairs_by_key(&mut pairs),
         }
         pairs
     })?;
@@ -168,7 +156,7 @@ pub fn parallel_sort_index(
 pub fn parallel_argsort(
     pool: &ThreadPool,
     keys: &[u32],
-    molecule: RunSortMolecule,
+    molecule: SortMolecule,
     bounds: &[usize],
 ) -> Result<(Vec<u32>, PipelineStats), PoolError> {
     let (pairs, stats) = parallel_sort_index(pool, keys, molecule, bounds)?;
@@ -188,7 +176,7 @@ pub fn parallel_sog<A: Aggregator>(
     keys: &[u32],
     values: &[u32],
     agg: A,
-    molecule: RunSortMolecule,
+    molecule: SortMolecule,
     bounds: &[usize],
 ) -> Result<(GroupedResult<A::State>, PipelineStats), ExecError> {
     assert!(
@@ -280,7 +268,7 @@ pub fn parallel_sort_merge_join(
     pool: &ThreadPool,
     left: &[u32],
     right: &[u32],
-    molecule: RunSortMolecule,
+    molecule: SortMolecule,
     left_bounds: &[usize],
 ) -> Result<(JoinResult, PipelineStats), ExecError> {
     let (ls, mut stats) = parallel_sort_index(pool, left, molecule, left_bounds)?;
@@ -334,7 +322,7 @@ mod tests {
     use dqo_exec::join::soj::sort_merge_join;
     use dqo_exec::sort::argsort;
 
-    const MOLECULES: [RunSortMolecule; 2] = [RunSortMolecule::Comparison, RunSortMolecule::Radix];
+    const MOLECULES: [SortMolecule; 2] = [SortMolecule::Comparison, SortMolecule::Radix];
 
     fn dataset(n: usize, domain: u32, seed: u32) -> Vec<u32> {
         (0..n)
@@ -362,8 +350,7 @@ mod tests {
     fn sorted_pairs_are_fully_ordered_and_a_permutation() {
         let keys = dataset(50_000, 1 << 20, 9);
         let pool = ThreadPool::new(4);
-        let (pairs, _) =
-            parallel_sort_index(&pool, &keys, RunSortMolecule::Comparison, &[]).unwrap();
+        let (pairs, _) = parallel_sort_index(&pool, &keys, SortMolecule::Comparison, &[]).unwrap();
         assert_eq!(pairs.len(), keys.len());
         assert!(pairs.windows(2).all(|w| w[0] < w[1]), "total order");
         let mut rows: Vec<u32> = pairs.iter().map(|p| p.1).collect();
@@ -383,8 +370,7 @@ mod tests {
             assert_eq!(par, serial, "{molecule:?}");
         }
         // Degenerate bounds fall back to the even split.
-        let (par, _) =
-            parallel_argsort(&pool, &keys, RunSortMolecule::Comparison, &[3, 7]).unwrap();
+        let (par, _) = parallel_argsort(&pool, &keys, SortMolecule::Comparison, &[3, 7]).unwrap();
         assert_eq!(par, serial);
 
         let vals = dataset(60_000, 900, 8);
@@ -394,7 +380,7 @@ mod tests {
             &keys,
             &vals,
             CountSum,
-            RunSortMolecule::Comparison,
+            SortMolecule::Comparison,
             &bounds,
         )
         .unwrap();
@@ -403,7 +389,7 @@ mod tests {
         let right = dataset(10_000, 40, 2);
         let serial_soj = sort_merge_join(&keys, &right);
         let (soj, _) =
-            parallel_sort_merge_join(&pool, &keys, &right, RunSortMolecule::Comparison, &bounds)
+            parallel_sort_merge_join(&pool, &keys, &right, SortMolecule::Comparison, &bounds)
                 .unwrap();
         assert_eq!(soj.left_rows, serial_soj.left_rows);
         assert_eq!(soj.right_rows, serial_soj.right_rows);
@@ -413,8 +399,8 @@ mod tests {
     fn molecules_agree() {
         let keys = dataset(30_000, 1000, 1);
         let pool = ThreadPool::new(8);
-        let (a, _) = parallel_sort_index(&pool, &keys, RunSortMolecule::Comparison, &[]).unwrap();
-        let (b, _) = parallel_sort_index(&pool, &keys, RunSortMolecule::Radix, &[]).unwrap();
+        let (a, _) = parallel_sort_index(&pool, &keys, SortMolecule::Comparison, &[]).unwrap();
+        let (b, _) = parallel_sort_index(&pool, &keys, SortMolecule::Radix, &[]).unwrap();
         assert_eq!(a, b);
     }
 
@@ -442,15 +428,8 @@ mod tests {
         let keys = vec![7u32; 50_000];
         let vals: Vec<u32> = (0..50_000).map(|i| (i % 100) as u32).collect();
         let pool = ThreadPool::new(8);
-        let (r, _) = parallel_sog(
-            &pool,
-            &keys,
-            &vals,
-            CountSum,
-            RunSortMolecule::Comparison,
-            &[],
-        )
-        .unwrap();
+        let (r, _) =
+            parallel_sog(&pool, &keys, &vals, CountSum, SortMolecule::Comparison, &[]).unwrap();
         assert_eq!(r.keys, vec![7]);
         assert_eq!(r.states[0].count, 50_000);
         assert_eq!(
@@ -486,8 +465,7 @@ mod tests {
         let serial = sort_merge_join(&left, &right);
         let pool = ThreadPool::new(8);
         let (par, _) =
-            parallel_sort_merge_join(&pool, &left, &right, RunSortMolecule::Comparison, &[])
-                .unwrap();
+            parallel_sort_merge_join(&pool, &left, &right, SortMolecule::Comparison, &[]).unwrap();
         assert_eq!(par.left_rows, serial.left_rows);
         assert_eq!(par.right_rows, serial.right_rows);
     }
@@ -495,19 +473,18 @@ mod tests {
     #[test]
     fn empty_and_tiny_inputs() {
         let pool = ThreadPool::new(4);
-        let (pairs, _) = parallel_sort_index(&pool, &[], RunSortMolecule::Comparison, &[]).unwrap();
+        let (pairs, _) = parallel_sort_index(&pool, &[], SortMolecule::Comparison, &[]).unwrap();
         assert!(pairs.is_empty());
-        let (r, _) = parallel_sog(&pool, &[], &[], CountSum, RunSortMolecule::Radix, &[]).unwrap();
+        let (r, _) = parallel_sog(&pool, &[], &[], CountSum, SortMolecule::Radix, &[]).unwrap();
         assert!(r.is_empty());
         assert!(r.sorted_by_key);
         let (j, _) =
-            parallel_sort_merge_join(&pool, &[], &[1, 2], RunSortMolecule::Comparison, &[])
-                .unwrap();
+            parallel_sort_merge_join(&pool, &[], &[1, 2], SortMolecule::Comparison, &[]).unwrap();
         assert!(j.is_empty());
         let (j, _) =
-            parallel_sort_merge_join(&pool, &[1], &[1], RunSortMolecule::Comparison, &[]).unwrap();
+            parallel_sort_merge_join(&pool, &[1], &[1], SortMolecule::Comparison, &[]).unwrap();
         assert_eq!(j.len(), 1);
-        let (one, _) = parallel_sort_index(&pool, &[42], RunSortMolecule::Radix, &[]).unwrap();
+        let (one, _) = parallel_sort_index(&pool, &[42], SortMolecule::Radix, &[]).unwrap();
         assert_eq!(one, vec![(42, 0)]);
     }
 
@@ -520,7 +497,7 @@ mod tests {
                 &[1, 2],
                 &[1],
                 CountSum,
-                RunSortMolecule::Comparison,
+                SortMolecule::Comparison,
                 &[]
             ),
             Err(ExecError::LengthMismatch { .. })
@@ -531,11 +508,10 @@ mod tests {
     fn repeated_runs_are_identical() {
         let keys = dataset(120_000, 64, 77);
         let pool = ThreadPool::new(8);
-        let (first, _) =
-            parallel_sort_index(&pool, &keys, RunSortMolecule::Comparison, &[]).unwrap();
+        let (first, _) = parallel_sort_index(&pool, &keys, SortMolecule::Comparison, &[]).unwrap();
         for _ in 0..3 {
             let (again, _) =
-                parallel_sort_index(&pool, &keys, RunSortMolecule::Comparison, &[]).unwrap();
+                parallel_sort_index(&pool, &keys, SortMolecule::Comparison, &[]).unwrap();
             assert_eq!(again, first);
         }
     }

@@ -1,68 +1,81 @@
 //! The named implementation alternatives at each granularity — the
-//! *decisions* DQO makes. This is plan-side vocabulary only; `dqo-exec`
-//! holds the code each name denotes, and `dqo-core` does the mapping.
+//! *decisions* DQO makes. Each decision is defined once, here: the
+//! optimiser chooses among these names, EXPLAIN prints them, and the
+//! `dqo-exec` / `dqo-parallel` kernels dispatch on the same types.
 
-use crate::granule::Granularity;
 use std::fmt;
 
 /// Organelle-level grouping implementations (§4.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum GroupingImpl {
-    /// HG — hash-based grouping.
-    Hg,
-    /// SPHG — static perfect hash-based grouping (dense domains).
-    Sphg,
-    /// OG — order-based grouping (partitioned input).
-    Og,
-    /// SOG — sort & order-based grouping.
-    Sog,
-    /// BSG — binary-search-based grouping.
-    Bsg,
+pub enum GroupingAlgorithm {
+    /// HG — hash table (chaining + Murmur3 unless molecules say otherwise).
+    HashBased,
+    /// SPHG — array indexed by `key - min`; dense domains only.
+    StaticPerfectHash,
+    /// OG — one sequential pass; input must be partitioned by key.
+    OrderBased,
+    /// SOG — sort a copy, then OG.
+    SortOrderBased,
+    /// BSG — sorted key array + binary-search probes.
+    BinarySearch,
 }
 
-impl GroupingImpl {
+impl GroupingAlgorithm {
     /// Paper abbreviation.
     pub fn abbrev(self) -> &'static str {
         match self {
-            GroupingImpl::Hg => "HG",
-            GroupingImpl::Sphg => "SPHG",
-            GroupingImpl::Og => "OG",
-            GroupingImpl::Sog => "SOG",
-            GroupingImpl::Bsg => "BSG",
+            GroupingAlgorithm::HashBased => "HG",
+            GroupingAlgorithm::StaticPerfectHash => "SPHG",
+            GroupingAlgorithm::OrderBased => "OG",
+            GroupingAlgorithm::SortOrderBased => "SOG",
+            GroupingAlgorithm::BinarySearch => "BSG",
         }
     }
 
-    /// Needs the input partitioned/sorted by the grouping key.
-    pub fn requires_sorted_input(self) -> bool {
-        matches!(self, GroupingImpl::Og)
+    /// Full name as in §4.1.
+    pub fn name(self) -> &'static str {
+        match self {
+            GroupingAlgorithm::HashBased => "Hash-based Grouping",
+            GroupingAlgorithm::StaticPerfectHash => "Static Perfect Hash-based Grouping",
+            GroupingAlgorithm::OrderBased => "Order-based Grouping",
+            GroupingAlgorithm::SortOrderBased => "Sort & Order-based Grouping",
+            GroupingAlgorithm::BinarySearch => "Binary Search-based Grouping",
+        }
     }
 
-    /// Needs a dense key domain.
+    /// Requires the input partitioned (e.g. sorted) by the grouping key.
+    pub fn requires_partitioned_input(self) -> bool {
+        matches!(self, GroupingAlgorithm::OrderBased)
+    }
+
+    /// Requires a dense key domain.
     pub fn requires_dense_domain(self) -> bool {
-        matches!(self, GroupingImpl::Sphg)
+        matches!(self, GroupingAlgorithm::StaticPerfectHash)
     }
 
-    /// Output is sorted by group key.
+    /// Produces output sorted by group key (a plan property; §2.2).
     pub fn produces_sorted_output(self) -> bool {
         matches!(
             self,
-            GroupingImpl::Sphg | GroupingImpl::Sog | GroupingImpl::Bsg
+            GroupingAlgorithm::StaticPerfectHash
+                | GroupingAlgorithm::SortOrderBased
+                | GroupingAlgorithm::BinarySearch
         )
     }
 
-    /// All variants.
-    pub fn all() -> [GroupingImpl; 5] {
+    /// All five variants, in the paper's presentation order.
+    pub fn all() -> [GroupingAlgorithm; 5] {
         [
-            GroupingImpl::Hg,
-            GroupingImpl::Sphg,
-            GroupingImpl::Og,
-            GroupingImpl::Sog,
-            GroupingImpl::Bsg,
+            GroupingAlgorithm::HashBased,
+            GroupingAlgorithm::StaticPerfectHash,
+            GroupingAlgorithm::OrderBased,
+            GroupingAlgorithm::SortOrderBased,
+            GroupingAlgorithm::BinarySearch,
         ]
     }
 }
 
-impl fmt::Display for GroupingImpl {
+impl fmt::Display for GroupingAlgorithm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.abbrev())
     }
@@ -70,59 +83,62 @@ impl fmt::Display for GroupingImpl {
 
 /// Organelle-level join implementations (§4.3, Table 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum JoinImpl {
-    /// HJ — hash join.
-    Hj,
-    /// OJ — merge join (both inputs sorted).
-    Oj,
-    /// SOJ — sort-merge join (sorting whichever inputs need it).
-    Soj,
-    /// SPHJ — static perfect hash join (dense build domain).
-    Sphj,
-    /// BSJ — binary-search join.
-    Bsj,
+pub enum JoinAlgorithm {
+    /// HJ — hash join (build left, probe right).
+    HashBased,
+    /// OJ — merge join; both inputs must be sorted by the join key.
+    OrderBased,
+    /// SOJ — sort both inputs, then merge.
+    SortOrderBased,
+    /// SPHJ — static-perfect-hash join; build side domain must be dense.
+    StaticPerfectHash,
+    /// BSJ — binary-search join over the sorted build-key array.
+    BinarySearch,
 }
 
-impl JoinImpl {
+impl JoinAlgorithm {
     /// Paper abbreviation.
     pub fn abbrev(self) -> &'static str {
         match self {
-            JoinImpl::Hj => "HJ",
-            JoinImpl::Oj => "OJ",
-            JoinImpl::Soj => "SOJ",
-            JoinImpl::Sphj => "SPHJ",
-            JoinImpl::Bsj => "BSJ",
+            JoinAlgorithm::HashBased => "HJ",
+            JoinAlgorithm::OrderBased => "OJ",
+            JoinAlgorithm::SortOrderBased => "SOJ",
+            JoinAlgorithm::StaticPerfectHash => "SPHJ",
+            JoinAlgorithm::BinarySearch => "BSJ",
         }
     }
 
-    /// Needs both inputs sorted by the join key.
+    /// Requires both inputs sorted by the join key.
     pub fn requires_sorted_inputs(self) -> bool {
-        matches!(self, JoinImpl::Oj)
+        matches!(self, JoinAlgorithm::OrderBased)
     }
 
-    /// Needs a dense build-side key domain.
+    /// Requires a dense build-side key domain.
     pub fn requires_dense_domain(self) -> bool {
-        matches!(self, JoinImpl::Sphj)
+        matches!(self, JoinAlgorithm::StaticPerfectHash)
     }
 
     /// Output ordered by join key.
     pub fn produces_sorted_output(self) -> bool {
-        matches!(self, JoinImpl::Oj | JoinImpl::Soj)
+        matches!(
+            self,
+            JoinAlgorithm::OrderBased | JoinAlgorithm::SortOrderBased
+        )
     }
 
-    /// All variants.
-    pub fn all() -> [JoinImpl; 5] {
+    /// All five variants.
+    pub fn all() -> [JoinAlgorithm; 5] {
         [
-            JoinImpl::Hj,
-            JoinImpl::Oj,
-            JoinImpl::Soj,
-            JoinImpl::Sphj,
-            JoinImpl::Bsj,
+            JoinAlgorithm::HashBased,
+            JoinAlgorithm::OrderBased,
+            JoinAlgorithm::SortOrderBased,
+            JoinAlgorithm::StaticPerfectHash,
+            JoinAlgorithm::BinarySearch,
         ]
     }
 }
 
-impl fmt::Display for JoinImpl {
+impl fmt::Display for JoinAlgorithm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.abbrev())
     }
@@ -211,12 +227,13 @@ impl fmt::Display for LoopMolecule {
     }
 }
 
-/// Molecule: sort implementation.
+/// Molecule: sort implementation — for the serial sort enforcer and for
+/// each run of the parallel sort alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SortMolecule {
     /// Pattern-defeating comparison sort.
     Comparison,
-    /// LSB radix sort (4×8-bit passes).
+    /// LSB radix sort (4×8-bit passes; stable, so ties keep row order).
     Radix,
 }
 
@@ -229,43 +246,33 @@ impl fmt::Display for SortMolecule {
     }
 }
 
-/// The granularity at which each vocabulary item sits — used by the deep
-/// plan printer and the depth-capped enumerator.
-pub fn granularity_of_table(_: TableMolecule) -> Granularity {
-    Granularity::MacroMolecule
-}
-
-/// Hash functions are molecule-level decisions.
-pub fn granularity_of_hash(_: HashFnMolecule) -> Granularity {
-    Granularity::Molecule
-}
-
-/// Loop strategy is a molecule-level decision.
-pub fn granularity_of_loop(_: LoopMolecule) -> Granularity {
-    Granularity::Molecule
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn grouping_metadata() {
-        assert_eq!(GroupingImpl::Hg.abbrev(), "HG");
-        assert!(GroupingImpl::Og.requires_sorted_input());
-        assert!(GroupingImpl::Sphg.requires_dense_domain());
-        assert!(GroupingImpl::Sog.produces_sorted_output());
-        assert!(!GroupingImpl::Hg.produces_sorted_output());
-        assert_eq!(GroupingImpl::all().len(), 5);
+        use GroupingAlgorithm::*;
+        assert_eq!(HashBased.abbrev(), "HG");
+        assert!(OrderBased.requires_partitioned_input());
+        assert!(StaticPerfectHash.requires_dense_domain());
+        assert!(SortOrderBased.produces_sorted_output());
+        assert!(StaticPerfectHash.produces_sorted_output());
+        assert!(!HashBased.produces_sorted_output());
+        assert_eq!(GroupingAlgorithm::all().len(), 5);
     }
 
     #[test]
     fn join_metadata() {
-        assert!(JoinImpl::Oj.requires_sorted_inputs());
-        assert!(!JoinImpl::Soj.requires_sorted_inputs());
-        assert!(JoinImpl::Sphj.requires_dense_domain());
-        assert!(JoinImpl::Oj.produces_sorted_output());
-        assert_eq!(JoinImpl::all().len(), 5);
+        use JoinAlgorithm::*;
+        assert_eq!(HashBased.abbrev(), "HJ");
+        assert!(OrderBased.requires_sorted_inputs());
+        assert!(!SortOrderBased.requires_sorted_inputs());
+        assert!(StaticPerfectHash.requires_dense_domain());
+        assert!(OrderBased.produces_sorted_output());
+        assert!(SortOrderBased.produces_sorted_output());
+        assert!(!HashBased.produces_sorted_output());
+        assert_eq!(JoinAlgorithm::all().len(), 5);
     }
 
     #[test]
@@ -277,26 +284,12 @@ mod tests {
     }
 
     #[test]
-    fn granularity_assignments() {
-        assert_eq!(
-            granularity_of_table(TableMolecule::Chaining),
-            Granularity::MacroMolecule
-        );
-        assert_eq!(
-            granularity_of_hash(HashFnMolecule::Murmur3),
-            Granularity::Molecule
-        );
-        assert_eq!(
-            granularity_of_loop(LoopMolecule::Parallel),
-            Granularity::Molecule
-        );
-    }
-
-    #[test]
     fn display_names() {
         assert_eq!(HashFnMolecule::Murmur3.to_string(), "murmur3");
         assert_eq!(LoopMolecule::Serial.to_string(), "serial");
         assert_eq!(SortMolecule::Radix.to_string(), "radix");
-        assert_eq!(JoinImpl::Sphj.to_string(), "SPHJ");
+        assert_eq!(SortMolecule::Comparison.to_string(), "pdqsort");
+        assert_eq!(JoinAlgorithm::StaticPerfectHash.to_string(), "SPHJ");
+        assert_eq!(GroupingAlgorithm::BinarySearch.to_string(), "BSG");
     }
 }

@@ -11,11 +11,13 @@
 //! shows being discarded. [`enumerate_grouping_plans`] drives unnesting to
 //! fixpoint and returns every complete deep grouping plan; the textbook
 //! hash-based grouping of Figure 1 is exactly one of them
-//! ([`DeepPlan::equivalent_grouping_impl`] recovers the §4.1 names), which
+//! ([`DeepPlan::equivalent_grouping_algorithm`] recovers the §4.1 names), which
 //! is the paper's point: *"hash-based grouping is just one of many special
 //! cases in a partition-based grouping algorithm."*
 
-use crate::algorithms::{GroupingImpl, HashFnMolecule, LoopMolecule, SortMolecule, TableMolecule};
+use crate::algorithms::{
+    GroupingAlgorithm, HashFnMolecule, LoopMolecule, SortMolecule, TableMolecule,
+};
 use crate::granule::Granularity;
 use std::fmt;
 
@@ -279,24 +281,24 @@ impl DeepPlan {
     /// serial) is HG; Figure 3(e) (SPH + parallel load) is the SPHG
     /// refinement; the sort branch is SOG; pass-through is OG; a
     /// sorted-array index is BSG.
-    pub fn equivalent_grouping_impl(&self) -> Option<GroupingImpl> {
+    pub fn equivalent_grouping_algorithm(&self) -> Option<GroupingAlgorithm> {
         // Expect AggregateBundle at the root of a grouping deep plan.
         let Granule::AggregateBundle { .. } = self.granule else {
             return None;
         };
         let part = self.children.first()?;
         match &part.granule {
-            Granule::PassThroughPartition => Some(GroupingImpl::Og),
-            Granule::SortPartition { .. } => Some(GroupingImpl::Sog),
+            Granule::PassThroughPartition => Some(GroupingAlgorithm::OrderBased),
+            Granule::SortPartition { .. } => Some(GroupingAlgorithm::SortOrderBased),
             Granule::IndexScan => {
                 let build = part.children.first()?;
                 match &build.granule {
                     Granule::IndexBuild { table: Some(t), .. } => Some(match t {
                         TableMolecule::Chaining
                         | TableMolecule::LinearProbing
-                        | TableMolecule::RobinHood => GroupingImpl::Hg,
-                        TableMolecule::StaticPerfectHash => GroupingImpl::Sphg,
-                        TableMolecule::SortedArray => GroupingImpl::Bsg,
+                        | TableMolecule::RobinHood => GroupingAlgorithm::HashBased,
+                        TableMolecule::StaticPerfectHash => GroupingAlgorithm::StaticPerfectHash,
+                        TableMolecule::SortedArray => GroupingAlgorithm::BinarySearch,
                     }),
                     _ => None,
                 }
@@ -439,7 +441,7 @@ mod tests {
         let hg_like: Vec<&DeepPlan> = plans
             .iter()
             .filter(|p| {
-                p.equivalent_grouping_impl() == Some(GroupingImpl::Hg)
+                p.equivalent_grouping_algorithm() == Some(GroupingAlgorithm::HashBased)
                     && format!("{p}").contains("chaining, hash=murmur3, load=serial")
                     && matches!(
                         p.granule,
@@ -456,7 +458,7 @@ mod tests {
     fn figure3e_sph_parallel_exists() {
         let plans = enumerate_grouping_plans();
         assert!(plans.iter().any(|p| {
-            p.equivalent_grouping_impl() == Some(GroupingImpl::Sphg)
+            p.equivalent_grouping_algorithm() == Some(GroupingAlgorithm::StaticPerfectHash)
                 && format!("{p}").contains("load=parallel")
         }));
     }
@@ -464,11 +466,11 @@ mod tests {
     #[test]
     fn every_named_variant_appears_in_the_space() {
         let plans = enumerate_grouping_plans();
-        for variant in GroupingImpl::all() {
+        for variant in GroupingAlgorithm::all() {
             assert!(
                 plans
                     .iter()
-                    .any(|p| p.equivalent_grouping_impl() == Some(variant)),
+                    .any(|p| p.equivalent_grouping_algorithm() == Some(variant)),
                 "{variant} missing from enumerated space"
             );
         }

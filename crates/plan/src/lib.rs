@@ -35,7 +35,7 @@ pub mod physical;
 pub mod properties;
 
 pub use algorithms::{
-    GroupingImpl, HashFnMolecule, JoinImpl, LoopMolecule, SortMolecule, TableMolecule,
+    GroupingAlgorithm, HashFnMolecule, JoinAlgorithm, LoopMolecule, SortMolecule, TableMolecule,
 };
 pub use deep::{DeepPlan, Granule};
 pub use expr::{like_match, AggExpr, AggFunc, CmpOp, Predicate};

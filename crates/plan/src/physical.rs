@@ -1,13 +1,15 @@
 //! Physical plans: every decision made, ready to execute.
 //!
 //! A [`PhysicalPlan`] is what the optimiser hands the executor: operators
-//! annotated with the chosen organelle ([`JoinImpl`]/[`GroupingImpl`]) and
+//! annotated with the chosen organelle ([`JoinAlgorithm`]/[`GroupingAlgorithm`]) and
 //! — when DQO went deeper — the molecule choices underneath
 //! ([`GroupingMolecules`]). A shallow plan simply leaves the molecule
 //! fields at their developer defaults, which is precisely SQO's behaviour
 //! per Table 1.
 
-use crate::algorithms::{GroupingImpl, HashFnMolecule, JoinImpl, SortMolecule, TableMolecule};
+use crate::algorithms::{
+    GroupingAlgorithm, HashFnMolecule, JoinAlgorithm, SortMolecule, TableMolecule,
+};
 use crate::expr::{AggExpr, Predicate};
 use std::fmt;
 
@@ -24,19 +26,19 @@ pub struct GroupingMolecules {
 impl GroupingMolecules {
     /// The developer defaults behind each §4.1 name — what a shallow
     /// optimiser implicitly picks when it names the organelle.
-    pub fn defaults_for(algo: GroupingImpl) -> Self {
+    pub fn defaults_for(algo: GroupingAlgorithm) -> Self {
         match algo {
-            GroupingImpl::Hg => GroupingMolecules {
+            GroupingAlgorithm::HashBased => GroupingMolecules {
                 table: Some(TableMolecule::Chaining),
                 hash: Some(HashFnMolecule::Murmur3),
             },
-            GroupingImpl::Sphg => GroupingMolecules {
+            GroupingAlgorithm::StaticPerfectHash => GroupingMolecules {
                 table: Some(TableMolecule::StaticPerfectHash),
                 hash: None,
             },
-            GroupingImpl::Og => GroupingMolecules::default(),
-            GroupingImpl::Sog => GroupingMolecules::default(),
-            GroupingImpl::Bsg => GroupingMolecules {
+            GroupingAlgorithm::OrderBased => GroupingMolecules::default(),
+            GroupingAlgorithm::SortOrderBased => GroupingMolecules::default(),
+            GroupingAlgorithm::BinarySearch => GroupingMolecules {
                 table: Some(TableMolecule::SortedArray),
                 hash: None,
             },
@@ -93,7 +95,7 @@ pub enum PhysicalPlan {
         /// Join key on the right.
         right_key: String,
         /// Chosen join organelle.
-        algo: JoinImpl,
+        algo: JoinAlgorithm,
     },
     /// Grouping with a decided implementation and molecules. Multi-column
     /// keys run on the 64-bit packed composite-key domain when the
@@ -107,7 +109,7 @@ pub enum PhysicalPlan {
         /// Aggregates.
         aggs: Vec<AggExpr>,
         /// Chosen grouping organelle.
-        algo: GroupingImpl,
+        algo: GroupingAlgorithm,
         /// Molecule decisions beneath it.
         molecules: GroupingMolecules,
     },
@@ -164,11 +166,18 @@ impl PhysicalPlan {
         match self {
             PhysicalPlan::Filter { .. } | PhysicalPlan::Sort { .. } => true,
             PhysicalPlan::Join { algo, .. } => {
-                matches!(algo, JoinImpl::Hj | JoinImpl::Sphj | JoinImpl::Soj)
+                matches!(
+                    algo,
+                    JoinAlgorithm::HashBased
+                        | JoinAlgorithm::StaticPerfectHash
+                        | JoinAlgorithm::SortOrderBased
+                )
             }
             PhysicalPlan::GroupBy { algo, .. } => matches!(
                 algo,
-                GroupingImpl::Hg | GroupingImpl::Sphg | GroupingImpl::Sog
+                GroupingAlgorithm::HashBased
+                    | GroupingAlgorithm::StaticPerfectHash
+                    | GroupingAlgorithm::SortOrderBased
             ),
             _ => false,
         }
@@ -333,12 +342,12 @@ mod tests {
                 right: Box::new(PhysicalPlan::Scan { table: "S".into() }),
                 left_key: "id".into(),
                 right_key: "r_id".into(),
-                algo: JoinImpl::Sphj,
+                algo: JoinAlgorithm::StaticPerfectHash,
             }),
             keys: vec!["a".into()],
             aggs: vec![AggExpr::count_star("count")],
-            algo: GroupingImpl::Sphg,
-            molecules: GroupingMolecules::defaults_for(GroupingImpl::Sphg),
+            algo: GroupingAlgorithm::StaticPerfectHash,
+            molecules: GroupingMolecules::defaults_for(GroupingAlgorithm::StaticPerfectHash),
         }
     }
 
@@ -349,14 +358,14 @@ mod tests {
 
     #[test]
     fn hg_defaults_match_the_paper() {
-        let m = GroupingMolecules::defaults_for(GroupingImpl::Hg);
+        let m = GroupingMolecules::defaults_for(GroupingAlgorithm::HashBased);
         assert_eq!(m.table, Some(TableMolecule::Chaining));
         assert_eq!(m.hash, Some(HashFnMolecule::Murmur3));
     }
 
     #[test]
     fn sph_defaults_need_no_hash_function() {
-        let m = GroupingMolecules::defaults_for(GroupingImpl::Sphg);
+        let m = GroupingMolecules::defaults_for(GroupingAlgorithm::StaticPerfectHash);
         assert_eq!(m.table, Some(TableMolecule::StaticPerfectHash));
         assert_eq!(m.hash, None);
     }
@@ -367,8 +376,8 @@ mod tests {
             input: Box::new(PhysicalPlan::Scan { table: "t".into() }),
             keys: vec!["k".into()],
             aggs: vec![AggExpr::count_star("n")],
-            algo: GroupingImpl::Hg,
-            molecules: GroupingMolecules::defaults_for(GroupingImpl::Hg),
+            algo: GroupingAlgorithm::HashBased,
+            molecules: GroupingMolecules::defaults_for(GroupingAlgorithm::HashBased),
         };
         let text = plan.explain();
         assert!(text.contains("HG γ[k]"));
@@ -382,8 +391,8 @@ mod tests {
             input: Box::new(PhysicalPlan::Scan { table: "t".into() }),
             keys: vec!["k".into(), "s".into()],
             aggs: vec![AggExpr::count_star("n")],
-            algo: GroupingImpl::Sphg,
-            molecules: GroupingMolecules::defaults_for(GroupingImpl::Sphg),
+            algo: GroupingAlgorithm::StaticPerfectHash,
+            molecules: GroupingMolecules::defaults_for(GroupingAlgorithm::StaticPerfectHash),
         };
         assert!(plan.explain().contains("SPHG γ[k,s]"));
     }

@@ -271,27 +271,27 @@ pub fn zipf_keys(rows: usize, groups: usize, exponent: f64, seed: u64) -> Vec<u3
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::ColumnStats;
+    use crate::DataProps;
 
     #[test]
     fn dense_sorted_dataset_properties() {
         let spec = DatasetSpec::new(10_000, 100).sorted(true).dense(true);
         let data = spec.generate().unwrap();
-        let stats = ColumnStats::compute(&data);
+        let stats = DataProps::compute(&data);
         assert_eq!(stats.rows, 10_000);
         assert_eq!(stats.distinct, 100);
         assert_eq!((stats.min, stats.max), (0, 99));
         assert!(stats.sortedness.is_sorted());
-        assert!(stats.density().is_dense());
+        assert!(stats.density.is_dense());
     }
 
     #[test]
     fn dense_unsorted_dataset_properties() {
         let spec = DatasetSpec::new(10_000, 100).sorted(false).dense(true);
         let data = spec.generate().unwrap();
-        let stats = ColumnStats::compute(&data);
+        let stats = DataProps::compute(&data);
         assert_eq!(stats.distinct, 100);
-        assert!(stats.density().is_dense());
+        assert!(stats.density.is_dense());
         assert!(!stats.sortedness.is_sorted());
     }
 
@@ -299,9 +299,9 @@ mod tests {
     fn sparse_dataset_is_sparse() {
         let spec = DatasetSpec::new(10_000, 100).sorted(false).dense(false);
         let data = spec.generate().unwrap();
-        let stats = ColumnStats::compute(&data);
+        let stats = DataProps::compute(&data);
         assert_eq!(stats.distinct, 100);
-        assert!(!stats.density().is_dense());
+        assert!(!stats.density.is_dense());
         // Keys really are spread out: max far beyond group count.
         assert!(stats.max > 1_000_000);
     }
@@ -310,9 +310,9 @@ mod tests {
     fn sparse_sorted_dataset() {
         let spec = DatasetSpec::new(5_000, 50).sorted(true).dense(false);
         let data = spec.generate().unwrap();
-        let stats = ColumnStats::compute(&data);
+        let stats = DataProps::compute(&data);
         assert!(stats.sortedness.is_sorted());
-        assert!(!stats.density().is_dense());
+        assert!(!stats.density.is_dense());
         assert_eq!(stats.distinct, 50);
     }
 
@@ -329,7 +329,7 @@ mod tests {
         let spec = DatasetSpec::new(5, 100);
         let data = spec.generate().unwrap();
         assert_eq!(data.len(), 5);
-        assert_eq!(ColumnStats::compute(&data).distinct, 5);
+        assert_eq!(DataProps::compute(&data).distinct, 5);
     }
 
     #[test]
@@ -383,8 +383,8 @@ mod tests {
         let (r, s) = spec.generate().unwrap();
         let r_ids = r.column("id").unwrap().as_u32().unwrap();
         let s_ids = s.column("r_id").unwrap().as_u32().unwrap();
-        assert!(!ColumnStats::compute(r_ids).sortedness.is_sorted());
-        assert!(ColumnStats::compute(s_ids).sortedness.is_sorted());
+        assert!(!DataProps::compute(r_ids).sortedness.is_sorted());
+        assert!(DataProps::compute(s_ids).sortedness.is_sorted());
     }
 
     #[test]
@@ -397,8 +397,8 @@ mod tests {
         }
         .generate()
         .unwrap();
-        let stats = ColumnStats::compute(r.column("id").unwrap().as_u32().unwrap());
-        assert!(stats.density().is_dense());
+        let stats = DataProps::compute(r.column("id").unwrap().as_u32().unwrap());
+        assert!(stats.density.is_dense());
         assert_eq!(stats.distinct, 50);
     }
 

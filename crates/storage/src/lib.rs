@@ -6,7 +6,7 @@
 //! * typed [`Column`]s and [`Relation`]s with a simple [`Schema`],
 //! * data properties ([`Sortedness`], [`Density`]) — the *plan properties*
 //!   of the paper's §2.2 as they manifest on stored data,
-//! * exact [`stats`] computation and property detection,
+//! * exact property detection ([`DataProps::compute`]),
 //! * the paper's four benchmark datasets and foreign-key join inputs in
 //!   [`datagen`],
 //! * [`dictionary`] compression (dense dictionary codes are the paper's
@@ -29,7 +29,6 @@ pub mod properties;
 pub mod relation;
 pub mod schema;
 pub mod selection;
-pub mod stats;
 pub mod value;
 
 pub use column::{Column, RowId};
@@ -43,7 +42,6 @@ pub use properties::{DataProps, Density, Sortedness};
 pub use relation::{AppendedRelation, Relation};
 pub use schema::{Field, Schema};
 pub use selection::{narrow_rows, Piece, Selection};
-pub use stats::ColumnStats;
 pub use value::{DataType, Value};
 
 /// Crate-wide result type.

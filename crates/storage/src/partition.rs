@@ -3,9 +3,8 @@
 //! A [`PartitionedRelation`] keeps the table's rows in one flat
 //! [`Relation`] (so every existing operator works unchanged) plus a
 //! [`Partitioning`] that maps each partition to a set of row ranges in the
-//! flat relation, with per-partition observed statistics ([`ColumnStats`]:
-//! rowcount, min/max, distinct, sortedness) and a per-partition data
-//! generation clock for append tracking.
+//! flat relation, with a per-partition data generation clock for append
+//! tracking.
 //!
 //! Routing is a pure function of the [`PartitionSpec`]: a row with
 //! partition-column value `v` always lives in partition
@@ -13,17 +12,16 @@
 //! spec-level guarantee — a partition can be skipped for a predicate that
 //! its *spec interval* cannot satisfy, regardless of what was appended
 //! since the plan was cached — so pruning decisions never read the
-//! observed stats (those feed cardinality estimation only).
+//! partition's observed data.
 //!
 //! At registration the flat relation is rebuilt **partition-major** (one
 //! contiguous range per partition, original row order preserved within a
 //! partition). Appends land at the flat tail and are routed per row, so a
 //! partition's row set becomes a list of ranges; only touched partitions'
-//! stats and data generations move.
+//! data generations move.
 
 use crate::error::StorageError;
 use crate::relation::Relation;
-use crate::stats::ColumnStats;
 use crate::value::DataType;
 use crate::Result;
 
@@ -140,15 +138,11 @@ impl PartitionSpec {
     }
 }
 
-/// One partition's physical placement and observed statistics.
+/// One partition's physical placement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartitionMeta {
     /// Half-open row ranges in the flat relation, ascending and disjoint.
     pub ranges: Vec<(usize, usize)>,
-    /// Observed stats of the partition-column slice (rowcount, min/max,
-    /// distinct, sortedness). Estimation only — never consulted by
-    /// pruning.
-    pub stats: ColumnStats,
     /// Bumps whenever an append touches this partition.
     pub data_generation: u64,
 }
@@ -173,7 +167,7 @@ impl Partitioning {
         &self.spec
     }
 
-    /// Per-partition placement and stats, indexed by partition id.
+    /// Per-partition placement, indexed by partition id.
     pub fn parts(&self) -> &[PartitionMeta] {
         &self.parts
     }
@@ -189,18 +183,13 @@ impl Partitioning {
         spec.validate()?;
         let n = spec.part_count();
         let mut ranges: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-        let mut values: Vec<Vec<u32>> = vec![Vec::new(); n];
         for (row, &v) in col.iter().enumerate() {
-            let p = spec.route(v);
-            push_row(&mut ranges[p], row);
-            values[p].push(v);
+            push_row(&mut ranges[spec.route(v)], row);
         }
         let parts = ranges
             .into_iter()
-            .zip(values)
-            .map(|(ranges, vals)| PartitionMeta {
+            .map(|ranges| PartitionMeta {
                 ranges,
-                stats: ColumnStats::compute(&vals),
                 data_generation: 0,
             })
             .collect();
@@ -209,7 +198,7 @@ impl Partitioning {
 
     /// Extend the map for rows appended at the flat tail
     /// (`col[old_rows..]`). Only partitions that received rows get their
-    /// ranges extended, stats recomputed and data generation bumped.
+    /// ranges extended and data generation bumped.
     pub fn extend_for_append(&self, col: &[u32], old_rows: usize) -> Partitioning {
         let mut parts = self.parts.clone();
         let mut touched = vec![false; parts.len()];
@@ -218,14 +207,8 @@ impl Partitioning {
             push_row(&mut parts[p].ranges, old_rows + off);
             touched[p] = true;
         }
-        for (p, meta) in parts.iter_mut().enumerate() {
-            if touched[p] {
-                let vals: Vec<u32> = meta
-                    .ranges
-                    .iter()
-                    .flat_map(|&(s, e)| col[s..e].iter().copied())
-                    .collect();
-                meta.stats = ColumnStats::compute(&vals);
+        for (meta, touched) in parts.iter_mut().zip(touched) {
+            if touched {
                 meta.data_generation += 1;
             }
         }
@@ -337,12 +320,6 @@ impl PartitionedRelation {
         Ok(PartitionedRelation { flat, partitioning })
     }
 
-    /// Reassemble from an already-placed flat relation and its map (used
-    /// by the catalog's append path).
-    pub fn from_parts(flat: Relation, partitioning: Partitioning) -> PartitionedRelation {
-        PartitionedRelation { flat, partitioning }
-    }
-
     /// The flat relation (all partitions concatenated in placement
     /// order).
     pub fn flat(&self) -> &Relation {
@@ -444,9 +421,7 @@ mod tests {
         assert_eq!(parts[0].ranges, vec![(0, 2)]);
         assert_eq!(parts[1].ranges, vec![(2, 4)]);
         assert_eq!(parts[2].ranges, vec![(4, 6)]);
-        assert_eq!(parts[0].stats.rows, 2);
-        assert_eq!((parts[1].stats.min, parts[1].stats.max), (12, 17));
-        assert_eq!(parts[2].stats.distinct, 2);
+        assert!(parts.iter().all(|m| m.rows() == 2));
         assert!(parts.iter().all(|m| m.data_generation == 0));
     }
 
@@ -493,13 +468,8 @@ mod tests {
         assert_eq!(next.parts()[0].data_generation, 1);
         assert_eq!(next.parts()[1].data_generation, 0);
         assert_eq!(next.parts()[2].data_generation, 1);
-        // Touched stats refreshed over the full partition.
-        assert_eq!(next.parts()[0].stats.rows, 2);
-        assert_eq!(
-            (next.parts()[0].stats.min, next.parts()[0].stats.max),
-            (5, 7)
-        );
-        assert_eq!(next.parts()[2].stats.rows, 2);
+        assert_eq!(next.parts()[0].rows(), 2);
+        assert_eq!(next.parts()[2].rows(), 2);
         // Untouched partition keeps its old meta verbatim.
         assert_eq!(next.parts()[1], base.parts()[1]);
     }

@@ -7,8 +7,11 @@
 //! two properties the paper's evaluation exercises — [`Sortedness`] and
 //! [`Density`] — plus the distinct count ("we always assume the number of
 //! distinct values to be known", §4.1), in a form shared by the data layer
-//! and the optimiser.
+//! and the optimiser. [`DataProps::compute`] derives them exactly from a
+//! real column, so catalogs built from generated data carry truthful
+//! statistics.
 
+use std::collections::HashSet;
 use std::fmt;
 
 /// Sort order of a key column.
@@ -127,6 +130,49 @@ impl DataProps {
         }
     }
 
+    /// Exact properties of a `u32` key column: one pass for order and
+    /// range, one for the distinct count — O(n) time and O(range/8) or
+    /// O(n) space depending on the key range.
+    pub fn compute(data: &[u32]) -> Self {
+        let Some(&first) = data.first() else {
+            return DataProps::empty();
+        };
+        let (mut min, mut max) = (first, first);
+        let (mut asc, mut desc) = (true, true);
+        for w in data.windows(2) {
+            asc &= w[0] <= w[1];
+            desc &= w[0] >= w[1];
+        }
+        for &v in data {
+            min = min.min(v);
+            max = max.max(v);
+        }
+        let sortedness = if asc {
+            Sortedness::Ascending
+        } else if desc {
+            Sortedness::Descending
+        } else {
+            Sortedness::Unsorted
+        };
+        let distinct = exact_distinct(data, min, max);
+        let domain = u64::from(max) - u64::from(min) + 1;
+        let density = if distinct == domain {
+            Density::Dense
+        } else {
+            Density::Sparse {
+                fill: distinct as f64 / domain as f64,
+            }
+        };
+        DataProps {
+            sortedness,
+            density,
+            distinct,
+            min,
+            max,
+            rows: data.len() as u64,
+        }
+    }
+
     /// Size of the SPH domain (`max - min + 1`), i.e. the array length a
     /// static perfect hash over this column needs. `None` for empty columns.
     pub fn sph_domain(&self) -> Option<u64> {
@@ -139,6 +185,34 @@ impl DataProps {
 }
 
 impl Eq for DataProps {}
+
+/// Exact distinct count. Uses a bitmap when the value range is small
+/// relative to n (cheap, cache-friendly), a hash set otherwise.
+fn exact_distinct(data: &[u32], min: u32, max: u32) -> u64 {
+    let domain = u64::from(max) - u64::from(min) + 1;
+    // Bitmap costs domain/8 bytes; hash set costs ~16 bytes/distinct.
+    // Prefer the bitmap while it is within 8x of the data size.
+    if domain <= (data.len() as u64).saturating_mul(64).max(1 << 16) {
+        let mut bits = vec![0u64; domain.div_ceil(64) as usize];
+        let mut count = 0u64;
+        for &v in data {
+            let off = (v - min) as u64;
+            let (word, bit) = ((off / 64) as usize, off % 64);
+            let mask = 1u64 << bit;
+            if bits[word] & mask == 0 {
+                bits[word] |= mask;
+                count += 1;
+            }
+        }
+        count
+    } else {
+        let mut set = HashSet::with_capacity(data.len().min(1 << 20));
+        for &v in data {
+            set.insert(v);
+        }
+        set.len() as u64
+    }
+}
 
 impl fmt::Display for DataProps {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -205,6 +279,72 @@ mod tests {
             rows: 2,
         };
         assert_eq!(p.sph_domain(), Some(1u64 << 32));
+    }
+
+    #[test]
+    fn compute_empty() {
+        assert_eq!(DataProps::compute(&[]), DataProps::empty());
+    }
+
+    #[test]
+    fn compute_single_value() {
+        let p = DataProps::compute(&[42]);
+        assert_eq!((p.rows, p.distinct), (1, 1));
+        assert_eq!((p.min, p.max), (42, 42));
+        assert_eq!(p.sortedness, Sortedness::Ascending); // also descending; asc wins
+        assert_eq!(p.density, Density::Dense);
+    }
+
+    #[test]
+    fn compute_sortedness() {
+        let order = |d: &[u32]| DataProps::compute(d).sortedness;
+        assert_eq!(order(&[1, 2, 2, 3]), Sortedness::Ascending);
+        assert_eq!(order(&[3, 2, 2, 1]), Sortedness::Descending);
+        assert_eq!(order(&[1, 3, 2]), Sortedness::Unsorted);
+    }
+
+    #[test]
+    fn compute_density() {
+        // 5..=9 fully populated.
+        let p = DataProps::compute(&[7, 5, 9, 6, 8, 7]);
+        assert_eq!(p.distinct, 5);
+        assert_eq!(p.density, Density::Dense);
+        // range 0..=9, distinct 2 → fill 0.2
+        match DataProps::compute(&[0, 9, 0, 9]).density {
+            Density::Sparse { fill } => assert!((fill - 0.2).abs() < 1e-12),
+            other => panic!("expected sparse, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn compute_distinct_on_wide_and_narrow_ranges() {
+        // Wide range forces the hash-set path.
+        let wide: Vec<u32> = (0..1000).map(|i| i * 4_000_000).collect();
+        assert_eq!(DataProps::compute(&wide).distinct, 1000);
+        let narrow: Vec<u32> = (0..10_000).map(|i| i % 7).collect();
+        let p = DataProps::compute(&narrow);
+        assert_eq!(p.distinct, 7);
+        assert_eq!(p.density, Density::Dense);
+    }
+
+    #[test]
+    fn compute_bundle() {
+        let p = DataProps::compute(&[2, 1, 3]);
+        assert_eq!((p.rows, p.distinct), (3, 3));
+        assert_eq!(p.sortedness, Sortedness::Unsorted);
+        assert!(p.density.is_dense());
+        assert_eq!(p.sph_domain(), Some(3));
+    }
+
+    #[test]
+    fn compute_boundary_values() {
+        let p = DataProps::compute(&[u32::MAX, 0]);
+        assert_eq!((p.min, p.max), (0, u32::MAX));
+        assert_eq!(p.distinct, 2);
+        match p.density {
+            Density::Sparse { fill } => assert!(fill > 0.0 && fill < 1e-9),
+            other => panic!("expected sparse, got {other:?}"),
+        }
     }
 
     #[test]

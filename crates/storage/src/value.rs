@@ -49,12 +49,6 @@ impl DataType {
             DataType::Bool => 1,
         }
     }
-
-    /// Whether values of this type are totally ordered without caveats
-    /// (floats order via IEEE total order in this engine).
-    pub fn is_integer(self) -> bool {
-        matches!(self, DataType::U32 | DataType::U64 | DataType::I64)
-    }
 }
 
 /// A single scalar value.

@@ -2,8 +2,7 @@
 //! generator guarantees, and dictionary roundtrips.
 
 use dqo_storage::datagen::DatasetSpec;
-use dqo_storage::stats::ColumnStats;
-use dqo_storage::{narrow_rows, Dictionary, Relation, Selection};
+use dqo_storage::{narrow_rows, DataProps, Dictionary, Relation, Selection};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -21,7 +20,7 @@ fn word(x: u32) -> String {
 proptest! {
     #[test]
     fn stats_match_btreeset_oracle(data in proptest::collection::vec(any::<u32>(), 0..2000)) {
-        let s = ColumnStats::compute(&data);
+        let s = DataProps::compute(&data);
         let set: BTreeSet<u32> = data.iter().copied().collect();
         prop_assert_eq!(s.distinct, set.len() as u64);
         prop_assert_eq!(s.rows, data.len() as u64);
@@ -47,14 +46,14 @@ proptest! {
             .generate()
             .unwrap();
         prop_assert_eq!(data.len(), rows);
-        let s = ColumnStats::compute(&data);
+        let s = DataProps::compute(&data);
         // Exactly min(groups, rows) distinct values, always.
         prop_assert_eq!(s.distinct, groups.min(rows) as u64);
         if sorted {
             prop_assert!(s.sortedness.is_sorted());
         }
         if dense {
-            prop_assert!(s.density().is_dense());
+            prop_assert!(s.density.is_dense());
             prop_assert_eq!(s.min, 0);
         }
     }

@@ -7,7 +7,7 @@
 use dqo::exec::aggregate::CountSum;
 use dqo::exec::grouping::{execute_grouping, GroupingAlgorithm, GroupingHints};
 use dqo::storage::datagen::DatasetSpec;
-use dqo::storage::stats::detect_props;
+use dqo::storage::DataProps;
 use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .sorted(sorted)
             .dense(dense)
             .generate()?;
-        let props = detect_props(&keys);
+        let props = DataProps::compute(&keys);
         let mut known: Vec<u32> = keys.clone();
         known.sort_unstable();
         known.dedup();

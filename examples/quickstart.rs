@@ -62,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let hg = all
         .iter()
         .find(|p| {
-            p.equivalent_grouping_impl() == Some(dqo::plan::GroupingImpl::Hg)
+            p.equivalent_grouping_algorithm() == Some(dqo::plan::GroupingAlgorithm::HashBased)
                 && format!("{p}").contains("chaining, hash=murmur3, load=serial")
                 && format!("{p}").contains("aggregate-bundle [serial loop]")
         })

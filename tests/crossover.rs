@@ -5,7 +5,6 @@
 use dqo::core::cost::{CostModel, TupleCostModel};
 use dqo::exec::aggregate::CountSum;
 use dqo::exec::grouping::{execute_grouping, GroupingAlgorithm, GroupingHints};
-use dqo::plan::GroupingImpl;
 use dqo::storage::datagen::DatasetSpec;
 use std::time::Instant;
 
@@ -17,15 +16,15 @@ fn cost_model_crossover_is_at_16_groups() {
     let rows = 1e8;
     for g in 2..16 {
         assert!(
-            m.grouping(GroupingImpl::Bsg, rows, g as f64)
-                < m.grouping(GroupingImpl::Hg, rows, g as f64),
+            m.grouping(GroupingAlgorithm::BinarySearch, rows, g as f64)
+                < m.grouping(GroupingAlgorithm::HashBased, rows, g as f64),
             "BSG should win at {g} groups"
         );
     }
     for g in [17, 32, 1000] {
         assert!(
-            m.grouping(GroupingImpl::Bsg, rows, g as f64)
-                > m.grouping(GroupingImpl::Hg, rows, g as f64),
+            m.grouping(GroupingAlgorithm::BinarySearch, rows, g as f64)
+                > m.grouping(GroupingAlgorithm::HashBased, rows, g as f64),
             "HG should win at {g} groups"
         );
     }

@@ -252,7 +252,7 @@ fn bytes_materialised_shows_copies_were_removed_not_moved() {
         ..ExecContext::default()
     };
     use dqo::plan::physical::GroupingMolecules;
-    use dqo::plan::{AggExpr, AggFunc, CmpOp, GroupingImpl, PhysicalPlan, Predicate};
+    use dqo::plan::{AggExpr, AggFunc, CmpOp, GroupingAlgorithm, PhysicalPlan, Predicate};
     use dqo::storage::{PartitionSpec, PartitionedRelation};
 
     let cat = dqo::Catalog::new();
@@ -305,9 +305,9 @@ fn bytes_materialised_shows_copies_were_removed_not_moved() {
         "the predicate keeps ~200/512 of 300k rows"
     );
     for (dop, algo) in [
-        (1, GroupingImpl::Sphg),
-        (4, GroupingImpl::Sphg),
-        (4, GroupingImpl::Hg),
+        (1, GroupingAlgorithm::StaticPerfectHash),
+        (4, GroupingAlgorithm::StaticPerfectHash),
+        (4, GroupingAlgorithm::HashBased),
     ] {
         let group = PhysicalPlan::GroupBy {
             input: Box::new(filter(scan())),

@@ -8,7 +8,7 @@ use dqo::core::av::{materialise_av, AvArtifact, AvKind, AvSignature};
 use dqo::core::avsp::{self, Solver, WorkloadQuery};
 use dqo::core::executor::sorted_rows;
 use dqo::exec::aggregate::CountSum;
-use dqo::exec::grouping::hg::{HgHash, HgTable};
+use dqo::exec::grouping::hg::HgTable;
 use dqo::exec::grouping::sog::sort_order_grouping;
 use dqo::exec::grouping::{execute_grouping, GroupingAlgorithm, GroupingHints};
 use dqo::exec::join::soj::sort_merge_join;
@@ -16,8 +16,9 @@ use dqo::exec::join::{execute_join, JoinAlgorithm, JoinHints};
 use dqo::exec::sort::argsort;
 use dqo::parallel::{
     parallel_argsort, parallel_grouping, parallel_hash_join, parallel_sog,
-    parallel_sort_merge_join, GroupingStrategy, RunSortMolecule, ThreadPool,
+    parallel_sort_merge_join, GroupingStrategy, ThreadPool,
 };
+use dqo::plan::SortMolecule;
 use dqo::storage::datagen::{zipf_keys, DatasetSpec, ForeignKeySpec};
 use dqo::storage::Value;
 use dqo::{Dqo, OptimizerMode};
@@ -27,7 +28,7 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 /// Every HG table molecule: chaining, and each open-addressing table under
 /// each hash function.
 fn hg_tables() -> [HgTable; 7] {
-    use HgHash::{Fibonacci, Identity, Murmur3};
+    use dqo::plan::HashFnMolecule::{Fibonacci, Identity, Murmur3};
     [
         HgTable::Chaining,
         HgTable::LinearProbing(Murmur3),
@@ -198,7 +199,7 @@ fn parallel_sort_bit_identical_to_stable_argsort() {
             };
             let reference = argsort(&keys);
             for threads in THREAD_COUNTS {
-                for molecule in [RunSortMolecule::Comparison, RunSortMolecule::Radix] {
+                for molecule in [SortMolecule::Comparison, SortMolecule::Radix] {
                     let pool = ThreadPool::new(threads);
                     let (par, _) = parallel_argsort(&pool, &keys, molecule, &[]).unwrap();
                     assert_eq!(
@@ -220,15 +221,9 @@ fn sog_bit_identical_across_dop_seeds_and_skew() {
             let serial = sort_order_grouping(&keys, &vals, CountSum);
             for threads in THREAD_COUNTS {
                 let pool = ThreadPool::new(threads);
-                let (par, _) = parallel_sog(
-                    &pool,
-                    &keys,
-                    &vals,
-                    CountSum,
-                    RunSortMolecule::Comparison,
-                    &[],
-                )
-                .unwrap();
+                let (par, _) =
+                    parallel_sog(&pool, &keys, &vals, CountSum, SortMolecule::Comparison, &[])
+                        .unwrap();
                 // Full structural equality, not sorted-set equality: keys,
                 // states and the sortedness property all match.
                 assert_eq!(
@@ -249,14 +244,9 @@ fn soj_bit_identical_across_dop_seeds_and_skew() {
             let serial = sort_merge_join(&left, &right);
             for threads in THREAD_COUNTS {
                 let pool = ThreadPool::new(threads);
-                let (par, _) = parallel_sort_merge_join(
-                    &pool,
-                    &left,
-                    &right,
-                    RunSortMolecule::Comparison,
-                    &[],
-                )
-                .unwrap();
+                let (par, _) =
+                    parallel_sort_merge_join(&pool, &left, &right, SortMolecule::Comparison, &[])
+                        .unwrap();
                 // Bit-identical emission order, not just the same pair set.
                 assert_eq!(
                     par.left_rows, serial.left_rows,
@@ -272,7 +262,7 @@ fn soj_bit_identical_across_dop_seeds_and_skew() {
 #[test]
 fn sort_based_exchange_plans_match_serial_execution() {
     use dqo::plan::physical::GroupingMolecules;
-    use dqo::plan::{GroupingImpl, JoinImpl, PhysicalPlan};
+    use dqo::plan::{GroupingAlgorithm, JoinAlgorithm, PhysicalPlan};
 
     // Physical plans pinned to the sort-based organelles, serial vs
     // Exchange-wrapped: the executor's parallel SOG/SOJ/sort dispatch
@@ -297,14 +287,14 @@ fn sort_based_exchange_plans_match_serial_execution() {
         right: Box::new(PhysicalPlan::Scan { table: "S".into() }),
         left_key: "id".into(),
         right_key: "r_id".into(),
-        algo: JoinImpl::Soj,
+        algo: JoinAlgorithm::SortOrderBased,
     };
     let sog = PhysicalPlan::GroupBy {
         input: Box::new(PhysicalPlan::Scan { table: "S".into() }),
         keys: vec!["r_id".into()],
         aggs: vec![dqo::plan::AggExpr::count_star("n")],
-        algo: GroupingImpl::Sog,
-        molecules: GroupingMolecules::defaults_for(GroupingImpl::Sog),
+        algo: GroupingAlgorithm::SortOrderBased,
+        molecules: GroupingMolecules::defaults_for(GroupingAlgorithm::SortOrderBased),
     };
     for plan in [soj, sog] {
         let serial = dqo::core::executor::execute(&plan, &cat).unwrap();
@@ -627,7 +617,7 @@ fn str_filters_and_multi_column_grouping_match_serial_across_threads() {
 #[test]
 fn multi_column_grouping_kernels_bit_identical_across_dop() {
     use dqo::plan::physical::GroupingMolecules;
-    use dqo::plan::{GroupingImpl, PhysicalPlan};
+    use dqo::plan::{GroupingAlgorithm, PhysicalPlan};
 
     // Pinned physical plans for each composite-capable organelle,
     // Exchange-wrapped at every DOP: the packed parallel kernels must
@@ -645,7 +635,11 @@ fn multi_column_grouping_kernels_bit_identical_across_dop() {
         algo,
         molecules: GroupingMolecules::defaults_for(algo),
     };
-    for algo in [GroupingImpl::Hg, GroupingImpl::Sphg, GroupingImpl::Sog] {
+    for algo in [
+        GroupingAlgorithm::HashBased,
+        GroupingAlgorithm::StaticPerfectHash,
+        GroupingAlgorithm::SortOrderBased,
+    ] {
         let serial = dqo::core::executor::execute(&group_by(algo), &cat).unwrap();
         for dop in THREAD_COUNTS {
             let wrapped = PhysicalPlan::Exchange {
@@ -665,7 +659,7 @@ fn multi_column_grouping_kernels_bit_identical_across_dop() {
 #[test]
 fn parallel_hg_runs_every_planned_molecule_pair() {
     use dqo::plan::physical::GroupingMolecules;
-    use dqo::plan::{GroupingImpl, HashFnMolecule, PhysicalPlan, TableMolecule};
+    use dqo::plan::{GroupingAlgorithm, HashFnMolecule, PhysicalPlan, TableMolecule};
 
     // The plan names a (table, hash) molecule pair for HG; serial and
     // morsel-parallel execution must both run it, and whichever pair it
@@ -688,7 +682,7 @@ fn parallel_hg_runs_every_planned_molecule_pair() {
             dqo::plan::AggExpr::count_star("n"),
             dqo::plan::AggExpr::on(dqo::plan::AggFunc::Sum, "key", "s"),
         ],
-        algo: GroupingImpl::Hg,
+        algo: GroupingAlgorithm::HashBased,
         molecules: GroupingMolecules {
             table: Some(table),
             hash: Some(hash),

@@ -13,8 +13,8 @@ use dqo::core::executor::{execute, naive_eval, sorted_rows};
 use dqo::core::Catalog;
 use dqo::plan::physical::GroupingMolecules;
 use dqo::plan::{
-    AggExpr, AggFunc, CmpOp, GroupingImpl, JoinImpl, LogicalPlan, PhysicalPlan, Predicate,
-    SortMolecule,
+    AggExpr, AggFunc, CmpOp, GroupingAlgorithm, JoinAlgorithm, LogicalPlan, PhysicalPlan,
+    Predicate, SortMolecule,
 };
 use dqo::storage::{
     Column, DataType, Dictionary, Field, PartitionSpec, PartitionedRelation, Relation, Schema,
@@ -217,15 +217,15 @@ fn at_dop(plan: PhysicalPlan, dop: usize) -> PhysicalPlan {
 fn consumers() -> Vec<Consumer> {
     let mut out = Vec::new();
     for (algo, via_project) in [
-        (GroupingImpl::Hg, false),
-        (GroupingImpl::Sphg, false),
-        (GroupingImpl::Og, false),
-        (GroupingImpl::Sog, false),
-        (GroupingImpl::Bsg, false),
+        (GroupingAlgorithm::HashBased, false),
+        (GroupingAlgorithm::StaticPerfectHash, false),
+        (GroupingAlgorithm::OrderBased, false),
+        (GroupingAlgorithm::SortOrderBased, false),
+        (GroupingAlgorithm::BinarySearch, false),
         // A projection between filter and grouping: the parallel kernels
         // read through a materialised selection instead of fusing.
-        (GroupingImpl::Hg, true),
-        (GroupingImpl::Sphg, true),
+        (GroupingAlgorithm::HashBased, true),
+        (GroupingAlgorithm::StaticPerfectHash, true),
     ] {
         let columns = || vec!["k".to_string(), "v".to_string()];
         out.push(Consumer {
@@ -252,10 +252,13 @@ fn consumers() -> Vec<Consumer> {
             }),
             logical: Box::new(|input| LogicalPlan::group_by(input, "k", aggs())),
             // Serial HG emits in table order; everything else by key.
-            ordered: algo != GroupingImpl::Hg,
+            ordered: algo != GroupingAlgorithm::HashBased,
         });
     }
-    for (algo, filtered_left) in [(JoinImpl::Hj, true), (JoinImpl::Sphj, false)] {
+    for (algo, filtered_left) in [
+        (JoinAlgorithm::HashBased, true),
+        (JoinAlgorithm::StaticPerfectHash, false),
+    ] {
         let dim = || Box::new(PhysicalPlan::Scan { table: "d".into() });
         out.push(Consumer {
             name: format!(
