@@ -1,8 +1,8 @@
 //! E8: **optimisation-time vs plan-quality** — how much search the deep
 //! optimiser does compared to the shallow one, and what each buys. Also
-//! reports the raw size of the Figure 3 unnesting space per granularity
-//! cap, quantifying "as long as optimisation time in DQO is an issue, we
-//! need AVs to the rescue" (§6).
+//! reports the raw size of the Figure 3 unnesting space, by the §4.1
+//! organelle each complete plan lowers to, quantifying "as long as
+//! optimisation time in DQO is an issue, we need AVs to the rescue" (§6).
 //!
 //! ```text
 //! cargo run -p dqo-bench --release --bin depth_ablation
@@ -13,23 +13,34 @@ use dqo_bench::Args;
 use dqo_core::optimizer::{enumerate_candidates, optimize, OptimizerMode, SearchContext};
 use dqo_core::Catalog;
 use dqo_plan::deep::enumerate_grouping_plans;
-use dqo_plan::granule::Granularity;
+use dqo_plan::{GroupingAlgorithm, LoopMolecule};
 use dqo_storage::datagen::ForeignKeySpec;
 use std::time::Instant;
 
 fn main() {
     let args = Args::from_env();
 
-    // Part 1: the deep-plan space of one γ, by finest granularity reached.
+    // Part 1: the deep-plan space of one γ, by the §4.1 organelle each
+    // complete plan lowers to (the executor runs every one of them).
     println!("=== Figure 3 search space of a single grouping operator ===\n");
     let plans = enumerate_grouping_plans();
-    let mut t = Table::new(&["finest granularity", "#complete deep plans"]);
-    {
-        let g = Granularity::Molecule;
-        let n = plans.iter().filter(|p| p.physicality() == g).count();
-        t.row(vec![g.to_string(), n.to_string()]);
+    let lowered: Vec<_> = plans
+        .iter()
+        .map(|p| p.lower().expect("every enumerated plan is complete"))
+        .collect();
+    let mut t = Table::new(&["lowers to", "#complete deep plans", "of which parallel"]);
+    for algo in GroupingAlgorithm::all() {
+        let of_algo = lowered.iter().filter(|l| l.0 == algo);
+        let parallel = of_algo
+            .clone()
+            .filter(|l| l.2 == LoopMolecule::Parallel)
+            .count();
+        t.row(vec![
+            algo.to_string(),
+            of_algo.count().to_string(),
+            parallel.to_string(),
+        ]);
     }
-    t.row(vec!["named §4.1 organelles".into(), "5".into()]);
     print!("{}", t.to_text());
     println!(
         "\nSQO picks among 5 named organelles; full molecule-level DQO faces {}\n\

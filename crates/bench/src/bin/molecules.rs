@@ -11,7 +11,7 @@ use dqo_bench::report::Table;
 use dqo_bench::Args;
 use dqo_exec::aggregate::CountSum;
 use dqo_exec::grouping::hg::{
-    hash_grouping_chaining, hash_grouping_linear, hash_grouping_quadratic, hash_grouping_robin_hood,
+    hash_grouping_chaining, hash_grouping_linear, hash_grouping_robin_hood,
 };
 use dqo_exec::grouping::sphg::sph_grouping;
 use dqo_hashtable::hash_fn::{Fibonacci, Identity, Murmur3Finalizer};
@@ -64,16 +64,6 @@ fn main() {
             "linear-probing",
             "identity",
             time(&|| hash_grouping_linear(&keys, &keys, CountSum, cap, Identity).len()),
-        ),
-        (
-            "quadratic",
-            "murmur3",
-            time(&|| hash_grouping_quadratic(&keys, &keys, CountSum, cap, Murmur3Finalizer).len()),
-        ),
-        (
-            "quadratic",
-            "fibonacci",
-            time(&|| hash_grouping_quadratic(&keys, &keys, CountSum, cap, Fibonacci).len()),
         ),
         (
             "robin-hood",

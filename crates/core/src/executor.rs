@@ -24,6 +24,7 @@ use crate::Result;
 use dqo_exec::aggregate::{FullAgg, FullAggState};
 use dqo_exec::composite::{rowwise_group, unpack_grouped, KeyPacker};
 use dqo_exec::grouping::hg::{hash_grouping_with, HgTable};
+use dqo_exec::grouping::sog::sort_order_grouping;
 use dqo_exec::grouping::{execute_grouping, GroupedResult, GroupingHints};
 use dqo_exec::join::{execute_join as run_join, JoinHints};
 use dqo_exec::pipeline::{
@@ -534,6 +535,7 @@ impl<'a> Exec<'a> {
         let grouping = Grouping {
             algo,
             table: HgTable::of(molecules),
+            sort: molecules.sort.unwrap_or(SortMolecule::Comparison),
             tp,
         };
         let out = if keys.len() == 1 {
@@ -613,17 +615,19 @@ impl<'a> Exec<'a> {
             let values = self.read(plan, sel, values, &mut vbuf);
             let result = match (how.tp, how.algo) {
                 (Some(tp), _) => {
-                    let sort = SortMolecule::Comparison;
                     let bounds = sel.bounds();
                     let (result, par) =
-                        dqo_parallel::parallel_sog(tp, keys, values, FullAgg, sort, &bounds)?;
+                        dqo_parallel::parallel_sog(tp, keys, values, FullAgg, how.sort, &bounds)?;
                     self.stats.merge(&par);
                     result
                 }
-                // The optimiser's table/hash molecules select the
-                // concrete hash-grouping implementation.
+                // The plan's molecules select the concrete hash table and
+                // hash function, or the sort.
                 (None, GroupingAlgorithm::HashBased) => {
                     hash_grouping_with(keys, values, FullAgg, how.table, 1024)
+                }
+                (None, GroupingAlgorithm::SortOrderBased) => {
+                    sort_order_grouping(keys, values, FullAgg, how.sort)
                 }
                 (None, _) => {
                     let (min, max) = domain.unzip();
@@ -701,11 +705,13 @@ impl<'a> Exec<'a> {
     }
 }
 
-/// How a `GroupBy` node groups: the organelle, the HG table molecule and
-/// the pool handle when an `Exchange` asked for morsel parallelism.
+/// How a `GroupBy` node groups: the organelle, the HG table and SOG sort
+/// molecules, and the pool handle when an `Exchange` asked for morsel
+/// parallelism.
 struct Grouping<'t> {
     algo: GroupingAlgorithm,
     table: HgTable,
+    sort: SortMolecule,
     tp: Option<&'t ThreadPool>,
 }
 

@@ -22,7 +22,9 @@
 //!   predicate-shape) selectivity corrections learned from executed
 //!   plans' est-vs-actual deltas, consumed by the memo's coster;
 //! * [`executor`] — runs the chosen `PhysicalPlan` on `dqo-exec`,
-//!   returning results plus pipeline statistics;
+//!   returning results plus pipeline statistics; the one executor, also
+//!   for Figure 3's deep grouping plans once lowered
+//!   (`dqo_plan::DeepPlan::lower`);
 //! * [`av`] — **Algorithmic Views** (§3): precomputed granules (sorted
 //!   projections, SPH join indexes, materialised groupings) the
 //!   optimiser can substitute at zero build cost. One lifecycle: a pure
@@ -47,7 +49,6 @@
 //!   stamp is current);
 //! * [`molecule`] — the one refiner of a grouping's table and hash
 //!   molecules (Table 1's step below the organelle);
-//! * [`deep_exec`] — an interpreter for Figure 3's deep grouping plans;
 //! * [`adaptive`] — runtime-adaptive AVs (§6): a cracking-style index
 //!   whose optimisation decisions are delegated to query time.
 //!
@@ -64,7 +65,6 @@ pub mod av_delta;
 pub mod avsp;
 pub mod catalog;
 pub mod cost;
-pub mod deep_exec;
 pub mod engine;
 pub mod error;
 pub mod executor;

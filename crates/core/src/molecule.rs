@@ -211,27 +211,43 @@ mod tests {
     }
 
     /// The kernel `HgTable::of` selects is the table and hash EXPLAIN
-    /// prints, for every pair the refiner emits under default costs: an
-    /// unmatched pair would silently run chaining + Murmur3.
+    /// prints — for every pair the refiner emits under default costs, and
+    /// for all nine (table, hash) pairs a lowered deep plan can name: an
+    /// unmatched pair would silently run a different kernel.
     #[test]
     fn every_refined_pair_selects_the_named_hg_table() {
         use dqo_exec::grouping::hg::HgTable;
+        let ran = |m: GroupingMolecules| match HgTable::of(m) {
+            HgTable::Chaining(h) => (TableMolecule::Chaining, h),
+            HgTable::LinearProbing(h) => (TableMolecule::LinearProbing, h),
+            HgTable::RobinHood(h) => (TableMolecule::RobinHood, h),
+        };
         for dense in [true, false] {
             let m = refine_grouping_molecules(
                 GroupingAlgorithm::HashBased,
                 &props(1_000_000, dense),
                 &MoleculeCosts::default(),
             );
-            let ran = match HgTable::of(m) {
-                HgTable::Chaining => (TableMolecule::Chaining, HashFnMolecule::Murmur3),
-                HgTable::LinearProbing(h) => (TableMolecule::LinearProbing, h),
-                HgTable::RobinHood(h) => (TableMolecule::RobinHood, h),
-            };
-            assert_eq!(
-                (m.table, m.hash),
-                (Some(ran.0), Some(ran.1)),
-                "dense={dense}"
-            );
+            let (t, h) = ran(m);
+            assert_eq!((m.table, m.hash), (Some(t), Some(h)), "dense={dense}");
+        }
+        for table in [
+            TableMolecule::Chaining,
+            TableMolecule::LinearProbing,
+            TableMolecule::RobinHood,
+        ] {
+            for hash in [
+                HashFnMolecule::Murmur3,
+                HashFnMolecule::Fibonacci,
+                HashFnMolecule::Identity,
+            ] {
+                let m = GroupingMolecules {
+                    table: Some(table),
+                    hash: Some(hash),
+                    sort: None,
+                };
+                assert_eq!(ran(m), (table, hash));
+            }
         }
     }
 }

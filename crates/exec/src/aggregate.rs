@@ -8,7 +8,8 @@
 //! The distinction the paper draws in §2.1 — distributive/decomposable
 //! aggregation functions allow *running* aggregates inside an SPH array —
 //! is captured by [`Aggregator::IS_DECOMPOSABLE`]: decomposable aggregates
-//! can be merged across partitions (the Figure 2 bundle model).
+//! can be merged across partitions, which is what lets `dqo-parallel` run a
+//! grouping's loop in parallel.
 
 /// A streaming aggregate over `u32` values.
 ///

@@ -14,7 +14,7 @@ use crate::aggregate::Aggregator;
 use crate::grouping::GroupedResult;
 use dqo_hashtable::{
     ChainingTable, Fibonacci, GroupTable, HashFn, Identity, LinearProbingTable, Murmur3Finalizer,
-    QuadraticProbingTable, RobinHoodTable,
+    RobinHoodTable,
 };
 use dqo_plan::physical::GroupingMolecules;
 use dqo_plan::{HashFnMolecule, TableMolecule};
@@ -36,18 +36,11 @@ where
         let state = table.upsert_with(k, A::State::default);
         agg.update(state, v);
     }
-    let sorted = table.output_sorted();
-    let pairs = table.drain();
-    let mut keys_out = Vec::with_capacity(pairs.len());
-    let mut states = Vec::with_capacity(pairs.len());
-    for (k, s) in pairs {
-        keys_out.push(k);
-        states.push(s);
-    }
+    let (keys_out, states) = table.drain().into_iter().unzip();
     GroupedResult {
         keys: keys_out,
         states,
-        sorted_by_key: sorted,
+        sorted_by_key: false,
     }
 }
 
@@ -77,22 +70,6 @@ pub fn hash_grouping_linear<A: Aggregator, H: HashFn>(
     )
 }
 
-/// Molecule ablation: HG over quadratic probing with a chosen hash function.
-pub fn hash_grouping_quadratic<A: Aggregator, H: HashFn>(
-    keys: &[u32],
-    values: &[u32],
-    agg: A,
-    capacity: usize,
-    hash: H,
-) -> GroupedResult<A::State> {
-    hash_grouping(
-        keys,
-        values,
-        agg,
-        QuadraticProbingTable::with_capacity_and_hasher(capacity, hash),
-    )
-}
-
 /// Molecule ablation: HG over Robin-Hood with a chosen hash function.
 pub fn hash_grouping_robin_hood<A: Aggregator, H: HashFn>(
     keys: &[u32],
@@ -110,16 +87,23 @@ pub fn hash_grouping_robin_hood<A: Aggregator, H: HashFn>(
 }
 
 /// The backing-table molecule of HG: what the optimiser decides beneath
-/// the organelle, for serial and parallel execution alike.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// the organelle, for serial and parallel execution alike — each of the
+/// three hashing tables under each hash function.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HgTable {
-    /// Chained buckets + Murmur3 — the paper's configuration.
-    #[default]
-    Chaining,
+    /// Chained buckets (the paper's configuration, with Murmur3).
+    Chaining(HashFnMolecule),
     /// Open addressing, linear probing.
     LinearProbing(HashFnMolecule),
     /// Open addressing, Robin-Hood displacement.
     RobinHood(HashFnMolecule),
+}
+
+impl Default for HgTable {
+    /// The paper's HG: chaining + Murmur3.
+    fn default() -> Self {
+        HgTable::Chaining(HashFnMolecule::Murmur3)
+    }
 }
 
 /// A computation generic in the concrete table type: [`HgTable::run`]
@@ -132,13 +116,15 @@ pub trait WithTable<V> {
 }
 
 impl HgTable {
-    /// The HG table a plan's `{table=…, hash=…}` molecules name. Pairs no
-    /// table here implements fall back to the paper's chaining + Murmur3.
+    /// The HG table a plan's `{table=…, hash=…}` molecules name. A missing
+    /// hash is Murmur3; a table that is not a hashing one (HG never
+    /// carries one) is the paper's chaining.
     pub fn of(molecules: GroupingMolecules) -> HgTable {
-        match (molecules.table, molecules.hash) {
-            (Some(TableMolecule::LinearProbing), Some(h)) => HgTable::LinearProbing(h),
-            (Some(TableMolecule::RobinHood), Some(h)) => HgTable::RobinHood(h),
-            _ => HgTable::Chaining,
+        let hash = molecules.hash.unwrap_or(HashFnMolecule::Murmur3);
+        match molecules.table {
+            Some(TableMolecule::LinearProbing) => HgTable::LinearProbing(hash),
+            Some(TableMolecule::RobinHood) => HgTable::RobinHood(hash),
+            _ => HgTable::Chaining(hash),
         }
     }
 
@@ -146,10 +132,12 @@ impl HgTable {
     /// pre-sized for `capacity` keys.
     pub fn run<V: Send, U: WithTable<V>>(self, capacity: usize, user: U) -> U::Out {
         use HashFnMolecule::{Fibonacci as Fib, Identity as Id, Murmur3 as Mur};
-        use HgTable::{Chaining, LinearProbing as Lp, RobinHood as Rh};
+        use HgTable::{Chaining as Ch, LinearProbing as Lp, RobinHood as Rh};
         let c = capacity;
         match self {
-            Chaining => user.run(|| ChainingTable::with_capacity(c)),
+            Ch(Mur) => user.run(|| ChainingTable::with_capacity(c)),
+            Ch(Fib) => user.run(|| ChainingTable::with_capacity_and_hasher(c, Fibonacci)),
+            Ch(Id) => user.run(|| ChainingTable::with_capacity_and_hasher(c, Identity)),
             Lp(Mur) => {
                 user.run(|| LinearProbingTable::with_capacity_and_hasher(c, Murmur3Finalizer))
             }
@@ -242,16 +230,8 @@ mod tests {
         let c = sorted_triples(hash_grouping_robin_hood(
             &keys, &vals, CountSum, 257, Fibonacci,
         ));
-        let d = sorted_triples(hash_grouping_quadratic(
-            &keys,
-            &vals,
-            CountSum,
-            257,
-            Murmur3Finalizer,
-        ));
         assert_eq!(a, b);
         assert_eq!(a, c);
-        assert_eq!(a, d);
     }
 
     #[test]

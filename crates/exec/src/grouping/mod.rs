@@ -22,6 +22,7 @@ use crate::aggregate::Aggregator;
 use crate::error::ExecError;
 use crate::Result;
 pub use dqo_plan::GroupingAlgorithm;
+use dqo_plan::SortMolecule;
 
 /// The result of a grouping operator: parallel arrays of group keys and
 /// final aggregate states, plus the **output-order plan property** that DQO
@@ -111,7 +112,12 @@ pub fn execute_grouping<A: Aggregator>(
             sphg::sph_grouping(keys, values, agg, min, max)
         }
         GroupingAlgorithm::OrderBased => og::order_grouping(keys, values, agg),
-        GroupingAlgorithm::SortOrderBased => Ok(sog::sort_order_grouping(keys, values, agg)),
+        GroupingAlgorithm::SortOrderBased => Ok(sog::sort_order_grouping(
+            keys,
+            values,
+            agg,
+            SortMolecule::Comparison,
+        )),
         GroupingAlgorithm::BinarySearch => match &hints.known_keys {
             Some(known) => Ok(bsg::binary_search_grouping(keys, values, agg, known)),
             None => Ok(bsg::binary_search_grouping_discover(keys, values, agg)),

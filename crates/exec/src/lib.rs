@@ -10,20 +10,20 @@
 //! * their five **join** counterparts of §4.3/Table 2 ([`join`]);
 //! * the **aggregate** machinery (COUNT and SUM "computed on the fly",
 //!   §4.1, plus MIN/MAX/AVG as extensions) in [`aggregate`];
-//! * [`sort`] utilities (argsort, LSB radix sort ablation);
-//! * the paper's Figure 2 **producer/consumer bundle** formulation in
-//!   [`bundle`], with pipeline-breaker accounting in [`pipeline`].
+//! * [`sort`] utilities (argsort and the comparison and radix sort
+//!   molecules);
+//! * pipeline-breaker accounting in [`pipeline`].
 //!
 //! Each grouping algorithm is generic over the [`aggregate::Aggregator`]
-//! and — where meaningful — over the hash-table *molecule* from
-//! `dqo-hashtable`, so the DQO optimiser can treat sub-operator choices as
-//! plan decisions rather than compile-time constants.
+//! and — where meaningful — over the hash-table or sort *molecule*, so
+//! the DQO optimiser can treat sub-operator choices as plan decisions
+//! rather than compile-time constants. Every complete Figure 3 deep plan
+//! runs through these kernels (`dqo_plan::DeepPlan::lower`).
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
 pub mod aggregate;
-pub mod bundle;
 pub mod composite;
 pub mod error;
 pub mod grouping;

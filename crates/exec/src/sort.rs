@@ -1,7 +1,7 @@
-//! Sorting utilities: argsort, sortedness checks, and an LSB radix sort —
-//! the sort itself is another unnestable granule (Figure 3 shows a
-//! "sort-based" branch discarded at the first unnest), and *which* sort to
-//! use is a molecule-level decision the E9 ablation exercises.
+//! Sorting utilities: argsort, sortedness checks, and the two sort
+//! molecules over (key, payload) pairs — the sort itself is another
+//! unnestable granule (Figure 3's "sort-based" branch), and *which* sort
+//! to use is the plan's `SortMolecule`.
 
 /// Indices that would sort `keys` ascending (stable).
 pub fn argsort(keys: &[u32]) -> Vec<u32> {
@@ -81,37 +81,6 @@ pub fn radix_sort_pairs_with_scratch(pairs: &mut [(u32, u32)], scratch: &mut [(u
         // The sorted data ended up in the scratch buffer (`src` aliases
         // it after the last swap); copy it back into the input slice.
         dst.copy_from_slice(src);
-    }
-}
-
-/// Radix sort of bare keys (used by the SOG radix ablation).
-pub fn radix_sort_keys(keys: &mut Vec<u32>) {
-    let n = keys.len();
-    if n <= 1 {
-        return;
-    }
-    let mut scratch: Vec<u32> = vec![0; n];
-    for pass in 0..4 {
-        let shift = pass * 8;
-        let mut counts = [0usize; 256];
-        for &k in keys.iter() {
-            counts[((k >> shift) & 0xFF) as usize] += 1;
-        }
-        if counts.contains(&n) {
-            continue;
-        }
-        let mut offsets = [0usize; 256];
-        let mut acc = 0usize;
-        for b in 0..256 {
-            offsets[b] = acc;
-            acc += counts[b];
-        }
-        for &k in keys.iter() {
-            let b = ((k >> shift) & 0xFF) as usize;
-            scratch[offsets[b]] = k;
-            offsets[b] += 1;
-        }
-        std::mem::swap(keys, &mut scratch);
     }
 }
 
@@ -210,21 +179,17 @@ mod tests {
     }
 
     #[test]
-    fn radix_keys_small_domain_skips_passes() {
-        let mut keys: Vec<u32> = (0..1000).map(|i| i % 7).collect();
-        radix_sort_keys(&mut keys);
-        assert!(is_sorted_asc(&keys));
-    }
-
-    #[test]
-    fn radix_boundaries() {
-        let mut keys = vec![u32::MAX, 0, u32::MAX - 1, 1];
-        radix_sort_keys(&mut keys);
-        assert_eq!(keys, vec![0, 1, u32::MAX - 1, u32::MAX]);
-        let mut empty: Vec<u32> = vec![];
-        radix_sort_keys(&mut empty);
-        let mut one = vec![9u32];
-        radix_sort_keys(&mut one);
-        assert_eq!(one, vec![9]);
+    fn radix_pairs_boundaries() {
+        let mut pairs = vec![(u32::MAX, 0), (0, 1), (u32::MAX - 1, 2), (1, 3)];
+        radix_sort_pairs_by_key(&mut pairs);
+        assert_eq!(
+            pairs,
+            vec![(0, 1), (1, 3), (u32::MAX - 1, 2), (u32::MAX, 0)]
+        );
+        let mut empty: Vec<(u32, u32)> = vec![];
+        radix_sort_pairs_by_key(&mut empty);
+        let mut one = vec![(9u32, 0u32)];
+        radix_sort_pairs_by_key(&mut one);
+        assert_eq!(one, vec![(9, 0)]);
     }
 }

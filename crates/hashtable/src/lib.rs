@@ -16,15 +16,13 @@
 //!   mirroring the memory behaviour of C++ `std::unordered_map` (the
 //!   paper's HG baseline);
 //! * [`linear_probing`] — open addressing with linear probing;
-//! * [`quadratic`] — open addressing with triangular (quadratic) probing;
-//! * [`robin_hood`] — open addressing with Robin-Hood displacement;
-//! * [`sph`] — the paper's **static perfect hash**: a plain array indexed
-//!   by `key - min`, applicable exactly when the key domain is dense
-//!   (§2.1), minimal when every slot is used.
+//! * [`robin_hood`] — open addressing with Robin-Hood displacement.
 //!
-//! All tables implement [`GroupTable`], the narrow upsert-oriented interface
-//! the grouping operators need, so the DQO optimiser can treat the table
-//! kind as a plan decision.
+//! These are the three hashing tables a plan's `TableMolecule` can name;
+//! the static-perfect-hash and sorted-array molecules are the SPHG and BSG
+//! kernels' own arrays in `dqo-exec`. All tables implement [`GroupTable`],
+//! the narrow upsert-oriented interface the grouping operators need, so
+//! the DQO optimiser can treat the table kind as a plan decision.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -32,17 +30,11 @@
 pub mod chaining;
 pub mod hash_fn;
 pub mod linear_probing;
-pub mod quadratic;
 pub mod robin_hood;
-pub mod sorted_array;
-pub mod sph;
 pub mod table;
 
 pub use chaining::ChainingTable;
 pub use hash_fn::{Fibonacci, HashFn, Identity, Murmur3Finalizer};
 pub use linear_probing::LinearProbingTable;
-pub use quadratic::QuadraticProbingTable;
 pub use robin_hood::RobinHoodTable;
-pub use sorted_array::SortedArrayTable;
-pub use sph::StaticPerfectHash;
 pub use table::GroupTable;

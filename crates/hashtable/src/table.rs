@@ -26,13 +26,6 @@ pub trait GroupTable<V> {
     ///
     /// Iteration order is implementation-defined — the paper's point (§2.1):
     /// *"If we do not know exactly which order is produced by a blackbox
-    /// hash table, we have to assume that the data is unordered"*. Tables
-    /// that do guarantee an order say so via [`GroupTable::output_sorted`].
+    /// hash table, we have to assume that the data is unordered"*.
     fn drain(self) -> Vec<(u32, V)>;
-
-    /// Whether [`GroupTable::drain`] yields keys in ascending order — a
-    /// plan property DQO must not discard (§2.2).
-    fn output_sorted(&self) -> bool {
-        false
-    }
 }

@@ -3,10 +3,7 @@
 //! precondition).
 
 use dqo_hashtable::hash_fn::{Fibonacci, Identity, Murmur3Finalizer};
-use dqo_hashtable::{
-    ChainingTable, GroupTable, LinearProbingTable, RobinHoodTable, SortedArrayTable,
-    StaticPerfectHash,
-};
+use dqo_hashtable::{ChainingTable, GroupTable, LinearProbingTable, RobinHoodTable};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -71,65 +68,11 @@ proptest! {
     }
 
     #[test]
-    fn sorted_array_matches_oracle(keys in proptest::collection::vec(any::<u32>(), 0..1000)) {
-        prop_assert_eq!(run_table(SortedArrayTable::new(), &keys), oracle(&keys));
-    }
-
-    #[test]
-    fn sorted_array_preallocated_matches_oracle(keys in proptest::collection::vec(any::<u32>(), 0..1000)) {
-        let t: SortedArrayTable<u64> = SortedArrayTable::from_keys(keys.clone());
-        prop_assert_eq!(run_table(t, &keys), oracle(&keys));
-    }
-
-    #[test]
-    fn sph_matches_oracle_on_dense_domain(
-        min in 0u32..1000,
-        keys in proptest::collection::vec(0u32..256, 0..1000)
-    ) {
-        // Shift keys into [min, min+256): inside the SPH domain.
-        let shifted: Vec<u32> = keys.iter().map(|&k| min + k).collect();
-        let t: StaticPerfectHash<u64> = StaticPerfectHash::new(min, 256);
-        prop_assert_eq!(run_table(t, &shifted), oracle(&shifted));
-    }
-
-    #[test]
-    fn sph_drain_is_always_sorted(keys in proptest::collection::vec(0u32..128, 0..500)) {
-        let mut t: StaticPerfectHash<u64> = StaticPerfectHash::new(0, 128);
-        for &k in &keys {
-            *t.upsert_with(k, || 0) += 1;
-        }
-        let d = t.drain();
-        prop_assert!(d.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
     fn murmur3_is_injective_on_samples(a in any::<u32>(), b in any::<u32>()) {
         // fmix64 is bijective on u64, hence injective on u32 inputs.
         prop_assume!(a != b);
         let h = Murmur3Finalizer;
         use dqo_hashtable::HashFn;
         prop_assert_ne!(h.hash(a), h.hash(b));
-    }
-}
-
-mod quadratic_oracle {
-    use super::*;
-    use dqo_hashtable::hash_fn::Identity;
-    use dqo_hashtable::QuadraticProbingTable;
-
-    proptest! {
-        #[test]
-        fn quadratic_matches_oracle(keys in proptest::collection::vec(any::<u32>(), 0..2000)) {
-            prop_assert_eq!(run_table(QuadraticProbingTable::new(), &keys), oracle(&keys));
-        }
-
-        #[test]
-        fn quadratic_identity_collisions_match_oracle(
-            keys in proptest::collection::vec(0u32..64, 0..1500)
-        ) {
-            let t: QuadraticProbingTable<u64, Identity> =
-                QuadraticProbingTable::with_capacity_and_hasher(4, Identity);
-            prop_assert_eq!(run_table(t, &keys), oracle(&keys));
-        }
     }
 }

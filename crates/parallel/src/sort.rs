@@ -374,7 +374,7 @@ mod tests {
         assert_eq!(par, serial);
 
         let vals = dataset(60_000, 900, 8);
-        let serial_sog = sort_order_grouping(&keys, &vals, CountSum);
+        let serial_sog = sort_order_grouping(&keys, &vals, CountSum, SortMolecule::Comparison);
         let (sog, _) = parallel_sog(
             &pool,
             &keys,
@@ -408,8 +408,8 @@ mod tests {
     fn sog_matches_serial_across_threads() {
         let keys = dataset(80_000, 501, 3);
         let vals = dataset(80_000, 1000, 8);
-        let serial = sort_order_grouping(&keys, &vals, CountSum);
         for molecule in MOLECULES {
+            let serial = sort_order_grouping(&keys, &vals, CountSum, molecule);
             for threads in [1, 2, 8] {
                 let pool = ThreadPool::new(threads);
                 let (par, stats) =

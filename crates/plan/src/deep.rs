@@ -9,16 +9,21 @@
 //! [`DeepPlan::unnest_root`] yields the alternative one-step expansions of
 //! the root — the arrows of Figure 3, *including* the options the figure
 //! shows being discarded. [`enumerate_grouping_plans`] drives unnesting to
-//! fixpoint and returns every complete deep grouping plan; the textbook
-//! hash-based grouping of Figure 1 is exactly one of them
-//! ([`DeepPlan::equivalent_grouping_algorithm`] recovers the §4.1 names), which
-//! is the paper's point: *"hash-based grouping is just one of many special
-//! cases in a partition-based grouping algorithm."*
+//! fixpoint and returns every complete deep grouping plan.
+//!
+//! There is no second engine for these plans: [`DeepPlan::lower`] maps
+//! each complete one to a physical grouping — a §4.1 organelle, its
+//! [`GroupingMolecules`] and a loop — which the executor runs like any
+//! optimiser-produced `GroupBy`. The textbook hash-based grouping of
+//! Figure 1 lowers to exactly HG's developer defaults, which is the
+//! paper's point: *"hash-based grouping is just one of many special cases
+//! in a partition-based grouping algorithm."*
 
 use crate::algorithms::{
     GroupingAlgorithm, HashFnMolecule, LoopMolecule, SortMolecule, TableMolecule,
 };
 use crate::granule::Granularity;
+use crate::physical::GroupingMolecules;
 use std::fmt;
 
 /// One node of a deep plan.
@@ -276,35 +281,76 @@ impl DeepPlan {
         }
     }
 
-    /// If this complete deep plan coincides with one of §4.1's named
-    /// "physical operators", name it. Figure 3(d) (chaining + Murmur3 +
-    /// serial) is HG; Figure 3(e) (SPH + parallel load) is the SPHG
-    /// refinement; the sort branch is SOG; pass-through is OG; a
-    /// sorted-array index is BSG.
-    pub fn equivalent_grouping_algorithm(&self) -> Option<GroupingAlgorithm> {
-        // Expect AggregateBundle at the root of a grouping deep plan.
-        let Granule::AggregateBundle { .. } = self.granule else {
+    /// Lower a complete deep grouping plan to the physical grouping that
+    /// runs it; `None` for an incomplete plan or one not rooted at an
+    /// aggregate bundle.
+    ///
+    /// * index build over chaining / linear probing / Robin-Hood → HG
+    ///   `{table, hash}` (Figure 3(d) is HG's developer defaults);
+    /// * index build over the static perfect hash → SPHG;
+    /// * index build over a sorted array → BSG;
+    /// * sort-partition `[m]` → SOG `{sort=m}`;
+    /// * pass-through → OG.
+    ///
+    /// The loop is `Parallel` when either the load or the aggregation
+    /// loop is; the caller states it by wrapping the `GroupBy` in an
+    /// `Exchange`, the plan's only statement of parallelism.
+    pub fn lower(&self) -> Option<(GroupingAlgorithm, GroupingMolecules, LoopMolecule)> {
+        if !self.is_complete() {
+            return None;
+        }
+        let Granule::AggregateBundle {
+            agg_loop: Some(agg_loop),
+        } = self.granule
+        else {
             return None;
         };
         let part = self.children.first()?;
-        match &part.granule {
-            Granule::PassThroughPartition => Some(GroupingAlgorithm::OrderBased),
-            Granule::SortPartition { .. } => Some(GroupingAlgorithm::SortOrderBased),
+        let (algo, molecules, load_loop) = match &part.granule {
+            Granule::PassThroughPartition => (
+                GroupingAlgorithm::OrderBased,
+                GroupingMolecules::default(),
+                LoopMolecule::Serial,
+            ),
+            Granule::SortPartition { molecule } => (
+                GroupingAlgorithm::SortOrderBased,
+                GroupingMolecules {
+                    sort: *molecule,
+                    ..GroupingMolecules::default()
+                },
+                LoopMolecule::Serial,
+            ),
             Granule::IndexScan => {
-                let build = part.children.first()?;
-                match &build.granule {
-                    Granule::IndexBuild { table: Some(t), .. } => Some(match t {
-                        TableMolecule::Chaining
-                        | TableMolecule::LinearProbing
-                        | TableMolecule::RobinHood => GroupingAlgorithm::HashBased,
-                        TableMolecule::StaticPerfectHash => GroupingAlgorithm::StaticPerfectHash,
-                        TableMolecule::SortedArray => GroupingAlgorithm::BinarySearch,
-                    }),
-                    _ => None,
-                }
+                let Granule::IndexBuild {
+                    table: Some(table),
+                    hash,
+                    load_loop: Some(load_loop),
+                } = part.children.first()?.granule
+                else {
+                    return None;
+                };
+                let algo = match table {
+                    TableMolecule::Chaining
+                    | TableMolecule::LinearProbing
+                    | TableMolecule::RobinHood => GroupingAlgorithm::HashBased,
+                    TableMolecule::StaticPerfectHash => GroupingAlgorithm::StaticPerfectHash,
+                    TableMolecule::SortedArray => GroupingAlgorithm::BinarySearch,
+                };
+                let molecules = GroupingMolecules {
+                    table: Some(table),
+                    hash,
+                    sort: None,
+                };
+                (algo, molecules, load_loop)
             }
-            _ => None,
-        }
+            _ => return None,
+        };
+        let lp = if [agg_loop, load_loop].contains(&LoopMolecule::Parallel) {
+            LoopMolecule::Parallel
+        } else {
+            LoopMolecule::Serial
+        };
+        Some((algo, molecules, lp))
     }
 }
 
@@ -436,44 +482,87 @@ mod tests {
 
     #[test]
     fn figure3d_textbook_hg_is_one_special_case() {
-        // chaining + murmur3 + serial load + serial aggregation ≡ Figure 1.
+        // chaining + murmur3 + serial load + serial aggregation ≡ Figure 1,
+        // and it lowers to exactly HG's developer defaults.
+        let textbook = (
+            GroupingAlgorithm::HashBased,
+            GroupingMolecules::defaults_for(GroupingAlgorithm::HashBased),
+            LoopMolecule::Serial,
+        );
         let plans = enumerate_grouping_plans();
         let hg_like: Vec<&DeepPlan> = plans
             .iter()
-            .filter(|p| {
-                p.equivalent_grouping_algorithm() == Some(GroupingAlgorithm::HashBased)
-                    && format!("{p}").contains("chaining, hash=murmur3, load=serial")
-                    && matches!(
-                        p.granule,
-                        Granule::AggregateBundle {
-                            agg_loop: Some(LoopMolecule::Serial)
-                        }
-                    )
-            })
+            .filter(|p| p.lower() == Some(textbook))
             .collect();
         assert_eq!(hg_like.len(), 1, "exactly one textbook HG plan");
+        let text = hg_like[0].to_string();
+        assert!(
+            text.contains("chaining, hash=murmur3, load=serial"),
+            "{text}"
+        );
+        assert!(text.contains("aggregate-bundle [serial loop]"), "{text}");
     }
 
     #[test]
-    fn figure3e_sph_parallel_exists() {
+    fn figure3e_sph_parallel_lowers_to_parallel_sphg() {
         let plans = enumerate_grouping_plans();
         assert!(plans.iter().any(|p| {
-            p.equivalent_grouping_algorithm() == Some(GroupingAlgorithm::StaticPerfectHash)
-                && format!("{p}").contains("load=parallel")
+            format!("{p}").contains("sph, load=parallel")
+                && p.lower()
+                    == Some((
+                        GroupingAlgorithm::StaticPerfectHash,
+                        GroupingMolecules::defaults_for(GroupingAlgorithm::StaticPerfectHash),
+                        LoopMolecule::Parallel,
+                    ))
         }));
     }
 
     #[test]
-    fn every_named_variant_appears_in_the_space() {
+    fn every_complete_plan_lowers_and_covers_every_organelle() {
         let plans = enumerate_grouping_plans();
-        for variant in GroupingAlgorithm::all() {
-            assert!(
-                plans
-                    .iter()
-                    .any(|p| p.equivalent_grouping_algorithm() == Some(variant)),
-                "{variant} missing from enumerated space"
+        let mut per_algo = std::collections::HashMap::new();
+        for p in &plans {
+            let (algo, molecules, lp) = p.lower().unwrap_or_else(|| panic!("{p}"));
+            *per_algo.entry(algo).or_insert(0) += 1;
+            // Either loop being parallel makes the lowered grouping parallel.
+            assert_eq!(
+                lp == LoopMolecule::Parallel,
+                p.to_string().contains("parallel"),
+                "{p}"
+            );
+            // Exactly the granules SOG and HG need are decided, and SOG
+            // keeps the plan's sort molecule.
+            assert_eq!(
+                molecules.sort.is_some(),
+                algo == GroupingAlgorithm::SortOrderBased
+            );
+            if let Some(s) = molecules.sort {
+                assert!(p.to_string().contains(&format!("sort-partition [{s}]")));
+            }
+            assert_eq!(
+                molecules.hash.is_some(),
+                algo == GroupingAlgorithm::HashBased
             );
         }
+        // 3 tables × 3 hashes × 2 loads × 2 agg loops, then 2 × 2 each
+        // for SPH, sorted array and the sort molecules, 2 for pass-through.
+        let expected = [
+            (GroupingAlgorithm::HashBased, 36),
+            (GroupingAlgorithm::StaticPerfectHash, 4),
+            (GroupingAlgorithm::OrderBased, 2),
+            (GroupingAlgorithm::SortOrderBased, 4),
+            (GroupingAlgorithm::BinarySearch, 4),
+        ];
+        for (algo, n) in expected {
+            assert_eq!(per_algo.get(&algo), Some(&n), "{algo}");
+        }
+    }
+
+    #[test]
+    fn incomplete_plans_do_not_lower() {
+        assert_eq!(DeepPlan::logical_grouping().lower(), None);
+        let fig3b = DeepPlan::logical_grouping().unnest_root().remove(0);
+        assert_eq!(fig3b.lower(), None);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   molecules);
 //! * [`deep`] — deep plans: trees whose nodes sit at *any* granularity,
 //!   plus the unnesting rules that expand a node into its finer-grained
-//!   alternatives (the arrows of Figure 3);
+//!   alternatives (the arrows of Figure 3) and the lowering of a complete
+//!   one to a physical grouping;
 //! * [`physical`] — the fully decided plan the executor runs;
 //! * [`properties`] — plan properties (§2.2): sortedness, density,
 //!   distinct counts, partitioning — the DP state DQO refuses to discard;

@@ -13,35 +13,36 @@ use crate::algorithms::{
 use crate::expr::{AggExpr, Predicate};
 use std::fmt;
 
-/// Molecule-level decisions inside a grouping operator. `None` means "the
-/// developer default" (what SQO ships with).
+/// Molecule-level decisions inside a grouping operator — the leaf
+/// decisions of a complete Figure 3 deep plan
+/// ([`crate::deep::DeepPlan::lower`]). `None` means "the developer
+/// default" (what SQO ships with).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GroupingMolecules {
     /// Backing table.
     pub table: Option<TableMolecule>,
     /// Hash function (hash-based tables only).
     pub hash: Option<HashFnMolecule>,
+    /// Sort behind SOG; `None` is pdqsort.
+    pub sort: Option<SortMolecule>,
 }
 
 impl GroupingMolecules {
     /// The developer defaults behind each §4.1 name — what a shallow
     /// optimiser implicitly picks when it names the organelle.
     pub fn defaults_for(algo: GroupingAlgorithm) -> Self {
-        match algo {
-            GroupingAlgorithm::HashBased => GroupingMolecules {
-                table: Some(TableMolecule::Chaining),
-                hash: Some(HashFnMolecule::Murmur3),
-            },
-            GroupingAlgorithm::StaticPerfectHash => GroupingMolecules {
-                table: Some(TableMolecule::StaticPerfectHash),
-                hash: None,
-            },
-            GroupingAlgorithm::OrderBased => GroupingMolecules::default(),
-            GroupingAlgorithm::SortOrderBased => GroupingMolecules::default(),
-            GroupingAlgorithm::BinarySearch => GroupingMolecules {
-                table: Some(TableMolecule::SortedArray),
-                hash: None,
-            },
+        let (table, hash) = match algo {
+            GroupingAlgorithm::HashBased => {
+                (Some(TableMolecule::Chaining), Some(HashFnMolecule::Murmur3))
+            }
+            GroupingAlgorithm::StaticPerfectHash => (Some(TableMolecule::StaticPerfectHash), None),
+            GroupingAlgorithm::BinarySearch => (Some(TableMolecule::SortedArray), None),
+            GroupingAlgorithm::OrderBased | GroupingAlgorithm::SortOrderBased => (None, None),
+        };
+        GroupingMolecules {
+            table,
+            hash,
+            sort: None,
         }
     }
 }
@@ -301,6 +302,9 @@ impl PhysicalPlan {
                 if let Some(h) = molecules.hash {
                     mol.push(format!("hash={h}"));
                 }
+                if let Some(s) = molecules.sort {
+                    mol.push(format!("sort={s}"));
+                }
                 let mol = if mol.is_empty() {
                     String::new()
                 } else {
@@ -383,6 +387,24 @@ mod tests {
         assert!(text.contains("HG γ[k]"));
         assert!(text.contains("table=chaining"));
         assert!(text.contains("hash=murmur3"));
+    }
+
+    #[test]
+    fn explain_names_the_sort_molecule_only_when_decided() {
+        let sog = |molecules| PhysicalPlan::GroupBy {
+            input: Box::new(PhysicalPlan::Scan { table: "t".into() }),
+            keys: vec!["k".into()],
+            aggs: vec![AggExpr::count_star("n")],
+            algo: GroupingAlgorithm::SortOrderBased,
+            molecules,
+        };
+        let default = GroupingMolecules::defaults_for(GroupingAlgorithm::SortOrderBased);
+        assert!(!sog(default).explain().contains('{'));
+        let radix = GroupingMolecules {
+            sort: Some(SortMolecule::Radix),
+            ..default
+        };
+        assert!(sog(radix).explain().starts_with("SOG γ[k] {sort=radix} "));
     }
 
     #[test]

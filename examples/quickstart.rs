@@ -4,6 +4,8 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use dqo::plan::physical::GroupingMolecules;
+use dqo::plan::{AggExpr, GroupingAlgorithm, LoopMolecule, PhysicalPlan};
 use dqo::storage::datagen::DatasetSpec;
 use dqo::{Dqo, OptimizerMode};
 
@@ -59,14 +61,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          hash-based grouping of Figure 1 is just one of them:",
         all.len()
     );
+    let textbook = (
+        GroupingAlgorithm::HashBased,
+        GroupingMolecules::defaults_for(GroupingAlgorithm::HashBased),
+        LoopMolecule::Serial,
+    );
     let hg = all
         .iter()
-        .find(|p| {
-            p.equivalent_grouping_algorithm() == Some(dqo::plan::GroupingAlgorithm::HashBased)
-                && format!("{p}").contains("chaining, hash=murmur3, load=serial")
-                && format!("{p}").contains("aggregate-bundle [serial loop]")
-        })
+        .find(|p| p.lower() == Some(textbook))
         .expect("textbook HG is in the space");
     println!("{hg}");
+    // Every complete deep plan lowers to a physical grouping the one
+    // executor runs; this one is exactly HG with its developer defaults.
+    let (algo, molecules, _) = textbook;
+    let lowered = PhysicalPlan::GroupBy {
+        input: Box::new(PhysicalPlan::Scan {
+            table: "unsorted_dense".into(),
+        }),
+        keys: vec!["key".into()],
+        aggs: vec![AggExpr::count_star("n")],
+        algo,
+        molecules,
+    };
+    println!("It lowers to:\n{}", lowered.explain());
     Ok(())
 }

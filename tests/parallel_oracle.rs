@@ -25,12 +25,13 @@ use dqo::{Dqo, OptimizerMode};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
-/// Every HG table molecule: chaining, and each open-addressing table under
-/// each hash function.
-fn hg_tables() -> [HgTable; 7] {
+/// Every HG table molecule: each hashing table under each hash function.
+fn hg_tables() -> [HgTable; 9] {
     use dqo::plan::HashFnMolecule::{Fibonacci, Identity, Murmur3};
     [
-        HgTable::Chaining,
+        HgTable::Chaining(Murmur3),
+        HgTable::Chaining(Fibonacci),
+        HgTable::Chaining(Identity),
         HgTable::LinearProbing(Murmur3),
         HgTable::LinearProbing(Fibonacci),
         HgTable::LinearProbing(Identity),
@@ -218,7 +219,7 @@ fn sog_bit_identical_across_dop_seeds_and_skew() {
         for exponent in [0.6f64, 1.4] {
             let keys = zipf_keys(150_000, 300, exponent, seed);
             let vals = zipf_keys(150_000, 1_000, 0.9, seed + 1);
-            let serial = sort_order_grouping(&keys, &vals, CountSum);
+            let serial = sort_order_grouping(&keys, &vals, CountSum, SortMolecule::Comparison);
             for threads in THREAD_COUNTS {
                 let pool = ThreadPool::new(threads);
                 let (par, _) =
@@ -686,6 +687,7 @@ fn parallel_hg_runs_every_planned_molecule_pair() {
         molecules: GroupingMolecules {
             table: Some(table),
             hash: Some(hash),
+            sort: None,
         },
     };
     let mut first: Option<dqo::Relation> = None;
@@ -714,6 +716,82 @@ fn parallel_hg_runs_every_planned_molecule_pair() {
                 );
                 let reference = first.get_or_insert_with(|| par.relation.clone());
                 assert_relations_identical(&par.relation, reference, &what);
+            }
+        }
+    }
+}
+
+/// Figure 3 has one executor: each of the 50 complete deep grouping plans
+/// lowers to a `GroupBy` over a `Scan` and runs through `execute`, serially
+/// and under `Exchange dop=2`. On sorted dense input every plan equals a
+/// `BTreeMap` reference. On unsorted input every plan but pass-through
+/// does, and pass-through (OG) returns its typed precondition error.
+/// Empty input gives empty groups.
+#[test]
+fn every_deep_grouping_plan_runs_through_execute() {
+    use dqo::core::CoreError;
+    use dqo::exec::ExecError;
+    use dqo::plan::deep::enumerate_grouping_plans;
+    use dqo::plan::{AggExpr, AggFunc, GroupingAlgorithm, PhysicalPlan};
+    use std::collections::BTreeMap;
+
+    let reference = |keys: &[u32]| -> Vec<Vec<Value>> {
+        let mut groups: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
+        for &k in keys {
+            let g = groups.entry(k).or_default();
+            g.0 += 1;
+            g.1 += u64::from(k);
+        }
+        groups
+            .into_iter()
+            .map(|(k, (n, s))| vec![Value::U32(k), Value::U64(n), Value::U64(s)])
+            .collect()
+    };
+    let cat = dqo::Catalog::new();
+    let mut inputs = Vec::new();
+    for (name, sorted) in [("sorted", true), ("unsorted", false)] {
+        let keys = DatasetSpec::new(3_000, 40)
+            .sorted(sorted)
+            .dense(true)
+            .generate()
+            .unwrap();
+        inputs.push((name, sorted, reference(&keys)));
+        cat.register(name, dqo::Relation::single_u32("key", keys));
+    }
+    cat.register("empty", dqo::Relation::single_u32("key", vec![]));
+    inputs.push(("empty", true, Vec::new()));
+
+    let plans = enumerate_grouping_plans();
+    assert_eq!(plans.len(), 50);
+    for plan in &plans {
+        let (algo, molecules, _) = plan.lower().unwrap_or_else(|| panic!("{plan}"));
+        for (name, sorted, expected) in &inputs {
+            let group_by = PhysicalPlan::GroupBy {
+                input: Box::new(PhysicalPlan::Scan {
+                    table: name.to_string(),
+                }),
+                keys: vec!["key".into()],
+                aggs: vec![
+                    AggExpr::count_star("n"),
+                    AggExpr::on(AggFunc::Sum, "key", "s"),
+                ],
+                algo,
+                molecules,
+            };
+            let exchange = PhysicalPlan::Exchange {
+                input: Box::new(group_by.clone()),
+                dop: 2,
+            };
+            let violates = !sorted && algo == GroupingAlgorithm::OrderBased;
+            for physical in [group_by, exchange] {
+                let what = format!("{name} input:\n{physical}\nlowered from:\n{plan}");
+                match dqo::core::executor::execute(&physical, &cat) {
+                    Ok(out) if !violates => {
+                        assert_eq!(sorted_rows(&out.relation), *expected, "{what}")
+                    }
+                    Err(CoreError::Exec(ExecError::PreconditionViolated { .. })) if violates => {}
+                    other => panic!("{what}\ngot {:?}", other.map(|o| o.relation.rows())),
+                }
             }
         }
     }
