@@ -34,7 +34,7 @@
 //!    (published artifact, combined snapshot, delta) to the next artifact,
 //!    published the same way.
 
-use crate::catalog::{Catalog, TableEntry};
+use crate::catalog::{Catalog, RowDelta, TableEntry};
 use crate::error::CoreError;
 use crate::Result;
 use dqo_exec::aggregate::{CountSum, CountSumState};
@@ -559,7 +559,9 @@ impl AvCatalog {
     /// through [`Catalog::replace_data`] when it exists (data clock only:
     /// stored plans survive and observe the new rows), first-registered
     /// otherwise (DDL clock: stored plans re-plan and may now use the
-    /// view); (3) inserts the entry.
+    /// view); (3) inserts the entry. A maintained artifact passes `delta`,
+    /// the rows it gained over the artifact it replaces, so the hidden
+    /// relation's statistics fold instead of being recomputed.
     ///
     /// The check cannot interleave with [`AvCatalog::invalidate_table`],
     /// which takes the same lock *after* the DDL that calls it has moved
@@ -569,7 +571,13 @@ impl AvCatalog {
     /// **Lock order: AV views → catalog tables.** This function holds the
     /// views lock across its catalog calls; nothing may take the views
     /// lock while holding the table catalog's.
-    pub fn publish(&self, catalog: &Catalog, av: Av, built_from: &TableEntry) -> Option<Arc<Av>> {
+    pub fn publish(
+        &self,
+        catalog: &Catalog,
+        av: Av,
+        built_from: &TableEntry,
+        delta: Option<RowDelta<'_>>,
+    ) -> Option<Arc<Av>> {
         let mut views = self.views.write();
         let snapshot = (built_from.generation, built_from.data_generation);
         if catalog.table_stats_version(&av.signature.table) != Some(snapshot) {
@@ -579,10 +587,13 @@ impl AvCatalog {
             &av.artifact
         {
             let hidden = av.signature.av_table_name();
-            // A hidden relation is flat, so the swap only fails when it
-            // is not registered yet.
-            if catalog.replace_data(&hidden, (**rel).clone()).is_err() {
-                catalog.register(hidden, (**rel).clone());
+            // Only publish writes hidden relations, under this lock, so
+            // the swap fails only when the relation is not registered yet.
+            let swapped = catalog.get(&hidden).and_then(|current| {
+                catalog.replace_data(&hidden, &current, Arc::clone(rel), delta)
+            });
+            if swapped.is_err() {
+                catalog.register(hidden, Arc::clone(rel));
             }
         }
         let av = Arc::new(av);
@@ -698,7 +709,7 @@ mod tests {
             (ddl, stats)
         );
 
-        assert!(avs.publish(&cat, av.clone(), &entry).is_some());
+        assert!(avs.publish(&cat, av.clone(), &entry, None).is_some());
         // Registered as a hidden table with sorted stats.
         let props = cat.column_props(&sig.av_table_name(), "key").unwrap();
         assert!(props.sortedness.is_sorted());
@@ -707,7 +718,7 @@ mod tests {
 
         // Republishing swaps the hidden relation on the data clock only.
         let ddl = cat.current_generation();
-        assert!(avs.publish(&cat, av, &entry).is_some());
+        assert!(avs.publish(&cat, av, &entry, None).is_some());
         assert_eq!(cat.current_generation(), ddl);
         assert_eq!(cat.data_generation_of(&sig.av_table_name()), Some(1));
     }

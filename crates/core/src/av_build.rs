@@ -143,7 +143,7 @@ impl AvBuilder {
         let av = materialise_av(entry, sig, Some(&tp))?;
         let wall = start.elapsed();
         let bytes = av.byte_size;
-        let published = self.avs.publish(&self.catalog, av, entry).is_some();
+        let published = self.avs.publish(&self.catalog, av, entry, None).is_some();
         self.builds.inc();
         self.bytes.add(bytes as u64);
         self.wall.observe_duration(wall);
@@ -289,7 +289,9 @@ mod tests {
             let snapshot = catalog.get("t").unwrap();
             let same_rows = (*snapshot.relation).clone();
             if append {
-                catalog.replace_data("t", same_rows).unwrap();
+                catalog
+                    .replace_data("t", &snapshot, same_rows, None)
+                    .unwrap();
             } else {
                 catalog.register("t", same_rows);
             }

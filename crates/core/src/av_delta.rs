@@ -19,7 +19,13 @@
 //!   semantics are not worth the risk for a multi-column view.
 //! * **Sorted projection — run-merge**: the delta is stable-sorted and
 //!   merged straight into the published artifact (`merge_sorted`:
-//!   `O(delta · log n)` searches plus one pass of slice copies).
+//!   `O(delta · log n)` searches, then each output column is copied range
+//!   by range straight out of the artifact and the sorted delta — one
+//!   copy per column, no intermediate concatenation). The insertion
+//!   points the searches found travel to publish with the sorted delta,
+//!   so the hidden relation's statistics fold the delta at those seams
+//!   ([`DataProps::fold`](dqo_storage::DataProps::fold)) instead of being
+//!   recomputed over the whole projection.
 //!   Consumers scan the hidden `__av::` relation directly, so it is
 //!   always completely sorted. The serial `argsort` is stable, the
 //!   artifact holds original row ids `0..n` in `(key, row id)` order and
@@ -46,7 +52,7 @@ use crate::av::{
     grouping_relation, key_columns, key_order, materialise_av, Av, AvArtifact, AvSignature,
 };
 use crate::av_build::{AvBuildHandle, AvBuilder};
-use crate::catalog::TableEntry;
+use crate::catalog::{RowDelta, TableEntry};
 use crate::Result;
 use dqo_exec::aggregate::{CountSum, CountSumState};
 use dqo_exec::grouping::hg::hash_grouping_chaining;
@@ -54,7 +60,7 @@ use dqo_exec::grouping::GroupedResult;
 use dqo_exec::join::sphj::SphIndex;
 use dqo_obs::{names, Counter, Histogram, MetricsRegistry, DURATION_BUCKETS};
 use dqo_parallel::ThreadPool;
-use dqo_storage::{Relation, Selection};
+use dqo_storage::Relation;
 use std::cmp::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -161,6 +167,7 @@ impl ViewMaintainer {
                 continue;
             };
             let start = Instant::now();
+            let mut gained = None;
             let maintained = match &av.artifact {
                 // Planned-only views carry no artifact to maintain.
                 None => continue,
@@ -168,16 +175,26 @@ impl ViewMaintainer {
                     Some(maintain_grouping(&av, stored, combined, delta, pool)?)
                 }
                 Some(AvArtifact::SortedProjection(current)) => {
-                    Some(maintain_sorted(&av, current, combined, delta, pool)?)
+                    let (updated, action, merged) =
+                        maintain_sorted(&av, current, combined, delta, pool)?;
+                    gained = merged.map(|(rows, at)| (&**current, rows, at));
+                    Some((updated, action))
                 }
                 Some(AvArtifact::SphIndex(index)) => patch_sph(&av, index, delta, first_row)?
                     .map(|patched| (patched, DeltaAction::Merge)),
             };
             let (action, rebuild) = match maintained {
                 Some((updated, action)) => {
+                    let delta = gained.as_ref().map(|(base, rows, at)| RowDelta {
+                        base,
+                        rows,
+                        at: Some(at),
+                    });
                     // Refused only when DDL replaced the table under this
                     // insert; that DDL's invalidation owns the views now.
-                    builder.avs.publish(&builder.catalog, updated, combined);
+                    builder
+                        .avs
+                        .publish(&builder.catalog, updated, combined, delta);
                     (action, None)
                 }
                 None => {
@@ -268,27 +285,33 @@ fn maintain_grouping(
     Ok((updated, DeltaAction::Merge))
 }
 
+/// The rows a run-merge put into a sorted projection and their insertion
+/// points — what the hidden relation's statistics fold.
+type Merged = (Relation, Vec<usize>);
+
 /// Run-merge for sorted projections: the stable-sorted delta goes
 /// straight into the published artifact, or — past [`REBUILD_RATIO`] —
-/// the projection is rebuilt from the combined table.
+/// the projection is rebuilt from the combined table. A merge also
+/// returns what it put where.
 fn maintain_sorted(
     av: &Av,
     current: &Relation,
     combined: &TableEntry,
     delta: &Relation,
     pool: Option<&ThreadPool>,
-) -> Result<(Av, DeltaAction)> {
+) -> Result<(Av, DeltaAction, Option<Merged>)> {
     let sig = &av.signature;
     if delta.rows() as f64 > REBUILD_RATIO * combined.relation.rows() as f64 {
-        return Ok((materialise_av(combined, sig, pool)?, DeltaAction::Rebuild));
+        let rebuilt = materialise_av(combined, sig, pool)?;
+        return Ok((rebuilt, DeltaAction::Rebuild, None));
     }
     let delta_sorted = delta.gather(&key_order(&key_columns(delta, sig)?, None)?);
-    let merged = merge_sorted(current, &delta_sorted, &sig.key_columns())?;
+    let (merged, at) = merge_sorted(current, &delta_sorted, &sig.key_columns())?;
     let mut updated = av.clone();
     updated.provides.rows = merged.rows() as u64;
     updated.byte_size = merged.byte_size();
     updated.artifact = Some(AvArtifact::SortedProjection(Arc::new(merged)));
-    Ok((updated, DeltaAction::Merge))
+    Ok((updated, DeltaAction::Merge, Some((delta_sorted, at))))
 }
 
 /// Patch an SPH join index with the appended keys; `None` when they fall
@@ -307,14 +330,19 @@ fn patch_sph(av: &Av, index: &SphIndex, delta: &Relation, first_row: usize) -> R
 
 /// Two-way merge of two key-sorted relations, `a` winning ties — the
 /// stability that makes run-merges reproduce a stable rebuild. `b` is the
-/// small side (a tail run, a sorted delta): each of its rows is placed by
-/// binary search after every row of `a` that is not greater, and the
-/// merged order is a list of row *ranges* of the concatenation `a ++ b` —
-/// runs of `a` between insertion points, rows of `b` at them — so the
-/// output columns are built by slice copies, not row by row. Dictionaries
-/// prefer `b`'s, which on every maintenance path carries the newest
-/// (superset) dictionary.
-fn merge_sorted(a: &Relation, b: &Relation, key_names: &[&str]) -> Result<Relation> {
+/// small side (a sorted delta): each of its rows is placed by binary
+/// search after every row of `a` that is not greater, and the merged
+/// order is a list of row *ranges* of `a ++ b` — runs of `a` between
+/// insertion points, rows of `b` at them — copied straight out of `a` and
+/// `b` into each output column ([`Column::concat_select`]), one pass and
+/// no intermediate concatenation. Dictionaries prefer `b`'s, which on
+/// every maintenance path carries the newest (superset) dictionary.
+///
+/// Returns the merged relation and each `b` row's insertion point (the
+/// number of `a` rows before it) — the seam its statistics fold at.
+///
+/// [`Column::concat_select`]: dqo_storage::Column::concat_select
+fn merge_sorted(a: &Relation, b: &Relation, key_names: &[&str]) -> Result<(Relation, Vec<usize>)> {
     let keys_of = |rel| -> Result<Vec<&[u32]>> {
         let column = |k| -> Result<&[u32]> { Ok(Relation::column(rel, k)?.as_u32()?) };
         key_names.iter().copied().map(column).collect()
@@ -329,10 +357,11 @@ fn merge_sorted(a: &Relation, b: &Relation, key_names: &[&str]) -> Result<Relati
             != Ordering::Greater
     };
     let mut ranges = Vec::with_capacity(2 * m + 1);
-    let mut at = 0usize;
+    let mut at = Vec::with_capacity(m);
+    let mut start = 0usize;
     for j in 0..m {
-        // First row of `a[at..]` that is greater than `b[j]`.
-        let (mut lo, mut hi) = (at, n);
+        // First row of `a[start..]` that is greater than `b[j]`.
+        let (mut lo, mut hi) = (start, n);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
             if a_le_b(mid, j) {
@@ -341,25 +370,28 @@ fn merge_sorted(a: &Relation, b: &Relation, key_names: &[&str]) -> Result<Relati
                 hi = mid;
             }
         }
-        ranges.push(at..lo);
+        ranges.push(start..lo);
         ranges.push(n + j..n + j + 1);
-        at = lo;
+        at.push(lo);
+        start = lo;
     }
-    ranges.push(at..n);
+    ranges.push(start..n);
 
-    let mut cols = Vec::with_capacity(a.schema().width());
-    for idx in 0..a.schema().width() {
-        let mut col = a.column_at(idx)?.clone();
-        col.append(b.column_at(idx)?)?;
-        cols.push(col);
+    let width = a.schema().width();
+    let mut cols = Vec::with_capacity(width);
+    for idx in 0..width {
+        cols.push(
+            a.column_at(idx)?
+                .concat_select(b.column_at(idx)?, &ranges)?,
+        );
     }
-    let mut concat = Relation::new(a.schema().clone(), cols)?;
-    for idx in 0..a.schema().width() {
+    let mut merged = Relation::new(a.schema().clone(), cols)?;
+    for idx in 0..width {
         if let Some(dict) = b.dictionary_at(idx)?.or(a.dictionary_at(idx)?) {
-            concat = concat.with_dictionary_at(idx, Arc::clone(dict))?;
+            merged = merged.with_dictionary_at(idx, Arc::clone(dict))?;
         }
     }
-    Ok(concat.select(&Selection::Ranges(ranges)))
+    Ok((merged, at))
 }
 
 #[cfg(test)]
@@ -383,11 +415,13 @@ mod tests {
     fn merge_sorted_is_stable_left_first() {
         let a = rel2(vec![1, 3, 3, 7], vec![0, 1, 2, 3]);
         let b = rel2(vec![0, 3, 7, 9], vec![10, 11, 12, 13]);
-        let merged = merge_sorted(&a, &b, &["k"]).unwrap();
+        let (merged, at) = merge_sorted(&a, &b, &["k"]).unwrap();
         assert_eq!(
             merged.column("k").unwrap().as_u32().unwrap(),
             &[0, 1, 3, 3, 3, 7, 7, 9]
         );
+        // Each b-row's insertion point: the number of a-rows before it.
+        assert_eq!(at, [0, 3, 4, 4]);
         // Ties: every a-row precedes every b-row with the same key.
         assert_eq!(
             merged.column("v").unwrap().as_u32().unwrap(),
@@ -402,7 +436,7 @@ mod tests {
             (5, [0, 1, 2, 10, 11]),
         ] {
             let delta = rel2(vec![delta_key; 2], vec![10, 11]);
-            let merged = merge_sorted(&base, &delta, &["k"]).unwrap();
+            let (merged, _) = merge_sorted(&base, &delta, &["k"]).unwrap();
             assert_eq!(merged.column("v").unwrap().as_u32().unwrap(), &want);
         }
     }
@@ -411,10 +445,12 @@ mod tests {
     fn merge_sorted_handles_empty_sides() {
         let a = rel2(vec![], vec![]);
         let b = rel2(vec![2, 5], vec![1, 2]);
-        let m = merge_sorted(&a, &b, &["k"]).unwrap();
+        let (m, at) = merge_sorted(&a, &b, &["k"]).unwrap();
         assert_eq!(m.column("k").unwrap().as_u32().unwrap(), &[2, 5]);
-        let m = merge_sorted(&b, &a, &["k"]).unwrap();
+        assert_eq!(at, [0, 0]);
+        let (m, at) = merge_sorted(&b, &a, &["k"]).unwrap();
         assert_eq!(m.rows(), 2);
+        assert!(at.is_empty());
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //!
 //! Every `u32`-typed column gets exact [`DataProps`] at registration time
 //! (sortedness, density, distinct count, range) — §4.1's "we always assume
-//! the number of distinct values to be known" holds because we compute it.
+//! the number of distinct values to be known" holds because we compute it
+//! — and keeps them exact across appends by folding each delta in.
 
 use crate::error::CoreError;
 use crate::Result;
-use dqo_storage::{DataProps, DataType, PartitionedRelation, Partitioning, Relation};
+use dqo_storage::{DataProps, DataType, PartitionedRelation, Partitioning, Relation, Seam};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,19 +40,9 @@ pub struct TableEntry {
 
 impl TableEntry {
     fn from_relation(relation: Arc<Relation>, generation: u64, data_generation: u64) -> Self {
-        let mut column_props = HashMap::new();
-        for field in relation.schema().fields() {
-            if matches!(field.data_type, DataType::U32 | DataType::Str) {
-                if let Ok(col) = relation.column(&field.name) {
-                    if let Ok(data) = col.as_u32() {
-                        column_props.insert(field.name.clone(), DataProps::compute(data));
-                    }
-                }
-            }
-        }
         TableEntry {
+            column_props: column_props(&relation, None),
             relation,
-            column_props,
             generation,
             data_generation,
             partitioning: None,
@@ -62,6 +53,57 @@ impl TableEntry {
         self.partitioning = partitioning;
         self
     }
+}
+
+/// The rows a new version of a relation gained over `base`, and where
+/// they landed. `base`'s rows keep their relative order in the new
+/// version, so its statistics fold instead of being recomputed (see
+/// [`Catalog::replace_data`]).
+#[derive(Debug, Clone, Copy)]
+pub struct RowDelta<'a> {
+    /// The relation these rows extend.
+    pub base: &'a Relation,
+    /// The gained rows, in `base`'s schema.
+    pub rows: &'a Relation,
+    /// Row `j` of `rows` sits right after the first `at[j]` rows of `base`
+    /// (non-decreasing); `None` when they all follow `base` — an append.
+    pub at: Option<&'a [usize]>,
+}
+
+/// Exact [`DataProps`] of every `u32`/`Str` column of `relation` — the
+/// catalog's one statistics derivation. With `extends`, a column folds
+/// the delta into the snapshot's props ([`DataProps::fold`]) when the
+/// delta extends that snapshot's relation; otherwise, or when the fold
+/// needs the whole column, it is computed.
+fn column_props(
+    relation: &Relation,
+    extends: Option<(&TableEntry, RowDelta<'_>)>,
+) -> HashMap<String, DataProps> {
+    fn u32s<'r>(rel: &'r Relation, name: &str) -> Option<&'r [u32]> {
+        rel.column(name).ok()?.as_u32().ok()
+    }
+    let extends = extends.filter(|(from, delta)| std::ptr::eq(&*from.relation, delta.base));
+    let mut props = HashMap::new();
+    for field in relation.schema().fields() {
+        if !matches!(field.data_type, DataType::U32 | DataType::Str) {
+            continue;
+        }
+        let Some(data) = u32s(relation, &field.name) else {
+            continue;
+        };
+        let folded = extends.and_then(|(from, delta)| {
+            debug_assert_eq!(delta.base.rows() + delta.rows.rows(), relation.rows());
+            let seam = Seam {
+                old: u32s(delta.base, &field.name)?,
+                at: delta.at,
+            };
+            let old = from.column_props.get(&field.name)?;
+            old.fold(u32s(delta.rows, &field.name)?, seam)
+        });
+        let derived = folded.unwrap_or_else(|| DataProps::compute(data));
+        props.insert(field.name.clone(), derived);
+    }
+    props
 }
 
 /// A concurrent catalog of named tables.
@@ -84,10 +126,14 @@ impl Catalog {
     }
 
     /// Register (or replace) a table, computing exact column statistics.
-    pub fn register(&self, name: impl Into<String>, relation: Relation) -> Arc<TableEntry> {
+    pub fn register(
+        &self,
+        name: impl Into<String>,
+        relation: impl Into<Arc<Relation>>,
+    ) -> Arc<TableEntry> {
         self.publish(
             name.into(),
-            TableEntry::from_relation(Arc::new(relation), 0, 0),
+            TableEntry::from_relation(relation.into(), 0, 0),
         )
     }
 
@@ -123,30 +169,57 @@ impl Catalog {
         entry
     }
 
-    /// Swap a table's rows in place — the append path. Statistics are
-    /// recomputed and the per-table **data generation** bumps, but the
-    /// registration generation and the catalog-wide DDL clock do **not**
-    /// move: the table is still the same table, so cached plans that scan
-    /// it stay valid and simply observe the new rows at their next
-    /// execution. Atomic per entry — a concurrent reader sees either the
-    /// old snapshot or the new one, never a mix.
-    pub fn replace_data(&self, name: &str, relation: Relation) -> Result<Arc<TableEntry>> {
-        let mut tables = self.tables.write();
-        let old = tables
-            .get(name)
-            .ok_or_else(|| CoreError::UnknownTable(name.to_owned()))?;
-        let partitioning = match &old.partitioning {
+    /// Swap a table's rows in place — the append path. `relation` is the
+    /// table's next version, derived from the snapshot `from`; `delta`,
+    /// when given, is what it gained over `from`'s relation, and each
+    /// column's statistics then fold that delta into `from`'s in
+    /// O(delta) instead of being recomputed (a column whose fold needs
+    /// the whole column, or any column without a delta, is computed).
+    /// The per-table **data generation** bumps, but the registration
+    /// generation and the catalog-wide DDL clock do **not** move: the
+    /// table is still the same table, so cached plans that scan it stay
+    /// valid and simply observe the new rows at their next execution.
+    ///
+    /// Refused with [`CoreError::TableChanged`] — nothing touched, no
+    /// clock moved — unless the table's current `(generation,
+    /// data_generation)` is still `from`'s: rows derived from an older
+    /// snapshot would silently undo whatever replaced it (a
+    /// re-registration, another append). The statistics are derived
+    /// before the catalog's write lock is taken, so readers never wait on
+    /// them; the lock covers only the check and the swap, which is atomic
+    /// per entry — a concurrent reader sees either the old snapshot or
+    /// the new one, never a mix.
+    pub fn replace_data(
+        &self,
+        name: &str,
+        from: &TableEntry,
+        relation: impl Into<Arc<Relation>>,
+        delta: Option<RowDelta<'_>>,
+    ) -> Result<Arc<TableEntry>> {
+        let relation = relation.into();
+        let partitioning = match &from.partitioning {
             None => None,
             Some(part) => Some(Arc::new(Self::refresh_partitioning(
                 part,
                 &relation,
-                old.relation.rows(),
+                from.relation.rows(),
             )?)),
         };
-        let entry = Arc::new(
-            TableEntry::from_relation(Arc::new(relation), old.generation, old.data_generation + 1)
-                .with_partitioning(partitioning),
-        );
+        let entry = Arc::new(TableEntry {
+            column_props: column_props(&relation, delta.map(|d| (from, d))),
+            relation,
+            generation: from.generation,
+            data_generation: from.data_generation + 1,
+            partitioning,
+        });
+        let mut tables = self.tables.write();
+        let current = tables
+            .get(name)
+            .ok_or_else(|| CoreError::UnknownTable(name.to_owned()))?;
+        if (current.generation, current.data_generation) != (from.generation, from.data_generation)
+        {
+            return Err(CoreError::TableChanged(name.to_owned()));
+        }
         tables.insert(name.to_owned(), Arc::clone(&entry));
         self.stats_generations.fetch_add(1, Ordering::Relaxed);
         Ok(entry)
@@ -436,13 +509,12 @@ mod tests {
     #[test]
     fn replace_data_bumps_data_clock_but_not_ddl_clock() {
         let cat = Catalog::new();
-        cat.register("t", Relation::single_u32("key", vec![1, 2]));
+        let old = cat.register("t", Relation::single_u32("key", vec![1, 2]));
         let ddl = cat.current_generation();
         let reg = cat.generation_of("t").unwrap();
         assert_eq!(cat.data_generation_of("t"), Some(0));
-        let entry = cat
-            .replace_data("t", Relation::single_u32("key", vec![1, 2, 3]))
-            .unwrap();
+        let three = Relation::single_u32("key", vec![1, 2, 3]);
+        let entry = cat.replace_data("t", &old, three, None).unwrap();
         assert_eq!(entry.relation.rows(), 3);
         // Stats are refreshed against the new rows…
         assert_eq!(cat.column_props("t", "key").unwrap().rows, 3);
@@ -453,12 +525,79 @@ mod tests {
         assert_eq!(cat.generation_of("t"), Some(reg));
         assert_eq!(cat.current_generation(), ddl);
         // A real re-register resets the data clock and bumps both others.
-        cat.register("t", Relation::single_u32("key", vec![9]));
+        let fresh = cat.register("t", Relation::single_u32("key", vec![9]));
         assert_eq!(cat.data_generation_of("t"), Some(0));
         assert!(cat.current_generation() > ddl);
-        assert!(cat
-            .replace_data("missing", Relation::single_u32("k", vec![]))
-            .is_err());
+        // Rows derived from a snapshot the table has moved past — by DDL
+        // or by another append — are refused, and nothing moves.
+        let stats = cat.stats_generation();
+        for stale in [&old, &entry] {
+            let rows = Relation::single_u32("key", vec![1]);
+            assert!(matches!(
+                cat.replace_data("t", stale, rows, None),
+                Err(CoreError::TableChanged(_))
+            ));
+        }
+        assert_eq!(cat.get("t").unwrap().generation, fresh.generation);
+        assert_eq!(cat.stats_generation(), stats);
+        let rows = Relation::single_u32("k", vec![]);
+        assert!(matches!(
+            cat.replace_data("missing", &fresh, rows, None),
+            Err(CoreError::UnknownTable(_))
+        ));
+    }
+
+    #[test]
+    fn replace_data_folds_a_delta_that_extends_the_snapshot() {
+        use dqo_storage::{Column, Field, Schema, Value};
+        let schema = Schema::new(vec![
+            Field::new("key", DataType::U32),
+            Field::new("v", DataType::U32),
+        ])
+        .unwrap();
+        let two = |k: Vec<u32>, v: Vec<u32>| {
+            Relation::new(schema.clone(), vec![Column::U32(k), Column::U32(v)]).unwrap()
+        };
+        let exact = |entry: &TableEntry| {
+            for col in ["key", "v"] {
+                let data = entry.relation.column(col).unwrap().as_u32().unwrap();
+                assert_eq!(entry.column_props[col], DataProps::compute(data), "{col}");
+            }
+        };
+        let cat = Catalog::new();
+        let base = cat.register("t", two(vec![0, 1, 2], vec![0, 100, 7]));
+        // `key` is dense and folds; `v` is sparse and gains a key inside
+        // its range, so its fold falls back to computing.
+        let appended = base
+            .relation
+            .append_rows(&[vec![Value::U32(3), Value::U32(50)]])
+            .unwrap();
+        let delta = RowDelta {
+            base: &base.relation,
+            rows: &appended.delta,
+            at: None,
+        };
+        let entry = cat
+            .replace_data("t", &base, appended.combined, Some(delta))
+            .unwrap();
+        exact(&entry);
+        // A delta over some other relation — even one with equal rows — is
+        // not folded: these bogus rows would otherwise corrupt the stats.
+        let copy = (*entry.relation).clone();
+        let bogus = two(vec![1_000], vec![1_000]);
+        let next = entry
+            .relation
+            .append_rows(&[vec![Value::U32(4), Value::U32(1)]])
+            .unwrap();
+        let delta = RowDelta {
+            base: &copy,
+            rows: &bogus,
+            at: None,
+        };
+        let entry = cat
+            .replace_data("t", &entry, next.combined, Some(delta))
+            .unwrap();
+        exact(&entry);
     }
 
     #[test]
@@ -469,7 +608,8 @@ mod tests {
         let s1 = cat.stats_generation();
         assert!(s1 > s0, "register bumps the stats clock");
         let ddl = cat.current_generation();
-        cat.replace_data("t", Relation::single_u32("key", vec![1, 2, 3]))
+        let old = cat.get("t").unwrap();
+        cat.replace_data("t", &old, Relation::single_u32("key", vec![1, 2, 3]), None)
             .unwrap();
         let s2 = cat.stats_generation();
         assert!(s2 > s1, "replace_data bumps the stats clock");
@@ -542,7 +682,8 @@ mod tests {
         // Append one row into partition 2 only.
         let entry = cat.get("t").unwrap();
         let appended = entry.relation.append_rows(&[vec![Value::U32(30)]]).unwrap();
-        cat.replace_data("t", appended.combined).unwrap();
+        cat.replace_data("t", &entry, appended.combined, None)
+            .unwrap();
         let p = cat.partitioning_of("t").unwrap();
         assert_eq!(p.parts()[2].ranges, vec![(2, 4)]);
         assert_eq!(p.parts()[2].data_generation, 1);
@@ -565,8 +706,8 @@ mod tests {
         let cat = Catalog::new();
         let rel = Relation::single_u32("key", vec![5, 15, 25]);
         let pr = PartitionedRelation::new(rel, PartitionSpec::range("key", vec![10, 20])).unwrap();
-        cat.register_partitioned("t", pr);
-        cat.replace_data("t", Relation::single_u32("key", vec![25, 5]))
+        let old = cat.register_partitioned("t", pr);
+        cat.replace_data("t", &old, Relation::single_u32("key", vec![25, 5]), None)
             .unwrap();
         let p = cat.partitioning_of("t").unwrap();
         assert_eq!(p.parts()[0].ranges, vec![(1, 2)]);

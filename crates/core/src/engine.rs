@@ -9,7 +9,7 @@ use crate::av::AvCatalog;
 use crate::av_build::{AvBuildHandle, AvBuilder};
 use crate::av_delta::{MaintenanceReport, ViewMaintainer};
 use crate::avsp::{self, AvspSolution, Solver, WorkloadQuery};
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, RowDelta};
 use crate::executor::{execute_with, ExecContext, ExecOutput};
 use crate::feedback::FeedbackStore;
 use crate::memo::{Memo, MemoOptimizer, MemoStamp, MemoStats};
@@ -450,11 +450,29 @@ impl Engine {
     /// returned (see [`crate::av_delta`]). Between the two steps a
     /// concurrent query may observe new base rows with a
     /// not-yet-maintained view; the window is bounded by this call.
+    ///
+    /// The table's statistics fold the appended rows in (O(delta), see
+    /// [`Catalog::replace_data`]). DDL takes no mutation lock: a
+    /// re-registration that lands between this call's snapshot and its
+    /// publish wins, and the insert fails with
+    /// [`CoreError::TableChanged`](crate::CoreError::TableChanged) instead
+    /// of writing the old rows back over the new table.
     pub fn insert(&self, table: &str, rows: &[Vec<Value>]) -> Result<InsertReport> {
         let lock = self.catalog.mutation_lock(table);
         let guard = lock.lock();
-        let appended = self.catalog.get(table)?.relation.append_rows(rows)?;
-        let combined = self.catalog.replace_data(table, appended.combined)?;
+        let base = self.catalog.get(table)?;
+        let appended = base.relation.append_rows(rows)?;
+        let delta = RowDelta {
+            base: &base.relation,
+            rows: &appended.delta,
+            at: None,
+        };
+        let combined = self
+            .catalog
+            .replace_data(table, &base, appended.combined, Some(delta))?;
+        // The replaced snapshot's buffers are garbage unless a reader still
+        // holds them: free them before view maintenance allocates its own.
+        drop(base);
         // Maintenance kernels (rebuild sorts and gathers) go through the
         // session pool only when this session is parallel at all.
         let tp = (self.threads > 1).then(|| ThreadPool::with_pool(self.threads, self.pool()));
@@ -798,8 +816,10 @@ materialised: {} bytes
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CoreError;
     use dqo_plan::expr::AggExpr;
     use dqo_storage::datagen::DatasetSpec;
+    use dqo_storage::DataProps;
 
     fn engine_with_table(sorted: bool, dense: bool) -> Engine {
         let engine = Engine::new();
@@ -1298,7 +1318,7 @@ mod tests {
             let av = materialise_av(&old, &sig, None).unwrap();
             engine
                 .avs()
-                .publish(engine.catalog(), av.clone(), &old)
+                .publish(engine.catalog(), av.clone(), &old, None)
                 .unwrap();
             let start = std::sync::Barrier::new(2);
             std::thread::scope(|scope| {
@@ -1313,7 +1333,7 @@ mod tests {
                         _ => std::hint::spin_loop(),
                     }
                 };
-                engine.avs().publish(engine.catalog(), av, &fresh);
+                engine.avs().publish(engine.catalog(), av, &fresh, None);
             });
             let sigs = engine.avs().signatures();
             let hidden: Vec<String> = engine
@@ -1334,6 +1354,50 @@ mod tests {
                     "round={round}: orphaned hidden relation {name}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn insert_racing_reregistration_never_undoes_the_ddl() {
+        // `register_table` takes no mutation lock, so it can publish E1
+        // between an insert's snapshot of E0 and its swap. The swap must
+        // then be refused: writing E0's rows plus the delta back under
+        // E1's generation would silently undo the re-registration.
+        let e0 = Relation::single_u32("key", vec![3, 1, 2]);
+        let e1 = Relation::single_u32("key", vec![7, 7, 7, 7]);
+        for round in 0..500 {
+            let engine = Engine::new().with_threads(1);
+            engine.register_table("t", e0.clone());
+            let start = std::sync::Barrier::new(2);
+            let inserted = std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    start.wait();
+                    engine.register_table("t", e1.clone());
+                });
+                start.wait();
+                engine.insert("t", &[vec![Value::U32(9)]])
+            });
+            let entry = engine.catalog().get("t").unwrap();
+            let keys = entry.relation.column("key").unwrap().as_u32().unwrap();
+            match inserted {
+                // Before the DDL (which then replaced it) or after it.
+                Ok(_) => assert!(
+                    keys == [7, 7, 7, 7] || keys == [7, 7, 7, 7, 9],
+                    "round={round}: {keys:?}"
+                ),
+                Err(e) => {
+                    assert!(
+                        matches!(e, CoreError::TableChanged(_)),
+                        "round={round}: {e}"
+                    );
+                    assert_eq!(keys, [7, 7, 7, 7], "round={round}");
+                }
+            }
+            assert_eq!(
+                entry.column_props["key"],
+                DataProps::compute(keys),
+                "round={round}"
+            );
         }
     }
 

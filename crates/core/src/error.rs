@@ -21,6 +21,10 @@ pub enum CoreError {
     Exec(ExecError),
     /// An AV operation failed (missing view, budget exceeded, …).
     Av(String),
+    /// A table changed after the snapshot new rows were derived from, so
+    /// swapping them in would undo that change (see
+    /// [`Catalog::replace_data`](crate::Catalog::replace_data)).
+    TableChanged(String),
 }
 
 impl fmt::Display for CoreError {
@@ -33,6 +37,12 @@ impl fmt::Display for CoreError {
             CoreError::Storage(e) => write!(f, "storage error: {e}"),
             CoreError::Exec(e) => write!(f, "execution error: {e}"),
             CoreError::Av(msg) => write!(f, "algorithmic view error: {msg}"),
+            CoreError::TableChanged(t) => {
+                write!(
+                    f,
+                    "table {t} changed since the snapshot the new rows extend"
+                )
+            }
         }
     }
 }

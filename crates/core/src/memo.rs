@@ -415,8 +415,9 @@ mod tests {
         assert_ne!(stamp, registered);
         // Appends move the statistics clock without moving the DDL clock.
         let ddl = cat.current_generation();
-        let rel = (*cat.get("u").unwrap().relation).clone();
-        cat.replace_data("u", rel).unwrap();
+        let old = cat.get("u").unwrap();
+        cat.replace_data("u", &old, Arc::clone(&old.relation), None)
+            .unwrap();
         assert_eq!(cat.current_generation(), ddl);
         assert_ne!(registered, MemoStamp::current(&cat, None, None));
     }

@@ -501,7 +501,8 @@ mod tests {
             .dense(true)
             .relation()
             .unwrap();
-        cat.replace_data("t", rel).unwrap();
+        let old = cat.get("t").unwrap();
+        cat.replace_data("t", &old, rel, None).unwrap();
         let fed = PropertyBuilder::new(&cat, Some(&store));
         assert_eq!(fed.estimate_rows(&filter(pred)), vec![100, 10_000]);
         assert_eq!(fed.take_applied(), 0);

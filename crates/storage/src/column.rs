@@ -9,6 +9,7 @@ use crate::error::StorageError;
 use crate::selection::Selection;
 use crate::value::{DataType, Value};
 use crate::Result;
+use std::ops::Range;
 
 /// A typed, fully materialised column.
 #[derive(Debug, Clone, PartialEq)]
@@ -203,6 +204,48 @@ impl Column {
         }
     }
 
+    /// The rows `ranges` select from `self ++ tail`, in order, copied
+    /// straight out of the two buffers: the concatenation is never built.
+    /// This is how a snapshot extends its predecessor (one range for an
+    /// append, interleaved runs for a merge), so the new buffer's capacity
+    /// is rounded up to a geometric size class — the next snapshot of a
+    /// growing column then fits the block this one frees.
+    pub fn concat_select(&self, tail: &Column, ranges: &[Range<usize>]) -> Result<Column> {
+        fn pick<T: Copy>(a: &[T], b: &[T], ranges: &[Range<usize>]) -> Vec<T> {
+            let n = a.len();
+            let mut out = Vec::with_capacity(size_class(ranges.iter().map(|r| r.len()).sum()));
+            for r in ranges {
+                if r.start < n {
+                    out.extend_from_slice(&a[r.start..r.end.min(n)]);
+                }
+                if r.end > n {
+                    out.extend_from_slice(&b[r.start.max(n) - n..r.end - n]);
+                }
+            }
+            out
+        }
+        Ok(match (self, tail) {
+            (Column::U32(a), Column::U32(b)) => Column::U32(pick(a, b, ranges)),
+            (Column::U64(a), Column::U64(b)) => Column::U64(pick(a, b, ranges)),
+            (Column::I64(a), Column::I64(b)) => Column::I64(pick(a, b, ranges)),
+            (Column::F64(a), Column::F64(b)) => Column::F64(pick(a, b, ranges)),
+            (Column::Bool(a), Column::Bool(b)) => Column::Bool(pick(a, b, ranges)),
+            (Column::Str(a), Column::Str(b)) => Column::Str(pick(a, b, ranges)),
+            (me, other) => {
+                return Err(StorageError::TypeMismatch {
+                    expected: me.data_type(),
+                    found: other.data_type(),
+                })
+            }
+        })
+    }
+
+    /// `self ++ tail` in one buffer: [`Column::concat_select`] of every
+    /// row — how an append builds the next snapshot of a column.
+    pub fn concat(&self, tail: &Column) -> Result<Column> {
+        self.concat_select(tail, std::slice::from_ref(&(0..self.len() + tail.len())))
+    }
+
     /// Concatenate another column of the same type onto this one.
     pub fn append(&mut self, other: &Column) -> Result<()> {
         match (self, other) {
@@ -247,6 +290,16 @@ impl Column {
         }
         Ok(())
     }
+}
+
+/// `len` rounded up to a geometric size class: its top four significant
+/// bits, so at most 12.5 % slack. Successive snapshots of a column that
+/// grows by small appends share a class, and the allocator can hand each
+/// one the block its predecessor freed instead of keeping a slightly
+/// larger block per snapshot.
+fn size_class(len: usize) -> usize {
+    let unit = 1 << (usize::BITS - len.leading_zeros()).saturating_sub(4);
+    len.div_ceil(unit) * unit
 }
 
 impl From<Vec<u32>> for Column {
@@ -338,6 +391,30 @@ mod tests {
         let mut a = Column::U32(vec![1]);
         a.append(&Column::U32(vec![2, 3])).unwrap();
         assert_eq!(a.as_u32().unwrap(), &[1, 2, 3]);
+    }
+
+    #[test]
+    fn concat_select_copies_from_both_sides_without_concatenating() {
+        let (a, b) = (Column::U32(vec![1, 2, 3]), Column::U32(vec![7, 8]));
+        let all = a.concat(&b).unwrap();
+        assert_eq!(all.as_u32().unwrap(), &[1, 2, 3, 7, 8]);
+        let merged = a.concat_select(&b, &[0..1, 4..5, 1..3, 3..4]).unwrap();
+        assert_eq!(merged.as_u32().unwrap(), &[1, 8, 2, 3, 7]);
+        assert!(a.concat(&Column::F64(vec![])).is_err());
+    }
+
+    #[test]
+    fn size_classes_bound_the_slack() {
+        assert_eq!(size_class(0), 0);
+        assert_eq!(size_class(16), 16);
+        assert_eq!(size_class(17), 18);
+        for len in [1usize, 15, 1000, 999_983, 1 << 20, (1 << 20) + 1] {
+            let class = size_class(len);
+            assert!(class >= len && class - len <= len / 8, "{len} -> {class}");
+        }
+        // A million-row column grows through one class for thousands of
+        // 16-row appends.
+        assert_eq!(size_class(1_000_000), size_class(1_000_000 + 16 * 1000));
     }
 
     #[test]

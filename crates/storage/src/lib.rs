@@ -6,7 +6,8 @@
 //! * typed [`Column`]s and [`Relation`]s with a simple [`Schema`],
 //! * data properties ([`Sortedness`], [`Density`]) — the *plan properties*
 //!   of the paper's §2.2 as they manifest on stored data,
-//! * exact property detection ([`DataProps::compute`]),
+//! * exact property detection ([`DataProps::compute`]) and its O(delta)
+//!   twin for appends and merges ([`DataProps::fold`]),
 //! * the paper's four benchmark datasets and foreign-key join inputs in
 //!   [`datagen`],
 //! * [`dictionary`] compression (dense dictionary codes are the paper's
@@ -38,7 +39,7 @@ pub use error::StorageError;
 pub use partition::{
     PartitionMeta, PartitionScheme, PartitionSpec, PartitionedRelation, Partitioning,
 };
-pub use properties::{DataProps, Density, Sortedness};
+pub use properties::{DataProps, Density, Seam, Sortedness};
 pub use relation::{AppendedRelation, Relation};
 pub use schema::{Field, Schema};
 pub use selection::{narrow_rows, Piece, Selection};

@@ -9,7 +9,8 @@
 //! distinct values to be known", §4.1), in a form shared by the data layer
 //! and the optimiser. [`DataProps::compute`] derives them exactly from a
 //! real column, so catalogs built from generated data carry truthful
-//! statistics.
+//! statistics; [`DataProps::fold`] keeps them exact as rows arrive, at the
+//! cost of the new rows rather than the column.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -147,6 +148,86 @@ impl DataProps {
             min = min.min(v);
             max = max.max(v);
         }
+        let distinct = exact_distinct(data, min, max);
+        DataProps::from_parts(asc, desc, distinct, min, max, data.len() as u64)
+    }
+
+    /// Exact properties of this column after it gained `delta`'s values
+    /// while its own rows kept their relative order — `seam` says where
+    /// the delta rows landed. O(delta): the old column is read only next
+    /// to the insertion points.
+    ///
+    /// Rows add and min/max fold. The distinct count is exact whenever no
+    /// delta key falls inside a *sparse* old range: a dense range already
+    /// holds every key in `[min, max]`, and keys outside it are new. Only
+    /// then — a delta key inside a sparse range, which may or may not be
+    /// new — does exactness need the whole column, and `None` says so
+    /// (the caller runs [`DataProps::compute`]). Sortedness follows
+    /// `compute`'s rules: an unsorted old column stays unsorted, and a
+    /// sorted one stays sorted in a direction only if every pair the
+    /// delta made adjacent agrees with it (a constant column is both
+    /// ascending and descending, as in `compute`).
+    pub fn fold(self, delta: &[u32], seam: Seam<'_>) -> Option<Self> {
+        debug_assert_eq!(
+            seam.old.len() as u64,
+            self.rows,
+            "seam is the folded column"
+        );
+        if self.rows == 0 {
+            return Some(DataProps::compute(delta));
+        }
+        let inside = |v: &u32| (self.min..=self.max).contains(v);
+        if !self.density.is_dense() && delta.iter().any(inside) {
+            return None;
+        }
+        let (mut asc, mut desc) = match self.sortedness {
+            Sortedness::Ascending => (true, self.min == self.max),
+            Sortedness::Descending => (false, true),
+            Sortedness::Unsorted => (false, false),
+        };
+        let slot = |j: usize| seam.at.map_or(seam.old.len(), |at| at[j]);
+        for (j, &v) in delta.iter().enumerate() {
+            if !(asc || desc) {
+                break;
+            }
+            let p = slot(j);
+            let prev = match j.checked_sub(1) {
+                Some(i) if slot(i) == p => Some(delta[i]),
+                _ => p.checked_sub(1).and_then(|i| seam.old.get(i).copied()),
+            };
+            let next = if j + 1 < delta.len() && slot(j + 1) == p {
+                None
+            } else {
+                seam.old.get(p).copied()
+            };
+            for (a, b) in prev.map(|a| (a, v)).into_iter().chain(next.map(|b| (v, b))) {
+                asc &= a <= b;
+                desc &= a >= b;
+            }
+        }
+        let new: Vec<u32> = delta.iter().copied().filter(|v| !inside(v)).collect();
+        let gained = DataProps::compute(&new);
+        let (min, max) = if new.is_empty() {
+            (self.min, self.max)
+        } else {
+            (self.min.min(gained.min), self.max.max(gained.max))
+        };
+        let rows = self.rows + delta.len() as u64;
+        Some(DataProps::from_parts(
+            asc,
+            desc,
+            self.distinct + gained.distinct,
+            min,
+            max,
+            rows,
+        ))
+    }
+
+    /// The properties of a non-empty column from its order flags (every
+    /// adjacent pair non-decreasing / non-increasing), distinct count,
+    /// range and length — the one place sortedness and density are
+    /// decided, for [`DataProps::compute`] and [`DataProps::fold`] alike.
+    fn from_parts(asc: bool, desc: bool, distinct: u64, min: u32, max: u32, rows: u64) -> Self {
         let sortedness = if asc {
             Sortedness::Ascending
         } else if desc {
@@ -154,7 +235,6 @@ impl DataProps {
         } else {
             Sortedness::Unsorted
         };
-        let distinct = exact_distinct(data, min, max);
         let domain = u64::from(max) - u64::from(min) + 1;
         let density = if distinct == domain {
             Density::Dense
@@ -169,7 +249,7 @@ impl DataProps {
             distinct,
             min,
             max,
-            rows: data.len() as u64,
+            rows,
         }
     }
 
@@ -185,6 +265,18 @@ impl DataProps {
 }
 
 impl Eq for DataProps {}
+
+/// Where a delta's rows landed in a column whose old rows kept their
+/// relative order (see [`DataProps::fold`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Seam<'a> {
+    /// The column before the delta arrived.
+    pub old: &'a [u32],
+    /// Delta row `j` sits right after the first `at[j]` old rows
+    /// (non-decreasing in `j`); `None` when every delta row follows all
+    /// old rows — an append.
+    pub at: Option<&'a [usize]>,
+}
 
 /// Exact distinct count. Uses a bitmap when the value range is small
 /// relative to n (cheap, cache-friendly), a hash set otherwise.
@@ -345,6 +437,55 @@ mod tests {
             Density::Sparse { fill } => assert!(fill > 0.0 && fill < 1e-9),
             other => panic!("expected sparse, got {other:?}"),
         }
+    }
+
+    fn appended(old: &[u32], delta: &[u32]) -> Option<DataProps> {
+        DataProps::compute(old).fold(delta, Seam { old, at: None })
+    }
+
+    #[test]
+    fn fold_of_an_append_is_compute_of_the_concatenation() {
+        let cases: [(&[u32], &[u32]); 8] = [
+            (&[], &[4, 2]),
+            (&[5], &[3]), // compute(&[5, 3]) is descending
+            (&[5, 5], &[5]),
+            (&[5, 5], &[6]),
+            (&[1, 2, 3], &[3, 9]),
+            (&[3, 2, 1], &[0, 0]),
+            (&[0, 1, 2], &[1]),
+            (&[0, 1, 2], &[]),
+        ];
+        for (old, delta) in cases {
+            let whole = [old, delta].concat();
+            let want = Some(DataProps::compute(&whole));
+            assert_eq!(appended(old, delta), want, "{old:?} ++ {delta:?}");
+        }
+    }
+
+    #[test]
+    fn fold_needs_the_column_only_for_keys_inside_a_sparse_range() {
+        assert_eq!(appended(&[0, 10], &[5]), None);
+        assert_eq!(appended(&[0, 10], &[10]), None);
+        let widened = appended(&[0, 10], &[11, u32::MAX]).unwrap();
+        assert_eq!(widened, DataProps::compute(&[0, 10, 11, u32::MAX]));
+    }
+
+    #[test]
+    fn fold_of_a_merge_reads_the_insertion_points() {
+        let old = [1, 2, 3, 4];
+        let props = DataProps::compute(&old);
+        let merged = |delta: &[u32], at: &[usize]| {
+            let seam = Seam {
+                old: &old,
+                at: Some(at),
+            };
+            props.fold(delta, seam).unwrap()
+        };
+        assert_eq!(
+            merged(&[0, 3, 5], &[0, 3, 4]),
+            DataProps::compute(&[0, 1, 2, 3, 3, 4, 5])
+        );
+        assert_eq!(merged(&[9], &[0]), DataProps::compute(&[9, 1, 2, 3, 4]));
     }
 
     #[test]

@@ -238,8 +238,10 @@ impl Relation {
     /// Append `rows` (schema-ordered values) and return both the combined
     /// relation and the appended slice as its own relation.
     ///
-    /// Relations are immutable, so this is copy-on-append: every column
-    /// buffer is cloned and extended. `Str` cells extend the column's
+    /// Relations are immutable, so this is copy-on-append: the delta's
+    /// columns are built first, then each combined column is one copy of
+    /// the old buffer and the delta into a buffer allocated once
+    /// ([`Column::concat`]). `Str` cells extend the column's
     /// dictionary — existing codes are never renumbered, so readers of the
     /// old snapshot (and views built over it) stay valid; new strings get
     /// fresh codes at the end. The returned `delta` shares the **combined**
@@ -263,7 +265,7 @@ impl Relation {
         let mut delta_cols = Vec::with_capacity(width);
         let mut dictionaries = Vec::with_capacity(width);
         for (idx, field) in self.schema.fields().iter().enumerate() {
-            let (combined, delta, dict) = match field.data_type {
+            let (delta, dict) = match field.data_type {
                 DataType::Str => {
                     let mut dict = match &self.dictionaries[idx] {
                         Some(d) => (**d).clone(),
@@ -281,20 +283,17 @@ impl Relation {
                             }
                         }
                     }
-                    let mut full = self.columns[idx].as_u32()?.to_vec();
-                    full.extend_from_slice(&codes);
-                    (Column::Str(full), Column::Str(codes), Some(Arc::new(dict)))
+                    (Column::Str(codes), Some(Arc::new(dict)))
                 }
                 dt => {
                     let mut delta = Column::empty(dt);
                     for row in rows {
                         delta.push_value(&row[idx])?;
                     }
-                    let mut full = (*self.columns[idx]).clone();
-                    full.append(&delta)?;
-                    (full, delta, self.dictionaries[idx].clone())
+                    (delta, self.dictionaries[idx].clone())
                 }
             };
+            let combined = self.columns[idx].concat(&delta)?;
             combined_cols.push(Arc::new(combined));
             delta_cols.push(Arc::new(delta));
             dictionaries.push(dict);

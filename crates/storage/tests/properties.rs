@@ -2,9 +2,13 @@
 //! generator guarantees, and dictionary roundtrips.
 
 use dqo_storage::datagen::DatasetSpec;
-use dqo_storage::{narrow_rows, DataProps, Dictionary, Relation, Selection};
+use dqo_storage::{
+    narrow_rows, Column, DataProps, DataType, Dictionary, Field, Relation, Schema, Seam, Selection,
+    Value,
+};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// A strategy-friendly pool of short strings: arbitrary bytes mapped onto
 /// a compact alphabet so duplicates and shared prefixes are common (the
@@ -202,6 +206,118 @@ proptest! {
         prop_assert_eq!(rel.select(&none).rows(), 0);
         prop_assert_eq!(rel.select(&all).rows(), rows);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `fold` is the statistics oracle's O(delta) twin: for an append, an
+    /// arbitrary order-preserving merge, and the stable merge of two
+    /// sorted runs a sorted projection's maintenance performs, it either
+    /// equals `compute` over the extended column or declines — and it
+    /// declines exactly when a delta key falls inside a sparse old range.
+    #[test]
+    fn fold_equals_compute_of_the_extended_column_or_declines(
+        old_raw in proptest::collection::vec(any::<u32>(), 0..300),
+        delta_raw in proptest::collection::vec(any::<u32>(), 0..40),
+        (old_shape, delta_shape) in (any::<u8>(), any::<u8>()),
+        picks in proptest::collection::vec(any::<usize>(), 40..41),
+    ) {
+        let old = shaped(&old_raw, old_shape);
+        let delta = shaped(&delta_raw, delta_shape);
+        let props = DataProps::compute(&old);
+        let needs_column = !old.is_empty()
+            && !props.density.is_dense()
+            && delta.iter().any(|v| (props.min..=props.max).contains(v));
+
+        let mut at: Vec<usize> = picks[..delta.len()].iter().map(|p| p % (old.len() + 1)).collect();
+        at.sort_unstable();
+        let (mut sorted_old, mut sorted_delta) = (old.clone(), delta.clone());
+        sorted_old.sort_unstable();
+        sorted_delta.sort_unstable();
+        let stable: Vec<usize> = sorted_delta
+            .iter()
+            .map(|d| sorted_old.partition_point(|x| x <= d))
+            .collect();
+        let cases = [
+            (&old, &delta, None),
+            (&old, &delta, Some(&at[..])),
+            (&sorted_old, &sorted_delta, Some(&stable[..])),
+        ];
+        for (base, gained, at) in cases {
+            // Sorting keeps the multiset, so all three share `needs_column`.
+            let folded = DataProps::compute(base).fold(gained, Seam { old: base, at });
+            prop_assert_eq!(folded.is_none(), needs_column, "{:?} + {:?} at {:?}", base, gained, at);
+            if let Some(p) = folded {
+                let whole = interleave(base, gained, at);
+                prop_assert_eq!(p, DataProps::compute(&whole), "{:?} + {:?} at {:?}", base, gained, at);
+            }
+        }
+    }
+}
+
+/// A new string appended to a dictionary column gets the next code, which
+/// widens the dense code domain: the fold must see it as a new distinct.
+#[test]
+fn fold_counts_new_dictionary_codes() {
+    let (dict, codes) = Dictionary::encode_all(&["x", "y", "x"]);
+    let schema = Schema::new(vec![Field::new("s", DataType::Str)]).unwrap();
+    let base = Relation::new(schema, vec![Column::Str(codes)])
+        .unwrap()
+        .with_dictionary("s", Arc::new(dict))
+        .unwrap();
+    let appended = base
+        .append_rows(&[vec![Value::Str("z".into())], vec![Value::Str("x".into())]])
+        .unwrap();
+    let codes = |rel: &Relation| rel.column("s").unwrap().as_u32().unwrap().to_vec();
+    let old = codes(&base);
+    let seam = Seam {
+        old: &old,
+        at: None,
+    };
+    let folded = DataProps::compute(&old)
+        .fold(&codes(&appended.delta), seam)
+        .unwrap();
+    assert_eq!(folded, DataProps::compute(&codes(&appended.combined)));
+    assert_eq!((folded.distinct, folded.max), (3, 2));
+    assert!(folded.density.is_dense());
+}
+
+/// Column shapes that reach every branch of `DataProps::fold`: arbitrary
+/// (wide, sparse) values, a small domain, a constant, values at
+/// `u32::MAX`, and ascending / descending runs.
+fn shaped(raw: &[u32], shape: u8) -> Vec<u32> {
+    let mut v: Vec<u32> = raw
+        .iter()
+        .map(|&x| match shape % 6 {
+            0 => x,
+            1 => x % 8,
+            2 => 5,
+            3 => u32::MAX - x % 4,
+            _ => x % 16,
+        })
+        .collect();
+    match shape % 6 {
+        4 => v.sort_unstable(),
+        5 => v.sort_unstable_by(|a, b| b.cmp(a)),
+        _ => {}
+    }
+    v
+}
+
+/// `old` with `delta[j]` placed right after its first `at[j]` rows, or
+/// after all of them without `at`.
+fn interleave(old: &[u32], delta: &[u32], at: Option<&[usize]>) -> Vec<u32> {
+    let mut out = Vec::with_capacity(old.len() + delta.len());
+    let mut next = 0;
+    for (j, &d) in delta.iter().enumerate() {
+        let p = at.map_or(old.len(), |at| at[j]);
+        out.extend_from_slice(&old[next..p]);
+        out.push(d);
+        next = p;
+    }
+    out.extend_from_slice(&old[next..]);
+    out
 }
 
 /// Narrow `sel` the way the executor does: piece by piece, pieces

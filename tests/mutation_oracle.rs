@@ -11,6 +11,9 @@
 //! (relations) or structurally (`SphIndex` is `PartialEq`). The hidden
 //! `__av::` relation registered for plan scans is checked against the
 //! artifact too, so a publish that updates one but not the other fails.
+//! So are the catalog's statistics: every `column_props` entry of `t` and
+//! of each hidden relation must equal `DataProps::compute` over its
+//! column, so a fold on the write path can never drift from the oracle.
 //!
 //! Interleaved queries run through **prepared executions** so the run
 //! doubles as the plan-cache acceptance check: appends move the data
@@ -23,7 +26,7 @@ use dqo::obs::{names, MetricsRegistry};
 use dqo::plan::expr::{AggExpr, CmpOp, Predicate};
 use dqo::plan::{AggFunc, LogicalPlan};
 use dqo::storage::{
-    Column, DataType, Field, PartitionSpec, PartitionedRelation, Relation, Schema, Value,
+    Column, DataProps, DataType, Field, PartitionSpec, PartitionedRelation, Relation, Schema, Value,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -95,6 +98,7 @@ fn assert_matches_rebuild(engine: &Engine, ctx: &str) {
 }
 
 fn assert_sigs_match_rebuild(engine: &Engine, sigs: &[AvSignature], ctx: &str) {
+    assert_stats_exact(engine, ctx);
     let combined = engine.catalog().get("t").expect("t");
     for sig in sigs {
         let maintained = engine
@@ -123,6 +127,26 @@ fn assert_sigs_match_rebuild(engine: &Engine, sigs: &[AvSignature], ctx: &str) {
                 assert_eq!(m, f, "{ctx}: {sig} CSR diverged from rebuild");
             }
             other => panic!("{ctx}: {sig} artifact kinds diverged: {other:?}"),
+        }
+    }
+}
+
+/// Every statistic the catalog holds — for `t` and for each hidden
+/// `__av::` relation — equals `DataProps::compute` over its column.
+fn assert_stats_exact(engine: &Engine, ctx: &str) {
+    let catalog = engine.catalog();
+    for name in catalog.table_names() {
+        let entry = catalog.get(&name).expect("listed table");
+        for field in entry.relation.schema().fields() {
+            let Ok(data) = entry.relation.column(&field.name).unwrap().as_u32() else {
+                continue;
+            };
+            assert_eq!(
+                entry.column_props.get(&field.name),
+                Some(&DataProps::compute(data)),
+                "{ctx}: statistics of {name}.{}",
+                field.name
+            );
         }
     }
 }

@@ -24,8 +24,8 @@ use dqo::core::{prune_partitions, Catalog};
 use dqo::plan::expr::{AggExpr, CmpOp, Predicate};
 use dqo::plan::{LogicalPlan, PhysicalPlan};
 use dqo::storage::{
-    Column, DataType, Dictionary, Field, PartitionSpec, PartitionedRelation, Relation, Schema,
-    Value,
+    Column, DataProps, DataType, Dictionary, Field, PartitionSpec, PartitionedRelation, Relation,
+    Schema, Value,
 };
 use dqo::{Dqo, Engine};
 use proptest::prelude::*;
@@ -317,6 +317,33 @@ fn apply_insert(
     report
         .wait_for_rebuilds()
         .map_err(|e| format!("rebuild after {sql}: {e}"))?;
+    stats_exact(db).map_err(|e| format!("after {sql}: {e}"))
+}
+
+/// Every statistic `db`'s catalog holds — for `t` and for each hidden
+/// `__av::` relation — equals `DataProps::compute` over its column.
+fn stats_exact(db: &Dqo) -> std::result::Result<(), String> {
+    let catalog = db.engine().catalog();
+    for name in catalog.table_names() {
+        let entry = catalog.get(&name).map_err(|e| e.to_string())?;
+        for field in entry.relation.schema().fields() {
+            let column = entry
+                .relation
+                .column(&field.name)
+                .map_err(|e| e.to_string())?;
+            let Ok(data) = column.as_u32() else {
+                continue;
+            };
+            let want = DataProps::compute(data);
+            if entry.column_props.get(&field.name) != Some(&want) {
+                return Err(format!(
+                    "statistics of {name}.{} are {:?}, compute says {want:?}",
+                    field.name,
+                    entry.column_props.get(&field.name)
+                ));
+            }
+        }
+    }
     Ok(())
 }
 
@@ -326,7 +353,9 @@ fn apply_insert(
 /// materialised *before* the writes — so every insert exercises the
 /// delta maintenance of all three AV kinds mid-workload. Every query in
 /// the interleaving must agree with the naive evaluator over the
-/// reference engine's live catalog.
+/// reference engine's live catalog, and after every insert each
+/// engine's statistics (of `t` and of every hidden `__av::` relation)
+/// must equal `DataProps::compute` over their columns.
 fn check_mixed_rw(
     raw: &[(u32, u32, u8)],
     k_groups: u32,
