@@ -7,11 +7,15 @@
 //! What flows between plan nodes is a `View` — a relation handle plus a
 //! [`Selection`] of its rows — not a copied relation. Scans select row
 //! ranges, filters narrow the selection with a branch-free kernel, sort
-//! permutes it, limit truncates it, project drops column handles. Column
-//! data is copied in three places only: morsel-local kernel scratch (the
-//! key and value columns a grouping, sort or join reads through a
-//! selection that is not one dense run), the output of a join (the columns
-//! something above it reads, nothing else), and the plan root.
+//! permutes it (under a `Limit`, only its first `n` positions are found),
+//! limit truncates it, project drops column handles. A single-key HG/SPHG
+//! runs a filter beneath it, and an SPHJ beneath that, inside the loader
+//! of its own tasks (see `Fused`): no join output is built. Column data
+//! is copied in three places only: kernel scratch (the key and value
+//! columns a grouping, sort or join reads through a selection that is not
+//! one dense run, or that a fused grouping reads through its join), the
+//! output of a join that is not fused (the columns something above it
+//! reads, nothing else), and the plan root.
 //!
 //! A [`naive_eval`] reference evaluator (nested loops + BTreeMap + a
 //! row-at-a-time predicate) provides the correctness oracle for
@@ -26,13 +30,16 @@ use dqo_exec::composite::{rowwise_group, unpack_grouped, KeyPacker};
 use dqo_exec::grouping::hg::{hash_grouping_with, HgTable};
 use dqo_exec::grouping::sog::sort_order_grouping;
 use dqo_exec::grouping::{execute_grouping, GroupedResult, GroupingHints};
+use dqo_exec::join::sphj::SphIndex;
 use dqo_exec::join::{execute_join as run_join, JoinHints};
 use dqo_exec::pipeline::{
     grouping_blocking, join_blocking, Blocking, OperatorMetrics, PipelineStats,
 };
-use dqo_exec::sort::{argsort, radix_sort_pairs_by_key};
+use dqo_exec::sort::{argsort, radix_sort_pairs_by_key, top_n};
 use dqo_exec::ExecError;
-use dqo_parallel::{BatchObs, GroupingStrategy, PersistentPool, ThreadPool, DEFAULT_MORSEL_ROWS};
+use dqo_parallel::{
+    BatchObs, GroupingStrategy, PersistentPool, Scratch, Sink, ThreadPool, DEFAULT_MORSEL_ROWS,
+};
 use dqo_plan::expr::{AggExpr, AggFunc, CmpOp, Predicate};
 use dqo_plan::physical::GroupingMolecules;
 use dqo_plan::{GroupingAlgorithm, JoinAlgorithm, LogicalPlan, PhysicalPlan, SortMolecule};
@@ -105,6 +112,7 @@ pub fn execute_with(
         avs: ctx.avs,
         pool: &resolve,
         needs,
+        tops: HashMap::new(),
         stats: PipelineStats::default(),
         bytes: 0,
         obs: ctx.collect_metrics.then(|| OpCollector::new(plan)),
@@ -217,6 +225,8 @@ struct Exec<'a> {
     pool: &'a dyn Fn() -> Arc<PersistentPool>,
     /// The columns each `Join` node's output must carry (see [`join_needs`]).
     needs: HashMap<usize, Vec<&'a str>>,
+    /// The rows a `Limit` keeps of each `Sort` beneath it (see [`sort_under`]).
+    tops: HashMap<usize, usize>,
     stats: PipelineStats,
     bytes: u64,
     obs: Option<OpCollector>,
@@ -326,17 +336,27 @@ impl<'a> Exec<'a> {
                 let mut buf = Vec::new();
                 let keys = self.read(plan, &view.sel, view.rel.column(key)?.as_u32()?, &mut buf);
                 // The argsort of the selected keys is a permutation *of
-                // the selection*; no column moves.
-                let order = match (tp, molecule) {
-                    (Some(tp), _) => {
+                // the selection*; no column moves. Under a `Limit` that
+                // cuts it, only the first `n` positions are found.
+                let top = self.tops.get(&node_id(plan)).filter(|&&n| n < keys.len());
+                let order = match (tp, top, molecule) {
+                    (Some(tp), Some(&n), _) => {
+                        let (order, par) =
+                            dqo_parallel::parallel_top_n(tp, keys, n, DEFAULT_MORSEL_ROWS)
+                                .map_err(ExecError::from)?;
+                        self.stats.merge(&par);
+                        order
+                    }
+                    (Some(tp), None, _) => {
                         let (order, par) =
                             dqo_parallel::parallel_argsort(tp, keys, *molecule, &view.sel.bounds())
                                 .map_err(ExecError::from)?;
                         self.stats.merge(&par);
                         order
                     }
-                    (None, SortMolecule::Comparison) => argsort(keys),
-                    (None, SortMolecule::Radix) => {
+                    (None, Some(&n), _) => top_n(keys, n),
+                    (None, None, SortMolecule::Comparison) => argsort(keys),
+                    (None, None, SortMolecule::Radix) => {
                         let mut pairs: Vec<(u32, u32)> = keys.iter().copied().zip(0..).collect();
                         radix_sort_pairs_by_key(&mut pairs);
                         pairs.into_iter().map(|(_, i)| i).collect()
@@ -363,8 +383,12 @@ impl<'a> Exec<'a> {
                 molecules,
             } => self.group_by(plan, input, keys, aggs, *algo, *molecules, tp),
             PhysicalPlan::Limit { input, n } => {
+                let n = usize::try_from(*n).unwrap_or(usize::MAX);
+                if let Some(sort) = sort_under(input) {
+                    self.tops.insert(node_id(sort), n);
+                }
                 let mut view = self.run(input, None)?;
-                view.sel.truncate(usize::try_from(*n).unwrap_or(usize::MAX));
+                view.sel.truncate(n);
                 Ok(view)
             }
             PhysicalPlan::Exchange { input, dop } => {
@@ -397,6 +421,25 @@ impl<'a> Exec<'a> {
 }
 
 impl<'a> Exec<'a> {
+    /// The prebuilt SPH index AV a join of `left` on `left_key` can probe
+    /// instead of building one: `left` must scan the indexed table whole.
+    fn prebuilt_index(
+        &self,
+        algo: JoinAlgorithm,
+        left: &PhysicalPlan,
+        left_key: &str,
+    ) -> Option<Arc<SphIndex>> {
+        match (self.avs, algo, left) {
+            (Some(avs), JoinAlgorithm::StaticPerfectHash, PhysicalPlan::Scan { table }) => avs
+                .lookup(table, left_key, AvKind::SphIndex)
+                .and_then(|av| match &av.artifact {
+                    Some(AvArtifact::SphIndex(idx)) => Some(Arc::clone(idx)),
+                    _ => None,
+                }),
+            _ => None,
+        }
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn join(
         &mut self,
@@ -408,16 +451,7 @@ impl<'a> Exec<'a> {
         algo: JoinAlgorithm,
         tp: Option<&ThreadPool>,
     ) -> Result<View<'a>> {
-        // Prebuilt SPH index AV: probe it instead of rebuilding.
-        let prebuilt = match (self.avs, algo, left) {
-            (Some(avs), JoinAlgorithm::StaticPerfectHash, PhysicalPlan::Scan { table }) => avs
-                .lookup(table, left_key, AvKind::SphIndex)
-                .and_then(|av| match &av.artifact {
-                    Some(AvArtifact::SphIndex(idx)) => Some(idx.clone()),
-                    _ => None,
-                }),
-            _ => None,
-        };
+        let prebuilt = self.prebuilt_index(algo, left, left_key);
         let l = self.run(left, None)?;
         let r = self.run(right, None)?;
         // The kernels see the key columns through the selections and
@@ -504,20 +538,32 @@ impl<'a> Exec<'a> {
         molecules: GroupingMolecules,
         tp: Option<&ThreadPool>,
     ) -> Result<View<'a>> {
-        // A filter directly beneath a morsel-parallel single-key HG/SPHG
-        // is fused: its predicate runs inside the grouping's own morsel
-        // tasks, so filter → group is one pass per morsel and the
-        // survivors' row ids never leave the worker's scratch.
-        let fused = fusable_filter(input).filter(|_| {
-            tp.is_some() && keys.len() == 1 && algo != GroupingAlgorithm::SortOrderBased
-        });
+        let grouping = Grouping {
+            algo,
+            table: HgTable::of(molecules),
+            sort: molecules.sort.unwrap_or(SortMolecule::Comparison),
+            tp,
+        };
+        let hashed = matches!(
+            algo,
+            GroupingAlgorithm::HashBased | GroupingAlgorithm::StaticPerfectHash
+        );
+        let fused = Fused::under(input, tp.is_some()).filter(|_| keys.len() == 1 && hashed);
+        if let Some(
+            f @ Fused {
+                join: Some(join), ..
+            },
+        ) = &fused
+        {
+            return self.group_join(plan, f, join, &keys[0], aggs, &grouping);
+        }
         let mut view = self.run(fused.as_ref().map_or(input, |f| f.input), None)?;
-        let conjuncts = match &fused {
-            Some(f) => {
+        let conjuncts = match fused.as_ref().and_then(|f| f.filter) {
+            Some((_, predicate)) => {
                 self.stats
                     .record(Blocking::Pipelined, view.sel.len() as u64);
-                tighten(&mut view.known, f.predicate);
-                compile(&view.rel, f.predicate)?
+                tighten(&mut view.known, predicate);
+                compile(&view.rel, predicate)?
             }
             None => Vec::new(),
         };
@@ -528,31 +574,28 @@ impl<'a> Exec<'a> {
             .iter()
             .map(|k| Ok(rel.column(k)?.as_u32()?))
             .collect::<Result<_>>()?;
-        let values: &[u32] = match agg_input_column(aggs)? {
-            Some(name) => rel.column(name)?.as_u32()?,
-            None => key_cols[0],
-        };
-        let grouping = Grouping {
-            algo,
-            table: HgTable::of(molecules),
-            sort: molecules.sort.unwrap_or(SortMolecule::Comparison),
-            tp,
+        let agg_column = agg_input_column(aggs)?;
+        let values = match agg_column {
+            Some(name) => Some(rel.column(name)?.as_u32()?),
+            None => None,
         };
         let out = if keys.len() == 1 {
             // Single key: the kernels run on the raw column, through the
-            // selection.
-            let domain = view.domain(&keys[0]);
-            let (result, ran) = self.grouped(
-                plan,
-                &grouping,
-                key_cols[0],
-                values,
+            // selection (and, in morsel-parallel HG/SPHG, the fused filter).
+            let source = Source {
                 sel,
-                &conjuncts,
-                domain,
-            )?;
+                conjuncts,
+                probe: None,
+                keys: Side::Probe(key_cols[0]),
+                values: values
+                    .filter(|_| agg_column != Some(keys[0].as_str()))
+                    .map(Side::Probe),
+            };
+            let domain = view.domain(&keys[0]);
+            let (result, ran) = self.grouped(plan, &grouping, &source, domain, None)?;
             if let (Some(f), Some(c)) = (&fused, self.obs.as_mut()) {
-                f.record(c, &ran, tp.map_or(1, ThreadPool::threads));
+                let input = c.slot(f.input).cloned().unwrap_or_default();
+                f.record(c, input, &ran, tp.map_or(1, ThreadPool::threads));
             }
             grouped_to_relation(&layouts, vec![result.keys], aggs, &result.states)?
         } else {
@@ -563,7 +606,7 @@ impl<'a> Exec<'a> {
             // row-wise kernel.
             let mut bufs = vec![Vec::new(); keys.len() + 1];
             let (vbuf, kbufs) = bufs.split_last_mut().expect("keys.len() + 1 buffers");
-            let values = self.read(plan, sel, values, vbuf);
+            let values = self.read(plan, sel, values.unwrap_or(key_cols[0]), vbuf);
             let key_cols: Vec<&[u32]> = key_cols
                 .iter()
                 .zip(kbufs.iter_mut())
@@ -574,8 +617,14 @@ impl<'a> Exec<'a> {
                     let packed = packer.pack(&key_cols);
                     self.copied(plan, std::mem::size_of_val(&packed[..]));
                     let all = Selection::all(packed.len());
-                    let (result, _) =
-                        self.grouped(plan, &grouping, &packed, values, &all, &[], None)?;
+                    let source = Source {
+                        sel: &all,
+                        conjuncts: Vec::new(),
+                        probe: None,
+                        keys: Side::Probe(&packed),
+                        values: Some(Side::Probe(values)),
+                    };
+                    let (result, _) = self.grouped(plan, &grouping, &source, None, None)?;
                     let (cols, states) = unpack_grouped(&packer, result);
                     grouped_to_relation(&layouts, cols, aggs, &states)?
                 }
@@ -590,32 +639,182 @@ impl<'a> Exec<'a> {
         Ok(View::of(out))
     }
 
-    /// Group `keys`/`values` read through `sel` — and, in the morsel tasks
-    /// of parallel HG/SPHG, through the fused filter `conjuncts`, whose
-    /// run is reported back.
-    #[allow(clippy::too_many_arguments)]
+    /// Single-key HG/SPHG over a fused SPHJ: the build side is indexed (or
+    /// its prebuilt SPH-index AV is taken), and the grouping's loader
+    /// probes it piece by piece of the probe side's selection — no join
+    /// output is materialised. The filter's conjuncts are split by the
+    /// side whose column each reads: probe-side ones narrow a piece before
+    /// it probes, build-side ones narrow the matches.
+    fn group_join(
+        &mut self,
+        plan: &'a PhysicalPlan,
+        fused: &Fused<'a>,
+        join: &JoinNode<'a>,
+        key: &str,
+        aggs: &[AggExpr],
+        grouping: &Grouping<'_>,
+    ) -> Result<View<'a>> {
+        let began = Instant::now();
+        let before = self.stats;
+        let algo = JoinAlgorithm::StaticPerfectHash;
+        let prebuilt = self.prebuilt_index(algo, join.left, join.left_key);
+        let l = self.run(join.left, None)?;
+        let r = self.run(join.right, None)?;
+        let lcol = l.rel.column(join.left_key)?.as_u32()?;
+        let index = match prebuilt {
+            Some(index) => {
+                self.stats.record(Blocking::Pipelined, r.sel.len() as u64);
+                index
+            }
+            None => {
+                let mut buf = Vec::new();
+                let lk = self.read(join.node, &l.sel, lcol, &mut buf);
+                let rows = lk.len() + r.sel.len();
+                self.stats.record(join_blocking(algo), rows as u64);
+                let domain = l.domain(join.left_key).or_else(|| min_max(&l.sel, lcol));
+                Arc::new(match domain {
+                    Some((min, max)) => SphIndex::build(lk, min, max)?,
+                    // Empty build side: an index nothing matches.
+                    None => SphIndex::build(&[], 0, 0)?,
+                })
+            }
+        };
+
+        // Names of the join's output schema resolve to a side's columns.
+        let schema = l.rel.schema().join(r.rel.schema(), "right")?;
+        let sides = (&l.rel, &r.rel, &schema);
+        let mut split = [Vec::new(), Vec::new()];
+        if let Some((_, predicate)) = fused.filter {
+            split_by_side(predicate, sides, &mut split)?;
+        }
+        let [build_pred, probe_pred] = split.map(Predicate::And);
+        let (key_build, key_name) = locate(sides, key)?;
+        let key_view = if key_build { &l } else { &r };
+        let layout = (
+            schema.field(key)?.clone(),
+            key_view.rel.dictionary(key_name)?.cloned(),
+        );
+        let keys = side_column(sides, key)?;
+        // A covering domain; with no row on the key's side, none reaches
+        // the grouping and any domain does.
+        let domain = key_view
+            .domain(key_name)
+            .or_else(|| min_max(&key_view.sel, keys.data()))
+            .unwrap_or((0, 0));
+        let source = Source {
+            sel: &r.sel,
+            conjuncts: compile(&r.rel, &probe_pred)?,
+            probe: Some(Probe {
+                index: &index,
+                on: r.rel.column(join.right_key)?.as_u32()?,
+                rows: RowsOf::new(&l.sel),
+                conjuncts: compile(&l.rel, &build_pred)?,
+            }),
+            keys,
+            values: match agg_input_column(aggs)? {
+                Some(name) if name != key => Some(side_column(sides, name)?),
+                _ => None,
+            },
+        };
+        let below = OperatorMetrics {
+            wall: began.elapsed(),
+            stats: self.stats.since(&before),
+            ..OperatorMetrics::default()
+        };
+
+        // A serial grouping still probes on the pool an absorbed `Exchange`
+        // asked for, concatenating in piece order.
+        let feed = match (grouping.tp, fused.dop()) {
+            (None, Some(dop)) => Some(ThreadPool::with_pool(dop, (self.pool)())),
+            _ => None,
+        };
+        let (result, ran) = self.grouped(plan, grouping, &source, Some(domain), feed.as_ref())?;
+        if fused.filter.is_some() {
+            self.stats.record(Blocking::Pipelined, ran.pairs);
+        }
+        if let Some(c) = self.obs.as_mut() {
+            let workers = grouping.tp.or(feed.as_ref()).map_or(1, ThreadPool::threads);
+            fused.record(c, below, &ran, workers);
+        }
+        Ok(View::of(grouped_to_relation(
+            &[layout],
+            vec![result.keys],
+            aggs,
+            &result.states,
+        )?))
+    }
+
+    /// Group the rows `src` loads under `how`. Morsel-parallel HG/SPHG run
+    /// the loader inside their tasks. The whole-column kernels (serial
+    /// grouping, the parallel sort behind SOG) read through the selection
+    /// — or, for a fused source, take what the loader delivers piece by
+    /// piece, on `feed` when given, concatenated in piece order.
     fn grouped(
         &mut self,
         plan: &PhysicalPlan,
         how: &Grouping<'_>,
-        keys: &[u32],
-        values: &[u32],
-        sel: &Selection,
-        conjuncts: &[Conjunct<'_>],
+        src: &Source<'_>,
         domain: Option<(u32, u32)>,
+        feed: Option<&ThreadPool>,
     ) -> Result<(GroupedResult<FullAggState>, FusedRun)> {
+        let timed = self.obs.is_some();
+        let pieces = src.sel.pieces(DEFAULT_MORSEL_ROWS);
+        let ran = Counters::default();
         let Some(tp) = how
             .tp
             .filter(|_| how.algo != GroupingAlgorithm::SortOrderBased)
         else {
-            // Whole-column kernels: serial execution (the one-morsel
-            // case) and the parallel sort behind SOG.
             let (mut kbuf, mut vbuf) = (Vec::new(), Vec::new());
-            let keys = self.read(plan, sel, keys, &mut kbuf);
-            let values = self.read(plan, sel, values, &mut vbuf);
+            let (keys, values) = if src.fused() {
+                // One task per piece on `feed`; serially, one pass over all
+                // pieces with one scratch.
+                let load = |pieces: &[Piece<'_>]| {
+                    let mut scratch = Scratch::default();
+                    let (mut keys, mut values) = (Vec::new(), Vec::new());
+                    for piece in pieces {
+                        let began = timed.then(Instant::now);
+                        let sink = &mut |k: &[u32], v: &[u32]| {
+                            keys.extend_from_slice(k);
+                            if src.values.is_some() {
+                                values.extend_from_slice(v);
+                            }
+                        };
+                        src.load(piece, &mut scratch, sink, &ran)?;
+                        ran.time(began);
+                    }
+                    Ok::<_, ExecError>((keys, values))
+                };
+                let chunks = match feed {
+                    Some(tp) => tp.map_tasks(pieces.len(), |t| load(&pieces[t..=t]))?,
+                    None => vec![load(&pieces)],
+                };
+                let mut chunks = chunks
+                    .into_iter()
+                    .collect::<std::result::Result<Vec<_>, _>>()?;
+                (kbuf, vbuf) = match chunks.len() {
+                    1 => chunks.pop().expect("one chunk"),
+                    _ => {
+                        let (k, v): (Vec<_>, Vec<_>) = chunks.into_iter().unzip();
+                        (k.concat(), v.concat())
+                    }
+                };
+                self.copied(plan, ran.copied.load(Ordering::Relaxed) as usize);
+                let keys = &kbuf[..];
+                match src.values {
+                    Some(_) => (keys, &vbuf[..]),
+                    None => (keys, keys),
+                }
+            } else {
+                let keys = self.read(plan, src.sel, src.keys.data(), &mut kbuf);
+                let values = match src.values {
+                    Some(v) => self.read(plan, src.sel, v.data(), &mut vbuf),
+                    None => keys,
+                };
+                (keys, values)
+            };
             let result = match (how.tp, how.algo) {
                 (Some(tp), _) => {
-                    let bounds = sel.bounds();
+                    let bounds = src.sel.bounds();
                     let (result, par) =
                         dqo_parallel::parallel_sog(tp, keys, values, FullAgg, how.sort, &bounds)?;
                     self.stats.merge(&par);
@@ -643,65 +842,38 @@ impl<'a> Exec<'a> {
                 self.stats
                     .record(grouping_blocking(how.algo), keys.len() as u64);
             }
-            return Ok((result, FusedRun::default()));
+            return Ok((result, ran.run(pieces.len())));
         };
-        // Morsel-parallel HG/SPHG: each task narrows its piece of the
-        // selection, compacts only the key and value columns through the
-        // survivors into its worker's scratch (a dense run is read in
-        // place), and folds them into the worker's partial aggregate.
+        // Morsel-parallel HG/SPHG: each task loads its piece of the
+        // selection into its worker's scratch (a dense run is read in
+        // place) and folds it into the worker's partial aggregate.
         let strategy = match how.algo {
             GroupingAlgorithm::HashBased => GroupingStrategy::Hash(how.table),
             _ => {
                 // Without statistics (a column computed by a join or a
                 // grouping) the domain is folded from the column itself,
                 // through the selection.
-                let (min, max) = domain.or_else(|| min_max(sel, keys)).unwrap_or((0, 0));
+                let (min, max) = domain
+                    .or_else(|| min_max(src.sel, src.keys.data()))
+                    .unwrap_or((0, 0));
                 GroupingStrategy::StaticPerfectHash { min, max }
             }
         };
-        let pieces = sel.pieces(DEFAULT_MORSEL_ROWS);
-        let timed = self.obs.is_some();
-        let (copied, survivors, busy) = (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
         let (result, par) = dqo_parallel::parallel_grouping_tasks(
             tp,
             pieces.len(),
             FullAgg,
             strategy,
             |t, scratch, sink| {
-                let mut piece = pieces[t].clone();
-                if !conjuncts.is_empty() {
-                    let began = timed.then(Instant::now);
-                    scratch.ids.clear();
-                    narrow_piece(&piece, conjuncts, &mut scratch.ids)?;
-                    piece = match piece {
-                        Piece::Range(_) => Piece::ascending(&scratch.ids),
-                        Piece::Rows(_) => Piece::Rows(&scratch.ids),
-                    };
-                    survivors.fetch_add(piece.len() as u64, Ordering::Relaxed);
-                    if let Some(began) = began {
-                        busy.fetch_add(began.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    }
-                }
-                if let Piece::Rows(ids) = &piece {
-                    copied.fetch_add(8 * ids.len() as u64, Ordering::Relaxed);
-                }
-                sink(
-                    piece.read(keys, &mut scratch.keys),
-                    piece.read(values, &mut scratch.values),
-                );
+                let began = timed.then(Instant::now);
+                src.load(&pieces[t], scratch, sink, &ran)?;
+                ran.time(began);
                 Ok(())
             },
         )?;
         self.stats.merge(&par);
-        self.copied(plan, copied.into_inner() as usize);
-        Ok((
-            result,
-            FusedRun {
-                rows_out: survivors.into_inner(),
-                busy: Duration::from_nanos(busy.into_inner()),
-                pieces: pieces.len() as u64,
-            },
-        ))
+        self.copied(plan, ran.copied.load(Ordering::Relaxed) as usize);
+        Ok((result, ran.run(pieces.len())))
     }
 }
 
@@ -715,58 +887,384 @@ struct Grouping<'t> {
     tp: Option<&'t ThreadPool>,
 }
 
-/// A `Filter` (with its own `Exchange`, if any) that a morsel-parallel
-/// grouping runs inside its tasks instead of as a node of its own.
-struct Fused<'a> {
-    exchange: Option<(&'a PhysicalPlan, usize)>,
-    node: &'a PhysicalPlan,
-    predicate: &'a Predicate,
-    input: &'a PhysicalPlan,
+/// A column a fused grouping reads: of the relation whose selection its
+/// tasks cut (the probe side of a fused join, or the grouping's only
+/// input), or of a fused join's build side.
+#[derive(Clone, Copy)]
+enum Side<'s> {
+    Probe(&'s [u32]),
+    Build(&'s [u32]),
 }
 
-/// What a fused filter did inside the grouping's tasks.
+impl<'s> Side<'s> {
+    fn data(self) -> &'s [u32] {
+        match self {
+            Side::Probe(data) | Side::Build(data) => data,
+        }
+    }
+}
+
+/// Where a single-key grouping reads its rows: the pieces of `sel`,
+/// narrowed by a fused filter's `conjuncts` and, when an SPHJ was fused,
+/// probed into its build side.
+struct Source<'s> {
+    sel: &'s Selection,
+    conjuncts: Vec<Conjunct<'s>>,
+    probe: Option<Probe<'s>>,
+    keys: Side<'s>,
+    /// The aggregate input; `None` aggregates the key column itself.
+    values: Option<Side<'s>>,
+}
+
+/// A fused SPHJ as its grouping's loader sees it.
+struct Probe<'s> {
+    index: &'s SphIndex,
+    /// The probe key column, by probe row.
+    on: &'s [u32],
+    /// The build row each index position stands for.
+    rows: RowsOf<'s>,
+    /// The fused filter's conjuncts on build-side columns.
+    conjuncts: Vec<Conjunct<'s>>,
+}
+
+/// The row ids behind the positions of a selection: `start + p` for one
+/// dense run, the listed ids otherwise.
+enum RowsOf<'s> {
+    Run(u32),
+    Ids(std::borrow::Cow<'s, [u32]>),
+}
+
+impl<'s> RowsOf<'s> {
+    fn new(sel: &'s Selection) -> Self {
+        match (sel.as_range(), sel) {
+            (Some(run), _) => RowsOf::Run(run.start as u32),
+            (None, Selection::Rows(ids)) => RowsOf::Ids(ids.into()),
+            (None, _) => RowsOf::Ids(sel.iter().collect::<Vec<_>>().into()),
+        }
+    }
+
+    #[inline]
+    fn row(&self, position: u32) -> u32 {
+        match self {
+            RowsOf::Run(start) => start + position,
+            RowsOf::Ids(ids) => ids[position as usize],
+        }
+    }
+}
+
+impl Source<'_> {
+    /// True when the loader does more than read the selection: a filter
+    /// or a join was fused.
+    fn fused(&self) -> bool {
+        self.probe.is_some() || !self.conjuncts.is_empty()
+    }
+
+    /// Load one piece of the selection: narrow it by the conjuncts; for a
+    /// fused join, probe each survivor in order and narrow the matches by
+    /// the build-side conjuncts — the pairs the join and the filter above
+    /// it would have emitted, in their order; then hand the keys and
+    /// values of what survives to `sink`, tallied in `ran`.
+    fn load(
+        &self,
+        piece: &Piece<'_>,
+        scratch: &mut Scratch,
+        sink: Sink<'_>,
+        ran: &Counters,
+    ) -> std::result::Result<(), ExecError> {
+        let mut piece = piece.clone();
+        if !self.conjuncts.is_empty() {
+            scratch.ids.clear();
+            narrow_piece(&piece, &self.conjuncts, &mut scratch.ids)?;
+            piece = match piece {
+                Piece::Range(_) => Piece::ascending(&scratch.ids),
+                Piece::Rows(_) => Piece::Rows(&scratch.ids),
+            };
+        }
+        let width = 4 * (1 + usize::from(self.values.is_some()));
+        let Some(probe) = &self.probe else {
+            let keys = piece.read(self.keys.data(), &mut scratch.keys);
+            let values = match self.values {
+                Some(v) => piece.read(v.data(), &mut scratch.values),
+                None => keys,
+            };
+            sink(keys, values);
+            let copied = match piece {
+                Piece::Rows(ids) => width * ids.len(),
+                Piece::Range(_) => 0,
+            };
+            ran.add(keys.len(), 0, copied);
+            return Ok(());
+        };
+        let (build, matched) = (&mut scratch.build, &mut scratch.probe);
+        build.clear();
+        matched.clear();
+        let mut emit = |j: usize| {
+            for &at in probe.index.matches(probe.on[j]) {
+                build.push(probe.rows.row(at));
+                matched.push(j as u32);
+            }
+        };
+        match piece {
+            Piece::Range(r) => r.for_each(&mut emit),
+            Piece::Rows(ids) => ids.iter().for_each(|&j| emit(j as usize)),
+        }
+        let pairs = build.len();
+        if !probe.conjuncts.is_empty() {
+            narrow_pairs(&probe.conjuncts, build, matched, &mut scratch.ids)?;
+        }
+        let gather = |side: Side<'_>, out: &mut Vec<u32>| {
+            out.clear();
+            match side {
+                Side::Probe(data) => out.extend(matched.iter().map(|&j| data[j as usize])),
+                Side::Build(data) => out.extend(build.iter().map(|&b| data[b as usize])),
+            }
+        };
+        gather(self.keys, &mut scratch.keys);
+        if let Some(v) = self.values {
+            gather(v, &mut scratch.values);
+        }
+        let keys = &scratch.keys[..];
+        let values = match self.values {
+            Some(_) => &scratch.values[..],
+            None => keys,
+        };
+        sink(keys, values);
+        ran.add(keys.len(), pairs, width * keys.len());
+        Ok(())
+    }
+}
+
+/// Keep the pairs `(build[i], probe[i])` whose build row satisfies every
+/// conjunct, in order. The narrowing kernel keeps the subsequence of
+/// `build` whose rows pass into `kept`; a row passes or fails wherever it
+/// occurs, so walking `build` and `kept` in step finds each kept pair.
+fn narrow_pairs(
+    conjuncts: &[Conjunct<'_>],
+    build: &mut Vec<u32>,
+    probe: &mut Vec<u32>,
+    kept: &mut Vec<u32>,
+) -> std::result::Result<(), ExecError> {
+    kept.clear();
+    narrow_piece(&Piece::Rows(build), conjuncts, kept)?;
+    let mut next = kept.iter().peekable();
+    let mut n = 0;
+    for at in 0..build.len() {
+        let row = build[at];
+        if next.next_if_eq(&&row).is_some() {
+            (build[n], probe[n]) = (build[at], probe[at]);
+            n += 1;
+        }
+    }
+    build.truncate(n);
+    probe.truncate(n);
+    Ok(())
+}
+
+/// What a loader did, summed across the tasks and workers that ran it.
+#[derive(Default)]
+struct Counters {
+    /// Rows handed to the sink.
+    rows: AtomicU64,
+    /// Matches a probe found (rows entering the build-side conjuncts).
+    pairs: AtomicU64,
+    /// Bytes of key and value data copied into scratch.
+    copied: AtomicU64,
+    /// Summed loader time (measured only when instrumented).
+    busy: AtomicU64,
+}
+
+impl Counters {
+    fn add(&self, rows: usize, pairs: usize, copied: usize) {
+        self.rows.fetch_add(rows as u64, Ordering::Relaxed);
+        self.pairs.fetch_add(pairs as u64, Ordering::Relaxed);
+        self.copied.fetch_add(copied as u64, Ordering::Relaxed);
+    }
+
+    fn time(&self, began: Option<Instant>) {
+        if let Some(began) = began {
+            self.busy
+                .fetch_add(began.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        }
+    }
+
+    fn run(&self, pieces: usize) -> FusedRun {
+        FusedRun {
+            rows_out: self.rows.load(Ordering::Relaxed),
+            pairs: self.pairs.load(Ordering::Relaxed),
+            busy: Duration::from_nanos(self.busy.load(Ordering::Relaxed)),
+            pieces: pieces as u64,
+        }
+    }
+}
+
+/// What a fused loader did inside the grouping's tasks.
 #[derive(Default)]
 struct FusedRun {
+    /// Rows that reached the grouping: the fused filter's survivors.
     rows_out: u64,
-    /// Summed kernel time across tasks (measured only when instrumented).
+    /// Matches a fused join's probe found.
+    pairs: u64,
+    /// Summed loader time across tasks (measured only when instrumented).
     busy: Duration,
     pieces: u64,
 }
 
-fn fusable_filter(plan: &PhysicalPlan) -> Option<Fused<'_>> {
-    let (exchange, node) = match plan {
-        PhysicalPlan::Exchange { input, dop } => (Some((plan, *dop)), input.as_ref()),
-        other => (None, other),
-    };
-    match node {
-        PhysicalPlan::Filter { input, predicate } => Some(Fused {
-            exchange,
-            node,
-            predicate,
-            input,
-        }),
-        _ => None,
+/// An `Exchange` absorbed into a fused grouping, with its DOP.
+type Absorbed<'a> = Option<(&'a PhysicalPlan, usize)>;
+
+/// An SPHJ node a grouping runs inside its loader.
+struct JoinNode<'a> {
+    node: &'a PhysicalPlan,
+    left: &'a PhysicalPlan,
+    right: &'a PhysicalPlan,
+    left_key: &'a str,
+    right_key: &'a str,
+}
+
+/// The nodes a single-key HG/SPHG runs inside its own loader instead of as
+/// nodes of their own: `[Exchange] [Filter] [Exchange] SPHJ` at any DOP,
+/// and `[Exchange] Filter` under a morsel-parallel grouping.
+struct Fused<'a> {
+    /// The `Exchange` directly beneath the grouping.
+    upper: Absorbed<'a>,
+    filter: Option<(&'a PhysicalPlan, &'a Predicate)>,
+    /// The `Exchange` between the filter and the join.
+    lower: Absorbed<'a>,
+    join: Option<JoinNode<'a>>,
+    /// Without a join, the filter's input, which still runs as a node.
+    input: &'a PhysicalPlan,
+}
+
+impl<'a> Fused<'a> {
+    fn under(plan: &'a PhysicalPlan, parallel: bool) -> Option<Self> {
+        let exchange = |p: &'a PhysicalPlan| match p {
+            PhysicalPlan::Exchange { input, dop } => (Some((p, *dop)), input.as_ref()),
+            other => (None, other),
+        };
+        let (upper, node) = exchange(plan);
+        let (filter, input) = match node {
+            PhysicalPlan::Filter { input, predicate } => (Some((node, predicate)), input.as_ref()),
+            other => (None, other),
+        };
+        let (lower, below) = exchange(input);
+        match below {
+            PhysicalPlan::Join {
+                left,
+                right,
+                left_key,
+                right_key,
+                algo: JoinAlgorithm::StaticPerfectHash,
+            } => Some(Fused {
+                upper,
+                filter,
+                lower,
+                join: Some(JoinNode {
+                    node: below,
+                    left,
+                    right,
+                    left_key,
+                    right_key,
+                }),
+                input: below,
+            }),
+            _ => (parallel && filter.is_some()).then_some(Fused {
+                upper,
+                filter,
+                lower: None,
+                join: None,
+                input,
+            }),
+        }
+    }
+
+    /// The DOP an absorbed `Exchange` asked for.
+    fn dop(&self) -> Option<usize> {
+        self.upper.or(self.lower).map(|(_, dop)| dop)
+    }
+
+    /// Record the absorbed nodes as they would have recorded themselves,
+    /// bottom-up from `below` — the metrics of the node beneath the filter
+    /// (the fused join's sides and build, or the filter's input). The
+    /// loader's summed time, spread over the workers that shared it, is
+    /// added once; the join reports the pairs its probe found, the filter
+    /// its survivors, an `Exchange` what its child did plus its DOP and
+    /// the pieces dispatched.
+    fn record(&self, c: &mut OpCollector, mut m: OperatorMetrics, ran: &FusedRun, workers: usize) {
+        m.wall += ran.busy / workers.max(1) as u32;
+        let exchange = |c: &mut OpCollector, node: Absorbed<'_>, m: &OperatorMetrics| {
+            if let Some((node, dop)) = node {
+                c.record(node, m.rows_out, m.wall, m.stats);
+                if let Some(slot) = c.slot(node) {
+                    slot.dop = Some(dop);
+                    slot.morsels = ran.pieces;
+                }
+            }
+        };
+        if let Some(join) = &self.join {
+            m.rows_out = ran.pairs;
+            c.record(join.node, m.rows_out, m.wall, m.stats);
+            exchange(c, self.lower, &m);
+        }
+        if let Some((filter, _)) = self.filter {
+            m.stats.record(Blocking::Pipelined, m.rows_out);
+            m.rows_out = ran.rows_out;
+            c.record(filter, m.rows_out, m.wall, m.stats);
+        }
+        exchange(c, self.upper, &m);
     }
 }
 
-impl Fused<'_> {
-    /// The metrics the filter (and its `Exchange`) would have recorded as
-    /// nodes of their own: the survivors, its input's pipeline stats plus
-    /// the rows it streamed, and as wall time its input's plus the
-    /// filter's summed kernel time spread over the workers that shared it.
-    fn record(&self, c: &mut OpCollector, ran: &FusedRun, workers: usize) {
-        let input = c.slot(self.input).cloned().unwrap_or_default();
-        let wall = input.wall + ran.busy / workers.max(1) as u32;
-        let mut stats = input.stats;
-        stats.record(Blocking::Pipelined, input.rows_out);
-        c.record(self.node, ran.rows_out, wall, stats);
-        if let Some((exchange, dop)) = self.exchange {
-            c.record(exchange, ran.rows_out, wall, stats);
-            if let Some(m) = c.slot(exchange) {
-                m.dop = Some(dop);
-                m.morsels = ran.pieces;
-            }
+/// A join's build relation, probe relation and output schema.
+type Sides<'v> = (&'v Relation, &'v Relation, &'v Schema);
+
+/// Where the join output's column `name` lives: on the build side
+/// (`true`) or the probe side, under that side's own name.
+fn locate<'v>((l, r, schema): Sides<'v>, name: &str) -> Result<(bool, &'v str)> {
+    let i = schema.index_of(name)?;
+    Ok(match i.checked_sub(l.schema().width()) {
+        None => (true, &l.schema().fields()[i].name),
+        Some(at) => (false, &r.schema().fields()[at].name),
+    })
+}
+
+/// The data of the join output's `u32` column `name`, on its side.
+fn side_column<'v>(sides: Sides<'v>, name: &str) -> Result<Side<'v>> {
+    let (build, name) = locate(sides, name)?;
+    let (l, r, _) = sides;
+    Ok(match build {
+        true => Side::Build(l.column(name)?.as_u32()?),
+        false => Side::Probe(r.column(name)?.as_u32()?),
+    })
+}
+
+/// Split `pred`'s conjuncts by the join side whose column each reads —
+/// `out[0]` the build side, `out[1]` the probe side — each renamed from
+/// the join output's column name to its side's own.
+fn split_by_side(pred: &Predicate, sides: Sides<'_>, out: &mut [Vec<Predicate>; 2]) -> Result<()> {
+    if let Predicate::And(ps) = pred {
+        return ps.iter().try_for_each(|p| split_by_side(p, sides, out));
+    }
+    let mut leaf = pred.clone();
+    if let Predicate::Compare { column, .. }
+    | Predicate::Prefix { column, .. }
+    | Predicate::Like { column, .. } = &mut leaf
+    {
+        let (build, name) = locate(sides, column)?;
+        *column = name.to_string();
+        out[usize::from(!build)].push(leaf);
+    }
+    Ok(())
+}
+
+/// The `Sort` whose order a `Limit` over `plan` cuts: `plan` itself, or
+/// one reached through `Exchange` and `Project`, which keep row order.
+fn sort_under(plan: &PhysicalPlan) -> Option<&PhysicalPlan> {
+    match plan {
+        PhysicalPlan::Sort { .. } => Some(plan),
+        PhysicalPlan::Exchange { input, .. } | PhysicalPlan::Project { input, .. } => {
+            sort_under(input)
         }
+        _ => None,
     }
 }
 
@@ -1605,5 +2103,132 @@ mod tests {
         let deep = optimize(&q, &cat, OptimizerMode::Deep).unwrap();
         let out = execute(&deep.plan, &cat).unwrap();
         assert_eq!(out.pipeline.breakers, 0, "OG must stream");
+    }
+
+    /// The rows of `rel`, in order.
+    fn rows_in_order(rel: &Relation) -> Vec<Vec<Value>> {
+        (0..rel.rows()).map(|r| rel.row(r).unwrap()).collect()
+    }
+
+    #[test]
+    fn serial_fused_join_grouping_emits_the_unfused_rows_in_order() {
+        let cat = Catalog::new();
+        let (r, s) = ForeignKeySpec {
+            // More probe rows than one morsel, so the probe runs in pieces.
+            r_rows: 20_000,
+            s_rows: 140_000,
+            groups: 300,
+            r_sorted: false,
+            s_sorted: false,
+            dense: true,
+            seed: 5,
+        }
+        .generate()
+        .unwrap();
+        cat.register("R", r);
+        cat.register("S", s);
+        let join = |left: &str, right: &str, left_key: &str, right_key: &str| PhysicalPlan::Join {
+            left: Box::new(PhysicalPlan::Scan { table: left.into() }),
+            right: Box::new(PhysicalPlan::Scan {
+                table: right.into(),
+            }),
+            left_key: left_key.into(),
+            right_key: right_key.into(),
+            algo: JoinAlgorithm::StaticPerfectHash,
+        };
+        // One conjunct on each side.
+        let predicate = Predicate::And(vec![
+            Predicate::cmp("payload", CmpOp::Lt, 700u32),
+            Predicate::cmp("a", CmpOp::Ge, 20u32),
+        ]);
+        let hg = |table, hash| GroupingMolecules {
+            table: Some(table),
+            hash: Some(hash),
+            sort: None,
+        };
+        use dqo_plan::{HashFnMolecule, TableMolecule};
+        let groupings = [
+            (
+                GroupingAlgorithm::HashBased,
+                hg(TableMolecule::Chaining, HashFnMolecule::Murmur3),
+            ),
+            (
+                GroupingAlgorithm::HashBased,
+                hg(TableMolecule::LinearProbing, HashFnMolecule::Fibonacci),
+            ),
+            (
+                GroupingAlgorithm::StaticPerfectHash,
+                GroupingMolecules::defaults_for(GroupingAlgorithm::StaticPerfectHash),
+            ),
+        ];
+        // R builds on its unique ids (the one-array index), S on repeated
+        // r_ids (CSR); the key and the summed column from either side.
+        for (join, key, sum) in [
+            (join("R", "S", "id", "r_id"), "a", "payload"),
+            (join("R", "S", "id", "r_id"), "payload", "a"),
+            (join("S", "R", "r_id", "id"), "a", "payload"),
+            (join("S", "R", "r_id", "id"), "payload", "payload"),
+        ] {
+            let filtered = PhysicalPlan::Filter {
+                input: Box::new(join),
+                predicate: predicate.clone(),
+            };
+            // The unfused reference: the join and the filter as nodes, then
+            // the same serial kernel over their output.
+            let joined = execute(&filtered, &cat).unwrap().relation;
+            let keys = joined.column(key).unwrap().as_u32().unwrap();
+            let values = joined.column(sum).unwrap().as_u32().unwrap();
+            let aggs = vec![
+                AggExpr::count_star("n"),
+                AggExpr::on(AggFunc::Sum, sum, "total"),
+            ];
+            for (algo, molecules) in groupings {
+                let expect = match algo {
+                    GroupingAlgorithm::HashBased => {
+                        hash_grouping_with(keys, values, FullAgg, HgTable::of(molecules), 1024)
+                    }
+                    _ => execute_grouping(algo, keys, values, FullAgg, &GroupingHints::default())
+                        .unwrap(),
+                };
+                let layouts = key_layouts(&joined, &[key.to_string()]).unwrap();
+                let expect =
+                    grouped_to_relation(&layouts, vec![expect.keys], &aggs, &expect.states)
+                        .unwrap();
+                // Serially, and with the filter and the join under `Exchange`
+                // while the grouping stays serial: the probe then runs in
+                // parallel pieces, concatenated in order.
+                let exchange = |input: &PhysicalPlan| PhysicalPlan::Exchange {
+                    input: Box::new(input.clone()),
+                    dop: 4,
+                };
+                let parallel_probe = match &filtered {
+                    PhysicalPlan::Filter { input, predicate } => exchange(&PhysicalPlan::Filter {
+                        input: Box::new(exchange(input)),
+                        predicate: predicate.clone(),
+                    }),
+                    _ => unreachable!("a filter over the join"),
+                };
+                for input in [filtered.clone(), parallel_probe] {
+                    let plan = PhysicalPlan::GroupBy {
+                        input: Box::new(input),
+                        keys: vec![key.into()],
+                        aggs: aggs.clone(),
+                        algo,
+                        molecules,
+                    };
+                    let out = execute(&plan, &cat).unwrap();
+                    assert_eq!(
+                        rows_in_order(&out.relation),
+                        rows_in_order(&expect),
+                        "{}",
+                        plan.explain()
+                    );
+                    assert!(out.relation.rows() > 10);
+                    // Only the grouping's scratch was copied, never a join
+                    // output.
+                    assert!(out.bytes_materialised <= 8 * joined.rows() as u64);
+                }
+            }
+        }
     }
 }

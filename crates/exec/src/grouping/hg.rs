@@ -244,4 +244,29 @@ mod tests {
         assert_eq!((s1.count, s1.sum, s1.min, s1.max), (2, 10, 4, 6));
         assert_eq!(s1.avg(), Some(5.0));
     }
+
+    #[test]
+    fn keys_sharing_their_low_bits_group_correctly_under_every_molecule() {
+        // 1 024 keys, all multiples of 4 096: the shape that piled into one
+        // probe run when Fibonacci's low product bits picked the bucket.
+        let keys: Vec<u32> = (0..50_000u32).map(|i| (i * 7 % 1_024) << 12).collect();
+        let vals: Vec<u32> = (0..50_000).map(|i| i % 100).collect();
+        let mut oracle = std::collections::BTreeMap::<u32, (u64, u64)>::new();
+        for (&k, &v) in keys.iter().zip(&vals) {
+            let e = oracle.entry(k).or_default();
+            *e = (e.0 + 1, e.1 + u64::from(v));
+        }
+        let oracle: Vec<(u32, u64, u64)> =
+            oracle.into_iter().map(|(k, (c, s))| (k, c, s)).collect();
+        for hash in [HashFnMolecule::Fibonacci, HashFnMolecule::Murmur3] {
+            for table in [
+                HgTable::Chaining(hash),
+                HgTable::LinearProbing(hash),
+                HgTable::RobinHood(hash),
+            ] {
+                let r = hash_grouping_with(&keys, &vals, CountSum, table, 1_024);
+                assert_eq!(sorted_triples(r), oracle, "{table:?}");
+            }
+        }
+    }
 }

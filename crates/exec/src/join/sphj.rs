@@ -1,17 +1,30 @@
 //! Static Perfect Hash Join (SPHJ) — the join twin of SPHG.
 //!
 //! Applicable when the **build side's key domain is dense** (§2.1): the
-//! build side is scattered into a CSR-shaped array indexed by `key - min`
-//! (one count pass, one fill pass), and each probe is a single array
-//! access. `|R| + |S|` abstract operations — the plan DQO unlocks by
-//! tracking density, worth the 4× of Figure 5.
+//! build side is scattered into an array indexed by `key - min`, and each
+//! probe is a single array access. `|R| + |S|` abstract operations — the
+//! plan DQO unlocks by tracking density, worth the 4× of Figure 5.
+//!
+//! The index has two layouts, and the build keys pick one:
+//!
+//! * **Unique** — no two build keys share a slot (a primary key): one
+//!   domain-sized array holds each slot's build row, or an empty marker.
+//!   One fill pass, nothing else.
+//! * **CSR** — some key repeats: a compressed-sparse-row layout, offsets
+//!   per slot into the build rows grouped by slot (one count pass, one
+//!   fill pass).
+//!
+//! [`SphIndex::build`] fills the unique array first and falls back to CSR
+//! at the first duplicate. [`SphIndex::matches`] answers a probe key in
+//! either layout, so probing never looks at which one it got.
 
 use crate::error::ExecError;
 use crate::join::JoinResult;
 use crate::Result;
+use std::borrow::Cow;
 
-/// A prebuilt SPH join index over a dense build-side domain: CSR layout
-/// mapping `key - min` to the build rows holding that key.
+/// A prebuilt SPH join index over a dense build-side domain: it maps
+/// `key - min` to the build rows holding that key, in ascending row order.
 ///
 /// Building this once and probing many times is exactly what an
 /// *Algorithmic View* (§3) materialises offline — `dqo-core`'s AV catalog
@@ -19,23 +32,56 @@ use crate::Result;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SphIndex {
     min: u32,
-    /// CSR offsets: group `g` owns `rows[offsets[g]..offsets[g+1]]`.
-    offsets: Vec<u32>,
-    /// Build-side row indices, grouped by key slot.
-    rows: Vec<u32>,
+    layout: Layout,
 }
 
+/// How an [`SphIndex`] stores its slots; which one is a function of the
+/// build keys alone, so equal key columns give equal indexes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Layout {
+    /// No slot holds two rows: slot `g` holds its build row, or [`EMPTY`].
+    Unique(Vec<u32>),
+    /// Slot `g` owns `rows[offsets[g]..offsets[g + 1]]`.
+    Csr { offsets: Vec<u32>, rows: Vec<u32> },
+}
+
+/// The unique layout's marker for a slot no build row holds (row ids stay
+/// below it).
+const EMPTY: u32 = u32::MAX;
+
 impl SphIndex {
-    /// Build from the build-side keys over domain `[min, max]`.
-    /// Count pass → prefix sums → fill: no per-slot allocations.
+    /// Build from the build-side keys over domain `[min, max]`: the unique
+    /// layout when every key is distinct, CSR otherwise.
     pub fn build(left_keys: &[u32], min: u32, max: u32) -> Result<Self> {
-        if max < min {
-            return Err(ExecError::PreconditionViolated {
-                algorithm: "SPHJ",
-                detail: format!("empty domain: max ({max}) < min ({min})"),
-            });
+        match Self::unique(left_keys, min, max)? {
+            Some(index) => Ok(index),
+            None => Self::csr(left_keys, min, max),
         }
-        let domain = (u64::from(max) - u64::from(min) + 1) as usize;
+    }
+
+    /// The unique layout of `left_keys` over `[min, max]`, or `None` at the
+    /// first key that repeats — one fill pass into a domain-sized array.
+    /// A key outside the domain before that point is an error.
+    pub fn unique(left_keys: &[u32], min: u32, max: u32) -> Result<Option<Self>> {
+        let domain = domain_of(min, max)?;
+        let mut rows = vec![EMPTY; domain];
+        for (i, &k) in left_keys.iter().enumerate() {
+            let off = slot(k, min, domain).ok_or_else(|| domain_violation(k, min, max))?;
+            if rows[off] != EMPTY {
+                return Ok(None);
+            }
+            rows[off] = i as u32;
+        }
+        Ok(Some(SphIndex {
+            min,
+            layout: Layout::Unique(rows),
+        }))
+    }
+
+    /// The CSR layout: count pass → prefix sums → fill, no per-slot
+    /// allocations.
+    fn csr(left_keys: &[u32], min: u32, max: u32) -> Result<Self> {
+        let domain = domain_of(min, max)?;
         let mut offsets = vec![0u32; domain + 1];
         for &k in left_keys {
             let off = slot(k, min, domain).ok_or_else(|| domain_violation(k, min, max))?;
@@ -51,13 +97,17 @@ impl SphIndex {
             rows[cursor[off] as usize] = i as u32;
             cursor[off] += 1;
         }
-        Ok(SphIndex { min, offsets, rows })
+        Ok(SphIndex {
+            min,
+            layout: Layout::Csr { offsets, rows },
+        })
     }
 
-    /// Assemble an index from prebuilt CSR parts — the entry point for
+    /// Assemble a CSR index from prebuilt parts — the entry point for
     /// parallel builders that compute the layout themselves (per-block
-    /// histograms + partitioned fill). Validates the CSR invariants so a
-    /// buggy builder cannot produce an index that panics at probe time.
+    /// histograms + partitioned fill) once [`SphIndex::unique`] declined.
+    /// Validates the CSR invariants so a buggy builder cannot produce an
+    /// index that panics at probe time.
     pub fn from_csr(min: u32, offsets: Vec<u32>, rows: Vec<u32>) -> Result<Self> {
         let invalid = |detail: String| ExecError::PreconditionViolated {
             algorithm: "SPHJ",
@@ -85,22 +135,56 @@ impl SphIndex {
                 rows.len()
             )));
         }
-        Ok(SphIndex { min, offsets, rows })
+        Ok(SphIndex {
+            min,
+            layout: Layout::Csr { offsets, rows },
+        })
     }
 
-    /// Probe with the right-side keys. Keys outside the domain simply do
-    /// not match (no FK guarantee assumed).
+    /// True when no two build rows share a key (the unique layout).
+    pub fn is_unique(&self) -> bool {
+        matches!(self.layout, Layout::Unique(_))
+    }
+
+    /// Number of slots: `max - min + 1`.
+    fn domain(&self) -> usize {
+        match &self.layout {
+            Layout::Unique(rows) => rows.len(),
+            Layout::Csr { offsets, .. } => offsets.len() - 1,
+        }
+    }
+
+    /// The build rows holding `key`, ascending; empty for a key outside
+    /// the domain (no FK guarantee assumed).
+    #[inline]
+    pub fn matches(&self, key: u32) -> &[u32] {
+        let Some(off) = slot(key, self.min, self.domain()) else {
+            return &[];
+        };
+        match &self.layout {
+            Layout::Unique(rows) => {
+                let row = &rows[off..off + 1];
+                if row[0] == EMPTY {
+                    &[]
+                } else {
+                    row
+                }
+            }
+            Layout::Csr { offsets, rows } => {
+                &rows[offsets[off] as usize..offsets[off + 1] as usize]
+            }
+        }
+    }
+
+    /// Probe with the right-side keys: pairs in probe order, each probe
+    /// key's build rows ascending.
     pub fn probe(&self, right_keys: &[u32]) -> JoinResult {
-        let domain = self.offsets.len() - 1;
         let mut left_rows = Vec::with_capacity(right_keys.len());
         let mut right_rows = Vec::with_capacity(right_keys.len());
         for (j, &k) in right_keys.iter().enumerate() {
-            if let Some(off) = slot(k, self.min, domain) {
-                let (lo, hi) = (self.offsets[off] as usize, self.offsets[off + 1] as usize);
-                for &li in &self.rows[lo..hi] {
-                    left_rows.push(li);
-                    right_rows.push(j as u32);
-                }
+            for &li in self.matches(k) {
+                left_rows.push(li);
+                right_rows.push(j as u32);
             }
         }
         JoinResult {
@@ -114,7 +198,11 @@ impl SphIndex {
 
     /// Heap footprint in bytes (AV budget accounting).
     pub fn byte_size(&self) -> usize {
-        (self.offsets.len() + self.rows.len()) * std::mem::size_of::<u32>()
+        let words = match &self.layout {
+            Layout::Unique(rows) => rows.len(),
+            Layout::Csr { offsets, rows } => offsets.len() + rows.len(),
+        };
+        words * std::mem::size_of::<u32>()
     }
 
     /// Incrementally extend the index with `delta_keys`, the keys of rows
@@ -124,48 +212,88 @@ impl SphIndex {
     /// (the append may have widened the dense domain).
     ///
     /// The result is **bit-identical** to
-    /// [`SphIndex::build`]`(base ++ delta, min, max)`: `build` fills each
-    /// bucket's postings in ascending scan order, and every old row id is
-    /// smaller than every appended one, so "old postings then delta
-    /// postings" per bucket *is* the from-scratch order.
+    /// [`SphIndex::build`]`(base ++ delta, min, max)`. A unique index stays
+    /// unique while the delta keys land in distinct empty slots — exactly
+    /// when `base ++ delta` has no duplicate — and becomes CSR otherwise.
+    /// In CSR, `build` fills each slot's postings in ascending scan order,
+    /// and every old row id is smaller than every appended one, so "old
+    /// postings then delta postings" per slot *is* the from-scratch order.
     pub fn patch(&self, delta_keys: &[u32], first_row: u32) -> Result<Self> {
-        let domain = self.offsets.len() - 1;
-        // Count pass over the delta (validates the domain up front, before
-        // any allocation proportional to the data).
+        let domain = self.domain();
+        let max = self.min + (domain as u32 - 1);
+        // Validate the domain up front, before any allocation proportional
+        // to the data.
+        if let Some(&k) = delta_keys
+            .iter()
+            .find(|&&k| slot(k, self.min, domain).is_none())
+        {
+            return Err(domain_violation(k, self.min, max));
+        }
+        let slot_of = |k: u32| slot(k, self.min, domain).expect("validated above");
+        if let Layout::Unique(rows) = &self.layout {
+            let mut patched = rows.clone();
+            // Stops at the first delta key whose slot is taken.
+            let fits = delta_keys
+                .iter()
+                .zip(first_row..)
+                .all(|(&k, row)| std::mem::replace(&mut patched[slot_of(k)], row) == EMPTY);
+            if fits {
+                return Ok(SphIndex {
+                    min: self.min,
+                    layout: Layout::Unique(patched),
+                });
+            }
+        }
+        let (old_offsets, old_rows) = self.csr_parts();
         let mut delta_counts = vec![0u32; domain];
         for &k in delta_keys {
-            let off = slot(k, self.min, domain)
-                .ok_or_else(|| domain_violation(k, self.min, self.min + (domain as u32 - 1)))?;
-            delta_counts[off] += 1;
+            delta_counts[slot_of(k)] += 1;
         }
         let mut offsets = Vec::with_capacity(domain + 1);
         offsets.push(0u32);
         let mut total = 0u32;
-        for (w, &dc) in self.offsets.windows(2).zip(&delta_counts) {
+        for (w, &dc) in old_offsets.windows(2).zip(&delta_counts) {
             total += (w[1] - w[0]) + dc;
             offsets.push(total);
         }
-        let mut rows = vec![0u32; self.rows.len() + delta_keys.len()];
-        // Old postings first: bucket-wise copy into the widened layout.
-        for (w, &dst) in self.offsets.windows(2).zip(&offsets) {
+        let mut rows = vec![0u32; old_rows.len() + delta_keys.len()];
+        // Old postings first: slot-wise copy into the widened layout.
+        for (w, &dst) in old_offsets.windows(2).zip(&offsets) {
             let (lo, hi) = (w[0] as usize, w[1] as usize);
             let dst = dst as usize;
-            rows[dst..dst + (hi - lo)].copy_from_slice(&self.rows[lo..hi]);
+            rows[dst..dst + (hi - lo)].copy_from_slice(&old_rows[lo..hi]);
         }
         // Delta postings after them, in delta scan order.
         let mut cursor: Vec<u32> = (0..domain)
-            .map(|g| offsets[g] + (self.offsets[g + 1] - self.offsets[g]))
+            .map(|g| offsets[g] + (old_offsets[g + 1] - old_offsets[g]))
             .collect();
         for (i, &k) in delta_keys.iter().enumerate() {
-            let off = slot(k, self.min, domain).expect("validated in count pass");
+            let off = slot_of(k);
             rows[cursor[off] as usize] = first_row + i as u32;
             cursor[off] += 1;
         }
         Ok(SphIndex {
             min: self.min,
-            offsets,
-            rows,
+            layout: Layout::Csr { offsets, rows },
         })
+    }
+
+    /// The CSR offsets and rows of this index: its own, or those of the
+    /// unique array (one posting per occupied slot, in slot order).
+    fn csr_parts(&self) -> (Cow<'_, [u32]>, Cow<'_, [u32]>) {
+        match &self.layout {
+            Layout::Csr { offsets, rows } => (Cow::Borrowed(offsets), Cow::Borrowed(rows)),
+            Layout::Unique(rows) => {
+                let offsets = std::iter::once(0)
+                    .chain(rows.iter().scan(0u32, |total, &row| {
+                        *total += u32::from(row != EMPTY);
+                        Some(*total)
+                    }))
+                    .collect();
+                let occupied = rows.iter().copied().filter(|&r| r != EMPTY).collect();
+                (Cow::Owned(offsets), Cow::Owned(occupied))
+            }
+        }
     }
 }
 
@@ -180,6 +308,17 @@ pub fn sph_join(left_keys: &[u32], right_keys: &[u32], min: u32, max: u32) -> Re
         });
     }
     Ok(SphIndex::build(left_keys, min, max)?.probe(right_keys))
+}
+
+/// The slot count of `[min, max]`; an inverted domain is an error.
+fn domain_of(min: u32, max: u32) -> Result<usize> {
+    if max < min {
+        return Err(ExecError::PreconditionViolated {
+            algorithm: "SPHJ",
+            detail: format!("empty domain: max ({max}) < min ({min})"),
+        });
+    }
+    Ok((u64::from(max) - u64::from(min) + 1) as usize)
 }
 
 #[inline(always)]
@@ -297,7 +436,8 @@ mod index_tests {
     fn from_csr_roundtrips_a_built_index() {
         let left = [2u32, 0, 1, 1];
         let built = SphIndex::build(&left, 0, 2).unwrap();
-        let assembled = SphIndex::from_csr(0, built.offsets.clone(), built.rows.clone()).unwrap();
+        let (offsets, rows) = built.csr_parts();
+        let assembled = SphIndex::from_csr(0, offsets.into_owned(), rows.into_owned()).unwrap();
         assert_eq!(assembled, built);
         assert_eq!(
             assembled.probe(&[1, 2]).normalised_pairs(),
@@ -353,8 +493,89 @@ mod index_tests {
 
     #[test]
     fn index_byte_size_accounts_csr() {
-        let idx = SphIndex::build(&[0u32, 1], 0, 1).unwrap();
-        // offsets: 3 u32, rows: 2 u32 → 20 bytes.
-        assert_eq!(idx.byte_size(), 20);
+        let idx = SphIndex::build(&[0u32, 1, 1], 0, 1).unwrap();
+        // offsets: 3 u32, rows: 3 u32 → 24 bytes.
+        assert_eq!(idx.byte_size(), 24);
+        // The unique layout is one u32 per slot.
+        assert_eq!(SphIndex::build(&[0u32, 1], 0, 2).unwrap().byte_size(), 12);
+    }
+
+    /// Keys `0..n` shuffled, with `dups` of them repeated at the end.
+    fn keys(n: u32, dups: u32) -> Vec<u32> {
+        let mut keys: Vec<u32> = (0..n).map(|i| i.wrapping_mul(2_654_435_761) % n).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys.extend((0..dups).map(|i| i * 7 % n));
+        keys
+    }
+
+    #[test]
+    fn the_build_keys_pick_the_layout() {
+        assert!(SphIndex::build(&[3u32, 0, 2], 0, 5).unwrap().is_unique());
+        assert!(SphIndex::build(&[], 0, 5).unwrap().is_unique());
+        assert!(!SphIndex::build(&[3u32, 0, 3], 0, 5).unwrap().is_unique());
+        // A duplicate after an out-of-domain key still reports the key.
+        assert!(SphIndex::build(&[3u32, 9, 3], 0, 5).is_err());
+        assert!(SphIndex::build(&[3u32, 3, 9], 0, 5).is_err());
+        // A sparse unique key set over a wide domain stays unique.
+        let sparse: Vec<u32> = (0..100).map(|i| i * 37).collect();
+        assert!(SphIndex::build(&sparse, 0, 99 * 37).unwrap().is_unique());
+    }
+
+    #[test]
+    fn matches_agrees_across_layouts() {
+        let unique_keys = keys(500, 0);
+        let unique = SphIndex::build(&unique_keys, 0, 499).unwrap();
+        assert!(unique.is_unique());
+        // The same keys in CSR form, assembled from the derived parts.
+        let (offsets, rows) = unique.csr_parts();
+        let csr = SphIndex::from_csr(0, offsets.into_owned(), rows.into_owned()).unwrap();
+        assert!(!csr.is_unique());
+        let dup_keys = keys(500, 40);
+        let dups = SphIndex::build(&dup_keys, 0, 499).unwrap();
+        assert!(!dups.is_unique());
+        for probe in 0..520u32 {
+            assert_eq!(unique.matches(probe), csr.matches(probe), "key {probe}");
+            let oracle = |ks: &[u32]| -> Vec<u32> {
+                (0..ks.len() as u32)
+                    .filter(|&i| ks[i as usize] == probe)
+                    .collect()
+            };
+            assert_eq!(unique.matches(probe), oracle(&unique_keys), "key {probe}");
+            assert_eq!(dups.matches(probe), oracle(&dup_keys), "key {probe}");
+        }
+        assert_eq!(
+            unique.probe(&unique_keys).normalised_pairs(),
+            csr.probe(&unique_keys).normalised_pairs()
+        );
+    }
+
+    #[test]
+    fn patch_keeps_or_leaves_the_unique_layout_bit_identically() {
+        // (base, delta, stays unique): delta keys in empty slots keep the
+        // unique layout; one landing on a taken slot, or two deltas
+        // sharing one, converts to CSR.
+        let cases: &[(&[u32], &[u32], bool)] = &[
+            (&[0, 3, 1], &[2, 4], true),
+            (&[0, 3, 1], &[], true),
+            (&[], &[4, 0], true),
+            (&[0, 3, 1], &[2, 3], false),
+            (&[0, 3, 1], &[2, 2], false),
+            (&[0, 3, 1], &[1], false),
+            (&[], &[4, 4], false),
+        ];
+        for &(base, delta, unique) in cases {
+            let built = SphIndex::build(base, 0, 4).unwrap();
+            assert!(built.is_unique(), "base={base:?}");
+            let patched = built.patch(delta, base.len() as u32).unwrap();
+            let combined: Vec<u32> = base.iter().chain(delta).copied().collect();
+            let rebuilt = SphIndex::build(&combined, 0, 4).unwrap();
+            assert_eq!(patched, rebuilt, "base={base:?} delta={delta:?}");
+            assert_eq!(patched.is_unique(), unique, "base={base:?} delta={delta:?}");
+        }
+        // A rejected delta leaves the unique index as it was.
+        let built = SphIndex::build(&[0u32, 3], 0, 4).unwrap();
+        assert!(built.patch(&[2, 9], 2).is_err());
+        assert_eq!(built.matches(2), &[] as &[u32]);
     }
 }

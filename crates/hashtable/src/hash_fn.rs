@@ -40,8 +40,13 @@ impl HashFn for Murmur3Finalizer {
     }
 }
 
-/// Fibonacci (multiplicative) hashing: multiply by 2^64/φ and rely on the
-/// high bits. Cheaper than Murmur3 but weaker on structured keys.
+/// Fibonacci (multiplicative) hashing: multiply by 2^64/φ and keep the
+/// product's high half. Cheaper than Murmur3 but weaker on structured keys.
+///
+/// The tables bucket by `hash & mask`, and the low `b` bits of a product
+/// depend only on the key's low `b` bits: keys sharing them (multiples of
+/// 4 096, say) would all start in one bucket. Bit 32 and above depend on
+/// every key bit, so the high half is what reaches the mask.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Fibonacci;
 
@@ -49,7 +54,7 @@ impl HashFn for Fibonacci {
     #[inline(always)]
     fn hash(self, key: u32) -> u64 {
         // 2^64 / golden ratio, odd.
-        u64::from(key).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        u64::from(key).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32
     }
 
     fn name(self) -> &'static str {
@@ -107,10 +112,33 @@ mod tests {
     #[test]
     fn fibonacci_spreads_consecutive_keys() {
         let h = Fibonacci;
-        // Consecutive keys must land far apart in the high bits.
-        let a = h.hash(1) >> 48;
-        let b = h.hash(2) >> 48;
+        // Consecutive keys must land far apart in the low (bucket) bits.
+        let a = h.hash(1) & 0xFFFF;
+        let b = h.hash(2) & 0xFFFF;
         assert_ne!(a, b);
+    }
+
+    /// Distinct buckets of a `slots`-slot table (`hash & mask`) that the
+    /// keys `i << 12`, `i < 1024`, start in — keys sharing their low 12
+    /// bits, the shape a product's low bits cannot tell apart.
+    fn home_buckets(h: impl HashFn, slots: u64) -> usize {
+        (0..1024u32)
+            .map(|i| h.hash(i << 12) & (slots - 1))
+            .collect::<std::collections::HashSet<_>>()
+            .len()
+    }
+
+    #[test]
+    fn keys_sharing_their_low_bits_spread_over_the_buckets() {
+        // At least half the keys have a home bucket of their own in a
+        // 2 048-slot table (before the fix, Fibonacci put all in one).
+        assert!(home_buckets(Fibonacci, 2_048) >= 512, "fibonacci");
+        assert!(home_buckets(Murmur3Finalizer, 2_048) >= 512, "murmur3");
+        assert_eq!(
+            home_buckets(Identity, 2_048),
+            1,
+            "identity keeps the low bits"
+        );
     }
 
     #[test]

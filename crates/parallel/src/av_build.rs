@@ -7,14 +7,16 @@
 //! module supplies the two kernels `dqo-core`'s AV materialiser needs on
 //! top of the existing parallel sort and parallel grouping:
 //!
-//! * [`parallel_sph_index_build`] — a partitioned CSR build of
-//!   [`SphIndex`]: morsel-parallel key scanning into per-block
-//!   histograms, one serial prefix/cursor pass over the domain, then a
-//!   parallel fill where every block scatters its rows through its own
-//!   cursor vector. Within a slot, block `b`'s rows land before block
-//!   `b + 1`'s and each block scans rows in ascending order, so the CSR
-//!   layout is **bit-identical** to the serial [`SphIndex::build`] at
-//!   any DOP or steal order.
+//! * [`parallel_sph_index_build`] — the build of [`SphIndex`] in the
+//!   layout the serial [`SphIndex::build`] picks. Unique build keys fill
+//!   the one domain-sized array in a single serial pass (cheaper than any
+//!   split of it). Repeated keys take a partitioned CSR build:
+//!   morsel-parallel key scanning into per-block histograms, one serial
+//!   prefix/cursor pass over the domain, then a parallel fill where every
+//!   block scatters its rows through its own cursor vector. Within a
+//!   slot, block `b`'s rows land before block `b + 1`'s and each block
+//!   scans rows in ascending order, so the CSR layout is
+//!   **bit-identical** to the serial build at any DOP or steal order.
 //! * [`parallel_gather`] — a range-partitioned [`Relation::gather`]:
 //!   the selection vector splits into contiguous chunks, every
 //!   (column, chunk) pair gathers independently, and chunks concatenate
@@ -39,9 +41,11 @@ pub const MIN_SPH_BLOCK_ROWS: usize = 1 << 12;
 pub const MIN_GATHER_CHUNK_ROWS: usize = 1 << 12;
 
 /// Build an [`SphIndex`] over `keys` for the dense domain `[min, max]`
-/// on the pool — bit-identical to the serial [`SphIndex::build`].
+/// on the pool — bit-identical to the serial [`SphIndex::build`], layout
+/// included.
 ///
-/// Decomposition: the rows split into one contiguous block per worker;
+/// Unique keys keep [`SphIndex::unique`]'s array. Otherwise the CSR
+/// decomposition: the rows split into one contiguous block per worker;
 /// each block is scanned once into a per-block slot histogram (also
 /// validating domain membership — the violation on the smallest row
 /// index is reported, exactly like the serial scan order would); a
@@ -69,6 +73,11 @@ pub fn parallel_sph_index_build(
     // build touches the domain only once.
     if blocks == 1 || domain > (n / blocks).max(MIN_SPH_BLOCK_ROWS) * 8 {
         return SphIndex::build(keys, min, max);
+    }
+    // A domain violation before the first duplicate is reported here; one
+    // after it by the scan below — either way the first in row order.
+    if let Some(index) = SphIndex::unique(keys, min, max)? {
+        return Ok(index);
     }
 
     // Per-block scan result: slot histogram plus the first out-of-domain
@@ -224,6 +233,29 @@ mod tests {
             let pool = ThreadPool::new(threads);
             let par = parallel_sph_index_build(&pool, &data, 0, 511).unwrap();
             assert_eq!(par, serial, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn sph_build_matches_serial_for_both_layouts() {
+        // A permutation of the domain (unique layout) and the same keys
+        // with repeats (CSR), each larger than one block per worker.
+        let unique: Vec<u32> = (0..60_000u32)
+            .map(|i| i.wrapping_mul(2_654_435_761) % 65_536)
+            .collect::<std::collections::BTreeSet<_>>()
+            .into_iter()
+            .rev()
+            .collect();
+        let repeated: Vec<u32> = unique.iter().chain(&unique[..100]).copied().collect();
+        let max = *unique.iter().max().unwrap();
+        for (data, is_unique) in [(&unique, true), (&repeated, false)] {
+            let serial = SphIndex::build(data, 0, max).unwrap();
+            assert_eq!(serial.is_unique(), is_unique);
+            for threads in [1, 2, 8] {
+                let pool = ThreadPool::new(threads);
+                let par = parallel_sph_index_build(&pool, data, 0, max).unwrap();
+                assert_eq!(par, serial, "threads={threads} unique={is_unique}");
+            }
         }
     }
 

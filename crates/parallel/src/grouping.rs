@@ -47,6 +47,10 @@ pub enum GroupingStrategy {
 pub struct Scratch {
     /// Row ids surviving a fused filter.
     pub ids: Vec<u32>,
+    /// Build rows of a fused join's matches.
+    pub build: Vec<u32>,
+    /// Probe rows of the same matches, pair by pair.
+    pub probe: Vec<u32>,
     /// Compacted grouping keys.
     pub keys: Vec<u32>,
     /// Compacted aggregate inputs.

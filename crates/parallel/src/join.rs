@@ -10,9 +10,10 @@
 //!   probe key touches exactly its partition's table — the
 //!   distributed/partitioned-table pattern DiCuPIT applies to cuckoo
 //!   filters, here applied to DQO's chaining molecule.
-//! * [`parallel_sph_join`] — parallel SPHJ: the CSR SPH index is built
-//!   once over the dense build domain, then probe morsels run in
-//!   parallel through the serial probe kernel.
+//! * [`parallel_sph_join`] — parallel SPHJ: the SPH index (a unique
+//!   array for unique build keys, CSR otherwise) is built once over the
+//!   dense build domain, then probe morsels run in parallel through the
+//!   serial probe kernel.
 //!
 //! Output pairs are concatenated in probe-morsel order, so results are
 //! byte-identical across runs and thread counts.
@@ -119,8 +120,9 @@ pub fn parallel_hash_join(
 }
 
 /// Parallel static-perfect-hash join over the dense build domain
-/// `[min, max]`: serial CSR build (two passes over `|L|`), then parallel
-/// probe morsels through [`SphIndex::probe`].
+/// `[min, max]`: serial [`SphIndex::build`] (one pass over `|L|` for
+/// unique keys, two for CSR), then parallel probe morsels through
+/// [`SphIndex::probe`].
 pub fn parallel_sph_join(
     pool: &ThreadPool,
     left: &[u32],

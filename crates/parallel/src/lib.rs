@@ -73,4 +73,6 @@ pub use join::{parallel_hash_join, parallel_sph_join};
 pub use morsel::{morsels, morsels_within, Morsel, DEFAULT_MORSEL_ROWS};
 pub use persistent::{default_threads, PersistentPool};
 pub use pool::{BatchObs, PoolError, ThreadPool};
-pub use sort::{parallel_argsort, parallel_sog, parallel_sort_index, parallel_sort_merge_join};
+pub use sort::{
+    parallel_argsort, parallel_sog, parallel_sort_index, parallel_sort_merge_join, parallel_top_n,
+};

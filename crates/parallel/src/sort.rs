@@ -33,7 +33,7 @@ use dqo_exec::grouping::GroupedResult;
 use dqo_exec::join::soj::merge_join_views;
 use dqo_exec::join::JoinResult;
 use dqo_exec::pipeline::{Blocking, PipelineStats};
-use dqo_exec::sort::radix_sort_pairs_by_key;
+use dqo_exec::sort::{keep_smallest, radix_sort_pairs_by_key};
 use dqo_exec::ExecError;
 use dqo_plan::SortMolecule;
 
@@ -160,6 +160,30 @@ pub fn parallel_argsort(
     bounds: &[usize],
 ) -> Result<(Vec<u32>, PipelineStats), PoolError> {
     let (pairs, stats) = parallel_sort_index(pool, keys, molecule, bounds)?;
+    Ok((pairs.into_iter().map(|(_, row)| row).collect(), stats))
+}
+
+/// The first `n` entries of [`parallel_argsort`] — the parallel twin of
+/// [`dqo_exec::sort::top_n`]: every morsel keeps its own `n` smallest
+/// `(key, row)` pairs, and their union is cut to `n` once more. Because
+/// `(key, row)` is a total order, the result is the serial kernel's at
+/// every DOP and morsel size. Both cuts are accounted as breakers.
+pub fn parallel_top_n(
+    pool: &ThreadPool,
+    keys: &[u32],
+    n: usize,
+    morsel_rows: usize,
+) -> Result<(Vec<u32>, PipelineStats), PoolError> {
+    let kept = pool.map_morsels(keys.len(), morsel_rows, |m| {
+        let mut pairs: Vec<(u32, u32)> = m.of(keys).iter().copied().zip(m.start as u32..).collect();
+        keep_smallest(&mut pairs, n);
+        pairs
+    })?;
+    let mut pairs = kept.concat();
+    let mut stats = PipelineStats::default();
+    stats.record(Blocking::FullBreaker, keys.len() as u64);
+    stats.record(Blocking::FullBreaker, pairs.len() as u64);
+    keep_smallest(&mut pairs, n);
     Ok((pairs.into_iter().map(|(_, row)| row).collect(), stats))
 }
 
@@ -323,6 +347,23 @@ mod tests {
     use dqo_exec::sort::argsort;
 
     const MOLECULES: [SortMolecule; 2] = [SortMolecule::Comparison, SortMolecule::Radix];
+
+    #[test]
+    fn top_n_is_the_serial_head_at_every_dop_and_morsel_size() {
+        // 37 distinct keys over 20 000 rows: every cut falls inside a run
+        // of equal keys, so positions must break the ties.
+        let keys = dataset(20_000, 37, 5);
+        let full = argsort(&keys);
+        for threads in [1, 2, 8] {
+            let pool = ThreadPool::new(threads);
+            for morsel in [64, 1_000, 1 << 16] {
+                for n in [0, 1, 100, 541, 19_999] {
+                    let (top, _) = parallel_top_n(&pool, &keys, n, morsel).unwrap();
+                    assert_eq!(top, full[..n], "threads={threads} morsel={morsel} n={n}");
+                }
+            }
+        }
+    }
 
     fn dataset(n: usize, domain: u32, seed: u32) -> Vec<u32> {
         (0..n)

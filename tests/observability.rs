@@ -343,6 +343,97 @@ fn bytes_materialised_shows_copies_were_removed_not_moved() {
         assert_eq!(nodes[filter_at].rows_out, survivors, "dop={dop}");
     }
 
+    // filter → SPHJ → group: the grouping probes the join inside its own
+    // loader, so no join output is copied — yet the absorbed nodes still
+    // report. The SPHJ reports the pairs its probe found (the probe-side
+    // conjunct `payload < 500` ran first), the filter its survivors, each
+    // `Exchange` its DOP and the pieces it dispatched.
+    let (r, s) = dqo::storage::datagen::ForeignKeySpec {
+        r_rows: 50_000,
+        s_rows: 200_000,
+        groups: 500,
+        r_sorted: false,
+        s_sorted: false,
+        dense: true,
+        seed: 11,
+    }
+    .generate()
+    .unwrap();
+    cat.register("r", r);
+    cat.register("s", s);
+    let join = || PhysicalPlan::Join {
+        left: Box::new(PhysicalPlan::Scan { table: "r".into() }),
+        right: Box::new(PhysicalPlan::Scan { table: "s".into() }),
+        left_key: "id".into(),
+        right_key: "r_id".into(),
+        algo: dqo::plan::JoinAlgorithm::StaticPerfectHash,
+    };
+    let over_join = |predicate: Predicate, input: PhysicalPlan| PhysicalPlan::Filter {
+        input: Box::new(input),
+        predicate,
+    };
+    let probe_side = || Predicate::cmp("payload", CmpOp::Lt, 500u32);
+    let both = || Predicate::And(vec![probe_side(), Predicate::cmp("a", CmpOp::Lt, 200u32)]);
+    let rows = |plan: &PhysicalPlan| execute_with(plan, &cat, &traced).unwrap().0.relation.rows();
+    let pairs = rows(&over_join(probe_side(), join())) as u64;
+    let survivors = rows(&over_join(both(), join())) as u64;
+    assert!(
+        pairs > survivors && survivors > 0,
+        "{pairs} pairs, {survivors} survivors"
+    );
+    let exchange = |dop: usize, input: PhysicalPlan| match dop {
+        1 => input,
+        _ => PhysicalPlan::Exchange {
+            input: Box::new(input),
+            dop,
+        },
+    };
+    let group = |input: PhysicalPlan| PhysicalPlan::GroupBy {
+        input: Box::new(input),
+        keys: vec!["a".into()],
+        aggs: vec![AggExpr::count_star("n")],
+        algo: GroupingAlgorithm::StaticPerfectHash,
+        molecules: GroupingMolecules::defaults_for(GroupingAlgorithm::StaticPerfectHash),
+    };
+    // A Project between the grouping and the filter keeps them apart: the
+    // unfused reference.
+    let unfused = group(PhysicalPlan::Project {
+        input: Box::new(over_join(both(), join())),
+        columns: vec!["a".into()],
+    });
+    let expect = execute_with(&unfused, &cat, &traced).unwrap().0.relation;
+    for dop in [1, 4] {
+        let plan = exchange(
+            dop,
+            group(exchange(dop, over_join(both(), exchange(dop, join())))),
+        );
+        let (out, nodes) = execute_with(&plan, &cat, &traced).unwrap();
+        assert_eq!(
+            sorted_rows(&out.relation),
+            sorted_rows(&expect),
+            "dop={dop}"
+        );
+        let total: u64 = nodes.iter().map(|m| m.bytes_materialised).sum();
+        assert_eq!(out.bytes_materialised, total, "dop={dop}");
+        assert!(total > 0 && total <= 4 * survivors, "dop={dop}: {total}");
+        for (node, m) in plan.preorder().iter().zip(&nodes) {
+            let line = node.explain();
+            match node {
+                PhysicalPlan::Join { .. } => assert_eq!(m.rows_out, pairs, "{line}"),
+                PhysicalPlan::Filter { .. } => assert_eq!(m.rows_out, survivors, "{line}"),
+                PhysicalPlan::Exchange { .. } => {
+                    assert_eq!(m.dop, Some(dop), "{line}");
+                    assert!(m.morsels > 0, "{line}");
+                }
+                _ => {}
+            }
+            assert!(m.wall > std::time::Duration::ZERO, "dop={dop}: {line}");
+            if !matches!(node, PhysicalPlan::GroupBy { .. }) {
+                assert_eq!(m.bytes_materialised, 0, "dop={dop}: {line}");
+            }
+        }
+    }
+
     // Through the engine: EXPLAIN ANALYZE renders the numbers and the
     // registry counter carries the per-query total.
     let registry = Arc::new(MetricsRegistry::new());

@@ -522,6 +522,140 @@ fn check_partitioned(
     Ok(())
 }
 
+/// u(uk, w) over t's key domain: `2 * k_groups` rows whose join key `uk`
+/// is unique (`0..2g`) or, with `repeats`, takes each of `0..g` twice — so
+/// an SPH index built on it has the one-array layout or the CSR one.
+fn build_u(k_groups: u32, repeats: bool) -> Relation {
+    let uk: Vec<u32> = (0..2 * k_groups)
+        .map(|i| if repeats { i % k_groups } else { i })
+        .collect();
+    let w: Vec<u32> = uk.iter().map(|k| k % 3).collect();
+    Relation::new(
+        Schema::new(vec![
+            Field::new("uk", DataType::U32),
+            Field::new("w", DataType::U32),
+        ])
+        .unwrap(),
+        vec![Column::U32(uk), Column::U32(w)],
+    )
+    .unwrap()
+}
+
+/// A grouped join of t and u, built on either side, grouped by a column
+/// of either side, under conjuncts on either side.
+fn join_query(
+    build_on_t: bool,
+    group_pick: u8,
+    preds: &[(u8, u8)],
+    aggs_pick: u8,
+    order: bool,
+) -> String {
+    let from = match build_on_t {
+        true => "t JOIN u ON k = uk",
+        false => "u JOIN t ON uk = k",
+    };
+    let key = ["k", "v", "s", "uk", "w"][group_pick as usize % 5];
+    let aggs = match aggs_pick % 3 {
+        0 => "COUNT(*) AS n",
+        1 => "COUNT(*) AS n, SUM(v) AS t",
+        _ => "MIN(w) AS lo, COUNT(*) AS n",
+    };
+    let conjuncts: Vec<String> = preds
+        .iter()
+        .map(|&(kind, param)| match kind % 6 {
+            0 => format!("k < {}", param % 40),
+            1 => format!("v < {}", param % 60),
+            2 => format!("s LIKE '{}%'", PREFIXES[param as usize % PREFIXES.len()]),
+            3 => format!("w < {}", param % 4),
+            4 => format!("uk >= {}", param % 30),
+            _ => format!("s > '{}'", WORDS[param as usize % WORDS.len()]),
+        })
+        .collect();
+    let mut sql = format!("SELECT {key}, {aggs} FROM {from}");
+    if !conjuncts.is_empty() {
+        sql.push_str(&format!(" WHERE {}", conjuncts.join(" AND ")));
+    }
+    sql.push_str(&format!(" GROUP BY {key}"));
+    if order {
+        sql.push_str(&format!(" ORDER BY {key}"));
+    }
+    sql
+}
+
+/// `sql` over t and u agrees with the naive evaluator — row for row when
+/// `in_order`, as sorted rows otherwise — in the planned engine at DOP 1,
+/// 2 and 8, under forced `Exchange` at DOP 2 and 8, and with SPH-index
+/// AVs on both join keys.
+fn check_join_and_top_n(
+    t: &Relation,
+    u: &Relation,
+    sql: &str,
+    in_order: bool,
+) -> Result<(), String> {
+    let engine = |threads: usize| {
+        let db = Dqo::with_engine(Engine::new().with_threads(threads));
+        db.register_table("t", t.clone());
+        db.register_table("u", u.clone());
+        db
+    };
+    let rows = |rel: &Relation| match in_order {
+        true => (0..rel.rows()).map(|r| rel.row(r).unwrap()).collect(),
+        false => sorted_rows(rel),
+    };
+    let reference = engine(1);
+    let logical = reference
+        .compile(sql)
+        .map_err(|e| format!("compile {sql}: {e}"))?;
+    let expect = rows(
+        &naive_eval(&logical, reference.engine().catalog())
+            .map_err(|e| format!("naive {sql}: {e}"))?,
+    );
+    for threads in [1usize, 2, 8] {
+        let out = engine(threads)
+            .sql(sql)
+            .map_err(|e| format!("threads={threads} {sql}: {e}"))?;
+        if rows(&out.output.relation) != expect {
+            return Err(format!(
+                "threads={threads} diverges from naive for {sql}\nplan:\n{}",
+                out.planned.plan.explain()
+            ));
+        }
+    }
+    let planned = reference
+        .engine()
+        .plan(&logical)
+        .map_err(|e| format!("plan {sql}: {e}"))?;
+    for dop in [2usize, 8] {
+        let wrapped = parallelise(&planned.plan, dop);
+        let out = execute(&wrapped, reference.engine().catalog())
+            .map_err(|e| format!("forced dop={dop} {sql}: {e}"))?;
+        if rows(&out.relation) != expect {
+            return Err(format!(
+                "forced Exchange dop={dop} diverges for {sql}\nplan:\n{}",
+                wrapped.explain()
+            ));
+        }
+    }
+    let av_db = engine(2);
+    for (table, key) in [("t", "k"), ("u", "uk")] {
+        av_db
+            .engine()
+            .av_builder()
+            .build(&AvSignature::new(table, key, AvKind::SphIndex))
+            .map_err(|e| format!("SPH index on {table}.{key}: {e}"))?;
+    }
+    let out = av_db
+        .sql(sql)
+        .map_err(|e| format!("av-backed {sql}: {e}"))?;
+    if rows(&out.output.relation) != expect {
+        return Err(format!(
+            "SPH-index AV plan diverges for {sql}\nplan:\n{}",
+            out.planned.plan.explain()
+        ));
+    }
+    Ok(())
+}
+
 /// The rows `EXPLAIN ANALYZE` shows for `s`'s chosen plan under `ctx`.
 fn shown_rows(s: &LogicalPlan, catalog: &Catalog, ctx: &SearchContext) -> Result<u64, String> {
     let planned = optimize_in(s, catalog, ctx).map_err(|e| format!("optimise {s}: {e}"))?;
@@ -703,6 +837,31 @@ proptest! {
     ) {
         let sql = build_query(shape, &preds, aggs_pick, order);
         check_partitioned(&raw, k_groups, sorted_dict, scheme_pick, parts_pick, on_v, &sql)?;
+    }
+
+    #[test]
+    fn random_join_and_top_n_queries_agree(
+        raw in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<u8>()), 0..400),
+        k_groups in 1u32..24,
+        v_mod in 1u32..60,
+        sorted_dict in any::<bool>(),
+        repeats in any::<bool>(),
+        build_on_t in any::<bool>(),
+        group_pick in any::<u8>(),
+        preds in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..3),
+        aggs_pick in any::<u8>(),
+        order in any::<bool>(),
+        limit_pick in any::<u8>(),
+    ) {
+        // `v` over a small domain, so an ORDER BY v has ties to break.
+        let raw: Vec<(u32, u32, u8)> = raw.iter().map(|&(a, b, c)| (a, b % v_mod, c)).collect();
+        let t = build_table(&raw, k_groups, sorted_dict);
+        let u = build_u(k_groups, repeats);
+        let sql = join_query(build_on_t, group_pick, &preds, aggs_pick, order);
+        check_join_and_top_n(&t, &u, &sql, order)?;
+        let n = [0, 1, 3, 17, 100, 1_000][limit_pick as usize % 6];
+        let top = format!("SELECT k, v FROM t{} ORDER BY v LIMIT {n}", where_clause(&preds));
+        check_join_and_top_n(&t, &u, &top, true)?;
     }
 
     #[test]
