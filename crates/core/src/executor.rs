@@ -823,7 +823,7 @@ impl<'a> Exec<'a> {
                 // The plan's molecules select the concrete hash table and
                 // hash function, or the sort.
                 (None, GroupingAlgorithm::HashBased) => {
-                    hash_grouping_with(keys, values, FullAgg, how.table, 1024)
+                    hash_grouping_with(keys, values, FullAgg, how.table)
                 }
                 (None, GroupingAlgorithm::SortOrderBased) => {
                     sort_order_grouping(keys, values, FullAgg, how.sort)
@@ -2185,7 +2185,7 @@ mod tests {
             for (algo, molecules) in groupings {
                 let expect = match algo {
                     GroupingAlgorithm::HashBased => {
-                        hash_grouping_with(keys, values, FullAgg, HgTable::of(molecules), 1024)
+                        hash_grouping_with(keys, values, FullAgg, HgTable::of(molecules))
                     }
                     _ => execute_grouping(algo, keys, values, FullAgg, &GroupingHints::default())
                         .unwrap(),

@@ -22,6 +22,12 @@ use dqo_plan::{GroupingAlgorithm, HashFnMolecule, PlanProps, TableMolecule};
 /// keys: per-node allocation and pointer chasing make chaining the most
 /// expensive; open addressing with a cheap hash is ~3× cheaper; Murmur3's
 /// two 64-bit multiply rounds cost more than Fibonacci's one.
+///
+/// The linear-probing and Robin-Hood constants predate the open-addressing
+/// tables' split layout (a `(key, group id)` probe array at load ≤ 1/8
+/// beside dense states), which made both cheaper on sparse keys. They are
+/// left as they were so the refiner's picks do not move; refitting them
+/// from E9 is the deep-optimisation item's step (b) in ROADMAP.md.
 #[derive(Debug, Clone, Copy)]
 pub struct MoleculeCosts {
     /// Chained table, per upsert.

@@ -9,11 +9,19 @@
 //! growth visible in Figure 4). [`hash_grouping`] is generic over any
 //! [`GroupTable`] so the DQO molecule ablation (E9) can swap the table
 //! implementation and hash function without touching the operator.
+//!
+//! The open-addressing molecules a plan names for sparse and dense keys
+//! (linear probing, Robin Hood) keep a `(key, group id)` probe array at
+//! load ≤ 1/8 beside one dense state array indexed by group id, the
+//! layout SPHG aggregates into. Both start small and double, so no call
+//! site sizes them. At 1 024 sparse keys a row finds its key in the home
+//! slot 92–94 % of the time under any of the three hashes (73–77 % at load
+//! 1/2); see `dqo_hashtable::linear_probing`.
 
 use crate::aggregate::Aggregator;
 use crate::grouping::GroupedResult;
 use dqo_hashtable::{
-    ChainingTable, Fibonacci, GroupTable, HashFn, Identity, LinearProbingTable, Murmur3Finalizer,
+    ChainingTable, Fibonacci, GroupTable, Identity, LinearProbingTable, Murmur3Finalizer,
     RobinHoodTable,
 };
 use dqo_plan::physical::GroupingMolecules;
@@ -54,38 +62,6 @@ pub fn hash_grouping_chaining<A: Aggregator>(
     hash_grouping(keys, values, agg, ChainingTable::with_capacity(capacity))
 }
 
-/// Molecule ablation: HG over linear probing with a chosen hash function.
-pub fn hash_grouping_linear<A: Aggregator, H: HashFn>(
-    keys: &[u32],
-    values: &[u32],
-    agg: A,
-    capacity: usize,
-    hash: H,
-) -> GroupedResult<A::State> {
-    hash_grouping(
-        keys,
-        values,
-        agg,
-        LinearProbingTable::with_capacity_and_hasher(capacity, hash),
-    )
-}
-
-/// Molecule ablation: HG over Robin-Hood with a chosen hash function.
-pub fn hash_grouping_robin_hood<A: Aggregator, H: HashFn>(
-    keys: &[u32],
-    values: &[u32],
-    agg: A,
-    capacity: usize,
-    hash: H,
-) -> GroupedResult<A::State> {
-    hash_grouping(
-        keys,
-        values,
-        agg,
-        RobinHoodTable::with_capacity_and_hasher(capacity, hash),
-    )
-}
-
 /// The backing-table molecule of HG: what the optimiser decides beneath
 /// the organelle, for serial and parallel execution alike — each of the
 /// three hashing tables under each hash function.
@@ -116,6 +92,23 @@ pub trait WithTable<V> {
 }
 
 impl HgTable {
+    /// Every table × hash pair, the paper's chaining + Murmur3 first.
+    pub const ALL: [HgTable; 9] = {
+        use HashFnMolecule::{Fibonacci as Fib, Identity as Id, Murmur3 as Mur};
+        use HgTable::{Chaining as Ch, LinearProbing as Lp, RobinHood as Rh};
+        [
+            Ch(Mur),
+            Ch(Fib),
+            Ch(Id),
+            Lp(Mur),
+            Lp(Fib),
+            Lp(Id),
+            Rh(Mur),
+            Rh(Fib),
+            Rh(Id),
+        ]
+    };
+
     /// The HG table a plan's `{table=…, hash=…}` molecules name. A missing
     /// hash is Murmur3; a table that is not a hashing one (HG never
     /// carries one) is the paper's chaining.
@@ -128,24 +121,21 @@ impl HgTable {
         }
     }
 
-    /// Run `user` with a factory for this molecule's tables, each
-    /// pre-sized for `capacity` keys.
-    pub fn run<V: Send, U: WithTable<V>>(self, capacity: usize, user: U) -> U::Out {
+    /// Run `user` with a factory for this molecule's tables; each starts
+    /// empty and grows with its keys.
+    pub fn run<V: Send, U: WithTable<V>>(self, user: U) -> U::Out {
         use HashFnMolecule::{Fibonacci as Fib, Identity as Id, Murmur3 as Mur};
         use HgTable::{Chaining as Ch, LinearProbing as Lp, RobinHood as Rh};
-        let c = capacity;
         match self {
-            Ch(Mur) => user.run(|| ChainingTable::with_capacity(c)),
-            Ch(Fib) => user.run(|| ChainingTable::with_capacity_and_hasher(c, Fibonacci)),
-            Ch(Id) => user.run(|| ChainingTable::with_capacity_and_hasher(c, Identity)),
-            Lp(Mur) => {
-                user.run(|| LinearProbingTable::with_capacity_and_hasher(c, Murmur3Finalizer))
-            }
-            Lp(Fib) => user.run(|| LinearProbingTable::with_capacity_and_hasher(c, Fibonacci)),
-            Lp(Id) => user.run(|| LinearProbingTable::with_capacity_and_hasher(c, Identity)),
-            Rh(Mur) => user.run(|| RobinHoodTable::with_capacity_and_hasher(c, Murmur3Finalizer)),
-            Rh(Fib) => user.run(|| RobinHoodTable::with_capacity_and_hasher(c, Fibonacci)),
-            Rh(Id) => user.run(|| RobinHoodTable::with_capacity_and_hasher(c, Identity)),
+            Ch(Mur) => user.run(ChainingTable::new),
+            Ch(Fib) => user.run(|| ChainingTable::with_hasher(Fibonacci)),
+            Ch(Id) => user.run(|| ChainingTable::with_hasher(Identity)),
+            Lp(Mur) => user.run(|| LinearProbingTable::with_hasher(Murmur3Finalizer)),
+            Lp(Fib) => user.run(|| LinearProbingTable::with_hasher(Fibonacci)),
+            Lp(Id) => user.run(|| LinearProbingTable::with_hasher(Identity)),
+            Rh(Mur) => user.run(|| RobinHoodTable::with_hasher(Murmur3Finalizer)),
+            Rh(Fib) => user.run(|| RobinHoodTable::with_hasher(Fibonacci)),
+            Rh(Id) => user.run(|| RobinHoodTable::with_hasher(Identity)),
         }
     }
 }
@@ -157,7 +147,6 @@ pub fn hash_grouping_with<A: Aggregator>(
     values: &[u32],
     agg: A,
     table: HgTable,
-    capacity: usize,
 ) -> GroupedResult<A::State> {
     struct Serial<'a, A>(&'a [u32], &'a [u32], A);
     impl<A: Aggregator> WithTable<A::State> for Serial<'_, A> {
@@ -166,14 +155,13 @@ pub fn hash_grouping_with<A: Aggregator>(
             hash_grouping(self.0, self.1, self.2, make())
         }
     }
-    table.run(capacity, Serial(keys, values, agg))
+    table.run(Serial(keys, values, agg))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::aggregate::{CountSum, FullAgg};
-    use dqo_hashtable::hash_fn::Fibonacci;
 
     fn sorted_triples(r: GroupedResult<crate::aggregate::CountSumState>) -> Vec<(u32, u64, u64)> {
         let mut r = r;
@@ -220,18 +208,10 @@ mod tests {
         let keys: Vec<u32> = (0..5_000).map(|i| (i * 7919) % 257).collect();
         let vals: Vec<u32> = (0..5_000).map(|i| i % 100).collect();
         let a = sorted_triples(hash_grouping_chaining(&keys, &vals, CountSum, 257));
-        let b = sorted_triples(hash_grouping_linear(
-            &keys,
-            &vals,
-            CountSum,
-            257,
-            Murmur3Finalizer,
-        ));
-        let c = sorted_triples(hash_grouping_robin_hood(
-            &keys, &vals, CountSum, 257, Fibonacci,
-        ));
-        assert_eq!(a, b);
-        assert_eq!(a, c);
+        for table in HgTable::ALL {
+            let b = sorted_triples(hash_grouping_with(&keys, &vals, CountSum, table));
+            assert_eq!(a, b, "{table:?}");
+        }
     }
 
     #[test]
@@ -249,7 +229,14 @@ mod tests {
     fn keys_sharing_their_low_bits_group_correctly_under_every_molecule() {
         // 1 024 keys, all multiples of 4 096: the shape that piled into one
         // probe run when Fibonacci's low product bits picked the bucket.
-        let keys: Vec<u32> = (0..50_000u32).map(|i| (i * 7 % 1_024) << 12).collect();
+        // Beside them `u32::MAX`, the open-addressing tables' empty-slot
+        // marker, as a real key.
+        let keys: Vec<u32> = (0..50_000u32)
+            .map(|i| match i % 97 {
+                0 => u32::MAX,
+                _ => (i * 7 % 1_024) << 12,
+            })
+            .collect();
         let vals: Vec<u32> = (0..50_000).map(|i| i % 100).collect();
         let mut oracle = std::collections::BTreeMap::<u32, (u64, u64)>::new();
         for (&k, &v) in keys.iter().zip(&vals) {
@@ -258,15 +245,10 @@ mod tests {
         }
         let oracle: Vec<(u32, u64, u64)> =
             oracle.into_iter().map(|(k, (c, s))| (k, c, s)).collect();
-        for hash in [HashFnMolecule::Fibonacci, HashFnMolecule::Murmur3] {
-            for table in [
-                HgTable::Chaining(hash),
-                HgTable::LinearProbing(hash),
-                HgTable::RobinHood(hash),
-            ] {
-                let r = hash_grouping_with(&keys, &vals, CountSum, table, 1_024);
-                assert_eq!(sorted_triples(r), oracle, "{table:?}");
-            }
+        assert_eq!(oracle.len(), 1_025);
+        for table in HgTable::ALL {
+            let r = hash_grouping_with(&keys, &vals, CountSum, table);
+            assert_eq!(sorted_triples(r), oracle, "{table:?}");
         }
     }
 }

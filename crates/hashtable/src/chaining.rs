@@ -29,7 +29,7 @@ pub struct ChainingTable<V, H: HashFn = Murmur3Finalizer> {
 impl<V> ChainingTable<V, Murmur3Finalizer> {
     /// A table with the paper's configuration (Murmur3 finaliser).
     pub fn new() -> Self {
-        Self::with_capacity_and_hasher(16, Murmur3Finalizer)
+        Self::with_hasher(Murmur3Finalizer)
     }
 
     /// Pre-size for an expected number of distinct keys.
@@ -45,6 +45,11 @@ impl<V> Default for ChainingTable<V, Murmur3Finalizer> {
 }
 
 impl<V, H: HashFn> ChainingTable<V, H> {
+    /// An empty table with a chosen hash function.
+    pub fn with_hasher(hash: H) -> Self {
+        Self::with_capacity_and_hasher(16, hash)
+    }
+
     /// A table with a chosen hash function — the molecule-level DQO knob.
     pub fn with_capacity_and_hasher(capacity: usize, hash: H) -> Self {
         let buckets = capacity.next_power_of_two().max(16);

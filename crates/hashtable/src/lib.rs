@@ -18,6 +18,10 @@
 //! * [`linear_probing`] — open addressing with linear probing;
 //! * [`robin_hood`] — open addressing with Robin-Hood displacement.
 //!
+//! The two open-addressing tables share one layout: a `(key, group id)`
+//! probe array at load ≤ 1/8 beside one dense array of states in
+//! first-seen order, so they differ only in their probe scheme.
+//!
 //! These are the three hashing tables a plan's `TableMolecule` can name;
 //! the static-perfect-hash and sorted-array molecules are the SPHG and BSG
 //! kernels' own arrays in `dqo-exec`. All tables implement [`GroupTable`],
@@ -28,6 +32,7 @@
 #![warn(clippy::all)]
 
 pub mod chaining;
+mod groups;
 pub mod hash_fn;
 pub mod linear_probing;
 pub mod robin_hood;

@@ -1,29 +1,55 @@
 //! Open-addressing hash table with linear probing.
 //!
-//! One flat allocation, sequential probe runs — the cache-friendly
-//! counterpoint to [`crate::chaining`] in the molecule ablation (E9).
+//! The table is two arrays, so the loop that runs once per row stays in
+//! cache:
+//!
+//! * a **probe array** of `(key, group id)` slots, 8 B each, doubled before
+//!   its load passes 1/8. The load is checked only when a new key is
+//!   inserted. The reserved key `u32::MAX` marks an empty slot; a real
+//!   `u32::MAX` key keeps its group id beside the array.
+//! * the **states**, one dense `Vec<V>` indexed by group id in first-seen
+//!   order — the kind of array SPHG aggregates into (24 KB of
+//!   `FullAggState` for 1 024 groups).
+//!
+//! At load ≤ 1/8 a key almost always sits in its home slot, so the probe
+//! loop's exit branch is predictable. Over 1 M rows of 1 024 keys spread
+//! across the `u32` range (`DatasetSpec::dense(false)`, 8 192 slots), the
+//! row's key is in its home slot for 94 % of rows under Fibonacci (the
+//! hash the refiner picks for sparse keys), 92 % under Murmur3 and 93 %
+//! under identity — against 77 %, 73 % and 73 % at load 1/2. Dense keys
+//! `0..1 024` hit 100 % under identity and Fibonacci, 93 % under Murmur3.
+//!
+//! One flat probe array and sequential probe runs make this the
+//! cache-friendly counterpoint to [`crate::chaining`] in the molecule
+//! ablation (E9).
 
+use crate::groups::{Groups, EMPTY, MIN_SLOTS};
 use crate::hash_fn::{HashFn, Murmur3Finalizer};
 use crate::table::GroupTable;
 
+/// One probe-array slot; `key == EMPTY` marks a free one.
+#[derive(Clone, Copy)]
+struct Slot {
+    key: u32,
+    group: u32,
+}
+
+const FREE: Slot = Slot {
+    key: EMPTY,
+    group: 0,
+};
+
 /// Linear-probing table from `u32` keys to `V`.
 pub struct LinearProbingTable<V, H: HashFn = Murmur3Finalizer> {
-    slots: Vec<Option<(u32, V)>>,
-    len: usize,
+    slots: Vec<Slot>,
+    groups: Groups<V>,
     hash: H,
-    /// Grow when `len > slots * max_load`.
-    max_load: f32,
 }
 
 impl<V> LinearProbingTable<V, Murmur3Finalizer> {
-    /// A table with default capacity and the Murmur3 finaliser.
+    /// An empty table with the Murmur3 finaliser.
     pub fn new() -> Self {
-        Self::with_capacity_and_hasher(16, Murmur3Finalizer)
-    }
-
-    /// Pre-size for an expected number of distinct keys.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_capacity_and_hasher(capacity, Murmur3Finalizer)
+        Self::with_hasher(Murmur3Finalizer)
     }
 }
 
@@ -34,78 +60,82 @@ impl<V> Default for LinearProbingTable<V, Murmur3Finalizer> {
 }
 
 impl<V, H: HashFn> LinearProbingTable<V, H> {
-    /// A table with a chosen hash function.
-    pub fn with_capacity_and_hasher(capacity: usize, hash: H) -> Self {
-        // Size for the load factor so `capacity` inserts fit without growth.
-        let slots = ((capacity as f32 / 0.7) as usize)
-            .next_power_of_two()
-            .max(16);
+    /// An empty table with a chosen hash function.
+    pub fn with_hasher(hash: H) -> Self {
         LinearProbingTable {
-            slots: (0..slots).map(|_| None).collect(),
-            len: 0,
+            slots: vec![FREE; MIN_SLOTS],
+            groups: Groups::new(),
             hash,
-            max_load: 0.7,
         }
     }
 
+    /// `Ok(group id)` of `key`, or `Err(index)` of the free slot where it
+    /// would go. `key` must not be `EMPTY`.
     #[inline(always)]
-    fn mask(&self) -> usize {
-        self.slots.len() - 1
-    }
-
-    fn grow(&mut self) {
-        let new_cap = self.slots.len() * 2;
-        let old = std::mem::replace(&mut self.slots, (0..new_cap).map(|_| None).collect());
-        for slot in old.into_iter().flatten() {
-            let mut i = (self.hash.hash(slot.0) as usize) & (new_cap - 1);
-            while self.slots[i].is_some() {
-                i = (i + 1) & (new_cap - 1);
-            }
-            self.slots[i] = Some(slot);
-        }
-    }
-
-    /// Index of `key`'s slot, or of the empty slot where it would go.
-    #[inline(always)]
-    fn probe(&self, key: u32) -> usize {
-        let mask = self.mask();
+    fn find(&self, key: u32) -> Result<u32, usize> {
+        debug_assert_ne!(key, EMPTY, "the empty-slot key has no slot");
+        let mask = self.slots.len() - 1;
         let mut i = (self.hash.hash(key) as usize) & mask;
         loop {
-            match &self.slots[i] {
-                Some((k, _)) if *k == key => return i,
-                Some(_) => i = (i + 1) & mask,
-                None => return i,
+            let slot = self.slots[i];
+            if slot.key == key {
+                return Ok(slot.group);
             }
+            if slot.key == EMPTY {
+                return Err(i);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Double the probe array and re-insert every slotted group.
+    fn grow(&mut self) {
+        self.slots = vec![FREE; self.slots.len() * 2];
+        let mask = self.slots.len() - 1;
+        for (group, key) in self.groups.slotted() {
+            let mut i = (self.hash.hash(key) as usize) & mask;
+            while self.slots[i].key != EMPTY {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = Slot { key, group };
         }
     }
 }
 
 impl<V, H: HashFn> GroupTable<V> for LinearProbingTable<V, H> {
+    #[inline]
     fn upsert_with(&mut self, key: u32, init: impl FnOnce() -> V) -> &mut V {
-        if (self.len + 1) as f32 > self.slots.len() as f32 * self.max_load {
-            self.grow();
+        if key == EMPTY {
+            return self.groups.upsert_empty_key(init);
         }
-        let i = self.probe(key);
-        if self.slots[i].is_none() {
-            self.slots[i] = Some((key, init()));
-            self.len += 1;
-        }
-        &mut self.slots[i].as_mut().expect("filled above").1
+        let group = match self.find(key) {
+            Ok(group) => group,
+            Err(free) => {
+                let group = self.groups.push(key, init());
+                self.slots[free] = Slot { key, group };
+                if self.groups.outgrow(self.slots.len()) {
+                    self.grow();
+                }
+                group
+            }
+        };
+        self.groups.state_mut(group)
     }
 
     fn get(&self, key: u32) -> Option<&V> {
-        match &self.slots[self.probe(key)] {
-            Some((k, v)) if *k == key => Some(v),
-            _ => None,
+        if key == EMPTY {
+            return self.groups.get_empty_key();
         }
+        let group = self.find(key).ok()?;
+        Some(self.groups.state(group))
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.groups.len()
     }
 
     fn drain(self) -> Vec<(u32, V)> {
-        self.slots.into_iter().flatten().collect()
+        self.groups.drain()
     }
 }
 
@@ -128,11 +158,12 @@ mod tests {
 
     #[test]
     fn growth_preserves_entries() {
-        let mut t: LinearProbingTable<u32> = LinearProbingTable::with_capacity(4);
+        let mut t: LinearProbingTable<u32> = LinearProbingTable::new();
         for k in 0..5_000u32 {
             t.upsert_with(k, || k + 1);
         }
         assert_eq!(t.len(), 5_000);
+        assert!(t.slots.len() >= 5_000 * 8, "load stays at most 1/8");
         for k in (0..5_000u32).step_by(313) {
             assert_eq!(t.get(k), Some(&(k + 1)));
         }
@@ -141,8 +172,7 @@ mod tests {
     #[test]
     fn probe_run_with_identity_hash() {
         // Consecutive keys with identity hash form one probe run.
-        let mut t: LinearProbingTable<u32, Identity> =
-            LinearProbingTable::with_capacity_and_hasher(64, Identity);
+        let mut t: LinearProbingTable<u32, Identity> = LinearProbingTable::with_hasher(Identity);
         for k in 0..32u32 {
             t.upsert_with(k, || k);
         }
@@ -154,23 +184,23 @@ mod tests {
     #[test]
     fn drain_is_complete() {
         let mut t: LinearProbingTable<u32> = LinearProbingTable::new();
-        for k in 100..200u32 {
+        for k in (100..200u32).rev() {
             t.upsert_with(k, || k);
         }
-        let mut d = t.drain();
-        d.sort_unstable();
-        assert_eq!(d.len(), 100);
-        assert_eq!(d[0], (100, 100));
-        assert_eq!(d[99], (199, 199));
+        let d = t.drain();
+        assert_eq!(d, (100..200u32).rev().map(|k| (k, k)).collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_and_boundary() {
         let mut t: LinearProbingTable<u8> = LinearProbingTable::new();
         assert!(t.is_empty());
+        assert_eq!(t.get(u32::MAX), None);
         t.upsert_with(u32::MAX, || 1);
         t.upsert_with(0, || 2);
-        assert_eq!(t.get(u32::MAX), Some(&1));
+        *t.upsert_with(u32::MAX, || 9) += 1;
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.get(u32::MAX), Some(&2));
         assert_eq!(t.get(0), Some(&2));
     }
 }

@@ -4,34 +4,43 @@
 //! "richer" entries (those closer to their home bucket). It is one of the
 //! seven dimensions of Richter et al. \[17\] the paper cites as dramatically
 //! affecting performance — i.e. a molecule-level DQO alternative.
+//!
+//! The layout is [`crate::linear_probing`]'s: a probe array of
+//! `(key, group id)` slots — here with each slot's distance from its home
+//! bucket — kept at load ≤ 1/8 and checked only when a new key is
+//! inserted, and the states dense by group id in first-seen order. The two
+//! tables therefore differ only in how they probe.
 
+use crate::groups::{Groups, EMPTY, MIN_SLOTS};
 use crate::hash_fn::{HashFn, Murmur3Finalizer};
 use crate::table::GroupTable;
 
-struct Entry<V> {
+/// One probe-array slot; `key == EMPTY` marks a free one.
+#[derive(Clone, Copy)]
+struct Slot {
     key: u32,
-    value: V,
+    group: u32,
     /// Distance from the home bucket (DIB — distance to initial bucket).
     dib: u32,
 }
 
+const FREE: Slot = Slot {
+    key: EMPTY,
+    group: 0,
+    dib: 0,
+};
+
 /// Robin-Hood table from `u32` keys to `V`.
 pub struct RobinHoodTable<V, H: HashFn = Murmur3Finalizer> {
-    slots: Vec<Option<Entry<V>>>,
-    len: usize,
+    slots: Vec<Slot>,
+    groups: Groups<V>,
     hash: H,
-    max_load: f32,
 }
 
 impl<V> RobinHoodTable<V, Murmur3Finalizer> {
-    /// A table with default capacity and the Murmur3 finaliser.
+    /// An empty table with the Murmur3 finaliser.
     pub fn new() -> Self {
-        Self::with_capacity_and_hasher(16, Murmur3Finalizer)
-    }
-
-    /// Pre-size for an expected number of distinct keys.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_capacity_and_hasher(capacity, Murmur3Finalizer)
+        Self::with_hasher(Murmur3Finalizer)
     }
 }
 
@@ -42,116 +51,105 @@ impl<V> Default for RobinHoodTable<V, Murmur3Finalizer> {
 }
 
 impl<V, H: HashFn> RobinHoodTable<V, H> {
-    /// A table with a chosen hash function.
-    pub fn with_capacity_and_hasher(capacity: usize, hash: H) -> Self {
-        let slots = ((capacity as f32 / 0.8) as usize)
-            .next_power_of_two()
-            .max(16);
+    /// An empty table with a chosen hash function.
+    pub fn with_hasher(hash: H) -> Self {
         RobinHoodTable {
-            slots: (0..slots).map(|_| None).collect(),
-            len: 0,
+            slots: vec![FREE; MIN_SLOTS],
+            groups: Groups::new(),
             hash,
-            max_load: 0.8,
         }
     }
 
+    /// `Ok(group id)` of `key`, or `Err((index, dib))` of the slot a new
+    /// `key` takes: a free one, or the first whose occupant is richer.
+    /// `key` must not be `EMPTY`.
     #[inline(always)]
-    fn mask(&self) -> usize {
-        self.slots.len() - 1
-    }
-
-    fn find(&self, key: u32) -> Option<usize> {
-        let mask = self.mask();
+    fn find(&self, key: u32) -> Result<u32, (usize, u32)> {
+        debug_assert_ne!(key, EMPTY, "the empty-slot key has no slot");
+        let mask = self.slots.len() - 1;
         let mut i = (self.hash.hash(key) as usize) & mask;
         let mut dib = 0u32;
         loop {
-            match &self.slots[i] {
-                Some(e) if e.key == key => return Some(i),
-                // Robin-Hood invariant: if we've probed further than the
-                // occupant's DIB, the key cannot be in the table.
-                Some(e) if e.dib < dib => return None,
-                Some(_) => {
-                    i = (i + 1) & mask;
-                    dib += 1;
-                }
-                None => return None,
+            let slot = self.slots[i];
+            if slot.key == key {
+                return Ok(slot.group);
             }
+            // Robin-Hood invariant: once we have probed further than the
+            // occupant's DIB, the key cannot be in the table.
+            if slot.key == EMPTY || slot.dib < dib {
+                return Err((i, dib));
+            }
+            i = (i + 1) & mask;
+            dib += 1;
         }
     }
 
+    /// Double the probe array and re-insert every slotted group.
     fn grow(&mut self) {
-        let new_cap = self.slots.len() * 2;
-        let old = std::mem::replace(&mut self.slots, (0..new_cap).map(|_| None).collect());
-        self.len = 0;
-        for e in old.into_iter().flatten() {
-            self.insert_entry(e.key, e.value);
+        let mut slots = vec![FREE; self.slots.len() * 2];
+        let mask = slots.len() - 1;
+        for (group, key) in self.groups.slotted() {
+            let home = (self.hash.hash(key) as usize) & mask;
+            place(&mut slots, home, Slot { key, group, dib: 0 });
         }
+        self.slots = slots;
     }
+}
 
-    /// Insert a key known to be absent; returns its final slot index.
-    fn insert_entry(&mut self, key: u32, value: V) -> usize {
-        let mask = self.mask();
-        let mut carry = Entry { key, value, dib: 0 };
-        let mut i = (self.hash.hash(carry.key) as usize) & mask;
-        let mut our_slot: Option<usize> = None;
-        let our_key = key;
-        loop {
-            match &mut self.slots[i] {
-                empty @ None => {
-                    let is_ours = carry.key == our_key;
-                    *empty = Some(carry);
-                    self.len += 1;
-                    let idx = i;
-                    return if is_ours {
-                        idx
-                    } else {
-                        our_slot.expect("our key was placed before the final displacement")
-                    };
-                }
-                Some(occupant) => {
-                    if occupant.dib < carry.dib {
-                        // Steal from the rich: swap and keep inserting the
-                        // displaced occupant.
-                        std::mem::swap(occupant, &mut carry);
-                        if occupant.key == our_key {
-                            our_slot = Some(i);
-                        }
-                    }
-                    carry.dib += 1;
-                    i = (i + 1) & mask;
-                }
-            }
+/// Put `carry` into slot `i` of `slots`, which is free or held by a richer
+/// occupant, and push each displaced occupant on to its next slot.
+fn place(slots: &mut [Slot], mut i: usize, mut carry: Slot) {
+    let mask = slots.len() - 1;
+    loop {
+        let slot = &mut slots[i];
+        if slot.key == EMPTY {
+            *slot = carry;
+            return;
         }
+        if slot.dib < carry.dib {
+            // Steal from the rich: swap and keep inserting the displaced
+            // occupant.
+            std::mem::swap(slot, &mut carry);
+        }
+        carry.dib += 1;
+        i = (i + 1) & mask;
     }
 }
 
 impl<V, H: HashFn> GroupTable<V> for RobinHoodTable<V, H> {
+    #[inline]
     fn upsert_with(&mut self, key: u32, init: impl FnOnce() -> V) -> &mut V {
-        if let Some(i) = self.find(key) {
-            return &mut self.slots[i].as_mut().expect("found").value;
+        if key == EMPTY {
+            return self.groups.upsert_empty_key(init);
         }
-        if (self.len + 1) as f32 > self.slots.len() as f32 * self.max_load {
-            self.grow();
-        }
-        let i = self.insert_entry(key, init());
-        &mut self.slots[i].as_mut().expect("just inserted").value
+        let group = match self.find(key) {
+            Ok(group) => group,
+            Err((i, dib)) => {
+                let group = self.groups.push(key, init());
+                place(&mut self.slots, i, Slot { key, group, dib });
+                if self.groups.outgrow(self.slots.len()) {
+                    self.grow();
+                }
+                group
+            }
+        };
+        self.groups.state_mut(group)
     }
 
     fn get(&self, key: u32) -> Option<&V> {
-        self.find(key)
-            .map(|i| &self.slots[i].as_ref().expect("found").value)
+        if key == EMPTY {
+            return self.groups.get_empty_key();
+        }
+        let group = self.find(key).ok()?;
+        Some(self.groups.state(group))
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.groups.len()
     }
 
     fn drain(self) -> Vec<(u32, V)> {
-        self.slots
-            .into_iter()
-            .flatten()
-            .map(|e| (e.key, e.value))
-            .collect()
+        self.groups.drain()
     }
 }
 
@@ -175,10 +173,10 @@ mod tests {
 
     #[test]
     fn displacement_with_identity_collisions() {
-        // All keys hash to nearby buckets → lots of displacement.
-        let mut t: RobinHoodTable<u32, Identity> =
-            RobinHoodTable::with_capacity_and_hasher(64, Identity);
-        let keys: Vec<u32> = (0..40).map(|i| i * 64).collect(); // same home bucket
+        // Multiples of 64 share a handful of home buckets → lots of
+        // displacement.
+        let mut t: RobinHoodTable<u32, Identity> = RobinHoodTable::with_hasher(Identity);
+        let keys: Vec<u32> = (0..40).map(|i| i * 64).collect();
         for (n, &k) in keys.iter().enumerate() {
             t.upsert_with(k, || n as u32);
         }
@@ -190,8 +188,7 @@ mod tests {
 
     #[test]
     fn upsert_returns_stable_reference_after_displacement() {
-        let mut t: RobinHoodTable<u32, Identity> =
-            RobinHoodTable::with_capacity_and_hasher(64, Identity);
+        let mut t: RobinHoodTable<u32, Identity> = RobinHoodTable::with_hasher(Identity);
         // Fill a cluster, then insert a key whose placement displaces others.
         for k in [0u32, 64, 128, 192] {
             t.upsert_with(k, || k);
@@ -208,11 +205,12 @@ mod tests {
 
     #[test]
     fn growth_preserves_entries() {
-        let mut t: RobinHoodTable<u32> = RobinHoodTable::with_capacity(4);
+        let mut t: RobinHoodTable<u32> = RobinHoodTable::new();
         for k in 0..3_000u32 {
             t.upsert_with(k, || k ^ 0xFF);
         }
         assert_eq!(t.len(), 3_000);
+        assert!(t.slots.len() >= 3_000 * 8, "load stays at most 1/8");
         for k in (0..3_000u32).step_by(101) {
             assert_eq!(t.get(k), Some(&(k ^ 0xFF)));
         }
@@ -220,13 +218,13 @@ mod tests {
 
     #[test]
     fn early_termination_miss() {
-        let mut t: RobinHoodTable<u32, Identity> =
-            RobinHoodTable::with_capacity_and_hasher(64, Identity);
+        let mut t: RobinHoodTable<u32, Identity> = RobinHoodTable::with_hasher(Identity);
         t.upsert_with(0, || 1);
-        t.upsert_with(64, || 2); // displaced to dib 1
-                                 // Key 1's home is bucket 1 (occupied by key 64 at dib 1);
-                                 // probing for 1 at dib 0 < occupant dib 1 → keep probing; next is
-                                 // empty → miss. Either way: None.
+        t.upsert_with(16, || 2); // same home bucket in 16 slots: dib 1
+        assert_eq!(t.slots.len(), 16);
+        // Key 1's home is bucket 1 (occupied by key 16 at dib 1); probing
+        // for 1 at dib 0 < occupant dib 1 → keep probing; next is empty →
+        // miss. Either way: None.
         assert_eq!(t.get(1), None);
     }
 
@@ -236,8 +234,16 @@ mod tests {
         for k in 0..100u32 {
             t.upsert_with(k, || k);
         }
-        let mut d = t.drain();
-        d.sort_unstable();
-        assert_eq!(d, (0..100u32).map(|k| (k, k)).collect::<Vec<_>>());
+        assert_eq!(t.drain(), (0..100u32).map(|k| (k, k)).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn boundary_keys() {
+        let mut t: RobinHoodTable<u8, Identity> = RobinHoodTable::with_hasher(Identity);
+        t.upsert_with(0, || 1);
+        *t.upsert_with(u32::MAX, || 2) += 1;
+        assert_eq!(t.get(u32::MAX), Some(&3));
+        assert_eq!(t.get(0), Some(&1));
+        assert_eq!(t.drain(), vec![(0, 1), (u32::MAX, 3)]);
     }
 }

@@ -26,6 +26,8 @@ pub trait GroupTable<V> {
     ///
     /// Iteration order is implementation-defined — the paper's point (§2.1):
     /// *"If we do not know exactly which order is produced by a blackbox
-    /// hash table, we have to assume that the data is unordered"*.
+    /// hash table, we have to assume that the data is unordered"*. The
+    /// open-addressing tables drain in first-seen order (their states are
+    /// one array indexed by group id); chaining drains in bucket order.
     fn drain(self) -> Vec<(u32, V)>;
 }

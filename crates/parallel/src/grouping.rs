@@ -24,7 +24,6 @@ use dqo_exec::grouping::GroupedResult;
 use dqo_exec::pipeline::{Blocking, PipelineStats};
 use dqo_exec::ExecError;
 use dqo_hashtable::GroupTable;
-use std::collections::BTreeMap;
 
 /// Which thread-local structure each worker aggregates into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,7 +121,7 @@ where
         load: &load,
     };
     let (result, rows) = match strategy {
-        GroupingStrategy::Hash(table) => table.run(1024, HashStrategy { fold, agg })?,
+        GroupingStrategy::Hash(table) => table.run(HashStrategy { fold, agg })?,
         GroupingStrategy::StaticPerfectHash { min, max } => sph_strategy(fold, agg, min, max)?,
     };
     let mut stats = PipelineStats::default();
@@ -212,18 +211,22 @@ where
                 agg.update(table.upsert_with(k, A::State::default), v);
             }
         })?;
-        let mut merged: BTreeMap<u32, A::State> = BTreeMap::new();
-        for (k, s) in tables.into_iter().flat_map(GroupTable::drain) {
-            match merged.entry(k) {
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    agg.merge(e.get_mut(), &s);
-                }
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(s);
+        // Equal keys from different workers become neighbours; the
+        // aggregate is decomposable, so folding them in any order gives
+        // the same state.
+        let mut partials: Vec<(u32, A::State)> =
+            tables.into_iter().flat_map(GroupTable::drain).collect();
+        partials.sort_unstable_by_key(|&(k, _)| k);
+        let (mut keys, mut states) = (Vec::new(), Vec::<A::State>::new());
+        for (k, s) in partials {
+            match states.last_mut() {
+                Some(last) if keys.last() == Some(&k) => agg.merge(last, &s),
+                _ => {
+                    keys.push(k);
+                    states.push(s);
                 }
             }
         }
-        let (keys, states) = merged.into_iter().unzip();
         Ok((
             GroupedResult {
                 keys,

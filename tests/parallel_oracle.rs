@@ -25,22 +25,6 @@ use dqo::{Dqo, OptimizerMode};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
-/// Every HG table molecule: each hashing table under each hash function.
-fn hg_tables() -> [HgTable; 9] {
-    use dqo::plan::HashFnMolecule::{Fibonacci, Identity, Murmur3};
-    [
-        HgTable::Chaining(Murmur3),
-        HgTable::Chaining(Fibonacci),
-        HgTable::Chaining(Identity),
-        HgTable::LinearProbing(Murmur3),
-        HgTable::LinearProbing(Fibonacci),
-        HgTable::LinearProbing(Identity),
-        HgTable::RobinHood(Murmur3),
-        HgTable::RobinHood(Fibonacci),
-        HgTable::RobinHood(Identity),
-    ]
-}
-
 fn db_with_table(rows: usize, groups: usize, seed: u64, threads: usize) -> Dqo {
     let mut db = Dqo::new();
     db.engine_mut().set_threads(threads);
@@ -104,7 +88,7 @@ fn grouping_matches_serial_under_skew() {
         for threads in THREAD_COUNTS {
             let pool = ThreadPool::new(threads);
             let sph = GroupingStrategy::StaticPerfectHash { min: 0, max: 127 };
-            for strategy in hg_tables()
+            for strategy in HgTable::ALL
                 .map(GroupingStrategy::Hash)
                 .into_iter()
                 .chain([sph])
