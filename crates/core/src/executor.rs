@@ -8,14 +8,21 @@
 //! [`Selection`] of its rows — not a copied relation. Scans select row
 //! ranges, filters narrow the selection with a branch-free kernel, sort
 //! permutes it (under a `Limit`, only its first `n` positions are found),
-//! limit truncates it, project drops column handles. A single-key HG/SPHG
-//! runs a filter beneath it, and an SPHJ beneath that, inside the loader
-//! of its own tasks (see `Fused`): no join output is built. Column data
-//! is copied in three places only: kernel scratch (the key and value
-//! columns a grouping, sort or join reads through a selection that is not
-//! one dense run, or that a fused grouping reads through its join), the
-//! output of a join that is not fused (the columns something above it
-//! reads, nothing else), and the plan root.
+//! limit truncates it, project drops column handles.
+//!
+//! HG and SPHG have one loop, `dqo_parallel::parallel_grouping_tasks`: it
+//! folds the pieces of the selection into per-worker partials under an
+//! `Exchange`, and into one partial on the caller thread otherwise —
+//! which is serial HG/SPHG, row for row. A single-key HG/SPHG runs a
+//! filter beneath it, and an SPHJ beneath that, inside the loader of its
+//! own tasks at any DOP (see `Fused`): no join output is built. Every
+//! SPHJ takes its index from `Exec::sph_index` and probes it, per morsel
+//! under an `Exchange`. Column data is copied in three places only:
+//! kernel scratch (the key and value columns a grouping, sort or join
+//! reads through a selection that is not one dense run — per piece for
+//! HG/SPHG — or that a fused grouping reads through its join), the output
+//! of a join that is not fused (the columns something above it reads,
+//! nothing else), and the plan root.
 //!
 //! A [`naive_eval`] reference evaluator (nested loops + BTreeMap + a
 //! row-at-a-time predicate) provides the correctness oracle for
@@ -27,7 +34,7 @@ use crate::error::CoreError;
 use crate::Result;
 use dqo_exec::aggregate::{FullAgg, FullAggState};
 use dqo_exec::composite::{rowwise_group, unpack_grouped, KeyPacker};
-use dqo_exec::grouping::hg::{hash_grouping_with, HgTable};
+use dqo_exec::grouping::hg::HgTable;
 use dqo_exec::grouping::sog::sort_order_grouping;
 use dqo_exec::grouping::{execute_grouping, GroupedResult, GroupingHints};
 use dqo_exec::join::sphj::SphIndex;
@@ -374,7 +381,16 @@ impl<'a> Exec<'a> {
                 left_key,
                 right_key,
                 algo,
-            } => self.join(plan, left, right, left_key, right_key, *algo, tp),
+            } => {
+                let join = JoinNode {
+                    node: plan,
+                    left,
+                    right,
+                    left_key,
+                    right_key,
+                };
+                self.join(join, *algo, tp)
+            }
             PhysicalPlan::GroupBy {
                 input,
                 keys,
@@ -421,77 +437,83 @@ impl<'a> Exec<'a> {
 }
 
 impl<'a> Exec<'a> {
-    /// The prebuilt SPH index AV a join of `left` on `left_key` can probe
-    /// instead of building one: `left` must scan the indexed table whole.
-    fn prebuilt_index(
-        &self,
-        algo: JoinAlgorithm,
-        left: &PhysicalPlan,
-        left_key: &str,
-    ) -> Option<Arc<SphIndex>> {
-        match (self.avs, algo, left) {
-            (Some(avs), JoinAlgorithm::StaticPerfectHash, PhysicalPlan::Scan { table }) => avs
-                .lookup(table, left_key, AvKind::SphIndex)
+    /// The SPH index an SPHJ probes, for a join node and a fused grouping
+    /// alike: the prebuilt SPH-index AV when the build side scans the
+    /// indexed table whole, else one built over `l`, the build side's rows
+    /// (an empty one gives an index nothing matches). A prebuilt index
+    /// streams its `probe_rows`; a fresh build is a breaker over both
+    /// sides.
+    fn sph_index(
+        &mut self,
+        join: &JoinNode<'_>,
+        l: &View<'_>,
+        probe_rows: usize,
+    ) -> Result<Arc<SphIndex>> {
+        let prebuilt = match (self.avs, join.left) {
+            (Some(avs), PhysicalPlan::Scan { table }) => avs
+                .lookup(table, join.left_key, AvKind::SphIndex)
                 .and_then(|av| match &av.artifact {
                     Some(AvArtifact::SphIndex(idx)) => Some(Arc::clone(idx)),
                     _ => None,
                 }),
             _ => None,
+        };
+        if let Some(index) = prebuilt {
+            self.stats.record(Blocking::Pipelined, probe_rows as u64);
+            return Ok(index);
         }
+        let lcol = l.rel.column(join.left_key)?.as_u32()?;
+        let mut buf = Vec::new();
+        let lk = self.read(join.node, &l.sel, lcol, &mut buf);
+        let rows = lk.len() + probe_rows;
+        self.stats
+            .record(join_blocking(JoinAlgorithm::StaticPerfectHash), rows as u64);
+        let (min, max) = l
+            .domain(join.left_key)
+            .or_else(|| min_max(&l.sel, lcol))
+            .unwrap_or((0, 0));
+        Ok(Arc::new(SphIndex::build(lk, min, max)?))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn join(
         &mut self,
-        plan: &'a PhysicalPlan,
-        left: &'a PhysicalPlan,
-        right: &'a PhysicalPlan,
-        left_key: &str,
-        right_key: &str,
+        join: JoinNode<'a>,
         algo: JoinAlgorithm,
         tp: Option<&ThreadPool>,
     ) -> Result<View<'a>> {
-        let prebuilt = self.prebuilt_index(algo, left, left_key);
-        let l = self.run(left, None)?;
-        let r = self.run(right, None)?;
+        let plan = join.node;
+        let l = self.run(join.left, None)?;
+        let r = self.run(join.right, None)?;
         // The kernels see the key columns through the selections and
         // answer in selection coordinates.
         let (mut lbuf, mut rbuf) = (Vec::new(), Vec::new());
-        let rk = self.read(plan, &r.sel, r.rel.column(right_key)?.as_u32()?, &mut rbuf);
-        let result = if let Some(idx) = prebuilt {
-            self.stats.record(Blocking::Pipelined, rk.len() as u64);
-            idx.probe(rk)
+        let rcol = r.rel.column(join.right_key)?.as_u32()?;
+        let rk = self.read(plan, &r.sel, rcol, &mut rbuf);
+        let result = if algo == JoinAlgorithm::StaticPerfectHash {
+            let index = self.sph_index(&join, &l, rk.len())?;
+            match tp {
+                Some(tp) => dqo_parallel::parallel_sph_probe(tp, &index, rk, DEFAULT_MORSEL_ROWS)?,
+                None => index.probe(rk),
+            }
         } else {
-            let lcol = l.rel.column(left_key)?.as_u32()?;
+            let lcol = l.rel.column(join.left_key)?.as_u32()?;
             let lk = self.read(plan, &l.sel, lcol, &mut lbuf);
-            let domain = l.domain(left_key).or_else(|| min_max(&l.sel, lcol));
             let sort = SortMolecule::Comparison;
-            let (result, par) = match (tp, algo, domain) {
-                // Empty build side: no matches, nothing to build.
-                (_, JoinAlgorithm::StaticPerfectHash, None) => Default::default(),
-                (Some(tp), JoinAlgorithm::StaticPerfectHash, Some((min, max))) => {
-                    dqo_parallel::parallel_sph_join(tp, lk, rk, min, max, DEFAULT_MORSEL_ROWS)?
-                }
-                (Some(tp), JoinAlgorithm::SortOrderBased, _) => {
+            let (result, par) = match (tp, algo) {
+                (Some(tp), JoinAlgorithm::SortOrderBased) => {
                     dqo_parallel::parallel_sort_merge_join(tp, lk, rk, sort, &l.sel.bounds())?
                 }
-                (Some(tp), _, _) => dqo_parallel::parallel_hash_join(
+                (Some(tp), _) => dqo_parallel::parallel_hash_join(
                     tp,
                     lk,
                     rk,
                     &l.sel.bounds(),
                     DEFAULT_MORSEL_ROWS,
                 )?,
-                (None, _, _) => {
-                    let (build_min, build_max) = domain.unzip();
-                    let hints = JoinHints {
-                        build_min,
-                        build_max,
-                        build_distinct: None,
-                    };
+                (None, _) => {
                     let mut stats = PipelineStats::default();
                     stats.record(join_blocking(algo), (lk.len() + rk.len()) as u64);
-                    (run_join(algo, lk, rk, &hints)?, stats)
+                    (run_join(algo, lk, rk, &JoinHints::default())?, stats)
                 }
             };
             self.stats.merge(&par);
@@ -538,17 +560,23 @@ impl<'a> Exec<'a> {
         molecules: GroupingMolecules,
         tp: Option<&ThreadPool>,
     ) -> Result<View<'a>> {
+        let hashed = matches!(
+            algo,
+            GroupingAlgorithm::HashBased | GroupingAlgorithm::StaticPerfectHash
+        );
+        let fused = Fused::under(input).filter(|_| keys.len() == 1 && hashed);
         let grouping = Grouping {
             algo,
             table: HgTable::of(molecules),
             sort: molecules.sort.unwrap_or(SortMolecule::Comparison),
             tp,
+            // A serial grouping still loads on the pool an absorbed
+            // `Exchange` asked for.
+            feed: match (tp, fused.as_ref().and_then(Fused::dop)) {
+                (None, Some(dop)) => Some(ThreadPool::with_pool(dop, (self.pool)())),
+                _ => None,
+            },
         };
-        let hashed = matches!(
-            algo,
-            GroupingAlgorithm::HashBased | GroupingAlgorithm::StaticPerfectHash
-        );
-        let fused = Fused::under(input, tp.is_some()).filter(|_| keys.len() == 1 && hashed);
         if let Some(
             f @ Fused {
                 join: Some(join), ..
@@ -581,7 +609,7 @@ impl<'a> Exec<'a> {
         };
         let out = if keys.len() == 1 {
             // Single key: the kernels run on the raw column, through the
-            // selection (and, in morsel-parallel HG/SPHG, the fused filter).
+            // selection (and, for HG/SPHG, the fused filter).
             let source = Source {
                 sel,
                 conjuncts,
@@ -592,10 +620,10 @@ impl<'a> Exec<'a> {
                     .map(Side::Probe),
             };
             let domain = view.domain(&keys[0]);
-            let (result, ran) = self.grouped(plan, &grouping, &source, domain, None)?;
+            let (result, ran) = self.grouped(plan, &grouping, &source, domain)?;
             if let (Some(f), Some(c)) = (&fused, self.obs.as_mut()) {
                 let input = c.slot(f.input).cloned().unwrap_or_default();
-                f.record(c, input, &ran, tp.map_or(1, ThreadPool::threads));
+                f.record(c, input, &ran, grouping.workers());
             }
             grouped_to_relation(&layouts, vec![result.keys], aggs, &result.states)?
         } else {
@@ -624,7 +652,7 @@ impl<'a> Exec<'a> {
                         keys: Side::Probe(&packed),
                         values: Some(Side::Probe(values)),
                     };
-                    let (result, _) = self.grouped(plan, &grouping, &source, None, None)?;
+                    let (result, _) = self.grouped(plan, &grouping, &source, None)?;
                     let (cols, states) = unpack_grouped(&packer, result);
                     grouped_to_relation(&layouts, cols, aggs, &states)?
                 }
@@ -639,12 +667,12 @@ impl<'a> Exec<'a> {
         Ok(View::of(out))
     }
 
-    /// Single-key HG/SPHG over a fused SPHJ: the build side is indexed (or
-    /// its prebuilt SPH-index AV is taken), and the grouping's loader
-    /// probes it piece by piece of the probe side's selection — no join
-    /// output is materialised. The filter's conjuncts are split by the
-    /// side whose column each reads: probe-side ones narrow a piece before
-    /// it probes, build-side ones narrow the matches.
+    /// Single-key HG/SPHG over a fused SPHJ: the grouping's loader probes
+    /// the join's index (see [`Exec::sph_index`]) piece by piece of the
+    /// probe side's selection — no join output is materialised. The
+    /// filter's conjuncts are split by the side whose column each reads:
+    /// probe-side ones narrow a piece before it probes, build-side ones
+    /// narrow the matches.
     fn group_join(
         &mut self,
         plan: &'a PhysicalPlan,
@@ -656,29 +684,9 @@ impl<'a> Exec<'a> {
     ) -> Result<View<'a>> {
         let began = Instant::now();
         let before = self.stats;
-        let algo = JoinAlgorithm::StaticPerfectHash;
-        let prebuilt = self.prebuilt_index(algo, join.left, join.left_key);
         let l = self.run(join.left, None)?;
         let r = self.run(join.right, None)?;
-        let lcol = l.rel.column(join.left_key)?.as_u32()?;
-        let index = match prebuilt {
-            Some(index) => {
-                self.stats.record(Blocking::Pipelined, r.sel.len() as u64);
-                index
-            }
-            None => {
-                let mut buf = Vec::new();
-                let lk = self.read(join.node, &l.sel, lcol, &mut buf);
-                let rows = lk.len() + r.sel.len();
-                self.stats.record(join_blocking(algo), rows as u64);
-                let domain = l.domain(join.left_key).or_else(|| min_max(&l.sel, lcol));
-                Arc::new(match domain {
-                    Some((min, max)) => SphIndex::build(lk, min, max)?,
-                    // Empty build side: an index nothing matches.
-                    None => SphIndex::build(&[], 0, 0)?,
-                })
-            }
-        };
+        let index = self.sph_index(join, &l, r.sel.len())?;
 
         // Names of the join's output schema resolve to a side's columns.
         let schema = l.rel.schema().join(r.rel.schema(), "right")?;
@@ -722,19 +730,12 @@ impl<'a> Exec<'a> {
             ..OperatorMetrics::default()
         };
 
-        // A serial grouping still probes on the pool an absorbed `Exchange`
-        // asked for, concatenating in piece order.
-        let feed = match (grouping.tp, fused.dop()) {
-            (None, Some(dop)) => Some(ThreadPool::with_pool(dop, (self.pool)())),
-            _ => None,
-        };
-        let (result, ran) = self.grouped(plan, grouping, &source, Some(domain), feed.as_ref())?;
+        let (result, ran) = self.grouped(plan, grouping, &source, Some(domain))?;
         if fused.filter.is_some() {
             self.stats.record(Blocking::Pipelined, ran.pairs);
         }
         if let Some(c) = self.obs.as_mut() {
-            let workers = grouping.tp.or(feed.as_ref()).map_or(1, ThreadPool::threads);
-            fused.record(c, below, &ran, workers);
+            fused.record(c, below, &ran, grouping.workers());
         }
         Ok(View::of(grouped_to_relation(
             &[layout],
@@ -744,112 +745,21 @@ impl<'a> Exec<'a> {
         )?))
     }
 
-    /// Group the rows `src` loads under `how`. Morsel-parallel HG/SPHG run
-    /// the loader inside their tasks. The whole-column kernels (serial
-    /// grouping, the parallel sort behind SOG) read through the selection
-    /// — or, for a fused source, take what the loader delivers piece by
-    /// piece, on `feed` when given, concatenated in piece order.
+    /// Group the rows `src` loads under `how`. HG and SPHG fold the pieces
+    /// of the selection as the loader delivers them: in tasks on the
+    /// grouping's pool, else on the caller thread, in piece order — loaded
+    /// first on the `feed` pool of an `Exchange` a serial grouping
+    /// absorbed. SOG, OG and BSG read whole columns through the selection.
     fn grouped(
         &mut self,
         plan: &PhysicalPlan,
         how: &Grouping<'_>,
         src: &Source<'_>,
         domain: Option<(u32, u32)>,
-        feed: Option<&ThreadPool>,
     ) -> Result<(GroupedResult<FullAggState>, FusedRun)> {
-        let timed = self.obs.is_some();
-        let pieces = src.sel.pieces(DEFAULT_MORSEL_ROWS);
-        let ran = Counters::default();
-        let Some(tp) = how
-            .tp
-            .filter(|_| how.algo != GroupingAlgorithm::SortOrderBased)
-        else {
-            let (mut kbuf, mut vbuf) = (Vec::new(), Vec::new());
-            let (keys, values) = if src.fused() {
-                // One task per piece on `feed`; serially, one pass over all
-                // pieces with one scratch.
-                let load = |pieces: &[Piece<'_>]| {
-                    let mut scratch = Scratch::default();
-                    let (mut keys, mut values) = (Vec::new(), Vec::new());
-                    for piece in pieces {
-                        let began = timed.then(Instant::now);
-                        let sink = &mut |k: &[u32], v: &[u32]| {
-                            keys.extend_from_slice(k);
-                            if src.values.is_some() {
-                                values.extend_from_slice(v);
-                            }
-                        };
-                        src.load(piece, &mut scratch, sink, &ran)?;
-                        ran.time(began);
-                    }
-                    Ok::<_, ExecError>((keys, values))
-                };
-                let chunks = match feed {
-                    Some(tp) => tp.map_tasks(pieces.len(), |t| load(&pieces[t..=t]))?,
-                    None => vec![load(&pieces)],
-                };
-                let mut chunks = chunks
-                    .into_iter()
-                    .collect::<std::result::Result<Vec<_>, _>>()?;
-                (kbuf, vbuf) = match chunks.len() {
-                    1 => chunks.pop().expect("one chunk"),
-                    _ => {
-                        let (k, v): (Vec<_>, Vec<_>) = chunks.into_iter().unzip();
-                        (k.concat(), v.concat())
-                    }
-                };
-                self.copied(plan, ran.copied.load(Ordering::Relaxed) as usize);
-                let keys = &kbuf[..];
-                match src.values {
-                    Some(_) => (keys, &vbuf[..]),
-                    None => (keys, keys),
-                }
-            } else {
-                let keys = self.read(plan, src.sel, src.keys.data(), &mut kbuf);
-                let values = match src.values {
-                    Some(v) => self.read(plan, src.sel, v.data(), &mut vbuf),
-                    None => keys,
-                };
-                (keys, values)
-            };
-            let result = match (how.tp, how.algo) {
-                (Some(tp), _) => {
-                    let bounds = src.sel.bounds();
-                    let (result, par) =
-                        dqo_parallel::parallel_sog(tp, keys, values, FullAgg, how.sort, &bounds)?;
-                    self.stats.merge(&par);
-                    result
-                }
-                // The plan's molecules select the concrete hash table and
-                // hash function, or the sort.
-                (None, GroupingAlgorithm::HashBased) => {
-                    hash_grouping_with(keys, values, FullAgg, how.table)
-                }
-                (None, GroupingAlgorithm::SortOrderBased) => {
-                    sort_order_grouping(keys, values, FullAgg, how.sort)
-                }
-                (None, _) => {
-                    let (min, max) = domain.unzip();
-                    let hints = GroupingHints {
-                        min,
-                        max,
-                        ..GroupingHints::default()
-                    };
-                    execute_grouping(how.algo, keys, values, FullAgg, &hints)?
-                }
-            };
-            if how.tp.is_none() {
-                self.stats
-                    .record(grouping_blocking(how.algo), keys.len() as u64);
-            }
-            return Ok((result, ran.run(pieces.len())));
-        };
-        // Morsel-parallel HG/SPHG: each task loads its piece of the
-        // selection into its worker's scratch (a dense run is read in
-        // place) and folds it into the worker's partial aggregate.
         let strategy = match how.algo {
             GroupingAlgorithm::HashBased => GroupingStrategy::Hash(how.table),
-            _ => {
+            GroupingAlgorithm::StaticPerfectHash => {
                 // Without statistics (a column computed by a join or a
                 // grouping) the domain is folded from the column itself,
                 // through the selection.
@@ -858,33 +768,102 @@ impl<'a> Exec<'a> {
                     .unwrap_or((0, 0));
                 GroupingStrategy::StaticPerfectHash { min, max }
             }
+            _ => return Ok((self.whole_column(plan, how, src)?, FusedRun::default())),
         };
-        let (result, par) = dqo_parallel::parallel_grouping_tasks(
-            tp,
-            pieces.len(),
-            FullAgg,
-            strategy,
-            |t, scratch, sink| {
-                let began = timed.then(Instant::now);
-                src.load(&pieces[t], scratch, sink, &ran)?;
-                ran.time(began);
-                Ok(())
-            },
-        )?;
+        // Each piece is loaded into scratch (a dense run is read in place)
+        // and folded into a partial aggregate.
+        let timed = self.obs.is_some();
+        let pieces = src.sel.pieces(DEFAULT_MORSEL_ROWS);
+        let ran = Counters::default();
+        let load = |t: usize, scratch: &mut Scratch, sink: Sink<'_>| {
+            let began = timed.then(Instant::now);
+            src.load(&pieces[t], scratch, sink, &ran)?;
+            ran.time(began);
+            Ok(())
+        };
+        let (result, par) = match &how.feed {
+            Some(feed) => {
+                let chunks = feed.map_tasks(pieces.len(), |t| {
+                    let (mut keys, mut values) = (Vec::new(), Vec::new());
+                    let sink = &mut |k: &[u32], v: &[u32]| {
+                        keys.extend_from_slice(k);
+                        values.extend_from_slice(v);
+                    };
+                    load(t, &mut Scratch::default(), sink).map(|()| (keys, values))
+                })?;
+                let chunks = chunks
+                    .into_iter()
+                    .collect::<std::result::Result<Vec<_>, ExecError>>()?;
+                let fold = |t: usize, _: &mut Scratch, sink: Sink<'_>| {
+                    sink(&chunks[t].0, &chunks[t].1);
+                    Ok(())
+                };
+                dqo_parallel::parallel_grouping_tasks(None, chunks.len(), FullAgg, strategy, fold)?
+            }
+            None => {
+                let tasks = pieces.len();
+                dqo_parallel::parallel_grouping_tasks(how.tp, tasks, FullAgg, strategy, load)?
+            }
+        };
         self.stats.merge(&par);
         self.copied(plan, ran.copied.load(Ordering::Relaxed) as usize);
         Ok((result, ran.run(pieces.len())))
     }
+
+    /// SOG, OG and BSG over whole key and value columns, read through the
+    /// selection (SOG in parallel when the grouping has a pool).
+    fn whole_column(
+        &mut self,
+        plan: &PhysicalPlan,
+        how: &Grouping<'_>,
+        src: &Source<'_>,
+    ) -> Result<GroupedResult<FullAggState>> {
+        let (mut kbuf, mut vbuf) = (Vec::new(), Vec::new());
+        let keys = self.read(plan, src.sel, src.keys.data(), &mut kbuf);
+        let values = match src.values {
+            Some(v) => self.read(plan, src.sel, v.data(), &mut vbuf),
+            None => keys,
+        };
+        let result = match (how.tp, how.algo) {
+            (Some(tp), _) => {
+                let bounds = src.sel.bounds();
+                let (result, par) =
+                    dqo_parallel::parallel_sog(tp, keys, values, FullAgg, how.sort, &bounds)?;
+                self.stats.merge(&par);
+                return Ok(result);
+            }
+            (None, GroupingAlgorithm::SortOrderBased) => {
+                sort_order_grouping(keys, values, FullAgg, how.sort)
+            }
+            (None, algo) => {
+                execute_grouping(algo, keys, values, FullAgg, &GroupingHints::default())?
+            }
+        };
+        self.stats
+            .record(grouping_blocking(how.algo), keys.len() as u64);
+        Ok(result)
+    }
 }
 
 /// How a `GroupBy` node groups: the organelle, the HG table and SOG sort
-/// molecules, and the pool handle when an `Exchange` asked for morsel
-/// parallelism.
+/// molecules, the pool handle when an `Exchange` asked for morsel
+/// parallelism, and — only for a serial grouping that absorbed an
+/// `Exchange` — the pool that loads its pieces.
 struct Grouping<'t> {
     algo: GroupingAlgorithm,
     table: HgTable,
     sort: SortMolecule,
     tp: Option<&'t ThreadPool>,
+    feed: Option<ThreadPool>,
+}
+
+impl Grouping<'_> {
+    /// The workers that share the loader.
+    fn workers(&self) -> usize {
+        self.tp
+            .or(self.feed.as_ref())
+            .map_or(1, ThreadPool::threads)
+    }
 }
 
 /// A column a fused grouping reads: of the relation whose selection its
@@ -953,12 +932,6 @@ impl<'s> RowsOf<'s> {
 }
 
 impl Source<'_> {
-    /// True when the loader does more than read the selection: a filter
-    /// or a join was fused.
-    fn fused(&self) -> bool {
-        self.probe.is_some() || !self.conjuncts.is_empty()
-    }
-
     /// Load one piece of the selection: narrow it by the conjuncts; for a
     /// fused join, probe each survivor in order and narrow the matches by
     /// the build-side conjuncts — the pairs the join and the filter above
@@ -1122,8 +1095,8 @@ struct JoinNode<'a> {
 }
 
 /// The nodes a single-key HG/SPHG runs inside its own loader instead of as
-/// nodes of their own: `[Exchange] [Filter] [Exchange] SPHJ` at any DOP,
-/// and `[Exchange] Filter` under a morsel-parallel grouping.
+/// nodes of their own, at any DOP: `[Exchange] [Filter] [Exchange] SPHJ`
+/// and `[Exchange] Filter`.
 struct Fused<'a> {
     /// The `Exchange` directly beneath the grouping.
     upper: Absorbed<'a>,
@@ -1136,7 +1109,7 @@ struct Fused<'a> {
 }
 
 impl<'a> Fused<'a> {
-    fn under(plan: &'a PhysicalPlan, parallel: bool) -> Option<Self> {
+    fn under(plan: &'a PhysicalPlan) -> Option<Self> {
         let exchange = |p: &'a PhysicalPlan| match p {
             PhysicalPlan::Exchange { input, dop } => (Some((p, *dop)), input.as_ref()),
             other => (None, other),
@@ -1167,7 +1140,7 @@ impl<'a> Fused<'a> {
                 }),
                 input: below,
             }),
-            _ => (parallel && filter.is_some()).then_some(Fused {
+            _ => filter.is_some().then_some(Fused {
                 upper,
                 filter,
                 lower: None,
@@ -1800,6 +1773,7 @@ pub fn sorted_rows(rel: &Relation) -> Vec<Vec<Value>> {
 mod tests {
     use super::*;
     use crate::optimizer::{optimize, OptimizerMode};
+    use dqo_exec::grouping::hg::hash_grouping_with;
     use dqo_plan::expr::CmpOp;
     use dqo_storage::datagen::{DatasetSpec, ForeignKeySpec};
 
@@ -2125,6 +2099,13 @@ mod tests {
         }
         .generate()
         .unwrap();
+        // S again, range-partitioned on r_id: a scan of partitions 0 and 2
+        // selects two row ranges.
+        let spec = dqo_storage::PartitionSpec::range("r_id", vec![5_000, 10_000, 15_000]);
+        cat.register_partitioned(
+            "SP",
+            dqo_storage::PartitionedRelation::new(s.clone(), spec).unwrap(),
+        );
         cat.register("R", r);
         cat.register("S", s);
         let join = |left: &str, right: &str, left_key: &str, right_key: &str| PhysicalPlan::Join {
@@ -2161,19 +2142,46 @@ mod tests {
                 GroupingMolecules::defaults_for(GroupingAlgorithm::StaticPerfectHash),
             ),
         ];
+        let filter = |input: PhysicalPlan, predicate: &Predicate| PhysicalPlan::Filter {
+            input: Box::new(input),
+            predicate: predicate.clone(),
+        };
+        let bare = Predicate::cmp("payload", CmpOp::Lt, 700u32);
+        let scan_s = PhysicalPlan::Scan { table: "S".into() };
+        let pruned = PhysicalPlan::PartitionedScan {
+            table: "SP".into(),
+            parts: vec![0, 2],
+            total: 4,
+        };
         // R builds on its unique ids (the one-array index), S on repeated
-        // r_ids (CSR); the key and the summed column from either side.
-        for (join, key, sum) in [
-            (join("R", "S", "id", "r_id"), "a", "payload"),
-            (join("R", "S", "id", "r_id"), "payload", "a"),
-            (join("S", "R", "r_id", "id"), "a", "payload"),
-            (join("S", "R", "r_id", "id"), "payload", "payload"),
+        // r_ids (CSR); the key and the summed column from either side. Then
+        // a bare filter over a scan and over a pruned partitioned scan.
+        for (filtered, key, sum) in [
+            (
+                filter(join("R", "S", "id", "r_id"), &predicate),
+                "a",
+                "payload",
+            ),
+            (
+                filter(join("R", "S", "id", "r_id"), &predicate),
+                "payload",
+                "a",
+            ),
+            (
+                filter(join("S", "R", "r_id", "id"), &predicate),
+                "a",
+                "payload",
+            ),
+            (
+                filter(join("S", "R", "r_id", "id"), &predicate),
+                "payload",
+                "payload",
+            ),
+            (filter(scan_s, &bare), "r_id", "payload"),
+            (filter(pruned.clone(), &bare), "r_id", "payload"),
+            (filter(pruned, &bare), "payload", "payload"),
         ] {
-            let filtered = PhysicalPlan::Filter {
-                input: Box::new(join),
-                predicate: predicate.clone(),
-            };
-            // The unfused reference: the join and the filter as nodes, then
+            // The unfused reference: the filter and its input as nodes, then
             // the same serial kernel over their output.
             let joined = execute(&filtered, &cat).unwrap().relation;
             let keys = joined.column(key).unwrap().as_u32().unwrap();
@@ -2194,9 +2202,9 @@ mod tests {
                 let expect =
                     grouped_to_relation(&layouts, vec![expect.keys], &aggs, &expect.states)
                         .unwrap();
-                // Serially, and with the filter and the join under `Exchange`
-                // while the grouping stays serial: the probe then runs in
-                // parallel pieces, concatenated in order.
+                // Serially, and with the filter and its input under
+                // `Exchange` while the grouping stays serial: the pieces are
+                // then loaded in parallel and folded in order.
                 let exchange = |input: &PhysicalPlan| PhysicalPlan::Exchange {
                     input: Box::new(input.clone()),
                     dop: 4,
@@ -2206,7 +2214,7 @@ mod tests {
                         input: Box::new(exchange(input)),
                         predicate: predicate.clone(),
                     }),
-                    _ => unreachable!("a filter over the join"),
+                    _ => unreachable!("a filter"),
                 };
                 for input in [filtered.clone(), parallel_probe] {
                     let plan = PhysicalPlan::GroupBy {
@@ -2225,7 +2233,7 @@ mod tests {
                     );
                     assert!(out.relation.rows() > 10);
                     // Only the grouping's scratch was copied, never a join
-                    // output.
+                    // output or a whole column.
                     assert!(out.bytes_materialised <= 8 * joined.rows() as u64);
                 }
             }

@@ -1,15 +1,16 @@
-//! Parallel grouping: thread-local aggregation over morsels, then a
-//! deterministic merge.
+//! HG/SPHG as a fold of loaded pieces: thread-local aggregation over
+//! morsels and a deterministic merge — or, with no pool, serial HG/SPHG.
 //!
-//! Every worker folds the morsels it executes into a thread-local
-//! structure — the same *molecule* the plan chose for the serial engine
-//! (the HG table/hash pair, or the dense SPH array for SPHG) — and the
-//! partial states are merged once at the end. Correctness rests on the
-//! aggregate being decomposable
+//! Every worker folds the pieces it executes into a thread-local
+//! structure — the same *molecule* the plan chose (the HG table/hash pair,
+//! or the dense SPH array for SPHG) — and the partial states are merged
+//! once at the end. Correctness rests on the aggregate being decomposable
 //! ([`Aggregator::IS_DECOMPOSABLE`]): per-key partial states over a
 //! disjoint row partition merge to the same final state regardless of how
 //! work stealing split the morsels, so the output is **deterministic**
-//! (and emitted in ascending key order) for any thread count.
+//! (and emitted in ascending key order) for any thread count. Without a
+//! pool the caller folds every piece in order into one partial, which is
+//! what the serial kernels do, row for row.
 //!
 //! A task obtains its key and value slices from a caller-supplied loader,
 //! so the rows of a morsel can be read *through a selection* (narrowed
@@ -89,7 +90,7 @@ pub fn parallel_grouping<A: Aggregator>(
         });
     }
     let ms = morsels_within(bounds, morsel_rows);
-    parallel_grouping_tasks(pool, ms.len(), agg, strategy, |t, _, sink| {
+    parallel_grouping_tasks(Some(pool), ms.len(), agg, strategy, |t, _, sink| {
         sink(ms[t].of(keys), ms[t].of(values));
         Ok(())
     })
@@ -100,8 +101,12 @@ pub fn parallel_grouping<A: Aggregator>(
 /// slices — borrowed from the columns or compacted into the worker's
 /// scratch — to `sink`. The breaker accounting counts the rows the loader
 /// actually delivered.
+///
+/// With no `pool` the caller folds the tasks in order into one partial:
+/// the serial kernel's result over the concatenated slices, row for row
+/// (HG's table drained unsorted, SPHG's one array), and no merge breaker.
 pub fn parallel_grouping_tasks<A, L>(
-    pool: &ThreadPool,
+    pool: Option<&ThreadPool>,
     tasks: usize,
     agg: A,
     strategy: GroupingStrategy,
@@ -130,7 +135,9 @@ where
     // group count (not the per-worker partial count, which depends on
     // the nondeterministic work-stealing split) so the stats honour the
     // same determinism contract as the results.
-    stats.record(Blocking::FullBreaker, result.len() as u64);
+    if pool.is_some() {
+        stats.record(Blocking::FullBreaker, result.len() as u64);
+    }
     Ok((result, stats))
 }
 
@@ -145,37 +152,43 @@ struct Worker<P> {
 
 /// The task list of one grouping batch and how to load each task.
 struct Fold<'a, L> {
-    pool: &'a ThreadPool,
+    pool: Option<&'a ThreadPool>,
     tasks: usize,
     load: &'a L,
 }
 
 impl<L: Fn(usize, &mut Scratch, Sink<'_>) -> Result<(), ExecError> + Sync> Fold<'_, L> {
-    /// Fold every task into per-worker partials: returns the partials of
-    /// the workers that ran at least one task, and the rows consumed.
+    /// Fold every task into per-worker partials (the caller is the one
+    /// worker without a pool): returns the partials of the workers that
+    /// ran at least one task, and the rows consumed.
     fn run<P: Send>(
         &self,
         init: impl Fn() -> P + Sync,
         step: impl Fn(&mut P, &[u32], &[u32]) + Sync,
     ) -> Result<(Vec<P>, u64), ExecError> {
-        let workers = self.pool.fold_tasks(
-            self.tasks,
-            || Worker {
-                partial: init(),
-                scratch: Scratch::default(),
-                rows: 0,
-                failed: None,
-            },
-            |w, t| {
-                let (partial, rows) = (&mut w.partial, &mut w.rows);
-                let loaded = (self.load)(t, &mut w.scratch, &mut |keys, values| {
-                    assert_eq!(keys.len(), values.len(), "loader delivers aligned slices");
-                    *rows += keys.len() as u64;
-                    step(partial, keys, values);
-                });
-                w.failed = w.failed.take().or(loaded.err());
-            },
-        )?;
+        let init = || Worker {
+            partial: init(),
+            scratch: Scratch::default(),
+            rows: 0,
+            failed: None,
+        };
+        let fold = |w: &mut Worker<P>, t| {
+            let (partial, rows) = (&mut w.partial, &mut w.rows);
+            let loaded = (self.load)(t, &mut w.scratch, &mut |keys, values| {
+                assert_eq!(keys.len(), values.len(), "loader delivers aligned slices");
+                *rows += keys.len() as u64;
+                step(partial, keys, values);
+            });
+            w.failed = w.failed.take().or(loaded.err());
+        };
+        let workers = match self.pool {
+            Some(pool) => pool.fold_tasks(self.tasks, init, fold)?,
+            None => {
+                let mut workers = Vec::from_iter((self.tasks > 0).then(init));
+                (0..self.tasks).for_each(|t| fold(&mut workers[0], t));
+                workers
+            }
+        };
         let mut rows = 0;
         let mut partials = Vec::with_capacity(workers.len());
         for w in workers {
@@ -189,9 +202,10 @@ impl<L: Fn(usize, &mut Scratch, Sink<'_>) -> Result<(), ExecError> + Sync> Fold<
     }
 }
 
-/// Parallel HG: every worker upserts its morsels straight into one table
-/// of the plan's molecule; worker tables merge into a key-sorted result,
-/// so the output does not depend on the molecule or on the split.
+/// HG: every worker upserts its morsels straight into one table of the
+/// plan's molecule; worker tables merge into a key-sorted result, so the
+/// output does not depend on the molecule or on the split. The caller's
+/// one table drains as it is, in the table's own order.
 struct HashStrategy<'a, A, L> {
     fold: Fold<'a, L>,
     agg: A,
@@ -211,6 +225,15 @@ where
                 agg.update(table.upsert_with(k, A::State::default), v);
             }
         })?;
+        if self.fold.pool.is_none() {
+            let (keys, states) = tables.into_iter().flat_map(GroupTable::drain).unzip();
+            let result = GroupedResult {
+                keys,
+                states,
+                sorted_by_key: false,
+            };
+            return Ok((result, rows));
+        }
         // Equal keys from different workers become neighbours; the
         // aggregate is decomposable, so folding them in any order gives
         // the same state.
@@ -245,9 +268,10 @@ struct SphPartial<S> {
     out_of_domain: Option<u32>,
 }
 
-/// Parallel SPHG: each worker owns a dense `[min, max]` array — the same
-/// static-perfect-hash molecule as serial SPHG — and arrays merge
-/// element-wise. Output order is the array order: ascending keys.
+/// SPHG: each worker owns a dense `[min, max]` array — the same
+/// static-perfect-hash molecule as serial SPHG — and the other workers'
+/// arrays merge element-wise into the first one's. Output order is the
+/// array order: ascending keys.
 fn sph_strategy<A, L>(
     fold: Fold<'_, L>,
     agg: A,
@@ -260,7 +284,7 @@ where
 {
     if max < min {
         return Err(ExecError::PreconditionViolated {
-            algorithm: "parallel SPHG",
+            algorithm: "SPHG",
             detail: format!("empty domain: max ({max}) < min ({min})"),
         });
     }
@@ -278,38 +302,40 @@ where
                         p.occupied[off as usize] = true;
                         agg.update(&mut p.slots[off as usize], v);
                     }
-                    _ => p.out_of_domain = Some(k),
+                    _ => {
+                        p.out_of_domain.get_or_insert(k);
+                    }
                 }
             }
         },
     )?;
     if let Some(k) = partials.iter().find_map(|p| p.out_of_domain) {
         return Err(ExecError::PreconditionViolated {
-            algorithm: "parallel SPHG",
+            algorithm: "SPHG",
             detail: format!("key {k} outside dense domain [{min}, {max}]"),
         });
     }
-    let mut slots: Vec<A::State> = vec![A::State::default(); domain];
-    let mut occupied = vec![false; domain];
-    for p in partials {
-        for (off, seen) in p.occupied.into_iter().enumerate() {
-            if seen {
-                occupied[off] = true;
-                agg.merge(&mut slots[off], &p.slots[off]);
+    let (mut keys, mut states) = (Vec::new(), Vec::new());
+    let mut partials = partials.into_iter();
+    if let Some(mut all) = partials.next() {
+        for p in partials {
+            for (off, seen) in p.occupied.into_iter().enumerate() {
+                if seen {
+                    all.occupied[off] = true;
+                    agg.merge(&mut all.slots[off], &p.slots[off]);
+                }
             }
         }
-    }
-    let mut keys_out = Vec::new();
-    let mut states = Vec::new();
-    for (off, state) in slots.into_iter().enumerate() {
-        if occupied[off] {
-            keys_out.push(min + off as u32);
-            states.push(state);
+        for ((off, state), seen) in all.slots.into_iter().enumerate().zip(all.occupied) {
+            if seen {
+                keys.push(min + off as u32);
+                states.push(state);
+            }
         }
     }
     Ok((
         GroupedResult {
-            keys: keys_out,
+            keys,
             states,
             sorted_by_key: true,
         },
@@ -321,7 +347,9 @@ where
 mod tests {
     use super::*;
     use crate::morsel::DEFAULT_MORSEL_ROWS;
-    use dqo_exec::aggregate::CountSum;
+    use dqo_exec::aggregate::{CountSum, CountSumState};
+    use dqo_exec::grouping::hg::hash_grouping_with;
+    use dqo_exec::grouping::sphg::sph_grouping;
     use dqo_exec::grouping::{execute_grouping, GroupingAlgorithm, GroupingHints};
 
     fn dataset(n: usize, groups: u32) -> (Vec<u32>, Vec<u32>) {
@@ -348,9 +376,24 @@ mod tests {
         r
     }
 
+    /// The fold with no pool, over `keys` cut into 1 000-row pieces.
+    fn fold_on_caller(
+        keys: &[u32],
+        vals: &[u32],
+        strategy: GroupingStrategy,
+    ) -> Result<(GroupedResult<CountSumState>, PipelineStats), ExecError> {
+        let ms = morsels_within(&[0, keys.len()], 1_000);
+        parallel_grouping_tasks(None, ms.len(), CountSum, strategy, |t, _, sink| {
+            sink(ms[t].of(keys), ms[t].of(vals));
+            Ok(())
+        })
+    }
+
     #[test]
     fn hash_matches_serial_across_thread_counts() {
-        let (keys, vals) = dataset(50_000, 97);
+        let (mut keys, vals) = dataset(50_000, 97);
+        // The open-addressing tables' empty-slot marker, as a real key.
+        keys[4_321] = u32::MAX;
         let serial = serial_sorted(&keys, &vals);
         for threads in [1, 2, 8] {
             let pool = ThreadPool::new(threads);
@@ -366,6 +409,21 @@ mod tests {
             .unwrap();
             assert_eq!(r, serial, "threads={threads}");
             assert!(stats.breakers >= 2);
+        }
+        // No pool: the caller folds every piece, in order, into one table,
+        // which drains as the serial kernel's does — row for row, unsorted,
+        // one breaker, under every table × hash pair and on empty input.
+        for table in HgTable::ALL {
+            for (keys, vals) in [(&keys[..], &vals[..]), (&[], &[])] {
+                let (r, stats) = fold_on_caller(keys, vals, GroupingStrategy::Hash(table)).unwrap();
+                assert_eq!(
+                    r,
+                    hash_grouping_with(keys, vals, CountSum, table),
+                    "{table:?}"
+                );
+                assert_eq!(stats.breakers, 1, "{table:?}");
+                assert_eq!(stats.materialised_rows, keys.len() as u64, "{table:?}");
+            }
         }
     }
 
@@ -426,6 +484,20 @@ mod tests {
         .unwrap();
         assert!(r.sorted_by_key);
         assert_eq!(r, serial);
+        // No pool: SPHG's one dense array, as the serial kernel fills it —
+        // also on empty input and on a domain that ends at `u32::MAX`.
+        let top = u32::MAX - 3;
+        let high: Vec<u32> = keys.iter().map(|&k| top + k % 4).collect();
+        for (keys, vals, min, max) in [
+            (&keys[..], &vals[..], 0, 63),
+            (&[][..], &[][..], 0, 63),
+            (&high[..], &vals[..], top, u32::MAX),
+        ] {
+            let strategy = GroupingStrategy::StaticPerfectHash { min, max };
+            let (r, stats) = fold_on_caller(keys, vals, strategy).unwrap();
+            assert_eq!(r, sph_grouping(keys, vals, CountSum, min, max).unwrap());
+            assert_eq!(stats.breakers, 1);
+        }
     }
 
     #[test]
@@ -440,7 +512,22 @@ mod tests {
             &[0, 3],
             DEFAULT_MORSEL_ROWS,
         );
-        assert!(matches!(r, Err(ExecError::PreconditionViolated { .. })));
+        let sphg = |r: &Result<_, ExecError>| {
+            matches!(
+                r,
+                Err(ExecError::PreconditionViolated {
+                    algorithm: "SPHG",
+                    ..
+                })
+            )
+        };
+        assert!(sphg(&r));
+        // On the caller thread too, with the key in a later piece.
+        let mut keys = vec![3; 2_500];
+        keys[2_100] = 99;
+        let strategy = GroupingStrategy::StaticPerfectHash { min: 0, max: 7 };
+        let r = fold_on_caller(&keys, &vec![0; keys.len()], strategy);
+        assert!(sphg(&r));
     }
 
     #[test]

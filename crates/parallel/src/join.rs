@@ -1,6 +1,6 @@
 //! Parallel equi-joins over `u32` key columns.
 //!
-//! Two parallel twins of the serial organelles:
+//! The parallel twins of two serial organelles:
 //!
 //! * [`parallel_hash_join`] — the partitioned parallel HJ: a parallel
 //!   **partition** pass fans the build side out into `P` hash partitions
@@ -10,16 +10,17 @@
 //!   probe key touches exactly its partition's table — the
 //!   distributed/partitioned-table pattern DiCuPIT applies to cuckoo
 //!   filters, here applied to DQO's chaining molecule.
-//! * [`parallel_sph_join`] — parallel SPHJ: the SPH index (a unique
-//!   array for unique build keys, CSR otherwise) is built once over the
-//!   dense build domain, then probe morsels run in parallel through the
-//!   serial probe kernel.
+//! * [`parallel_sph_probe`] — the SPHJ probe of a given SPH index, one
+//!   task per probe morsel through the serial probe kernel. The index
+//!   itself (built fresh, or a prebuilt Algorithmic View) comes from the
+//!   caller, who takes it in one place for serial and parallel probes
+//!   alike.
 //!
 //! Output pairs are concatenated in probe-morsel order, so results are
 //! byte-identical across runs and thread counts.
 
 use crate::morsel::morsels_within;
-use crate::pool::ThreadPool;
+use crate::pool::{PoolError, ThreadPool};
 use dqo_exec::join::sphj::SphIndex;
 use dqo_exec::join::JoinResult;
 use dqo_exec::pipeline::{Blocking, PipelineStats};
@@ -119,30 +120,22 @@ pub fn parallel_hash_join(
     Ok((result, stats))
 }
 
-/// Parallel static-perfect-hash join over the dense build domain
-/// `[min, max]`: serial [`SphIndex::build`] (one pass over `|L|` for
-/// unique keys, two for CSR), then parallel probe morsels through
-/// [`SphIndex::probe`].
-pub fn parallel_sph_join(
+/// Probe `index` with `right`, one task per probe morsel through
+/// [`SphIndex::probe`]: the pairs of the serial probe, in its order.
+pub fn parallel_sph_probe(
     pool: &ThreadPool,
-    left: &[u32],
+    index: &SphIndex,
     right: &[u32],
-    min: u32,
-    max: u32,
     morsel_rows: usize,
-) -> Result<(JoinResult, PipelineStats), ExecError> {
-    let mut stats = PipelineStats::default();
-    let index = SphIndex::build(left, min, max)?;
+) -> Result<JoinResult, PoolError> {
     let chunks = pool.map_morsels(right.len(), morsel_rows, |m| {
-        // The serial probe kernel, applied per morsel; its right-row
-        // indices are morsel-local and rebased below.
+        // The probe's right-row indices are morsel-local; rebase them.
         let mut local = index.probe(m.of(right));
         for r in &mut local.right_rows {
             *r += m.start as u32;
         }
         local
     })?;
-    stats.record(Blocking::FullBreaker, (left.len() + right.len()) as u64);
     let mut result = JoinResult {
         left_rows: Vec::new(),
         right_rows: Vec::new(),
@@ -152,7 +145,7 @@ pub fn parallel_sph_join(
         result.left_rows.extend_from_slice(&local.left_rows);
         result.right_rows.extend_from_slice(&local.right_rows);
     }
-    Ok((result, stats))
+    Ok(result)
 }
 
 #[cfg(test)]
@@ -180,15 +173,32 @@ mod tests {
         }
     }
 
+    /// Build an SPH index over `left` and probe it in parallel.
+    fn sph_join(
+        pool: &ThreadPool,
+        left: &[u32],
+        right: &[u32],
+        (min, max): (u32, u32),
+        morsel_rows: usize,
+    ) -> Result<JoinResult, ExecError> {
+        let index = SphIndex::build(left, min, max)?;
+        Ok(parallel_sph_probe(pool, &index, right, morsel_rows)?)
+    }
+
     #[test]
     fn sph_join_matches_oracle_across_thread_counts() {
         let left = dataset(500, 32);
         let right = dataset(800, 64); // probe keys outside domain: no match
         let oracle = nested_loop_oracle(&left, &right);
+        let serial = SphIndex::build(&left, 0, 31).unwrap().probe(&right);
         for threads in [1, 2, 8] {
             let pool = ThreadPool::new(threads);
-            let (r, _) = parallel_sph_join(&pool, &left, &right, 0, 31, 64).unwrap();
+            let r = sph_join(&pool, &left, &right, (0, 31), 64).unwrap();
             assert_eq!(r.normalised_pairs(), oracle, "threads={threads}");
+            assert_eq!(
+                r, serial,
+                "threads={threads}: the serial probe's pairs, in order"
+            );
         }
     }
 
@@ -226,14 +236,16 @@ mod tests {
         assert!(r.is_empty());
         let (r, _) = parallel_hash_join(&pool, &[1, 2], &[], &[0, 2], 64).unwrap();
         assert!(r.is_empty());
-        let (r, _) = parallel_sph_join(&pool, &[], &[1], 0, 0, 64).unwrap();
+        let r = sph_join(&pool, &[], &[1], (0, 0), 64).unwrap();
+        assert!(r.is_empty());
+        let r = sph_join(&pool, &[1], &[], (0, 3), 64).unwrap();
         assert!(r.is_empty());
     }
 
     #[test]
     fn sph_join_rejects_inverted_domain() {
         let pool = ThreadPool::new(2);
-        assert!(parallel_sph_join(&pool, &[1], &[1], 5, 2, 64).is_err());
+        assert!(sph_join(&pool, &[1], &[1], (5, 2), 64).is_err());
     }
 
     #[test]
@@ -243,7 +255,7 @@ mod tests {
         let pool = ThreadPool::new(4);
         let (hj, _) = parallel_hash_join(&pool, &left, &right, &[0, left.len()], 256).unwrap();
         assert_eq!(hj.len(), 5_000);
-        let (sphj, _) = parallel_sph_join(&pool, &left, &right, 0, 99, 256).unwrap();
+        let sphj = sph_join(&pool, &left, &right, (0, 99), 256).unwrap();
         assert_eq!(sphj.len(), 5_000);
     }
 }

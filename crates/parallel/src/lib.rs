@@ -19,13 +19,15 @@
 //!   with the morsel batch APIs; inside a batch each runner claims
 //!   morsels from its own contiguous block through an atomic cursor,
 //!   then from the other runners' blocks;
-//! * [`grouping`] — parallel HG/SPHG: thread-local aggregation with the
-//!   plan's molecules (the HG table/hash pair, the dense SPH array) and a
-//!   deterministic sorted merge; a task's rows come from a loader, so a
-//!   morsel can be narrowed by a filter and read through a selection
-//!   inside the task that aggregates it;
+//! * [`grouping`] — the one HG/SPHG loop: thread-local aggregation with
+//!   the plan's molecules (the HG table/hash pair, the dense SPH array)
+//!   and a deterministic sorted merge, or — with no pool — one fold on
+//!   the caller thread, which is serial HG/SPHG; a task's rows come from
+//!   a loader, so a piece can be narrowed by a filter and read through a
+//!   selection inside the task that aggregates it;
 //! * [`join`] — the partitioned parallel hash join (parallel partition →
-//!   per-partition build → parallel probe) and a parallel SPHJ probe;
+//!   per-partition build → parallel probe) and the per-morsel probe of a
+//!   given SPHJ index;
 //! * [`sort`] + [`merge_path`] — the parallel sort subsystem: per-worker
 //!   run formation (pdqsort or LSB radix, the serial molecule decision)
 //!   followed by a Merge Path multi-way merge whose per-worker output
@@ -69,7 +71,7 @@ pub mod sort;
 pub use admission::{AdmissionController, AdmissionPermit};
 pub use av_build::{parallel_gather, parallel_sph_index_build};
 pub use grouping::{parallel_grouping, parallel_grouping_tasks, GroupingStrategy, Scratch, Sink};
-pub use join::{parallel_hash_join, parallel_sph_join};
+pub use join::{parallel_hash_join, parallel_sph_probe};
 pub use morsel::{morsels, morsels_within, Morsel, DEFAULT_MORSEL_ROWS};
 pub use persistent::{default_threads, PersistentPool};
 pub use pool::{BatchObs, PoolError, ThreadPool};

@@ -292,10 +292,37 @@ fn bytes_materialised_shows_copies_were_removed_not_moved() {
         assert_eq!(out.bytes_materialised, 4 * 1_000, "the root's one column");
     }
 
-    // filter → group: whatever the DOP (serial kernel, or the filter fused
-    // into the grouping's morsel tasks), at most the survivors' key and
-    // value bytes are copied — into kernel scratch, by the grouping — and
-    // the grouped result reaches the root without another copy.
+    // A serial HG/SPHG reads the row ranges of a pruned scan (partitions 0
+    // and 2: two ranges) in place, piece by piece; the grouped result is
+    // fresh, so the root takes it as it is.
+    for algo in [
+        GroupingAlgorithm::HashBased,
+        GroupingAlgorithm::StaticPerfectHash,
+    ] {
+        let plan = PhysicalPlan::GroupBy {
+            input: Box::new(PhysicalPlan::PartitionedScan {
+                table: "p".into(),
+                parts: vec![0, 2],
+                total: 4,
+            }),
+            keys: vec!["key".into()],
+            aggs: vec![AggExpr::count_star("n")],
+            algo,
+            molecules: GroupingMolecules::defaults_for(algo),
+        };
+        let (out, _) = execute_with(&plan, &cat, &traced).unwrap();
+        assert_eq!(
+            out.relation.rows(),
+            256,
+            "{algo:?}: keys 0..128 and 256..384"
+        );
+        assert_eq!(out.bytes_materialised, 0, "{algo:?}");
+    }
+
+    // filter → group: at any DOP the filter is fused into the grouping's
+    // loader, so at most the survivors' key and value bytes are copied —
+    // into kernel scratch, by the grouping — and the grouped result
+    // reaches the root without another copy.
     let survivors = {
         let (out, _) = execute_with(&filter(scan()), &cat, &traced).unwrap();
         out.relation.rows() as u64
@@ -306,6 +333,7 @@ fn bytes_materialised_shows_copies_were_removed_not_moved() {
     );
     for (dop, algo) in [
         (1, GroupingAlgorithm::StaticPerfectHash),
+        (1, GroupingAlgorithm::HashBased),
         (4, GroupingAlgorithm::StaticPerfectHash),
         (4, GroupingAlgorithm::HashBased),
     ] {
@@ -338,9 +366,14 @@ fn bytes_materialised_shows_copies_were_removed_not_moved() {
                 assert_eq!(m.bytes_materialised, 0, "{}", node.explain());
             }
         }
-        // The filter's row count survives fusion.
+        // The filter's row count survives fusion, and EXPLAIN ANALYZE
+        // prints it on the absorbed Filter's line.
         let filter_at = nodes.len() - 2;
         assert_eq!(nodes[filter_at].rows_out, survivors, "dop={dop}");
+        let runtime = dqo::PlanRuntime { nodes };
+        let text = dqo::core::profile::render_annotated(&plan, &cat, &runtime, None);
+        let line = text.lines().find(|l| l.contains("Filter")).unwrap();
+        assert!(line.contains(&format!("act={survivors} ")), "{text}");
     }
 
     // filter → SPHJ → group: the grouping probes the join inside its own
