@@ -8,7 +8,12 @@
 //! [`Selection`] of its rows — not a copied relation. Scans select row
 //! ranges, filters narrow the selection with a branch-free kernel, sort
 //! permutes it (under a `Limit`, only its first `n` positions are found),
-//! limit truncates it, project drops column handles.
+//! limit truncates it, project drops column handles. A filter conjunct
+//! that compares a column the catalog's exact statistics call ascending
+//! is answered by two binary searches per range instead (see
+//! `Exec::search`), and HG/SPHG over such a key, when its runs average
+//! at least `MIN_RUN` rows and no conjunct is left to thin them, fold
+//! each run of equal keys once instead of row by row.
 //!
 //! HG and SPHG have one loop, `dqo_parallel::parallel_grouping_tasks`: it
 //! folds the pieces of the selection into per-worker partials under an
@@ -51,9 +56,11 @@ use dqo_plan::expr::{AggExpr, AggFunc, CmpOp, Predicate};
 use dqo_plan::physical::GroupingMolecules;
 use dqo_plan::{GroupingAlgorithm, JoinAlgorithm, LogicalPlan, PhysicalPlan, SortMolecule};
 use dqo_storage::{
-    narrow_rows, Column, DataType, Dictionary, Field, Piece, Relation, Schema, Selection, Value,
+    narrow_rows, search_ranges, Column, DataProps, DataType, Dictionary, Field, Piece, Relation,
+    Schema, Selection, Sortedness, Value,
 };
 use std::collections::HashMap;
+use std::ops::{Bound, Range};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -215,7 +222,7 @@ impl View<'_> {
     /// any covering domain gives the answer the exact one would. `None`
     /// when the columns are not a base table's.
     fn domain(&self, column: &str) -> Option<(u32, u32)> {
-        let props = self.stats.as_ref()?.column_props.get(column)?;
+        let props = self.props(column)?;
         let (mut lo, mut hi) = (props.min, props.max);
         for &(_, l, h) in self.known.iter().filter(|k| k.0 == column) {
             (lo, hi) = (lo.max(l), hi.min(h));
@@ -223,7 +230,42 @@ impl View<'_> {
         // Contradictory bounds select no row; every domain covers none.
         Some((lo, hi.max(lo)))
     }
+
+    /// The catalog's exact statistics of the base column `column`; `None`
+    /// when the columns are not a base table's.
+    fn props(&self, column: &str) -> Option<&DataProps> {
+        self.stats.as_ref()?.column_props.get(column)
+    }
+
+    /// Whether the base column `column` ascends, by the catalog's exact
+    /// statistics — and so ascends within each range of a `Ranges`
+    /// selection, whose every range is a run of base rows (a scan, a
+    /// pruned partition scan, a limit, a search), in any range order.
+    fn ascending(&self, column: &str) -> bool {
+        self.props(column)
+            .is_some_and(|p| p.sortedness == Sortedness::Ascending)
+    }
+
+    /// Whether HG/SPHG should fold `column`'s runs of equal keys rather
+    /// than its rows: the column ascends over the ranges of a `Ranges`
+    /// selection, and its runs average at least [`MIN_RUN`] rows. The run
+    /// fold costs a comparison per row and a merge per run, so the average
+    /// run — the base column's `rows / distinct`, which a search or a
+    /// pruned scan keeps because it keeps whole runs — decides.
+    fn long_runs(&self, column: &str) -> bool {
+        matches!(self.sel, Selection::Ranges(_))
+            && self.ascending(column)
+            && self
+                .props(column)
+                .is_some_and(|p| p.rows >= MIN_RUN * p.distinct)
+    }
 }
+
+/// The average run of equal ascending keys from which HG/SPHG fold runs,
+/// not rows. Over 1 Mi sorted keys on a 2-core x86 box, SPHG and
+/// linear-probing HG fold runs of one row 10–14 % slower than rows, break
+/// even at two to four rows, and are 10–40 % faster from eight rows on.
+const MIN_RUN: u64 = 8;
 
 /// The state of one execution.
 struct Exec<'a> {
@@ -264,6 +306,45 @@ impl<'a> Exec<'a> {
         if let Some(m) = self.obs.as_mut().and_then(|c| c.slot(plan)) {
             m.bytes_materialised += bytes as u64;
         }
+    }
+
+    /// Answer by binary search each of `filter`'s conjuncts that a search
+    /// can answer — over a `Ranges` selection, a `u32` comparison other
+    /// than `<>` on a column the catalog calls ascending — and drop it
+    /// from `conjuncts`, leaving the rest to the narrowing kernel. Records
+    /// how many were searched on the filter's metrics; returns the
+    /// selection the searches cut, if any ran.
+    fn search(
+        &mut self,
+        filter: &PhysicalPlan,
+        view: &View<'_>,
+        conjuncts: &mut Vec<Conjunct<'_>>,
+    ) -> Option<Selection> {
+        let Selection::Ranges(ranges) = &view.sel else {
+            return None;
+        };
+        let total = conjuncts.len();
+        let mut cut: Option<Vec<Range<usize>>> = None;
+        conjuncts.retain(|c| match c {
+            Conjunct::U32 {
+                data,
+                op,
+                v,
+                column,
+            } if view.ascending(column) => match within(*op, *v) {
+                Some(bounds) => {
+                    search_ranges(cut.get_or_insert_with(|| ranges.clone()), data, bounds);
+                    false
+                }
+                None => true,
+            },
+            _ => true,
+        });
+        let searched = total - conjuncts.len();
+        if let Some(m) = self.obs.as_mut().and_then(|c| c.slot(filter)) {
+            m.searched = (searched > 0).then_some((searched, total));
+        }
+        cut.map(Selection::Ranges)
     }
 
     /// `col` through `sel` for a kernel that needs the whole column at
@@ -324,7 +405,9 @@ impl<'a> Exec<'a> {
                 let mut view = self.run(input, None)?;
                 self.stats
                     .record(Blocking::Pipelined, view.sel.len() as u64);
-                view.sel = narrow(&view.sel, &compile(&view.rel, predicate)?, tp)?;
+                let mut conjuncts = compile(&view.rel, predicate)?;
+                let cut = self.search(plan, &view, &mut conjuncts);
+                view.sel = narrow(cut.as_ref().unwrap_or(&view.sel), &conjuncts, tp)?;
                 tighten(&mut view.known, predicate);
                 Ok(view)
             }
@@ -587,11 +670,15 @@ impl<'a> Exec<'a> {
         }
         let mut view = self.run(fused.as_ref().map_or(input, |f| f.input), None)?;
         let conjuncts = match fused.as_ref().and_then(|f| f.filter) {
-            Some((_, predicate)) => {
+            Some((filter, predicate)) => {
                 self.stats
                     .record(Blocking::Pipelined, view.sel.len() as u64);
                 tighten(&mut view.known, predicate);
-                compile(&view.rel, predicate)?
+                let mut conjuncts = compile(&view.rel, predicate)?;
+                if let Some(cut) = self.search(filter, &view, &mut conjuncts) {
+                    view.sel = cut;
+                }
+                conjuncts
             }
             None => Vec::new(),
         };
@@ -609,7 +696,10 @@ impl<'a> Exec<'a> {
         };
         let out = if keys.len() == 1 {
             // Single key: the kernels run on the raw column, through the
-            // selection (and, for HG/SPHG, the fused filter).
+            // selection (and, for HG/SPHG, the fused filter). A conjunct
+            // left for the loader thins each run by a share not known
+            // here, so only an input no conjunct narrows folds runs.
+            let ascending = conjuncts.is_empty() && view.long_runs(&keys[0]);
             let source = Source {
                 sel,
                 conjuncts,
@@ -618,6 +708,7 @@ impl<'a> Exec<'a> {
                 values: values
                     .filter(|_| agg_column != Some(keys[0].as_str()))
                     .map(Side::Probe),
+                ascending,
             };
             let domain = view.domain(&keys[0]);
             let (result, ran) = self.grouped(plan, &grouping, &source, domain)?;
@@ -651,6 +742,7 @@ impl<'a> Exec<'a> {
                         probe: None,
                         keys: Side::Probe(&packed),
                         values: Some(Side::Probe(values)),
+                        ascending: false,
                     };
                     let (result, _) = self.grouped(plan, &grouping, &source, None)?;
                     let (cols, states) = unpack_grouped(&packer, result);
@@ -723,6 +815,7 @@ impl<'a> Exec<'a> {
                 Some(name) if name != key => Some(side_column(sides, name)?),
                 _ => None,
             },
+            ascending: false,
         };
         let below = OperatorMetrics {
             wall: began.elapsed(),
@@ -771,7 +864,9 @@ impl<'a> Exec<'a> {
             _ => return Ok((self.whole_column(plan, how, src)?, FusedRun::default())),
         };
         // Each piece is loaded into scratch (a dense run is read in place)
-        // and folded into a partial aggregate.
+        // and folded into a partial aggregate — run by run when its keys
+        // ascend.
+        let ascending = src.ascending;
         let timed = self.obs.is_some();
         let pieces = src.sel.pieces(DEFAULT_MORSEL_ROWS);
         let ran = Counters::default();
@@ -798,11 +893,16 @@ impl<'a> Exec<'a> {
                     sink(&chunks[t].0, &chunks[t].1);
                     Ok(())
                 };
-                dqo_parallel::parallel_grouping_tasks(None, chunks.len(), FullAgg, strategy, fold)?
+                let tasks = chunks.len();
+                dqo_parallel::parallel_grouping_tasks(
+                    None, tasks, FullAgg, strategy, ascending, fold,
+                )?
             }
             None => {
                 let tasks = pieces.len();
-                dqo_parallel::parallel_grouping_tasks(how.tp, tasks, FullAgg, strategy, load)?
+                dqo_parallel::parallel_grouping_tasks(
+                    how.tp, tasks, FullAgg, strategy, ascending, load,
+                )?
             }
         };
         self.stats.merge(&par);
@@ -893,6 +993,9 @@ struct Source<'s> {
     keys: Side<'s>,
     /// The aggregate input; `None` aggregates the key column itself.
     values: Option<Side<'s>>,
+    /// The keys ascend within every piece, in runs long enough that
+    /// HG/SPHG fold runs of equal keys, not rows (see [`View::long_runs`]).
+    ascending: bool,
 }
 
 /// A fused SPHJ as its grouping's loader sees it.
@@ -1293,7 +1396,12 @@ fn join_needs<'a>(
 /// One conjunct of a filter predicate, bound to its column.
 enum Conjunct<'r> {
     /// `u32` column against a `u32` constant — the dominant case.
-    U32 { data: &'r [u32], op: CmpOp, v: u32 },
+    U32 {
+        data: &'r [u32],
+        op: CmpOp,
+        v: u32,
+        column: &'r str,
+    },
     /// Dictionary-encoded string column (comparison, prefix, `LIKE`): the
     /// predicate is evaluated once per *code* under real string order,
     /// regardless of how codes were assigned; rows look their code up.
@@ -1355,6 +1463,7 @@ fn compile<'r>(rel: &'r Relation, pred: &'r Predicate) -> Result<Vec<Conjunct<'r
                     data,
                     op: *op,
                     v: *v,
+                    column,
                 },
                 _ => Conjunct::Slow {
                     col,
@@ -1396,6 +1505,22 @@ fn tighten<'a>(known: &mut Vec<(&'a str, u32, u32)>, pred: &'a Predicate) {
     }
 }
 
+/// The values a `u32` comparison keeps, as the bounds a binary search
+/// finds; `None` for `<>`, which keeps two runs. Exact at the edges of the
+/// domain — `< 0` and `> 4294967295` keep nothing — where `tighten`'s
+/// bounds saturate into ones that merely cover the answer.
+fn within(op: CmpOp, v: u32) -> Option<(Bound<u32>, Bound<u32>)> {
+    use Bound::{Excluded, Included, Unbounded};
+    Some(match op {
+        CmpOp::Eq => (Included(v), Included(v)),
+        CmpOp::Lt => (Unbounded, Excluded(v)),
+        CmpOp::Le => (Unbounded, Included(v)),
+        CmpOp::Gt => (Excluded(v), Unbounded),
+        CmpOp::Ge => (Included(v), Unbounded),
+        CmpOp::Ne => return None,
+    })
+}
+
 /// Append to `out` the rows of `piece` that satisfy every conjunct: the
 /// first conjunct reads the piece, each further one runs over the
 /// survivors of the previous one.
@@ -1416,7 +1541,7 @@ fn narrow_piece(
             };
         }
         match conjunct {
-            Conjunct::U32 { data, op, v } => match op {
+            Conjunct::U32 { data, op, v, .. } => match op {
                 CmpOp::Eq => keep!(|i| data[i] == *v),
                 CmpOp::Ne => keep!(|i| data[i] != *v),
                 CmpOp::Lt => keep!(|i| data[i] < *v),
@@ -1815,6 +1940,50 @@ mod tests {
                 check_plan_matches_naive(&q, &cat);
             }
         }
+    }
+
+    #[test]
+    fn only_long_ascending_runs_over_ranges_fold_runs() {
+        let rows = 64u32;
+        let column = |f: fn(u32) -> u32| Column::U32((0..rows).map(f).collect());
+        let names = ["eights", "sevens", "unique", "shuffled"];
+        let schema = Schema::new(
+            names
+                .iter()
+                .map(|n| Field::new(*n, DataType::U32))
+                .collect(),
+        )
+        .unwrap();
+        let rel = Relation::new(
+            schema,
+            vec![
+                column(|i| i / 8),
+                column(|i| i / 7),
+                column(|i| i),
+                column(|i| (i * 37) % 64 / 8),
+            ],
+        )
+        .unwrap();
+        let cat = Catalog::new();
+        let entry = cat.register("t", rel);
+        let mut view = View {
+            rel: entry.relation.as_ref().clone(),
+            sel: Selection::Ranges(vec![8..40, 0..8]),
+            stats: Some(entry),
+            known: Vec::new(),
+        };
+        assert!(view.long_runs("eights"));
+        // Nine runs of seven rows and one of one: the average is under eight.
+        assert!(view.ascending("sevens") && !view.long_runs("sevens"));
+        assert!(view.ascending("unique") && !view.long_runs("unique"));
+        assert!(!view.ascending("shuffled") && !view.long_runs("shuffled"));
+        // Explicit row ids need not ascend.
+        view.sel = Selection::Rows(vec![9, 3]);
+        assert!(!view.long_runs("eights"));
+        // Without base-table statistics nothing is known.
+        view.stats = None;
+        view.sel = Selection::all(rows as usize);
+        assert!(!view.ascending("eights") && !view.long_runs("eights"));
     }
 
     #[test]

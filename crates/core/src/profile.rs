@@ -58,8 +58,9 @@ pub fn estimate_rows(
 
 /// Render the annotated `EXPLAIN ANALYZE` tree: the plain explain lines
 /// with ` (est=… act=… Δ=… wall=…)` per node — `breakers=` and `bytes=`
-/// (bytes materialised) where non-zero — plus parallel-runtime detail on
-/// `Exchange` nodes. The estimates are [`estimate_rows`] under
+/// (bytes materialised) where non-zero, `search=k/n` on a filter that
+/// answered `k` of its `n` conjuncts by binary search — plus
+/// parallel-runtime detail on `Exchange` nodes. The estimates are [`estimate_rows`] under
 /// `feedback`. Empty runtimes (untraced execution) render the plain tree.
 pub fn render_annotated(
     plan: &PhysicalPlan,
@@ -85,6 +86,9 @@ pub fn render_annotated(
         }
         if m.bytes_materialised > 0 {
             parts.push(format!("bytes={}", m.bytes_materialised));
+        }
+        if let Some((searched, conjuncts)) = m.searched {
+            parts.push(format!("search={searched}/{conjuncts}"));
         }
         if let PhysicalPlan::Exchange { .. } = node {
             parts.push(format!("dop={}", m.dop.unwrap_or(0)));

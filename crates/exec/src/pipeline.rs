@@ -91,6 +91,10 @@ pub struct OperatorMetrics {
     /// output. Nodes that only narrow, reorder or project a selection
     /// copy nothing.
     pub bytes_materialised: u64,
+    /// For a filter (a plan node or one fused into a grouping) that
+    /// answered at least one conjunct by binary search instead of a scan:
+    /// `(searched, conjuncts)`.
+    pub searched: Option<(usize, usize)>,
 }
 
 impl fmt::Display for PipelineStats {

@@ -80,6 +80,24 @@ impl<V, H: HashFn> ChainingTable<V, H> {
         }
     }
 
+    /// The link holding `key`'s node in its chain, or the empty link at
+    /// the chain's end when the key is absent.
+    fn walk(&mut self, key: u32) -> *mut Option<Box<Node<V>>> {
+        let idx = self.bucket_of(key);
+        let mut slot: *mut Option<Box<Node<V>>> = &mut self.buckets[idx];
+        // SAFETY: `slot` always points into a chain owned by `self`, and
+        // only one link is borrowed at a time.
+        unsafe {
+            while let Some(node) = (*slot).as_mut() {
+                if node.key == key {
+                    break;
+                }
+                slot = &mut node.next;
+            }
+        }
+        slot
+    }
+
     /// Average chain length over non-empty buckets (diagnostics for the
     /// molecule ablation).
     pub fn avg_chain_length(&self) -> f64 {
@@ -104,23 +122,24 @@ impl<V, H: HashFn> ChainingTable<V, H> {
 }
 
 impl<V, H: HashFn> GroupTable<V> for ChainingTable<V, H> {
+    /// Grows only when it inserts, so the table's layout — and its drain
+    /// order — depends on the sequence of keys first seen, not on how
+    /// often a present key was looked up.
     fn upsert_with(&mut self, key: u32, init: impl FnOnce() -> V) -> &mut V {
-        if (self.len + 1) as f32 > self.buckets.len() as f32 * self.max_load {
-            self.grow();
-        }
-        let idx = self.bucket_of(key);
         // SAFETY: the chain is traversed through raw pointers because
         // returning a `&mut V` discovered mid-chain is beyond the borrow
         // checker's linked-list analysis (the classic "get-or-insert"
         // limitation). All pointers derive from `&mut self`; at most one
-        // reference is returned and no aliasing path survives the call.
-        let mut slot: *mut Option<Box<Node<V>>> = &mut self.buckets[idx];
+        // reference is returned and no aliasing path survives the call;
+        // `grow` runs only between two walks, while no pointer is live.
         unsafe {
-            while let Some(node) = (*slot).as_mut() {
-                if node.key == key {
-                    return &mut *std::ptr::addr_of_mut!(node.value);
-                }
-                slot = &mut node.next;
+            let mut slot = self.walk(key);
+            if let Some(node) = (*slot).as_mut() {
+                return &mut *std::ptr::addr_of_mut!(node.value);
+            }
+            if (self.len + 1) as f32 > self.buckets.len() as f32 * self.max_load {
+                self.grow();
+                slot = self.walk(key);
             }
             *slot = Some(Box::new(Node {
                 key,
@@ -190,6 +209,27 @@ mod tests {
         for k in (0..10_000u32).step_by(977) {
             assert_eq!(t.get(k), Some(&k));
         }
+    }
+
+    #[test]
+    fn layout_depends_only_on_the_keys_first_seen() {
+        // 16 keys fill 16 buckets at load 1.0: the next insert grows the
+        // table, a lookup of a present key does not.
+        let (mut once, mut again): (ChainingTable<u32>, ChainingTable<u32>) =
+            (ChainingTable::new(), ChainingTable::new());
+        for k in 0..16u32 {
+            once.upsert_with(k, || k);
+            again.upsert_with(k, || k);
+        }
+        *again.upsert_with(3, || 0) += 1;
+        *again.upsert_with(3, || 0) -= 1;
+        assert_eq!(again.buckets.len(), 16);
+        assert_eq!(again.drain(), once.drain());
+        let mut grown: ChainingTable<u32> = ChainingTable::new();
+        for k in 0..17u32 {
+            grown.upsert_with(k, || k);
+        }
+        assert_eq!(grown.buckets.len(), 32);
     }
 
     #[test]

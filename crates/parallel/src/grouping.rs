@@ -16,6 +16,14 @@
 //! so the rows of a morsel can be read *through a selection* (narrowed
 //! and compacted into morsel-local [`Scratch`]) inside the task that
 //! aggregates them; the dense entry points are loaders that slice.
+//!
+//! When the caller knows every slice's keys ascend, a worker folds each
+//! run of equal keys into a register and merges it into the key's slot
+//! once per run, instead of updating the slot row after row (each update
+//! waiting on the previous one's store). The states are the same: the
+//! aggregate is decomposable, and every key is first met at the same row.
+//! It adds a comparison per row and saves an update per repeated row, so
+//! the caller asks for it only where runs are long.
 
 use crate::morsel::morsels_within;
 use crate::pool::ThreadPool;
@@ -90,7 +98,7 @@ pub fn parallel_grouping<A: Aggregator>(
         });
     }
     let ms = morsels_within(bounds, morsel_rows);
-    parallel_grouping_tasks(Some(pool), ms.len(), agg, strategy, |t, _, sink| {
+    parallel_grouping_tasks(Some(pool), ms.len(), agg, strategy, false, |t, _, sink| {
         sink(ms[t].of(keys), ms[t].of(values));
         Ok(())
     })
@@ -100,7 +108,9 @@ pub fn parallel_grouping<A: Aggregator>(
 /// supplies: `load(t, scratch, sink)` hands task `t`'s key and value
 /// slices — borrowed from the columns or compacted into the worker's
 /// scratch — to `sink`. The breaker accounting counts the rows the loader
-/// actually delivered.
+/// actually delivered. With `ascending`, the caller promises that the keys
+/// of every slice ascend, and each run of equal keys is folded once (the
+/// result is the same for any keys; only its speed rests on the promise).
 ///
 /// With no `pool` the caller folds the tasks in order into one partial:
 /// the serial kernel's result over the concatenated slices, row for row
@@ -110,6 +120,7 @@ pub fn parallel_grouping_tasks<A, L>(
     tasks: usize,
     agg: A,
     strategy: GroupingStrategy,
+    ascending: bool,
     load: L,
 ) -> Result<(GroupedResult<A::State>, PipelineStats), ExecError>
 where
@@ -124,6 +135,7 @@ where
         pool,
         tasks,
         load: &load,
+        ascending,
     };
     let (result, rows) = match strategy {
         GroupingStrategy::Hash(table) => table.run(HashStrategy { fold, agg })?,
@@ -155,6 +167,26 @@ struct Fold<'a, L> {
     pool: Option<&'a ThreadPool>,
     tasks: usize,
     load: &'a L,
+    /// Every loaded slice's keys ascend: fold runs, not rows.
+    ascending: bool,
+}
+
+/// The runs of equal adjacent keys in `keys`, each with its key and the
+/// values of its rows.
+fn runs<'k>(keys: &'k [u32], values: &'k [u32]) -> impl Iterator<Item = (u32, &'k [u32])> {
+    let mut at = 0;
+    keys.chunk_by(|a, b| a == b).map(move |run| {
+        let rows = at..at + run.len();
+        at = rows.end;
+        (run[0], &values[rows])
+    })
+}
+
+/// One run's values aggregated in a register, to be merged into its slot.
+fn register<A: Aggregator>(agg: A, values: &[u32]) -> A::State {
+    let mut state = A::State::default();
+    values.iter().for_each(|&v| agg.update(&mut state, v));
+    state
 }
 
 impl<L: Fn(usize, &mut Scratch, Sink<'_>) -> Result<(), ExecError> + Sync> Fold<'_, L> {
@@ -219,8 +251,14 @@ where
     type Out = Result<(GroupedResult<A::State>, u64), ExecError>;
 
     fn run<T: GroupTable<A::State> + Send>(self, make: impl Fn() -> T + Sync) -> Self::Out {
-        let agg = self.agg;
+        let (agg, ascending) = (self.agg, self.fold.ascending);
         let (tables, rows) = self.fold.run(make, |table, keys, values| {
+            if ascending {
+                for (k, run) in runs(keys, values) {
+                    agg.merge(table.upsert_with(k, A::State::default), &register(agg, run));
+                }
+                return;
+            }
             for (&k, &v) in keys.iter().zip(values) {
                 agg.update(table.upsert_with(k, A::State::default), v);
             }
@@ -289,6 +327,12 @@ where
         });
     }
     let domain = (u64::from(max) - u64::from(min) + 1) as usize;
+    let slot = |k: u32| {
+        k.checked_sub(min)
+            .map(|off| off as usize)
+            .filter(|&off| off < domain)
+    };
+    let ascending = fold.ascending;
     let (partials, rows) = fold.run(
         || SphPartial {
             slots: vec![A::State::default(); domain],
@@ -296,13 +340,27 @@ where
             out_of_domain: None,
         },
         |p, keys, values| {
-            for (&k, &v) in keys.iter().zip(values) {
-                match k.checked_sub(min) {
-                    Some(off) if (off as usize) < domain => {
-                        p.occupied[off as usize] = true;
-                        agg.update(&mut p.slots[off as usize], v);
+            if ascending {
+                for (k, run) in runs(keys, values) {
+                    match slot(k) {
+                        Some(off) => {
+                            p.occupied[off] = true;
+                            agg.merge(&mut p.slots[off], &register(agg, run));
+                        }
+                        None => {
+                            p.out_of_domain.get_or_insert(k);
+                        }
                     }
-                    _ => {
+                }
+                return;
+            }
+            for (&k, &v) in keys.iter().zip(values) {
+                match slot(k) {
+                    Some(off) => {
+                        p.occupied[off] = true;
+                        agg.update(&mut p.slots[off], v);
+                    }
+                    None => {
                         p.out_of_domain.get_or_insert(k);
                     }
                 }
@@ -347,7 +405,7 @@ where
 mod tests {
     use super::*;
     use crate::morsel::DEFAULT_MORSEL_ROWS;
-    use dqo_exec::aggregate::{CountSum, CountSumState};
+    use dqo_exec::aggregate::{CountSum, CountSumState, FullAgg};
     use dqo_exec::grouping::hg::hash_grouping_with;
     use dqo_exec::grouping::sphg::sph_grouping;
     use dqo_exec::grouping::{execute_grouping, GroupingAlgorithm, GroupingHints};
@@ -382,8 +440,21 @@ mod tests {
         vals: &[u32],
         strategy: GroupingStrategy,
     ) -> Result<(GroupedResult<CountSumState>, PipelineStats), ExecError> {
+        fold_with(None, CountSum, keys, vals, strategy, false)
+    }
+
+    /// The fold of `agg` on `pool` (or the caller) over 1 000-row pieces,
+    /// folding runs when `ascending`.
+    fn fold_with<A: Aggregator>(
+        pool: Option<&ThreadPool>,
+        agg: A,
+        keys: &[u32],
+        vals: &[u32],
+        strategy: GroupingStrategy,
+        ascending: bool,
+    ) -> Result<(GroupedResult<A::State>, PipelineStats), ExecError> {
         let ms = morsels_within(&[0, keys.len()], 1_000);
-        parallel_grouping_tasks(None, ms.len(), CountSum, strategy, |t, _, sink| {
+        parallel_grouping_tasks(pool, ms.len(), agg, strategy, ascending, |t, _, sink| {
             sink(ms[t].of(keys), ms[t].of(vals));
             Ok(())
         })
@@ -528,6 +599,84 @@ mod tests {
         let strategy = GroupingStrategy::StaticPerfectHash { min: 0, max: 7 };
         let r = fold_on_caller(&keys, &vec![0; keys.len()], strategy);
         assert!(sphg(&r));
+    }
+
+    /// Ascending keys in runs of 1 to 37 rows, runs crossing piece
+    /// boundaries, ending in a run of `u32::MAX` — the open-addressing
+    /// tables' empty-slot marker — and the values they carry.
+    fn ascending_runs(n: usize) -> (Vec<u32>, Vec<u32>) {
+        let mut keys = Vec::with_capacity(n);
+        let mut key = 0u32;
+        while keys.len() < n - 50 {
+            let run = 1 + (key as usize * 7) % 37;
+            keys.extend(std::iter::repeat_n(key, run));
+            key += 1 + key % 3;
+        }
+        keys.truncate(n - 50);
+        keys.resize(n, u32::MAX);
+        let vals = (0..n)
+            .map(|i| (i as u32).wrapping_mul(40_503) % 1_000)
+            .collect();
+        (keys, vals)
+    }
+
+    #[test]
+    fn run_fold_equals_row_fold() {
+        let (keys, vals) = ascending_runs(20_000);
+        // 64 keys in runs of 3: the last key fills a grown chaining
+        // table's 64 buckets, and only lookups follow it.
+        let full: Vec<u32> = (0..192).map(|i| i / 3).collect();
+        let pool = ThreadPool::new(2);
+        for keys in [&keys[..], &full] {
+            let vals = &vals[..keys.len()];
+            for table in HgTable::ALL {
+                let strategy = GroupingStrategy::Hash(table);
+                for pool in [None, Some(&pool)] {
+                    let rows = fold_with(pool, FullAgg, keys, vals, strategy, false).unwrap();
+                    let runs = fold_with(pool, FullAgg, keys, vals, strategy, true).unwrap();
+                    assert_eq!(runs, rows, "{table:?} pool={}", pool.is_some());
+                }
+            }
+        }
+        // SPHG over the keys below the marker run, and over a domain that
+        // ends at `u32::MAX`, in runs of 47 with the last run the marker.
+        let low = &keys[..keys.len() - 50];
+        let top = u32::MAX - 63;
+        let high: Vec<u32> = (0..3_000).map(|i| top + i / 47).collect();
+        for (keys, min, max) in [(low, 0, low[low.len() - 1]), (&high[..], top, u32::MAX)] {
+            let strategy = GroupingStrategy::StaticPerfectHash { min, max };
+            let vals = &vals[..keys.len()];
+            for pool in [None, Some(&pool)] {
+                let rows = fold_with(pool, FullAgg, keys, vals, strategy, false).unwrap();
+                let runs = fold_with(pool, FullAgg, keys, vals, strategy, true).unwrap();
+                assert_eq!(runs, rows, "SPHG [{min}, {max}] pool={}", pool.is_some());
+            }
+        }
+    }
+
+    #[test]
+    fn run_fold_rejects_an_out_of_domain_run() {
+        // Key 99 sits inside a run of its own, three rows long, in the
+        // third piece.
+        let mut keys: Vec<u32> = (0..2_500).map(|i| i / 400).collect();
+        keys.extend([99, 99, 99]);
+        let vals = vec![1; keys.len()];
+        let strategy = GroupingStrategy::StaticPerfectHash { min: 0, max: 7 };
+        let pool = ThreadPool::new(2);
+        for pool in [None, Some(&pool)] {
+            let r = fold_with(pool, FullAgg, &keys, &vals, strategy, true);
+            assert!(
+                matches!(
+                    r,
+                    Err(ExecError::PreconditionViolated {
+                        algorithm: "SPHG",
+                        ref detail,
+                    }) if detail.contains("key 99")
+                ),
+                "pool={}: {r:?}",
+                pool.is_some()
+            );
+        }
     }
 
     #[test]

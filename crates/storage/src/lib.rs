@@ -42,7 +42,7 @@ pub use partition::{
 pub use properties::{DataProps, Density, Seam, Sortedness};
 pub use relation::{AppendedRelation, Relation};
 pub use schema::{Field, Schema};
-pub use selection::{narrow_rows, Piece, Selection};
+pub use selection::{narrow_rows, search_ranges, Piece, Selection};
 pub use value::{DataType, Value};
 
 /// Crate-wide result type.

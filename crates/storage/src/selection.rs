@@ -4,15 +4,19 @@
 //! [`Selection`] — instead of a freshly copied relation. A selection is
 //! either a list of row ranges (a scan, a pruned partitioned scan, a
 //! filter over sorted data) or explicit row ids (a filter's survivors, a
-//! sort's permutation). Filters narrow it with the branch-free kernel in
-//! [`Piece::narrow`]; consumers read columns *through* it with
-//! [`Piece::read`] / [`Selection::read`], and only the plan root (and the
-//! output of a join) gathers whole columns.
+//! sort's permutation). A filter has two ways to shrink it. A comparison
+//! on a column that ascends over every range is answered by
+//! [`search_ranges`]: two binary searches per range, which cost per
+//! range, not per row. Every other conjunct runs through the branch-free
+//! kernel in [`Piece::narrow`], which tests every selected row. Consumers
+//! read columns *through* the selection with [`Piece::read`] /
+//! [`Selection::read`], and only the plan root (and the output of a join)
+//! gathers whole columns.
 
 // A selection really is a list holding (often) one range.
 #![allow(clippy::single_range_in_vec_init)]
 
-use std::ops::Range;
+use std::ops::{Bound, Range};
 
 /// The rows of a relation that are selected, in output order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -250,6 +254,30 @@ impl<'a> Piece<'a> {
     }
 }
 
+/// Cut every range of a [`Selection::Ranges`] to the rows whose value in
+/// `col` lies within `(lo, hi)`, by two binary searches per range. `col`
+/// must be non-decreasing over each range; the ranges themselves may come
+/// in any order. A range with no such row is kept empty, so the ranges
+/// stay one per segment.
+pub fn search_ranges(ranges: &mut [Range<usize>], col: &[u32], (lo, hi): (Bound<u32>, Bound<u32>)) {
+    let below = |x: &u32| match lo {
+        Bound::Included(l) => *x < l,
+        Bound::Excluded(l) => *x <= l,
+        Bound::Unbounded => false,
+    };
+    let up_to = |x: &u32| match hi {
+        Bound::Included(h) => *x <= h,
+        Bound::Excluded(h) => *x < h,
+        Bound::Unbounded => true,
+    };
+    for r in ranges {
+        let run = &col[r.clone()];
+        let start = r.start + run.partition_point(below);
+        let end = r.start + run.partition_point(up_to);
+        *r = start..end.max(start);
+    }
+}
+
 /// Keep, in place, the row ids in `ids[from..]` that satisfy `keep` — a
 /// further conjunct running over the survivors of the previous one.
 /// Branch-free like [`Piece::narrow`].
@@ -309,6 +337,38 @@ mod tests {
         assert_eq!(out, vec![5, 3]);
         narrow_rows(&mut out, 1, |i| col[i] > 100);
         assert_eq!(out, vec![5]);
+    }
+
+    #[test]
+    fn search_cuts_each_range_to_the_rows_within_bounds() {
+        use Bound::{Excluded, Included, Unbounded};
+        // Ascending within each range; the ranges out of order.
+        let col: Vec<u32> = vec![0, 2, 2, 5, 9, 1, 1, 3, u32::MAX, u32::MAX];
+        let sel = Selection::Ranges(vec![5..10, 0..5]);
+        let cut = |bounds| {
+            let mut rs = vec![5..10, 0..5];
+            search_ranges(&mut rs, &col, bounds);
+            Selection::Ranges(rs)
+        };
+        let ranges = |rs: Vec<Range<usize>>| Selection::Ranges(rs);
+        assert_eq!(cut((Unbounded, Excluded(2))), ranges(vec![5..7, 0..1]));
+        assert_eq!(cut((Included(2), Included(2))), ranges(vec![7..7, 1..3]));
+        assert_eq!(cut((Excluded(2), Unbounded)), ranges(vec![7..10, 3..5]));
+        assert_eq!(
+            cut((Included(u32::MAX), Unbounded)),
+            ranges(vec![8..10, 5..5])
+        );
+        // The edges of the domain: nothing is below 0 or above u32::MAX.
+        assert!(cut((Unbounded, Excluded(0))).is_empty());
+        assert!(cut((Excluded(u32::MAX), Unbounded)).is_empty());
+        // Crossed bounds select nothing and leave valid ranges.
+        assert!(cut((Included(5), Included(3))).is_empty());
+        // Each cut range is exactly what a scan of it would keep.
+        for lo in [0, 1, 2, 3, 9] {
+            let got: Vec<u32> = cut((Included(lo), Unbounded)).iter().collect();
+            let want: Vec<u32> = sel.iter().filter(|&i| col[i as usize] >= lo).collect();
+            assert_eq!(got, want, "lo={lo}");
+        }
     }
 
     #[test]

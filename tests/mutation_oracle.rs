@@ -21,12 +21,15 @@
 //! one plan-cache miss is allowed.
 
 use dqo::core::av::{materialise_av, AvArtifact, AvKind, AvSignature};
+use dqo::core::executor::{execute_with, sorted_rows, ExecContext};
+use dqo::core::optimizer::{optimize_in, OptimizerMode, SearchContext};
 use dqo::core::{DeltaAction, Engine};
 use dqo::obs::{names, MetricsRegistry};
 use dqo::plan::expr::{AggExpr, CmpOp, Predicate};
 use dqo::plan::{AggFunc, LogicalPlan};
 use dqo::storage::{
-    Column, DataProps, DataType, Field, PartitionSpec, PartitionedRelation, Relation, Schema, Value,
+    Column, DataProps, DataType, Field, PartitionSpec, PartitionedRelation, Relation, Schema,
+    Sortedness, Value,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -208,6 +211,9 @@ fn randomized_interleavings_stay_bit_identical_at_all_dops() {
             let mut domain = 32u32;
             let mut mirror = seed_rows(800, domain, &mut state);
             let (engine, registry) = engine_with_avs(&mirror, dop);
+            // The same table and appends, without views.
+            let plain = Engine::new().with_threads(dop);
+            plain.register_table("t", dense_table(&mirror));
             let ctx = |op: usize| format!("dop={dop} round={round} op={op}");
 
             let q = count_sum_query();
@@ -243,7 +249,9 @@ fn randomized_interleavings_stay_bit_identical_at_all_dops() {
                             })
                             .collect();
                         insert(&engine, &mut mirror, &rows);
+                        append(&plain, &rows);
                         assert_matches_rebuild(&engine, &ctx(op));
+                        assert_projection_searches_agree(&engine, &plain, &mut state, &ctx(op));
                     }
                     2 => {
                         // Widening append: key = old max + 1 breaks the
@@ -252,7 +260,9 @@ fn randomized_interleavings_stay_bit_identical_at_all_dops() {
                         let rows = vec![(domain, next(&mut state) as u32 % 1_000)];
                         domain += 1;
                         insert(&engine, &mut mirror, &rows);
+                        append(&plain, &rows);
                         assert_matches_rebuild(&engine, &ctx(op));
+                        assert_projection_searches_agree(&engine, &plain, &mut state, &ctx(op));
                     }
                     _ => run_query(&engine, &mirror, &ctx(op)),
                 }
@@ -274,13 +284,66 @@ fn randomized_interleavings_stay_bit_identical_at_all_dops() {
 }
 
 fn insert(engine: &Engine, mirror: &mut Vec<(u32, u32)>, rows: &[(u32, u32)]) {
+    append(engine, rows);
+    mirror.extend_from_slice(rows);
+}
+
+fn append(engine: &Engine, rows: &[(u32, u32)]) {
     let values: Vec<Vec<Value>> = rows
         .iter()
         .map(|(k, v)| vec![Value::U32(*k), Value::U32(*v)])
         .collect();
     let mut report = engine.insert("t", &values).expect("insert");
     report.wait_for_rebuilds().expect("background rebuild");
-    mirror.extend_from_slice(rows);
+}
+
+/// The statistic that licenses a search stays true under writes: the
+/// maintained sorted projection's `key` still ascends, so `key < ?`,
+/// `key >= ? AND key < ?` and `key = ?` over it are answered by binary
+/// search — and each answer equals the AV-free engine's over `t`. The
+/// literals run from below the smallest key to past the largest.
+fn assert_projection_searches_agree(engine: &Engine, plain: &Engine, state: &mut u64, ctx: &str) {
+    let hidden = AvSignature::new("t", "key", AvKind::SortedProjection).av_table_name();
+    let catalog = engine.catalog();
+    let props = catalog
+        .column_props(&hidden, "key")
+        .expect("projection stats");
+    assert_eq!(props.sortedness, Sortedness::Ascending, "{ctx}");
+    let mut literal = || next(state) as u32 % (props.max + 3);
+    let (a, b) = (literal(), literal());
+    let key = |op, v: u32| Predicate::cmp("key", op, v);
+    let traced = ExecContext {
+        collect_metrics: true,
+        ..ExecContext::default()
+    };
+    for predicate in [
+        key(CmpOp::Lt, a),
+        Predicate::And(vec![key(CmpOp::Ge, a.min(b)), key(CmpOp::Lt, a.max(b))]),
+        key(CmpOp::Eq, b),
+    ] {
+        let over = |table: &str| LogicalPlan::filter(LogicalPlan::scan(table), predicate.clone());
+        // Planned outside the engine, so its plan cache counts nothing.
+        let deep = SearchContext::new(OptimizerMode::Deep);
+        let planned = optimize_in(&over(&hidden), catalog, &deep).expect("plan");
+        let (searched, nodes) = execute_with(&planned.plan, catalog, &traced).expect("search");
+        let conjuncts = match &predicate {
+            Predicate::And(leaves) => leaves.len(),
+            _ => 1,
+        };
+        assert!(
+            nodes
+                .iter()
+                .any(|m| m.searched == Some((conjuncts, conjuncts))),
+            "{ctx}: {predicate:?} was not searched:\n{}",
+            planned.plan.explain()
+        );
+        let scanned = plain.query(&over("t")).expect("AV-free query");
+        assert_eq!(
+            sorted_rows(&searched.relation),
+            sorted_rows(&scanned.output.relation),
+            "{ctx}: {predicate:?}"
+        );
+    }
 }
 
 /// Repeated small appends — 40 × 30 rows onto a 240-row base, so the

@@ -74,6 +74,42 @@ fn explain_analyze_annotates_every_operator_of_a_parallel_plan() {
     assert!(text.contains("steals="), "{text}");
 }
 
+/// A comparison on a column the catalog knows ascends is answered by
+/// binary search, and EXPLAIN ANALYZE says so on the filter's line — a
+/// plan node or a filter fused into the grouping alike. `<>` is never
+/// searched, and a shuffled copy of the same rows is scanned.
+#[test]
+fn explain_analyze_shows_the_conjuncts_a_filter_searched() {
+    let table = |sorted| {
+        DatasetSpec::new(300_000, 512)
+            .sorted(sorted)
+            .dense(true)
+            .seed(9)
+            .relation()
+            .unwrap()
+    };
+    let two = "SELECT key, COUNT(*) AS n FROM t WHERE key < 400 AND key <> 7 GROUP BY key";
+    for threads in [1, 4] {
+        for (sorted, sql, shown) in [
+            (true, SQL, Some("search=1/1")),
+            (true, two, Some("search=1/2")),
+            (false, SQL, None),
+        ] {
+            let db = Dqo::with_engine(Engine::new().with_threads(threads).with_tracing(true));
+            db.register_table("t", table(sorted));
+            let text = db.explain_analyze(sql).expect("explain analyze runs");
+            let filter = text
+                .lines()
+                .find(|l| l.trim_start().starts_with("Filter"))
+                .unwrap_or_else(|| panic!("no filter line:\n{text}"));
+            match shown {
+                Some(shown) => assert!(filter.contains(shown), "{shown}:\n{text}"),
+                None => assert!(!text.contains("search="), "shuffled:\n{text}"),
+            }
+        }
+    }
+}
+
 #[test]
 fn an_exchange_over_a_composite_grouping_dispatches_morsels() {
     // Columns `a` and `b` each take the values {0, 100 000}: four groups,

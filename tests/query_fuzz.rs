@@ -17,7 +17,7 @@
 
 use dqo::core::av::{AvKind, AvSignature};
 use dqo::core::avsp::{Solver, WorkloadQuery};
-use dqo::core::executor::{execute, naive_eval, sorted_rows};
+use dqo::core::executor::{execute, execute_with, naive_eval, sorted_rows, ExecContext};
 use dqo::core::optimizer::{enumerate_candidates, optimize_in, OptimizerMode, SearchContext};
 use dqo::core::profile::estimate_rows;
 use dqo::core::{prune_partitions, Catalog};
@@ -25,7 +25,7 @@ use dqo::plan::expr::{AggExpr, CmpOp, Predicate};
 use dqo::plan::{LogicalPlan, PhysicalPlan};
 use dqo::storage::{
     Column, DataProps, DataType, Dictionary, Field, PartitionSpec, PartitionedRelation, Relation,
-    Schema, Value,
+    Schema, Sortedness, Value,
 };
 use dqo::{Dqo, Engine};
 use proptest::prelude::*;
@@ -88,6 +88,11 @@ fn build_table(raw: &[(u32, u32, u8)], k_groups: u32, sorted_dict: bool) -> Rela
 /// carry an extra column) never match — the AV leg then exercises the
 /// schema-preserving kinds (sorted projections, SPH indexes).
 fn build_query(shape: u8, preds: &[(u8, u8)], aggs_pick: u8, order: bool) -> String {
+    query_with(shape, &where_clause(preds), aggs_pick, order)
+}
+
+/// [`build_query`]'s statement shapes under a given ` WHERE …` clause.
+fn query_with(shape: u8, where_sql: &str, aggs_pick: u8, order: bool) -> String {
     let (keys, group): (&str, &str) = match shape % 7 {
         0 => ("k", "k"),
         1 => ("s", "s"),
@@ -111,7 +116,7 @@ fn build_query(shape: u8, preds: &[(u8, u8)], aggs_pick: u8, order: bool) -> Str
         sql.push_str(agg_list);
     }
     sql.push_str(" FROM t");
-    sql.push_str(&where_clause(preds));
+    sql.push_str(where_sql);
     if !group.is_empty() {
         sql.push_str(" GROUP BY ");
         sql.push_str(group);
@@ -776,6 +781,161 @@ fn check_estimates(
         ..SearchContext::new(OptimizerMode::Deep)
     };
     check_one_estimate(&logical, catalog, &ctx).map_err(|e| format!("{sql}: {e}"))
+}
+
+/// Comparisons the sorted arm draws on `k`, in SQL.
+const CMP_OPS: [&str; 6] = ["=", "<>", "<", "<=", ">", ">="];
+
+/// ` WHERE …` for the sorted arm, and the column of each conjunct a
+/// search could answer — a `u32` comparison other than `<>`. They are
+/// comparisons on the ascending `k` under every operator, against the
+/// domain's edges `0` and `u32::MAX` or a key in or just past
+/// `0..k_groups`, mixed with leaves a search answers only on ascending
+/// data, if ever — a comparison on `v` (unsorted unless the table is
+/// tiny), `<>`, a `LIKE`.
+fn sorted_where(preds: &[(u8, u8)], k_groups: u32) -> (String, Vec<&'static str>) {
+    let mut searchable = Vec::new();
+    let conjuncts: Vec<String> = preds
+        .iter()
+        .map(|&(kind, param)| match kind % 5 {
+            0..=2 => {
+                let op = CMP_OPS[(kind / 5) as usize % CMP_OPS.len()];
+                let lit = match param % 8 {
+                    0 => 0,
+                    1 => u32::MAX,
+                    _ => u32::from(param / 8) % (k_groups + 2),
+                };
+                if op != "<>" {
+                    searchable.push("k");
+                }
+                format!("k {op} {lit}")
+            }
+            3 => {
+                searchable.push("v");
+                format!("v < {}", u32::from(param) * 4)
+            }
+            _ => format!("s LIKE '{}%'", PREFIXES[param as usize % PREFIXES.len()]),
+        })
+        .collect();
+    (format!(" WHERE {}", conjuncts.join(" AND ")), searchable)
+}
+
+/// The sorted arm: t's rows ordered by `k` — an ascending key with
+/// duplicate runs — flat, or range-partitioned on `k` so the flat order
+/// still ascends. `sql` must agree with the naive evaluator in the planned
+/// engine at DOP 1, 2 and 8 and under forced `Exchange` at DOP 2 and 8,
+/// and each run's filters must have answered by search exactly the
+/// `searchable` conjuncts whose column the catalog calls ascending — no
+/// `<>` among them.
+fn check_sorted(
+    raw: &[(u32, u32, u8)],
+    k_groups: u32,
+    sorted_dict: bool,
+    parts: Option<u8>,
+    sql: &str,
+    searchable: &[&str],
+) -> Result<(), String> {
+    let mut raw = raw.to_vec();
+    raw.sort_by_key(|&(a, _, _)| a % k_groups);
+    let rel = build_table(&raw, k_groups, sorted_dict);
+    let engine = |threads: usize| {
+        let db = Dqo::with_engine(Engine::new().with_threads(threads));
+        match parts {
+            None => db.register_table("t", rel.clone()),
+            Some(parts_pick) => {
+                let spec = partition_spec(k_groups, 0, parts_pick, false);
+                let pr = PartitionedRelation::new(rel.clone(), spec).unwrap();
+                db.register_table_partitioned("t", pr)
+            }
+        };
+        db
+    };
+    let reference = engine(1);
+    let catalog = reference.engine().catalog();
+    let ascends = |column| {
+        catalog
+            .column_props("t", column)
+            .is_ok_and(|p| p.sortedness == Sortedness::Ascending)
+    };
+    if !ascends("k") {
+        return Err("k does not ascend over the flat order".into());
+    }
+    let searchable = searchable.iter().filter(|&&c| ascends(c)).count();
+    let logical = reference
+        .compile(sql)
+        .map_err(|e| format!("compile {sql}: {e}"))?;
+    let expect =
+        sorted_rows(&naive_eval(&logical, catalog).map_err(|e| format!("naive {sql}: {e}"))?);
+    for threads in [1usize, 2, 8] {
+        let out = engine(threads)
+            .sql(sql)
+            .map_err(|e| format!("threads={threads} {sql}: {e}"))?;
+        if sorted_rows(&out.output.relation) != expect {
+            return Err(format!(
+                "threads={threads} diverges from naive for {sql}\nplan:\n{}",
+                out.planned.plan.explain()
+            ));
+        }
+    }
+    let planned = reference
+        .engine()
+        .plan(&logical)
+        .map_err(|e| format!("plan {sql}: {e}"))?;
+    let traced = ExecContext {
+        collect_metrics: true,
+        ..ExecContext::default()
+    };
+    for dop in [1usize, 2, 8] {
+        let plan = match dop {
+            1 => planned.plan.clone(),
+            _ => parallelise(&planned.plan, dop),
+        };
+        let (out, nodes) = execute_with(&plan, catalog, &traced)
+            .map_err(|e| format!("forced dop={dop} {sql}: {e}"))?;
+        if sorted_rows(&out.relation) != expect {
+            return Err(format!(
+                "forced Exchange dop={dop} diverges for {sql}\nplan:\n{}",
+                plan.explain()
+            ));
+        }
+        let searched: usize = plan
+            .preorder()
+            .iter()
+            .zip(&nodes)
+            .filter(|(node, _)| matches!(node, PhysicalPlan::Filter { .. }))
+            .filter_map(|(_, m)| m.searched.map(|(n, _)| n))
+            .sum();
+        if searched != searchable {
+            return Err(format!(
+                "dop={dop} searched {searched} conjuncts of {sql}, {searchable} searchable\nplan:\n{}",
+                plan.explain()
+            ));
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    // Its cases are small and cheap; a wrong bound shows only when the
+    // literal hits a key the table holds.
+    #![proptest_config(ProptestConfig::with_cases(4 * fuzz_cases()))]
+
+    #[test]
+    fn sorted_inputs_agree_with_naive_when_filters_search(
+        raw in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<u8>()), 0..400),
+        k_groups in 1u32..24,
+        sorted_dict in any::<bool>(),
+        parts_pick in any::<u8>(),
+        shape in any::<u8>(),
+        preds in proptest::collection::vec((any::<u8>(), any::<u8>()), 1..4),
+        aggs_pick in any::<u8>(),
+        order in any::<bool>(),
+    ) {
+        let (where_sql, searchable) = sorted_where(&preds, k_groups);
+        let sql = query_with(shape, &where_sql, aggs_pick, order);
+        let parts = (parts_pick % 3 != 0).then_some(parts_pick / 3);
+        check_sorted(&raw, k_groups, sorted_dict, parts, &sql, &searchable)?;
+    }
 }
 
 proptest! {
