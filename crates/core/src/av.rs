@@ -41,7 +41,7 @@ use dqo_exec::aggregate::{CountSum, CountSumState};
 use dqo_exec::composite::{rowwise_group, unpack_grouped, KeyPacker};
 use dqo_exec::grouping::hg::hash_grouping_chaining;
 use dqo_exec::grouping::GroupedResult;
-use dqo_exec::join::sphj::SphIndex;
+use dqo_exec::join::JoinIndex;
 use dqo_exec::sort::argsort;
 use dqo_parallel::{
     parallel_argsort, parallel_gather, parallel_grouping, parallel_sph_index_build,
@@ -150,8 +150,8 @@ impl fmt::Display for AvSignature {
 pub enum AvArtifact {
     /// Rows of the base table, sorted by the key column.
     SortedProjection(Arc<Relation>),
-    /// Prebuilt CSR SPH index over the key column.
-    SphIndex(Arc<SphIndex>),
+    /// Prebuilt SPH join index (an identity slot map) over the key column.
+    SphIndex(Arc<JoinIndex>),
     /// `(key, count, sum)` relation.
     MaterialisedGrouping(Arc<Relation>),
 }
@@ -372,7 +372,7 @@ pub(crate) fn key_order(key_cols: &[&[u32]], pool: Option<&ThreadPool>) -> Resul
 /// until [`AvCatalog::publish`] accepts it.
 ///
 /// With `pool = None` the serial reference kernels run on the caller
-/// thread (`argsort`, [`SphIndex::build`], `hash_grouping_chaining`);
+/// thread (`argsort`, [`JoinIndex::identity`], `hash_grouping_chaining`);
 /// with a pool, their parallel twins (parallel sort + range-partitioned
 /// gather, partitioned CSR build, parallel SPHG/HG). The two are
 /// **bit-identical** at any DOP or steal order — the parallel kernels
@@ -402,7 +402,7 @@ pub fn materialise_av(
             let keys = key_cols[0]; // plan_av rejected composite indexes
             let index = match pool {
                 Some(tp) => parallel_sph_index_build(tp, keys, props.min, props.max)?,
-                None => SphIndex::build(keys, props.min, props.max)?,
+                None => JoinIndex::identity(keys, props.min, props.max)?,
             };
             av.byte_size = index.byte_size();
             AvArtifact::SphIndex(Arc::new(index))

@@ -34,7 +34,7 @@
 //!   A delta larger than `REBUILD_RATIO` of the combined table rebuilds
 //!   inline: the merge would read nearly everything a fresh sort does.
 //! * **SPH index — patch-or-rebuild**: when the delta keys fit the
-//!   existing dense domain, [`SphIndex::patch`](dqo_exec::join::sphj::SphIndex::patch)
+//!   existing dense domain, [`JoinIndex::patch`](dqo_exec::join::JoinIndex::patch)
 //!   widens the CSR in two passes (bit-identical to a rebuild, since
 //!   appended row ids follow all existing ones in scan order). When the
 //!   domain grew, the stale index is removed immediately — queries fall
@@ -57,7 +57,7 @@ use crate::Result;
 use dqo_exec::aggregate::{CountSum, CountSumState};
 use dqo_exec::grouping::hg::hash_grouping_chaining;
 use dqo_exec::grouping::GroupedResult;
-use dqo_exec::join::sphj::SphIndex;
+use dqo_exec::join::JoinIndex;
 use dqo_obs::{names, Counter, Histogram, MetricsRegistry, DURATION_BUCKETS};
 use dqo_parallel::ThreadPool;
 use dqo_storage::Relation;
@@ -316,7 +316,7 @@ fn maintain_sorted(
 
 /// Patch an SPH join index with the appended keys; `None` when they fall
 /// outside the index's dense domain and only a rebuild can describe them.
-fn patch_sph(av: &Av, index: &SphIndex, delta: &Relation, first_row: usize) -> Result<Option<Av>> {
+fn patch_sph(av: &Av, index: &JoinIndex, delta: &Relation, first_row: usize) -> Result<Option<Av>> {
     let dk = delta.column(&av.signature.column)?.as_u32()?;
     let Ok(patched) = index.patch(dk, first_row as u32) else {
         return Ok(None);

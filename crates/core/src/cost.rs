@@ -49,8 +49,8 @@ pub const PARALLEL_DISPATCH_TUPLES: f64 = 2_500.0;
 /// the work term divides by the degree of parallelism, a startup term
 /// charges [`PARALLEL_BATCH_TUPLES`] once plus
 /// [`PARALLEL_DISPATCH_TUPLES`] per worker, and a merge term charges the
-/// post-aggregation combine (per-worker partial groups for grouping, the
-/// extra partition materialisation for joins). Plans only go parallel
+/// post-aggregation combine (per-worker partial groups for grouping, a
+/// build-side pass for HJ). Plans only go parallel
 /// when that sum beats the serial cost.
 pub trait CostModel: Send + Sync {
     /// Cost of grouping `rows` input tuples into `groups` groups.
@@ -113,11 +113,13 @@ pub trait CostModel: Send + Sync {
         }
     }
 
-    /// Join at degree `dop`, mirroring the parallel implementations:
-    /// SPHJ keeps its cheap serial CSR build and divides only the probe;
-    /// the partitioned parallel HJ divides both sides but pays an extra
-    /// partition pass that re-materialises the build side; SOJ runs two
-    /// parallel sorts then a divided range-partitioned merge.
+    /// Join at degree `dop`: SPHJ keeps its cheap serial build and divides
+    /// only the probe; SOJ runs two parallel sorts then a divided
+    /// range-partitioned merge. HJ now runs exactly like SPHJ — a serial
+    /// build of its hashed index, then the divided probe — but its formula
+    /// is kept verbatim (both sides divided, plus a pass over the build
+    /// side, from the partitioned HJ it once priced), so no plan moves;
+    /// refitting it belongs to fitting the cost model as a whole.
     fn parallel_join(
         &self,
         algo: JoinAlgorithm,
@@ -452,10 +454,12 @@ mod tests {
         let overhead4 = PARALLEL_BATCH_TUPLES + 4.0 * PARALLEL_DISPATCH_TUPLES;
         let serial = M.join(JoinAlgorithm::HashBased, l, r, 100.0);
         let par = M.parallel_join(JoinAlgorithm::HashBased, l, r, 100.0, 4);
-        // work/4 + batch + 4·dispatch + |L| partition pass
+        // work/4 + batch + 4·dispatch + a |L| build-side pass: the
+        // formula is kept as it was, though HJ now builds serially and
+        // divides only its probe.
         assert!((par - (serial / 4.0 + overhead4 + l)).abs() < 1e-6);
         assert!(par < serial);
-        // SPHJ: serial build (|L|) + probe/4 + overhead, no partition pass.
+        // SPHJ: serial build (|L|) + probe/4 + overhead, no build-side pass.
         let sphj = M.parallel_join(JoinAlgorithm::StaticPerfectHash, l, r, 100.0, 4);
         assert!((sphj - (l + r / 4.0 + overhead4)).abs() < 1e-6);
         assert!(sphj < M.join(JoinAlgorithm::StaticPerfectHash, l, r, 100.0));

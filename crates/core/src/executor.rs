@@ -19,9 +19,10 @@
 //! folds the pieces of the selection into per-worker partials under an
 //! `Exchange`, and into one partial on the caller thread otherwise —
 //! which is serial HG/SPHG, row for row. A single-key HG/SPHG runs a
-//! filter beneath it, and an SPHJ beneath that, inside the loader of its
-//! own tasks at any DOP (see `Fused`): no join output is built. Every
-//! SPHJ takes its index from `Exec::sph_index` and probes it, per morsel
+//! filter beneath it, and an HJ or SPHJ beneath that, inside the loader of
+//! its own tasks at any DOP (see `Fused`): no join output is built. HJ
+//! and SPHJ are one join: each takes its `JoinIndex` — hashed for HJ,
+//! identity for SPHJ — from `Exec::join_index` and probes it, per morsel
 //! under an `Exchange`. Column data is copied in three places only:
 //! kernel scratch (the key and value columns a grouping, sort or join
 //! reads through a selection that is not one dense run — per piece for
@@ -42,8 +43,7 @@ use dqo_exec::composite::{rowwise_group, unpack_grouped, KeyPacker};
 use dqo_exec::grouping::hg::HgTable;
 use dqo_exec::grouping::sog::sort_order_grouping;
 use dqo_exec::grouping::{execute_grouping, GroupedResult, GroupingHints};
-use dqo_exec::join::sphj::SphIndex;
-use dqo_exec::join::{execute_join as run_join, JoinHints};
+use dqo_exec::join::{execute_join as run_join, JoinHints, JoinIndex};
 use dqo_exec::pipeline::{
     grouping_blocking, join_blocking, Blocking, OperatorMetrics, PipelineStats,
 };
@@ -458,21 +458,9 @@ impl<'a> Exec<'a> {
                 view.sel = Selection::Rows(view.sel.pick(order));
                 Ok(view)
             }
-            PhysicalPlan::Join {
-                left,
-                right,
-                left_key,
-                right_key,
-                algo,
-            } => {
-                let join = JoinNode {
-                    node: plan,
-                    left,
-                    right,
-                    left_key,
-                    right_key,
-                };
-                self.join(join, *algo, tp)
+            PhysicalPlan::Join { .. } => {
+                let join = JoinNode::of(plan).expect("a Join node");
+                self.join(join, tp)
             }
             PhysicalPlan::GroupBy {
                 input,
@@ -520,18 +508,20 @@ impl<'a> Exec<'a> {
 }
 
 impl<'a> Exec<'a> {
-    /// The SPH index an SPHJ probes, for a join node and a fused grouping
+    /// The index an HJ or SPHJ probes, for a join node and a fused grouping
     /// alike: the prebuilt SPH-index AV when the build side scans the
-    /// indexed table whole, else one built over `l`, the build side's rows
-    /// (an empty one gives an index nothing matches). A prebuilt index
+    /// indexed table whole, whatever the algorithm; else one built over
+    /// `l`, the build side's rows, with the slot map the algorithm names —
+    /// hashed for HJ, identity over the build domain for SPHJ (an empty
+    /// build side gives an index nothing matches). A prebuilt index
     /// streams its `probe_rows`; a fresh build is a breaker over both
     /// sides.
-    fn sph_index(
+    fn join_index(
         &mut self,
         join: &JoinNode<'_>,
         l: &View<'_>,
         probe_rows: usize,
-    ) -> Result<Arc<SphIndex>> {
+    ) -> Result<Arc<JoinIndex>> {
         let prebuilt = match (self.avs, join.left) {
             (Some(avs), PhysicalPlan::Scan { table }) => avs
                 .lookup(table, join.left_key, AvKind::SphIndex)
@@ -549,22 +539,22 @@ impl<'a> Exec<'a> {
         let mut buf = Vec::new();
         let lk = self.read(join.node, &l.sel, lcol, &mut buf);
         let rows = lk.len() + probe_rows;
-        self.stats
-            .record(join_blocking(JoinAlgorithm::StaticPerfectHash), rows as u64);
-        let (min, max) = l
-            .domain(join.left_key)
-            .or_else(|| min_max(&l.sel, lcol))
-            .unwrap_or((0, 0));
-        Ok(Arc::new(SphIndex::build(lk, min, max)?))
+        self.stats.record(join_blocking(join.algo), rows as u64);
+        let index = match join.algo {
+            JoinAlgorithm::StaticPerfectHash => {
+                let (min, max) = l
+                    .domain(join.left_key)
+                    .or_else(|| min_max(&l.sel, lcol))
+                    .unwrap_or((0, 0));
+                JoinIndex::identity(lk, min, max)?
+            }
+            _ => JoinIndex::hashed(lk),
+        };
+        Ok(Arc::new(index))
     }
 
-    fn join(
-        &mut self,
-        join: JoinNode<'a>,
-        algo: JoinAlgorithm,
-        tp: Option<&ThreadPool>,
-    ) -> Result<View<'a>> {
-        let plan = join.node;
+    fn join(&mut self, join: JoinNode<'a>, tp: Option<&ThreadPool>) -> Result<View<'a>> {
+        let (plan, algo) = (join.node, join.algo);
         let l = self.run(join.left, None)?;
         let r = self.run(join.right, None)?;
         // The kernels see the key columns through the selections and
@@ -572,10 +562,10 @@ impl<'a> Exec<'a> {
         let (mut lbuf, mut rbuf) = (Vec::new(), Vec::new());
         let rcol = r.rel.column(join.right_key)?.as_u32()?;
         let rk = self.read(plan, &r.sel, rcol, &mut rbuf);
-        let result = if algo == JoinAlgorithm::StaticPerfectHash {
-            let index = self.sph_index(&join, &l, rk.len())?;
+        let result = if join.indexed() {
+            let index = self.join_index(&join, &l, rk.len())?;
             match tp {
-                Some(tp) => dqo_parallel::parallel_sph_probe(tp, &index, rk, DEFAULT_MORSEL_ROWS)?,
+                Some(tp) => dqo_parallel::parallel_probe(tp, &index, rk, DEFAULT_MORSEL_ROWS)?,
                 None => index.probe(rk),
             }
         } else {
@@ -586,14 +576,7 @@ impl<'a> Exec<'a> {
                 (Some(tp), JoinAlgorithm::SortOrderBased) => {
                     dqo_parallel::parallel_sort_merge_join(tp, lk, rk, sort, &l.sel.bounds())?
                 }
-                (Some(tp), _) => dqo_parallel::parallel_hash_join(
-                    tp,
-                    lk,
-                    rk,
-                    &l.sel.bounds(),
-                    DEFAULT_MORSEL_ROWS,
-                )?,
-                (None, _) => {
+                _ => {
                     let mut stats = PipelineStats::default();
                     stats.record(join_blocking(algo), (lk.len() + rk.len()) as u64);
                     (run_join(algo, lk, rk, &JoinHints::default())?, stats)
@@ -759,9 +742,9 @@ impl<'a> Exec<'a> {
         Ok(View::of(out))
     }
 
-    /// Single-key HG/SPHG over a fused SPHJ: the grouping's loader probes
-    /// the join's index (see [`Exec::sph_index`]) piece by piece of the
-    /// probe side's selection — no join output is materialised. The
+    /// Single-key HG/SPHG over a fused HJ or SPHJ: the grouping's loader
+    /// probes the join's index (see [`Exec::join_index`]) piece by piece of
+    /// the probe side's selection — no join output is materialised. The
     /// filter's conjuncts are split by the side whose column each reads:
     /// probe-side ones narrow a piece before it probes, build-side ones
     /// narrow the matches.
@@ -778,7 +761,7 @@ impl<'a> Exec<'a> {
         let before = self.stats;
         let l = self.run(join.left, None)?;
         let r = self.run(join.right, None)?;
-        let index = self.sph_index(join, &l, r.sel.len())?;
+        let index = self.join_index(join, &l, r.sel.len())?;
 
         // Names of the join's output schema resolve to a side's columns.
         let schema = l.rel.schema().join(r.rel.schema(), "right")?;
@@ -984,7 +967,7 @@ impl<'s> Side<'s> {
 }
 
 /// Where a single-key grouping reads its rows: the pieces of `sel`,
-/// narrowed by a fused filter's `conjuncts` and, when an SPHJ was fused,
+/// narrowed by a fused filter's `conjuncts` and, when a join was fused,
 /// probed into its build side.
 struct Source<'s> {
     sel: &'s Selection,
@@ -998,9 +981,9 @@ struct Source<'s> {
     ascending: bool,
 }
 
-/// A fused SPHJ as its grouping's loader sees it.
+/// A fused join as its grouping's loader sees it.
 struct Probe<'s> {
-    index: &'s SphIndex,
+    index: &'s JoinIndex,
     /// The probe key column, by probe row.
     on: &'s [u32],
     /// The build row each index position stands for.
@@ -1188,18 +1171,50 @@ struct FusedRun {
 /// An `Exchange` absorbed into a fused grouping, with its DOP.
 type Absorbed<'a> = Option<(&'a PhysicalPlan, usize)>;
 
-/// An SPHJ node a grouping runs inside its loader.
+/// A join node, as the executor or a grouping that fused it runs it.
 struct JoinNode<'a> {
     node: &'a PhysicalPlan,
     left: &'a PhysicalPlan,
     right: &'a PhysicalPlan,
     left_key: &'a str,
     right_key: &'a str,
+    algo: JoinAlgorithm,
+}
+
+impl<'a> JoinNode<'a> {
+    /// `plan` as a join node, if it is a `Join`.
+    fn of(plan: &'a PhysicalPlan) -> Option<Self> {
+        match plan {
+            PhysicalPlan::Join {
+                left,
+                right,
+                left_key,
+                right_key,
+                algo,
+            } => Some(JoinNode {
+                node: plan,
+                left,
+                right,
+                left_key,
+                right_key,
+                algo: *algo,
+            }),
+            _ => None,
+        }
+    }
+
+    /// HJ and SPHJ: the joins that build a [`JoinIndex`] and probe it.
+    fn indexed(&self) -> bool {
+        matches!(
+            self.algo,
+            JoinAlgorithm::HashBased | JoinAlgorithm::StaticPerfectHash
+        )
+    }
 }
 
 /// The nodes a single-key HG/SPHG runs inside its own loader instead of as
-/// nodes of their own, at any DOP: `[Exchange] [Filter] [Exchange] SPHJ`
-/// and `[Exchange] Filter`.
+/// nodes of their own, at any DOP: `[Exchange] [Filter] [Exchange] HJ`,
+/// the same over SPHJ, and `[Exchange] Filter`.
 struct Fused<'a> {
     /// The `Exchange` directly beneath the grouping.
     upper: Absorbed<'a>,
@@ -1223,24 +1238,12 @@ impl<'a> Fused<'a> {
             other => (None, other),
         };
         let (lower, below) = exchange(input);
-        match below {
-            PhysicalPlan::Join {
-                left,
-                right,
-                left_key,
-                right_key,
-                algo: JoinAlgorithm::StaticPerfectHash,
-            } => Some(Fused {
+        match JoinNode::of(below).filter(JoinNode::indexed) {
+            Some(join) => Some(Fused {
                 upper,
                 filter,
                 lower,
-                join: Some(JoinNode {
-                    node: below,
-                    left,
-                    right,
-                    left_key,
-                    right_key,
-                }),
+                join: Some(join),
                 input: below,
             }),
             _ => filter.is_some().then_some(Fused {

@@ -1,0 +1,682 @@
+//! The join index HJ and SPHJ share — the join twins of HG and SPHG.
+//!
+//! A [`JoinIndex`] maps a build key to the build rows holding it, in
+//! ascending row order. It has two parts:
+//!
+//! * A **slot map** from a key to a dense slot:
+//!   * *identity* — slot `key - min` over a dense build domain (SPHJ,
+//!     §2.1). Each probe is one subtraction: `|R| + |S|` abstract
+//!     operations, the plan DQO unlocks by tracking density, worth the 4×
+//!     of Figure 5.
+//!   * *hashed* — a linear-probing table under Fibonacci hashing that
+//!     numbers the distinct build keys in first-seen order (HJ). Table 2
+//!     charges `4·(|R|+|S|)`, mirroring HG's `4·|R|`.
+//! * A **row layout** over the slots, which the build keys pick:
+//!   * *unique* — no two build rows share a slot (a primary key): one
+//!     array holds each slot's build row, or an empty marker. One fill
+//!     pass, nothing else.
+//!   * *CSR* — some key repeats: a compressed-sparse-row layout, offsets
+//!     per slot into the build rows grouped by slot (one count pass, one
+//!     fill pass).
+//!
+//! A build fills the unique array first and falls back to CSR at the first
+//! repeat. [`JoinIndex::matches`] answers a probe key under either slot map
+//! and either layout, so probing never looks at which one it got.
+
+use crate::error::ExecError;
+use crate::join::JoinResult;
+use crate::Result;
+use dqo_hashtable::{Fibonacci, GroupTable, LinearProbingTable};
+use std::borrow::Cow;
+
+/// A prebuilt join index: it maps each build key to the build rows holding
+/// it, in ascending row order.
+///
+/// Building this once and probing many times is exactly what an
+/// *Algorithmic View* (§3) materialises offline — `dqo-core`'s AV catalog
+/// stores identity-mapped ones.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JoinIndex {
+    slots: SlotMap,
+    layout: Layout,
+}
+
+/// How a [`JoinIndex`] finds a key's slot.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum SlotMap {
+    /// Slot `key - min`; a key outside the layout's slots has none.
+    Identity { min: u32 },
+    /// Slot ids of the distinct build keys in first-seen order.
+    Hashed(LinearProbingTable<u32, Fibonacci>),
+}
+
+/// How a [`JoinIndex`] stores its slots; which one is a function of the
+/// build keys alone, so equal key columns give equal indexes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Layout {
+    /// No slot holds two rows: slot `g` holds its build row, or [`EMPTY`].
+    Unique(Vec<u32>),
+    /// Slot `g` owns `rows[offsets[g]..offsets[g + 1]]`.
+    Csr { offsets: Vec<u32>, rows: Vec<u32> },
+}
+
+/// The unique layout's marker for a slot no build row holds (row ids stay
+/// below it).
+const EMPTY: u32 = u32::MAX;
+
+impl JoinIndex {
+    /// The SPHJ index: an identity slot map over the dense domain
+    /// `[min, max]`, in the unique layout when every key is distinct, CSR
+    /// otherwise. A key outside the domain is an error.
+    pub fn identity(left_keys: &[u32], min: u32, max: u32) -> Result<Self> {
+        let domain = domain_of(min, max)?;
+        let layout = Layout::build(left_keys, domain, |k| slot(k, min, domain))
+            .map_err(|k| domain_violation(k, min, max))?;
+        Ok(Self::over(min, layout))
+    }
+
+    /// The unique layout of [`JoinIndex::identity`], or `None` at the
+    /// first key that repeats — one fill pass into a domain-sized array. A
+    /// key outside the domain before that point is an error.
+    pub fn unique(left_keys: &[u32], min: u32, max: u32) -> Result<Option<Self>> {
+        let domain = domain_of(min, max)?;
+        let layout = Layout::unique(left_keys, domain, |k| slot(k, min, domain))
+            .map_err(|k| domain_violation(k, min, max))?;
+        Ok(layout.map(|layout| Self::over(min, layout)))
+    }
+
+    /// The HJ index: a hashed slot map over any build keys. Its slots are
+    /// the distinct keys in first-seen order, laid out like an identity
+    /// index over the keys' slot ids.
+    pub fn hashed(left_keys: &[u32]) -> Self {
+        let mut map = LinearProbingTable::with_hasher(Fibonacci);
+        let ids: Vec<u32> = left_keys
+            .iter()
+            .map(|&k| {
+                let next = map.len() as u32;
+                *map.upsert_with(k, || next)
+            })
+            .collect();
+        let layout = Layout::build(&ids, map.len(), |id| Some(id as usize))
+            .expect("every slot id is below the slot count");
+        JoinIndex {
+            slots: SlotMap::Hashed(map),
+            layout,
+        }
+    }
+
+    fn over(min: u32, layout: Layout) -> Self {
+        JoinIndex {
+            slots: SlotMap::Identity { min },
+            layout,
+        }
+    }
+
+    /// Assemble an identity-mapped CSR index from prebuilt parts — the
+    /// entry point for parallel builders that compute the layout
+    /// themselves (per-block histograms + partitioned fill) once
+    /// [`JoinIndex::unique`] declined. Validates the CSR invariants so a
+    /// buggy builder cannot produce an index that panics at probe time.
+    pub fn from_csr(min: u32, offsets: Vec<u32>, rows: Vec<u32>) -> Result<Self> {
+        let invalid = |detail: String| ExecError::PreconditionViolated {
+            algorithm: "SPHJ",
+            detail,
+        };
+        if offsets.len() < 2 {
+            return Err(invalid(format!(
+                "CSR offsets need at least 2 entries, got {}",
+                offsets.len()
+            )));
+        }
+        if offsets[0] != 0 {
+            return Err(invalid(format!(
+                "CSR offsets must start at 0: {}",
+                offsets[0]
+            )));
+        }
+        if offsets.windows(2).any(|w| w[0] > w[1]) {
+            return Err(invalid("CSR offsets must be non-decreasing".into()));
+        }
+        if *offsets.last().expect("len checked") as usize != rows.len() {
+            return Err(invalid(format!(
+                "CSR offsets end at {} but {} rows were supplied",
+                offsets.last().expect("len checked"),
+                rows.len()
+            )));
+        }
+        Ok(Self::over(min, Layout::Csr { offsets, rows }))
+    }
+
+    /// True when no two build rows share a key (the unique layout).
+    pub fn is_unique(&self) -> bool {
+        matches!(self.layout, Layout::Unique(_))
+    }
+
+    /// The build rows holding `key`, ascending; empty for a key no build
+    /// row holds (no FK guarantee assumed).
+    #[inline]
+    pub fn matches(&self, key: u32) -> &[u32] {
+        self.layout.rows(match &self.slots {
+            SlotMap::Identity { min } => slot(key, *min, self.layout.domain()),
+            SlotMap::Hashed(map) => map.get(key).map(|&id| id as usize),
+        })
+    }
+
+    /// Probe with the right-side keys: pairs in probe order, each probe
+    /// key's build rows ascending.
+    pub fn probe(&self, right_keys: &[u32]) -> JoinResult {
+        // One loop per slot map, so no row branches on which one it is.
+        match &self.slots {
+            &SlotMap::Identity { min } => {
+                let domain = self.layout.domain();
+                self.probe_by(right_keys, move |k| slot(k, min, domain))
+            }
+            SlotMap::Hashed(map) => {
+                self.probe_by(right_keys, |k| map.get(k).map(|&id| id as usize))
+            }
+        }
+    }
+
+    fn probe_by(&self, right_keys: &[u32], slot_of: impl Fn(u32) -> Option<usize>) -> JoinResult {
+        let mut left_rows = Vec::with_capacity(right_keys.len());
+        let mut right_rows = Vec::with_capacity(right_keys.len());
+        // One loop per layout too: the unique one emits at most one pair
+        // per probe key, with no inner loop.
+        match &self.layout {
+            Layout::Unique(rows) => {
+                for (j, &k) in right_keys.iter().enumerate() {
+                    if let Some(&li) = slot_of(k).map(|off| &rows[off]) {
+                        if li != EMPTY {
+                            left_rows.push(li);
+                            right_rows.push(j as u32);
+                        }
+                    }
+                }
+            }
+            Layout::Csr { .. } => {
+                for (j, &k) in right_keys.iter().enumerate() {
+                    for &li in self.layout.rows(slot_of(k)) {
+                        left_rows.push(li);
+                        right_rows.push(j as u32);
+                    }
+                }
+            }
+        }
+        JoinResult {
+            left_rows,
+            right_rows,
+            // Output follows probe order; key-sortedness would require a
+            // sorted probe side, which the optimiser tracks separately.
+            sorted_by_key: false,
+        }
+    }
+
+    /// Heap footprint of the row layout in bytes (AV budget accounting;
+    /// an identity slot map holds nothing on the heap).
+    pub fn byte_size(&self) -> usize {
+        let words = match &self.layout {
+            Layout::Unique(rows) => rows.len(),
+            Layout::Csr { offsets, rows } => offsets.len() + rows.len(),
+        };
+        words * std::mem::size_of::<u32>()
+    }
+
+    /// Incrementally extend an identity-mapped index with `delta_keys`,
+    /// the keys of rows appended to the build side starting at row id
+    /// `first_row`. The domain is fixed at build time: a delta key outside
+    /// `[min, min + domain)` is an error, and the caller falls back to a
+    /// full rebuild (the append may have widened the dense domain). A
+    /// hashed index is never patched, only rebuilt.
+    ///
+    /// The result is **bit-identical** to
+    /// [`JoinIndex::identity`]`(base ++ delta, min, max)`. A unique index
+    /// stays unique while the delta keys land in distinct empty slots —
+    /// exactly when `base ++ delta` has no duplicate — and becomes CSR
+    /// otherwise. In CSR, the build fills each slot's postings in
+    /// ascending scan order, and every old row id is smaller than every
+    /// appended one, so "old postings then delta postings" per slot *is*
+    /// the from-scratch order.
+    pub fn patch(&self, delta_keys: &[u32], first_row: u32) -> Result<Self> {
+        let SlotMap::Identity { min } = self.slots else {
+            return Err(ExecError::PreconditionViolated {
+                algorithm: "HJ",
+                detail: "a hashed join index is rebuilt, not patched".into(),
+            });
+        };
+        let domain = self.layout.domain();
+        let max = min + (domain as u32 - 1);
+        // Validate the domain up front, before any allocation proportional
+        // to the data.
+        if let Some(&k) = delta_keys.iter().find(|&&k| slot(k, min, domain).is_none()) {
+            return Err(domain_violation(k, min, max));
+        }
+        let slot_of = |k: u32| slot(k, min, domain).expect("validated above");
+        if let Layout::Unique(rows) = &self.layout {
+            let mut patched = rows.clone();
+            // Stops at the first delta key whose slot is taken.
+            let fits = delta_keys
+                .iter()
+                .zip(first_row..)
+                .all(|(&k, row)| std::mem::replace(&mut patched[slot_of(k)], row) == EMPTY);
+            if fits {
+                return Ok(Self::over(min, Layout::Unique(patched)));
+            }
+        }
+        let (old_offsets, old_rows) = self.layout.csr_parts();
+        let mut delta_counts = vec![0u32; domain];
+        for &k in delta_keys {
+            delta_counts[slot_of(k)] += 1;
+        }
+        let mut offsets = Vec::with_capacity(domain + 1);
+        offsets.push(0u32);
+        let mut total = 0u32;
+        for (w, &dc) in old_offsets.windows(2).zip(&delta_counts) {
+            total += (w[1] - w[0]) + dc;
+            offsets.push(total);
+        }
+        let mut rows = vec![0u32; old_rows.len() + delta_keys.len()];
+        // Old postings first: slot-wise copy into the widened layout.
+        for (w, &dst) in old_offsets.windows(2).zip(&offsets) {
+            let (lo, hi) = (w[0] as usize, w[1] as usize);
+            let dst = dst as usize;
+            rows[dst..dst + (hi - lo)].copy_from_slice(&old_rows[lo..hi]);
+        }
+        // Delta postings after them, in delta scan order.
+        let mut cursor: Vec<u32> = (0..domain)
+            .map(|g| offsets[g] + (old_offsets[g + 1] - old_offsets[g]))
+            .collect();
+        for (i, &k) in delta_keys.iter().enumerate() {
+            let off = slot_of(k);
+            rows[cursor[off] as usize] = first_row + i as u32;
+            cursor[off] += 1;
+        }
+        Ok(Self::over(min, Layout::Csr { offsets, rows }))
+    }
+}
+
+impl Layout {
+    /// The layout of build rows whose slots `slot` gives among `domain`
+    /// slots: unique, or CSR from the first repeat on. A key with no slot
+    /// is returned as the error.
+    fn build(
+        keys: &[u32],
+        domain: usize,
+        slot: impl Fn(u32) -> Option<usize>,
+    ) -> std::result::Result<Self, u32> {
+        match Self::unique(keys, domain, &slot)? {
+            Some(layout) => Ok(layout),
+            None => Self::csr(keys, domain, &slot),
+        }
+    }
+
+    /// The unique layout, or `None` at the first slot that repeats.
+    fn unique(
+        keys: &[u32],
+        domain: usize,
+        slot: impl Fn(u32) -> Option<usize>,
+    ) -> std::result::Result<Option<Self>, u32> {
+        let mut rows = vec![EMPTY; domain];
+        for (i, &k) in keys.iter().enumerate() {
+            let off = slot(k).ok_or(k)?;
+            if rows[off] != EMPTY {
+                return Ok(None);
+            }
+            rows[off] = i as u32;
+        }
+        Ok(Some(Layout::Unique(rows)))
+    }
+
+    /// The CSR layout: count pass → prefix sums → fill, no per-slot
+    /// allocations.
+    fn csr(
+        keys: &[u32],
+        domain: usize,
+        slot: impl Fn(u32) -> Option<usize>,
+    ) -> std::result::Result<Self, u32> {
+        let mut offsets = vec![0u32; domain + 1];
+        for &k in keys {
+            offsets[slot(k).ok_or(k)? + 1] += 1;
+        }
+        for i in 0..domain {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut rows = vec![0u32; keys.len()];
+        let mut cursor = offsets.clone();
+        for (i, &k) in keys.iter().enumerate() {
+            let off = slot(k).expect("validated in count pass");
+            rows[cursor[off] as usize] = i as u32;
+            cursor[off] += 1;
+        }
+        Ok(Layout::Csr { offsets, rows })
+    }
+
+    /// The build rows of slot `off`, ascending; none for no slot.
+    #[inline(always)]
+    fn rows(&self, off: Option<usize>) -> &[u32] {
+        let Some(off) = off else {
+            return &[];
+        };
+        match self {
+            Layout::Unique(rows) => {
+                let row = &rows[off..off + 1];
+                if row[0] == EMPTY {
+                    &[]
+                } else {
+                    row
+                }
+            }
+            Layout::Csr { offsets, rows } => {
+                &rows[offsets[off] as usize..offsets[off + 1] as usize]
+            }
+        }
+    }
+
+    /// Number of slots.
+    fn domain(&self) -> usize {
+        match self {
+            Layout::Unique(rows) => rows.len(),
+            Layout::Csr { offsets, .. } => offsets.len() - 1,
+        }
+    }
+
+    /// The CSR offsets and rows of this layout: its own, or those of the
+    /// unique array (one posting per occupied slot, in slot order).
+    fn csr_parts(&self) -> (Cow<'_, [u32]>, Cow<'_, [u32]>) {
+        match self {
+            Layout::Csr { offsets, rows } => (Cow::Borrowed(offsets), Cow::Borrowed(rows)),
+            Layout::Unique(rows) => {
+                let offsets = std::iter::once(0)
+                    .chain(rows.iter().scan(0u32, |total, &row| {
+                        *total += u32::from(row != EMPTY);
+                        Some(*total)
+                    }))
+                    .collect();
+                let occupied = rows.iter().copied().filter(|&r| r != EMPTY).collect();
+                (Cow::Owned(offsets), Cow::Owned(occupied))
+            }
+        }
+    }
+}
+
+/// The slot count of `[min, max]`; an inverted domain is an error.
+fn domain_of(min: u32, max: u32) -> Result<usize> {
+    if max < min {
+        return Err(ExecError::PreconditionViolated {
+            algorithm: "SPHJ",
+            detail: format!("empty domain: max ({max}) < min ({min})"),
+        });
+    }
+    Ok((u64::from(max) - u64::from(min) + 1) as usize)
+}
+
+#[inline(always)]
+fn slot(key: u32, min: u32, domain: usize) -> Option<usize> {
+    let off = key.checked_sub(min)? as usize;
+    (off < domain).then_some(off)
+}
+
+fn domain_violation(key: u32, min: u32, max: u32) -> ExecError {
+    ExecError::PreconditionViolated {
+        algorithm: "SPHJ",
+        detail: format!("build key {key} outside dense domain [{min}, {max}]"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::join::nested_loop_oracle;
+
+    /// Both slot maps over `left` (identity over its own min/max), probed
+    /// with `right`.
+    fn both(left: &[u32], right: &[u32]) -> [JoinResult; 2] {
+        let (min, max) = crate::join::min_max(left).unwrap_or((0, 0));
+        [
+            JoinIndex::identity(left, min, max).unwrap().probe(right),
+            JoinIndex::hashed(left).probe(right),
+        ]
+    }
+
+    #[test]
+    fn matches_oracle_with_duplicates() {
+        let left = [1u32, 2, 2, 3];
+        let right = [2u32, 2, 3, 4];
+        for r in both(&left, &right) {
+            assert_eq!(r.normalised_pairs(), nested_loop_oracle(&left, &right));
+            // 2×2 matches for key 2 plus one for key 3.
+            assert_eq!(r.len(), 5);
+            assert!(!r.sorted_by_key);
+        }
+    }
+
+    #[test]
+    fn probe_keys_without_build_rows_do_not_match() {
+        for r in both(&[1, 2], &[0, 3, 2]) {
+            assert_eq!(r.normalised_pairs(), vec![(1, 2)]);
+        }
+        for r in both(&[1, 2], &[3, 4]) {
+            assert!(r.is_empty());
+        }
+    }
+
+    #[test]
+    fn build_key_outside_domain_is_error() {
+        let r = JoinIndex::identity(&[5u32], 0, 3);
+        assert!(matches!(
+            r,
+            Err(ExecError::PreconditionViolated {
+                algorithm: "SPHJ",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn offset_domain() {
+        let left = [100u32, 101];
+        let right = [101u32, 100, 101];
+        let r = JoinIndex::identity(&left, 100, 101).unwrap().probe(&right);
+        assert_eq!(r.normalised_pairs(), nested_loop_oracle(&left, &right));
+    }
+
+    #[test]
+    fn inverted_domain_rejected() {
+        assert!(JoinIndex::identity(&[1u32], 5, 2).is_err());
+    }
+
+    #[test]
+    fn pk_fk_join_output_equals_probe_size() {
+        let left: Vec<u32> = (0..100).collect();
+        let right: Vec<u32> = (0..500).map(|i| (i * 7) % 100).collect();
+        for r in both(&left, &right) {
+            assert_eq!(r.len(), 500);
+        }
+    }
+
+    #[test]
+    fn index_is_reusable_across_probes() {
+        let left: Vec<u32> = (0..100).collect();
+        let idx = JoinIndex::identity(&left, 0, 99).unwrap();
+        let a = idx.probe(&[5, 5, 99]);
+        let b = idx.probe(&[0]);
+        assert_eq!(a.len(), 3);
+        assert_eq!(b.len(), 1);
+    }
+
+    #[test]
+    fn from_csr_roundtrips_a_built_index() {
+        let left = [2u32, 0, 1, 1];
+        let built = JoinIndex::identity(&left, 0, 2).unwrap();
+        let (offsets, rows) = built.layout.csr_parts();
+        let assembled = JoinIndex::from_csr(0, offsets.into_owned(), rows.into_owned()).unwrap();
+        assert_eq!(assembled, built);
+        assert_eq!(
+            assembled.probe(&[1, 2]).normalised_pairs(),
+            built.probe(&[1, 2]).normalised_pairs()
+        );
+    }
+
+    #[test]
+    fn from_csr_rejects_malformed_layouts() {
+        // Too few offsets.
+        assert!(JoinIndex::from_csr(0, vec![0], vec![]).is_err());
+        // Offsets not starting at zero.
+        assert!(JoinIndex::from_csr(0, vec![1, 1], vec![0]).is_err());
+        // Decreasing offsets.
+        assert!(JoinIndex::from_csr(0, vec![0, 2, 1], vec![0, 1]).is_err());
+        // End offset disagrees with the row count.
+        assert!(JoinIndex::from_csr(0, vec![0, 2], vec![0]).is_err());
+    }
+
+    #[test]
+    fn patch_is_bit_identical_to_rebuild() {
+        // Several shapes: empty base, empty delta, duplicates, all-one-key.
+        let cases: &[(&[u32], &[u32], u32, u32)] = &[
+            (&[0, 3, 1, 3, 2], &[3, 0, 4, 4], 0, 4),
+            (&[], &[2, 2, 1], 0, 4),
+            (&[5, 7, 6], &[], 5, 7),
+            (&[9, 9, 9], &[9, 9], 9, 9),
+            (&[100, 102], &[101, 100, 102], 100, 102),
+        ];
+        for &(base, delta, min, max) in cases {
+            let built = JoinIndex::identity(base, min, max).unwrap();
+            let patched = built.patch(delta, base.len() as u32).unwrap();
+            let combined: Vec<u32> = base.iter().chain(delta).copied().collect();
+            let rebuilt = JoinIndex::identity(&combined, min, max).unwrap();
+            assert_eq!(patched, rebuilt, "base={base:?} delta={delta:?}");
+        }
+    }
+
+    #[test]
+    fn patch_rejects_delta_keys_outside_domain_and_hashed_indexes() {
+        let built = JoinIndex::identity(&[1u32, 2], 1, 3).unwrap();
+        assert!(matches!(
+            built.patch(&[4], 2),
+            Err(ExecError::PreconditionViolated {
+                algorithm: "SPHJ",
+                ..
+            })
+        ));
+        assert!(built.patch(&[0], 2).is_err(), "below min rejected too");
+        // The original index is untouched by a failed patch.
+        assert_eq!(built.probe(&[1, 2]).len(), 2);
+        assert!(matches!(
+            JoinIndex::hashed(&[1, 2]).patch(&[3], 2),
+            Err(ExecError::PreconditionViolated {
+                algorithm: "HJ",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn index_byte_size_accounts_csr() {
+        let idx = JoinIndex::identity(&[0u32, 1, 1], 0, 1).unwrap();
+        // offsets: 3 u32, rows: 3 u32 → 24 bytes.
+        assert_eq!(idx.byte_size(), 24);
+        // The unique layout is one u32 per slot.
+        assert_eq!(
+            JoinIndex::identity(&[0u32, 1], 0, 2).unwrap().byte_size(),
+            12
+        );
+    }
+
+    /// Keys `0..n` shuffled, with `dups` of them repeated at the end.
+    fn keys(n: u32, dups: u32) -> Vec<u32> {
+        let mut keys: Vec<u32> = (0..n).map(|i| i.wrapping_mul(2_654_435_761) % n).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys.extend((0..dups).map(|i| i * 7 % n));
+        keys
+    }
+
+    #[test]
+    fn the_build_keys_pick_the_layout() {
+        assert!(JoinIndex::identity(&[3u32, 0, 2], 0, 5)
+            .unwrap()
+            .is_unique());
+        assert!(JoinIndex::identity(&[], 0, 5).unwrap().is_unique());
+        assert!(!JoinIndex::identity(&[3u32, 0, 3], 0, 5)
+            .unwrap()
+            .is_unique());
+        // A duplicate after an out-of-domain key still reports the key.
+        assert!(JoinIndex::identity(&[3u32, 9, 3], 0, 5).is_err());
+        assert!(JoinIndex::identity(&[3u32, 3, 9], 0, 5).is_err());
+        // A sparse unique key set over a wide domain stays unique.
+        let sparse: Vec<u32> = (0..100).map(|i| i * 37).collect();
+        assert!(JoinIndex::identity(&sparse, 0, 99 * 37)
+            .unwrap()
+            .is_unique());
+        // The hashed map picks by the same rule.
+        assert!(JoinIndex::hashed(&sparse).is_unique());
+        assert!(JoinIndex::hashed(&[]).is_unique());
+        assert!(!JoinIndex::hashed(&[u32::MAX, 0, u32::MAX]).is_unique());
+    }
+
+    #[test]
+    fn matches_agrees_across_layouts() {
+        let unique_keys = keys(500, 0);
+        let unique = JoinIndex::identity(&unique_keys, 0, 499).unwrap();
+        assert!(unique.is_unique());
+        // The same keys in CSR form, assembled from the derived parts.
+        let (offsets, rows) = unique.layout.csr_parts();
+        let csr = JoinIndex::from_csr(0, offsets.into_owned(), rows.into_owned()).unwrap();
+        assert!(!csr.is_unique());
+        let dup_keys = keys(500, 40);
+        let dups = JoinIndex::identity(&dup_keys, 0, 499).unwrap();
+        assert!(!dups.is_unique());
+        let hashed = [
+            JoinIndex::hashed(&unique_keys),
+            JoinIndex::hashed(&dup_keys),
+        ];
+        for probe in 0..520u32 {
+            assert_eq!(unique.matches(probe), csr.matches(probe), "key {probe}");
+            let oracle = |ks: &[u32]| -> Vec<u32> {
+                (0..ks.len() as u32)
+                    .filter(|&i| ks[i as usize] == probe)
+                    .collect()
+            };
+            assert_eq!(unique.matches(probe), oracle(&unique_keys), "key {probe}");
+            assert_eq!(dups.matches(probe), oracle(&dup_keys), "key {probe}");
+            assert_eq!(
+                hashed[0].matches(probe),
+                oracle(&unique_keys),
+                "key {probe}"
+            );
+            assert_eq!(hashed[1].matches(probe), oracle(&dup_keys), "key {probe}");
+        }
+        assert_eq!(
+            unique.probe(&unique_keys).normalised_pairs(),
+            csr.probe(&unique_keys).normalised_pairs()
+        );
+    }
+
+    #[test]
+    fn patch_keeps_or_leaves_the_unique_layout_bit_identically() {
+        // (base, delta, stays unique): delta keys in empty slots keep the
+        // unique layout; one landing on a taken slot, or two deltas
+        // sharing one, converts to CSR.
+        let cases: &[(&[u32], &[u32], bool)] = &[
+            (&[0, 3, 1], &[2, 4], true),
+            (&[0, 3, 1], &[], true),
+            (&[], &[4, 0], true),
+            (&[0, 3, 1], &[2, 3], false),
+            (&[0, 3, 1], &[2, 2], false),
+            (&[0, 3, 1], &[1], false),
+            (&[], &[4, 4], false),
+        ];
+        for &(base, delta, unique) in cases {
+            let built = JoinIndex::identity(base, 0, 4).unwrap();
+            assert!(built.is_unique(), "base={base:?}");
+            let patched = built.patch(delta, base.len() as u32).unwrap();
+            let combined: Vec<u32> = base.iter().chain(delta).copied().collect();
+            let rebuilt = JoinIndex::identity(&combined, 0, 4).unwrap();
+            assert_eq!(patched, rebuilt, "base={base:?} delta={delta:?}");
+            assert_eq!(patched.is_unique(), unique, "base={base:?} delta={delta:?}");
+        }
+        // A rejected delta leaves the unique index as it was.
+        let built = JoinIndex::identity(&[0u32, 3], 0, 4).unwrap();
+        assert!(built.patch(&[2, 9], 2).is_err());
+        assert_eq!(built.matches(2), &[] as &[u32]);
+    }
+}

@@ -7,24 +7,25 @@
 //!
 //! | Grouping | Join | Module | Cost (Table 2) |
 //! |---|---|---|---|
-//! | HG | HJ | [`hj`] | `4·(|R|+|S|)` |
+//! | HG | HJ | [`index`] (hashed slot map) | `4·(|R|+|S|)` |
 //! | OG | OJ | [`oj`] | `|R|+|S|` (both inputs sorted) |
 //! | SOG | SOJ | [`soj`] | `|R|log|R| + |S|log|S| + |R|+|S|` |
-//! | SPHG | SPHJ | [`sphj`] | `|R|+|S|` (dense build domain) |
+//! | SPHG | SPHJ | [`index`] (identity slot map) | `|R|+|S|` (dense build domain) |
 //! | BSG | BSJ | [`bsj`] | `(|R|+|S|)·log₂(#groups)` |
 //!
-//! All joins are equi-joins on `u32` key columns and produce row-index
-//! pairs; the executor gathers payload columns afterwards.
+//! HJ and SPHJ build one [`JoinIndex`] and probe it; they differ only in
+//! how the index maps a key to its slot, as HG and SPHG differ only in
+//! their tables. All joins are equi-joins on `u32` key columns and produce
+//! row-index pairs; the executor gathers payload columns afterwards.
 
 pub mod bsj;
-pub mod hj;
+pub mod index;
 pub mod oj;
 pub mod soj;
-pub mod sphj;
 
-use crate::error::ExecError;
 use crate::Result;
 pub use dqo_plan::JoinAlgorithm;
+pub use index::JoinIndex;
 
 /// The output of an equi-join: matching row-index pairs into the left and
 /// right inputs, plus the output-order plan property.
@@ -70,8 +71,6 @@ pub struct JoinHints {
     pub build_min: Option<u32>,
     /// Max key of the build (left) side, for SPHJ.
     pub build_max: Option<u32>,
-    /// Distinct build keys, for table pre-sizing.
-    pub build_distinct: Option<u64>,
 }
 
 /// Dispatch a join variant on two key columns.
@@ -82,21 +81,16 @@ pub fn execute_join(
     hints: &JoinHints,
 ) -> Result<JoinResult> {
     match algo {
-        JoinAlgorithm::HashBased => Ok(hj::hash_join(
-            left_keys,
-            right_keys,
-            hints.build_distinct.unwrap_or(16) as usize,
-        )),
+        JoinAlgorithm::HashBased => Ok(JoinIndex::hashed(left_keys).probe(right_keys)),
         JoinAlgorithm::OrderBased => oj::merge_join(left_keys, right_keys),
         JoinAlgorithm::SortOrderBased => Ok(soj::sort_merge_join(left_keys, right_keys)),
         JoinAlgorithm::StaticPerfectHash => {
             let (min, max) = match (hints.build_min, hints.build_max) {
                 (Some(lo), Some(hi)) => (lo, hi),
-                _ => min_max(left_keys).ok_or_else(|| {
-                    ExecError::MissingInput("SPHJ on empty build side without domain".into())
-                })?,
+                // An empty build side matches nothing over any domain.
+                _ => min_max(left_keys).unwrap_or((0, 0)),
             };
-            sphj::sph_join(left_keys, right_keys, min, max)
+            Ok(JoinIndex::identity(left_keys, min, max)?.probe(right_keys))
         }
         JoinAlgorithm::BinarySearch => Ok(bsj::binary_search_join(left_keys, right_keys)),
     }
@@ -158,22 +152,17 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        for algo in JoinAlgorithm::all() {
-            let r = execute_join(algo, &[], &[], &JoinHints::default());
-            match algo {
-                // SPHJ cannot infer a domain from an empty build side
-                // without hints; everything else yields empty output.
-                JoinAlgorithm::StaticPerfectHash => assert!(r.is_err()),
-                _ => assert!(r.unwrap().is_empty()),
-            }
-        }
-        // With hints, SPHJ accepts the empty build side too.
         let hints = JoinHints {
             build_min: Some(0),
-            build_max: Some(0),
-            build_distinct: Some(0),
+            build_max: Some(1),
         };
-        let r = execute_join(JoinAlgorithm::StaticPerfectHash, &[], &[], &hints).unwrap();
-        assert!(r.is_empty());
+        for algo in JoinAlgorithm::all() {
+            for hints in [JoinHints::default(), hints] {
+                for (left, right) in [(&[][..], &[][..]), (&[], &[1]), (&[1], &[])] {
+                    let r = execute_join(algo, left, right, &hints).unwrap();
+                    assert!(r.is_empty(), "{algo} {left:?} {right:?}");
+                }
+            }
+        }
     }
 }

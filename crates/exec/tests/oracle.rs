@@ -159,7 +159,7 @@ proptest! {
         left in proptest::collection::vec(0u32..64, 1..200),
         right in proptest::collection::vec(0u32..128, 0..200),
     ) {
-        let hints = JoinHints { build_min: Some(0), build_max: Some(63), build_distinct: None };
+        let hints = JoinHints { build_min: Some(0), build_max: Some(63) };
         let r = execute_join(JoinAlgorithm::StaticPerfectHash, &left, &right, &hints).unwrap();
         prop_assert_eq!(r.normalised_pairs(), nested_loop_oracle(&left, &right));
     }
@@ -170,7 +170,7 @@ proptest! {
     ) {
         // PK ⋈ FK: output cardinality equals |S| for every variant.
         let left: Vec<u32> = (0..30).collect();
-        let hints = JoinHints { build_min: Some(0), build_max: Some(29), build_distinct: Some(30) };
+        let hints = JoinHints { build_min: Some(0), build_max: Some(29) };
         for algo in [JoinAlgorithm::HashBased, JoinAlgorithm::SortOrderBased,
                      JoinAlgorithm::StaticPerfectHash, JoinAlgorithm::BinarySearch] {
             let r = execute_join(algo, &left, &s_rows, &hints).unwrap();

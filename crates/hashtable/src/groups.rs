@@ -16,6 +16,7 @@ pub(crate) const SLOTS_PER_KEY: usize = 8;
 pub(crate) const MIN_SLOTS: usize = 16;
 
 /// Group ids in first-seen order: the key and the state of each.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Groups<V> {
     keys: Vec<u32>,
     states: Vec<V>,

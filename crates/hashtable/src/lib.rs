@@ -15,7 +15,9 @@
 //! * [`chaining`] — a chained table with per-node heap allocations,
 //!   mirroring the memory behaviour of C++ `std::unordered_map` (the
 //!   paper's HG baseline);
-//! * [`linear_probing`] — open addressing with linear probing;
+//! * [`linear_probing`] — open addressing with linear probing; it also
+//!   backs HJ's slot map in `dqo-exec`, numbering the distinct build keys
+//!   in first-seen order;
 //! * [`robin_hood`] — open addressing with Robin-Hood displacement.
 //!
 //! The two open-addressing tables share one layout: a `(key, group id)`

@@ -28,7 +28,7 @@ use crate::hash_fn::{HashFn, Murmur3Finalizer};
 use crate::table::GroupTable;
 
 /// One probe-array slot; `key == EMPTY` marks a free one.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Slot {
     key: u32,
     group: u32,
@@ -39,7 +39,9 @@ const FREE: Slot = Slot {
     group: 0,
 };
 
-/// Linear-probing table from `u32` keys to `V`.
+/// Linear-probing table from `u32` keys to `V`. Equality is structural:
+/// the same keys upserted in the same order give equal tables.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinearProbingTable<V, H: HashFn = Murmur3Finalizer> {
     slots: Vec<Slot>,
     groups: Groups<V>,

@@ -7,13 +7,14 @@
 //! module supplies the two kernels `dqo-core`'s AV materialiser needs on
 //! top of the existing parallel sort and parallel grouping:
 //!
-//! * [`parallel_sph_index_build`] — the build of [`SphIndex`] in the
-//!   layout the serial [`SphIndex::build`] picks. Unique build keys fill
-//!   the one domain-sized array in a single serial pass (cheaper than any
-//!   split of it). Repeated keys take a partitioned CSR build:
-//!   morsel-parallel key scanning into per-block histograms, one serial
-//!   prefix/cursor pass over the domain, then a parallel fill where every
-//!   block scatters its rows through its own cursor vector. Within a
+//! * [`parallel_sph_index_build`] — the build of an identity-mapped
+//!   [`JoinIndex`] in the layout the serial [`JoinIndex::identity`]
+//!   picks. Unique build keys fill the one domain-sized array in a single
+//!   serial pass (cheaper than any split of it). Repeated keys take a
+//!   partitioned CSR build: morsel-parallel key scanning into per-block
+//!   histograms, one serial prefix/cursor pass over the domain, then a
+//!   parallel fill where every block scatters its rows through its own
+//!   cursor vector. Within a
 //!   slot, block `b`'s rows land before block `b + 1`'s and each block
 //!   scans rows in ascending order, so the CSR layout is
 //!   **bit-identical** to the serial build at any DOP or steal order.
@@ -28,7 +29,7 @@
 //! histograms would dwarf the scan).
 
 use crate::pool::{PoolError, ThreadPool};
-use dqo_exec::join::sphj::SphIndex;
+use dqo_exec::join::JoinIndex;
 use dqo_exec::ExecError;
 use dqo_storage::{DataType, Relation, RowId};
 use std::sync::Mutex;
@@ -40,11 +41,11 @@ pub const MIN_SPH_BLOCK_ROWS: usize = 1 << 12;
 /// Smallest gather chunk worth a dedicated task.
 pub const MIN_GATHER_CHUNK_ROWS: usize = 1 << 12;
 
-/// Build an [`SphIndex`] over `keys` for the dense domain `[min, max]`
-/// on the pool — bit-identical to the serial [`SphIndex::build`], layout
-/// included.
+/// Build an identity-mapped [`JoinIndex`] over `keys` for the dense
+/// domain `[min, max]` on the pool — bit-identical to the serial
+/// [`JoinIndex::identity`], layout included.
 ///
-/// Unique keys keep [`SphIndex::unique`]'s array. Otherwise the CSR
+/// Unique keys keep [`JoinIndex::unique`]'s array. Otherwise the CSR
 /// decomposition: the rows split into one contiguous block per worker;
 /// each block is scanned once into a per-block slot histogram (also
 /// validating domain membership — the violation on the smallest row
@@ -58,7 +59,7 @@ pub fn parallel_sph_index_build(
     keys: &[u32],
     min: u32,
     max: u32,
-) -> Result<SphIndex, ExecError> {
+) -> Result<JoinIndex, ExecError> {
     if max < min {
         return Err(ExecError::PreconditionViolated {
             algorithm: "SPHJ",
@@ -72,11 +73,11 @@ pub fn parallel_sph_index_build(
     // histogram passes (blocks × domain) dominate the scan; the serial
     // build touches the domain only once.
     if blocks == 1 || domain > (n / blocks).max(MIN_SPH_BLOCK_ROWS) * 8 {
-        return SphIndex::build(keys, min, max);
+        return JoinIndex::identity(keys, min, max);
     }
     // A domain violation before the first duplicate is reported here; one
     // after it by the scan below — either way the first in row order.
-    if let Some(index) = SphIndex::unique(keys, min, max)? {
+    if let Some(index) = JoinIndex::unique(keys, min, max)? {
         return Ok(index);
     }
 
@@ -159,7 +160,7 @@ pub fn parallel_sph_index_build(
             }
         })?;
     }
-    SphIndex::from_csr(min, offsets, rows)
+    JoinIndex::from_csr(min, offsets, rows)
 }
 
 /// Gather `indices` out of `rel` on the pool — equal to the serial
@@ -228,7 +229,7 @@ mod tests {
     #[test]
     fn sph_build_bit_identical_to_serial_across_threads() {
         let data = keys(60_000, 512, 3);
-        let serial = SphIndex::build(&data, 0, 511).unwrap();
+        let serial = JoinIndex::identity(&data, 0, 511).unwrap();
         for threads in [1, 2, 8] {
             let pool = ThreadPool::new(threads);
             let par = parallel_sph_index_build(&pool, &data, 0, 511).unwrap();
@@ -249,7 +250,7 @@ mod tests {
         let repeated: Vec<u32> = unique.iter().chain(&unique[..100]).copied().collect();
         let max = *unique.iter().max().unwrap();
         for (data, is_unique) in [(&unique, true), (&repeated, false)] {
-            let serial = SphIndex::build(data, 0, max).unwrap();
+            let serial = JoinIndex::identity(data, 0, max).unwrap();
             assert_eq!(serial.is_unique(), is_unique);
             for threads in [1, 2, 8] {
                 let pool = ThreadPool::new(threads);
@@ -265,7 +266,7 @@ mod tests {
         for k in &mut data {
             *k += 1_000;
         }
-        let serial = SphIndex::build(&data, 1_000, 1_099).unwrap();
+        let serial = JoinIndex::identity(&data, 1_000, 1_099).unwrap();
         let pool = ThreadPool::new(4);
         let par = parallel_sph_index_build(&pool, &data, 1_000, 1_099).unwrap();
         assert_eq!(par, serial);
@@ -277,7 +278,7 @@ mod tests {
         data[17_777] = 64; // outside [0, 63]
         let pool = ThreadPool::new(8);
         let err = parallel_sph_index_build(&pool, &data, 0, 63).unwrap_err();
-        let serial_err = SphIndex::build(&data, 0, 63).unwrap_err();
+        let serial_err = JoinIndex::identity(&data, 0, 63).unwrap_err();
         assert_eq!(format!("{err}"), format!("{serial_err}"));
     }
 
@@ -291,10 +292,10 @@ mod tests {
     fn sph_build_degenerate_inputs() {
         let pool = ThreadPool::new(4);
         let empty = parallel_sph_index_build(&pool, &[], 0, 0).unwrap();
-        assert_eq!(empty, SphIndex::build(&[], 0, 0).unwrap());
+        assert_eq!(empty, JoinIndex::identity(&[], 0, 0).unwrap());
         assert!(empty.probe(&[0, 7]).is_empty());
         let one = parallel_sph_index_build(&pool, &[42], 42, 42).unwrap();
-        assert_eq!(one, SphIndex::build(&[42], 42, 42).unwrap());
+        assert_eq!(one, JoinIndex::identity(&[42], 42, 42).unwrap());
         assert_eq!(one.probe(&[42]).len(), 1);
     }
 
@@ -303,7 +304,7 @@ mod tests {
         // Domain 1M over 20k rows: per-block histograms would dwarf the
         // scan, so the kernel must serial-fallback — and still agree.
         let data: Vec<u32> = (0..20_000u32).map(|i| i * 50).collect();
-        let serial = SphIndex::build(&data, 0, 999_951).unwrap();
+        let serial = JoinIndex::identity(&data, 0, 999_951).unwrap();
         let pool = ThreadPool::new(8);
         let par = parallel_sph_index_build(&pool, &data, 0, 999_951).unwrap();
         assert_eq!(par, serial);

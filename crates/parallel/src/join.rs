@@ -1,130 +1,22 @@
-//! Parallel equi-joins over `u32` key columns.
+//! The parallel probe of a join index.
 //!
-//! The parallel twins of two serial organelles:
-//!
-//! * [`parallel_hash_join`] — the partitioned parallel HJ: a parallel
-//!   **partition** pass fans the build side out into `P` hash partitions
-//!   (morsel-parallel, concatenated in morsel order so partition contents
-//!   are deterministic), per-partition **build** of the same chaining
-//!   tables serial HJ uses, then a morsel-parallel **probe** where each
-//!   probe key touches exactly its partition's table — the
-//!   distributed/partitioned-table pattern DiCuPIT applies to cuckoo
-//!   filters, here applied to DQO's chaining molecule.
-//! * [`parallel_sph_probe`] — the SPHJ probe of a given SPH index, one
-//!   task per probe morsel through the serial probe kernel. The index
-//!   itself (built fresh, or a prebuilt Algorithmic View) comes from the
-//!   caller, who takes it in one place for serial and parallel probes
-//!   alike.
+//! HJ and SPHJ build one [`JoinIndex`] — hashed or identity slot map —
+//! and [`parallel_probe`] runs its probe, one task per probe morsel
+//! through the serial probe kernel. The index itself (built fresh, or a
+//! prebuilt Algorithmic View) comes from the caller, who takes it in one
+//! place for serial and parallel probes alike.
 //!
 //! Output pairs are concatenated in probe-morsel order, so results are
-//! byte-identical across runs and thread counts.
+//! byte-identical to the serial probe across runs and thread counts.
 
-use crate::morsel::morsels_within;
 use crate::pool::{PoolError, ThreadPool};
-use dqo_exec::join::sphj::SphIndex;
-use dqo_exec::join::JoinResult;
-use dqo_exec::pipeline::{Blocking, PipelineStats};
-use dqo_exec::ExecError;
-use dqo_hashtable::{ChainingTable, GroupTable};
-
-/// Number of build partitions for a pool: the thread count rounded up to
-/// a power of two, so a partition is selected by masking the hash.
-fn partition_count(pool: &ThreadPool) -> usize {
-    pool.threads().next_power_of_two()
-}
-
-/// Fibonacci multiplicative spread of a key onto a partition index —
-/// cheap, and independent from the in-table hash so partition skew does
-/// not correlate with bucket skew.
-#[inline]
-fn partition_of(key: u32, mask: usize) -> usize {
-    (key.wrapping_mul(2_654_435_769) >> 16) as usize & mask
-}
-
-/// Partitioned parallel hash join: build on `left`, probe with `right`.
-///
-/// The **build side** is scattered morsel-by-morsel within the segment
-/// `build_bounds` — offsets from `0` to `left.len()`, one segment per
-/// surviving base-table partition range (`&[0, left.len()]` for an
-/// unpartitioned input) — so no build work unit mixes rows from two
-/// partitions. Probe-side morsels and the output do not depend on them:
-/// morsel-order concatenation keeps the result bit-identical for any
-/// bounds.
-///
-/// Stats mirror serial HJ's full-breaker accounting (`|L| + |R|` rows at
-/// the build/probe breaker) plus one extra breaker for the partition pass
-/// materialising the build side.
-pub fn parallel_hash_join(
-    pool: &ThreadPool,
-    left: &[u32],
-    right: &[u32],
-    build_bounds: &[usize],
-    morsel_rows: usize,
-) -> Result<(JoinResult, PipelineStats), ExecError> {
-    let build_ms = morsels_within(build_bounds, morsel_rows);
-    let mut stats = PipelineStats::default();
-    let p = partition_count(pool);
-    let mask = p - 1;
-
-    // Phase 1 — parallel partition: each morsel scatters its (key, row)
-    // pairs into P local buckets; morsel order keeps the concatenation
-    // deterministic.
-    let morsel_buckets = pool.map_morsel_list(&build_ms, |m| {
-        let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); p];
-        for (i, &k) in m.of(left).iter().enumerate() {
-            buckets[partition_of(k, mask)].push((k, (m.start + i) as u32));
-        }
-        buckets
-    })?;
-    stats.record(Blocking::FullBreaker, left.len() as u64);
-
-    // Phase 2 — per-partition build, one chaining table per partition
-    // (the serial HJ molecule), partitions built in parallel.
-    let tables: Vec<ChainingTable<Vec<u32>>> = pool.map_tasks(p, |part| {
-        let mut table: ChainingTable<Vec<u32>> = ChainingTable::with_capacity(16);
-        for buckets in &morsel_buckets {
-            for &(k, row) in &buckets[part] {
-                table.upsert_with(k, Vec::new).push(row);
-            }
-        }
-        table
-    })?;
-
-    // Phase 3 — parallel probe: each probe morsel reads only its keys'
-    // partitions; matches emit in build-insertion order, morsels
-    // concatenate in probe order.
-    let chunks = pool.map_morsels(right.len(), morsel_rows, |m| {
-        let mut left_rows = Vec::new();
-        let mut right_rows = Vec::new();
-        for (j, &k) in m.of(right).iter().enumerate() {
-            if let Some(matches) = tables[partition_of(k, mask)].get(k) {
-                for &i in matches {
-                    left_rows.push(i);
-                    right_rows.push((m.start + j) as u32);
-                }
-            }
-        }
-        (left_rows, right_rows)
-    })?;
-    stats.record(Blocking::FullBreaker, (left.len() + right.len()) as u64);
-
-    let mut result = JoinResult {
-        left_rows: Vec::new(),
-        right_rows: Vec::new(),
-        sorted_by_key: false,
-    };
-    for (l, r) in chunks {
-        result.left_rows.extend_from_slice(&l);
-        result.right_rows.extend_from_slice(&r);
-    }
-    Ok((result, stats))
-}
+use dqo_exec::join::{JoinIndex, JoinResult};
 
 /// Probe `index` with `right`, one task per probe morsel through
-/// [`SphIndex::probe`]: the pairs of the serial probe, in its order.
-pub fn parallel_sph_probe(
+/// [`JoinIndex::probe`]: the pairs of the serial probe, in its order.
+pub fn parallel_probe(
     pool: &ThreadPool,
-    index: &SphIndex,
+    index: &JoinIndex,
     right: &[u32],
     morsel_rows: usize,
 ) -> Result<JoinResult, PoolError> {
@@ -151,7 +43,68 @@ pub fn parallel_sph_probe(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dqo_exec::join::nested_loop_oracle;
+
+    /// The pairs a nested loop finds, as `(build row, probe row)` ordered
+    /// by probe row, then build row: the order every probe emits.
+    fn ordered_oracle(left: &[u32], right: &[u32]) -> Vec<(u32, u32)> {
+        let mut out = Vec::new();
+        for (j, &rk) in right.iter().enumerate() {
+            for (i, &lk) in left.iter().enumerate() {
+                if lk == rk {
+                    out.push((i as u32, j as u32));
+                }
+            }
+        }
+        out
+    }
+
+    fn pairs(r: &JoinResult) -> Vec<(u32, u32)> {
+        r.left_rows
+            .iter()
+            .copied()
+            .zip(r.right_rows.iter().copied())
+            .collect()
+    }
+
+    /// Every slot map over `left`: hashed always, identity when the build
+    /// domain fits in a few million slots (an empty build side takes the
+    /// one-slot domain `[0, 0]`).
+    fn indexes(left: &[u32]) -> Vec<(&'static str, JoinIndex)> {
+        let mut out = vec![("hashed", JoinIndex::hashed(left))];
+        let min = left.iter().copied().min().unwrap_or(0);
+        let max = left.iter().copied().max().unwrap_or(0);
+        if max - min < 1 << 23 {
+            out.push(("identity", JoinIndex::identity(left, min, max).unwrap()));
+        }
+        out
+    }
+
+    /// Check both slot maps × both layouts on one case: the build keys with
+    /// each key's first occurrence only (unique layout), and as given plus
+    /// one more copy of the first key (CSR). The serial probe and the
+    /// parallel probe at 1, 2 and 8 threads must equal the ordered
+    /// nested loop.
+    fn check(case: &str, left: &[u32], right: &[u32]) {
+        let mut seen = std::collections::HashSet::new();
+        let first: Vec<u32> = left.iter().copied().filter(|&k| seen.insert(k)).collect();
+        let mut repeated = left.to_vec();
+        repeated.extend(left.first());
+        for (build, unique) in [(first, true), (repeated, left.is_empty())] {
+            let oracle = ordered_oracle(&build, right);
+            for (map, index) in indexes(&build) {
+                let ctx = format!("{case}: {map}, unique={unique}");
+                assert_eq!(index.is_unique(), unique, "{ctx}");
+                let serial = index.probe(right);
+                assert_eq!(pairs(&serial), oracle, "{ctx}");
+                assert!(!serial.sorted_by_key, "{ctx}");
+                for threads in [1, 2, 8] {
+                    let pool = ThreadPool::new(threads);
+                    let par = parallel_probe(&pool, &index, right, 64).unwrap();
+                    assert_eq!(par, serial, "{ctx}, threads={threads}");
+                }
+            }
+        }
+    }
 
     fn dataset(n: usize, domain: u32) -> Vec<u32> {
         (0..n)
@@ -160,102 +113,40 @@ mod tests {
     }
 
     #[test]
-    fn hash_join_matches_oracle_across_thread_counts() {
-        let left = dataset(700, 50);
-        let right = dataset(900, 60);
-        let oracle = nested_loop_oracle(&left, &right);
-        for threads in [1, 2, 8] {
-            let pool = ThreadPool::new(threads);
-            let (r, stats) =
-                parallel_hash_join(&pool, &left, &right, &[0, left.len()], 64).unwrap();
-            assert_eq!(r.normalised_pairs(), oracle, "threads={threads}");
-            assert_eq!(stats.breakers, 2);
-        }
-    }
-
-    /// Build an SPH index over `left` and probe it in parallel.
-    fn sph_join(
-        pool: &ThreadPool,
-        left: &[u32],
-        right: &[u32],
-        (min, max): (u32, u32),
-        morsel_rows: usize,
-    ) -> Result<JoinResult, ExecError> {
-        let index = SphIndex::build(left, min, max)?;
-        Ok(parallel_sph_probe(pool, &index, right, morsel_rows)?)
-    }
-
-    #[test]
-    fn sph_join_matches_oracle_across_thread_counts() {
-        let left = dataset(500, 32);
-        let right = dataset(800, 64); // probe keys outside domain: no match
-        let oracle = nested_loop_oracle(&left, &right);
-        let serial = SphIndex::build(&left, 0, 31).unwrap().probe(&right);
-        for threads in [1, 2, 8] {
-            let pool = ThreadPool::new(threads);
-            let r = sph_join(&pool, &left, &right, (0, 31), 64).unwrap();
-            assert_eq!(r.normalised_pairs(), oracle, "threads={threads}");
-            assert_eq!(
-                r, serial,
-                "threads={threads}: the serial probe's pairs, in order"
-            );
-        }
+    fn every_slot_map_and_layout_emits_the_ordered_nested_loop() {
+        // LP's empty-slot key and zero — first seen after other keys, and
+        // probed though no build row holds it — beside keys near the top
+        // of the range (where an identity domain still fits).
+        let top = [u32::MAX, u32::MAX - 2, u32::MAX, 5, 0];
+        check("u32::MAX and 0", &[0, 7, u32::MAX, 0, u32::MAX], &top);
+        check("u32::MAX probed only", &[0, 7, 5], &top);
+        check(
+            "top of the range",
+            &[u32::MAX - 2, u32::MAX, u32::MAX],
+            &top,
+        );
+        // 1 024 keys sharing their low 12 bits, probed with themselves,
+        // reversed and repeated, and with misses between them.
+        let shared: Vec<u32> = (0..1_024u32).map(|i| (i << 12) | 0xABC).collect();
+        let probe: Vec<u32> = shared.iter().rev().flat_map(|&k| [k, k ^ 1, k]).collect();
+        check("shared low 12 bits", &shared, &probe);
+        check("all duplicates", &[42; 300], &[42, 41, 42, 0, 42]);
+        check("empty build", &[], &[1, 2]);
+        check("empty probe", &[1, 2], &[]);
+        check("both empty", &[], &[]);
+        check("no matches", &[1, 2], &[3, 4]);
+        check("duplicates on both sides", &[1, 2, 2, 3], &[2, 2, 3, 4]);
+        // PK ⋈ FK: one pair per probe row.
+        let pk: Vec<u32> = (0..100).collect();
+        let fk: Vec<u32> = (0..5_000).map(|i| (i * 7) % 100).collect();
+        check("pk-fk", &pk, &fk);
+        assert_eq!(JoinIndex::hashed(&pk).probe(&fk).len(), 5_000);
+        // Probe keys outside the build domain, across many morsels.
+        check("dataset", &dataset(700, 50), &dataset(900, 60));
     }
 
     #[test]
-    fn segmented_build_is_bit_identical_to_plain() {
-        let left = dataset(5_000, 40);
-        let right = dataset(7_000, 40);
-        let pool = ThreadPool::new(8);
-        let (plain, _) = parallel_hash_join(&pool, &left, &right, &[0, left.len()], 128).unwrap();
-        // Partition-style build segments, uneven and with an empty one.
-        let bounds = [0usize, 613, 613, 1_999, 5_000];
-        let (seg, _) = parallel_hash_join(&pool, &left, &right, &bounds, 128).unwrap();
-        assert_eq!(seg.left_rows, plain.left_rows);
-        assert_eq!(seg.right_rows, plain.right_rows);
-    }
-
-    #[test]
-    fn hash_join_is_deterministic_repeatedly() {
-        let left = dataset(5_000, 40);
-        let right = dataset(5_000, 40);
-        let pool = ThreadPool::new(8);
-        let (first, _) = parallel_hash_join(&pool, &left, &right, &[0, left.len()], 128).unwrap();
-        for _ in 0..3 {
-            let (again, _) =
-                parallel_hash_join(&pool, &left, &right, &[0, left.len()], 128).unwrap();
-            assert_eq!(again.left_rows, first.left_rows);
-            assert_eq!(again.right_rows, first.right_rows);
-        }
-    }
-
-    #[test]
-    fn empty_sides() {
-        let pool = ThreadPool::new(4);
-        let (r, _) = parallel_hash_join(&pool, &[], &[1, 2], &[0, 0], 64).unwrap();
-        assert!(r.is_empty());
-        let (r, _) = parallel_hash_join(&pool, &[1, 2], &[], &[0, 2], 64).unwrap();
-        assert!(r.is_empty());
-        let r = sph_join(&pool, &[], &[1], (0, 0), 64).unwrap();
-        assert!(r.is_empty());
-        let r = sph_join(&pool, &[1], &[], (0, 3), 64).unwrap();
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn sph_join_rejects_inverted_domain() {
-        let pool = ThreadPool::new(2);
-        assert!(sph_join(&pool, &[1], &[1], (5, 2), 64).is_err());
-    }
-
-    #[test]
-    fn fk_join_cardinality() {
-        let left: Vec<u32> = (0..100).collect();
-        let right: Vec<u32> = (0..5_000).map(|i| (i * 7) % 100).collect();
-        let pool = ThreadPool::new(4);
-        let (hj, _) = parallel_hash_join(&pool, &left, &right, &[0, left.len()], 256).unwrap();
-        assert_eq!(hj.len(), 5_000);
-        let sphj = sph_join(&pool, &left, &right, (0, 99), 256).unwrap();
-        assert_eq!(sphj.len(), 5_000);
+    fn identity_rejects_inverted_domain() {
+        assert!(JoinIndex::identity(&[1], 5, 2).is_err());
     }
 }

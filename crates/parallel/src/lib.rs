@@ -25,9 +25,8 @@
 //!   the caller thread, which is serial HG/SPHG; a task's rows come from
 //!   a loader, so a piece can be narrowed by a filter and read through a
 //!   selection inside the task that aggregates it;
-//! * [`join`] — the partitioned parallel hash join (parallel partition →
-//!   per-partition build → parallel probe) and the per-morsel probe of a
-//!   given SPHJ index;
+//! * [`join`] — the per-morsel probe of a given join index, the one
+//!   parallel HJ and SPHJ;
 //! * [`sort`] + [`merge_path`] — the parallel sort subsystem: per-worker
 //!   run formation (pdqsort or LSB radix, the serial molecule decision)
 //!   followed by a Merge Path multi-way merge whose per-worker output
@@ -71,7 +70,7 @@ pub mod sort;
 pub use admission::{AdmissionController, AdmissionPermit};
 pub use av_build::{parallel_gather, parallel_sph_index_build};
 pub use grouping::{parallel_grouping, parallel_grouping_tasks, GroupingStrategy, Scratch, Sink};
-pub use join::{parallel_hash_join, parallel_sph_probe};
+pub use join::parallel_probe;
 pub use morsel::{morsels, morsels_within, Morsel, DEFAULT_MORSEL_ROWS};
 pub use persistent::{default_threads, PersistentPool};
 pub use pool::{BatchObs, PoolError, ThreadPool};

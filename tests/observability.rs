@@ -503,6 +503,83 @@ fn bytes_materialised_shows_copies_were_removed_not_moved() {
         }
     }
 
+    // Shallow mode's §4.3 plan, HG over HJ: the grouping probes the HJ's
+    // hashed index inside its loader exactly as it probes an SPHJ's, so
+    // the HJ copies nothing, and EXPLAIN ANALYZE still shows its pairs.
+    let in_order = |rel: &dqo::storage::Relation| -> Vec<Vec<Value>> {
+        (0..rel.rows()).map(|r| rel.row(r).unwrap()).collect()
+    };
+    let fk = dqo::Catalog::new();
+    let (r, s) = dqo::storage::datagen::ForeignKeySpec {
+        r_rows: 20_000,
+        s_rows: 100_000,
+        groups: 300,
+        r_sorted: false,
+        s_sorted: false,
+        dense: false,
+        seed: 5,
+    }
+    .generate()
+    .unwrap();
+    fk.register("R", r);
+    fk.register("S", s);
+    let query = dqo::plan::logical::example_query_4_3();
+    let shallow = dqo::core::optimizer::optimize(&query, &fk, dqo::OptimizerMode::Shallow)
+        .unwrap()
+        .plan;
+    assert_eq!(shallow.algo_signature(), vec!["HG", "HJ"]);
+    let PhysicalPlan::GroupBy {
+        input: hj,
+        keys,
+        aggs,
+        algo,
+        molecules,
+    } = &shallow
+    else {
+        panic!("{}", shallow.explain());
+    };
+    let pairs = execute_with(hj, &fk, &traced).unwrap().0.relation.rows() as u64;
+    // HG over `input` at `dop`, the HJ beneath an `Exchange` of its own.
+    let hg = |dop: usize, input: fn(PhysicalPlan, &[String]) -> PhysicalPlan| {
+        let join = exchange(dop, (**hj).clone());
+        exchange(
+            dop,
+            PhysicalPlan::GroupBy {
+                input: Box::new(input(join, keys)),
+                keys: keys.clone(),
+                aggs: aggs.clone(),
+                algo: *algo,
+                molecules: *molecules,
+            },
+        )
+    };
+    for dop in [1, 4] {
+        // The Project keeps the unfused reference apart, as above.
+        let unfused = hg(dop, |join, keys| PhysicalPlan::Project {
+            input: Box::new(join),
+            columns: keys.to_vec(),
+        });
+        let expect = in_order(&execute_with(&unfused, &fk, &traced).unwrap().0.relation);
+        let plan = hg(dop, |join, _| join);
+        let (out, nodes) = execute_with(&plan, &fk, &traced).unwrap();
+        assert_eq!(
+            in_order(&out.relation),
+            expect,
+            "dop={dop}: the unfused answer, in order"
+        );
+        let join_at = plan
+            .preorder()
+            .iter()
+            .position(|node| matches!(node, PhysicalPlan::Join { .. }))
+            .unwrap();
+        assert_eq!(nodes[join_at].bytes_materialised, 0, "dop={dop}");
+        assert_eq!(nodes[join_at].rows_out, pairs, "dop={dop}");
+        let runtime = dqo::PlanRuntime { nodes };
+        let text = dqo::core::profile::render_annotated(&plan, &fk, &runtime, None);
+        let line = text.lines().find(|l| l.contains("HJ ")).unwrap();
+        assert!(line.contains(&format!("act={pairs} ")), "dop={dop}: {text}");
+    }
+
     // Through the engine: EXPLAIN ANALYZE renders the numbers and the
     // registry counter carries the per-query total.
     let registry = Arc::new(MetricsRegistry::new());

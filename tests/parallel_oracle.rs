@@ -12,11 +12,11 @@ use dqo::exec::grouping::hg::HgTable;
 use dqo::exec::grouping::sog::sort_order_grouping;
 use dqo::exec::grouping::{execute_grouping, GroupingAlgorithm, GroupingHints};
 use dqo::exec::join::soj::sort_merge_join;
-use dqo::exec::join::{execute_join, JoinAlgorithm, JoinHints};
+use dqo::exec::join::{execute_join, JoinAlgorithm, JoinHints, JoinIndex};
 use dqo::exec::sort::argsort;
 use dqo::parallel::{
-    parallel_argsort, parallel_grouping, parallel_hash_join, parallel_sog,
-    parallel_sort_merge_join, GroupingStrategy, ThreadPool,
+    parallel_argsort, parallel_grouping, parallel_probe, parallel_sog, parallel_sort_merge_join,
+    GroupingStrategy, ThreadPool,
 };
 use dqo::plan::SortMolecule;
 use dqo::storage::datagen::{zipf_keys, DatasetSpec, ForeignKeySpec};
@@ -142,25 +142,37 @@ fn join_query_matches_serial_across_seeds_and_threads() {
 
 #[test]
 fn join_kernels_match_serial_under_skew() {
-    let left: Vec<u32> = (0..2_000).collect();
+    // Skewed probes of a dense build side, and of the same keys spread
+    // over the u32 range (`u32::MAX` included), where only the hashed
+    // slot map applies. Every probe emits the serial HJ's pairs, in order.
+    let spread = |k: u32| k.wrapping_mul(2_654_435_761) | u32::from(k == 7).wrapping_neg();
+    let dense: Vec<u32> = (0..2_000).collect();
+    let sparse: Vec<u32> = dense.iter().map(|&k| spread(k)).collect();
     for exponent in [0.5f64, 1.5] {
         let right = zipf_keys(120_000, 2_000, exponent, 11);
-        let serial = execute_join(
-            JoinAlgorithm::HashBased,
-            &left,
-            &right,
-            &JoinHints::default(),
-        )
-        .unwrap();
-        for threads in THREAD_COUNTS {
-            let pool = ThreadPool::new(threads);
-            let (par, _) =
-                parallel_hash_join(&pool, &left, &right, &[0, left.len()], 4096).unwrap();
+        let sparse_right: Vec<u32> = right.iter().map(|&k| spread(k)).collect();
+        let cases = [
+            (
+                &dense,
+                &right,
+                JoinIndex::identity(&dense, 0, 1_999).unwrap(),
+            ),
+            (&dense, &right, JoinIndex::hashed(&dense)),
+            (&sparse, &sparse_right, JoinIndex::hashed(&sparse)),
+        ];
+        for (left, right, index) in &cases {
+            let serial =
+                execute_join(JoinAlgorithm::HashBased, left, right, &JoinHints::default()).unwrap();
             assert_eq!(
-                par.normalised_pairs(),
-                serial.normalised_pairs(),
-                "threads={threads} exponent={exponent}"
+                serial.len(),
+                right.len(),
+                "exponent={exponent}: one pair per probe"
             );
+            for threads in THREAD_COUNTS {
+                let pool = ThreadPool::new(threads);
+                let par = parallel_probe(&pool, index, right, 4096).unwrap();
+                assert_eq!(par, serial, "threads={threads} exponent={exponent}");
+            }
         }
     }
 }

@@ -529,10 +529,19 @@ fn check_partitioned(
 
 /// u(uk, w) over t's key domain: `2 * k_groups` rows whose join key `uk`
 /// is unique (`0..2g`) or, with `repeats`, takes each of `0..g` twice — so
-/// an SPH index built on it has the one-array layout or the CSR one.
-fn build_u(k_groups: u32, repeats: bool) -> Relation {
+/// a join index built on it has the one-array layout or the CSR one. With
+/// `sparse`, every odd key is spread over the `u32` range (key 1 becomes
+/// `u32::MAX`): the build domain is no longer dense, so the memo plans HJ
+/// where it planned SPHJ, and the even keys still meet t's.
+fn build_u(k_groups: u32, repeats: bool, sparse: bool) -> Relation {
+    let spread = |k: u32| match k {
+        1 => u32::MAX,
+        _ if k % 2 == 1 => k.wrapping_mul(2_654_435_761),
+        _ => k,
+    };
     let uk: Vec<u32> = (0..2 * k_groups)
         .map(|i| if repeats { i % k_groups } else { i })
+        .map(|k| if sparse { spread(k) } else { k })
         .collect();
     let w: Vec<u32> = uk.iter().map(|k| k % 3).collect();
     Relation::new(
@@ -590,13 +599,14 @@ fn join_query(
 /// `sql` over t and u agrees with the naive evaluator — row for row when
 /// `in_order`, as sorted rows otherwise — in the planned engine at DOP 1,
 /// 2 and 8, under forced `Exchange` at DOP 2 and 8, and with SPH-index
-/// AVs on both join keys.
+/// AVs on the join keys that are dense (an SPH index spans its key's
+/// whole range). Returns the serial plan's EXPLAIN.
 fn check_join_and_top_n(
     t: &Relation,
     u: &Relation,
     sql: &str,
     in_order: bool,
-) -> Result<(), String> {
+) -> Result<String, String> {
     let engine = |threads: usize| {
         let db = Dqo::with_engine(Engine::new().with_threads(threads));
         db.register_table("t", t.clone());
@@ -642,7 +652,12 @@ fn check_join_and_top_n(
         }
     }
     let av_db = engine(2);
-    for (table, key) in [("t", "k"), ("u", "uk")] {
+    for (table, rel, key) in [("t", t, "k"), ("u", u, "uk")] {
+        let keys = rel.column(key).and_then(Column::as_u32).unwrap();
+        let lo = keys.iter().min().unwrap_or(&0);
+        if keys.iter().any(|k| k - lo > 1 << 16) {
+            continue;
+        }
         av_db
             .engine()
             .av_builder()
@@ -658,7 +673,27 @@ fn check_join_and_top_n(
             out.planned.plan.explain()
         ));
     }
-    Ok(())
+    Ok(planned.plan.explain())
+}
+
+/// Whether an EXPLAIN shows an HJ, and whether a single-key HG/SPHG fuses
+/// one: only `Exchange`s and a `Filter` between the grouping and the HJ.
+fn hj_planned_and_fused(explain: &str) -> (bool, bool) {
+    let lines: Vec<&str> = explain.lines().map(str::trim_start).collect();
+    let hj = |l: &&str| l.starts_with("HJ ");
+    let fused = lines.iter().enumerate().any(|(i, l)| {
+        let single_key = l
+            .split_once('[')
+            .and_then(|(_, rest)| rest.split_once(']'))
+            .is_some_and(|(keys, _)| !keys.contains(','));
+        (l.starts_with("HG ") || l.starts_with("SPHG "))
+            && single_key
+            && lines[i + 1..]
+                .iter()
+                .find(|l| !l.starts_with("Exchange") && !l.starts_with("Filter"))
+                .is_some_and(hj)
+    });
+    (lines.iter().any(hj), fused)
 }
 
 /// The rows `EXPLAIN ANALYZE` shows for `s`'s chosen plan under `ctx`.
@@ -1006,6 +1041,7 @@ proptest! {
         v_mod in 1u32..60,
         sorted_dict in any::<bool>(),
         repeats in any::<bool>(),
+        sparse in any::<bool>(),
         build_on_t in any::<bool>(),
         group_pick in any::<u8>(),
         preds in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..3),
@@ -1016,7 +1052,7 @@ proptest! {
         // `v` over a small domain, so an ORDER BY v has ties to break.
         let raw: Vec<(u32, u32, u8)> = raw.iter().map(|&(a, b, c)| (a, b % v_mod, c)).collect();
         let t = build_table(&raw, k_groups, sorted_dict);
-        let u = build_u(k_groups, repeats);
+        let u = build_u(k_groups, repeats, sparse);
         let sql = join_query(build_on_t, group_pick, &preds, aggs_pick, order);
         check_join_and_top_n(&t, &u, &sql, order)?;
         let n = [0, 1, 3, 17, 100, 1_000][limit_pick as usize % 6];
@@ -1043,6 +1079,37 @@ proptest! {
     ) {
         check_mixed_rw(&raw, k_groups, sorted_dict, &ops)?;
     }
+}
+
+/// HJ is reached, and fused: over a sparse-key u, grouped joins of t and
+/// u plan HJ, and some single-key HG/SPHG runs it inside its loader. Each
+/// case is checked as `random_join_and_top_n_queries_agree` checks its own.
+#[test]
+fn sparse_join_keys_plan_hj_and_fuse_it() {
+    let raw: Vec<(u32, u32, u8)> = (0..600u32)
+        .map(|i| (i * 7 % 97, i * 13 % 50, i as u8))
+        .collect();
+    let t = build_table(&raw, 20, false);
+    let (mut planned, mut fused) = (0, 0);
+    for repeats in [false, true] {
+        let u = build_u(20, repeats, true);
+        for build_on_t in [false, true] {
+            for group_pick in 0..5 {
+                for preds in [&[][..], &[(1, 30)], &[(3, 2), (0, 15)]] {
+                    let sql = join_query(build_on_t, group_pick, preds, group_pick, false);
+                    let explain = check_join_and_top_n(&t, &u, &sql, false).unwrap();
+                    let (hj, under_grouping) = hj_planned_and_fused(&explain);
+                    planned += usize::from(hj);
+                    fused += usize::from(under_grouping);
+                }
+            }
+        }
+    }
+    assert!(planned > 0, "no case planned HJ");
+    assert!(
+        fused > 0,
+        "no case fused an HJ under HG/SPHG ({planned} planned HJ)"
+    );
 }
 
 /// The acceptance-criteria query, pinned: a multi-column GROUP BY with a
