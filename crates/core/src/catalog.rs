@@ -3,11 +3,16 @@
 //! Every `u32`-typed column gets exact [`DataProps`] at registration time
 //! (sortedness, density, distinct count, range) — §4.1's "we always assume
 //! the number of distinct values to be known" holds because we compute it
-//! — and keeps them exact across appends by folding each delta in.
+//! — and keeps them exact across appends by folding each delta in. An
+//! unsorted sparse `u32` column whose keys repeat at least
+//! [`dqo_storage::MIN_RUN`] times on average also gets dense,
+//! order-preserving [`KeyCodes`], so SPHG can group it.
 
 use crate::error::CoreError;
 use crate::Result;
-use dqo_storage::{DataProps, DataType, PartitionedRelation, Partitioning, Relation, Seam};
+use dqo_storage::{
+    DataProps, DataType, KeyCodes, PartitionedRelation, Partitioning, Relation, Seam,
+};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -20,6 +25,11 @@ pub struct TableEntry {
     pub relation: Arc<Relation>,
     /// Exact properties of each `u32`/`Str` column (keyed by column name).
     pub column_props: HashMap<String, DataProps>,
+    /// Dense order-preserving codes of the `u32` columns registration chose
+    /// to code (keyed by column name; see [`KeyCodes::qualifies`]). Kept in
+    /// the same snapshot as the rows, so a reader never pairs new rows
+    /// with old codes.
+    pub key_codes: HashMap<String, Arc<KeyCodes>>,
     /// Registration generation: strictly increases across the catalog on
     /// every `register`, so a long-running consumer (e.g. an offline AV
     /// build) can detect that the table it read from has since been
@@ -40,8 +50,10 @@ pub struct TableEntry {
 
 impl TableEntry {
     fn from_relation(relation: Arc<Relation>, generation: u64, data_generation: u64) -> Self {
+        let (column_props, key_codes) = derive_columns(&relation, None, None);
         TableEntry {
-            column_props: column_props(&relation, None),
+            column_props,
+            key_codes,
             relation,
             generation,
             data_generation,
@@ -70,20 +82,28 @@ pub struct RowDelta<'a> {
     pub at: Option<&'a [usize]>,
 }
 
-/// Exact [`DataProps`] of every `u32`/`Str` column of `relation` — the
-/// catalog's one statistics derivation. With `extends`, a column folds
-/// the delta into the snapshot's props ([`DataProps::fold`]) when the
-/// delta extends that snapshot's relation; otherwise, or when the fold
-/// needs the whole column, it is computed.
-fn column_props(
+/// Exact [`DataProps`] of every `u32`/`Str` column of `relation`, and the
+/// [`KeyCodes`] of its coded `u32` columns — the catalog's one derivation.
+/// A registration (no `from`) codes every `u32` column whose statistics
+/// qualify. A new version of `from`'s table codes exactly the columns
+/// `from` coded: the decision is the registration's, so a cached plan that
+/// reads codes never meets a snapshot without them. With `delta`, a column
+/// folds the delta into `from`'s props ([`DataProps::fold`]) and codes
+/// ([`KeyCodes::fold`]) when the delta extends `from`'s relation;
+/// otherwise, or when the props' fold needs the whole column, they are
+/// computed.
+fn derive_columns(
     relation: &Relation,
-    extends: Option<(&TableEntry, RowDelta<'_>)>,
-) -> HashMap<String, DataProps> {
+    from: Option<&TableEntry>,
+    delta: Option<RowDelta<'_>>,
+) -> (HashMap<String, DataProps>, HashMap<String, Arc<KeyCodes>>) {
     fn u32s<'r>(rel: &'r Relation, name: &str) -> Option<&'r [u32]> {
         rel.column(name).ok()?.as_u32().ok()
     }
-    let extends = extends.filter(|(from, delta)| std::ptr::eq(&*from.relation, delta.base));
-    let mut props = HashMap::new();
+    let extends = from
+        .zip(delta)
+        .filter(|(from, d)| std::ptr::eq(&*from.relation, d.base));
+    let (mut props, mut codes) = (HashMap::new(), HashMap::new());
     for field in relation.schema().fields() {
         if !matches!(field.data_type, DataType::U32 | DataType::Str) {
             continue;
@@ -91,19 +111,42 @@ fn column_props(
         let Some(data) = u32s(relation, &field.name) else {
             continue;
         };
-        let folded = extends.and_then(|(from, delta)| {
+        let name = &field.name;
+        let Some(from) = from else {
+            let derived = match field.data_type {
+                DataType::U32 => KeyCodes::derive(data),
+                _ => (DataProps::compute(data), None),
+            };
+            props.insert(name.clone(), derived.0);
+            if let Some(coded) = derived.1 {
+                codes.insert(name.clone(), Arc::new(coded));
+            }
+            continue;
+        };
+        let gained = extends.and_then(|(_, delta)| {
             debug_assert_eq!(delta.base.rows() + delta.rows.rows(), relation.rows());
+            Some((u32s(delta.rows, name)?, delta))
+        });
+        let folded = gained.and_then(|(rows, delta)| {
             let seam = Seam {
-                old: u32s(delta.base, &field.name)?,
+                old: u32s(delta.base, name)?,
                 at: delta.at,
             };
-            let old = from.column_props.get(&field.name)?;
-            old.fold(u32s(delta.rows, &field.name)?, seam)
+            from.column_props.get(name)?.fold(rows, seam)
         });
-        let derived = folded.unwrap_or_else(|| DataProps::compute(data));
-        props.insert(field.name.clone(), derived);
+        props.insert(
+            name.clone(),
+            folded.unwrap_or_else(|| DataProps::compute(data)),
+        );
+        if let Some(old) = from.key_codes.get(name) {
+            let coded = match gained {
+                Some((rows, delta)) => old.fold(rows, delta.at),
+                None => KeyCodes::build(data),
+            };
+            codes.insert(name.clone(), Arc::new(coded));
+        }
     }
-    props
+    (props, codes)
 }
 
 /// A concurrent catalog of named tables.
@@ -205,8 +248,10 @@ impl Catalog {
                 from.relation.rows(),
             )?)),
         };
+        let (column_props, key_codes) = derive_columns(&relation, Some(from), delta);
         let entry = Arc::new(TableEntry {
-            column_props: column_props(&relation, delta.map(|d| (from, d))),
+            column_props,
+            key_codes,
             relation,
             generation: from.generation,
             data_generation: from.data_generation + 1,
@@ -407,6 +452,75 @@ mod tests {
         assert!(p.density.is_dense());
         assert!(!p.sortedness.is_sorted());
         assert_eq!(p.rows, 4);
+    }
+
+    #[test]
+    fn registration_codes_unsorted_sparse_columns_whose_keys_repeat() {
+        use dqo_storage::{Column, Field, Schema, MIN_RUN};
+        let repeats = MIN_RUN as usize;
+        let keys = [4_000_000_000, 7, u32::MAX, 0, 70_000];
+        let unsorted_sparse: Vec<u32> = keys.repeat(repeats);
+        let mut sorted = unsorted_sparse.clone();
+        sorted.sort_unstable();
+        let dense: Vec<u32> = [3, 1, 4, 0, 2].repeat(repeats);
+        let mut rare = unsorted_sparse.clone();
+        rare[0] = 99; // six keys over 40 rows: distinct > rows / MIN_RUN
+        let names = ["us", "ss", "ud", "rare"];
+        let schema = Schema::new(
+            names
+                .iter()
+                .map(|n| Field::new(*n, DataType::U32))
+                .collect(),
+        );
+        let columns = [unsorted_sparse.clone(), sorted, dense, rare];
+        let rel = Relation::new(schema.unwrap(), columns.map(Column::U32).to_vec()).unwrap();
+        let cat = Catalog::new();
+        let entry = cat.register("t", rel);
+        let coded: Vec<&str> = names
+            .into_iter()
+            .filter(|n| entry.key_codes.contains_key(*n))
+            .collect();
+        assert_eq!(coded, ["us"]);
+        // The codes are the keys' ranks: dense over [0, distinct), in key
+        // order.
+        let codes = &entry.key_codes["us"];
+        assert_eq!(codes.keys(), &[0, 7, 70_000, 4_000_000_000, u32::MAX]);
+        for (&key, &code) in unsorted_sparse.iter().zip(codes.codes()) {
+            assert_eq!(codes.keys()[code as usize], key);
+        }
+        assert_eq!(codes.domain(), (0, 4));
+    }
+
+    #[test]
+    fn codes_follow_appends_and_the_registration_decision() {
+        use dqo_storage::{Value, MIN_RUN};
+        let cat = Catalog::new();
+        let keys: Vec<u32> = [900, 5, 70].repeat(MIN_RUN as usize);
+        let base = cat.register("t", Relation::single_u32("key", keys));
+        assert!(base.key_codes.contains_key("key"));
+        // A new key inside the range, one above it, and known keys.
+        let mut entry = base;
+        for delta in [&[5u32, 70][..], &[6], &[u32::MAX, 1_000, 5]] {
+            let rows: Vec<Vec<Value>> = delta.iter().map(|&k| vec![Value::U32(k)]).collect();
+            let appended = entry.relation.append_rows(&rows).unwrap();
+            let delta = RowDelta {
+                base: &entry.relation,
+                rows: &appended.delta,
+                at: None,
+            };
+            entry = cat
+                .replace_data("t", &entry, appended.combined, Some(delta))
+                .unwrap();
+            let data = entry.relation.column("key").unwrap().as_u32().unwrap();
+            assert_eq!(*entry.key_codes["key"], KeyCodes::build(data));
+        }
+        // Rows that no longer qualify keep the codes registration chose…
+        let few = Relation::single_u32("key", vec![9, 3, 1_000]);
+        let entry = cat.replace_data("t", &entry, few, None).unwrap();
+        assert_eq!(*entry.key_codes["key"], KeyCodes::build(&[9, 3, 1_000]));
+        // …and a re-registration decides afresh.
+        let fresh = cat.register("t", Relation::single_u32("key", vec![9, 3, 1_000]));
+        assert!(fresh.key_codes.is_empty());
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //! is answered by two binary searches per range instead (see
 //! `Exec::search`), and HG/SPHG over such a key, when its runs average
 //! at least `MIN_RUN` rows and no conjunct is left to thin them, fold
-//! each run of equal keys once instead of row by row.
+//! each run of equal keys once instead of row by row. SPHG over a key the
+//! catalog coded (`{key=codes}`) loads the column's dense codes where it
+//! would load the key — the filter still reads the keys — folds over the
+//! code domain, and decodes the groups it emits, in ascending key order.
 //!
 //! HG and SPHG have one loop, `dqo_parallel::parallel_grouping_tasks`: it
 //! folds the pieces of the selection into per-worker partials under an
@@ -56,8 +59,8 @@ use dqo_plan::expr::{AggExpr, AggFunc, CmpOp, Predicate};
 use dqo_plan::physical::GroupingMolecules;
 use dqo_plan::{GroupingAlgorithm, JoinAlgorithm, LogicalPlan, PhysicalPlan, SortMolecule};
 use dqo_storage::{
-    narrow_rows, search_ranges, Column, DataProps, DataType, Dictionary, Field, Piece, Relation,
-    Schema, Selection, Sortedness, Value,
+    narrow_rows, search_ranges, Column, DataProps, DataType, Dictionary, Field, KeyCodes, Piece,
+    Relation, Schema, Selection, Sortedness, Value, MIN_RUN,
 };
 use std::collections::HashMap;
 use std::ops::{Bound, Range};
@@ -237,6 +240,19 @@ impl View<'_> {
         self.stats.as_ref()?.column_props.get(column)
     }
 
+    /// The catalog's dense codes of the base column `column`, which a plan
+    /// that reads them was planned against; an error when the columns are
+    /// not a base table's or the column has none.
+    fn codes(&self, column: &str) -> Result<&KeyCodes> {
+        let codes = self.stats.as_ref().and_then(|e| e.key_codes.get(column));
+        codes.map(|c| &**c).ok_or_else(|| {
+            CoreError::Exec(ExecError::PreconditionViolated {
+                algorithm: "SPHG",
+                detail: format!("no key codes for {column}"),
+            })
+        })
+    }
+
     /// Whether the base column `column` ascends, by the catalog's exact
     /// statistics — and so ascends within each range of a `Ranges`
     /// selection, whose every range is a run of base rows (a scan, a
@@ -260,12 +276,6 @@ impl View<'_> {
                 .is_some_and(|p| p.rows >= MIN_RUN * p.distinct)
     }
 }
-
-/// The average run of equal ascending keys from which HG/SPHG fold runs,
-/// not rows. Over 1 Mi sorted keys on a 2-core x86 box, SPHG and
-/// linear-probing HG fold runs of one row 10–14 % slower than rows, break
-/// even at two to four rows, and are 10–40 % faster from eight rows on.
-const MIN_RUN: u64 = 8;
 
 /// The state of one execution.
 struct Exec<'a> {
@@ -633,6 +643,7 @@ impl<'a> Exec<'a> {
         let fused = Fused::under(input).filter(|_| keys.len() == 1 && hashed);
         let grouping = Grouping {
             algo,
+            codes: molecules.codes,
             table: HgTable::of(molecules),
             sort: molecules.sort.unwrap_or(SortMolecule::Comparison),
             tp,
@@ -678,23 +689,29 @@ impl<'a> Exec<'a> {
             None => None,
         };
         let out = if keys.len() == 1 {
-            // Single key: the kernels run on the raw column, through the
-            // selection (and, for HG/SPHG, the fused filter). A conjunct
-            // left for the loader thins each run by a share not known
-            // here, so only an input no conjunct narrows folds runs.
-            let ascending = conjuncts.is_empty() && view.long_runs(&keys[0]);
+            // Single key: the kernels run on the raw column — or its codes
+            // — through the selection (and, for HG/SPHG, the fused
+            // filter). A conjunct left for the loader thins each run by a
+            // share not known here, so only an input no conjunct narrows
+            // folds runs.
+            let key = keys[0].as_str();
+            let codes = grouping.codes.then(|| view.codes(key)).transpose()?;
+            let ascending = conjuncts.is_empty() && view.long_runs(key);
             let source = Source {
                 sel,
                 conjuncts,
                 probe: None,
-                keys: Side::Probe(key_cols[0]),
+                keys: Side::Probe(codes.map_or(key_cols[0], KeyCodes::codes)),
                 values: values
-                    .filter(|_| agg_column != Some(keys[0].as_str()))
+                    .filter(|_| codes.is_some() || agg_column != Some(key))
                     .map(Side::Probe),
                 ascending,
             };
-            let domain = view.domain(&keys[0]);
-            let (result, ran) = self.grouped(plan, &grouping, &source, domain)?;
+            let domain = codes.map_or_else(|| view.domain(key), |c| Some(c.domain()));
+            let (mut result, ran) = self.grouped(plan, &grouping, &source, domain)?;
+            if let Some(codes) = codes {
+                codes.decode(&mut result.keys);
+            }
             if let (Some(f), Some(c)) = (&fused, self.obs.as_mut()) {
                 let input = c.slot(f.input).cloned().unwrap_or_default();
                 f.record(c, input, &ran, grouping.workers());
@@ -777,13 +794,23 @@ impl<'a> Exec<'a> {
             schema.field(key)?.clone(),
             key_view.rel.dictionary(key_name)?.cloned(),
         );
-        let keys = side_column(sides, key)?;
+        let mut keys = side_column(sides, key)?;
+        let codes = grouping
+            .codes
+            .then(|| key_view.codes(key_name))
+            .transpose()?;
         // A covering domain; with no row on the key's side, none reaches
         // the grouping and any domain does.
-        let domain = key_view
-            .domain(key_name)
-            .or_else(|| min_max(&key_view.sel, keys.data()))
-            .unwrap_or((0, 0));
+        let domain = match codes {
+            Some(codes) => {
+                keys = keys.with(codes.codes());
+                codes.domain()
+            }
+            None => key_view
+                .domain(key_name)
+                .or_else(|| min_max(&key_view.sel, keys.data()))
+                .unwrap_or((0, 0)),
+        };
         let source = Source {
             sel: &r.sel,
             conjuncts: compile(&r.rel, &probe_pred)?,
@@ -795,7 +822,7 @@ impl<'a> Exec<'a> {
             }),
             keys,
             values: match agg_input_column(aggs)? {
-                Some(name) if name != key => Some(side_column(sides, name)?),
+                Some(name) if name != key || codes.is_some() => Some(side_column(sides, name)?),
                 _ => None,
             },
             ascending: false,
@@ -806,7 +833,10 @@ impl<'a> Exec<'a> {
             ..OperatorMetrics::default()
         };
 
-        let (result, ran) = self.grouped(plan, grouping, &source, Some(domain))?;
+        let (mut result, ran) = self.grouped(plan, grouping, &source, Some(domain))?;
+        if let Some(codes) = codes {
+            codes.decode(&mut result.keys);
+        }
         if fused.filter.is_some() {
             self.stats.record(Blocking::Pipelined, ran.pairs);
         }
@@ -928,12 +958,13 @@ impl<'a> Exec<'a> {
     }
 }
 
-/// How a `GroupBy` node groups: the organelle, the HG table and SOG sort
-/// molecules, the pool handle when an `Exchange` asked for morsel
-/// parallelism, and — only for a serial grouping that absorbed an
-/// `Exchange` — the pool that loads its pieces.
+/// How a `GroupBy` node groups: the organelle, whether it reads the key's
+/// codes, the HG table and SOG sort molecules, the pool handle when an
+/// `Exchange` asked for morsel parallelism, and — only for a serial
+/// grouping that absorbed an `Exchange` — the pool that loads its pieces.
 struct Grouping<'t> {
     algo: GroupingAlgorithm,
+    codes: bool,
     table: HgTable,
     sort: SortMolecule,
     tp: Option<&'t ThreadPool>,
@@ -962,6 +993,14 @@ impl<'s> Side<'s> {
     fn data(self) -> &'s [u32] {
         match self {
             Side::Probe(data) | Side::Build(data) => data,
+        }
+    }
+
+    /// A column of the same side, by the same row ids.
+    fn with(self, data: &'s [u32]) -> Self {
+        match self {
+            Side::Probe(_) => Side::Probe(data),
+            Side::Build(_) => Side::Build(data),
         }
     }
 }
@@ -1291,6 +1330,41 @@ impl<'a> Fused<'a> {
         }
         exchange(c, self.upper, &m);
     }
+}
+
+/// Whether a single-key HG/SPHG over `input` reads `key` from a base
+/// table's own rows, and that table keeps [`KeyCodes`] for it — so its
+/// loader finds the codes where it reads the key: a `Scan` or
+/// `PartitionedScan` through filters and exchanges, or the side holding
+/// `key` of the HJ or SPHJ it fuses (see `Fused`), the build side when
+/// both hold it. An AV relation and a materialised join output have no
+/// codes.
+pub(crate) fn reads_coded_key(catalog: &Catalog, input: &PhysicalPlan, key: &str) -> bool {
+    fn scanned(plan: &PhysicalPlan) -> Option<&str> {
+        match plan {
+            PhysicalPlan::Filter { input, .. } | PhysicalPlan::Exchange { input, .. } => {
+                scanned(input)
+            }
+            PhysicalPlan::Scan { table } | PhysicalPlan::PartitionedScan { table, .. } => {
+                Some(table.as_str()).filter(|t| !t.starts_with("__av::"))
+            }
+            _ => None,
+        }
+    }
+    let entry = |table: &str| catalog.get(table).ok();
+    let table = match Fused::under(input).and_then(|f| f.join) {
+        Some(join) => match scanned(join.left) {
+            Some(l) if entry(l).is_some_and(|e| e.relation.schema().index_of(key).is_ok()) => {
+                Some(l)
+            }
+            Some(_) => scanned(join.right),
+            None => None,
+        },
+        None => scanned(input),
+    };
+    table
+        .and_then(entry)
+        .is_some_and(|e| e.key_codes.contains_key(key))
 }
 
 /// A join's build relation, probe relation and output schema.
@@ -2297,7 +2371,7 @@ mod tests {
         let hg = |table, hash| GroupingMolecules {
             table: Some(table),
             hash: Some(hash),
-            sort: None,
+            ..GroupingMolecules::default()
         };
         use dqo_plan::{HashFnMolecule, TableMolecule};
         let groupings = [

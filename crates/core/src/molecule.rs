@@ -250,7 +250,7 @@ mod tests {
                 let m = GroupingMolecules {
                     table: Some(table),
                     hash: Some(hash),
-                    sort: None,
+                    ..GroupingMolecules::default()
                 };
                 assert_eq!(ran(m), (table, hash));
             }

@@ -29,6 +29,7 @@
 use crate::av::{combine_composite_props, composite_packs, AvKind};
 use crate::cost::CostModel;
 use crate::error::CoreError;
+use crate::executor::reads_coded_key;
 use crate::memo::{Derived, GroupId, MemoOptimizer};
 use crate::molecule::{refine_grouping_molecules, MoleculeCosts};
 use crate::optimizer::{prune, Candidate, OptimizerMode};
@@ -391,6 +392,11 @@ fn group_by_rules(
 
     let mut out = av_candidates;
     for ic in &input_cands {
+        // A sparse key the catalog coded is dense over its codes — in deep
+        // mode, which tracks density.
+        let codes = !key_dense
+            && opt.mode == OptimizerMode::Deep
+            && reads_coded_key(opt.catalog, &ic.plan, key);
         for algo in [
             GroupingAlgorithm::OrderBased,
             GroupingAlgorithm::StaticPerfectHash,
@@ -400,7 +406,7 @@ fn group_by_rules(
         ] {
             let applicable = match algo {
                 GroupingAlgorithm::OrderBased => opt.is_sorted_on(ic, key),
-                GroupingAlgorithm::StaticPerfectHash => key_dense,
+                GroupingAlgorithm::StaticPerfectHash => key_dense || codes,
                 GroupingAlgorithm::BinarySearch => key_stats.is_some(),
                 GroupingAlgorithm::HashBased | GroupingAlgorithm::SortOrderBased => true,
             };
@@ -433,7 +439,10 @@ fn group_by_rules(
                     keys: vec![key.to_owned()],
                     aggs: aggs.to_vec(),
                     algo,
-                    molecules: opt.grouping_molecules(algo, key_stats, ic),
+                    molecules: GroupingMolecules {
+                        codes: codes && algo == GroupingAlgorithm::StaticPerfectHash,
+                        ..opt.grouping_molecules(algo, key_stats, ic)
+                    },
                 },
                 cost,
                 sort_col: sorted.then(|| key.to_owned()),

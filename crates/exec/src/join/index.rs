@@ -26,7 +26,7 @@
 use crate::error::ExecError;
 use crate::join::JoinResult;
 use crate::Result;
-use dqo_hashtable::{Fibonacci, GroupTable, LinearProbingTable};
+use dqo_hashtable::{first_seen, Fibonacci, GroupTable, LinearProbingTable};
 use std::borrow::Cow;
 
 /// A prebuilt join index: it maps each build key to the build rows holding
@@ -89,14 +89,7 @@ impl JoinIndex {
     /// the distinct keys in first-seen order, laid out like an identity
     /// index over the keys' slot ids.
     pub fn hashed(left_keys: &[u32]) -> Self {
-        let mut map = LinearProbingTable::with_hasher(Fibonacci);
-        let ids: Vec<u32> = left_keys
-            .iter()
-            .map(|&k| {
-                let next = map.len() as u32;
-                *map.upsert_with(k, || next)
-            })
-            .collect();
+        let (map, ids) = first_seen(left_keys);
         let layout = Layout::build(&ids, map.len(), |id| Some(id as usize))
             .expect("every slot id is below the slot count");
         JoinIndex {

@@ -15,9 +15,10 @@
 //! * [`chaining`] — a chained table with per-node heap allocations,
 //!   mirroring the memory behaviour of C++ `std::unordered_map` (the
 //!   paper's HG baseline);
-//! * [`linear_probing`] — open addressing with linear probing; it also
-//!   backs HJ's slot map in `dqo-exec`, numbering the distinct build keys
-//!   in first-seen order;
+//! * [`linear_probing`] — open addressing with linear probing. Its
+//!   [`first_seen`] pass numbers a column's distinct keys in first-seen
+//!   order: HJ's slot map in `dqo-exec`, and the distinct count and dense
+//!   key codes of a sparse column in `dqo-storage`;
 //! * [`robin_hood`] — open addressing with Robin-Hood displacement.
 //!
 //! The two open-addressing tables share one layout: a `(key, group id)`
@@ -42,6 +43,6 @@ pub mod table;
 
 pub use chaining::ChainingTable;
 pub use hash_fn::{Fibonacci, HashFn, Identity, Murmur3Finalizer};
-pub use linear_probing::LinearProbingTable;
+pub use linear_probing::{first_seen, LinearProbingTable};
 pub use robin_hood::RobinHoodTable;
 pub use table::GroupTable;

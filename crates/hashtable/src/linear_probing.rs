@@ -24,7 +24,7 @@
 //! ablation (E9).
 
 use crate::groups::{Groups, EMPTY, MIN_SLOTS};
-use crate::hash_fn::{HashFn, Murmur3Finalizer};
+use crate::hash_fn::{Fibonacci, HashFn, Murmur3Finalizer};
 use crate::table::GroupTable;
 
 /// One probe-array slot; `key == EMPTY` marks a free one.
@@ -141,6 +141,24 @@ impl<V, H: HashFn> GroupTable<V> for LinearProbingTable<V, H> {
     }
 }
 
+/// Number the distinct keys of `keys` `0, 1, …` in first-seen order: the
+/// table from each key to its number, and the number of every row's key.
+/// One probe per row, under Fibonacci hashing — the one pass that counts
+/// a sparse column's distinct keys, codes it (`dqo_storage::KeyCodes`) and
+/// builds HJ's slot map. [`GroupTable::drain`] hands the keys back in
+/// number order.
+pub fn first_seen(keys: &[u32]) -> (LinearProbingTable<u32, Fibonacci>, Vec<u32>) {
+    let mut map = LinearProbingTable::with_hasher(Fibonacci);
+    let ids = keys
+        .iter()
+        .map(|&k| {
+            let next = map.len() as u32;
+            *map.upsert_with(k, || next)
+        })
+        .collect();
+    (map, ids)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,5 +222,13 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert_eq!(t.get(u32::MAX), Some(&2));
         assert_eq!(t.get(0), Some(&2));
+    }
+
+    #[test]
+    fn first_seen_numbers_keys_in_order_of_first_sight() {
+        let (map, ids) = first_seen(&[7, u32::MAX, 7, 0, u32::MAX]);
+        assert_eq!(ids, vec![0, 1, 0, 2, 1]);
+        let keys: Vec<(u32, u32)> = map.drain();
+        assert_eq!(keys, vec![(7, 0), (u32::MAX, 1), (0, 2)]);
     }
 }

@@ -339,7 +339,7 @@ impl DeepPlan {
                 let molecules = GroupingMolecules {
                     table: Some(table),
                     hash,
-                    sort: None,
+                    ..GroupingMolecules::default()
                 };
                 (algo, molecules, load_loop)
             }

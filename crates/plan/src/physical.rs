@@ -25,6 +25,10 @@ pub struct GroupingMolecules {
     pub hash: Option<HashFnMolecule>,
     /// Sort behind SOG; `None` is pdqsort.
     pub sort: Option<SortMolecule>,
+    /// SPHG reads the key through the catalog's dense order-preserving
+    /// codes of its column (`dqo_storage::KeyCodes`) instead of its
+    /// values, and decodes the groups it emits.
+    pub codes: bool,
 }
 
 impl GroupingMolecules {
@@ -42,7 +46,7 @@ impl GroupingMolecules {
         GroupingMolecules {
             table,
             hash,
-            sort: None,
+            ..GroupingMolecules::default()
         }
     }
 }
@@ -305,6 +309,9 @@ impl PhysicalPlan {
                 if let Some(s) = molecules.sort {
                     mol.push(format!("sort={s}"));
                 }
+                if molecules.codes {
+                    mol.push("key=codes".to_owned());
+                }
                 let mol = if mol.is_empty() {
                     String::new()
                 } else {
@@ -405,6 +412,23 @@ mod tests {
             ..default
         };
         assert!(sog(radix).explain().starts_with("SOG γ[k] {sort=radix} "));
+    }
+
+    #[test]
+    fn explain_names_a_coded_key() {
+        let plan = PhysicalPlan::GroupBy {
+            input: Box::new(PhysicalPlan::Scan { table: "t".into() }),
+            keys: vec!["k".into()],
+            aggs: vec![AggExpr::count_star("n")],
+            algo: GroupingAlgorithm::StaticPerfectHash,
+            molecules: GroupingMolecules {
+                codes: true,
+                ..GroupingMolecules::defaults_for(GroupingAlgorithm::StaticPerfectHash)
+            },
+        };
+        assert!(plan
+            .explain()
+            .starts_with("SPHG γ[k] {table=sph, key=codes} COUNT(*)"));
     }
 
     #[test]

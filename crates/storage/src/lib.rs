@@ -11,7 +11,8 @@
 //! * the paper's four benchmark datasets and foreign-key join inputs in
 //!   [`datagen`],
 //! * [`dictionary`] compression (dense dictionary codes are the paper's
-//!   natural candidate for static perfect hashing).
+//!   natural candidate for static perfect hashing), and its twin for
+//!   sparse `u32` keys, order-preserving dense [`KeyCodes`].
 //!
 //! The design goal is faithfulness to the paper's experimental setup
 //! (§4.1: 100M uniformly distributed `u32` grouping keys, with the
@@ -25,6 +26,7 @@ pub mod csv;
 pub mod datagen;
 pub mod dictionary;
 pub mod error;
+pub mod key_codes;
 pub mod partition;
 pub mod properties;
 pub mod relation;
@@ -36,10 +38,11 @@ pub use column::{Column, RowId};
 pub use datagen::{DatasetSpec, ForeignKeySpec};
 pub use dictionary::Dictionary;
 pub use error::StorageError;
+pub use key_codes::KeyCodes;
 pub use partition::{
     PartitionMeta, PartitionScheme, PartitionSpec, PartitionedRelation, Partitioning,
 };
-pub use properties::{DataProps, Density, Seam, Sortedness};
+pub use properties::{DataProps, Density, Seam, Sortedness, MIN_RUN};
 pub use relation::{AppendedRelation, Relation};
 pub use schema::{Field, Schema};
 pub use selection::{narrow_rows, search_ranges, Piece, Selection};

@@ -13,7 +13,8 @@
 //! artifact too, so a publish that updates one but not the other fails.
 //! So are the catalog's statistics: every `column_props` entry of `t` and
 //! of each hidden relation must equal `DataProps::compute` over its
-//! column, so a fold on the write path can never drift from the oracle.
+//! column, and every `key_codes` entry `KeyCodes::build` over it, so a
+//! fold on the write path can never drift from the oracle.
 //!
 //! Interleaved queries run through **prepared executions** so the run
 //! doubles as the plan-cache acceptance check: appends move the data
@@ -21,15 +22,15 @@
 //! one plan-cache miss is allowed.
 
 use dqo::core::av::{materialise_av, AvArtifact, AvKind, AvSignature};
-use dqo::core::executor::{execute_with, sorted_rows, ExecContext};
+use dqo::core::executor::{execute_with, naive_eval, sorted_rows, ExecContext};
 use dqo::core::optimizer::{optimize_in, OptimizerMode, SearchContext};
 use dqo::core::{DeltaAction, Engine};
 use dqo::obs::{names, MetricsRegistry};
 use dqo::plan::expr::{AggExpr, CmpOp, Predicate};
 use dqo::plan::{AggFunc, LogicalPlan};
 use dqo::storage::{
-    Column, DataProps, DataType, Field, PartitionSpec, PartitionedRelation, Relation, Schema,
-    Sortedness, Value,
+    Column, DataProps, DataType, Field, KeyCodes, PartitionSpec, PartitionedRelation, Relation,
+    Schema, Sortedness, Value,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -135,7 +136,8 @@ fn assert_sigs_match_rebuild(engine: &Engine, sigs: &[AvSignature], ctx: &str) {
 }
 
 /// Every statistic the catalog holds — for `t` and for each hidden
-/// `__av::` relation — equals `DataProps::compute` over its column.
+/// `__av::` relation — equals `DataProps::compute` over its column, and
+/// every column's key codes equal `KeyCodes::build` over it.
 fn assert_stats_exact(engine: &Engine, ctx: &str) {
     let catalog = engine.catalog();
     for name in catalog.table_names() {
@@ -150,6 +152,14 @@ fn assert_stats_exact(engine: &Engine, ctx: &str) {
                 "{ctx}: statistics of {name}.{}",
                 field.name
             );
+            if let Some(codes) = entry.key_codes.get(&field.name) {
+                assert_eq!(
+                    **codes,
+                    KeyCodes::build(data),
+                    "{ctx}: key codes of {name}.{}",
+                    field.name
+                );
+            }
         }
     }
 }
@@ -580,5 +590,93 @@ fn sph_patch_path_is_exact_for_in_domain_appends() {
         assert_eq!(outcome.action, DeltaAction::Merge, "step {step}");
         assert!(outcome.rebuild.is_none(), "patch must not spawn a rebuild");
         assert_matches_rebuild(&engine, &format!("patch step {step}"));
+    }
+}
+
+/// Inserts into a table whose sparse key the catalog coded: every delta
+/// key already known, a new key inside the key range, a key above the
+/// maximum, and `u32::MAX`. After each, the codes equal a rebuild and
+/// every answer — a prepared grouping planned before the first insert,
+/// and fresh plans with a filter and an aggregate over the key itself —
+/// equals the answer over the same rows registered from scratch, and the
+/// naive evaluator's, at DOP 1, 2 and 8. The plans read the codes
+/// throughout.
+#[test]
+fn inserts_into_a_coded_table_answer_as_a_fresh_registration() {
+    let spread = |k: u32| k * 40_000_003 % 3_000_000_000 + 1_000;
+    for dop in [1usize, 2, 8] {
+        let mut state = 0x5eed ^ dop as u64;
+        let rows: Vec<(u32, u32)> = (0..640)
+            .map(|i| (spread(i % 40), next(&mut state) as u32 % 1_000))
+            .collect();
+        let engine = Engine::new().with_threads(dop);
+        engine.register_table("t", dense_table(&rows));
+        let coded = |engine: &Engine| {
+            engine
+                .catalog()
+                .get("t")
+                .unwrap()
+                .key_codes
+                .contains_key("key")
+        };
+        assert!(coded(&engine), "dop={dop}: the base table is coded");
+        let by_key = |input: Arc<LogicalPlan>, aggs: Vec<AggExpr>| {
+            LogicalPlan::sort(LogicalPlan::group_by(input, "key", aggs), "key")
+        };
+        let all = by_key(
+            LogicalPlan::scan("t"),
+            vec![
+                AggExpr::count_star("n"),
+                AggExpr::on(AggFunc::Sum, "v", "s"),
+            ],
+        );
+        let prepared = engine.prepare(&all);
+        let below = |bound: u32| {
+            let scan = LogicalPlan::scan("t");
+            let filtered = LogicalPlan::filter(scan, Predicate::cmp("key", CmpOp::Lt, bound));
+            by_key(filtered, vec![AggExpr::on(AggFunc::Max, "key", "hi")])
+        };
+        let inserts: [(&str, Vec<u32>); 4] = [
+            ("known keys", vec![spread(3), spread(3), spread(17)]),
+            ("a new key inside the range", vec![spread(5) + 1, spread(9)]),
+            ("a key above the maximum", vec![3_000_001_000, spread(0)]),
+            ("u32::MAX", vec![u32::MAX, spread(21)]),
+        ];
+        for (what, keys) in inserts {
+            let ctx = format!("dop={dop} after {what}");
+            let values: Vec<Vec<Value>> = keys
+                .iter()
+                .map(|&k| vec![Value::U32(k), Value::U32(next(&mut state) as u32 % 1_000)])
+                .collect();
+            engine.insert("t", &values).expect("insert");
+            assert_stats_exact(&engine, &ctx);
+            let fresh = Engine::new().with_threads(dop);
+            let combined = engine.catalog().get("t").unwrap();
+            fresh.register_table("t", (*combined.relation).clone());
+            let out = engine.execute_prepared(&prepared, &all).expect("prepared");
+            let want = fresh.query(&all).expect("fresh");
+            assert_relations_eq(&out.output.relation, &want.output.relation, &ctx);
+            let naive = naive_eval(&all, fresh.catalog()).expect("naive");
+            assert_eq!(
+                sorted_rows(&want.output.relation),
+                sorted_rows(&naive),
+                "{ctx}"
+            );
+            for bound in [spread(5) + 1, spread(30), u32::MAX] {
+                let q = below(bound);
+                let out = engine.query(&q).expect("query");
+                let plan = out.planned.plan.explain();
+                assert!(plan.contains("key=codes"), "{ctx}: codes unread\n{plan}");
+                let want = fresh.query(&q).expect("fresh");
+                assert_relations_eq(&out.output.relation, &want.output.relation, &ctx);
+                let naive = naive_eval(&q, fresh.catalog()).expect("naive");
+                assert_eq!(
+                    sorted_rows(&want.output.relation),
+                    sorted_rows(&naive),
+                    "{ctx}"
+                );
+            }
+            assert!(coded(&engine), "{ctx}: the decision stays");
+        }
     }
 }

@@ -683,7 +683,7 @@ fn parallel_hg_runs_every_planned_molecule_pair() {
         molecules: GroupingMolecules {
             table: Some(table),
             hash: Some(hash),
-            sort: None,
+            ..GroupingMolecules::default()
         },
     };
     let mut first: Option<dqo::Relation> = None;

@@ -8,7 +8,12 @@
 //! * the planned engine at DOP 1, 2 and 8,
 //! * explicitly `Exchange`-wrapped physical plans at DOP 2 and 8 (so the
 //!   parallel kernels run even below the optimiser's break-even), and
-//! * an AV-backed engine (AVSP-selected views materialised first).
+//! * an AV-backed engine (AVSP-selected views materialised first), whose
+//!   plans never read key codes over an AV relation.
+//!
+//! Besides small-domain keys, tables draw unsorted sparse keys that
+//! repeat — `0` and `u32::MAX` among them — which the catalog codes, so
+//! SPHG runs over the codes.
 //!
 //! Seeds are pinned: the proptest shim derives a deterministic per-test
 //! RNG from the test name, so any failure reproduces exactly across runs
@@ -24,8 +29,8 @@ use dqo::core::{prune_partitions, Catalog};
 use dqo::plan::expr::{AggExpr, CmpOp, Predicate};
 use dqo::plan::{LogicalPlan, PhysicalPlan};
 use dqo::storage::{
-    Column, DataProps, DataType, Dictionary, Field, PartitionSpec, PartitionedRelation, Relation,
-    Schema, Sortedness, Value,
+    Column, DataProps, DataType, Dictionary, Field, KeyCodes, PartitionSpec, PartitionedRelation,
+    Relation, Schema, Sortedness, Value,
 };
 use dqo::{Dqo, Engine};
 use proptest::prelude::*;
@@ -57,7 +62,28 @@ fn fuzz_cases() -> u32 {
 /// payload, `s` a dictionary-encoded string. Both dictionary encodings
 /// are exercised (first-occurrence and order-preserving).
 fn build_table(raw: &[(u32, u32, u8)], k_groups: u32, sorted_dict: bool) -> Relation {
-    let k: Vec<u32> = raw.iter().map(|(a, _, _)| a % k_groups).collect();
+    keyed_table(raw, |a| a % k_groups, sorted_dict)
+}
+
+/// [`build_table`] with `k`'s `k_groups` keys spread over the `u32` range
+/// by [`spread`]: unsorted, sparse, and — over enough rows — repeated,
+/// the columns the catalog codes.
+fn sparse_table(raw: &[(u32, u32, u8)], k_groups: u32, sorted_dict: bool) -> Relation {
+    keyed_table(raw, |a| spread(a % k_groups), sorted_dict)
+}
+
+/// Key 1 becomes `u32::MAX`, every other odd key is scattered over the
+/// `u32` range, even keys (`0` among them) stay.
+fn spread(k: u32) -> u32 {
+    match k {
+        1 => u32::MAX,
+        _ if k % 2 == 1 => k.wrapping_mul(2_654_435_761),
+        _ => k,
+    }
+}
+
+fn keyed_table(raw: &[(u32, u32, u8)], key: impl Fn(u32) -> u32, sorted_dict: bool) -> Relation {
+    let k: Vec<u32> = raw.iter().map(|(a, _, _)| key(*a)).collect();
     let v: Vec<u32> = raw.iter().map(|(_, b, _)| b % 1_000).collect();
     let strings: Vec<&str> = raw
         .iter()
@@ -225,7 +251,28 @@ fn parallelise(plan: &PhysicalPlan, dop: usize) -> PhysicalPlan {
     }
 }
 
-fn check_differential(rel: Relation, sql: &str) -> std::result::Result<(), String> {
+/// Whether a grouping in `plan` reads key codes over an AV relation.
+fn codes_over_av_scan(plan: &PhysicalPlan) -> bool {
+    fn scans_av(plan: &PhysicalPlan) -> bool {
+        match plan {
+            PhysicalPlan::Scan { table } | PhysicalPlan::PartitionedScan { table, .. } => {
+                table.starts_with("__av::")
+            }
+            _ => plan.children().into_iter().any(scans_av),
+        }
+    }
+    match plan {
+        PhysicalPlan::GroupBy {
+            input, molecules, ..
+        } if molecules.codes && scans_av(input) => true,
+        _ => plan.children().into_iter().any(codes_over_av_scan),
+    }
+}
+
+/// `sql` over `t = rel` agrees with the naive evaluator at DOP 1, 2 and 8,
+/// under forced `Exchange` at DOP 2 and 8, and with AVSP's views for it
+/// materialised. Returns the serial plan's EXPLAIN.
+fn check_differential(rel: Relation, sql: &str) -> std::result::Result<String, String> {
     // Reference: the naive evaluator over the bound logical plan.
     let reference_db = Dqo::with_engine(Engine::new().with_threads(1));
     reference_db.register_table("t", rel.clone());
@@ -290,7 +337,13 @@ fn check_differential(rel: Relation, sql: &str) -> std::result::Result<(), Strin
             out.planned.plan.explain()
         ));
     }
-    Ok(())
+    if codes_over_av_scan(&out.planned.plan) {
+        return Err(format!(
+            "AV-backed plan reads key codes over an AV relation for {sql}\nplan:\n{}",
+            out.planned.plan.explain()
+        ));
+    }
+    Ok(planned.plan.explain())
 }
 
 /// One interleaved op: `(is_insert, rows, shape, preds, aggs_pick, order)`.
@@ -326,7 +379,8 @@ fn apply_insert(
 }
 
 /// Every statistic `db`'s catalog holds — for `t` and for each hidden
-/// `__av::` relation — equals `DataProps::compute` over its column.
+/// `__av::` relation — equals `DataProps::compute` over its column, and
+/// every column's key codes equal `KeyCodes::build` over it.
 fn stats_exact(db: &Dqo) -> std::result::Result<(), String> {
     let catalog = db.engine().catalog();
     for name in catalog.table_names() {
@@ -345,6 +399,13 @@ fn stats_exact(db: &Dqo) -> std::result::Result<(), String> {
                     "statistics of {name}.{} are {:?}, compute says {want:?}",
                     field.name,
                     entry.column_props.get(&field.name)
+                ));
+            }
+            let codes = entry.key_codes.get(&field.name);
+            if codes.is_some_and(|c| **c != KeyCodes::build(data)) {
+                return Err(format!(
+                    "key codes of {name}.{} differ from a rebuild",
+                    field.name
                 ));
             }
         }
@@ -465,15 +526,13 @@ fn partition_spec(k_groups: u32, scheme_pick: u8, parts_pick: u8, on_v: bool) ->
 ///   a GROUP BY are compared byte-for-byte (scan/filter pipelines emit
 ///   flat row order); grouped queries in sorted canonical form.
 fn check_partitioned(
-    raw: &[(u32, u32, u8)],
+    rel: Relation,
     k_groups: u32,
-    sorted_dict: bool,
     scheme_pick: u8,
     parts_pick: u8,
     on_v: bool,
     sql: &str,
 ) -> std::result::Result<(), String> {
-    let rel = build_table(raw, k_groups, sorted_dict);
     let spec = partition_spec(k_groups, scheme_pick, parts_pick, on_v);
     let pr = PartitionedRelation::new(rel, spec.clone())
         .map_err(|e| format!("partition {spec:?}: {e}"))?;
@@ -534,11 +593,6 @@ fn check_partitioned(
 /// `u32::MAX`): the build domain is no longer dense, so the memo plans HJ
 /// where it planned SPHJ, and the even keys still meet t's.
 fn build_u(k_groups: u32, repeats: bool, sparse: bool) -> Relation {
-    let spread = |k: u32| match k {
-        1 => u32::MAX,
-        _ if k % 2 == 1 => k.wrapping_mul(2_654_435_761),
-        _ => k,
-    };
     let uk: Vec<u32> = (0..2 * k_groups)
         .map(|i| if repeats { i % k_groups } else { i })
         .map(|k| if sparse { spread(k) } else { k })
@@ -1018,6 +1072,24 @@ proptest! {
     }
 
     #[test]
+    fn sparse_repeated_keys_agree_through_codes(
+        raw in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<u8>()), 0..400),
+        k_groups in 2u32..24,
+        sorted_dict in any::<bool>(),
+        scheme_pick in any::<u8>(),
+        parts_pick in any::<u8>(),
+        shape in any::<u8>(),
+        preds in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..3),
+        aggs_pick in any::<u8>(),
+        order in any::<bool>(),
+    ) {
+        let rel = sparse_table(&raw, k_groups, sorted_dict);
+        let sql = build_query(shape, &preds, aggs_pick, order);
+        check_differential(rel.clone(), &sql)?;
+        check_partitioned(rel, k_groups, scheme_pick, parts_pick, false, &sql)?;
+    }
+
+    #[test]
     fn random_partitionings_agree_with_naive_and_prune_soundly(
         raw in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<u8>()), 0..400),
         k_groups in 1u32..24,
@@ -1031,7 +1103,8 @@ proptest! {
         order in any::<bool>(),
     ) {
         let sql = build_query(shape, &preds, aggs_pick, order);
-        check_partitioned(&raw, k_groups, sorted_dict, scheme_pick, parts_pick, on_v, &sql)?;
+        let rel = build_table(&raw, k_groups, sorted_dict);
+        check_partitioned(rel, k_groups, scheme_pick, parts_pick, on_v, &sql)?;
     }
 
     #[test]
@@ -1110,6 +1183,50 @@ fn sparse_join_keys_plan_hj_and_fuse_it() {
         fused > 0,
         "no case fused an HJ under HG/SPHG ({planned} planned HJ)"
     );
+}
+
+/// Codes are read: over sparse keys that repeat, some plan groups by SPHG
+/// over the codes, and some groups a fused join on a coded key — on
+/// either side of it. Each case is checked as the fuzzers check theirs.
+#[test]
+fn repeated_sparse_keys_plan_sphg_over_codes_and_fuse_joins() {
+    let coded = |explain: &str| {
+        let lines: Vec<&str> = explain.lines().map(str::trim_start).collect();
+        let fused = lines.iter().enumerate().any(|(i, l)| {
+            l.contains("key=codes")
+                && lines[i + 1..]
+                    .iter()
+                    .find(|l| !l.starts_with("Exchange") && !l.starts_with("Filter"))
+                    .is_some_and(|l| l.starts_with("HJ ") || l.starts_with("SPHJ "))
+        });
+        (explain.contains("key=codes"), fused)
+    };
+    // `v` over 0..40 meets u's unique join keys.
+    let raw: Vec<(u32, u32, u8)> = (0..600u32)
+        .map(|i| (i * 7 % 97, i * 13 % 40, i as u8))
+        .collect();
+    let t = sparse_table(&raw, 20, false);
+    let mut grouped = 0;
+    for preds in [&[][..], &[(0, 15)], &[(1, 30), (4, 2)]] {
+        for aggs_pick in 0..4 {
+            let sql = build_query(0, preds, aggs_pick, true);
+            let explain = check_differential(t.clone(), &sql).unwrap();
+            grouped += usize::from(coded(&explain).0);
+        }
+    }
+    assert!(grouped > 0, "no plan grouped over codes");
+    let u = build_u(20, false, false);
+    let mut fused = 0;
+    for from in ["u JOIN t ON uk = v", "t JOIN u ON v = uk"] {
+        for aggs in ["COUNT(*) AS n, SUM(v) AS s", "SUM(k) AS s, MAX(k) AS hi"] {
+            for filter in ["", " WHERE w < 2"] {
+                let sql = format!("SELECT k, {aggs} FROM {from}{filter} GROUP BY k ORDER BY k");
+                let explain = check_join_and_top_n(&t, &u, &sql, true).unwrap();
+                fused += usize::from(coded(&explain).1);
+            }
+        }
+    }
+    assert!(fused > 0, "no plan grouped a fused join over codes");
 }
 
 /// The acceptance-criteria query, pinned: a multi-column GROUP BY with a
