@@ -5,17 +5,28 @@
 //! keys spread over the `u32` range (the shape of spine's `group.us`).
 //! The static perfect hash runs on the dense shape only.
 //!
+//! A second table times the layer above the table: HG (linear probing,
+//! identity) and SPHG over the dense keys under a fused `Filter key < ?`
+//! that keeps 1/8, 2/8, 4/8 and 8/8 of the keys, run as a physical plan
+//! through `dqo_core::executor::execute` at DOP 1 — the loader that
+//! narrows each piece and the fold that reads keys and values at the
+//! surviving rows — reported as input rows per second.
+//!
 //! ```text
 //! cargo run -p dqo-bench --release --bin molecules [-- --rows 5000000 --groups 10000]
 //! ```
 
 use dqo_bench::report::Table;
 use dqo_bench::Args;
+use dqo_core::{execute, Catalog};
 use dqo_exec::aggregate::CountSum;
 use dqo_exec::grouping::hg::{hash_grouping_with, HgTable};
 use dqo_exec::grouping::sphg::sph_grouping;
-use dqo_plan::TableMolecule;
+use dqo_plan::expr::{AggExpr, AggFunc, CmpOp, Predicate};
+use dqo_plan::physical::GroupingMolecules;
+use dqo_plan::{GroupingAlgorithm, HashFnMolecule, PhysicalPlan, TableMolecule};
 use dqo_storage::datagen::DatasetSpec;
+use dqo_storage::{Column, DataType, Field, Relation, Schema};
 use std::time::Instant;
 
 fn main() {
@@ -72,14 +83,75 @@ fn main() {
         }),
         "-".into(),
     ]);
-    if args.flag("--csv") {
-        print!("{}", table.to_csv());
-    } else {
-        print!("{}", table.to_text());
+    let loader = loader_table(dense, groups, reps);
+    for table in [table, loader] {
+        if args.flag("--csv") {
+            print!("{}", table.to_csv());
+        } else {
+            println!("{}", table.to_text());
+        }
     }
     println!(
-        "\nSame organelle (hash grouping), different molecules — the spread is\n\
+        "Same organelle (hash grouping), different molecules — the spread is\n\
          what Table 1 hands to the DQO optimiser instead of the developer.\n\
          Chaining + murmur3 is the paper's HG."
     );
+}
+
+/// HG and SPHG over a fused filter on `keys` (dense over `0..groups`) that
+/// keeps 1/8 to 8/8 of the keys, through the executor at DOP 1: input rows
+/// per second, best of `reps`.
+fn loader_table(keys: Vec<u32>, groups: usize, reps: usize) -> Table {
+    let rows = keys.len();
+    let values = (0..rows as u32).map(|i| i.wrapping_mul(2_654_435_761) >> 22);
+    let schema = Schema::new(vec![
+        Field::new("key", DataType::U32),
+        Field::new("v", DataType::U32),
+    ])
+    .expect("schema");
+    let columns = vec![Column::U32(keys), Column::U32(values.collect())];
+    let catalog = Catalog::new();
+    catalog.register("t", Relation::new(schema, columns).expect("relation"));
+
+    let hg = GroupingMolecules {
+        table: Some(TableMolecule::LinearProbing),
+        hash: Some(HashFnMolecule::Identity),
+        ..GroupingMolecules::default()
+    };
+    let sph = GroupingAlgorithm::StaticPerfectHash;
+    let mut table = Table::new(&["loader", "kept", "M rows/s"]);
+    for (algo, molecules) in [
+        (GroupingAlgorithm::HashBased, hg),
+        (sph, GroupingMolecules::defaults_for(sph)),
+    ] {
+        for eighths in [1, 2, 4, 8] {
+            let kept = groups * eighths / 8;
+            let plan = PhysicalPlan::GroupBy {
+                input: Box::new(PhysicalPlan::Filter {
+                    input: Box::new(PhysicalPlan::Scan { table: "t".into() }),
+                    predicate: Predicate::cmp("key", CmpOp::Lt, kept as u32),
+                }),
+                keys: vec!["key".into()],
+                aggs: vec![
+                    AggExpr::count_star("n"),
+                    AggExpr::on(AggFunc::Sum, "v", "s"),
+                ],
+                algo,
+                molecules,
+            };
+            let mut best = f64::INFINITY;
+            for _ in 0..reps {
+                let t = Instant::now();
+                let out = execute(&plan, &catalog).expect("loader plan");
+                best = best.min(t.elapsed().as_secs_f64());
+                assert_eq!(out.relation.rows(), kept);
+            }
+            table.row(vec![
+                format!("{algo} γ[key] over Filter key < ?"),
+                format!("{eighths}/8"),
+                format!("{:.1}", rows as f64 / best / 1e6),
+            ]);
+        }
+    }
+    table
 }

@@ -14,8 +14,8 @@
 //! `Exec::search`), and HG/SPHG over such a key, when its runs average
 //! at least `MIN_RUN` rows and no conjunct is left to thin them, fold
 //! each run of equal keys once instead of row by row. SPHG over a key the
-//! catalog coded (`{key=codes}`) loads the column's dense codes where it
-//! would load the key — the filter still reads the keys — folds over the
+//! catalog coded (`{key=codes}`) reads the column's dense codes where it
+//! would read the key — the filter still reads the keys — folds over the
 //! code domain, and decodes the groups it emits, in ascending key order.
 //!
 //! HG and SPHG have one loop, `dqo_parallel::parallel_grouping_tasks`: it
@@ -23,15 +23,18 @@
 //! `Exchange`, and into one partial on the caller thread otherwise —
 //! which is serial HG/SPHG, row for row. A single-key HG/SPHG runs a
 //! filter beneath it, and an HJ or SPHJ beneath that, inside the loader of
-//! its own tasks at any DOP (see `Fused`): no join output is built. HJ
+//! its own tasks at any DOP (see `Fused`): no join output is built. The
+//! loader reads no key or value: it names rows — a piece's range, the ids
+//! a fused filter kept, a fused join's `(build, probe)` pairs — and the
+//! fold reads the key and value columns at them, into COUNT/SUM states
+//! unless the node's aggregates read MIN or MAX (see `Exec::grouped`). HJ
 //! and SPHJ are one join: each takes its `JoinIndex` — hashed for HJ,
 //! identity for SPHJ — from `Exec::join_index` and probes it, per morsel
 //! under an `Exchange`. Column data is copied in three places only:
-//! kernel scratch (the key and value columns a grouping, sort or join
-//! reads through a selection that is not one dense run — per piece for
-//! HG/SPHG — or that a fused grouping reads through its join), the output
-//! of a join that is not fused (the columns something above it reads,
-//! nothing else), and the plan root.
+//! kernel scratch (the key and value columns a sort, a join, a composite
+//! key or a SOG/OG/BSG grouping reads through a selection that is not one
+//! dense run), the output of a join that is not fused (the columns
+//! something above it reads, nothing else), and the plan root.
 //!
 //! A [`naive_eval`] reference evaluator (nested loops + BTreeMap + a
 //! row-at-a-time predicate) provides the correctness oracle for
@@ -41,7 +44,7 @@ use crate::av::{AvArtifact, AvCatalog, AvKind};
 use crate::catalog::{Catalog, TableEntry};
 use crate::error::CoreError;
 use crate::Result;
-use dqo_exec::aggregate::{FullAgg, FullAggState};
+use dqo_exec::aggregate::{Aggregator, CountSum, CountSumState, FullAgg, FullAggState};
 use dqo_exec::composite::{rowwise_group, unpack_grouped, KeyPacker};
 use dqo_exec::grouping::hg::HgTable;
 use dqo_exec::grouping::sog::sort_order_grouping;
@@ -53,7 +56,8 @@ use dqo_exec::pipeline::{
 use dqo_exec::sort::{argsort, radix_sort_pairs_by_key, top_n};
 use dqo_exec::ExecError;
 use dqo_parallel::{
-    BatchObs, GroupingStrategy, PersistentPool, Scratch, Sink, ThreadPool, DEFAULT_MORSEL_ROWS,
+    BatchObs, GroupingStrategy, PersistentPool, Rows, Scratch, Sink, ThreadPool,
+    DEFAULT_MORSEL_ROWS,
 };
 use dqo_plan::expr::{AggExpr, AggFunc, CmpOp, Predicate};
 use dqo_plan::physical::GroupingMolecules;
@@ -708,7 +712,7 @@ impl<'a> Exec<'a> {
                 ascending,
             };
             let domain = codes.map_or_else(|| view.domain(key), |c| Some(c.domain()));
-            let (mut result, ran) = self.grouped(plan, &grouping, &source, domain)?;
+            let (mut result, ran) = self.grouped(plan, &grouping, &source, domain, aggs)?;
             if let Some(codes) = codes {
                 codes.decode(&mut result.keys);
             }
@@ -744,7 +748,7 @@ impl<'a> Exec<'a> {
                         values: Some(Side::Probe(values)),
                         ascending: false,
                     };
-                    let (result, _) = self.grouped(plan, &grouping, &source, None)?;
+                    let (result, _) = self.grouped(plan, &grouping, &source, None, aggs)?;
                     let (cols, states) = unpack_grouped(&packer, result);
                     grouped_to_relation(&layouts, cols, aggs, &states)?
                 }
@@ -833,7 +837,7 @@ impl<'a> Exec<'a> {
             ..OperatorMetrics::default()
         };
 
-        let (mut result, ran) = self.grouped(plan, grouping, &source, Some(domain))?;
+        let (mut result, ran) = self.grouped(plan, grouping, &source, Some(domain), aggs)?;
         if let Some(codes) = codes {
             codes.decode(&mut result.keys);
         }
@@ -851,18 +855,46 @@ impl<'a> Exec<'a> {
         )?))
     }
 
-    /// Group the rows `src` loads under `how`. HG and SPHG fold the pieces
-    /// of the selection as the loader delivers them: in tasks on the
-    /// grouping's pool, else on the caller thread, in piece order — loaded
-    /// first on the `feed` pool of an `Exchange` a serial grouping
-    /// absorbed. SOG, OG and BSG read whole columns through the selection.
+    /// Group the rows `src` loads under `how`, into the narrowest state
+    /// `aggs` reads: COUNT/SUM's unless a MIN or MAX needs [`FullAgg`]'s,
+    /// widened only for the output (see [`widen`]).
     fn grouped(
         &mut self,
         plan: &PhysicalPlan,
         how: &Grouping<'_>,
         src: &Source<'_>,
         domain: Option<(u32, u32)>,
+        aggs: &[AggExpr],
     ) -> Result<(GroupedResult<FullAggState>, FusedRun)> {
+        if aggs
+            .iter()
+            .any(|a| matches!(a.func, AggFunc::Min | AggFunc::Max))
+        {
+            return self.fold(plan, how, src, domain, FullAgg);
+        }
+        let (result, ran) = self.fold(plan, how, src, domain, CountSum)?;
+        let result = GroupedResult {
+            keys: result.keys,
+            states: result.states.into_iter().map(widen).collect(),
+            sorted_by_key: result.sorted_by_key,
+        };
+        Ok((result, ran))
+    }
+
+    /// Group the rows `src` loads under `how` and `agg`. HG and SPHG fold
+    /// the pieces of the selection as the loader delivers them, reading
+    /// the key and value columns at the rows it names: in tasks on the
+    /// grouping's pool, else on the caller thread, in piece order — loaded
+    /// first on the `feed` pool of an `Exchange` a serial grouping
+    /// absorbed. SOG, OG and BSG read whole columns through the selection.
+    fn fold<A: Aggregator>(
+        &mut self,
+        plan: &PhysicalPlan,
+        how: &Grouping<'_>,
+        src: &Source<'_>,
+        domain: Option<(u32, u32)>,
+        agg: A,
+    ) -> Result<(GroupedResult<A::State>, FusedRun)> {
         let strategy = match how.algo {
             GroupingAlgorithm::HashBased => GroupingStrategy::Hash(how.table),
             GroupingAlgorithm::StaticPerfectHash => {
@@ -874,12 +906,13 @@ impl<'a> Exec<'a> {
                     .unwrap_or((0, 0));
                 GroupingStrategy::StaticPerfectHash { min, max }
             }
-            _ => return Ok((self.whole_column(plan, how, src)?, FusedRun::default())),
+            _ => return Ok((self.whole_column(plan, how, src, agg)?, FusedRun::default())),
         };
-        // Each piece is loaded into scratch (a dense run is read in place)
-        // and folded into a partial aggregate — run by run when its keys
-        // ascend.
+        // Each piece is narrowed (and probed) into row ids, and the fold
+        // reads the columns at them — a dense run in place, run by run
+        // when its keys ascend.
         let ascending = src.ascending;
+        let columns = src.columns();
         let timed = self.obs.is_some();
         let pieces = src.sel.pieces(DEFAULT_MORSEL_ROWS);
         let ran = Counters::default();
@@ -891,46 +924,44 @@ impl<'a> Exec<'a> {
         };
         let (result, par) = match &how.feed {
             Some(feed) => {
-                let chunks = feed.map_tasks(pieces.len(), |t| {
-                    let (mut keys, mut values) = (Vec::new(), Vec::new());
-                    let sink = &mut |k: &[u32], v: &[u32]| {
-                        keys.extend_from_slice(k);
-                        values.extend_from_slice(v);
-                    };
-                    load(t, &mut Scratch::default(), sink).map(|()| (keys, values))
+                let held = feed.map_tasks(pieces.len(), |t| {
+                    let mut held = Vec::new();
+                    let sink = &mut |rows: Rows<'_>| held.push(Held::of(rows));
+                    load(t, &mut Scratch::default(), sink).map(|()| held)
                 })?;
-                let chunks = chunks
+                let held = held
                     .into_iter()
                     .collect::<std::result::Result<Vec<_>, ExecError>>()?;
+                let held: Vec<Held> = held.into_iter().flatten().collect();
                 let fold = |t: usize, _: &mut Scratch, sink: Sink<'_>| {
-                    sink(&chunks[t].0, &chunks[t].1);
+                    sink(held[t].rows());
                     Ok(())
                 };
-                let tasks = chunks.len();
+                let tasks = held.len();
                 dqo_parallel::parallel_grouping_tasks(
-                    None, tasks, FullAgg, strategy, ascending, fold,
+                    None, tasks, agg, strategy, ascending, columns, fold,
                 )?
             }
             None => {
                 let tasks = pieces.len();
                 dqo_parallel::parallel_grouping_tasks(
-                    how.tp, tasks, FullAgg, strategy, ascending, load,
+                    how.tp, tasks, agg, strategy, ascending, columns, load,
                 )?
             }
         };
         self.stats.merge(&par);
-        self.copied(plan, ran.copied.load(Ordering::Relaxed) as usize);
         Ok((result, ran.run(pieces.len())))
     }
 
     /// SOG, OG and BSG over whole key and value columns, read through the
     /// selection (SOG in parallel when the grouping has a pool).
-    fn whole_column(
+    fn whole_column<A: Aggregator>(
         &mut self,
         plan: &PhysicalPlan,
         how: &Grouping<'_>,
         src: &Source<'_>,
-    ) -> Result<GroupedResult<FullAggState>> {
+        agg: A,
+    ) -> Result<GroupedResult<A::State>> {
         let (mut kbuf, mut vbuf) = (Vec::new(), Vec::new());
         let keys = self.read(plan, src.sel, src.keys.data(), &mut kbuf);
         let values = match src.values {
@@ -941,20 +972,54 @@ impl<'a> Exec<'a> {
             (Some(tp), _) => {
                 let bounds = src.sel.bounds();
                 let (result, par) =
-                    dqo_parallel::parallel_sog(tp, keys, values, FullAgg, how.sort, &bounds)?;
+                    dqo_parallel::parallel_sog(tp, keys, values, agg, how.sort, &bounds)?;
                 self.stats.merge(&par);
                 return Ok(result);
             }
             (None, GroupingAlgorithm::SortOrderBased) => {
-                sort_order_grouping(keys, values, FullAgg, how.sort)
+                sort_order_grouping(keys, values, agg, how.sort)
             }
-            (None, algo) => {
-                execute_grouping(algo, keys, values, FullAgg, &GroupingHints::default())?
-            }
+            (None, algo) => execute_grouping(algo, keys, values, agg, &GroupingHints::default())?,
         };
         self.stats
             .record(grouping_blocking(how.algo), keys.len() as u64);
         Ok(result)
+    }
+}
+
+/// A COUNT/SUM state as the output assembly reads it. Only a query with no
+/// MIN or MAX folds one, so the extrema keep the empty state's values.
+fn widen(s: CountSumState) -> FullAggState {
+    FullAggState {
+        count: s.count,
+        sum: s.sum,
+        ..FullAggState::default()
+    }
+}
+
+/// A task's rows kept past the loader that named them, for a serial fold
+/// that runs after the `feed` pool loaded every piece.
+enum Held {
+    Range(Range<usize>),
+    Ids(Vec<u32>),
+    Pairs(Vec<u32>, Vec<u32>),
+}
+
+impl Held {
+    fn of(rows: Rows<'_>) -> Self {
+        match rows {
+            Rows::Piece(Piece::Range(r)) => Held::Range(r),
+            Rows::Piece(Piece::Rows(ids)) => Held::Ids(ids.to_vec()),
+            Rows::Pairs { keys, values } => Held::Pairs(keys.to_vec(), values.to_vec()),
+        }
+    }
+
+    fn rows(&self) -> Rows<'_> {
+        match self {
+            Held::Range(r) => Rows::Piece(Piece::Range(r.clone())),
+            Held::Ids(ids) => Rows::Piece(Piece::Rows(ids)),
+            Held::Pairs(keys, values) => Rows::Pairs { keys, values },
+        }
     }
 }
 
@@ -1056,12 +1121,19 @@ impl<'s> RowsOf<'s> {
     }
 }
 
-impl Source<'_> {
+impl<'s> Source<'s> {
+    /// The key and value columns the fold reads at the rows `load` names.
+    fn columns(&self) -> (&'s [u32], &'s [u32]) {
+        let keys = self.keys.data();
+        (keys, self.values.map_or(keys, Side::data))
+    }
+
     /// Load one piece of the selection: narrow it by the conjuncts; for a
     /// fused join, probe each survivor in order and narrow the matches by
     /// the build-side conjuncts — the pairs the join and the filter above
-    /// it would have emitted, in their order; then hand the keys and
-    /// values of what survives to `sink`, tallied in `ran`.
+    /// it would have emitted, in their order; then hand the rows of what
+    /// survives to `sink` — the piece itself, or row ids in scratch —
+    /// tallied in `ran`. No key or value is read here.
     fn load(
         &self,
         piece: &Piece<'_>,
@@ -1078,19 +1150,9 @@ impl Source<'_> {
                 Piece::Rows(_) => Piece::Rows(&scratch.ids),
             };
         }
-        let width = 4 * (1 + usize::from(self.values.is_some()));
         let Some(probe) = &self.probe else {
-            let keys = piece.read(self.keys.data(), &mut scratch.keys);
-            let values = match self.values {
-                Some(v) => piece.read(v.data(), &mut scratch.values),
-                None => keys,
-            };
-            sink(keys, values);
-            let copied = match piece {
-                Piece::Rows(ids) => width * ids.len(),
-                Piece::Range(_) => 0,
-            };
-            ran.add(keys.len(), 0, copied);
+            ran.add(piece.len(), 0);
+            sink(Rows::Piece(piece));
             return Ok(());
         };
         let (build, matched) = (&mut scratch.build, &mut scratch.probe);
@@ -1110,24 +1172,15 @@ impl Source<'_> {
         if !probe.conjuncts.is_empty() {
             narrow_pairs(&probe.conjuncts, build, matched, &mut scratch.ids)?;
         }
-        let gather = |side: Side<'_>, out: &mut Vec<u32>| {
-            out.clear();
-            match side {
-                Side::Probe(data) => out.extend(matched.iter().map(|&j| data[j as usize])),
-                Side::Build(data) => out.extend(build.iter().map(|&b| data[b as usize])),
-            }
+        ran.add(build.len(), pairs);
+        let at = |side: Side<'_>| match side {
+            Side::Probe(_) => &matched[..],
+            Side::Build(_) => &build[..],
         };
-        gather(self.keys, &mut scratch.keys);
-        if let Some(v) = self.values {
-            gather(v, &mut scratch.values);
-        }
-        let keys = &scratch.keys[..];
-        let values = match self.values {
-            Some(_) => &scratch.values[..],
-            None => keys,
-        };
-        sink(keys, values);
-        ran.add(keys.len(), pairs, width * keys.len());
+        sink(Rows::Pairs {
+            keys: at(self.keys),
+            values: at(self.values.unwrap_or(self.keys)),
+        });
         Ok(())
     }
 }
@@ -1165,17 +1218,14 @@ struct Counters {
     rows: AtomicU64,
     /// Matches a probe found (rows entering the build-side conjuncts).
     pairs: AtomicU64,
-    /// Bytes of key and value data copied into scratch.
-    copied: AtomicU64,
     /// Summed loader time (measured only when instrumented).
     busy: AtomicU64,
 }
 
 impl Counters {
-    fn add(&self, rows: usize, pairs: usize, copied: usize) {
+    fn add(&self, rows: usize, pairs: usize) {
         self.rows.fetch_add(rows as u64, Ordering::Relaxed);
         self.pairs.fetch_add(pairs as u64, Ordering::Relaxed);
-        self.copied.fetch_add(copied as u64, Ordering::Relaxed);
     }
 
     fn time(&self, began: Option<Instant>) {
@@ -1894,7 +1944,6 @@ pub fn naive_eval(plan: &LogicalPlan, catalog: &Catalog) -> Result<Relation> {
             let rows = key_cols[0].len();
             let mut groups: std::collections::BTreeMap<Vec<u32>, FullAggState> =
                 std::collections::BTreeMap::new();
-            use dqo_exec::Aggregator;
             for row in 0..rows {
                 let tuple: Vec<u32> = key_cols.iter().map(|c| c[row]).collect();
                 FullAgg.update(groups.entry(tuple).or_default(), values[row]);

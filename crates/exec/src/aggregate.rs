@@ -29,6 +29,11 @@ pub trait Aggregator: Copy + Send + Sync + 'static {
 
     /// Merge a partial state into another (partition-parallel aggregation).
     fn merge(&self, into: &mut Self::State, from: &Self::State);
+
+    /// Tuples folded into `state`. Every update and every merge of a
+    /// non-empty state raises it, so a group's state is occupied exactly
+    /// when its count is non-zero.
+    fn count(&self, state: &Self::State) -> u64;
 }
 
 /// The paper's aggregate: COUNT(*) and SUM(value), on the fly.
@@ -58,6 +63,11 @@ impl Aggregator for CountSum {
     fn merge(&self, into: &mut CountSumState, from: &CountSumState) {
         into.count += from.count;
         into.sum += from.sum;
+    }
+
+    #[inline(always)]
+    fn count(&self, state: &CountSumState) -> u64 {
+        state.count
     }
 }
 
@@ -117,6 +127,11 @@ impl Aggregator for FullAgg {
         into.sum += from.sum;
         into.min = into.min.min(from.min);
         into.max = into.max.max(from.max);
+    }
+
+    #[inline(always)]
+    fn count(&self, state: &FullAggState) -> u64 {
+        state.count
     }
 }
 

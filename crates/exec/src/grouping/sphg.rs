@@ -41,10 +41,9 @@ pub fn sph_grouping<A: Aggregator>(
         });
     }
     let domain = (u64::from(max) - u64::from(min) + 1) as usize;
-    // The flat array of running aggregates — the SPH itself. `occupied`
-    // mirrors it so untouched slots don't fabricate empty groups.
+    // The flat array of running aggregates — the SPH itself. A slot no
+    // row reached keeps a zero count, so it fabricates no empty group.
     let mut slots: Vec<A::State> = vec![A::State::default(); domain];
-    let mut occupied = vec![false; domain];
     for (&k, &v) in keys.iter().zip(values) {
         let off = match k.checked_sub(min) {
             Some(o) if (o as usize) < domain => o as usize,
@@ -55,13 +54,12 @@ pub fn sph_grouping<A: Aggregator>(
                 })
             }
         };
-        occupied[off] = true;
         agg.update(&mut slots[off], v);
     }
     let mut keys_out = Vec::new();
     let mut states = Vec::new();
     for (off, state) in slots.into_iter().enumerate() {
-        if occupied[off] {
+        if agg.count(&state) > 0 {
             keys_out.push(min + off as u32);
             states.push(state);
         }

@@ -12,12 +12,16 @@
 //! pool the caller folds every piece in order into one partial, which is
 //! what the serial kernels do, row for row.
 //!
-//! A task obtains its key and value slices from a caller-supplied loader,
-//! so the rows of a morsel can be read *through a selection* (narrowed
-//! and compacted into morsel-local [`Scratch`]) inside the task that
-//! aggregates them; the dense entry points are loaders that slice.
+//! A task's rows come from a caller-supplied loader, and the fold reads
+//! the key and value columns *at* them ([`Rows`]): a dense range in
+//! place, the row ids a fused filter kept, or a fused join's pairs of
+//! build and probe rows. Nothing is gathered — the loader's only buffers
+//! are the row ids in the worker's [`Scratch`] — and each shape has one
+//! monomorphic update loop. The dense entry points are loaders that hand
+//! out ranges. The state is whatever [`Aggregator`] the caller folds:
+//! COUNT/SUM's 16 bytes unless the query reads MIN or MAX.
 //!
-//! When the caller knows every slice's keys ascend, a worker folds each
+//! When the caller knows every range's keys ascend, a worker folds each
 //! run of equal keys into a register and merges it into the key's slot
 //! once per run, instead of updating the slot row after row (each update
 //! waiting on the previous one's store). The states are the same: the
@@ -33,6 +37,7 @@ use dqo_exec::grouping::GroupedResult;
 use dqo_exec::pipeline::{Blocking, PipelineStats};
 use dqo_exec::ExecError;
 use dqo_hashtable::GroupTable;
+use dqo_storage::Piece;
 
 /// Which thread-local structure each worker aggregates into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +54,7 @@ pub enum GroupingStrategy {
     },
 }
 
-/// Morsel-local buffers a loader may fill; one set per worker, reused
+/// Morsel-local row ids a loader may fill; one set per worker, reused
 /// across the morsels that worker runs.
 #[derive(Debug, Default)]
 pub struct Scratch {
@@ -59,14 +64,41 @@ pub struct Scratch {
     pub build: Vec<u32>,
     /// Probe rows of the same matches, pair by pair.
     pub probe: Vec<u32>,
-    /// Compacted grouping keys.
-    pub keys: Vec<u32>,
-    /// Compacted aggregate inputs.
-    pub values: Vec<u32>,
 }
 
-/// Where a loader delivers a task's equal-length key and value slices.
-pub type Sink<'a> = &'a mut dyn FnMut(&[u32], &[u32]);
+/// The rows of one task, at which the fold reads its key and value
+/// columns.
+#[derive(Debug, Clone)]
+pub enum Rows<'a> {
+    /// The same rows of both columns: a dense range, read in place, or
+    /// listed row ids.
+    Piece(Piece<'a>),
+    /// A fused join's matches: match `i` reads its key at row `keys[i]` of
+    /// the key column and its value at row `values[i]` of the value
+    /// column — the pair's build or probe row, by the side each column is
+    /// on.
+    Pairs {
+        /// The key column's row of each match.
+        keys: &'a [u32],
+        /// The value column's row of each match.
+        values: &'a [u32],
+    },
+}
+
+impl Rows<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Rows::Piece(piece) => piece.len(),
+            Rows::Pairs { keys, values } => {
+                assert_eq!(keys.len(), values.len(), "loader delivers aligned pairs");
+                keys.len()
+            }
+        }
+    }
+}
+
+/// Where a loader delivers the rows of a task.
+pub type Sink<'a> = &'a mut dyn FnMut(Rows<'_>);
 
 /// Parallel grouping of `keys`/`values` under `agg`.
 ///
@@ -98,22 +130,32 @@ pub fn parallel_grouping<A: Aggregator>(
         });
     }
     let ms = morsels_within(bounds, morsel_rows);
-    parallel_grouping_tasks(Some(pool), ms.len(), agg, strategy, false, |t, _, sink| {
-        sink(ms[t].of(keys), ms[t].of(values));
-        Ok(())
-    })
+    let columns = (keys, values);
+    parallel_grouping_tasks(
+        Some(pool),
+        ms.len(),
+        agg,
+        strategy,
+        false,
+        columns,
+        |t, _, sink| {
+            sink(Rows::Piece(Piece::Range(ms[t].start..ms[t].end)));
+            Ok(())
+        },
+    )
 }
 
 /// [`parallel_grouping`] over `tasks` work units whose rows `load`
-/// supplies: `load(t, scratch, sink)` hands task `t`'s key and value
-/// slices — borrowed from the columns or compacted into the worker's
-/// scratch — to `sink`. The breaker accounting counts the rows the loader
-/// actually delivered. With `ascending`, the caller promises that the keys
-/// of every slice ascend, and each run of equal keys is folded once (the
-/// result is the same for any keys; only its speed rests on the promise).
+/// supplies: `load(t, scratch, sink)` hands task `t`'s [`Rows`] — a range,
+/// or row ids kept in the worker's scratch — to `sink`, and the fold reads
+/// the `(keys, values)` columns at them. The breaker accounting counts the
+/// rows the loader actually delivered. With `ascending`, the caller
+/// promises that the keys of every delivered range ascend, and each run of
+/// equal keys is folded once (the result is the same for any keys; only
+/// its speed rests on the promise; listed rows and pairs fold row by row).
 ///
 /// With no `pool` the caller folds the tasks in order into one partial:
-/// the serial kernel's result over the concatenated slices, row for row
+/// the serial kernel's result over the concatenated rows, row for row
 /// (HG's table drained unsorted, SPHG's one array), and no merge breaker.
 pub fn parallel_grouping_tasks<A, L>(
     pool: Option<&ThreadPool>,
@@ -121,6 +163,7 @@ pub fn parallel_grouping_tasks<A, L>(
     agg: A,
     strategy: GroupingStrategy,
     ascending: bool,
+    columns: (&[u32], &[u32]),
     load: L,
 ) -> Result<(GroupedResult<A::State>, PipelineStats), ExecError>
 where
@@ -135,6 +178,7 @@ where
         pool,
         tasks,
         load: &load,
+        columns,
         ascending,
     };
     let (result, rows) = match strategy {
@@ -162,13 +206,38 @@ struct Worker<P> {
     failed: Option<ExecError>,
 }
 
-/// The task list of one grouping batch and how to load each task.
+/// The task list of one grouping batch, how to load each task, and the
+/// columns its rows are read from.
 struct Fold<'a, L> {
     pool: Option<&'a ThreadPool>,
     tasks: usize,
     load: &'a L,
-    /// Every loaded slice's keys ascend: fold runs, not rows.
+    columns: (&'a [u32], &'a [u32]),
+    /// Every delivered range's keys ascend: fold runs, not rows.
     ascending: bool,
+}
+
+/// A worker's partial aggregate: the plan's hash table, or SPHG's array.
+trait Partial<A: Aggregator> {
+    /// Fold one row into its key's group.
+    fn row(&mut self, agg: A, key: u32, value: u32);
+    /// Merge a run's state, folded in a register, into its key's group.
+    fn run(&mut self, agg: A, key: u32, run: &A::State);
+}
+
+/// HG's partial: one table of the plan's molecule.
+struct Table<T>(T);
+
+impl<A: Aggregator, T: GroupTable<A::State>> Partial<A> for Table<T> {
+    #[inline]
+    fn row(&mut self, agg: A, key: u32, value: u32) {
+        agg.update(self.0.upsert_with(key, A::State::default), value);
+    }
+
+    #[inline]
+    fn run(&mut self, agg: A, key: u32, run: &A::State) {
+        agg.merge(self.0.upsert_with(key, A::State::default), run);
+    }
 }
 
 /// The runs of equal adjacent keys in `keys`, each with its key and the
@@ -193,10 +262,10 @@ impl<L: Fn(usize, &mut Scratch, Sink<'_>) -> Result<(), ExecError> + Sync> Fold<
     /// Fold every task into per-worker partials (the caller is the one
     /// worker without a pool): returns the partials of the workers that
     /// ran at least one task, and the rows consumed.
-    fn run<P: Send>(
+    fn run<A: Aggregator, P: Partial<A> + Send>(
         &self,
+        agg: A,
         init: impl Fn() -> P + Sync,
-        step: impl Fn(&mut P, &[u32], &[u32]) + Sync,
     ) -> Result<(Vec<P>, u64), ExecError> {
         let init = || Worker {
             partial: init(),
@@ -206,10 +275,9 @@ impl<L: Fn(usize, &mut Scratch, Sink<'_>) -> Result<(), ExecError> + Sync> Fold<
         };
         let fold = |w: &mut Worker<P>, t| {
             let (partial, rows) = (&mut w.partial, &mut w.rows);
-            let loaded = (self.load)(t, &mut w.scratch, &mut |keys, values| {
-                assert_eq!(keys.len(), values.len(), "loader delivers aligned slices");
-                *rows += keys.len() as u64;
-                step(partial, keys, values);
+            let loaded = (self.load)(t, &mut w.scratch, &mut |at| {
+                *rows += at.len() as u64;
+                self.step(agg, partial, at);
             });
             w.failed = w.failed.take().or(loaded.err());
         };
@@ -232,6 +300,38 @@ impl<L: Fn(usize, &mut Scratch, Sink<'_>) -> Result<(), ExecError> + Sync> Fold<
         }
         Ok((partials, rows))
     }
+
+    /// Fold the columns at `at` into `partial`, one monomorphic loop per
+    /// shape: a range in place (run by run when its keys ascend), listed
+    /// rows and a join's pairs by row id.
+    fn step<A: Aggregator>(&self, agg: A, partial: &mut impl Partial<A>, at: Rows<'_>) {
+        let (keys, values) = self.columns;
+        match at {
+            Rows::Piece(Piece::Range(r)) if self.ascending => {
+                for (k, run) in runs(&keys[r.clone()], &values[r]) {
+                    partial.run(agg, k, &register(agg, run));
+                }
+            }
+            Rows::Piece(Piece::Range(r)) => {
+                for (&k, &v) in keys[r.clone()].iter().zip(&values[r]) {
+                    partial.row(agg, k, v);
+                }
+            }
+            Rows::Piece(Piece::Rows(ids)) => {
+                for &i in ids {
+                    partial.row(agg, keys[i as usize], values[i as usize]);
+                }
+            }
+            Rows::Pairs {
+                keys: key_at,
+                values: value_at,
+            } => {
+                for (&k, &v) in key_at.iter().zip(value_at) {
+                    partial.row(agg, keys[k as usize], values[v as usize]);
+                }
+            }
+        }
+    }
 }
 
 /// HG: every worker upserts its morsels straight into one table of the
@@ -251,20 +351,11 @@ where
     type Out = Result<(GroupedResult<A::State>, u64), ExecError>;
 
     fn run<T: GroupTable<A::State> + Send>(self, make: impl Fn() -> T + Sync) -> Self::Out {
-        let (agg, ascending) = (self.agg, self.fold.ascending);
-        let (tables, rows) = self.fold.run(make, |table, keys, values| {
-            if ascending {
-                for (k, run) in runs(keys, values) {
-                    agg.merge(table.upsert_with(k, A::State::default), &register(agg, run));
-                }
-                return;
-            }
-            for (&k, &v) in keys.iter().zip(values) {
-                agg.update(table.upsert_with(k, A::State::default), v);
-            }
-        })?;
+        let agg = self.agg;
+        let (tables, rows) = self.fold.run(agg, || Table(make()))?;
+        let tables = tables.into_iter().map(|Table(table)| table);
         if self.fold.pool.is_none() {
-            let (keys, states) = tables.into_iter().flat_map(GroupTable::drain).unzip();
+            let (keys, states) = tables.flat_map(GroupTable::drain).unzip();
             let result = GroupedResult {
                 keys,
                 states,
@@ -275,8 +366,7 @@ where
         // Equal keys from different workers become neighbours; the
         // aggregate is decomposable, so folding them in any order gives
         // the same state.
-        let mut partials: Vec<(u32, A::State)> =
-            tables.into_iter().flat_map(GroupTable::drain).collect();
+        let mut partials: Vec<(u32, A::State)> = tables.flat_map(GroupTable::drain).collect();
         partials.sort_unstable_by_key(|&(k, _)| k);
         let (mut keys, mut states) = (Vec::new(), Vec::<A::State>::new());
         for (k, s) in partials {
@@ -299,11 +389,45 @@ where
     }
 }
 
-/// Per-worker SPH state: the dense aggregate array plus occupancy.
+/// Per-worker SPH state: the dense aggregate array over `[min, min +
+/// slots.len())`, whose occupied slots are those with a non-zero count
+/// ([`Aggregator::count`]), and the first key met outside it.
 struct SphPartial<S> {
+    min: u32,
     slots: Vec<S>,
-    occupied: Vec<bool>,
     out_of_domain: Option<u32>,
+}
+
+impl<S> SphPartial<S> {
+    /// `key`'s slot, or `None` for a key outside the domain, which is
+    /// remembered.
+    #[inline]
+    fn slot(&mut self, key: u32) -> Option<&mut S> {
+        let off = key.checked_sub(self.min).map(|off| off as usize);
+        match off.filter(|&off| off < self.slots.len()) {
+            Some(off) => Some(&mut self.slots[off]),
+            None => {
+                self.out_of_domain.get_or_insert(key);
+                None
+            }
+        }
+    }
+}
+
+impl<A: Aggregator> Partial<A> for SphPartial<A::State> {
+    #[inline]
+    fn row(&mut self, agg: A, key: u32, value: u32) {
+        if let Some(slot) = self.slot(key) {
+            agg.update(slot, value);
+        }
+    }
+
+    #[inline]
+    fn run(&mut self, agg: A, key: u32, run: &A::State) {
+        if let Some(slot) = self.slot(key) {
+            agg.merge(slot, run);
+        }
+    }
 }
 
 /// SPHG: each worker owns a dense `[min, max]` array — the same
@@ -327,46 +451,11 @@ where
         });
     }
     let domain = (u64::from(max) - u64::from(min) + 1) as usize;
-    let slot = |k: u32| {
-        k.checked_sub(min)
-            .map(|off| off as usize)
-            .filter(|&off| off < domain)
-    };
-    let ascending = fold.ascending;
-    let (partials, rows) = fold.run(
-        || SphPartial {
-            slots: vec![A::State::default(); domain],
-            occupied: vec![false; domain],
-            out_of_domain: None,
-        },
-        |p, keys, values| {
-            if ascending {
-                for (k, run) in runs(keys, values) {
-                    match slot(k) {
-                        Some(off) => {
-                            p.occupied[off] = true;
-                            agg.merge(&mut p.slots[off], &register(agg, run));
-                        }
-                        None => {
-                            p.out_of_domain.get_or_insert(k);
-                        }
-                    }
-                }
-                return;
-            }
-            for (&k, &v) in keys.iter().zip(values) {
-                match slot(k) {
-                    Some(off) => {
-                        p.occupied[off] = true;
-                        agg.update(&mut p.slots[off], v);
-                    }
-                    None => {
-                        p.out_of_domain.get_or_insert(k);
-                    }
-                }
-            }
-        },
-    )?;
+    let (partials, rows) = fold.run(agg, || SphPartial {
+        min,
+        slots: vec![A::State::default(); domain],
+        out_of_domain: None,
+    })?;
     if let Some(k) = partials.iter().find_map(|p| p.out_of_domain) {
         return Err(ExecError::PreconditionViolated {
             algorithm: "SPHG",
@@ -377,15 +466,14 @@ where
     let mut partials = partials.into_iter();
     if let Some(mut all) = partials.next() {
         for p in partials {
-            for (off, seen) in p.occupied.into_iter().enumerate() {
-                if seen {
-                    all.occupied[off] = true;
-                    agg.merge(&mut all.slots[off], &p.slots[off]);
+            for (into, from) in all.slots.iter_mut().zip(&p.slots) {
+                if agg.count(from) > 0 {
+                    agg.merge(into, from);
                 }
             }
         }
-        for ((off, state), seen) in all.slots.into_iter().enumerate().zip(all.occupied) {
-            if seen {
+        for (off, state) in all.slots.into_iter().enumerate() {
+            if agg.count(&state) > 0 {
                 keys.push(min + off as u32);
                 states.push(state);
             }
@@ -454,10 +542,74 @@ mod tests {
         ascending: bool,
     ) -> Result<(GroupedResult<A::State>, PipelineStats), ExecError> {
         let ms = morsels_within(&[0, keys.len()], 1_000);
-        parallel_grouping_tasks(pool, ms.len(), agg, strategy, ascending, |t, _, sink| {
-            sink(ms[t].of(keys), ms[t].of(vals));
-            Ok(())
-        })
+        let columns = (keys, vals);
+        parallel_grouping_tasks(
+            pool,
+            ms.len(),
+            agg,
+            strategy,
+            ascending,
+            columns,
+            |t, _, sink| {
+                sink(Rows::Piece(Piece::Range(ms[t].start..ms[t].end)));
+                Ok(())
+            },
+        )
+    }
+
+    #[test]
+    fn listed_rows_and_pairs_fold_as_the_rows_they_name() {
+        let (keys, vals) = dataset(30_000, 64);
+        // Every third row, listed; and pairs that read the key of row `i`
+        // beside the value of row `i / 2`, in 1 000-match pieces.
+        let ids: Vec<u32> = (0..keys.len() as u32).step_by(3).collect();
+        let half: Vec<u32> = (0..keys.len() as u32).map(|i| i / 2).collect();
+        let all: Vec<u32> = (0..keys.len() as u32).collect();
+        let gathered =
+            |at: &[u32], col: &[u32]| -> Vec<u32> { at.iter().map(|&i| col[i as usize]).collect() };
+        let pool = ThreadPool::new(2);
+        for strategy in [
+            GroupingStrategy::Hash(HgTable::default()),
+            GroupingStrategy::StaticPerfectHash { min: 0, max: 63 },
+        ] {
+            for pool in [None, Some(&pool)] {
+                let listed = parallel_grouping_tasks(
+                    pool,
+                    ids.chunks(1_000).len(),
+                    FullAgg,
+                    strategy,
+                    true,
+                    (&keys, &vals),
+                    |t, _, sink| {
+                        sink(Rows::Piece(Piece::Rows(ids.chunks(1_000).nth(t).unwrap())));
+                        Ok(())
+                    },
+                )
+                .unwrap();
+                let (k, v) = (gathered(&ids, &keys), gathered(&ids, &vals));
+                let expect = fold_with(pool, FullAgg, &k, &v, strategy, false).unwrap();
+                assert_eq!(listed, expect, "{strategy:?} pool={}", pool.is_some());
+
+                let pairs = parallel_grouping_tasks(
+                    pool,
+                    all.chunks(1_000).len(),
+                    FullAgg,
+                    strategy,
+                    false,
+                    (&keys, &vals),
+                    |t, _, sink| {
+                        let at = t * 1_000..(t * 1_000 + 1_000).min(all.len());
+                        let (keys, values) = (&all[at.clone()], &half[at]);
+                        sink(Rows::Pairs { keys, values });
+                        Ok(())
+                    },
+                )
+                .unwrap();
+                let v = gathered(&half, &vals);
+                let expect = fold_with(pool, FullAgg, &keys, &v, strategy, false).unwrap();
+                assert_eq!(pairs, expect, "{strategy:?} pool={}", pool.is_some());
+            }
+        }
     }
 
     #[test]

@@ -69,7 +69,9 @@ pub mod sort;
 
 pub use admission::{AdmissionController, AdmissionPermit};
 pub use av_build::{parallel_gather, parallel_sph_index_build};
-pub use grouping::{parallel_grouping, parallel_grouping_tasks, GroupingStrategy, Scratch, Sink};
+pub use grouping::{
+    parallel_grouping, parallel_grouping_tasks, GroupingStrategy, Rows, Scratch, Sink,
+};
 pub use join::parallel_probe;
 pub use morsel::{morsels, morsels_within, Morsel, DEFAULT_MORSEL_ROWS};
 pub use persistent::{default_threads, PersistentPool};

@@ -1229,6 +1229,68 @@ fn repeated_sparse_keys_plan_sphg_over_codes_and_fuse_joins() {
     assert!(fused > 0, "no plan grouped a fused join over codes");
 }
 
+/// The fold's two states crossed with every loader shape, pinned: COUNT
+/// alone, COUNT and SUM, AVG (folded into COUNT/SUM states) and MIN/MAX
+/// (the full state), each over a whole range piece, narrowed row ids, a
+/// coded key, a fused SPHJ on unique build keys (key on the build side,
+/// values on the probe side) and a fused HJ on repeated build keys (a CSR
+/// index) under a build-side conjunct (key on the probe side, values on
+/// the build side). Each case is checked as the fuzzers check theirs, and
+/// each plan must group with HG/SPHG over the shape it names.
+#[test]
+fn aggregate_states_agree_over_every_loader_shape() {
+    let raw: Vec<(u32, u32, u8)> = (0..600u32)
+        .map(|i| (i * 7 % 97, i * 13 % 50, i as u8))
+        .collect();
+    let (dense, sparse) = (build_table(&raw, 20, false), sparse_table(&raw, 20, false));
+    let grouped = |explain: &str| {
+        let top = explain.lines().map(str::trim_start).find(|l| {
+            !l.starts_with("Exchange") && !l.starts_with("Project") && !l.starts_with("Sort")
+        });
+        top.is_some_and(|l| l.starts_with("HG ") || l.starts_with("SPHG "))
+    };
+    let fused_sphj = |explain: &str| {
+        let lines: Vec<&str> = explain.lines().map(str::trim_start).collect();
+        lines.iter().enumerate().any(|(i, l)| {
+            (l.starts_with("HG ") || l.starts_with("SPHG "))
+                && lines[i + 1..]
+                    .iter()
+                    .find(|l| !l.starts_with("Exchange") && !l.starts_with("Filter"))
+                    .is_some_and(|l| l.starts_with("SPHJ "))
+        })
+    };
+    let states = |col: &str| {
+        [
+            "COUNT(*) AS n".to_string(),
+            format!("COUNT(*) AS n, SUM({col}) AS t"),
+            format!("AVG({col}) AS m"),
+            format!("MIN({col}) AS lo, MAX({col}) AS hi"),
+        ]
+    };
+    for aggs in states("v") {
+        for (shape, t, filter) in [
+            ("range", &dense, ""),
+            ("ids", &dense, " WHERE k < 15 AND s > 'beta'"),
+            ("codes", &sparse, " WHERE s > 'beta'"),
+        ] {
+            let sql = format!("SELECT k, {aggs} FROM t{filter} GROUP BY k");
+            let explain = check_differential(t.clone(), &sql).unwrap();
+            assert!(grouped(&explain), "{shape}: {sql}\n{explain}");
+            assert_eq!(explain.contains("key=codes"), shape == "codes", "{explain}");
+        }
+        let u = build_u(20, false, false);
+        let sql = format!("SELECT w, {aggs} FROM u JOIN t ON uk = k GROUP BY w");
+        let explain = check_join_and_top_n(&dense, &u, &sql, false).unwrap();
+        assert!(fused_sphj(&explain), "unique SPHJ: {sql}\n{explain}");
+    }
+    for aggs in states("w") {
+        let u = build_u(20, true, true);
+        let sql = format!("SELECT k, {aggs} FROM u JOIN t ON uk = k WHERE w < 2 GROUP BY k");
+        let explain = check_join_and_top_n(&sparse, &u, &sql, false).unwrap();
+        assert!(hj_planned_and_fused(&explain).1, "CSR HJ: {sql}\n{explain}");
+    }
+}
+
 /// The acceptance-criteria query, pinned: a multi-column GROUP BY with a
 /// string predicate runs parser → optimiser → `Exchange{dop}` and returns
 /// identical results across serial, DOP {1,2,8} and AV-backed plans.
