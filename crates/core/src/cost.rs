@@ -1,4 +1,4 @@
-//! Cost models — Table 2 of the paper, verbatim, plus a calibrated model.
+//! The cost model — Table 2 of the paper, verbatim.
 //!
 //! | | Grouping | Join |
 //! |---|---|---|
@@ -247,78 +247,6 @@ impl CostModel for TupleCostModel {
     }
 }
 
-/// A calibrated model: the same formulas with per-family nanosecond
-/// weights fitted from micro-measurements, so estimated costs can be
-/// compared with measured wall-clock (experiment E6). Weights default to
-/// values measured on the reference machine; callers can refit.
-#[derive(Debug, Clone, Copy)]
-pub struct CalibratedCostModel {
-    /// ns per tuple for hash-table operations (insert+probe amortised).
-    pub ns_hash_op: f64,
-    /// ns per tuple for sequential/array operations.
-    pub ns_seq_op: f64,
-    /// ns per tuple·log₂ for sort/binary-search steps.
-    pub ns_log_op: f64,
-}
-
-impl Default for CalibratedCostModel {
-    fn default() -> Self {
-        // Defaults in the right ratio (hash ops ≈ 4× sequential ops — the
-        // same 4:1 ratio Table 2 encodes) with a ~2.5 ns sequential op.
-        CalibratedCostModel {
-            ns_hash_op: 10.0,
-            ns_seq_op: 2.5,
-            ns_log_op: 1.2,
-        }
-    }
-}
-
-impl CostModel for CalibratedCostModel {
-    fn grouping(&self, algo: GroupingAlgorithm, rows: f64, groups: f64) -> f64 {
-        match algo {
-            GroupingAlgorithm::HashBased => self.ns_hash_op * rows,
-            GroupingAlgorithm::OrderBased | GroupingAlgorithm::StaticPerfectHash => {
-                self.ns_seq_op * rows
-            }
-            GroupingAlgorithm::SortOrderBased => {
-                self.ns_log_op * rows * log2(rows) + self.ns_seq_op * rows
-            }
-            GroupingAlgorithm::BinarySearch => {
-                self.ns_log_op * rows * log2(groups) + self.ns_seq_op * rows
-            }
-        }
-    }
-
-    fn join(&self, algo: JoinAlgorithm, left: f64, right: f64, build_groups: f64) -> f64 {
-        match algo {
-            JoinAlgorithm::HashBased => self.ns_hash_op * (left + right),
-            JoinAlgorithm::OrderBased | JoinAlgorithm::StaticPerfectHash => {
-                self.ns_seq_op * (left + right)
-            }
-            JoinAlgorithm::SortOrderBased => {
-                self.ns_log_op * (left * log2(left) + right * log2(right))
-                    + self.ns_seq_op * (left + right)
-            }
-            JoinAlgorithm::BinarySearch => {
-                self.ns_log_op * (left + right) * log2(build_groups)
-                    + self.ns_seq_op * (left + right)
-            }
-        }
-    }
-
-    fn sort(&self, rows: f64) -> f64 {
-        self.ns_log_op * rows * log2(rows)
-    }
-
-    fn scan(&self, rows: f64) -> f64 {
-        self.ns_seq_op * rows
-    }
-
-    fn name(&self) -> &'static str {
-        "calibrated-ns"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,19 +339,6 @@ mod tests {
             M.grouping(GroupingAlgorithm::BinarySearch, rows, 17.0)
                 > M.grouping(GroupingAlgorithm::HashBased, rows, 17.0)
         );
-    }
-
-    #[test]
-    fn calibrated_model_preserves_orderings() {
-        let c = CalibratedCostModel::default();
-        let rows = 1e6;
-        // SPHG fastest, HG 4× slower, SOG slower than both at scale.
-        let sphg = c.grouping(GroupingAlgorithm::StaticPerfectHash, rows, 1000.0);
-        let hg = c.grouping(GroupingAlgorithm::HashBased, rows, 1000.0);
-        let sog = c.grouping(GroupingAlgorithm::SortOrderBased, rows, 1000.0);
-        assert!(sphg < hg);
-        assert!(hg < sog);
-        assert_eq!(c.name(), "calibrated-ns");
     }
 
     #[test]

@@ -29,12 +29,16 @@
 //! fold reads the key and value columns at them, into COUNT/SUM states
 //! unless the node's aggregates read MIN or MAX (see `Exec::grouped`). HJ
 //! and SPHJ are one join: each takes its `JoinIndex` — hashed for HJ,
-//! identity for SPHJ — from `Exec::join_index` and probes it, per morsel
-//! under an `Exchange`. Column data is copied in three places only:
-//! kernel scratch (the key and value columns a sort, a join, a composite
-//! key or a SOG/OG/BSG grouping reads through a selection that is not one
-//! dense run), the output of a join that is not fused (the columns
-//! something above it reads, nothing else), and the plan root.
+//! identity for SPHJ — from `Exec::join_index`, and every probe of one
+//! runs in the loader `Exec::source` sets up — a grouping's, or, for a join
+//! node no grouping fused, the join's own, whose pairs the output gathers
+//! its columns at, piece by piece of the probe side on the `Exchange`'s
+//! workers. Column data is copied in three places only: kernel scratch
+//! (the key and value columns a sort, an OJ/SOJ/BSJ join, a join index
+//! build, a composite key or a SOG/OG/BSG grouping reads through a
+//! selection that is not one dense run), the output of a join that is not
+//! fused (the columns something above it reads, nothing else), and the
+//! plan root.
 //!
 //! A [`naive_eval`] reference evaluator (nested loops + BTreeMap + a
 //! row-at-a-time predicate) provides the correctness oracle for
@@ -322,35 +326,53 @@ impl<'a> Exec<'a> {
         }
     }
 
+    /// What the filter node `filter` does before its narrowing kernel, run
+    /// as a node or fused into a loader: it streams `view`'s rows, puts
+    /// `predicate`'s bounds on the view, and answers by binary search each
+    /// conjunct a search can, cutting the view's selection. Returns the
+    /// conjuncts left for the kernel.
+    fn filter(
+        &mut self,
+        filter: &PhysicalPlan,
+        view: &mut View<'a>,
+        predicate: &'a Predicate,
+    ) -> Vec<&'a Predicate> {
+        self.stats
+            .record(Blocking::Pipelined, view.sel.len() as u64);
+        tighten(&mut view.known, predicate);
+        let mut left = leaves(predicate);
+        self.search(filter, view, &mut left);
+        left
+    }
+
     /// Answer by binary search each of `filter`'s conjuncts that a search
     /// can answer — over a `Ranges` selection, a `u32` comparison other
-    /// than `<>` on a column the catalog calls ascending — and drop it
-    /// from `conjuncts`, leaving the rest to the narrowing kernel. Records
-    /// how many were searched on the filter's metrics; returns the
-    /// selection the searches cut, if any ran.
+    /// than `<>` on a `u32` column the catalog calls ascending — and drop
+    /// it from `conjuncts`, leaving the rest to the narrowing kernel; the
+    /// searches cut `view`'s selection. Records how many were searched on
+    /// the filter's metrics.
     fn search(
         &mut self,
         filter: &PhysicalPlan,
-        view: &View<'_>,
-        conjuncts: &mut Vec<Conjunct<'_>>,
-    ) -> Option<Selection> {
+        view: &mut View<'_>,
+        conjuncts: &mut Vec<&Predicate>,
+    ) {
         let Selection::Ranges(ranges) = &view.sel else {
-            return None;
+            return;
         };
         let total = conjuncts.len();
         let mut cut: Option<Vec<Range<usize>>> = None;
         conjuncts.retain(|c| match c {
-            Conjunct::U32 {
-                data,
-                op,
-                v,
+            Predicate::Compare {
                 column,
-            } if view.ascending(column) => match within(*op, *v) {
-                Some(bounds) => {
+                op,
+                value: Value::U32(v),
+            } if view.ascending(column) => match (within(*op, *v), view.rel.column(column)) {
+                (Some(bounds), Ok(Column::U32(data))) => {
                     search_ranges(cut.get_or_insert_with(|| ranges.clone()), data, bounds);
                     false
                 }
-                None => true,
+                _ => true,
             },
             _ => true,
         });
@@ -358,7 +380,9 @@ impl<'a> Exec<'a> {
         if let Some(m) = self.obs.as_mut().and_then(|c| c.slot(filter)) {
             m.searched = (searched > 0).then_some((searched, total));
         }
-        cut.map(Selection::Ranges)
+        if let Some(cut) = cut {
+            view.sel = Selection::Ranges(cut);
+        }
     }
 
     /// `col` through `sel` for a kernel that needs the whole column at
@@ -417,12 +441,8 @@ impl<'a> Exec<'a> {
             }
             PhysicalPlan::Filter { input, predicate } => {
                 let mut view = self.run(input, None)?;
-                self.stats
-                    .record(Blocking::Pipelined, view.sel.len() as u64);
-                let mut conjuncts = compile(&view.rel, predicate)?;
-                let cut = self.search(plan, &view, &mut conjuncts);
-                view.sel = narrow(cut.as_ref().unwrap_or(&view.sel), &conjuncts, tp)?;
-                tighten(&mut view.known, predicate);
+                let left = self.filter(plan, &mut view, predicate);
+                view.sel = narrow(&view.sel, &compile(&view.rel, left)?, tp)?;
                 Ok(view)
             }
             PhysicalPlan::Project { input, columns } => {
@@ -567,22 +587,44 @@ impl<'a> Exec<'a> {
         Ok(Arc::new(index))
     }
 
+    /// A join node. HJ and SPHJ run the loader [`Exec::source`] sets up
+    /// for their index, with no conjuncts, over the pieces of the probe
+    /// side's selection — on `tp`'s workers, else on the caller thread —
+    /// and collect the `(build, probe)` row ids it names. The other joins
+    /// read both key columns through the selections and answer in
+    /// selection coordinates.
     fn join(&mut self, join: JoinNode<'a>, tp: Option<&ThreadPool>) -> Result<View<'a>> {
         let (plan, algo) = (join.node, join.algo);
-        let l = self.run(join.left, None)?;
-        let r = self.run(join.right, None)?;
-        // The kernels see the key columns through the selections and
-        // answer in selection coordinates.
-        let (mut lbuf, mut rbuf) = (Vec::new(), Vec::new());
-        let rcol = r.rel.column(join.right_key)?.as_u32()?;
-        let rk = self.read(plan, &r.sel, rcol, &mut rbuf);
-        let result = if join.indexed() {
-            let index = self.join_index(&join, &l, rk.len())?;
-            match tp {
-                Some(tp) => dqo_parallel::parallel_probe(tp, &index, rk, DEFAULT_MORSEL_ROWS)?,
-                None => index.probe(rk),
-            }
+        let (l, r, li, ri) = if join.indexed() {
+            let mut inputs = None;
+            let fused = Fused {
+                join: Some(join),
+                ..Fused::plain(plan)
+            };
+            let source = self.source(&fused, &mut inputs, None)?;
+            let pieces = source.sel.pieces(DEFAULT_MORSEL_ROWS);
+            let ran = Counters::default();
+            let pairs = per_piece(tp, pieces.len(), |t| {
+                let (mut build, mut probe) = (Vec::new(), Vec::new());
+                let sink = &mut |rows: Rows<'_>| {
+                    if let Rows::Pairs { keys, values } = rows {
+                        build.extend_from_slice(keys);
+                        probe.extend_from_slice(values);
+                    }
+                };
+                source.load(&pieces[t], &mut Scratch::default(), sink, &ran)?;
+                Ok((build, probe))
+            })?;
+            let (li, ri): (Vec<Vec<u32>>, Vec<_>) = pairs.into_iter().unzip();
+            let Inputs { probe, build, .. } = inputs.expect("the source ran the join's sides");
+            let build = build.expect("an indexed join has a build side").view;
+            (build, probe, li.concat(), ri.concat())
         } else {
+            let l = self.run(join.left, None)?;
+            let r = self.run(join.right, None)?;
+            let (mut lbuf, mut rbuf) = (Vec::new(), Vec::new());
+            let rcol = r.rel.column(join.right_key)?.as_u32()?;
+            let rk = self.read(plan, &r.sel, rcol, &mut rbuf);
             let lcol = l.rel.column(join.left_key)?.as_u32()?;
             let lk = self.read(plan, &l.sel, lcol, &mut lbuf);
             let sort = SortMolecule::Comparison;
@@ -597,9 +639,9 @@ impl<'a> Exec<'a> {
                 }
             };
             self.stats.merge(&par);
-            result
+            let (li, ri) = (l.sel.pick(result.left_rows), r.sel.pick(result.right_rows));
+            (l, r, li, ri)
         };
-        let (li, ri) = (l.sel.pick(result.left_rows), r.sel.pick(result.right_rows));
         // Join output: gather, from either side, the columns something
         // above this node reads — under the qualified join schema, `Str`
         // dictionaries carried across (codes are copied verbatim).
@@ -644,7 +686,9 @@ impl<'a> Exec<'a> {
             algo,
             GroupingAlgorithm::HashBased | GroupingAlgorithm::StaticPerfectHash
         );
-        let fused = Fused::under(input).filter(|_| keys.len() == 1 && hashed);
+        let fused = Fused::under(input)
+            .filter(|_| keys.len() == 1 && hashed)
+            .unwrap_or_else(|| Fused::plain(input));
         let grouping = Grouping {
             algo,
             codes: molecules.codes,
@@ -653,206 +697,197 @@ impl<'a> Exec<'a> {
             tp,
             // A serial grouping still loads on the pool an absorbed
             // `Exchange` asked for.
-            feed: match (tp, fused.as_ref().and_then(Fused::dop)) {
+            feed: match (tp, fused.dop()) {
                 (None, Some(dop)) => Some(ThreadPool::with_pool(dop, (self.pool)())),
                 _ => None,
             },
         };
-        if let Some(
-            f @ Fused {
-                join: Some(join), ..
-            },
-        ) = &fused
-        {
-            return self.group_join(plan, f, join, &keys[0], aggs, &grouping);
-        }
-        let mut view = self.run(fused.as_ref().map_or(input, |f| f.input), None)?;
-        let conjuncts = match fused.as_ref().and_then(|f| f.filter) {
-            Some((filter, predicate)) => {
-                self.stats
-                    .record(Blocking::Pipelined, view.sel.len() as u64);
-                tighten(&mut view.known, predicate);
-                let mut conjuncts = compile(&view.rel, predicate)?;
-                if let Some(cut) = self.search(filter, &view, &mut conjuncts) {
-                    view.sel = cut;
-                }
-                conjuncts
+        if let [key] = keys {
+            // Single key: the kernels read the raw column — or its codes —
+            // at the rows the loader names (see `Exec::source`).
+            let mut inputs = None;
+            let source = self.source(&fused, &mut inputs, Some((&grouping, key.as_str(), aggs)))?;
+            let (mut result, ran) = self.grouped(plan, &grouping, &source, aggs)?;
+            if let Some(codes) = source.codes {
+                codes.decode(&mut result.keys);
             }
-            None => Vec::new(),
-        };
+            let inputs = inputs.expect("the source ran the grouping's input");
+            let (_, view, name) = inputs.column(key)?;
+            let field = Field::new(key, view.rel.schema().field(name)?.data_type);
+            let layout = (field, view.rel.dictionary(name)?.cloned());
+            // A fused join's filter streams the pairs its probe found.
+            if fused.join.is_some() && fused.filter.is_some() {
+                self.stats.record(Blocking::Pipelined, ran.pairs);
+            }
+            if let Some(c) = self.obs.as_mut() {
+                fused.record(c, inputs.below, &ran, grouping.workers());
+            }
+            return Ok(View::of(grouped_to_relation(
+                &[layout],
+                vec![result.keys],
+                aggs,
+                &result.states,
+            )?));
+        }
 
+        // Composite key: compact the key columns through the selection,
+        // pack them into the u32 code domain where the per-column widths
+        // allow, and run the very same single-column kernels on the packed
+        // codes; otherwise fall back to the row-wise kernel.
+        let view = self.run(input, None)?;
         let (rel, sel) = (&view.rel, &view.sel);
         let layouts = key_layouts(rel, keys)?;
         let key_cols: Vec<&[u32]> = keys
             .iter()
             .map(|k| Ok(rel.column(k)?.as_u32()?))
             .collect::<Result<_>>()?;
-        let agg_column = agg_input_column(aggs)?;
-        let values = match agg_column {
-            Some(name) => Some(rel.column(name)?.as_u32()?),
-            None => None,
+        let values = match agg_input_column(aggs)? {
+            Some(name) => rel.column(name)?.as_u32()?,
+            None => key_cols[0],
         };
-        let out = if keys.len() == 1 {
-            // Single key: the kernels run on the raw column — or its codes
-            // — through the selection (and, for HG/SPHG, the fused
-            // filter). A conjunct left for the loader thins each run by a
-            // share not known here, so only an input no conjunct narrows
-            // folds runs.
-            let key = keys[0].as_str();
-            let codes = grouping.codes.then(|| view.codes(key)).transpose()?;
-            let ascending = conjuncts.is_empty() && view.long_runs(key);
-            let source = Source {
-                sel,
-                conjuncts,
-                probe: None,
-                keys: Side::Probe(codes.map_or(key_cols[0], KeyCodes::codes)),
-                values: values
-                    .filter(|_| codes.is_some() || agg_column != Some(key))
-                    .map(Side::Probe),
-                ascending,
-            };
-            let domain = codes.map_or_else(|| view.domain(key), |c| Some(c.domain()));
-            let (mut result, ran) = self.grouped(plan, &grouping, &source, domain, aggs)?;
-            if let Some(codes) = codes {
-                codes.decode(&mut result.keys);
+        let mut bufs = vec![Vec::new(); keys.len() + 1];
+        let (vbuf, kbufs) = bufs.split_last_mut().expect("keys.len() + 1 buffers");
+        let values = self.read(plan, sel, values, vbuf);
+        let key_cols: Vec<&[u32]> = key_cols
+            .iter()
+            .zip(kbufs.iter_mut())
+            .map(|(col, buf)| self.read(plan, sel, col, buf))
+            .collect();
+        let out = match KeyPacker::fit(&key_cols) {
+            Some(packer) => {
+                let packed = packer.pack(&key_cols);
+                self.copied(plan, std::mem::size_of_val(&packed[..]));
+                let all = Selection::all(packed.len());
+                let source = Source {
+                    sel: &all,
+                    conjuncts: Vec::new(),
+                    probe: None,
+                    keys: Side::Probe(&packed),
+                    values: Some(Side::Probe(values)),
+                    ascending: false,
+                    codes: None,
+                    domain: None,
+                };
+                let (result, _) = self.grouped(plan, &grouping, &source, aggs)?;
+                let (cols, states) = unpack_grouped(&packer, result);
+                grouped_to_relation(&layouts, cols, aggs, &states)?
             }
-            if let (Some(f), Some(c)) = (&fused, self.obs.as_mut()) {
-                let input = c.slot(f.input).cloned().unwrap_or_default();
-                f.record(c, input, &ran, grouping.workers());
-            }
-            grouped_to_relation(&layouts, vec![result.keys], aggs, &result.states)?
-        } else {
-            // Composite key: compact the key columns through the
-            // selection, pack them into the u32 code domain where the
-            // per-column widths allow, and run the very same single-column
-            // kernels on the packed codes; otherwise fall back to the
-            // row-wise kernel.
-            let mut bufs = vec![Vec::new(); keys.len() + 1];
-            let (vbuf, kbufs) = bufs.split_last_mut().expect("keys.len() + 1 buffers");
-            let values = self.read(plan, sel, values.unwrap_or(key_cols[0]), vbuf);
-            let key_cols: Vec<&[u32]> = key_cols
-                .iter()
-                .zip(kbufs.iter_mut())
-                .map(|(col, buf)| self.read(plan, sel, col, buf))
-                .collect();
-            match KeyPacker::fit(&key_cols) {
-                Some(packer) => {
-                    let packed = packer.pack(&key_cols);
-                    self.copied(plan, std::mem::size_of_val(&packed[..]));
-                    let all = Selection::all(packed.len());
-                    let source = Source {
-                        sel: &all,
-                        conjuncts: Vec::new(),
-                        probe: None,
-                        keys: Side::Probe(&packed),
-                        values: Some(Side::Probe(values)),
-                        ascending: false,
-                    };
-                    let (result, _) = self.grouped(plan, &grouping, &source, None, aggs)?;
-                    let (cols, states) = unpack_grouped(&packer, result);
-                    grouped_to_relation(&layouts, cols, aggs, &states)?
-                }
-                None => {
-                    let (cols, states) = rowwise_group(&key_cols, values, FullAgg);
-                    self.stats
-                        .record(Blocking::FullBreaker, values.len() as u64);
-                    grouped_to_relation(&layouts, cols, aggs, &states)?
-                }
+            None => {
+                let (cols, states) = rowwise_group(&key_cols, values, FullAgg);
+                self.stats
+                    .record(Blocking::FullBreaker, values.len() as u64);
+                grouped_to_relation(&layouts, cols, aggs, &states)?
             }
         };
         Ok(View::of(out))
     }
 
-    /// Single-key HG/SPHG over a fused HJ or SPHJ: the grouping's loader
-    /// probes the join's index (see [`Exec::join_index`]) piece by piece of
-    /// the probe side's selection — no join output is materialised. The
-    /// filter's conjuncts are split by the side whose column each reads:
-    /// probe-side ones narrow a piece before it probes, build-side ones
-    /// narrow the matches.
-    fn group_join(
+    /// The one place a fused input becomes a loader: for a single-key
+    /// grouping by `key` under `aggs` (`group`), or for a join node no
+    /// grouping fused (`None`: the loader names each pair's build and probe
+    /// rows). Runs the filter's input, or the join's sides and takes its
+    /// index (see [`Exec::join_index`]); splits the filter's conjuncts by
+    /// side — with no join all are the probe side's, searched first (see
+    /// [`Exec::filter`]); resolves the key and value columns to their
+    /// sides, and takes the codes and the domain from the key's. `slot`
+    /// keeps the inputs the loader reads.
+    fn source<'s>(
         &mut self,
-        plan: &'a PhysicalPlan,
         fused: &Fused<'a>,
-        join: &JoinNode<'a>,
-        key: &str,
-        aggs: &[AggExpr],
-        grouping: &Grouping<'_>,
-    ) -> Result<View<'a>> {
+        slot: &'s mut Option<Inputs<'a>>,
+        group: Option<(&Grouping<'_>, &str, &[AggExpr])>,
+    ) -> Result<Source<'s>> {
         let began = Instant::now();
         let before = self.stats;
-        let l = self.run(join.left, None)?;
-        let r = self.run(join.right, None)?;
-        let index = self.join_index(join, &l, r.sel.len())?;
-
-        // Names of the join's output schema resolve to a side's columns.
-        let schema = l.rel.schema().join(r.rel.schema(), "right")?;
-        let sides = (&l.rel, &r.rel, &schema);
-        let mut split = [Vec::new(), Vec::new()];
-        if let Some((_, predicate)) = fused.filter {
-            split_by_side(predicate, sides, &mut split)?;
-        }
-        let [build_pred, probe_pred] = split.map(Predicate::And);
-        let (key_build, key_name) = locate(sides, key)?;
-        let key_view = if key_build { &l } else { &r };
-        let layout = (
-            schema.field(key)?.clone(),
-            key_view.rel.dictionary(key_name)?.cloned(),
-        );
-        let mut keys = side_column(sides, key)?;
-        let codes = grouping
-            .codes
-            .then(|| key_view.codes(key_name))
-            .transpose()?;
-        // A covering domain; with no row on the key's side, none reaches
-        // the grouping and any domain does.
-        let domain = match codes {
-            Some(codes) => {
-                keys = keys.with(codes.codes());
-                codes.domain()
+        let (mut probe, build) = match &fused.join {
+            Some(join) => {
+                let l = self.run(join.left, None)?;
+                let r = self.run(join.right, None)?;
+                let index = self.join_index(join, &l, r.sel.len())?;
+                let schema = l.rel.schema().join(r.rel.schema(), "right")?;
+                (
+                    r,
+                    Some(Build {
+                        view: l,
+                        index,
+                        schema,
+                    }),
+                )
             }
-            None => key_view
-                .domain(key_name)
-                .or_else(|| min_max(&key_view.sel, keys.data()))
-                .unwrap_or((0, 0)),
-        };
-        let source = Source {
-            sel: &r.sel,
-            conjuncts: compile(&r.rel, &probe_pred)?,
-            probe: Some(Probe {
-                index: &index,
-                on: r.rel.column(join.right_key)?.as_u32()?,
-                rows: RowsOf::new(&l.sel),
-                conjuncts: compile(&l.rel, &build_pred)?,
-            }),
-            keys,
-            values: match agg_input_column(aggs)? {
-                Some(name) if name != key || codes.is_some() => Some(side_column(sides, name)?),
-                _ => None,
-            },
-            ascending: false,
+            None => (self.run(fused.input, None)?, None),
         };
         let below = OperatorMetrics {
+            rows_out: probe.sel.len() as u64,
             wall: began.elapsed(),
             stats: self.stats.since(&before),
             ..OperatorMetrics::default()
         };
-
-        let (mut result, ran) = self.grouped(plan, grouping, &source, Some(domain), aggs)?;
-        if let Some(codes) = codes {
-            codes.decode(&mut result.keys);
-        }
-        if fused.filter.is_some() {
-            self.stats.record(Blocking::Pipelined, ran.pairs);
-        }
-        if let Some(c) = self.obs.as_mut() {
-            fused.record(c, below, &ran, grouping.workers());
-        }
-        Ok(View::of(grouped_to_relation(
-            &[layout],
-            vec![result.keys],
-            aggs,
-            &result.states,
-        )?))
+        let left = match (fused.filter, &build) {
+            (Some((filter, predicate)), None) => self.filter(filter, &mut probe, predicate),
+            (Some((_, predicate)), Some(_)) => leaves(predicate),
+            (None, _) => Vec::new(),
+        };
+        let inputs = slot.insert(Inputs {
+            probe,
+            build,
+            split: Default::default(),
+            below,
+        });
+        inputs.split = inputs.by_side(left)?;
+        let inputs: &'s Inputs<'a> = inputs;
+        let probe = &inputs.probe;
+        let conjuncts = compile(&probe.rel, &inputs.split[1])?;
+        let join = fused.join.as_ref().zip(inputs.build.as_ref());
+        let joined = match join {
+            Some((join, build)) => Some(Probe {
+                index: &build.index,
+                on: probe.rel.column(join.right_key)?.as_u32()?,
+                rows: RowsOf::new(&build.view.sel),
+                conjuncts: compile(&build.view.rel, &inputs.split[0])?,
+            }),
+            None => None,
+        };
+        let Some((how, key, aggs)) = group else {
+            let (join, build) = join.expect("a join node has both sides");
+            return Ok(Source {
+                sel: &probe.sel,
+                conjuncts,
+                keys: Side::Build(build.view.rel.column(join.left_key)?.as_u32()?),
+                values: joined.as_ref().map(|p| Side::Probe(p.on)),
+                probe: joined,
+                ascending: false,
+                codes: None,
+                domain: None,
+            });
+        };
+        let (on_build, view, name) = inputs.column(key)?;
+        let data = view.rel.column(name)?.as_u32()?;
+        let codes = how.codes.then(|| view.codes(name)).transpose()?;
+        // A covering domain: the codes', else the statistics'. Build-side
+        // keys without statistics have their range folded here — the fold
+        // folds it through the probe side's selection.
+        let domain = match codes {
+            Some(codes) => Some(codes.domain()),
+            None => view
+                .domain(name)
+                .or_else(|| on_build.then(|| min_max(&view.sel, data).unwrap_or((0, 0)))),
+        };
+        let keys = inputs.side(key)?;
+        Ok(Source {
+            sel: &probe.sel,
+            // A conjunct left for the loader thins each run by a share not
+            // known here, so only an input no conjunct narrows folds runs.
+            ascending: conjuncts.is_empty() && join.is_none() && probe.long_runs(key),
+            conjuncts,
+            probe: joined,
+            keys: codes.map_or(keys, |c| keys.with(c.codes())),
+            values: match agg_input_column(aggs)? {
+                Some(value) if value != key || codes.is_some() => Some(inputs.side(value)?),
+                _ => None,
+            },
+            codes,
+            domain,
+        })
     }
 
     /// Group the rows `src` loads under `how`, into the narrowest state
@@ -863,16 +898,15 @@ impl<'a> Exec<'a> {
         plan: &PhysicalPlan,
         how: &Grouping<'_>,
         src: &Source<'_>,
-        domain: Option<(u32, u32)>,
         aggs: &[AggExpr],
     ) -> Result<(GroupedResult<FullAggState>, FusedRun)> {
         if aggs
             .iter()
             .any(|a| matches!(a.func, AggFunc::Min | AggFunc::Max))
         {
-            return self.fold(plan, how, src, domain, FullAgg);
+            return self.fold(plan, how, src, FullAgg);
         }
-        let (result, ran) = self.fold(plan, how, src, domain, CountSum)?;
+        let (result, ran) = self.fold(plan, how, src, CountSum)?;
         let result = GroupedResult {
             keys: result.keys,
             states: result.states.into_iter().map(widen).collect(),
@@ -892,7 +926,6 @@ impl<'a> Exec<'a> {
         plan: &PhysicalPlan,
         how: &Grouping<'_>,
         src: &Source<'_>,
-        domain: Option<(u32, u32)>,
         agg: A,
     ) -> Result<(GroupedResult<A::State>, FusedRun)> {
         let strategy = match how.algo {
@@ -901,7 +934,8 @@ impl<'a> Exec<'a> {
                 // Without statistics (a column computed by a join or a
                 // grouping) the domain is folded from the column itself,
                 // through the selection.
-                let (min, max) = domain
+                let (min, max) = src
+                    .domain
                     .or_else(|| min_max(src.sel, src.keys.data()))
                     .unwrap_or((0, 0));
                 GroupingStrategy::StaticPerfectHash { min, max }
@@ -924,14 +958,11 @@ impl<'a> Exec<'a> {
         };
         let (result, par) = match &how.feed {
             Some(feed) => {
-                let held = feed.map_tasks(pieces.len(), |t| {
+                let held = per_piece(Some(feed), pieces.len(), |t| {
                     let mut held = Vec::new();
                     let sink = &mut |rows: Rows<'_>| held.push(Held::of(rows));
                     load(t, &mut Scratch::default(), sink).map(|()| held)
                 })?;
-                let held = held
-                    .into_iter()
-                    .collect::<std::result::Result<Vec<_>, ExecError>>()?;
                 let held: Vec<Held> = held.into_iter().flatten().collect();
                 let fold = |t: usize, _: &mut Scratch, sink: Sink<'_>| {
                     sink(held[t].rows());
@@ -1070,22 +1101,96 @@ impl<'s> Side<'s> {
     }
 }
 
-/// Where a single-key grouping reads its rows: the pieces of `sel`,
-/// narrowed by a fused filter's `conjuncts` and, when a join was fused,
-/// probed into its build side.
+/// Where a single-key grouping, or a join node, reads its rows: the
+/// pieces of `sel`, narrowed by a fused filter's `conjuncts` and, with a
+/// join, probed into its build side.
 struct Source<'s> {
     sel: &'s Selection,
     conjuncts: Vec<Conjunct<'s>>,
     probe: Option<Probe<'s>>,
+    /// The key column; a join node's build key.
     keys: Side<'s>,
-    /// The aggregate input; `None` aggregates the key column itself.
+    /// The aggregate input, `None` aggregating the key column itself; a
+    /// join node's probe key.
     values: Option<Side<'s>>,
     /// The keys ascend within every piece, in runs long enough that
     /// HG/SPHG fold runs of equal keys, not rows (see [`View::long_runs`]).
     ascending: bool,
+    /// The catalog's codes `keys` reads in place of the key.
+    codes: Option<&'s KeyCodes>,
+    /// A covering `[min, max]` of the keys, when known before the fold.
+    domain: Option<(u32, u32)>,
 }
 
-/// A fused join as its grouping's loader sees it.
+/// A fused input, run: the rows a loader cuts into pieces — a fused
+/// join's probe side, else the filter's input — and a fused join's build
+/// side.
+struct Inputs<'a> {
+    probe: View<'a>,
+    build: Option<Build<'a>>,
+    /// The filter's conjuncts on build-side columns, then on probe-side
+    /// ones, each under its side's own column name.
+    split: [Vec<Predicate>; 2],
+    /// What running the inputs cost (and a fresh index's build), as the
+    /// node beneath the filter reports it.
+    below: OperatorMetrics,
+}
+
+/// A fused join's build side, the index it probes, and its output schema.
+struct Build<'a> {
+    view: View<'a>,
+    index: Arc<JoinIndex>,
+    schema: Schema,
+}
+
+impl<'a> Inputs<'a> {
+    /// Where the input's column `name` lives: on the build side (`true`) or
+    /// the probe side, under that side's own name. A join's output names
+    /// its columns by the join schema; with no join, every column is the
+    /// probe side's.
+    fn column<'v: 'n, 'n>(&'v self, name: &'n str) -> Result<(bool, &'v View<'a>, &'n str)> {
+        let Some(build) = &self.build else {
+            return Ok((false, &self.probe, name));
+        };
+        let i = build.schema.index_of(name)?;
+        let (l, r) = (&build.view, &self.probe);
+        Ok(match i.checked_sub(l.rel.schema().width()) {
+            None => (true, l, &l.rel.schema().fields()[i].name),
+            Some(at) => (false, r, &r.rel.schema().fields()[at].name),
+        })
+    }
+
+    /// The data of the input's `u32` column `name`, on its side.
+    fn side(&self, name: &str) -> Result<Side<'_>> {
+        let (build, view, name) = self.column(name)?;
+        let data = view.rel.column(name)?.as_u32()?;
+        Ok(if build {
+            Side::Build(data)
+        } else {
+            Side::Probe(data)
+        })
+    }
+
+    /// Split `conjuncts` by the side whose column each reads — build side
+    /// first — each renamed to its side's own column name.
+    fn by_side(&self, conjuncts: Vec<&Predicate>) -> Result<[Vec<Predicate>; 2]> {
+        let mut split = [Vec::new(), Vec::new()];
+        for conjunct in conjuncts {
+            let mut leaf = conjunct.clone();
+            if let Predicate::Compare { column, .. }
+            | Predicate::Prefix { column, .. }
+            | Predicate::Like { column, .. } = &mut leaf
+            {
+                let (build, _, name) = self.column(column)?;
+                *column = name.to_string();
+                split[usize::from(!build)].push(leaf);
+            }
+        }
+        Ok(split)
+    }
+}
+
+/// A fused join as its loader sees it.
 struct Probe<'s> {
     index: &'s JoinIndex,
     /// The probe key column, by probe row.
@@ -1303,7 +1408,9 @@ impl<'a> JoinNode<'a> {
 
 /// The nodes a single-key HG/SPHG runs inside its own loader instead of as
 /// nodes of their own, at any DOP: `[Exchange] [Filter] [Exchange] HJ`,
-/// the same over SPHJ, and `[Exchange] Filter`.
+/// the same over SPHJ, and `[Exchange] Filter`. A loader that fuses
+/// nothing reads its input node's output ([`Fused::plain`]); a join node's
+/// own loader fuses just the join.
 struct Fused<'a> {
     /// The `Exchange` directly beneath the grouping.
     upper: Absorbed<'a>,
@@ -1316,6 +1423,17 @@ struct Fused<'a> {
 }
 
 impl<'a> Fused<'a> {
+    /// A loader over `input`'s output, fusing nothing.
+    fn plain(input: &'a PhysicalPlan) -> Self {
+        Fused {
+            upper: None,
+            filter: None,
+            lower: None,
+            join: None,
+            input,
+        }
+    }
+
     fn under(plan: &'a PhysicalPlan) -> Option<Self> {
         let exchange = |p: &'a PhysicalPlan| match p {
             PhysicalPlan::Exchange { input, dop } => (Some((p, *dop)), input.as_ref()),
@@ -1417,48 +1535,6 @@ pub(crate) fn reads_coded_key(catalog: &Catalog, input: &PhysicalPlan, key: &str
         .is_some_and(|e| e.key_codes.contains_key(key))
 }
 
-/// A join's build relation, probe relation and output schema.
-type Sides<'v> = (&'v Relation, &'v Relation, &'v Schema);
-
-/// Where the join output's column `name` lives: on the build side
-/// (`true`) or the probe side, under that side's own name.
-fn locate<'v>((l, r, schema): Sides<'v>, name: &str) -> Result<(bool, &'v str)> {
-    let i = schema.index_of(name)?;
-    Ok(match i.checked_sub(l.schema().width()) {
-        None => (true, &l.schema().fields()[i].name),
-        Some(at) => (false, &r.schema().fields()[at].name),
-    })
-}
-
-/// The data of the join output's `u32` column `name`, on its side.
-fn side_column<'v>(sides: Sides<'v>, name: &str) -> Result<Side<'v>> {
-    let (build, name) = locate(sides, name)?;
-    let (l, r, _) = sides;
-    Ok(match build {
-        true => Side::Build(l.column(name)?.as_u32()?),
-        false => Side::Probe(r.column(name)?.as_u32()?),
-    })
-}
-
-/// Split `pred`'s conjuncts by the join side whose column each reads —
-/// `out[0]` the build side, `out[1]` the probe side — each renamed from
-/// the join output's column name to its side's own.
-fn split_by_side(pred: &Predicate, sides: Sides<'_>, out: &mut [Vec<Predicate>; 2]) -> Result<()> {
-    if let Predicate::And(ps) = pred {
-        return ps.iter().try_for_each(|p| split_by_side(p, sides, out));
-    }
-    let mut leaf = pred.clone();
-    if let Predicate::Compare { column, .. }
-    | Predicate::Prefix { column, .. }
-    | Predicate::Like { column, .. } = &mut leaf
-    {
-        let (build, name) = locate(sides, column)?;
-        *column = name.to_string();
-        out[usize::from(!build)].push(leaf);
-    }
-    Ok(())
-}
-
 /// The `Sort` whose order a `Limit` over `plan` cuts: `plan` itself, or
 /// one reached through `Exchange` and `Project`, which keep row order.
 fn sort_under(plan: &PhysicalPlan) -> Option<&PhysicalPlan> {
@@ -1523,12 +1599,7 @@ fn join_needs<'a>(
 /// One conjunct of a filter predicate, bound to its column.
 enum Conjunct<'r> {
     /// `u32` column against a `u32` constant — the dominant case.
-    U32 {
-        data: &'r [u32],
-        op: CmpOp,
-        v: u32,
-        column: &'r str,
-    },
+    U32 { data: &'r [u32], op: CmpOp, v: u32 },
     /// Dictionary-encoded string column (comparison, prefix, `LIKE`): the
     /// predicate is evaluated once per *code* under real string order,
     /// regardless of how codes were assigned; rows look their code up.
@@ -1546,8 +1617,19 @@ enum Conjunct<'r> {
     },
 }
 
-/// Bind `pred`'s conjuncts to the columns of `rel`.
-fn compile<'r>(rel: &'r Relation, pred: &'r Predicate) -> Result<Vec<Conjunct<'r>>> {
+/// The conjuncts of `pred`: its leaves, below any `And`.
+fn leaves(pred: &Predicate) -> Vec<&Predicate> {
+    match pred {
+        Predicate::And(ps) => ps.iter().flat_map(leaves).collect(),
+        leaf => vec![leaf],
+    }
+}
+
+/// Bind `preds`' conjuncts to the columns of `rel`.
+fn compile<'r>(
+    rel: &'r Relation,
+    preds: impl IntoIterator<Item = &'r Predicate>,
+) -> Result<Vec<Conjunct<'r>>> {
     let per_code = |column: &'r str, like: bool, matches: &dyn Fn(&str) -> bool| {
         let col = rel.column(column)?;
         if like && col.data_type() != DataType::Str {
@@ -1567,48 +1649,47 @@ fn compile<'r>(rel: &'r Relation, pred: &'r Predicate) -> Result<Vec<Conjunct<'r
             column,
         })
     };
-    Ok(match pred {
-        Predicate::And(ps) => {
-            let mut all = Vec::with_capacity(ps.len());
-            for p in ps {
-                all.extend(compile(rel, p)?);
+    let mut all = Vec::new();
+    for pred in preds {
+        let conjunct = match pred {
+            Predicate::And(ps) => {
+                all.extend(compile(rel, ps)?);
+                continue;
             }
-            all
-        }
-        Predicate::Compare { column, op, value } => {
-            let col = rel.column(column)?;
-            vec![match (col.data_type(), col.as_u32(), value) {
-                (DataType::Str, _, Value::Str(lit)) => {
-                    per_code(column, false, &|s| op.eval(s.cmp(lit.as_str())))?
+            Predicate::Compare { column, op, value } => {
+                let col = rel.column(column)?;
+                match (col.data_type(), col.as_u32(), value) {
+                    (DataType::Str, _, Value::Str(lit)) => {
+                        per_code(column, false, &|s| op.eval(s.cmp(lit.as_str())))?
+                    }
+                    (DataType::Str, _, _) => {
+                        return Err(CoreError::Unsupported(format!(
+                            "string column '{column}' compared to non-string literal {value}"
+                        )))
+                    }
+                    (_, Ok(data), Value::U32(v)) => Conjunct::U32 {
+                        data,
+                        op: *op,
+                        v: *v,
+                    },
+                    _ => Conjunct::Slow {
+                        col,
+                        op: *op,
+                        value,
+                        column,
+                    },
                 }
-                (DataType::Str, _, _) => {
-                    return Err(CoreError::Unsupported(format!(
-                        "string column '{column}' compared to non-string literal {value}"
-                    )))
-                }
-                (_, Ok(data), Value::U32(v)) => Conjunct::U32 {
-                    data,
-                    op: *op,
-                    v: *v,
-                    column,
-                },
-                _ => Conjunct::Slow {
-                    col,
-                    op: *op,
-                    value,
-                    column,
-                },
-            }]
-        }
-        Predicate::Prefix { column, prefix } => {
-            vec![per_code(column, true, &|s| s.starts_with(prefix.as_str()))?]
-        }
-        Predicate::Like { column, pattern } => {
-            vec![per_code(column, true, &|s| {
-                dqo_plan::like_match(pattern, s)
-            })?]
-        }
-    })
+            }
+            Predicate::Prefix { column, prefix } => {
+                per_code(column, true, &|s| s.starts_with(prefix.as_str()))?
+            }
+            Predicate::Like { column, pattern } => {
+                per_code(column, true, &|s| dqo_plan::like_match(pattern, s))?
+            }
+        };
+        all.push(conjunct);
+    }
+    Ok(all)
 }
 
 /// Record the bounds `pred`'s `u32` comparisons put on their columns. (A
@@ -1728,21 +1809,29 @@ fn narrow(
         return Ok(sel.clone());
     }
     let pieces = sel.pieces(tp.map_or(usize::MAX, |_| DEFAULT_MORSEL_ROWS));
-    let task = |t: usize| {
+    let chunks = per_piece(tp, pieces.len(), |t| {
         let mut ids = Vec::new();
         narrow_piece(&pieces[t], conjuncts, &mut ids).map(|()| ids)
-    };
-    let chunks = match tp {
-        Some(tp) => tp.map_tasks(pieces.len(), task)?,
-        None => (0..pieces.len()).map(task).collect(),
-    };
-    let chunks = chunks
-        .into_iter()
-        .collect::<std::result::Result<Vec<_>, _>>()?;
+    })?;
     Ok(match sel {
         Selection::Ranges(_) => Selection::from_ascending(chunks),
         Selection::Rows(_) => Selection::Rows(chunks.concat()),
     })
+}
+
+/// Run `task` once per piece, `0..pieces` — as tasks on `tp`, else in
+/// order on the caller thread — and collect what each returns, in piece
+/// order.
+fn per_piece<T: Send>(
+    tp: Option<&ThreadPool>,
+    pieces: usize,
+    task: impl Fn(usize) -> std::result::Result<T, ExecError> + Sync,
+) -> Result<Vec<T>> {
+    let done = match tp {
+        Some(tp) => tp.map_tasks(pieces, task)?,
+        None => (0..pieces).map(task).collect(),
+    };
+    Ok(done.into_iter().collect::<std::result::Result<_, _>>()?)
 }
 
 /// Smallest and largest value of `col` over the rows of `sel`.
@@ -2504,14 +2593,14 @@ mod tests {
                     input: Box::new(input.clone()),
                     dop: 4,
                 };
-                let parallel_probe = match &filtered {
+                let loaded_in_parallel = match &filtered {
                     PhysicalPlan::Filter { input, predicate } => exchange(&PhysicalPlan::Filter {
                         input: Box::new(exchange(input)),
                         predicate: predicate.clone(),
                     }),
                     _ => unreachable!("a filter"),
                 };
-                for input in [filtered.clone(), parallel_probe] {
+                for input in [filtered.clone(), loaded_in_parallel] {
                     let plan = PhysicalPlan::GroupBy {
                         input: Box::new(input),
                         keys: vec![key.into()],
@@ -2530,6 +2619,162 @@ mod tests {
                     // Only the grouping's scratch was copied, never a join
                     // output or a whole column.
                     assert!(out.bytes_materialised <= 8 * joined.rows() as u64);
+                }
+            }
+        }
+    }
+
+    /// A materialised HJ or SPHJ emits the ordered nested loop's pairs —
+    /// probe row by probe row, each probe row's build rows ascending — over
+    /// every selection shape on either side, at DOP 1 and under `Exchange`
+    /// 2 and 8; and it copies exactly its output and, when the build side's
+    /// selection is not one dense run, the build keys it indexes.
+    #[test]
+    fn materialised_joins_emit_the_ordered_nested_loop_on_every_selection() {
+        let table = |key: &str, value: &str, keys: Vec<u32>| {
+            let rows = (0..keys.len() as u32).collect();
+            let schema = Schema::new(vec![
+                Field::new(key, DataType::U32),
+                Field::new(value, DataType::U32),
+            ])
+            .unwrap();
+            Relation::new(schema, vec![Column::U32(keys), Column::U32(rows)]).unwrap()
+        };
+        let cat = Catalog::new();
+        // Unique build keys (the one-array index) and each key twice (CSR),
+        // over 0..1000; probe keys over 0..1200, across three morsels.
+        cat.register(
+            "U",
+            table("k", "b", (0..1_000).map(|i| i * 7 % 1_000).collect()),
+        );
+        cat.register(
+            "B",
+            table("k", "b", (0..2_000).map(|i| i % 1_000).collect()),
+        );
+        let probe_keys = |n: u32| {
+            (0..n)
+                .map(|i| i.wrapping_mul(2_654_435_761) % 1_200)
+                .collect()
+        };
+        cat.register("P", table("pk", "p", probe_keys(140_000)));
+        // P again, range-partitioned on its row ids: partitions 0 and 2 are
+        // two row ranges.
+        let spec = dqo_storage::PartitionSpec::range("p", vec![40_000, 80_000, 120_000]);
+        let partitioned = table("pk", "p", probe_keys(140_000));
+        cat.register_partitioned(
+            "PP",
+            dqo_storage::PartitionedRelation::new(partitioned, spec).unwrap(),
+        );
+        let scan = |t: &str| PhysicalPlan::Scan { table: t.into() };
+        let filter = |input: PhysicalPlan, column: &str, below: u32| PhysicalPlan::Filter {
+            input: Box::new(input),
+            predicate: Predicate::cmp(column, CmpOp::Lt, below),
+        };
+        // Each side's plan and the row ids it selects, in order.
+        let builds = [
+            (scan("U"), (0..1_000).collect::<Vec<u32>>()),
+            (scan("B"), (0..2_000).collect()),
+            // A `Rows` selection: the build positions are not row ids.
+            (
+                filter(scan("B"), "k", 700),
+                (0..2_000).filter(|i| i % 1_000 < 700).collect(),
+            ),
+        ];
+        let probes = [
+            (scan("P"), (0..140_000).collect::<Vec<u32>>()),
+            (
+                filter(scan("P"), "pk", 900),
+                (0..140_000u32)
+                    .filter(|&i| i.wrapping_mul(2_654_435_761) % 1_200 < 900)
+                    .collect(),
+            ),
+            (
+                PhysicalPlan::PartitionedScan {
+                    table: "PP".into(),
+                    parts: vec![0, 2],
+                    total: 4,
+                },
+                (0..40_000).chain(80_000..120_000).collect(),
+            ),
+        ];
+        let (keys_of, probed_keys) = (
+            |t: &str| {
+                cat.get(t)
+                    .unwrap()
+                    .relation
+                    .column("k")
+                    .unwrap()
+                    .as_u32()
+                    .unwrap()
+                    .to_vec()
+            },
+            cat.get("P")
+                .unwrap()
+                .relation
+                .column("pk")
+                .unwrap()
+                .as_u32()
+                .unwrap()
+                .to_vec(),
+        );
+        for (build, build_rows) in &builds {
+            let table = match build {
+                PhysicalPlan::Scan { table } => table.clone(),
+                _ => "B".into(),
+            };
+            let build_keys = keys_of(&table);
+            let mut by_key: HashMap<u32, Vec<u32>> = HashMap::new();
+            for &b in build_rows {
+                by_key.entry(build_keys[b as usize]).or_default().push(b);
+            }
+            for (probe, probe_rows) in &probes {
+                // The ordered nested loop, as the output's four columns.
+                let mut expect: [Vec<u32>; 4] = Default::default();
+                for &p in probe_rows {
+                    let key = probed_keys[p as usize];
+                    for &b in by_key.get(&key).into_iter().flatten() {
+                        for (col, v) in expect.iter_mut().zip([key, b, key, p]) {
+                            col.push(v);
+                        }
+                    }
+                }
+                let copied_keys = match build {
+                    PhysicalPlan::Filter { .. } => 4 * build_rows.len() as u64,
+                    _ => 0,
+                };
+                for algo in [JoinAlgorithm::HashBased, JoinAlgorithm::StaticPerfectHash] {
+                    let join = PhysicalPlan::Join {
+                        left: Box::new(build.clone()),
+                        right: Box::new(probe.clone()),
+                        left_key: "k".into(),
+                        right_key: "pk".into(),
+                        algo,
+                    };
+                    for dop in [1, 2, 8] {
+                        let plan = match dop {
+                            1 => join.clone(),
+                            _ => PhysicalPlan::Exchange {
+                                input: Box::new(join.clone()),
+                                dop,
+                            },
+                        };
+                        let out = execute(&plan, &cat).unwrap();
+                        let rel = &out.relation;
+                        let got: Vec<&[u32]> = ["k", "b", "pk", "p"]
+                            .iter()
+                            .map(|c| rel.column(c).unwrap().as_u32().unwrap())
+                            .collect();
+                        let ctx = format!("dop={dop}\n{}", plan.explain());
+                        assert!(expect[0].len() > 10_000, "{ctx}");
+                        for (got, expect) in got.iter().zip(&expect) {
+                            assert!(got == expect, "{ctx}");
+                        }
+                        // The output's four columns, and the build keys
+                        // read through a `Rows` selection: never the probe
+                        // keys.
+                        let output = 16 * expect[0].len() as u64;
+                        assert_eq!(out.bytes_materialised, output + copied_keys, "{ctx}");
+                    }
                 }
             }
         }

@@ -4,8 +4,8 @@
 //!
 //! * [`catalog`] — tables plus the exact statistics DQO feeds on
 //!   (sortedness, density, distinct counts per key column);
-//! * [`cost`] — the Table 2 cost models (tuple-operation based) and a
-//!   calibrated nanosecond model for estimated-vs-measured studies;
+//! * [`cost`] — the Table 2 cost model (tuple-operation based) and its
+//!   parallel extension;
 //! * [`optimizer`] — the public optimiser API: **one** property-annotated
 //!   optimiser that is SQO or DQO depending on how much of the property
 //!   vector it is allowed to see (§4.3: SQO tracks sortedness only; DQO
@@ -47,8 +47,6 @@
 //!   (rebound per execution, valid per DDL generation), ad-hoc ones on
 //!   their exact text (served while their statistics / AV / feedback
 //!   stamp is current);
-//! * [`molecule`] — the one refiner of a grouping's table and hash
-//!   molecules (Table 1's step below the organelle);
 //! * [`adaptive`] — runtime-adaptive AVs (§6): a cracking-style index
 //!   whose optimisation decisions are delegated to query time.
 //!
@@ -70,7 +68,6 @@ pub mod error;
 pub mod executor;
 pub mod feedback;
 pub mod memo;
-pub mod molecule;
 pub mod optimizer;
 pub mod partition_prune;
 pub mod plan_cache;

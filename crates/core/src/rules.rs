@@ -31,14 +31,14 @@ use crate::cost::CostModel;
 use crate::error::CoreError;
 use crate::executor::reads_coded_key;
 use crate::memo::{Derived, GroupId, MemoOptimizer};
-use crate::molecule::{refine_grouping_molecules, MoleculeCosts};
 use crate::optimizer::{prune, Candidate, OptimizerMode};
 use crate::property_builder::RowOp;
 use crate::Result;
 use dqo_plan::expr::Predicate;
 use dqo_plan::physical::GroupingMolecules;
 use dqo_plan::{
-    GroupingAlgorithm, JoinAlgorithm, LogicalPlan, PhysicalPlan, PlanProps, SortMolecule,
+    GroupingAlgorithm, HashFnMolecule, JoinAlgorithm, LogicalPlan, PhysicalPlan, PlanProps,
+    SortMolecule, TableMolecule,
 };
 use dqo_storage::{DataProps, Density, Sortedness};
 use std::sync::Arc;
@@ -654,23 +654,31 @@ impl MemoOptimizer<'_> {
     }
 
     /// The molecules under grouping organelle `algo` — the step Table 1
-    /// adds below the organelle: deep mode refines them from the key's
-    /// statistics (the input's properties when it has none); shallow mode
-    /// ships the developer defaults behind the organelle name.
+    /// adds below the organelle. Shallow mode ships the developer defaults
+    /// behind the organelle name, and only HG has open table and hash
+    /// molecules (the others are structural: SPH array, sorted array,
+    /// runs). Deep mode gives HG linear probing, the cheapest table per
+    /// upsert in the E9 ablation, and picks the hash from the key's
+    /// statistics (the input's properties when it has none): identity when
+    /// the keys are uniform — a dense domain, as dictionary codes are
+    /// (§2.1) — else Fibonacci, whose one multiply spreads clustered keys.
     fn grouping_molecules(
         &self,
         algo: GroupingAlgorithm,
         key_stats: Option<PlanProps>,
         input: &Candidate,
     ) -> GroupingMolecules {
-        match self.mode {
-            OptimizerMode::Deep => refine_grouping_molecules(
-                algo,
-                &key_stats.unwrap_or(input.props),
-                &MoleculeCosts::default(),
-            ),
-            OptimizerMode::Shallow => GroupingMolecules::defaults_for(algo),
+        let mut m = GroupingMolecules::defaults_for(algo);
+        if self.mode == OptimizerMode::Deep && algo == GroupingAlgorithm::HashBased {
+            let keys = key_stats.unwrap_or(input.props);
+            let uniform = keys.admits_sph() || keys.density.is_dense();
+            m.table = Some(TableMolecule::LinearProbing);
+            m.hash = Some(match uniform {
+                true => HashFnMolecule::Identity,
+                false => HashFnMolecule::Fibonacci,
+            });
         }
+        m
     }
 
     /// Is this candidate's output usable as "sorted by `key`" under the
@@ -751,5 +759,121 @@ impl MemoOptimizer<'_> {
             rows,
         };
         self.mode.project(props)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::catalog::Catalog;
+    use crate::optimizer::SearchContext;
+    use dqo_exec::grouping::hg::HgTable;
+
+    fn props(dense: bool) -> PlanProps {
+        PlanProps {
+            sortedness: Sortedness::Unsorted,
+            partitioned: false,
+            density: if dense {
+                Density::Dense
+            } else {
+                Density::Sparse { fill: 0.001 }
+            },
+            distinct: Some(1000),
+            key_range: dense.then_some((0, 999)),
+            rows: 1_000_000,
+        }
+    }
+
+    /// The molecules `mode` gives organelle `algo` over keys with `props`.
+    fn molecules(
+        mode: OptimizerMode,
+        algo: GroupingAlgorithm,
+        keys: PlanProps,
+    ) -> GroupingMolecules {
+        let catalog = Catalog::new();
+        let optimizer = MemoOptimizer::new(&catalog, &SearchContext::new(mode));
+        let input = Candidate {
+            plan: PhysicalPlan::Scan { table: "t".into() },
+            cost: 0.0,
+            props: keys,
+            sort_col: None,
+        };
+        optimizer.grouping_molecules(algo, None, &input)
+    }
+
+    #[test]
+    fn uniform_keys_get_cheap_hash_and_open_addressing() {
+        let m = molecules(
+            OptimizerMode::Deep,
+            GroupingAlgorithm::HashBased,
+            props(true),
+        );
+        assert_eq!(m.table, Some(TableMolecule::LinearProbing));
+        assert_eq!(m.hash, Some(HashFnMolecule::Identity));
+    }
+
+    #[test]
+    fn sparse_keys_keep_a_real_hash_function() {
+        let m = molecules(
+            OptimizerMode::Deep,
+            GroupingAlgorithm::HashBased,
+            props(false),
+        );
+        assert_eq!(m.table, Some(TableMolecule::LinearProbing));
+        assert_eq!(m.hash, Some(HashFnMolecule::Fibonacci));
+    }
+
+    #[test]
+    fn non_hash_organelles_and_shallow_mode_keep_the_defaults() {
+        let deep = |algo| molecules(OptimizerMode::Deep, algo, props(true));
+        let m = deep(GroupingAlgorithm::StaticPerfectHash);
+        assert_eq!(m.table, Some(TableMolecule::StaticPerfectHash));
+        assert_eq!(m.hash, None);
+        assert_eq!(deep(GroupingAlgorithm::OrderBased).table, None);
+        for dense in [true, false] {
+            let algo = GroupingAlgorithm::HashBased;
+            let m = molecules(OptimizerMode::Shallow, algo, props(dense));
+            assert_eq!(m, GroupingMolecules::defaults_for(algo));
+        }
+    }
+
+    /// The kernel `HgTable::of` selects is the table and hash EXPLAIN
+    /// prints — for every pair deep mode picks, and for all nine (table,
+    /// hash) pairs a lowered deep plan can name: an unmatched pair would
+    /// silently run a different kernel.
+    #[test]
+    fn every_picked_pair_selects_the_named_hg_table() {
+        let ran = |m: GroupingMolecules| match HgTable::of(m) {
+            HgTable::Chaining(h) => (TableMolecule::Chaining, h),
+            HgTable::LinearProbing(h) => (TableMolecule::LinearProbing, h),
+            HgTable::RobinHood(h) => (TableMolecule::RobinHood, h),
+        };
+        for dense in [true, false] {
+            let m = molecules(
+                OptimizerMode::Deep,
+                GroupingAlgorithm::HashBased,
+                props(dense),
+            );
+            let (t, h) = ran(m);
+            assert_eq!((m.table, m.hash), (Some(t), Some(h)), "dense={dense}");
+        }
+        for table in [
+            TableMolecule::Chaining,
+            TableMolecule::LinearProbing,
+            TableMolecule::RobinHood,
+        ] {
+            for hash in [
+                HashFnMolecule::Murmur3,
+                HashFnMolecule::Fibonacci,
+                HashFnMolecule::Identity,
+            ] {
+                let m = GroupingMolecules {
+                    table: Some(table),
+                    hash: Some(hash),
+                    ..GroupingMolecules::default()
+                };
+                assert_eq!(ran(m), (table, hash));
+            }
+        }
     }
 }

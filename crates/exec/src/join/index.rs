@@ -672,4 +672,95 @@ mod tests {
         assert!(built.patch(&[2, 9], 2).is_err());
         assert_eq!(built.matches(2), &[] as &[u32]);
     }
+
+    /// The pairs a nested loop finds, as `(build row, probe row)` ordered
+    /// by probe row, then build row: the order every probe emits.
+    fn ordered_oracle(left: &[u32], right: &[u32]) -> Vec<(u32, u32)> {
+        let mut out = Vec::new();
+        for (j, &rk) in right.iter().enumerate() {
+            for (i, &lk) in left.iter().enumerate() {
+                if lk == rk {
+                    out.push((i as u32, j as u32));
+                }
+            }
+        }
+        out
+    }
+
+    /// Every slot map over `left`: hashed always, identity when the build
+    /// domain fits in a few million slots (an empty build side takes the
+    /// one-slot domain `[0, 0]`).
+    fn indexes(left: &[u32]) -> Vec<(&'static str, JoinIndex)> {
+        let mut out = vec![("hashed", JoinIndex::hashed(left))];
+        let (min, max) = crate::join::min_max(left).unwrap_or((0, 0));
+        if max - min < 1 << 23 {
+            out.push(("identity", JoinIndex::identity(left, min, max).unwrap()));
+        }
+        out
+    }
+
+    /// Check both slot maps × both layouts on one case: the build keys with
+    /// each key's first occurrence only (unique layout), and as given plus
+    /// one more copy of the first key (CSR). The probe must equal the
+    /// ordered nested loop.
+    fn check(case: &str, left: &[u32], right: &[u32]) {
+        let mut seen = std::collections::HashSet::new();
+        let first: Vec<u32> = left.iter().copied().filter(|&k| seen.insert(k)).collect();
+        let mut repeated = left.to_vec();
+        repeated.extend(left.first());
+        for (build, unique) in [(first, true), (repeated, left.is_empty())] {
+            let oracle = ordered_oracle(&build, right);
+            for (map, index) in indexes(&build) {
+                let ctx = format!("{case}: {map}, unique={unique}");
+                assert_eq!(index.is_unique(), unique, "{ctx}");
+                let probed = index.probe(right);
+                let pairs: Vec<(u32, u32)> = probed
+                    .left_rows
+                    .iter()
+                    .copied()
+                    .zip(probed.right_rows.iter().copied())
+                    .collect();
+                assert_eq!(pairs, oracle, "{ctx}");
+                assert!(!probed.sorted_by_key, "{ctx}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_slot_map_and_layout_emits_the_ordered_nested_loop() {
+        // LP's empty-slot key and zero — first seen after other keys, and
+        // probed though no build row holds it — beside keys near the top
+        // of the range (where an identity domain still fits).
+        let top = [u32::MAX, u32::MAX - 2, u32::MAX, 5, 0];
+        check("u32::MAX and 0", &[0, 7, u32::MAX, 0, u32::MAX], &top);
+        check("u32::MAX probed only", &[0, 7, 5], &top);
+        check(
+            "top of the range",
+            &[u32::MAX - 2, u32::MAX, u32::MAX],
+            &top,
+        );
+        // 1 024 keys sharing their low 12 bits, probed with themselves,
+        // reversed and repeated, and with misses between them.
+        let shared: Vec<u32> = (0..1_024u32).map(|i| (i << 12) | 0xABC).collect();
+        let probe: Vec<u32> = shared.iter().rev().flat_map(|&k| [k, k ^ 1, k]).collect();
+        check("shared low 12 bits", &shared, &probe);
+        check("all duplicates", &[42; 300], &[42, 41, 42, 0, 42]);
+        check("empty build", &[], &[1, 2]);
+        check("empty probe", &[1, 2], &[]);
+        check("both empty", &[], &[]);
+        check("no matches", &[1, 2], &[3, 4]);
+        check("duplicates on both sides", &[1, 2, 2, 3], &[2, 2, 3, 4]);
+        // PK ⋈ FK: one pair per probe row.
+        let pk: Vec<u32> = (0..100).collect();
+        let fk: Vec<u32> = (0..5_000).map(|i| (i * 7) % 100).collect();
+        check("pk-fk", &pk, &fk);
+        assert_eq!(JoinIndex::hashed(&pk).probe(&fk).len(), 5_000);
+        let spread = |n: usize, domain: u32| -> Vec<u32> {
+            (0..n)
+                .map(|i| (i as u32).wrapping_mul(2_654_435_761) % domain)
+                .collect()
+        };
+        // Probe keys outside the build domain.
+        check("dataset", &spread(700, 50), &spread(900, 60));
+    }
 }

@@ -25,8 +25,6 @@
 //!   the caller thread, which is serial HG/SPHG; a task's rows come from
 //!   a loader, so a piece can be narrowed by a filter and read through a
 //!   selection inside the task that aggregates it;
-//! * [`join`] — the per-morsel probe of a given join index, the one
-//!   parallel HJ and SPHJ;
 //! * [`sort`] + [`merge_path`] — the parallel sort subsystem: per-worker
 //!   run formation (pdqsort or LSB radix, the serial molecule decision)
 //!   followed by a Merge Path multi-way merge whose per-worker output
@@ -60,7 +58,6 @@
 pub mod admission;
 pub mod av_build;
 pub mod grouping;
-pub mod join;
 pub mod merge_path;
 pub mod morsel;
 pub mod persistent;
@@ -72,7 +69,6 @@ pub use av_build::{parallel_gather, parallel_sph_index_build};
 pub use grouping::{
     parallel_grouping, parallel_grouping_tasks, GroupingStrategy, Rows, Scratch, Sink,
 };
-pub use join::parallel_probe;
 pub use morsel::{morsels, morsels_within, Morsel, DEFAULT_MORSEL_ROWS};
 pub use persistent::{default_threads, PersistentPool};
 pub use pool::{BatchObs, PoolError, ThreadPool};

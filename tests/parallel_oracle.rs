@@ -12,11 +12,11 @@ use dqo::exec::grouping::hg::HgTable;
 use dqo::exec::grouping::sog::sort_order_grouping;
 use dqo::exec::grouping::{execute_grouping, GroupingAlgorithm, GroupingHints};
 use dqo::exec::join::soj::sort_merge_join;
-use dqo::exec::join::{execute_join, JoinAlgorithm, JoinHints, JoinIndex};
+use dqo::exec::join::{execute_join, JoinAlgorithm, JoinHints};
 use dqo::exec::sort::argsort;
 use dqo::parallel::{
-    parallel_argsort, parallel_grouping, parallel_probe, parallel_sog, parallel_sort_merge_join,
-    GroupingStrategy, ThreadPool,
+    parallel_argsort, parallel_grouping, parallel_sog, parallel_sort_merge_join, GroupingStrategy,
+    ThreadPool,
 };
 use dqo::plan::SortMolecule;
 use dqo::storage::datagen::{zipf_keys, DatasetSpec, ForeignKeySpec};
@@ -144,7 +144,20 @@ fn join_query_matches_serial_across_seeds_and_threads() {
 fn join_kernels_match_serial_under_skew() {
     // Skewed probes of a dense build side, and of the same keys spread
     // over the u32 range (`u32::MAX` included), where only the hashed
-    // slot map applies. Every probe emits the serial HJ's pairs, in order.
+    // slot map applies. A materialised HJ or SPHJ under `Exchange` emits
+    // the serial HJ's pairs, in order, at every DOP.
+    use dqo::core::executor::execute;
+    use dqo::plan::PhysicalPlan;
+    use dqo::storage::{Column, DataType, Field, Relation, Schema};
+    let table = |key: &str, keys: &[u32]| {
+        let schema = Schema::new(vec![
+            Field::new(key, DataType::U32),
+            Field::new(format!("{key}_row"), DataType::U32),
+        ])
+        .unwrap();
+        let rows = (0..keys.len() as u32).collect();
+        Relation::new(schema, vec![Column::U32(keys.to_vec()), Column::U32(rows)]).unwrap()
+    };
     let spread = |k: u32| k.wrapping_mul(2_654_435_761) | u32::from(k == 7).wrapping_neg();
     let dense: Vec<u32> = (0..2_000).collect();
     let sparse: Vec<u32> = dense.iter().map(|&k| spread(k)).collect();
@@ -152,15 +165,11 @@ fn join_kernels_match_serial_under_skew() {
         let right = zipf_keys(120_000, 2_000, exponent, 11);
         let sparse_right: Vec<u32> = right.iter().map(|&k| spread(k)).collect();
         let cases = [
-            (
-                &dense,
-                &right,
-                JoinIndex::identity(&dense, 0, 1_999).unwrap(),
-            ),
-            (&dense, &right, JoinIndex::hashed(&dense)),
-            (&sparse, &sparse_right, JoinIndex::hashed(&sparse)),
+            (&dense, &right, dqo::plan::JoinAlgorithm::StaticPerfectHash),
+            (&dense, &right, dqo::plan::JoinAlgorithm::HashBased),
+            (&sparse, &sparse_right, dqo::plan::JoinAlgorithm::HashBased),
         ];
-        for (left, right, index) in &cases {
+        for (left, right, algo) in cases {
             let serial =
                 execute_join(JoinAlgorithm::HashBased, left, right, &JoinHints::default()).unwrap();
             assert_eq!(
@@ -168,10 +177,37 @@ fn join_kernels_match_serial_under_skew() {
                 right.len(),
                 "exponent={exponent}: one pair per probe"
             );
-            for threads in THREAD_COUNTS {
-                let pool = ThreadPool::new(threads);
-                let par = parallel_probe(&pool, index, right, 4096).unwrap();
-                assert_eq!(par, serial, "threads={threads} exponent={exponent}");
+            // The serial pairs, gathered: each build row's key and row id,
+            // then its probe row's.
+            let expect: Vec<Vec<Value>> = serial
+                .left_rows
+                .iter()
+                .zip(&serial.right_rows)
+                .map(|(&l, &r)| {
+                    let (l, r) = (l as usize, r as usize);
+                    [left[l], l as u32, right[r], r as u32]
+                        .map(Value::U32)
+                        .to_vec()
+                })
+                .collect();
+            let cat = dqo::Catalog::new();
+            cat.register("b", table("bk", left));
+            cat.register("p", table("pk", right));
+            let join = PhysicalPlan::Join {
+                left: Box::new(PhysicalPlan::Scan { table: "b".into() }),
+                right: Box::new(PhysicalPlan::Scan { table: "p".into() }),
+                left_key: "bk".into(),
+                right_key: "pk".into(),
+                algo,
+            };
+            for dop in THREAD_COUNTS {
+                let plan = PhysicalPlan::Exchange {
+                    input: Box::new(join.clone()),
+                    dop,
+                };
+                let out = execute(&plan, &cat).unwrap().relation;
+                let rows: Vec<Vec<Value>> = (0..out.rows()).map(|i| out.row(i).unwrap()).collect();
+                assert!(rows == expect, "{algo:?} dop={dop} exponent={exponent}");
             }
         }
     }

@@ -618,15 +618,44 @@ fn join_query(
     aggs_pick: u8,
     order: bool,
 ) -> String {
-    let from = match build_on_t {
-        true => "t JOIN u ON k = uk",
-        false => "u JOIN t ON uk = k",
-    };
     let key = ["k", "v", "s", "uk", "w"][group_pick as usize % 5];
     let aggs = match aggs_pick % 3 {
         0 => "COUNT(*) AS n",
         1 => "COUNT(*) AS n, SUM(v) AS t",
         _ => "MIN(w) AS lo, COUNT(*) AS n",
+    };
+    let mut sql = format!("SELECT {key}, {aggs}{}", join_from(build_on_t, preds));
+    sql.push_str(&format!(" GROUP BY {key}"));
+    if order {
+        sql.push_str(&format!(" ORDER BY {key}"));
+    }
+    sql
+}
+
+/// An ungrouped join of t and u — a materialised join, built on either
+/// side, under conjuncts on either side — ordered by `k` and cut to one of
+/// a few sizes when `order`. Its rows that tie on `k` are equal (`w` is
+/// `uk % 3`, and `uk = k`), so a cut keeps the same rows whichever order
+/// the join emits its pairs in.
+fn join_rows_query(build_on_t: bool, preds: &[(u8, u8)], order: bool, limit_pick: u8) -> String {
+    let mut sql = format!("SELECT k, w{}", join_from(build_on_t, preds));
+    if order {
+        sql.push_str(" ORDER BY k");
+        if let Some(n) =
+            [None, Some(0), Some(1), Some(3), Some(17), Some(100)][limit_pick as usize % 6]
+        {
+            sql.push_str(&format!(" LIMIT {n}"));
+        }
+    }
+    sql
+}
+
+/// ` FROM` t joined with u, built on t or on u, and a `WHERE` of
+/// conjuncts on either side.
+fn join_from(build_on_t: bool, preds: &[(u8, u8)]) -> String {
+    let mut sql = match build_on_t {
+        true => " FROM t JOIN u ON k = uk".to_string(),
+        false => " FROM u JOIN t ON uk = k".to_string(),
     };
     let conjuncts: Vec<String> = preds
         .iter()
@@ -639,13 +668,8 @@ fn join_query(
             _ => format!("s > '{}'", WORDS[param as usize % WORDS.len()]),
         })
         .collect();
-    let mut sql = format!("SELECT {key}, {aggs} FROM {from}");
     if !conjuncts.is_empty() {
         sql.push_str(&format!(" WHERE {}", conjuncts.join(" AND ")));
-    }
-    sql.push_str(&format!(" GROUP BY {key}"));
-    if order {
-        sql.push_str(&format!(" ORDER BY {key}"));
     }
     sql
 }
@@ -1128,6 +1152,10 @@ proptest! {
         let u = build_u(k_groups, repeats, sparse);
         let sql = join_query(build_on_t, group_pick, &preds, aggs_pick, order);
         check_join_and_top_n(&t, &u, &sql, order)?;
+        // The naive nested loop emits pairs build row by build row, the
+        // engine's joins probe row by probe row: compare sorted rows.
+        let rows = join_rows_query(build_on_t, &preds, order, limit_pick);
+        check_join_and_top_n(&t, &u, &rows, false)?;
         let n = [0, 1, 3, 17, 100, 1_000][limit_pick as usize % 6];
         let top = format!("SELECT k, v FROM t{} ORDER BY v LIMIT {n}", where_clause(&preds));
         check_join_and_top_n(&t, &u, &top, true)?;
