@@ -4,41 +4,36 @@
 //! by the optimiser; this module maps plan vocabulary onto `dqo-exec` and
 //! `dqo-parallel` kernels and accounts for pipeline breakers and copies.
 //!
-//! What flows between plan nodes is a `View` — a relation handle plus a
-//! [`Selection`] of its rows — not a copied relation. Scans select row
-//! ranges, filters narrow the selection with a branch-free kernel, sort
-//! permutes it (under a `Limit`, only its first `n` positions are found),
-//! limit truncates it, project drops column handles. A filter conjunct
-//! that compares a column the catalog's exact statistics call ascending
-//! is answered by two binary searches per range instead (see
-//! `Exec::search`), and HG/SPHG over such a key, when its runs average
-//! at least `MIN_RUN` rows and no conjunct is left to thin them, fold
-//! each run of equal keys once instead of row by row. SPHG over a key the
-//! catalog coded (`{key=codes}`) reads the column's dense codes where it
-//! would read the key — the filter still reads the keys — folds over the
-//! code domain, and decodes the groups it emits, in ascending key order.
+//! What flows between plan nodes is a `View` of row ids, not column data:
+//! its tables — a scan's relation, or a join's build and probe tables —
+//! each with a [`Selection`] naming the table row behind each view row.
+//! Scans select row ranges, sort permutes the rows (under a `Limit`, only
+//! its first `n` positions are found), limit truncates them, project drops
+//! columns, and a join hands on each output row's build and probe rows.
+//! A consumer reads a column through the rows of the table that holds it.
 //!
-//! HG and SPHG have one loop, `dqo_parallel::parallel_grouping_tasks`: it
-//! folds the pieces of the selection into per-worker partials under an
-//! `Exchange`, and into one partial on the caller thread otherwise —
-//! which is serial HG/SPHG, row for row. A single-key HG/SPHG runs a
-//! filter beneath it, and an HJ or SPHJ beneath that, inside the loader of
-//! its own tasks at any DOP (see `Fused`): no join output is built. The
-//! loader reads no key or value: it names rows — a piece's range, the ids
-//! a fused filter kept, a fused join's `(build, probe)` pairs — and the
-//! fold reads the key and value columns at them, into COUNT/SUM states
-//! unless the node's aggregates read MIN or MAX (see `Exec::grouped`). HJ
-//! and SPHJ are one join: each takes its `JoinIndex` — hashed for HJ,
-//! identity for SPHJ — from `Exec::join_index`, and every probe of one
-//! runs in the loader `Exec::source` sets up — a grouping's, or, for a join
-//! node no grouping fused, the join's own, whose pairs the output gathers
-//! its columns at, piece by piece of the probe side on the `Exchange`'s
-//! workers. Column data is copied in three places only: kernel scratch
-//! (the key and value columns a sort, an OJ/SOJ/BSJ join, a join index
-//! build, a composite key or a SOG/OG/BSG grouping reads through a
-//! selection that is not one dense run), the output of a join that is not
-//! fused (the columns something above it reads, nothing else), and the
-//! plan root.
+//! Rows move through one pipeline, the loader `Exec::source` sets up over
+//! a node and what it absorbs: `[Exchange] [Filter] [Exchange] HJ|SPHJ` or
+//! `[Exchange] Filter`. It cuts into pieces the rows of a scan or of a
+//! materialised view, narrows them by the filter's conjuncts, split by
+//! table — a conjunct on a column the catalog calls ascending is answered
+//! by binary search per range instead — and expands them through an HJ or
+//! SPHJ probe into pairs. It ends in a sink: the HG/SPHG fold, which reads
+//! the key and value columns at the rows named (one loop,
+//! `dqo_parallel::parallel_grouping_tasks`), or a collect sink handing the
+//! row ids to a breaker — Sort, Limit, OG/SOG/BSG, a composite grouping, an
+//! OJ/SOJ/BSJ input, a join's build side — or to the root. HJ and SPHJ take
+//! their `JoinIndex` — hashed, or identity — from `Exec::join_index`; OJ,
+//! SOJ and BSJ hand on the pairs their kernels return. HG folds runs of an
+//! ascending key whose runs average `MIN_RUN` rows when no conjunct thins
+//! them; SPHG over a coded key (`{key=codes}`) reads its dense codes and
+//! decodes the groups it emits.
+//!
+//! Column data is copied in two places only: kernel scratch (the key and
+//! value columns a sort, an OJ/SOJ/BSJ join, a join index build, a
+//! composite key or a SOG/OG/BSG grouping reads through a selection that
+//! is not one dense run) and the plan root, which gathers each output
+//! column at its table's rows.
 //!
 //! A [`naive_eval`] reference evaluator (nested loops + BTreeMap + a
 //! row-at-a-time predicate) provides the correctness oracle for
@@ -68,7 +63,7 @@ use dqo_plan::physical::GroupingMolecules;
 use dqo_plan::{GroupingAlgorithm, JoinAlgorithm, LogicalPlan, PhysicalPlan, SortMolecule};
 use dqo_storage::{
     narrow_rows, search_ranges, Column, DataProps, DataType, Dictionary, Field, KeyCodes, Piece,
-    Relation, Schema, Selection, Sortedness, Value, MIN_RUN,
+    Relation, Schema, Selection, Sortedness, StorageError, Value, MIN_RUN,
 };
 use std::collections::HashMap;
 use std::ops::{Bound, Range};
@@ -84,7 +79,7 @@ pub struct ExecOutput {
     /// Pipeline-breaker accounting along the plan.
     pub pipeline: PipelineStats,
     /// Bytes of column data the execution copied into new buffers: kernel
-    /// scratch, join outputs and the root's materialisation.
+    /// scratch and the root's materialisation.
     pub bytes_materialised: u64,
 }
 
@@ -130,23 +125,18 @@ pub fn execute_with(
         Some(pool) => Arc::clone(pool),
         None => PersistentPool::global(),
     };
-    let mut needs = HashMap::new();
-    join_needs(plan, None, &mut needs);
     let mut exec = Exec {
         catalog,
         avs: ctx.avs,
         pool: &resolve,
-        needs,
         tops: HashMap::new(),
         stats: PipelineStats::default(),
         bytes: 0,
         obs: ctx.collect_metrics.then(|| OpCollector::new(plan)),
     };
     let view = exec.run(plan, None)?;
-    // The one whole-relation copy: the root materialises its selection
-    // (a selection of every row hands the column buffers over as they are).
-    let relation = view.rel.select(&view.sel);
-    if view.sel.as_range() != Some(0..view.rel.rows()) {
+    let (relation, copied) = view.materialise()?;
+    if copied {
         exec.bytes += relation.byte_size() as u64;
     }
     Ok((
@@ -202,55 +192,45 @@ impl OpCollector {
     }
 }
 
-/// What one plan node hands the next: the rows `sel` of `rel`, in `sel`'s
-/// order.
-struct View<'a> {
+/// A relation a view reads columns of, and which of its rows stands
+/// behind each row of the view.
+struct Table {
     rel: Relation,
     sel: Selection,
-    /// The catalog entry whose exact column statistics still cover `rel`'s
-    /// columns: set by scans, kept by everything that only narrows,
-    /// reorders or projects, dropped where new columns are computed.
+    /// The catalog entry whose exact column statistics cover `rel`'s
+    /// columns: set by scans, `None` for a relation computed here.
     stats: Option<Arc<TableEntry>>,
-    /// Bounds filters have put on `u32` columns: every selected row has
-    /// `lo <= column <= hi`.
-    known: Vec<(&'a str, u32, u32)>,
+    /// Bounds filters have put on `u32` columns, by index in `rel`: every
+    /// selected row has `lo <= column <= hi`.
+    known: Vec<(usize, u32, u32)>,
 }
 
-impl View<'_> {
-    /// Every row of a freshly computed relation.
-    fn of(rel: Relation) -> Self {
-        View {
-            sel: Selection::all(rel.rows()),
-            rel,
-            stats: None,
-            known: Vec::new(),
-        }
-    }
-
+impl Table {
     /// A covering `[min, max]` for `column` over the selected rows: the
     /// catalog's exact range of the base column, tightened by the bounds
     /// filters have put on it. SPHG and SPHJ emit occupied slots only, so
     /// any covering domain gives the answer the exact one would. `None`
-    /// when the columns are not a base table's.
+    /// when the relation is not a base table.
     fn domain(&self, column: &str) -> Option<(u32, u32)> {
         let props = self.props(column)?;
         let (mut lo, mut hi) = (props.min, props.max);
-        for &(_, l, h) in self.known.iter().filter(|k| k.0 == column) {
-            (lo, hi) = (lo.max(l), hi.min(h));
+        let at = self.rel.schema().index_of(column).ok();
+        for (_, l, h) in self.known.iter().filter(|k| Some(k.0) == at) {
+            (lo, hi) = (lo.max(*l), hi.min(*h));
         }
         // Contradictory bounds select no row; every domain covers none.
         Some((lo, hi.max(lo)))
     }
 
     /// The catalog's exact statistics of the base column `column`; `None`
-    /// when the columns are not a base table's.
+    /// when the relation is not a base table.
     fn props(&self, column: &str) -> Option<&DataProps> {
         self.stats.as_ref()?.column_props.get(column)
     }
 
     /// The catalog's dense codes of the base column `column`, which a plan
-    /// that reads them was planned against; an error when the columns are
-    /// not a base table's or the column has none.
+    /// that reads them was planned against; an error when the relation is
+    /// not a base table or the column has none.
     fn codes(&self, column: &str) -> Result<&KeyCodes> {
         let codes = self.stats.as_ref().and_then(|e| e.key_codes.get(column));
         codes.map(|c| &**c).ok_or_else(|| {
@@ -285,13 +265,182 @@ impl View<'_> {
     }
 }
 
+/// What one plan node hands the next: for each of its rows, one row of
+/// each table — a scan's one table, a join's build tables then its probe
+/// tables — and the columns it shows, each a column of one table.
+struct View {
+    tables: Vec<Table>,
+    /// The view's columns in order: its name, its table, and its index
+    /// in that table's relation; `None` for every column of the one
+    /// table, under its own name.
+    columns: Option<Vec<(String, usize, usize)>>,
+}
+
+impl View {
+    /// The rows `sel` of one relation, under its own column names.
+    fn table(rel: Relation, sel: Selection, stats: Option<Arc<TableEntry>>) -> Self {
+        let known = Vec::new();
+        let tables = vec![Table {
+            rel,
+            sel,
+            stats,
+            known,
+        }];
+        View {
+            tables,
+            columns: None,
+        }
+    }
+
+    /// Every row of a freshly computed relation.
+    fn of(rel: Relation) -> Self {
+        let sel = Selection::all(rel.rows());
+        View::table(rel, sel, None)
+    }
+
+    fn rows(&self) -> usize {
+        self.tables[0].sel.len()
+    }
+
+    /// The table holding column `name`, and the column's index there.
+    fn at(&self, name: &str) -> Result<(usize, usize)> {
+        let Some(columns) = &self.columns else {
+            return Ok((0, self.tables[0].rel.schema().index_of(name)?));
+        };
+        let (_, t, at) = columns
+            .iter()
+            .find(|c| c.0 == name)
+            .ok_or_else(|| StorageError::UnknownColumn(name.to_owned()))?;
+        Ok((*t, *at))
+    }
+
+    /// The table holding column `name`, and the column's name there.
+    fn column(&self, name: &str) -> Result<(usize, &str)> {
+        let (t, at) = self.at(name)?;
+        Ok((t, &self.tables[t].rel.schema().fields()[at].name))
+    }
+
+    /// The `u32` data of column `name`, and the rows of it the view reads.
+    fn data(&self, name: &str) -> Result<(&[u32], &Selection)> {
+        let (t, at) = self.at(name)?;
+        let table = &self.tables[t];
+        Ok((table.rel.column_at(at)?.as_u32()?, &table.sel))
+    }
+
+    /// Column `name`'s output field and dictionary.
+    fn layout(&self, name: &str) -> Result<KeyLayout> {
+        let (t, at) = self.at(name)?;
+        let rel = &self.tables[t].rel;
+        let field = Field::new(name, rel.schema().fields()[at].data_type);
+        Ok((field, rel.dictionary_at(at)?.cloned()))
+    }
+
+    /// The view's columns, each with its name, table and index.
+    fn listed(&self) -> Vec<(String, usize, usize)> {
+        match &self.columns {
+            Some(columns) => columns.clone(),
+            None => (self.tables[0].rel.schema().fields().iter().enumerate())
+                .map(|(at, f)| (f.name.clone(), 0, at))
+                .collect(),
+        }
+    }
+
+    fn project(&mut self, names: &[String]) -> Result<()> {
+        let columns = names
+            .iter()
+            .map(|n| {
+                let (t, at) = self.at(n)?;
+                Ok((n.clone(), t, at))
+            })
+            .collect::<Result<_>>()?;
+        self.columns = Some(columns);
+        Ok(())
+    }
+
+    /// The rows at `positions` of the view, in that order.
+    fn pick(&mut self, positions: Vec<u32>) {
+        let (last, rest) = self.tables.split_last_mut().expect("a view has a table");
+        for table in rest {
+            table.sel = Selection::Rows(table.sel.pick(positions.clone()));
+        }
+        last.sel = Selection::Rows(last.sel.pick(positions));
+    }
+
+    fn truncate(&mut self, n: usize) {
+        self.tables.iter_mut().for_each(|t| t.sel.truncate(n));
+    }
+
+    /// `build`'s tables then `probe`'s, under the join's column names (as
+    /// [`Schema::join`] names them): a probe column whose name a build
+    /// column has is qualified `right.`. The selections are the sides'
+    /// own, so the caller sets them to the pairs the join found.
+    fn join(mut build: View, probe: View) -> Result<Self> {
+        let mut columns = build.listed();
+        let (left, offset) = (columns.len(), build.tables.len());
+        for (name, t, at) in probe.listed() {
+            let name = match columns[..left].iter().any(|c| c.0 == name) {
+                true => format!("right.{name}"),
+                false => name,
+            };
+            if columns.iter().any(|c| c.0 == name) {
+                let duplicate = format!("duplicate field name '{name}' in schema");
+                return Err(StorageError::InvalidDatasetSpec(duplicate).into());
+            }
+            columns.push((name, t + offset, at));
+        }
+        build.tables.extend(probe.tables);
+        build.columns = Some(columns);
+        Ok(build)
+    }
+
+    /// Bound the `u32` columns `pred`'s comparisons read on their tables.
+    fn tighten(&mut self, pred: &Predicate) {
+        match pred {
+            Predicate::And(ps) => ps.iter().for_each(|p| self.tighten(p)),
+            Predicate::Compare {
+                column,
+                op,
+                value: Value::U32(v),
+            } => {
+                if let (Some((lo, hi)), Ok((t, at))) = (covering(*op, *v), self.at(column)) {
+                    self.tables[t].known.push((at, lo, hi));
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// The root's relation: each column gathered at its table's rows (a
+    /// single table selected whole hands its buffers over as they are),
+    /// and whether that copied.
+    fn materialise(&self) -> Result<(Relation, bool)> {
+        if let [table] = &self.tables[..] {
+            let rel = match &self.columns {
+                None => table.rel.select(&table.sel),
+                Some(columns) => {
+                    let names: Vec<&str> = columns.iter().map(|c| c.0.as_str()).collect();
+                    table.rel.project(&names)?.select(&table.sel)
+                }
+            };
+            let copied = table.sel.as_range() != Some(0..table.rel.rows());
+            return Ok((rel, copied));
+        }
+        let (mut fields, mut columns, mut dicts) = (Vec::new(), Vec::new(), Vec::new());
+        for (name, t, at) in self.listed() {
+            let Table { rel, sel, .. } = &self.tables[t];
+            fields.push(Field::new(name, rel.schema().fields()[at].data_type));
+            columns.push(rel.column_at(at)?.select(sel));
+            dicts.push(rel.dictionary_at(at)?.cloned());
+        }
+        Ok((assemble(fields, columns, dicts)?, true))
+    }
+}
+
 /// The state of one execution.
 struct Exec<'a> {
     catalog: &'a Catalog,
     avs: Option<&'a AvCatalog>,
     pool: &'a dyn Fn() -> Arc<PersistentPool>,
-    /// The columns each `Join` node's output must carry (see [`join_needs`]).
-    needs: HashMap<usize, Vec<&'a str>>,
     /// The rows a `Limit` keeps of each `Sort` beneath it (see [`sort_under`]).
     tops: HashMap<usize, usize>,
     stats: PipelineStats,
@@ -304,7 +453,7 @@ impl<'a> Exec<'a> {
     /// and the operator has a parallel kernel, serially otherwise —
     /// recording its [`OperatorMetrics`] when instrumented. Untraced, this
     /// costs one branch per node, not a clock read.
-    fn run(&mut self, plan: &'a PhysicalPlan, tp: Option<&ThreadPool>) -> Result<View<'a>> {
+    fn run(&mut self, plan: &'a PhysicalPlan, tp: Option<&ThreadPool>) -> Result<View> {
         if self.obs.is_none() {
             return self.op(plan, tp);
         }
@@ -313,7 +462,7 @@ impl<'a> Exec<'a> {
         let view = self.op(plan, tp)?;
         let delta = self.stats.since(&before);
         if let Some(c) = self.obs.as_mut() {
-            c.record(plan, view.sel.len() as u64, began.elapsed(), delta);
+            c.record(plan, view.rows() as u64, began.elapsed(), delta);
         }
         Ok(view)
     }
@@ -326,38 +475,35 @@ impl<'a> Exec<'a> {
         }
     }
 
-    /// What the filter node `filter` does before its narrowing kernel, run
-    /// as a node or fused into a loader: it streams `view`'s rows, puts
-    /// `predicate`'s bounds on the view, and answers by binary search each
-    /// conjunct a search can, cutting the view's selection. Returns the
-    /// conjuncts left for the kernel.
+    /// What the filter node `filter` does over a view with no join beneath
+    /// it in the loader: it streams `view`'s rows, puts `predicate`'s
+    /// bounds on the view, and answers by binary search each conjunct a
+    /// search can, cutting the view's selection. Returns the conjuncts
+    /// left for the loader.
     fn filter(
         &mut self,
         filter: &PhysicalPlan,
-        view: &mut View<'a>,
+        view: &mut View,
         predicate: &'a Predicate,
     ) -> Vec<&'a Predicate> {
-        self.stats
-            .record(Blocking::Pipelined, view.sel.len() as u64);
-        tighten(&mut view.known, predicate);
+        self.stats.record(Blocking::Pipelined, view.rows() as u64);
+        view.tighten(predicate);
         let mut left = leaves(predicate);
         self.search(filter, view, &mut left);
         left
     }
 
     /// Answer by binary search each of `filter`'s conjuncts that a search
-    /// can answer — over a `Ranges` selection, a `u32` comparison other
-    /// than `<>` on a `u32` column the catalog calls ascending — and drop
-    /// it from `conjuncts`, leaving the rest to the narrowing kernel; the
-    /// searches cut `view`'s selection. Records how many were searched on
-    /// the filter's metrics.
-    fn search(
-        &mut self,
-        filter: &PhysicalPlan,
-        view: &mut View<'_>,
-        conjuncts: &mut Vec<&Predicate>,
-    ) {
-        let Selection::Ranges(ranges) = &view.sel else {
+    /// can answer — over one table's `Ranges` selection, a `u32`
+    /// comparison other than `<>` on a `u32` column the catalog calls
+    /// ascending — and drop it from `conjuncts`, leaving the rest to the
+    /// loader; the searches cut the table's selection. Records how many
+    /// were searched on the filter's metrics.
+    fn search(&mut self, filter: &PhysicalPlan, view: &mut View, conjuncts: &mut Vec<&Predicate>) {
+        let [table] = &mut view.tables[..] else {
+            return;
+        };
+        let Selection::Ranges(ranges) = &table.sel else {
             return;
         };
         let total = conjuncts.len();
@@ -367,7 +513,7 @@ impl<'a> Exec<'a> {
                 column,
                 op,
                 value: Value::U32(v),
-            } if view.ascending(column) => match (within(*op, *v), view.rel.column(column)) {
+            } if table.ascending(column) => match (within(*op, *v), table.rel.column(column)) {
                 (Some(bounds), Ok(Column::U32(data))) => {
                     search_ranges(cut.get_or_insert_with(|| ranges.clone()), data, bounds);
                     false
@@ -381,7 +527,7 @@ impl<'a> Exec<'a> {
             m.searched = (searched > 0).then_some((searched, total));
         }
         if let Some(cut) = cut {
-            view.sel = Selection::Ranges(cut);
+            table.sel = Selection::Ranges(cut);
         }
     }
 
@@ -401,17 +547,12 @@ impl<'a> Exec<'a> {
         data
     }
 
-    fn scan(&mut self, entry: Arc<TableEntry>, sel: Selection) -> View<'a> {
+    fn scan(&mut self, entry: Arc<TableEntry>, sel: Selection) -> View {
         self.stats.record(Blocking::Pipelined, sel.len() as u64);
-        View {
-            rel: entry.relation.as_ref().clone(),
-            sel,
-            stats: Some(entry),
-            known: Vec::new(),
-        }
+        View::table(entry.relation.as_ref().clone(), sel, Some(entry))
     }
 
-    fn op(&mut self, plan: &'a PhysicalPlan, tp: Option<&ThreadPool>) -> Result<View<'a>> {
+    fn op(&mut self, plan: &'a PhysicalPlan, tp: Option<&ThreadPool>) -> Result<View> {
         match plan {
             PhysicalPlan::Scan { table } => {
                 let entry = self.catalog.get(table)?;
@@ -439,16 +580,42 @@ impl<'a> Exec<'a> {
                 };
                 Ok(self.scan(entry, sel))
             }
-            PhysicalPlan::Filter { input, predicate } => {
-                let mut view = self.run(input, None)?;
-                let left = self.filter(plan, &mut view, predicate);
-                view.sel = narrow(&view.sel, &compile(&view.rel, left)?, tp)?;
-                Ok(view)
+            PhysicalPlan::Filter { .. } => self.collect(plan, tp),
+            PhysicalPlan::Join { .. } if indexed(plan) => self.collect(plan, tp),
+            PhysicalPlan::Join {
+                left,
+                right,
+                left_key,
+                right_key,
+                algo,
+            } => {
+                // OJ, SOJ and BSJ read both key columns through the
+                // selections and answer in view positions.
+                let (mut l, mut r) = (self.run(left, None)?, self.run(right, None)?);
+                let (mut lbuf, mut rbuf) = (Vec::new(), Vec::new());
+                let (rcol, rsel) = r.data(right_key)?;
+                let rk = self.read(plan, rsel, rcol, &mut rbuf);
+                let (lcol, lsel) = l.data(left_key)?;
+                let lk = self.read(plan, lsel, lcol, &mut lbuf);
+                let sort = SortMolecule::Comparison;
+                let (result, par) = match (tp, algo) {
+                    (Some(tp), JoinAlgorithm::SortOrderBased) => {
+                        dqo_parallel::parallel_sort_merge_join(tp, lk, rk, sort, &lsel.bounds())?
+                    }
+                    _ => {
+                        let mut stats = PipelineStats::default();
+                        stats.record(join_blocking(*algo), (lk.len() + rk.len()) as u64);
+                        (run_join(*algo, lk, rk, &JoinHints::default())?, stats)
+                    }
+                };
+                self.stats.merge(&par);
+                l.pick(result.left_rows);
+                r.pick(result.right_rows);
+                View::join(l, r)
             }
             PhysicalPlan::Project { input, columns } => {
                 let mut view = self.run(input, None)?;
-                let names: Vec<&str> = columns.iter().map(String::as_str).collect();
-                view.rel = view.rel.project(&names)?;
+                view.project(columns)?;
                 Ok(view)
             }
             PhysicalPlan::Sort {
@@ -458,9 +625,10 @@ impl<'a> Exec<'a> {
             } => {
                 let mut view = self.run(input, None)?;
                 let mut buf = Vec::new();
-                let keys = self.read(plan, &view.sel, view.rel.column(key)?.as_u32()?, &mut buf);
+                let (col, sel) = view.data(key)?;
+                let keys = self.read(plan, sel, col, &mut buf);
                 // The argsort of the selected keys is a permutation *of
-                // the selection*; no column moves. Under a `Limit` that
+                // the view's rows*; no column moves. Under a `Limit` that
                 // cuts it, only the first `n` positions are found.
                 let top = self.tops.get(&node_id(plan)).filter(|&&n| n < keys.len());
                 let order = match (tp, top, molecule) {
@@ -473,7 +641,7 @@ impl<'a> Exec<'a> {
                     }
                     (Some(tp), None, _) => {
                         let (order, par) =
-                            dqo_parallel::parallel_argsort(tp, keys, *molecule, &view.sel.bounds())
+                            dqo_parallel::parallel_argsort(tp, keys, *molecule, &sel.bounds())
                                 .map_err(ExecError::from)?;
                         self.stats.merge(&par);
                         order
@@ -489,12 +657,8 @@ impl<'a> Exec<'a> {
                 if tp.is_none() {
                     self.stats.record(Blocking::FullBreaker, keys.len() as u64);
                 }
-                view.sel = Selection::Rows(view.sel.pick(order));
+                view.pick(order);
                 Ok(view)
-            }
-            PhysicalPlan::Join { .. } => {
-                let join = JoinNode::of(plan).expect("a Join node");
-                self.join(join, tp)
             }
             PhysicalPlan::GroupBy {
                 input,
@@ -509,7 +673,7 @@ impl<'a> Exec<'a> {
                     self.tops.insert(node_id(sort), n);
                 }
                 let mut view = self.run(input, None)?;
-                view.sel.truncate(n);
+                view.truncate(n);
                 Ok(view)
             }
             PhysicalPlan::Exchange { input, dop } => {
@@ -542,23 +706,25 @@ impl<'a> Exec<'a> {
 }
 
 impl<'a> Exec<'a> {
-    /// The index an HJ or SPHJ probes, for a join node and a fused grouping
-    /// alike: the prebuilt SPH-index AV when the build side scans the
-    /// indexed table whole, whatever the algorithm; else one built over
-    /// `l`, the build side's rows, with the slot map the algorithm names —
-    /// hashed for HJ, identity over the build domain for SPHJ (an empty
-    /// build side gives an index nothing matches). A prebuilt index
+    /// The index the HJ or SPHJ `join` probes, on its `left` side's
+    /// `left_key` under `algo`: the prebuilt SPH-index AV when the build
+    /// side scans the indexed table whole, whatever the algorithm; else
+    /// one built over `l`, the build side's rows, with the
+    /// slot map the algorithm names — hashed for HJ, identity over the
+    /// build domain for SPHJ (an empty build side gives an index nothing
+    /// matches). Either way its positions are `l`'s rows. A prebuilt index
     /// streams its `probe_rows`; a fresh build is a breaker over both
     /// sides.
     fn join_index(
         &mut self,
-        join: &JoinNode<'_>,
-        l: &View<'_>,
+        join: &PhysicalPlan,
+        (left, left_key, algo): (&PhysicalPlan, &str, JoinAlgorithm),
+        l: &View,
         probe_rows: usize,
     ) -> Result<Arc<JoinIndex>> {
-        let prebuilt = match (self.avs, join.left) {
+        let prebuilt = match (self.avs, left) {
             (Some(avs), PhysicalPlan::Scan { table }) => avs
-                .lookup(table, join.left_key, AvKind::SphIndex)
+                .lookup(table, left_key, AvKind::SphIndex)
                 .and_then(|av| match &av.artifact {
                     Some(AvArtifact::SphIndex(idx)) => Some(Arc::clone(idx)),
                     _ => None,
@@ -569,16 +735,17 @@ impl<'a> Exec<'a> {
             self.stats.record(Blocking::Pipelined, probe_rows as u64);
             return Ok(index);
         }
-        let lcol = l.rel.column(join.left_key)?.as_u32()?;
+        let (lcol, sel) = l.data(left_key)?;
         let mut buf = Vec::new();
-        let lk = self.read(join.node, &l.sel, lcol, &mut buf);
+        let lk = self.read(join, sel, lcol, &mut buf);
         let rows = lk.len() + probe_rows;
-        self.stats.record(join_blocking(join.algo), rows as u64);
-        let index = match join.algo {
+        self.stats.record(join_blocking(algo), rows as u64);
+        let index = match algo {
             JoinAlgorithm::StaticPerfectHash => {
-                let (min, max) = l
-                    .domain(join.left_key)
-                    .or_else(|| min_max(&l.sel, lcol))
+                let (t, name) = l.column(left_key)?;
+                let (min, max) = l.tables[t]
+                    .domain(name)
+                    .or_else(|| min_max(sel, lcol))
                     .unwrap_or((0, 0));
                 JoinIndex::identity(lk, min, max)?
             }
@@ -587,88 +754,151 @@ impl<'a> Exec<'a> {
         Ok(Arc::new(index))
     }
 
-    /// A join node. HJ and SPHJ run the loader [`Exec::source`] sets up
-    /// for their index, with no conjuncts, over the pieces of the probe
-    /// side's selection — on `tp`'s workers, else on the caller thread —
-    /// and collect the `(build, probe)` row ids it names. The other joins
-    /// read both key columns through the selections and answer in
-    /// selection coordinates.
-    fn join(&mut self, join: JoinNode<'a>, tp: Option<&ThreadPool>) -> Result<View<'a>> {
-        let (plan, algo) = (join.node, join.algo);
-        let (l, r, li, ri) = if join.indexed() {
-            let mut inputs = None;
-            let fused = Fused {
-                join: Some(join),
-                ..Fused::plain(plan)
-            };
-            let source = self.source(&fused, &mut inputs, None)?;
-            let pieces = source.sel.pieces(DEFAULT_MORSEL_ROWS);
-            let ran = Counters::default();
-            let pairs = per_piece(tp, pieces.len(), |t| {
-                let (mut build, mut probe) = (Vec::new(), Vec::new());
-                let sink = &mut |rows: Rows<'_>| {
-                    if let Rows::Pairs { keys, values } = rows {
-                        build.extend_from_slice(keys);
-                        probe.extend_from_slice(values);
-                    }
-                };
-                source.load(&pieces[t], &mut Scratch::default(), sink, &ran)?;
-                Ok((build, probe))
-            })?;
-            let (li, ri): (Vec<Vec<u32>>, Vec<_>) = pairs.into_iter().unzip();
-            let Inputs { probe, build, .. } = inputs.expect("the source ran the join's sides");
-            let build = build.expect("an indexed join has a build side").view;
-            (build, probe, li.concat(), ri.concat())
-        } else {
-            let l = self.run(join.left, None)?;
-            let r = self.run(join.right, None)?;
-            let (mut lbuf, mut rbuf) = (Vec::new(), Vec::new());
-            let rcol = r.rel.column(join.right_key)?.as_u32()?;
-            let rk = self.read(plan, &r.sel, rcol, &mut rbuf);
-            let lcol = l.rel.column(join.left_key)?.as_u32()?;
-            let lk = self.read(plan, &l.sel, lcol, &mut lbuf);
-            let sort = SortMolecule::Comparison;
-            let (result, par) = match (tp, algo) {
-                (Some(tp), JoinAlgorithm::SortOrderBased) => {
-                    dqo_parallel::parallel_sort_merge_join(tp, lk, rk, sort, &l.sel.bounds())?
-                }
-                _ => {
-                    let mut stats = PipelineStats::default();
-                    stats.record(join_blocking(algo), (lk.len() + rk.len()) as u64);
-                    (run_join(algo, lk, rk, &JoinHints::default())?, stats)
-                }
-            };
-            self.stats.merge(&par);
-            let (li, ri) = (l.sel.pick(result.left_rows), r.sel.pick(result.right_rows));
-            (l, r, li, ri)
+    /// The one place rows start moving: the loader over `plan` and the
+    /// nodes it absorbs (see [`absorbed`]). Runs the join's two sides and
+    /// takes its index (see [`Exec::join_index`]), else the filter's input,
+    /// else `plan` itself, as nodes; splits the filter's conjuncts by the
+    /// table whose column each reads — with no join, searched first (see
+    /// [`Exec::filter`]).
+    fn source(&mut self, plan: &'a PhysicalPlan) -> Result<Source<'a>> {
+        let chain = absorbed(plan);
+        let (began, before) = (Instant::now(), self.stats);
+        let (mut view, builds, probe) = match chain.last().copied() {
+            Some(
+                join @ PhysicalPlan::Join {
+                    left,
+                    right,
+                    left_key,
+                    right_key,
+                    algo,
+                },
+            ) => {
+                let (l, r) = (self.run(left, None)?, self.run(right, None)?);
+                let build = (&**left, left_key.as_str(), *algo);
+                let index = self.join_index(join, build, &l, r.rows())?;
+                let (t, name) = r.column(right_key)?;
+                let on = r.tables[t].rel.column_arc(name)?;
+                on.as_u32()?;
+                let (builds, table) = (l.tables.len(), l.tables.len() + t);
+                let probe = Probe { index, table, on };
+                (View::join(l, r)?, builds, Some(probe))
+            }
+            Some(PhysicalPlan::Filter { input, .. }) => (self.run(input, None)?, 0, None),
+            _ => (self.run(plan, None)?, 0, None),
         };
-        // Join output: gather, from either side, the columns something
-        // above this node reads — under the qualified join schema, `Str`
-        // dictionaries carried across (codes are copied verbatim).
-        let schema = l.rel.schema().join(r.rel.schema(), "right")?;
-        let need = self.needs.get(&node_id(plan));
-        let wanted = |f: &Field| need.is_none_or(|n| n.contains(&f.name.as_str()));
-        let mut keep: Vec<usize> = (0..schema.width())
-            .filter(|&i| wanted(&schema.fields()[i]))
-            .collect();
-        if keep.is_empty() {
-            // Nothing above reads a column; one still carries the row count.
-            keep.push(0);
+        let below = OperatorMetrics {
+            rows_out: view.tables[builds].sel.len() as u64,
+            wall: began.elapsed(),
+            stats: self.stats.since(&before),
+            ..OperatorMetrics::default()
+        };
+        let filter = chain.iter().copied().find_map(|node| match node {
+            PhysicalPlan::Filter { predicate, .. } => Some((node, predicate)),
+            _ => None,
+        });
+        let left = match (filter, &probe) {
+            (Some((filter, predicate)), None) => self.filter(filter, &mut view, predicate),
+            (Some((_, predicate)), Some(_)) => leaves(predicate),
+            (None, _) => Vec::new(),
+        };
+        let mut conjuncts: Vec<Vec<Conjunct>> = view.tables.iter().map(|_| Vec::new()).collect();
+        for leaf in left {
+            let (t, conjunct) = compile(&view, leaf)?;
+            conjuncts[t].push(conjunct);
         }
-        let width_left = l.rel.schema().width();
-        let (mut fields, mut columns, mut dicts) = (Vec::new(), Vec::new(), Vec::new());
-        for i in keep {
-            let (side, rows, at) = match i.checked_sub(width_left) {
-                None => (&l.rel, &li, i),
-                Some(at) => (&r.rel, &ri, at),
+        // The loader finds the row behind a position by one lookup (see
+        // `RowsOf`): only a lone probe table keeps its ranges.
+        let single = view.tables.len() == builds + 1;
+        for (t, table) in view.tables.iter_mut().enumerate() {
+            if !(single && t == builds) && table.sel.as_range().is_none() {
+                table.sel = Selection::Rows(table.sel.iter().collect());
+            }
+        }
+        Ok(Source {
+            chain,
+            view,
+            builds,
+            probe,
+            conjuncts,
+            below,
+        })
+    }
+
+    /// The loader over `plan` run into a collect sink (see
+    /// [`Exec::collected`]).
+    fn collect(&mut self, plan: &'a PhysicalPlan, tp: Option<&ThreadPool>) -> Result<View> {
+        let src = self.source(plan)?;
+        self.collected(src, tp)
+    }
+
+    /// `src` run into a collect sink: the view of the rows it names, for a
+    /// breaker above or the root — loaded on `tp`, else on the pool of an
+    /// `Exchange` the loader absorbed, else on the caller thread.
+    fn collected(&mut self, src: Source<'a>, tp: Option<&ThreadPool>) -> Result<View> {
+        let feed = match (tp, src.dop()) {
+            (None, Some(dop)) => Some(ThreadPool::with_pool(dop, (self.pool)())),
+            _ => None,
+        };
+        let pool = tp.or(feed.as_ref());
+        let workers = pool.map_or(1, ThreadPool::threads);
+        let ran = Counters::default();
+        if src.probe.is_none() && src.single() && src.conjuncts[0].is_empty() {
+            // Nothing to narrow or probe: the view goes on as it is.
+            ran.add(src.view.rows(), 0);
+            self.ran(&src, &ran, workers);
+            return Ok(src.view);
+        }
+        let (pieces, tables, timed) = (src.pieces(), src.view.tables.len(), self.obs.is_some());
+        let mut chunks = per_piece(pool, pieces.len(), |t| {
+            let began = timed.then(Instant::now);
+            let (mut got, mut scratch, mut kept) =
+                (vec![Vec::new(); tables], Scratch::default(), false);
+            let sink = &mut |rows: Loaded<'_>| match rows {
+                Loaded::Piece(Piece::Range(r)) => got[0].extend(r.start as u32..r.end as u32),
+                Loaded::Piece(Piece::Rows(_)) => kept = true,
+                Loaded::Rows(lists) => {
+                    for (got, list) in got.iter_mut().zip(lists) {
+                        got.extend_from_slice(list);
+                    }
+                }
             };
-            columns.push(side.column_at(at)?.gather(rows));
-            dicts.push(side.dictionary_at(at)?.cloned());
-            fields.push(schema.fields()[i].clone());
+            src.load(&pieces[t], &mut scratch, &ran, sink)?;
+            // Listed ids are the ones the conjuncts kept (a loader with none
+            // returned above): take them rather than copy them.
+            if kept {
+                got[0] = scratch.ids;
+            }
+            ran.time(began);
+            Ok(got)
+        })?;
+        self.ran(&src, &ran, workers);
+        let mut view = src.view;
+        let ranges = tables == 1 && matches!(view.tables[0].sel, Selection::Ranges(_));
+        for (t, table) in view.tables.iter_mut().enumerate() {
+            let ids = chunks.iter_mut().map(|c| std::mem::take(&mut c[t]));
+            table.sel = match ranges {
+                true => Selection::from_ascending(ids.collect()),
+                false => Selection::Rows(ids.flatten().collect()),
+            };
         }
-        let rel = assemble(fields, columns, dicts)?;
-        self.copied(plan, rel.byte_size());
-        Ok(View::of(rel))
+        Ok(view)
+    }
+
+    /// Account what the loader `src` did, shared by `workers`: a fused
+    /// join's filter streams the pairs its probe found; the absorbed nodes
+    /// record themselves.
+    fn ran(&mut self, src: &Source<'_>, ran: &Counters, workers: usize) {
+        let filtered = src
+            .chain
+            .iter()
+            .any(|n| matches!(n, PhysicalPlan::Filter { .. }));
+        if src.probe.is_some() && filtered {
+            let pairs = ran.pairs.load(Ordering::Relaxed);
+            self.stats.record(Blocking::Pipelined, pairs);
+        }
+        if let Some(c) = self.obs.as_mut() {
+            src.record(c, ran, workers);
+        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -681,47 +911,89 @@ impl<'a> Exec<'a> {
         algo: GroupingAlgorithm,
         molecules: GroupingMolecules,
         tp: Option<&ThreadPool>,
-    ) -> Result<View<'a>> {
-        let hashed = matches!(
-            algo,
-            GroupingAlgorithm::HashBased | GroupingAlgorithm::StaticPerfectHash
-        );
-        let fused = Fused::under(input)
-            .filter(|_| keys.len() == 1 && hashed)
-            .unwrap_or_else(|| Fused::plain(input));
+    ) -> Result<View> {
         let grouping = Grouping {
             algo,
             codes: molecules.codes,
             table: HgTable::of(molecules),
             sort: molecules.sort.unwrap_or(SortMolecule::Comparison),
             tp,
-            // A serial grouping still loads on the pool an absorbed
-            // `Exchange` asked for.
-            feed: match (tp, fused.dop()) {
-                (None, Some(dop)) => Some(ThreadPool::with_pool(dop, (self.pool)())),
-                _ => None,
-            },
         };
-        if let [key] = keys {
-            // Single key: the kernels read the raw column — or its codes —
-            // at the rows the loader names (see `Exec::source`).
-            let mut inputs = None;
-            let source = self.source(&fused, &mut inputs, Some((&grouping, key.as_str(), aggs)))?;
-            let (mut result, ran) = self.grouped(plan, &grouping, &source, aggs)?;
-            if let Some(codes) = source.codes {
+        let hashed = matches!(
+            algo,
+            GroupingAlgorithm::HashBased | GroupingAlgorithm::StaticPerfectHash
+        );
+        let value = agg_input_column(aggs)?;
+        if let ([key], true) = (keys, hashed) {
+            // Single key: the fold reads the raw column — or its codes —
+            // at the rows the loader names (see `Exec::source`). A serial
+            // grouping whose loader absorbed an `Exchange` has that pool
+            // load into a collect sink first, and folds the rows in order.
+            let src = self.source(input)?;
+            let src = match tp.is_none() && src.dop().is_some() {
+                true => Source::over(self.collected(src, None)?),
+                false => src,
+            };
+            let (kt, name) = src.view.column(key)?;
+            let table = &src.view.tables[kt];
+            let data = table.rel.column(name)?.as_u32()?;
+            let codes = grouping.codes.then(|| table.codes(name)).transpose()?;
+            let strategy = match algo {
+                GroupingAlgorithm::HashBased => GroupingStrategy::Hash(grouping.table),
+                _ => {
+                    // A covering domain: the codes', else the statistics',
+                    // else the key's range over its table's rows.
+                    let (min, max) = codes
+                        .map(KeyCodes::domain)
+                        .or_else(|| table.domain(name))
+                        .or_else(|| min_max(&table.sel, data))
+                        .unwrap_or((0, 0));
+                    GroupingStrategy::StaticPerfectHash { min, max }
+                }
+            };
+            let keys = codes.map_or(data, KeyCodes::codes);
+            let (vt, values) = match value {
+                Some(value) if value != key || codes.is_some() => {
+                    let (vt, name) = src.view.column(value)?;
+                    (vt, src.view.tables[vt].rel.column(name)?.as_u32()?)
+                }
+                _ => (kt, data),
+            };
+            // A conjunct left for the loader thins each run by a share not
+            // known here, so only an input no conjunct narrows folds runs.
+            let ascending = src.probe.is_none()
+                && src.single()
+                && src.conjuncts[0].is_empty()
+                && table.long_runs(name);
+            let (pieces, ran, timed) = (src.pieces(), Counters::default(), self.obs.is_some());
+            let workers = tp.map_or(1, ThreadPool::threads);
+            let load = |t: usize, scratch: &mut Scratch, sink: Sink<'_>| {
+                let began = timed.then(Instant::now);
+                src.load(&pieces[t], scratch, &ran, &mut |rows| {
+                    sink(match rows {
+                        Loaded::Piece(piece) => Rows::Piece(piece),
+                        Loaded::Rows(lists) => Rows::Pairs {
+                            keys: lists[kt],
+                            values: lists[vt],
+                        },
+                    })
+                })?;
+                ran.time(began);
+                Ok(())
+            };
+            let feed = Feed::Loader {
+                strategy,
+                ascending,
+                columns: (keys, values),
+                tasks: pieces.len(),
+                load: &load,
+            };
+            let mut result = self.grouped(&grouping, feed, aggs)?;
+            if let Some(codes) = codes {
                 codes.decode(&mut result.keys);
             }
-            let inputs = inputs.expect("the source ran the grouping's input");
-            let (_, view, name) = inputs.column(key)?;
-            let field = Field::new(key, view.rel.schema().field(name)?.data_type);
-            let layout = (field, view.rel.dictionary(name)?.cloned());
-            // A fused join's filter streams the pairs its probe found.
-            if fused.join.is_some() && fused.filter.is_some() {
-                self.stats.record(Blocking::Pipelined, ran.pairs);
-            }
-            if let Some(c) = self.obs.as_mut() {
-                fused.record(c, inputs.below, &ran, grouping.workers());
-            }
+            self.ran(&src, &ran, workers);
+            let layout = src.view.layout(key)?;
             return Ok(View::of(grouped_to_relation(
                 &[layout],
                 vec![result.keys],
@@ -730,290 +1002,160 @@ impl<'a> Exec<'a> {
             )?));
         }
 
-        // Composite key: compact the key columns through the selection,
-        // pack them into the u32 code domain where the per-column widths
-        // allow, and run the very same single-column kernels on the packed
-        // codes; otherwise fall back to the row-wise kernel.
+        // SOG/OG/BSG, or a composite key: read the key columns through
+        // their selections. A composite key packs them into the u32 code
+        // domain where the per-column widths allow, and runs the very same
+        // single-column kernels on the packed codes; otherwise it falls
+        // back to the row-wise kernel.
         let view = self.run(input, None)?;
-        let (rel, sel) = (&view.rel, &view.sel);
-        let layouts = key_layouts(rel, keys)?;
-        let key_cols: Vec<&[u32]> = keys
+        let layouts = keys
             .iter()
-            .map(|k| Ok(rel.column(k)?.as_u32()?))
-            .collect::<Result<_>>()?;
-        let values = match agg_input_column(aggs)? {
-            Some(name) => rel.column(name)?.as_u32()?,
-            None => key_cols[0],
-        };
+            .map(|k| view.layout(k))
+            .collect::<Result<Vec<_>>>()?;
+        let columns = keys
+            .iter()
+            .map(|k| view.data(k))
+            .collect::<Result<Vec<_>>>()?;
+        let bounds = columns[0].1.bounds();
         let mut bufs = vec![Vec::new(); keys.len() + 1];
         let (vbuf, kbufs) = bufs.split_last_mut().expect("keys.len() + 1 buffers");
-        let values = self.read(plan, sel, values, vbuf);
-        let key_cols: Vec<&[u32]> = key_cols
+        let key_cols: Vec<&[u32]> = columns
             .iter()
             .zip(kbufs.iter_mut())
-            .map(|(col, buf)| self.read(plan, sel, col, buf))
+            .map(|((col, sel), buf)| self.read(plan, sel, col, buf))
             .collect();
-        let out = match KeyPacker::fit(&key_cols) {
-            Some(packer) => {
-                let packed = packer.pack(&key_cols);
-                self.copied(plan, std::mem::size_of_val(&packed[..]));
-                let all = Selection::all(packed.len());
-                let source = Source {
-                    sel: &all,
-                    conjuncts: Vec::new(),
-                    probe: None,
-                    keys: Side::Probe(&packed),
-                    values: Some(Side::Probe(values)),
+        let values = match value {
+            Some(name) if name != keys[0] => {
+                let (col, sel) = view.data(name)?;
+                self.read(plan, sel, col, vbuf)
+            }
+            _ => key_cols[0],
+        };
+        let out = if let [keys] = key_cols[..] {
+            let result = self.grouped(
+                &grouping,
+                Feed::Whole {
+                    keys,
+                    values,
+                    bounds,
+                },
+                aggs,
+            )?;
+            grouped_to_relation(&layouts, vec![result.keys], aggs, &result.states)?
+        } else if let Some(packer) = KeyPacker::fit(&key_cols) {
+            let packed = packer.pack(&key_cols);
+            self.copied(plan, std::mem::size_of_val(&packed[..]));
+            let all = Selection::all(packed.len());
+            let pieces = all.pieces(DEFAULT_MORSEL_ROWS);
+            let load = |t: usize, _: &mut Scratch, sink: Sink<'_>| {
+                sink(Rows::Piece(pieces[t].clone()));
+                Ok(())
+            };
+            let strategy = match algo {
+                GroupingAlgorithm::HashBased => Some(GroupingStrategy::Hash(grouping.table)),
+                GroupingAlgorithm::StaticPerfectHash => {
+                    let (min, max) = min_max(&all, &packed).unwrap_or((0, 0));
+                    Some(GroupingStrategy::StaticPerfectHash { min, max })
+                }
+                _ => None,
+            };
+            let feed = match strategy {
+                Some(strategy) => Feed::Loader {
+                    strategy,
                     ascending: false,
-                    codes: None,
-                    domain: None,
-                };
-                let (result, _) = self.grouped(plan, &grouping, &source, aggs)?;
-                let (cols, states) = unpack_grouped(&packer, result);
-                grouped_to_relation(&layouts, cols, aggs, &states)?
-            }
-            None => {
-                let (cols, states) = rowwise_group(&key_cols, values, FullAgg);
-                self.stats
-                    .record(Blocking::FullBreaker, values.len() as u64);
-                grouped_to_relation(&layouts, cols, aggs, &states)?
-            }
+                    columns: (&packed, values),
+                    tasks: pieces.len(),
+                    load: &load,
+                },
+                None => Feed::Whole {
+                    keys: &packed,
+                    values,
+                    bounds: all.bounds(),
+                },
+            };
+            let result = self.grouped(&grouping, feed, aggs)?;
+            let (cols, states) = unpack_grouped(&packer, result);
+            grouped_to_relation(&layouts, cols, aggs, &states)?
+        } else {
+            let (cols, states) = rowwise_group(&key_cols, values, FullAgg);
+            self.stats
+                .record(Blocking::FullBreaker, values.len() as u64);
+            grouped_to_relation(&layouts, cols, aggs, &states)?
         };
         Ok(View::of(out))
     }
 
-    /// The one place a fused input becomes a loader: for a single-key
-    /// grouping by `key` under `aggs` (`group`), or for a join node no
-    /// grouping fused (`None`: the loader names each pair's build and probe
-    /// rows). Runs the filter's input, or the join's sides and takes its
-    /// index (see [`Exec::join_index`]); splits the filter's conjuncts by
-    /// side — with no join all are the probe side's, searched first (see
-    /// [`Exec::filter`]); resolves the key and value columns to their
-    /// sides, and takes the codes and the domain from the key's. `slot`
-    /// keeps the inputs the loader reads.
-    fn source<'s>(
-        &mut self,
-        fused: &Fused<'a>,
-        slot: &'s mut Option<Inputs<'a>>,
-        group: Option<(&Grouping<'_>, &str, &[AggExpr])>,
-    ) -> Result<Source<'s>> {
-        let began = Instant::now();
-        let before = self.stats;
-        let (mut probe, build) = match &fused.join {
-            Some(join) => {
-                let l = self.run(join.left, None)?;
-                let r = self.run(join.right, None)?;
-                let index = self.join_index(join, &l, r.sel.len())?;
-                let schema = l.rel.schema().join(r.rel.schema(), "right")?;
-                (
-                    r,
-                    Some(Build {
-                        view: l,
-                        index,
-                        schema,
-                    }),
-                )
-            }
-            None => (self.run(fused.input, None)?, None),
-        };
-        let below = OperatorMetrics {
-            rows_out: probe.sel.len() as u64,
-            wall: began.elapsed(),
-            stats: self.stats.since(&before),
-            ..OperatorMetrics::default()
-        };
-        let left = match (fused.filter, &build) {
-            (Some((filter, predicate)), None) => self.filter(filter, &mut probe, predicate),
-            (Some((_, predicate)), Some(_)) => leaves(predicate),
-            (None, _) => Vec::new(),
-        };
-        let inputs = slot.insert(Inputs {
-            probe,
-            build,
-            split: Default::default(),
-            below,
-        });
-        inputs.split = inputs.by_side(left)?;
-        let inputs: &'s Inputs<'a> = inputs;
-        let probe = &inputs.probe;
-        let conjuncts = compile(&probe.rel, &inputs.split[1])?;
-        let join = fused.join.as_ref().zip(inputs.build.as_ref());
-        let joined = match join {
-            Some((join, build)) => Some(Probe {
-                index: &build.index,
-                on: probe.rel.column(join.right_key)?.as_u32()?,
-                rows: RowsOf::new(&build.view.sel),
-                conjuncts: compile(&build.view.rel, &inputs.split[0])?,
-            }),
-            None => None,
-        };
-        let Some((how, key, aggs)) = group else {
-            let (join, build) = join.expect("a join node has both sides");
-            return Ok(Source {
-                sel: &probe.sel,
-                conjuncts,
-                keys: Side::Build(build.view.rel.column(join.left_key)?.as_u32()?),
-                values: joined.as_ref().map(|p| Side::Probe(p.on)),
-                probe: joined,
-                ascending: false,
-                codes: None,
-                domain: None,
-            });
-        };
-        let (on_build, view, name) = inputs.column(key)?;
-        let data = view.rel.column(name)?.as_u32()?;
-        let codes = how.codes.then(|| view.codes(name)).transpose()?;
-        // A covering domain: the codes', else the statistics'. Build-side
-        // keys without statistics have their range folded here — the fold
-        // folds it through the probe side's selection.
-        let domain = match codes {
-            Some(codes) => Some(codes.domain()),
-            None => view
-                .domain(name)
-                .or_else(|| on_build.then(|| min_max(&view.sel, data).unwrap_or((0, 0)))),
-        };
-        let keys = inputs.side(key)?;
-        Ok(Source {
-            sel: &probe.sel,
-            // A conjunct left for the loader thins each run by a share not
-            // known here, so only an input no conjunct narrows folds runs.
-            ascending: conjuncts.is_empty() && join.is_none() && probe.long_runs(key),
-            conjuncts,
-            probe: joined,
-            keys: codes.map_or(keys, |c| keys.with(c.codes())),
-            values: match agg_input_column(aggs)? {
-                Some(value) if value != key || codes.is_some() => Some(inputs.side(value)?),
-                _ => None,
-            },
-            codes,
-            domain,
-        })
-    }
-
-    /// Group the rows `src` loads under `how`, into the narrowest state
-    /// `aggs` reads: COUNT/SUM's unless a MIN or MAX needs [`FullAgg`]'s,
-    /// widened only for the output (see [`widen`]).
+    /// Group `feed` under `how`, into the narrowest state `aggs` reads:
+    /// COUNT/SUM's unless a MIN or MAX needs [`FullAgg`]'s, widened only
+    /// for the output (see [`widen`]).
     fn grouped(
         &mut self,
-        plan: &PhysicalPlan,
         how: &Grouping<'_>,
-        src: &Source<'_>,
+        feed: Feed<'_>,
         aggs: &[AggExpr],
-    ) -> Result<(GroupedResult<FullAggState>, FusedRun)> {
+    ) -> Result<GroupedResult<FullAggState>> {
         if aggs
             .iter()
             .any(|a| matches!(a.func, AggFunc::Min | AggFunc::Max))
         {
-            return self.fold(plan, how, src, FullAgg);
+            return self.fold(how, feed, FullAgg);
         }
-        let (result, ran) = self.fold(plan, how, src, CountSum)?;
-        let result = GroupedResult {
+        let result = self.fold(how, feed, CountSum)?;
+        Ok(GroupedResult {
             keys: result.keys,
             states: result.states.into_iter().map(widen).collect(),
             sorted_by_key: result.sorted_by_key,
-        };
-        Ok((result, ran))
+        })
     }
 
-    /// Group the rows `src` loads under `how` and `agg`. HG and SPHG fold
-    /// the pieces of the selection as the loader delivers them, reading
-    /// the key and value columns at the rows it names: in tasks on the
-    /// grouping's pool, else on the caller thread, in piece order — loaded
-    /// first on the `feed` pool of an `Exchange` a serial grouping
-    /// absorbed. SOG, OG and BSG read whole columns through the selection.
+    /// Group `feed` under `how` and `agg`. HG and SPHG fold the rows the
+    /// loader names as it delivers them: in tasks on the grouping's pool,
+    /// else on the caller thread, in piece order — loaded first on the
+    /// `feed` pool of an `Exchange` a serial grouping absorbed. SOG, OG
+    /// and BSG read whole columns (SOG in parallel when the grouping has a
+    /// pool).
     fn fold<A: Aggregator>(
         &mut self,
-        plan: &PhysicalPlan,
         how: &Grouping<'_>,
-        src: &Source<'_>,
-        agg: A,
-    ) -> Result<(GroupedResult<A::State>, FusedRun)> {
-        let strategy = match how.algo {
-            GroupingAlgorithm::HashBased => GroupingStrategy::Hash(how.table),
-            GroupingAlgorithm::StaticPerfectHash => {
-                // Without statistics (a column computed by a join or a
-                // grouping) the domain is folded from the column itself,
-                // through the selection.
-                let (min, max) = src
-                    .domain
-                    .or_else(|| min_max(src.sel, src.keys.data()))
-                    .unwrap_or((0, 0));
-                GroupingStrategy::StaticPerfectHash { min, max }
-            }
-            _ => return Ok((self.whole_column(plan, how, src, agg)?, FusedRun::default())),
-        };
-        // Each piece is narrowed (and probed) into row ids, and the fold
-        // reads the columns at them — a dense run in place, run by run
-        // when its keys ascend.
-        let ascending = src.ascending;
-        let columns = src.columns();
-        let timed = self.obs.is_some();
-        let pieces = src.sel.pieces(DEFAULT_MORSEL_ROWS);
-        let ran = Counters::default();
-        let load = |t: usize, scratch: &mut Scratch, sink: Sink<'_>| {
-            let began = timed.then(Instant::now);
-            src.load(&pieces[t], scratch, sink, &ran)?;
-            ran.time(began);
-            Ok(())
-        };
-        let (result, par) = match &how.feed {
-            Some(feed) => {
-                let held = per_piece(Some(feed), pieces.len(), |t| {
-                    let mut held = Vec::new();
-                    let sink = &mut |rows: Rows<'_>| held.push(Held::of(rows));
-                    load(t, &mut Scratch::default(), sink).map(|()| held)
-                })?;
-                let held: Vec<Held> = held.into_iter().flatten().collect();
-                let fold = |t: usize, _: &mut Scratch, sink: Sink<'_>| {
-                    sink(held[t].rows());
-                    Ok(())
-                };
-                let tasks = held.len();
-                dqo_parallel::parallel_grouping_tasks(
-                    None, tasks, agg, strategy, ascending, columns, fold,
-                )?
-            }
-            None => {
-                let tasks = pieces.len();
-                dqo_parallel::parallel_grouping_tasks(
-                    how.tp, tasks, agg, strategy, ascending, columns, load,
-                )?
-            }
-        };
-        self.stats.merge(&par);
-        Ok((result, ran.run(pieces.len())))
-    }
-
-    /// SOG, OG and BSG over whole key and value columns, read through the
-    /// selection (SOG in parallel when the grouping has a pool).
-    fn whole_column<A: Aggregator>(
-        &mut self,
-        plan: &PhysicalPlan,
-        how: &Grouping<'_>,
-        src: &Source<'_>,
+        feed: Feed<'_>,
         agg: A,
     ) -> Result<GroupedResult<A::State>> {
-        let (mut kbuf, mut vbuf) = (Vec::new(), Vec::new());
-        let keys = self.read(plan, src.sel, src.keys.data(), &mut kbuf);
-        let values = match src.values {
-            Some(v) => self.read(plan, src.sel, v.data(), &mut vbuf),
-            None => keys,
-        };
-        let result = match (how.tp, how.algo) {
-            (Some(tp), _) => {
-                let bounds = src.sel.bounds();
-                let (result, par) =
-                    dqo_parallel::parallel_sog(tp, keys, values, agg, how.sort, &bounds)?;
-                self.stats.merge(&par);
+        let (strategy, ascending, columns, tasks, load) = match feed {
+            Feed::Loader {
+                strategy,
+                ascending,
+                columns,
+                tasks,
+                load,
+            } => (strategy, ascending, columns, tasks, load),
+            Feed::Whole {
+                keys,
+                values,
+                bounds,
+            } => {
+                let result = match (how.tp, how.algo) {
+                    (Some(tp), _) => {
+                        let (result, par) =
+                            dqo_parallel::parallel_sog(tp, keys, values, agg, how.sort, &bounds)?;
+                        self.stats.merge(&par);
+                        return Ok(result);
+                    }
+                    (None, GroupingAlgorithm::SortOrderBased) => {
+                        sort_order_grouping(keys, values, agg, how.sort)
+                    }
+                    (None, algo) => {
+                        execute_grouping(algo, keys, values, agg, &GroupingHints::default())?
+                    }
+                };
+                self.stats
+                    .record(grouping_blocking(how.algo), keys.len() as u64);
                 return Ok(result);
             }
-            (None, GroupingAlgorithm::SortOrderBased) => {
-                sort_order_grouping(keys, values, agg, how.sort)
-            }
-            (None, algo) => execute_grouping(algo, keys, values, agg, &GroupingHints::default())?,
         };
-        self.stats
-            .record(grouping_blocking(how.algo), keys.len() as u64);
+        let (result, par) = dqo_parallel::parallel_grouping_tasks(
+            how.tp, tasks, agg, strategy, ascending, columns, load,
+        )?;
+        self.stats.merge(&par);
         Ok(result)
     }
 }
@@ -1028,192 +1170,91 @@ fn widen(s: CountSumState) -> FullAggState {
     }
 }
 
-/// A task's rows kept past the loader that named them, for a serial fold
-/// that runs after the `feed` pool loaded every piece.
-enum Held {
-    Range(Range<usize>),
-    Ids(Vec<u32>),
-    Pairs(Vec<u32>, Vec<u32>),
-}
+/// A loader as `dqo_parallel::parallel_grouping_tasks` calls it.
+type Load<'s> =
+    dyn Fn(usize, &mut Scratch, Sink<'_>) -> std::result::Result<(), ExecError> + Sync + 's;
 
-impl Held {
-    fn of(rows: Rows<'_>) -> Self {
-        match rows {
-            Rows::Piece(Piece::Range(r)) => Held::Range(r),
-            Rows::Piece(Piece::Rows(ids)) => Held::Ids(ids.to_vec()),
-            Rows::Pairs { keys, values } => Held::Pairs(keys.to_vec(), values.to_vec()),
-        }
-    }
-
-    fn rows(&self) -> Rows<'_> {
-        match self {
-            Held::Range(r) => Rows::Piece(Piece::Range(r.clone())),
-            Held::Ids(ids) => Rows::Piece(Piece::Rows(ids)),
-            Held::Pairs(keys, values) => Rows::Pairs { keys, values },
-        }
-    }
+/// What a grouping folds.
+enum Feed<'s> {
+    /// HG/SPHG: the rows `load` names, at which the fold reads `columns`.
+    Loader {
+        strategy: GroupingStrategy,
+        /// The keys ascend within every piece, in runs long enough that
+        /// HG/SPHG fold runs of equal keys, not rows (see
+        /// [`Table::long_runs`]).
+        ascending: bool,
+        columns: (&'s [u32], &'s [u32]),
+        tasks: usize,
+        load: &'s Load<'s>,
+    },
+    /// SOG, OG and BSG: whole key and value columns, in `bounds`' segments.
+    Whole {
+        keys: &'s [u32],
+        values: &'s [u32],
+        bounds: Vec<usize>,
+    },
 }
 
 /// How a `GroupBy` node groups: the organelle, whether it reads the key's
-/// codes, the HG table and SOG sort molecules, the pool handle when an
-/// `Exchange` asked for morsel parallelism, and — only for a serial
-/// grouping that absorbed an `Exchange` — the pool that loads its pieces.
+/// codes, the HG table and SOG sort molecules, and the pool handle when an
+/// `Exchange` asked for morsel parallelism.
 struct Grouping<'t> {
     algo: GroupingAlgorithm,
     codes: bool,
     table: HgTable,
     sort: SortMolecule,
     tp: Option<&'t ThreadPool>,
-    feed: Option<ThreadPool>,
 }
 
-impl Grouping<'_> {
-    /// The workers that share the loader.
-    fn workers(&self) -> usize {
-        self.tp
-            .or(self.feed.as_ref())
-            .map_or(1, ThreadPool::threads)
-    }
-}
-
-/// A column a fused grouping reads: of the relation whose selection its
-/// tasks cut (the probe side of a fused join, or the grouping's only
-/// input), or of a fused join's build side.
-#[derive(Clone, Copy)]
-enum Side<'s> {
-    Probe(&'s [u32]),
-    Build(&'s [u32]),
-}
-
-impl<'s> Side<'s> {
-    fn data(self) -> &'s [u32] {
-        match self {
-            Side::Probe(data) | Side::Build(data) => data,
-        }
-    }
-
-    /// A column of the same side, by the same row ids.
-    fn with(self, data: &'s [u32]) -> Self {
-        match self {
-            Side::Probe(_) => Side::Probe(data),
-            Side::Build(_) => Side::Build(data),
-        }
-    }
-}
-
-/// Where a single-key grouping, or a join node, reads its rows: the
-/// pieces of `sel`, narrowed by a fused filter's `conjuncts` and, with a
-/// join, probed into its build side.
-struct Source<'s> {
-    sel: &'s Selection,
-    conjuncts: Vec<Conjunct<'s>>,
-    probe: Option<Probe<'s>>,
-    /// The key column; a join node's build key.
-    keys: Side<'s>,
-    /// The aggregate input, `None` aggregating the key column itself; a
-    /// join node's probe key.
-    values: Option<Side<'s>>,
-    /// The keys ascend within every piece, in runs long enough that
-    /// HG/SPHG fold runs of equal keys, not rows (see [`View::long_runs`]).
-    ascending: bool,
-    /// The catalog's codes `keys` reads in place of the key.
-    codes: Option<&'s KeyCodes>,
-    /// A covering `[min, max]` of the keys, when known before the fold.
-    domain: Option<(u32, u32)>,
-}
-
-/// A fused input, run: the rows a loader cuts into pieces — a fused
-/// join's probe side, else the filter's input — and a fused join's build
-/// side.
-struct Inputs<'a> {
-    probe: View<'a>,
-    build: Option<Build<'a>>,
-    /// The filter's conjuncts on build-side columns, then on probe-side
-    /// ones, each under its side's own column name.
-    split: [Vec<Predicate>; 2],
+/// A loader (see [`Exec::source`]): the nodes it absorbed and the view it
+/// builds, whose tables' selections are its inputs' — by build position
+/// for a fused join's build tables, by probe position for the rest.
+struct Source<'a> {
+    /// The absorbed nodes, top-down (see [`absorbed`]).
+    chain: Vec<&'a PhysicalPlan>,
+    /// A fused join's build tables then its probe tables; else the input's.
+    view: View,
+    /// How many of `view`'s tables are a fused join's build side.
+    builds: usize,
+    probe: Option<Probe>,
+    /// The filter's conjuncts the loader runs, by table of `view`, each
+    /// under its table's own column names.
+    conjuncts: Vec<Vec<Conjunct>>,
     /// What running the inputs cost (and a fresh index's build), as the
     /// node beneath the filter reports it.
     below: OperatorMetrics,
 }
 
-/// A fused join's build side, the index it probes, and its output schema.
-struct Build<'a> {
-    view: View<'a>,
-    index: Arc<JoinIndex>,
-    schema: Schema,
-}
-
-impl<'a> Inputs<'a> {
-    /// Where the input's column `name` lives: on the build side (`true`) or
-    /// the probe side, under that side's own name. A join's output names
-    /// its columns by the join schema; with no join, every column is the
-    /// probe side's.
-    fn column<'v: 'n, 'n>(&'v self, name: &'n str) -> Result<(bool, &'v View<'a>, &'n str)> {
-        let Some(build) = &self.build else {
-            return Ok((false, &self.probe, name));
-        };
-        let i = build.schema.index_of(name)?;
-        let (l, r) = (&build.view, &self.probe);
-        Ok(match i.checked_sub(l.rel.schema().width()) {
-            None => (true, l, &l.rel.schema().fields()[i].name),
-            Some(at) => (false, r, &r.rel.schema().fields()[at].name),
-        })
-    }
-
-    /// The data of the input's `u32` column `name`, on its side.
-    fn side(&self, name: &str) -> Result<Side<'_>> {
-        let (build, view, name) = self.column(name)?;
-        let data = view.rel.column(name)?.as_u32()?;
-        Ok(if build {
-            Side::Build(data)
-        } else {
-            Side::Probe(data)
-        })
-    }
-
-    /// Split `conjuncts` by the side whose column each reads — build side
-    /// first — each renamed to its side's own column name.
-    fn by_side(&self, conjuncts: Vec<&Predicate>) -> Result<[Vec<Predicate>; 2]> {
-        let mut split = [Vec::new(), Vec::new()];
-        for conjunct in conjuncts {
-            let mut leaf = conjunct.clone();
-            if let Predicate::Compare { column, .. }
-            | Predicate::Prefix { column, .. }
-            | Predicate::Like { column, .. } = &mut leaf
-            {
-                let (build, _, name) = self.column(column)?;
-                *column = name.to_string();
-                split[usize::from(!build)].push(leaf);
-            }
-        }
-        Ok(split)
-    }
-}
-
 /// A fused join as its loader sees it.
-struct Probe<'s> {
-    index: &'s JoinIndex,
-    /// The probe key column, by probe row.
-    on: &'s [u32],
-    /// The build row each index position stands for.
-    rows: RowsOf<'s>,
-    /// The fused filter's conjuncts on build-side columns.
-    conjuncts: Vec<Conjunct<'s>>,
+struct Probe {
+    /// The index over the build view's positions.
+    index: Arc<JoinIndex>,
+    /// The probe key column, and the table of the loader's view it is on.
+    table: usize,
+    on: Arc<Column>,
 }
 
-/// The row ids behind the positions of a selection: `start + p` for one
-/// dense run, the listed ids otherwise.
+/// What a loader hands its sink for one piece: the rows of its one table
+/// — the piece itself, or the row ids its conjuncts kept in
+/// `Scratch::ids` — or one row list per table, row by row.
+enum Loaded<'s> {
+    Piece(Piece<'s>),
+    Rows(&'s [&'s [u32]]),
+}
+
+/// The row behind each position of a selection: `start + p` for one dense
+/// run, the listed ids otherwise.
 enum RowsOf<'s> {
     Run(u32),
-    Ids(std::borrow::Cow<'s, [u32]>),
+    Ids(&'s [u32]),
 }
 
 impl<'s> RowsOf<'s> {
     fn new(sel: &'s Selection) -> Self {
         match (sel.as_range(), sel) {
             (Some(run), _) => RowsOf::Run(run.start as u32),
-            (None, Selection::Rows(ids)) => RowsOf::Ids(ids.into()),
-            (None, _) => RowsOf::Ids(sel.iter().collect::<Vec<_>>().into()),
+            (None, Selection::Rows(ids)) => RowsOf::Ids(ids),
+            (None, Selection::Ranges(_)) => unreachable!("`Exec::source` lists the rows"),
         }
     }
 
@@ -1226,93 +1267,211 @@ impl<'s> RowsOf<'s> {
     }
 }
 
-impl<'s> Source<'s> {
-    /// The key and value columns the fold reads at the rows `load` names.
-    fn columns(&self) -> (&'s [u32], &'s [u32]) {
-        let keys = self.keys.data();
-        (keys, self.values.map_or(keys, Side::data))
+impl Source<'_> {
+    /// A loader over `view`'s rows that absorbs nothing.
+    fn over(view: View) -> Self {
+        Source {
+            chain: Vec::new(),
+            builds: 0,
+            probe: None,
+            conjuncts: view.tables.iter().map(|_| Vec::new()).collect(),
+            below: OperatorMetrics::default(),
+            view,
+        }
     }
 
-    /// Load one piece of the selection: narrow it by the conjuncts; for a
-    /// fused join, probe each survivor in order and narrow the matches by
-    /// the build-side conjuncts — the pairs the join and the filter above
-    /// it would have emitted, in their order; then hand the rows of what
-    /// survives to `sink` — the piece itself, or row ids in scratch —
-    /// tallied in `ran`. No key or value is read here.
+    /// Whether the rows are cut from one table's selection, so that a
+    /// piece is that table's row ids; over several, a piece is positions.
+    fn single(&self) -> bool {
+        self.view.tables.len() == self.builds + 1
+    }
+
+    /// The row behind a piece's position, table by table: a lone probe
+    /// table's pieces are its rows.
+    fn rows_of(&self) -> Vec<RowsOf<'_>> {
+        let (builds, single) = (self.builds, self.single());
+        (self.view.tables.iter().enumerate())
+            .map(|(t, table)| match single && t == builds {
+                true => RowsOf::Run(0),
+                false => RowsOf::new(&table.sel),
+            })
+            .collect()
+    }
+
+    /// The pieces of the probe side the loader's tasks take.
+    fn pieces(&self) -> Vec<Piece<'_>> {
+        let sel = &self.view.tables[self.builds].sel;
+        if self.single() {
+            return sel.pieces(DEFAULT_MORSEL_ROWS);
+        }
+        let n = sel.len();
+        (0..n)
+            .step_by(DEFAULT_MORSEL_ROWS)
+            .map(|s| Piece::Range(s..n.min(s + DEFAULT_MORSEL_ROWS)))
+            .collect()
+    }
+
+    /// The DOP an absorbed `Exchange` asked for.
+    fn dop(&self) -> Option<usize> {
+        self.chain.iter().find_map(|n| match n {
+            PhysicalPlan::Exchange { dop, .. } => Some(*dop),
+            _ => None,
+        })
+    }
+
+    /// Load one piece: narrow it by the probe side's conjuncts; with a
+    /// join, probe each survivor in order and narrow the matches by the
+    /// build side's conjuncts — the rows the join and the filter above it
+    /// would have emitted, in their order; then hand what survives to
+    /// `emit` — the piece itself, or one row list per table — tallied in
+    /// `ran`. No column but the conjuncts' and the probe key is read.
     fn load(
         &self,
         piece: &Piece<'_>,
         scratch: &mut Scratch,
-        sink: Sink<'_>,
         ran: &Counters,
+        emit: &mut dyn FnMut(Loaded<'_>),
     ) -> std::result::Result<(), ExecError> {
+        let Scratch { ids, rows } = scratch;
+        let (tables, builds, single) = (self.view.tables.len(), self.builds, self.single());
         let mut piece = piece.clone();
-        if !self.conjuncts.is_empty() {
-            scratch.ids.clear();
-            narrow_piece(&piece, &self.conjuncts, &mut scratch.ids)?;
+        if single && !self.conjuncts[builds].is_empty() {
+            ids.clear();
+            narrow_piece(&piece, &self.conjuncts[builds], ids)?;
             piece = match piece {
-                Piece::Range(_) => Piece::ascending(&scratch.ids),
-                Piece::Rows(_) => Piece::Rows(&scratch.ids),
+                Piece::Range(_) => Piece::ascending(ids),
+                Piece::Rows(_) => Piece::Rows(ids),
             };
-        }
-        let Some(probe) = &self.probe else {
-            ran.add(piece.len(), 0);
-            sink(Rows::Piece(piece));
-            return Ok(());
-        };
-        let (build, matched) = (&mut scratch.build, &mut scratch.probe);
-        build.clear();
-        matched.clear();
-        let mut emit = |j: usize| {
-            for &at in probe.index.matches(probe.on[j]) {
-                build.push(probe.rows.row(at));
-                matched.push(j as u32);
+        } else if !single && self.conjuncts[builds..].iter().any(|c| !c.is_empty()) {
+            // Positions of a view of several tables: narrowed table by
+            // table, each at its own rows, in step.
+            let mut at = Vec::new();
+            each(&piece, |p| at.push(p));
+            for (conjuncts, rows_of) in self.conjuncts.iter().zip(self.rows_of()).skip(builds) {
+                if !conjuncts.is_empty() {
+                    let mut tmp = at.iter().map(|&p| rows_of.row(p)).collect();
+                    narrow_in_step(conjuncts, &mut [&mut tmp, &mut at], &mut Vec::new())?;
+                }
             }
-        };
-        match piece {
-            Piece::Range(r) => r.for_each(&mut emit),
-            Piece::Rows(ids) => ids.iter().for_each(|&j| emit(j as usize)),
+            *ids = at;
+            piece = Piece::Rows(ids);
         }
-        let pairs = build.len();
-        if !probe.conjuncts.is_empty() {
-            narrow_pairs(&probe.conjuncts, build, matched, &mut scratch.ids)?;
+        if single && self.probe.is_none() {
+            ran.add(piece.len(), 0);
+            emit(Loaded::Piece(piece));
+            return Ok(());
         }
-        ran.add(build.len(), pairs);
-        let at = |side: Side<'_>| match side {
-            Side::Probe(_) => &matched[..],
-            Side::Build(_) => &build[..],
+        // The pairs' positions — build, then probe — and each table's rows.
+        let rows_of = self.rows_of();
+        rows.resize_with(tables + 2, Vec::new);
+        let (at, lists) = rows.split_at_mut(2);
+        let [build_at, probe_at] = at else {
+            unreachable!("two position lists")
         };
-        sink(Rows::Pairs {
-            keys: at(self.keys),
-            values: at(self.values.unwrap_or(self.keys)),
-        });
+        build_at.clear();
+        probe_at.clear();
+        match &self.probe {
+            Some(probe) => {
+                let (on, key) = (probe.on.as_u32()?, &rows_of[probe.table]);
+                each(&piece, |j| {
+                    for &at in probe.index.matches(on[key.row(j) as usize]) {
+                        build_at.push(at);
+                        probe_at.push(j);
+                    }
+                });
+            }
+            None => each(&piece, |j| probe_at.push(j)),
+        }
+        let pairs = probe_at.len();
+        for (conjuncts, rows_of) in self.conjuncts.iter().zip(&rows_of).take(builds) {
+            match (conjuncts.is_empty(), rows_of) {
+                (true, _) => {}
+                (false, RowsOf::Run(0)) => {
+                    narrow_in_step(conjuncts, &mut [build_at, probe_at], ids)?;
+                }
+                (false, rows_of) => {
+                    let mut tmp = build_at.iter().map(|&p| rows_of.row(p)).collect();
+                    narrow_in_step(conjuncts, &mut [&mut tmp, build_at, probe_at], ids)?;
+                }
+            }
+        }
+        ran.add(probe_at.len(), if self.probe.is_some() { pairs } else { 0 });
+        // A table whose rows are its side's positions reads them in place.
+        let mut out: Vec<&[u32]> = Vec::with_capacity(tables);
+        for ((t, rows_of), list) in rows_of.iter().enumerate().zip(lists.iter_mut()) {
+            let at = if t < builds {
+                &build_at[..]
+            } else {
+                &probe_at[..]
+            };
+            if let RowsOf::Run(0) = rows_of {
+                out.push(at);
+                continue;
+            }
+            list.clear();
+            list.extend(at.iter().map(|&p| rows_of.row(p)));
+            out.push(list);
+        }
+        emit(Loaded::Rows(&out));
         Ok(())
+    }
+
+    /// Record the absorbed nodes as they would have recorded themselves,
+    /// bottom-up from `below`. The loader's summed time, spread over the
+    /// workers that shared it, is added once; the join reports the pairs
+    /// its probe found, the filter its survivors, an `Exchange` what its
+    /// child did plus its DOP and the pieces dispatched.
+    fn record(&self, c: &mut OpCollector, ran: &Counters, workers: usize) {
+        let load = |n: &AtomicU64| n.load(Ordering::Relaxed);
+        let mut m = self.below.clone();
+        m.wall += Duration::from_nanos(load(&ran.busy)) / workers.max(1) as u32;
+        for &node in self.chain.iter().rev() {
+            match node {
+                PhysicalPlan::Join { .. } => m.rows_out = load(&ran.pairs),
+                PhysicalPlan::Filter { .. } => {
+                    m.stats.record(Blocking::Pipelined, m.rows_out);
+                    m.rows_out = load(&ran.rows);
+                }
+                _ => {}
+            }
+            c.record(node, m.rows_out, m.wall, m.stats);
+            if let (PhysicalPlan::Exchange { dop, .. }, Some(slot)) = (node, c.slot(node)) {
+                slot.dop = Some(*dop);
+                slot.morsels = self.pieces().len() as u64;
+            }
+        }
     }
 }
 
-/// Keep the pairs `(build[i], probe[i])` whose build row satisfies every
-/// conjunct, in order. The narrowing kernel keeps the subsequence of
-/// `build` whose rows pass into `kept`; a row passes or fails wherever it
-/// occurs, so walking `build` and `kept` in step finds each kept pair.
-fn narrow_pairs(
-    conjuncts: &[Conjunct<'_>],
-    build: &mut Vec<u32>,
-    probe: &mut Vec<u32>,
+/// Call `f` on each position of `piece`, in order.
+fn each(piece: &Piece<'_>, mut f: impl FnMut(u32)) {
+    match piece {
+        Piece::Range(r) => (r.start as u32..r.end as u32).for_each(f),
+        Piece::Rows(ids) => ids.iter().for_each(|&p| f(p)),
+    }
+}
+
+/// Keep the entries of `lists` — lists of one length, entry by entry —
+/// whose row in `lists[0]` satisfies every conjunct, in order. The
+/// narrowing kernel keeps the subsequence of `lists[0]` whose rows pass
+/// into `kept`; a row passes or fails wherever it occurs, so walking
+/// `lists[0]` and `kept` in step finds each kept entry.
+fn narrow_in_step(
+    conjuncts: &[Conjunct],
+    lists: &mut [&mut Vec<u32>],
     kept: &mut Vec<u32>,
 ) -> std::result::Result<(), ExecError> {
     kept.clear();
-    narrow_piece(&Piece::Rows(build), conjuncts, kept)?;
+    narrow_piece(&Piece::Rows(lists[0]), conjuncts, kept)?;
     let mut next = kept.iter().peekable();
     let mut n = 0;
-    for at in 0..build.len() {
-        let row = build[at];
-        if next.next_if_eq(&&row).is_some() {
-            (build[n], probe[n]) = (build[at], probe[at]);
+    for i in 0..lists[0].len() {
+        if next.next_if_eq(&&lists[0][i]).is_some() {
+            lists.iter_mut().for_each(|list| list[n] = list[i]);
             n += 1;
         }
     }
-    build.truncate(n);
-    probe.truncate(n);
+    lists.iter_mut().for_each(|list| list.truncate(n));
     Ok(())
 }
 
@@ -1339,174 +1498,58 @@ impl Counters {
                 .fetch_add(began.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
     }
+}
 
-    fn run(&self, pieces: usize) -> FusedRun {
-        FusedRun {
-            rows_out: self.rows.load(Ordering::Relaxed),
-            pairs: self.pairs.load(Ordering::Relaxed),
-            busy: Duration::from_nanos(self.busy.load(Ordering::Relaxed)),
-            pieces: pieces as u64,
+/// HJ and SPHJ: the joins that build a [`JoinIndex`] and probe it.
+fn indexed(plan: &PhysicalPlan) -> bool {
+    matches!(
+        plan,
+        PhysicalPlan::Join {
+            algo: JoinAlgorithm::HashBased | JoinAlgorithm::StaticPerfectHash,
+            ..
         }
-    }
+    )
 }
 
-/// What a fused loader did inside the grouping's tasks.
-#[derive(Default)]
-struct FusedRun {
-    /// Rows that reached the grouping: the fused filter's survivors.
-    rows_out: u64,
-    /// Matches a fused join's probe found.
-    pairs: u64,
-    /// Summed loader time across tasks (measured only when instrumented).
-    busy: Duration,
-    pieces: u64,
-}
-
-/// An `Exchange` absorbed into a fused grouping, with its DOP.
-type Absorbed<'a> = Option<(&'a PhysicalPlan, usize)>;
-
-/// A join node, as the executor or a grouping that fused it runs it.
-struct JoinNode<'a> {
-    node: &'a PhysicalPlan,
-    left: &'a PhysicalPlan,
-    right: &'a PhysicalPlan,
-    left_key: &'a str,
-    right_key: &'a str,
-    algo: JoinAlgorithm,
-}
-
-impl<'a> JoinNode<'a> {
-    /// `plan` as a join node, if it is a `Join`.
-    fn of(plan: &'a PhysicalPlan) -> Option<Self> {
-        match plan {
-            PhysicalPlan::Join {
-                left,
-                right,
-                left_key,
-                right_key,
-                algo,
-            } => Some(JoinNode {
-                node: plan,
-                left,
-                right,
-                left_key,
-                right_key,
-                algo: *algo,
-            }),
-            _ => None,
-        }
-    }
-
-    /// HJ and SPHJ: the joins that build a [`JoinIndex`] and probe it.
-    fn indexed(&self) -> bool {
-        matches!(
-            self.algo,
-            JoinAlgorithm::HashBased | JoinAlgorithm::StaticPerfectHash
-        )
-    }
-}
-
-/// The nodes a single-key HG/SPHG runs inside its own loader instead of as
-/// nodes of their own, at any DOP: `[Exchange] [Filter] [Exchange] HJ`,
-/// the same over SPHJ, and `[Exchange] Filter`. A loader that fuses
-/// nothing reads its input node's output ([`Fused::plain`]); a join node's
-/// own loader fuses just the join.
-struct Fused<'a> {
-    /// The `Exchange` directly beneath the grouping.
-    upper: Absorbed<'a>,
-    filter: Option<(&'a PhysicalPlan, &'a Predicate)>,
-    /// The `Exchange` between the filter and the join.
-    lower: Absorbed<'a>,
-    join: Option<JoinNode<'a>>,
-    /// Without a join, the filter's input, which still runs as a node.
-    input: &'a PhysicalPlan,
-}
-
-impl<'a> Fused<'a> {
-    /// A loader over `input`'s output, fusing nothing.
-    fn plain(input: &'a PhysicalPlan) -> Self {
-        Fused {
-            upper: None,
-            filter: None,
-            lower: None,
-            join: None,
-            input,
-        }
-    }
-
-    fn under(plan: &'a PhysicalPlan) -> Option<Self> {
-        let exchange = |p: &'a PhysicalPlan| match p {
-            PhysicalPlan::Exchange { input, dop } => (Some((p, *dop)), input.as_ref()),
-            other => (None, other),
-        };
-        let (upper, node) = exchange(plan);
-        let (filter, input) = match node {
-            PhysicalPlan::Filter { input, predicate } => (Some((node, predicate)), input.as_ref()),
-            other => (None, other),
-        };
-        let (lower, below) = exchange(input);
-        match JoinNode::of(below).filter(JoinNode::indexed) {
-            Some(join) => Some(Fused {
-                upper,
-                filter,
-                lower,
-                join: Some(join),
-                input: below,
-            }),
-            _ => filter.is_some().then_some(Fused {
-                upper,
-                filter,
-                lower: None,
-                join: None,
-                input,
-            }),
-        }
-    }
-
-    /// The DOP an absorbed `Exchange` asked for.
-    fn dop(&self) -> Option<usize> {
-        self.upper.or(self.lower).map(|(_, dop)| dop)
-    }
-
-    /// Record the absorbed nodes as they would have recorded themselves,
-    /// bottom-up from `below` — the metrics of the node beneath the filter
-    /// (the fused join's sides and build, or the filter's input). The
-    /// loader's summed time, spread over the workers that shared it, is
-    /// added once; the join reports the pairs its probe found, the filter
-    /// its survivors, an `Exchange` what its child did plus its DOP and
-    /// the pieces dispatched.
-    fn record(&self, c: &mut OpCollector, mut m: OperatorMetrics, ran: &FusedRun, workers: usize) {
-        m.wall += ran.busy / workers.max(1) as u32;
-        let exchange = |c: &mut OpCollector, node: Absorbed<'_>, m: &OperatorMetrics| {
-            if let Some((node, dop)) = node {
-                c.record(node, m.rows_out, m.wall, m.stats);
-                if let Some(slot) = c.slot(node) {
-                    slot.dop = Some(dop);
-                    slot.morsels = ran.pieces;
-                }
+/// The nodes a loader over `plan` runs inside itself instead of as nodes
+/// of their own, at any DOP, top-down from `plan`: `[Exchange] [Filter]
+/// [Exchange] HJ|SPHJ`, or `[Exchange] Filter`; none when `plan` is
+/// neither. The loader runs as nodes the join's two sides, else the
+/// filter's input, else `plan` itself.
+fn absorbed(plan: &PhysicalPlan) -> Vec<&PhysicalPlan> {
+    let mut chain = Vec::new();
+    let mut node = plan;
+    for filter in [false, true, false] {
+        match (node, filter) {
+            (PhysicalPlan::Exchange { input, .. }, false)
+            | (PhysicalPlan::Filter { input, .. }, true) => {
+                chain.push(node);
+                node = input;
             }
-        };
-        if let Some(join) = &self.join {
-            m.rows_out = ran.pairs;
-            c.record(join.node, m.rows_out, m.wall, m.stats);
-            exchange(c, self.lower, &m);
+            _ => {}
         }
-        if let Some((filter, _)) = self.filter {
-            m.stats.record(Blocking::Pipelined, m.rows_out);
-            m.rows_out = ran.rows_out;
-            c.record(filter, m.rows_out, m.wall, m.stats);
-        }
-        exchange(c, self.upper, &m);
     }
+    if indexed(node) {
+        chain.push(node);
+        return chain;
+    }
+    // Without a join, only the `Exchange` above a filter is absorbed.
+    while chain
+        .last()
+        .is_some_and(|n| !matches!(n, PhysicalPlan::Filter { .. }))
+    {
+        chain.pop();
+    }
+    chain
 }
 
 /// Whether a single-key HG/SPHG over `input` reads `key` from a base
 /// table's own rows, and that table keeps [`KeyCodes`] for it — so its
 /// loader finds the codes where it reads the key: a `Scan` or
 /// `PartitionedScan` through filters and exchanges, or the side holding
-/// `key` of the HJ or SPHJ it fuses (see `Fused`), the build side when
-/// both hold it. An AV relation and a materialised join output have no
-/// codes.
+/// `key` of the HJ or SPHJ its loader absorbs (see [`absorbed`]), the
+/// build side when both hold it. An AV relation and a join beneath the
+/// loader's have no codes.
 pub(crate) fn reads_coded_key(catalog: &Catalog, input: &PhysicalPlan, key: &str) -> bool {
     fn scanned(plan: &PhysicalPlan) -> Option<&str> {
         match plan {
@@ -1520,15 +1563,15 @@ pub(crate) fn reads_coded_key(catalog: &Catalog, input: &PhysicalPlan, key: &str
         }
     }
     let entry = |table: &str| catalog.get(table).ok();
-    let table = match Fused::under(input).and_then(|f| f.join) {
-        Some(join) => match scanned(join.left) {
+    let table = match absorbed(input).last() {
+        Some(PhysicalPlan::Join { left, right, .. }) => match scanned(left) {
             Some(l) if entry(l).is_some_and(|e| e.relation.schema().index_of(key).is_ok()) => {
                 Some(l)
             }
-            Some(_) => scanned(join.right),
+            Some(_) => scanned(right),
             None => None,
         },
-        None => scanned(input),
+        _ => scanned(input),
     };
     table
         .and_then(entry)
@@ -1547,73 +1590,32 @@ fn sort_under(plan: &PhysicalPlan) -> Option<&PhysicalPlan> {
     }
 }
 
-/// The columns each `Join`'s output must carry, computed once, top-down:
-/// what the nodes above it project, filter, group or sort on. A join whose
-/// whole output reaches the root (or feeds another join) has no entry and
-/// carries every column of both sides.
-fn join_needs<'a>(
-    plan: &'a PhysicalPlan,
-    need: Option<Vec<&'a str>>,
-    out: &mut HashMap<usize, Vec<&'a str>>,
-) {
-    let plus = |need: Option<Vec<&'a str>>, extra: Vec<&'a str>| {
-        need.map(|mut n| {
-            n.extend(extra);
-            n
-        })
-    };
-    match plan {
-        PhysicalPlan::Scan { .. } | PhysicalPlan::PartitionedScan { .. } => {}
-        PhysicalPlan::Filter { input, predicate } => {
-            join_needs(input, plus(need, predicate.columns()), out)
-        }
-        PhysicalPlan::Sort { input, key, .. } => join_needs(input, plus(need, vec![key]), out),
-        PhysicalPlan::Project { input, columns } => join_needs(
-            input,
-            Some(columns.iter().map(String::as_str).collect()),
-            out,
-        ),
-        PhysicalPlan::GroupBy {
-            input, keys, aggs, ..
-        } => {
-            let read = keys
-                .iter()
-                .chain(aggs.iter().filter_map(|a| a.column.as_ref()));
-            join_needs(input, Some(read.map(String::as_str).collect()), out)
-        }
-        PhysicalPlan::Limit { input, .. } | PhysicalPlan::Exchange { input, .. } => {
-            join_needs(input, need, out)
-        }
-        PhysicalPlan::Join { left, right, .. } => {
-            out.extend(need.map(|n| (node_id(plan), n)));
-            join_needs(left, None, out);
-            join_needs(right, None, out);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Filters: compiled conjuncts narrowing a selection
+// Filters: compiled conjuncts narrowing a piece
 // ---------------------------------------------------------------------------
 
 /// One conjunct of a filter predicate, bound to its column.
-enum Conjunct<'r> {
+enum Conjunct {
     /// `u32` column against a `u32` constant — the dominant case.
-    U32 { data: &'r [u32], op: CmpOp, v: u32 },
+    U32 {
+        data: Arc<Column>,
+        op: CmpOp,
+        v: u32,
+    },
     /// Dictionary-encoded string column (comparison, prefix, `LIKE`): the
     /// predicate is evaluated once per *code* under real string order,
     /// regardless of how codes were assigned; rows look their code up.
     Code {
-        codes: &'r [u32],
+        codes: Arc<Column>,
         hits: Vec<bool>,
-        column: &'r str,
+        column: String,
     },
     /// Any other column type against a constant, value by value.
     Slow {
-        col: &'r Column,
+        col: Arc<Column>,
         op: CmpOp,
-        value: &'r Value,
-        column: &'r str,
+        value: Value,
+        column: String,
     },
 }
 
@@ -1625,97 +1627,82 @@ fn leaves(pred: &Predicate) -> Vec<&Predicate> {
     }
 }
 
-/// Bind `preds`' conjuncts to the columns of `rel`.
-fn compile<'r>(
-    rel: &'r Relation,
-    preds: impl IntoIterator<Item = &'r Predicate>,
-) -> Result<Vec<Conjunct<'r>>> {
-    let per_code = |column: &'r str, like: bool, matches: &dyn Fn(&str) -> bool| {
-        let col = rel.column(column)?;
+/// Bind the conjunct `leaf` to its column, on the table of `view` that
+/// holds it; returns that table.
+fn compile(view: &View, leaf: &Predicate) -> Result<(usize, Conjunct)> {
+    let (Predicate::Compare { column, .. }
+    | Predicate::Prefix { column, .. }
+    | Predicate::Like { column, .. }) = leaf
+    else {
+        return Err(CoreError::Unsupported(format!("nested conjunct {leaf:?}")));
+    };
+    let (t, name) = view.column(column)?;
+    let rel = &view.tables[t].rel;
+    let col = rel.column(name)?;
+    let per_code = |like: bool, matches: &dyn Fn(&str) -> bool| {
         if like && col.data_type() != DataType::Str {
             return Err(CoreError::Unsupported(format!(
                 "LIKE on non-string column '{column}'"
             )));
         }
         // Codes without a dictionary cannot be compared to strings.
-        let dict = rel.dictionary(column)?.ok_or_else(|| {
+        let dict = rel.dictionary(name)?.ok_or_else(|| {
             CoreError::Unsupported(format!(
                 "string column '{column}' has no dictionary attached"
             ))
         })?;
+        col.as_u32()?;
         Ok(Conjunct::Code {
-            codes: col.as_u32()?,
+            codes: rel.column_arc(name)?,
             hits: dict.match_table(matches),
-            column,
+            column: column.clone(),
         })
     };
-    let mut all = Vec::new();
-    for pred in preds {
-        let conjunct = match pred {
-            Predicate::And(ps) => {
-                all.extend(compile(rel, ps)?);
-                continue;
+    let conjunct = match leaf {
+        Predicate::Compare { op, value, .. } => match (col.data_type(), col.as_u32(), value) {
+            (DataType::Str, _, Value::Str(lit)) => {
+                per_code(false, &|s| op.eval(s.cmp(lit.as_str())))?
             }
-            Predicate::Compare { column, op, value } => {
-                let col = rel.column(column)?;
-                match (col.data_type(), col.as_u32(), value) {
-                    (DataType::Str, _, Value::Str(lit)) => {
-                        per_code(column, false, &|s| op.eval(s.cmp(lit.as_str())))?
-                    }
-                    (DataType::Str, _, _) => {
-                        return Err(CoreError::Unsupported(format!(
-                            "string column '{column}' compared to non-string literal {value}"
-                        )))
-                    }
-                    (_, Ok(data), Value::U32(v)) => Conjunct::U32 {
-                        data,
-                        op: *op,
-                        v: *v,
-                    },
-                    _ => Conjunct::Slow {
-                        col,
-                        op: *op,
-                        value,
-                        column,
-                    },
-                }
+            (DataType::Str, _, _) => {
+                return Err(CoreError::Unsupported(format!(
+                    "string column '{column}' compared to non-string literal {value}"
+                )))
             }
-            Predicate::Prefix { column, prefix } => {
-                per_code(column, true, &|s| s.starts_with(prefix.as_str()))?
-            }
-            Predicate::Like { column, pattern } => {
-                per_code(column, true, &|s| dqo_plan::like_match(pattern, s))?
-            }
-        };
-        all.push(conjunct);
-    }
-    Ok(all)
+            (_, Ok(_), Value::U32(v)) => Conjunct::U32 {
+                data: rel.column_arc(name)?,
+                op: *op,
+                v: *v,
+            },
+            _ => Conjunct::Slow {
+                col: rel.column_arc(name)?,
+                op: *op,
+                value: value.clone(),
+                column: column.clone(),
+            },
+        },
+        Predicate::Prefix { prefix, .. } => per_code(true, &|s| s.starts_with(prefix.as_str()))?,
+        Predicate::Like { pattern, .. } => per_code(true, &|s| dqo_plan::like_match(pattern, s))?,
+        Predicate::And(_) => unreachable!("refused above"),
+    };
+    Ok((t, conjunct))
 }
 
-/// Record the bounds `pred`'s `u32` comparisons put on their columns. (A
-/// comparison with a `u32` constant only executes on a `u32` column.)
-fn tighten<'a>(known: &mut Vec<(&'a str, u32, u32)>, pred: &'a Predicate) {
-    match pred {
-        Predicate::And(ps) => ps.iter().for_each(|p| tighten(known, p)),
-        Predicate::Compare {
-            column,
-            op,
-            value: Value::U32(v),
-        } => known.push(match op {
-            CmpOp::Eq => (column, *v, *v),
-            CmpOp::Lt => (column, 0, v.saturating_sub(1)),
-            CmpOp::Le => (column, 0, *v),
-            CmpOp::Gt => (column, v.saturating_add(1), u32::MAX),
-            CmpOp::Ge => (column, *v, u32::MAX),
-            CmpOp::Ne => return,
-        }),
-        _ => {}
-    }
+/// The bounds a `u32` comparison puts on its column — saturating, so they
+/// cover the values it keeps; `None` for `<>`.
+fn covering(op: CmpOp, v: u32) -> Option<(u32, u32)> {
+    Some(match op {
+        CmpOp::Eq => (v, v),
+        CmpOp::Lt => (0, v.saturating_sub(1)),
+        CmpOp::Le => (0, v),
+        CmpOp::Gt => (v.saturating_add(1), u32::MAX),
+        CmpOp::Ge => (v, u32::MAX),
+        CmpOp::Ne => return None,
+    })
 }
 
 /// The values a `u32` comparison keeps, as the bounds a binary search
 /// finds; `None` for `<>`, which keeps two runs. Exact at the edges of the
-/// domain — `< 0` and `> 4294967295` keep nothing — where `tighten`'s
+/// domain — `< 0` and `> 4294967295` keep nothing — where [`covering`]'s
 /// bounds saturate into ones that merely cover the answer.
 fn within(op: CmpOp, v: u32) -> Option<(Bound<u32>, Bound<u32>)> {
     use Bound::{Excluded, Included, Unbounded};
@@ -1734,7 +1721,7 @@ fn within(op: CmpOp, v: u32) -> Option<(Bound<u32>, Bound<u32>)> {
 /// survivors of the previous one.
 fn narrow_piece(
     piece: &Piece<'_>,
-    conjuncts: &[Conjunct<'_>],
+    conjuncts: &[Conjunct],
     out: &mut Vec<u32>,
 ) -> std::result::Result<(), ExecError> {
     let from = out.len();
@@ -1749,19 +1736,23 @@ fn narrow_piece(
             };
         }
         match conjunct {
-            Conjunct::U32 { data, op, v, .. } => match op {
-                CmpOp::Eq => keep!(|i| data[i] == *v),
-                CmpOp::Ne => keep!(|i| data[i] != *v),
-                CmpOp::Lt => keep!(|i| data[i] < *v),
-                CmpOp::Le => keep!(|i| data[i] <= *v),
-                CmpOp::Gt => keep!(|i| data[i] > *v),
-                CmpOp::Ge => keep!(|i| data[i] >= *v),
-            },
+            Conjunct::U32 { data, op, v } => {
+                let (data, v) = (data.as_u32()?, *v);
+                match op {
+                    CmpOp::Eq => keep!(|i| data[i] == v),
+                    CmpOp::Ne => keep!(|i| data[i] != v),
+                    CmpOp::Lt => keep!(|i| data[i] < v),
+                    CmpOp::Le => keep!(|i| data[i] <= v),
+                    CmpOp::Gt => keep!(|i| data[i] > v),
+                    CmpOp::Ge => keep!(|i| data[i] >= v),
+                }
+            }
             Conjunct::Code {
                 codes,
                 hits,
                 column,
             } => {
+                let codes = codes.as_u32()?;
                 let missing = std::cell::Cell::new(None);
                 keep!(|i| *hits.get(codes[i] as usize).unwrap_or_else(|| {
                     missing.set(Some(codes[i]));
@@ -1795,28 +1786,6 @@ fn narrow_piece(
         }
     }
     Ok(())
-}
-
-/// Narrow `sel` to the rows satisfying every conjunct, one task per
-/// morsel-sized piece on `tp`; serial execution is the one-morsel call of
-/// the same kernel. Pieces concatenate in order, so row order is kept.
-fn narrow(
-    sel: &Selection,
-    conjuncts: &[Conjunct<'_>],
-    tp: Option<&ThreadPool>,
-) -> Result<Selection> {
-    if conjuncts.is_empty() {
-        return Ok(sel.clone());
-    }
-    let pieces = sel.pieces(tp.map_or(usize::MAX, |_| DEFAULT_MORSEL_ROWS));
-    let chunks = per_piece(tp, pieces.len(), |t| {
-        let mut ids = Vec::new();
-        narrow_piece(&pieces[t], conjuncts, &mut ids).map(|()| ids)
-    })?;
-    Ok(match sel {
-        Selection::Ranges(_) => Selection::from_ascending(chunks),
-        Selection::Rows(_) => Selection::Rows(chunks.concat()),
-    })
 }
 
 /// Run `task` once per piece, `0..pieces` — as tasks on `tp`, else in
@@ -1855,18 +1824,6 @@ fn min_max(sel: &Selection, col: &[u32]) -> Option<(u32, u32)> {
 /// `U32` or `Str`) and, for dictionary-encoded columns, the dictionary to
 /// re-attach so downstream consumers can decode the codes.
 type KeyLayout = (Field, Option<Arc<Dictionary>>);
-
-/// Resolve the output layout of the grouping key columns from the input
-/// relation (names, types, dictionaries).
-fn key_layouts(rel: &Relation, keys: &[String]) -> Result<Vec<KeyLayout>> {
-    keys.iter()
-        .map(|k| {
-            let field = rel.schema().field(k)?.clone();
-            let dict = rel.dictionary(k)?.cloned();
-            Ok((field, dict))
-        })
-        .collect()
-}
 
 /// A relation over freshly built columns, `Str` dictionaries re-attached
 /// (wherever codes are copied they are copied verbatim, so the source
@@ -2016,7 +1973,11 @@ pub fn naive_eval(plan: &LogicalPlan, catalog: &Catalog) -> Result<Relation> {
         }
         LogicalPlan::GroupBy { input, keys, aggs } => {
             let rel = naive_eval(input, catalog)?;
-            let layouts = key_layouts(&rel, keys)?;
+            let view = View::of(rel.clone());
+            let layouts = keys
+                .iter()
+                .map(|k| view.layout(k))
+                .collect::<Result<Vec<_>>>()?;
             let key_cols: Vec<&[u32]> = keys
                 .iter()
                 .map(|k| Ok(rel.column(k)?.as_u32()?))
@@ -2181,7 +2142,7 @@ mod tests {
         .unwrap();
         let cat = Catalog::new();
         let entry = cat.register("t", rel);
-        let mut view = View {
+        let mut view = Table {
             rel: entry.relation.as_ref().clone(),
             sel: Selection::Ranges(vec![8..40, 0..8]),
             stats: Some(entry),
@@ -2582,7 +2543,7 @@ mod tests {
                     _ => execute_grouping(algo, keys, values, FullAgg, &GroupingHints::default())
                         .unwrap(),
                 };
-                let layouts = key_layouts(&joined, &[key.to_string()]).unwrap();
+                let layouts = [View::of(joined.clone()).layout(key).unwrap()];
                 let expect =
                     grouped_to_relation(&layouts, vec![expect.keys], &aggs, &expect.states)
                         .unwrap();
@@ -2627,8 +2588,9 @@ mod tests {
     /// A materialised HJ or SPHJ emits the ordered nested loop's pairs —
     /// probe row by probe row, each probe row's build rows ascending — over
     /// every selection shape on either side, at DOP 1 and under `Exchange`
-    /// 2 and 8; and it copies exactly its output and, when the build side's
-    /// selection is not one dense run, the build keys it indexes.
+    /// 2 and 8. The join copies exactly the build keys it indexes when the
+    /// build side's selection is not one dense run, and nothing else; the
+    /// root copies exactly the output.
     #[test]
     fn materialised_joins_emit_the_ordered_nested_loop_on_every_selection() {
         let table = |key: &str, value: &str, keys: Vec<u32>| {
@@ -2758,7 +2720,11 @@ mod tests {
                                 dop,
                             },
                         };
-                        let out = execute(&plan, &cat).unwrap();
+                        let traced = ExecContext {
+                            collect_metrics: true,
+                            ..ExecContext::default()
+                        };
+                        let (out, nodes) = execute_with(&plan, &cat, &traced).unwrap();
                         let rel = &out.relation;
                         let got: Vec<&[u32]> = ["k", "b", "pk", "p"]
                             .iter()
@@ -2769,9 +2735,11 @@ mod tests {
                         for (got, expect) in got.iter().zip(&expect) {
                             assert!(got == expect, "{ctx}");
                         }
-                        // The output's four columns, and the build keys
-                        // read through a `Rows` selection: never the probe
-                        // keys.
+                        // The join: the build keys read through a `Rows`
+                        // selection, never the probe keys or its output.
+                        // The root: the output's four columns.
+                        let at = usize::from(dop > 1);
+                        assert_eq!(nodes[at].bytes_materialised, copied_keys, "{ctx}");
                         let output = 16 * expect[0].len() as u64;
                         assert_eq!(out.bytes_materialised, output + copied_keys, "{ctx}");
                     }

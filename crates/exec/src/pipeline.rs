@@ -87,9 +87,9 @@ pub struct OperatorMetrics {
     pub steals: u64,
     /// Bytes of column data this node itself (children excluded) copied
     /// into new buffers: kernel scratch for a key or value column read
-    /// through a selection, and the columns a join gathers into its
-    /// output. Nodes that only narrow, reorder or project a selection
-    /// copy nothing.
+    /// through a selection. Nodes that only narrow, reorder, join or
+    /// project selections copy nothing; the plan root's gather is counted
+    /// in the execution's total only.
     pub bytes_materialised: u64,
     /// For a filter (a plan node or one fused into a grouping) that
     /// answered at least one conjunct by binary search instead of a scan:

@@ -60,10 +60,9 @@ pub enum GroupingStrategy {
 pub struct Scratch {
     /// Row ids surviving a fused filter.
     pub ids: Vec<u32>,
-    /// Build rows of a fused join's matches.
-    pub build: Vec<u32>,
-    /// Probe rows of the same matches, pair by pair.
-    pub probe: Vec<u32>,
+    /// A fused join's matches: one list of rows per table the loader
+    /// reads, match by match.
+    pub rows: Vec<Vec<u32>>,
 }
 
 /// The rows of one task, at which the fold reads its key and value

@@ -10,8 +10,7 @@
 //! range, not per row. Every other conjunct runs through the branch-free
 //! kernel in [`Piece::narrow`], which tests every selected row. Consumers
 //! read columns *through* the selection with [`Piece::read`] /
-//! [`Selection::read`], and only the plan root (and the output of a join)
-//! gathers whole columns.
+//! [`Selection::read`], and only the plan root gathers whole columns.
 
 // A selection really is a list holding (often) one range.
 #![allow(clippy::single_range_in_vec_init)]

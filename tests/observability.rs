@@ -584,6 +584,110 @@ fn bytes_materialised_shows_copies_were_removed_not_moved() {
         assert!(line.contains(&format!("act={pairs} ")), "dop={dop}: {text}");
     }
 
+    // A join no grouping fused hands on its pairs of row ids: at the root,
+    // under ORDER BY and under ORDER BY … LIMIT, at DOP 1 and 4, every join
+    // copies nothing but its key scratch — the build keys an HJ/SPHJ
+    // indexes, both keys an OJ/SOJ/BSJ reads — read through the rows each
+    // filter kept; a sort reads its key through the join's rows; and the
+    // root copies exactly its output columns.
+    let (r, s) = dqo::storage::datagen::ForeignKeySpec {
+        r_rows: 20_000,
+        s_rows: 100_000,
+        groups: 300,
+        r_sorted: true,
+        s_sorted: true,
+        dense: true,
+        seed: 13,
+    }
+    .generate()
+    .unwrap();
+    let sorted = dqo::Catalog::new();
+    sorted.register("r", r);
+    sorted.register("s", s);
+    // `<>` leaves row ids even on r's ascending columns, which a search
+    // would cut into one dense run.
+    let side = |table: &str, column: &str, op: CmpOp, v: u32| PhysicalPlan::Filter {
+        input: Box::new(PhysicalPlan::Scan {
+            table: table.into(),
+        }),
+        predicate: Predicate::cmp(column, op, v),
+    };
+    let count = |plan: &PhysicalPlan| {
+        execute_with(plan, &sorted, &traced)
+            .unwrap()
+            .0
+            .relation
+            .rows()
+    };
+    let (build, probe) = (
+        side("r", "a", CmpOp::Ne, 7),
+        side("s", "payload", CmpOp::Lt, 500),
+    );
+    let (build_rows, probe_rows) = (count(&build) as u64, count(&probe) as u64);
+    let mut reference = None;
+    for algo in [
+        dqo::plan::JoinAlgorithm::HashBased,
+        dqo::plan::JoinAlgorithm::StaticPerfectHash,
+        dqo::plan::JoinAlgorithm::OrderBased,
+        dqo::plan::JoinAlgorithm::SortOrderBased,
+        dqo::plan::JoinAlgorithm::BinarySearch,
+    ] {
+        let scratch = match algo {
+            dqo::plan::JoinAlgorithm::HashBased | dqo::plan::JoinAlgorithm::StaticPerfectHash => {
+                4 * build_rows
+            }
+            _ => 4 * (build_rows + probe_rows),
+        };
+        for dop in [1, 4] {
+            let join = exchange(
+                dop,
+                PhysicalPlan::Join {
+                    left: Box::new(build.clone()),
+                    right: Box::new(probe.clone()),
+                    left_key: "id".into(),
+                    right_key: "r_id".into(),
+                    algo,
+                },
+            );
+            let sort = || {
+                exchange(
+                    dop,
+                    PhysicalPlan::Sort {
+                        input: Box::new(join.clone()),
+                        key: "payload".into(),
+                        molecule: dqo::plan::SortMolecule::Comparison,
+                    },
+                )
+            };
+            let top = PhysicalPlan::Limit {
+                input: Box::new(sort()),
+                n: 100,
+            };
+            for plan in [join.clone(), sort(), top] {
+                let ctx = format!("{algo:?} dop={dop}\n{}", plan.explain());
+                let (out, nodes) = execute_with(&plan, &sorted, &traced).unwrap();
+                let rel = &out.relation;
+                let rows = reference.get_or_insert_with(|| sorted_rows(rel)).len() as u64;
+                assert!(rows > 10_000, "{ctx}");
+                match plan {
+                    PhysicalPlan::Limit { .. } => assert_eq!(rel.rows(), 100, "{ctx}"),
+                    _ => assert_eq!(sorted_rows(rel), *reference.as_ref().unwrap(), "{ctx}"),
+                }
+                for (node, m) in plan.preorder().iter().zip(&nodes) {
+                    let expect = match node {
+                        PhysicalPlan::Join { .. } => scratch,
+                        PhysicalPlan::Sort { .. } => 4 * rows,
+                        _ => 0,
+                    };
+                    assert_eq!(m.bytes_materialised, expect, "{}\n{ctx}", node.explain());
+                }
+                let nodes: u64 = nodes.iter().map(|m| m.bytes_materialised).sum();
+                let root = out.bytes_materialised - nodes;
+                assert_eq!(root, rel.byte_size() as u64, "the root's output: {ctx}");
+            }
+        }
+    }
+
     // Through the engine: EXPLAIN ANALYZE renders the numbers and the
     // registry counter carries the per-query total — for a statement whose
     // sort reads its key through the rows a filter kept (a grouping there

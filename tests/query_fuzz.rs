@@ -674,6 +674,65 @@ fn join_from(build_on_t: bool, preds: &[(u8, u8)]) -> String {
     sql
 }
 
+/// A third table z(zk, zv) for joins under joins: `zk` over `0..g`, each
+/// key once or, with `repeats`, twice; `zv` is `zk % 5`, so rows that tie
+/// on a join key are equal.
+fn build_z(k_groups: u32, repeats: bool) -> Relation {
+    let zk: Vec<u32> = (0..k_groups * (1 + u32::from(repeats)))
+        .map(|i| i % k_groups)
+        .collect();
+    let zv: Vec<u32> = zk.iter().map(|k| k % 5).collect();
+    Relation::new(
+        Schema::new(vec![
+            Field::new("zk", DataType::U32),
+            Field::new("zv", DataType::U32),
+        ])
+        .unwrap(),
+        vec![Column::U32(zk), Column::U32(zv)],
+    )
+    .unwrap()
+}
+
+/// A join of t, u and z — z joined on u's key or t's — under a conjunct
+/// on every table, picked by `preds`. Grouped (`group_pick` < 4) by a key
+/// of t, of u, of z, or by one of each; else ungrouped, ordered by `k` and
+/// cut to one of a few sizes. The ungrouped rows that tie on `k` are
+/// equal, so a cut keeps the same rows whichever order the joins emit.
+fn three_way_query(z_on_u: bool, preds: [(u8, u8); 3], group_pick: u8, limit_pick: u8) -> String {
+    let on = if z_on_u { "uk" } else { "k" };
+    let [(tk, tp), (uk, up), (zk, zp)] = preds;
+    let conjuncts = [
+        match tk % 3 {
+            0 => format!("k < {}", tp % 40),
+            1 => format!("v < {}", tp % 60),
+            _ => format!("s LIKE '{}%'", PREFIXES[tp as usize % PREFIXES.len()]),
+        },
+        match uk % 2 {
+            0 => format!("w < {}", up % 4),
+            _ => format!("uk >= {}", up % 30),
+        },
+        match zk % 2 {
+            0 => format!("zv < {}", zp % 6),
+            _ => format!("zk <> {}", zp % 20),
+        },
+    ];
+    let from = format!(
+        " FROM t JOIN u ON k = uk JOIN z ON {on} = zk WHERE {}",
+        conjuncts.join(" AND ")
+    );
+    let keys = ["k", "w", "zv", "v, w, zv"];
+    match keys.get(group_pick as usize % 5) {
+        Some(keys) => format!("SELECT {keys}, COUNT(*) AS n{from} GROUP BY {keys}"),
+        None => {
+            let limit = [None, Some(0), Some(1), Some(3), Some(17), Some(100)];
+            match limit[limit_pick as usize % 6] {
+                Some(n) => format!("SELECT k, w, zv{from} ORDER BY k LIMIT {n}"),
+                None => format!("SELECT k, w, zv{from} ORDER BY k"),
+            }
+        }
+    }
+}
+
 /// `sql` over t and u agrees with the naive evaluator — row for row when
 /// `in_order`, as sorted rows otherwise — in the planned engine at DOP 1,
 /// 2 and 8, under forced `Exchange` at DOP 2 and 8, and with SPH-index
@@ -685,10 +744,23 @@ fn check_join_and_top_n(
     sql: &str,
     in_order: bool,
 ) -> Result<String, String> {
+    check_joins(&[("t", t, "k"), ("u", u, "uk")], sql, in_order)
+}
+
+/// [`check_join_and_top_n`] over any tables, each `(name, relation, join
+/// key)`; the SPH-index AVs go on the join keys. Every join node of the
+/// serial plan and of the forced-`Exchange` plans copies at most its key
+/// scratch (see [`join_copies_only_keys`]).
+fn check_joins(
+    tables: &[(&str, &Relation, &str)],
+    sql: &str,
+    in_order: bool,
+) -> Result<String, String> {
     let engine = |threads: usize| {
         let db = Dqo::with_engine(Engine::new().with_threads(threads));
-        db.register_table("t", t.clone());
-        db.register_table("u", u.clone());
+        for (name, rel, _) in tables {
+            db.register_table(*name, (*rel).clone());
+        }
         db
     };
     let rows = |rel: &Relation| match in_order {
@@ -718,19 +790,21 @@ fn check_join_and_top_n(
         .engine()
         .plan(&logical)
         .map_err(|e| format!("plan {sql}: {e}"))?;
+    let catalog = reference.engine().catalog();
+    join_copies_only_keys(&planned.plan, catalog)?;
     for dop in [2usize, 8] {
         let wrapped = parallelise(&planned.plan, dop);
-        let out = execute(&wrapped, reference.engine().catalog())
-            .map_err(|e| format!("forced dop={dop} {sql}: {e}"))?;
+        let out = execute(&wrapped, catalog).map_err(|e| format!("forced dop={dop} {sql}: {e}"))?;
         if rows(&out.relation) != expect {
             return Err(format!(
                 "forced Exchange dop={dop} diverges for {sql}\nplan:\n{}",
                 wrapped.explain()
             ));
         }
+        join_copies_only_keys(&wrapped, catalog)?;
     }
     let av_db = engine(2);
-    for (table, rel, key) in [("t", t, "k"), ("u", u, "uk")] {
+    for &(table, rel, key) in tables {
         let keys = rel.column(key).and_then(Column::as_u32).unwrap();
         let lo = keys.iter().min().unwrap_or(&0);
         if keys.iter().any(|k| k - lo > 1 << 16) {
@@ -752,6 +826,39 @@ fn check_join_and_top_n(
         ));
     }
     Ok(planned.plan.explain())
+}
+
+/// No join output is gathered: every join node of `plan` copies at most
+/// its key scratch — the `u32` keys of the rows its two inputs hand it —
+/// and the root copies at most its output.
+fn join_copies_only_keys(plan: &PhysicalPlan, catalog: &Catalog) -> Result<(), String> {
+    let traced = ExecContext {
+        collect_metrics: true,
+        ..ExecContext::default()
+    };
+    let (out, nodes) = execute_with(plan, catalog, &traced).map_err(|e| e.to_string())?;
+    let pre = plan.preorder();
+    let rows_of = |child: &PhysicalPlan| {
+        let at = pre.iter().position(|p| std::ptr::eq(*p, child)).unwrap();
+        nodes[at].rows_out
+    };
+    for (node, m) in pre.iter().zip(&nodes) {
+        if let PhysicalPlan::Join { left, right, .. } = node {
+            let scratch = 4 * (rows_of(left) + rows_of(right));
+            if m.bytes_materialised > scratch {
+                return Err(format!(
+                    "join copied {} bytes, key scratch is {scratch}\n{}",
+                    m.bytes_materialised,
+                    plan.explain()
+                ));
+            }
+        }
+    }
+    let root = out.bytes_materialised - nodes.iter().map(|m| m.bytes_materialised).sum::<u64>();
+    match root <= out.relation.byte_size() as u64 {
+        true => Ok(()),
+        false => Err(format!("the root copied {root} bytes\n{}", plan.explain())),
+    }
 }
 
 /// Whether an EXPLAIN shows an HJ, and whether a single-key HG/SPHG fuses
@@ -1162,6 +1269,26 @@ proptest! {
     }
 
     #[test]
+    fn random_three_table_joins_agree(
+        raw in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<u8>()), 0..300),
+        k_groups in 1u32..24,
+        sorted_dict in any::<bool>(),
+        u_repeats in any::<bool>(),
+        z_repeats in any::<bool>(),
+        z_on_u in any::<bool>(),
+        on_t in (any::<u8>(), any::<u8>()),
+        on_u in (any::<u8>(), any::<u8>()),
+        on_z in (any::<u8>(), any::<u8>()),
+        group_pick in any::<u8>(),
+        limit_pick in any::<u8>(),
+    ) {
+        let t = build_table(&raw, k_groups, sorted_dict);
+        let (u, z) = (build_u(k_groups, u_repeats, false), build_z(k_groups, z_repeats));
+        let sql = three_way_query(z_on_u, [on_t, on_u, on_z], group_pick, limit_pick);
+        check_joins(&[("t", &t, "k"), ("u", &u, "uk"), ("z", &z, "zk")], &sql, false)?;
+    }
+
+    #[test]
     fn random_insert_query_interleavings_agree(
         raw in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<u8>()), 1..200),
         k_groups in 1u32..24,
@@ -1211,6 +1338,46 @@ fn sparse_join_keys_plan_hj_and_fuse_it() {
         fused > 0,
         "no case fused an HJ under HG/SPHG ({planned} planned HJ)"
     );
+}
+
+/// Joins under joins, pinned: every three-table family returns rows, and
+/// some plan fuses into a grouping's loader a join one of whose sides is
+/// itself a join — a view of several tables. Each case is checked as
+/// `random_three_table_joins_agree` checks its own.
+#[test]
+fn three_table_joins_return_rows_and_fuse_over_joined_views() {
+    let raw: Vec<(u32, u32, u8)> = (0..600u32)
+        .map(|i| (i * 7 % 97, i * 13 % 50, i as u8))
+        .collect();
+    let t = build_table(&raw, 20, false);
+    let mut fused = 0;
+    for repeats in [false, true] {
+        let (u, z) = (build_u(20, repeats, false), build_z(20, repeats));
+        let tables = [("t", &t, "k"), ("u", &u, "uk"), ("z", &z, "zk")];
+        let db = Dqo::new();
+        for (name, rel, _) in tables {
+            db.register_table(name, rel.clone());
+        }
+        for z_on_u in [false, true] {
+            for group_pick in 0..5 {
+                let sql = three_way_query(z_on_u, [(0, 39), (0, 3), (0, 5)], group_pick, 0);
+                let explain = check_joins(&tables, &sql, false).unwrap();
+                assert!(db.sql(&sql).unwrap().output.relation.rows() > 0, "{sql}");
+                let lines: Vec<&str> = explain.lines().map(str::trim_start).collect();
+                let join = |l: &&str| l.starts_with("HJ ") || l.starts_with("SPHJ ");
+                let grouping = lines
+                    .iter()
+                    .position(|l| l.starts_with("HG ") || l.starts_with("SPHG "));
+                let below = grouping.map(|at| &lines[at + 1..]).unwrap_or_default();
+                let skip = |l: &&&str| l.starts_with("Exchange") || l.starts_with("Filter");
+                let mut below = below.iter().skip_while(skip);
+                if below.next().is_some_and(join) && below.any(join) {
+                    fused += 1;
+                }
+            }
+        }
+    }
+    assert!(fused > 0, "no grouping fused a join over a joined view");
 }
 
 /// Codes are read: over sparse keys that repeat, some plan groups by SPHG
