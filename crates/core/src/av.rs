@@ -39,10 +39,8 @@ use crate::error::CoreError;
 use crate::Result;
 use dqo_exec::aggregate::{CountSum, CountSumState};
 use dqo_exec::composite::{rowwise_group, unpack_grouped, KeyPacker};
-use dqo_exec::grouping::hg::hash_grouping_chaining;
 use dqo_exec::grouping::GroupedResult;
 use dqo_exec::join::JoinIndex;
-use dqo_exec::sort::argsort;
 use dqo_parallel::{
     parallel_argsort, parallel_gather, parallel_grouping, parallel_sph_index_build,
     GroupingStrategy, ThreadPool, DEFAULT_MORSEL_ROWS,
@@ -347,10 +345,7 @@ pub(crate) fn key_columns<'r>(rel: &'r Relation, sig: &AvSignature) -> Result<Ve
 /// comparison sort over the raw tuples, identically with or without a
 /// pool.
 pub(crate) fn key_order(key_cols: &[&[u32]], pool: Option<&ThreadPool>) -> Result<Vec<u32>> {
-    let sort = |keys: &[u32]| match pool {
-        Some(tp) => Ok(parallel_argsort(tp, keys, SortMolecule::Comparison, &[])?.0),
-        None => Ok(argsort(keys)),
-    };
+    let sort = |keys: &[u32]| Ok(parallel_argsort(pool, keys, SortMolecule::Comparison, &[])?.0);
     if let [keys] = key_cols {
         return sort(keys);
     }
@@ -371,13 +366,14 @@ pub(crate) fn key_order(key_cols: &[&[u32]], pool: Option<&ThreadPool>) -> Resul
 /// — it reads `entry` and returns the [`Av`]; nothing becomes visible
 /// until [`AvCatalog::publish`] accepts it.
 ///
-/// With `pool = None` the serial reference kernels run on the caller
-/// thread (`argsort`, [`JoinIndex::identity`], `hash_grouping_chaining`);
-/// with a pool, their parallel twins (parallel sort + range-partitioned
-/// gather, partitioned CSR build, parallel SPHG/HG). The two are
-/// **bit-identical** at any DOP or steal order — the parallel kernels
-/// are deterministic by construction, and `tests/parallel_oracle.rs`
-/// pins it — so the serial path is the oracle, not a second behaviour.
+/// Each kind runs one loop per kernel — sort + range-partitioned gather,
+/// the partitioned CSR build, SPHG/HG — on `pool`, or with `None` on the
+/// caller thread. The artifact is the same at any DOP or steal order:
+/// the kernels are deterministic by construction, and
+/// `tests/parallel_oracle.rs` checks every kind with no pool and at DOP
+/// 1, 2 and 8 against a reference built from `dqo-exec`'s kernels
+/// (`argsort` and `Relation::gather`, `JoinIndex::identity`,
+/// `hash_grouping_chaining`).
 /// Offline batch builds go through [`crate::av_build::AvBuilder`], which
 /// adds admission control and the publish step.
 pub fn materialise_av(
@@ -391,19 +387,12 @@ pub fn materialise_av(
     av.artifact = Some(match sig.kind {
         AvKind::SortedProjection => {
             let order = key_order(&key_cols, pool)?;
-            let sorted = match pool {
-                Some(tp) => parallel_gather(tp, base, &order)?,
-                None => base.gather(&order),
-            };
-            AvArtifact::SortedProjection(Arc::new(sorted))
+            AvArtifact::SortedProjection(Arc::new(parallel_gather(pool, base, &order)?))
         }
         AvKind::SphIndex => {
             let props = signature_props(entry, sig)?;
             let keys = key_cols[0]; // plan_av rejected composite indexes
-            let index = match pool {
-                Some(tp) => parallel_sph_index_build(tp, keys, props.min, props.max)?,
-                None => JoinIndex::identity(keys, props.min, props.max)?,
-            };
+            let index = parallel_sph_index_build(pool, keys, props.min, props.max)?;
             av.byte_size = index.byte_size();
             AvArtifact::SphIndex(Arc::new(index))
         }
@@ -425,33 +414,25 @@ fn build_grouping(
     pool: Option<&ThreadPool>,
 ) -> Result<Relation> {
     let group = |keys: &[u32], strategy| -> Result<GroupedResult<CountSumState>> {
-        let values = key_cols[0];
-        Ok(match pool {
-            Some(tp) => {
-                let bounds = [0, keys.len()];
-                parallel_grouping(
-                    tp,
-                    keys,
-                    values,
-                    CountSum,
-                    strategy,
-                    &bounds,
-                    DEFAULT_MORSEL_ROWS,
-                )?
-                .0
-            }
-            None => {
-                let mut g = hash_grouping_chaining(keys, values, CountSum, keys.len().min(1 << 20));
-                g.sort_by_key();
-                g
-            }
-        })
+        let bounds = [0, keys.len()];
+        let (mut g, _) = parallel_grouping(
+            pool,
+            keys,
+            key_cols[0],
+            CountSum,
+            strategy,
+            &bounds,
+            DEFAULT_MORSEL_ROWS,
+        )?;
+        // HG on the caller thread drains its one table unsorted.
+        g.sort_by_key();
+        Ok(g)
     };
     if let [keys] = key_cols {
         // The same molecule split the query engine uses: the dense SPH
         // array when density admits it, chaining hash otherwise. Both
-        // emit ascending keys with exactly-merged decomposable states,
-        // i.e. the serial artifact.
+        // emit ascending keys with exactly-merged decomposable states, so
+        // the artifact does not depend on the split.
         let props = signature_props(entry, sig)?;
         let strategy = if props.rows > 0 && props.density.is_dense() {
             GroupingStrategy::StaticPerfectHash {
@@ -668,6 +649,8 @@ impl AvCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dqo_exec::grouping::hg::hash_grouping_chaining;
+    use dqo_exec::sort::argsort;
     use dqo_storage::datagen::DatasetSpec;
 
     fn catalog_with_t(sorted: bool, dense: bool) -> Catalog {
@@ -789,10 +772,42 @@ mod tests {
         assert!(av.byte_size > 1 << 20);
     }
 
-    /// Fast unit smoke for the pooled build (the exhaustive
-    /// seed × skew × DOP matrix lives in `tests/parallel_oracle.rs`):
-    /// one realistic table plus the degenerate empty/single-row bases,
-    /// all three kinds, parallel vs serial at DOP 4.
+    /// `sig`'s artifact over `entry` and its byte size, from `dqo-exec`'s
+    /// kernels alone: `argsort` then `Relation::gather`,
+    /// `JoinIndex::identity`, or `hash_grouping_chaining` then
+    /// `sort_by_key`.
+    fn reference(entry: &TableEntry, sig: &AvSignature) -> (AvArtifact, usize) {
+        let keys = entry
+            .relation
+            .column(&sig.column)
+            .unwrap()
+            .as_u32()
+            .unwrap();
+        let planned = plan_av(entry, sig).unwrap().byte_size;
+        match sig.kind {
+            AvKind::SortedProjection => {
+                let sorted = entry.relation.gather(&argsort(keys));
+                (AvArtifact::SortedProjection(Arc::new(sorted)), planned)
+            }
+            AvKind::SphIndex => {
+                let props = entry.column_props[&sig.column];
+                let index = JoinIndex::identity(keys, props.min, props.max).unwrap();
+                let bytes = index.byte_size();
+                (AvArtifact::SphIndex(Arc::new(index)), bytes)
+            }
+            AvKind::MaterialisedGrouping => {
+                let mut g = hash_grouping_chaining(keys, keys, CountSum, keys.len().min(1 << 20));
+                g.sort_by_key();
+                let rel = grouping_relation(sig, g).unwrap();
+                (AvArtifact::MaterialisedGrouping(Arc::new(rel)), planned)
+            }
+        }
+    }
+
+    /// Fast unit smoke for the build (the exhaustive seed × skew × DOP
+    /// matrix lives in `tests/parallel_oracle.rs`): one realistic table
+    /// plus the degenerate empty/single-row bases, all three kinds, with
+    /// no pool and at DOP 4, against the `dqo-exec` reference.
     #[test]
     fn pooled_build_matches_serial_smoke() {
         let pool = ThreadPool::new(4);
@@ -816,26 +831,35 @@ mod tests {
             ] {
                 let sig = AvSignature::new("t", "key", kind);
                 let entry = cat.get("t").unwrap();
-                let serial = materialise_av(&entry, &sig, None).unwrap();
-                let par = materialise_av(&entry, &sig, Some(&pool)).unwrap();
-                let ctx = format!("{kind} rows={:?}", data.as_ref().map(Vec::len));
-                assert_eq!(par.byte_size, serial.byte_size, "{ctx}");
-                match (par.artifact.unwrap(), serial.artifact.unwrap()) {
-                    (AvArtifact::SortedProjection(p), AvArtifact::SortedProjection(s))
-                    | (AvArtifact::MaterialisedGrouping(p), AvArtifact::MaterialisedGrouping(s)) => {
-                        assert_eq!(p.rows(), s.rows(), "{ctx}");
-                        for c in 0..s.schema().width() {
-                            assert_eq!(
-                                format!("{:?}", p.column_at(c).unwrap()),
-                                format!("{:?}", s.column_at(c).unwrap()),
-                                "{ctx} column={c}"
-                            );
+                let (expect, bytes) = reference(&entry, &sig);
+                for leg in [None, Some(&pool)] {
+                    let par = materialise_av(&entry, &sig, leg).unwrap();
+                    let ctx = format!(
+                        "{kind} rows={:?} pool={}",
+                        data.as_ref().map(Vec::len),
+                        leg.is_some()
+                    );
+                    assert_eq!(par.byte_size, bytes, "{ctx}");
+                    match (par.artifact.unwrap(), expect.clone()) {
+                        (AvArtifact::SortedProjection(p), AvArtifact::SortedProjection(s))
+                        | (
+                            AvArtifact::MaterialisedGrouping(p),
+                            AvArtifact::MaterialisedGrouping(s),
+                        ) => {
+                            assert_eq!(p.rows(), s.rows(), "{ctx}");
+                            for c in 0..s.schema().width() {
+                                assert_eq!(
+                                    format!("{:?}", p.column_at(c).unwrap()),
+                                    format!("{:?}", s.column_at(c).unwrap()),
+                                    "{ctx} column={c}"
+                                );
+                            }
                         }
+                        (AvArtifact::SphIndex(p), AvArtifact::SphIndex(s)) => {
+                            assert_eq!(p, s, "{ctx}")
+                        }
+                        other => panic!("{ctx}: artifact kinds diverged: {other:?}"),
                     }
-                    (AvArtifact::SphIndex(p), AvArtifact::SphIndex(s)) => {
-                        assert_eq!(p, s, "{ctx}")
-                    }
-                    other => panic!("{ctx}: artifact kinds diverged: {other:?}"),
                 }
             }
         }

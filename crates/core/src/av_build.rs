@@ -22,8 +22,8 @@
 //!   observability the adaptive-admission roadmap item feeds on.
 //!
 //! A build is the first two steps of the AV lifecycle: the pure
-//! [`materialise_av`] over one table snapshot at the granted DOP
-//! (bit-identical to the serial kernels at any DOP), then
+//! [`materialise_av`] over one table snapshot at the granted DOP (the
+//! same artifact at any DOP, no pool included), then
 //! [`AvCatalog::publish`], which refuses the artifact if the table moved
 //! meanwhile. A refused build leaves no trace.
 
@@ -213,6 +213,7 @@ impl AvBuildHandle {
 mod tests {
     use super::*;
     use crate::av::{AvArtifact, AvKind};
+    use dqo_exec::join::JoinIndex;
     use dqo_storage::datagen::DatasetSpec;
 
     fn setup(rows: usize, groups: usize) -> (Arc<Catalog>, Arc<AvCatalog>) {
@@ -263,12 +264,13 @@ mod tests {
         let builder = AvBuilder::new(Arc::clone(&catalog), Arc::clone(&avs), pool);
         let sig = AvSignature::new("t", "key", AvKind::SphIndex);
         builder.build(&sig).unwrap();
-        let serial = materialise_av(&catalog.get("t").unwrap(), &sig, None).unwrap();
-        match (avs.get(&sig).unwrap().artifact.as_ref(), serial.artifact) {
-            (Some(AvArtifact::SphIndex(par)), Some(AvArtifact::SphIndex(ser))) => {
-                assert_eq!(**par, *ser)
-            }
-            other => panic!("expected SPH artifacts, got {other:?}"),
+        let entry = catalog.get("t").unwrap();
+        let keys = entry.relation.column("key").unwrap().as_u32().unwrap();
+        let props = entry.column_props["key"];
+        let expect = JoinIndex::identity(keys, props.min, props.max).unwrap();
+        match avs.get(&sig).unwrap().artifact.as_ref() {
+            Some(AvArtifact::SphIndex(built)) => assert_eq!(**built, expect),
+            other => panic!("expected an SPH artifact, got {other:?}"),
         }
     }
 

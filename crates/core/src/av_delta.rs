@@ -27,7 +27,7 @@
 //!   ([`DataProps::fold`](dqo_storage::DataProps::fold)) instead of being
 //!   recomputed over the whole projection.
 //!   Consumers scan the hidden `__av::` relation directly, so it is
-//!   always completely sorted. The serial `argsort` is stable, the
+//!   always completely sorted. The argsort of the delta is stable, the
 //!   artifact holds original row ids `0..n` in `(key, row id)` order and
 //!   the delta holds `n..n+d`, so left-first tie-breaking reproduces the
 //!   `(key, original row id)` order of a from-scratch rebuild exactly.
@@ -55,11 +55,10 @@ use crate::av_build::{AvBuildHandle, AvBuilder};
 use crate::catalog::{RowDelta, TableEntry};
 use crate::Result;
 use dqo_exec::aggregate::{CountSum, CountSumState};
-use dqo_exec::grouping::hg::hash_grouping_chaining;
 use dqo_exec::grouping::GroupedResult;
 use dqo_exec::join::JoinIndex;
 use dqo_obs::{names, Counter, Histogram, MetricsRegistry, DURATION_BUCKETS};
-use dqo_parallel::ThreadPool;
+use dqo_parallel::{parallel_grouping, GroupingStrategy, ThreadPool, DEFAULT_MORSEL_ROWS};
 use dqo_storage::Relation;
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -240,7 +239,10 @@ fn maintain_grouping(
         return Ok((materialise_av(combined, sig, pool)?, DeltaAction::Rebuild));
     }
     let dk = delta.column(&sig.column)?.as_u32()?;
-    let mut grouped = hash_grouping_chaining(dk, dk, CountSum, dk.len().min(1 << 20));
+    let hash = GroupingStrategy::Hash(Default::default());
+    let bounds = [0, dk.len()];
+    let (mut grouped, _) =
+        parallel_grouping(None, dk, dk, CountSum, hash, &bounds, DEFAULT_MORSEL_ROWS)?;
     grouped.sort_by_key();
 
     let sk = stored.column(&sig.column)?.as_u32()?;

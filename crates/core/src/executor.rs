@@ -1,8 +1,12 @@
 //! Executes a [`PhysicalPlan`] on the `dqo-exec` engine.
 //!
 //! The executor is deliberately thin: every algorithmic decision was made
-//! by the optimiser; this module maps plan vocabulary onto `dqo-exec` and
-//! `dqo-parallel` kernels and accounts for pipeline breakers and copies.
+//! by the optimiser; this module maps plan vocabulary onto kernels and
+//! accounts for pipeline breakers and copies. A node with a
+//! `dqo-parallel` kernel — HG/SPHG, Sort and top-n, SOG, SOJ, the loader
+//! — calls that one loop whether or not an `Exchange` above gave it a
+//! pool; without one its tasks run on the caller thread. OG, BSG, OJ and
+//! BSJ, which no `Exchange` runs on a pool, call `dqo-exec`'s kernels.
 //!
 //! What flows between plan nodes is a `View` of row ids, not column data:
 //! its tables — a scan's relation, or a join's build and probe tables —
@@ -46,13 +50,12 @@ use crate::Result;
 use dqo_exec::aggregate::{Aggregator, CountSum, CountSumState, FullAgg, FullAggState};
 use dqo_exec::composite::{rowwise_group, unpack_grouped, KeyPacker};
 use dqo_exec::grouping::hg::HgTable;
-use dqo_exec::grouping::sog::sort_order_grouping;
 use dqo_exec::grouping::{execute_grouping, GroupedResult, GroupingHints};
 use dqo_exec::join::{execute_join as run_join, JoinHints, JoinIndex};
 use dqo_exec::pipeline::{
     grouping_blocking, join_blocking, Blocking, OperatorMetrics, PipelineStats,
 };
-use dqo_exec::sort::{argsort, radix_sort_pairs_by_key, top_n};
+use dqo_exec::sort::argsort;
 use dqo_exec::ExecError;
 use dqo_parallel::{
     BatchObs, GroupingStrategy, PersistentPool, Rows, Scratch, Sink, ThreadPool,
@@ -598,8 +601,8 @@ impl<'a> Exec<'a> {
                 let (lcol, lsel) = l.data(left_key)?;
                 let lk = self.read(plan, lsel, lcol, &mut lbuf);
                 let sort = SortMolecule::Comparison;
-                let (result, par) = match (tp, algo) {
-                    (Some(tp), JoinAlgorithm::SortOrderBased) => {
+                let (result, par) = match algo {
+                    JoinAlgorithm::SortOrderBased => {
                         dqo_parallel::parallel_sort_merge_join(tp, lk, rk, sort, &lsel.bounds())?
                     }
                     _ => {
@@ -631,32 +634,12 @@ impl<'a> Exec<'a> {
                 // the view's rows*; no column moves. Under a `Limit` that
                 // cuts it, only the first `n` positions are found.
                 let top = self.tops.get(&node_id(plan)).filter(|&&n| n < keys.len());
-                let order = match (tp, top, molecule) {
-                    (Some(tp), Some(&n), _) => {
-                        let (order, par) =
-                            dqo_parallel::parallel_top_n(tp, keys, n, DEFAULT_MORSEL_ROWS)
-                                .map_err(ExecError::from)?;
-                        self.stats.merge(&par);
-                        order
-                    }
-                    (Some(tp), None, _) => {
-                        let (order, par) =
-                            dqo_parallel::parallel_argsort(tp, keys, *molecule, &sel.bounds())
-                                .map_err(ExecError::from)?;
-                        self.stats.merge(&par);
-                        order
-                    }
-                    (None, Some(&n), _) => top_n(keys, n),
-                    (None, None, SortMolecule::Comparison) => argsort(keys),
-                    (None, None, SortMolecule::Radix) => {
-                        let mut pairs: Vec<(u32, u32)> = keys.iter().copied().zip(0..).collect();
-                        radix_sort_pairs_by_key(&mut pairs);
-                        pairs.into_iter().map(|(_, i)| i).collect()
-                    }
-                };
-                if tp.is_none() {
-                    self.stats.record(Blocking::FullBreaker, keys.len() as u64);
+                let (order, par) = match top {
+                    Some(&n) => dqo_parallel::parallel_top_n(tp, keys, n, DEFAULT_MORSEL_ROWS),
+                    None => dqo_parallel::parallel_argsort(tp, keys, *molecule, &sel.bounds()),
                 }
+                .map_err(ExecError::from)?;
+                self.stats.merge(&par);
                 view.pick(order);
                 Ok(view)
             }
@@ -849,7 +832,7 @@ impl<'a> Exec<'a> {
             return Ok(src.view);
         }
         let (pieces, tables, timed) = (src.pieces(), src.view.tables.len(), self.obs.is_some());
-        let mut chunks = per_piece(pool, pieces.len(), |t| {
+        let loaded = dqo_parallel::map_tasks(pool, pieces.len(), |t| {
             let began = timed.then(Instant::now);
             let (mut got, mut scratch, mut kept) =
                 (vec![Vec::new(); tables], Scratch::default(), false);
@@ -869,8 +852,11 @@ impl<'a> Exec<'a> {
                 got[0] = scratch.ids;
             }
             ran.time(began);
-            Ok(got)
+            Ok::<_, ExecError>(got)
         })?;
+        let mut chunks = loaded
+            .into_iter()
+            .collect::<std::result::Result<Vec<_>, _>>()?;
         self.ran(&src, &ran, workers);
         let mut view = src.view;
         let ranges = tables == 1 && matches!(view.tables[0].sel, Selection::Ranges(_));
@@ -1112,8 +1098,9 @@ impl<'a> Exec<'a> {
     /// loader names as it delivers them: in tasks on the grouping's pool,
     /// else on the caller thread, in piece order — loaded first on the
     /// `feed` pool of an `Exchange` a serial grouping absorbed. SOG, OG
-    /// and BSG read whole columns (SOG in parallel when the grouping has a
-    /// pool).
+    /// and BSG read whole columns: SOG through its one loop, on the
+    /// grouping's pool or the caller thread; OG and BSG, which no
+    /// `Exchange` runs on a pool, through `execute_grouping`.
     fn fold<A: Aggregator>(
         &mut self,
         how: &Grouping<'_>,
@@ -1132,21 +1119,15 @@ impl<'a> Exec<'a> {
                 keys,
                 values,
                 bounds,
-            } => {
-                let result = match (how.tp, how.algo) {
-                    (Some(tp), _) => {
-                        let (result, par) =
-                            dqo_parallel::parallel_sog(tp, keys, values, agg, how.sort, &bounds)?;
-                        self.stats.merge(&par);
-                        return Ok(result);
-                    }
-                    (None, GroupingAlgorithm::SortOrderBased) => {
-                        sort_order_grouping(keys, values, agg, how.sort)
-                    }
-                    (None, algo) => {
-                        execute_grouping(algo, keys, values, agg, &GroupingHints::default())?
-                    }
-                };
+            } if how.algo == GroupingAlgorithm::SortOrderBased => {
+                let (result, par) =
+                    dqo_parallel::parallel_sog(how.tp, keys, values, agg, how.sort, &bounds)?;
+                self.stats.merge(&par);
+                return Ok(result);
+            }
+            Feed::Whole { keys, values, .. } => {
+                let hints = GroupingHints::default();
+                let result = execute_grouping(how.algo, keys, values, agg, &hints)?;
                 self.stats
                     .record(grouping_blocking(how.algo), keys.len() as u64);
                 return Ok(result);
@@ -1788,21 +1769,6 @@ fn narrow_piece(
     Ok(())
 }
 
-/// Run `task` once per piece, `0..pieces` — as tasks on `tp`, else in
-/// order on the caller thread — and collect what each returns, in piece
-/// order.
-fn per_piece<T: Send>(
-    tp: Option<&ThreadPool>,
-    pieces: usize,
-    task: impl Fn(usize) -> std::result::Result<T, ExecError> + Sync,
-) -> Result<Vec<T>> {
-    let done = match tp {
-        Some(tp) => tp.map_tasks(pieces, task)?,
-        None => (0..pieces).map(task).collect(),
-    };
-    Ok(done.into_iter().collect::<std::result::Result<_, _>>()?)
-}
-
 /// Smallest and largest value of `col` over the rows of `sel`.
 fn min_max(sel: &Selection, col: &[u32]) -> Option<(u32, u32)> {
     let fold = |(lo, hi): (u32, u32), k: u32| (lo.min(k), hi.max(k));
@@ -2422,6 +2388,115 @@ mod tests {
         let deep = optimize(&q, &cat, OptimizerMode::Deep).unwrap();
         let out = execute(&deep.plan, &cat).unwrap();
         assert_eq!(out.pipeline.breakers, 0, "OG must stream");
+    }
+
+    /// A serial Sort, a Sort under a `Limit`, a SOG and a SOJ each record
+    /// one breaker over the rows they sort (SOJ: both sides), beside the
+    /// scans' and filters' streamed rows; what they copy is their key
+    /// scratch, read through a filter's selection, and the root's gather.
+    #[test]
+    fn serial_sort_based_plans_account_one_breaker_each() {
+        let cat = Catalog::new();
+        let (r, s) = ForeignKeySpec {
+            r_rows: 1_000,
+            s_rows: 3_000,
+            groups: 50,
+            r_sorted: false,
+            s_sorted: false,
+            dense: true,
+            seed: 3,
+        }
+        .generate()
+        .unwrap();
+        cat.register("R", r);
+        cat.register("S", s);
+        let scan = |table: &str| {
+            Box::new(PhysicalPlan::Scan {
+                table: table.into(),
+            })
+        };
+        let filtered = || {
+            Box::new(PhysicalPlan::Filter {
+                input: scan("S"),
+                predicate: Predicate::cmp("payload", CmpOp::Lt, 400u32),
+            })
+        };
+        let sort = |input, molecule| {
+            Box::new(PhysicalPlan::Sort {
+                input,
+                key: "r_id".into(),
+                molecule,
+            })
+        };
+        let limit = |input| PhysicalPlan::Limit { input, n: 100 };
+        let sog = |input, sort| PhysicalPlan::GroupBy {
+            input,
+            keys: vec!["r_id".into()],
+            aggs: vec![
+                AggExpr::count_star("n"),
+                AggExpr::on(AggFunc::Sum, "payload", "total"),
+            ],
+            algo: GroupingAlgorithm::SortOrderBased,
+            molecules: GroupingMolecules {
+                sort: Some(sort),
+                ..GroupingMolecules::defaults_for(GroupingAlgorithm::SortOrderBased)
+            },
+        };
+        let soj = |right| PhysicalPlan::Join {
+            left: scan("R"),
+            right,
+            left_key: "id".into(),
+            right_key: "r_id".into(),
+            algo: JoinAlgorithm::SortOrderBased,
+        };
+        let (cmp, radix) = (SortMolecule::Comparison, SortMolecule::Radix);
+        // [breakers, materialised_rows, streamed_rows, bytes_materialised]
+        let cases: [(&str, PhysicalPlan, [u64; 4]); 10] = [
+            ("sort", *sort(scan("S"), cmp), [1, 3000, 3000, 24000]),
+            (
+                "radix sort",
+                *sort(filtered(), radix),
+                [1, 1207, 6000, 14484],
+            ),
+            ("top-n", limit(sort(scan("S"), cmp)), [1, 3000, 3000, 800]),
+            (
+                "filtered top-n",
+                limit(sort(filtered(), radix)),
+                [1, 1207, 6000, 5628],
+            ),
+            (
+                "top-n past the end",
+                PhysicalPlan::Limit {
+                    input: sort(filtered(), cmp),
+                    n: 5_000,
+                },
+                [1, 1207, 6000, 14484],
+            ),
+            ("sog", sog(scan("S"), cmp), [1, 3000, 3000, 0]),
+            (
+                "filtered radix sog",
+                sog(filtered(), radix),
+                [1, 1207, 6000, 9656],
+            ),
+            ("soj", soj(scan("S")), [1, 4000, 4000, 48000]),
+            ("filtered soj", soj(filtered()), [1, 2207, 7000, 24140]),
+            (
+                "sorted soj",
+                limit(sort(Box::new(soj(filtered())), cmp)),
+                [2, 3414, 7000, 11256],
+            ),
+        ];
+        for (name, plan, expect) in cases {
+            let out = execute(&plan, &cat).unwrap();
+            let p = out.pipeline;
+            let got = [
+                p.breakers as u64,
+                p.materialised_rows,
+                p.streamed_rows,
+                out.bytes_materialised,
+            ];
+            assert_eq!(got, expect, "{name}");
+        }
     }
 
     /// The rows of `rel`, in order.

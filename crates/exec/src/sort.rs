@@ -10,21 +10,10 @@ pub fn argsort(keys: &[u32]) -> Vec<u32> {
     idx
 }
 
-/// The first `n` entries of [`argsort`]`(keys)`: the positions of the `n`
-/// smallest keys, ascending, equal keys in input order — what a `LIMIT n`
-/// keeps of an `ORDER BY`. Only the kept `(key, position)` pairs are
-/// sorted; the rest are discarded by one selection pass.
-pub fn top_n(keys: &[u32], n: usize) -> Vec<u32> {
-    if n >= keys.len() {
-        return argsort(keys);
-    }
-    let mut pairs: Vec<(u32, u32)> = keys.iter().copied().zip(0..).collect();
-    keep_smallest(&mut pairs, n);
-    pairs.into_iter().map(|(_, i)| i).collect()
-}
-
-/// Keep the `n` smallest of the distinct `pairs`, sorted ascending. The
-/// pairs are `(key, position)`, so ties on the key break by position.
+/// Keep the `n` smallest of the distinct `pairs`, sorted ascending — what
+/// a `LIMIT n` keeps of an `ORDER BY`. The pairs are `(key, position)`, so
+/// ties on the key break by position. Only the kept pairs are sorted; the
+/// rest are discarded by one selection pass.
 pub fn keep_smallest(pairs: &mut Vec<(u32, u32)>, n: usize) {
     if n < pairs.len() {
         // Everything before index `n` is then smaller than `pairs[n]`.
@@ -173,20 +162,6 @@ mod tests {
         let mut scratch = vec![(0u32, 0u32); b.len() + 7]; // oversized is fine
         radix_sort_pairs_with_scratch(&mut b, &mut scratch);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn top_n_is_the_head_of_the_stable_argsort() {
-        // Heavy duplication, so ties must break by position.
-        let keys: Vec<u32> = (0..3_000u32)
-            .map(|i| i.wrapping_mul(2_654_435_761) % 17)
-            .collect();
-        let full = argsort(&keys);
-        for n in [0, 1, 2, 16, 17, 100, 176, 2_999, 3_000, 5_000] {
-            let top = top_n(&keys, n);
-            assert_eq!(top, full[..n.min(keys.len())], "n={n}");
-        }
-        assert!(top_n(&[], 3).is_empty());
     }
 
     #[test]

@@ -1,61 +1,61 @@
-//! Parallel Algorithmic-View build kernels.
+//! Algorithmic-View build kernels.
 //!
 //! The paper's §3 story is that AVs are precomputed *offline* so query
 //! time gets them at zero build cost — which makes the build itself the
 //! thing worth parallelising: it is embarrassingly parallel and competes
 //! with live queries only through the pool it shares with them. This
-//! module supplies the two kernels `dqo-core`'s AV materialiser needs on
-//! top of the existing parallel sort and parallel grouping:
+//! module supplies the two kernels `dqo-core`'s AV materialiser needs
+//! beside the sort and the grouping, each taking an optional pool:
 //!
 //! * [`parallel_sph_index_build`] — the build of an identity-mapped
-//!   [`JoinIndex`] in the layout the serial [`JoinIndex::identity`]
-//!   picks. Unique build keys fill the one domain-sized array in a single
-//!   serial pass (cheaper than any split of it). Repeated keys take a
-//!   partitioned CSR build: morsel-parallel key scanning into per-block
-//!   histograms, one serial prefix/cursor pass over the domain, then a
-//!   parallel fill where every block scatters its rows through its own
-//!   cursor vector. Within a
-//!   slot, block `b`'s rows land before block `b + 1`'s and each block
-//!   scans rows in ascending order, so the CSR layout is
-//!   **bit-identical** to the serial build at any DOP or steal order.
+//!   [`JoinIndex`] in the layout [`JoinIndex::identity`] picks. Unique
+//!   build keys fill the one domain-sized array in a single pass (cheaper
+//!   than any split of it). Repeated keys take a partitioned CSR build:
+//!   morsel-parallel key scanning into per-block histograms, one prefix
+//!   /cursor pass over the domain, then a parallel fill where every block
+//!   scatters its rows through its own cursor vector. Within a slot,
+//!   block `b`'s rows land before block `b + 1`'s and each block scans
+//!   rows in ascending order, so the CSR layout is **bit-identical** to
+//!   [`JoinIndex::identity`]'s at any DOP or steal order.
 //! * [`parallel_gather`] — a range-partitioned [`Relation::gather`]:
 //!   the selection vector splits into contiguous chunks, every
 //!   (column, chunk) pair gathers independently, and chunks concatenate
-//!   in chunk order — the result equals the serial gather column for
+//!   in chunk order — the result equals [`Relation::gather`] column for
 //!   column.
 //!
-//! Both fall back to the serial kernel when splitting cannot pay
-//! (one worker, tiny inputs, or a domain so sparse that per-block
-//! histograms would dwarf the scan).
+//! Both run as one block on the caller thread — [`JoinIndex::identity`]
+//! and [`Relation::gather`] themselves — with no pool, or when splitting
+//! cannot pay (one worker, tiny inputs, or a domain so sparse that
+//! per-block histograms would dwarf the scan).
 
-use crate::pool::{PoolError, ThreadPool};
+use crate::pool::{map_tasks, PoolError, ThreadPool};
 use dqo_exec::join::JoinIndex;
 use dqo_exec::ExecError;
 use dqo_storage::{DataType, Relation, RowId};
 use std::sync::Mutex;
 
 /// Smallest per-block row count worth a dedicated histogram pass; below
-/// this the serial build wins outright.
+/// this one block wins outright.
 pub const MIN_SPH_BLOCK_ROWS: usize = 1 << 12;
 
 /// Smallest gather chunk worth a dedicated task.
 pub const MIN_GATHER_CHUNK_ROWS: usize = 1 << 12;
 
 /// Build an identity-mapped [`JoinIndex`] over `keys` for the dense
-/// domain `[min, max]` on the pool — bit-identical to the serial
-/// [`JoinIndex::identity`], layout included.
+/// domain `[min, max]` on `pool`, else on the caller thread —
+/// bit-identical to [`JoinIndex::identity`], layout included.
 ///
 /// Unique keys keep [`JoinIndex::unique`]'s array. Otherwise the CSR
 /// decomposition: the rows split into one contiguous block per worker;
 /// each block is scanned once into a per-block slot histogram (also
 /// validating domain membership — the violation on the smallest row
-/// index is reported, exactly like the serial scan order would); a
-/// serial pass turns the histograms into global CSR offsets plus
+/// index is reported, exactly like one scan in row order would); one
+/// pass turns the histograms into global CSR offsets plus
 /// per-block write cursors; a second parallel scan scatters each
 /// block's row indices through its cursors into disjoint positions of
 /// the shared `rows` array.
 pub fn parallel_sph_index_build(
-    pool: &ThreadPool,
+    pool: Option<&ThreadPool>,
     keys: &[u32],
     min: u32,
     max: u32,
@@ -68,13 +68,15 @@ pub fn parallel_sph_index_build(
     }
     let n = keys.len();
     let domain = (u64::from(max) - u64::from(min) + 1) as usize;
-    let blocks = pool.threads().min(n.div_ceil(MIN_SPH_BLOCK_ROWS)).max(1);
+    let threads = pool.map_or(1, ThreadPool::threads);
+    let blocks = threads.min(n.div_ceil(MIN_SPH_BLOCK_ROWS)).max(1);
     // A domain far sparser than the per-block row count would make the
-    // histogram passes (blocks × domain) dominate the scan; the serial
-    // build touches the domain only once.
-    if blocks == 1 || domain > (n / blocks).max(MIN_SPH_BLOCK_ROWS) * 8 {
-        return JoinIndex::identity(keys, min, max);
-    }
+    // histogram passes (blocks × domain) dominate the scan; one block
+    // touches the domain only once.
+    let pool = match pool {
+        Some(pool) if blocks > 1 && domain <= (n / blocks).max(MIN_SPH_BLOCK_ROWS) * 8 => pool,
+        _ => return JoinIndex::identity(keys, min, max),
+    };
     // A domain violation before the first duplicate is reported here; one
     // after it by the scan below — either way the first in row order.
     if let Some(index) = JoinIndex::unique(keys, min, max)? {
@@ -105,8 +107,8 @@ pub fn parallel_sph_index_build(
         (hist, violation)
     })?;
     // Blocks are in row order, so the first block reporting a violation
-    // holds the smallest offending row — the same key the serial count
-    // pass would have rejected first.
+    // holds the smallest offending row — the same key one count pass in
+    // row order would have rejected first.
     if let Some(&(_, key)) = scanned.iter().find_map(|(_, v)| v.as_ref()) {
         return Err(ExecError::PreconditionViolated {
             algorithm: "SPHJ",
@@ -114,7 +116,7 @@ pub fn parallel_sph_index_build(
         });
     }
 
-    // Phase 2 — serial cursor pass: global CSR offsets, and each block's
+    // Phase 2 — one cursor pass: global CSR offsets, and each block's
     // histogram rewritten in place into its starting write cursors
     // (block b's range for slot s begins after blocks 0..b's counts).
     let mut hists: Vec<Vec<u32>> = scanned.into_iter().map(|(h, _)| h).collect();
@@ -163,28 +165,29 @@ pub fn parallel_sph_index_build(
     JoinIndex::from_csr(min, offsets, rows)
 }
 
-/// Gather `indices` out of `rel` on the pool — equal to the serial
-/// [`Relation::gather`] column for column (dictionaries included).
+/// Gather `indices` out of `rel` on `pool`, else on the caller thread —
+/// equal to [`Relation::gather`] column for column (dictionaries
+/// included).
 ///
 /// The selection vector splits into contiguous chunks; each
 /// (column, chunk) task gathers independently and the chunks
 /// concatenate in chunk order, so the output is deterministic for any
 /// DOP or steal order.
 pub fn parallel_gather<I: RowId + Sync>(
-    pool: &ThreadPool,
+    pool: Option<&ThreadPool>,
     rel: &Relation,
     indices: &[I],
 ) -> Result<Relation, PoolError> {
     let width = rel.schema().width();
     let chunks = pool
-        .threads()
+        .map_or(1, ThreadPool::threads)
         .min(indices.len().div_ceil(MIN_GATHER_CHUNK_ROWS))
         .max(1);
     if chunks == 1 || width == 0 {
         return Ok(rel.gather(indices));
     }
     let bounds: Vec<usize> = (0..=chunks).map(|c| c * indices.len() / chunks).collect();
-    let parts = pool.map_tasks(width * chunks, |t| {
+    let parts = map_tasks(pool, width * chunks, |t| {
         let (col, chunk) = (t / chunks, t % chunks);
         let column = rel.column_at(col).expect("column index in range");
         column.gather(&indices[bounds[chunk]..bounds[chunk + 1]])
@@ -201,8 +204,8 @@ pub fn parallel_gather<I: RowId + Sync>(
     }
     let mut out = Relation::new(rel.schema().clone(), columns)
         .expect("gathered columns match the source schema");
-    // Re-attach dictionaries so decoded views keep working (the serial
-    // gather carries them over implicitly).
+    // Re-attach dictionaries so decoded views keep working
+    // (`Relation::gather` carries them over implicitly).
     for field in rel.schema().fields() {
         if field.data_type == DataType::Str {
             if let Ok(Some(dict)) = rel.dictionary(&field.name) {
@@ -218,7 +221,7 @@ pub fn parallel_gather<I: RowId + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dqo_storage::{Column, Field, Schema};
+    use dqo_storage::{Column, Dictionary, Field, Schema};
 
     fn keys(n: usize, domain: u32, seed: u32) -> Vec<u32> {
         (0..n)
@@ -232,7 +235,7 @@ mod tests {
         let serial = JoinIndex::identity(&data, 0, 511).unwrap();
         for threads in [1, 2, 8] {
             let pool = ThreadPool::new(threads);
-            let par = parallel_sph_index_build(&pool, &data, 0, 511).unwrap();
+            let par = parallel_sph_index_build(Some(&pool), &data, 0, 511).unwrap();
             assert_eq!(par, serial, "threads={threads}");
         }
     }
@@ -254,7 +257,7 @@ mod tests {
             assert_eq!(serial.is_unique(), is_unique);
             for threads in [1, 2, 8] {
                 let pool = ThreadPool::new(threads);
-                let par = parallel_sph_index_build(&pool, data, 0, max).unwrap();
+                let par = parallel_sph_index_build(Some(&pool), data, 0, max).unwrap();
                 assert_eq!(par, serial, "threads={threads} unique={is_unique}");
             }
         }
@@ -268,7 +271,7 @@ mod tests {
         }
         let serial = JoinIndex::identity(&data, 1_000, 1_099).unwrap();
         let pool = ThreadPool::new(4);
-        let par = parallel_sph_index_build(&pool, &data, 1_000, 1_099).unwrap();
+        let par = parallel_sph_index_build(Some(&pool), &data, 1_000, 1_099).unwrap();
         assert_eq!(par, serial);
     }
 
@@ -277,7 +280,7 @@ mod tests {
         let mut data = keys(50_000, 64, 1);
         data[17_777] = 64; // outside [0, 63]
         let pool = ThreadPool::new(8);
-        let err = parallel_sph_index_build(&pool, &data, 0, 63).unwrap_err();
+        let err = parallel_sph_index_build(Some(&pool), &data, 0, 63).unwrap_err();
         let serial_err = JoinIndex::identity(&data, 0, 63).unwrap_err();
         assert_eq!(format!("{err}"), format!("{serial_err}"));
     }
@@ -285,16 +288,16 @@ mod tests {
     #[test]
     fn sph_build_inverted_domain_rejected() {
         let pool = ThreadPool::new(2);
-        assert!(parallel_sph_index_build(&pool, &[1], 5, 2).is_err());
+        assert!(parallel_sph_index_build(Some(&pool), &[1], 5, 2).is_err());
     }
 
     #[test]
     fn sph_build_degenerate_inputs() {
         let pool = ThreadPool::new(4);
-        let empty = parallel_sph_index_build(&pool, &[], 0, 0).unwrap();
+        let empty = parallel_sph_index_build(Some(&pool), &[], 0, 0).unwrap();
         assert_eq!(empty, JoinIndex::identity(&[], 0, 0).unwrap());
         assert!(empty.probe(&[0, 7]).is_empty());
-        let one = parallel_sph_index_build(&pool, &[42], 42, 42).unwrap();
+        let one = parallel_sph_index_build(Some(&pool), &[42], 42, 42).unwrap();
         assert_eq!(one, JoinIndex::identity(&[42], 42, 42).unwrap());
         assert_eq!(one.probe(&[42]).len(), 1);
     }
@@ -306,7 +309,7 @@ mod tests {
         let data: Vec<u32> = (0..20_000u32).map(|i| i * 50).collect();
         let serial = JoinIndex::identity(&data, 0, 999_951).unwrap();
         let pool = ThreadPool::new(8);
-        let par = parallel_sph_index_build(&pool, &data, 0, 999_951).unwrap();
+        let par = parallel_sph_index_build(Some(&pool), &data, 0, 999_951).unwrap();
         assert_eq!(par, serial);
     }
 
@@ -328,6 +331,62 @@ mod tests {
         .unwrap()
     }
 
+    /// `n` rows of a `u32` key beside a dictionary-coded `Str` column.
+    fn relation_with_strings(n: usize) -> Relation {
+        let names: Vec<String> = (0..n).map(|i| format!("s{}", i % 17)).collect();
+        let (dict, codes) = Dictionary::encode_all(&names);
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::U32),
+            Field::new("name", DataType::Str),
+        ])
+        .unwrap();
+        Relation::new(
+            schema,
+            vec![Column::U32(keys(n, 1 << 20, 7)), Column::Str(codes)],
+        )
+        .unwrap()
+        .with_dictionary("name", std::sync::Arc::new(dict))
+        .unwrap()
+    }
+
+    #[test]
+    fn caller_thread_builds_match_the_dqo_exec_kernels() {
+        let pool = ThreadPool::new(8);
+        for n in [0usize, 1, 30_000] {
+            let rel = relation_with_strings(n);
+            let indices: Vec<u32> = (0..n as u32).rev().step_by(3).collect();
+            let expect = rel.gather(&indices);
+            let dict = |r: &Relation| r.dictionary("name").unwrap().map(std::sync::Arc::as_ptr);
+            for leg in [None, Some(&pool)] {
+                let got = parallel_gather(leg, &rel, &indices).unwrap();
+                let ctx = format!("rows={n} pool={}", leg.is_some());
+                assert_eq!(got.rows(), expect.rows(), "{ctx}");
+                for c in 0..2 {
+                    assert_eq!(
+                        format!("{:?}", got.column_at(c).unwrap()),
+                        format!("{:?}", expect.column_at(c).unwrap()),
+                        "{ctx} column={c}"
+                    );
+                }
+                assert!(dict(&got).is_some(), "{ctx}");
+                assert_eq!(dict(&got), dict(&expect), "{ctx}");
+            }
+            // Repeated keys (CSR), and a permutation of the domain (unique).
+            let repeated = keys(n, 64, 1);
+            let unique: Vec<u32> = (0..n.min(64) as u32).rev().collect();
+            for data in [repeated, unique] {
+                let got = parallel_sph_index_build(None, &data, 0, 63).unwrap();
+                assert_eq!(got, JoinIndex::identity(&data, 0, 63).unwrap(), "rows={n}");
+            }
+        }
+        let mut data = keys(50_000, 64, 1);
+        data[17_777] = 64; // outside [0, 63]
+        let err = parallel_sph_index_build(None, &data, 0, 63).unwrap_err();
+        let expect = JoinIndex::identity(&data, 0, 63).unwrap_err();
+        assert_eq!(format!("{err}"), format!("{expect}"));
+        assert!(parallel_sph_index_build(None, &[1], 5, 2).is_err());
+    }
+
     #[test]
     fn gather_matches_serial_across_threads() {
         let rel = sample_relation(30_000);
@@ -335,7 +394,7 @@ mod tests {
         let serial = rel.gather(&indices);
         for threads in [1, 2, 8] {
             let pool = ThreadPool::new(threads);
-            let par = parallel_gather(&pool, &rel, &indices).unwrap();
+            let par = parallel_gather(Some(&pool), &rel, &indices).unwrap();
             assert_eq!(par.rows(), serial.rows(), "threads={threads}");
             for c in 0..serial.schema().width() {
                 assert_eq!(
@@ -352,10 +411,12 @@ mod tests {
         let rel = sample_relation(100);
         let pool = ThreadPool::new(4);
         assert_eq!(
-            parallel_gather::<usize>(&pool, &rel, &[]).unwrap().rows(),
+            parallel_gather::<usize>(Some(&pool), &rel, &[])
+                .unwrap()
+                .rows(),
             0
         );
-        let one = parallel_gather(&pool, &rel, &[99usize]).unwrap();
+        let one = parallel_gather(Some(&pool), &rel, &[99usize]).unwrap();
         assert_eq!(one.rows(), 1);
         assert_eq!(
             format!("{:?}", one.column_at(0).unwrap()),

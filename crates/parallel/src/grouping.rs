@@ -99,7 +99,8 @@ impl Rows<'_> {
 /// Where a loader delivers the rows of a task.
 pub type Sink<'a> = &'a mut dyn FnMut(Rows<'_>);
 
-/// Parallel grouping of `keys`/`values` under `agg`.
+/// HG/SPHG of `keys`/`values` under `agg`, on `pool` or, with none, on
+/// the caller thread (see [`parallel_grouping_tasks`]).
 ///
 /// Morsels are generated within the segment `bounds` — offsets from `0`
 /// to `keys.len()`, one segment per surviving base-table partition range
@@ -109,12 +110,12 @@ pub type Sink<'a> = &'a mut dyn FnMut(Rows<'_>);
 /// key-ordered, the result is bit-identical for any bounds: the
 /// segmentation only changes which rows travel together.
 ///
-/// Returns the grouped result (ascending key order, [`GroupedResult::sorted_by_key`]
-/// set) plus the pipeline accounting: the input pass is a full breaker
-/// exactly like serial HG/SPHG, and the merge of per-worker partials is a
-/// second breaker accounted at the merged group count.
+/// Returns the grouped result plus the pipeline accounting: the input
+/// pass is a full breaker. On a pool the keys ascend
+/// ([`GroupedResult::sorted_by_key`] set) and the merge of per-worker
+/// partials is a second breaker, accounted at the merged group count.
 pub fn parallel_grouping<A: Aggregator>(
-    pool: &ThreadPool,
+    pool: Option<&ThreadPool>,
     keys: &[u32],
     values: &[u32],
     agg: A,
@@ -131,7 +132,7 @@ pub fn parallel_grouping<A: Aggregator>(
     let ms = morsels_within(bounds, morsel_rows);
     let columns = (keys, values);
     parallel_grouping_tasks(
-        Some(pool),
+        pool,
         ms.len(),
         agg,
         strategy,
@@ -620,7 +621,7 @@ mod tests {
         for threads in [1, 2, 8] {
             let pool = ThreadPool::new(threads);
             let (r, stats) = parallel_grouping(
-                &pool,
+                Some(&pool),
                 &keys,
                 &vals,
                 CountSum,
@@ -654,7 +655,7 @@ mod tests {
         let (keys, vals) = dataset(40_000, 53);
         let pool = ThreadPool::new(4);
         let (plain, _) = parallel_grouping(
-            &pool,
+            Some(&pool),
             &keys,
             &vals,
             CountSum,
@@ -666,7 +667,7 @@ mod tests {
         // Uneven partition-style segments, including an empty one.
         let bounds = [0usize, 1, 1, 7_000, 19_999, 40_000];
         let (seg, _) = parallel_grouping(
-            &pool,
+            Some(&pool),
             &keys,
             &vals,
             CountSum,
@@ -677,7 +678,7 @@ mod tests {
         .unwrap();
         assert_eq!(seg, plain);
         let (seg_sph, _) = parallel_grouping(
-            &pool,
+            Some(&pool),
             &keys,
             &vals,
             CountSum,
@@ -695,7 +696,7 @@ mod tests {
         let serial = serial_sorted(&keys, &vals);
         let pool = ThreadPool::new(4);
         let (r, _) = parallel_grouping(
-            &pool,
+            Some(&pool),
             &keys,
             &vals,
             CountSum,
@@ -726,7 +727,7 @@ mod tests {
     fn sph_rejects_out_of_domain_keys() {
         let pool = ThreadPool::new(2);
         let r = parallel_grouping(
-            &pool,
+            Some(&pool),
             &[1, 2, 99],
             &[0, 0, 0],
             CountSum,
@@ -834,7 +835,7 @@ mod tests {
     fn empty_input() {
         let pool = ThreadPool::new(4);
         let (r, stats) = parallel_grouping(
-            &pool,
+            Some(&pool),
             &[],
             &[],
             CountSum,
@@ -853,7 +854,7 @@ mod tests {
         let pool = ThreadPool::new(2);
         assert!(matches!(
             parallel_grouping(
-                &pool,
+                Some(&pool),
                 &[1, 2],
                 &[1],
                 CountSum,
@@ -870,7 +871,7 @@ mod tests {
         let (keys, vals) = dataset(20_000, 31);
         let pool = ThreadPool::new(8);
         let (first, _) = parallel_grouping(
-            &pool,
+            Some(&pool),
             &keys,
             &vals,
             CountSum,
@@ -881,7 +882,7 @@ mod tests {
         .unwrap();
         for _ in 0..5 {
             let (again, _) = parallel_grouping(
-                &pool,
+                Some(&pool),
                 &keys,
                 &vals,
                 CountSum,

@@ -1,8 +1,11 @@
-//! # dqo-parallel — morsel-driven parallel execution for DQO
+//! # dqo-parallel — morsel-driven execution for DQO
 //!
-//! The serial engine executes every plan on one thread, capping the
-//! paper's molecule-level wins (SPHG/SPHJ, algorithmic views) at a single
-//! core. This crate adds the missing parallel runtime in the
+//! Every kernel here is one loop that takes `pool: Option<&ThreadPool>`:
+//! with a pool its tasks run on the pool's workers, without one they run
+//! in order on the caller thread, which is the serial operator. Running a
+//! granule on one worker or on n is a parameter of its loop, not a second
+//! operator, so the paper's molecule-level wins (SPHG/SPHJ, algorithmic
+//! views) reach every core through the same code. The runtime is in the
 //! morsel-driven style (Leis et al., SIGMOD 2014), built for serving
 //! many sessions at once:
 //!
@@ -16,33 +19,34 @@
 //!   load, so a shared pool degrades gracefully instead of
 //!   oversubscribing;
 //! * [`pool`] — the [`ThreadPool`] dispatch handle (a DOP plus a pool)
-//!   with the morsel batch APIs; inside a batch each runner claims
+//!   with the batch APIs; inside a batch each runner claims
 //!   morsels from its own contiguous block through an atomic cursor,
-//!   then from the other runners' blocks;
+//!   then from the other runners' blocks. [`map_tasks`] runs a task list
+//!   on a pool or, with none, on the caller thread;
 //! * [`grouping`] — the one HG/SPHG loop: thread-local aggregation with
 //!   the plan's molecules (the HG table/hash pair, the dense SPH array)
 //!   and a deterministic sorted merge, or — with no pool — one fold on
-//!   the caller thread, which is serial HG/SPHG; a task's rows come from
-//!   a loader, so a piece can be narrowed by a filter and read through a
-//!   selection inside the task that aggregates it;
-//! * [`sort`] + [`merge_path`] — the parallel sort subsystem: per-worker
-//!   run formation (pdqsort or LSB radix, the serial molecule decision)
-//!   followed by a Merge Path multi-way merge whose per-worker output
-//!   ranges are disjoint, contiguous and deterministic; parallel SOG
-//!   (run aggregation with deterministic boundary stitching) and
-//!   parallel SOJ (range-partitioned merge join) build on it, completing
-//!   parallel coverage of the paper's sort-based operator family;
-//! * [`av_build`] — offline Algorithmic-View build kernels: a
-//!   partitioned bit-identical SPH-index CSR build and a
-//!   range-partitioned relation gather, so `dqo-core` can materialise
-//!   every AV kind through the shared pool.
+//!   the caller thread; a task's rows come from a loader, so a piece can
+//!   be narrowed by a filter and read through a selection inside the
+//!   task that aggregates it;
+//! * [`sort`] + [`merge_path`] — the sort granule: run formation (pdqsort
+//!   or LSB radix, the plan's molecule), one run per worker, followed by
+//!   a Merge Path multi-way merge whose per-worker output ranges are
+//!   disjoint, contiguous and deterministic; top-n, SOG (run aggregation
+//!   with deterministic boundary stitching) and SOJ (range-partitioned
+//!   merge join) build on it, covering the paper's sort-based operator
+//!   family;
+//! * [`av_build`] — Algorithmic-View build kernels: a partitioned
+//!   bit-identical SPH-index CSR build and a range-partitioned relation
+//!   gather, so `dqo-core` materialises every AV kind through one loop
+//!   per kernel, on the shared pool or on the caller thread.
 //!
 //! Everything is **deterministic by construction**: per-morsel outputs
 //! are concatenated in morsel order and per-worker partials merge
 //! through order-insensitive decomposable aggregates, so results are
 //! identical across runs, thread counts, and admission-clamped DOPs.
-//! Parallel operators return [`dqo_exec::pipeline::PipelineStats`] so
-//! blocking behaviour stays measurable exactly as in the serial engine,
+//! Every kernel returns [`dqo_exec::pipeline::PipelineStats`] so
+//! blocking behaviour stays measurable (a pool adds its merge breakers),
 //! and every scheduling API returns `Result` — a worker panic is
 //! captured and surfaced to the submitting query only.
 //!
@@ -71,7 +75,7 @@ pub use grouping::{
 };
 pub use morsel::{morsels, morsels_within, Morsel, DEFAULT_MORSEL_ROWS};
 pub use persistent::{default_threads, PersistentPool};
-pub use pool::{BatchObs, PoolError, ThreadPool};
+pub use pool::{map_tasks, BatchObs, PoolError, ThreadPool};
 pub use sort::{
     parallel_argsort, parallel_sog, parallel_sort_index, parallel_sort_merge_join, parallel_top_n,
 };

@@ -21,7 +21,6 @@
 //! push and one wakeup per extra slot, which is the per-worker dispatch
 //! term in `dqo-core`'s cost model.
 
-use crate::morsel::{morsels, Morsel};
 use crate::persistent::{panic_message, PersistentPool};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -176,35 +175,9 @@ impl ThreadPool {
         self.pool.record_batch(tasks, steals);
     }
 
-    /// Map every morsel of `rows` through `f`, returning the per-morsel
-    /// results **in morsel order** — parallel output is deterministic
-    /// regardless of which worker ran which morsel.
-    pub fn map_morsels<T, F>(
-        &self,
-        rows: usize,
-        morsel_rows: usize,
-        f: F,
-    ) -> Result<Vec<T>, PoolError>
-    where
-        T: Send,
-        F: Fn(Morsel) -> T + Sync,
-    {
-        self.map_morsel_list(&morsels(rows, morsel_rows), f)
-    }
-
-    /// Map an explicit morsel list through `f`, results in list order —
-    /// the partition-native entry point: callers build the list with
-    /// [`crate::morsel::morsels_within`] so no morsel spans a partition
-    /// boundary.
-    pub fn map_morsel_list<T, F>(&self, ms: &[Morsel], f: F) -> Result<Vec<T>, PoolError>
-    where
-        T: Send,
-        F: Fn(Morsel) -> T + Sync,
-    {
-        self.map_tasks(ms.len(), |t| f(ms[t]))
-    }
-
-    /// Map task indices `0..tasks` through `f`, results in task order.
+    /// Map task indices `0..tasks` through `f`, results in task order —
+    /// parallel output is deterministic regardless of which worker ran
+    /// which task.
     pub fn map_tasks<T, F>(&self, tasks: usize, f: F) -> Result<Vec<T>, PoolError>
     where
         T: Send,
@@ -256,6 +229,22 @@ impl ThreadPool {
             .into_iter()
             .filter_map(|s| s.into_inner().expect("worker state"))
             .collect())
+    }
+}
+
+/// [`ThreadPool::map_tasks`] on `pool`, else every task in order on the
+/// caller thread: results in task order either way. The sort kernels, the
+/// gather and the executor's collect sink choose pool or caller here and
+/// nowhere else (the HG/SPHG fold does it over per-worker states, in
+/// [`crate::grouping`]).
+pub fn map_tasks<T, F>(pool: Option<&ThreadPool>, tasks: usize, f: F) -> Result<Vec<T>, PoolError>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    match pool {
+        Some(pool) => pool.map_tasks(tasks, f),
+        None => Ok((0..tasks).map(f).collect()),
     }
 }
 
@@ -322,6 +311,7 @@ impl TaskCursors {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::morsel::morsels;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -330,25 +320,11 @@ mod tests {
             let pool = ThreadPool::new(threads);
             let out = pool.map_tasks(100, |t| t * 2).unwrap();
             assert_eq!(out, (0..100).map(|t| t * 2).collect::<Vec<_>>());
+            assert_eq!(map_tasks(Some(&pool), 100, |t| t * 2).unwrap(), out);
         }
-    }
-
-    #[test]
-    fn map_morsels_is_deterministic_across_thread_counts() {
-        let data: Vec<u32> = (0..100_000).collect();
-        let serial = ThreadPool::new(1)
-            .map_morsels(data.len(), 1024, |m| {
-                m.of(&data).iter().map(|&v| u64::from(v)).sum::<u64>()
-            })
-            .unwrap();
-        for threads in [2, 3, 8] {
-            let par = ThreadPool::new(threads)
-                .map_morsels(data.len(), 1024, |m| {
-                    m.of(&data).iter().map(|&v| u64::from(v)).sum::<u64>()
-                })
-                .unwrap();
-            assert_eq!(par, serial, "threads={threads}");
-        }
+        let out = map_tasks(None, 100, |t| t * 2).unwrap();
+        assert_eq!(out, (0..100).map(|t| t * 2).collect::<Vec<_>>());
+        assert!(map_tasks(None, 0, |t| t).unwrap().is_empty());
     }
 
     #[test]
@@ -411,7 +387,6 @@ mod tests {
     fn zero_tasks_and_zero_rows() {
         let pool = ThreadPool::new(4);
         assert!(pool.map_tasks(0, |t| t).unwrap().is_empty());
-        assert!(pool.map_morsels(0, 64, |m| m.len()).unwrap().is_empty());
         assert!(pool.fold_tasks(0, || 0usize, |_, _| {}).unwrap().is_empty());
     }
 
@@ -435,9 +410,9 @@ mod tests {
         let obs = Arc::new(BatchObs::default());
         let pool = ThreadPool::new(4).with_obs(Arc::clone(&obs));
         pool.map_tasks(100, |t| t).unwrap();
-        pool.map_morsels(10_000, 128, |m| m.len()).unwrap();
+        pool.map_tasks(79, |t| t).unwrap();
         assert_eq!(obs.batches(), 2);
-        assert_eq!(obs.tasks(), 100 + 10_000usize.div_ceil(128) as u64);
+        assert_eq!(obs.tasks(), 100 + 79);
         // Steals are scheduling-dependent; the counter just must not
         // exceed the work available.
         assert!(obs.steals() <= obs.tasks());

@@ -1,33 +1,35 @@
-//! The parallel sort subsystem: morsel-parallel run formation plus a
-//! Merge Path multi-way merge — and on top of it, parallel SOG and
-//! parallel SOJ.
+//! The sort granule and the sort-based operators built on it: argsort,
+//! top-n, SOG and SOJ, each one loop that runs on a pool or, with none,
+//! on the caller thread.
 //!
 //! The paper treats the sort as an unnestable granule and *which* sort to
 //! run as a molecule-level decision (the E9 ablation); this module keeps
-//! that decision ([`SortMolecule`]: pdqsort vs LSB radix) and
-//! parallelises around it:
+//! that decision ([`SortMolecule`]: pdqsort vs LSB radix). How many
+//! workers run it is a parameter of the granule's loop, not a second
+//! operator:
 //!
 //! 1. **Run formation** — the input splits into one contiguous block per
-//!    worker; each block becomes a sorted run of `(key, row)` pairs under
-//!    the canonical **total order** (key, then original row index). Both
-//!    molecules produce the identical run: the comparison sort orders the
-//!    tuples directly and the radix sort is stable over pairs built in
-//!    row order.
-//! 2. **Merge Path merge** — [`crate::merge_path`] cuts every run so each
-//!    worker emits one contiguous, disjoint range of the final output.
-//!    Because the order is total and row indices are unique, the merged
-//!    output is *the* sorted permutation — bit-identical for any DOP,
-//!    worker count, or steal order, and equal to the serial stable
+//!    worker (one block with no pool); each block becomes a sorted run of
+//!    `(key, row)` pairs under the canonical **total order** (key, then
+//!    original row index). Both molecules produce the identical run: the
+//!    comparison sort orders the tuples directly and the radix sort is
+//!    stable over pairs built in row order.
+//! 2. **Merge Path merge** — with more than one run, [`crate::merge_path`]
+//!    cuts every run so each worker emits one contiguous, disjoint range
+//!    of the final output. Because the order is total and row indices are
+//!    unique, the merged output is *the* sorted permutation — bit-identical
+//!    for any DOP, worker count, or steal order, and equal to the stable
 //!    [`dqo_exec::sort::argsort`].
 //!
-//! [`parallel_sog`] aggregates the sorted pairs range-parallel and
+//! [`parallel_sog`] aggregates the sorted pairs range by range and
 //! stitches the per-range boundary groups with the decomposable-aggregate
 //! merge; [`parallel_sort_merge_join`] sorts both sides and runs the
-//! serial merge kernel per disjoint key-range partition. Both are
-//! bit-identical to their serial counterparts (`sog::sort_order_grouping`,
-//! `soj::sort_merge_join`) at every DOP.
+//! merge kernel per disjoint key-range partition. Both equal
+//! `dqo-exec`'s `sog::sort_order_grouping` and `soj::sort_merge_join` bit
+//! for bit at every DOP, one part without a pool.
 
-use crate::pool::{PoolError, ThreadPool};
+use crate::morsel::morsels;
+use crate::pool::{map_tasks, PoolError, ThreadPool};
 use dqo_exec::aggregate::Aggregator;
 use dqo_exec::grouping::GroupedResult;
 use dqo_exec::join::soj::merge_join_views;
@@ -45,20 +47,21 @@ pub const MIN_RUN_ROWS: usize = 1 << 12;
 
 /// Sort `keys` into the canonical `(key, original_row)` order: ascending
 /// by key, ties in input order. Returns the sorted pairs — the payload
-/// column is the stable argsort permutation — plus pipeline accounting
-/// (run formation is a full breaker; the merge, when it happens, is a
-/// second one).
+/// column is the stable argsort permutation — plus pipeline accounting:
+/// run formation is a full breaker; the merge, when it happens, is a
+/// second one.
 ///
-/// `bounds` are segment offsets from `0` to `keys.len()` — one per
+/// With no `pool` the caller sorts one run and nothing is merged. On a
+/// pool, `bounds` are segment offsets from `0` to `keys.len()` — one per
 /// surviving base-table partition range. With several segments, run
 /// formation is partition-native: one sorted run per segment, so no run
 /// crosses a partition boundary. One segment (`&[0, n]`, an unpartitioned
 /// input) or bounds that do not span the input split evenly, one run per
 /// worker. The Merge Path merge is correct and deterministic for **any**
-/// run bounds, so the output is bit-identical (and equal to serial
-/// argsort) however the input was segmented.
+/// run bounds, so the output is bit-identical (and equal to argsort)
+/// however the input was segmented.
 pub fn parallel_sort_index(
-    pool: &ThreadPool,
+    pool: Option<&ThreadPool>,
     keys: &[u32],
     molecule: SortMolecule,
     bounds: &[usize],
@@ -71,8 +74,9 @@ pub fn parallel_sort_index(
             b.push(x);
         }
     }
-    if b.len() <= 2 || b.first() != Some(&0) || b.last() != Some(&n) {
-        let runs_n = pool.threads().min(n.div_ceil(MIN_RUN_ROWS)).max(1);
+    if pool.is_none() || b.len() <= 2 || b.first() != Some(&0) || b.last() != Some(&n) {
+        let threads = pool.map_or(1, ThreadPool::threads);
+        let runs_n = threads.min(n.div_ceil(MIN_RUN_ROWS)).max(1);
         // Block boundaries depend only on (n, runs_n), never on scheduling.
         b = (0..=runs_n).map(|r| r * n / runs_n).collect();
     }
@@ -83,7 +87,7 @@ pub fn parallel_sort_index(
 
     // Phase 1 — run formation: one contiguous block per run, sorted
     // locally with the chosen molecule.
-    let runs: Vec<Vec<(u32, u32)>> = pool.map_tasks(runs_n, |r| {
+    let mut runs: Vec<Vec<(u32, u32)>> = map_tasks(pool, runs_n, |r| {
         let (start, end) = (bounds[r], bounds[r + 1]);
         let mut pairs: Vec<(u32, u32)> = keys[start..end]
             .iter()
@@ -96,9 +100,9 @@ pub fn parallel_sort_index(
         }
         pairs
     })?;
-    if runs_n == 1 {
-        return Ok((runs.into_iter().next().unwrap_or_default(), stats));
-    }
+    let Some(pool) = pool.filter(|_| runs_n > 1) else {
+        return Ok((runs.pop().unwrap_or_default(), stats));
+    };
 
     // Phase 2 — Merge Path merge: each worker fills one contiguous,
     // disjoint range of a single preallocated output directly (no
@@ -151,10 +155,10 @@ pub fn parallel_sort_index(
 }
 
 /// Indices that would sort `keys` ascending, equal keys in input order —
-/// the parallel twin of [`dqo_exec::sort::argsort`], bit-identical to it
-/// at every DOP and for any segment `bounds` (see [`parallel_sort_index`]).
+/// bit-identical to [`dqo_exec::sort::argsort`] with or without a pool and
+/// for any segment `bounds` (see [`parallel_sort_index`]).
 pub fn parallel_argsort(
-    pool: &ThreadPool,
+    pool: Option<&ThreadPool>,
     keys: &[u32],
     molecule: SortMolecule,
     bounds: &[usize],
@@ -163,74 +167,71 @@ pub fn parallel_argsort(
     Ok((pairs.into_iter().map(|(_, row)| row).collect(), stats))
 }
 
-/// The first `n` entries of [`parallel_argsort`] — the parallel twin of
-/// [`dqo_exec::sort::top_n`]: every morsel keeps its own `n` smallest
-/// `(key, row)` pairs, and their union is cut to `n` once more. Because
-/// `(key, row)` is a total order, the result is the serial kernel's at
-/// every DOP and morsel size. Both cuts are accounted as breakers.
+/// The first `n` entries of [`parallel_argsort`]: every piece keeps its
+/// own `n` smallest `(key, row)` pairs, sorted. With no `pool` the caller
+/// cuts one piece, all of `keys`; on a pool each morsel of `morsel_rows`
+/// is a piece, and their union is cut to `n` once more. Because
+/// `(key, row)` is a total order, the result is the same at every DOP and
+/// morsel size. The cut over the input is a breaker; on a pool the second
+/// cut is one more.
 pub fn parallel_top_n(
-    pool: &ThreadPool,
+    pool: Option<&ThreadPool>,
     keys: &[u32],
     n: usize,
     morsel_rows: usize,
 ) -> Result<(Vec<u32>, PipelineStats), PoolError> {
-    let kept = pool.map_morsels(keys.len(), morsel_rows, |m| {
+    let pieces = morsels(keys.len(), pool.map_or(usize::MAX, |_| morsel_rows));
+    let mut kept = map_tasks(pool, pieces.len(), |t| {
+        let m = pieces[t];
         let mut pairs: Vec<(u32, u32)> = m.of(keys).iter().copied().zip(m.start as u32..).collect();
         keep_smallest(&mut pairs, n);
         pairs
     })?;
-    let mut pairs = kept.concat();
     let mut stats = PipelineStats::default();
     stats.record(Blocking::FullBreaker, keys.len() as u64);
-    stats.record(Blocking::FullBreaker, pairs.len() as u64);
-    keep_smallest(&mut pairs, n);
+    let pairs = match pool {
+        None => kept.pop().unwrap_or_default(),
+        Some(_) => {
+            let mut pairs = kept.concat();
+            stats.record(Blocking::FullBreaker, pairs.len() as u64);
+            keep_smallest(&mut pairs, n);
+            pairs
+        }
+    };
     Ok((pairs.into_iter().map(|(_, row)| row).collect(), stats))
 }
 
-/// Parallel SOG: parallel sort of the grouping key (one run per segment
-/// of `bounds`, see [`parallel_sort_index`]), then range-parallel run
-/// aggregation with deterministic run-boundary stitching. Requires a
-/// decomposable aggregate (merging the two partial states of a group
-/// split across a range boundary must be exact) — true for
-/// COUNT/SUM/MIN/MAX/AVG, which is all the engine plans in parallel.
-/// Output keys ascend; the result equals serial
-/// [`dqo_exec::grouping::sog::sort_order_grouping`] bit for bit.
+/// SOG: sort the grouping key (see [`parallel_sort_index`]), then
+/// aggregate the runs of the sorted pairs range by range and stitch the
+/// ranges' boundary groups. Requires a decomposable aggregate (merging
+/// the two partial states of a group split across a range boundary must
+/// be exact) — true for COUNT/SUM/MIN/MAX/AVG, which is all the engine
+/// plans. With no `pool` the caller sorts one run and aggregates one
+/// range, and the sort is the only breaker. Output keys ascend; the result
+/// equals [`dqo_exec::grouping::sog::sort_order_grouping`] bit for bit.
 pub fn parallel_sog<A: Aggregator>(
-    pool: &ThreadPool,
+    pool: Option<&ThreadPool>,
     keys: &[u32],
     values: &[u32],
     agg: A,
     molecule: SortMolecule,
     bounds: &[usize],
 ) -> Result<(GroupedResult<A::State>, PipelineStats), ExecError> {
-    assert!(
-        A::IS_DECOMPOSABLE,
-        "parallel SOG requires a decomposable aggregate"
-    );
+    assert!(A::IS_DECOMPOSABLE, "SOG requires a decomposable aggregate");
     if keys.len() != values.len() {
         return Err(ExecError::LengthMismatch {
             keys: keys.len(),
             values: values.len(),
         });
     }
-    let (sorted, stats) = parallel_sort_index(pool, keys, molecule, bounds)?;
-    sog_finish(pool, values, agg, sorted, stats)
-}
-
-fn sog_finish<A: Aggregator>(
-    pool: &ThreadPool,
-    values: &[u32],
-    agg: A,
-    sorted: Vec<(u32, u32)>,
-    mut stats: PipelineStats,
-) -> Result<(GroupedResult<A::State>, PipelineStats), ExecError> {
+    let (sorted, mut stats) = parallel_sort_index(pool, keys, molecule, bounds)?;
     let n = sorted.len();
-    let parts = pool.threads().min(n.max(1));
+    let parts = pool.map_or(1, ThreadPool::threads).min(n.max(1));
     let bounds: Vec<usize> = (0..=parts).map(|w| w * n / parts).collect();
 
-    // Range-parallel OG core: every worker aggregates the runs inside its
+    // The OG core per range: every task aggregates the runs inside its
     // contiguous range of the sorted pairs.
-    let segments: Vec<(Vec<u32>, Vec<A::State>)> = pool.map_tasks(parts, |w| {
+    let segments: Vec<(Vec<u32>, Vec<A::State>)> = map_tasks(pool, parts, |w| {
         let mut seg_keys: Vec<u32> = Vec::new();
         let mut seg_states: Vec<A::State> = Vec::new();
         for &(k, row) in &sorted[bounds[w]..bounds[w + 1]] {
@@ -268,7 +269,9 @@ fn sog_finish<A: Aggregator>(
             states.push(s);
         }
     }
-    stats.record(Blocking::FullBreaker, keys_out.len() as u64);
+    if pool.is_some() {
+        stats.record(Blocking::FullBreaker, keys_out.len() as u64);
+    }
     Ok((
         GroupedResult {
             keys: keys_out,
@@ -279,28 +282,33 @@ fn sog_finish<A: Aggregator>(
     ))
 }
 
-/// Parallel SOJ: parallel sort of both inputs into canonical (key, row)
-/// views — the **left (build) side** with one run per segment of
-/// `left_bounds` (see [`parallel_sort_index`]) — then a range-partitioned
-/// merge join: the sorted left view is cut into contiguous partitions
-/// **aligned to key boundaries** (no key run is ever split), each worker
-/// binary-searches the right view for its partition's key range and runs
-/// the serial merge kernel, and chunks concatenate in partition order.
-/// Output pairs equal serial [`dqo_exec::join::soj::sort_merge_join`] bit
-/// for bit at every DOP.
+/// SOJ: sort both inputs into canonical (key, row) views — the **left
+/// (build) side** with one run per segment of `left_bounds` (see
+/// [`parallel_sort_index`]) — then a range-partitioned merge join: the
+/// sorted left view is cut into contiguous partitions **aligned to key
+/// boundaries** (no key run is ever split), each task binary-searches the
+/// right view for its partition's key range and runs the merge kernel,
+/// and chunks concatenate in partition order. With no `pool` there is one
+/// partition, and the join over both sides is the only breaker (on a
+/// pool each side's sort records its own). Output pairs equal
+/// [`dqo_exec::join::soj::sort_merge_join`] bit for bit at every DOP.
 pub fn parallel_sort_merge_join(
-    pool: &ThreadPool,
+    pool: Option<&ThreadPool>,
     left: &[u32],
     right: &[u32],
     molecule: SortMolecule,
     left_bounds: &[usize],
 ) -> Result<(JoinResult, PipelineStats), ExecError> {
-    let (ls, mut stats) = parallel_sort_index(pool, left, molecule, left_bounds)?;
+    let (ls, left_stats) = parallel_sort_index(pool, left, molecule, left_bounds)?;
     let (rs, right_stats) = parallel_sort_index(pool, right, molecule, &[])?;
-    stats.merge(&right_stats);
+    let mut stats = PipelineStats::default();
+    if pool.is_some() {
+        stats.merge(&left_stats);
+        stats.merge(&right_stats);
+    }
 
     let n = ls.len();
-    let parts = pool.threads().min(n.max(1));
+    let parts = pool.map_or(1, ThreadPool::threads).min(n.max(1));
     // Candidate boundaries at even positions, advanced past the current
     // key run so partitions own disjoint key ranges.
     let mut bounds: Vec<usize> = Vec::with_capacity(parts + 1);
@@ -314,7 +322,7 @@ pub fn parallel_sort_merge_join(
     }
     bounds.push(n);
 
-    let chunks: Vec<JoinResult> = pool.map_tasks(parts, |w| {
+    let chunks: Vec<JoinResult> = map_tasks(pool, parts, |w| {
         let (a, b) = (bounds[w], bounds[w + 1]);
         if a >= b {
             return JoinResult::default();
@@ -326,15 +334,15 @@ pub fn parallel_sort_merge_join(
     })?;
     stats.record(Blocking::FullBreaker, (n + right.len()) as u64);
 
-    let mut result = JoinResult {
-        left_rows: Vec::new(),
-        right_rows: Vec::new(),
-        sorted_by_key: true,
-    };
-    for chunk in chunks {
-        result.left_rows.extend_from_slice(&chunk.left_rows);
-        result.right_rows.extend_from_slice(&chunk.right_rows);
-    }
+    let mut result = chunks
+        .into_iter()
+        .reduce(|mut all, chunk| {
+            all.left_rows.extend_from_slice(&chunk.left_rows);
+            all.right_rows.extend_from_slice(&chunk.right_rows);
+            all
+        })
+        .unwrap_or_default();
+    result.sorted_by_key = true;
     Ok((result, stats))
 }
 
@@ -358,8 +366,68 @@ mod tests {
             let pool = ThreadPool::new(threads);
             for morsel in [64, 1_000, 1 << 16] {
                 for n in [0, 1, 100, 541, 19_999] {
-                    let (top, _) = parallel_top_n(&pool, &keys, n, morsel).unwrap();
+                    let (top, _) = parallel_top_n(Some(&pool), &keys, n, morsel).unwrap();
                     assert_eq!(top, full[..n], "threads={threads} morsel={morsel} n={n}");
+                }
+            }
+        }
+    }
+
+    /// The inputs every caller-thread leg runs over: empty, one row,
+    /// heavily tied keys spanning several morsels, and wide keys.
+    fn inputs() -> Vec<Vec<u32>> {
+        vec![
+            vec![],
+            vec![42],
+            dataset(20_000, 37, 5),
+            dataset(9_000, u32::MAX, 3),
+        ]
+    }
+
+    #[test]
+    fn caller_thread_sort_and_top_n_match_the_stable_argsort() {
+        for keys in inputs() {
+            let full = argsort(&keys);
+            let len = keys.len();
+            // Partition bounds are ignored without a pool: one run.
+            let segments = [0, len / 3, len / 3, len];
+            for molecule in MOLECULES {
+                for bounds in [&[][..], &segments[..]] {
+                    let (order, stats) = parallel_argsort(None, &keys, molecule, bounds).unwrap();
+                    assert_eq!(order, full, "len={len} {molecule:?} bounds={bounds:?}");
+                    assert_eq!((stats.breakers, stats.materialised_rows), (1, len as u64));
+                }
+            }
+            for n in [0, 1, 100, len.saturating_sub(1), len, len + 5] {
+                let (top, stats) = parallel_top_n(None, &keys, n, 64).unwrap();
+                assert_eq!(top, full[..n.min(len)], "len={len} n={n}");
+                assert_eq!((stats.breakers, stats.materialised_rows), (1, len as u64));
+            }
+        }
+    }
+
+    #[test]
+    fn caller_thread_sog_and_soj_match_the_dqo_exec_kernels() {
+        for keys in inputs() {
+            let len = keys.len();
+            let vals: Vec<u32> = keys.iter().map(|k| k.wrapping_mul(7) % 1000).collect();
+            for molecule in MOLECULES {
+                let (sog, stats) =
+                    parallel_sog(None, &keys, &vals, CountSum, molecule, &[0, len]).unwrap();
+                assert_eq!(sog, sort_order_grouping(&keys, &vals, CountSum, molecule));
+                assert_eq!((stats.breakers, stats.materialised_rows), (1, len as u64));
+            }
+            for right in [vec![], vec![42], dataset(3_000, 40, 2)] {
+                let expect = sort_merge_join(&keys, &right);
+                for molecule in MOLECULES {
+                    let (soj, stats) =
+                        parallel_sort_merge_join(None, &keys, &right, molecule, &[0, len]).unwrap();
+                    let ctx = format!("left={len} right={} {molecule:?}", right.len());
+                    assert_eq!(soj.left_rows, expect.left_rows, "{ctx}");
+                    assert_eq!(soj.right_rows, expect.right_rows, "{ctx}");
+                    assert!(soj.sorted_by_key);
+                    let both = (len + right.len()) as u64;
+                    assert_eq!((stats.breakers, stats.materialised_rows), (1, both));
                 }
             }
         }
@@ -380,7 +448,7 @@ mod tests {
         for molecule in MOLECULES {
             for threads in [1, 2, 8] {
                 let pool = ThreadPool::new(threads);
-                let (par, stats) = parallel_argsort(&pool, &keys, molecule, &[]).unwrap();
+                let (par, stats) = parallel_argsort(Some(&pool), &keys, molecule, &[]).unwrap();
                 assert_eq!(par, serial, "threads={threads} {molecule:?}");
                 assert!(stats.breakers >= 1);
             }
@@ -391,7 +459,8 @@ mod tests {
     fn sorted_pairs_are_fully_ordered_and_a_permutation() {
         let keys = dataset(50_000, 1 << 20, 9);
         let pool = ThreadPool::new(4);
-        let (pairs, _) = parallel_sort_index(&pool, &keys, SortMolecule::Comparison, &[]).unwrap();
+        let (pairs, _) =
+            parallel_sort_index(Some(&pool), &keys, SortMolecule::Comparison, &[]).unwrap();
         assert_eq!(pairs.len(), keys.len());
         assert!(pairs.windows(2).all(|w| w[0] < w[1]), "total order");
         let mut rows: Vec<u32> = pairs.iter().map(|p| p.1).collect();
@@ -407,17 +476,18 @@ mod tests {
         // Partition-style run bounds: uneven, with an empty segment.
         let bounds = [0usize, 9_001, 9_001, 17_432, 60_000];
         for molecule in MOLECULES {
-            let (par, _) = parallel_argsort(&pool, &keys, molecule, &bounds).unwrap();
+            let (par, _) = parallel_argsort(Some(&pool), &keys, molecule, &bounds).unwrap();
             assert_eq!(par, serial, "{molecule:?}");
         }
         // Degenerate bounds fall back to the even split.
-        let (par, _) = parallel_argsort(&pool, &keys, SortMolecule::Comparison, &[3, 7]).unwrap();
+        let (par, _) =
+            parallel_argsort(Some(&pool), &keys, SortMolecule::Comparison, &[3, 7]).unwrap();
         assert_eq!(par, serial);
 
         let vals = dataset(60_000, 900, 8);
         let serial_sog = sort_order_grouping(&keys, &vals, CountSum, SortMolecule::Comparison);
         let (sog, _) = parallel_sog(
-            &pool,
+            Some(&pool),
             &keys,
             &vals,
             CountSum,
@@ -429,9 +499,14 @@ mod tests {
 
         let right = dataset(10_000, 40, 2);
         let serial_soj = sort_merge_join(&keys, &right);
-        let (soj, _) =
-            parallel_sort_merge_join(&pool, &keys, &right, SortMolecule::Comparison, &bounds)
-                .unwrap();
+        let (soj, _) = parallel_sort_merge_join(
+            Some(&pool),
+            &keys,
+            &right,
+            SortMolecule::Comparison,
+            &bounds,
+        )
+        .unwrap();
         assert_eq!(soj.left_rows, serial_soj.left_rows);
         assert_eq!(soj.right_rows, serial_soj.right_rows);
     }
@@ -440,8 +515,9 @@ mod tests {
     fn molecules_agree() {
         let keys = dataset(30_000, 1000, 1);
         let pool = ThreadPool::new(8);
-        let (a, _) = parallel_sort_index(&pool, &keys, SortMolecule::Comparison, &[]).unwrap();
-        let (b, _) = parallel_sort_index(&pool, &keys, SortMolecule::Radix, &[]).unwrap();
+        let (a, _) =
+            parallel_sort_index(Some(&pool), &keys, SortMolecule::Comparison, &[]).unwrap();
+        let (b, _) = parallel_sort_index(Some(&pool), &keys, SortMolecule::Radix, &[]).unwrap();
         assert_eq!(a, b);
     }
 
@@ -454,7 +530,7 @@ mod tests {
             for threads in [1, 2, 8] {
                 let pool = ThreadPool::new(threads);
                 let (par, stats) =
-                    parallel_sog(&pool, &keys, &vals, CountSum, molecule, &[]).unwrap();
+                    parallel_sog(Some(&pool), &keys, &vals, CountSum, molecule, &[]).unwrap();
                 assert_eq!(par, serial, "threads={threads} {molecule:?}");
                 assert!(par.sorted_by_key);
                 assert!(stats.breakers >= 2, "sort + group breakers");
@@ -469,8 +545,15 @@ mod tests {
         let keys = vec![7u32; 50_000];
         let vals: Vec<u32> = (0..50_000).map(|i| (i % 100) as u32).collect();
         let pool = ThreadPool::new(8);
-        let (r, _) =
-            parallel_sog(&pool, &keys, &vals, CountSum, SortMolecule::Comparison, &[]).unwrap();
+        let (r, _) = parallel_sog(
+            Some(&pool),
+            &keys,
+            &vals,
+            CountSum,
+            SortMolecule::Comparison,
+            &[],
+        )
+        .unwrap();
         assert_eq!(r.keys, vec![7]);
         assert_eq!(r.states[0].count, 50_000);
         assert_eq!(
@@ -488,7 +571,7 @@ mod tests {
             for threads in [1, 2, 8] {
                 let pool = ThreadPool::new(threads);
                 let (par, _) =
-                    parallel_sort_merge_join(&pool, &left, &right, molecule, &[]).unwrap();
+                    parallel_sort_merge_join(Some(&pool), &left, &right, molecule, &[]).unwrap();
                 // Bit-identical: same pairs in the same emission order.
                 assert_eq!(par.left_rows, serial.left_rows, "threads={threads}");
                 assert_eq!(par.right_rows, serial.right_rows, "threads={threads}");
@@ -506,7 +589,8 @@ mod tests {
         let serial = sort_merge_join(&left, &right);
         let pool = ThreadPool::new(8);
         let (par, _) =
-            parallel_sort_merge_join(&pool, &left, &right, SortMolecule::Comparison, &[]).unwrap();
+            parallel_sort_merge_join(Some(&pool), &left, &right, SortMolecule::Comparison, &[])
+                .unwrap();
         assert_eq!(par.left_rows, serial.left_rows);
         assert_eq!(par.right_rows, serial.right_rows);
     }
@@ -514,18 +598,22 @@ mod tests {
     #[test]
     fn empty_and_tiny_inputs() {
         let pool = ThreadPool::new(4);
-        let (pairs, _) = parallel_sort_index(&pool, &[], SortMolecule::Comparison, &[]).unwrap();
+        let (pairs, _) =
+            parallel_sort_index(Some(&pool), &[], SortMolecule::Comparison, &[]).unwrap();
         assert!(pairs.is_empty());
-        let (r, _) = parallel_sog(&pool, &[], &[], CountSum, SortMolecule::Radix, &[]).unwrap();
+        let (r, _) =
+            parallel_sog(Some(&pool), &[], &[], CountSum, SortMolecule::Radix, &[]).unwrap();
         assert!(r.is_empty());
         assert!(r.sorted_by_key);
         let (j, _) =
-            parallel_sort_merge_join(&pool, &[], &[1, 2], SortMolecule::Comparison, &[]).unwrap();
+            parallel_sort_merge_join(Some(&pool), &[], &[1, 2], SortMolecule::Comparison, &[])
+                .unwrap();
         assert!(j.is_empty());
         let (j, _) =
-            parallel_sort_merge_join(&pool, &[1], &[1], SortMolecule::Comparison, &[]).unwrap();
+            parallel_sort_merge_join(Some(&pool), &[1], &[1], SortMolecule::Comparison, &[])
+                .unwrap();
         assert_eq!(j.len(), 1);
-        let (one, _) = parallel_sort_index(&pool, &[42], SortMolecule::Radix, &[]).unwrap();
+        let (one, _) = parallel_sort_index(Some(&pool), &[42], SortMolecule::Radix, &[]).unwrap();
         assert_eq!(one, vec![(42, 0)]);
     }
 
@@ -534,7 +622,7 @@ mod tests {
         let pool = ThreadPool::new(2);
         assert!(matches!(
             parallel_sog(
-                &pool,
+                Some(&pool),
                 &[1, 2],
                 &[1],
                 CountSum,
@@ -549,10 +637,11 @@ mod tests {
     fn repeated_runs_are_identical() {
         let keys = dataset(120_000, 64, 77);
         let pool = ThreadPool::new(8);
-        let (first, _) = parallel_sort_index(&pool, &keys, SortMolecule::Comparison, &[]).unwrap();
+        let (first, _) =
+            parallel_sort_index(Some(&pool), &keys, SortMolecule::Comparison, &[]).unwrap();
         for _ in 0..3 {
             let (again, _) =
-                parallel_sort_index(&pool, &keys, SortMolecule::Comparison, &[]).unwrap();
+                parallel_sort_index(Some(&pool), &keys, SortMolecule::Comparison, &[]).unwrap();
             assert_eq!(again, first);
         }
     }

@@ -4,15 +4,16 @@
 //! thread counts 1/2/8 — and identical output byte-for-byte across
 //! repeated runs of the same query at the same thread count.
 
-use dqo::core::av::{materialise_av, AvArtifact, AvKind, AvSignature};
+use dqo::core::av::{materialise_av, plan_av, AvArtifact, AvKind, AvSignature};
 use dqo::core::avsp::{self, Solver, WorkloadQuery};
+use dqo::core::catalog::TableEntry;
 use dqo::core::executor::sorted_rows;
 use dqo::exec::aggregate::CountSum;
-use dqo::exec::grouping::hg::HgTable;
+use dqo::exec::grouping::hg::{hash_grouping_chaining, HgTable};
 use dqo::exec::grouping::sog::sort_order_grouping;
 use dqo::exec::grouping::{execute_grouping, GroupingAlgorithm, GroupingHints};
 use dqo::exec::join::soj::sort_merge_join;
-use dqo::exec::join::{execute_join, JoinAlgorithm, JoinHints};
+use dqo::exec::join::{execute_join, JoinAlgorithm, JoinHints, JoinIndex};
 use dqo::exec::sort::argsort;
 use dqo::parallel::{
     parallel_argsort, parallel_grouping, parallel_sog, parallel_sort_merge_join, GroupingStrategy,
@@ -22,6 +23,8 @@ use dqo::plan::SortMolecule;
 use dqo::storage::datagen::{zipf_keys, DatasetSpec, ForeignKeySpec};
 use dqo::storage::Value;
 use dqo::{Dqo, OptimizerMode};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -94,7 +97,7 @@ fn grouping_matches_serial_under_skew() {
                 .chain([sph])
             {
                 let (par, _) = parallel_grouping(
-                    &pool,
+                    Some(&pool),
                     &keys,
                     &keys,
                     CountSum,
@@ -234,7 +237,7 @@ fn parallel_sort_bit_identical_to_stable_argsort() {
             for threads in THREAD_COUNTS {
                 for molecule in [SortMolecule::Comparison, SortMolecule::Radix] {
                     let pool = ThreadPool::new(threads);
-                    let (par, _) = parallel_argsort(&pool, &keys, molecule, &[]).unwrap();
+                    let (par, _) = parallel_argsort(Some(&pool), &keys, molecule, &[]).unwrap();
                     assert_eq!(
                         par, reference,
                         "seed={seed} exponent={exponent} threads={threads} {molecule:?}"
@@ -254,9 +257,15 @@ fn sog_bit_identical_across_dop_seeds_and_skew() {
             let serial = sort_order_grouping(&keys, &vals, CountSum, SortMolecule::Comparison);
             for threads in THREAD_COUNTS {
                 let pool = ThreadPool::new(threads);
-                let (par, _) =
-                    parallel_sog(&pool, &keys, &vals, CountSum, SortMolecule::Comparison, &[])
-                        .unwrap();
+                let (par, _) = parallel_sog(
+                    Some(&pool),
+                    &keys,
+                    &vals,
+                    CountSum,
+                    SortMolecule::Comparison,
+                    &[],
+                )
+                .unwrap();
                 // Full structural equality, not sorted-set equality: keys,
                 // states and the sortedness property all match.
                 assert_eq!(
@@ -277,9 +286,14 @@ fn soj_bit_identical_across_dop_seeds_and_skew() {
             let serial = sort_merge_join(&left, &right);
             for threads in THREAD_COUNTS {
                 let pool = ThreadPool::new(threads);
-                let (par, _) =
-                    parallel_sort_merge_join(&pool, &left, &right, SortMolecule::Comparison, &[])
-                        .unwrap();
+                let (par, _) = parallel_sort_merge_join(
+                    Some(&pool),
+                    &left,
+                    &right,
+                    SortMolecule::Comparison,
+                    &[],
+                )
+                .unwrap();
                 // Bit-identical emission order, not just the same pair set.
                 assert_eq!(
                     par.left_rows, serial.left_rows,
@@ -362,7 +376,7 @@ fn assert_relations_identical(a: &dqo::Relation, b: &dqo::Relation, ctx: &str) {
     }
 }
 
-/// Compare a parallel AV artifact against the serial reference.
+/// Compare an AV artifact against the reference.
 fn assert_artifacts_identical(par: AvArtifact, serial: AvArtifact, ctx: &str) {
     match (par, serial) {
         (AvArtifact::SortedProjection(p), AvArtifact::SortedProjection(s))
@@ -374,6 +388,93 @@ fn assert_artifacts_identical(par: AvArtifact, serial: AvArtifact, ctx: &str) {
     }
 }
 
+/// `sig`'s artifact over `entry` and its byte size, built from
+/// `dqo-exec`'s kernels alone, never through `materialise_av`: `argsort`
+/// then `Relation::gather`, `JoinIndex::identity`, `hash_grouping_chaining`
+/// then `sort_by_key`. A composite key sorts its tuples (ties by row) and
+/// groups them in a `BTreeMap`, summing the first key column.
+fn reference_artifact(entry: &TableEntry, sig: &AvSignature) -> (AvArtifact, usize) {
+    use dqo::storage::{Column, DataType, Field, Relation, Schema};
+    let base = &entry.relation;
+    let names = sig.key_columns();
+    let cols: Vec<&[u32]> = names
+        .iter()
+        .map(|n| base.column(n).unwrap().as_u32().unwrap())
+        .collect();
+    let planned = plan_av(entry, sig).unwrap().byte_size;
+    let tuple = |row: usize| cols.iter().map(|c| c[row]).collect::<Vec<u32>>();
+    let artifact = match (sig.kind, &cols[..]) {
+        (AvKind::SortedProjection, [keys]) => {
+            AvArtifact::SortedProjection(Arc::new(base.gather(&argsort(keys))))
+        }
+        (AvKind::SortedProjection, _) => {
+            let mut order: Vec<u32> = (0..base.rows() as u32).collect();
+            order.sort_by_key(|&row| tuple(row as usize));
+            AvArtifact::SortedProjection(Arc::new(base.gather(&order)))
+        }
+        (AvKind::SphIndex, [keys]) => {
+            let props = entry.column_props[&sig.column];
+            let index = JoinIndex::identity(keys, props.min, props.max).unwrap();
+            let bytes = index.byte_size();
+            return (AvArtifact::SphIndex(Arc::new(index)), bytes);
+        }
+        (AvKind::MaterialisedGrouping, [keys]) => {
+            let mut g = hash_grouping_chaining(keys, keys, CountSum, keys.len().min(1 << 20));
+            g.sort_by_key();
+            let schema = Schema::new(vec![
+                Field::new(&sig.column, DataType::U32),
+                Field::new("count", DataType::U64),
+                Field::new("sum", DataType::U64),
+            ])
+            .unwrap();
+            let counts = g.states.iter().map(|s| s.count).collect();
+            let sums = g.states.iter().map(|s| s.sum).collect();
+            let columns = vec![Column::U32(g.keys), Column::U64(counts), Column::U64(sums)];
+            AvArtifact::MaterialisedGrouping(Arc::new(Relation::new(schema, columns).unwrap()))
+        }
+        (AvKind::MaterialisedGrouping, _) => {
+            let mut groups: BTreeMap<Vec<u32>, (u64, u64)> = BTreeMap::new();
+            for (row, &first) in cols[0].iter().enumerate() {
+                let group = groups.entry(tuple(row)).or_default();
+                group.0 += 1;
+                group.1 += u64::from(first);
+            }
+            let mut fields = Vec::new();
+            let mut columns = Vec::new();
+            for (i, name) in names.iter().enumerate() {
+                let data: Vec<u32> = groups.keys().map(|k| k[i]).collect();
+                let dtype = base.schema().field(name).unwrap().data_type;
+                fields.push(Field::new(*name, dtype));
+                columns.push(match dtype {
+                    DataType::Str => Column::Str(data),
+                    _ => Column::U32(data),
+                });
+            }
+            fields.push(Field::new("count", DataType::U64));
+            fields.push(Field::new("sum", DataType::U64));
+            columns.push(Column::U64(groups.values().map(|g| g.0).collect()));
+            columns.push(Column::U64(groups.values().map(|g| g.1).collect()));
+            let rel = Relation::new(Schema::new(fields).unwrap(), columns).unwrap();
+            AvArtifact::MaterialisedGrouping(Arc::new(rel))
+        }
+        (kind, _) => panic!("no composite {kind}"),
+    };
+    (artifact, planned)
+}
+
+/// Build `sig` over `entry` with no pool and on pools of 1, 2 and 8
+/// workers, and check every build against [`reference_artifact`].
+fn check_av_builds(entry: &TableEntry, sig: &AvSignature, ctx: &str) {
+    let (expect, bytes) = reference_artifact(entry, sig);
+    let pools = THREAD_COUNTS.map(ThreadPool::new);
+    for leg in std::iter::once(None).chain(pools.iter().map(Some)) {
+        let av = materialise_av(entry, sig, leg).unwrap();
+        let ctx = format!("{ctx} threads={:?}", leg.map(ThreadPool::threads));
+        assert_eq!(av.byte_size, bytes, "{ctx}");
+        assert_artifacts_identical(av.artifact.unwrap(), expect.clone(), &ctx);
+    }
+}
+
 const AV_KINDS: [AvKind; 3] = [
     AvKind::SortedProjection,
     AvKind::SphIndex,
@@ -382,11 +483,13 @@ const AV_KINDS: [AvKind; 3] = [
 
 #[test]
 fn av_builds_bit_identical_across_dop_seeds_and_skew() {
-    // The offline-AV story meets the parallel runtime: every AV kind
-    // built through the pool must equal the serial materialisation bit
-    // for bit — across DOPs, datagen seeds and Zipf-skewed key columns
-    // (where morsel histograms and gather chunks are maximally
-    // unbalanced).
+    // The offline-AV story meets the parallel runtime: every AV kind,
+    // built with no pool and through pools of 2 and 8 workers, must equal
+    // the reference built from `dqo-exec`'s kernels bit for bit — across
+    // datagen seeds and Zipf-skewed key columns (where morsel histograms
+    // and gather chunks are maximally unbalanced). `wide` holds the same
+    // keys spread over `u32`, so its grouping runs HG, whose one table on
+    // the caller thread drains unsorted.
     for seed in [11u64, 0xAB] {
         for exponent in [0.0f64, 0.9, 1.4] {
             let keys = if exponent == 0.0 {
@@ -400,9 +503,11 @@ fn av_builds_bit_identical_across_dop_seeds_and_skew() {
                 zipf_keys(60_000, 256, exponent, seed)
             };
             let payload: Vec<u32> = (0..keys.len() as u32).rev().collect();
+            let wide: Vec<u32> = keys.iter().map(|k| k.wrapping_mul(0x9E37_79B1)).collect();
             let schema = dqo::storage::Schema::new(vec![
                 dqo::storage::Field::new("key", dqo::storage::DataType::U32),
                 dqo::storage::Field::new("val", dqo::storage::DataType::U32),
+                dqo::storage::Field::new("wide", dqo::storage::DataType::U32),
             ])
             .unwrap();
             let rel = dqo::Relation::new(
@@ -410,25 +515,23 @@ fn av_builds_bit_identical_across_dop_seeds_and_skew() {
                 vec![
                     dqo::storage::Column::U32(keys),
                     dqo::storage::Column::U32(payload),
+                    dqo::storage::Column::U32(wide),
                 ],
             )
             .unwrap();
             let entry = dqo::Catalog::new().register("t", rel);
             for kind in AV_KINDS {
                 let sig = AvSignature::new("t", "key", kind);
-                let serial = materialise_av(&entry, &sig, None).unwrap();
-                for threads in THREAD_COUNTS {
-                    let pool = ThreadPool::new(threads);
-                    let par = materialise_av(&entry, &sig, Some(&pool)).unwrap();
-                    let ctx =
-                        format!("seed={seed} exponent={exponent} threads={threads} kind={kind}");
-                    assert_eq!(par.byte_size, serial.byte_size, "{ctx}");
-                    assert_artifacts_identical(
-                        par.artifact.unwrap(),
-                        serial.artifact.clone().unwrap(),
-                        &ctx,
-                    );
-                }
+                check_av_builds(
+                    &entry,
+                    &sig,
+                    &format!("seed={seed} exponent={exponent} {kind}"),
+                );
+            }
+            for kind in [AvKind::SortedProjection, AvKind::MaterialisedGrouping] {
+                let sig = AvSignature::new("t", "wide", kind);
+                let ctx = format!("seed={seed} exponent={exponent} wide {kind}");
+                check_av_builds(&entry, &sig, &ctx);
             }
         }
     }
@@ -437,23 +540,14 @@ fn av_builds_bit_identical_across_dop_seeds_and_skew() {
 #[test]
 fn av_builds_handle_degenerate_columns_at_every_dop() {
     // Empty and single-row key columns carry degenerate min/max stats;
-    // all three kinds must still produce well-formed artifacts, at every
-    // DOP, identical to the serial build.
+    // all three kinds must still produce well-formed artifacts, with and
+    // without a pool, identical to the reference.
     for data in [vec![], vec![7u32]] {
         let cat = dqo::Catalog::new();
         let entry = cat.register("t", dqo::Relation::single_u32("key", data.clone()));
         for kind in AV_KINDS {
             let sig = AvSignature::new("t", "key", kind);
-            let serial = materialise_av(&entry, &sig, None).unwrap();
-            for threads in THREAD_COUNTS {
-                let pool = ThreadPool::new(threads);
-                let par = materialise_av(&entry, &sig, Some(&pool)).unwrap();
-                assert_artifacts_identical(
-                    par.artifact.unwrap(),
-                    serial.artifact.clone().unwrap(),
-                    &format!("rows={} threads={threads} kind={kind}", data.len()),
-                );
-            }
+            check_av_builds(&entry, &sig, &format!("rows={} kind={kind}", data.len()));
         }
     }
 }
@@ -878,8 +972,8 @@ fn multi_column_grouping_degenerate_tables_match_across_threads() {
 #[test]
 fn composite_av_builds_bit_identical_across_dop() {
     // Composite-key AVs (sorted projection + materialised grouping over
-    // `cat+key`) built through the pool equal the serial materialisation
-    // bit for bit at every DOP — including degenerate bases.
+    // `cat+key`), built with and without a pool, equal the reference bit
+    // for bit — including degenerate bases.
     let keys: Vec<String> = vec!["cat".into(), "key".into()];
     for (name, rel) in [
         ("mixed", mixed_relation(60_000, 64, 31, 1.2)),
@@ -889,16 +983,7 @@ fn composite_av_builds_bit_identical_across_dop() {
         for kind in [AvKind::SortedProjection, AvKind::MaterialisedGrouping] {
             let sig = AvSignature::composite("m", &keys, kind);
             let entry = dqo::Catalog::new().register("m", rel.clone());
-            let serial = materialise_av(&entry, &sig, None).unwrap();
-            for threads in THREAD_COUNTS {
-                let pool = ThreadPool::new(threads);
-                let par = materialise_av(&entry, &sig, Some(&pool)).unwrap();
-                assert_artifacts_identical(
-                    par.artifact.clone().unwrap(),
-                    serial.artifact.clone().unwrap(),
-                    &format!("{name} {kind} threads={threads}"),
-                );
-            }
+            check_av_builds(&entry, &sig, &format!("{name} {kind}"));
         }
     }
     // Composite SPH join indexes are rejected at planning time.
