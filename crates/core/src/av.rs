@@ -39,14 +39,13 @@ use crate::error::CoreError;
 use crate::Result;
 use dqo_exec::aggregate::{CountSum, CountSumState};
 use dqo_exec::composite::{rowwise_group, unpack_grouped, KeyPacker};
-use dqo_exec::grouping::GroupedResult;
 use dqo_exec::join::JoinIndex;
 use dqo_parallel::{
     parallel_argsort, parallel_gather, parallel_grouping, parallel_sph_index_build,
     GroupingStrategy, ThreadPool, DEFAULT_MORSEL_ROWS,
 };
-use dqo_plan::{PlanProps, SortMolecule};
-use dqo_storage::{Column, DataType, Field, Relation, Schema, Sortedness};
+use dqo_plan::{AggExpr, AggFunc, PlanProps, SortMolecule};
+use dqo_storage::{Column, DataProps, DataType, Field, Relation, Schema, Sortedness};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
@@ -59,7 +58,8 @@ pub enum AvKind {
     SortedProjection,
     /// Prebuilt SPH join index on the key column (dense domains only).
     SphIndex,
-    /// Precomputed `GROUP BY key` with COUNT and SUM.
+    /// Precomputed `GROUP BY key` (one column or several) with the
+    /// aggregates of [`grouping_aggs`].
     MaterialisedGrouping,
 }
 
@@ -150,7 +150,7 @@ pub enum AvArtifact {
     SortedProjection(Arc<Relation>),
     /// Prebuilt SPH join index (an identity slot map) over the key column.
     SphIndex(Arc<JoinIndex>),
-    /// `(key, count, sum)` relation.
+    /// `(keys…, count, sum)` relation, in ascending key-tuple order.
     MaterialisedGrouping(Arc<Relation>),
 }
 
@@ -181,7 +181,7 @@ impl Av {
 /// the row count (SPH domain for indexes, distinct count for groupings,
 /// unused for sorted projections). The single source of truth for
 /// [`crate::cost::CostModel::parallel_av_build`] callers.
-pub fn build_shape(props: &dqo_storage::DataProps, kind: AvKind) -> (f64, f64) {
+pub fn build_shape(props: &DataProps, kind: AvKind) -> (f64, f64) {
     let shape = match kind {
         AvKind::SortedProjection => 0.0,
         AvKind::SphIndex => props.sph_domain().unwrap_or(0) as f64,
@@ -190,14 +190,14 @@ pub fn build_shape(props: &dqo_storage::DataProps, kind: AvKind) -> (f64, f64) {
     (props.rows as f64, shape)
 }
 
-/// Derive a composite key's statistics from its per-column `DataProps` —
-/// the **single source** for AV planning ([`signature_props`]) and the
-/// optimiser's composite grouping stats: the distinct count multiplies
-/// (capped by the row count), the packed range spans the mixed-radix
+/// Derive a composite key's statistics from its per-column `DataProps`
+/// (through `key_props`, the one helper AV planning and the optimiser's
+/// grouping rule read a key's statistics with): the distinct count
+/// multiplies (capped by the row count), the packed range spans the mixed-radix
 /// product, and the packed domain counts as dense only when every
 /// component is dense, the product fits `u32` **and** the resulting SPH
 /// array stays proportional to the data (≤ max(4·rows, 2¹⁶) slots).
-pub fn combine_composite_props(cols: &[dqo_storage::DataProps]) -> dqo_storage::DataProps {
+pub fn combine_composite_props(cols: &[DataProps]) -> DataProps {
     let mut rows = 0u64;
     let mut distinct: u128 = 1;
     let mut all_dense = true;
@@ -210,8 +210,8 @@ pub fn combine_composite_props(cols: &[dqo_storage::DataProps]) -> dqo_storage::
     let packable = composite_packs(cols);
     let bounded = span <= u128::from(rows.max(1)).saturating_mul(4).max(1 << 16);
     let distinct = u64::try_from(distinct).unwrap_or(u64::MAX).min(rows.max(1));
-    dqo_storage::DataProps {
-        sortedness: dqo_storage::Sortedness::Unsorted,
+    DataProps {
+        sortedness: Sortedness::Unsorted,
         density: if all_dense && packable && bounded {
             dqo_storage::Density::Dense
         } else {
@@ -226,7 +226,7 @@ pub fn combine_composite_props(cols: &[dqo_storage::DataProps]) -> dqo_storage::
 
 /// The size of a composite key's packed code domain: the product of its
 /// columns' value spans.
-fn composite_span(cols: &[dqo_storage::DataProps]) -> u128 {
+fn composite_span(cols: &[DataProps]) -> u128 {
     cols.iter()
         .map(|p| u128::from(p.sph_domain().unwrap_or(1).max(1)))
         .product()
@@ -235,19 +235,27 @@ fn composite_span(cols: &[dqo_storage::DataProps]) -> u128 {
 /// Whether composite keys within these columns' ranges pack into the
 /// `u32` code domain, as [`KeyPacker::fit`] requires — else the executor
 /// groups them with the serial row-wise kernel.
-pub(crate) fn composite_packs(cols: &[dqo_storage::DataProps]) -> bool {
+pub(crate) fn composite_packs(cols: &[DataProps]) -> bool {
     composite_span(cols) <= u128::from(u32::MAX) + 1
 }
 
-/// Statistics backing a signature, read from one table snapshot: the key
-/// column's `DataProps`, or — for composite signatures — the derived
-/// bundle of [`combine_composite_props`]. Taking the **entry** rather
-/// than the catalog is what keeps a build racing DDL coherent: a second
+/// A key's statistics from its columns' `DataProps`: one column's own, a
+/// composite's [`combine_composite_props`].
+pub(crate) fn key_props(cols: &[DataProps]) -> DataProps {
+    match cols {
+        [one] => *one,
+        _ => combine_composite_props(cols),
+    }
+}
+
+/// Statistics backing a signature, read from one table snapshot: its key
+/// columns' `key_props`. Taking the **entry** rather than the catalog is
+/// what keeps a build racing DDL coherent: a second
 /// catalog lookup could return a table registered in between, and the
 /// build would then run old keys against the new table's domain (an SPH
 /// kernel error instead of a superseded build).
-pub fn signature_props(entry: &TableEntry, sig: &AvSignature) -> Result<dqo_storage::DataProps> {
-    let cols: Vec<dqo_storage::DataProps> = sig
+pub fn signature_props(entry: &TableEntry, sig: &AvSignature) -> Result<DataProps> {
+    let cols: Vec<DataProps> = sig
         .key_columns()
         .iter()
         .map(|col| {
@@ -258,10 +266,7 @@ pub fn signature_props(entry: &TableEntry, sig: &AvSignature) -> Result<dqo_stor
                 .ok_or_else(|| CoreError::UnknownColumn(format!("{}.{col}", sig.table)))
         })
         .collect::<Result<_>>()?;
-    Ok(match cols[..] {
-        [single] => single,
-        _ => combine_composite_props(&cols),
-    })
+    Ok(key_props(&cols))
 }
 
 /// Plan an AV (metadata only) from a table snapshot's statistics.
@@ -292,12 +297,11 @@ pub fn plan_av(entry: &TableEntry, sig: &AvSignature) -> Result<Av> {
             provides.sortedness = Sortedness::Ascending;
             provides.partitioned = true;
             // Build via one hash grouping pass (plus the pack pass per
-            // extra composite key column); artifact stores one u32 per
-            // key column plus (count u64, sum u64) per group.
+            // extra composite key column).
             let key_width = sig.key_columns().len();
             (
                 4.0 * rows + rows * (key_width - 1) as f64,
-                props.distinct as usize * (4 * key_width + 16),
+                grouping_bytes(props.distinct, key_width),
             )
         }
     };
@@ -308,26 +312,6 @@ pub fn plan_av(entry: &TableEntry, sig: &AvSignature) -> Result<Av> {
         byte_size,
         provides,
     })
-}
-
-/// Assemble the `(key, count, sum)` relation a materialised-grouping AV
-/// stores, from a key-sorted grouping result. Shared with the
-/// incremental maintainer ([`crate::av_delta`]), which must emit the
-/// exact schema a rebuild would.
-pub(crate) fn grouping_relation(
-    sig: &AvSignature,
-    g: GroupedResult<CountSumState>,
-) -> Result<Relation> {
-    let counts: Vec<u64> = g.states.iter().map(|s| s.count).collect();
-    let sums: Vec<u64> = g.states.iter().map(|s| s.sum).collect();
-    Ok(Relation::new(
-        Schema::new(vec![
-            Field::new(&sig.column, DataType::U32),
-            Field::new("count", DataType::U64),
-            Field::new("sum", DataType::U64),
-        ])?,
-        vec![Column::U32(g.keys), Column::U64(counts), Column::U64(sums)],
-    )?)
 }
 
 /// The key columns of `sig` in `rel`, in key order.
@@ -367,9 +351,9 @@ pub(crate) fn key_order(key_cols: &[&[u32]], pool: Option<&ThreadPool>) -> Resul
 /// until [`AvCatalog::publish`] accepts it.
 ///
 /// Each kind runs one loop per kernel — sort + range-partitioned gather,
-/// the partitioned CSR build, SPHG/HG — on `pool`, or with `None` on the
-/// caller thread. The artifact is the same at any DOP or steal order:
-/// the kernels are deterministic by construction, and
+/// the partitioned CSR build, `group_tuples`'s SPHG/HG — on `pool`, or
+/// with `None` on the caller thread. The artifact is the same at any DOP
+/// or steal order: the kernels are deterministic by construction, and
 /// `tests/parallel_oracle.rs` checks every kind with no pool and at DOP
 /// 1, 2 and 8 against a reference built from `dqo-exec`'s kernels
 /// (`argsort` and `Relation::gather`, `JoinIndex::identity`,
@@ -384,83 +368,91 @@ pub fn materialise_av(
     let mut av = plan_av(entry, sig)?;
     let base = &entry.relation;
     let key_cols = key_columns(base, sig)?;
+    let props = signature_props(entry, sig)?;
     av.artifact = Some(match sig.kind {
         AvKind::SortedProjection => {
             let order = key_order(&key_cols, pool)?;
             AvArtifact::SortedProjection(Arc::new(parallel_gather(pool, base, &order)?))
         }
         AvKind::SphIndex => {
-            let props = signature_props(entry, sig)?;
             let keys = key_cols[0]; // plan_av rejected composite indexes
             let index = parallel_sph_index_build(pool, keys, props.min, props.max)?;
             av.byte_size = index.byte_size();
             AvArtifact::SphIndex(Arc::new(index))
         }
         AvKind::MaterialisedGrouping => {
-            AvArtifact::MaterialisedGrouping(Arc::new(build_grouping(entry, sig, &key_cols, pool)?))
+            let dense = props.rows > 0 && props.density.is_dense();
+            let (cols, states) = group_tuples(&key_cols, dense, pool)?;
+            let rel = grouping_relation(base, &sig.key_columns(), cols, &states)?;
+            AvArtifact::MaterialisedGrouping(Arc::new(rel))
         }
     });
     Ok(av)
 }
 
-/// The materialised-grouping artifact: `(key, count, sum)` for a single
-/// key; for a composite, one column per key (base-table types and
-/// dictionaries kept), then COUNT(*) and SUM of the *first* key column
-/// (matching the single-key AV, whose sum aggregates the key itself).
-fn build_grouping(
-    entry: &TableEntry,
-    sig: &AvSignature,
-    key_cols: &[&[u32]],
-    pool: Option<&ThreadPool>,
-) -> Result<Relation> {
-    let group = |keys: &[u32], strategy| -> Result<GroupedResult<CountSumState>> {
-        let bounds = [0, keys.len()];
-        let (mut g, _) = parallel_grouping(
-            pool,
-            keys,
-            key_cols[0],
-            CountSum,
-            strategy,
-            &bounds,
-            DEFAULT_MORSEL_ROWS,
-        )?;
-        // HG on the caller thread drains its one table unsorted.
-        g.sort_by_key();
-        Ok(g)
-    };
-    if let [keys] = key_cols {
-        // The same molecule split the query engine uses: the dense SPH
-        // array when density admits it, chaining hash otherwise. Both
-        // emit ascending keys with exactly-merged decomposable states, so
-        // the artifact does not depend on the split.
-        let props = signature_props(entry, sig)?;
-        let strategy = if props.rows > 0 && props.density.is_dense() {
-            GroupingStrategy::StaticPerfectHash {
-                min: props.min,
-                max: props.max,
-            }
-        } else {
-            GroupingStrategy::Hash(Default::default())
-        };
-        return grouping_relation(sig, group(keys, strategy)?);
-    }
-    // When the key tuple packs into the `u32` code domain the packed code
-    // column drives the single-key kernels; otherwise the deterministic
-    // row-wise kernel runs, identically with or without a pool.
-    let (cols, states) = match KeyPacker::fit(key_cols) {
-        Some(packer) => {
-            let packed = packer.pack(key_cols);
-            let grouped = group(&packed, GroupingStrategy::Hash(Default::default()))?;
-            unpack_grouped(&packer, grouped)
-        }
-        None => rowwise_group(key_cols, key_cols[0], CountSum),
-    };
-    composite_grouping_relation(&entry.relation, &sig.key_columns(), cols, &states)
+/// The aggregates a materialised grouping on keys `first_key, …` stores,
+/// in column order after its key columns: `COUNT(*) AS count, SUM(first_key)
+/// AS sum`. This list is the grouping AV's definition — the optimiser's
+/// rule answers a `GROUP BY` with the view only when its aggregate list is
+/// exactly this one, and the artifact's columns are named by it — so the
+/// view answers the query it stores and no other.
+pub fn grouping_aggs(first_key: &str) -> [AggExpr; 2] {
+    [
+        AggExpr::count_star("count"),
+        AggExpr::on(AggFunc::Sum, first_key, "sum"),
+    ]
 }
 
-/// Assemble the composite grouping artifact: the key columns keep their
-/// base-table types and dictionaries; `count`/`sum` follow.
-fn composite_grouping_relation(
+/// A materialised grouping's storage: one `u32` per key column plus the
+/// `u64` count and sum, per group.
+pub(crate) fn grouping_bytes(groups: u64, key_width: usize) -> usize {
+    groups as usize * (4 * key_width + 16)
+}
+
+/// Group the rows of `key_cols` by key tuple into COUNT(*) and
+/// SUM(first key column) states, returned as per-key-column vectors in
+/// ascending tuple order. One path for any arity: the tuple packs into
+/// `u32` codes ([`KeyPacker`]; a single column only subtracts its
+/// minimum), SPHG groups them when `dense` (the key's statistics admit an
+/// SPH array) and HG otherwise, and the codes unpack. A tuple that does
+/// not pack runs the deterministic row-wise kernel. The result does not
+/// depend on the strategy or on `pool`: every path emits exactly-merged
+/// decomposable states in tuple order.
+pub(crate) fn group_tuples(
+    key_cols: &[&[u32]],
+    dense: bool,
+    pool: Option<&ThreadPool>,
+) -> Result<(Vec<Vec<u32>>, Vec<CountSumState>)> {
+    let Some(packer) = KeyPacker::fit(key_cols) else {
+        return Ok(rowwise_group(key_cols, key_cols[0], CountSum));
+    };
+    let codes = packer.pack(key_cols);
+    let strategy = match dense {
+        true => GroupingStrategy::StaticPerfectHash {
+            min: 0,
+            max: u32::try_from(packer.domain() - 1).expect("a packed domain fits u32"),
+        },
+        false => GroupingStrategy::Hash(Default::default()),
+    };
+    let bounds = [0, codes.len()];
+    let (grouped, _) = parallel_grouping(
+        pool,
+        &codes,
+        key_cols[0],
+        CountSum,
+        strategy,
+        &bounds,
+        DEFAULT_MORSEL_ROWS,
+    )?;
+    Ok(unpack_grouped(&packer, grouped))
+}
+
+/// Assemble the relation a materialised grouping stores — one column per
+/// key (its base-table type and dictionary kept), then the
+/// [`grouping_aggs`] columns — from key-tuple-sorted groups. The one
+/// assembler for a build and for the incremental maintainer
+/// ([`crate::av_delta`]), so both emit the exact same schema.
+pub(crate) fn grouping_relation(
     base: &Relation,
     key_names: &[&str],
     key_cols: Vec<Vec<u32>>,
@@ -476,8 +468,9 @@ fn composite_grouping_relation(
             _ => Column::U32(data),
         });
     }
-    fields.push(Field::new("count", DataType::U64));
-    fields.push(Field::new("sum", DataType::U64));
+    let [count, sum] = grouping_aggs(key_names[0]);
+    fields.push(Field::new(count.alias, DataType::U64));
+    fields.push(Field::new(sum.alias, DataType::U64));
     columns.push(Column::U64(states.iter().map(|s| s.count).collect()));
     columns.push(Column::U64(states.iter().map(|s| s.sum).collect()));
     let mut rel = Relation::new(Schema::new(fields)?, columns)?;
@@ -798,7 +791,9 @@ mod tests {
             AvKind::MaterialisedGrouping => {
                 let mut g = hash_grouping_chaining(keys, keys, CountSum, keys.len().min(1 << 20));
                 g.sort_by_key();
-                let rel = grouping_relation(sig, g).unwrap();
+                let key = [sig.column.as_str()];
+                let rel =
+                    grouping_relation(&entry.relation, &key, vec![g.keys], &g.states).unwrap();
                 (AvArtifact::MaterialisedGrouping(Arc::new(rel)), planned)
             }
         }

@@ -10,13 +10,13 @@
 //! (published artifact, combined table snapshot, delta): it returns the
 //! artifact to publish, or asks for a background rebuild.
 //!
-//! * **Materialised grouping — delta-merge**: group the delta keys alone,
-//!   then merge the two key-sorted `(key, count, sum)` lists. `u64`
-//!   additions are exact and commutative, so the merged relation is
-//!   bit-identical to grouping the combined column from scratch.
-//!   Composite-key groupings rebuild inline instead: their artifact
-//!   ordering flows through `KeyPacker`/row-wise kernels whose merge
-//!   semantics are not worth the risk for a multi-column view.
+//! * **Materialised grouping — delta-merge**: group the delta's key
+//!   tuples alone with the function a build groups with, then merge the
+//!   two `(keys…, count, sum)` lists by lexicographic key tuple — the
+//!   order every build emits, for one key column or several, packed or
+//!   row-wise. `u64` additions are exact and commutative, so the merged
+//!   relation is bit-identical to grouping the combined table from
+//!   scratch.
 //! * **Sorted projection — run-merge**: the delta is stable-sorted and
 //!   merged straight into the published artifact (`merge_sorted`:
 //!   `O(delta · log n)` searches, then each output column is copied range
@@ -49,16 +49,16 @@
 //! snapshot handed to publish is the entry that replacement returned.
 
 use crate::av::{
-    grouping_relation, key_columns, key_order, materialise_av, Av, AvArtifact, AvSignature,
+    group_tuples, grouping_aggs, grouping_bytes, grouping_relation, key_columns, key_order,
+    materialise_av, Av, AvArtifact, AvSignature,
 };
 use crate::av_build::{AvBuildHandle, AvBuilder};
 use crate::catalog::{RowDelta, TableEntry};
 use crate::Result;
-use dqo_exec::aggregate::{CountSum, CountSumState};
-use dqo_exec::grouping::GroupedResult;
+use dqo_exec::aggregate::CountSumState;
 use dqo_exec::join::JoinIndex;
 use dqo_obs::{names, Counter, Histogram, MetricsRegistry, DURATION_BUCKETS};
-use dqo_parallel::{parallel_grouping, GroupingStrategy, ThreadPool, DEFAULT_MORSEL_ROWS};
+use dqo_parallel::ThreadPool;
 use dqo_storage::Relation;
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -171,7 +171,7 @@ impl ViewMaintainer {
                 // Planned-only views carry no artifact to maintain.
                 None => continue,
                 Some(AvArtifact::MaterialisedGrouping(stored)) => {
-                    Some(maintain_grouping(&av, stored, combined, delta, pool)?)
+                    Some(maintain_grouping(&av, stored, combined, delta)?)
                 }
                 Some(AvArtifact::SortedProjection(current)) => {
                     let (updated, action, merged) =
@@ -225,64 +225,59 @@ impl ViewMaintainer {
     }
 }
 
-/// Delta-merge for `(key, count, sum)` groupings. Composite keys rebuild
-/// instead (see the module docs).
+/// Delta-merge for materialised groupings of any key arity: group the
+/// delta with the build's [`group_tuples`], then merge the two
+/// key-tuple-sorted group lists, adding the states of a tuple both hold.
 fn maintain_grouping(
     av: &Av,
     stored: &Relation,
     combined: &TableEntry,
     delta: &Relation,
-    pool: Option<&ThreadPool>,
 ) -> Result<(Av, DeltaAction)> {
     let sig = &av.signature;
-    if sig.is_composite() {
-        return Ok((materialise_av(combined, sig, pool)?, DeltaAction::Rebuild));
-    }
-    let dk = delta.column(&sig.column)?.as_u32()?;
-    let hash = GroupingStrategy::Hash(Default::default());
-    let bounds = [0, dk.len()];
-    let (mut grouped, _) =
-        parallel_grouping(None, dk, dk, CountSum, hash, &bounds, DEFAULT_MORSEL_ROWS)?;
-    grouped.sort_by_key();
-
-    let sk = stored.column(&sig.column)?.as_u32()?;
-    let sc = stored.column("count")?.as_u64()?;
-    let ss = stored.column("sum")?.as_u64()?;
+    let (dk, ds) = group_tuples(&key_columns(delta, sig)?, false, None)?;
+    let sk = key_columns(stored, sig)?;
+    let names = sig.key_columns();
+    let [count, sum] = grouping_aggs(names[0]);
+    let sc = stored.column(&count.alias)?.as_u64()?;
+    let ss = stored.column(&sum.alias)?.as_u64()?;
+    // Lexicographic order of stored group `i` against delta group `j`.
+    let order = |i: usize, j: usize| {
+        let mut by_column = sk.iter().zip(&dk).map(|(s, d)| s[i].cmp(&d[j]));
+        by_column.find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
+    };
     let (mut i, mut j) = (0usize, 0usize);
-    let mut keys = Vec::with_capacity(sk.len() + grouped.keys.len());
-    let mut states = Vec::with_capacity(keys.capacity());
-    while i < sk.len() || j < grouped.keys.len() {
-        let take_stored = j >= grouped.keys.len() || (i < sk.len() && sk[i] <= grouped.keys[j]);
-        if take_stored {
+    let groups = sc.len() + ds.len();
+    let mut keys = vec![Vec::with_capacity(groups); sk.len()];
+    let mut states = Vec::with_capacity(groups);
+    while i < sc.len() || j < ds.len() {
+        let o = match (i < sc.len(), j < ds.len()) {
+            (true, true) => order(i, j),
+            (true, false) => Ordering::Less,
+            _ => Ordering::Greater,
+        };
+        if o.is_gt() {
+            keys.iter_mut().zip(&dk).for_each(|(out, d)| out.push(d[j]));
+            states.push(ds[j]);
+        } else {
+            keys.iter_mut().zip(&sk).for_each(|(out, s)| out.push(s[i]));
             let mut state = CountSumState {
                 count: sc[i],
                 sum: ss[i],
             };
-            if j < grouped.keys.len() && grouped.keys[j] == sk[i] {
-                state.count += grouped.states[j].count;
-                state.sum += grouped.states[j].sum;
-                j += 1;
+            if o.is_eq() {
+                state.count += ds[j].count;
+                state.sum += ds[j].sum;
             }
-            keys.push(sk[i]);
             states.push(state);
-            i += 1;
-        } else {
-            keys.push(grouped.keys[j]);
-            states.push(grouped.states[j]);
-            j += 1;
         }
+        i += usize::from(o.is_le());
+        j += usize::from(o.is_ge());
     }
-    let merged = grouping_relation(
-        sig,
-        GroupedResult {
-            keys,
-            states,
-            sorted_by_key: true,
-        },
-    )?;
+    let merged = grouping_relation(&combined.relation, &names, keys, &states)?;
     let mut updated = av.clone();
     updated.provides.rows = merged.rows() as u64;
-    updated.byte_size = merged.rows() * 20;
+    updated.byte_size = grouping_bytes(updated.provides.rows, sk.len());
     updated.artifact = Some(AvArtifact::MaterialisedGrouping(Arc::new(merged)));
     Ok((updated, DeltaAction::Merge))
 }

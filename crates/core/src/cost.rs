@@ -150,7 +150,7 @@ pub trait CostModel: Send + Sync {
     }
 
     /// Table-2 extension for composite (multi-column) grouping keys: the
-    /// executor packs the key tuple into the 64-bit packed-value domain
+    /// executor packs the key tuple into `u32` codes
     /// with one normalise-and-scale pass per key column beyond the first
     /// (the first column rides along with the grouping kernel's own
     /// scan). Row-wise fallbacks cost more in practice, but the model

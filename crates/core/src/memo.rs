@@ -23,7 +23,7 @@
 //! validity stamp that store puts on the plans of ad-hoc statements.
 //!
 //! Rule application lives in `crate::rules`: implementation rules
-//! (Scan → AV-backed scan, GroupBy → {HG, SPHG, OG, SOG, BSG, composite},
+//! (Scan → AV-backed scan, GroupBy → {HG, SPHG, OG, SOG, BSG} or a grouping AV,
 //! Join → {HJ, SPHJ, OJ, SOJ, BSJ}), the Sort enforcer and the one
 //! parallel-twin rule (`Exchange{dop}`), feeding interesting-property
 //! pruning.

@@ -5,9 +5,13 @@
 //!
 //! * **implementation rules** — Scan (plus its AV-backed twin),
 //!   Filter, Project, Limit, Join → {OJ, SPHJ, BSJ, HJ, SOJ}, GroupBy →
-//!   {OG, SPHG, BSG, HG, SOG} (plus materialised-grouping AVs and the
-//!   packed composite-key variants), each guarded by the property
-//!   preconditions the paper's Table 1/2 arithmetic implies;
+//!   {OG, SPHG, BSG, HG, SOG} (plus the materialised-grouping AV that
+//!   stores exactly this grouping), each guarded by the property
+//!   preconditions the paper's Table 1/2 arithmetic implies. One GroupBy
+//!   rule serves a key of one column or several: a composite key is a
+//!   packed `u32` code tuple, so the differences are arity checks (OG,
+//!   BSG, codes and sort enforcers take one column; a composite pays a
+//!   pack pass and emits ascending codes);
 //! * **enforcer rules** — the Sort enforcer that *establishes* the
 //!   sortedness property where an order-based implementation would
 //!   otherwise be inapplicable (partial-sort plans fall out of this);
@@ -26,7 +30,7 @@
 //! from its inputs' rows, and stamps the group's rows on every candidate
 //! it emits.
 
-use crate::av::{combine_composite_props, composite_packs, AvKind};
+use crate::av::{composite_column_name, composite_packs, grouping_aggs, key_props, AvKind};
 use crate::cost::CostModel;
 use crate::error::CoreError;
 use crate::executor::reads_coded_key;
@@ -331,6 +335,11 @@ fn join_rules(
     Ok(prune(out.into_iter()))
 }
 
+/// Implementation rules for a grouping on one key column or several. A
+/// composite key runs on the `u32` packed-code domain where the columns'
+/// spans allow, so the Table-2 arithmetic carries over with one extension:
+/// a normalise-and-pack pass per extra key column
+/// ([`crate::cost::CostModel::composite_key_pack`], 0 for one key).
 fn group_by_rules(
     opt: &mut MemoOptimizer<'_>,
     node: &Arc<LogicalPlan>,
@@ -340,30 +349,27 @@ fn group_by_rules(
     aggs: &[dqo_plan::AggExpr],
     rows: u64,
 ) -> Result<Vec<Candidate>> {
-    if keys.len() > 1 {
-        return composite_group_by_rules(opt, node, input_gid, input, keys, aggs, rows);
-    }
-    let key = keys[0].as_str();
+    let (key, single) = (keys[0].as_str(), keys.len() == 1);
     let input_cands = opt.explore(input_gid, Some(key))?.as_ref().clone();
-    let input_cands = opt.with_sort_enforcers(input_cands, key);
+    // Sort enforcers serve OG, which groups one column only.
+    let input_cands = if single {
+        opt.with_sort_enforcers(input_cands, key)
+    } else {
+        input_cands
+    };
 
     // AV implementation rule: a materialised grouping answers the whole
     // node with a scan of the precomputed result — the boundary case
-    // where an AV degenerates into a classic materialised view (§3).
-    // Only matches the canonical (key, count, sum) shape so no renaming
-    // machinery is needed.
-    let mut av_candidates: Vec<Candidate> = Vec::new();
+    // where an AV degenerates into a classic materialised view (§3). It
+    // answers exactly the query it stores: its keys over a bare scan with
+    // its aggregate list, so no renaming or projection is needed.
+    let mut out: Vec<Candidate> = Vec::new();
     if let (Some(avs), LogicalPlan::Scan { table }) = (opt.avs, input) {
-        let shape_ok = aggs.iter().all(|a| {
-            matches!(
-                (&a.func, a.alias.as_str()),
-                (dqo_plan::AggFunc::CountStar, "count") | (dqo_plan::AggFunc::Sum, "sum")
-            )
-        });
-        if shape_ok {
-            if let Some(av) = avs.lookup(table, key, AvKind::MaterialisedGrouping) {
+        if aggs == grouping_aggs(key) {
+            let name = composite_column_name(keys);
+            if let Some(av) = avs.lookup(table, &name, AvKind::MaterialisedGrouping) {
                 opt.fire("group-by-av-materialised");
-                av_candidates.push(Candidate {
+                out.push(Candidate {
                     plan: PhysicalPlan::Scan {
                         table: av.signature.av_table_name(),
                     },
@@ -380,21 +386,26 @@ fn group_by_rules(
 
     // Resolve the grouping key's base statistics (density, distinct,
     // range) from its source table — the §4.3 move: DQO knows R.a is
-    // dense even downstream of a join.
-    let key_stats = opt
-        .catalog
-        .resolve_column(node.tables(), key)
-        .map(|p| opt.mode.project(PlanProps::from_data(&p)));
-
+    // dense even downstream of a join. `None` when a key column has no
+    // statistics (and then nothing proves a composite packs).
+    let tables = node.tables();
+    let cols: Option<Vec<DataProps>> = keys
+        .iter()
+        .map(|key| opt.catalog.resolve_column(tables.iter().copied(), key))
+        .collect();
+    let key_stats = cols
+        .as_deref()
+        .map(|cols| opt.mode.project(PlanProps::from_data(&key_props(cols))));
+    let packs = cols.as_deref().is_some_and(composite_packs);
     let key_dense = key_stats.map(|p| p.admits_sph()).unwrap_or(false);
     let key_range = key_stats.and_then(|p| p.key_range);
     let g = rows.max(1) as f64;
 
-    let mut out = av_candidates;
     for ic in &input_cands {
         // A sparse key the catalog coded is dense over its codes — in deep
-        // mode, which tracks density.
-        let codes = !key_dense
+        // mode, which tracks density. Codes are per column.
+        let codes = single
+            && !key_dense
             && opt.mode == OptimizerMode::Deep
             && reads_coded_key(opt.catalog, &ic.plan, key);
         for algo in [
@@ -404,17 +415,23 @@ fn group_by_rules(
             GroupingAlgorithm::HashBased,
             GroupingAlgorithm::SortOrderBased,
         ] {
+            // OG and BSG group one column only.
             let applicable = match algo {
-                GroupingAlgorithm::OrderBased => opt.is_sorted_on(ic, key),
+                GroupingAlgorithm::OrderBased => single && opt.is_sorted_on(ic, key),
                 GroupingAlgorithm::StaticPerfectHash => key_dense || codes,
-                GroupingAlgorithm::BinarySearch => key_stats.is_some(),
+                GroupingAlgorithm::BinarySearch => single && key_stats.is_some(),
                 GroupingAlgorithm::HashBased | GroupingAlgorithm::SortOrderBased => true,
             };
             if !applicable {
                 continue;
             }
-            let cost = ic.cost + opt.model.grouping(algo, ic.props.rows as f64, g);
-            let sorted = algo.produces_sorted_output()
+            let in_rows = ic.props.rows as f64;
+            let pack = opt.model.composite_key_pack(in_rows, keys.len());
+            let cost = ic.cost + pack + opt.model.grouping(algo, in_rows, g);
+            // A composite output is in ascending packed-code order, which
+            // is lexicographic tuple order.
+            let sorted = !single
+                || algo.produces_sorted_output()
                 || (algo == GroupingAlgorithm::OrderBased && ic.props.sortedness.is_sorted());
             let props = opt.mode.project(PlanProps {
                 sortedness: if sorted {
@@ -436,7 +453,7 @@ fn group_by_rules(
             let serial = Candidate {
                 plan: PhysicalPlan::GroupBy {
                     input: Box::new(ic.plan.clone()),
-                    keys: vec![key.to_owned()],
+                    keys: keys.to_vec(),
                     aggs: aggs.to_vec(),
                     algo,
                     molecules: GroupingMolecules {
@@ -448,133 +465,10 @@ fn group_by_rules(
                 sort_col: sorted.then(|| key.to_owned()),
                 props,
             };
-            let in_rows = ic.props.rows as f64;
-            out.extend(opt.parallel_twin(&serial, ic.cost, |m, dop| {
-                m.parallel_grouping(algo, in_rows, g, dop)
-            }));
-            out.push(serial);
-        }
-    }
-    if out.is_empty() {
-        return Err(CoreError::NoPlanFound(format!("{node}")));
-    }
-    Ok(prune(out.into_iter()))
-}
-
-/// Implementation rules for a **composite** (multi-column) grouping. The
-/// executor runs these on the `u32` packed-code domain where the
-/// per-column spans allow, so the Table-2 arithmetic carries over with
-/// one extension: a normalise-and-pack pass per extra key column
-/// ([`crate::cost::CostModel::composite_key_pack`]). Applicable
-/// organelles are the ones with packed serial kernels *and* parallel
-/// twins — HG, SPHG (when the composite domain is provably dense and
-/// bounded) and SOG; order-based and binary-search variants stay
-/// single-key for now.
-fn composite_group_by_rules(
-    opt: &mut MemoOptimizer<'_>,
-    node: &Arc<LogicalPlan>,
-    input_gid: GroupId,
-    input: &LogicalPlan,
-    keys: &[String],
-    aggs: &[dqo_plan::AggExpr],
-    rows: u64,
-) -> Result<Vec<Candidate>> {
-    // SOG/HG/SPHG need no input order, so no sort enforcers here; the
-    // first key is the focus column for scan properties.
-    let input_cands = opt.explore(input_gid, Some(&keys[0]))?.as_ref().clone();
-    let tables = node.tables();
-    let cols: Option<Vec<DataProps>> = keys
-        .iter()
-        .map(|key| opt.catalog.resolve_column(tables.iter().copied(), key))
-        .collect();
-    // The composite key's properties derive through the same
-    // `combine_composite_props` AV planning uses; `None` when a key
-    // column has no statistics (and then nothing proves it packs).
-    let key_stats = cols.as_deref().map(|cols| {
-        opt.mode
-            .project(PlanProps::from_data(&combine_composite_props(cols)))
-    });
-    let packs = cols.as_deref().is_some_and(composite_packs);
-    let key_dense = key_stats.map(|p| p.admits_sph()).unwrap_or(false);
-    let key_range = key_stats.and_then(|p| p.key_range);
-    let g = rows.max(1) as f64;
-
-    // AV implementation rule: a composite materialised grouping
-    // (registered under the canonical `a+b` key name) answers the node
-    // by scan. The artifact's schema is exactly (keys…, count,
-    // sum-of-first-key), so the aggregate list must be exactly that
-    // shape — looser matches would surface the artifact's extra columns.
-    let mut out: Vec<Candidate> = Vec::new();
-    if let (Some(avs), LogicalPlan::Scan { table }) = (opt.avs, input) {
-        let shape_ok = aggs.len() == 2
-            && aggs[0].func == dqo_plan::AggFunc::CountStar
-            && aggs[0].alias == "count"
-            && aggs[1].func == dqo_plan::AggFunc::Sum
-            && aggs[1].alias == "sum"
-            && aggs[1].column.as_deref() == Some(keys[0].as_str());
-        if shape_ok {
-            let composite = crate::av::composite_column_name(keys);
-            if let Some(av) = avs.lookup(table, &composite, AvKind::MaterialisedGrouping) {
-                opt.fire("group-by-av-materialised");
-                out.push(Candidate {
-                    plan: PhysicalPlan::Scan {
-                        table: av.signature.av_table_name(),
-                    },
-                    cost: opt.model.scan(av.provides.rows as f64),
-                    props: opt.mode.project(PlanProps {
-                        rows,
-                        ..av.provides
-                    }),
-                    sort_col: Some(keys[0].clone()),
-                });
-            }
-        }
-    }
-
-    for ic in &input_cands {
-        for algo in [
-            GroupingAlgorithm::StaticPerfectHash,
-            GroupingAlgorithm::HashBased,
-            GroupingAlgorithm::SortOrderBased,
-        ] {
-            if algo == GroupingAlgorithm::StaticPerfectHash && !key_dense {
-                continue;
-            }
-            let in_rows = ic.props.rows as f64;
-            let pack = opt.model.composite_key_pack(in_rows, keys.len());
-            let cost = ic.cost + pack + opt.model.grouping(algo, in_rows, g);
-            // Packed outputs are normalised to ascending packed-code
-            // order (lexicographic tuple order), so every composite
-            // grouping emits sorted-by-first-key output.
-            let props = opt.mode.project(PlanProps {
-                sortedness: Sortedness::Ascending,
-                partitioned: true,
-                density: if key_dense {
-                    Density::Dense
-                } else {
-                    Density::Unknown
-                },
-                distinct: key_stats.map(|_| rows),
-                key_range,
-                rows,
-            });
-            opt.fire("group-by-impl");
-            let serial = Candidate {
-                plan: PhysicalPlan::GroupBy {
-                    input: Box::new(ic.plan.clone()),
-                    keys: keys.to_vec(),
-                    aggs: aggs.to_vec(),
-                    algo,
-                    molecules: opt.grouping_molecules(algo, key_stats, ic),
-                },
-                cost,
-                sort_col: Some(keys[0].clone()),
-                props,
-            };
-            // Keys that cannot pack run the serial row-wise kernel, so
-            // only packable ones have a parallel twin; the pack pass stays
-            // serial and only the grouping itself divides.
-            if packs {
+            // A composite key that cannot pack runs the serial row-wise
+            // kernel; the pack pass stays serial and only the grouping
+            // divides.
+            if single || packs {
                 out.extend(opt.parallel_twin(&serial, ic.cost + pack, |m, dop| {
                     m.parallel_grouping(algo, in_rows, g, dop)
                 }));

@@ -119,15 +119,16 @@ impl KeyPacker {
         out
     }
 
-    /// Unpack a code column into per-key-column vectors (column-major).
+    /// Unpack a code column into per-key-column vectors (column-major):
+    /// column `i`'s digit is `code / strideᵢ mod spanᵢ`.
     pub fn unpack_columns(&self, codes: &[u32]) -> Vec<Vec<u32>> {
-        let mut cols = vec![Vec::with_capacity(codes.len()); self.width()];
-        for &code in codes {
-            for (col, v) in cols.iter_mut().zip(self.unpack(code)) {
-                col.push(v);
-            }
-        }
-        cols
+        let digits = self.strides.iter().zip(&self.spans).zip(&self.mins);
+        digits
+            .map(|((&stride, &span), &min)| {
+                let digit = |code: u32| u64::from(code) / stride % span;
+                codes.iter().map(|&c| digit(c) as u32 + min).collect()
+            })
+            .collect()
     }
 }
 

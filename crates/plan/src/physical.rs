@@ -103,7 +103,7 @@ pub enum PhysicalPlan {
         algo: JoinAlgorithm,
     },
     /// Grouping with a decided implementation and molecules. Multi-column
-    /// keys run on the 64-bit packed composite-key domain when the
+    /// keys run on the `u32` packed composite-key domain when the
     /// per-column dictionary/range widths allow, with a row-wise fallback
     /// otherwise (an executor decision; the plan only records the keys).
     GroupBy {

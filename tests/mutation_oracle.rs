@@ -358,25 +358,28 @@ fn assert_projection_searches_agree(engine: &Engine, plain: &Engine, state: &mut
 
 /// Repeated small appends — 40 × 30 rows onto a 240-row base, so the
 /// appended rows end up five times the original table — each merge
-/// straight into the published sorted projection, single-key and
-/// composite, and every step stays bit-identical to a rebuild.
+/// straight into the published sorted projection and materialised
+/// grouping, single-key and composite, and every step stays
+/// bit-identical to a rebuild.
 #[test]
 fn repeated_small_appends_stay_bit_identical() {
     let mut state = 42u64;
     let mirror = seed_rows(240, 16, &mut state);
     let (engine, _) = engine_with_avs(&mirror, 1);
     // `v` is arbitrary u32, so (key, v) tuples do not pack into u32
-    // codes: the composite runs the comparison-sort fallback.
-    let composite = AvSignature::composite(
-        "t",
-        &["key".to_owned(), "v".to_owned()],
-        AvKind::SortedProjection,
-    );
-    engine.av_builder().build(&composite).expect("AV build");
+    // codes: the composites run the comparison-sort and row-wise
+    // grouping fallbacks.
+    let keys = ["key".to_owned(), "v".to_owned()];
+    let composites = [AvKind::SortedProjection, AvKind::MaterialisedGrouping]
+        .map(|kind| AvSignature::composite("t", &keys, kind));
+    engine
+        .av_builder()
+        .build_batch(&composites)
+        .expect("AV build");
     let mut sigs = ALL_KINDS
         .map(|kind| AvSignature::new("t", "key", kind))
         .to_vec();
-    sigs.push(composite);
+    sigs.extend(composites);
 
     for step in 0..40 {
         let values: Vec<Vec<Value>> = (0..30)

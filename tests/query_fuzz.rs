@@ -109,10 +109,11 @@ fn keyed_table(raw: &[(u32, u32, u8)], key: impl Fn(u32) -> u32, sorted_dict: bo
 }
 
 /// Assemble a random query over t(k, v, s) from the generator's raw
-/// draws. Aggregate aliases deliberately avoid the canonical
-/// "count"/"sum" names so materialised-grouping AVs (whose artifacts
-/// carry an extra column) never match — the AV leg then exercises the
-/// schema-preserving kinds (sorted projections, SPH indexes).
+/// draws. Three aggregate picks use the aliases a materialised grouping
+/// stores (`count`, `sum`), so the AV leg checks grouping-AV answers too:
+/// `COUNT(*) AS count, SUM(k) AS sum` over a bare scan grouped by `k`
+/// first is the one list a grouping on those keys answers, and the other
+/// two must be grouped from the base table all the same.
 fn build_query(shape: u8, preds: &[(u8, u8)], aggs_pick: u8, order: bool) -> String {
     query_with(shape, &where_clause(preds), aggs_pick, order)
 }
@@ -133,11 +134,14 @@ fn query_with(shape: u8, where_sql: &str, aggs_pick: u8, order: bool) -> String 
     let mut sql = String::from("SELECT ");
     sql.push_str(keys);
     if !group.is_empty() {
-        let agg_list: &str = match aggs_pick % 4 {
+        let agg_list: &str = match aggs_pick % 7 {
             0 => ", COUNT(*) AS n",
             1 => ", COUNT(*) AS n, SUM(v) AS t",
             2 => ", MIN(v) AS lo, MAX(v) AS hi, COUNT(*) AS n",
-            _ => ", AVG(v) AS m, COUNT(*) AS n",
+            3 => ", AVG(v) AS m, COUNT(*) AS n",
+            4 => ", COUNT(*) AS count",
+            5 => ", COUNT(*) AS count, SUM(v) AS sum",
+            _ => ", COUNT(*) AS count, SUM(k) AS sum",
         };
         sql.push_str(agg_list);
     }
@@ -1602,6 +1606,82 @@ fn composite_grouping_av_answers_canonical_shape() {
     );
     // …and the answers are identical.
     assert_eq!(sorted_rows(&out.output.relation), expect);
+}
+
+/// A materialised grouping answers only the query it stores. Over
+/// t(key u32, val u32, city Str), a grouping AV on `key`, one on `city`
+/// and one on `key+city` each get aggregate lists around their own
+/// `COUNT(*) AS count, SUM(first key) AS sum`: the own list scans the
+/// view, every other list groups the base table, and every answer equals
+/// the naive evaluator's in rows and width.
+#[test]
+fn grouping_av_answers_only_the_query_it_stores() {
+    let keys: Vec<u32> = (0..3_000u32).map(|i| i.wrapping_mul(48271) % 12).collect();
+    let vals: Vec<u32> = (0..3_000u32).map(|i| i * 7 % 1_000).collect();
+    let cities: Vec<&str> = (0..3_000).map(|i| WORDS[i * 3 % WORDS.len()]).collect();
+    let (dict, codes) = Dictionary::encode_all(&cities);
+    let rel = Relation::new(
+        Schema::new(vec![
+            Field::new("key", DataType::U32),
+            Field::new("val", DataType::U32),
+            Field::new("city", DataType::Str),
+        ])
+        .unwrap(),
+        vec![Column::U32(keys), Column::U32(vals), Column::Str(codes)],
+    )
+    .unwrap()
+    .with_dictionary("city", Arc::new(dict))
+    .unwrap();
+    // (view keys, the query the view stores, queries it must not answer);
+    // SUM over a `Str` key is not SQL, so a `Str` view stores none.
+    let cases: [(&[&str], Option<&str>, &[&str]); 3] = [
+        (
+            &["key"],
+            Some("SELECT key, COUNT(*) AS count, SUM(key) AS sum FROM t GROUP BY key"),
+            &[
+                "SELECT key, COUNT(*) AS count, SUM(val) AS sum FROM t GROUP BY key",
+                "SELECT key, COUNT(*) AS count FROM t GROUP BY key",
+                "SELECT key, SUM(key) AS sum, COUNT(*) AS count FROM t GROUP BY key",
+                "SELECT key, SUM(key) AS sum FROM t GROUP BY key",
+            ],
+        ),
+        (
+            &["city"],
+            None,
+            &["SELECT city, COUNT(*) AS count FROM t GROUP BY city"],
+        ),
+        (
+            &["key", "city"],
+            Some("SELECT key, city, COUNT(*) AS count, SUM(key) AS sum FROM t GROUP BY key, city"),
+            &[
+                "SELECT key, city, COUNT(*) AS count FROM t GROUP BY key, city",
+                "SELECT key, city, COUNT(*) AS count, SUM(val) AS sum FROM t GROUP BY key, city",
+            ],
+        ),
+    ];
+    for (keys, own, others) in cases {
+        let keys: Vec<String> = keys.iter().map(|k| k.to_string()).collect();
+        let sig = AvSignature::composite("t", &keys, AvKind::MaterialisedGrouping);
+        let db = Dqo::with_engine(Engine::new().with_threads(1));
+        db.register_table("t", rel.clone());
+        db.engine().av_builder().build(&sig).unwrap();
+        for sql in own.iter().chain(others) {
+            let naive = naive_eval(&db.compile(sql).unwrap(), db.engine().catalog()).unwrap();
+            let out = db.sql(sql).unwrap();
+            let explain = out.planned.plan.explain();
+            assert_eq!(
+                explain.contains(&sig.av_table_name()),
+                own == Some(*sql),
+                "{sql}:\n{explain}"
+            );
+            let got = &out.output.relation;
+            assert_eq!(got.schema().width(), naive.schema().width(), "{sql}");
+            assert_eq!(sorted_rows(got), sorted_rows(&naive), "{sql}\n{explain}");
+        }
+    }
+    // The single-key view keeps its hidden name.
+    let sig = AvSignature::new("t", "key", AvKind::MaterialisedGrouping);
+    assert_eq!(sig.av_table_name(), "__av::materialised-grouping::t::key");
 }
 
 /// t(key: 100 distinct, val: unique) over 100 000 rows, flat or range
