@@ -35,16 +35,16 @@
 //!    published the same way.
 
 use crate::catalog::{Catalog, RowDelta, TableEntry};
+use crate::cost::{CostModel, TupleCostModel};
 use crate::error::CoreError;
 use crate::Result;
 use dqo_exec::aggregate::{CountSum, CountSumState};
 use dqo_exec::composite::{rowwise_group, unpack_grouped, KeyPacker};
 use dqo_exec::join::JoinIndex;
 use dqo_parallel::{
-    parallel_argsort, parallel_gather, parallel_grouping, parallel_sph_index_build,
-    GroupingStrategy, ThreadPool, DEFAULT_MORSEL_ROWS,
+    parallel_argsort, parallel_grouping, GroupingStrategy, ThreadPool, DEFAULT_MORSEL_ROWS,
 };
-use dqo_plan::{AggExpr, AggFunc, PlanProps, SortMolecule};
+use dqo_plan::{AggExpr, AggFunc, GroupingAlgorithm, PlanProps, SortMolecule};
 use dqo_storage::{Column, DataProps, DataType, Field, Relation, Schema, Sortedness};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -176,27 +176,14 @@ impl Av {
     }
 }
 
-/// The cost model's `(rows, shape)` parameters for building `kind` over
-/// a column with `props` — `shape` is the kind's size dimension beyond
-/// the row count (SPH domain for indexes, distinct count for groupings,
-/// unused for sorted projections). The single source of truth for
-/// [`crate::cost::CostModel::parallel_av_build`] callers.
-pub fn build_shape(props: &DataProps, kind: AvKind) -> (f64, f64) {
-    let shape = match kind {
-        AvKind::SortedProjection => 0.0,
-        AvKind::SphIndex => props.sph_domain().unwrap_or(0) as f64,
-        AvKind::MaterialisedGrouping => props.distinct as f64,
-    };
-    (props.rows as f64, shape)
-}
-
 /// Derive a composite key's statistics from its per-column `DataProps`
 /// (through `key_props`, the one helper AV planning and the optimiser's
 /// grouping rule read a key's statistics with): the distinct count
 /// multiplies (capped by the row count), the packed range spans the mixed-radix
 /// product, and the packed domain counts as dense only when every
 /// component is dense, the product fits `u32` **and** the resulting SPH
-/// array stays proportional to the data (≤ max(4·rows, 2¹⁶) slots).
+/// array stays proportional to the data (`sph_slots_bounded`: at most
+/// max(4·rows, 2¹⁶) slots).
 pub fn combine_composite_props(cols: &[DataProps]) -> DataProps {
     let mut rows = 0u64;
     let mut distinct: u128 = 1;
@@ -208,7 +195,7 @@ pub fn combine_composite_props(cols: &[DataProps]) -> DataProps {
     }
     let span = composite_span(cols);
     let packable = composite_packs(cols);
-    let bounded = span <= u128::from(rows.max(1)).saturating_mul(4).max(1 << 16);
+    let bounded = sph_slots_bounded(span, rows);
     let distinct = u64::try_from(distinct).unwrap_or(u64::MAX).min(rows.max(1));
     DataProps {
         sortedness: Sortedness::Unsorted,
@@ -222,6 +209,15 @@ pub fn combine_composite_props(cols: &[DataProps]) -> DataProps {
         max: u32::try_from(span.max(1) - 1).unwrap_or(u32::MAX),
         rows,
     }
+}
+
+/// Whether an SPH array of `slots` slots stays proportional to `rows`
+/// rows: at most max(4·rows, 2¹⁶) slots. The bound under which a packed
+/// composite domain counts as dense, and under which [`plan_av`] admits
+/// an SPH index — beyond it the array would cost memory out of all
+/// proportion to the data.
+pub(crate) fn sph_slots_bounded(slots: u128, rows: u64) -> bool {
+    slots <= u128::from(rows.max(1)).saturating_mul(4).max(1 << 16)
 }
 
 /// The size of a composite key's packed code domain: the product of its
@@ -272,7 +268,14 @@ pub fn signature_props(entry: &TableEntry, sig: &AvSignature) -> Result<DataProp
 /// Plan an AV (metadata only) from a table snapshot's statistics.
 /// Composite keys admit sorted projections and materialised groupings; a
 /// composite SPH *join* index has no composite join to serve and is
-/// rejected.
+/// rejected, and so is an SPH index whose key domain exceeds
+/// `sph_slots_bounded` (one wide key would otherwise allocate an array
+/// of billions of slots).
+///
+/// `build_cost` is Table 2's price of the kernels [`materialise_av`]
+/// runs: a sort for a sorted projection, one scan for an SPH index, a
+/// hash grouping (plus the pack pass per extra composite key column) for
+/// a materialised grouping.
 pub fn plan_av(entry: &TableEntry, sig: &AvSignature) -> Result<Av> {
     if sig.is_composite() && sig.kind == AvKind::SphIndex {
         return Err(CoreError::Unsupported(format!(
@@ -281,26 +284,37 @@ pub fn plan_av(entry: &TableEntry, sig: &AvSignature) -> Result<Av> {
     }
     let props = signature_props(entry, sig)?;
     let rows = props.rows as f64;
+    let cost = TupleCostModel;
     let mut provides = PlanProps::from_data(&props);
     let (build_cost, byte_size) = match sig.kind {
         AvKind::SortedProjection => {
             provides.sortedness = Sortedness::Ascending;
             provides.partitioned = true;
-            (rows * crate::cost::log2(rows), entry.relation.byte_size())
+            (cost.sort(rows), entry.relation.byte_size())
         }
         AvKind::SphIndex => {
-            let domain = props.sph_domain().unwrap_or(0) as usize;
-            (rows, (domain + 1 + props.rows as usize) * 4)
+            let domain = props.sph_domain().unwrap_or(0);
+            if !sph_slots_bounded(u128::from(domain), props.rows) {
+                return Err(CoreError::Av(format!(
+                    "{sig}: a key domain of {domain} slots over {} rows is too sparse \
+                     for an SPH index",
+                    props.rows
+                )));
+            }
+            (
+                cost.scan(rows),
+                (domain as usize + 1 + props.rows as usize) * 4,
+            )
         }
         AvKind::MaterialisedGrouping => {
             provides.rows = props.distinct;
             provides.sortedness = Sortedness::Ascending;
             provides.partitioned = true;
-            // Build via one hash grouping pass (plus the pack pass per
-            // extra composite key column).
             let key_width = sig.key_columns().len();
+            let groups = props.distinct as f64;
             (
-                4.0 * rows + rows * (key_width - 1) as f64,
+                cost.grouping(GroupingAlgorithm::HashBased, rows, groups)
+                    + cost.composite_key_pack(rows, key_width),
                 grouping_bytes(props.distinct, key_width),
             )
         }
@@ -350,14 +364,15 @@ pub(crate) fn key_order(key_cols: &[&[u32]], pool: Option<&ThreadPool>) -> Resul
 /// — it reads `entry` and returns the [`Av`]; nothing becomes visible
 /// until [`AvCatalog::publish`] accepts it.
 ///
-/// Each kind runs one loop per kernel — sort + range-partitioned gather,
-/// the partitioned CSR build, `group_tuples`'s SPHG/HG — on `pool`, or
-/// with `None` on the caller thread. The artifact is the same at any DOP
-/// or steal order: the kernels are deterministic by construction, and
+/// Each kind is built by the kernels a query already runs: a sorted
+/// projection is `key_order`'s sort followed by [`Relation::gather`], an
+/// SPH index is [`JoinIndex::identity`] — what a fresh SPHJ builds at
+/// query time — and a materialised grouping is `group_tuples`'s
+/// SPHG/HG. The sort and the grouping run on `pool`, or with `None` on
+/// the caller thread; the other two are single passes on the caller
+/// thread. The artifact is the same at any DOP or steal order:
 /// `tests/parallel_oracle.rs` checks every kind with no pool and at DOP
-/// 1, 2 and 8 against a reference built from `dqo-exec`'s kernels
-/// (`argsort` and `Relation::gather`, `JoinIndex::identity`,
-/// `hash_grouping_chaining`).
+/// 1, 2 and 8 against a reference built from `dqo-exec`'s kernels.
 /// Offline batch builds go through [`crate::av_build::AvBuilder`], which
 /// adds admission control and the publish step.
 pub fn materialise_av(
@@ -372,11 +387,11 @@ pub fn materialise_av(
     av.artifact = Some(match sig.kind {
         AvKind::SortedProjection => {
             let order = key_order(&key_cols, pool)?;
-            AvArtifact::SortedProjection(Arc::new(parallel_gather(pool, base, &order)?))
+            AvArtifact::SortedProjection(Arc::new(base.gather(&order)))
         }
         AvKind::SphIndex => {
             let keys = key_cols[0]; // plan_av rejected composite indexes
-            let index = parallel_sph_index_build(pool, keys, props.min, props.max)?;
+            let index = JoinIndex::identity(keys, props.min, props.max)?;
             av.byte_size = index.byte_size();
             AvArtifact::SphIndex(Arc::new(index))
         }
@@ -757,12 +772,18 @@ mod tests {
     #[test]
     fn sph_av_on_sparse_domain_fails_to_materialise() {
         let cat = catalog_with_t(false, false);
+        let entry = cat.get("t").unwrap();
         let sig = AvSignature::new("t", "key", AvKind::SphIndex);
-        // Planning succeeds (metadata), but the huge sparse domain would
-        // blow up the array; the planner records the honest byte size so
-        // AVSP will never select it.
-        let av = plan_av(&cat.get("t").unwrap(), &sig).unwrap();
-        assert!(av.byte_size > 1 << 20);
+        // The sparse domain would need an array far larger than the data
+        // (past max(4·rows, 2¹⁶) slots): planning refuses it with a typed
+        // error, and so does a build, before allocating anything.
+        let domain = entry.column_props["key"].sph_domain().unwrap();
+        assert!(!sph_slots_bounded(u128::from(domain), 2_000), "{domain}");
+        assert!(matches!(plan_av(&entry, &sig), Err(CoreError::Av(_))));
+        assert!(matches!(
+            materialise_av(&entry, &sig, None),
+            Err(CoreError::Av(_))
+        ));
     }
 
     /// `sig`'s artifact over `entry` and its byte size, from `dqo-exec`'s

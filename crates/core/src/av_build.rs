@@ -16,10 +16,10 @@
 //!   build at a time (never more than a single in-flight slot for the
 //!   whole batch) and [`AvBuilder::spawn`] runs the batch on a
 //!   background thread so the session thread keeps serving;
-//! * each build reports [`AvBuildStats`]: granted DOP, wall time, bytes,
-//!   and the cost model's serial/parallel
-//!   [`estimates`](crate::cost::CostModel::parallel_av_build) — the
-//!   observability the adaptive-admission roadmap item feeds on.
+//! * each build reports [`AvBuildStats`]: granted DOP, bytes, the
+//!   measured wall time and, beside it, the Table 2 cost
+//!   [`plan_av`](crate::av::plan_av) prices the build at — the one
+//!   formula for an AV build.
 //!
 //! A build is the first two steps of the AV lifecycle: the pure
 //! [`materialise_av`] over one table snapshot at the granted DOP (the
@@ -27,13 +27,12 @@
 //! [`AvCatalog::publish`], which refuses the artifact if the table moved
 //! meanwhile. A refused build leaves no trace.
 
-use crate::av::{build_shape, materialise_av, signature_props, AvCatalog, AvSignature};
+use crate::av::{materialise_av, AvCatalog, AvSignature};
 use crate::avsp::AvspSolution;
 use crate::catalog::{Catalog, TableEntry};
-use crate::cost::{CostModel, TupleCostModel};
 use crate::error::CoreError;
 use crate::Result;
-use dqo_obs::{names, Counter, Histogram, MetricsRegistry, DURATION_BUCKETS};
+use dqo_obs::{names, Counter, Histogram, DURATION_BUCKETS};
 use dqo_parallel::{PersistentPool, ThreadPool};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -51,10 +50,9 @@ pub struct AvBuildStats {
     pub wall: Duration,
     /// Artifact footprint in bytes.
     pub bytes: usize,
-    /// Cost-model estimate of the serial build (tuple operations).
-    pub est_serial_cost: f64,
-    /// Cost-model estimate at the granted DOP (tuple operations).
-    pub est_parallel_cost: f64,
+    /// Table 2's price of the build in tuple operations — the
+    /// `build_cost` [`plan_av`](crate::av::plan_av) gives the view.
+    pub est_cost: f64,
     /// True when the base table was replaced (or dropped) while this
     /// build ran: the stale artifact was **discarded**, not registered.
     pub superseded: bool,
@@ -99,15 +97,6 @@ impl AvBuilder {
         self
     }
 
-    /// Re-register the build metrics in `registry` instead of the pool's
-    /// own (tests and benches that assert on exact counts).
-    pub fn with_registry(mut self, registry: &MetricsRegistry) -> Self {
-        self.builds = registry.counter(names::AV_BUILDS);
-        self.bytes = registry.counter(names::AV_BUILD_BYTES);
-        self.wall = registry.histogram(names::AV_BUILD_SECONDS, &DURATION_BUCKETS);
-        self
-    }
-
     /// Build one AV: admit, materialise the current table snapshot at the
     /// granted DOP, publish, release the slot.
     ///
@@ -137,12 +126,11 @@ impl AvBuilder {
         sig: &AvSignature,
         granted_dop: usize,
     ) -> Result<AvBuildStats> {
-        let (rows, shape) = build_shape(&signature_props(entry, sig)?, sig.kind);
         let tp = ThreadPool::with_pool(granted_dop, Arc::clone(&self.pool));
         let start = Instant::now();
         let av = materialise_av(entry, sig, Some(&tp))?;
         let wall = start.elapsed();
-        let bytes = av.byte_size;
+        let (bytes, est_cost) = (av.byte_size, av.build_cost);
         let published = self.avs.publish(&self.catalog, av, entry, None).is_some();
         self.builds.inc();
         self.bytes.add(bytes as u64);
@@ -153,8 +141,7 @@ impl AvBuilder {
             granted_dop,
             wall,
             bytes,
-            est_serial_cost: TupleCostModel.parallel_av_build(sig.kind, rows, shape, 1),
-            est_parallel_cost: TupleCostModel.parallel_av_build(sig.kind, rows, shape, granted_dop),
+            est_cost,
             superseded: !published,
         })
     }
@@ -176,15 +163,15 @@ impl AvBuilder {
 
     /// Run `build_batch` on a background thread — the offline-build mode:
     /// queries keep flowing on the session thread while the builds
-    /// trickle through admission behind them.
-    pub fn spawn(&self, sigs: Vec<AvSignature>) -> AvBuildHandle {
+    /// trickle through admission behind them. A thread the OS refuses is
+    /// a [`CoreError::Av`].
+    pub fn spawn(&self, sigs: Vec<AvSignature>) -> Result<AvBuildHandle> {
         let builder = self.clone();
-        AvBuildHandle {
-            thread: std::thread::Builder::new()
-                .name("dqo-av-build".into())
-                .spawn(move || builder.build_batch(&sigs))
-                .expect("spawn AV build thread"),
-        }
+        let thread = std::thread::Builder::new()
+            .name("dqo-av-build".into())
+            .spawn(move || builder.build_batch(&sigs))
+            .map_err(|e| CoreError::Av(format!("cannot spawn the AV build thread: {e}")))?;
+        Ok(AvBuildHandle { thread })
     }
 }
 
@@ -202,17 +189,12 @@ impl AvBuildHandle {
             .join()
             .map_err(|_| CoreError::Av("background AV build thread panicked".into()))?
     }
-
-    /// Whether the batch already finished (non-blocking).
-    pub fn is_finished(&self) -> bool {
-        self.thread.is_finished()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::av::{AvArtifact, AvKind};
+    use crate::av::{plan_av, AvArtifact, AvKind};
     use dqo_exec::join::JoinIndex;
     use dqo_storage::datagen::DatasetSpec;
 
@@ -244,12 +226,9 @@ mod tests {
         for s in &stats {
             assert!(s.granted_dop >= 1);
             assert!(s.bytes > 0);
-            assert!(s.est_serial_cost > 0.0);
-            assert!(
-                s.est_parallel_cost <= s.est_serial_cost || s.granted_dop == 1,
-                "{:?}",
-                s
-            );
+            let planned = plan_av(&catalog.get("t").unwrap(), &s.signature).unwrap();
+            assert_eq!(s.est_cost, planned.build_cost, "{s:?}");
+            assert!(s.est_cost > 0.0, "{s:?}");
             assert!(avs.get(&s.signature).unwrap().is_materialised());
         }
         // Relation-shaped artifacts are scannable through the catalog.
@@ -323,11 +302,13 @@ mod tests {
         let (catalog, avs) = setup(120_000, 256);
         let pool = Arc::new(PersistentPool::with_admission(2, 1));
         let builder = AvBuilder::new(catalog, avs, Arc::clone(&pool));
-        let handle = builder.spawn(vec![
-            AvSignature::new("t", "key", AvKind::SortedProjection),
-            AvSignature::new("t", "key", AvKind::SphIndex),
-            AvSignature::new("t", "key", AvKind::MaterialisedGrouping),
-        ]);
+        let handle = builder
+            .spawn(vec![
+                AvSignature::new("t", "key", AvKind::SortedProjection),
+                AvSignature::new("t", "key", AvKind::SphIndex),
+                AvSignature::new("t", "key", AvKind::MaterialisedGrouping),
+            ])
+            .unwrap();
         let stats = handle.wait().unwrap();
         assert_eq!(stats.len(), 3);
         // One build at a time through a max_inflight=1 controller: the
@@ -344,7 +325,7 @@ mod tests {
         let builder = AvBuilder::new(catalog, avs, pool);
         let missing = AvSignature::new("nope", "key", AvKind::SphIndex);
         assert!(builder.build(&missing).is_err());
-        let handle = builder.spawn(vec![missing]);
+        let handle = builder.spawn(vec![missing]).unwrap();
         assert!(handle.wait().is_err());
     }
 }

@@ -203,7 +203,7 @@ impl ViewMaintainer {
                     // execution time) and rebuild in the background; the
                     // build waits for this insert's mutation lock.
                     builder.avs.remove(&sig);
-                    let handle = builder.spawn(vec![sig.clone()]);
+                    let handle = builder.spawn(vec![sig.clone()])?;
                     (DeltaAction::Rebuild, Some(handle))
                 }
             };

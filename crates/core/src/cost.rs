@@ -13,7 +13,6 @@
 //! composes partial sorts (sort only the unsorted input) out of these
 //! pieces, which is exactly what Figure 5's 2.8× cell requires.
 
-use crate::av::AvKind;
 use dqo_plan::{GroupingAlgorithm, JoinAlgorithm};
 
 /// log₂ with the convention `log2(x) = 0` for `x ≤ 1` (sorting one row is
@@ -167,42 +166,6 @@ pub trait CostModel: Send + Sync {
             return serial;
         }
         serial / dop as f64 + self.parallel_overhead(dop, 0.0)
-    }
-
-    /// Offline build cost of one Algorithmic View at degree `dop`,
-    /// mirroring the parallel build kernels. `shape` is the kind's size
-    /// parameter beyond the row count: the SPH domain for
-    /// [`AvKind::SphIndex`], the group count for
-    /// [`AvKind::MaterialisedGrouping`], unused for sorted projections.
-    ///
-    /// * sorted projection — a parallel sort of the key column plus a
-    ///   range-partitioned gather that re-materialises the rows;
-    /// * SPH index — a histogram scan and a scatter fill (both divided)
-    ///   around a serial cursor pass over the domain;
-    /// * materialised grouping — the parallel grouping decomposition.
-    fn parallel_av_build(&self, kind: AvKind, rows: f64, shape: f64, dop: usize) -> f64 {
-        let d = dop.max(1) as f64;
-        match kind {
-            AvKind::SortedProjection => {
-                let gather = if dop <= 1 {
-                    self.scan(rows)
-                } else {
-                    self.scan(rows) / d + self.parallel_overhead(dop, 0.0)
-                };
-                self.parallel_sort(rows, dop) + gather
-            }
-            AvKind::SphIndex => {
-                let passes = 2.0 * self.scan(rows) / d + self.scan(shape);
-                if dop <= 1 {
-                    passes
-                } else {
-                    passes + 2.0 * self.parallel_overhead(dop, 0.0)
-                }
-            }
-            AvKind::MaterialisedGrouping => {
-                self.parallel_grouping(GroupingAlgorithm::HashBased, rows, shape, dop)
-            }
-        }
     }
 
     /// Model name for reports.
@@ -381,27 +344,6 @@ mod tests {
         assert_eq!(M.parallel_scan(100.0, 1), 100.0);
         assert!(M.parallel_scan(100.0, 4) > 100.0, "tiny scans stay serial");
         assert!(M.parallel_scan(1e8, 4) < 1e8);
-    }
-
-    #[test]
-    fn parallel_av_build_divides_work_and_charges_overheads() {
-        let rows = 1e7;
-        for kind in [
-            AvKind::SortedProjection,
-            AvKind::SphIndex,
-            AvKind::MaterialisedGrouping,
-        ] {
-            let serial = M.parallel_av_build(kind, rows, 1_000.0, 1);
-            let par = M.parallel_av_build(kind, rows, 1_000.0, 4);
-            assert!(par < serial, "{kind:?}: {par} !< {serial}");
-        }
-        // Tiny build: the dispatch overhead dominates and the estimate
-        // must say so, matching the kernels' serial fallbacks.
-        let tiny = 1_000.0;
-        assert!(
-            M.parallel_av_build(AvKind::SphIndex, tiny, 64.0, 4)
-                > M.parallel_av_build(AvKind::SphIndex, tiny, 64.0, 1)
-        );
     }
 
     #[test]

@@ -473,8 +473,8 @@ impl Engine {
         // The replaced snapshot's buffers are garbage unless a reader still
         // holds them: free them before view maintenance allocates its own.
         drop(base);
-        // Maintenance kernels (rebuild sorts and gathers) go through the
-        // session pool only when this session is parallel at all.
+        // An inline rebuild sorts through the session pool only when this
+        // session is parallel at all.
         let tp = (self.threads > 1).then(|| ThreadPool::with_pool(self.threads, self.pool()));
         let maintenance = self.maintainer.maintain_table(
             &self.av_builder(),
@@ -774,7 +774,7 @@ materialised: {} bytes
 
     /// An [`AvBuilder`] wired to this session's catalog, AV catalog and
     /// pool: every build passes the pool's admission controller and runs
-    /// the parallel build kernels at the granted DOP.
+    /// its sort or grouping at the granted DOP.
     pub fn av_builder(&self) -> AvBuilder {
         AvBuilder::new(
             Arc::clone(&self.catalog),
@@ -802,8 +802,9 @@ materialised: {} bytes
     /// handle's batch trickles through the pool's admission queue (one
     /// in-flight slot at a time, DOP-clamped under load) while this
     /// session keeps serving queries. [`AvBuildHandle::wait`] returns
-    /// the per-build [`crate::av_build::AvBuildStats`].
-    pub fn materialise_avs_background(&self, solution: &AvspSolution) -> AvBuildHandle {
+    /// the per-build [`crate::av_build::AvBuildStats`]. A build thread the
+    /// OS refuses is a [`CoreError::Av`](crate::CoreError::Av).
+    pub fn materialise_avs_background(&self, solution: &AvspSolution) -> Result<AvBuildHandle> {
         let sigs = solution
             .selected
             .iter()
@@ -1221,7 +1222,7 @@ mod tests {
         let solution =
             avsp::solve(&workload, engine.catalog(), usize::MAX, Solver::Greedy).unwrap();
         assert!(!solution.selected.is_empty());
-        let handle = engine.materialise_avs_background(&solution);
+        let handle = engine.materialise_avs_background(&solution).unwrap();
         // Queries keep flowing while the batch trickles through
         // admission behind them.
         for _ in 0..4 {
@@ -1263,7 +1264,7 @@ mod tests {
             let workload = vec![WorkloadQuery::new(q.clone(), 10.0)];
             let solution =
                 avsp::solve(&workload, engine.catalog(), usize::MAX, Solver::Greedy).unwrap();
-            let handle = engine.materialise_avs_background(&solution);
+            let handle = engine.materialise_avs_background(&solution).unwrap();
             // Replace the table while the batch may be mid-build.
             engine.register_table(
                 "t",

@@ -36,7 +36,8 @@
 //!   space budget for a given workload;
 //! * [`av_build`] — the offline AV build service: builds and publishes
 //!   an AVSP solution on the shared persistent pool, admission-controlled
-//!   and optionally in the background, with per-build stats;
+//!   and optionally in the background, with per-build stats (the measured
+//!   wall time beside `plan_av`'s Table 2 estimate);
 //! * [`av_delta`] — incremental AV maintenance on the write path:
 //!   appends delta-merge groupings, merge their sorted delta into sorted
 //!   projections and patch SPH indexes (or fall back to rebuilds),

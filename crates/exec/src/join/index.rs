@@ -75,16 +75,6 @@ impl JoinIndex {
         Ok(Self::over(min, layout))
     }
 
-    /// The unique layout of [`JoinIndex::identity`], or `None` at the
-    /// first key that repeats — one fill pass into a domain-sized array. A
-    /// key outside the domain before that point is an error.
-    pub fn unique(left_keys: &[u32], min: u32, max: u32) -> Result<Option<Self>> {
-        let domain = domain_of(min, max)?;
-        let layout = Layout::unique(left_keys, domain, |k| slot(k, min, domain))
-            .map_err(|k| domain_violation(k, min, max))?;
-        Ok(layout.map(|layout| Self::over(min, layout)))
-    }
-
     /// The HJ index: a hashed slot map over any build keys. Its slots are
     /// the distinct keys in first-seen order, laid out like an identity
     /// index over the keys' slot ids.
@@ -103,41 +93,6 @@ impl JoinIndex {
             slots: SlotMap::Identity { min },
             layout,
         }
-    }
-
-    /// Assemble an identity-mapped CSR index from prebuilt parts — the
-    /// entry point for parallel builders that compute the layout
-    /// themselves (per-block histograms + partitioned fill) once
-    /// [`JoinIndex::unique`] declined. Validates the CSR invariants so a
-    /// buggy builder cannot produce an index that panics at probe time.
-    pub fn from_csr(min: u32, offsets: Vec<u32>, rows: Vec<u32>) -> Result<Self> {
-        let invalid = |detail: String| ExecError::PreconditionViolated {
-            algorithm: "SPHJ",
-            detail,
-        };
-        if offsets.len() < 2 {
-            return Err(invalid(format!(
-                "CSR offsets need at least 2 entries, got {}",
-                offsets.len()
-            )));
-        }
-        if offsets[0] != 0 {
-            return Err(invalid(format!(
-                "CSR offsets must start at 0: {}",
-                offsets[0]
-            )));
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(invalid("CSR offsets must be non-decreasing".into()));
-        }
-        if *offsets.last().expect("len checked") as usize != rows.len() {
-            return Err(invalid(format!(
-                "CSR offsets end at {} but {} rows were supplied",
-                offsets.last().expect("len checked"),
-                rows.len()
-            )));
-        }
-        Ok(Self::over(min, Layout::Csr { offsets, rows }))
     }
 
     /// True when no two build rows share a key (the unique layout).
@@ -497,31 +452,6 @@ mod tests {
     }
 
     #[test]
-    fn from_csr_roundtrips_a_built_index() {
-        let left = [2u32, 0, 1, 1];
-        let built = JoinIndex::identity(&left, 0, 2).unwrap();
-        let (offsets, rows) = built.layout.csr_parts();
-        let assembled = JoinIndex::from_csr(0, offsets.into_owned(), rows.into_owned()).unwrap();
-        assert_eq!(assembled, built);
-        assert_eq!(
-            assembled.probe(&[1, 2]).normalised_pairs(),
-            built.probe(&[1, 2]).normalised_pairs()
-        );
-    }
-
-    #[test]
-    fn from_csr_rejects_malformed_layouts() {
-        // Too few offsets.
-        assert!(JoinIndex::from_csr(0, vec![0], vec![]).is_err());
-        // Offsets not starting at zero.
-        assert!(JoinIndex::from_csr(0, vec![1, 1], vec![0]).is_err());
-        // Decreasing offsets.
-        assert!(JoinIndex::from_csr(0, vec![0, 2, 1], vec![0, 1]).is_err());
-        // End offset disagrees with the row count.
-        assert!(JoinIndex::from_csr(0, vec![0, 2], vec![0]).is_err());
-    }
-
-    #[test]
     fn patch_is_bit_identical_to_rebuild() {
         // Several shapes: empty base, empty delta, duplicates, all-one-key.
         let cases: &[(&[u32], &[u32], u32, u32)] = &[
@@ -611,9 +541,12 @@ mod tests {
         let unique_keys = keys(500, 0);
         let unique = JoinIndex::identity(&unique_keys, 0, 499).unwrap();
         assert!(unique.is_unique());
-        // The same keys in CSR form, assembled from the derived parts.
-        let (offsets, rows) = unique.layout.csr_parts();
-        let csr = JoinIndex::from_csr(0, offsets.into_owned(), rows.into_owned()).unwrap();
+        // The same keys in CSR form, laid out by the CSR fill
+        // `JoinIndex::identity` falls back to at a repeat.
+        let csr = JoinIndex::over(
+            0,
+            Layout::csr(&unique_keys, 500, |k| slot(k, 0, 500)).unwrap(),
+        );
         assert!(!csr.is_unique());
         let dup_keys = keys(500, 40);
         let dups = JoinIndex::identity(&dup_keys, 0, 499).unwrap();

@@ -35,11 +35,12 @@
 //!   disjoint, contiguous and deterministic; top-n, SOG (run aggregation
 //!   with deterministic boundary stitching) and SOJ (range-partitioned
 //!   merge join) build on it, covering the paper's sort-based operator
-//!   family;
-//! * [`av_build`] — Algorithmic-View build kernels: a partitioned
-//!   bit-identical SPH-index CSR build and a range-partitioned relation
-//!   gather, so `dqo-core` materialises every AV kind through one loop
-//!   per kernel, on the shared pool or on the caller thread.
+//!   family.
+//!
+//! Algorithmic Views are built by these same kernels: `dqo-core` sorts a
+//! sorted projection with [`parallel_argsort`] and groups a materialised
+//! grouping with [`parallel_grouping`]; the SPH index and the projection's
+//! gather are single passes it runs on the caller thread.
 //!
 //! Everything is **deterministic by construction**: per-morsel outputs
 //! are concatenated in morsel order and per-worker partials merge
@@ -60,7 +61,6 @@
 #![warn(clippy::all)]
 
 pub mod admission;
-pub mod av_build;
 pub mod grouping;
 pub mod merge_path;
 pub mod morsel;
@@ -69,7 +69,6 @@ pub mod pool;
 pub mod sort;
 
 pub use admission::{AdmissionController, AdmissionPermit};
-pub use av_build::{parallel_gather, parallel_sph_index_build};
 pub use grouping::{
     parallel_grouping, parallel_grouping_tasks, GroupingStrategy, Rows, Scratch, Sink,
 };

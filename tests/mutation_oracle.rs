@@ -24,7 +24,7 @@
 use dqo::core::av::{materialise_av, AvArtifact, AvKind, AvSignature};
 use dqo::core::executor::{execute_with, naive_eval, sorted_rows, ExecContext};
 use dqo::core::optimizer::{optimize_in, OptimizerMode, SearchContext};
-use dqo::core::{DeltaAction, Engine};
+use dqo::core::{CoreError, DeltaAction, Engine};
 use dqo::obs::{names, MetricsRegistry};
 use dqo::plan::expr::{AggExpr, CmpOp, Predicate};
 use dqo::plan::{AggFunc, LogicalPlan};
@@ -465,6 +465,83 @@ fn sph_domain_widening_rebuilds_in_background() {
     assert_matches_rebuild(&engine, "post-widening");
     let snap = registry.snapshot();
     assert!(snap.counter(names::AV_DELTA_REBUILDS).unwrap_or(0) >= 1);
+}
+
+/// One INSERT of a key far outside the indexed column's dense domain
+/// (`4 000 000 000` into `0..32`) breaks the CSR patch, and the background
+/// rebuild would need an SPH array of four billion slots. It must refuse
+/// the index with a typed error instead: the stale index stays removed,
+/// `wait_for_rebuilds` returns the error, the other two views stay
+/// bit-identical to a rebuild, and joins on the key build their index per
+/// query and answer as the mirror does.
+#[test]
+fn a_wide_key_insert_refuses_the_sph_rebuild_instead_of_allocating_its_domain() {
+    let mut state = 17u64;
+    let mut mirror = seed_rows(500, 32, &mut state);
+    let (engine, _) = engine_with_avs(&mirror, 2);
+    let sph_sig = AvSignature::new("t", "key", AvKind::SphIndex);
+    let wide = (4_000_000_000u32, 5u32);
+
+    let mut report = engine
+        .insert("t", &[vec![Value::U32(wide.0), Value::U32(wide.1)]])
+        .expect("insert");
+    mirror.push(wide);
+    let outcome = report
+        .maintenance
+        .outcomes
+        .iter()
+        .find(|o| o.signature == sph_sig)
+        .expect("SPH maintained");
+    assert_eq!(outcome.action, DeltaAction::Rebuild);
+    match report.wait_for_rebuilds() {
+        Err(CoreError::Av(msg)) => assert!(msg.contains("too sparse"), "{msg}"),
+        other => panic!("the rebuild must refuse the sparse domain, got {other:?}"),
+    }
+    assert!(
+        engine.avs().get(&sph_sig).is_none(),
+        "the stale index stays removed"
+    );
+    let others = [AvKind::SortedProjection, AvKind::MaterialisedGrouping]
+        .map(|kind| AvSignature::new("t", "key", kind));
+    assert_sigs_match_rebuild(&engine, &others, "after the wide insert");
+
+    // A dimension holding some domain keys twice, one key no row of `t`
+    // holds, and the wide key.
+    let dim: Vec<u32> = (0..32)
+        .chain([3, 17, 40, wide.0])
+        .chain((0..8).rev())
+        .collect();
+    engine.register_table("d", Relation::single_u32("k", dim.clone()));
+    let mut want: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
+    for (k, _) in &mirror {
+        let hits = dim.iter().filter(|&&d| d == *k).count() as u64;
+        if hits > 0 {
+            let e = want.entry(*k).or_insert((0, 0));
+            e.0 += hits;
+            e.1 += hits * u64::from(*k);
+        }
+    }
+    let aggs = || {
+        vec![
+            AggExpr::count_star("count"),
+            AggExpr::on(AggFunc::Sum, "key", "sum"),
+        ]
+    };
+    for (left, right, left_key, right_key) in [("t", "d", "key", "k"), ("d", "t", "k", "key")] {
+        let join = LogicalPlan::join(
+            LogicalPlan::scan(left),
+            LogicalPlan::scan(right),
+            left_key,
+            right_key,
+        );
+        let q = LogicalPlan::group_by(join, "key", aggs());
+        let out = engine.query(&q).expect("join");
+        assert_eq!(
+            result_groups(&out.output.relation),
+            want,
+            "{left} JOIN {right} diverged from the mirror"
+        );
+    }
 }
 
 /// Per-partition appends on a range-partitioned base: the partitioning

@@ -486,8 +486,8 @@ fn av_builds_bit_identical_across_dop_seeds_and_skew() {
     // The offline-AV story meets the parallel runtime: every AV kind,
     // built with no pool and through pools of 2 and 8 workers, must equal
     // the reference built from `dqo-exec`'s kernels bit for bit — across
-    // datagen seeds and Zipf-skewed key columns (where morsel histograms
-    // and gather chunks are maximally unbalanced). `wide` holds the same
+    // datagen seeds and Zipf-skewed key columns (where morsel partials
+    // and sort runs are maximally unbalanced). `wide` holds the same
     // keys spread over `u32`, so its grouping runs HG, whose one table on
     // the caller thread drains unsorted.
     for seed in [11u64, 0xAB] {
@@ -584,7 +584,7 @@ fn background_av_builds_hold_the_admission_bound_under_query_load() {
     assert!(!solution.selected.is_empty());
 
     let reference = sorted_rows(&engine.query(&q).unwrap().output.relation);
-    let handle = engine.materialise_avs_background(&solution);
+    let handle = engine.materialise_avs_background(&solution).unwrap();
     std::thread::scope(|scope| {
         for _ in 0..2 {
             scope.spawn(|| {
