@@ -3,19 +3,18 @@
 //! they remove (§3's offline-vs-query-time trade-off made measurable).
 //!
 //! ```text
-//! cargo run -p dqo-bench --release --bin avsp
+//! cargo run -p dqo-bench --release -- avsp
 //! ```
 
-use dqo_bench::report::Table;
-use dqo_bench::Args;
+use crate::report::Table;
+use crate::Args;
 use dqo_core::avsp::{solve, Solver, WorkloadQuery};
 use dqo_core::Catalog;
 use dqo_plan::expr::AggExpr;
 use dqo_plan::{AggFunc, LogicalPlan};
 use dqo_storage::datagen::{DatasetSpec, ForeignKeySpec};
 
-fn main() {
-    let args = Args::from_env();
+pub(crate) fn main(args: &Args) -> Result<(), String> {
     let catalog = Catalog::new();
     catalog.register(
         "events",
@@ -103,9 +102,6 @@ fn main() {
             ]);
         }
     }
-    if args.flag("--csv") {
-        print!("{}", table.to_csv());
-    } else {
-        print!("{}", table.to_text());
-    }
+    args.emit(&table);
+    Ok(())
 }

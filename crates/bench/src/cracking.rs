@@ -4,27 +4,26 @@
 //! becoming measurable.
 //!
 //! ```text
-//! cargo run -p dqo-bench --release --bin cracking [-- --rows 10000000 --queries 64]
+//! cargo run -p dqo-bench --release -- cracking [--rows 10000000 --queries 64]
 //! ```
 
-use dqo_bench::report::Table;
-use dqo_bench::Args;
+use crate::report::Table;
+use crate::Args;
 use dqo_core::adaptive::CrackedColumn;
 use dqo_storage::datagen::DatasetSpec;
 use std::time::Instant;
 
-fn main() {
-    let args = Args::from_env();
-    let rows: usize = args.value("--rows").unwrap_or(10_000_000);
-    let queries: usize = args.value("--queries").unwrap_or(64);
+pub(crate) fn main(args: &Args) -> Result<(), String> {
+    let rows = args.count("--rows", 10_000_000)?;
+    let queries = args.count("--queries", 64)?;
     let domain: u32 = 1_000_000;
 
     let data = DatasetSpec::new(rows, domain as usize)
         .sorted(false)
         .dense(true)
         .generate()
-        .expect("spec");
-    let mut cracked = CrackedColumn::new(data.clone());
+        .map_err(|e| e.to_string())?;
+    let mut cracked = CrackedColumn::new(data);
 
     eprintln!("cracking convergence: {rows} rows, {queries} random range queries");
     let mut table = Table::new(&["query #", "crack work (entries)", "query ms", "cracks"]);
@@ -47,7 +46,7 @@ fn main() {
         };
         let work = cracked.crack_work(lo) + cracked.crack_work(hi);
         let t = Instant::now();
-        let (count, _, stats) = cracked.range_query(lo, hi);
+        let (_, _, stats) = cracked.range_query(lo, hi);
         let ms = t.elapsed().as_secs_f64() * 1e3;
         if q == 0 {
             full_scan_equiv = ms.max(1e-9);
@@ -61,13 +60,8 @@ fn main() {
                 stats.cracks.to_string(),
             ]);
         }
-        let _ = count;
     }
-    if args.flag("--csv") {
-        print!("{}", table.to_csv());
-    } else {
-        print!("{}", table.to_text());
-    }
+    args.emit(&table);
     println!(
         "\nFirst query partitions ~the whole column (cost ≈ a full scan);\n\
          later queries touch only the residual unsorted segments. Final state:\n\
@@ -76,4 +70,5 @@ fn main() {
         rows,
         full_scan_equiv
     );
+    Ok(())
 }

@@ -5,11 +5,11 @@
 //! optimisation time in DQO is an issue, we need AVs to the rescue" (§6).
 //!
 //! ```text
-//! cargo run -p dqo-bench --release --bin depth_ablation
+//! cargo run -p dqo-bench --release -- depth_ablation
 //! ```
 
-use dqo_bench::report::Table;
-use dqo_bench::Args;
+use crate::report::Table;
+use crate::Args;
 use dqo_core::optimizer::{enumerate_candidates, optimize, OptimizerMode, SearchContext};
 use dqo_core::Catalog;
 use dqo_plan::deep::enumerate_grouping_plans;
@@ -17,9 +17,7 @@ use dqo_plan::{GroupingAlgorithm, LoopMolecule};
 use dqo_storage::datagen::ForeignKeySpec;
 use std::time::Instant;
 
-fn main() {
-    let args = Args::from_env();
-
+pub(crate) fn main(args: &Args) -> Result<(), String> {
     // Part 1: the deep-plan space of one γ, by the §4.1 organelle each
     // complete plan lowers to (the executor runs every one of them).
     println!("=== Figure 3 search space of a single grouping operator ===\n");
@@ -41,7 +39,7 @@ fn main() {
             parallel.to_string(),
         ]);
     }
-    print!("{}", t.to_text());
+    args.emit(&t);
     println!(
         "\nSQO picks among 5 named organelles; full molecule-level DQO faces {}\n\
          alternatives for the same operator — a {}x larger space for one γ.\n",
@@ -89,14 +87,11 @@ fn main() {
             format!("{:.0}", planned.est_cost),
         ]);
     }
-    if args.flag("--csv") {
-        print!("{}", table.to_csv());
-    } else {
-        print!("{}", table.to_text());
-    }
+    args.emit(&table);
     println!(
         "\nDQO's extra property tracking enlarges the DP state but stays in the\n\
          same complexity class — the plan improvement (2.8x here) dwarfs the\n\
          added microseconds. AVs shift even those offline (§3)."
     );
+    Ok(())
 }

@@ -1,6 +1,15 @@
-//! Figure 4 machinery: run the five grouping variants over the four
-//! dataset shapes across a sweep of group counts, measuring wall-clock.
+//! Regenerates **Figure 4**: grouping runtime vs number of groups for the
+//! four dataset shapes — the five grouping variants over each shape across
+//! a sweep of group counts, measuring wall-clock.
+//!
+//! ```text
+//! cargo run -p dqo-bench --release -- fig4            # 10M rows
+//! cargo run -p dqo-bench --release -- fig4 --full     # the paper's 100M rows
+//! cargo run -p dqo-bench --release -- fig4 --rows 1000000 --csv
+//! ```
 
+use crate::report::Table;
+use crate::Args;
 use dqo_exec::aggregate::CountSum;
 use dqo_exec::grouping::{execute_grouping, GroupingAlgorithm, GroupingHints};
 use dqo_storage::datagen::DatasetSpec;
@@ -20,24 +29,8 @@ impl DatasetShape {
     /// The four shapes in the paper's plot order (row-major: sorted row
     /// first, sparse column first).
     pub fn all() -> [DatasetShape; 4] {
-        [
-            DatasetShape {
-                sorted: true,
-                dense: false,
-            },
-            DatasetShape {
-                sorted: true,
-                dense: true,
-            },
-            DatasetShape {
-                sorted: false,
-                dense: false,
-            },
-            DatasetShape {
-                sorted: false,
-                dense: true,
-            },
-        ]
+        [(true, false), (true, true), (false, false), (false, true)]
+            .map(|(sorted, dense)| DatasetShape { sorted, dense })
     }
 
     /// Display label.
@@ -76,8 +69,6 @@ pub struct Fig4Point {
     pub algorithm: GroupingAlgorithm,
     /// Number of distinct groups.
     pub groups: usize,
-    /// Input rows.
-    pub rows: usize,
     /// Best-of-`reps` runtime in milliseconds.
     pub millis: f64,
 }
@@ -89,18 +80,20 @@ pub fn paper_group_sweep() -> Vec<usize> {
     ]
 }
 
-/// Measure one (shape, groups) cell for every applicable algorithm.
+/// Measure one (shape, groups) cell for each of `algorithms`, best of
+/// `reps` runs each.
 pub fn measure_cell(
     shape: DatasetShape,
     rows: usize,
     groups: usize,
     reps: usize,
-) -> Vec<Fig4Point> {
+    algorithms: &[GroupingAlgorithm],
+) -> Result<Vec<Fig4Point>, String> {
     let keys = DatasetSpec::new(rows, groups)
         .sorted(shape.sorted)
         .dense(shape.dense)
         .generate()
-        .expect("valid spec");
+        .map_err(|e| e.to_string())?;
     let props = DataProps::compute(&keys);
     let mut known: Vec<u32> = keys.clone();
     known.sort_unstable();
@@ -111,39 +104,78 @@ pub fn measure_cell(
         distinct: Some(props.distinct),
         known_keys: Some(known),
     };
-    shape
-        .algorithms()
-        .into_iter()
-        .map(|algorithm| {
+    algorithms
+        .iter()
+        .map(|&algorithm| {
             let mut best = f64::INFINITY;
             for _ in 0..reps.max(1) {
                 let start = Instant::now();
                 let result = execute_grouping(algorithm, &keys, &keys, CountSum, &hints)
-                    .expect("applicable algorithm");
+                    .map_err(|e| e.to_string())?;
                 let dt = start.elapsed().as_secs_f64() * 1e3;
                 assert_eq!(result.len(), groups.min(rows));
                 best = best.min(dt);
             }
-            Fig4Point {
+            Ok(Fig4Point {
                 shape,
                 algorithm,
                 groups,
-                rows,
                 millis: best,
-            }
+            })
         })
         .collect()
 }
 
-/// Run the full Figure 4 grid.
-pub fn run(rows: usize, sweep: &[usize], reps: usize) -> Vec<Fig4Point> {
+/// Run the full Figure 4 grid: every shape's [`DatasetShape::algorithms`].
+pub fn run(rows: usize, sweep: &[usize], reps: usize) -> Result<Vec<Fig4Point>, String> {
     let mut out = Vec::new();
     for shape in DatasetShape::all() {
+        let algorithms = shape.algorithms();
         for &groups in sweep {
-            out.extend(measure_cell(shape, rows, groups, reps));
+            out.extend(measure_cell(shape, rows, groups, reps, &algorithms)?);
         }
     }
-    out
+    Ok(out)
+}
+
+/// Print one runtime table per shape, then the shape checks.
+pub(crate) fn main(args: &Args) -> Result<(), String> {
+    let rows = if args.flag("--full") {
+        100_000_000
+    } else {
+        args.count("--rows", 10_000_000)?
+    };
+    let reps = args.count("--reps", 2)?;
+    let sweep = paper_group_sweep();
+
+    eprintln!("Figure 4: {rows} rows, sweep {sweep:?}, best of {reps} runs");
+    let points = run(rows, &sweep, reps)?;
+
+    for shape in DatasetShape::all() {
+        let algos = shape.algorithms();
+        let mut header: Vec<&str> = vec!["#groups"];
+        header.extend(algos.iter().map(|a| a.abbrev()));
+        let mut table = Table::new(&header);
+        for &groups in &sweep {
+            let mut row = vec![groups.to_string()];
+            for algo in &algos {
+                let p = points
+                    .iter()
+                    .find(|p| p.shape == shape && p.algorithm == *algo && p.groups == groups)
+                    .expect("measured");
+                row.push(format!("{:.1}", p.millis));
+            }
+            table.row(row);
+        }
+        println!("\n=== {} (runtime in ms) ===", shape.label());
+        args.emit(&table);
+    }
+
+    println!("\n=== shape verification against the paper's prose ===");
+    for finding in verify_shapes(&points) {
+        println!("  {finding}");
+    }
+    Ok(())
 }
 
 /// Shape checks on measured data — the assertions the paper's prose makes
@@ -260,7 +292,7 @@ mod tests {
             sorted: false,
             dense: true,
         };
-        let points = measure_cell(shape, 10_000, 50, 1);
+        let points = measure_cell(shape, 10_000, 50, 1, &shape.algorithms()).unwrap();
         assert_eq!(points.len(), shape.algorithms().len());
         assert!(points.iter().all(|p| p.millis >= 0.0));
         assert!(points.iter().all(|p| p.groups == 50));
@@ -268,7 +300,7 @@ mod tests {
 
     #[test]
     fn full_run_small() {
-        let points = run(5_000, &[1, 10], 1);
+        let points = run(5_000, &[1, 10], 1).unwrap();
         // 2 sorted shapes × 4 algos + 2 unsorted shapes × 3 algos (no OG),
         // per sweep point.
         assert_eq!(points.len(), (2 * 4 + 2 * 3) * 2);

@@ -1,7 +1,14 @@
-//! Figure 5 machinery: the §4.3 query optimised under SQO and DQO for
-//! every input configuration, with estimated-cost factors and optional
-//! measured execution.
+//! Regenerates **Figure 5**: DQO-over-SQO improvement factors for the
+//! estimated plan costs of the §4.3 query, per input configuration —
+//! optionally also executing both plans (E6).
+//!
+//! ```text
+//! cargo run -p dqo-bench --release -- fig5
+//! cargo run -p dqo-bench --release -- fig5 --execute --scale 4
+//! ```
 
+use crate::report::Table;
+use crate::Args;
 use dqo_core::executor::sorted_rows;
 use dqo_core::optimizer::{optimize, OptimizerMode};
 use dqo_core::{execute, Catalog};
@@ -65,15 +72,22 @@ pub fn paper_factor(r_sorted: bool, s_sorted: bool, dense: bool) -> f64 {
     }
 }
 
+/// `(|R|, |S|, #groups)` of the Figure 5 instance at `scale`: 25,000,
+/// 90,000 and 20,000 at scale 1.
+pub fn sizes(scale: f64) -> (usize, usize, usize) {
+    let at = |n: f64| (n * scale) as usize;
+    (at(25_000.0), at(90_000.0), at(20_000.0))
+}
+
 /// Run the full grid at the paper's sizes (scaled by `scale`).
-pub fn run(scale: f64, execute_plans: bool) -> Vec<Fig5Cell> {
+pub fn run(scale: f64, execute_plans: bool) -> Result<Vec<Fig5Cell>, String> {
     let mut out = Vec::new();
     for dense in [false, true] {
         for (r_sorted, s_sorted) in [(true, true), (true, false), (false, true), (false, false)] {
-            out.push(run_cell(r_sorted, s_sorted, dense, scale, execute_plans));
+            out.push(run_cell(r_sorted, s_sorted, dense, scale, execute_plans)?);
         }
     }
-    out
+    Ok(out)
 }
 
 /// Run one cell.
@@ -83,32 +97,33 @@ pub fn run_cell(
     dense: bool,
     scale: f64,
     execute_plans: bool,
-) -> Fig5Cell {
+) -> Result<Fig5Cell, String> {
     let catalog = Catalog::new();
+    let (r_rows, s_rows, groups) = sizes(scale);
     let (r, s) = ForeignKeySpec {
-        r_rows: (25_000.0 * scale) as usize,
-        s_rows: (90_000.0 * scale) as usize,
-        groups: (20_000.0 * scale) as usize,
+        r_rows,
+        s_rows,
+        groups,
         r_sorted,
         s_sorted,
         dense,
         ..Default::default()
     }
     .generate()
-    .expect("valid spec");
+    .map_err(|e| e.to_string())?;
     catalog.register("R", r);
     catalog.register("S", s);
     let q = dqo_plan::logical::example_query_4_3();
-    let sqo = optimize(&q, &catalog, OptimizerMode::Shallow).expect("plans");
-    let dqo = optimize(&q, &catalog, OptimizerMode::Deep).expect("plans");
+    let sqo = optimize(&q, &catalog, OptimizerMode::Shallow).map_err(|e| e.to_string())?;
+    let dqo = optimize(&q, &catalog, OptimizerMode::Deep).map_err(|e| e.to_string())?;
 
     let (mut sqo_ms, mut dqo_ms) = (None, None);
     if execute_plans {
         let t = Instant::now();
-        let a = execute(&sqo.plan, &catalog).expect("SQO executes");
+        let a = execute(&sqo.plan, &catalog).map_err(|e| e.to_string())?;
         sqo_ms = Some(t.elapsed().as_secs_f64() * 1e3);
         let t = Instant::now();
-        let b = execute(&dqo.plan, &catalog).expect("DQO executes");
+        let b = execute(&dqo.plan, &catalog).map_err(|e| e.to_string())?;
         dqo_ms = Some(t.elapsed().as_secs_f64() * 1e3);
         assert_eq!(
             sorted_rows(&a.relation),
@@ -116,7 +131,7 @@ pub fn run_cell(
             "SQO and DQO plans must agree"
         );
     }
-    Fig5Cell {
+    Ok(Fig5Cell {
         r_sorted,
         s_sorted,
         dense,
@@ -126,7 +141,66 @@ pub fn run_cell(
         dqo_cost: dqo.est_cost,
         sqo_ms,
         dqo_ms,
+    })
+}
+
+/// Print the grid with the paper's factor beside each estimated one (and
+/// the measured one under `--execute`).
+pub(crate) fn main(args: &Args) -> Result<(), String> {
+    let scale: f64 = args.value("--scale")?.unwrap_or(1.0);
+    let execute = args.flag("--execute");
+    let (r_rows, s_rows, groups) = sizes(scale);
+    if !scale.is_finite() || groups == 0 {
+        return Err(format!(
+            "invalid value {scale} for --scale: must be finite and leave at least one group"
+        ));
     }
+
+    let executing = if execute {
+        ", executing both plans"
+    } else {
+        ""
+    };
+    eprintln!("Figure 5: |R| = {r_rows}, |S| = {s_rows}, {groups} groups{executing}");
+
+    let mut header = vec![
+        "inputs", "density", "SQO plan", "DQO plan", "SQO cost", "DQO cost", "factor", "paper",
+    ];
+    if execute {
+        header.extend(["SQO ms", "DQO ms", "measured"]);
+    }
+    let mut table = Table::new(&header);
+    for cell in run(scale, execute)? {
+        let mut row = vec![
+            cell.label(),
+            if cell.dense { "dense" } else { "sparse" }.into(),
+            format!("{:?}", cell.sqo_plan),
+            format!("{:?}", cell.dqo_plan),
+            format!("{:.0}", cell.sqo_cost),
+            format!("{:.0}", cell.dqo_cost),
+            format!("{:.1}x", cell.factor()),
+            format!(
+                "{}x",
+                paper_factor(cell.r_sorted, cell.s_sorted, cell.dense)
+            ),
+        ];
+        if let (Some(sqo_ms), Some(dqo_ms), Some(measured)) =
+            (cell.sqo_ms, cell.dqo_ms, cell.measured_factor())
+        {
+            row.extend([
+                format!("{sqo_ms:.1}"),
+                format!("{dqo_ms:.1}"),
+                format!("{measured:.1}x"),
+            ]);
+        }
+        table.row(row);
+    }
+    args.emit(&table);
+    println!(
+        "\nPaper grid (Figure 5): sparse column all 1x; dense column 1x / 4x / 2.8x / 4x\n\
+         for (Rs,Ss) / (Rs,Su) / (Ru,Ss) / (Ru,Su)."
+    );
+    Ok(())
 }
 
 #[cfg(test)]
@@ -135,7 +209,7 @@ mod tests {
 
     #[test]
     fn grid_reproduces_the_paper_exactly() {
-        for cell in run(1.0, false) {
+        for cell in run(1.0, false).unwrap() {
             let expected = paper_factor(cell.r_sorted, cell.s_sorted, cell.dense);
             let got = cell.factor();
             assert!(
@@ -149,7 +223,7 @@ mod tests {
 
     #[test]
     fn execution_mode_measures_and_verifies() {
-        let cell = run_cell(false, false, true, 0.05, true);
+        let cell = run_cell(false, false, true, 0.05, true).unwrap();
         assert!(cell.sqo_ms.is_some());
         assert!(cell.dqo_ms.is_some());
         assert!(cell.measured_factor().unwrap() > 0.0);

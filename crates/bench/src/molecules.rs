@@ -13,11 +13,11 @@
 //! surviving rows — reported as input rows per second.
 //!
 //! ```text
-//! cargo run -p dqo-bench --release --bin molecules [-- --rows 5000000 --groups 10000]
+//! cargo run -p dqo-bench --release -- molecules [--rows 5000000 --groups 10000]
 //! ```
 
-use dqo_bench::report::Table;
-use dqo_bench::Args;
+use crate::report::Table;
+use crate::Args;
 use dqo_core::{execute, Catalog};
 use dqo_exec::aggregate::CountSum;
 use dqo_exec::grouping::hg::{hash_grouping_with, HgTable};
@@ -29,20 +29,22 @@ use dqo_storage::datagen::DatasetSpec;
 use dqo_storage::{Column, DataType, Field, Relation, Schema};
 use std::time::Instant;
 
-fn main() {
-    let args = Args::from_env();
-    let rows: usize = args.value("--rows").unwrap_or(5_000_000);
-    let groups: usize = args.value("--groups").unwrap_or(10_000);
-    let reps: usize = args.value("--reps").unwrap_or(3);
+pub(crate) fn main(args: &Args) -> Result<(), String> {
+    let rows = args.count("--rows", 5_000_000)?;
+    let groups = args.count("--groups", 10_000)?;
+    let reps = args.count("--reps", 3)?;
+    if groups > rows {
+        return Err(format!("--groups {groups} exceeds --rows {rows}"));
+    }
 
     let shape = |dense: bool| {
         DatasetSpec::new(rows, groups)
             .sorted(false)
             .dense(dense)
             .generate()
-            .expect("spec")
+            .map_err(|e| e.to_string())
     };
-    let (dense, sparse) = (shape(true), shape(false));
+    let (dense, sparse) = (shape(true)?, shape(false)?);
 
     eprintln!(
         "molecule ablation: {rows} unsorted rows, {groups} dense or sparse groups, best of {reps}"
@@ -85,17 +87,15 @@ fn main() {
     ]);
     let loader = loader_table(dense, groups, reps);
     for table in [table, loader] {
-        if args.flag("--csv") {
-            print!("{}", table.to_csv());
-        } else {
-            println!("{}", table.to_text());
-        }
+        args.emit(&table);
+        println!();
     }
     println!(
         "Same organelle (hash grouping), different molecules — the spread is\n\
          what Table 1 hands to the DQO optimiser instead of the developer.\n\
          Chaining + murmur3 is the paper's HG."
     );
+    Ok(())
 }
 
 /// HG and SPHG over a fused filter on `keys` (dense over `0..groups`) that

@@ -1,5 +1,5 @@
-//! Output formatting shared by the harness binaries: aligned text tables
-//! and CSV.
+//! Output formatting shared by the artefacts: aligned text tables and
+//! CSV.
 
 /// A simple column-aligned table builder.
 #[derive(Debug, Clone, Default)]
@@ -51,34 +51,6 @@ impl Table {
         out
     }
 
-    /// Render as JSON: an array of objects keyed by the header row.
-    /// Numeric-looking cells are emitted as numbers so downstream
-    /// tooling can track trajectories without re-parsing strings.
-    pub fn to_json(&self) -> String {
-        let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-        let cell = |s: &str| {
-            if !s.is_empty() && s.parse::<f64>().map(f64::is_finite).unwrap_or(false) {
-                s.to_owned()
-            } else {
-                format!("\"{}\"", esc(s))
-            }
-        };
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|row| {
-                let fields: Vec<String> = self
-                    .header
-                    .iter()
-                    .zip(row)
-                    .map(|(h, v)| format!("\"{}\": {}", esc(h), cell(v)))
-                    .collect();
-                format!("  {{{}}}", fields.join(", "))
-            })
-            .collect();
-        format!("[\n{}\n]\n", rows.join(",\n"))
-    }
-
     /// Render as CSV.
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
@@ -89,16 +61,7 @@ impl Table {
                 s.to_owned()
             }
         };
-        out.push_str(
-            &self
-                .header
-                .iter()
-                .map(|s| esc(s))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
+        for row in std::iter::once(&self.header).chain(&self.rows) {
             out.push_str(&row.iter().map(|s| esc(s)).collect::<Vec<_>>().join(","));
             out.push('\n');
         }
@@ -129,19 +92,6 @@ mod tests {
         let csv = t.to_csv();
         assert!(csv.contains("\"x,y\""));
         assert!(csv.contains("\"q\"\"z\""));
-    }
-
-    #[test]
-    fn json_types_and_escaping() {
-        let mut t = Table::new(&["name", "ms"]);
-        t.row(vec!["hj \"par\"".into(), "12.5".into()]);
-        t.row(vec!["sphg".into(), "n/a".into()]);
-        let json = t.to_json();
-        assert!(json.contains("\"name\": \"hj \\\"par\\\"\""));
-        assert!(json.contains("\"ms\": 12.5"));
-        assert!(json.contains("\"ms\": \"n/a\""));
-        assert!(json.trim_start().starts_with('['));
-        assert!(json.trim_end().ends_with(']'));
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! under SQO vs DQO.
 //!
 //! ```text
-//! cargo run -p dqo-bench --release --bin table1
+//! cargo run -p dqo-bench --release -- table1
 //! ```
 
-use dqo_bench::report::Table;
-use dqo_bench::Args;
+use crate::report::Table;
+use crate::Args;
 use dqo_plan::granule::{Granularity, OptimisedBy};
 
 fn who(o: OptimisedBy) -> &'static str {
@@ -18,8 +18,7 @@ fn who(o: OptimisedBy) -> &'static str {
     }
 }
 
-fn main() {
-    let args = Args::from_env();
+pub(crate) fn main(args: &Args) -> Result<(), String> {
     let mut table = Table::new(&[
         "biology",
         "query optimisation",
@@ -37,13 +36,10 @@ fn main() {
         ]);
     }
     println!("Table 1: granularity concepts in biology vs query optimisation\n");
-    if args.flag("--csv") {
-        print!("{}", table.to_csv());
-    } else {
-        print!("{}", table.to_text());
-    }
+    args.emit(&table);
     println!(
         "\nDQO's proposal, in one row-diff: macro-molecules and molecules move\n\
          from 'developer' to 'query optimiser'."
     );
+    Ok(())
 }

@@ -2,16 +2,15 @@
 //! algorithm families, evaluated symbolically and at the Figure 5 sizes.
 //!
 //! ```text
-//! cargo run -p dqo-bench --release --bin table2
+//! cargo run -p dqo-bench --release -- table2
 //! ```
 
-use dqo_bench::report::Table;
-use dqo_bench::Args;
+use crate::report::Table;
+use crate::Args;
 use dqo_core::cost::{CostModel, TupleCostModel};
 use dqo_plan::{GroupingAlgorithm, JoinAlgorithm};
 
-fn main() {
-    let args = Args::from_env();
+pub(crate) fn main(args: &Args) -> Result<(), String> {
     let m = TupleCostModel;
     // The Figure 5 instance: |R| = 25,000 (join build), |S| = 90,000,
     // grouping input 90,000 (the join output), 20,000 groups.
@@ -33,15 +32,17 @@ fn main() {
     };
 
     println!("Table 2: cost models (evaluated at |R|=25k, |S|=90k, |J|=90k, g=20k)\n");
-    let mut grouping = Table::new(&["family", "grouping", "formula", "cost at |J|=90k"]);
-    let rows = [
-        ("hash-based", GroupingAlgorithm::HashBased),
-        ("order-based", GroupingAlgorithm::OrderBased),
-        ("sort & order-based", GroupingAlgorithm::SortOrderBased),
-        ("static perfect hash", GroupingAlgorithm::StaticPerfectHash),
-        ("binary search-based", GroupingAlgorithm::BinarySearch),
+    use {GroupingAlgorithm as G, JoinAlgorithm as J};
+    #[rustfmt::skip]
+    let families = [
+        ("hash-based", G::HashBased, J::HashBased),
+        ("order-based", G::OrderBased, J::OrderBased),
+        ("sort & order-based", G::SortOrderBased, J::SortOrderBased),
+        ("static perfect hash", G::StaticPerfectHash, J::StaticPerfectHash),
+        ("binary search-based", G::BinarySearch, J::BinarySearch),
     ];
-    for (family, algo) in rows {
+    let mut grouping = Table::new(&["family", "grouping", "formula", "cost at |J|=90k"]);
+    for (family, algo, _) in families {
         grouping.row(vec![
             family.to_string(),
             algo.abbrev().to_string(),
@@ -50,14 +51,7 @@ fn main() {
         ]);
     }
     let mut join = Table::new(&["family", "join", "formula", "cost at |R|=25k,|S|=90k"]);
-    let rows = [
-        ("hash-based", JoinAlgorithm::HashBased),
-        ("order-based", JoinAlgorithm::OrderBased),
-        ("sort & order-based", JoinAlgorithm::SortOrderBased),
-        ("static perfect hash", JoinAlgorithm::StaticPerfectHash),
-        ("binary search-based", JoinAlgorithm::BinarySearch),
-    ];
-    for (family, algo) in rows {
+    for (family, _, algo) in families {
         join.row(vec![
             family.to_string(),
             algo.abbrev().to_string(),
@@ -65,18 +59,13 @@ fn main() {
             format!("{:.0}", m.join(algo, r, s, r)),
         ]);
     }
-    if args.flag("--csv") {
-        print!("{}", grouping.to_csv());
-        println!();
-        print!("{}", join.to_csv());
-    } else {
-        print!("{}", grouping.to_text());
-        println!();
-        print!("{}", join.to_text());
-    }
+    args.emit(&grouping);
+    println!();
+    args.emit(&join);
     println!(
         "\nIdentity check: Sort(R) + Sort(S) + OJ = {:.0} equals SOJ = {:.0}",
         m.sort(r) + m.sort(s) + m.join(JoinAlgorithm::OrderBased, r, s, r),
         m.join(JoinAlgorithm::SortOrderBased, r, s, r)
     );
+    Ok(())
 }
