@@ -89,8 +89,9 @@ pub struct Engine {
     obs: EngineObs,
     /// The plan store: the only optimiser state that outlives a
     /// statement. Prepared statements are keyed on their masked shape and
-    /// valid per DDL generation; ad-hoc ones on their exact text and
-    /// valid while the [`MemoStamp`] they were planned under is current.
+    /// valid per DDL generation; ad-hoc ones on their logical plan,
+    /// compared structurally, and valid while the [`MemoStamp`] they were
+    /// planned under is current.
     /// Every search builds and drops its own [`Memo`].
     plan_cache: PlanCache,
     /// What the searches so far did, for [`Engine::memo_stats`].
@@ -152,6 +153,7 @@ struct EngineObs {
     opt_groups: Gauge,
     opt_group_exprs: Gauge,
     opt_rules_fired: Counter,
+    opt_candidates_built: Counter,
     opt_winner_hits: Counter,
     opt_feedback_applied: Counter,
     opt_feedback_corrections: Counter,
@@ -166,6 +168,7 @@ struct EngineObs {
 #[derive(Debug, Default)]
 struct SearchTotals {
     rules_fired: AtomicU64,
+    candidates_built: AtomicU64,
     winner_hits: AtomicU64,
     feedback_applied: AtomicU64,
     last_groups: AtomicUsize,
@@ -178,6 +181,8 @@ impl SearchTotals {
         let stats = memo.stats();
         self.rules_fired
             .fetch_add(stats.rules_fired, Ordering::Relaxed);
+        self.candidates_built
+            .fetch_add(stats.candidates_built, Ordering::Relaxed);
         self.winner_hits
             .fetch_add(stats.winner_hits, Ordering::Relaxed);
         self.feedback_applied
@@ -199,6 +204,7 @@ impl EngineObs {
             opt_groups: registry.gauge(names::OPT_GROUPS),
             opt_group_exprs: registry.gauge(names::OPT_GROUP_EXPRS),
             opt_rules_fired: registry.counter(names::OPT_RULES_FIRED),
+            opt_candidates_built: registry.counter(names::OPT_CANDIDATES_BUILT),
             opt_winner_hits: registry.counter(names::OPT_WINNER_HITS),
             opt_feedback_applied: registry.counter(names::OPT_FEEDBACK_APPLIED),
             opt_feedback_corrections: registry.counter(names::OPT_FEEDBACK_CORRECTIONS),
@@ -216,6 +222,7 @@ impl EngineObs {
         self.opt_groups.set(memo.group_count() as u64);
         self.opt_group_exprs.set(memo.candidate_count() as u64);
         self.opt_rules_fired.add(stats.rules_fired);
+        self.opt_candidates_built.add(stats.candidates_built);
         self.opt_winner_hits.add(stats.winner_hits);
         self.opt_feedback_applied.add(stats.feedback_applied);
     }
@@ -561,9 +568,9 @@ impl Engine {
     }
 
     /// The optimiser's operational counters, cumulative over every search
-    /// this engine ran (rules fired, winner-table hits within a search,
-    /// feedback applications), plus the group / candidate population of
-    /// the **most recent** search's memo — the numbers behind the
+    /// this engine ran (rules fired, candidates built, winner-table hits
+    /// within a search, feedback applications), plus the group / candidate
+    /// population of the **most recent** search's memo — the numbers behind the
     /// `dqo_opt_*` metrics. A statement served from the plan store moves
     /// none of them.
     pub fn memo_stats(&self) -> (MemoStats, usize, usize) {
@@ -571,6 +578,7 @@ impl Engine {
         (
             MemoStats {
                 rules_fired: totals.rules_fired.load(Ordering::Relaxed),
+                candidates_built: totals.candidates_built.load(Ordering::Relaxed),
                 winner_hits: totals.winner_hits.load(Ordering::Relaxed),
                 feedback_applied: totals.feedback_applied.load(Ordering::Relaxed),
             },
@@ -1016,6 +1024,9 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.gauge(names::OPT_GROUPS), Some(groups as u64));
         assert_eq!(snap.counter(names::OPT_RULES_FIRED), Some(2 * per_search));
+        let built = engine.memo_stats().0.candidates_built;
+        assert!(built > 0);
+        assert_eq!(snap.counter(names::OPT_CANDIDATES_BUILT), Some(built));
         assert_eq!(snap.counter(names::PLAN_CACHE_HITS), Some(2));
 
         // Each of the stamp's three clocks outdates the stored plan, and

@@ -46,8 +46,8 @@
 //! * [`plan_cache`] — the plan store, the one bounded structure that
 //!   outlives a statement: prepared statements keyed on their *shape*
 //!   (rebound per execution, valid per DDL generation), ad-hoc ones on
-//!   their exact text (served while their statistics / AV / feedback
-//!   stamp is current);
+//!   their logical plan, compared structurally (served while their
+//!   statistics / AV / feedback stamp is current);
 //! * [`adaptive`] — runtime-adaptive AVs (§6): a cracking-style index
 //!   whose optimisation decisions are delegated to query time.
 //!

@@ -1,19 +1,30 @@
-//! The optimiser memo: groups, group expressions, derived rows and
+//! The optimiser memo: groups, their candidates, derived rows and
 //! per-group winner tables — **scratch for one search**.
 //!
 //! Each logical subtree is interned into a [`Group`] — an equivalence
 //! class holding the representative logical expression (children
 //! referenced by [`GroupId`], so shared subtrees share groups), its
 //! **rows** — derived once, by [`PropertyBuilder`], from its children's
-//! rows, and stamped on every candidate the group holds — and a
-//! **winner table**: the pruned candidate set per focus column — one
-//! cheapest [`Candidate`] per interesting property class. Everything else
-//! a candidate set depends on (mode, property model, DOP, pruning, AVs,
-//! feedback) is the search's [`SearchContext`], fixed for the memo's life.
+//! rows, and stamped on every candidate the group holds — its
+//! **entries**, and a **winner table**: the pruned candidate set per focus
+//! column — one cheapest `Candidate` per interesting property class.
+//! Everything else a candidate set depends on (mode, property model, DOP,
+//! pruning, AVs, feedback) is the search's [`SearchContext`], fixed for
+//! the memo's life.
 //!
-//! Group *identity* is the fully rendered logical subtree **including
-//! constants**: costs depend on predicate selectivities, so two subtrees
-//! differing only in a literal are distinct groups.
+//! A candidate is a *choice*, not a plan: one physical operator whose
+//! inputs are `Choice`s — a group id and an entry of that group — with
+//! its cumulative cost, its properties and its cached tie-break rank.
+//! A group's entries are every candidate built in it: its rules' output,
+//! kept by its winner tables or pruned, plus the sort enforcers and pruned
+//! scans a parent built over them. Entries are never removed, so a choice
+//! stays valid for the memo's life, and `Memo::plan` materialises the one
+//! [`PhysicalPlan`] a search returns from its root's winner.
+//!
+//! Group *identity* is structural: the logical operator with its typed
+//! constants (a `u32` 5 and an `i64` 5 differ) and its child groups,
+//! compared by equality. Costs depend on predicate selectivities, so two
+//! subtrees differing only in a literal are distinct groups.
 //!
 //! A memo serves one search (Cascades' memo, as optd keeps it): a
 //! [`MemoOptimizer`] creates its own, no caller can hand it one, and it
@@ -26,24 +37,38 @@
 //! (Scan → AV-backed scan, GroupBy → {HG, SPHG, OG, SOG, BSG} or a grouping AV,
 //! Join → {HJ, SPHJ, OJ, SOJ, BSJ}), the Sort enforcer and the one
 //! parallel-twin rule (`Exchange{dop}`), feeding interesting-property
-//! pruning.
+//! pruning (`Memo::prune`).
 
 use crate::av::AvCatalog;
 use crate::catalog::Catalog;
 use crate::cost::CostModel;
 use crate::error::CoreError;
 use crate::feedback::FeedbackStore;
-use crate::optimizer::{
-    candidate_order, Candidate, OptimizerMode, PlannedQuery, PropertyModel, SearchContext,
-};
+use crate::optimizer::{Candidate, Op, OptimizerMode, PlannedQuery, PropertyModel, SearchContext};
 use crate::property_builder::{Input, PropertyBuilder, RowOp};
 use crate::Result;
-use dqo_plan::LogicalPlan;
+use dqo_plan::expr::{AggExpr, Predicate};
+use dqo_plan::properties::PropKey;
+use dqo_plan::{LogicalPlan, PhysicalPlan, SortMolecule};
+use std::cmp::Ordering;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Index of a [`Group`] within its [`Memo`].
 pub type GroupId = usize;
+
+/// A column name interned in one memo ([`Memo::column`]): what sort
+/// enforcers, output orders and winner tables name a column by.
+pub(crate) type ColId = u32;
+
+/// One candidate of the memo: entry `entry` of group `group`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Choice {
+    pub group: GroupId,
+    pub entry: u32,
+}
 
 /// The facts a search's costs were derived from, as three clocks. Any
 /// component moving means a plan chosen under the old stamp may no longer
@@ -80,24 +105,27 @@ impl MemoStamp {
 pub struct MemoStats {
     /// Total rule applications that produced at least one candidate.
     pub rules_fired: u64,
+    /// Candidates the rules built before pruning: implementations, sort
+    /// enforcers and parallel twins (the kept ones are
+    /// [`Memo::candidate_count`]).
+    pub candidates_built: u64,
     /// Winner-table lookups answered from the memo without re-deriving.
     pub winner_hits: u64,
     /// Feedback corrections folded into filter groups' row estimates.
     pub feedback_applied: u64,
 }
 
-/// Key of one winner-table entry: the column the parent consumes the
-/// group's output by (it drives which base properties a scan exposes and
-/// which orders are interesting).
-type WinnerKey = Option<String>;
-
 /// One equivalence class of logical plans. See the module docs.
 #[derive(Debug)]
 pub struct Group {
     logical: Arc<LogicalPlan>,
     children: Vec<GroupId>,
+    /// The next group whose identity hashes alike, if any.
+    collision: Option<GroupId>,
     derived: Option<Derived>,
-    winners: HashMap<WinnerKey, Arc<Vec<Candidate>>>,
+    entries: Vec<Candidate>,
+    /// The pruned candidate set per focus column.
+    winners: Vec<(Option<ColId>, Vec<Choice>)>,
 }
 
 /// What a group derives once per search, whatever its candidates.
@@ -123,7 +151,38 @@ impl Group {
 
     /// Number of retained physical candidates across all winner tables.
     pub fn candidate_count(&self) -> usize {
-        self.winners.values().map(|w| w.len()).sum()
+        self.winners.iter().map(|(_, w)| w.len()).sum()
+    }
+}
+
+/// A logical operator without its inputs: the part of a group's identity
+/// its own node contributes, constants typed.
+#[derive(PartialEq, Eq, Hash)]
+enum Operator<'a> {
+    Scan(&'a str),
+    Filter(&'a Predicate),
+    Join(&'a str, &'a str),
+    GroupBy(&'a [String], &'a [AggExpr]),
+    Project(&'a [String]),
+    Sort(&'a str),
+    Limit(u64),
+}
+
+impl<'a> Operator<'a> {
+    fn of(node: &'a LogicalPlan) -> Self {
+        match node {
+            LogicalPlan::Scan { table } => Operator::Scan(table),
+            LogicalPlan::Filter { predicate, .. } => Operator::Filter(predicate),
+            LogicalPlan::Join {
+                left_key,
+                right_key,
+                ..
+            } => Operator::Join(left_key, right_key),
+            LogicalPlan::GroupBy { keys, aggs, .. } => Operator::GroupBy(keys, aggs),
+            LogicalPlan::Project { columns, .. } => Operator::Project(columns),
+            LogicalPlan::Sort { key, .. } => Operator::Sort(key),
+            LogicalPlan::Limit { n, .. } => Operator::Limit(*n),
+        }
     }
 }
 
@@ -131,7 +190,10 @@ impl Group {
 #[derive(Debug, Default)]
 pub struct Memo {
     groups: Vec<Group>,
-    index: HashMap<String, GroupId>,
+    /// Identity hash → the newest group with it (older ones chain through
+    /// [`Group::collision`]).
+    index: HashMap<u64, GroupId>,
+    columns: Vec<Box<str>>,
     stats: MemoStats,
     rule_counts: BTreeMap<&'static str, u64>,
 }
@@ -145,34 +207,50 @@ impl Memo {
     /// Intern a logical subtree (children first), returning its group.
     /// Re-interning an already known subtree returns the existing group.
     pub fn intern(&mut self, node: &Arc<LogicalPlan>) -> GroupId {
-        let identity = format!("{node}");
-        if let Some(&gid) = self.index.get(&identity) {
-            return gid;
-        }
-        let children = node
+        self.intern_with(node, || Arc::clone(node))
+    }
+
+    /// Intern from a borrowed root (clones the root node only when it is
+    /// new; children stay shared `Arc`s).
+    pub fn intern_root(&mut self, node: &LogicalPlan) -> GroupId {
+        self.intern_with(node, || Arc::new(node.clone()))
+    }
+
+    /// The group of `node` — its operator and its children's groups —
+    /// found by equality, or a new one holding `owned()`.
+    fn intern_with(
+        &mut self,
+        node: &LogicalPlan,
+        owned: impl FnOnce() -> Arc<LogicalPlan>,
+    ) -> GroupId {
+        let children: Vec<GroupId> = node
             .children()
             .into_iter()
             .map(|c| self.intern(c))
             .collect();
-        let gid = self.groups.len();
-        self.groups.push(Group {
-            logical: Arc::clone(node),
-            children,
-            derived: None,
-            winners: HashMap::new(),
-        });
-        self.index.insert(identity, gid);
-        gid
-    }
-
-    /// Intern from a borrowed root (clones one node; children stay
-    /// shared `Arc`s).
-    pub fn intern_root(&mut self, node: &LogicalPlan) -> GroupId {
-        let identity = format!("{node}");
-        if let Some(&gid) = self.index.get(&identity) {
-            return gid;
+        let operator = Operator::of(node);
+        let mut h = DefaultHasher::new();
+        (&operator, &children).hash(&mut h);
+        let hash = h.finish();
+        let mut probe = self.index.get(&hash).copied();
+        while let Some(gid) = probe {
+            let group = &self.groups[gid];
+            if group.children == children && Operator::of(&group.logical) == operator {
+                return gid;
+            }
+            probe = group.collision;
         }
-        self.intern(&Arc::new(node.clone()))
+        let gid = self.groups.len();
+        let collision = self.index.insert(hash, gid);
+        self.groups.push(Group {
+            logical: owned(),
+            children,
+            collision,
+            derived: None,
+            entries: Vec::new(),
+            winners: Vec::new(),
+        });
+        gid
     }
 
     /// The group at `gid`. Panics on an invalid id (memo ids are only
@@ -200,6 +278,147 @@ impl Memo {
     /// Per-rule firing counts, in rule-name order.
     pub fn rule_counts(&self) -> Vec<(&'static str, u64)> {
         self.rule_counts.iter().map(|(k, v)| (*k, *v)).collect()
+    }
+
+    /// The id of column `name`, interned on first sight.
+    pub(crate) fn column(&mut self, name: &str) -> ColId {
+        match self.columns.iter().position(|c| **c == *name) {
+            Some(id) => id as ColId,
+            None => {
+                self.columns.push(name.into());
+                (self.columns.len() - 1) as ColId
+            }
+        }
+    }
+
+    /// The candidate `choice` names.
+    pub(crate) fn candidate(&self, choice: Choice) -> &Candidate {
+        &self.groups[choice.group].entries[choice.entry as usize]
+    }
+
+    /// Store `candidate` as an entry of group `gid`, its rank summed from
+    /// its inputs'.
+    pub(crate) fn push(&mut self, gid: GroupId, mut candidate: Candidate) -> Choice {
+        candidate.rank = candidate.op.rank()
+            + candidate
+                .inputs
+                .iter()
+                .flatten()
+                .map(|&i| self.candidate(i).rank)
+                .sum::<u32>();
+        let entries = &mut self.groups[gid].entries;
+        entries.push(candidate);
+        Choice {
+            group: gid,
+            entry: (entries.len() - 1) as u32,
+        }
+    }
+
+    /// Materialise the physical plan `choice` stands for: its operator
+    /// over its inputs' plans, with the columns, predicate and constants
+    /// of its group's logical node.
+    pub(crate) fn plan(&self, choice: Choice) -> PhysicalPlan {
+        let group = &self.groups[choice.group];
+        let c = self.candidate(choice);
+        let input = |i: usize| {
+            let child = c.inputs[i].expect("operator input");
+            Box::new(self.plan(child))
+        };
+        let node = match (&c.op, group.logical.as_ref()) {
+            (Op::Scan, LogicalPlan::Scan { table }) => PhysicalPlan::Scan {
+                table: table.clone(),
+            },
+            (Op::AvScan(table), _) => PhysicalPlan::Scan {
+                table: table.clone(),
+            },
+            (Op::PartitionedScan { parts, total }, LogicalPlan::Scan { table }) => {
+                PhysicalPlan::PartitionedScan {
+                    table: table.clone(),
+                    parts: parts.clone(),
+                    total: *total,
+                }
+            }
+            (Op::Filter, LogicalPlan::Filter { predicate, .. }) => PhysicalPlan::Filter {
+                input: input(0),
+                predicate: predicate.clone(),
+            },
+            (Op::Sort(key), _) => PhysicalPlan::Sort {
+                input: input(0),
+                key: self.columns[*key as usize].to_string(),
+                molecule: SortMolecule::Comparison,
+            },
+            (
+                Op::Join(algo),
+                LogicalPlan::Join {
+                    left_key,
+                    right_key,
+                    ..
+                },
+            ) => PhysicalPlan::Join {
+                left: input(0),
+                right: input(1),
+                left_key: left_key.clone(),
+                right_key: right_key.clone(),
+                algo: *algo,
+            },
+            (Op::GroupBy(algo, molecules), LogicalPlan::GroupBy { keys, aggs, .. }) => {
+                PhysicalPlan::GroupBy {
+                    input: input(0),
+                    keys: keys.clone(),
+                    aggs: aggs.clone(),
+                    algo: *algo,
+                    molecules: *molecules,
+                }
+            }
+            (Op::Project, LogicalPlan::Project { columns, .. }) => PhysicalPlan::Project {
+                input: input(0),
+                columns: columns.clone(),
+            },
+            (Op::Limit, LogicalPlan::Limit { n, .. }) => PhysicalPlan::Limit {
+                input: input(0),
+                n: *n,
+            },
+            (op, logical) => unreachable!("{op:?} cannot implement {logical}"),
+        };
+        match c.dop {
+            1 => node,
+            dop => PhysicalPlan::Exchange {
+                input: Box::new(node),
+                dop,
+            },
+        }
+    }
+
+    /// Total order on candidates: cost first, then the order-based
+    /// preference rank, then the rendered plan (full determinism; only an
+    /// exact tie of both renders).
+    pub(crate) fn order(&self, a: Choice, b: Choice) -> Ordering {
+        let (x, y) = (self.candidate(a), self.candidate(b));
+        x.cost
+            .total_cmp(&y.cost)
+            .then(x.rank.cmp(&y.rank))
+            .then_with(|| self.plan(a).explain().cmp(&self.plan(b).explain()))
+    }
+
+    /// Interesting-property pruning: keep the cheapest candidate per
+    /// property class, cheapest first; exact cost ties break toward
+    /// order-based implementations (the paper's both-sorted cell: "the
+    /// order-based implementations achieve the cheapest plans").
+    pub(crate) fn prune(&self, cands: impl IntoIterator<Item = Choice>) -> Vec<Choice> {
+        let class = |k: PropKey| {
+            usize::from(k.sorted) | usize::from(k.partitioned) << 1 | usize::from(k.dense) << 2
+        };
+        let mut best: [Option<Choice>; 8] = [None; 8];
+        for c in cands {
+            let slot = &mut best[class(self.candidate(c).props.memo_key())];
+            match *slot {
+                Some(kept) if self.order(kept, c) != Ordering::Greater => {}
+                _ => *slot = Some(c),
+            }
+        }
+        let mut out: Vec<Choice> = best.into_iter().flatten().collect();
+        out.sort_by(|&a, &b| self.order(a, b));
+        out
     }
 }
 
@@ -241,51 +460,57 @@ impl<'a> MemoOptimizer<'a> {
     }
 
     /// Optimise a logical plan: intern it, explore its group, return the
-    /// cheapest candidate as the final answer.
+    /// cheapest candidate, materialised, as the final answer.
     pub fn optimize(&mut self, logical: &LogicalPlan) -> Result<PlannedQuery> {
-        let mode = self.mode;
-        let best = self
-            .candidates(logical)?
-            .into_iter()
-            .min_by(candidate_order)
-            .ok_or_else(|| CoreError::NoPlanFound(format!("{logical}")))?;
-        Ok(PlannedQuery {
-            plan: best.plan,
-            est_cost: best.cost,
-            props: best.props,
-            mode,
-        })
+        let best = self.root(logical)?.into_iter().next();
+        let best = best.ok_or_else(|| CoreError::NoPlanFound(format!("{logical}")))?;
+        Ok(self.planned(best))
     }
 
-    /// The full pruned candidate set of a logical plan's root group.
-    pub fn candidates(&mut self, logical: &LogicalPlan) -> Result<Vec<Candidate>> {
+    /// The full pruned candidate set of a logical plan's root group, each
+    /// materialised, cheapest first.
+    pub fn candidates(&mut self, logical: &LogicalPlan) -> Result<Vec<PlannedQuery>> {
+        let root = self.root(logical)?;
+        Ok(root.into_iter().map(|c| self.planned(c)).collect())
+    }
+
+    /// Intern and explore the root; its winners, cheapest first.
+    fn root(&mut self, logical: &LogicalPlan) -> Result<Vec<Choice>> {
         let gid = self.memo.intern_root(logical);
         let cands = self.explore(gid, None)?;
-        let out = cands.as_ref().clone();
         self.memo.stats.feedback_applied += self.props.take_applied();
-        Ok(out)
+        Ok(cands)
+    }
+
+    fn planned(&self, choice: Choice) -> PlannedQuery {
+        let c = self.memo.candidate(choice);
+        PlannedQuery {
+            plan: self.memo.plan(choice),
+            est_cost: c.cost,
+            props: c.props,
+            mode: self.mode,
+        }
     }
 
     /// Explore one group under a focus column: answer from the winner
     /// table when present, otherwise fire the group's rules and memoise
     /// the pruned result.
-    pub(crate) fn explore(
-        &mut self,
-        gid: GroupId,
-        focus: Option<&str>,
-    ) -> Result<Arc<Vec<Candidate>>> {
-        let key = focus.map(str::to_owned);
-        if let Some(winners) = self.memo.groups[gid].winners.get(&key) {
+    pub(crate) fn explore(&mut self, gid: GroupId, focus: Option<&str>) -> Result<Vec<Choice>> {
+        let key = focus.map(|f| self.memo.column(f));
+        if let Some((_, winners)) = self.memo.groups[gid]
+            .winners
+            .iter()
+            .find(|(k, _)| *k == key)
+        {
             self.memo.stats.winner_hits += 1;
-            return Ok(Arc::clone(winners));
+            return Ok(winners.clone());
         }
         let derived = self.derive(gid);
         let cands = crate::rules::apply(self, gid, focus, &derived)?;
-        debug_assert!(cands.iter().all(|c| c.props.rows == derived.rows));
-        let cands = Arc::new(cands);
-        self.memo.groups[gid]
-            .winners
-            .insert(key, Arc::clone(&cands));
+        debug_assert!(cands
+            .iter()
+            .all(|&c| self.memo.candidate(c).props.rows == derived.rows));
+        self.memo.groups[gid].winners.push((key, cands.clone()));
         Ok(cands)
     }
 
@@ -336,13 +561,21 @@ impl<'a> MemoOptimizer<'a> {
         self.memo.stats.rules_fired += 1;
         *self.memo.rule_counts.entry(rule).or_insert(0) += 1;
     }
+
+    /// Store a candidate a rule built for group `gid`, counting it as
+    /// built.
+    pub(crate) fn build(&mut self, gid: GroupId, candidate: Candidate) -> Choice {
+        self.memo.stats.candidates_built += 1;
+        self.memo.push(gid, candidate)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dqo_plan::expr::AggExpr;
+    use dqo_plan::PlanProps;
     use dqo_storage::datagen::DatasetSpec;
+    use dqo_storage::Sortedness;
 
     fn catalog() -> Catalog {
         let cat = Catalog::new();
@@ -400,6 +633,119 @@ mod tests {
         assert_ne!(gf30, gf70, "different constants are different groups");
         assert_eq!(f30.shape(), f70.shape());
         assert_eq!(memo.intern(&f30), gf30, "re-interning is idempotent");
+    }
+
+    #[test]
+    fn a_subtree_reached_twice_interns_to_one_group() {
+        // Two separately built (not pointer-shared) copies of one filter.
+        let filter = || {
+            LogicalPlan::filter(
+                LogicalPlan::scan("t"),
+                Predicate::cmp("key", dqo_plan::CmpOp::Lt, 30u32),
+            )
+        };
+        let join = LogicalPlan::join(filter(), filter(), "key", "key");
+        let mut memo = Memo::new();
+        let gid = memo.intern(&join);
+        // Scan, Filter and Join: both join inputs are one group.
+        assert_eq!(memo.group_count(), 3);
+        let kids = memo.group(gid).children().to_vec();
+        assert_eq!(kids[0], kids[1]);
+        assert_eq!(memo.intern_root(&join), gid);
+        assert_eq!(memo.intern(&filter()), kids[0]);
+        assert_eq!(memo.group_count(), 3);
+    }
+
+    #[test]
+    fn constants_differing_in_value_or_type_get_distinct_groups() {
+        let lt = |v: dqo_storage::Value| {
+            LogicalPlan::filter(
+                LogicalPlan::scan("t"),
+                Predicate::cmp("key", dqo_plan::CmpOp::Lt, v),
+            )
+        };
+        use dqo_storage::Value;
+        let fives = [Value::U32(5), Value::U64(5), Value::I64(5), Value::F64(5.0)];
+        // They all render alike, which is why identity is not a rendering.
+        assert!(fives
+            .iter()
+            .all(|v| lt(v.clone()).to_string() == lt(Value::U32(5)).to_string()));
+        let mut memo = Memo::new();
+        let mut gids: Vec<GroupId> = fives.iter().map(|v| memo.intern(&lt(v.clone()))).collect();
+        gids.push(memo.intern(&lt(Value::U32(6))));
+        let mut distinct = gids.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 5, "{gids:?}");
+        // One shared Scan group beneath the five filters.
+        assert_eq!(memo.group_count(), 6);
+        assert_eq!(memo.intern(&lt(Value::I64(5))), gids[2]);
+    }
+
+    #[test]
+    fn an_exact_cost_tie_resolves_by_rank_then_by_rendered_plan() {
+        use dqo_plan::physical::GroupingMolecules;
+        use dqo_plan::GroupingAlgorithm::{HashBased, OrderBased};
+        let mut memo = Memo::new();
+        let gb = memo.intern(&query());
+        let scan = memo.group(gb).children()[0];
+        let props = PlanProps::unknown(100);
+        let input = memo.push(scan, Candidate::new(Op::Scan, &[], 0.0, props, None));
+        let grouping = |algo| {
+            let op = Op::GroupBy(algo, GroupingMolecules::defaults_for(algo));
+            Candidate::new(op, &[input], 7.0, props, None)
+        };
+        let hg = memo.push(gb, grouping(HashBased));
+        let og = memo.push(gb, grouping(OrderBased));
+        assert_eq!(memo.candidate(hg).rank, 3);
+        assert_eq!(memo.candidate(og).rank, 0);
+        assert_eq!(memo.prune([hg, og]), vec![og], "rank breaks the cost tie");
+        assert_eq!(memo.prune([og, hg]), vec![og]);
+        // Equal cost and rank: the rendered plans decide.
+        let b = memo.push(
+            gb,
+            Candidate::new(Op::AvScan("b".into()), &[], 7.0, props, None),
+        );
+        let a = memo.push(
+            gb,
+            Candidate::new(Op::AvScan("a".into()), &[], 7.0, props, None),
+        );
+        assert_eq!(memo.order(a, b), Ordering::Less);
+        assert_eq!(memo.prune([b, a]), vec![a]);
+        assert_eq!(memo.plan(a).explain(), "Scan a\n");
+        // The tie order sits under cost: a cheaper HG wins.
+        let cheap = memo.push(
+            gb,
+            Candidate {
+                cost: 6.0,
+                ..grouping(HashBased)
+            },
+        );
+        assert_eq!(memo.prune([og, a, cheap]), vec![cheap]);
+    }
+
+    #[test]
+    fn pruning_keeps_cheapest_per_property_class() {
+        let mut memo = Memo::new();
+        let scan = memo.intern(&LogicalPlan::scan("t"));
+        let mut add = |cost: f64, sorted: bool| {
+            let props = PlanProps {
+                sortedness: if sorted {
+                    Sortedness::Ascending
+                } else {
+                    Sortedness::Unsorted
+                },
+                partitioned: sorted,
+                ..PlanProps::unknown(10)
+            };
+            memo.push(scan, Candidate::new(Op::Scan, &[], cost, props, None))
+        };
+        let cands = [add(5.0, false), add(3.0, false), add(9.0, true)];
+        let pruned = memo.prune(cands);
+        // One per property class, cheapest first; sorted survives despite
+        // its higher cost.
+        let costs: Vec<f64> = pruned.iter().map(|&c| memo.candidate(c).cost).collect();
+        assert_eq!(costs, [3.0, 9.0]);
     }
 
     #[test]

@@ -5,10 +5,13 @@
 //! subcomponent in DQO produces an output with such a property, we must
 //! not discard that information."*
 //!
-//! The DP enumerates, bottom-up, a set of [`Candidate`]s per logical node
-//! — each a physical (sub-)plan with its cost and its [`PlanProps`] — and
-//! prunes to the cheapest candidate per property class (the classic
-//! interesting-order pruning, generalised to the full property vector).
+//! The DP enumerates, bottom-up, a set of candidates per logical node
+//! — each a *choice*: one physical operator, the memo entries its inputs
+//! are, its cumulative cost and its [`PlanProps`] — and prunes to the
+//! cheapest candidate per property class (the classic interesting-order
+//! pruning, generalised to the full property vector). A candidate never
+//! holds a plan tree: the search materialises one [`PhysicalPlan`], the
+//! root's winner, when it ends.
 //! Sort *enforcers* are injected as alternatives wherever an order-based
 //! implementation would otherwise be inapplicable, which is how partial
 //! sort-merge plans ("sort only R") arise.
@@ -23,19 +26,19 @@
 //! The enumeration itself lives in the memo engine ([`crate::memo`] +
 //! `crate::rules`): every entry point below starts one search, which
 //! interns the query into a [`crate::memo::Memo`] of its own and fires
-//! the uniform rule set. This file keeps the public API and the candidate/pruning
-//! vocabulary; row estimates come from
+//! the uniform rule set. This file keeps the public API and the candidate
+//! vocabulary; pruning and the tie-break order live with the memo entries
+//! they compare, and row estimates come from
 //! [`crate::property_builder::PropertyBuilder`], once per memo group.
 
 use crate::av::AvCatalog;
 use crate::catalog::Catalog;
 use crate::cost::{CostModel, TupleCostModel};
 use crate::feedback::FeedbackStore;
-use crate::memo::MemoOptimizer;
+use crate::memo::{Choice, ColId, MemoOptimizer};
 use crate::Result;
-use dqo_plan::properties::PropKey;
+use dqo_plan::physical::GroupingMolecules;
 use dqo_plan::{GroupingAlgorithm, JoinAlgorithm, LogicalPlan, PhysicalPlan, PlanProps};
-use std::collections::HashMap;
 
 /// Shallow (SQO) vs deep (DQO) optimisation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -86,19 +89,119 @@ pub enum PropertyModel {
     AttributeStrict,
 }
 
-/// One enumerated alternative: a physical sub-plan, its estimated cost and
-/// its output properties.
+/// One enumerated alternative, stored as an entry of a memo group: an
+/// operator over the memo entries it reads, priced and described.
+/// [`crate::memo::Memo::plan`] turns it into the [`PhysicalPlan`] it
+/// stands for; nothing else builds a tree.
 #[derive(Debug, Clone)]
-pub struct Candidate {
-    /// The physical sub-plan.
-    pub plan: PhysicalPlan,
+pub(crate) struct Candidate {
+    /// The physical operator, without its inputs.
+    pub op: Op,
+    /// The entries the operator reads, in operator order.
+    pub inputs: [Option<Choice>; 2],
+    /// Workers the operator runs on: above 1 it runs under an
+    /// [`PhysicalPlan::Exchange`] of that DOP.
+    pub dop: usize,
     /// Estimated cumulative cost (cost-model units).
     pub cost: f64,
     /// Output plan properties (stream-level, per the paper's model).
     pub props: PlanProps,
     /// Which column the output is ordered by, when known — consulted only
     /// under [`PropertyModel::AttributeStrict`].
-    pub sort_col: Option<String>,
+    pub sort_col: Option<ColId>,
+    /// The tree's order-based preference rank ([`Op::rank`] summed over
+    /// the tree), cached so an exact cost tie needs no walk.
+    pub rank: u32,
+}
+
+impl Candidate {
+    /// A serial candidate of `op` over `inputs` (at most two); its rank is
+    /// set when the memo stores it.
+    pub(crate) fn new(
+        op: Op,
+        inputs: &[Choice],
+        cost: f64,
+        props: PlanProps,
+        sort_col: Option<ColId>,
+    ) -> Self {
+        Candidate {
+            op,
+            inputs: [inputs.first().copied(), inputs.get(1).copied()],
+            dop: 1,
+            cost,
+            props,
+            sort_col,
+            rank: 0,
+        }
+    }
+}
+
+/// A physical operator with its inputs left out. The operator's columns,
+/// predicate and constants are those of its group's logical node, which
+/// the memo keeps; a variant carries only what the physical choice adds.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Op {
+    /// The group's base-table scan.
+    Scan,
+    /// A scan of an AV relation in the group's place: a sorted projection
+    /// or a materialised grouping.
+    AvScan(String),
+    /// The group's partitioned base table, restricted to `parts`.
+    PartitionedScan {
+        /// Surviving partition ids, ascending.
+        parts: Vec<usize>,
+        /// The table's partition count.
+        total: usize,
+    },
+    /// The group's filter.
+    Filter,
+    /// A sort enforcer on a column.
+    Sort(ColId),
+    /// The group's join, by the named organelle.
+    Join(JoinAlgorithm),
+    /// The group's grouping, by the named organelle and molecules.
+    GroupBy(GroupingAlgorithm, GroupingMolecules),
+    /// The group's projection.
+    Project,
+    /// The group's row cap.
+    Limit,
+}
+
+impl Op {
+    /// Preference rank of the operator (lower = preferred on cost ties):
+    /// order-based organelles first, then SPH, binary search, hash,
+    /// monolithic sort variants; a sort enforcer counts 1.
+    pub(crate) fn rank(&self) -> u32 {
+        match self {
+            Op::Join(algo) => match algo {
+                JoinAlgorithm::OrderBased => 0,
+                JoinAlgorithm::StaticPerfectHash => 1,
+                JoinAlgorithm::BinarySearch => 2,
+                JoinAlgorithm::HashBased => 3,
+                JoinAlgorithm::SortOrderBased => 4,
+            },
+            Op::GroupBy(algo, _) => match algo {
+                GroupingAlgorithm::OrderBased => 0,
+                GroupingAlgorithm::StaticPerfectHash => 1,
+                GroupingAlgorithm::BinarySearch => 2,
+                GroupingAlgorithm::HashBased => 3,
+                GroupingAlgorithm::SortOrderBased => 4,
+            },
+            Op::Sort(_) => 1,
+            _ => 0,
+        }
+    }
+
+    /// Whether the operator has a morsel-parallel kernel — what
+    /// [`PhysicalPlan::has_parallel_kernel`] says of the node it becomes.
+    pub(crate) fn has_parallel_kernel(&self) -> bool {
+        match self {
+            Op::Filter | Op::Sort(_) => true,
+            Op::Join(algo) => algo.has_parallel_kernel(),
+            Op::GroupBy(algo, _) => algo.has_parallel_kernel(),
+            _ => false,
+        }
+    }
 }
 
 /// The optimiser's final answer.
@@ -179,68 +282,15 @@ pub fn optimize_in(
     MemoOptimizer::new(catalog, ctx).optimize(logical)
 }
 
-/// Expose the full (pruned) candidate set of the root under `ctx` — used
-/// by tests and the depth-ablation experiment.
+/// Expose the full (pruned) candidate set of the root under `ctx`, each
+/// materialised as a plan, cheapest first — used by tests and the
+/// depth-ablation experiment.
 pub fn enumerate_candidates(
     logical: &LogicalPlan,
     catalog: &Catalog,
     ctx: &SearchContext<'_>,
-) -> Result<Vec<Candidate>> {
+) -> Result<Vec<PlannedQuery>> {
     MemoOptimizer::new(catalog, ctx).candidates(logical)
-}
-
-/// Interesting-property pruning: keep the cheapest candidate per property
-/// class; exact cost ties break toward order-based implementations (the
-/// paper's both-sorted cell: "the order-based implementations achieve the
-/// cheapest plans").
-pub(crate) fn prune(cands: impl Iterator<Item = Candidate>) -> Vec<Candidate> {
-    let mut best: HashMap<PropKey, Candidate> = HashMap::new();
-    for c in cands {
-        let key = c.props.memo_key();
-        match best.get(&key) {
-            Some(existing) if candidate_order(existing, &c) != std::cmp::Ordering::Greater => {}
-            _ => {
-                best.insert(key, c);
-            }
-        }
-    }
-    let mut out: Vec<Candidate> = best.into_values().collect();
-    out.sort_by(candidate_order);
-    out
-}
-
-/// Total order on candidates: cost first, then the order-based preference
-/// rank, then the rendered plan (full determinism).
-pub(crate) fn candidate_order(a: &Candidate, b: &Candidate) -> std::cmp::Ordering {
-    a.cost
-        .total_cmp(&b.cost)
-        .then_with(|| plan_rank(&a.plan).cmp(&plan_rank(&b.plan)))
-        .then_with(|| a.plan.explain().cmp(&b.plan.explain()))
-}
-
-/// Preference rank of a plan tree (lower = preferred on cost ties):
-/// order-based organelles first, then SPH, binary search, hash, monolithic
-/// sort variants.
-fn plan_rank(plan: &PhysicalPlan) -> u32 {
-    let own = match plan {
-        PhysicalPlan::Join { algo, .. } => match algo {
-            JoinAlgorithm::OrderBased => 0,
-            JoinAlgorithm::StaticPerfectHash => 1,
-            JoinAlgorithm::BinarySearch => 2,
-            JoinAlgorithm::HashBased => 3,
-            JoinAlgorithm::SortOrderBased => 4,
-        },
-        PhysicalPlan::GroupBy { algo, .. } => match algo {
-            GroupingAlgorithm::OrderBased => 0,
-            GroupingAlgorithm::StaticPerfectHash => 1,
-            GroupingAlgorithm::BinarySearch => 2,
-            GroupingAlgorithm::HashBased => 3,
-            GroupingAlgorithm::SortOrderBased => 4,
-        },
-        PhysicalPlan::Sort { .. } => 1,
-        _ => 0,
-    };
-    own + plan.children().iter().map(|c| plan_rank(c)).sum::<u32>()
 }
 
 #[cfg(test)]
@@ -249,7 +299,6 @@ mod tests {
     use crate::error::CoreError;
     use dqo_plan::expr::AggExpr;
     use dqo_storage::datagen::{DatasetSpec, ForeignKeySpec};
-    use dqo_storage::Sortedness;
 
     fn fig4_catalog(sorted: bool, dense: bool) -> Catalog {
         let cat = Catalog::new();
@@ -487,27 +536,5 @@ mod tests {
             + model.grouping(GroupingAlgorithm::OrderBased, 360_000.0, 20_000.0);
         assert!(par_sort_plan < serial.est_cost);
         assert!(par.est_cost < par_sort_plan);
-    }
-
-    #[test]
-    fn pruning_keeps_cheapest_per_property_class() {
-        let mk = |cost: f64, sorted: bool| Candidate {
-            plan: PhysicalPlan::Scan { table: "t".into() },
-            cost,
-            sort_col: sorted.then(|| "k".to_owned()),
-            props: PlanProps {
-                sortedness: if sorted {
-                    Sortedness::Ascending
-                } else {
-                    Sortedness::Unsorted
-                },
-                partitioned: sorted,
-                ..PlanProps::unknown(10)
-            },
-        };
-        let pruned = prune(vec![mk(5.0, false), mk(3.0, false), mk(9.0, true)].into_iter());
-        assert_eq!(pruned.len(), 2); // one per property class
-        assert_eq!(pruned[0].cost, 3.0);
-        assert_eq!(pruned[1].cost, 9.0); // sorted survives despite higher cost
     }
 }

@@ -18,8 +18,9 @@
 //!   correspond one to one). If the shapes do not line up — an AV rewrite
 //!   swallowed the filter, say — the lookup reports a miss and the engine
 //!   searches; correctness never depends on a hit.
-//! * An **ad-hoc** statement is keyed on its exact rendered logical plan,
-//!   literals included (the memo's group identity), plus the same knobs.
+//! * An **ad-hoc** statement is keyed on its logical plan itself, hashed
+//!   and compared structurally with its literals and their types (as the
+//!   memo tells groups apart; nothing is rendered), plus the same knobs.
 //!   Its entry carries the [`MemoStamp`] — statistics clock, AV clock,
 //!   feedback epoch — read before the search that produced it, and is
 //!   served only while that stamp is current: a served plan is the plan a
@@ -41,6 +42,7 @@ use dqo_obs::{names, Counter, Gauge, MetricsRegistry};
 use dqo_plan::expr::Predicate;
 use dqo_plan::{LogicalPlan, PhysicalPlan};
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -76,14 +78,23 @@ pub(crate) enum Validity {
     Stamp(MemoStamp),
 }
 
-/// A statement's identity in the store. `text` is the masked shape for a
-/// prepared statement and the exact rendering for an ad-hoc one.
+/// A statement's identity in the store: a prepared statement's masked
+/// shape, or an ad-hoc statement's logical plan itself — borrowed for a
+/// lookup, owned once stored — plus the knobs it was planned under.
 #[derive(Debug, Clone)]
-pub(crate) struct StoreKey {
-    text: Arc<str>,
-    prepared: bool,
+pub(crate) struct StoreKey<'a> {
+    statement: Statement<'a>,
     knobs: Knobs,
     hash: u64,
+}
+
+#[derive(Debug, Clone, PartialEq)]
+enum Statement<'a> {
+    /// The masked shape, rendered and hashed once at `PREPARE`.
+    Prepared(Arc<str>),
+    /// The logical plan, compared structurally: literals and their types
+    /// included, nothing rendered.
+    Adhoc(Cow<'a, LogicalPlan>),
 }
 
 /// SipHash of a key text — what `Engine::prepare` precomputes.
@@ -93,38 +104,53 @@ pub(crate) fn text_hash(text: &str) -> u64 {
     h.finish()
 }
 
-impl StoreKey {
+impl<'a> StoreKey<'a> {
     /// The key of a prepared statement whose shape hashed to `shape_hash`
     /// (see [`text_hash`]) at `PREPARE`.
     pub(crate) fn prepared(shape: &Arc<str>, shape_hash: u64, knobs: Knobs) -> Self {
-        StoreKey::new(Arc::clone(shape), shape_hash, true, knobs)
+        StoreKey::new(Statement::Prepared(Arc::clone(shape)), shape_hash, knobs)
     }
 
-    /// The key of an ad-hoc statement.
-    pub(crate) fn adhoc(logical: &LogicalPlan, knobs: Knobs) -> Self {
-        let text = logical.to_string();
-        let hash = text_hash(&text);
-        StoreKey::new(text.into(), hash, false, knobs)
-    }
-
-    fn new(text: Arc<str>, text_hash: u64, prepared: bool, knobs: Knobs) -> Self {
+    /// The key of an ad-hoc statement: the logical plan's structural hash.
+    pub(crate) fn adhoc(logical: &'a LogicalPlan, knobs: Knobs) -> Self {
         let mut h = DefaultHasher::new();
-        (text_hash, prepared, knobs).hash(&mut h);
+        logical.hash(&mut h);
+        StoreKey::new(Statement::Adhoc(Cow::Borrowed(logical)), h.finish(), knobs)
+    }
+
+    fn new(statement: Statement<'a>, statement_hash: u64, knobs: Knobs) -> Self {
+        let prepared = matches!(statement, Statement::Prepared(_));
+        let mut h = DefaultHasher::new();
+        (statement_hash, prepared, knobs).hash(&mut h);
         StoreKey {
-            text,
-            prepared,
+            statement,
             knobs,
             hash: h.finish(),
         }
     }
 
+    fn is_prepared(&self) -> bool {
+        matches!(self.statement, Statement::Prepared(_))
+    }
+
+    /// The key as an entry keeps it: an ad-hoc plan copied (its root node;
+    /// the subtrees are shared).
+    fn into_owned(self) -> StoreKey<'static> {
+        let statement = match self.statement {
+            Statement::Prepared(shape) => Statement::Prepared(shape),
+            Statement::Adhoc(plan) => Statement::Adhoc(Cow::Owned(plan.into_owned())),
+        };
+        StoreKey {
+            statement,
+            knobs: self.knobs,
+            hash: self.hash,
+        }
+    }
+
     /// Full identity, not just equal hashes. (`Arc` equality is by
     /// pointer first, which is what a prepared statement's key hits.)
-    fn same(&self, other: &StoreKey) -> bool {
-        self.hash == other.hash
-            && self.prepared == other.prepared
-            && self.knobs == other.knobs
-            && self.text == other.text
+    fn same(&self, other: &StoreKey<'_>) -> bool {
+        self.hash == other.hash && self.knobs == other.knobs && self.statement == other.statement
     }
 }
 
@@ -166,7 +192,7 @@ struct Inner {
 
 #[derive(Debug)]
 struct Entry {
-    key: StoreKey,
+    key: StoreKey<'static>,
     valid: Validity,
     planned: Arc<PlannedQuery>,
     last_used: u64,
@@ -216,7 +242,7 @@ impl PlanCache {
     /// whether this is the statement's second sighting.
     pub(crate) fn lookup(
         &self,
-        key: &StoreKey,
+        key: &StoreKey<'_>,
         valid: Validity,
         fresh: &LogicalPlan,
         catalog: &Catalog,
@@ -235,8 +261,8 @@ impl PlanCache {
                 Some(_) => (None, true),
                 None => {
                     let slot = &mut inner.ghosts[key.hash as usize % GHOST_SLOTS];
-                    let seen = key.prepared || *slot == key.hash;
-                    if !key.prepared {
+                    let seen = key.is_prepared() || *slot == key.hash;
+                    if !key.is_prepared() {
                         *slot = key.hash;
                     }
                     (None, seen)
@@ -244,7 +270,7 @@ impl PlanCache {
             }
         };
         let plan = stored.and_then(|planned| {
-            let plan = if key.prepared {
+            let plan = if key.is_prepared() {
                 rebind_plan(&planned.plan, fresh, catalog, key.knobs.pruning)?
             } else {
                 planned.plan.clone()
@@ -265,7 +291,8 @@ impl PlanCache {
 
     /// Store a freshly optimised plan for `key`, valid under `valid`,
     /// replacing the key's previous entry or LRU-evicting beyond capacity.
-    pub(crate) fn insert(&self, key: StoreKey, valid: Validity, planned: &PlannedQuery) {
+    pub(crate) fn insert(&self, key: StoreKey<'_>, valid: Validity, planned: &PlannedQuery) {
+        let key = key.into_owned();
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let hash = key.hash;
@@ -523,7 +550,7 @@ mod tests {
     };
 
     /// A prepared key as `Engine::prepare` + `Engine::planned` build it.
-    fn prepared_key(shape: &str) -> StoreKey {
+    fn prepared_key(shape: &str) -> StoreKey<'static> {
         StoreKey::prepared(&shape.into(), text_hash(shape), KNOBS)
     }
 
@@ -629,8 +656,12 @@ mod tests {
             "outdated generation"
         );
         // Same shape under other knobs is another statement.
-        let parallel =
-            StoreKey::prepared(&key.text, text_hash(&key.text), Knobs { dop: 4, ..KNOBS });
+        let shape = plan_shape(&filtered_group(5));
+        let parallel = StoreKey::prepared(
+            &shape.as_str().into(),
+            text_hash(&shape),
+            Knobs { dop: 4, ..KNOBS },
+        );
         assert!(hit(cache.lookup(&parallel, generation(1), &fresh, &cat)).is_none());
         let snap = registry.snapshot();
         assert_eq!(snap.counter(names::PLAN_CACHE_HITS), Some(1));
@@ -700,6 +731,28 @@ mod tests {
         cache.insert(key(), stamp(2), &cold);
         assert_eq!(cache.len(), 1);
         assert!(hit(cache.lookup(&key(), stamp(2), &q, &cat)).is_some());
+    }
+
+    #[test]
+    fn adhoc_keys_keep_a_literals_type() {
+        let lt = |v: Value| {
+            LogicalPlan::group_by(
+                LogicalPlan::filter(LogicalPlan::scan("t"), Predicate::cmp("key", CmpOp::Lt, v)),
+                "key",
+                vec![AggExpr::count_star("n")],
+            )
+        };
+        let (a, b) = (lt(Value::U32(5)), lt(Value::I64(5)));
+        assert_eq!(a.to_string(), b.to_string(), "the two render alike");
+        let (ka, kb) = (StoreKey::adhoc(&a, KNOBS), StoreKey::adhoc(&b, KNOBS));
+        assert!(!ka.same(&kb) && !kb.same(&ka));
+        assert!(ka.same(&StoreKey::adhoc(&lt(Value::U32(5)), KNOBS)));
+        // Stored under one, the plan is not served to the other.
+        let cat = catalog();
+        let cache = PlanCache::new(8, &MetricsRegistry::new());
+        cache.insert(ka, stamp(1), &plan(&cat, &a));
+        assert!(hit(cache.lookup(&kb, stamp(1), &b, &cat)).is_none());
+        assert!(hit(cache.lookup(&StoreKey::adhoc(&a, KNOBS), stamp(1), &a, &cat)).is_some());
     }
 
     #[test]

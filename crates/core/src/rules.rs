@@ -16,10 +16,10 @@
 //!   sortedness property where an order-based implementation would
 //!   otherwise be inapplicable (partial-sort plans fall out of this);
 //! * **the parallel-twin rule** — the one place a plan gains an
-//!   `Exchange{dop}`: the wrapped copy of any serial candidate whose
-//!   operator is in the kernel list
-//!   ([`PhysicalPlan::has_parallel_kernel`]), costed with the parallel
-//!   cost model so plans only go parallel past break-even.
+//!   `Exchange{dop}`: the copy of a serial candidate whose operator is in
+//!   the kernel list ([`dqo_plan::PhysicalPlan::has_parallel_kernel`]) run at the
+//!   granted DOP, costed with the parallel cost model so plans only go
+//!   parallel past break-even. A twin that could only lose is not built.
 //!
 //! Rules fire in exactly the order the pre-memo DP enumerated
 //! alternatives and feed the same interesting-property pruning
@@ -29,20 +29,21 @@
 //! corrections and partition pruning included — prices its candidates
 //! from its inputs' rows, and stamps the group's rows on every candidate
 //! it emits.
+//!
+//! A rule reads its inputs as [`Choice`]s into the memo and builds
+//! candidates that point at them; no rule copies a plan.
 
 use crate::av::{composite_column_name, composite_packs, grouping_aggs, key_props, AvKind};
 use crate::cost::CostModel;
 use crate::error::CoreError;
 use crate::executor::reads_coded_key;
-use crate::memo::{Derived, GroupId, MemoOptimizer};
-use crate::optimizer::{prune, Candidate, OptimizerMode};
+use crate::memo::{Choice, ColId, Derived, GroupId, MemoOptimizer};
+use crate::optimizer::{Candidate, Op, OptimizerMode};
 use crate::property_builder::RowOp;
 use crate::Result;
-use dqo_plan::expr::Predicate;
 use dqo_plan::physical::GroupingMolecules;
 use dqo_plan::{
-    GroupingAlgorithm, HashFnMolecule, JoinAlgorithm, LogicalPlan, PhysicalPlan, PlanProps,
-    SortMolecule, TableMolecule,
+    GroupingAlgorithm, HashFnMolecule, JoinAlgorithm, LogicalPlan, PlanProps, TableMolecule,
 };
 use dqo_storage::{DataProps, Density, Sortedness};
 use std::sync::Arc;
@@ -58,83 +59,67 @@ pub(crate) fn apply(
     gid: GroupId,
     focus: Option<&str>,
     derived: &Derived,
-) -> Result<Vec<Candidate>> {
+) -> Result<Vec<Choice>> {
     let node = Arc::clone(opt.memo.group(gid).logical());
     let kids: Vec<GroupId> = opt.memo.group(gid).children().to_vec();
     let rows = derived.rows;
     match node.as_ref() {
-        LogicalPlan::Scan { table } => scan_rules(opt, table, focus, rows),
-        LogicalPlan::Filter { predicate, .. } => {
+        LogicalPlan::Scan { table } => scan_rules(opt, gid, table, focus, rows),
+        LogicalPlan::Filter { .. } => {
             let survivors = derived.survivors.as_deref();
-            filter_rules(opt, kids[0], predicate, focus, rows, survivors)
+            filter_rules(opt, gid, kids[0], focus, rows, survivors)
         }
         LogicalPlan::Sort { key, .. } => sort_rules(opt, kids[0], key),
-        LogicalPlan::Project { columns, .. } => project_rules(opt, kids[0], columns, focus),
-        LogicalPlan::Limit { n, .. } => limit_rules(opt, kids[0], *n, focus, rows),
-        LogicalPlan::Join {
-            left_key,
-            right_key,
-            ..
-        } => join_rules(opt, &node, kids[0], kids[1], left_key, right_key, rows),
-        LogicalPlan::GroupBy { input, keys, aggs } => {
-            group_by_rules(opt, &node, kids[0], input, keys, aggs, rows)
-        }
+        LogicalPlan::Project { .. } => pass_rules(opt, gid, kids[0], focus, Op::Project, rows),
+        LogicalPlan::Limit { .. } => pass_rules(opt, gid, kids[0], focus, Op::Limit, rows),
+        LogicalPlan::Join { .. } => join_rules(opt, gid, &node, [kids[0], kids[1]], rows),
+        LogicalPlan::GroupBy { .. } => group_by_rules(opt, gid, &node, kids[0], rows),
     }
 }
 
 fn scan_rules(
     opt: &mut MemoOptimizer<'_>,
+    gid: GroupId,
     table: &str,
     focus: Option<&str>,
     rows: u64,
-) -> Result<Vec<Candidate>> {
+) -> Result<Vec<Choice>> {
     let props = opt.props.scan_props(table, focus)?;
     let projected = opt.mode.project(PlanProps { rows, ..props });
     // A partitioned table's baseline scan is a PartitionedScan naming
     // every partition: the filter rule narrows the survivor set at
     // plan time and the runtime seeds partition-native morsels from it.
     // Flat-row-order emission keeps it bit-identical to a plain Scan.
-    let plan = match opt.catalog.partitioning_of(table) {
+    let op = match opt.catalog.partitioning_of(table) {
         Some(p) => {
             opt.fire("scan-partitioned-impl");
-            PhysicalPlan::PartitionedScan {
-                table: table.to_owned(),
+            Op::PartitionedScan {
                 parts: (0..p.part_count()).collect(),
                 total: p.part_count(),
             }
         }
         None => {
             opt.fire("scan-impl");
-            PhysicalPlan::Scan {
-                table: table.to_owned(),
-            }
+            Op::Scan
         }
     };
-    let mut out = vec![Candidate {
-        plan,
-        cost: 0.0, // scans are the common baseline of every plan
-        sort_col: (projected.sortedness == Sortedness::Ascending)
-            .then(|| focus.unwrap_or_default().to_owned())
-            .filter(|c| !c.is_empty()),
-        props: projected,
-    }];
+    let focus_id = focus.filter(|c| !c.is_empty()).map(|c| opt.memo.column(c));
+    let sort_col = focus_id.filter(|_| projected.sortedness == Sortedness::Ascending);
+    // Scans are the common baseline of every plan: they cost nothing.
+    let mut out = vec![opt.build(gid, Candidate::new(op, &[], 0.0, projected, sort_col))];
     // AV implementation rule: a sorted projection provides the `sorted`
     // property at zero query-time cost (its build cost was paid offline —
     // the §3 trade-off).
     if let (Some(avs), Some(col)) = (opt.avs, focus) {
         if let Some(av) = avs.lookup(table, col, AvKind::SortedProjection) {
             opt.fire("scan-av-sorted-projection");
-            out.push(Candidate {
-                plan: PhysicalPlan::Scan {
-                    table: av.signature.av_table_name(),
-                },
-                cost: 0.0,
-                props: opt.mode.project(PlanProps {
-                    rows,
-                    ..av.provides
-                }),
-                sort_col: Some(col.to_owned()),
+            let props = opt.mode.project(PlanProps {
+                rows,
+                ..av.provides
             });
+            let col = opt.memo.column(col);
+            let op = Op::AvScan(av.signature.av_table_name());
+            out.push(opt.build(gid, Candidate::new(op, &[], 0.0, props, Some(col))));
         }
     }
     Ok(out)
@@ -142,29 +127,24 @@ fn scan_rules(
 
 fn filter_rules(
     opt: &mut MemoOptimizer<'_>,
+    gid: GroupId,
     input_gid: GroupId,
-    predicate: &Predicate,
     focus: Option<&str>,
     rows: u64,
     survivors: Option<&[usize]>,
-) -> Result<Vec<Candidate>> {
-    let inputs = opt.explore(input_gid, focus)?.as_ref().clone();
+) -> Result<Vec<Choice>> {
+    let inputs = opt.explore(input_gid, focus)?;
     let mut all = Vec::with_capacity(inputs.len() * 2);
-    for mut c in inputs {
+    for mut input in inputs {
         // Partition-pruning rule: scan only the group's survivors — the
         // partitions the bound predicate, intersected with the spec, may
         // match. The decision reads **only the spec** (append-proof — see
         // `crate::partition_prune`); the filter's cost shrinks to the
         // survivors' observed rowcounts.
-        if let (true, Some(survivors), PhysicalPlan::PartitionedScan { table, parts, .. }) =
-            (opt.pruning, survivors, &mut c.plan)
-        {
-            if survivors.len() < parts.len() {
-                opt.fire("filter-partition-prune");
-            }
-            *parts = survivors.to_vec();
-            c.props.rows = opt.props.derive(RowOp::Scan((table, Some(parts))), &[]);
+        if let (true, Some(survivors)) = (opt.pruning, survivors) {
+            input = opt.prune_scan(input, survivors);
         }
+        let c = opt.memo.candidate(input);
         // Filtering punches holes into a dense domain and can only shrink
         // the focus column's distinct count.
         let props = opt.mode.project(PlanProps {
@@ -174,107 +154,97 @@ fn filter_rules(
             rows,
             ..c.props
         });
-        opt.fire("filter-impl");
         let in_rows = c.props.rows as f64;
-        let serial = Candidate {
-            cost: c.cost + opt.model.scan(in_rows),
-            plan: PhysicalPlan::Filter {
-                input: Box::new(c.plan),
-                predicate: predicate.clone(),
-            },
-            props,
-            sort_col: c.sort_col,
-        };
-        all.extend(opt.parallel_twin(&serial, c.cost, |m, dop| m.parallel_scan(in_rows, dop)));
+        let cost = c.cost + opt.model.scan(in_rows);
+        let (in_cost, sort_col) = (c.cost, c.sort_col);
+        opt.fire("filter-impl");
+        let serial = opt.build(
+            gid,
+            Candidate::new(Op::Filter, &[input], cost, props, sort_col),
+        );
+        all.extend(opt.parallel_twin(serial, in_cost, |m, dop| m.parallel_scan(in_rows, dop)));
         all.push(serial);
     }
-    Ok(prune(all.into_iter()))
+    Ok(opt.memo.prune(all))
 }
 
-fn sort_rules(
-    opt: &mut MemoOptimizer<'_>,
-    input_gid: GroupId,
-    key: &str,
-) -> Result<Vec<Candidate>> {
-    let inputs = opt.explore(input_gid, Some(key))?.as_ref().clone();
+fn sort_rules(opt: &mut MemoOptimizer<'_>, input_gid: GroupId, key: &str) -> Result<Vec<Choice>> {
+    let inputs = opt.explore(input_gid, Some(key))?;
     // Interesting-order payoff: an input that is already sorted on the
     // key satisfies the Sort for free — this is what makes sorted-output
     // groupings (SPHG/SOG/BSG) win under a final ORDER BY. Unsorted
     // inputs fire the enforcer rule (serial plus morsel-parallel twin).
+    let key = opt.memo.column(key);
     let mut all = Vec::with_capacity(inputs.len() * 2);
     for c in inputs {
-        if opt.is_sorted_on(&c, key) {
+        if opt.is_sorted_on(c, key) {
             opt.fire("sort-elide");
             all.push(c);
         } else {
-            all.extend(opt.sort_enforcer_candidates(c, key));
+            opt.sort_enforcer_candidates(c, key, &mut all);
         }
     }
-    Ok(prune(all.into_iter()))
+    Ok(opt.memo.prune(all))
 }
 
-fn project_rules(
+/// Project and Limit: free in a columnar store, they keep their input's
+/// cost, order and properties (a limit its own rows).
+fn pass_rules(
     opt: &mut MemoOptimizer<'_>,
+    gid: GroupId,
     input_gid: GroupId,
-    columns: &[String],
     focus: Option<&str>,
-) -> Result<Vec<Candidate>> {
-    let inputs = opt.explore(input_gid, focus)?.as_ref().clone();
-    opt.fire("project-impl");
-    Ok(prune(inputs.into_iter().map(|c| Candidate {
-        plan: PhysicalPlan::Project {
-            input: Box::new(c.plan),
-            columns: columns.to_vec(),
-        },
-        cost: c.cost, // columnar projection is free
-        props: c.props,
-        sort_col: c.sort_col,
-    })))
-}
-
-fn limit_rules(
-    opt: &mut MemoOptimizer<'_>,
-    input_gid: GroupId,
-    n: u64,
-    focus: Option<&str>,
+    op: Op,
     rows: u64,
-) -> Result<Vec<Candidate>> {
-    let inputs = opt.explore(input_gid, focus)?.as_ref().clone();
-    opt.fire("limit-impl");
-    Ok(prune(inputs.into_iter().map(|c| Candidate {
-        plan: PhysicalPlan::Limit {
-            input: Box::new(c.plan),
-            n,
-        },
-        cost: c.cost, // truncation is free in a columnar store
-        props: PlanProps { rows, ..c.props },
-        sort_col: c.sort_col,
-    })))
+) -> Result<Vec<Choice>> {
+    let inputs = opt.explore(input_gid, focus)?;
+    opt.fire(match op {
+        Op::Limit => "limit-impl",
+        _ => "project-impl",
+    });
+    let mut all = Vec::with_capacity(inputs.len());
+    for input in inputs {
+        let c = opt.memo.candidate(input);
+        let (cost, props) = (c.cost, PlanProps { rows, ..c.props });
+        let sort_col = c.sort_col;
+        all.push(opt.build(
+            gid,
+            Candidate::new(op.clone(), &[input], cost, props, sort_col),
+        ));
+    }
+    Ok(opt.memo.prune(all))
 }
 
 fn join_rules(
     opt: &mut MemoOptimizer<'_>,
-    node: &Arc<LogicalPlan>,
-    left_gid: GroupId,
-    right_gid: GroupId,
-    left_key: &str,
-    right_key: &str,
+    gid: GroupId,
+    node: &LogicalPlan,
+    [left_gid, right_gid]: [GroupId; 2],
     rows: u64,
-) -> Result<Vec<Candidate>> {
-    let left_cands = opt.explore(left_gid, Some(left_key))?.as_ref().clone();
-    let left_cands = opt.with_sort_enforcers(left_cands, left_key);
-    let right_cands = opt.explore(right_gid, Some(right_key))?.as_ref().clone();
-    let right_cands = opt.with_sort_enforcers(right_cands, right_key);
+) -> Result<Vec<Choice>> {
+    let LogicalPlan::Join {
+        left,
+        left_key,
+        right_key,
+        ..
+    } = node
+    else {
+        unreachable!("join_rules on a non-join group: {node}");
+    };
+    let left_cands = opt.explore(left_gid, Some(left_key))?;
+    let (lk, rk) = (opt.memo.column(left_key), opt.memo.column(right_key));
+    let left_cands = opt.with_sort_enforcers(left_cands, lk);
+    let right_cands = opt.explore(right_gid, Some(right_key))?;
+    let right_cands = opt.with_sort_enforcers(right_cands, rk);
     // BSJ's search depth: the build key's distinct count in its table.
-    let d_left = match node.as_ref() {
-        LogicalPlan::Join { left, .. } => opt.catalog.resolve_column(left.tables(), left_key),
-        _ => unreachable!("join_rules on a non-join group"),
-    }
-    .map(|p| p.distinct);
+    let d_left = opt
+        .catalog
+        .resolve_column(left.tables(), left_key)
+        .map(|p| p.distinct);
 
-    let mut out: Vec<Candidate> = Vec::new();
-    for lc in &left_cands {
-        for rc in &right_cands {
+    let mut out = Vec::new();
+    for &l in &left_cands {
+        for &r in &right_cands {
             // Enumerate in preference order: on exact cost ties the
             // order-based plan wins (the paper's both-sorted cell).
             for algo in [
@@ -284,45 +254,37 @@ fn join_rules(
                 JoinAlgorithm::HashBased,
                 JoinAlgorithm::SortOrderBased,
             ] {
-                if !opt.join_applicable(algo, lc, rc, left_key, right_key) {
+                if !opt.join_applicable(algo, l, r, lk, rk) {
                     continue;
                 }
+                let (lc, rc) = (opt.memo.candidate(l), opt.memo.candidate(r));
+                let (lrows, rrows) = (lc.props.rows as f64, rc.props.rows as f64);
+                let inputs_cost = lc.cost + rc.cost;
                 let build_groups = d_left.unwrap_or(lc.props.rows).max(1) as f64;
-                let mut join_cost = opt.model.join(
-                    algo,
-                    lc.props.rows as f64,
-                    rc.props.rows as f64,
-                    build_groups,
-                );
+                let mut join_cost = opt.model.join(algo, lrows, rrows, build_groups);
                 // AV implementation rule: a prebuilt SPH index over the
                 // build side removes the build pass — probe cost only.
-                let av_probe = algo == JoinAlgorithm::StaticPerfectHash
-                    && opt.sph_index_av(&lc.plan, left_key);
+                let av_probe =
+                    algo == JoinAlgorithm::StaticPerfectHash && opt.sph_index_av(l, left_key);
                 if av_probe {
                     opt.fire("join-av-sph-index");
-                    join_cost = opt.model.scan(rc.props.rows as f64);
+                    join_cost = opt.model.scan(rrows);
                 }
                 opt.fire("join-impl");
-                let serial = Candidate {
-                    plan: PhysicalPlan::Join {
-                        left: Box::new(lc.plan.clone()),
-                        right: Box::new(rc.plan.clone()),
-                        left_key: left_key.to_owned(),
-                        right_key: right_key.to_owned(),
-                        algo,
-                    },
-                    cost: lc.cost + rc.cost + join_cost,
-                    props: opt.join_output_props(algo, rows),
-                    // Order-based joins emit in join-key order.
-                    sort_col: algo.produces_sorted_output().then(|| left_key.to_owned()),
-                };
+                // Order-based joins emit in join-key order.
+                let sort_col = algo.produces_sorted_output().then_some(lk);
+                let props = opt.join_output_props(algo, rows);
+                let cost = inputs_cost + join_cost;
+                let serial = opt.build(
+                    gid,
+                    Candidate::new(Op::Join(algo), &[l, r], cost, props, sort_col),
+                );
                 // A prebuilt AV index already removed the build pass;
                 // re-partitioning it would forfeit the AV, so AV probes
                 // stay serial.
                 if !av_probe {
-                    let (l, r) = (lc.props.rows as f64, rc.props.rows as f64);
-                    out.extend(opt.parallel_twin(&serial, lc.cost + rc.cost, |m, dop| {
-                        m.parallel_join(algo, l, r, build_groups, dop)
+                    out.extend(opt.parallel_twin(serial, inputs_cost, |m, dop| {
+                        m.parallel_join(algo, lrows, rrows, build_groups, dop)
                     }));
                 }
                 out.push(serial);
@@ -332,7 +294,7 @@ fn join_rules(
     if out.is_empty() {
         return Err(CoreError::NoPlanFound(format!("{node}")));
     }
-    Ok(prune(out.into_iter()))
+    Ok(opt.memo.prune(out))
 }
 
 /// Implementation rules for a grouping on one key column or several. A
@@ -342,18 +304,20 @@ fn join_rules(
 /// ([`crate::cost::CostModel::composite_key_pack`], 0 for one key).
 fn group_by_rules(
     opt: &mut MemoOptimizer<'_>,
-    node: &Arc<LogicalPlan>,
+    gid: GroupId,
+    node: &LogicalPlan,
     input_gid: GroupId,
-    input: &LogicalPlan,
-    keys: &[String],
-    aggs: &[dqo_plan::AggExpr],
     rows: u64,
-) -> Result<Vec<Candidate>> {
+) -> Result<Vec<Choice>> {
+    let LogicalPlan::GroupBy { input, keys, aggs } = node else {
+        unreachable!("group_by_rules on a non-grouping group: {node}");
+    };
     let (key, single) = (keys[0].as_str(), keys.len() == 1);
-    let input_cands = opt.explore(input_gid, Some(key))?.as_ref().clone();
+    let input_cands = opt.explore(input_gid, Some(key))?;
+    let key_id = opt.memo.column(key);
     // Sort enforcers serve OG, which groups one column only.
     let input_cands = if single {
-        opt.with_sort_enforcers(input_cands, key)
+        opt.with_sort_enforcers(input_cands, key_id)
     } else {
         input_cands
     };
@@ -363,23 +327,19 @@ fn group_by_rules(
     // where an AV degenerates into a classic materialised view (§3). It
     // answers exactly the query it stores: its keys over a bare scan with
     // its aggregate list, so no renaming or projection is needed.
-    let mut out: Vec<Candidate> = Vec::new();
-    if let (Some(avs), LogicalPlan::Scan { table }) = (opt.avs, input) {
-        if aggs == grouping_aggs(key) {
+    let mut out = Vec::new();
+    if let (Some(avs), LogicalPlan::Scan { table }) = (opt.avs, input.as_ref()) {
+        if *aggs == grouping_aggs(key) {
             let name = composite_column_name(keys);
             if let Some(av) = avs.lookup(table, &name, AvKind::MaterialisedGrouping) {
                 opt.fire("group-by-av-materialised");
-                out.push(Candidate {
-                    plan: PhysicalPlan::Scan {
-                        table: av.signature.av_table_name(),
-                    },
-                    cost: opt.model.scan(av.provides.rows as f64),
-                    props: opt.mode.project(PlanProps {
-                        rows,
-                        ..av.provides
-                    }),
-                    sort_col: Some(key.to_owned()),
+                let cost = opt.model.scan(av.provides.rows as f64);
+                let props = opt.mode.project(PlanProps {
+                    rows,
+                    ..av.provides
                 });
+                let op = Op::AvScan(av.signature.av_table_name());
+                out.push(opt.build(gid, Candidate::new(op, &[], cost, props, Some(key_id))));
             }
         }
     }
@@ -401,13 +361,18 @@ fn group_by_rules(
     let key_range = key_stats.and_then(|p| p.key_range);
     let g = rows.max(1) as f64;
 
-    for ic in &input_cands {
+    for &ic in &input_cands {
         // A sparse key the catalog coded is dense over its codes — in deep
         // mode, which tracks density. Codes are per column.
+        // The input's plan is built only for this test, which only a
+        // sparse key reaches.
         let codes = single
             && !key_dense
             && opt.mode == OptimizerMode::Deep
-            && reads_coded_key(opt.catalog, &ic.plan, key);
+            && reads_coded_key(opt.catalog, &opt.memo.plan(ic), key);
+        let sorted_on_key = opt.is_sorted_on(ic, key_id);
+        let input = opt.memo.candidate(ic);
+        let (in_cost, in_props) = (input.cost, input.props);
         for algo in [
             GroupingAlgorithm::OrderBased,
             GroupingAlgorithm::StaticPerfectHash,
@@ -417,7 +382,7 @@ fn group_by_rules(
         ] {
             // OG and BSG group one column only.
             let applicable = match algo {
-                GroupingAlgorithm::OrderBased => single && opt.is_sorted_on(ic, key),
+                GroupingAlgorithm::OrderBased => single && sorted_on_key,
                 GroupingAlgorithm::StaticPerfectHash => key_dense || codes,
                 GroupingAlgorithm::BinarySearch => single && key_stats.is_some(),
                 GroupingAlgorithm::HashBased | GroupingAlgorithm::SortOrderBased => true,
@@ -425,14 +390,14 @@ fn group_by_rules(
             if !applicable {
                 continue;
             }
-            let in_rows = ic.props.rows as f64;
+            let in_rows = in_props.rows as f64;
             let pack = opt.model.composite_key_pack(in_rows, keys.len());
-            let cost = ic.cost + pack + opt.model.grouping(algo, in_rows, g);
+            let cost = in_cost + pack + opt.model.grouping(algo, in_rows, g);
             // A composite output is in ascending packed-code order, which
             // is lexicographic tuple order.
             let sorted = !single
                 || algo.produces_sorted_output()
-                || (algo == GroupingAlgorithm::OrderBased && ic.props.sortedness.is_sorted());
+                || (algo == GroupingAlgorithm::OrderBased && in_props.sortedness.is_sorted());
             let props = opt.mode.project(PlanProps {
                 sortedness: if sorted {
                     Sortedness::Ascending
@@ -450,26 +415,18 @@ fn group_by_rules(
                 rows,
             });
             opt.fire("group-by-impl");
-            let serial = Candidate {
-                plan: PhysicalPlan::GroupBy {
-                    input: Box::new(ic.plan.clone()),
-                    keys: keys.to_vec(),
-                    aggs: aggs.to_vec(),
-                    algo,
-                    molecules: GroupingMolecules {
-                        codes: codes && algo == GroupingAlgorithm::StaticPerfectHash,
-                        ..opt.grouping_molecules(algo, key_stats, ic)
-                    },
-                },
-                cost,
-                sort_col: sorted.then(|| key.to_owned()),
-                props,
+            let molecules = GroupingMolecules {
+                codes: codes && algo == GroupingAlgorithm::StaticPerfectHash,
+                ..opt.grouping_molecules(algo, key_stats, in_props)
             };
+            let op = Op::GroupBy(algo, molecules);
+            let sort_col = sorted.then_some(key_id);
+            let serial = opt.build(gid, Candidate::new(op, &[ic], cost, props, sort_col));
             // A composite key that cannot pack runs the serial row-wise
             // kernel; the pack pass stays serial and only the grouping
             // divides.
             if single || packs {
-                out.extend(opt.parallel_twin(&serial, ic.cost + pack, |m, dop| {
+                out.extend(opt.parallel_twin(serial, in_cost + pack, |m, dop| {
                     m.parallel_grouping(algo, in_rows, g, dop)
                 }));
             }
@@ -479,72 +436,80 @@ fn group_by_rules(
     if out.is_empty() {
         return Err(CoreError::NoPlanFound(format!("{node}")));
     }
-    Ok(prune(out.into_iter()))
+    Ok(opt.memo.prune(out))
 }
 
 impl MemoOptimizer<'_> {
-    /// Wrap a candidate in an explicit sort enforcer on `key`.
-    fn add_sort(&mut self, c: Candidate, key: &str) -> Candidate {
-        let mut props = c.props;
-        props.sortedness = Sortedness::Ascending;
-        props.partitioned = true;
-        self.fire("sort-enforcer");
-        Candidate {
-            cost: c.cost + self.model.sort(c.props.rows as f64),
-            plan: PhysicalPlan::Sort {
-                input: Box::new(c.plan),
-                key: key.to_owned(),
-                molecule: SortMolecule::Comparison,
-            },
-            props,
-            sort_col: Some(key.to_owned()),
-        }
-    }
-
-    /// The sort-enforcer alternatives for an unsorted candidate: the
-    /// serial enforcer plus its parallel twin (morsel-parallel run
-    /// formation + Merge Path merge).
-    fn sort_enforcer_candidates(&mut self, c: Candidate, key: &str) -> Vec<Candidate> {
+    /// The sort-enforcer alternatives for an unsorted candidate, built in
+    /// its group and appended to `out`: the serial enforcer plus its
+    /// parallel twin (morsel-parallel run formation + Merge Path merge).
+    fn sort_enforcer_candidates(&mut self, input: Choice, key: ColId, out: &mut Vec<Choice>) {
+        let c = self.memo.candidate(input);
         let (inputs, rows) = (c.cost, c.props.rows as f64);
-        let serial = self.add_sort(c, key);
-        let twin = self.parallel_twin(&serial, inputs, |m, dop| m.parallel_sort(rows, dop));
-        twin.into_iter().chain([serial]).collect()
+        let props = PlanProps {
+            sortedness: Sortedness::Ascending,
+            partitioned: true,
+            ..c.props
+        };
+        let cost = inputs + self.model.sort(rows);
+        self.fire("sort-enforcer");
+        let serial = self.build(
+            input.group,
+            Candidate::new(Op::Sort(key), &[input], cost, props, Some(key)),
+        );
+        out.extend(self.parallel_twin(serial, inputs, |m, dop| m.parallel_sort(rows, dop)));
+        out.push(serial);
     }
 
     /// The parallel-twin rule — the one place a plan gains an `Exchange`:
-    /// at `dop > 1`, the `Exchange{dop}`-wrapped copy of `serial` when its
-    /// operator has a morsel-parallel kernel
-    /// ([`PhysicalPlan::has_parallel_kernel`]), priced at what the
-    /// operator's inputs cost plus `parallel`, the operator's price at the
-    /// granted DOP. The twin keeps the serial candidate's properties —
-    /// the parallel filter, sort and joins emit what their serial kernels
-    /// emit — except that a parallel grouping's deterministic merge
-    /// emits ascending keys, a property serial HG lacks.
+    /// at `dop > 1`, `serial`'s operator run at the granted DOP when it
+    /// has a morsel-parallel kernel ([`Op::has_parallel_kernel`]), priced
+    /// at what the operator's inputs cost plus `parallel`, the operator's
+    /// price at that DOP. The twin keeps the serial candidate's properties
+    /// — the parallel filter, sort and joins emit what their serial
+    /// kernels emit — except that a parallel grouping's deterministic
+    /// merge emits ascending keys, a property serial HG lacks.
+    ///
+    /// A twin that cannot win is not built. With the serial candidate's
+    /// properties, it loses to it in pruning when it costs more. With
+    /// ascending keys the serial grouping lacks, it also loses wherever
+    /// that order is wanted when it costs more than the serial grouping
+    /// plus a serial sort of its output, the enforcer every consumer of
+    /// an order builds.
     fn parallel_twin(
         &mut self,
-        serial: &Candidate,
+        serial: Choice,
         inputs: f64,
         parallel: impl FnOnce(&dyn CostModel, usize) -> f64,
-    ) -> Option<Candidate> {
-        if self.dop < 2 || !serial.plan.has_parallel_kernel() {
+    ) -> Option<Choice> {
+        let s = self.memo.candidate(serial);
+        if self.dop < 2 || !s.op.has_parallel_kernel() {
             return None;
         }
-        let (mut props, mut sort_col) = (serial.props, serial.sort_col.clone());
-        if let PhysicalPlan::GroupBy { keys, .. } = &serial.plan {
-            props.sortedness = Sortedness::Ascending;
-            props.partitioned = true;
-            sort_col = Some(keys[0].clone());
+        let mut twin = Candidate {
+            dop: self.dop,
+            cost: inputs + parallel(self.model, self.dop),
+            ..s.clone()
+        };
+        if let Op::GroupBy(..) = twin.op {
+            let node = Arc::clone(self.memo.group(serial.group).logical());
+            let LogicalPlan::GroupBy { keys, .. } = node.as_ref() else {
+                unreachable!("a grouping outside a grouping group: {node}");
+            };
+            twin.props.sortedness = Sortedness::Ascending;
+            twin.props.partitioned = true;
+            twin.sort_col = Some(self.memo.column(&keys[0]));
+        }
+        let s = self.memo.candidate(serial);
+        let mut bound = s.cost;
+        if (twin.props, twin.sort_col) != (s.props, s.sort_col) {
+            bound += self.model.sort(s.props.rows as f64);
+        }
+        if twin.cost > bound {
+            return None;
         }
         self.fire("parallel-twin");
-        Some(Candidate {
-            plan: PhysicalPlan::Exchange {
-                input: Box::new(serial.plan.clone()),
-                dop: self.dop,
-            },
-            cost: inputs + parallel(self.model, self.dop),
-            props,
-            sort_col,
-        })
+        Some(self.build(serial.group, twin))
     }
 
     /// The molecules under grouping organelle `algo` — the step Table 1
@@ -560,11 +525,11 @@ impl MemoOptimizer<'_> {
         &self,
         algo: GroupingAlgorithm,
         key_stats: Option<PlanProps>,
-        input: &Candidate,
+        input: PlanProps,
     ) -> GroupingMolecules {
         let mut m = GroupingMolecules::defaults_for(algo);
         if self.mode == OptimizerMode::Deep && algo == GroupingAlgorithm::HashBased {
-            let keys = key_stats.unwrap_or(input.props);
+            let keys = key_stats.unwrap_or(input);
             let uniform = keys.admits_sph() || keys.density.is_dense();
             m.table = Some(TableMolecule::LinearProbing);
             m.hash = Some(match uniform {
@@ -577,52 +542,93 @@ impl MemoOptimizer<'_> {
 
     /// Is this candidate's output usable as "sorted by `key`" under the
     /// active property model?
-    fn is_sorted_on(&self, c: &Candidate, key: &str) -> bool {
+    fn is_sorted_on(&self, c: Choice, key: ColId) -> bool {
         // Order-based operators consume *ascending* runs; a descending
         // input would need an (unmodelled) reversal, so it does not
         // qualify.
+        let c = self.memo.candidate(c);
         let asc = c.props.sortedness == Sortedness::Ascending;
         match self.pmodel {
             PropertyModel::PaperStream => asc,
-            PropertyModel::AttributeStrict => asc && c.sort_col.as_deref() == Some(key),
+            PropertyModel::AttributeStrict => asc && c.sort_col == Some(key),
         }
     }
 
     /// Input candidates plus, for each one not sorted on `key`, the
     /// sort-enforced twins (serial, and parallel at `dop > 1`).
-    fn with_sort_enforcers(&mut self, cands: Vec<Candidate>, key: &str) -> Vec<Candidate> {
+    fn with_sort_enforcers(&mut self, cands: Vec<Choice>, key: ColId) -> Vec<Choice> {
         let mut out = Vec::with_capacity(cands.len() * 2);
         for c in cands {
-            if !self.is_sorted_on(&c, key) {
-                out.extend(self.sort_enforcer_candidates(c.clone(), key));
+            if !self.is_sorted_on(c, key) {
+                self.sort_enforcer_candidates(c, key, &mut out);
             }
             out.push(c);
         }
         out
     }
 
-    /// Is there a materialisable SPH-index AV for this build side?
-    /// Only a bare base-table scan can reuse a prebuilt row index.
-    fn sph_index_av(&self, build_plan: &PhysicalPlan, key: &str) -> bool {
-        match (self.avs, build_plan) {
-            (Some(avs), PhysicalPlan::Scan { table }) => {
-                avs.lookup(table, key, AvKind::SphIndex).is_some()
-            }
-            _ => false,
+    /// The partition-pruning rewrite of a filter's input: a scan of a
+    /// partitioned table restricted to `survivors`, stored beside the full
+    /// scan in its group; any other input is returned as it is.
+    fn prune_scan(&mut self, input: Choice, survivors: &[usize]) -> Choice {
+        let c = self.memo.candidate(input);
+        let Op::PartitionedScan { parts, total } = &c.op else {
+            return input;
+        };
+        let (fewer, total) = (survivors.len() < parts.len(), *total);
+        if fewer {
+            self.fire("filter-partition-prune");
         }
+        let table = self.scan_table(input.group);
+        let rows = self
+            .props
+            .derive(RowOp::Scan((table, Some(survivors))), &[]);
+        let c = self.memo.candidate(input);
+        let pruned = Candidate {
+            op: Op::PartitionedScan {
+                parts: survivors.to_vec(),
+                total,
+            },
+            props: PlanProps { rows, ..c.props },
+            ..c.clone()
+        };
+        self.memo.push(input.group, pruned)
+    }
+
+    /// The base table scan group `gid` reads.
+    fn scan_table(&self, gid: GroupId) -> &str {
+        match self.memo.group(gid).logical().as_ref() {
+            LogicalPlan::Scan { table } => table,
+            other => unreachable!("a scan outside a scan group: {other}"),
+        }
+    }
+
+    /// Is there a materialisable SPH-index AV for this build side?
+    /// Only a bare scan can reuse a prebuilt row index.
+    fn sph_index_av(&self, build: Choice, key: &str) -> bool {
+        let Some(avs) = self.avs else {
+            return false;
+        };
+        let table = match &self.memo.candidate(build).op {
+            Op::Scan => self.scan_table(build.group),
+            Op::AvScan(table) => table,
+            _ => return false,
+        };
+        avs.lookup(table, key, AvKind::SphIndex).is_some()
     }
 
     fn join_applicable(
         &self,
         algo: JoinAlgorithm,
-        lc: &Candidate,
-        rc: &Candidate,
-        left_key: &str,
-        right_key: &str,
+        l: Choice,
+        r: Choice,
+        left_key: ColId,
+        right_key: ColId,
     ) -> bool {
+        let lc = self.memo.candidate(l);
         match algo {
             JoinAlgorithm::OrderBased => {
-                self.is_sorted_on(lc, left_key) && self.is_sorted_on(rc, right_key)
+                self.is_sorted_on(l, left_key) && self.is_sorted_on(r, right_key)
             }
             // SPHJ builds over the left side: needs a provably dense
             // domain — invisible in shallow mode by construction.
@@ -686,13 +692,7 @@ mod tests {
     ) -> GroupingMolecules {
         let catalog = Catalog::new();
         let optimizer = MemoOptimizer::new(&catalog, &SearchContext::new(mode));
-        let input = Candidate {
-            plan: PhysicalPlan::Scan { table: "t".into() },
-            cost: 0.0,
-            props: keys,
-            sort_col: None,
-        };
-        optimizer.grouping_molecules(algo, None, &input)
+        optimizer.grouping_molecules(algo, None, keys)
     }
 
     #[test]

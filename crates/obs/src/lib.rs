@@ -99,6 +99,9 @@ pub mod names {
     pub const OPT_GROUP_EXPRS: &str = "dqo_opt_group_exprs";
     /// Optimiser rule applications that produced candidates (counter).
     pub const OPT_RULES_FIRED: &str = "dqo_opt_rules_fired_total";
+    /// Candidates the optimiser's rules built before pruning, sort
+    /// enforcers and parallel twins included (counter).
+    pub const OPT_CANDIDATES_BUILT: &str = "dqo_opt_candidates_built_total";
     /// Group explorations answered from a memo winner table (counter).
     pub const OPT_WINNER_HITS: &str = "dqo_opt_winner_hits_total";
     /// Feedback corrections folded into row estimates, once per filter
@@ -153,6 +156,7 @@ pub mod names {
         AV_DELTA_SECONDS,
         OPT_GROUPS,
         OPT_GROUP_EXPRS,
+        OPT_CANDIDATES_BUILT,
         OPT_RULES_FIRED,
         OPT_WINNER_HITS,
         OPT_FEEDBACK_APPLIED,

@@ -63,6 +63,16 @@ impl GroupingAlgorithm {
         )
     }
 
+    /// Has a morsel-parallel kernel: HG, SPHG and SOG.
+    pub fn has_parallel_kernel(self) -> bool {
+        matches!(
+            self,
+            GroupingAlgorithm::HashBased
+                | GroupingAlgorithm::StaticPerfectHash
+                | GroupingAlgorithm::SortOrderBased
+        )
+    }
+
     /// All five variants, in the paper's presentation order.
     pub fn all() -> [GroupingAlgorithm; 5] {
         [
@@ -123,6 +133,16 @@ impl JoinAlgorithm {
         matches!(
             self,
             JoinAlgorithm::OrderBased | JoinAlgorithm::SortOrderBased
+        )
+    }
+
+    /// Has a morsel-parallel kernel: HJ, SPHJ and SOJ.
+    pub fn has_parallel_kernel(self) -> bool {
+        matches!(
+            self,
+            JoinAlgorithm::HashBased
+                | JoinAlgorithm::StaticPerfectHash
+                | JoinAlgorithm::SortOrderBased
         )
     }
 

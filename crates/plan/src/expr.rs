@@ -54,7 +54,8 @@ impl fmt::Display for CmpOp {
 }
 
 /// A simple predicate: `column <op> constant`, optionally AND-ed.
-#[derive(Debug, Clone, PartialEq)]
+/// Equality and hashing keep each constant's type ([`Value`]'s own).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Predicate {
     /// `column <op> constant`.
     Compare {
@@ -233,7 +234,7 @@ impl AggFunc {
 }
 
 /// One aggregate expression in a GROUP BY output list.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AggExpr {
     /// The function.
     pub func: AggFunc,

@@ -4,8 +4,10 @@ use crate::expr::{AggExpr, Predicate};
 use std::fmt;
 use std::sync::Arc;
 
-/// A logical operator tree (extended relational algebra).
-#[derive(Debug, Clone, PartialEq)]
+/// A logical operator tree (extended relational algebra). Equality and
+/// hashing are structural and keep each constant's type, so two trees that
+/// render alike (`x < 5` over a `u32` and over an `i64` literal) differ.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum LogicalPlan {
     /// Base-table scan.
     Scan {

@@ -170,20 +170,8 @@ impl PhysicalPlan {
     pub fn has_parallel_kernel(&self) -> bool {
         match self {
             PhysicalPlan::Filter { .. } | PhysicalPlan::Sort { .. } => true,
-            PhysicalPlan::Join { algo, .. } => {
-                matches!(
-                    algo,
-                    JoinAlgorithm::HashBased
-                        | JoinAlgorithm::StaticPerfectHash
-                        | JoinAlgorithm::SortOrderBased
-                )
-            }
-            PhysicalPlan::GroupBy { algo, .. } => matches!(
-                algo,
-                GroupingAlgorithm::HashBased
-                    | GroupingAlgorithm::StaticPerfectHash
-                    | GroupingAlgorithm::SortOrderBased
-            ),
+            PhysicalPlan::Join { algo, .. } => algo.has_parallel_kernel(),
+            PhysicalPlan::GroupBy { algo, .. } => algo.has_parallel_kernel(),
             _ => false,
         }
     }

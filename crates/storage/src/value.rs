@@ -147,6 +147,22 @@ impl PartialEq for Value {
 
 impl Eq for Value {}
 
+/// Consistent with `Eq`: the type, then the payload (an `f64` by its bits,
+/// which is what [`f64::total_cmp`] equality compares).
+impl std::hash::Hash for Value {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.data_type().hash(state);
+        match self {
+            Value::U32(v) => v.hash(state),
+            Value::U64(v) => v.hash(state),
+            Value::I64(v) => v.hash(state),
+            Value::F64(v) => v.to_bits().hash(state),
+            Value::Bool(v) => v.hash(state),
+            Value::Str(v) => v.hash(state),
+        }
+    }
+}
+
 impl Value {
     /// Total comparison between two values of the *same* type.
     ///
