@@ -33,13 +33,19 @@
 //!   `(key, original row id)` order of a from-scratch rebuild exactly.
 //!   A delta larger than `REBUILD_RATIO` of the combined table rebuilds
 //!   inline: the merge would read nearly everything a fresh sort does.
+//!   A delta whose every insertion point is the projection's end (keys
+//!   that never decrease, e.g. timestamps) is an append: the projection
+//!   extends its own buffers in place, like the base table does.
 //! * **SPH index — patch-or-rebuild**: when the delta keys fit the
 //!   existing dense domain, [`JoinIndex::patch`](dqo_exec::join::JoinIndex::patch)
-//!   widens the CSR in two passes (bit-identical to a rebuild, since
-//!   appended row ids follow all existing ones in scan order). When the
-//!   domain grew, the stale index is removed immediately — queries fall
-//!   back to building the join index at execution time — and a
-//!   **background rebuild** is spawned through the [`AvBuilder`].
+//!   keeps the published CSR as its main part, shared, and puts the
+//!   appended rows in a small tail CSR over the same slots, rebuilt in
+//!   O(domain + tail) per append and merged into the main CSR once it
+//!   outgrows √rows (equal to a rebuild slot for slot, since appended
+//!   row ids follow all existing ones in scan order). When the domain
+//!   grew, the stale index is removed immediately — queries fall back to
+//!   building the join index at execution time — and a **background
+//!   rebuild** is spawned through the [`AvBuilder`].
 //!
 //! Writes serialise per table on [`Catalog::mutation_lock`](crate::Catalog::mutation_lock),
 //! and every maintained artifact becomes visible through the same
@@ -94,6 +100,11 @@ pub struct MaintenanceOutcome {
     pub wall: Duration,
     /// Join handle of a background rebuild, when one was spawned.
     pub rebuild: Option<AvBuildHandle>,
+    /// Bytes the inline step wrote into new buffers: all of a merged
+    /// grouping or a rebuilt view, the new buffers of a sorted projection
+    /// (none when it was extended in place), an SPH index's tail or
+    /// merged main CSR; 0 for a background rebuild.
+    pub bytes_copied: usize,
 }
 
 /// Everything maintained for one append to one table.
@@ -165,25 +176,31 @@ impl ViewMaintainer {
             let Some(av) = builder.avs.get(&sig) else {
                 continue;
             };
+            // Planned-only views carry no artifact to maintain.
+            let Some(artifact) = &av.artifact else {
+                continue;
+            };
             let start = Instant::now();
             let mut gained = None;
-            let maintained = match &av.artifact {
-                // Planned-only views carry no artifact to maintain.
-                None => continue,
-                Some(AvArtifact::MaterialisedGrouping(stored)) => {
+            let maintained = match artifact {
+                AvArtifact::MaterialisedGrouping(stored) => {
                     Some(maintain_grouping(&av, stored, combined, delta)?)
                 }
-                Some(AvArtifact::SortedProjection(current)) => {
+                AvArtifact::SortedProjection(current) => {
                     let (updated, action, merged) =
                         maintain_sorted(&av, current, combined, delta, pool)?;
                     gained = merged.map(|(rows, at)| (&**current, rows, at));
                     Some((updated, action))
                 }
-                Some(AvArtifact::SphIndex(index)) => patch_sph(&av, index, delta, first_row)?
+                AvArtifact::SphIndex(index) => patch_sph(&av, index, delta, first_row)?
                     .map(|patched| (patched, DeltaAction::Merge)),
             };
-            let (action, rebuild) = match maintained {
+            let (action, rebuild, bytes_copied) = match maintained {
                 Some((updated, action)) => {
+                    let bytes_copied = updated
+                        .artifact
+                        .as_ref()
+                        .map_or(0, |new| bytes_written(new, artifact));
                     let delta = gained.as_ref().map(|(base, rows, at)| RowDelta {
                         base,
                         rows,
@@ -194,7 +211,7 @@ impl ViewMaintainer {
                     builder
                         .avs
                         .publish(&builder.catalog, updated, combined, delta);
-                    (action, None)
+                    (action, None, bytes_copied)
                 }
                 None => {
                     // The append widened the dense domain: the old CSR
@@ -204,7 +221,7 @@ impl ViewMaintainer {
                     // build waits for this insert's mutation lock.
                     builder.avs.remove(&sig);
                     let handle = builder.spawn(vec![sig.clone()])?;
-                    (DeltaAction::Rebuild, Some(handle))
+                    (DeltaAction::Rebuild, Some(handle), 0)
                 }
             };
             let wall = start.elapsed();
@@ -219,9 +236,23 @@ impl ViewMaintainer {
                 action,
                 wall,
                 rebuild,
+                bytes_copied,
             });
         }
         Ok(report)
+    }
+}
+
+/// Bytes `new` holds that `old`, the artifact it was maintained from,
+/// does not share with it — what the maintenance step wrote.
+fn bytes_written(new: &AvArtifact, old: &AvArtifact) -> usize {
+    match (new, old) {
+        (AvArtifact::SphIndex(new), AvArtifact::SphIndex(old)) => new.bytes_not_shared_with(old),
+        (AvArtifact::SortedProjection(new), AvArtifact::SortedProjection(old))
+        | (AvArtifact::MaterialisedGrouping(new), AvArtifact::MaterialisedGrouping(old)) => {
+            new.bytes_not_shared_with(old)
+        }
+        _ => unreachable!("maintenance keeps a view's kind"),
     }
 }
 
@@ -332,7 +363,9 @@ fn patch_sph(av: &Av, index: &JoinIndex, delta: &Relation, first_row: usize) -> 
 /// order is a list of row *ranges* of `a ++ b` — runs of `a` between
 /// insertion points, rows of `b` at them — copied straight out of `a` and
 /// `b` into each output column ([`Column::concat_select`]), one pass and
-/// no intermediate concatenation. Dictionaries prefer `b`'s, which on
+/// no intermediate concatenation — or, when every insertion point is
+/// `a`'s end, `a`'s columns extended by `b`'s, in place when `a` is its
+/// buffers' tip. Dictionaries prefer `b`'s, which on
 /// every maintenance path carries the newest (superset) dictionary.
 ///
 /// Returns the merged relation and each `b` row's insertion point (the

@@ -112,6 +112,13 @@ pub struct InsertReport {
     /// Per-AV maintenance outcomes (empty when the table has no
     /// materialised views).
     pub maintenance: MaintenanceReport,
+    /// Bytes the insert wrote into new buffers: base columns that had to
+    /// move (the snapshot was not its buffers' tip, or they were full)
+    /// plus every maintained view's ([`MaintenanceOutcome::bytes_copied`]).
+    /// Rows written in place past a buffer's length are not copies.
+    ///
+    /// [`MaintenanceOutcome::bytes_copied`]: crate::av_delta::MaintenanceOutcome::bytes_copied
+    pub bytes_copied: usize,
 }
 
 impl InsertReport {
@@ -150,6 +157,7 @@ struct EngineObs {
     optimise: Histogram,
     exec: Histogram,
     exec_bytes: Counter,
+    insert_bytes: Counter,
     opt_groups: Gauge,
     opt_group_exprs: Gauge,
     opt_rules_fired: Counter,
@@ -201,6 +209,7 @@ impl EngineObs {
             optimise: registry.histogram(names::OPTIMISE_SECONDS, &DURATION_BUCKETS),
             exec: registry.histogram(names::EXEC_SECONDS, &DURATION_BUCKETS),
             exec_bytes: registry.counter(names::EXEC_BYTES_MATERIALISED),
+            insert_bytes: registry.counter(names::INSERT_BYTES_COPIED),
             opt_groups: registry.gauge(names::OPT_GROUPS),
             opt_group_exprs: registry.gauge(names::OPT_GROUP_EXPRS),
             opt_rules_fired: registry.counter(names::OPT_RULES_FIRED),
@@ -474,11 +483,15 @@ impl Engine {
             rows: &appended.delta,
             at: None,
         };
+        let moved = appended.combined.bytes_not_shared_with(&base.relation);
         let combined = self
             .catalog
             .replace_data(table, &base, appended.combined, Some(delta))?;
-        // The replaced snapshot's buffers are garbage unless a reader still
-        // holds them: free them before view maintenance allocates its own.
+        // The new snapshot extends the old one's buffers in place where it
+        // could, and the old snapshot still reads its own prefix of them.
+        // Buffers the append had to move are garbage once no reader holds
+        // the old snapshot: let go of it before view maintenance
+        // allocates.
         drop(base);
         // An inline rebuild sorts through the session pool only when this
         // session is parallel at all.
@@ -491,9 +504,17 @@ impl Engine {
             tp.as_ref(),
         )?;
         drop(guard);
+        let bytes_copied = moved
+            + maintenance
+                .outcomes
+                .iter()
+                .map(|o| o.bytes_copied)
+                .sum::<usize>();
+        self.obs.insert_bytes.add(bytes_copied as u64);
         Ok(InsertReport {
             rows_inserted: rows.len() as u64,
             maintenance,
+            bytes_copied,
         })
     }
 

@@ -517,7 +517,8 @@ impl<'a> Exec<'a> {
                 op,
                 value: Value::U32(v),
             } if table.ascending(column) => match (within(*op, *v), table.rel.column(column)) {
-                (Some(bounds), Ok(Column::U32(data))) => {
+                (Some(bounds), Ok(col)) if col.data_type() == DataType::U32 => {
+                    let data = col.as_u32().expect("a u32 column");
                     search_ranges(cut.get_or_insert_with(|| ranges.clone()), data, bounds);
                     false
                 }
@@ -1355,9 +1356,11 @@ impl Source<'_> {
             Some(probe) => {
                 let (on, key) = (probe.on.as_u32()?, &rows_of[probe.table]);
                 each(&piece, |j| {
-                    for &at in probe.index.matches(on[key.row(j) as usize]) {
-                        build_at.push(at);
-                        probe_at.push(j);
+                    for run in probe.index.matches(on[key.row(j) as usize]) {
+                        for &at in run {
+                            build_at.push(at);
+                            probe_at.push(j);
+                        }
                     }
                 });
             }

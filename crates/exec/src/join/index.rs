@@ -17,7 +17,10 @@
 //!     pass, nothing else.
 //!   * *CSR* — some key repeats: a compressed-sparse-row layout, offsets
 //!     per slot into the build rows grouped by slot (one count pass, one
-//!     fill pass).
+//!     fill pass). A patched identity index keeps the rows appended to its
+//!     build side in a second, small CSR over the same slots — the
+//!     *tail* — and shares its main CSR with the index it was patched
+//!     from (see [`JoinIndex::patch`]).
 //!
 //! A build fills the unique array first and falls back to CSR at the first
 //! repeat. [`JoinIndex::matches`] answers a probe key under either slot map
@@ -27,7 +30,7 @@ use crate::error::ExecError;
 use crate::join::JoinResult;
 use crate::Result;
 use dqo_hashtable::{first_seen, Fibonacci, GroupTable, LinearProbingTable};
-use std::borrow::Cow;
+use std::sync::Arc;
 
 /// A prebuilt join index: it maps each build key to the build rows holding
 /// it, in ascending row order.
@@ -35,6 +38,10 @@ use std::borrow::Cow;
 /// Building this once and probing many times is exactly what an
 /// *Algorithmic View* (§3) materialises offline — `dqo-core`'s AV catalog
 /// stores identity-mapped ones.
+///
+/// Two indexes are equal when they map keys to slots alike, have the same
+/// layout kind and give every slot the same rows in the same order —
+/// however those rows are split between a CSR's main part and its tail.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JoinIndex {
     slots: SlotMap,
@@ -52,12 +59,23 @@ enum SlotMap {
 
 /// How a [`JoinIndex`] stores its slots; which one is a function of the
 /// build keys alone, so equal key columns give equal indexes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 enum Layout {
     /// No slot holds two rows: slot `g` holds its build row, or [`EMPTY`].
     Unique(Vec<u32>),
-    /// Slot `g` owns `rows[offsets[g]..offsets[g + 1]]`.
-    Csr { offsets: Vec<u32>, rows: Vec<u32> },
+    /// Slot `g` owns its rows in `main`, then its rows in `tail`. A build
+    /// has no tail; a patch shares `main` with the index it patched and
+    /// rebuilds only the tail, until the tail outgrows [`tail_bound`] and
+    /// merges into a new `main`.
+    Csr { main: Arc<Csr>, tail: Option<Csr> },
+}
+
+/// A compressed-sparse-row layout: slot `g` owns
+/// `rows[offsets[g]..offsets[g + 1]]`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Csr {
+    offsets: Vec<u32>,
+    rows: Vec<u32>,
 }
 
 /// The unique layout's marker for a slot no build row holds (row ids stay
@@ -100,10 +118,11 @@ impl JoinIndex {
         matches!(self.layout, Layout::Unique(_))
     }
 
-    /// The build rows holding `key`, ascending; empty for a key no build
-    /// row holds (no FK guarantee assumed).
+    /// The build rows holding `key`, ascending, as two runs: the main
+    /// layout's, then a patched CSR's tail's (empty unless patched). Both
+    /// are empty for a key no build row holds (no FK guarantee assumed).
     #[inline]
-    pub fn matches(&self, key: u32) -> &[u32] {
+    pub fn matches(&self, key: u32) -> [&[u32]; 2] {
         self.layout.rows(match &self.slots {
             SlotMap::Identity { min } => slot(key, *min, self.layout.domain()),
             SlotMap::Hashed(map) => map.get(key).map(|&id| id as usize),
@@ -143,9 +162,11 @@ impl JoinIndex {
             }
             Layout::Csr { .. } => {
                 for (j, &k) in right_keys.iter().enumerate() {
-                    for &li in self.layout.rows(slot_of(k)) {
-                        left_rows.push(li);
-                        right_rows.push(j as u32);
+                    for part in self.layout.rows(slot_of(k)) {
+                        for &li in part {
+                            left_rows.push(li);
+                            right_rows.push(j as u32);
+                        }
                     }
                 }
             }
@@ -162,11 +183,26 @@ impl JoinIndex {
     /// Heap footprint of the row layout in bytes (AV budget accounting;
     /// an identity slot map holds nothing on the heap).
     pub fn byte_size(&self) -> usize {
-        let words = match &self.layout {
-            Layout::Unique(rows) => rows.len(),
-            Layout::Csr { offsets, rows } => offsets.len() + rows.len(),
-        };
-        words * std::mem::size_of::<u32>()
+        match &self.layout {
+            Layout::Unique(rows) => std::mem::size_of_val(&rows[..]),
+            Layout::Csr { main, tail } => {
+                main.byte_size() + tail.as_ref().map_or(0, Csr::byte_size)
+            }
+        }
+    }
+
+    /// Bytes of this index's row layout that it does not share with
+    /// `other` — what patching `other` into it wrote: a patch that kept
+    /// the main CSR wrote only its tail.
+    pub fn bytes_not_shared_with(&self, other: &JoinIndex) -> usize {
+        match (&self.layout, &other.layout) {
+            (Layout::Csr { main, tail }, Layout::Csr { main: theirs, .. })
+                if Arc::ptr_eq(main, theirs) =>
+            {
+                tail.as_ref().map_or(0, Csr::byte_size)
+            }
+            _ => self.byte_size(),
+        }
     }
 
     /// Incrementally extend an identity-mapped index with `delta_keys`,
@@ -176,14 +212,18 @@ impl JoinIndex {
     /// full rebuild (the append may have widened the dense domain). A
     /// hashed index is never patched, only rebuilt.
     ///
-    /// The result is **bit-identical** to
-    /// [`JoinIndex::identity`]`(base ++ delta, min, max)`. A unique index
-    /// stays unique while the delta keys land in distinct empty slots —
-    /// exactly when `base ++ delta` has no duplicate — and becomes CSR
-    /// otherwise. In CSR, the build fills each slot's postings in
-    /// ascending scan order, and every old row id is smaller than every
-    /// appended one, so "old postings then delta postings" per slot *is*
-    /// the from-scratch order.
+    /// The result equals [`JoinIndex::identity`]`(base ++ delta, min,
+    /// max)`: the same layout kind and, per slot, the same rows in the
+    /// same order. A unique index stays unique (one copy of its slot
+    /// array) while the delta keys land in distinct empty slots — exactly
+    /// when `base ++ delta` has no duplicate — and becomes CSR otherwise.
+    /// A CSR index shares its main CSR with `self` and puts the delta's
+    /// rows in its tail CSR, which is rebuilt at O(domain + tail) per
+    /// patch and merged into a new main once it holds more than
+    /// √(main rows) rows — a cost no median append pays. Per slot, the
+    /// build fills postings in ascending scan order, and every old row id
+    /// is smaller than every appended one, so "main postings, then tail
+    /// postings" *is* the from-scratch order.
     pub fn patch(&self, delta_keys: &[u32], first_row: u32) -> Result<Self> {
         let SlotMap::Identity { min } = self.slots else {
             return Err(ExecError::PreconditionViolated {
@@ -198,48 +238,54 @@ impl JoinIndex {
         if let Some(&k) = delta_keys.iter().find(|&&k| slot(k, min, domain).is_none()) {
             return Err(domain_violation(k, min, max));
         }
-        let slot_of = |k: u32| slot(k, min, domain).expect("validated above");
-        if let Layout::Unique(rows) = &self.layout {
-            let mut patched = rows.clone();
-            // Stops at the first delta key whose slot is taken.
-            let fits = delta_keys
-                .iter()
-                .zip(first_row..)
-                .all(|(&k, row)| std::mem::replace(&mut patched[slot_of(k)], row) == EMPTY);
-            if fits {
-                return Ok(Self::over(min, Layout::Unique(patched)));
+        let slot_of = |k: u32| slot(k, min, domain);
+        let delta = || Csr::build(delta_keys, domain, slot_of, first_row).expect("validated above");
+        let layout = match &self.layout {
+            Layout::Unique(rows) => {
+                let mut patched = rows.clone();
+                // Stops at the first delta key whose slot is taken.
+                let fits = delta_keys.iter().zip(first_row..).all(|(&k, row)| {
+                    let at = slot_of(k).expect("validated above");
+                    std::mem::replace(&mut patched[at], row) == EMPTY
+                });
+                if fits {
+                    Layout::Unique(patched)
+                } else {
+                    let main = Csr::of_unique(rows).then(&delta());
+                    Layout::Csr {
+                        main: Arc::new(main),
+                        tail: None,
+                    }
+                }
             }
-        }
-        let (old_offsets, old_rows) = self.layout.csr_parts();
-        let mut delta_counts = vec![0u32; domain];
-        for &k in delta_keys {
-            delta_counts[slot_of(k)] += 1;
-        }
-        let mut offsets = Vec::with_capacity(domain + 1);
-        offsets.push(0u32);
-        let mut total = 0u32;
-        for (w, &dc) in old_offsets.windows(2).zip(&delta_counts) {
-            total += (w[1] - w[0]) + dc;
-            offsets.push(total);
-        }
-        let mut rows = vec![0u32; old_rows.len() + delta_keys.len()];
-        // Old postings first: slot-wise copy into the widened layout.
-        for (w, &dst) in old_offsets.windows(2).zip(&offsets) {
-            let (lo, hi) = (w[0] as usize, w[1] as usize);
-            let dst = dst as usize;
-            rows[dst..dst + (hi - lo)].copy_from_slice(&old_rows[lo..hi]);
-        }
-        // Delta postings after them, in delta scan order.
-        let mut cursor: Vec<u32> = (0..domain)
-            .map(|g| offsets[g] + (old_offsets[g + 1] - old_offsets[g]))
-            .collect();
-        for (i, &k) in delta_keys.iter().enumerate() {
-            let off = slot_of(k);
-            rows[cursor[off] as usize] = first_row + i as u32;
-            cursor[off] += 1;
-        }
-        Ok(Self::over(min, Layout::Csr { offsets, rows }))
+            Layout::Csr { main, tail } => {
+                let tail = match tail {
+                    Some(tail) => tail.then(&delta()),
+                    None => delta(),
+                };
+                if tail.rows.len() > tail_bound(main.rows.len()) {
+                    Layout::Csr {
+                        main: Arc::new(main.then(&tail)),
+                        tail: None,
+                    }
+                } else {
+                    Layout::Csr {
+                        main: Arc::clone(main),
+                        tail: Some(tail),
+                    }
+                }
+            }
+        };
+        Ok(Self::over(min, layout))
     }
+}
+
+/// How many rows a CSR index's tail may hold before a patch merges it
+/// into the main CSR: the square root of the main's rows. A patch then
+/// costs O(domain + √rows), and the O(rows) merge comes once per √rows
+/// appended rows.
+fn tail_bound(main_rows: usize) -> usize {
+    main_rows.isqrt()
 }
 
 impl Layout {
@@ -274,12 +320,70 @@ impl Layout {
         Ok(Some(Layout::Unique(rows)))
     }
 
-    /// The CSR layout: count pass → prefix sums → fill, no per-slot
-    /// allocations.
+    /// The CSR layout, with no tail.
     fn csr(
         keys: &[u32],
         domain: usize,
         slot: impl Fn(u32) -> Option<usize>,
+    ) -> std::result::Result<Self, u32> {
+        Ok(Layout::Csr {
+            main: Arc::new(Csr::build(keys, domain, slot, 0)?),
+            tail: None,
+        })
+    }
+
+    /// The build rows of slot `off`, ascending: those of the main layout,
+    /// then those of a CSR's tail. None for no slot.
+    #[inline(always)]
+    fn rows(&self, off: Option<usize>) -> [&[u32]; 2] {
+        let Some(off) = off else {
+            return [&[], &[]];
+        };
+        match self {
+            Layout::Unique(rows) => {
+                let row = &rows[off..off + 1];
+                [if row[0] == EMPTY { &[] } else { row }, &[]]
+            }
+            Layout::Csr { main, tail } => {
+                [main.slot(off), tail.as_ref().map_or(&[], |t| t.slot(off))]
+            }
+        }
+    }
+
+    /// Number of slots.
+    fn domain(&self) -> usize {
+        match self {
+            Layout::Unique(rows) => rows.len(),
+            Layout::Csr { main, .. } => main.offsets.len() - 1,
+        }
+    }
+}
+
+impl PartialEq for Layout {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Layout::Unique(a), Layout::Unique(b)) => a == b,
+            (Layout::Csr { .. }, Layout::Csr { .. }) => {
+                let [ours, theirs] =
+                    [self, other].map(|l| move |g| l.rows(Some(g)).into_iter().flatten());
+                self.domain() == other.domain() && (0..self.domain()).all(|g| ours(g).eq(theirs(g)))
+            }
+            _ => false,
+        }
+    }
+}
+
+impl Eq for Layout {}
+
+impl Csr {
+    /// The CSR of `keys`, numbered from `first_row`: count pass → prefix
+    /// sums → fill, no per-slot allocations. A key with no slot is
+    /// returned as the error.
+    fn build(
+        keys: &[u32],
+        domain: usize,
+        slot: impl Fn(u32) -> Option<usize>,
+        first_row: u32,
     ) -> std::result::Result<Self, u32> {
         let mut offsets = vec![0u32; domain + 1];
         for &k in keys {
@@ -290,59 +394,49 @@ impl Layout {
         }
         let mut rows = vec![0u32; keys.len()];
         let mut cursor = offsets.clone();
-        for (i, &k) in keys.iter().enumerate() {
+        for (row, &k) in (first_row..).zip(keys) {
             let off = slot(k).expect("validated in count pass");
-            rows[cursor[off] as usize] = i as u32;
+            rows[cursor[off] as usize] = row;
             cursor[off] += 1;
         }
-        Ok(Layout::Csr { offsets, rows })
+        Ok(Csr { offsets, rows })
     }
 
-    /// The build rows of slot `off`, ascending; none for no slot.
+    /// The CSR form of a unique layout's slot array: one posting per
+    /// occupied slot, in slot order.
+    fn of_unique(slots: &[u32]) -> Self {
+        let offsets = std::iter::once(0)
+            .chain(slots.iter().scan(0u32, |total, &row| {
+                *total += u32::from(row != EMPTY);
+                Some(*total)
+            }))
+            .collect();
+        let rows = slots.iter().copied().filter(|&r| r != EMPTY).collect();
+        Csr { offsets, rows }
+    }
+
+    /// Slot by slot, this CSR's rows followed by `more`'s (over the same
+    /// slots): one pass over both.
+    fn then(&self, more: &Csr) -> Csr {
+        let mut offsets = Vec::with_capacity(self.offsets.len());
+        let mut rows = Vec::with_capacity(self.rows.len() + more.rows.len());
+        offsets.push(0);
+        for g in 0..self.offsets.len() - 1 {
+            rows.extend_from_slice(self.slot(g));
+            rows.extend_from_slice(more.slot(g));
+            offsets.push(rows.len() as u32);
+        }
+        Csr { offsets, rows }
+    }
+
+    /// The rows of slot `g`.
     #[inline(always)]
-    fn rows(&self, off: Option<usize>) -> &[u32] {
-        let Some(off) = off else {
-            return &[];
-        };
-        match self {
-            Layout::Unique(rows) => {
-                let row = &rows[off..off + 1];
-                if row[0] == EMPTY {
-                    &[]
-                } else {
-                    row
-                }
-            }
-            Layout::Csr { offsets, rows } => {
-                &rows[offsets[off] as usize..offsets[off + 1] as usize]
-            }
-        }
+    fn slot(&self, g: usize) -> &[u32] {
+        &self.rows[self.offsets[g] as usize..self.offsets[g + 1] as usize]
     }
 
-    /// Number of slots.
-    fn domain(&self) -> usize {
-        match self {
-            Layout::Unique(rows) => rows.len(),
-            Layout::Csr { offsets, .. } => offsets.len() - 1,
-        }
-    }
-
-    /// The CSR offsets and rows of this layout: its own, or those of the
-    /// unique array (one posting per occupied slot, in slot order).
-    fn csr_parts(&self) -> (Cow<'_, [u32]>, Cow<'_, [u32]>) {
-        match self {
-            Layout::Csr { offsets, rows } => (Cow::Borrowed(offsets), Cow::Borrowed(rows)),
-            Layout::Unique(rows) => {
-                let offsets = std::iter::once(0)
-                    .chain(rows.iter().scan(0u32, |total, &row| {
-                        *total += u32::from(row != EMPTY);
-                        Some(*total)
-                    }))
-                    .collect();
-                let occupied = rows.iter().copied().filter(|&r| r != EMPTY).collect();
-                (Cow::Owned(offsets), Cow::Owned(occupied))
-            }
-        }
+    fn byte_size(&self) -> usize {
+        std::mem::size_of_val(&self.offsets[..]) + std::mem::size_of_val(&self.rows[..])
     }
 }
 
@@ -374,6 +468,11 @@ fn domain_violation(key: u32, min: u32, max: u32) -> ExecError {
 mod tests {
     use super::*;
     use crate::join::nested_loop_oracle;
+
+    /// The build rows `index` matches `key` with, in order.
+    fn matched(index: &JoinIndex, key: u32) -> Vec<u32> {
+        index.matches(key).concat()
+    }
 
     /// Both slot maps over `left` (identity over its own min/max), probed
     /// with `right`.
@@ -471,6 +570,55 @@ mod tests {
     }
 
     #[test]
+    fn csr_patches_fill_a_tail_that_merges_past_its_bound() {
+        // 100 rows over 10 slots: the tail holds at most √100 = 10 rows.
+        let mut all: Vec<u32> = (0..100).map(|i| i * 7 % 10).collect();
+        let mut index = JoinIndex::identity(&all, 0, 9).unwrap();
+        assert!(!index.is_unique());
+        let mut merges = 0;
+        for step in 0..12u32 {
+            let delta = [step % 10, step * 3 % 10, 4];
+            let patched = index.patch(&delta, all.len() as u32).unwrap();
+            all.extend(delta);
+            let rebuilt = JoinIndex::identity(&all, 0, 9).unwrap();
+            assert_eq!(patched, rebuilt, "step {step}");
+            for key in 0..11 {
+                assert_eq!(
+                    matched(&patched, key),
+                    matched(&rebuilt, key),
+                    "step {step}"
+                );
+            }
+            let probed = |idx: &JoinIndex| {
+                let r = idx.probe(&all);
+                (r.left_rows, r.right_rows)
+            };
+            assert_eq!(probed(&patched), probed(&rebuilt), "step {step}");
+            let (Layout::Csr { main, tail }, Layout::Csr { main: before, .. }) =
+                (&patched.layout, &index.layout)
+            else {
+                panic!("a CSR index stays CSR");
+            };
+            match tail {
+                // The main CSR is shared; only the tail was written.
+                Some(tail) => {
+                    assert!(Arc::ptr_eq(main, before), "step {step}");
+                    assert!(tail.rows.len() <= tail_bound(main.rows.len()));
+                    assert_eq!(patched.bytes_not_shared_with(&index), tail.byte_size());
+                }
+                None => {
+                    merges += 1;
+                    assert_eq!(patched.bytes_not_shared_with(&index), patched.byte_size());
+                }
+            }
+            index = patched;
+        }
+        assert_eq!(merges, 3, "36 rows through a tail of at most 10");
+        // The last patch merged: no tail remains.
+        assert_eq!(index.byte_size(), 4 * (11 + 136));
+    }
+
+    #[test]
     fn patch_rejects_delta_keys_outside_domain_and_hashed_indexes() {
         let built = JoinIndex::identity(&[1u32, 2], 1, 3).unwrap();
         assert!(matches!(
@@ -556,20 +704,20 @@ mod tests {
             JoinIndex::hashed(&dup_keys),
         ];
         for probe in 0..520u32 {
-            assert_eq!(unique.matches(probe), csr.matches(probe), "key {probe}");
+            assert_eq!(matched(&unique, probe), matched(&csr, probe), "key {probe}");
             let oracle = |ks: &[u32]| -> Vec<u32> {
                 (0..ks.len() as u32)
                     .filter(|&i| ks[i as usize] == probe)
                     .collect()
             };
-            assert_eq!(unique.matches(probe), oracle(&unique_keys), "key {probe}");
-            assert_eq!(dups.matches(probe), oracle(&dup_keys), "key {probe}");
+            assert_eq!(matched(&unique, probe), oracle(&unique_keys), "key {probe}");
+            assert_eq!(matched(&dups, probe), oracle(&dup_keys), "key {probe}");
             assert_eq!(
-                hashed[0].matches(probe),
+                matched(&hashed[0], probe),
                 oracle(&unique_keys),
                 "key {probe}"
             );
-            assert_eq!(hashed[1].matches(probe), oracle(&dup_keys), "key {probe}");
+            assert_eq!(matched(&hashed[1], probe), oracle(&dup_keys), "key {probe}");
         }
         assert_eq!(
             unique.probe(&unique_keys).normalised_pairs(),
@@ -603,7 +751,7 @@ mod tests {
         // A rejected delta leaves the unique index as it was.
         let built = JoinIndex::identity(&[0u32, 3], 0, 4).unwrap();
         assert!(built.patch(&[2, 9], 2).is_err());
-        assert_eq!(built.matches(2), &[] as &[u32]);
+        assert_eq!(matched(&built, 2), Vec::<u32>::new());
     }
 
     /// The pairs a nested loop finds, as `(build row, probe row)` ordered

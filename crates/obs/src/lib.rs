@@ -92,6 +92,9 @@ pub mod names {
     pub const AV_DELTA_ROWS: &str = "dqo_av_delta_rows_total";
     /// Wall time of one AV's maintenance step on append (histogram, s).
     pub const AV_DELTA_SECONDS: &str = "dqo_av_delta_seconds";
+    /// Bytes INSERTs wrote into new buffers: moved base columns and
+    /// maintained AV artifacts (counter).
+    pub const INSERT_BYTES_COPIED: &str = "dqo_insert_bytes_copied_total";
     /// Logical groups interned in the most recent search's memo (gauge).
     pub const OPT_GROUPS: &str = "dqo_opt_groups";
     /// Retained physical candidates across the most recent search's
@@ -154,6 +157,7 @@ pub mod names {
         AV_DELTA_REBUILDS,
         AV_DELTA_ROWS,
         AV_DELTA_SECONDS,
+        INSERT_BYTES_COPIED,
         OPT_GROUPS,
         OPT_GROUP_EXPRS,
         OPT_CANDIDATES_BUILT,

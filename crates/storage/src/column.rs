@@ -1,32 +1,37 @@
 //! Typed columns.
 //!
 //! A [`Column`] is a contiguous, fully materialised vector of one scalar
-//! type. Hot operator code obtains the raw slice (e.g. [`Column::as_u32`])
-//! and works on it directly; `Value`-based access exists for the API
-//! boundary and tests.
+//! type, held in an append-only shared buffer (`values.rs`). Hot operator
+//! code obtains the raw slice (e.g. [`Column::as_u32`]) and works on it
+//! directly; `Value`-based access exists for the API boundary and tests.
+//! Cloning a column shares its buffer, and appending to one
+//! ([`Column::concat`]) writes in place when it can.
 
 use crate::error::StorageError;
 use crate::selection::Selection;
 use crate::value::{DataType, Value};
+use crate::values::Values;
 use crate::Result;
+use std::fmt;
 use std::ops::Range;
 
-/// A typed, fully materialised column.
+/// A typed, fully materialised column. Build one from a `Vec` of its type
+/// with the constructor named after it (`Column::U32(vec![1, 2])`); the
+/// vector's allocation becomes the column's buffer.
+#[derive(Clone, PartialEq)]
+pub struct Column(Data);
+
+/// A column's data, one variant per physical type.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Column {
-    /// u32 data (grouping keys in the paper's experiments).
-    U32(Vec<u32>),
-    /// u64 data (counters).
-    U64(Vec<u64>),
-    /// i64 data.
-    I64(Vec<i64>),
-    /// f64 data.
-    F64(Vec<f64>),
-    /// bool data.
-    Bool(Vec<bool>),
-    /// Dictionary codes; the dictionary itself lives in the relation's
-    /// schema-adjacent metadata (see [`crate::dictionary`]).
-    Str(Vec<u32>),
+enum Data {
+    U32(Values<u32>),
+    U64(Values<u64>),
+    I64(Values<i64>),
+    F64(Values<f64>),
+    Bool(Values<bool>),
+    /// Dictionary codes; the dictionary itself lives beside the column in
+    /// its relation (see [`crate::dictionary`]).
+    Str(Values<u32>),
 }
 
 /// A row id usable as a gather index: the executor's native `u32` ids and
@@ -48,42 +53,96 @@ impl RowId for usize {
     }
 }
 
-/// Rebuild a column of the same type from its data vector `$v`, whatever
-/// its element type.
+/// Rebuild a column of the same type from its data `$v`, whatever its
+/// element type; `$body` yields a `Vec` or `Values` of that type.
 macro_rules! per_type {
     ($col:expr, $v:ident => $body:expr) => {
-        match $col {
-            Column::U32($v) => Column::U32($body),
-            Column::U64($v) => Column::U64($body),
-            Column::I64($v) => Column::I64($body),
-            Column::F64($v) => Column::F64($body),
-            Column::Bool($v) => Column::Bool($body),
-            Column::Str($v) => Column::Str($body),
-        }
+        Column(match &$col.0 {
+            Data::U32($v) => Data::U32($body.into()),
+            Data::U64($v) => Data::U64($body.into()),
+            Data::I64($v) => Data::I64($body.into()),
+            Data::F64($v) => Data::F64($body.into()),
+            Data::Bool($v) => Data::Bool($body.into()),
+            Data::Str($v) => Data::Str($body.into()),
+        })
     };
+}
+
+/// The same for two columns of one type; a type mismatch is an error.
+macro_rules! per_type_pair {
+    ($a:expr, $b:expr, ($x:ident, $y:ident) => $body:expr) => {
+        Ok(Column(match (&$a.0, &$b.0) {
+            (Data::U32($x), Data::U32($y)) => Data::U32($body.into()),
+            (Data::U64($x), Data::U64($y)) => Data::U64($body.into()),
+            (Data::I64($x), Data::I64($y)) => Data::I64($body.into()),
+            (Data::F64($x), Data::F64($y)) => Data::F64($body.into()),
+            (Data::Bool($x), Data::Bool($y)) => Data::Bool($body.into()),
+            (Data::Str($x), Data::Str($y)) => Data::Str($body.into()),
+            _ => {
+                return Err(StorageError::TypeMismatch {
+                    expected: $a.data_type(),
+                    found: $b.data_type(),
+                })
+            }
+        }))
+    };
+}
+
+#[allow(non_snake_case)]
+impl Column {
+    /// A `u32` column (grouping keys in the paper's experiments).
+    pub fn U32(v: Vec<u32>) -> Column {
+        Column(Data::U32(v.into()))
+    }
+
+    /// A `u64` column (counters).
+    pub fn U64(v: Vec<u64>) -> Column {
+        Column(Data::U64(v.into()))
+    }
+
+    /// An `i64` column.
+    pub fn I64(v: Vec<i64>) -> Column {
+        Column(Data::I64(v.into()))
+    }
+
+    /// An `f64` column.
+    pub fn F64(v: Vec<f64>) -> Column {
+        Column(Data::F64(v.into()))
+    }
+
+    /// A `bool` column.
+    pub fn Bool(v: Vec<bool>) -> Column {
+        Column(Data::Bool(v.into()))
+    }
+
+    /// A `Str` column of dictionary codes; the dictionary itself is
+    /// attached to its relation (see [`crate::dictionary`]).
+    pub fn Str(codes: Vec<u32>) -> Column {
+        Column(Data::Str(codes.into()))
+    }
 }
 
 impl Column {
     /// The column's data type.
     pub fn data_type(&self) -> DataType {
-        match self {
-            Column::U32(_) => DataType::U32,
-            Column::U64(_) => DataType::U64,
-            Column::I64(_) => DataType::I64,
-            Column::F64(_) => DataType::F64,
-            Column::Bool(_) => DataType::Bool,
-            Column::Str(_) => DataType::Str,
+        match self.0 {
+            Data::U32(_) => DataType::U32,
+            Data::U64(_) => DataType::U64,
+            Data::I64(_) => DataType::I64,
+            Data::F64(_) => DataType::F64,
+            Data::Bool(_) => DataType::Bool,
+            Data::Str(_) => DataType::Str,
         }
     }
 
     /// Number of values.
     pub fn len(&self) -> usize {
-        match self {
-            Column::U32(v) | Column::Str(v) => v.len(),
-            Column::U64(v) => v.len(),
-            Column::I64(v) => v.len(),
-            Column::F64(v) => v.len(),
-            Column::Bool(v) => v.len(),
+        match &self.0 {
+            Data::U32(v) | Data::Str(v) => v.len(),
+            Data::U64(v) => v.len(),
+            Data::I64(v) => v.len(),
+            Data::F64(v) => v.len(),
+            Data::Bool(v) => v.len(),
         }
     }
 
@@ -94,69 +153,93 @@ impl Column {
 
     /// An empty column of the given type.
     pub fn empty(dt: DataType) -> Self {
-        match dt {
-            DataType::U32 => Column::U32(Vec::new()),
-            DataType::U64 => Column::U64(Vec::new()),
-            DataType::I64 => Column::I64(Vec::new()),
-            DataType::F64 => Column::F64(Vec::new()),
-            DataType::Bool => Column::Bool(Vec::new()),
-            DataType::Str => Column::Str(Vec::new()),
+        Column(match dt {
+            DataType::U32 => Data::U32(Values::default()),
+            DataType::U64 => Data::U64(Values::default()),
+            DataType::I64 => Data::I64(Values::default()),
+            DataType::F64 => Data::F64(Values::default()),
+            DataType::Bool => Data::Bool(Values::default()),
+            DataType::Str => Data::Str(Values::default()),
+        })
+    }
+
+    /// A column of type `dt` holding `cells`, widening losslessly (`u32`
+    /// into `u64`/`i64` columns, any numeric into `f64`). `Str` columns
+    /// store dictionary codes, so a decoded string here is a type error —
+    /// encode it first (see `Relation::append_rows`).
+    pub(crate) fn from_cells<'a>(
+        dt: DataType,
+        cells: impl Iterator<Item = &'a Value>,
+    ) -> Result<Self> {
+        fn collect<'a, T>(
+            cells: impl Iterator<Item = &'a Value>,
+            dt: DataType,
+            cast: impl Fn(&Value) -> Option<T>,
+        ) -> Result<Vec<T>> {
+            cells
+                .map(|v| {
+                    cast(v).ok_or(StorageError::TypeMismatch {
+                        expected: dt,
+                        found: v.data_type(),
+                    })
+                })
+                .collect()
         }
+        Ok(match dt {
+            DataType::U32 => Column::U32(collect(cells, dt, Value::as_u32)?),
+            DataType::U64 => Column::U64(collect(cells, dt, Value::as_u64)?),
+            DataType::I64 => Column::I64(collect(cells, dt, Value::as_i64)?),
+            DataType::F64 => Column::F64(collect(cells, dt, Value::as_f64)?),
+            DataType::Bool => Column::Bool(collect(cells, dt, Value::as_bool)?),
+            DataType::Str => Column::Str(collect(cells, dt, |_| None)?),
+        })
     }
 
     /// Borrow as `&[u32]` (also accepts `Str`, whose physical layout is
     /// `u32` dictionary codes).
     pub fn as_u32(&self) -> Result<&[u32]> {
-        match self {
-            Column::U32(v) | Column::Str(v) => Ok(v),
-            other => Err(StorageError::TypeMismatch {
-                expected: DataType::U32,
-                found: other.data_type(),
-            }),
+        match &self.0 {
+            Data::U32(v) | Data::Str(v) => Ok(v),
+            _ => Err(self.mismatch(DataType::U32)),
         }
     }
 
     /// Borrow as `&[u64]`.
     pub fn as_u64(&self) -> Result<&[u64]> {
-        match self {
-            Column::U64(v) => Ok(v),
-            other => Err(StorageError::TypeMismatch {
-                expected: DataType::U64,
-                found: other.data_type(),
-            }),
+        match &self.0 {
+            Data::U64(v) => Ok(v),
+            _ => Err(self.mismatch(DataType::U64)),
         }
     }
 
     /// Borrow as `&[i64]`.
     pub fn as_i64(&self) -> Result<&[i64]> {
-        match self {
-            Column::I64(v) => Ok(v),
-            other => Err(StorageError::TypeMismatch {
-                expected: DataType::I64,
-                found: other.data_type(),
-            }),
+        match &self.0 {
+            Data::I64(v) => Ok(v),
+            _ => Err(self.mismatch(DataType::I64)),
         }
     }
 
     /// Borrow as `&[f64]`.
     pub fn as_f64(&self) -> Result<&[f64]> {
-        match self {
-            Column::F64(v) => Ok(v),
-            other => Err(StorageError::TypeMismatch {
-                expected: DataType::F64,
-                found: other.data_type(),
-            }),
+        match &self.0 {
+            Data::F64(v) => Ok(v),
+            _ => Err(self.mismatch(DataType::F64)),
         }
     }
 
     /// Borrow as `&[bool]`.
     pub fn as_bool(&self) -> Result<&[bool]> {
-        match self {
-            Column::Bool(v) => Ok(v),
-            other => Err(StorageError::TypeMismatch {
-                expected: DataType::Bool,
-                found: other.data_type(),
-            }),
+        match &self.0 {
+            Data::Bool(v) => Ok(v),
+            _ => Err(self.mismatch(DataType::Bool)),
+        }
+    }
+
+    fn mismatch(&self, expected: DataType) -> StorageError {
+        StorageError::TypeMismatch {
+            expected,
+            found: self.data_type(),
         }
     }
 
@@ -169,15 +252,15 @@ impl Column {
                 rows: len,
             });
         }
-        Ok(match self {
-            Column::U32(v) => Value::U32(v[idx]),
-            Column::U64(v) => Value::U64(v[idx]),
-            Column::I64(v) => Value::I64(v[idx]),
-            Column::F64(v) => Value::F64(v[idx]),
-            Column::Bool(v) => Value::Bool(v[idx]),
+        Ok(match &self.0 {
+            Data::U32(v) => Value::U32(v[idx]),
+            Data::U64(v) => Value::U64(v[idx]),
+            Data::I64(v) => Value::I64(v[idx]),
+            Data::F64(v) => Value::F64(v[idx]),
+            Data::Bool(v) => Value::Bool(v[idx]),
             // `Str` surfaces the raw code; decoding needs the dictionary and
             // is done by `Relation::value_at`.
-            Column::Str(v) => Value::U32(v[idx]),
+            Data::Str(v) => Value::U32(v[idx]),
         })
     }
 
@@ -188,7 +271,7 @@ impl Column {
     /// indexing, which is the desired fail-fast behaviour for a corrupted
     /// selection vector.
     pub fn gather<I: RowId>(&self, indices: &[I]) -> Column {
-        per_type!(self, v => indices.iter().map(|&i| v[i.index()]).collect())
+        per_type!(self, v => indices.iter().map(|&i| v[i.index()]).collect::<Vec<_>>())
     }
 
     /// Build a new column from the rows `sel` selects, in its order:
@@ -209,7 +292,9 @@ impl Column {
     /// This is how a snapshot extends its predecessor (one range for an
     /// append, interleaved runs for a merge), so the new buffer's capacity
     /// is rounded up to a geometric size class — the next snapshot of a
-    /// growing column then fits the block this one frees.
+    /// growing column then fits the block this one frees. Ranges that
+    /// take all of `self` and then all of `tail`, in order, are an append
+    /// ([`Column::concat`]), which writes in place when it can.
     pub fn concat_select(&self, tail: &Column, ranges: &[Range<usize>]) -> Result<Column> {
         fn pick<T: Copy>(a: &[T], b: &[T], ranges: &[Range<usize>]) -> Vec<T> {
             let n = a.len();
@@ -224,45 +309,38 @@ impl Column {
             }
             out
         }
-        Ok(match (self, tail) {
-            (Column::U32(a), Column::U32(b)) => Column::U32(pick(a, b, ranges)),
-            (Column::U64(a), Column::U64(b)) => Column::U64(pick(a, b, ranges)),
-            (Column::I64(a), Column::I64(b)) => Column::I64(pick(a, b, ranges)),
-            (Column::F64(a), Column::F64(b)) => Column::F64(pick(a, b, ranges)),
-            (Column::Bool(a), Column::Bool(b)) => Column::Bool(pick(a, b, ranges)),
-            (Column::Str(a), Column::Str(b)) => Column::Str(pick(a, b, ranges)),
-            (me, other) => {
-                return Err(StorageError::TypeMismatch {
-                    expected: me.data_type(),
-                    found: other.data_type(),
-                })
-            }
-        })
-    }
-
-    /// `self ++ tail` in one buffer: [`Column::concat_select`] of every
-    /// row — how an append builds the next snapshot of a column.
-    pub fn concat(&self, tail: &Column) -> Result<Column> {
-        self.concat_select(tail, std::slice::from_ref(&(0..self.len() + tail.len())))
-    }
-
-    /// Concatenate another column of the same type onto this one.
-    pub fn append(&mut self, other: &Column) -> Result<()> {
-        match (self, other) {
-            (Column::U32(a), Column::U32(b)) => a.extend_from_slice(b),
-            (Column::U64(a), Column::U64(b)) => a.extend_from_slice(b),
-            (Column::I64(a), Column::I64(b)) => a.extend_from_slice(b),
-            (Column::F64(a), Column::F64(b)) => a.extend_from_slice(b),
-            (Column::Bool(a), Column::Bool(b)) => a.extend_from_slice(b),
-            (Column::Str(a), Column::Str(b)) => a.extend_from_slice(b),
-            (me, other) => {
-                return Err(StorageError::TypeMismatch {
-                    expected: me.data_type(),
-                    found: other.data_type(),
-                })
-            }
+        let mut end = 0;
+        let appends = ranges.iter().filter(|r| !r.is_empty()).all(|r| {
+            let next = r.start == end;
+            end = r.end;
+            next
+        });
+        if appends && end == self.len() + tail.len() {
+            return self.concat(tail);
         }
-        Ok(())
+        per_type_pair!(self, tail, (a, b) => pick(a, b, ranges))
+    }
+
+    /// `self ++ tail`: written past this column's length in its own buffer
+    /// when this column is the buffer's tip and room remains, else copied
+    /// into a new buffer with twice the room it needs — how an append
+    /// builds the next snapshot of a column, at O(delta) amortised. `self`
+    /// is unchanged: the rows it reads are never written again.
+    pub fn concat(&self, tail: &Column) -> Result<Column> {
+        per_type_pair!(self, tail, (a, b) => a.extended(b))
+    }
+
+    /// True when both columns read the same buffer — one extends the
+    /// other in place, or they are clones.
+    pub fn shares_buffer(&self, other: &Column) -> bool {
+        match (&self.0, &other.0) {
+            (Data::U32(a) | Data::Str(a), Data::U32(b) | Data::Str(b)) => a.shares_buffer(b),
+            (Data::U64(a), Data::U64(b)) => a.shares_buffer(b),
+            (Data::I64(a), Data::I64(b)) => a.shares_buffer(b),
+            (Data::F64(a), Data::F64(b)) => a.shares_buffer(b),
+            (Data::Bool(a), Data::Bool(b)) => a.shares_buffer(b),
+            _ => false,
+        }
     }
 
     /// Approximate heap footprint in bytes (used by the AV catalog's budget
@@ -270,25 +348,12 @@ impl Column {
     pub fn byte_size(&self) -> usize {
         self.len() * self.data_type().byte_width()
     }
+}
 
-    /// Push one [`Value`], widening losslessly (`u32` into `u64`/`i64`
-    /// columns, any numeric into `f64`). `Str` columns store dictionary
-    /// codes, so pushing a decoded string here is a type error — encode it
-    /// first (see `Relation::append_rows`).
-    pub fn push_value(&mut self, v: &Value) -> Result<()> {
-        let mismatch = |expected: DataType| StorageError::TypeMismatch {
-            expected,
-            found: v.data_type(),
-        };
-        match self {
-            Column::U32(col) => col.push(v.as_u32().ok_or(mismatch(DataType::U32))?),
-            Column::U64(col) => col.push(v.as_u64().ok_or(mismatch(DataType::U64))?),
-            Column::I64(col) => col.push(v.as_i64().ok_or(mismatch(DataType::I64))?),
-            Column::F64(col) => col.push(v.as_f64().ok_or(mismatch(DataType::F64))?),
-            Column::Bool(col) => col.push(v.as_bool().ok_or(mismatch(DataType::Bool))?),
-            Column::Str(_) => return Err(mismatch(DataType::Str)),
-        }
-        Ok(())
+impl fmt::Debug for Column {
+    /// The variant and its values, as `U32([1, 2])`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
     }
 }
 
@@ -387,10 +452,39 @@ mod tests {
     }
 
     #[test]
-    fn append_same_type() {
-        let mut a = Column::U32(vec![1]);
-        a.append(&Column::U32(vec![2, 3])).unwrap();
-        assert_eq!(a.as_u32().unwrap(), &[1, 2, 3]);
+    fn concat_extends_the_tip_in_place_and_copies_otherwise() {
+        let a = Column::U32(vec![1]);
+        // `a`'s buffer is full: the first append copies, with room to grow.
+        let b = a.concat(&Column::U32(vec![2, 3])).unwrap();
+        assert_eq!(b.as_u32().unwrap(), &[1, 2, 3]);
+        assert!(!b.shares_buffer(&a));
+        let c = b.concat(&Column::U32(vec![4])).unwrap();
+        assert!(c.shares_buffer(&b));
+        assert_eq!(c.as_u32().unwrap(), &[1, 2, 3, 4]);
+        assert_eq!(b.as_u32().unwrap(), &[1, 2, 3]);
+        // `b` is no longer its buffer's tip.
+        let d = b.concat(&Column::U32(vec![9])).unwrap();
+        assert!(!d.shares_buffer(&b));
+        assert_eq!(d.as_u32().unwrap(), &[1, 2, 3, 9]);
+        // A range list that is an append goes the same way.
+        let e = c
+            .concat_select(&Column::U32(vec![5]), &[0..2, 2..2, 2..5])
+            .unwrap();
+        assert!(e.shares_buffer(&c));
+        assert_eq!(e.as_u32().unwrap(), &[1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn from_cells_widens_and_rejects() {
+        let cells = [Value::U32(1), Value::U32(2)];
+        let wide = Column::from_cells(DataType::U64, cells.iter()).unwrap();
+        assert_eq!(wide.as_u64().unwrap(), &[1, 2]);
+        let f = Column::from_cells(DataType::F64, cells.iter()).unwrap();
+        assert_eq!(f.as_f64().unwrap(), &[1.0, 2.0]);
+        assert!(Column::from_cells(DataType::Bool, cells.iter()).is_err());
+        let s = [Value::Str("x".into())];
+        assert!(Column::from_cells(DataType::Str, s.iter()).is_err());
+        assert_eq!(format!("{wide:?}"), "U64([1, 2])");
     }
 
     #[test]
@@ -418,9 +512,9 @@ mod tests {
     }
 
     #[test]
-    fn append_type_mismatch() {
-        let mut a = Column::U32(vec![1]);
-        assert!(a.append(&Column::U64(vec![2])).is_err());
+    fn concat_type_mismatch() {
+        let a = Column::U32(vec![1]);
+        assert!(a.concat(&Column::U64(vec![2])).is_err());
     }
 
     #[test]

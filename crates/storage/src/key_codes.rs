@@ -16,15 +16,17 @@
 //! ([`KeyCodes::fold`]) and decode ([`KeyCodes::decode`]).
 
 use crate::properties::{DataProps, FirstSeen, MIN_RUN};
+use crate::values::Values;
 use dqo_hashtable::{first_seen, GroupTable};
 
 /// Order-preserving dense codes of one `u32` column (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeyCodes {
-    /// Per row: the rank of its key in `keys`.
-    codes: Vec<u32>,
+    /// Per row: the rank of its key in `keys`. Append-only like a
+    /// column's buffer, so an append of known keys extends it in place.
+    codes: Values<u32>,
     /// The column's distinct keys, ascending.
-    keys: Vec<u32>,
+    keys: Values<u32>,
 }
 
 impl KeyCodes {
@@ -70,7 +72,7 @@ impl KeyCodes {
             *c = rank[*c as usize];
         }
         KeyCodes {
-            codes,
+            codes: codes.into(),
             keys: seen.into_iter().map(|(key, _)| key).collect(),
         }
     }
@@ -78,9 +80,11 @@ impl KeyCodes {
     /// The codes of this column after it gained `delta`'s rows while its
     /// own rows kept their relative order: delta row `j` lands right after
     /// the first `at[j]` old rows, or after all of them when `at` is
-    /// `None` (an append). When every delta key is already known, the old
-    /// codes are copied and the delta's are spliced in; a new key shifts
-    /// the ranks above it, so the old codes are remapped in the same pass.
+    /// `None` (an append). When every delta key is already known, an
+    /// append extends the old codes (in place when they are their
+    /// buffer's tip) and a merge copies them with the delta's spliced in;
+    /// a new key shifts the ranks above it, so the old codes are remapped
+    /// in the same pass.
     pub fn fold(&self, delta: &[u32], at: Option<&[usize]>) -> KeyCodes {
         let mut fresh: Vec<u32> = delta
             .iter()
@@ -96,7 +100,7 @@ impl KeyCodes {
             let mut keys = Vec::with_capacity(self.keys.len() + fresh.len());
             let mut remap = Vec::with_capacity(self.keys.len());
             let mut new = fresh.iter().peekable();
-            for &key in &self.keys {
+            for &key in self.keys.iter() {
                 while let Some(k) = new.next_if(|&&k| k < key) {
                     keys.push(*k);
                 }
@@ -104,10 +108,16 @@ impl KeyCodes {
                 keys.push(key);
             }
             keys.extend(new);
-            (keys, Some(remap))
+            (Values::from(keys), Some(remap))
         };
         let code = |k: &u32| keys.binary_search(k).expect("every delta key is known") as u32;
         let added: Vec<u32> = delta.iter().map(code).collect();
+        if remap.is_none() && at.is_none() {
+            return KeyCodes {
+                codes: self.codes.extended(&added),
+                keys,
+            };
+        }
         let mut codes = Vec::with_capacity(self.codes.len() + added.len());
         let old = |range: std::ops::Range<usize>, codes: &mut Vec<u32>| match &remap {
             None => codes.extend_from_slice(&self.codes[range]),
@@ -128,7 +138,10 @@ impl KeyCodes {
                 old(done..self.codes.len(), &mut codes);
             }
         }
-        KeyCodes { codes, keys }
+        KeyCodes {
+            codes: codes.into(),
+            keys,
+        }
     }
 
     /// Per row, the code of its key.
@@ -232,5 +245,16 @@ mod tests {
             };
             assert_eq!(codes.fold(delta, at), exact(&whole), "{delta:?} at {at:?}");
         }
+        // Appends of known keys extend the codes' buffer from its tip; a
+        // second append to the same snapshot copies.
+        let first = codes.fold(&[10], None);
+        let tip = first.fold(&[30, 40], None);
+        assert!(tip.codes.shares_buffer(&first.codes));
+        assert!(tip.keys.shares_buffer(&codes.keys));
+        assert_eq!(tip, exact(&[40, 10, 40, 30, 10, 10, 30, 40]));
+        let other = first.fold(&[40], None);
+        assert!(!other.codes.shares_buffer(&first.codes));
+        assert_eq!(other, exact(&[40, 10, 40, 30, 10, 10, 40]));
+        assert_eq!(first, exact(&[40, 10, 40, 30, 10, 10]));
     }
 }

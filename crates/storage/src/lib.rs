@@ -3,7 +3,9 @@
 //! This crate provides the in-memory data substrate that every experiment in
 //! the DQO reproduction runs on:
 //!
-//! * typed [`Column`]s and [`Relation`]s with a simple [`Schema`],
+//! * typed [`Column`]s and [`Relation`]s with a simple [`Schema`], each
+//!   column in an append-only shared buffer that an INSERT extends in
+//!   place ([`Column::concat`]),
 //! * data properties ([`Sortedness`], [`Density`]) — the *plan properties*
 //!   of the paper's §2.2 as they manifest on stored data,
 //! * exact property detection ([`DataProps::compute`]) and its O(delta)
@@ -33,6 +35,7 @@ pub mod relation;
 pub mod schema;
 pub mod selection;
 pub mod value;
+mod values;
 
 pub use column::{Column, RowId};
 pub use datagen::{DatasetSpec, ForeignKeySpec};

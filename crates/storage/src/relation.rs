@@ -235,18 +235,40 @@ impl Relation {
         self.columns.iter().map(|c| c.byte_size()).sum()
     }
 
+    /// Bytes of this relation's columns that do not sit in the buffer of
+    /// `other`'s column at the same position — what deriving this
+    /// relation from `other` had to write into new buffers. Zero when
+    /// every column extends (or is) `other`'s in place.
+    pub fn bytes_not_shared_with(&self, other: &Relation) -> usize {
+        let shared = |idx: usize| {
+            other
+                .columns
+                .get(idx)
+                .is_some_and(|o| self.columns[idx].shares_buffer(o))
+        };
+        (0..self.columns.len())
+            .filter(|&idx| !shared(idx))
+            .map(|idx| self.columns[idx].byte_size())
+            .sum()
+    }
+
     /// Append `rows` (schema-ordered values) and return both the combined
     /// relation and the appended slice as its own relation.
     ///
-    /// Relations are immutable, so this is copy-on-append: the delta's
-    /// columns are built first, then each combined column is one copy of
-    /// the old buffer and the delta into a buffer allocated once
-    /// ([`Column::concat`]). `Str` cells extend the column's
-    /// dictionary — existing codes are never renumbered, so readers of the
-    /// old snapshot (and views built over it) stay valid; new strings get
-    /// fresh codes at the end. The returned `delta` shares the **combined**
-    /// dictionaries, which is what incremental view maintenance needs: its
-    /// codes are directly comparable with the combined column's.
+    /// This relation keeps its rows, but its column buffers are
+    /// append-only: each combined column is this relation's column
+    /// extended by the delta's ([`Column::concat`]), written in place past
+    /// this snapshot's rows when the snapshot is its buffer's tip and room
+    /// remains, else copied once into a buffer with room to grow — so a
+    /// table that grows by small appends pays O(delta) amortised per
+    /// append. `Str` cells are coded with the
+    /// column's dictionary, and the combined relation keeps that very
+    /// dictionary unless a string is new: then a copy gains fresh codes
+    /// at the end. Existing codes are never renumbered, so readers of the
+    /// old snapshot (and views built over it) stay valid. The returned
+    /// `delta` shares the **combined** dictionaries, which is what
+    /// incremental view maintenance needs: its codes are directly
+    /// comparable with the combined column's.
     ///
     /// Values widen losslessly (`u32` into a `u64` column, numerics into
     /// `f64`); anything else is a [`StorageError::TypeMismatch`]. A row of
@@ -261,43 +283,26 @@ impl Relation {
                 });
             }
         }
-        let mut combined_cols = Vec::with_capacity(width);
+        // Every delta column first: a type error claims no buffer.
         let mut delta_cols = Vec::with_capacity(width);
         let mut dictionaries = Vec::with_capacity(width);
         for (idx, field) in self.schema.fields().iter().enumerate() {
             let (delta, dict) = match field.data_type {
-                DataType::Str => {
-                    let mut dict = match &self.dictionaries[idx] {
-                        Some(d) => (**d).clone(),
-                        None => Dictionary::new(),
-                    };
-                    let mut codes = Vec::with_capacity(rows.len());
-                    for row in rows {
-                        match &row[idx] {
-                            Value::Str(s) => codes.push(dict.encode(s)),
-                            other => {
-                                return Err(StorageError::TypeMismatch {
-                                    expected: DataType::Str,
-                                    found: other.data_type(),
-                                })
-                            }
-                        }
-                    }
-                    (Column::Str(codes), Some(Arc::new(dict)))
-                }
-                dt => {
-                    let mut delta = Column::empty(dt);
-                    for row in rows {
-                        delta.push_value(&row[idx])?;
-                    }
-                    (delta, self.dictionaries[idx].clone())
-                }
+                DataType::Str => self.code_strings(idx, rows)?,
+                dt => (
+                    Column::from_cells(dt, rows.iter().map(|row| &row[idx]))?,
+                    self.dictionaries[idx].clone(),
+                ),
             };
-            let combined = self.columns[idx].concat(&delta)?;
-            combined_cols.push(Arc::new(combined));
             delta_cols.push(Arc::new(delta));
             dictionaries.push(dict);
         }
+        let combined_cols = self
+            .columns
+            .iter()
+            .zip(&delta_cols)
+            .map(|(col, delta)| Ok(Arc::new(col.concat(delta)?)))
+            .collect::<Result<_>>()?;
         let combined = Relation {
             schema: self.schema.clone(),
             columns: combined_cols,
@@ -311,6 +316,37 @@ impl Relation {
             rows: rows.len(),
         };
         Ok(AppendedRelation { combined, delta })
+    }
+
+    /// The codes of the `Str` cells at position `idx` of `rows`, and the
+    /// dictionary that decodes them: this column's own while every string
+    /// is known, else a copy extended by the new ones.
+    fn code_strings(
+        &self,
+        idx: usize,
+        rows: &[Vec<Value>],
+    ) -> Result<(Column, Option<Arc<Dictionary>>)> {
+        let known = self.dictionaries[idx].as_ref();
+        let mut grown: Option<Dictionary> = None;
+        let mut codes = Vec::with_capacity(rows.len());
+        for row in rows {
+            let Value::Str(s) = &row[idx] else {
+                return Err(StorageError::TypeMismatch {
+                    expected: DataType::Str,
+                    found: row[idx].data_type(),
+                });
+            };
+            let code = match (&mut grown, known.and_then(|d| d.lookup(s))) {
+                (Some(dict), _) => dict.encode(s),
+                (None, Some(code)) => code,
+                (None, None) => grown
+                    .insert(known.map_or_else(Dictionary::new, |d| (**d).clone()))
+                    .encode(s),
+            };
+            codes.push(code);
+        }
+        let dict = grown.map(Arc::new).or_else(|| known.cloned());
+        Ok((Column::Str(codes), dict))
     }
 }
 
@@ -486,7 +522,7 @@ mod tests {
             &[0, 1, 1, 2]
         );
         assert_eq!(combined.value_at(3, "s").unwrap(), Value::Str("z".into()));
-        // The base snapshot is untouched (copy-on-append).
+        // The base snapshot keeps its rows and its dictionary.
         assert_eq!(base.rows(), 2);
         assert_eq!(base.dictionary("s").unwrap().unwrap().len(), 2);
         // The delta shares the combined dictionary.
@@ -519,6 +555,66 @@ mod tests {
         let empty = base.append_rows(&[]).unwrap();
         assert_eq!(empty.combined.rows(), 3);
         assert_eq!(empty.delta.rows(), 0);
+    }
+
+    #[test]
+    fn append_of_known_strings_keeps_the_dictionary() {
+        let (dict, codes) = Dictionary::encode_all(&["x", "y"]);
+        let schema = Schema::new(vec![Field::new("s", DataType::Str)]).unwrap();
+        let base = Relation::new(schema, vec![Column::Str(codes)])
+            .unwrap()
+            .with_dictionary("s", Arc::new(dict))
+            .unwrap();
+        let strs = |ss: &[&str]| -> Vec<Vec<Value>> {
+            ss.iter().map(|s| vec![Value::Str((*s).into())]).collect()
+        };
+        let known = base.append_rows(&strs(&["y", "x", "y"])).unwrap();
+        let dict_of = |r: &Relation| Arc::clone(r.dictionary("s").unwrap().unwrap());
+        assert!(Arc::ptr_eq(&dict_of(&base), &dict_of(&known.combined)));
+        assert!(Arc::ptr_eq(&dict_of(&base), &dict_of(&known.delta)));
+        assert_eq!(
+            known.delta.column("s").unwrap().as_u32().unwrap(),
+            &[1, 0, 1]
+        );
+        // A new string, even after known ones, gets the next code in a
+        // new dictionary; the base's is unchanged.
+        let fresh = known.combined.append_rows(&strs(&["x", "z"])).unwrap();
+        assert!(!Arc::ptr_eq(&dict_of(&base), &dict_of(&fresh.combined)));
+        assert_eq!(fresh.delta.column("s").unwrap().as_u32().unwrap(), &[0, 2]);
+        assert_eq!(
+            fresh.combined.value_at(6, "s").unwrap(),
+            Value::Str("z".into())
+        );
+        assert_eq!(base.dictionary("s").unwrap().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn appends_extend_the_tip_in_place() {
+        let base = sample();
+        let row = |k: u32| vec![vec![Value::U32(k), Value::F64(0.5)]];
+        // `sample`'s buffers are full: the first append moves them.
+        let first = base.append_rows(&row(4)).unwrap().combined;
+        assert_eq!(first.bytes_not_shared_with(&base), 4 * 4 + 4 * 8);
+        let second = first.append_rows(&row(5)).unwrap().combined;
+        assert_eq!(second.bytes_not_shared_with(&first), 0);
+        assert_eq!(
+            second.column("k").unwrap().as_u32().unwrap(),
+            &[1, 2, 3, 4, 5]
+        );
+        // Two appends to one snapshot: the second one copies, and both
+        // children read their own rows.
+        let other = first.append_rows(&row(9)).unwrap().combined;
+        assert_eq!(other.bytes_not_shared_with(&first), 5 * 4 + 5 * 8);
+        assert_eq!(
+            other.column("k").unwrap().as_u32().unwrap(),
+            &[1, 2, 3, 4, 9]
+        );
+        assert_eq!(
+            second.column("k").unwrap().as_u32().unwrap(),
+            &[1, 2, 3, 4, 5]
+        );
+        assert_eq!(first.rows(), 4);
+        assert_eq!(base.column("k").unwrap().as_u32().unwrap(), &[1, 2, 3]);
     }
 
     #[test]

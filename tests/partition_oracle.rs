@@ -160,17 +160,11 @@ fn empty_and_single_row_partitions_match_flat() {
     let mut skewed = part_table(20_000, 950, 0.0, 7);
     {
         // Shift keys into [50, 1000) and plant the single outlier.
-        let keys = match skewed.column("key").unwrap() {
-            Column::U32(k) => {
-                let mut k = k.clone();
-                for v in &mut k {
-                    *v += 50;
-                }
-                k[123] = 15;
-                k
-            }
-            other => panic!("unexpected column {other:?}"),
-        };
+        let mut keys = skewed.column("key").unwrap().as_u32().unwrap().to_vec();
+        for v in &mut keys {
+            *v += 50;
+        }
+        keys[123] = 15;
         let vals = skewed.column("val").unwrap().clone();
         skewed = Relation::new(skewed.schema().clone(), vec![Column::U32(keys), vals]).unwrap();
     }
@@ -417,10 +411,8 @@ fn explain_analyze_reports_post_pruning_estimate() {
     let spec = PartitionSpec::range("key", range_bounds(16, DOMAIN));
     let base = part_table(50_000, DOMAIN, 1.0, 0x77);
     let pr = PartitionedRelation::new(base, spec.clone()).unwrap();
-    let predicate_rows = match pr.flat().column("key").unwrap() {
-        Column::U32(k) => k.iter().filter(|&&v| v < 150).count(),
-        other => panic!("unexpected column {other:?}"),
-    };
+    let keys = pr.flat().column("key").unwrap().as_u32().unwrap();
+    let predicate_rows = keys.iter().filter(|&&v| v < 150).count();
     // Survivors are exactly the partitions the pruning oracle keeps;
     // their row total is the scan's expected cardinality.
     let survivors = {
