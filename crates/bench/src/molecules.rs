@@ -10,7 +10,11 @@
 //! that keeps 1/8, 2/8, 4/8 and 8/8 of the keys, run as a physical plan
 //! through `dqo_core::executor::execute` at DOP 1 — the loader that
 //! narrows each piece and the fold that reads keys and values at the
-//! surviving rows — reported as input rows per second.
+//! surviving rows — reported as input rows per second. Two more rows run
+//! SPHG under `Filter s = ?` on a dictionary-coded column that keeps 1/8
+//! of the rows, clustered in runs of 1 000 rows or shuffled: the string
+//! equality runs as one code compare, and the narrowing kernel skips the
+//! 64-row blocks no row passes.
 //!
 //! ```text
 //! cargo run -p dqo-bench --release -- molecules [--rows 5000000 --groups 10000]
@@ -26,7 +30,8 @@ use dqo_plan::expr::{AggExpr, AggFunc, CmpOp, Predicate};
 use dqo_plan::physical::GroupingMolecules;
 use dqo_plan::{GroupingAlgorithm, HashFnMolecule, PhysicalPlan, TableMolecule};
 use dqo_storage::datagen::DatasetSpec;
-use dqo_storage::{Column, DataType, Field, Relation, Schema};
+use dqo_storage::{Column, DataType, Dictionary, Field, Relation, Schema};
+use std::sync::Arc;
 use std::time::Instant;
 
 pub(crate) fn main(args: &Args) -> Result<(), String> {
@@ -99,19 +104,41 @@ pub(crate) fn main(args: &Args) -> Result<(), String> {
 }
 
 /// HG and SPHG over a fused filter on `keys` (dense over `0..groups`) that
-/// keeps 1/8 to 8/8 of the keys, through the executor at DOP 1: input rows
-/// per second, best of `reps`.
+/// keeps 1/8 to 8/8 of the keys, then SPHG over a string equality that
+/// keeps 1/8 of the rows, clustered or shuffled, through the executor at
+/// DOP 1: input rows per second, best of `reps`.
 fn loader_table(keys: Vec<u32>, groups: usize, reps: usize) -> Table {
     let rows = keys.len();
     let values = (0..rows as u32).map(|i| i.wrapping_mul(2_654_435_761) >> 22);
+    // Eight strings: in runs of 1 000 rows, or one row's string drawn by
+    // its hash.
+    let coded = |eighth: &dyn Fn(u32) -> u32| {
+        let strings: Vec<String> = (0..rows as u32)
+            .map(|i| format!("s{}", eighth(i)))
+            .collect();
+        Dictionary::encode_all(&strings)
+    };
+    let (clustered, clustered_codes) = coded(&|i| i / 1_000 % 8);
+    let (shuffled, shuffled_codes) = coded(&|i| i.wrapping_mul(2_654_435_761) >> 29);
     let schema = Schema::new(vec![
         Field::new("key", DataType::U32),
         Field::new("v", DataType::U32),
+        Field::new("clustered", DataType::Str),
+        Field::new("shuffled", DataType::Str),
     ])
     .expect("schema");
-    let columns = vec![Column::U32(keys), Column::U32(values.collect())];
+    let columns = vec![
+        Column::U32(keys),
+        Column::U32(values.collect()),
+        Column::Str(clustered_codes),
+        Column::Str(shuffled_codes),
+    ];
+    let relation = Relation::new(schema, columns)
+        .and_then(|r| r.with_dictionary("clustered", Arc::new(clustered)))
+        .and_then(|r| r.with_dictionary("shuffled", Arc::new(shuffled)))
+        .expect("relation");
     let catalog = Catalog::new();
-    catalog.register("t", Relation::new(schema, columns).expect("relation"));
+    catalog.register("t", relation);
 
     let hg = GroupingMolecules {
         table: Some(TableMolecule::LinearProbing),
@@ -119,6 +146,30 @@ fn loader_table(keys: Vec<u32>, groups: usize, reps: usize) -> Table {
         ..GroupingMolecules::default()
     };
     let sph = GroupingAlgorithm::StaticPerfectHash;
+    let group = |predicate, algo, molecules| PhysicalPlan::GroupBy {
+        input: Box::new(PhysicalPlan::Filter {
+            input: Box::new(PhysicalPlan::Scan { table: "t".into() }),
+            predicate,
+        }),
+        keys: vec!["key".into()],
+        aggs: vec![
+            AggExpr::count_star("n"),
+            AggExpr::on(AggFunc::Sum, "v", "s"),
+        ],
+        algo,
+        molecules,
+    };
+    // Input rows per second, best of `reps`; each run's groups checked.
+    let rate = |plan: &PhysicalPlan, expected: &dyn Fn(usize) -> bool| {
+        let mut best = f64::INFINITY;
+        for _ in 0..reps {
+            let t = Instant::now();
+            let out = execute(plan, &catalog).expect("loader plan");
+            best = best.min(t.elapsed().as_secs_f64());
+            assert!(expected(out.relation.rows()));
+        }
+        format!("{:.1}", rows as f64 / best / 1e6)
+    };
     let mut table = Table::new(&["loader", "kept", "M rows/s"]);
     for (algo, molecules) in [
         (GroupingAlgorithm::HashBased, hg),
@@ -126,32 +177,24 @@ fn loader_table(keys: Vec<u32>, groups: usize, reps: usize) -> Table {
     ] {
         for eighths in [1, 2, 4, 8] {
             let kept = groups * eighths / 8;
-            let plan = PhysicalPlan::GroupBy {
-                input: Box::new(PhysicalPlan::Filter {
-                    input: Box::new(PhysicalPlan::Scan { table: "t".into() }),
-                    predicate: Predicate::cmp("key", CmpOp::Lt, kept as u32),
-                }),
-                keys: vec!["key".into()],
-                aggs: vec![
-                    AggExpr::count_star("n"),
-                    AggExpr::on(AggFunc::Sum, "v", "s"),
-                ],
-                algo,
-                molecules,
-            };
-            let mut best = f64::INFINITY;
-            for _ in 0..reps {
-                let t = Instant::now();
-                let out = execute(&plan, &catalog).expect("loader plan");
-                best = best.min(t.elapsed().as_secs_f64());
-                assert_eq!(out.relation.rows(), kept);
-            }
+            let predicate = Predicate::cmp("key", CmpOp::Lt, kept as u32);
             table.row(vec![
                 format!("{algo} γ[key] over Filter key < ?"),
                 format!("{eighths}/8"),
-                format!("{:.1}", rows as f64 / best / 1e6),
+                rate(&group(predicate, algo, molecules), &|n| n == kept),
             ]);
         }
+    }
+    for column in ["clustered", "shuffled"] {
+        let predicate = Predicate::cmp(column, CmpOp::Eq, "s3");
+        table.row(vec![
+            format!("{sph} γ[key] over Filter s = ? ({column})"),
+            "1/8".into(),
+            rate(
+                &group(predicate, sph, GroupingMolecules::defaults_for(sph)),
+                &|n| n <= groups,
+            ),
+        ]);
     }
     table
 }

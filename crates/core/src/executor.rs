@@ -65,8 +65,8 @@ use dqo_plan::expr::{AggExpr, AggFunc, CmpOp, Predicate};
 use dqo_plan::physical::GroupingMolecules;
 use dqo_plan::{GroupingAlgorithm, JoinAlgorithm, LogicalPlan, PhysicalPlan, SortMolecule};
 use dqo_storage::{
-    narrow_rows, search_ranges, Column, DataProps, DataType, Dictionary, Field, KeyCodes, Piece,
-    Relation, Schema, Selection, Sortedness, StorageError, Value, MIN_RUN,
+    narrow_rows, search_ranges, Blocks, Column, DataProps, DataType, Dictionary, Field, KeyCodes,
+    Piece, Relation, Schema, Selection, Sortedness, StorageError, Value, MIN_RUN,
 };
 use std::collections::HashMap;
 use std::ops::{Bound, Range};
@@ -1319,7 +1319,7 @@ impl Source<'_> {
         let mut piece = piece.clone();
         if single && !self.conjuncts[builds].is_empty() {
             ids.clear();
-            narrow_piece(&piece, &self.conjuncts[builds], ids)?;
+            ran.blocks(narrow_piece(&piece, &self.conjuncts[builds], ids)?);
             piece = match piece {
                 Piece::Range(_) => Piece::ascending(ids),
                 Piece::Rows(_) => Piece::Rows(ids),
@@ -1403,8 +1403,9 @@ impl Source<'_> {
     /// Record the absorbed nodes as they would have recorded themselves,
     /// bottom-up from `below`. The loader's summed time, spread over the
     /// workers that shared it, is added once; the join reports the pairs
-    /// its probe found, the filter its survivors, an `Exchange` what its
-    /// child did plus its DOP and the pieces dispatched.
+    /// its probe found, the filter its survivors and the blocks its
+    /// kernel skipped, an `Exchange` what its child did plus its DOP and
+    /// the pieces dispatched.
     fn record(&self, c: &mut OpCollector, ran: &Counters, workers: usize) {
         let load = |n: &AtomicU64| n.load(Ordering::Relaxed);
         let mut m = self.below.clone();
@@ -1419,9 +1420,13 @@ impl Source<'_> {
                 _ => {}
             }
             c.record(node, m.rows_out, m.wall, m.stats);
-            if let (PhysicalPlan::Exchange { dop, .. }, Some(slot)) = (node, c.slot(node)) {
-                slot.dop = Some(*dop);
-                slot.morsels = self.pieces().len() as u64;
+            match (node, c.slot(node)) {
+                (PhysicalPlan::Exchange { dop, .. }, Some(slot)) => {
+                    slot.dop = Some(*dop);
+                    slot.morsels = self.pieces().len() as u64;
+                }
+                (PhysicalPlan::Filter { .. }, Some(slot)) => slot.skipped = ran.skipped(),
+                _ => {}
             }
         }
     }
@@ -1468,12 +1473,28 @@ struct Counters {
     pairs: AtomicU64,
     /// Summed loader time (measured only when instrumented).
     busy: AtomicU64,
+    /// The narrowing kernel's blocks, skipped ones in the high 32 bits and
+    /// tested ones in the low: one add per piece.
+    blocks: AtomicU64,
 }
 
 impl Counters {
     fn add(&self, rows: usize, pairs: usize) {
         self.rows.fetch_add(rows as u64, Ordering::Relaxed);
         self.pairs.fetch_add(pairs as u64, Ordering::Relaxed);
+    }
+
+    fn blocks(&self, blocks: Blocks) {
+        if blocks.tested > 0 {
+            let packed = blocks.skipped << 32 | blocks.tested;
+            self.blocks.fetch_add(packed, Ordering::Relaxed);
+        }
+    }
+
+    /// `(skipped, tested)` blocks, when any were tested.
+    fn skipped(&self) -> Option<(u64, u64)> {
+        let packed = self.blocks.load(Ordering::Relaxed);
+        (packed > 0).then_some((packed >> 32, packed & u64::from(u32::MAX)))
     }
 
     fn time(&self, began: Option<Instant>) {
@@ -1588,11 +1609,16 @@ enum Conjunct {
     },
     /// Dictionary-encoded string column (comparison, prefix, `LIKE`): the
     /// predicate is evaluated once per *code* under real string order,
-    /// regardless of how codes were assigned; rows look their code up.
+    /// regardless of how codes were assigned; rows test their code against
+    /// the codes it kept.
     Code {
         codes: Arc<Column>,
-        hits: Vec<bool>,
+        hits: Hits,
         column: String,
+        /// The dictionary's size when the catalog's statistics do not
+        /// prove every code of the column lies below it: then each row's
+        /// code is checked, and one outside fails the filter.
+        check: Option<u32>,
     },
     /// Any other column type against a constant, value by value.
     Slow {
@@ -1601,6 +1627,34 @@ enum Conjunct {
         value: Value,
         column: String,
     },
+}
+
+/// The codes a string conjunct keeps, in the cheapest form a row tests.
+enum Hits {
+    /// None: no row passes.
+    None,
+    /// The run of codes `lo..=hi`: one `u32` compare per row. `=` keeps
+    /// one code of any dictionary; `<`, `>` and a prefix keep a run of an
+    /// order-preserving one.
+    Run(u32, u32),
+    /// Scattered codes: each row looks its code up.
+    Table(Vec<bool>),
+}
+
+impl Hits {
+    /// The codes `table` marks (`table[code]`), as a run when they form one.
+    fn of(table: Vec<bool>) -> Hits {
+        let (Some(lo), Some(hi)) = (
+            table.iter().position(|&h| h),
+            table.iter().rposition(|&h| h),
+        ) else {
+            return Hits::None;
+        };
+        match table[lo..=hi].iter().all(|&h| h) {
+            true => Hits::Run(lo as u32, hi as u32),
+            false => Hits::Table(table),
+        }
+    }
 }
 
 /// The conjuncts of `pred`: its leaves, below any `And`.
@@ -1621,8 +1675,8 @@ fn compile(view: &View, leaf: &Predicate) -> Result<(usize, Conjunct)> {
         return Err(CoreError::Unsupported(format!("nested conjunct {leaf:?}")));
     };
     let (t, name) = view.column(column)?;
-    let rel = &view.tables[t].rel;
-    let col = rel.column(name)?;
+    let table = &view.tables[t];
+    let (rel, col) = (&table.rel, table.rel.column(name)?);
     let per_code = |like: bool, matches: &dyn Fn(&str) -> bool| {
         if like && col.data_type() != DataType::Str {
             return Err(CoreError::Unsupported(format!(
@@ -1636,10 +1690,16 @@ fn compile(view: &View, leaf: &Predicate) -> Result<(usize, Conjunct)> {
             ))
         })?;
         col.as_u32()?;
+        // The catalog's exact maximum proves, once for the column, what
+        // would otherwise be checked row by row.
+        let inside = table
+            .props(name)
+            .is_some_and(|p| p.distinct == 0 || (p.max as usize) < dict.len());
         Ok(Conjunct::Code {
             codes: rel.column_arc(name)?,
-            hits: dict.match_table(matches),
+            hits: Hits::of(dict.match_table(matches)),
             column: column.clone(),
+            check: (!inside).then(|| u32::try_from(dict.len()).unwrap_or(u32::MAX)),
         })
     };
     let conjunct = match leaf {
@@ -1702,20 +1762,21 @@ fn within(op: CmpOp, v: u32) -> Option<(Bound<u32>, Bound<u32>)> {
 
 /// Append to `out` the rows of `piece` that satisfy every conjunct: the
 /// first conjunct reads the piece, each further one runs over the
-/// survivors of the previous one.
+/// survivors of the previous one. Returns the blocks the first conjunct
+/// tested (see [`Piece::narrow`]).
 fn narrow_piece(
     piece: &Piece<'_>,
     conjuncts: &[Conjunct],
     out: &mut Vec<u32>,
-) -> std::result::Result<(), ExecError> {
-    let from = out.len();
+) -> std::result::Result<Blocks, ExecError> {
+    let (from, mut blocks) = (out.len(), Blocks::default());
     for (n, conjunct) in conjuncts.iter().enumerate() {
-        // One monomorphic loop per predicate.
+        // One monomorphic loop per predicate, over the column's values.
         macro_rules! keep {
-            ($row:expr) => {
+            ($col:expr, $keep:expr) => {
                 match n {
-                    0 => piece.narrow($row, out),
-                    _ => narrow_rows(out, from, $row),
+                    0 => blocks = piece.narrow($col, $keep, out),
+                    _ => narrow_rows(out, from, $col, $keep),
                 }
             };
         }
@@ -1723,25 +1784,48 @@ fn narrow_piece(
             Conjunct::U32 { data, op, v } => {
                 let (data, v) = (data.as_u32()?, *v);
                 match op {
-                    CmpOp::Eq => keep!(|i| data[i] == v),
-                    CmpOp::Ne => keep!(|i| data[i] != v),
-                    CmpOp::Lt => keep!(|i| data[i] < v),
-                    CmpOp::Le => keep!(|i| data[i] <= v),
-                    CmpOp::Gt => keep!(|i| data[i] > v),
-                    CmpOp::Ge => keep!(|i| data[i] >= v),
+                    CmpOp::Eq => keep!(data, |x| x == v),
+                    CmpOp::Ne => keep!(data, |x| x != v),
+                    CmpOp::Lt => keep!(data, |x| x < v),
+                    CmpOp::Le => keep!(data, |x| x <= v),
+                    CmpOp::Gt => keep!(data, |x| x > v),
+                    CmpOp::Ge => keep!(data, |x| x >= v),
                 }
             }
             Conjunct::Code {
                 codes,
                 hits,
                 column,
+                check,
             } => {
                 let codes = codes.as_u32()?;
                 let missing = std::cell::Cell::new(None);
-                keep!(|i| *hits.get(codes[i] as usize).unwrap_or_else(|| {
-                    missing.set(Some(codes[i]));
-                    &false
-                }));
+                macro_rules! coded {
+                    ($keep:expr) => {{
+                        let keep = $keep;
+                        match *check {
+                            None => keep!(codes, keep),
+                            Some(size) => keep!(codes, |c: u32| {
+                                if c >= size {
+                                    missing.set(Some(c));
+                                }
+                                keep(c)
+                            }),
+                        }
+                    }};
+                }
+                match hits {
+                    // No code passes, and none needs checking: nothing is read.
+                    Hits::None if check.is_none() => out.truncate(from),
+                    Hits::None => coded!(|_| false),
+                    Hits::Run(lo, hi) => {
+                        let (lo, span) = (*lo, hi - lo);
+                        coded!(|c: u32| c.wrapping_sub(lo) <= span)
+                    }
+                    Hits::Table(hits) => {
+                        coded!(|c: u32| hits.get(c as usize).copied().unwrap_or(false))
+                    }
+                }
                 if let Some(c) = missing.get() {
                     return Err(ExecError::PreconditionViolated {
                         algorithm: "filter",
@@ -1758,18 +1842,25 @@ fn narrow_piece(
                 value,
                 column,
             } => {
-                let cmp = |i| col.value_at(i).ok().and_then(|cell| cell.total_cmp(value));
-                if !piece.is_empty() && cmp(0).is_none() {
+                let cmp = |cell: Value| cell.total_cmp(value);
+                if !piece.is_empty() && col.value_at(0).ok().and_then(cmp).is_none() {
                     return Err(ExecError::PreconditionViolated {
                         algorithm: "filter",
                         detail: format!("cross-type comparison {column} vs {value}"),
                     });
                 }
-                keep!(|i| cmp(i).is_some_and(|ord| op.eval(ord)));
+                let holds = |cell| cmp(cell).is_some_and(|ord| op.eval(ord));
+                match col.data_type() {
+                    DataType::U32 | DataType::Str => keep!(col.as_u32()?, |x| holds(Value::U32(x))),
+                    DataType::U64 => keep!(col.as_u64()?, |x| holds(Value::U64(x))),
+                    DataType::I64 => keep!(col.as_i64()?, |x| holds(Value::I64(x))),
+                    DataType::F64 => keep!(col.as_f64()?, |x| holds(Value::F64(x))),
+                    DataType::Bool => keep!(col.as_bool()?, |x| holds(Value::Bool(x))),
+                }
             }
         }
     }
-    Ok(())
+    Ok(blocks)
 }
 
 /// Smallest and largest value of `col` over the rows of `sel`.

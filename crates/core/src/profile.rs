@@ -6,8 +6,10 @@
 //! estimated-vs-actual cardinality per node (the estimates are the rows
 //! the memo costed the plan with, so the delta audits the cost model that
 //! picked it), wall time, rows produced, pipeline breakers, bytes the
-//! node copied into new column buffers, and — on `Exchange` nodes —
-//! granted DOP, morsels dispatched, and steals.
+//! node copied into new column buffers, and — on `Filter` nodes — the
+//! conjuncts binary search answered and the 64-row blocks in which no row
+//! passed, and — on `Exchange` nodes — granted DOP, morsels dispatched,
+//! and steals.
 
 use crate::catalog::Catalog;
 use crate::feedback::FeedbackStore;
@@ -59,7 +61,9 @@ pub fn estimate_rows(
 /// Render the annotated `EXPLAIN ANALYZE` tree: the plain explain lines
 /// with ` (est=… act=… Δ=… wall=…)` per node — `breakers=` and `bytes=`
 /// (bytes materialised) where non-zero, `search=k/n` on a filter that
-/// answered `k` of its `n` conjuncts by binary search — plus
+/// answered `k` of its `n` conjuncts by binary search, `skipped=k/n` on a
+/// filter whose narrowing kernel found no surviving row in `k` of the `n`
+/// 64-row blocks it tested (explicit row ids test no blocks) — plus
 /// parallel-runtime detail on `Exchange` nodes. The estimates are [`estimate_rows`] under
 /// `feedback`. Empty runtimes (untraced execution) render the plain tree.
 pub fn render_annotated(
@@ -89,6 +93,9 @@ pub fn render_annotated(
         }
         if let Some((searched, conjuncts)) = m.searched {
             parts.push(format!("search={searched}/{conjuncts}"));
+        }
+        if let Some((skipped, tested)) = m.skipped {
+            parts.push(format!("skipped={skipped}/{tested}"));
         }
         if let PhysicalPlan::Exchange { .. } = node {
             parts.push(format!("dop={}", m.dop.unwrap_or(0)));

@@ -95,6 +95,10 @@ pub struct OperatorMetrics {
     /// answered at least one conjunct by binary search instead of a scan:
     /// `(searched, conjuncts)`.
     pub searched: Option<(usize, usize)>,
+    /// For a filter whose first scanned conjunct tested row ranges in
+    /// 64-row blocks: `(skipped, tested)`, the blocks in which no row
+    /// passed out of the blocks tested.
+    pub skipped: Option<(u64, u64)>,
 }
 
 impl fmt::Display for PipelineStats {

@@ -7,10 +7,17 @@
 //! sort's permutation). A filter has two ways to shrink it. A comparison
 //! on a column that ascends over every range is answered by
 //! [`search_ranges`]: two binary searches per range, which cost per
-//! range, not per row. Every other conjunct runs through the branch-free
-//! kernel in [`Piece::narrow`], which tests every selected row. Consumers
-//! read columns *through* the selection with [`Piece::read`] /
-//! [`Selection::read`], and only the plan root gathers whole columns.
+//! range, not per row. Every other conjunct runs through the one
+//! narrowing kernel, [`Piece::narrow`], which tests every selected row's
+//! *value*: over a range, [`BLOCK_ROWS`] values at a time into a bit mask
+//! (vectorised, as in MonetDB/X100's predicate primitives), so a block no
+//! row passes costs its compares and writes nothing, and a block every
+//! row passes appends its ids as a run; over explicit row ids, and for a
+//! further conjunct ([`narrow_rows`]), row by row through a branch-free
+//! cursor. Either way the output is row ids, strictly ascending over a
+//! range. Consumers read columns *through* the selection with
+//! [`Piece::read`] / [`Selection::read`], and only the plan root gathers
+//! whole columns.
 
 // A selection really is a list holding (often) one range.
 #![allow(clippy::single_range_in_vec_init)]
@@ -40,6 +47,20 @@ pub enum Piece<'a> {
     Range(Range<usize>),
     /// A slice of explicit row ids.
     Rows(&'a [u32]),
+}
+
+/// Rows [`Piece::narrow`] tests at once over a range: one bit each of a
+/// `u64` mask.
+pub const BLOCK_ROWS: usize = 64;
+
+/// The blocks of [`BLOCK_ROWS`] rows one [`Piece::narrow`] tested (a
+/// range's last block may be shorter), and how many of them kept no row.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Blocks {
+    /// Blocks tested; zero for explicit row ids.
+    pub tested: u64,
+    /// Blocks in which no row passed.
+    pub skipped: u64,
 }
 
 impl Selection {
@@ -216,27 +237,66 @@ impl<'a> Piece<'a> {
         self.len() == 0
     }
 
-    /// Append to `out` the row ids of this piece that satisfy `keep`.
-    /// Branch-free: every row id is written, and the write cursor
-    /// advances only for survivors, so the loop's speed does not depend
-    /// on how predictable the predicate is.
-    pub fn narrow(&self, keep: impl Fn(usize) -> bool, out: &mut Vec<u32>) {
+    /// Append to `out`, ascending, the row ids of this piece whose value
+    /// in `col` satisfies `keep`, and say what its blocks held.
+    ///
+    /// A range is tested [`BLOCK_ROWS`] rows at a time: `keep` fills one
+    /// bit of a mask per value, a loop over values alone that the compiler
+    /// vectorises. A block whose mask is empty writes nothing, a full one
+    /// appends its ids as a run, and a mixed one writes every id through a
+    /// cursor that advances only for survivors — branch-free, so its speed
+    /// does not depend on how predictable the predicate is. Explicit row
+    /// ids take that cursor one row at a time and test no blocks.
+    pub fn narrow<T: Copy>(
+        &self,
+        col: &[T],
+        keep: impl Fn(T) -> bool,
+        out: &mut Vec<u32>,
+    ) -> Blocks {
         out.reserve(self.len());
         let dst = &mut out.spare_capacity_mut()[..self.len()];
-        let mut n = 0;
-        let mut test = |i: usize| {
-            dst[n].write(i as u32);
-            n += usize::from(keep(i));
-        };
+        let (mut n, mut blocks) = (0, Blocks::default());
         match self {
-            Piece::Range(r) => r.clone().for_each(&mut test),
-            Piece::Rows(ids) => ids.iter().for_each(|&i| test(i as usize)),
+            Piece::Range(r) => {
+                let mut row = r.start as u32;
+                let mut take = |mask: u64, len: usize| {
+                    blocks.tested += 1;
+                    if mask == 0 {
+                        blocks.skipped += 1;
+                    } else if mask == u64::MAX >> (BLOCK_ROWS - len) {
+                        for (slot, id) in dst[n..n + len].iter_mut().zip(row..) {
+                            slot.write(id);
+                        }
+                        n += len;
+                    } else {
+                        for j in 0..len {
+                            dst[n].write(row + j as u32);
+                            n += (mask >> j & 1) as usize;
+                        }
+                    }
+                    row += len as u32;
+                };
+                let (full, tail) = col[r.clone()].as_chunks::<BLOCK_ROWS>();
+                for block in full {
+                    take(mask(block, &keep), BLOCK_ROWS);
+                }
+                if !tail.is_empty() {
+                    take(mask(tail, &keep), tail.len());
+                }
+            }
+            Piece::Rows(ids) => {
+                for &i in *ids {
+                    dst[n].write(i);
+                    n += usize::from(keep(col[i as usize]));
+                }
+            }
         }
         // SAFETY: `reserve` made room for `self.len()` more elements, `n`
-        // never exceeds the rows tested (`<= self.len()`), and the loop
+        // never exceeds the rows tested (`<= self.len()`), and every path
         // initialised `dst[0..n]` — slot `k` is written before the cursor
-        // moves past it.
+        // moves past it, and a run writes its slots before moving it.
         unsafe { out.set_len(out.len() + n) };
+        blocks
     }
 
     /// The values of `col` at this piece's rows: borrowed for a dense
@@ -277,17 +337,36 @@ pub fn search_ranges(ranges: &mut [Range<usize>], col: &[u32], (lo, hi): (Bound<
     }
 }
 
-/// Keep, in place, the row ids in `ids[from..]` that satisfy `keep` — a
-/// further conjunct running over the survivors of the previous one.
-/// Branch-free like [`Piece::narrow`].
-pub fn narrow_rows(ids: &mut Vec<u32>, from: usize, keep: impl Fn(usize) -> bool) {
+/// Keep, in place, the row ids in `ids[from..]` whose value in `col`
+/// satisfies `keep` — a further conjunct running over the survivors of
+/// the previous one. Branch-free like [`Piece::narrow`]'s cursor.
+pub fn narrow_rows<T: Copy>(ids: &mut Vec<u32>, from: usize, col: &[T], keep: impl Fn(T) -> bool) {
     let mut n = from;
     for at in from..ids.len() {
         let i = ids[at];
         ids[n] = i;
-        n += usize::from(keep(i as usize));
+        n += usize::from(keep(col[i as usize]));
     }
     ids.truncate(n);
+}
+
+/// One bit per value of `vals` (at most [`BLOCK_ROWS`]): bit `j` is set
+/// when `vals[j]` satisfies `keep`. The predicate fills one byte per value
+/// (a loop that vectorises on any x86-64), and a multiply gathers each
+/// eight bytes' low bits into eight mask bits.
+#[inline(always)]
+fn mask<T: Copy>(vals: &[T], keep: &impl Fn(T) -> bool) -> u64 {
+    let mut bytes = [0u8; BLOCK_ROWS];
+    for (b, &v) in bytes.iter_mut().zip(vals) {
+        *b = u8::from(keep(v));
+    }
+    let (eights, _) = bytes.as_chunks::<8>();
+    eights.iter().enumerate().fold(0, |mask, (k, &eight)| {
+        // Byte `i`'s bit lands at bit 56 + i; no two partial products
+        // share a bit, so nothing carries into the top byte.
+        let gathered = u64::from_le_bytes(eight).wrapping_mul(0x0102_0408_1020_4080) >> 56;
+        mask | gathered << (8 * k)
+    })
 }
 
 #[cfg(test)]
@@ -329,13 +408,67 @@ mod tests {
     fn narrow_is_order_preserving_on_both_piece_kinds() {
         let col: Vec<u32> = vec![9, 1, 8, 2, 7, 3];
         let mut out = vec![77];
-        Piece::Range(1..6).narrow(|i| col[i] < 5, &mut out);
+        Piece::Range(1..6).narrow(&col, |v| v < 5, &mut out);
         assert_eq!(out, vec![77, 1, 3, 5]);
         let mut out = Vec::new();
-        Piece::Rows(&[5, 0, 3]).narrow(|i| col[i] != 9, &mut out);
+        Piece::Rows(&[5, 0, 3]).narrow(&col, |v| v != 9, &mut out);
         assert_eq!(out, vec![5, 3]);
-        narrow_rows(&mut out, 1, |i| col[i] > 100);
+        narrow_rows(&mut out, 1, &col, |v| v > 100);
         assert_eq!(out, vec![5]);
+    }
+
+    /// `narrow` against a plain filter, over every block shape: empty,
+    /// short, one short of a block, whole blocks, one past, a long range,
+    /// starts not aligned to a block, each kind of mask, explicit rows and
+    /// an `out` that already holds ids.
+    #[test]
+    fn narrow_matches_a_plain_filter_on_every_block_shape() {
+        let rows = (1 << 16) + 101;
+        let patterns = [
+            "all pass",
+            "none pass",
+            "alternating",
+            "one per block",
+            "runs of 100",
+        ];
+        for (p, name) in patterns.into_iter().enumerate() {
+            let col: Vec<bool> = (0..rows)
+                .map(|i: usize| match p {
+                    0 => true,
+                    1 => false,
+                    2 => i.is_multiple_of(2),
+                    3 => i % BLOCK_ROWS == 5,
+                    _ => (i / 100) % 2 == 1,
+                })
+                .collect();
+            for len in [0, 1, 63, 64, 65, 127, 129, (1 << 16) + 1] {
+                for start in [0, 1, 3, 63, 64, 100] {
+                    let end = start + len;
+                    let what = format!("{name}, {start}..{end}");
+                    let want: Vec<u32> = (start as u32..end as u32)
+                        .filter(|&i| col[i as usize])
+                        .collect();
+                    let mut out = vec![u32::MAX, 7];
+                    let blocks = Piece::Range(start..end).narrow(&col, |v| v, &mut out);
+                    assert_eq!(out[..2], [u32::MAX, 7], "{what}");
+                    assert_eq!(out[2..], want[..], "{what}");
+                    assert!(out[2..].windows(2).all(|w| w[0] < w[1]), "{what}");
+                    assert_eq!(blocks.tested, (end - start).div_ceil(BLOCK_ROWS) as u64);
+                    let empty = (start..end)
+                        .step_by(BLOCK_ROWS)
+                        .filter(|&b| !col[b..end.min(b + BLOCK_ROWS)].contains(&true))
+                        .count();
+                    assert_eq!(blocks.skipped, empty as u64, "{what}");
+                    // The same rows listed explicitly keep the same ids,
+                    // and test no blocks.
+                    let ids: Vec<u32> = (start as u32..end as u32).collect();
+                    let mut listed = vec![u32::MAX, 7];
+                    let blocks = Piece::Rows(&ids).narrow(&col, |v| v, &mut listed);
+                    assert_eq!(listed, out, "{what}");
+                    assert_eq!(blocks, Blocks::default(), "{what}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! generator guarantees, and dictionary roundtrips.
 
 use dqo_storage::datagen::DatasetSpec;
+use dqo_storage::Piece::{Range, Rows};
 use dqo_storage::{
     narrow_rows, Column, DataProps, DataType, Dictionary, Field, Relation, Schema, Seam, Selection,
     Value,
@@ -114,7 +115,7 @@ proptest! {
         threshold in any::<u32>(),
     ) {
         let rel = Relation::single_u32("k", data.clone());
-        let sel = narrowed(&Selection::all(data.len()), 64, |i| data[i] < threshold);
+        let sel = narrowed(&Selection::all(data.len()), 64, &data, |v| v < threshold);
         let expected: Vec<u32> = data.iter().copied().filter(|&v| v < threshold).collect();
         let selected = rel.select(&sel);
         prop_assert_eq!(selected.column("k").unwrap().as_u32().unwrap(), &expected[..]);
@@ -134,20 +135,23 @@ proptest! {
         // A base selection of ranges cut at arbitrary places (adjacent,
         // empty and gapped ranges included).
         let base = ranges_over(data.len(), &cuts);
-        let (p, q) = (|i: usize| data[i] % 7 < a % 8, |i: usize| data[i] < b);
-        let stepwise = narrowed(&narrowed(&base, morsel, p), morsel, q);
-        let at_once = narrowed(&base, morsel, |i| p(i) && q(i));
+        let (p, q) = (|v: u32| v % 7 < a % 8, |v: u32| v < b);
+        let stepwise = narrowed(&narrowed(&base, morsel, &data, p), morsel, &data, q);
+        let at_once = narrowed(&base, morsel, &data, |v| p(v) && q(v));
         let ids: Vec<u32> = at_once.iter().collect();
         prop_assert_eq!(stepwise.iter().collect::<Vec<_>>(), ids.clone());
         // In-place narrowing of explicit rows agrees as well.
         let mut rows: Vec<u32> = base.iter().collect();
-        narrow_rows(&mut rows, 0, p);
-        narrow_rows(&mut rows, 0, q);
+        narrow_rows(&mut rows, 0, &data, p);
+        narrow_rows(&mut rows, 0, &data, q);
         prop_assert_eq!(&rows, &ids);
         // Row ids are strictly ascending, lie in the base selection and
         // are exactly the rows satisfying both predicates.
         prop_assert!(ids.windows(2).all(|w| w[0] < w[1]));
-        let expected: Vec<u32> = base.iter().filter(|&i| p(i as usize) && q(i as usize)).collect();
+        let expected: Vec<u32> = base
+            .iter()
+            .filter(|&i| p(data[i as usize]) && q(data[i as usize]))
+            .collect();
         prop_assert_eq!(ids, expected);
     }
 
@@ -172,7 +176,10 @@ proptest! {
         let pieces = sel.pieces(morsel);
         prop_assert!(pieces.iter().all(|p| !p.is_empty() && p.len() <= morsel));
         let mut tiled = Vec::new();
-        pieces.iter().for_each(|p| p.narrow(|_| true, &mut tiled));
+        let unit = vec![(); rows];
+        pieces.iter().for_each(|p| {
+            p.narrow(&unit, |_| true, &mut tiled);
+        });
         prop_assert_eq!(&tiled, &ids);
         prop_assert_eq!(sel.bounds().last().copied(), Some(ids.len()));
         // Both representations read, pick and truncate alike.
@@ -196,15 +203,51 @@ proptest! {
         prop_assert_eq!(all.len(), rows);
         // Keeping everything is the identity; keeping nothing is empty,
         // and the empty selection is still a (zero-length) dense run.
-        prop_assert_eq!(narrowed(&all, morsel, |_| true).as_range(), Some(0..rows));
-        let none = narrowed(&all, morsel, |_| false);
+        let unit = vec![(); rows];
+        prop_assert_eq!(narrowed(&all, morsel, &unit, |_| true).as_range(), Some(0..rows));
+        let none = narrowed(&all, morsel, &unit, |_| false);
         prop_assert!(none.is_empty());
         prop_assert_eq!(none.as_range().map(|r| r.len()), Some(0));
-        prop_assert!(narrowed(&none, morsel, |_| true).is_empty());
+        prop_assert!(narrowed(&none, morsel, &unit, |_| true).is_empty());
         prop_assert!(none.pieces(morsel).is_empty());
         let rel = Relation::single_u32("k", (0..rows as u32).collect());
         prop_assert_eq!(rel.select(&none).rows(), 0);
         prop_assert_eq!(rel.select(&all).rows(), rows);
+    }
+
+    #[test]
+    fn narrow_agrees_with_a_plain_filter(
+        (start_pick, any_start) in (0usize..6, 0usize..300),
+        (len_pick, any_len) in (0usize..10, 0usize..1000),
+        pattern in 0usize..6,
+        seed in any::<u64>(),
+        prefilled in proptest::collection::vec(any::<u32>(), 0..3),
+    ) {
+        // Block edges and their neighbours, or anywhere.
+        let start = [0, 1, 63, 64, 65].get(start_pick).copied().unwrap_or(any_start);
+        let lengths = [0, 1, 63, 64, 65, 127, 129, (1 << 16) + 1];
+        let len = lengths.get(len_pick).copied().unwrap_or(any_len);
+        // Whole blocks that pass or fail, blocks that mix, and runs that
+        // straddle block edges: each way a block mask comes out.
+        let bits = |i: usize| (seed.rotate_left(i as u32 % 64) ^ i as u64) & 1 == 1;
+        let kept = |i: usize| match pattern {
+            0 => true,
+            1 => false,
+            2 => i.is_multiple_of(2),
+            3 => i % dqo_storage::BLOCK_ROWS == seed as usize % dqo_storage::BLOCK_ROWS,
+            4 => (i / 100) % 2 == 1,
+            _ => bits(i),
+        };
+        let end = start + len;
+        let col: Vec<u8> = (0..end).map(|i| u8::from(kept(i))).collect();
+        let want: Vec<u32> = (start..end).filter(|&i| kept(i)).map(|i| i as u32).collect();
+        for piece in [Range(start..end), Rows(&(start as u32..end as u32).collect::<Vec<_>>())] {
+            let mut out = prefilled.clone();
+            piece.narrow(&col, |v| v == 1, &mut out);
+            prop_assert_eq!(&out[..prefilled.len()], &prefilled[..]);
+            prop_assert_eq!(&out[prefilled.len()..], &want[..]);
+            prop_assert!(out[prefilled.len()..].windows(2).all(|w| w[0] < w[1]));
+        }
     }
 }
 
@@ -322,10 +365,15 @@ fn interleave(old: &[u32], delta: &[u32], at: Option<&[usize]>) -> Vec<u32> {
 
 /// Narrow `sel` the way the executor does: piece by piece, pieces
 /// concatenated in order, contiguous survivors collapsed into a range.
-fn narrowed(sel: &Selection, morsel: usize, keep: impl Fn(usize) -> bool) -> Selection {
+fn narrowed<T: Copy>(
+    sel: &Selection,
+    morsel: usize,
+    col: &[T],
+    keep: impl Fn(T) -> bool,
+) -> Selection {
     let narrow = |piece: dqo_storage::Piece<'_>| {
         let mut ids = Vec::new();
-        piece.narrow(&keep, &mut ids);
+        piece.narrow(col, &keep, &mut ids);
         ids
     };
     let chunks: Vec<Vec<u32>> = sel.pieces(morsel).into_iter().map(narrow).collect();

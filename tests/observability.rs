@@ -110,6 +110,51 @@ fn explain_analyze_shows_the_conjuncts_a_filter_searched() {
     }
 }
 
+/// The narrowing kernel tests 64-row blocks and EXPLAIN ANALYZE shows on
+/// the filter's line how many of them no row passed: on a clustered,
+/// unsorted column most blocks of an equality hold no match, and a filter
+/// every row passes skips none.
+#[test]
+fn explain_analyze_shows_the_blocks_a_filter_skipped() {
+    let rows = 300_000u32;
+    let key: Vec<u32> = (0..rows).map(|i| (i / 1_000) * 37 % 512).collect();
+    let rel = dqo::Relation::new(
+        Schema::new(vec![Field::new("key", DataType::U32)]).unwrap(),
+        vec![Column::U32(key)],
+    )
+    .unwrap();
+    let skipped = |text: &str| -> (u64, u64) {
+        let filter = text
+            .lines()
+            .find(|l| l.trim_start().starts_with("Filter"))
+            .unwrap_or_else(|| panic!("no filter line:\n{text}"));
+        let field = filter
+            .split([' ', ')'])
+            .find_map(|f| f.strip_prefix("skipped="))
+            .unwrap_or_else(|| panic!("no skipped= on the filter:\n{text}"));
+        let (k, n) = field.split_once('/').expect("k/n");
+        (k.parse().unwrap(), n.parse().unwrap())
+    };
+    let tested = u64::from(rows).div_ceil(64);
+    for threads in [1, 4] {
+        let db = Dqo::with_engine(Engine::new().with_threads(threads).with_tracing(true));
+        db.register_table("t", rel.clone());
+        let one = "SELECT key, COUNT(*) AS n FROM t WHERE key = 37 GROUP BY key";
+        let text = db.explain_analyze(one).expect("explain analyze runs");
+        let (k, n) = skipped(&text);
+        assert!(k > 0 && k < n, "clustered, threads={threads}:\n{text}");
+        // Morsels cut at multiples of 64 rows: every row is in one block.
+        assert_eq!(n, tested, "threads={threads}:\n{text}");
+        let all = "SELECT key, COUNT(*) AS n FROM t WHERE key < 1000 GROUP BY key";
+        let text = db.explain_analyze(all).expect("explain analyze runs");
+        assert_eq!(
+            skipped(&text),
+            (0, tested),
+            "all pass, threads={threads}:\n{text}"
+        );
+    }
+}
+
 #[test]
 fn an_exchange_over_a_composite_grouping_dispatches_morsels() {
     // Columns `a` and `b` each take the values {0, 100 000}: four groups,

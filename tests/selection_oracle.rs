@@ -26,10 +26,15 @@ const ROWS: u32 = 2_400;
 const GROUPS: u32 = 300;
 const PARTS: usize = 4;
 const DOPS: [usize; 3] = [1, 2, 8];
+const CLUSTER: u32 = 97;
 
-/// `t(id, k, v, w, s)`: `id` unique, `k` ascending and dense (so every
-/// grouping organelle applies, OG included), `v` scattered, `w` a `u64`
-/// column (the value-by-value predicate path), `s` a dictionary column.
+/// `t(id, k, v, w, s, c, cs)`: `id` unique, `k` ascending and dense (so
+/// every grouping organelle applies, OG included), `v` scattered, `w` a
+/// `u64` column (the value-by-value predicate path), `s` a dictionary
+/// column; `c` clustered but unsorted — runs of `CLUSTER` rows, which no
+/// binary search answers and whose edges miss the narrowing kernel's
+/// 64-row blocks — and `cs` the strings of `c`'s runs under an
+/// order-preserving dictionary.
 fn table() -> Relation {
     table_of(ROWS)
 }
@@ -45,12 +50,17 @@ fn table_of(rows: u32) -> Relation {
     let w: Vec<u64> = v.iter().map(|&x| u64::from(x) * 3).collect();
     let strings: Vec<&str> = v.iter().map(|&x| words[x as usize % words.len()]).collect();
     let (dict, codes) = Dictionary::encode_all(&strings);
+    let c: Vec<u32> = (0..rows).map(|i| (i / CLUSTER) * 37 % 23).collect();
+    let clustered: Vec<&str> = c.iter().map(|&x| words[x as usize % words.len()]).collect();
+    let (cdict, ccodes) = Dictionary::encode_all_sorted(&clustered);
     let schema = Schema::new(vec![
         Field::new("id", DataType::U32),
         Field::new("k", DataType::U32),
         Field::new("v", DataType::U32),
         Field::new("w", DataType::U64),
         Field::new("s", DataType::Str),
+        Field::new("c", DataType::U32),
+        Field::new("cs", DataType::Str),
     ])
     .unwrap();
     let columns = vec![
@@ -59,10 +69,14 @@ fn table_of(rows: u32) -> Relation {
         Column::U32(v),
         Column::U64(w),
         Column::Str(codes),
+        Column::U32(c),
+        Column::Str(ccodes),
     ];
     Relation::new(schema, columns)
         .unwrap()
         .with_dictionary("s", Arc::new(dict))
+        .unwrap()
+        .with_dictionary("cs", Arc::new(cdict))
         .unwrap()
 }
 
@@ -159,6 +173,16 @@ fn predicates() -> Vec<(&'static str, Predicate)> {
         ("s like %a%", Predicate::like("s", "%a%")),
         ("s like _a_", Predicate::like("s", "_a_")),
         ("s like % (all)", Predicate::like("s", "%")),
+        ("c = clustered", cmp("c", CmpOp::Eq, 5)),
+        ("c < clustered", cmp("c", CmpOp::Lt, 9)),
+        ("c <> clustered", cmp("c", CmpOp::Ne, 5)),
+        ("c = absent", cmp("c", CmpOp::Eq, 999)),
+        ("cs = clustered", Predicate::cmp("cs", CmpOp::Eq, "cherry")),
+        ("cs < clustered", Predicate::cmp("cs", CmpOp::Lt, "cherry")),
+        ("cs <> clustered", Predicate::cmp("cs", CmpOp::Ne, "date")),
+        ("cs = absent", Predicate::cmp("cs", CmpOp::Eq, "zucchini")),
+        ("cs prefix d", Predicate::prefix("cs", "d")),
+        ("cs like %e%", Predicate::like("cs", "%e%")),
         (
             "w u64 value path",
             Predicate::cmp("w", CmpOp::Ge, Value::U64(1500)),
@@ -393,6 +417,11 @@ fn many_morsels_per_worker_match_the_oracle() {
     let predicates = [
         Predicate::cmp("v", CmpOp::Lt, 500u32),
         Predicate::cmp("id", CmpOp::Ge, rows / 2),
+        Predicate::cmp("cs", CmpOp::Eq, "cherry"),
+        Predicate::And(vec![
+            Predicate::cmp("c", CmpOp::Lt, 9u32),
+            Predicate::like("cs", "%e%"),
+        ]),
         Predicate::And(vec![
             Predicate::prefix("s", "c"),
             Predicate::cmp("w", CmpOp::Lt, Value::U64(2000)),
@@ -455,5 +484,43 @@ fn cross_type_comparison_is_an_error_on_both_sides() {
             predicate: predicate.clone(),
         };
         assert!(execute(&at_dop(filter, dop), &cat).is_err(), "dop={dop}");
+    }
+}
+
+#[test]
+fn a_code_outside_its_dictionary_is_an_error() {
+    // Codes 0..3 under a dictionary of three strings, and one code past
+    // it: the catalog's maximum does not prove the codes inside, so every
+    // row's code is checked, whatever the predicate keeps.
+    let rows = 3 * 64 + 5;
+    let (dict, mut codes) = Dictionary::encode_all(&["a", "b", "c"].repeat(rows / 3));
+    codes.push(7);
+    let schema = Schema::new(vec![Field::new("s", DataType::Str)]).unwrap();
+    let rel = Relation::new(schema, vec![Column::Str(codes)])
+        .unwrap()
+        .with_dictionary("s", Arc::new(dict))
+        .unwrap();
+    let cat = Catalog::new();
+    cat.register("bad", rel);
+    for predicate in [
+        Predicate::cmp("s", CmpOp::Eq, "b"),
+        Predicate::cmp("s", CmpOp::Ne, "b"),
+        Predicate::cmp("s", CmpOp::Eq, "absent"),
+        Predicate::like("s", "%"),
+    ] {
+        for dop in DOPS {
+            let filter = PhysicalPlan::Filter {
+                input: Box::new(PhysicalPlan::Scan {
+                    table: "bad".into(),
+                }),
+                predicate: predicate.clone(),
+            };
+            let err = execute(&at_dop(filter, dop), &cat).expect_err("a code past the dictionary");
+            assert!(
+                err.to_string()
+                    .contains("code 7 of column 's' missing from its dictionary"),
+                "{predicate} dop={dop}: {err}"
+            );
+        }
     }
 }
