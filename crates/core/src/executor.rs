@@ -2,11 +2,10 @@
 //!
 //! The executor is deliberately thin: every algorithmic decision was made
 //! by the optimiser; this module maps plan vocabulary onto kernels and
-//! accounts for pipeline breakers and copies. A node with a
-//! `dqo-parallel` kernel — HG/SPHG, Sort and top-n, SOG, SOJ, the loader
-//! — calls that one loop whether or not an `Exchange` above gave it a
-//! pool; without one its tasks run on the caller thread. OG, BSG, OJ and
-//! BSJ, which no `Exchange` runs on a pool, call `dqo-exec`'s kernels.
+//! accounts for pipeline breakers and copies. Every operator that does
+//! work — the loader, Sort and top-n, the five groupings, OJ, SOJ and BSJ
+//! — calls its one `dqo-parallel` loop whether or not an `Exchange` above
+//! gave it a pool; without one its tasks run on the caller thread.
 //!
 //! What flows between plan nodes is a `View` of row ids, not column data:
 //! its tables — a scan's relation, or a join's build and probe tables —
@@ -22,22 +21,24 @@
 //! materialised view, narrows them by the filter's conjuncts, split by
 //! table — a conjunct on a column the catalog calls ascending is answered
 //! by binary search per range instead — and expands them through an HJ or
-//! SPHJ probe into pairs. It ends in a sink: the HG/SPHG fold, which reads
-//! the key and value columns at the rows named (one loop,
-//! `dqo_parallel::parallel_grouping_tasks`), or a collect sink handing the
-//! row ids to a breaker — Sort, Limit, OG/SOG/BSG, a composite grouping, an
-//! OJ/SOJ/BSJ input, a join's build side — or to the root. HJ and SPHJ take
-//! their `JoinIndex` — hashed, or identity — from `Exec::join_index`; OJ,
-//! SOJ and BSJ hand on the pairs their kernels return. HG folds runs of an
+//! SPHJ probe into pairs. It ends in a sink: the grouping fold of a
+//! single-key HG, SPHG, OG or BSG, which reads the key and value columns at
+//! the rows named (one loop, `dqo_parallel::parallel_grouping_tasks`), or a
+//! collect sink handing the row ids to a breaker — Sort, Limit, SOG, a
+//! composite grouping, an OJ/SOJ/BSJ input, a join's build side — or to the
+//! root. SOG sorts its key and folds it as OG does, in the sorted order; a
+//! composite key folds its packed codes. HJ and SPHJ take their
+//! `JoinIndex` — hashed, or identity — from `Exec::join_index`; OJ, SOJ and
+//! BSJ hand on the pairs their loops return. The fold takes runs of an
 //! ascending key whose runs average `MIN_RUN` rows when no conjunct thins
 //! them; SPHG over a coded key (`{key=codes}`) reads its dense codes and
 //! decodes the groups it emits.
 //!
 //! Column data is copied in two places only: kernel scratch (the key and
 //! value columns a sort, an OJ/SOJ/BSJ join, a join index build, a
-//! composite key or a SOG/OG/BSG grouping reads through a selection that
-//! is not one dense run) and the plan root, which gathers each output
-//! column at its table's rows.
+//! composite key or a SOG grouping reads through a selection that is not
+//! one dense run) and the plan root, which gathers each output column at
+//! its table's rows.
 //!
 //! A [`naive_eval`] reference evaluator (nested loops + BTreeMap + a
 //! row-at-a-time predicate) provides the correctness oracle for
@@ -50,16 +51,14 @@ use crate::Result;
 use dqo_exec::aggregate::{Aggregator, CountSum, CountSumState, FullAgg, FullAggState};
 use dqo_exec::composite::{rowwise_group, unpack_grouped, KeyPacker};
 use dqo_exec::grouping::hg::HgTable;
-use dqo_exec::grouping::{execute_grouping, GroupedResult, GroupingHints};
-use dqo_exec::join::{execute_join as run_join, JoinHints, JoinIndex};
-use dqo_exec::pipeline::{
-    grouping_blocking, join_blocking, Blocking, OperatorMetrics, PipelineStats,
-};
+use dqo_exec::grouping::GroupedResult;
+use dqo_exec::join::JoinIndex;
+use dqo_exec::pipeline::{Blocking, OperatorMetrics, PipelineStats};
 use dqo_exec::sort::argsort;
 use dqo_exec::ExecError;
 use dqo_parallel::{
-    BatchObs, GroupingStrategy, PersistentPool, Rows, Scratch, Sink, ThreadPool,
-    DEFAULT_MORSEL_ROWS,
+    parallel_grouping, parallel_sog, BatchObs, Fold, GroupingStrategy, PersistentPool, Rows,
+    Scratch, Sink, ThreadPool, DEFAULT_MORSEL_ROWS,
 };
 use dqo_plan::expr::{AggExpr, AggFunc, CmpOp, Predicate};
 use dqo_plan::physical::GroupingMolecules;
@@ -452,10 +451,10 @@ struct Exec<'a> {
 }
 
 impl<'a> Exec<'a> {
-    /// Execute one node — on `tp` when an `Exchange` above asked for it
-    /// and the operator has a parallel kernel, serially otherwise —
-    /// recording its [`OperatorMetrics`] when instrumented. Untraced, this
-    /// costs one branch per node, not a clock read.
+    /// Execute one node — on `tp` when an `Exchange` above asked for it,
+    /// on the caller thread otherwise — recording its [`OperatorMetrics`]
+    /// when instrumented. Untraced, this costs one branch per node, not a
+    /// clock read.
     fn run(&mut self, plan: &'a PhysicalPlan, tp: Option<&ThreadPool>) -> Result<View> {
         if self.obs.is_none() {
             return self.op(plan, tp);
@@ -601,15 +600,14 @@ impl<'a> Exec<'a> {
                 let rk = self.read(plan, rsel, rcol, &mut rbuf);
                 let (lcol, lsel) = l.data(left_key)?;
                 let lk = self.read(plan, lsel, lcol, &mut lbuf);
-                let sort = SortMolecule::Comparison;
                 let (result, par) = match algo {
-                    JoinAlgorithm::SortOrderBased => {
-                        dqo_parallel::parallel_sort_merge_join(tp, lk, rk, sort, &lsel.bounds())?
+                    JoinAlgorithm::OrderBased => dqo_parallel::parallel_order_join(tp, lk, rk)?,
+                    JoinAlgorithm::BinarySearch => {
+                        dqo_parallel::parallel_binary_search_join(tp, lk, rk, DEFAULT_MORSEL_ROWS)?
                     }
                     _ => {
-                        let mut stats = PipelineStats::default();
-                        stats.record(join_blocking(*algo), (lk.len() + rk.len()) as u64);
-                        (run_join(*algo, lk, rk, &JoinHints::default())?, stats)
+                        let sort = SortMolecule::Comparison;
+                        dqo_parallel::parallel_sort_merge_join(tp, lk, rk, sort, &lsel.bounds())?
                     }
                 };
                 self.stats.merge(&par);
@@ -661,10 +659,6 @@ impl<'a> Exec<'a> {
                 Ok(view)
             }
             PhysicalPlan::Exchange { input, dop } => {
-                // An operator outside the kernel list runs serially.
-                if !input.has_parallel_kernel() {
-                    return self.run(input, None);
-                }
                 // A cheap handle: DOP for this Exchange, dispatch onto the
                 // session's persistent pool. When instrumented, a
                 // per-batch observation sink captures morsel and steal
@@ -723,7 +717,7 @@ impl<'a> Exec<'a> {
         let mut buf = Vec::new();
         let lk = self.read(join, sel, lcol, &mut buf);
         let rows = lk.len() + probe_rows;
-        self.stats.record(join_blocking(algo), rows as u64);
+        self.stats.record(Blocking::FullBreaker, rows as u64);
         let index = match algo {
             JoinAlgorithm::StaticPerfectHash => {
                 let (t, name) = l.column(left_key)?;
@@ -899,45 +893,29 @@ impl<'a> Exec<'a> {
         molecules: GroupingMolecules,
         tp: Option<&ThreadPool>,
     ) -> Result<View> {
-        let grouping = Grouping {
-            algo,
-            codes: molecules.codes,
-            table: HgTable::of(molecules),
-            sort: molecules.sort.unwrap_or(SortMolecule::Comparison),
-            tp,
-        };
-        let hashed = matches!(
-            algo,
-            GroupingAlgorithm::HashBased | GroupingAlgorithm::StaticPerfectHash
-        );
         let value = agg_input_column(aggs)?;
-        if let ([key], true) = (keys, hashed) {
+        // A serial grouping whose loader absorbed an `Exchange` has that
+        // pool load into a collect sink first, and folds the rows in order.
+        let src = self.source(input)?;
+        let src = match tp.is_none() && src.dop().is_some() {
+            true => Source::over(self.collected(src, None)?),
+            false => src,
+        };
+        let sorts = algo == GroupingAlgorithm::SortOrderBased;
+        if let ([key], false) = (keys, sorts) {
             // Single key: the fold reads the raw column — or its codes —
-            // at the rows the loader names (see `Exec::source`). A serial
-            // grouping whose loader absorbed an `Exchange` has that pool
-            // load into a collect sink first, and folds the rows in order.
-            let src = self.source(input)?;
-            let src = match tp.is_none() && src.dop().is_some() {
-                true => Source::over(self.collected(src, None)?),
-                false => src,
-            };
+            // at the rows the loader names (see `Exec::source`).
             let (kt, name) = src.view.column(key)?;
             let table = &src.view.tables[kt];
             let data = table.rel.column(name)?.as_u32()?;
-            let codes = grouping.codes.then(|| table.codes(name)).transpose()?;
-            let strategy = match algo {
-                GroupingAlgorithm::HashBased => GroupingStrategy::Hash(grouping.table),
-                _ => {
-                    // A covering domain: the codes', else the statistics',
-                    // else the key's range over its table's rows.
-                    let (min, max) = codes
-                        .map(KeyCodes::domain)
-                        .or_else(|| table.domain(name))
-                        .or_else(|| min_max(&table.sel, data))
-                        .unwrap_or((0, 0));
-                    GroupingStrategy::StaticPerfectHash { min, max }
-                }
-            };
+            let codes = molecules.codes.then(|| table.codes(name)).transpose()?;
+            // A covering domain: the codes', else the statistics', else
+            // the key's range over its table's rows.
+            let strategy = strategy(algo, molecules, || {
+                (codes.map(KeyCodes::domain))
+                    .or_else(|| table.domain(name))
+                    .or_else(|| min_max(&table.sel, data))
+            });
             let keys = codes.map_or(data, KeyCodes::codes);
             let (vt, values) = match value {
                 Some(value) if value != key || codes.is_some() => {
@@ -968,14 +946,14 @@ impl<'a> Exec<'a> {
                 ran.time(began);
                 Ok(())
             };
-            let feed = Feed::Loader {
-                strategy,
-                ascending,
-                columns: (keys, values),
+            let fold = Fold {
+                pool: tp,
                 tasks: pieces.len(),
                 load: &load,
+                columns: (keys, values),
+                ascending,
             };
-            let mut result = self.grouped(&grouping, feed, aggs)?;
+            let mut result = self.grouped(&fold, strategy, aggs)?;
             if let Some(codes) = codes {
                 codes.decode(&mut result.keys);
             }
@@ -989,12 +967,12 @@ impl<'a> Exec<'a> {
             )?));
         }
 
-        // SOG/OG/BSG, or a composite key: read the key columns through
-        // their selections. A composite key packs them into the u32 code
-        // domain where the per-column widths allow, and runs the very same
-        // single-column kernels on the packed codes; otherwise it falls
-        // back to the row-wise kernel.
-        let view = self.run(input, None)?;
+        // SOG, or a composite key: the key columns read through the rows
+        // the loader collects. A composite key packs them into the u32
+        // code domain where the per-column widths allow, and otherwise
+        // falls back to the row-wise kernel. SOG sorts the key — or the
+        // packed codes — and folds them as OG does, in the sorted order.
+        let view = self.collected(src, tp)?;
         let layouts = keys
             .iter()
             .map(|k| view.layout(k))
@@ -1018,174 +996,118 @@ impl<'a> Exec<'a> {
             }
             _ => key_cols[0],
         };
-        let out = if let [keys] = key_cols[..] {
-            let result = self.grouped(
-                &grouping,
-                Feed::Whole {
-                    keys,
-                    values,
-                    bounds,
-                },
-                aggs,
-            )?;
-            grouped_to_relation(&layouts, vec![result.keys], aggs, &result.states)?
-        } else if let Some(packer) = KeyPacker::fit(&key_cols) {
-            let packed = packer.pack(&key_cols);
-            self.copied(plan, std::mem::size_of_val(&packed[..]));
-            let all = Selection::all(packed.len());
-            let pieces = all.pieces(DEFAULT_MORSEL_ROWS);
-            let load = |t: usize, _: &mut Scratch, sink: Sink<'_>| {
-                sink(Rows::Piece(pieces[t].clone()));
-                Ok(())
-            };
-            let strategy = match algo {
-                GroupingAlgorithm::HashBased => Some(GroupingStrategy::Hash(grouping.table)),
-                GroupingAlgorithm::StaticPerfectHash => {
-                    let (min, max) = min_max(&all, &packed).unwrap_or((0, 0));
-                    Some(GroupingStrategy::StaticPerfectHash { min, max })
+        let packer = match key_cols.len() {
+            1 => None,
+            _ => match KeyPacker::fit(&key_cols) {
+                Some(packer) => Some(packer),
+                None => {
+                    let (cols, states) = rowwise_group(&key_cols, values, FullAgg);
+                    self.stats
+                        .record(Blocking::FullBreaker, values.len() as u64);
+                    return Ok(View::of(grouped_to_relation(
+                        &layouts, cols, aggs, &states,
+                    )?));
                 }
-                _ => None,
-            };
-            let feed = match strategy {
-                Some(strategy) => Feed::Loader {
-                    strategy,
-                    ascending: false,
-                    columns: (&packed, values),
-                    tasks: pieces.len(),
-                    load: &load,
-                },
-                None => Feed::Whole {
-                    keys: &packed,
-                    values,
-                    bounds: all.bounds(),
-                },
-            };
-            let result = self.grouped(&grouping, feed, aggs)?;
-            let (cols, states) = unpack_grouped(&packer, result);
-            grouped_to_relation(&layouts, cols, aggs, &states)?
-        } else {
-            let (cols, states) = rowwise_group(&key_cols, values, FullAgg);
-            self.stats
-                .record(Blocking::FullBreaker, values.len() as u64);
-            grouped_to_relation(&layouts, cols, aggs, &states)?
+            },
+        };
+        let packed = packer.as_ref().map(|packer| packer.pack(&key_cols));
+        if let Some(packed) = &packed {
+            self.copied(plan, std::mem::size_of_val(&packed[..]));
+        }
+        let keys = packed.as_deref().unwrap_or(key_cols[0]);
+        // SOG runs the sort granule feeding OG's fold; the other organelles
+        // fold the keys in place.
+        let sort = molecules.sort.unwrap_or(SortMolecule::Comparison);
+        let (all, m) = (Selection::all(keys.len()), DEFAULT_MORSEL_ROWS);
+        let whole = all.bounds();
+        let strategy = strategy(algo, molecules, || min_max(&all, keys));
+        let (result, par) = match (sorts, extrema(aggs)) {
+            (true, true) => parallel_sog(tp, keys, values, FullAgg, sort, &bounds)?,
+            (true, false) => widened(parallel_sog(tp, keys, values, CountSum, sort, &bounds)?),
+            (false, true) => parallel_grouping(tp, keys, values, FullAgg, strategy, &whole, m)?,
+            (false, false) => widened(parallel_grouping(
+                tp, keys, values, CountSum, strategy, &whole, m,
+            )?),
+        };
+        self.stats.merge(&par);
+        let out = match &packer {
+            Some(packer) => {
+                let (cols, states) = unpack_grouped(packer, result);
+                grouped_to_relation(&layouts, cols, aggs, &states)?
+            }
+            None => grouped_to_relation(&layouts, vec![result.keys], aggs, &result.states)?,
         };
         Ok(View::of(out))
     }
 
-    /// Group `feed` under `how`, into the narrowest state `aggs` reads:
-    /// COUNT/SUM's unless a MIN or MAX needs [`FullAgg`]'s, widened only
-    /// for the output (see [`widen`]).
-    fn grouped(
+    /// Run `fold` into `strategy`'s partials of the narrowest state `aggs`
+    /// reads: COUNT/SUM's unless a MIN or MAX needs [`FullAgg`]'s, widened
+    /// only for the output (see [`widened`]).
+    fn grouped<L>(
         &mut self,
-        how: &Grouping<'_>,
-        feed: Feed<'_>,
+        fold: &Fold<'_, L>,
+        strategy: GroupingStrategy,
         aggs: &[AggExpr],
-    ) -> Result<GroupedResult<FullAggState>> {
-        if aggs
-            .iter()
-            .any(|a| matches!(a.func, AggFunc::Min | AggFunc::Max))
-        {
-            return self.fold(how, feed, FullAgg);
-        }
-        let result = self.fold(how, feed, CountSum)?;
-        Ok(GroupedResult {
-            keys: result.keys,
-            states: result.states.into_iter().map(widen).collect(),
-            sorted_by_key: result.sorted_by_key,
-        })
-    }
-
-    /// Group `feed` under `how` and `agg`. HG and SPHG fold the rows the
-    /// loader names as it delivers them: in tasks on the grouping's pool,
-    /// else on the caller thread, in piece order — loaded first on the
-    /// `feed` pool of an `Exchange` a serial grouping absorbed. SOG, OG
-    /// and BSG read whole columns: SOG through its one loop, on the
-    /// grouping's pool or the caller thread; OG and BSG, which no
-    /// `Exchange` runs on a pool, through `execute_grouping`.
-    fn fold<A: Aggregator>(
-        &mut self,
-        how: &Grouping<'_>,
-        feed: Feed<'_>,
-        agg: A,
-    ) -> Result<GroupedResult<A::State>> {
-        let (strategy, ascending, columns, tasks, load) = match feed {
-            Feed::Loader {
-                strategy,
-                ascending,
-                columns,
-                tasks,
-                load,
-            } => (strategy, ascending, columns, tasks, load),
-            Feed::Whole {
-                keys,
-                values,
-                bounds,
-            } if how.algo == GroupingAlgorithm::SortOrderBased => {
-                let (result, par) =
-                    dqo_parallel::parallel_sog(how.tp, keys, values, agg, how.sort, &bounds)?;
-                self.stats.merge(&par);
-                return Ok(result);
-            }
-            Feed::Whole { keys, values, .. } => {
-                let hints = GroupingHints::default();
-                let result = execute_grouping(how.algo, keys, values, agg, &hints)?;
-                self.stats
-                    .record(grouping_blocking(how.algo), keys.len() as u64);
-                return Ok(result);
-            }
+    ) -> Result<GroupedResult<FullAggState>>
+    where
+        L: Fn(usize, &mut Scratch, Sink<'_>) -> std::result::Result<(), ExecError> + Sync,
+    {
+        let (result, par) = match extrema(aggs) {
+            true => dqo_parallel::parallel_grouping_tasks(fold, FullAgg, strategy)?,
+            false => widened(dqo_parallel::parallel_grouping_tasks(
+                fold, CountSum, strategy,
+            )?),
         };
-        let (result, par) = dqo_parallel::parallel_grouping_tasks(
-            how.tp, tasks, agg, strategy, ascending, columns, load,
-        )?;
         self.stats.merge(&par);
         Ok(result)
     }
 }
 
-/// A COUNT/SUM state as the output assembly reads it. Only a query with no
-/// MIN or MAX folds one, so the extrema keep the empty state's values.
-fn widen(s: CountSumState) -> FullAggState {
-    FullAggState {
-        count: s.count,
-        sum: s.sum,
-        ..FullAggState::default()
-    }
+/// Whether `aggs` read a MIN or MAX, which only [`FullAgg`]'s state keeps.
+fn extrema(aggs: &[AggExpr]) -> bool {
+    (aggs.iter()).any(|a| matches!(a.func, AggFunc::Min | AggFunc::Max))
 }
 
-/// A loader as `dqo_parallel::parallel_grouping_tasks` calls it.
-type Load<'s> =
-    dyn Fn(usize, &mut Scratch, Sink<'_>) -> std::result::Result<(), ExecError> + Sync + 's;
-
-/// What a grouping folds.
-enum Feed<'s> {
-    /// HG/SPHG: the rows `load` names, at which the fold reads `columns`.
-    Loader {
-        strategy: GroupingStrategy,
-        /// The keys ascend within every piece, in runs long enough that
-        /// HG/SPHG fold runs of equal keys, not rows (see
-        /// [`Table::long_runs`]).
-        ascending: bool,
-        columns: (&'s [u32], &'s [u32]),
-        tasks: usize,
-        load: &'s Load<'s>,
-    },
-    /// SOG, OG and BSG: whole key and value columns, in `bounds`' segments.
-    Whole {
-        keys: &'s [u32],
-        values: &'s [u32],
-        bounds: Vec<usize>,
-    },
+/// A COUNT/SUM grouping as the output assembly reads it. Only a query
+/// with no MIN or MAX folds one, so the extrema keep the empty state's
+/// values.
+fn widened(
+    (result, stats): (GroupedResult<CountSumState>, PipelineStats),
+) -> (GroupedResult<FullAggState>, PipelineStats) {
+    let states = (result.states.into_iter())
+        .map(|s| FullAggState {
+            count: s.count,
+            sum: s.sum,
+            ..FullAggState::default()
+        })
+        .collect();
+    let result = GroupedResult {
+        keys: result.keys,
+        states,
+        sorted_by_key: result.sorted_by_key,
+    };
+    (result, stats)
 }
 
-/// How a `GroupBy` node groups: the organelle, whether it reads the key's
-/// codes, the HG table and SOG sort molecules, and the pool handle when an
-/// `Exchange` asked for morsel parallelism.
-struct Grouping<'t> {
+/// The fold's partial for grouping organelle `algo` under `molecules`:
+/// HG's table, SPHG's array over the covering `domain`, BSG's sorted
+/// array, or OG's runs — which SOG folds in its sorted order.
+fn strategy(
     algo: GroupingAlgorithm,
-    codes: bool,
-    table: HgTable,
-    sort: SortMolecule,
-    tp: Option<&'t ThreadPool>,
+    molecules: GroupingMolecules,
+    domain: impl FnOnce() -> Option<(u32, u32)>,
+) -> GroupingStrategy {
+    match algo {
+        GroupingAlgorithm::HashBased => GroupingStrategy::Hash(HgTable::of(molecules)),
+        GroupingAlgorithm::StaticPerfectHash => {
+            let (min, max) = domain().unwrap_or((0, 0));
+            GroupingStrategy::StaticPerfectHash { min, max }
+        }
+        GroupingAlgorithm::OrderBased | GroupingAlgorithm::SortOrderBased => {
+            GroupingStrategy::Order
+        }
+        GroupingAlgorithm::BinarySearch => GroupingStrategy::BinarySearch,
+    }
 }
 
 /// A loader (see [`Exec::source`]): the nodes it absorbed and the view it
@@ -2135,6 +2057,7 @@ mod tests {
     use super::*;
     use crate::optimizer::{optimize, OptimizerMode};
     use dqo_exec::grouping::hg::hash_grouping_with;
+    use dqo_exec::grouping::{execute_grouping, GroupingHints};
     use dqo_plan::expr::CmpOp;
     use dqo_storage::datagen::{DatasetSpec, ForeignKeySpec};
 
@@ -2333,7 +2256,7 @@ mod tests {
     }
 
     #[test]
-    fn exchange_nodes_execute_correctly_and_degrade_gracefully() {
+    fn exchange_nodes_execute_correctly_on_the_pool() {
         let cat = Catalog::new();
         cat.register(
             "t",
@@ -2387,19 +2310,28 @@ mod tests {
         let out = execute(&sort_plan, &cat).unwrap();
         let keys = out.relation.column("key").unwrap().as_u32().unwrap();
         assert!(keys.windows(2).all(|w| w[0] <= w[1]));
-        // An Exchange around an operator the runtime genuinely does not
-        // cover (BSG grouping has no parallel twin) must fall back to
-        // serial execution, not fail.
+        // Exchange{BSG} runs BSG's fold on the pool: morsels are
+        // dispatched, the merge is one more breaker, and the groups are
+        // the serial ones, in the same ascending order.
+        let bsg = group_by(GroupingAlgorithm::BinarySearch);
+        let bsg_serial = execute(&bsg, &cat).unwrap();
         let bsg_plan = PhysicalPlan::Exchange {
-            input: Box::new(group_by(GroupingAlgorithm::BinarySearch)),
+            input: Box::new(bsg),
             dop: 4,
         };
-        let fallback = execute(&bsg_plan, &cat).unwrap();
+        let traced = ExecContext {
+            collect_metrics: true,
+            ..ExecContext::default()
+        };
+        let (par, nodes) = execute_with(&bsg_plan, &cat, &traced).unwrap();
+        assert!(nodes[0].morsels > 0, "BSG ran on the pool");
+        assert_eq!(par.pipeline.breakers, bsg_serial.pipeline.breakers + 1);
         assert_eq!(
-            sorted_rows(&fallback.relation),
-            sorted_rows(&serial.relation),
-            "BSG fallback"
+            rows_in_order(&par.relation),
+            rows_in_order(&bsg_serial.relation),
+            "parallel BSG"
         );
+        assert_eq!(sorted_rows(&par.relation), sorted_rows(&serial.relation));
     }
 
     #[test]
@@ -2566,11 +2498,12 @@ mod tests {
                 },
                 [1, 1207, 6000, 14484],
             ),
-            ("sog", sog(scan("S"), cmp), [1, 3000, 3000, 0]),
+            // SOG is the sort and then OG's fold, which streams the rows.
+            ("sog", sog(scan("S"), cmp), [1, 3000, 6000, 0]),
             (
                 "filtered radix sog",
                 sog(filtered(), radix),
-                [1, 1207, 6000, 9656],
+                [1, 1207, 7207, 9656],
             ),
             ("soj", soj(scan("S")), [1, 4000, 4000, 48000]),
             ("filtered soj", soj(filtered()), [1, 2207, 7000, 24140]),
@@ -2654,6 +2587,10 @@ mod tests {
             (
                 GroupingAlgorithm::StaticPerfectHash,
                 GroupingMolecules::defaults_for(GroupingAlgorithm::StaticPerfectHash),
+            ),
+            (
+                GroupingAlgorithm::BinarySearch,
+                GroupingMolecules::defaults_for(GroupingAlgorithm::BinarySearch),
             ),
         ];
         let filter = |input: PhysicalPlan, predicate: &Predicate| PhysicalPlan::Filter {

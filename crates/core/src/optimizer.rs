@@ -191,17 +191,6 @@ impl Op {
             _ => 0,
         }
     }
-
-    /// Whether the operator has a morsel-parallel kernel — what
-    /// [`PhysicalPlan::has_parallel_kernel`] says of the node it becomes.
-    pub(crate) fn has_parallel_kernel(&self) -> bool {
-        match self {
-            Op::Filter | Op::Sort(_) => true,
-            Op::Join(algo) => algo.has_parallel_kernel(),
-            Op::GroupBy(algo, _) => algo.has_parallel_kernel(),
-            _ => false,
-        }
-    }
 }
 
 /// The optimiser's final answer.
@@ -487,13 +476,20 @@ mod tests {
         // The Figure-5 R-unsorted/S-sorted cell at scale. At dop = 1
         // SQO plans the partial-sort molecule (SORT(R) + OJ + OG beats
         // HJ + HG, the paper's 2.8×-cell arithmetic). At dop = 4 the
-        // DOP-aware DP weighs the *parallel* twins of both families —
-        // the parallel sort enforcer against the partitioned HJ +
-        // parallel HG — and flips to the fully parallelisable hash
-        // plan, because OJ/OG stay serial while every hash organelle
-        // divides. Before the parallel sort subsystem this comparison
-        // was degenerate (sort-based plans could not parallelise at
-        // all); now both sides are costed for what they really do.
+        // DOP-aware search weighs the parallel twins of both families,
+        // and every organelle of both divides: the sort enforcer, OJ and
+        // OG as much as HJ and HG. The partial-sort molecule still wins,
+        // each of its three operators under its own `Exchange`:
+        //
+        //   parallel sort of R = 100 000·log₂100 000 / 4 + 100 000 / 4
+        //                        + 2·(1 000 + 4·2 500)        ≈ 462 241
+        //   OJ twin = (100 000 + 360 000) / 4 + 1 000 + 4·2 500
+        //             + 100 000                               = 226 000
+        //   OG twin = 360 000 / 4 + 1 000 + 4·2 500 + 4·20 000 = 181 000
+        //
+        // ≈ 869 241, against 1 022 000 for the parallel hash plan (HJ
+        // twin 4·(100 000 + 360 000) / 4 + 111 000 = 571 000, HG twin
+        // 4·360 000 / 4 + 91 000 = 451 000).
         let cat = Catalog::new();
         let (r, s) = ForeignKeySpec {
             r_rows: 100_000,
@@ -520,21 +516,30 @@ mod tests {
         assert_eq!(serial.plan.algo_signature(), vec!["OG", "OJ", "SORT"]);
         assert!(!serial.plan.explain().contains("Exchange"));
         let par = plan_at(4);
-        assert_eq!(par.plan.algo_signature(), vec!["HG", "HJ"]);
-        assert!(
-            par.plan.explain().contains("Exchange dop=4"),
+        assert_eq!(par.plan.algo_signature(), vec!["OG", "OJ", "SORT"]);
+        assert_eq!(
+            par.plan.explain().matches("Exchange dop=4").count(),
+            3,
             "plan: {}",
             par.plan.explain()
         );
-        assert!(par.est_cost < serial.est_cost);
-        // The flip is a genuine comparison, not hash-by-default: the
-        // parallel partial-sort plan also beat the serial baseline, it
-        // just lost to the parallel hash plan.
         let model = TupleCostModel;
-        let par_sort_plan = model.parallel_sort(100_000.0, 4)
-            + model.join(JoinAlgorithm::OrderBased, 100_000.0, 360_000.0, 100_000.0)
-            + model.grouping(GroupingAlgorithm::OrderBased, 360_000.0, 20_000.0);
-        assert!(par_sort_plan < serial.est_cost);
-        assert!(par.est_cost < par_sort_plan);
+        let (r, s, groups) = (100_000.0, 360_000.0, 20_000.0);
+        let par_sort_plan = model.parallel_sort(r, 4)
+            + model.parallel_join(JoinAlgorithm::OrderBased, r, s, r, 4)
+            + model.parallel_grouping(GroupingAlgorithm::OrderBased, s, groups, 4);
+        assert!(
+            (par.est_cost - par_sort_plan).abs() < 1e-6,
+            "{}",
+            par.est_cost
+        );
+        assert!((par_sort_plan - 869_241.0).abs() < 1.0);
+        // The flip back to hash is gone because OJ and OG now divide: the
+        // parallel hash plan costs more than the parallel partial sort.
+        let par_hash_plan = model.parallel_join(JoinAlgorithm::HashBased, r, s, r, 4)
+            + model.parallel_grouping(GroupingAlgorithm::HashBased, s, groups, 4);
+        assert_eq!(par_hash_plan, 1_022_000.0);
+        assert!(par.est_cost < par_hash_plan);
+        assert!(par.est_cost < serial.est_cost);
     }
 }

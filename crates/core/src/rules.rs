@@ -16,10 +16,10 @@
 //!   sortedness property where an order-based implementation would
 //!   otherwise be inapplicable (partial-sort plans fall out of this);
 //! * **the parallel-twin rule** — the one place a plan gains an
-//!   `Exchange{dop}`: the copy of a serial candidate whose operator is in
-//!   the kernel list ([`dqo_plan::PhysicalPlan::has_parallel_kernel`]) run at the
-//!   granted DOP, costed with the parallel cost model so plans only go
-//!   parallel past break-even. A twin that could only lose is not built.
+//!   `Exchange{dop}`: the copy of a serial filter, sort, join or grouping
+//!   candidate run at the granted DOP — each has one loop that runs on a
+//!   pool — costed with the parallel cost model so plans only go parallel
+//!   past break-even. A twin that could only lose is not built.
 //!
 //! Rules fire in exactly the order the pre-memo DP enumerated
 //! alternatives and feed the same interesting-property pruning
@@ -462,13 +462,14 @@ impl MemoOptimizer<'_> {
     }
 
     /// The parallel-twin rule — the one place a plan gains an `Exchange`:
-    /// at `dop > 1`, `serial`'s operator run at the granted DOP when it
-    /// has a morsel-parallel kernel ([`Op::has_parallel_kernel`]), priced
-    /// at what the operator's inputs cost plus `parallel`, the operator's
-    /// price at that DOP. The twin keeps the serial candidate's properties
-    /// — the parallel filter, sort and joins emit what their serial
-    /// kernels emit — except that a parallel grouping's deterministic
-    /// merge emits ascending keys, a property serial HG lacks.
+    /// at `dop > 1`, `serial`'s operator (a filter, sort, join or grouping:
+    /// the rules that call this) run at the granted DOP, priced at what
+    /// the operator's inputs cost plus `parallel`, the operator's price at
+    /// that DOP. The twin keeps the serial candidate's properties — the
+    /// parallel filter, sort and joins emit what their serial loops emit —
+    /// except that a parallel grouping emits ascending keys, a property
+    /// serial HG lacks (OG's stitch keeps its input's order, which OG's
+    /// precondition makes ascending).
     ///
     /// A twin that cannot win is not built. With the serial candidate's
     /// properties, it loses to it in pruning when it costs more. With
@@ -482,10 +483,10 @@ impl MemoOptimizer<'_> {
         inputs: f64,
         parallel: impl FnOnce(&dyn CostModel, usize) -> f64,
     ) -> Option<Choice> {
-        let s = self.memo.candidate(serial);
-        if self.dop < 2 || !s.op.has_parallel_kernel() {
+        if self.dop < 2 {
             return None;
         }
+        let s = self.memo.candidate(serial);
         let mut twin = Candidate {
             dop: self.dop,
             cost: inputs + parallel(self.model, self.dop),

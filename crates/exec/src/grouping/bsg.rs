@@ -20,9 +20,9 @@ use crate::grouping::GroupedResult;
 
 /// BSG with a known key set (the paper's setting).
 ///
-/// Keys not present in `known_keys` are ignored defensively? No — they are
-/// aggregated too: the sorted array is extended on first miss, keeping the
-/// operator total. With correct statistics the extension path never runs.
+/// Keys not present in `known_keys` are aggregated too: the sorted array is
+/// extended on first miss, keeping the operator total. With correct
+/// statistics the extension path never runs.
 pub fn binary_search_grouping<A: Aggregator>(
     keys: &[u32],
     values: &[u32],

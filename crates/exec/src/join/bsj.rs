@@ -1,38 +1,35 @@
 //! Binary Search Join (BSJ) — the join twin of BSG.
 //!
-//! The build side is argsorted into a (key, row) array; every probe is a
-//! binary search over it. Table 2 charges `(|R|+|S|)·log₂(#groups)`:
+//! The build side is sorted into a (key, row) array in the canonical total
+//! order — equal keys in row order, as every sort granule emits them; every
+//! probe is a binary search over it. Table 2 charges `(|R|+|S|)·log₂(#groups)`:
 //! logarithmic per tuple on both sides, which — like BSG — wins against
 //! hash joins only when the distinct-key count is tiny.
 
+use crate::join::soj::sorted_view;
 use crate::join::JoinResult;
+use std::ops::Range;
 
-/// Binary-search join: argsort `left_keys`, probe with `right_keys`.
+/// Binary-search join: sort `left_keys`, probe with `right_keys`.
 pub fn binary_search_join(left_keys: &[u32], right_keys: &[u32]) -> JoinResult {
-    // Sorted (key, original row) view of the build side.
-    let mut build: Vec<(u32, u32)> = left_keys
-        .iter()
-        .enumerate()
-        .map(|(i, &k)| (k, i as u32))
-        .collect();
-    build.sort_unstable_by_key(|&(k, _)| k);
+    probe(&sorted_view(left_keys), right_keys, 0..right_keys.len())
+}
 
-    let mut left_rows = Vec::new();
-    let mut right_rows = Vec::new();
-    for (j, &k) in right_keys.iter().enumerate() {
-        // Find the equal-key run via two boundary searches.
+/// The probes of `right_keys` at `rows` into the sorted `(key, row)` view
+/// `build`: each finds its key's run by two binary searches and pairs
+/// with the run's rows, probe by probe.
+pub fn probe(build: &[(u32, u32)], right_keys: &[u32], rows: Range<usize>) -> JoinResult {
+    let mut out = JoinResult::default();
+    for j in rows {
+        let k = right_keys[j];
         let lo = build.partition_point(|&(bk, _)| bk < k);
-        let hi = build.partition_point(|&(bk, _)| bk <= k);
+        let hi = lo + build[lo..].partition_point(|&(bk, _)| bk <= k);
         for &(_, li) in &build[lo..hi] {
-            left_rows.push(li);
-            right_rows.push(j as u32);
+            out.left_rows.push(li);
+            out.right_rows.push(j as u32);
         }
     }
-    JoinResult {
-        left_rows,
-        right_rows,
-        sorted_by_key: false,
-    }
+    out
 }
 
 #[cfg(test)]

@@ -2,70 +2,125 @@
 //!
 //! Requires **both** inputs sorted by the join key (the interesting-order
 //! precondition SQO already tracks); one synchronized pass, `|R|+|S|`
-//! abstract operations (Table 2), output sorted by key.
+//! abstract operations (Table 2), output sorted by key. The merge is one
+//! loop over positions of two [`Side`]s — key columns here, sorted
+//! `(key, row)` views in SOJ — which the morsel-parallel OJ and SOJ
+//! (`dqo-parallel::join`) run once per key-range partition.
 
 use crate::error::ExecError;
 use crate::join::JoinResult;
 use crate::Result;
+use std::ops::Range;
+
+/// One input of the merge: the key and the input row at each position.
+pub trait Side: Sync {
+    /// How many positions the side has.
+    fn positions(&self) -> usize;
+    /// The key at position `at`.
+    fn key(&self, at: usize) -> u32;
+    /// The input row at position `at`.
+    fn row(&self, at: usize) -> u32;
+}
+
+/// A key column in input order: position `at` is row `at`.
+impl Side for [u32] {
+    fn positions(&self) -> usize {
+        self.len()
+    }
+
+    #[inline]
+    fn key(&self, at: usize) -> u32 {
+        self[at]
+    }
+
+    #[inline]
+    fn row(&self, at: usize) -> u32 {
+        at as u32
+    }
+}
+
+/// A `(key, row)` view sorted by a sort granule.
+impl Side for [(u32, u32)] {
+    fn positions(&self) -> usize {
+        self.len()
+    }
+
+    #[inline]
+    fn key(&self, at: usize) -> u32 {
+        self[at].0
+    }
+
+    #[inline]
+    fn row(&self, at: usize) -> u32 {
+        self[at].1
+    }
+}
 
 /// Merge join over two ascending key columns.
 ///
-/// Errors if either input is found unsorted (checked on the fly at zero
-/// extra cost — the merge already inspects adjacent keys).
+/// Errors if either input is unsorted, anywhere — also past the point
+/// where the other input runs out.
 pub fn merge_join(left_keys: &[u32], right_keys: &[u32]) -> Result<JoinResult> {
-    let mut left_rows = Vec::new();
-    let mut right_rows = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < left_keys.len() && j < right_keys.len() {
-        check_order("left", left_keys, i)?;
-        check_order("right", right_keys, j)?;
-        let (lk, rk) = (left_keys[i], right_keys[j]);
+    ascends(left_keys, 0..left_keys.len(), "left")?;
+    ascends(right_keys, 0..right_keys.len(), "right")?;
+    Ok(merge(
+        left_keys,
+        0..left_keys.len(),
+        right_keys,
+        0..right_keys.len(),
+    ))
+}
+
+/// Whether the keys of `side` at `range` ascend, each against its
+/// predecessor (the one before the range included); `PreconditionViolated`
+/// naming the first row that does not.
+pub fn ascends<S: Side + ?Sized>(side: &S, range: Range<usize>, name: &str) -> Result<()> {
+    match (range.start.max(1)..range.end).find(|&at| side.key(at - 1) > side.key(at)) {
+        Some(at) => Err(ExecError::PreconditionViolated {
+            algorithm: "OJ",
+            detail: format!("{name} input unsorted at row {at}"),
+        }),
+        None => Ok(()),
+    }
+}
+
+/// The merge over the ascending positions `l` of `left` and `r` of
+/// `right`: the cross product of each matching key run, in position order.
+pub fn merge<S: Side + ?Sized>(
+    left: &S,
+    l: Range<usize>,
+    right: &S,
+    r: Range<usize>,
+) -> JoinResult {
+    let mut out = JoinResult {
+        sorted_by_key: true,
+        ..JoinResult::default()
+    };
+    let (mut i, mut j) = (l.start, r.start);
+    while i < l.end && j < r.end {
+        let (lk, rk) = (left.key(i), right.key(j));
         if lk < rk {
             i += 1;
         } else if lk > rk {
             j += 1;
         } else {
             // Equal runs on both sides → cross product of the runs.
-            let li0 = i;
-            while i < left_keys.len() && left_keys[i] == lk {
+            let (i0, j0) = (i, j);
+            while i < l.end && left.key(i) == lk {
                 i += 1;
             }
-            let rj0 = j;
-            while j < right_keys.len() && right_keys[j] == rk {
+            while j < r.end && right.key(j) == rk {
                 j += 1;
             }
-            for li in li0..i {
-                for rj in rj0..j {
-                    left_rows.push(li as u32);
-                    right_rows.push(rj as u32);
+            for li in i0..i {
+                for rj in j0..j {
+                    out.left_rows.push(left.row(li));
+                    out.right_rows.push(right.row(rj));
                 }
             }
         }
     }
-    // Verify the unconsumed tails too — correctness of the precondition
-    // matters more than the few comparisons this costs.
-    for k in i..left_keys.len() {
-        check_order("left", left_keys, k)?;
-    }
-    for k in j..right_keys.len() {
-        check_order("right", right_keys, k)?;
-    }
-    Ok(JoinResult {
-        left_rows,
-        right_rows,
-        sorted_by_key: true,
-    })
-}
-
-#[inline(always)]
-fn check_order(side: &'static str, keys: &[u32], at: usize) -> Result<()> {
-    if at > 0 && keys[at - 1] > keys[at] {
-        return Err(ExecError::PreconditionViolated {
-            algorithm: "OJ",
-            detail: format!("{side} input unsorted at row {at}"),
-        });
-    }
-    Ok(())
+    out
 }
 
 #[cfg(test)]

@@ -2,85 +2,32 @@
 //!
 //! Table 2: `|R|·log|R| + |S|·log|S| + |R| + |S|`. The sorts operate on
 //! (key, original-row) pairs so the emitted indices refer to the *original*
-//! input positions. When one input is already sorted the optimiser plans a
-//! partial SOJ (sort only the unsorted side) — that asymmetry is what makes
-//! Figure 5's R-unsorted/S-sorted cell 2.8× instead of 4×.
+//! input positions, and the merge is OJ's ([`crate::join::oj::merge`]).
+//! When one input is already sorted the optimiser plans a partial SOJ
+//! (a sort enforcer on the unsorted side, then OJ) — that asymmetry is
+//! what makes Figure 5's R-unsorted/S-sorted cell 2.8× instead of 4×.
 //!
 //! The sorted views use the **canonical total order** (key, row): equal
 //! keys come out in input order. That makes the output pair order a pure
 //! function of the inputs — the contract the morsel-parallel SOJ
 //! (`dqo-parallel::sort`) reproduces bit-for-bit at any DOP.
 
+use crate::join::oj::merge;
 use crate::join::JoinResult;
 
 /// Sort-merge join over arbitrarily ordered inputs.
 pub fn sort_merge_join(left_keys: &[u32], right_keys: &[u32]) -> JoinResult {
-    let left = sorted_view(left_keys);
-    let right = sorted_view(right_keys);
-    merge_join_views(&left, &right)
+    let (left, right) = (sorted_view(left_keys), sorted_view(right_keys));
+    merge(&left[..], 0..left.len(), &right[..], 0..right.len())
 }
 
-/// Partial SOJ: the left side is already sorted (verified cheaply by the
-/// merge), only the right side is sorted here. Mirrors the optimiser's
-/// "sort only R" plan.
-pub fn sort_right_merge_join(left_keys: &[u32], right_keys: &[u32]) -> JoinResult {
-    let left: Vec<(u32, u32)> = left_keys
-        .iter()
-        .enumerate()
-        .map(|(i, &k)| (k, i as u32))
-        .collect();
-    debug_assert!(left.windows(2).all(|w| w[0].0 <= w[1].0), "left not sorted");
-    let right = sorted_view(right_keys);
-    merge_join_views(&left, &right)
-}
-
-fn sorted_view(keys: &[u32]) -> Vec<(u32, u32)> {
-    let mut v: Vec<(u32, u32)> = keys
-        .iter()
-        .enumerate()
-        .map(|(i, &k)| (k, i as u32))
-        .collect();
+/// `keys` as `(key, row)` pairs in the canonical total order.
+pub fn sorted_view(keys: &[u32]) -> Vec<(u32, u32)> {
+    let mut v: Vec<(u32, u32)> = keys.iter().copied().zip(0..).collect();
     // Tuple order = (key, row): a total order, so the "unstable" sort is
     // effectively stable and the view is canonical for any sort algorithm.
     v.sort_unstable();
     v
-}
-
-/// Merge join over two (key, row)-sorted views, emitting the cross product
-/// of each matching key run in view order. Public so the parallel SOJ can
-/// run the identical kernel per key-range partition.
-pub fn merge_join_views(left: &[(u32, u32)], right: &[(u32, u32)]) -> JoinResult {
-    let mut left_rows = Vec::new();
-    let mut right_rows = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < left.len() && j < right.len() {
-        let (lk, rk) = (left[i].0, right[j].0);
-        if lk < rk {
-            i += 1;
-        } else if lk > rk {
-            j += 1;
-        } else {
-            let li0 = i;
-            while i < left.len() && left[i].0 == lk {
-                i += 1;
-            }
-            let rj0 = j;
-            while j < right.len() && right[j].0 == rk {
-                j += 1;
-            }
-            for l in &left[li0..i] {
-                for r in &right[rj0..j] {
-                    left_rows.push(l.1);
-                    right_rows.push(r.1);
-                }
-            }
-        }
-    }
-    JoinResult {
-        left_rows,
-        right_rows,
-        sorted_by_key: true,
-    }
 }
 
 #[cfg(test)]
@@ -104,15 +51,6 @@ mod tests {
         let r = sort_merge_join(&left, &right);
         // key 10: left row 1 ↔ right row 0; key 30: left row 0 ↔ right row 1.
         assert_eq!(r.normalised_pairs(), vec![(0, 1), (1, 0)]);
-    }
-
-    #[test]
-    fn sort_right_variant_matches_full_sort() {
-        let left = [1u32, 3, 3, 8]; // sorted
-        let right = [8u32, 3, 1, 3];
-        let a = sort_merge_join(&left, &right);
-        let b = sort_right_merge_join(&left, &right);
-        assert_eq!(a.normalised_pairs(), b.normalised_pairs());
     }
 
     #[test]

@@ -111,36 +111,9 @@ impl fmt::Display for PipelineStats {
     }
 }
 
-/// Blocking classification of the grouping variants — the §1 observation
-/// made explicit. HG's two phases (load table, then emit) block; OG
-/// streams; SOG's sort blocks; SPHG blocks only on output emission when
-/// the consumer needs sorted groups (we classify the canonical behaviour).
-pub fn grouping_blocking(algo: crate::grouping::GroupingAlgorithm) -> Blocking {
-    use crate::grouping::GroupingAlgorithm::*;
-    match algo {
-        // One pass, groups emitted as runs close — non-blocking.
-        OrderBased => Blocking::Pipelined,
-        // All others fill a table/array first: the textbook two-phase shape.
-        HashBased | StaticPerfectHash | SortOrderBased | BinarySearch => Blocking::FullBreaker,
-    }
-}
-
-/// Blocking classification of the join variants (probe sides stream; the
-/// classification is for the build/sort phase).
-pub fn join_blocking(algo: crate::join::JoinAlgorithm) -> Blocking {
-    use crate::join::JoinAlgorithm::*;
-    match algo {
-        // Merge join streams both sorted inputs.
-        OrderBased => Blocking::Pipelined,
-        HashBased | SortOrderBased | StaticPerfectHash | BinarySearch => Blocking::FullBreaker,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grouping::GroupingAlgorithm;
-    use crate::join::JoinAlgorithm;
 
     #[test]
     fn record_and_merge() {
@@ -156,30 +129,6 @@ mod tests {
         s.merge(&t);
         assert_eq!(s.breakers, 2);
         assert_eq!(s.materialised_rows, 60);
-    }
-
-    #[test]
-    fn og_is_the_only_pipelined_grouping() {
-        for algo in GroupingAlgorithm::all() {
-            let expected = algo == GroupingAlgorithm::OrderBased;
-            assert_eq!(
-                grouping_blocking(algo) == Blocking::Pipelined,
-                expected,
-                "{algo}"
-            );
-        }
-    }
-
-    #[test]
-    fn oj_is_the_only_pipelined_join() {
-        for algo in JoinAlgorithm::all() {
-            let expected = algo == JoinAlgorithm::OrderBased;
-            assert_eq!(
-                join_blocking(algo) == Blocking::Pipelined,
-                expected,
-                "{algo}"
-            );
-        }
     }
 
     #[test]

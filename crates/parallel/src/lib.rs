@@ -23,19 +23,21 @@
 //!   morsels from its own contiguous block through an atomic cursor,
 //!   then from the other runners' blocks. [`map_tasks`] runs a task list
 //!   on a pool or, with none, on the caller thread;
-//! * [`grouping`] — the one HG/SPHG loop: thread-local aggregation with
-//!   the plan's molecules (the HG table/hash pair, the dense SPH array)
-//!   and a deterministic sorted merge, or — with no pool — one fold on
+//! * [`grouping`] — the one grouping loop, every organelle a sink of it:
+//!   thread-local aggregation with the plan's molecules (the HG
+//!   table/hash pair, the dense SPH array, BSG's sorted array, OG's runs)
+//!   and a deterministic merge or stitch, or — with no pool — one fold on
 //!   the caller thread; a task's rows come from a loader, so a piece can
 //!   be narrowed by a filter and read through a selection inside the
 //!   task that aggregates it;
+//! * [`join`] — OJ's merge loop over key-run-aligned partitions that tile
+//!   both inputs, and BSJ's probe of a sorted build side by morsels;
 //! * [`sort`] + [`merge_path`] — the sort granule: run formation (pdqsort
 //!   or LSB radix, the plan's molecule), one run per worker, followed by
 //!   a Merge Path multi-way merge whose per-worker output ranges are
-//!   disjoint, contiguous and deterministic; top-n, SOG (run aggregation
-//!   with deterministic boundary stitching) and SOJ (range-partitioned
-//!   merge join) build on it, covering the paper's sort-based operator
-//!   family.
+//!   disjoint, contiguous and deterministic; top-n builds on it, SOG is
+//!   the sort feeding OG's fold and SOJ the sorts feeding OJ's loop,
+//!   covering the paper's sort-based operator family.
 //!
 //! Algorithmic Views are built by these same kernels: `dqo-core` sorts a
 //! sorted projection with [`parallel_argsort`] and groups a materialised
@@ -62,6 +64,7 @@
 
 pub mod admission;
 pub mod grouping;
+pub mod join;
 pub mod merge_path;
 pub mod morsel;
 pub mod persistent;
@@ -70,8 +73,9 @@ pub mod sort;
 
 pub use admission::{AdmissionController, AdmissionPermit};
 pub use grouping::{
-    parallel_grouping, parallel_grouping_tasks, GroupingStrategy, Rows, Scratch, Sink,
+    parallel_grouping, parallel_grouping_tasks, Fold, GroupingStrategy, Rows, Scratch, Sink,
 };
+pub use join::{parallel_binary_search_join, parallel_order_join};
 pub use morsel::{morsels, morsels_within, Morsel, DEFAULT_MORSEL_ROWS};
 pub use persistent::{default_threads, PersistentPool};
 pub use pool::{map_tasks, BatchObs, PoolError, ThreadPool};

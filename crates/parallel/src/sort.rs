@@ -1,6 +1,6 @@
-//! The sort granule and the sort-based operators built on it: argsort,
-//! top-n, SOG and SOJ, each one loop that runs on a pool or, with none,
-//! on the caller thread.
+//! The sort granule and the sort-based operators built on it: argsort and
+//! top-n, each one loop that runs on a pool or, with none, on the caller
+//! thread, and SOG and SOJ, the sort feeding OG's fold or OJ's loop.
 //!
 //! The paper treats the sort as an unnestable granule and *which* sort to
 //! run as a molecule-level decision (the E9 ablation); this module keeps
@@ -21,23 +21,24 @@
 //!    for any DOP, worker count, or steal order, and equal to the stable
 //!    [`dqo_exec::sort::argsort`].
 //!
-//! [`parallel_sog`] aggregates the sorted pairs range by range and
-//! stitches the per-range boundary groups with the decomposable-aggregate
-//! merge; [`parallel_sort_merge_join`] sorts both sides and runs the
-//! merge kernel per disjoint key-range partition. Both equal
-//! `dqo-exec`'s `sog::sort_order_grouping` and `soj::sort_merge_join` bit
-//! for bit at every DOP, one part without a pool.
+//! [`parallel_sog`] is the sort feeding OG's fold, and
+//! [`parallel_sort_merge_join`] the sorts of both sides feeding OJ's loop;
+//! neither has a loop of its own. Both equal `dqo-exec`'s
+//! `sog::sort_order_grouping` and `soj::sort_merge_join` bit for bit at
+//! every DOP.
 
-use crate::morsel::morsels;
+use crate::grouping::{parallel_grouping_tasks, Fold, GroupingStrategy, Rows, Scratch, Sink};
+use crate::join::parallel_order_join;
+use crate::morsel::{morsels, DEFAULT_MORSEL_ROWS};
 use crate::pool::{map_tasks, PoolError, ThreadPool};
 use dqo_exec::aggregate::Aggregator;
 use dqo_exec::grouping::GroupedResult;
-use dqo_exec::join::soj::merge_join_views;
 use dqo_exec::join::JoinResult;
 use dqo_exec::pipeline::{Blocking, PipelineStats};
 use dqo_exec::sort::{keep_smallest, radix_sort_pairs_by_key};
 use dqo_exec::ExecError;
 use dqo_plan::SortMolecule;
+use dqo_storage::Piece;
 
 use crate::merge_path::{kway_merge_to, partition_merge};
 
@@ -201,14 +202,12 @@ pub fn parallel_top_n(
     Ok((pairs.into_iter().map(|(_, row)| row).collect(), stats))
 }
 
-/// SOG: sort the grouping key (see [`parallel_sort_index`]), then
-/// aggregate the runs of the sorted pairs range by range and stitch the
-/// ranges' boundary groups. Requires a decomposable aggregate (merging
-/// the two partial states of a group split across a range boundary must
-/// be exact) — true for COUNT/SUM/MIN/MAX/AVG, which is all the engine
-/// plans. With no `pool` the caller sorts one run and aggregates one
-/// range, and the sort is the only breaker. Output keys ascend; the result
-/// equals [`dqo_exec::grouping::sog::sort_order_grouping`] bit for bit.
+/// SOG: the sort granule (see [`parallel_argsort`]) feeding OG's fold
+/// ([`GroupingStrategy::Order`]), which reads the keys and values at the
+/// sorted order, piece by piece, and stitches the pieces' boundary groups.
+/// Requires a decomposable aggregate — true for COUNT/SUM/MIN/MAX/AVG,
+/// which is all the engine plans. Output keys ascend; the result equals
+/// [`dqo_exec::grouping::sog::sort_order_grouping`] bit for bit.
 pub fn parallel_sog<A: Aggregator>(
     pool: Option<&ThreadPool>,
     keys: &[u32],
@@ -217,81 +216,38 @@ pub fn parallel_sog<A: Aggregator>(
     molecule: SortMolecule,
     bounds: &[usize],
 ) -> Result<(GroupedResult<A::State>, PipelineStats), ExecError> {
-    assert!(A::IS_DECOMPOSABLE, "SOG requires a decomposable aggregate");
     if keys.len() != values.len() {
         return Err(ExecError::LengthMismatch {
             keys: keys.len(),
             values: values.len(),
         });
     }
-    let (sorted, mut stats) = parallel_sort_index(pool, keys, molecule, bounds)?;
-    let n = sorted.len();
-    let parts = pool.map_or(1, ThreadPool::threads).min(n.max(1));
-    let bounds: Vec<usize> = (0..=parts).map(|w| w * n / parts).collect();
-
-    // The OG core per range: every task aggregates the runs inside its
-    // contiguous range of the sorted pairs.
-    let segments: Vec<(Vec<u32>, Vec<A::State>)> = map_tasks(pool, parts, |w| {
-        let mut seg_keys: Vec<u32> = Vec::new();
-        let mut seg_states: Vec<A::State> = Vec::new();
-        for &(k, row) in &sorted[bounds[w]..bounds[w + 1]] {
-            if seg_keys.last() != Some(&k) {
-                seg_keys.push(k);
-                seg_states.push(A::State::default());
-            }
-            agg.update(
-                seg_states.last_mut().expect("just pushed"),
-                values[row as usize],
-            );
-        }
-        (seg_keys, seg_states)
-    })?;
-
-    // Deterministic run-boundary stitching: a group whose run straddles a
-    // range boundary appears as the last group of one segment and the
-    // first of the next; merge their partial states. Decomposability
-    // makes the result independent of where the boundaries fell — i.e.
-    // of the DOP.
-    let mut keys_out: Vec<u32> = Vec::new();
-    let mut states: Vec<A::State> = Vec::new();
-    for (seg_keys, seg_states) in segments {
-        let mut iter = seg_keys.into_iter().zip(seg_states);
-        if let Some((k, s)) = iter.next() {
-            if keys_out.last() == Some(&k) {
-                agg.merge(states.last_mut().expect("non-empty"), &s);
-            } else {
-                keys_out.push(k);
-                states.push(s);
-            }
-        }
-        for (k, s) in iter {
-            keys_out.push(k);
-            states.push(s);
-        }
-    }
-    if pool.is_some() {
-        stats.record(Blocking::FullBreaker, keys_out.len() as u64);
-    }
-    Ok((
-        GroupedResult {
-            keys: keys_out,
-            states,
-            sorted_by_key: true,
-        },
-        stats,
-    ))
+    let (order, mut stats) = parallel_argsort(pool, keys, molecule, bounds)?;
+    let pieces: Vec<&[u32]> = order.chunks(DEFAULT_MORSEL_ROWS).collect();
+    let load = |t: usize, _: &mut Scratch, sink: Sink<'_>| {
+        sink(Rows::Piece(Piece::Rows(pieces[t])));
+        Ok(())
+    };
+    let (tasks, columns, ascending) = (pieces.len(), (keys, values), false);
+    let fold = Fold {
+        pool,
+        tasks,
+        load: &load,
+        columns,
+        ascending,
+    };
+    let (result, fold) = parallel_grouping_tasks(&fold, agg, GroupingStrategy::Order)?;
+    stats.merge(&fold);
+    Ok((result, stats))
 }
 
-/// SOJ: sort both inputs into canonical (key, row) views — the **left
-/// (build) side** with one run per segment of `left_bounds` (see
-/// [`parallel_sort_index`]) — then a range-partitioned merge join: the
-/// sorted left view is cut into contiguous partitions **aligned to key
-/// boundaries** (no key run is ever split), each task binary-searches the
-/// right view for its partition's key range and runs the merge kernel,
-/// and chunks concatenate in partition order. With no `pool` there is one
-/// partition, and the join over both sides is the only breaker (on a
-/// pool each side's sort records its own). Output pairs equal
-/// [`dqo_exec::join::soj::sort_merge_join`] bit for bit at every DOP.
+/// SOJ: the sort granule on both inputs — the **left (build) side** with
+/// one run per segment of `left_bounds` (see [`parallel_sort_index`]) —
+/// then OJ's loop over the two sorted `(key, row)` views (see
+/// [`crate::join`]). With no `pool` the join over both sides is the only
+/// breaker (on a pool each side's sort records its own). Output pairs
+/// equal [`dqo_exec::join::soj::sort_merge_join`] bit for bit at every
+/// DOP.
 pub fn parallel_sort_merge_join(
     pool: Option<&ThreadPool>,
     left: &[u32],
@@ -306,43 +262,8 @@ pub fn parallel_sort_merge_join(
         stats.merge(&left_stats);
         stats.merge(&right_stats);
     }
-
-    let n = ls.len();
-    let parts = pool.map_or(1, ThreadPool::threads).min(n.max(1));
-    // Candidate boundaries at even positions, advanced past the current
-    // key run so partitions own disjoint key ranges.
-    let mut bounds: Vec<usize> = Vec::with_capacity(parts + 1);
-    bounds.push(0);
-    for w in 1..parts {
-        let mut b = (w * n / parts).max(*bounds.last().expect("non-empty"));
-        while b > 0 && b < n && ls[b].0 == ls[b - 1].0 {
-            b += 1;
-        }
-        bounds.push(b);
-    }
-    bounds.push(n);
-
-    let chunks: Vec<JoinResult> = map_tasks(pool, parts, |w| {
-        let (a, b) = (bounds[w], bounds[w + 1]);
-        if a >= b {
-            return JoinResult::default();
-        }
-        let (lo, hi) = (ls[a].0, ls[b - 1].0);
-        let r_start = rs.partition_point(|p| p.0 < lo);
-        let r_end = rs.partition_point(|p| p.0 <= hi);
-        merge_join_views(&ls[a..b], &rs[r_start..r_end])
-    })?;
-    stats.record(Blocking::FullBreaker, (n + right.len()) as u64);
-
-    let mut result = chunks
-        .into_iter()
-        .reduce(|mut all, chunk| {
-            all.left_rows.extend_from_slice(&chunk.left_rows);
-            all.right_rows.extend_from_slice(&chunk.right_rows);
-            all
-        })
-        .unwrap_or_default();
-    result.sorted_by_key = true;
+    let (result, _) = parallel_order_join(pool, &ls[..], &rs[..])?;
+    stats.record(Blocking::FullBreaker, (left.len() + right.len()) as u64);
     Ok((result, stats))
 }
 

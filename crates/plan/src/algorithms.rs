@@ -48,11 +48,6 @@ impl GroupingAlgorithm {
         matches!(self, GroupingAlgorithm::OrderBased)
     }
 
-    /// Requires a dense key domain.
-    pub fn requires_dense_domain(self) -> bool {
-        matches!(self, GroupingAlgorithm::StaticPerfectHash)
-    }
-
     /// Produces output sorted by group key (a plan property; §2.2).
     pub fn produces_sorted_output(self) -> bool {
         matches!(
@@ -60,16 +55,6 @@ impl GroupingAlgorithm {
             GroupingAlgorithm::StaticPerfectHash
                 | GroupingAlgorithm::SortOrderBased
                 | GroupingAlgorithm::BinarySearch
-        )
-    }
-
-    /// Has a morsel-parallel kernel: HG, SPHG and SOG.
-    pub fn has_parallel_kernel(self) -> bool {
-        matches!(
-            self,
-            GroupingAlgorithm::HashBased
-                | GroupingAlgorithm::StaticPerfectHash
-                | GroupingAlgorithm::SortOrderBased
         )
     }
 
@@ -123,26 +108,11 @@ impl JoinAlgorithm {
         matches!(self, JoinAlgorithm::OrderBased)
     }
 
-    /// Requires a dense build-side key domain.
-    pub fn requires_dense_domain(self) -> bool {
-        matches!(self, JoinAlgorithm::StaticPerfectHash)
-    }
-
     /// Output ordered by join key.
     pub fn produces_sorted_output(self) -> bool {
         matches!(
             self,
             JoinAlgorithm::OrderBased | JoinAlgorithm::SortOrderBased
-        )
-    }
-
-    /// Has a morsel-parallel kernel: HJ, SPHJ and SOJ.
-    pub fn has_parallel_kernel(self) -> bool {
-        matches!(
-            self,
-            JoinAlgorithm::HashBased
-                | JoinAlgorithm::StaticPerfectHash
-                | JoinAlgorithm::SortOrderBased
         )
     }
 
@@ -275,7 +245,6 @@ mod tests {
         use GroupingAlgorithm::*;
         assert_eq!(HashBased.abbrev(), "HG");
         assert!(OrderBased.requires_partitioned_input());
-        assert!(StaticPerfectHash.requires_dense_domain());
         assert!(SortOrderBased.produces_sorted_output());
         assert!(StaticPerfectHash.produces_sorted_output());
         assert!(!HashBased.produces_sorted_output());
@@ -288,7 +257,6 @@ mod tests {
         assert_eq!(HashBased.abbrev(), "HJ");
         assert!(OrderBased.requires_sorted_inputs());
         assert!(!SortOrderBased.requires_sorted_inputs());
-        assert!(StaticPerfectHash.requires_dense_domain());
         assert!(OrderBased.produces_sorted_output());
         assert!(SortOrderBased.produces_sorted_output());
         assert!(!HashBased.produces_sorted_output());

@@ -135,10 +135,10 @@ pub enum PhysicalPlan {
     /// Morsel-driven parallel execution of the operator below at a given
     /// degree of parallelism — the plan's only statement of parallelism,
     /// attached when the DOP-aware cost model says the startup + merge
-    /// overhead pays off. The executor runs the child's work-sensitive
-    /// phase on `dqo-parallel` when the child is in the kernel list,
-    /// [`PhysicalPlan::has_parallel_kernel`]; an `Exchange` around any
-    /// other operator degrades to serial execution.
+    /// overhead pays off. The executor hands the pool to the child, whose
+    /// one `dqo-parallel` loop runs its tasks there: a filter's loader, a
+    /// sort, any of the five joins or five groupings. An operator with no
+    /// loop of its own (a scan, a projection, a limit) ignores it.
     Exchange {
         /// The operator to parallelise.
         input: Box<PhysicalPlan>,
@@ -159,20 +159,6 @@ impl PhysicalPlan {
             | PhysicalPlan::Limit { input, .. }
             | PhysicalPlan::Exchange { input, .. } => vec![input],
             PhysicalPlan::Join { left, right, .. } => vec![left, right],
-        }
-    }
-
-    /// Whether this operator has a morsel-parallel kernel — the one list
-    /// of what an [`PhysicalPlan::Exchange`] above it can run in
-    /// parallel: filter, sort, the HJ / SPHJ / SOJ joins and the
-    /// HG / SPHG / SOG groupings. The optimiser's parallel-twin rule and
-    /// the executor both read it.
-    pub fn has_parallel_kernel(&self) -> bool {
-        match self {
-            PhysicalPlan::Filter { .. } | PhysicalPlan::Sort { .. } => true,
-            PhysicalPlan::Join { algo, .. } => algo.has_parallel_kernel(),
-            PhysicalPlan::GroupBy { algo, .. } => algo.has_parallel_kernel(),
-            _ => false,
         }
     }
 

@@ -991,3 +991,336 @@ fn composite_av_builds_bit_identical_across_dop() {
     let sig = AvSignature::composite("m", &keys, AvKind::SphIndex);
     assert!(dqo::core::av::plan_av(&entry, &sig).is_err());
 }
+
+/// A table of `(key, row)`: each key beside its row id, so a join's
+/// output names the rows it paired.
+fn keyed(key: &str, keys: &[u32]) -> dqo::Relation {
+    use dqo::storage::{Column, DataType, Field, Relation, Schema};
+    let schema = Schema::new(vec![
+        Field::new(key, DataType::U32),
+        Field::new(format!("{key}_row"), DataType::U32),
+    ])
+    .unwrap();
+    let rows = (0..keys.len() as u32).collect();
+    Relation::new(schema, vec![Column::U32(keys.to_vec()), Column::U32(rows)]).unwrap()
+}
+
+/// `plan` under `Exchange dop`, executed traced: its rows in order, and
+/// whether the Exchange dispatched morsels. A precondition failure comes
+/// back as the kernel's typed error.
+fn on_pool(
+    plan: &dqo::plan::PhysicalPlan,
+    dop: usize,
+    cat: &dqo::Catalog,
+) -> Result<(Vec<Vec<Value>>, bool), dqo::core::CoreError> {
+    use dqo::core::executor::{execute_with, ExecContext};
+    let wrapped = dqo::plan::PhysicalPlan::Exchange {
+        input: Box::new(plan.clone()),
+        dop,
+    };
+    let traced = ExecContext {
+        collect_metrics: true,
+        ..ExecContext::default()
+    };
+    let (out, nodes) = execute_with(&wrapped, cat, &traced)?;
+    let rows = (0..out.relation.rows())
+        .map(|i| out.relation.row(i).unwrap())
+        .collect();
+    Ok((rows, nodes[0].morsels > 0))
+}
+
+/// The `u32` column `name` of `plan`'s output, in order.
+fn column_of(plan: &dqo::plan::PhysicalPlan, name: &str, cat: &dqo::Catalog) -> Vec<u32> {
+    let out = dqo::core::executor::execute(plan, cat).unwrap().relation;
+    out.column(name).unwrap().as_u32().unwrap().to_vec()
+}
+
+fn is_precondition<T>(r: &Result<T, dqo::core::CoreError>, organelle: &str) -> bool {
+    use dqo::core::CoreError;
+    use dqo::exec::ExecError;
+    matches!(
+        r,
+        Err(CoreError::Exec(ExecError::PreconditionViolated { algorithm, .. })) if *algorithm == organelle
+    )
+}
+
+/// Ascending keys over three morsels and a bit: runs of 70 000 rows, so
+/// that a key run crosses every piece boundary; runs of 7; one group.
+fn ascending_inputs() -> Vec<(&'static str, Vec<u32>)> {
+    let n = 3 * dqo::parallel::DEFAULT_MORSEL_ROWS as u32 + 1_000;
+    vec![
+        ("straddling", (0..n).map(|i| i / 70_000 * 3).collect()),
+        ("short runs", (0..n).map(|i| i / 7 * 2 + 5).collect()),
+        ("one group", vec![42; n as usize]),
+        ("one row", vec![9]),
+        ("empty", vec![]),
+    ]
+}
+
+/// OG and BSG under `Exchange dop=1/2/8` fold their pieces on the pool,
+/// and their output is `order_grouping`'s and
+/// `binary_search_grouping_discover`'s, group for group and in order — over
+/// key runs that cross every piece boundary, one giant group, a pruned
+/// partitioned scan whose pieces stop at partition bounds, one row and
+/// none. OG over an input not partitioned by key fails with its typed
+/// error at every DOP, also when the one key that reappears does so only
+/// across pieces.
+#[test]
+fn og_and_bsg_on_the_pool_equal_their_serial_kernels() {
+    use dqo::exec::aggregate::FullAgg;
+    use dqo::exec::grouping::bsg::binary_search_grouping_discover;
+    use dqo::exec::grouping::og::order_grouping;
+    use dqo::plan::physical::GroupingMolecules;
+    use dqo::plan::{AggExpr, AggFunc, GroupingAlgorithm, PhysicalPlan};
+    use dqo::storage::{PartitionSpec, PartitionedRelation};
+
+    let cat = dqo::Catalog::new();
+    let scan = |table: &str| PhysicalPlan::Scan {
+        table: table.into(),
+    };
+    let mut inputs: Vec<(String, PhysicalPlan)> = Vec::new();
+    for (name, keys) in ascending_inputs() {
+        cat.register(name, keyed("key", &keys));
+        inputs.push((name.into(), scan(name)));
+    }
+    // Six range partitions of the short runs; the scan keeps 1, 2 and 4.
+    let (_, short) = ascending_inputs().swap_remove(1);
+    let spec = PartitionSpec::range("key", (1..6).map(|i| i * 10_000).collect());
+    cat.register_partitioned(
+        "parted",
+        PartitionedRelation::new(keyed("key", &short), spec).unwrap(),
+    );
+    let parted = PhysicalPlan::PartitionedScan {
+        table: "parted".into(),
+        parts: vec![1, 2, 4],
+        total: 6,
+    };
+    inputs.push(("partitioned".into(), parted));
+
+    let group_by = |input: &PhysicalPlan, algo| PhysicalPlan::GroupBy {
+        input: Box::new(input.clone()),
+        keys: vec!["key".into()],
+        aggs: vec![
+            AggExpr::count_star("n"),
+            AggExpr::on(AggFunc::Sum, "key_row", "s"),
+            AggExpr::on(AggFunc::Max, "key_row", "hi"),
+        ],
+        algo,
+        molecules: GroupingMolecules::defaults_for(algo),
+    };
+    for (name, input) in &inputs {
+        let keys = column_of(input, "key", &cat);
+        let values = column_of(input, "key_row", &cat);
+        let og = order_grouping(&keys, &values, FullAgg).unwrap();
+        let bsg = binary_search_grouping_discover(&keys, &values, FullAgg);
+        for (algo, serial) in [
+            (GroupingAlgorithm::OrderBased, og),
+            (GroupingAlgorithm::BinarySearch, bsg),
+        ] {
+            let expect: Vec<Vec<Value>> = (serial.keys.iter().zip(&serial.states))
+                .map(|(&k, s)| {
+                    vec![
+                        Value::U32(k),
+                        Value::U64(s.count),
+                        Value::U64(s.sum),
+                        Value::U32(s.max),
+                    ]
+                })
+                .collect();
+            for dop in THREAD_COUNTS {
+                let (rows, pooled) = on_pool(&group_by(input, algo), dop, &cat).unwrap();
+                assert!(rows == expect, "{algo:?} over {name} at dop={dop}");
+                assert!(
+                    pooled || keys.is_empty(),
+                    "{algo:?} over {name} at dop={dop}"
+                );
+            }
+        }
+    }
+
+    // Not partitioned by key: every key in every piece, and ascending keys
+    // whose last row repeats the first key, three pieces away.
+    let n = 3 * dqo::parallel::DEFAULT_MORSEL_ROWS as u32 + 1_000;
+    let mut last_is_first: Vec<u32> = (0..n).map(|i| i / 7 + 1).collect();
+    last_is_first[n as usize - 1] = 1;
+    let cyclic: Vec<u32> = (0..n).map(|i| i % 1_000).collect();
+    for (name, keys) in [("cyclic", cyclic), ("last is first", last_is_first)] {
+        cat.register(name, keyed("key", &keys));
+        let serial = order_grouping(&keys, &keys, FullAgg);
+        assert!(serial.is_err(), "{name}");
+        for dop in THREAD_COUNTS {
+            let r = on_pool(
+                &group_by(&scan(name), GroupingAlgorithm::OrderBased),
+                dop,
+                &cat,
+            );
+            assert!(
+                is_precondition(&r, "OG"),
+                "{name} dop={dop}: {:?}",
+                r.map(|_| ())
+            );
+        }
+    }
+}
+
+/// The pairs of a nested-loop join, outer row by outer row and each
+/// outer row's inner rows in row order, as `(outer, inner)` row ids. The
+/// inner rows of a key come from a map, so it shares no code with the
+/// engine's merge or probe: OJ over ascending sides emits its pairs in
+/// this order with the left side outer, BSJ with the probe side outer.
+fn nested_loop(outer: &[u32], inner: &[u32]) -> Vec<(u32, u32)> {
+    let mut rows: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+    for (r, &k) in (0..).zip(inner) {
+        rows.entry(k).or_default().push(r);
+    }
+    let matches = |k| rows.get(k).into_iter().flatten();
+    (0..)
+        .zip(outer)
+        .flat_map(|(o, k)| matches(k).map(move |&r| (o, r)))
+        .collect()
+}
+
+/// OJ and BSJ under `Exchange dop=1/2/8` run their loops on the pool, and
+/// their output pairs are `merge_join`'s and `binary_search_join`'s, in
+/// order, and a nested-loop join's — over a build key run that spans
+/// every partition cut (to the end of the build side, too), a probe
+/// key run that crosses every morsel boundary, a partitioned build side,
+/// one row and none; BSJ also over unsorted sides. OJ over a side that
+/// does not ascend fails with its typed error at every DOP, also when the
+/// rows out of order sit above the build side's last key, where no
+/// partition's key range reaches.
+#[test]
+fn oj_and_bsj_on_the_pool_equal_their_serial_kernels() {
+    use dqo::exec::join::bsj::binary_search_join;
+    use dqo::exec::join::oj::merge_join;
+    use dqo::plan::{JoinAlgorithm, PhysicalPlan};
+    use dqo::storage::{PartitionSpec, PartitionedRelation};
+
+    let n = 3 * dqo::parallel::DEFAULT_MORSEL_ROWS as u32 + 1_000;
+    let runs_of_three: Vec<u32> = (0..60_000).map(|i| i / 3).collect();
+    let probe_runs: Vec<u32> = (0..n).map(|i| i / 70_000 * 5_000).collect();
+    let mut giant = vec![7u32; 50_000];
+    giant.extend([8, 9]);
+    let mut giant_last = vec![1u32, 2];
+    giant_last.extend([7; 50_000]);
+    let unsorted_build: Vec<u32> = (0..3_000u32)
+        .map(|i| i.wrapping_mul(7_919) % 1_000)
+        .collect();
+    let unsorted_probe: Vec<u32> = (0..n).map(|i| i.wrapping_mul(31) % 1_200).collect();
+    let cases: Vec<(&str, Vec<u32>, Vec<u32>, bool)> = vec![
+        ("probe runs", runs_of_three.clone(), probe_runs, true),
+        ("giant build run", giant, vec![1, 7, 7, 9, 10], true),
+        (
+            "giant last build run",
+            giant_last,
+            vec![1, 7, 7, 9, 10],
+            true,
+        ),
+        ("giant probe run", vec![3, 7, 8], vec![7; n as usize], true),
+        ("one row", vec![4], vec![4], true),
+        ("empty build", vec![], vec![1, 2], true),
+        ("empty probe", vec![1, 2], vec![], true),
+        ("unsorted", unsorted_build, unsorted_probe, false),
+    ];
+    let scan = |table: &str| {
+        Box::new(PhysicalPlan::Scan {
+            table: table.into(),
+        })
+    };
+    let join = |left: Box<PhysicalPlan>, right: &str, algo| PhysicalPlan::Join {
+        left,
+        right: scan(right),
+        left_key: "bk".into(),
+        right_key: "pk".into(),
+        algo,
+    };
+    let cat = dqo::Catalog::new();
+    let mut plans = Vec::new();
+    for (name, left, right, sorted) in cases {
+        let (b, p) = (format!("{name} b"), format!("{name} p"));
+        cat.register(&b, keyed("bk", &left));
+        cat.register(&p, keyed("pk", &right));
+        plans.push((name.to_string(), scan(&b), p, sorted));
+    }
+    // The build side in four range partitions, scanning 0, 2 and 3.
+    let spec = PartitionSpec::range("bk", vec![5_000, 10_000, 15_000]);
+    let parted = PartitionedRelation::new(keyed("bk", &runs_of_three), spec).unwrap();
+    cat.register_partitioned("parted b", parted);
+    let parted = Box::new(PhysicalPlan::PartitionedScan {
+        table: "parted b".into(),
+        parts: vec![0, 2, 3],
+        total: 4,
+    });
+    plans.push(("partitioned".into(), parted, "probe runs p".into(), true));
+
+    for (name, build, probe, sorted) in &plans {
+        let (left, right) = (
+            column_of(build, "bk", &cat),
+            column_of(&scan(probe), "pk", &cat),
+        );
+        let (left_rows, right_rows) = (
+            column_of(build, "bk_row", &cat),
+            column_of(&scan(probe), "pk_row", &cat),
+        );
+        let mut legs = vec![(
+            JoinAlgorithm::BinarySearch,
+            binary_search_join(&left, &right),
+        )];
+        if *sorted {
+            legs.push((
+                JoinAlgorithm::OrderBased,
+                merge_join(&left, &right).unwrap(),
+            ));
+        }
+        for (algo, serial) in legs {
+            let pairs = (serial.left_rows.iter().copied()).zip(serial.right_rows.iter().copied());
+            let reference = match algo {
+                JoinAlgorithm::OrderBased => nested_loop(&left, &right),
+                _ => (nested_loop(&right, &left).into_iter())
+                    .map(|(r, l)| (l, r))
+                    .collect(),
+            };
+            assert!(pairs.eq(reference), "{algo:?} over {name}: serial order");
+            let expect: Vec<Vec<Value>> = (serial.left_rows.iter().zip(&serial.right_rows))
+                .map(|(&l, &r)| {
+                    let (l, r) = (l as usize, r as usize);
+                    [left[l], left_rows[l], right[r], right_rows[r]]
+                        .map(Value::U32)
+                        .to_vec()
+                })
+                .collect();
+            for dop in THREAD_COUNTS {
+                let (rows, pooled) = on_pool(&join(build.clone(), probe, algo), dop, &cat).unwrap();
+                assert!(rows == expect, "{algo:?} over {name} at dop={dop}");
+                assert!(
+                    pooled || left.is_empty() || right.is_empty(),
+                    "{algo:?} over {name} at dop={dop}"
+                );
+            }
+        }
+    }
+
+    // Not ascending: a build side out of order, and a probe side whose last
+    // two rows swap above the build side's last key.
+    let mut swapped: Vec<u32> = (0..100_000).collect();
+    swapped.swap(99_998, 99_999);
+    let unsorted: Vec<u32> = (0..40_000u32).map(|i| (40_000 - i) / 2).collect();
+    let steps: Vec<u32> = (0..4_000).map(|i| i / 2 * 10).collect();
+    for (name, left, right) in [
+        ("build out of order", unsorted, steps.clone()),
+        ("probe out of order past the build", steps, swapped),
+    ] {
+        assert!(merge_join(&left, &right).is_err(), "{name}");
+        let (b, p) = (format!("{name} b"), format!("{name} p"));
+        cat.register(&b, keyed("bk", &left));
+        cat.register(&p, keyed("pk", &right));
+        for dop in THREAD_COUNTS {
+            let r = on_pool(&join(scan(&b), &p, JoinAlgorithm::OrderBased), dop, &cat);
+            assert!(
+                is_precondition(&r, "OJ"),
+                "{name} dop={dop}: {:?}",
+                r.map(|_| ())
+            );
+        }
+    }
+}
