@@ -112,7 +112,7 @@ impl AvBuilder {
         let permit = self.pool.admission().admit(self.requested_dop);
         let table_lock = self.catalog.mutation_lock(&sig.table);
         let _write_guard = table_lock.lock();
-        let entry = self.catalog.get(&sig.table)?;
+        let entry = self.catalog.stored(&sig.table)?;
         self.build_from(&entry, sig, permit.dop())
     }
 

@@ -17,25 +17,31 @@
 //!   row-wise. `u64` additions are exact and commutative, so the merged
 //!   relation is bit-identical to grouping the combined table from
 //!   scratch.
-//! * **Sorted projection — run-merge**: the delta is stable-sorted and
-//!   merged straight into the published artifact (`merge_sorted`:
-//!   `O(delta · log n)` searches, then each output column is copied range
-//!   by range straight out of the artifact and the sorted delta — one
-//!   copy per column, no intermediate concatenation). The insertion
-//!   points the searches found travel to publish with the sorted delta,
-//!   so the hidden relation's statistics fold the delta at those seams
-//!   ([`DataProps::fold`](dqo_storage::DataProps::fold)) instead of being
-//!   recomputed over the whole projection.
-//!   Consumers scan the hidden `__av::` relation directly, so it is
-//!   always completely sorted. The argsort of the delta is stable, the
-//!   artifact holds original row ids `0..n` in `(key, row id)` order and
-//!   the delta holds `n..n+d`, so left-first tie-breaking reproduces the
-//!   `(key, original row id)` order of a from-scratch rebuild exactly.
+//! * **Sorted projection — tail append, then prefix merge**: the
+//!   projection is a sorted prefix followed by a tail of at most
+//!   [`tail_limit`] (⌈√rows⌉) rows in append order. A delta is appended to
+//!   the tail in place, extending the projection's buffers as the base
+//!   table's are extended — O(delta), nothing copied. Once the tail would
+//!   outgrow its bound, the prefix and the stably sorted tail are merged
+//!   into a new prefix (`merge_sorted`: `O(tail · log n)` searches, then
+//!   each output column is copied range by range straight out of the
+//!   prefix and the sorted tail, into buffers with room for the next
+//!   tail): one O(n) copy per ⌈√rows⌉ appended rows. The executor shows
+//!   every consumer the rows in key order — the prefix merged with the
+//!   stably sorted tail, a prefix row first on equal keys (see
+//!   [`SortedPrefix`](crate::catalog::SortedPrefix)) — and the hidden
+//!   relation's statistics describe that order and fold the delta either
+//!   way, their sortedness decided from the pairs of rows the delta made
+//!   neighbours in key order. The argsorts are stable, the prefix holds
+//!   original row ids in `(key, row id)` order and every tail row was
+//!   appended after all of them, so left-first tie-breaking reproduces
+//!   the `(key, original row id)` order of a from-scratch rebuild exactly.
 //!   A delta larger than `REBUILD_RATIO` of the combined table rebuilds
 //!   inline: the merge would read nearly everything a fresh sort does.
-//!   A delta whose every insertion point is the projection's end (keys
-//!   that never decrease, e.g. timestamps) is an append: the projection
-//!   extends its own buffers in place, like the base table does.
+//!   A delta onto an empty tail whose keys all follow the prefix's (keys
+//!   that never decrease, e.g. timestamps) just lengthens the prefix, in
+//!   place. [`Catalog::get`](crate::Catalog::get) hands a projection with
+//!   a tail out in key order too, copied: what a rebuild would hold.
 //! * **SPH index — patch-or-rebuild**: when the delta keys fit the
 //!   existing dense domain, [`JoinIndex::patch`](dqo_exec::join::JoinIndex::patch)
 //!   keeps the published CSR as its main part, shared, and puts the
@@ -67,6 +73,7 @@ use dqo_obs::{names, Counter, Histogram, MetricsRegistry, DURATION_BUCKETS};
 use dqo_parallel::ThreadPool;
 use dqo_storage::Relation;
 use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -101,9 +108,9 @@ pub struct MaintenanceOutcome {
     /// Join handle of a background rebuild, when one was spawned.
     pub rebuild: Option<AvBuildHandle>,
     /// Bytes the inline step wrote into new buffers: all of a merged
-    /// grouping or a rebuilt view, the new buffers of a sorted projection
-    /// (none when it was extended in place), an SPH index's tail or
-    /// merged main CSR; 0 for a background rebuild.
+    /// grouping or a rebuilt view, a sorted projection's merged prefix
+    /// (none when a delta was appended to its tail or prefix in place),
+    /// an SPH index's tail or merged main CSR; 0 for a background rebuild.
     pub bytes_copied: usize,
 }
 
@@ -186,9 +193,9 @@ impl ViewMaintainer {
                 AvArtifact::MaterialisedGrouping(stored) => {
                     Some(maintain_grouping(&av, stored, combined, delta)?)
                 }
-                AvArtifact::SortedProjection(current) => {
+                AvArtifact::SortedProjection(current, prefix) => {
                     let (updated, action, merged) =
-                        maintain_sorted(&av, current, combined, delta, pool)?;
+                        maintain_sorted(&av, (current, *prefix), combined, delta, pool)?;
                     gained = merged.map(|(rows, at)| (&**current, rows, at));
                     Some((updated, action))
                 }
@@ -204,7 +211,7 @@ impl ViewMaintainer {
                     let delta = gained.as_ref().map(|(base, rows, at)| RowDelta {
                         base,
                         rows,
-                        at: Some(at),
+                        at: at.as_deref(),
                     });
                     // Refused only when DDL replaced the table under this
                     // insert; that DDL's invalidation owns the views now.
@@ -248,7 +255,7 @@ impl ViewMaintainer {
 fn bytes_written(new: &AvArtifact, old: &AvArtifact) -> usize {
     match (new, old) {
         (AvArtifact::SphIndex(new), AvArtifact::SphIndex(old)) => new.bytes_not_shared_with(old),
-        (AvArtifact::SortedProjection(new), AvArtifact::SortedProjection(old))
+        (AvArtifact::SortedProjection(new, _), AvArtifact::SortedProjection(old, _))
         | (AvArtifact::MaterialisedGrouping(new), AvArtifact::MaterialisedGrouping(old)) => {
             new.bytes_not_shared_with(old)
         }
@@ -313,33 +320,107 @@ fn maintain_grouping(
     Ok((updated, DeltaAction::Merge))
 }
 
-/// The rows a run-merge put into a sorted projection and their insertion
-/// points — what the hidden relation's statistics fold.
-type Merged = (Relation, Vec<usize>);
+/// The most rows a sorted projection of `rows` rows keeps in its tail:
+/// ⌈√rows⌉. Readers pay one extra fold or sort of that many rows; the
+/// O(rows) merge that empties the tail comes once per that many
+/// appended rows.
+pub fn tail_limit(rows: usize) -> usize {
+    let root = rows.isqrt();
+    root + usize::from(root * root < rows)
+}
 
-/// Run-merge for sorted projections: the stable-sorted delta goes
-/// straight into the published artifact, or — past [`REBUILD_RATIO`] —
-/// the projection is rebuilt from the combined table. A merge also
-/// returns what it put where.
+/// The delta rows a maintenance step put into a sorted projection and,
+/// when it sorted them in, how many old rows precede each in key order
+/// (`None`: appended after every row) — what the hidden relation's
+/// statistics fold.
+type Merged = (Relation, Option<Vec<usize>>);
+
+/// Maintain a sorted projection whose first `prefix` rows of `current`
+/// are sorted: append the delta to the tail, or — onto an empty tail,
+/// keys all following the prefix's — to the prefix; merge the prefix with
+/// the stably sorted tail and delta once they would outgrow
+/// [`tail_limit`]; past [`REBUILD_RATIO`], rebuild from the combined
+/// table. Returns the delta rows it put in and where, in key order among
+/// the old rows, except after a rebuild, whose statistics are computed
+/// afresh.
 fn maintain_sorted(
     av: &Av,
-    current: &Relation,
+    (current, prefix): (&Relation, usize),
     combined: &TableEntry,
     delta: &Relation,
     pool: Option<&ThreadPool>,
 ) -> Result<(Av, DeltaAction, Option<Merged>)> {
     let sig = &av.signature;
-    if delta.rows() as f64 > REBUILD_RATIO * combined.relation.rows() as f64 {
+    let rows = combined.relation.rows();
+    if delta.rows() as f64 > REBUILD_RATIO * rows as f64 {
         let rebuilt = materialise_av(combined, sig, pool)?;
         return Ok((rebuilt, DeltaAction::Rebuild, None));
     }
-    let delta_sorted = delta.gather(&key_order(&key_columns(delta, sig)?, None)?);
-    let (merged, at) = merge_sorted(current, &delta_sorted, &sig.key_columns())?;
+    let (key_names, old) = (sig.key_columns(), current.rows());
+    let room = 2 * tail_limit(rows);
+    let (next, prefix, gained) = if old == prefix && follows(current, delta, &key_names)? {
+        let sorted = delta.gather(&key_order(&key_columns(delta, sig)?, None)?);
+        let (next, at) = merge_sorted((current, prefix), &sorted, &key_names, room)?;
+        (next, rows, Some((sorted, Some(at))))
+    } else if old - prefix + delta.rows() <= tail_limit(rows) {
+        let all = 0..old + delta.rows();
+        let next = concat_rows(current, delta, std::slice::from_ref(&all), room)?;
+        (next, prefix, Some((delta.clone(), None)))
+    } else {
+        let (next, landed) = merge_tail(av, (current, prefix), delta, room)?;
+        (next, rows, Some(landed))
+    };
     let mut updated = av.clone();
-    updated.provides.rows = merged.rows() as u64;
-    updated.byte_size = merged.byte_size();
-    updated.artifact = Some(AvArtifact::SortedProjection(Arc::new(merged)));
-    Ok((updated, DeltaAction::Merge, Some((delta_sorted, at))))
+    updated.provides.rows = next.rows() as u64;
+    updated.byte_size = next.byte_size();
+    updated.artifact = Some(AvArtifact::SortedProjection(Arc::new(next), prefix));
+    Ok((updated, DeltaAction::Merge, gained))
+}
+
+/// `current`'s first `prefix` rows merged with its tail and `delta`, stably
+/// sorted, into a relation all in key order with room for `room` more
+/// rows; and the delta's rows, sorted, with how many old rows precede each
+/// in key order — the prefix's, and the tail's sorted before it.
+fn merge_tail(
+    av: &Av,
+    (current, prefix): (&Relation, usize),
+    delta: &Relation,
+    room: usize,
+) -> Result<(Relation, Merged)> {
+    let old = current.rows();
+    // The tail and the delta, in append order, then stably sorted.
+    let rows = prefix..old + delta.rows();
+    let tail = concat_rows(current, delta, std::slice::from_ref(&rows), 0)?;
+    let order = key_order(&key_columns(&tail, &av.signature)?, None)?;
+    let key_names = av.signature.key_columns();
+    let (next, at) = merge_sorted((current, prefix), &tail.gather(&order), &key_names, room)?;
+    let (t, mut before) = ((old - prefix) as u32, 0);
+    let mut landed = (Vec::new(), Vec::new());
+    for (&row, at) in order.iter().zip(at) {
+        match row.checked_sub(t) {
+            Some(j) => {
+                landed.0.push(j);
+                landed.1.push(at + before);
+            }
+            None => before += 1,
+        }
+    }
+    Ok((next, (delta.gather(&landed.0), Some(landed.1))))
+}
+
+/// Whether every row of `b` sorts at or after the last row of `a` — or
+/// `a` has none.
+fn follows(a: &Relation, b: &Relation, key_names: &[&str]) -> Result<bool> {
+    let Some(last) = a.rows().checked_sub(1) else {
+        return Ok(true);
+    };
+    let keys = |rel| -> Result<Vec<&[u32]>> {
+        let column = |k| -> Result<&[u32]> { Ok(Relation::column(rel, k)?.as_u32()?) };
+        key_names.iter().copied().map(column).collect()
+    };
+    let (ka, kb) = (keys(a)?, keys(b)?);
+    let top = || ka.iter().map(|k| k[last]);
+    Ok((0..b.rows()).all(|j| kb.iter().map(|k| k[j]).ge(top())))
 }
 
 /// Patch an SPH join index with the appended keys; `None` when they fall
@@ -356,29 +437,31 @@ fn patch_sph(av: &Av, index: &JoinIndex, delta: &Relation, first_row: usize) -> 
     Ok(Some(updated))
 }
 
-/// Two-way merge of two key-sorted relations, `a` winning ties — the
-/// stability that makes run-merges reproduce a stable rebuild. `b` is the
-/// small side (a sorted delta): each of its rows is placed by binary
-/// search after every row of `a` that is not greater, and the merged
-/// order is a list of row *ranges* of `a ++ b` — runs of `a` between
-/// insertion points, rows of `b` at them — copied straight out of `a` and
-/// `b` into each output column ([`Column::concat_select`]), one pass and
-/// no intermediate concatenation — or, when every insertion point is
-/// `a`'s end, `a`'s columns extended by `b`'s, in place when `a` is its
-/// buffers' tip. Dictionaries prefer `b`'s, which on
-/// every maintenance path carries the newest (superset) dictionary.
+/// Two-way merge of `a`'s first `n` rows and `b`, both key-sorted, `a`
+/// winning ties — the stability that makes a merge reproduce a stable
+/// rebuild. `b` is the small side (a sorted tail or delta): each of its
+/// rows is placed by binary search after every row of `a` that is not
+/// greater, and the merged order is a list of row *ranges* of `a ++ b` —
+/// runs of `a` between insertion points, rows of `b` at them — copied
+/// straight out of `a` and `b` into each output column (see
+/// [`concat_rows`]), with room for `room` more rows — or, when every
+/// insertion point is `a`'s end, `a`'s columns extended by `b`'s, in
+/// place when `a` is its buffers' tip.
 ///
 /// Returns the merged relation and each `b` row's insertion point (the
 /// number of `a` rows before it) — the seam its statistics fold at.
-///
-/// [`Column::concat_select`]: dqo_storage::Column::concat_select
-fn merge_sorted(a: &Relation, b: &Relation, key_names: &[&str]) -> Result<(Relation, Vec<usize>)> {
+fn merge_sorted(
+    (a, n): (&Relation, usize),
+    b: &Relation,
+    key_names: &[&str],
+    room: usize,
+) -> Result<(Relation, Vec<usize>)> {
     let keys_of = |rel| -> Result<Vec<&[u32]>> {
         let column = |k| -> Result<&[u32]> { Ok(Relation::column(rel, k)?.as_u32()?) };
         key_names.iter().copied().map(column).collect()
     };
     let (ka, kb) = (keys_of(a)?, keys_of(b)?);
-    let (n, m) = (a.rows(), b.rows());
+    let (off, m) = (a.rows(), b.rows());
     let a_le_b = |i: usize, j: usize| {
         let mut order = ka.iter().zip(&kb).map(|(x, y)| x[i].cmp(&y[j]));
         order
@@ -390,7 +473,7 @@ fn merge_sorted(a: &Relation, b: &Relation, key_names: &[&str]) -> Result<(Relat
     let mut at = Vec::with_capacity(m);
     let mut start = 0usize;
     for j in 0..m {
-        // First row of `a[start..]` that is greater than `b[j]`.
+        // First row of `a[start..n]` that is greater than `b[j]`.
         let (mut lo, mut hi) = (start, n);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
@@ -401,19 +484,32 @@ fn merge_sorted(a: &Relation, b: &Relation, key_names: &[&str]) -> Result<(Relat
             }
         }
         ranges.push(start..lo);
-        ranges.push(n + j..n + j + 1);
+        ranges.push(off + j..off + j + 1);
         at.push(lo);
         start = lo;
     }
     ranges.push(start..n);
+    Ok((concat_rows(a, b, &ranges, room)?, at))
+}
 
+/// The rows `ranges` select from `a ++ b`, in order, each column copied
+/// straight out of the two ([`Column::concat_select`]) into buffers with
+/// room for `room` more rows — or extended in place, when the ranges are
+/// all of `a` then all of `b`. Dictionaries prefer `b`'s, which on every
+/// maintenance path carries the newest (superset) dictionary.
+///
+/// [`Column::concat_select`]: dqo_storage::Column::concat_select
+fn concat_rows(
+    a: &Relation,
+    b: &Relation,
+    ranges: &[Range<usize>],
+    room: usize,
+) -> Result<Relation> {
     let width = a.schema().width();
     let mut cols = Vec::with_capacity(width);
     for idx in 0..width {
-        cols.push(
-            a.column_at(idx)?
-                .concat_select(b.column_at(idx)?, &ranges)?,
-        );
+        let column = a.column_at(idx)?;
+        cols.push(column.concat_select(b.column_at(idx)?, ranges, room)?);
     }
     let mut merged = Relation::new(a.schema().clone(), cols)?;
     for idx in 0..width {
@@ -421,7 +517,7 @@ fn merge_sorted(a: &Relation, b: &Relation, key_names: &[&str]) -> Result<(Relat
             merged = merged.with_dictionary_at(idx, Arc::clone(dict))?;
         }
     }
-    Ok((merged, at))
+    Ok(merged)
 }
 
 #[cfg(test)]
@@ -445,7 +541,7 @@ mod tests {
     fn merge_sorted_is_stable_left_first() {
         let a = rel2(vec![1, 3, 3, 7], vec![0, 1, 2, 3]);
         let b = rel2(vec![0, 3, 7, 9], vec![10, 11, 12, 13]);
-        let (merged, at) = merge_sorted(&a, &b, &["k"]).unwrap();
+        let (merged, at) = merge_sorted((&a, 4), &b, &["k"], 0).unwrap();
         assert_eq!(
             merged.column("k").unwrap().as_u32().unwrap(),
             &[0, 1, 3, 3, 3, 7, 7, 9]
@@ -466,7 +562,7 @@ mod tests {
             (5, [0, 1, 2, 10, 11]),
         ] {
             let delta = rel2(vec![delta_key; 2], vec![10, 11]);
-            let (merged, _) = merge_sorted(&base, &delta, &["k"]).unwrap();
+            let (merged, _) = merge_sorted((&base, 3), &delta, &["k"], 0).unwrap();
             assert_eq!(merged.column("v").unwrap().as_u32().unwrap(), &want);
         }
     }
@@ -475,10 +571,10 @@ mod tests {
     fn merge_sorted_handles_empty_sides() {
         let a = rel2(vec![], vec![]);
         let b = rel2(vec![2, 5], vec![1, 2]);
-        let (m, at) = merge_sorted(&a, &b, &["k"]).unwrap();
+        let (m, at) = merge_sorted((&a, 0), &b, &["k"], 0).unwrap();
         assert_eq!(m.column("k").unwrap().as_u32().unwrap(), &[2, 5]);
         assert_eq!(at, [0, 0]);
-        let (m, at) = merge_sorted(&b, &a, &["k"]).unwrap();
+        let (m, at) = merge_sorted((&b, 2), &a, &["k"], 0).unwrap();
         assert_eq!(m.rows(), 2);
         assert!(at.is_empty());
     }

@@ -76,7 +76,7 @@ pub fn enumerate_candidates(catalog: &Catalog) -> Result<Vec<Av>> {
         if table.starts_with("__av::") {
             continue; // never index the views themselves
         }
-        let entry = catalog.get(&table)?;
+        let entry = catalog.stored(&table)?;
         let mut cols: Vec<&String> = entry.column_props.keys().collect();
         cols.sort();
         for col in cols {
@@ -152,7 +152,10 @@ pub fn workload_composite_candidates(
             // Missing statistics (unknown table/column) just skip the
             // candidate — the workload may reference tables that are not
             // registered yet.
-            if let Ok(av) = catalog.get(table).and_then(|entry| plan_av(&entry, &sig)) {
+            if let Ok(av) = catalog
+                .stored(table)
+                .and_then(|entry| plan_av(&entry, &sig))
+            {
                 out.push(av);
             }
         }

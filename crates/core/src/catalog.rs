@@ -11,7 +11,8 @@
 use crate::error::CoreError;
 use crate::Result;
 use dqo_storage::{
-    DataProps, DataType, KeyCodes, PartitionedRelation, Partitioning, Relation, Seam,
+    DataProps, DataType, KeyCodes, PartitionedRelation, Partitioning, Relation, Seam, Selection,
+    Sortedness,
 };
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -46,24 +47,207 @@ pub struct TableEntry {
     /// tables. Kept alongside the relation so a reader's snapshot of the
     /// entry is always internally consistent.
     pub partitioning: Option<Arc<Partitioning>>,
+    /// For a sorted projection whose rows end in a tail not yet merged:
+    /// where its sorted prefix ends. `None` when every row is in order —
+    /// always so in an entry [`Catalog::get`] hands out. The column
+    /// statistics describe the rows in key order.
+    pub sorted_prefix: Option<SortedPrefix>,
+}
+
+/// A sorted projection's hidden relation as an INSERT leaves it (see
+/// [`crate::av_delta`]): rows `[0, rows)` in key order, then a tail of at
+/// least one row in append order. Its rows *in key order* — what every
+/// reader sees and what a rebuild would hold — are the prefix merged with
+/// the stably sorted tail, a prefix row first on equal keys: ordered by
+/// `(key tuple, row id)`, since every tail row was appended after every
+/// prefix row and the tail is in append order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SortedPrefix {
+    /// Rows in the sorted prefix.
+    pub rows: usize,
+    /// The projection's key columns, in key order.
+    pub key: Vec<String>,
+}
+
+impl SortedPrefix {
+    /// The key columns of `rel`.
+    fn keys<'r>(&self, rel: &'r Relation) -> Result<Vec<&'r [u32]>> {
+        (self.key.iter())
+            .map(|k| Ok(rel.column(k)?.as_u32()?))
+            .collect()
+    }
+
+    /// The rows `sel` selects of `rel` — ascending row ids, as a scan or
+    /// a filter over one hands them on — in key order, the first `limit`
+    /// of them: the prefix's selected rows as they are, merged with the
+    /// tail's, stably sorted by key. `None` when no tail row is selected,
+    /// so `sel` is in key order already.
+    pub(crate) fn key_order(
+        &self,
+        rel: &Relation,
+        sel: &Selection,
+        limit: usize,
+    ) -> Result<Option<Vec<u32>>> {
+        let p = self.rows as u32;
+        let mut tail: Vec<u32> = match sel {
+            Selection::Ranges(rs) => (rs.iter())
+                .flat_map(|r| r.start.max(self.rows) as u32..r.end.max(self.rows) as u32)
+                .collect(),
+            Selection::Rows(ids) => ids[ids.partition_point(|&i| i < p)..].to_vec(),
+        };
+        if tail.is_empty() {
+            return Ok(None);
+        }
+        let keys = self.keys(rel)?;
+        let tuple = |row: u32| keys.iter().map(move |k| k[row as usize]);
+        tail.sort_by(|&a, &b| tuple(a).cmp(tuple(b)));
+        let prefix = sel.iter().take_while(|&i| i < p);
+        let mut prefix = prefix.peekable();
+        let mut tail = tail.into_iter().peekable();
+        let mut out = Vec::with_capacity(sel.len().min(limit));
+        while out.len() < limit {
+            // Equal keys: the prefix row, appended earlier, goes first.
+            let take_tail = match (prefix.peek(), tail.peek()) {
+                (Some(&a), Some(&b)) => tuple(b).lt(tuple(a)),
+                (None, Some(_)) => true,
+                (_, None) => false,
+            };
+            match if take_tail {
+                tail.next()
+            } else {
+                prefix.next()
+            } {
+                Some(row) => out.push(row),
+                None => break,
+            }
+        }
+        Ok(Some(out))
+    }
+
+    /// The sortedness in key order of column `col` of `rel`, whose rows
+    /// from `first` on were just appended to its tail, when `col` had
+    /// sortedness `old` in key order before (see [`sortedness_after`]).
+    /// Each appended row's neighbours in key order are found by a binary
+    /// search of the prefix and a scan of the tail: O(delta · (log rows +
+    /// tail)), and nothing for a column that was unsorted already or is
+    /// the first key column, which ascends by construction.
+    fn sortedness(
+        &self,
+        rel: &Relation,
+        name: &str,
+        col: &[u32],
+        old: (Sortedness, bool),
+        first: usize,
+    ) -> Result<Sortedness> {
+        if self.key[0] == name {
+            return Ok(Sortedness::Ascending);
+        }
+        let keys = self.keys(rel)?;
+        let tuple = |row: usize| keys.iter().map(move |k| k[row]);
+        let order = |a: usize, b: usize| tuple(a).cmp(tuple(b)).then(a.cmp(&b));
+        let neighbours = |x: usize| {
+            // Prefix rows precede `x` exactly when their key is not greater.
+            let (mut lo, mut hi) = (0usize, self.rows);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                match tuple(mid).le(tuple(x)) {
+                    true => lo = mid + 1,
+                    false => hi = mid,
+                }
+            }
+            let mut prev = lo.checked_sub(1);
+            let mut next = (lo < self.rows).then_some(lo);
+            for r in (self.rows..rel.rows()).filter(|&r| r != x) {
+                if order(r, x).is_lt() {
+                    prev = Some(prev.map_or(r, |p| if order(p, r).is_lt() { r } else { p }));
+                } else {
+                    next = Some(next.map_or(r, |n| if order(r, n).is_lt() { r } else { n }));
+                }
+            }
+            let before = prev.map(|p| (col[p], col[x]));
+            before.into_iter().chain(next.map(|n| (col[x], col[n])))
+        };
+        Ok(sortedness_after(
+            old,
+            (first..rel.rows()).flat_map(neighbours),
+        ))
+    }
+}
+
+/// The sortedness of a column after rows arrived, from `old` — its
+/// sortedness before, and whether it held one value then — and `pairs`,
+/// the `(earlier, later)` values of every two rows the arrivals made
+/// neighbours. The old rows kept their relative order, so no other pair
+/// is new: an unsorted column stays unsorted, and a sorted one keeps a
+/// direction only if every new pair agrees with it (a constant column is
+/// both ascending and descending, as in [`DataProps::compute`]).
+fn sortedness_after(
+    (old, constant): (Sortedness, bool),
+    pairs: impl Iterator<Item = (u32, u32)>,
+) -> Sortedness {
+    let (mut asc, mut desc) = match old {
+        Sortedness::Ascending => (true, constant),
+        Sortedness::Descending => (false, true),
+        Sortedness::Unsorted => return Sortedness::Unsorted,
+    };
+    for (a, b) in pairs {
+        asc &= a <= b;
+        desc &= a >= b;
+        if !(asc || desc) {
+            break;
+        }
+    }
+    match (asc, desc) {
+        (true, _) => Sortedness::Ascending,
+        (_, true) => Sortedness::Descending,
+        _ => Sortedness::Unsorted,
+    }
 }
 
 impl TableEntry {
-    fn from_relation(relation: Arc<Relation>, generation: u64, data_generation: u64) -> Self {
-        let (column_props, key_codes) = derive_columns(&relation, None, None);
+    fn from_relation(relation: Arc<Relation>, sorted_prefix: Option<SortedPrefix>) -> Self {
+        let (column_props, key_codes) =
+            derive_columns(&relation, None, None, sorted_prefix.as_ref());
         TableEntry {
             column_props,
             key_codes,
             relation,
-            generation,
-            data_generation,
+            generation: 0,
+            data_generation: 0,
             partitioning: None,
+            sorted_prefix,
         }
     }
 
     fn with_partitioning(mut self, partitioning: Option<Arc<Partitioning>>) -> Self {
         self.partitioning = partitioning;
         self
+    }
+
+    /// This entry with its rows in key order, copied into a new relation,
+    /// when it is a sorted projection with a tail: the rows a rebuild
+    /// holds, which the statistics already describe. The coded columns
+    /// are coded afresh, row by row.
+    fn in_key_order(self: Arc<Self>) -> Result<Arc<Self>> {
+        let Some(prefix) = &self.sorted_prefix else {
+            return Ok(self);
+        };
+        let all = Selection::all(self.relation.rows());
+        let Some(order) = prefix.key_order(&self.relation, &all, usize::MAX)? else {
+            return Ok(self);
+        };
+        let relation = Arc::new(self.relation.gather(&order));
+        let mut key_codes = HashMap::new();
+        for name in self.key_codes.keys() {
+            let data = relation.column(name)?.as_u32()?;
+            key_codes.insert(name.clone(), Arc::new(KeyCodes::build(data)));
+        }
+        Ok(Arc::new(TableEntry {
+            relation,
+            key_codes,
+            sorted_prefix: None,
+            ..(*self).clone()
+        }))
     }
 }
 
@@ -92,10 +276,22 @@ pub struct RowDelta<'a> {
 /// ([`KeyCodes::fold`]) when the delta extends `from`'s relation;
 /// otherwise, or when the props' fold needs the whole column, they are
 /// computed.
+///
+/// The props of a relation with a `prefix` describe its rows in key order
+/// (the codes stay row by row). When `from` or the new version has a tail
+/// (see [`SortedPrefix`]), a column folds only what does not depend on
+/// order and its sortedness is decided from the pairs the delta's rows
+/// made neighbours in key order: after an append to the tail, by
+/// [`SortedPrefix`]'s search for each row's neighbours; after a merge into
+/// a relation all in key order, whose delta rows are sorted and `at`
+/// counts the old rows before each in key order, at their positions
+/// `at[j] + j`. Without a usable delta the columns are read in key order
+/// and computed.
 fn derive_columns(
     relation: &Relation,
     from: Option<&TableEntry>,
     delta: Option<RowDelta<'_>>,
+    prefix: Option<&SortedPrefix>,
 ) -> (HashMap<String, DataProps>, HashMap<String, Arc<KeyCodes>>) {
     fn u32s<'r>(rel: &'r Relation, name: &str) -> Option<&'r [u32]> {
         rel.column(name).ok()?.as_u32().ok()
@@ -103,6 +299,24 @@ fn derive_columns(
     let extends = from
         .zip(delta)
         .filter(|(from, d)| std::ptr::eq(&*from.relation, d.base));
+    // Key order is not row order on one side or the other.
+    let keyed = from.is_some_and(|f| f.sorted_prefix.is_some()) || prefix.is_some();
+    // A merge moved the rows: the codes, row by row, are built afresh.
+    let merged = from.is_some_and(|f| f.sorted_prefix.is_some()) && prefix.is_none();
+    let order = match (prefix, extends) {
+        (Some(prefix), None) => {
+            let all = Selection::all(relation.rows());
+            prefix.key_order(relation, &all, usize::MAX).ok().flatten()
+        }
+        _ => None,
+    };
+    let compute = |data: &[u32]| match &order {
+        Some(order) => {
+            let keyed: Vec<u32> = order.iter().map(|&row| data[row as usize]).collect();
+            DataProps::compute(&keyed)
+        }
+        None => DataProps::compute(data),
+    };
     let (mut props, mut codes) = (HashMap::new(), HashMap::new());
     for field in relation.schema().fields() {
         if !matches!(field.data_type, DataType::U32 | DataType::Str) {
@@ -117,6 +331,10 @@ fn derive_columns(
                 DataType::U32 => KeyCodes::derive(data),
                 _ => (DataProps::compute(data), None),
             };
+            let derived = match order {
+                Some(_) => (compute(data), derived.1),
+                None => derived,
+            };
             props.insert(name.clone(), derived.0);
             if let Some(coded) = derived.1 {
                 codes.insert(name.clone(), Arc::new(coded));
@@ -130,16 +348,35 @@ fn derive_columns(
         let folded = gained.and_then(|(rows, delta)| {
             let seam = Seam {
                 old: u32s(delta.base, name)?,
-                at: delta.at,
+                at: delta.at.filter(|_| !keyed),
             };
             from.column_props.get(name)?.fold(rows, seam)
         });
-        props.insert(
-            name.clone(),
-            folded.unwrap_or_else(|| DataProps::compute(data)),
-        );
+        let mut column = folded.unwrap_or_else(|| compute(data));
+        if let (Some((_, delta)), true) = (gained, keyed) {
+            let old = (from.column_props.get(name)).map_or((Sortedness::Unsorted, false), |p| {
+                (p.sortedness, p.min == p.max)
+            });
+            column.sortedness = match (prefix, delta.at) {
+                (Some(prefix), _) => prefix
+                    .sortedness(relation, name, data, old, delta.base.rows())
+                    .unwrap_or(Sortedness::Unsorted),
+                (None, at) => {
+                    let at = at.unwrap_or_default().iter().enumerate();
+                    let moved = at.map(|(j, &at)| at + j);
+                    let pairs = moved.flat_map(|q| {
+                        let before = q.checked_sub(1).map(|p| (data[p], data[q]));
+                        before
+                            .into_iter()
+                            .chain(data.get(q + 1).map(|&n| (data[q], n)))
+                    });
+                    sortedness_after(old, pairs)
+                }
+            };
+        }
+        props.insert(name.clone(), column);
         if let Some(old) = from.key_codes.get(name) {
-            let coded = match gained {
+            let coded = match gained.filter(|_| !merged) {
                 Some((rows, delta)) => old.fold(rows, delta.at),
                 None => KeyCodes::build(data),
             };
@@ -174,10 +411,19 @@ impl Catalog {
         name: impl Into<String>,
         relation: impl Into<Arc<Relation>>,
     ) -> Arc<TableEntry> {
-        self.publish(
-            name.into(),
-            TableEntry::from_relation(relation.into(), 0, 0),
-        )
+        self.register_sorted(name.into(), relation.into(), None)
+    }
+
+    /// [`Catalog::register`] for a sorted projection's hidden relation,
+    /// whose rows from `prefix` on may be a tail in append order (see
+    /// [`TableEntry::sorted_prefix`]).
+    pub(crate) fn register_sorted(
+        &self,
+        name: String,
+        relation: Arc<Relation>,
+        prefix: Option<SortedPrefix>,
+    ) -> Arc<TableEntry> {
+        self.publish(name, TableEntry::from_relation(relation, prefix))
     }
 
     /// Register (or replace) a **partitioned** table. The flat relation
@@ -192,7 +438,7 @@ impl Catalog {
         let partitioning = Arc::new(partitioned.partitioning().clone());
         self.publish(
             name.into(),
-            TableEntry::from_relation(Arc::new(partitioned.flat().clone()), 0, 0)
+            TableEntry::from_relation(Arc::new(partitioned.flat().clone()), None)
                 .with_partitioning(Some(partitioning)),
         )
     }
@@ -239,7 +485,20 @@ impl Catalog {
         relation: impl Into<Arc<Relation>>,
         delta: Option<RowDelta<'_>>,
     ) -> Result<Arc<TableEntry>> {
-        let relation = relation.into();
+        self.replace_sorted(name, from, relation.into(), delta, None)
+    }
+
+    /// [`Catalog::replace_data`] for a sorted projection's hidden
+    /// relation, whose rows from `prefix` on may be a tail in append
+    /// order (see [`TableEntry::sorted_prefix`]).
+    pub(crate) fn replace_sorted(
+        &self,
+        name: &str,
+        from: &TableEntry,
+        relation: Arc<Relation>,
+        delta: Option<RowDelta<'_>>,
+        prefix: Option<SortedPrefix>,
+    ) -> Result<Arc<TableEntry>> {
         let partitioning = match &from.partitioning {
             None => None,
             Some(part) => Some(Arc::new(Self::refresh_partitioning(
@@ -248,7 +507,8 @@ impl Catalog {
                 from.relation.rows(),
             )?)),
         };
-        let (column_props, key_codes) = derive_columns(&relation, Some(from), delta);
+        let (column_props, key_codes) =
+            derive_columns(&relation, Some(from), delta, prefix.as_ref());
         let entry = Arc::new(TableEntry {
             column_props,
             key_codes,
@@ -256,6 +516,7 @@ impl Catalog {
             generation: from.generation,
             data_generation: from.data_generation + 1,
             partitioning,
+            sorted_prefix: prefix,
         });
         let mut tables = self.tables.write();
         let current = tables
@@ -383,8 +644,18 @@ impl Catalog {
         }
     }
 
-    /// Look up a table.
+    /// Look up a table as a reader sees it. A sorted projection whose rows
+    /// end in a tail (see [`TableEntry::sorted_prefix`]) comes with its
+    /// rows in key order, copied into a new relation — the rows a rebuild
+    /// holds; any other table as [`Catalog::stored`] has it.
     pub fn get(&self, name: &str) -> Result<Arc<TableEntry>> {
+        self.stored(name)?.in_key_order()
+    }
+
+    /// Look up a table as stored, copying nothing: a sorted projection's
+    /// rows may end in a tail in append order. The engine reads this, and
+    /// shows its consumers the rows in key order itself.
+    pub fn stored(&self, name: &str) -> Result<Arc<TableEntry>> {
         self.tables
             .read()
             .get(name)

@@ -14,7 +14,9 @@ use crate::executor::{execute_with, ExecContext, ExecOutput};
 use crate::feedback::FeedbackStore;
 use crate::memo::{Memo, MemoOptimizer, MemoStamp, MemoStats};
 use crate::optimizer::{OptimizerMode, PlannedQuery, PropertyModel, SearchContext};
-use crate::plan_cache::{plan_shape, text_hash, Knobs, Lookup, PlanCache, StoreKey, Validity};
+use crate::plan_cache::{
+    self, plan_shape, text_hash, Knobs, Lookup, PlanCache, StoreKey, Validity,
+};
 use crate::profile::{render_annotated, PlanRuntime};
 use crate::Result;
 use dqo_obs::{
@@ -476,7 +478,7 @@ impl Engine {
     pub fn insert(&self, table: &str, rows: &[Vec<Value>]) -> Result<InsertReport> {
         let lock = self.catalog.mutation_lock(table);
         let guard = lock.lock();
-        let base = self.catalog.get(table)?;
+        let base = self.catalog.stored(table)?;
         let appended = base.relation.append_rows(rows)?;
         let delta = RowDelta {
             base: &base.relation,
@@ -561,9 +563,13 @@ impl Engine {
         match self.plan_cache.lookup(&key, valid, logical, &self.catalog) {
             Lookup::Hit(planned) => Ok(planned),
             Lookup::Miss { admit } => {
+                let orders = match prepared {
+                    Some(_) => plan_cache::orders(logical, &self.catalog),
+                    None => Arc::from([]),
+                };
                 let planned = self.search(logical, dop)?;
                 if admit {
-                    self.plan_cache.insert(key, valid, &planned);
+                    self.plan_cache.insert(key, valid, &planned, orders);
                 }
                 Ok(planned)
             }

@@ -34,6 +34,17 @@
 //! them; SPHG over a coded key (`{key=codes}`) reads its dense codes and
 //! decodes the groups it emits.
 //!
+//! A sorted projection whose INSERTs left a tail in append order behind
+//! its sorted prefix ([`SortedPrefix`]) is shown to every consumer in key
+//! order — the prefix merged with the stably sorted tail, a rebuild's
+//! order. Its scan is two ranges, prefix and tail; a search cuts the
+//! prefix, and the loader narrows the tail's rows by every conjunct. The
+//! groupings that do not read order (HG, SPHG, BSG, SOG) take both ranges
+//! as they are; OG folds the prefix in runs and the tail into BSG's
+//! sorted array, then merges the two; the root, Limit, Sort, every
+//! join's sides and any other OG put the rows in key order first
+//! (`View::in_key_order`).
+//!
 //! Column data is copied in two places only: kernel scratch (the key and
 //! value columns a sort, an OJ/SOJ/BSJ join, a join index build, a
 //! composite key or a SOG grouping reads through a selection that is not
@@ -45,7 +56,7 @@
 //! integration tests; it shares none of the selection code.
 
 use crate::av::{AvArtifact, AvCatalog, AvKind};
-use crate::catalog::{Catalog, TableEntry};
+use crate::catalog::{Catalog, SortedPrefix, TableEntry};
 use crate::error::CoreError;
 use crate::Result;
 use dqo_exec::aggregate::{Aggregator, CountSum, CountSumState, FullAgg, FullAggState};
@@ -57,8 +68,8 @@ use dqo_exec::pipeline::{Blocking, OperatorMetrics, PipelineStats};
 use dqo_exec::sort::argsort;
 use dqo_exec::ExecError;
 use dqo_parallel::{
-    parallel_grouping, parallel_sog, BatchObs, Fold, GroupingStrategy, PersistentPool, Rows,
-    Scratch, Sink, ThreadPool, DEFAULT_MORSEL_ROWS,
+    merge_ascending, parallel_grouping, parallel_sog, BatchObs, Fold, GroupingStrategy,
+    PersistentPool, Rows, Scratch, Sink, ThreadPool, DEFAULT_MORSEL_ROWS,
 };
 use dqo_plan::expr::{AggExpr, AggFunc, CmpOp, Predicate};
 use dqo_plan::physical::GroupingMolecules;
@@ -69,7 +80,7 @@ use dqo_storage::{
 };
 use std::collections::HashMap;
 use std::ops::{Bound, Range};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -136,7 +147,8 @@ pub fn execute_with(
         bytes: 0,
         obs: ctx.collect_metrics.then(|| OpCollector::new(plan)),
     };
-    let view = exec.run(plan, None)?;
+    let mut view = exec.run(plan, None)?;
+    view.in_key_order(usize::MAX)?;
     let (relation, copied) = view.materialise()?;
     if copied {
         exec.bytes += relation.byte_size() as u64;
@@ -205,6 +217,10 @@ struct Table {
     /// Bounds filters have put on `u32` columns, by index in `rel`: every
     /// selected row has `lo <= column <= hi`.
     known: Vec<(usize, u32, u32)>,
+    /// A sorted projection's split while the view still reads its rows
+    /// in scan order: ascending row ids, the tail's in append order.
+    /// Taken by [`View::in_key_order`], which puts them in key order.
+    tail: Option<SortedPrefix>,
 }
 
 impl Table {
@@ -281,12 +297,16 @@ struct View {
 impl View {
     /// The rows `sel` of one relation, under its own column names.
     fn table(rel: Relation, sel: Selection, stats: Option<Arc<TableEntry>>) -> Self {
-        let known = Vec::new();
+        let (known, tail) = (
+            Vec::new(),
+            stats.as_ref().and_then(|e| e.sorted_prefix.clone()),
+        );
         let tables = vec![Table {
             rel,
             sel,
             stats,
             known,
+            tail,
         }];
         View {
             tables,
@@ -370,6 +390,26 @@ impl View {
 
     fn truncate(&mut self, n: usize) {
         self.tables.iter_mut().for_each(|t| t.sel.truncate(n));
+    }
+
+    /// The view's first `limit` rows in key order, where it reads a sorted
+    /// projection whose tail is still in append order (see
+    /// [`SortedPrefix::key_order`]) — what every consumer that sees row
+    /// order runs first: the root, Limit, Sort, OJ/SOJ/BSJ, a join's two
+    /// sides and OG. Only a scan's view, filtered, reads a tail in
+    /// append order: a join puts both sides in key order before it pairs
+    /// their rows.
+    fn in_key_order(&mut self, limit: usize) -> Result<()> {
+        let single = self.tables.len() == 1;
+        for table in &mut self.tables {
+            if let Some(tail) = table.tail.take() {
+                debug_assert!(single, "a join's sides are in key order");
+                if let Some(rows) = tail.key_order(&table.rel, &table.sel, limit)? {
+                    table.sel = Selection::Rows(rows);
+                }
+            }
+        }
+        Ok(())
     }
 
     /// `build`'s tables then `probe`'s, under the join's column names (as
@@ -487,29 +527,41 @@ impl<'a> Exec<'a> {
         filter: &PhysicalPlan,
         view: &mut View,
         predicate: &'a Predicate,
-    ) -> Vec<&'a Predicate> {
+    ) -> (Vec<&'a Predicate>, Vec<&'a Predicate>) {
         self.stats.record(Blocking::Pipelined, view.rows() as u64);
         view.tighten(predicate);
         let mut left = leaves(predicate);
-        self.search(filter, view, &mut left);
-        left
+        let tail = self.search(filter, view, &mut left);
+        (left, tail)
     }
 
     /// Answer by binary search each of `filter`'s conjuncts that a search
     /// can answer — over one table's `Ranges` selection, a `u32`
     /// comparison other than `<>` on a `u32` column the catalog calls
     /// ascending — and drop it from `conjuncts`, leaving the rest to the
-    /// loader; the searches cut the table's selection. Records how many
-    /// were searched on the filter's metrics.
-    fn search(&mut self, filter: &PhysicalPlan, view: &mut View, conjuncts: &mut Vec<&Predicate>) {
+    /// loader; the searches cut the table's selection. Over a sorted
+    /// projection only the prefix is searched: the searched conjuncts
+    /// come back for the loader to test on the tail's rows, which are in
+    /// append order. Records how many were searched on the filter's
+    /// metrics.
+    fn search(
+        &mut self,
+        filter: &PhysicalPlan,
+        view: &mut View,
+        conjuncts: &mut Vec<&'a Predicate>,
+    ) -> Vec<&'a Predicate> {
         let [table] = &mut view.tables[..] else {
-            return;
+            return Vec::new();
         };
         let Selection::Ranges(ranges) = &table.sel else {
-            return;
+            return Vec::new();
+        };
+        let (head, tail) = match &table.tail {
+            Some(tail) => split_ranges(ranges, tail.rows),
+            None => (ranges.clone(), Vec::new()),
         };
         let total = conjuncts.len();
-        let mut cut: Option<Vec<Range<usize>>> = None;
+        let (mut cut, mut searched): (Option<Vec<Range<usize>>>, _) = (None, Vec::new());
         conjuncts.retain(|c| match c {
             Predicate::Compare {
                 column,
@@ -518,19 +570,24 @@ impl<'a> Exec<'a> {
             } if table.ascending(column) => match (within(*op, *v), table.rel.column(column)) {
                 (Some(bounds), Ok(col)) if col.data_type() == DataType::U32 => {
                     let data = col.as_u32().expect("a u32 column");
-                    search_ranges(cut.get_or_insert_with(|| ranges.clone()), data, bounds);
+                    search_ranges(cut.get_or_insert_with(|| head.clone()), data, bounds);
+                    searched.push(*c);
                     false
                 }
                 _ => true,
             },
             _ => true,
         });
-        let searched = total - conjuncts.len();
         if let Some(m) = self.obs.as_mut().and_then(|c| c.slot(filter)) {
-            m.searched = (searched > 0).then_some((searched, total));
+            m.searched = (!searched.is_empty()).then_some((searched.len(), total));
         }
-        if let Some(cut) = cut {
+        if let Some(mut cut) = cut {
+            cut.extend_from_slice(&tail);
             table.sel = Selection::Ranges(cut);
+        }
+        match tail.is_empty() {
+            true => Vec::new(),
+            false => searched,
         }
     }
 
@@ -558,12 +615,23 @@ impl<'a> Exec<'a> {
     fn op(&mut self, plan: &'a PhysicalPlan, tp: Option<&ThreadPool>) -> Result<View> {
         match plan {
             PhysicalPlan::Scan { table } => {
-                let entry = self.catalog.get(table)?;
+                let entry = self.catalog.stored(table)?;
                 let rows = entry.relation.rows();
-                Ok(self.scan(entry, Selection::all(rows)))
+                // A sorted projection's prefix and tail are two ranges:
+                // only the first ascends.
+                let sel = match &entry.sorted_prefix {
+                    Some(prefix) => {
+                        if let Some(m) = self.obs.as_mut().and_then(|c| c.slot(plan)) {
+                            m.tail = Some(((rows - prefix.rows) as u64, rows as u64));
+                        }
+                        Selection::Ranges(vec![0..prefix.rows, prefix.rows..rows])
+                    }
+                    None => Selection::all(rows),
+                };
+                Ok(self.scan(entry, sel))
             }
             PhysicalPlan::PartitionedScan { table, parts, .. } => {
-                let entry = self.catalog.get(table)?;
+                let entry = self.catalog.stored(table)?;
                 // The surviving partitions are row ranges of the flat
                 // relation, one segment per partition range, in flat row
                 // order: a scan of all partitions is the flat scan, a
@@ -593,8 +661,10 @@ impl<'a> Exec<'a> {
                 algo,
             } => {
                 // OJ, SOJ and BSJ read both key columns through the
-                // selections and answer in view positions.
+                // selections, in key order, and answer in view positions.
                 let (mut l, mut r) = (self.run(left, None)?, self.run(right, None)?);
+                l.in_key_order(usize::MAX)?;
+                r.in_key_order(usize::MAX)?;
                 let (mut lbuf, mut rbuf) = (Vec::new(), Vec::new());
                 let (rcol, rsel) = r.data(right_key)?;
                 let rk = self.read(plan, rsel, rcol, &mut rbuf);
@@ -626,6 +696,7 @@ impl<'a> Exec<'a> {
                 molecule,
             } => {
                 let mut view = self.run(input, None)?;
+                view.in_key_order(usize::MAX)?;
                 let mut buf = Vec::new();
                 let (col, sel) = view.data(key)?;
                 let keys = self.read(plan, sel, col, &mut buf);
@@ -655,6 +726,7 @@ impl<'a> Exec<'a> {
                     self.tops.insert(node_id(sort), n);
                 }
                 let mut view = self.run(input, None)?;
+                view.in_key_order(n)?;
                 view.truncate(n);
                 Ok(view)
             }
@@ -751,7 +823,9 @@ impl<'a> Exec<'a> {
                     algo,
                 },
             ) => {
-                let (l, r) = (self.run(left, None)?, self.run(right, None)?);
+                let (mut l, mut r) = (self.run(left, None)?, self.run(right, None)?);
+                l.in_key_order(usize::MAX)?;
+                r.in_key_order(usize::MAX)?;
                 let build = (&**left, left_key.as_str(), *algo);
                 let index = self.join_index(join, build, &l, r.rows())?;
                 let (t, name) = r.column(right_key)?;
@@ -774,16 +848,30 @@ impl<'a> Exec<'a> {
             PhysicalPlan::Filter { predicate, .. } => Some((node, predicate)),
             _ => None,
         });
-        let left = match (filter, &probe) {
+        let (left, searched) = match (filter, &probe) {
             (Some((filter, predicate)), None) => self.filter(filter, &mut view, predicate),
-            (Some((_, predicate)), Some(_)) => leaves(predicate),
-            (None, _) => Vec::new(),
+            (Some((_, predicate)), Some(_)) => (leaves(predicate), Vec::new()),
+            (None, _) => (Vec::new(), Vec::new()),
         };
         let mut conjuncts: Vec<Vec<Conjunct>> = view.tables.iter().map(|_| Vec::new()).collect();
-        for leaf in left {
+        for &leaf in &left {
             let (t, conjunct) = compile(&view, leaf)?;
             conjuncts[t].push(conjunct);
         }
+        // The searches cut a sorted projection's prefix: its tail's rows
+        // take their conjuncts too.
+        let tail = match view.tables[0]
+            .tail
+            .as_ref()
+            .filter(|_| !searched.is_empty())
+        {
+            Some(prefix) => {
+                let all = searched.into_iter().chain(left);
+                let all = all.map(|leaf| Ok(compile(&view, leaf)?.1));
+                Some((prefix.rows, all.collect::<Result<_>>()?))
+            }
+            None => None,
+        };
         // The loader finds the row behind a position by one lookup (see
         // `RowsOf`): only a lone probe table keeps its ranges.
         let single = view.tables.len() == builds + 1;
@@ -798,6 +886,7 @@ impl<'a> Exec<'a> {
             builds,
             probe,
             conjuncts,
+            tail,
             below,
         })
     }
@@ -820,7 +909,8 @@ impl<'a> Exec<'a> {
         let pool = tp.or(feed.as_ref());
         let workers = pool.map_or(1, ThreadPool::threads);
         let ran = Counters::default();
-        if src.probe.is_none() && src.single() && src.conjuncts[0].is_empty() {
+        if src.probe.is_none() && src.single() && src.conjuncts[0].is_empty() && src.tail.is_none()
+        {
             // Nothing to narrow or probe: the view goes on as it is.
             ran.add(src.view.rows(), 0);
             self.ran(&src, &ran, workers);
@@ -901,6 +991,22 @@ impl<'a> Exec<'a> {
             true => Source::over(self.collected(src, None)?),
             false => src,
         };
+        // OG reads its input in key order. Over a sorted projection's tail
+        // one key the catalog calls ascending folds the prefix and the tail
+        // apart (below); any other key puts the rows in key order first.
+        let order = algo == GroupingAlgorithm::OrderBased;
+        let apart = match (keys, &src.view.tables[..]) {
+            ([key], [table]) => src.view.column(key).is_ok_and(|(_, k)| table.ascending(k)),
+            _ => false,
+        };
+        let src = match order && !apart && src.view.tables.iter().any(|t| t.tail.is_some()) {
+            true => {
+                let mut view = self.collected(src, tp)?;
+                view.in_key_order(usize::MAX)?;
+                Source::over(view)
+            }
+            false => src,
+        };
         let sorts = algo == GroupingAlgorithm::SortOrderBased;
         if let ([key], false) = (keys, sorts) {
             // Single key: the fold reads the raw column — or its codes —
@@ -932,9 +1038,21 @@ impl<'a> Exec<'a> {
                 && table.long_runs(name);
             let (pieces, ran, timed) = (src.pieces(), Counters::default(), self.obs.is_some());
             let workers = tp.map_or(1, ThreadPool::threads);
+            // OG over a sorted projection folds the prefix in runs and the
+            // tail, in append order, into BSG's sorted array, then merges
+            // the two ascending group lists. One loader serves both folds,
+            // from the piece `first` on: a second loader type compiles the
+            // fold twice, which made served OG ~30 % slower on a 2-core box.
+            let (mut pieces, tail) = match table.tail.as_ref().filter(|_| order) {
+                Some(prefix) => split_pieces(pieces, prefix.rows),
+                None => (pieces, Vec::new()),
+            };
+            let (head, first) = (pieces.len(), AtomicUsize::new(0));
+            pieces.extend(tail);
             let load = |t: usize, scratch: &mut Scratch, sink: Sink<'_>| {
                 let began = timed.then(Instant::now);
-                src.load(&pieces[t], scratch, &ran, &mut |rows| {
+                let piece = &pieces[first.load(Ordering::Relaxed) + t];
+                src.load(piece, scratch, &ran, &mut |rows| {
                     sink(match rows {
                         Loaded::Piece(piece) => Rows::Piece(piece),
                         Loaded::Rows(lists) => Rows::Pairs {
@@ -948,12 +1066,23 @@ impl<'a> Exec<'a> {
             };
             let fold = Fold {
                 pool: tp,
-                tasks: pieces.len(),
+                tasks: head,
                 load: &load,
                 columns: (keys, values),
                 ascending,
             };
             let mut result = self.grouped(&fold, strategy, aggs)?;
+            if head < pieces.len() {
+                // At most ⌈√rows⌉ rows: not worth a dispatch to the pool.
+                first.store(head, Ordering::Relaxed);
+                let tail = Fold {
+                    pool: None,
+                    tasks: pieces.len() - head,
+                    ..fold
+                };
+                let groups = self.grouped(&tail, GroupingStrategy::BinarySearch, aggs)?;
+                result = merge_ascending(FullAgg, result, groups);
+            }
             if let Some(codes) = codes {
                 codes.decode(&mut result.keys);
             }
@@ -1124,6 +1253,10 @@ struct Source<'a> {
     /// The filter's conjuncts the loader runs, by table of `view`, each
     /// under its table's own column names.
     conjuncts: Vec<Vec<Conjunct>>,
+    /// Over a sorted projection whose prefix a search cut: where its tail
+    /// starts, and every conjunct of the filter, which a piece of the
+    /// tail runs instead of `conjuncts`.
+    tail: Option<(usize, Vec<Conjunct>)>,
     /// What running the inputs cost (and a fresh index's build), as the
     /// node beneath the filter reports it.
     below: OperatorMetrics,
@@ -1179,6 +1312,7 @@ impl Source<'_> {
             builds: 0,
             probe: None,
             conjuncts: view.tables.iter().map(|_| Vec::new()).collect(),
+            tail: None,
             below: OperatorMetrics::default(),
             view,
         }
@@ -1239,9 +1373,13 @@ impl Source<'_> {
         let Scratch { ids, rows } = scratch;
         let (tables, builds, single) = (self.view.tables.len(), self.builds, self.single());
         let mut piece = piece.clone();
-        if single && !self.conjuncts[builds].is_empty() {
+        let own = match &self.tail {
+            Some((prefix, all)) if matches!(&piece, Piece::Range(r) if r.start >= *prefix) => all,
+            _ => &self.conjuncts[builds],
+        };
+        if single && !own.is_empty() {
             ids.clear();
-            ran.blocks(narrow_piece(&piece, &self.conjuncts[builds], ids)?);
+            ran.blocks(narrow_piece(&piece, own, ids)?);
             piece = match piece {
                 Piece::Range(_) => Piece::ascending(ids),
                 Piece::Rows(_) => Piece::Rows(ids),
@@ -1352,6 +1490,39 @@ impl Source<'_> {
             }
         }
     }
+}
+
+/// `ranges`, ascending, cut at row `at`: the parts before it, and the
+/// parts from it on (empty parts dropped).
+fn split_ranges(ranges: &[Range<usize>], at: usize) -> (Vec<Range<usize>>, Vec<Range<usize>>) {
+    let part = |r: &Range<usize>, lo: usize, hi: usize| r.start.clamp(lo, hi)..r.end.clamp(lo, hi);
+    let head = ranges.iter().map(|r| part(r, 0, at));
+    let tail = ranges.iter().map(|r| part(r, at, usize::MAX));
+    let keep = |r: &Range<usize>| !r.is_empty();
+    (head.filter(keep).collect(), tail.filter(keep).collect())
+}
+
+/// `pieces` of ascending rows cut at row `at`: the parts before it, and
+/// the parts from it on (empty parts dropped).
+fn split_pieces<'s>(pieces: Vec<Piece<'s>>, at: usize) -> (Vec<Piece<'s>>, Vec<Piece<'s>>) {
+    let listed = |ids: &'s [u32]| (!ids.is_empty()).then_some(Piece::Rows(ids));
+    let (mut head, mut tail) = (Vec::new(), Vec::new());
+    for piece in pieces {
+        let (h, t) = match piece {
+            Piece::Range(r) => {
+                let (h, t) = split_ranges(std::slice::from_ref(&r), at);
+                let piece = |r: Vec<Range<usize>>| r.into_iter().next().map(Piece::Range);
+                (piece(h), piece(t))
+            }
+            Piece::Rows(ids) => {
+                let (h, t) = ids.split_at(ids.partition_point(|&i| (i as usize) < at));
+                (listed(h), listed(t))
+            }
+        };
+        head.extend(h);
+        tail.extend(t);
+    }
+    (head, tail)
 }
 
 /// Call `f` on each position of `piece`, in order.
@@ -1489,7 +1660,7 @@ pub(crate) fn reads_coded_key(catalog: &Catalog, input: &PhysicalPlan, key: &str
             _ => None,
         }
     }
-    let entry = |table: &str| catalog.get(table).ok();
+    let entry = |table: &str| catalog.stored(table).ok();
     let table = match absorbed(input).last() {
         Some(PhysicalPlan::Join { left, right, .. }) => match scanned(left) {
             Some(l) if entry(l).is_some_and(|e| e.relation.schema().index_of(key).is_ok()) => {
@@ -2130,6 +2301,7 @@ mod tests {
             sel: Selection::Ranges(vec![8..40, 0..8]),
             stats: Some(entry),
             known: Vec::new(),
+            tail: None,
         };
         assert!(view.long_runs("eights"));
         // Nine runs of seven rows and one of one: the average is under eight.

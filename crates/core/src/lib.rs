@@ -78,7 +78,7 @@ mod rules;
 
 pub use av_build::{AvBuildHandle, AvBuildStats, AvBuilder};
 pub use av_delta::{DeltaAction, MaintenanceOutcome, MaintenanceReport, ViewMaintainer};
-pub use catalog::{Catalog, RowDelta};
+pub use catalog::{Catalog, RowDelta, SortedPrefix};
 pub use cost::{CostModel, TupleCostModel};
 pub use engine::{Engine, InsertReport, PreparedPlan};
 pub use error::CoreError;

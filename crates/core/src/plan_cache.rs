@@ -17,7 +17,12 @@
 //!   `Filter` nodes unchanged, so the preorder filter sequences
 //!   correspond one to one). If the shapes do not line up — an AV rewrite
 //!   swallowed the filter, say — the lookup reports a miss and the engine
-//!   searches; correctness never depends on a hit.
+//!   searches; correctness never depends on a hit. An INSERT moves no DDL
+//!   clock but can break a column's order that the plan relies on (a
+//!   sort elided, OG, OJ): a hit is served only while every sorted column
+//!   of the base tables the plan scans keeps the order the catalog gave
+//!   it at planning. A sorted projection needs no such check: the
+//!   executor shows its readers its rows in key order.
 //! * An **ad-hoc** statement is keyed on its logical plan itself, hashed
 //!   and compared structurally with its literals and their types (as the
 //!   memo tells groups apart; nothing is rendered), plus the same knobs.
@@ -41,6 +46,7 @@ use crate::partition_prune::prune_partitions;
 use dqo_obs::{names, Counter, Gauge, MetricsRegistry};
 use dqo_plan::expr::Predicate;
 use dqo_plan::{LogicalPlan, PhysicalPlan};
+use dqo_storage::Sortedness;
 use parking_lot::Mutex;
 use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
@@ -195,7 +201,48 @@ struct Entry {
     key: StoreKey<'static>,
     valid: Validity,
     planned: Arc<PlannedQuery>,
+    /// For a prepared entry: every sorted column of each base table its
+    /// plan scans, with its order at planning (see [`kept_order`]).
+    orders: Arc<[Order]>,
     last_used: u64,
+}
+
+/// A base table and its sorted columns, each with the order the catalog
+/// gave it.
+pub(crate) type Order = (String, Vec<(String, Sortedness)>);
+
+/// The sorted columns of the base tables `logical` reads, as `catalog`
+/// has them before the search that plans it — a superset of the orders
+/// its plan may rely on, since an elided sort leaves no node behind. A
+/// sorted projection the plan scans instead needs none: the executor
+/// keeps its rows in key order.
+pub(crate) fn orders(logical: &LogicalPlan, catalog: &Catalog) -> Arc<[Order]> {
+    let mut out: Vec<Order> = Vec::new();
+    for table in logical.tables() {
+        let Ok(entry) = catalog.stored(table) else {
+            continue;
+        };
+        let sorted = (entry.column_props.iter())
+            .filter(|(_, props)| props.sortedness.is_sorted())
+            .map(|(column, props)| (column.clone(), props.sortedness));
+        let sorted: Vec<_> = sorted.collect();
+        if !sorted.is_empty() && out.iter().all(|(t, _)| t != table) {
+            out.push((table.to_owned(), sorted));
+        }
+    }
+    out.into()
+}
+
+/// Whether every column of `orders` still has its order in `catalog`:
+/// one catalog lookup per table, nothing allocated.
+fn kept_order(orders: &[Order], catalog: &Catalog) -> bool {
+    orders.iter().all(|(table, columns)| {
+        catalog.stored(table).is_ok_and(|entry| {
+            (columns.iter()).all(|(column, order)| {
+                entry.column_props.get(column).map(|p| p.sortedness) == Some(*order)
+            })
+        })
+    })
 }
 
 impl PlanCache {
@@ -227,8 +274,9 @@ impl PlanCache {
     /// Find the plan stored for `key` and still valid under `valid`.
     ///
     /// A prepared hit rebinds `fresh`'s predicates into the stored
-    /// physical plan and counts only when the rebind succeeds; a missing
-    /// or outdated entry *or* a failed rebind is a miss (the caller
+    /// physical plan and counts only when the rebind succeeds and the
+    /// scanned base tables' sorted columns kept their order; a missing
+    /// or outdated entry, a broken order *or* a failed rebind is a miss (the caller
     /// searches either way). `catalog` and the key's pruning knob drive
     /// **re-pruning on rebind**: a stored plan that pruned a partitioned
     /// scan did so against the *previous* execution's constants, so
@@ -255,7 +303,8 @@ impl PlanCache {
             match inner.map.get_mut(&key.hash).filter(|e| e.key.same(key)) {
                 Some(entry) if entry.valid == valid => {
                     entry.last_used = tick;
-                    (Some(Arc::clone(&entry.planned)), true)
+                    let stored = (Arc::clone(&entry.planned), Arc::clone(&entry.orders));
+                    (Some(stored), true)
                 }
                 // Outdated: known to repeat, replace at once.
                 Some(_) => (None, true),
@@ -269,7 +318,8 @@ impl PlanCache {
                 }
             }
         };
-        let plan = stored.and_then(|planned| {
+        let stored = stored.filter(|(_, orders)| kept_order(orders, catalog));
+        let plan = stored.and_then(|(planned, _)| {
             let plan = if key.is_prepared() {
                 rebind_plan(&planned.plan, fresh, catalog, key.knobs.pruning)?
             } else {
@@ -291,7 +341,17 @@ impl PlanCache {
 
     /// Store a freshly optimised plan for `key`, valid under `valid`,
     /// replacing the key's previous entry or LRU-evicting beyond capacity.
-    pub(crate) fn insert(&self, key: StoreKey<'_>, valid: Validity, planned: &PlannedQuery) {
+    /// A hit is served only while the base-table columns of `orders` keep
+    /// their order (see [`orders`]; a prepared statement's, read before
+    /// its search — an ad-hoc entry's stamp already moves with any
+    /// statistic).
+    pub(crate) fn insert(
+        &self,
+        key: StoreKey<'_>,
+        valid: Validity,
+        planned: &PlannedQuery,
+        orders: Arc<[Order]>,
+    ) {
         let key = key.into_owned();
         let mut inner = self.inner.lock();
         inner.tick += 1;
@@ -300,6 +360,7 @@ impl PlanCache {
             key,
             valid,
             planned: Arc::new(planned.clone()),
+            orders,
             last_used: inner.tick,
         };
         if inner.map.insert(hash, entry).is_some() {
@@ -643,7 +704,7 @@ mod tests {
             cache.lookup(&key, generation(1), &filtered_group(5), &cat),
             Lookup::Miss { admit: true }
         ));
-        cache.insert(key.clone(), generation(1), &cold);
+        cache.insert(key.clone(), generation(1), &cold, Arc::from([]));
 
         let fresh = filtered_group(42);
         let served = hit(cache.lookup(&key, generation(1), &fresh, &cat)).expect("hit");
@@ -675,7 +736,7 @@ mod tests {
         let cache = PlanCache::new(8, &registry);
         let cold = plan(&cat, &filtered_group(5));
         let key = prepared_key(&plan_shape(&filtered_group(5)));
-        cache.insert(key.clone(), generation(1), &cold);
+        cache.insert(key.clone(), generation(1), &cold, Arc::from([]));
         // Same key claimed, but the fresh plan's predicate uses a
         // different operator: the structural check must refuse to serve.
         let fresh = LogicalPlan::group_by(
@@ -710,7 +771,7 @@ mod tests {
             cache.lookup(&key(), stamp(1), &q, &cat),
             Lookup::Miss { admit: true }
         ));
-        cache.insert(key(), stamp(1), &cold);
+        cache.insert(key(), stamp(1), &cold, Arc::from([]));
         let served = hit(cache.lookup(&key(), stamp(1), &q, &cat)).expect("hit");
         assert_eq!(served.plan.explain(), cold.plan.explain());
         assert_eq!(served.est_cost.to_bits(), cold.est_cost.to_bits());
@@ -728,7 +789,7 @@ mod tests {
             cache.lookup(&key(), stamp(2), &q, &cat),
             Lookup::Miss { admit: true }
         ));
-        cache.insert(key(), stamp(2), &cold);
+        cache.insert(key(), stamp(2), &cold, Arc::from([]));
         assert_eq!(cache.len(), 1);
         assert!(hit(cache.lookup(&key(), stamp(2), &q, &cat)).is_some());
     }
@@ -750,7 +811,7 @@ mod tests {
         // Stored under one, the plan is not served to the other.
         let cat = catalog();
         let cache = PlanCache::new(8, &MetricsRegistry::new());
-        cache.insert(ka, stamp(1), &plan(&cat, &a));
+        cache.insert(ka, stamp(1), &plan(&cat, &a), Arc::from([]));
         assert!(hit(cache.lookup(&kb, stamp(1), &b, &cat)).is_none());
         assert!(hit(cache.lookup(&StoreKey::adhoc(&a, KNOBS), stamp(1), &a, &cat)).is_some());
     }
@@ -762,18 +823,18 @@ mod tests {
         let cache = PlanCache::new(2, &registry);
         let cold = plan(&cat, &filtered_group(5));
         let (a, b, c) = (prepared_key("a"), prepared_key("b"), prepared_key("c"));
-        cache.insert(a.clone(), generation(1), &cold);
-        cache.insert(b.clone(), generation(1), &cold);
+        cache.insert(a.clone(), generation(1), &cold, Arc::from([]));
+        cache.insert(b.clone(), generation(1), &cold, Arc::from([]));
         assert_eq!(cache.len(), 2);
         // Touch "a" so "b" is the LRU victim.
         let fresh = filtered_group(9);
         assert!(hit(cache.lookup(&a, generation(1), &fresh, &cat)).is_some());
-        cache.insert(c, generation(1), &cold);
+        cache.insert(c, generation(1), &cold, Arc::from([]));
         assert_eq!(cache.len(), 2);
         assert!(hit(cache.lookup(&b, generation(1), &fresh, &cat)).is_none());
         assert!(hit(cache.lookup(&a, generation(1), &fresh, &cat)).is_some());
         // Re-planning a key after DDL replaces its entry in place.
-        cache.insert(a.clone(), generation(2), &cold);
+        cache.insert(a.clone(), generation(2), &cold, Arc::from([]));
         assert_eq!(cache.len(), 2);
         assert!(hit(cache.lookup(&a, generation(2), &fresh, &cat)).is_some());
         let snap = registry.snapshot();
@@ -803,7 +864,7 @@ mod tests {
         let registry = MetricsRegistry::new();
         let cache = PlanCache::new(8, &registry);
         let key = prepared_key("k");
-        cache.insert(key.clone(), generation(1), &cold);
+        cache.insert(key.clone(), generation(1), &cold, Arc::from([]));
         let served =
             hit(cache.lookup(&key, generation(1), &filtered_group(77), &cat)).expect("hit");
         let text = served.plan.explain();
@@ -829,7 +890,7 @@ mod tests {
         let registry = MetricsRegistry::new();
         let cache = PlanCache::new(8, &registry);
         let key = prepared_key("k");
-        cache.insert(key.clone(), generation(1), &cold);
+        cache.insert(key.clone(), generation(1), &cold, Arc::from([]));
         let served =
             hit(cache.lookup(&key, generation(1), &with_values(30, 60), &cat)).expect("hit");
         let text = served.plan.explain();

@@ -63,7 +63,9 @@ pub fn estimate_rows(
 /// (bytes materialised) where non-zero, `search=k/n` on a filter that
 /// answered `k` of its `n` conjuncts by binary search, `skipped=k/n` on a
 /// filter whose narrowing kernel found no surviving row in `k` of the `n`
-/// 64-row blocks it tested (explicit row ids test no blocks) — plus
+/// 64-row blocks it tested (explicit row ids test no blocks), `tail=t/n`
+/// on a scan of a sorted projection that holds `t` of its `n` rows in
+/// its tail, in append order — plus
 /// parallel-runtime detail on `Exchange` nodes. The estimates are [`estimate_rows`] under
 /// `feedback`. Empty runtimes (untraced execution) render the plain tree.
 pub fn render_annotated(
@@ -96,6 +98,9 @@ pub fn render_annotated(
         }
         if let Some((skipped, tested)) = m.skipped {
             parts.push(format!("skipped={skipped}/{tested}"));
+        }
+        if let Some((tail, rows)) = m.tail {
+            parts.push(format!("tail={tail}/{rows}"));
         }
         if let PhysicalPlan::Exchange { .. } = node {
             parts.push(format!("dop={}", m.dop.unwrap_or(0)));

@@ -101,7 +101,7 @@ impl<'a> PropertyBuilder<'a> {
     /// (the column the parent will consume this output by). Unprojected —
     /// the caller applies the optimiser mode's visibility.
     pub fn scan_props(&self, table: &str, focus: Option<&str>) -> Result<PlanProps> {
-        let entry = self.catalog.get(table)?;
+        let entry = self.catalog.stored(table)?;
         Ok(match focus.and_then(|col| entry.column_props.get(col)) {
             Some(p) => PlanProps::from_data(p),
             None => PlanProps::unknown(entry.relation.rows() as u64),

@@ -99,6 +99,9 @@ pub struct OperatorMetrics {
     /// 64-row blocks: `(skipped, tested)`, the blocks in which no row
     /// passed out of the blocks tested.
     pub skipped: Option<(u64, u64)>,
+    /// For a scan of a sorted projection whose tail is not empty:
+    /// `(tail, rows)`, the rows still in append order out of all.
+    pub tail: Option<(u64, u64)>,
 }
 
 impl fmt::Display for PipelineStats {

@@ -410,6 +410,52 @@ fn stitch<A: Aggregator>(
     }
 }
 
+/// Two groupings whose keys ascend, each key once, as one: a key both
+/// hold has its states merged, the groups of `a` first — how OG over a
+/// sorted projection joins the groups of its sorted prefix, folded in
+/// runs, and of its tail, which comes in append order and so folds into
+/// BSG's sorted array. Both are folds of one decomposable aggregate over
+/// disjoint rows, so the result is the grouping of all the rows.
+///
+/// An index loop, not [`stitch`] over a merged iterator: served behind
+/// OG on spine's `mixed.insert_read` (2-core x86-64), that version made
+/// the `filter.key` class p50 478 µs against this loop's 367.
+pub fn merge_ascending<A: Aggregator>(
+    agg: A,
+    a: GroupedResult<A::State>,
+    b: GroupedResult<A::State>,
+) -> GroupedResult<A::State> {
+    let (n, m) = (a.keys.len(), b.keys.len());
+    let (mut keys, mut states) = (Vec::with_capacity(n + m), Vec::with_capacity(n + m));
+    let (mut i, mut j) = (0, 0);
+    while i < n && j < m {
+        let (x, y) = (a.keys[i], b.keys[j]);
+        if y < x {
+            keys.push(y);
+            states.push(b.states[j].clone());
+            j += 1;
+            continue;
+        }
+        let mut state = a.states[i].clone();
+        if y == x {
+            agg.merge(&mut state, &b.states[j]);
+            j += 1;
+        }
+        keys.push(x);
+        states.push(state);
+        i += 1;
+    }
+    keys.extend_from_slice(&a.keys[i..]);
+    states.extend_from_slice(&a.states[i..]);
+    keys.extend_from_slice(&b.keys[j..]);
+    states.extend_from_slice(&b.states[j..]);
+    GroupedResult {
+        keys,
+        states,
+        sorted_by_key: true,
+    }
+}
+
 /// Per-worker SPH state: the dense aggregate array over `[min, min +
 /// slots.len())`, whose occupied slots are those with a non-zero count
 /// ([`Aggregator::count`]), and the first key met outside it.

@@ -271,7 +271,17 @@ impl Column {
     /// indexing, which is the desired fail-fast behaviour for a corrupted
     /// selection vector.
     pub fn gather<I: RowId>(&self, indices: &[I]) -> Column {
-        per_type!(self, v => indices.iter().map(|&i| v[i.index()]).collect::<Vec<_>>())
+        self.gather_with_room(indices, 0)
+    }
+
+    /// [`Column::gather`] into a buffer with room for `room` more rows,
+    /// which the next appends then write in place.
+    pub fn gather_with_room<I: RowId>(&self, indices: &[I], room: usize) -> Column {
+        per_type!(self, v => {
+            let mut out = Vec::with_capacity(indices.len() + room);
+            out.extend(indices.iter().map(|&i| v[i.index()]));
+            out
+        })
     }
 
     /// Build a new column from the rows `sel` selects, in its order:
@@ -292,13 +302,21 @@ impl Column {
     /// This is how a snapshot extends its predecessor (one range for an
     /// append, interleaved runs for a merge), so the new buffer's capacity
     /// is rounded up to a geometric size class — the next snapshot of a
-    /// growing column then fits the block this one frees. Ranges that
-    /// take all of `self` and then all of `tail`, in order, are an append
-    /// ([`Column::concat`]), which writes in place when it can.
-    pub fn concat_select(&self, tail: &Column, ranges: &[Range<usize>]) -> Result<Column> {
-        fn pick<T: Copy>(a: &[T], b: &[T], ranges: &[Range<usize>]) -> Vec<T> {
+    /// growing column then fits the block this one frees — and holds at
+    /// least `room` more rows, which the next appends write in place.
+    /// Ranges that take all of `self` and then all of `tail`, in order,
+    /// are an append ([`Column::concat`]), which writes in place when it
+    /// can.
+    pub fn concat_select(
+        &self,
+        tail: &Column,
+        ranges: &[Range<usize>],
+        room: usize,
+    ) -> Result<Column> {
+        fn pick<T: Copy>(a: &[T], b: &[T], ranges: &[Range<usize>], room: usize) -> Vec<T> {
             let n = a.len();
-            let mut out = Vec::with_capacity(size_class(ranges.iter().map(|r| r.len()).sum()));
+            let len = ranges.iter().map(|r| r.len()).sum::<usize>();
+            let mut out = Vec::with_capacity(size_class(len).max(len + room));
             for r in ranges {
                 if r.start < n {
                     out.extend_from_slice(&a[r.start..r.end.min(n)]);
@@ -318,7 +336,7 @@ impl Column {
         if appends && end == self.len() + tail.len() {
             return self.concat(tail);
         }
-        per_type_pair!(self, tail, (a, b) => pick(a, b, ranges))
+        per_type_pair!(self, tail, (a, b) => pick(a, b, ranges, room))
     }
 
     /// `self ++ tail`: written past this column's length in its own buffer
@@ -468,7 +486,7 @@ mod tests {
         assert_eq!(d.as_u32().unwrap(), &[1, 2, 3, 9]);
         // A range list that is an append goes the same way.
         let e = c
-            .concat_select(&Column::U32(vec![5]), &[0..2, 2..2, 2..5])
+            .concat_select(&Column::U32(vec![5]), &[0..2, 2..2, 2..5], 0)
             .unwrap();
         assert!(e.shares_buffer(&c));
         assert_eq!(e.as_u32().unwrap(), &[1, 2, 3, 4, 5]);
@@ -492,8 +510,12 @@ mod tests {
         let (a, b) = (Column::U32(vec![1, 2, 3]), Column::U32(vec![7, 8]));
         let all = a.concat(&b).unwrap();
         assert_eq!(all.as_u32().unwrap(), &[1, 2, 3, 7, 8]);
-        let merged = a.concat_select(&b, &[0..1, 4..5, 1..3, 3..4]).unwrap();
+        let merged = a.concat_select(&b, &[0..1, 4..5, 1..3, 3..4], 0).unwrap();
         assert_eq!(merged.as_u32().unwrap(), &[1, 8, 2, 3, 7]);
+        // Room asked for is room the next appends write in place into.
+        let roomy = a.concat_select(&b, &[4..5, 0..3], 100).unwrap();
+        let grown = roomy.concat(&Column::U32(vec![9; 100])).unwrap();
+        assert!(grown.shares_buffer(&roomy));
         assert!(a.concat(&Column::F64(vec![])).is_err());
     }
 

@@ -210,6 +210,12 @@ impl Relation {
         self.rebuilt(indices.len(), |c| c.gather(indices))
     }
 
+    /// [`Relation::gather`] into buffers with room for `room` more rows
+    /// (see [`Column::gather_with_room`]).
+    pub fn gather_with_room<I: RowId>(&self, indices: &[I], room: usize) -> Relation {
+        self.rebuilt(indices.len(), |c| c.gather_with_room(indices, room))
+    }
+
     /// Materialise the rows `sel` selects, in its order. Selecting every
     /// row shares the column buffers instead of copying them.
     pub fn select(&self, sel: &Selection) -> Relation {

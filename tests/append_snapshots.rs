@@ -9,8 +9,13 @@
 //! and re-checking them while the writer keeps going — and check that two
 //! appends to one snapshot give two correct children, the second by
 //! copying, and that an INSERT copies O(delta) amortised, not the table.
+//! The sorted projection's hidden relation is held the same way, across
+//! INSERTs that append to its tail in place and ones that merge the tail
+//! into a new prefix.
 
-use dqo::core::av::{AvKind, AvSignature};
+use dqo::core::av::{AvArtifact, AvKind, AvSignature};
+use dqo::core::av_delta::tail_limit;
+use dqo::core::catalog::TableEntry;
 use dqo::core::Engine;
 use dqo::obs::{names, MetricsRegistry};
 use dqo::storage::{Column, DataType, Dictionary, Field, Relation, Schema, Value};
@@ -92,6 +97,26 @@ fn assert_holds(t: &Relation, expected: &[(u32, &str)], ctx: &str) {
     }
 }
 
+/// A sorted projection's snapshot holds exactly `expected`'s rows: its
+/// prefix ascends by key, and its rows in key order — every row by `(key,
+/// row id)`, the prefix merged with the tail it appended — are
+/// `expected` stably sorted by key.
+fn assert_projection_holds(projection: &TableEntry, expected: &[(u32, &str)], ctx: &str) {
+    let rel = &projection.relation;
+    let keys = rel.column("key").unwrap().as_u32().unwrap();
+    let prefix = projection.sorted_prefix.as_ref();
+    let prefix = prefix.map_or(rel.rows(), |p| p.rows);
+    assert!(
+        keys[..prefix].windows(2).all(|w| w[0] <= w[1]),
+        "{ctx}: prefix order"
+    );
+    let mut order: Vec<u32> = (0..rel.rows() as u32).collect();
+    order.sort_by_key(|&row| (keys[row as usize], row));
+    let mut want = expected.to_vec();
+    want.sort_by_key(|&(key, _)| key);
+    assert_holds(&rel.gather(&order), &want, ctx);
+}
+
 fn engine_with_avs(rows: &[(u32, &str)]) -> Engine {
     let engine = Engine::new();
     engine.register_table("t", table(rows));
@@ -133,8 +158,10 @@ fn readers_snapshots_stay_fixed_while_a_writer_appends() {
     // The batches bring the one city the base does not hold.
     all[BASE + 5 * BATCH + 3].1 = CITIES[CITIES.len() - 1];
     let engine = engine_with_avs(&all[..BASE]);
+    let hidden = AvSignature::new("t", "key", AvKind::SortedProjection).av_table_name();
     // At each checkpoint the writer has had `STRIDE` more batches
-    // acknowledged; it goes on appending while the readers check.
+    // acknowledged; it goes on appending while the readers check. Between
+    // two, the projection's tail both took batches in place and merged.
     let checkpoint = Barrier::new(READERS + 1);
     std::thread::scope(|scope| {
         scope.spawn(|| {
@@ -152,9 +179,9 @@ fn readers_snapshots_stay_fixed_while_a_writer_appends() {
             raise(failed);
         });
         for reader in 0..READERS {
-            let (engine, checkpoint, all) = (&engine, &checkpoint, &all);
+            let (engine, checkpoint, all, hidden) = (&engine, &checkpoint, &all, &hidden);
             scope.spawn(move || {
-                let mut held = Vec::new();
+                let (mut held, mut projections) = (Vec::new(), Vec::new());
                 let mut failed = None;
                 for cp in 1..=BATCHES / STRIDE {
                     checkpoint.wait();
@@ -176,6 +203,16 @@ fn readers_snapshots_stay_fixed_while_a_writer_appends() {
                             let ctx = format!("reader {reader}, checkpoint {cp}, snapshot of {n}");
                             assert_holds(&old.relation, &all[..*n], &ctx);
                         }
+                        let projection = engine.catalog().stored(hidden).expect("projection");
+                        let rows = projection.relation.rows();
+                        assert!(rows >= acked, "reader {reader}: projection of {rows} rows");
+                        projections.push(projection);
+                        for old in &projections {
+                            let n = old.relation.rows();
+                            let ctx =
+                                format!("reader {reader}, checkpoint {cp}, projection of {n}");
+                            assert_projection_holds(old, &all[..n], &ctx);
+                        }
                     });
                 }
                 raise(failed);
@@ -184,6 +221,8 @@ fn readers_snapshots_stay_fixed_while_a_writer_appends() {
     });
     let t = engine.catalog().get("t").expect("t");
     assert_holds(&t.relation, &all, "after the writer");
+    let projection = engine.catalog().stored(&hidden).expect("projection");
+    assert_projection_holds(&projection, &all, "the projection after the writer");
 }
 
 #[test]
@@ -285,4 +324,65 @@ fn inserts_copy_amortised_o_delta_bytes() {
         let counted = registry.snapshot().counter(names::INSERT_BYTES_COPIED);
         assert_eq!(counted, Some(total as u64), "index={with_index}");
     }
+}
+
+/// 16-row INSERTs into a 100 000-row table with all three AVs. An INSERT
+/// that leaves the sorted projection's tail within ⌈√rows⌉ appends to it
+/// in place, and the projection copies no more than the delta; the one
+/// that would take the tail past it merges prefix and tail into a new
+/// prefix, copying the projection once — so a merge comes exactly once
+/// per ⌈√rows⌉ tail rows.
+#[test]
+fn the_sorted_projection_copies_only_when_its_tail_merges() {
+    const ROWS: u32 = 100_000;
+    let key = |i: u32| i.wrapping_mul(2_654_435_761) % 1_000;
+    let engine = Engine::new();
+    let schema = Schema::new(vec![
+        Field::new("key", DataType::U32),
+        Field::new("v", DataType::U32),
+    ])
+    .unwrap();
+    let columns = vec![
+        Column::U32((0..ROWS).map(key).collect()),
+        Column::U32((0..ROWS).collect()),
+    ];
+    engine.register_table("t", Relation::new(schema, columns).unwrap());
+    let sigs = [
+        AvKind::SortedProjection,
+        AvKind::SphIndex,
+        AvKind::MaterialisedGrouping,
+    ]
+    .map(|kind| AvSignature::new("t", "key", kind));
+    engine.av_builder().build_batch(&sigs).expect("AV build");
+    let (mut tail, mut merges) = (0usize, 0);
+    for step in 0..60u32 {
+        let first = ROWS + step * BATCH as u32;
+        let batch: Vec<Vec<Value>> = (first..first + BATCH as u32)
+            .map(|i| vec![Value::U32(key(i)), Value::U32(i)])
+            .collect();
+        let report = engine.insert("t", &batch).expect("insert");
+        let outcome = (report.maintenance.outcomes.iter())
+            .find(|o| o.signature == sigs[0])
+            .expect("projection maintained");
+        let av = engine.avs().get(&sigs[0]).expect("projection");
+        let Some(AvArtifact::SortedProjection(rel, prefix)) = av.artifact.as_ref() else {
+            panic!("step {step}: {:?}", av.artifact);
+        };
+        let rows = (first as usize) + BATCH;
+        assert_eq!(rel.rows(), rows, "step {step}");
+        if tail + BATCH > tail_limit(rows) {
+            assert_eq!(*prefix, rows, "step {step}: the tail merged");
+            assert!(outcome.bytes_copied >= rel.byte_size(), "step {step}");
+            (tail, merges) = (0, merges + 1);
+        } else {
+            tail += BATCH;
+            assert_eq!(rows - prefix, tail, "step {step}: the tail took the batch");
+            assert!(
+                outcome.bytes_copied <= BATCH * 8,
+                "step {step}: an append to the tail copied {} bytes",
+                outcome.bytes_copied
+            );
+        }
+    }
+    assert_eq!(merges, 3, "one merge per ⌈√rows⌉ ≈ 317 tail rows");
 }

@@ -10,13 +10,17 @@
 //! build would have produced, column for column (relations), or for an
 //! `SphIndex` slot map, layout kind and every slot's rows in order
 //! (`JoinIndex`'s `PartialEq`, which looks through a patched CSR's split
-//! into a shared main part and a tail). The hidden
+//! into a shared main part and a tail). A sorted projection is compared
+//! by its rows in key order — its sorted prefix merged with its tail,
+//! which INSERTs append in append order — bit for bit, after checking that
+//! the prefix ascends and the tail holds at most ⌈√rows⌉ rows. The hidden
 //! `__av::` relation registered for plan scans is checked against the
 //! artifact too, so a publish that updates one but not the other fails.
 //! So are the catalog's statistics: every `column_props` entry of `t` and
 //! of each hidden relation must equal `DataProps::compute` over its
-//! column, and every `key_codes` entry `KeyCodes::build` over it, so a
-//! fold on the write path can never drift from the oracle.
+//! column (a sorted projection's read in key order), and every
+//! `key_codes` entry `KeyCodes::build` over it, so a fold on the write
+//! path can never drift from the oracle.
 //!
 //! Interleaved queries run through **prepared executions** so the run
 //! doubles as the plan-cache acceptance check: appends move the data
@@ -24,12 +28,17 @@
 //! one plan-cache miss is allowed.
 
 use dqo::core::av::{materialise_av, AvArtifact, AvKind, AvSignature};
+use dqo::core::av_delta::tail_limit;
 use dqo::core::executor::{execute_with, naive_eval, sorted_rows, ExecContext};
 use dqo::core::optimizer::{optimize_in, OptimizerMode, SearchContext};
 use dqo::core::{CoreError, DeltaAction, Engine};
 use dqo::obs::{names, MetricsRegistry};
+use dqo::parallel::PersistentPool;
 use dqo::plan::expr::{AggExpr, CmpOp, Predicate};
-use dqo::plan::{AggFunc, LogicalPlan};
+use dqo::plan::physical::GroupingMolecules;
+use dqo::plan::{
+    AggFunc, GroupingAlgorithm, JoinAlgorithm, LogicalPlan, PhysicalPlan, SortMolecule,
+};
 use dqo::storage::{
     Column, DataProps, DataType, Field, KeyCodes, PartitionSpec, PartitionedRelation, Relation,
     Schema, Sortedness, Value,
@@ -86,6 +95,15 @@ fn engine_with_avs(rows: &[(u32, u32)], dop: usize) -> (Engine, Arc<MetricsRegis
     let engine = Engine::new()
         .with_threads(dop)
         .with_metrics_registry(Arc::clone(&registry));
+    materialise_all(engine, rows, registry)
+}
+
+/// `engine` with `t` registered and all three AV kinds materialised.
+fn materialise_all(
+    engine: Engine,
+    rows: &[(u32, u32)],
+    registry: Arc<MetricsRegistry>,
+) -> (Engine, Arc<MetricsRegistry>) {
     engine.register_table("t", dense_table(rows));
     let sigs: Vec<AvSignature> = ALL_KINDS
         .iter()
@@ -112,21 +130,30 @@ fn assert_sigs_match_rebuild(engine: &Engine, sigs: &[AvSignature], ctx: &str) {
             .get(sig)
             .unwrap_or_else(|| panic!("{ctx}: {sig} missing from catalog"));
         let fresh = materialise_av(&combined, sig, None).expect("rebuild");
+        // The hidden relation plans scan must be the artifact.
+        let hidden = || engine.catalog().stored(&sig.av_table_name());
         match (
             maintained.artifact.as_ref().expect("materialised"),
             fresh.artifact.as_ref().expect("materialised"),
         ) {
-            (AvArtifact::SortedProjection(m), AvArtifact::SortedProjection(f))
-            | (AvArtifact::MaterialisedGrouping(m), AvArtifact::MaterialisedGrouping(f)) => {
+            (AvArtifact::SortedProjection(m, prefix), AvArtifact::SortedProjection(f, _)) => {
+                let ctx = format!("{ctx}: {sig}");
+                let key = sig.key_columns();
+                assert_split(m, *prefix, &key, &ctx);
+                assert_relations_eq(&keyed(m, &key), f, &ctx);
+                let hidden = hidden().expect("hidden relation");
+                assert_relations_eq(&hidden.relation, m, &format!("{ctx} hidden relation"));
+                let tail = (*prefix < m.rows()).then_some(*prefix);
+                let split = hidden.sorted_prefix.as_ref().map(|p| p.rows);
+                assert_eq!(split, tail, "{ctx}: the catalog's prefix");
+                // A catalog read shows the rows in key order: a rebuild's.
+                let read = engine.catalog().get(&sig.av_table_name()).expect("read");
+                assert!(read.sorted_prefix.is_none(), "{ctx}: a read has no tail");
+                assert_relations_eq(&read.relation, f, &format!("{ctx} catalog read"));
+            }
+            (AvArtifact::MaterialisedGrouping(m), AvArtifact::MaterialisedGrouping(f)) => {
                 assert_relations_eq(m, f, &format!("{ctx}: {sig}"));
-                // The hidden relation plans scan must be the artifact.
-                let hidden = Arc::clone(
-                    &engine
-                        .catalog()
-                        .get(&sig.av_table_name())
-                        .expect("hidden relation")
-                        .relation,
-                );
+                let hidden = Arc::clone(&hidden().expect("hidden relation").relation);
                 assert_relations_eq(&hidden, m, &format!("{ctx}: {sig} hidden relation"));
             }
             (AvArtifact::SphIndex(m), AvArtifact::SphIndex(f)) => {
@@ -137,20 +164,60 @@ fn assert_sigs_match_rebuild(engine: &Engine, sigs: &[AvSignature], ctx: &str) {
     }
 }
 
+/// The rows of a sorted projection in key order, found without the
+/// engine's merge: every row ordered by `(key tuple, row id)`. The prefix
+/// ascends, and every tail row was appended after all of its rows, in
+/// append order — so this is the prefix merged with the stably sorted
+/// tail, a prefix row first on equal keys.
+fn keyed(rel: &Relation, key: &[&str]) -> Relation {
+    let cols: Vec<&[u32]> = key
+        .iter()
+        .map(|k| rel.column(k).unwrap().as_u32().unwrap())
+        .collect();
+    let tuple = |row: u32| cols.iter().map(|c| c[row as usize]).collect::<Vec<u32>>();
+    let mut order: Vec<u32> = (0..rel.rows() as u32).collect();
+    order.sort_by_key(|&row| (tuple(row), row));
+    rel.gather(&order)
+}
+
+/// A sorted projection's split: its first `prefix` rows ascend by `key`,
+/// and the rest — its tail — are at most ⌈√rows⌉.
+fn assert_split(rel: &Relation, prefix: usize, key: &[&str], ctx: &str) {
+    let cols: Vec<&[u32]> = key
+        .iter()
+        .map(|k| rel.column(k).unwrap().as_u32().unwrap())
+        .collect();
+    let tuple = |row: usize| cols.iter().map(|c| c[row]).collect::<Vec<u32>>();
+    assert!(
+        (1..prefix).all(|row| tuple(row - 1) <= tuple(row)),
+        "{ctx}: the prefix of {prefix} rows does not ascend"
+    );
+    let tail = rel.rows() - prefix;
+    let limit = tail_limit(rel.rows());
+    assert!(tail <= limit, "{ctx}: a tail of {tail} rows, over {limit}");
+}
+
 /// Every statistic the catalog holds — for `t` and for each hidden
-/// `__av::` relation — equals `DataProps::compute` over its column, and
-/// every column's key codes equal `KeyCodes::build` over it.
+/// `__av::` relation — equals `DataProps::compute` over its column (a
+/// sorted projection's read in key order), and every column's key codes
+/// equal `KeyCodes::build` over it.
 fn assert_stats_exact(engine: &Engine, ctx: &str) {
     let catalog = engine.catalog();
     for name in catalog.table_names() {
-        let entry = catalog.get(&name).expect("listed table");
+        let entry = catalog.stored(&name).expect("listed table");
+        let in_key_order = entry.sorted_prefix.as_ref().map(|prefix| {
+            let key: Vec<&str> = prefix.key.iter().map(String::as_str).collect();
+            keyed(&entry.relation, &key)
+        });
         for field in entry.relation.schema().fields() {
             let Ok(data) = entry.relation.column(&field.name).unwrap().as_u32() else {
                 continue;
             };
+            let rows = in_key_order.as_ref().unwrap_or(&entry.relation);
+            let ordered = rows.column(&field.name).unwrap().as_u32().unwrap();
             assert_eq!(
                 entry.column_props.get(&field.name),
-                Some(&DataProps::compute(data)),
+                Some(&DataProps::compute(ordered)),
                 "{ctx}: statistics of {name}.{}",
                 field.name
             );
@@ -310,9 +377,10 @@ fn append(engine: &Engine, rows: &[(u32, u32)]) {
 }
 
 /// The statistic that licenses a search stays true under writes: the
-/// maintained sorted projection's `key` still ascends, so `key < ?`,
-/// `key >= ? AND key < ?` and `key = ?` over it are answered by binary
-/// search — and each answer equals the AV-free engine's over `t`. The
+/// maintained sorted projection's `key` ascends in key order, its prefix
+/// ascends and its tail is at most ⌈√rows⌉, so `key < ?`, `key >= ? AND
+/// key < ?` and `key = ?` over it are answered by binary search of the
+/// prefix — and each answer equals the AV-free engine's over `t`. The
 /// literals run from below the smallest key to past the largest.
 fn assert_projection_searches_agree(engine: &Engine, plain: &Engine, state: &mut u64, ctx: &str) {
     let hidden = AvSignature::new("t", "key", AvKind::SortedProjection).av_table_name();
@@ -321,6 +389,10 @@ fn assert_projection_searches_agree(engine: &Engine, plain: &Engine, state: &mut
         .column_props(&hidden, "key")
         .expect("projection stats");
     assert_eq!(props.sortedness, Sortedness::Ascending, "{ctx}");
+    let entry = catalog.stored(&hidden).expect("projection");
+    let prefix = entry.sorted_prefix.as_ref();
+    let prefix = prefix.map_or(entry.relation.rows(), |p| p.rows);
+    assert_split(&entry.relation, prefix, &["key"], ctx);
     let mut literal = || next(state) as u32 % (props.max + 3);
     let (a, b) = (literal(), literal());
     let key = |op, v: u32| Predicate::cmp("key", op, v);
@@ -409,11 +481,11 @@ fn repeated_small_appends_stay_bit_identical() {
     }
 }
 
-/// Keys that never decrease, as timestamps do: every insertion point of
-/// the run-merge is the sorted projection's end, so the projection
-/// extends its own buffers — after the first append, which moves them
-/// into buffers with room, it copies nothing — and every step stays
-/// identical to a rebuild. Half the batches repeat the top key (the SPH
+/// Keys that never decrease, as timestamps do: every delta follows the
+/// sorted projection's last key, so the projection's prefix extends its
+/// own buffers — the one append that outgrows the room its build left
+/// moves them into buffers with room for the rest, and every other
+/// append copies nothing — and every step stays identical to a rebuild. Half the batches repeat the top key (the SPH
 /// index is patched), half climb past it (the dense domain widens and
 /// the index rebuilds in the background).
 #[test]
@@ -422,7 +494,7 @@ fn ascending_appends_extend_the_sorted_projection_in_place() {
     let mirror = seed_rows(300, 16, &mut state);
     let (engine, _) = engine_with_avs(&mirror, 1);
     let sorted = AvSignature::new("t", "key", AvKind::SortedProjection);
-    let mut top = 15u32;
+    let (mut top, mut copies) = (15u32, 0);
     for step in 0..20u32 {
         let keys: Vec<u32> = (0..8)
             .map(|i| if step % 2 == 1 { top + 1 + i / 2 } else { top })
@@ -440,12 +512,11 @@ fn ascending_appends_extend_the_sorted_projection_in_place() {
             .find(|o| o.signature == sorted)
             .expect("sorted projection maintained");
         assert_eq!(outcome.action, DeltaAction::Merge, "step {step}");
-        if step > 0 {
-            assert_eq!(outcome.bytes_copied, 0, "step {step}: an append copied");
-        }
+        copies += usize::from(outcome.bytes_copied > 0);
         report.wait_for_rebuilds().expect("background rebuild");
         assert_matches_rebuild(&engine, &format!("ascending step {step}"));
     }
+    assert_eq!(copies, 1, "appends that copied the projection");
 }
 
 /// A delta larger than half the combined table rebuilds the sorted
@@ -800,4 +871,260 @@ fn inserts_into_a_coded_table_answer_as_a_fresh_registration() {
             assert!(coded(&engine), "{ctx}: the decision stays");
         }
     }
+}
+
+/// 16-row INSERTs into a table with all three AVs, at DOP 1, 2 and 8: the
+/// sorted projection's tail takes the rows in append order until it
+/// would outgrow ⌈√rows⌉, and the prefix and tail then merge — at least
+/// twice per run. After every INSERT the views equal a rebuild (the
+/// projection's rows in key order bit for bit), `key` searches agree with
+/// scans, and every consumer of the projection's order answers as the
+/// AV-free engine: OG over the projection, whole and filtered; `ORDER BY
+/// key`, which the optimiser plans without a sort; `ORDER BY key LIMIT
+/// n`; and OJ onto a sorted dimension.
+#[test]
+fn tail_appends_and_prefix_merges_answer_as_the_av_free_engine() {
+    let sorted = AvSignature::new("t", "key", AvKind::SortedProjection);
+    for dop in [1usize, 2, 8] {
+        let mut state = 0x7a11 ^ dop as u64;
+        let mut mirror = seed_rows(3_000, 40, &mut state);
+        let (engine, _) = engine_with_avs(&mirror, dop);
+        let plain = Engine::new().with_threads(dop);
+        plain.register_table("t", dense_table(&mirror));
+        // Ascending dimension keys, some twice, some no row of `t` holds.
+        let dim: Vec<u32> = (0..48).map(|i| i * 5 / 6).collect();
+        for e in [&engine, &plain] {
+            e.register_table("d", Relation::single_u32("k", dim.clone()));
+        }
+        let (mut merges, mut appends) = (0, 0);
+        for step in 0..12 {
+            let ctx = format!("dop={dop} step={step}");
+            let rows: Vec<(u32, u32)> = (0..16)
+                .map(|_| {
+                    (
+                        next(&mut state) as u32 % 40,
+                        next(&mut state) as u32 % 1_000,
+                    )
+                })
+                .collect();
+            insert(&engine, &mut mirror, &rows);
+            append(&plain, &rows);
+            let av = engine.avs().get(&sorted).expect("projection");
+            match av.artifact.as_ref() {
+                Some(AvArtifact::SortedProjection(rel, prefix)) if *prefix == rel.rows() => {
+                    merges += 1
+                }
+                Some(AvArtifact::SortedProjection(..)) => appends += 1,
+                other => panic!("{ctx}: {other:?}"),
+            }
+            assert_matches_rebuild(&engine, &ctx);
+            assert_projection_searches_agree(&engine, &plain, &mut state, &ctx);
+            assert_order_consumers_agree(&engine, &plain, dop, next(&mut state) as u32 % 44, &ctx);
+        }
+        assert!(
+            merges >= 2 && appends >= 2,
+            "dop={dop}: {merges} merges, {appends} appends"
+        );
+    }
+}
+
+/// OG, an elided sort, a top-n and OJ over the sorted projection each
+/// equal the AV-free engine's answer over `t`, row for row.
+fn assert_order_consumers_agree(
+    engine: &Engine,
+    plain: &Engine,
+    dop: usize,
+    bound: u32,
+    ctx: &str,
+) {
+    let hidden = AvSignature::new("t", "key", AvKind::SortedProjection).av_table_name();
+    let scan = |table: &str| PhysicalPlan::Scan {
+        table: table.into(),
+    };
+    let on_pool = |plan: PhysicalPlan| match dop {
+        1 => plan,
+        _ => PhysicalPlan::Exchange {
+            input: Box::new(plan),
+            dop,
+        },
+    };
+    let run = |e: &Engine, plan: &PhysicalPlan| {
+        let ctx = ExecContext {
+            avs: Some(e.avs()),
+            ..ExecContext::default()
+        };
+        execute_with(plan, e.catalog(), &ctx)
+            .expect("execute")
+            .0
+            .relation
+    };
+    let aggs = || {
+        vec![
+            AggExpr::count_star("n"),
+            AggExpr::on(AggFunc::Max, "v", "hi"),
+        ]
+    };
+    for filter in [None, Some(Predicate::cmp("key", CmpOp::Lt, bound))] {
+        let over = |input: PhysicalPlan| match &filter {
+            Some(predicate) => PhysicalPlan::Filter {
+                input: Box::new(input),
+                predicate: predicate.clone(),
+            },
+            None => input,
+        };
+        let og = on_pool(PhysicalPlan::GroupBy {
+            input: Box::new(over(scan(&hidden))),
+            keys: vec!["key".into()],
+            aggs: aggs(),
+            algo: GroupingAlgorithm::OrderBased,
+            molecules: GroupingMolecules::default(),
+        });
+        let mut logical = LogicalPlan::scan("t");
+        if let Some(predicate) = &filter {
+            logical = LogicalPlan::filter(logical, predicate.clone());
+        }
+        let want = plain
+            .query(&LogicalPlan::sort(
+                LogicalPlan::group_by(logical, "key", aggs()),
+                "key",
+            ))
+            .expect("AV-free grouping");
+        let ctx = format!("{ctx}: OG over the projection, filter {filter:?}");
+        assert_relations_eq(&run(engine, &og), &want.output.relation, &ctx);
+    }
+    // The projection's key ascends in the catalog, so the optimiser
+    // plans `ORDER BY key` over it with no Sort.
+    let search = SearchContext {
+        dop,
+        ..SearchContext::new(OptimizerMode::Deep)
+    };
+    for limit in [None, Some(u64::from(bound % 7) * 5 + 1)] {
+        let ordered = |table: &str| {
+            let sorted = LogicalPlan::sort(LogicalPlan::scan(table), "key");
+            limit.map_or(Arc::clone(&sorted), |n| LogicalPlan::limit(sorted, n))
+        };
+        let planned = optimize_in(&ordered(&hidden), engine.catalog(), &search).expect("plan");
+        let text = planned.plan.explain();
+        assert!(
+            !text.contains("Sort"),
+            "{ctx}: the sort was not elided\n{text}"
+        );
+        let want = plain.query(&ordered("t")).expect("AV-free order");
+        let ctx = format!("{ctx}: ORDER BY key LIMIT {limit:?}");
+        assert_relations_eq(&run(engine, &planned.plan), &want.output.relation, &ctx);
+    }
+    // OJ onto the sorted dimension, against OJ over `t` sorted.
+    let oj = |left: PhysicalPlan| {
+        on_pool(PhysicalPlan::Join {
+            left: Box::new(left),
+            right: Box::new(scan("d")),
+            left_key: "key".into(),
+            right_key: "k".into(),
+            algo: JoinAlgorithm::OrderBased,
+        })
+    };
+    let sorted_t = PhysicalPlan::Sort {
+        input: Box::new(scan("t")),
+        key: "key".into(),
+        molecule: SortMolecule::Comparison,
+    };
+    let got = run(engine, &oj(scan(&hidden)));
+    assert_relations_eq(&got, &run(plain, &oj(sorted_t)), &format!("{ctx}: OJ"));
+}
+
+/// A prepared plan that relied on a base column's order is not served
+/// once an INSERT broke that order. On 200 000 rows whose sparse key
+/// ascends, `GROUP BY key ORDER BY key` plans OG over the scan with the
+/// sort elided; after an INSERT of a key below the others the table's
+/// key no longer ascends, and the plan would emit the new key's group
+/// last, or — once the key reappears — fail OG's precondition. Each
+/// answer, at DOP 1, 2 and 8, equals a fresh registration's and the naive
+/// evaluator's, in key order.
+#[test]
+fn a_prepared_plan_is_not_served_once_an_insert_breaks_the_order_it_used() {
+    let rows: Vec<(u32, u32)> = (0..200_000u32)
+        .map(|i| (7 + 3 * (i / 50), i % 1_000))
+        .collect();
+    let q = LogicalPlan::sort(
+        LogicalPlan::group_by(
+            LogicalPlan::scan("t"),
+            "key",
+            vec![
+                AggExpr::count_star("n"),
+                AggExpr::on(AggFunc::Sum, "v", "s"),
+            ],
+        ),
+        "key",
+    );
+    for dop in [1usize, 2, 8] {
+        let engine = Engine::new().with_threads(dop);
+        engine.register_table("t", dense_table(&rows));
+        let prepared = engine.prepare(&q);
+        let first = engine.execute_prepared(&prepared, &q).expect("first");
+        assert_eq!(first.output.relation.rows(), 4_000, "dop={dop}");
+        for key in [5u32, 7] {
+            let ctx = format!("dop={dop} after inserting key {key}");
+            engine
+                .insert("t", &[vec![Value::U32(key), Value::U32(1)]])
+                .expect("insert");
+            let out = engine.execute_prepared(&prepared, &q).expect(&ctx);
+            let fresh = Engine::new().with_threads(dop);
+            let combined = engine.catalog().get("t").unwrap();
+            fresh.register_table("t", (*combined.relation).clone());
+            let want = fresh.query(&q).expect("fresh");
+            assert_relations_eq(&out.output.relation, &want.output.relation, &ctx);
+            let naive = naive_eval(&q, fresh.catalog()).expect("naive");
+            assert_eq!(
+                sorted_rows(&out.output.relation),
+                sorted_rows(&naive),
+                "{ctx}"
+            );
+            let keys = out.output.relation.column("key").unwrap().as_u32().unwrap();
+            assert_eq!(keys[0], 5, "{ctx}: the new key's group comes first");
+            assert!(keys.windows(2).all(|w| w[0] < w[1]), "{ctx}: key order");
+        }
+    }
+}
+
+/// A serving engine (one on a shared pool) keeps the same tails as any
+/// other: after a 16-row INSERT its sorted projection is stored with a
+/// tail, and a catalog read of it shows a rebuild's rows in a rebuild's
+/// order, with no tail — without publishing anything, so the stored
+/// split is untouched.
+#[test]
+fn a_catalog_read_shows_a_projection_with_a_tail_as_a_rebuild() {
+    let mut state = 0x5e771e;
+    let mut mirror = seed_rows(20_000, 64, &mut state);
+    let engine = Engine::with_shared_pool(Arc::new(PersistentPool::with_admission(2, 2)));
+    let (engine, _) = materialise_all(engine, &mirror, Arc::default());
+    let sorted = AvSignature::new("t", "key", AvKind::SortedProjection);
+    let rows: Vec<(u32, u32)> = (0..16)
+        .map(|_| {
+            (
+                next(&mut state) as u32 % 64,
+                next(&mut state) as u32 % 1_000,
+            )
+        })
+        .collect();
+    insert(&engine, &mut mirror, &rows);
+    let hidden = sorted.av_table_name();
+    let stored = engine.catalog().stored(&hidden).unwrap();
+    assert_eq!(
+        stored
+            .sorted_prefix
+            .as_ref()
+            .map(|p| stored.relation.rows() - p.rows),
+        Some(16),
+        "the INSERT appended its rows to a tail"
+    );
+    let read = engine.catalog().get(&hidden).unwrap();
+    assert!(read.sorted_prefix.is_none(), "a read has no tail");
+    let fresh = materialise_av(&engine.catalog().get("t").unwrap(), &sorted, None).unwrap();
+    let Some(AvArtifact::SortedProjection(rebuilt, _)) = fresh.artifact else {
+        panic!("a projection");
+    };
+    assert_relations_eq(&read.relation, &rebuilt, "a catalog read, row for row");
+    let again = engine.catalog().stored(&hidden).unwrap();
+    assert!(Arc::ptr_eq(&stored, &again), "a read publishes nothing");
+    assert_matches_rebuild(&engine, "after one INSERT");
 }

@@ -379,8 +379,11 @@ fn assert_relations_identical(a: &dqo::Relation, b: &dqo::Relation, ctx: &str) {
 /// Compare an AV artifact against the reference.
 fn assert_artifacts_identical(par: AvArtifact, serial: AvArtifact, ctx: &str) {
     match (par, serial) {
-        (AvArtifact::SortedProjection(p), AvArtifact::SortedProjection(s))
-        | (AvArtifact::MaterialisedGrouping(p), AvArtifact::MaterialisedGrouping(s)) => {
+        (AvArtifact::SortedProjection(p, at), AvArtifact::SortedProjection(s, _)) => {
+            assert_eq!(at, p.rows(), "{ctx}: a build leaves no tail");
+            assert_relations_identical(&p, &s, ctx)
+        }
+        (AvArtifact::MaterialisedGrouping(p), AvArtifact::MaterialisedGrouping(s)) => {
             assert_relations_identical(&p, &s, ctx)
         }
         (AvArtifact::SphIndex(p), AvArtifact::SphIndex(s)) => assert_eq!(p, s, "{ctx}"),
@@ -405,12 +408,12 @@ fn reference_artifact(entry: &TableEntry, sig: &AvSignature) -> (AvArtifact, usi
     let tuple = |row: usize| cols.iter().map(|c| c[row]).collect::<Vec<u32>>();
     let artifact = match (sig.kind, &cols[..]) {
         (AvKind::SortedProjection, [keys]) => {
-            AvArtifact::SortedProjection(Arc::new(base.gather(&argsort(keys))))
+            AvArtifact::SortedProjection(Arc::new(base.gather(&argsort(keys))), base.rows())
         }
         (AvKind::SortedProjection, _) => {
             let mut order: Vec<u32> = (0..base.rows() as u32).collect();
             order.sort_by_key(|&row| tuple(row as usize));
-            AvArtifact::SortedProjection(Arc::new(base.gather(&order)))
+            AvArtifact::SortedProjection(Arc::new(base.gather(&order)), base.rows())
         }
         (AvKind::SphIndex, [keys]) => {
             let props = entry.column_props[&sig.column];

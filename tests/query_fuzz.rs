@@ -384,11 +384,24 @@ fn apply_insert(
 
 /// Every statistic `db`'s catalog holds — for `t` and for each hidden
 /// `__av::` relation — equals `DataProps::compute` over its column, and
-/// every column's key codes equal `KeyCodes::build` over it.
+/// every column's key codes equal `KeyCodes::build` over it. A sorted
+/// projection whose INSERTs left a tail behind its sorted prefix has its
+/// statistics over its rows in key order: every row by `(key tuple, row
+/// id)`, the prefix merged with the stably sorted tail.
 fn stats_exact(db: &Dqo) -> std::result::Result<(), String> {
     let catalog = db.engine().catalog();
     for name in catalog.table_names() {
-        let entry = catalog.get(&name).map_err(|e| e.to_string())?;
+        let entry = catalog.stored(&name).map_err(|e| e.to_string())?;
+        let order = entry.sorted_prefix.as_ref().map(|prefix| {
+            let rel = &entry.relation;
+            let key: Vec<&[u32]> = (prefix.key.iter())
+                .map(|k| rel.column(k).unwrap().as_u32().unwrap())
+                .collect();
+            let tuple = |row: u32| key.iter().map(|c| c[row as usize]).collect::<Vec<u32>>();
+            let mut order: Vec<u32> = (0..rel.rows() as u32).collect();
+            order.sort_by_key(|&row| (tuple(row), row));
+            order
+        });
         for field in entry.relation.schema().fields() {
             let column = entry
                 .relation
@@ -397,7 +410,13 @@ fn stats_exact(db: &Dqo) -> std::result::Result<(), String> {
             let Ok(data) = column.as_u32() else {
                 continue;
             };
-            let want = DataProps::compute(data);
+            let want = match &order {
+                Some(order) => {
+                    let keyed: Vec<u32> = order.iter().map(|&row| data[row as usize]).collect();
+                    DataProps::compute(&keyed)
+                }
+                None => DataProps::compute(data),
+            };
             if entry.column_props.get(&field.name) != Some(&want) {
                 return Err(format!(
                     "statistics of {name}.{} are {:?}, compute says {want:?}",
