@@ -151,7 +151,7 @@ pub enum AvArtifact {
     /// column, then a tail in append order that INSERTs extended (see
     /// [`crate::av_delta`]). Readers see the rows in key order — the
     /// prefix merged with the stably sorted tail, what a rebuild holds
-    /// ([`SortedPrefix::key_order`]).
+    /// (`SortedPrefix::key_order`).
     SortedProjection(Arc<Relation>, usize),
     /// Prebuilt SPH join index (an identity slot map) over the key column.
     SphIndex(Arc<JoinIndex>),

@@ -9,6 +9,7 @@
 //! order-preserving [`KeyCodes`], so SPHG can group it.
 
 use crate::error::CoreError;
+use crate::join_memo::JoinMemo;
 use crate::Result;
 use dqo_storage::{
     DataProps, DataType, KeyCodes, PartitionedRelation, Partitioning, Relation, Seam, Selection,
@@ -52,6 +53,9 @@ pub struct TableEntry {
     /// always so in an entry [`Catalog::get`] hands out. The column
     /// statistics describe the rows in key order.
     pub sorted_prefix: Option<SortedPrefix>,
+    /// The join indexes queries built over these rows, and the build
+    /// columns they carry: empty in a new entry and in a clone.
+    pub(crate) join_memo: JoinMemo,
 }
 
 /// A sorted projection's hidden relation as an INSERT leaves it (see
@@ -216,6 +220,7 @@ impl TableEntry {
             data_generation: 0,
             partitioning: None,
             sorted_prefix,
+            join_memo: JoinMemo::default(),
         }
     }
 
@@ -517,6 +522,7 @@ impl Catalog {
             data_generation: from.data_generation + 1,
             partitioning,
             sorted_prefix: prefix,
+            join_memo: JoinMemo::default(),
         });
         let mut tables = self.tables.write();
         let current = tables

@@ -159,6 +159,8 @@ struct EngineObs {
     optimise: Histogram,
     exec: Histogram,
     exec_bytes: Counter,
+    join_index_builds: Counter,
+    join_carried_columns: Counter,
     insert_bytes: Counter,
     opt_groups: Gauge,
     opt_group_exprs: Gauge,
@@ -211,6 +213,8 @@ impl EngineObs {
             optimise: registry.histogram(names::OPTIMISE_SECONDS, &DURATION_BUCKETS),
             exec: registry.histogram(names::EXEC_SECONDS, &DURATION_BUCKETS),
             exec_bytes: registry.counter(names::EXEC_BYTES_MATERIALISED),
+            join_index_builds: registry.counter(names::JOIN_INDEX_BUILDS),
+            join_carried_columns: registry.counter(names::JOIN_CARRIED_COLUMNS),
             insert_bytes: registry.counter(names::INSERT_BYTES_COPIED),
             opt_groups: registry.gauge(names::OPT_GROUPS),
             opt_group_exprs: registry.gauge(names::OPT_GROUP_EXPRS),
@@ -692,6 +696,10 @@ impl Engine {
         let exec_wall = trace.end(Phase::Execute, began);
         self.obs.exec.observe_duration(exec_wall);
         self.obs.exec_bytes.add(output.bytes_materialised);
+        self.obs.join_index_builds.add(output.join_builds.indexes);
+        self.obs
+            .join_carried_columns
+            .add(output.join_builds.carried);
         self.obs.queries.inc();
         self.obs.record_partitions(&planned.plan);
         // Close the adaptive loop: mine the traced per-operator actuals

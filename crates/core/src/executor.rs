@@ -28,8 +28,14 @@
 //! composite grouping, an OJ/SOJ/BSJ input, a join's build side — or to the
 //! root. SOG sorts its key and folds it as OG does, in the sorted order; a
 //! composite key folds its packed codes. HJ and SPHJ take their
-//! `JoinIndex` — hashed, or identity — from `Exec::join_index`; OJ, SOJ and
-//! BSJ hand on the pairs their loops return. The fold takes runs of an
+//! `JoinIndex` — hashed, or identity — from `Exec::join_index`: an
+//! SPH-index AV's; else, when the build side scans a table whole, the one
+//! memoised on that table's catalog entry, built by the first query that
+//! needs it, with the build columns the plan above reads carried into the
+//! index's posting order — the probe's matches are then those columns'
+//! rows; else one built for the query. A probe emits postings, and a
+//! build table not carried reads its rows through them. OJ, SOJ and BSJ
+//! hand on the pairs their loops return. The fold takes runs of an
 //! ascending key whose runs average `MIN_RUN` rows when no conjunct thins
 //! them; SPHG over a coded key (`{key=codes}`) reads its dense codes and
 //! decodes the groups it emits.
@@ -94,6 +100,20 @@ pub struct ExecOutput {
     /// Bytes of column data the execution copied into new buffers: kernel
     /// scratch and the root's materialisation.
     pub bytes_materialised: u64,
+    /// The join indexes built and the build columns carried into an
+    /// index's posting order.
+    pub join_builds: JoinBuilds,
+}
+
+/// What an execution built for its HJ and SPHJ joins: an index a join
+/// takes from an SPH-index AV or from a table's memo, and a column
+/// already carried, count nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct JoinBuilds {
+    /// Join indexes built, per query or into a table's memo.
+    pub indexes: u64,
+    /// Build columns gathered into a memoised index's posting order.
+    pub carried: u64,
 }
 
 /// What an execution takes besides the plan and the catalog; the default
@@ -140,11 +160,13 @@ pub fn execute_with(
     };
     let mut exec = Exec {
         catalog,
+        root: plan,
         avs: ctx.avs,
         pool: &resolve,
         tops: HashMap::new(),
         stats: PipelineStats::default(),
         bytes: 0,
+        builds: JoinBuilds::default(),
         obs: ctx.collect_metrics.then(|| OpCollector::new(plan)),
     };
     let mut view = exec.run(plan, None)?;
@@ -158,6 +180,7 @@ pub fn execute_with(
             relation,
             pipeline: exec.stats,
             bytes_materialised: exec.bytes,
+            join_builds: exec.builds,
         },
         exec.obs.map(|c| c.nodes).unwrap_or_default(),
     ))
@@ -481,12 +504,16 @@ impl View {
 /// The state of one execution.
 struct Exec<'a> {
     catalog: &'a Catalog,
+    /// The plan being run, whose nodes above a join say which of its
+    /// build columns a memoised index carries.
+    root: &'a PhysicalPlan,
     avs: Option<&'a AvCatalog>,
     pool: &'a dyn Fn() -> Arc<PersistentPool>,
     /// The rows a `Limit` keeps of each `Sort` beneath it (see [`sort_under`]).
     tops: HashMap<usize, usize>,
     stats: PipelineStats,
     bytes: u64,
+    builds: JoinBuilds,
     obs: Option<OpCollector>,
 }
 
@@ -757,21 +784,30 @@ impl<'a> Exec<'a> {
 
 impl<'a> Exec<'a> {
     /// The index the HJ or SPHJ `join` probes, on its `left` side's
-    /// `left_key` under `algo`: the prebuilt SPH-index AV when the build
-    /// side scans the indexed table whole, whatever the algorithm; else
-    /// one built over `l`, the build side's rows, with the
-    /// slot map the algorithm names — hashed for HJ, identity over the
-    /// build domain for SPHJ (an empty build side gives an index nothing
-    /// matches). Either way its positions are `l`'s rows. A prebuilt index
-    /// streams its `probe_rows`; a fresh build is a breaker over both
-    /// sides.
+    /// `left_key` under `algo`, and whether `l` — the build side's rows —
+    /// now holds the build columns in the index's posting order:
+    /// * the prebuilt SPH-index AV when the build side scans the indexed
+    ///   table whole, whatever the algorithm; it streams its `probe_rows`;
+    /// * else, when the build side scans a table whole, the index in that
+    ///   table entry's memo, built into it by the first query that needs
+    ///   it; `l` becomes the build columns the plan above reads, carried
+    ///   into the index's posting order once per entry and column (see
+    ///   `join_memo`);
+    /// * else one built over `l`.
+    ///
+    /// A build takes the slot map the algorithm names — hashed for HJ,
+    /// identity over the build domain for SPHJ (an empty build side gives
+    /// an index nothing matches). Every index but the AV's counts as a
+    /// breaker over both sides, memoised or not, so a plan reports the
+    /// same work on every run. Unless carried, an index's postings name
+    /// `l`'s positions.
     fn join_index(
         &mut self,
         join: &PhysicalPlan,
         (left, left_key, algo): (&PhysicalPlan, &str, JoinAlgorithm),
-        l: &View,
+        l: &mut View,
         probe_rows: usize,
-    ) -> Result<Arc<JoinIndex>> {
+    ) -> Result<(Arc<JoinIndex>, bool)> {
         let prebuilt = match (self.avs, left) {
             (Some(avs), PhysicalPlan::Scan { table }) => avs
                 .lookup(table, left_key, AvKind::SphIndex)
@@ -783,25 +819,68 @@ impl<'a> Exec<'a> {
         };
         if let Some(index) = prebuilt {
             self.stats.record(Blocking::Pipelined, probe_rows as u64);
-            return Ok(index);
+            self.index_from(join, "av", &[]);
+            return Ok((index, false));
         }
+        let whole = match (left, &l.tables[..]) {
+            (PhysicalPlan::Scan { .. }, [table])
+                if table.sel.as_range() == Some(0..table.rel.rows()) =>
+            {
+                table.stats.clone()
+            }
+            _ => None,
+        };
+        let (t, name) = l.column(left_key)?;
+        let (table, name) = (&l.tables[t], name.to_owned());
         let (lcol, sel) = l.data(left_key)?;
         let mut buf = Vec::new();
         let lk = self.read(join, sel, lcol, &mut buf);
         let rows = lk.len() + probe_rows;
         self.stats.record(Blocking::FullBreaker, rows as u64);
-        let index = match algo {
-            JoinAlgorithm::StaticPerfectHash => {
-                let (t, name) = l.column(left_key)?;
-                let (min, max) = l.tables[t]
-                    .domain(name)
-                    .or_else(|| min_max(sel, lcol))
-                    .unwrap_or((0, 0));
-                JoinIndex::identity(lk, min, max)?
-            }
-            _ => JoinIndex::hashed(lk),
+        let build = || -> Result<JoinIndex> {
+            Ok(match algo {
+                JoinAlgorithm::StaticPerfectHash => {
+                    let (min, max) = (table.domain(&name))
+                        .or_else(|| min_max(sel, lcol))
+                        .unwrap_or((0, 0));
+                    JoinIndex::identity(lk, min, max)?
+                }
+                _ => JoinIndex::hashed(lk),
+            })
         };
-        Ok(Arc::new(index))
+        let Some(entry) = whole else {
+            let index = build()?;
+            self.builds.indexes += 1;
+            self.index_from(join, "built", &[]);
+            return Ok((Arc::new(index), false));
+        };
+        let (memo, built) = entry.join_memo.index(&name, algo, build)?;
+        self.builds.indexes += u64::from(built);
+        let above = reads_above(self.root, join, None).flatten();
+        let names: Vec<&str> = (entry.relation.schema().fields().iter())
+            .map(|f| f.name.as_str())
+            .filter(|f| match &above {
+                None => true,
+                Some(names) => names.iter().any(|n| n.trim_start_matches("right.") == *f),
+            })
+            .collect();
+        self.index_from(join, "memo", &names);
+        if names.is_empty() {
+            return Ok((Arc::clone(&memo.index), false));
+        }
+        let (carried, gathered) = memo.carry(&entry, &names)?;
+        self.builds.carried += gathered as u64;
+        let sel = Selection::all(carried.relation.rows());
+        *l = View::table(carried.relation.as_ref().clone(), sel, Some(carried));
+        Ok((Arc::clone(&memo.index), true))
+    }
+
+    /// Record on `join`'s metrics where its index came from and the build
+    /// columns it carries.
+    fn index_from(&mut self, join: &PhysicalPlan, from: &'static str, carried: &[&str]) {
+        if let Some(m) = self.obs.as_mut().and_then(|c| c.slot(join)) {
+            m.index = Some((from, carried.iter().map(|&c| c.to_owned()).collect()));
+        }
     }
 
     /// The one place rows start moving: the loader over `plan` and the
@@ -827,12 +906,17 @@ impl<'a> Exec<'a> {
                 l.in_key_order(usize::MAX)?;
                 r.in_key_order(usize::MAX)?;
                 let build = (&**left, left_key.as_str(), *algo);
-                let index = self.join_index(join, build, &l, r.rows())?;
+                let (index, carried) = self.join_index(join, build, &mut l, r.rows())?;
                 let (t, name) = r.column(right_key)?;
                 let on = r.tables[t].rel.column_arc(name)?;
                 on.as_u32()?;
                 let (builds, table) = (l.tables.len(), l.tables.len() + t);
-                let probe = Probe { index, table, on };
+                let probe = Probe {
+                    index,
+                    carried,
+                    table,
+                    on,
+                };
                 (View::join(l, r)?, builds, Some(probe))
             }
             Some(PhysicalPlan::Filter { input, .. }) => (self.run(input, None)?, 0, None),
@@ -888,6 +972,7 @@ impl<'a> Exec<'a> {
             conjuncts,
             tail,
             below,
+            reads: None,
         })
     }
 
@@ -1010,8 +1095,18 @@ impl<'a> Exec<'a> {
         let sorts = algo == GroupingAlgorithm::SortOrderBased;
         if let ([key], false) = (keys, sorts) {
             // Single key: the fold reads the raw column — or its codes —
-            // at the rows the loader names (see `Exec::source`).
-            let (kt, name) = src.view.column(key)?;
+            // at the rows the loader names (see `Exec::source`), and the
+            // value column's, which is the key's own unless named apart;
+            // the loader lists no other table's rows.
+            let mut src = src;
+            let value = value.filter(|&v| v != key || molecules.codes);
+            let kt = src.view.column(key)?.0;
+            let vt = match value {
+                Some(value) => src.view.column(value)?.0,
+                None => kt,
+            };
+            src.reads = Some([kt, vt]);
+            let name = src.view.column(key)?.1;
             let table = &src.view.tables[kt];
             let data = table.rel.column(name)?.as_u32()?;
             let codes = molecules.codes.then(|| table.codes(name)).transpose()?;
@@ -1023,12 +1118,12 @@ impl<'a> Exec<'a> {
                     .or_else(|| min_max(&table.sel, data))
             });
             let keys = codes.map_or(data, KeyCodes::codes);
-            let (vt, values) = match value {
-                Some(value) if value != key || codes.is_some() => {
-                    let (vt, name) = src.view.column(value)?;
-                    (vt, src.view.tables[vt].rel.column(name)?.as_u32()?)
+            let values = match value {
+                Some(value) => {
+                    let name = src.view.column(value)?.1;
+                    src.view.tables[vt].rel.column(name)?.as_u32()?
                 }
-                _ => (kt, data),
+                None => data,
             };
             // A conjunct left for the loader thins each run by a share not
             // known here, so only an input no conjunct narrows folds runs.
@@ -1260,12 +1355,18 @@ struct Source<'a> {
     /// What running the inputs cost (and a fresh index's build), as the
     /// node beneath the filter reports it.
     below: OperatorMetrics,
+    /// The tables whose rows the sink reads, when not every table's: a
+    /// grouping fold's key and value tables.
+    reads: Option<[usize; 2]>,
 }
 
 /// A fused join as its loader sees it.
 struct Probe {
-    /// The index over the build view's positions.
+    /// The index whose postings the probe emits.
     index: Arc<JoinIndex>,
+    /// Whether the build view holds its columns in posting order, so a
+    /// posting is its row; otherwise a posting names a build position.
+    carried: bool,
     /// The probe key column, and the table of the loader's view it is on.
     table: usize,
     on: Arc<Column>,
@@ -1280,10 +1381,15 @@ enum Loaded<'s> {
 }
 
 /// The row behind each position of a selection: `start + p` for one dense
-/// run, the listed ids otherwise.
+/// run, the listed ids otherwise — or, for a build table read through a
+/// join index's postings, the row behind the build position at posting
+/// `p`.
 enum RowsOf<'s> {
     Run(u32),
     Ids(&'s [u32]),
+    /// The index whose postings name build positions, and the rows
+    /// behind those positions.
+    Postings(&'s JoinIndex, Box<RowsOf<'s>>),
 }
 
 impl<'s> RowsOf<'s> {
@@ -1300,6 +1406,7 @@ impl<'s> RowsOf<'s> {
         match self {
             RowsOf::Run(start) => start + position,
             RowsOf::Ids(ids) => ids[position as usize],
+            RowsOf::Postings(index, rows) => rows.row(index.row(position)),
         }
     }
 }
@@ -1314,6 +1421,7 @@ impl Source<'_> {
             conjuncts: view.tables.iter().map(|_| Vec::new()).collect(),
             tail: None,
             below: OperatorMetrics::default(),
+            reads: None,
             view,
         }
     }
@@ -1325,13 +1433,20 @@ impl Source<'_> {
     }
 
     /// The row behind a piece's position, table by table: a lone probe
-    /// table's pieces are its rows.
+    /// table's pieces are its rows, and a build table not carried into
+    /// its index's posting order is read through the postings.
     fn rows_of(&self) -> Vec<RowsOf<'_>> {
         let (builds, single) = (self.builds, self.single());
+        let postings = (self.probe.as_ref())
+            .filter(|p| !p.carried)
+            .map(|p| &*p.index);
         (self.view.tables.iter().enumerate())
-            .map(|(t, table)| match single && t == builds {
-                true => RowsOf::Run(0),
-                false => RowsOf::new(&table.sel),
+            .map(|(t, table)| match (single && t == builds, postings) {
+                (true, _) => RowsOf::Run(0),
+                (false, Some(index)) if t < builds => {
+                    RowsOf::Postings(index, Box::new(RowsOf::new(&table.sel)))
+                }
+                _ => RowsOf::new(&table.sel),
             })
             .collect()
     }
@@ -1361,8 +1476,9 @@ impl Source<'_> {
     /// join, probe each survivor in order and narrow the matches by the
     /// build side's conjuncts — the rows the join and the filter above it
     /// would have emitted, in their order; then hand what survives to
-    /// `emit` — the piece itself, or one row list per table — tallied in
-    /// `ran`. No column but the conjuncts' and the probe key is read.
+    /// `emit` — the piece itself, or one row list per table, left empty
+    /// for a table the sink does not read (see `Source::reads`) — tallied
+    /// in `ran`. No column but the conjuncts' and the probe key is read.
     fn load(
         &self,
         piece: &Piece<'_>,
@@ -1417,7 +1533,7 @@ impl Source<'_> {
                 let (on, key) = (probe.on.as_u32()?, &rows_of[probe.table]);
                 each(&piece, |j| {
                     for run in probe.index.matches(on[key.row(j) as usize]) {
-                        for &at in run {
+                        for at in run {
                             build_at.push(at);
                             probe_at.push(j);
                         }
@@ -1450,6 +1566,10 @@ impl Source<'_> {
             };
             if let RowsOf::Run(0) = rows_of {
                 out.push(at);
+                continue;
+            }
+            if self.reads.is_some_and(|r| !r.contains(&t)) {
+                out.push(&[]);
                 continue;
             }
             list.clear();
@@ -1639,6 +1759,60 @@ fn absorbed(plan: &PhysicalPlan) -> Vec<&PhysicalPlan> {
         chain.pop();
     }
     chain
+}
+
+/// The columns the plan above `target` reads of `target`'s output, by
+/// name, when `target` is `plan` or lies beneath it, `above` being what
+/// the plan above `plan` reads (`None`: every column reaches the root):
+/// the filters', sorts' and joins' columns up to the nearest `Project` or
+/// grouping, and that node's. A name a join above qualified `right.`
+/// still names its column.
+fn reads_above<'p>(
+    plan: &'p PhysicalPlan,
+    target: &PhysicalPlan,
+    above: Option<Vec<&'p str>>,
+) -> Option<Option<Vec<&'p str>>> {
+    if std::ptr::eq(plan, target) {
+        return Some(above);
+    }
+    let with = |more: Vec<&'p str>| {
+        above.clone().map(|mut names| {
+            names.extend(more);
+            names
+        })
+    };
+    match plan {
+        PhysicalPlan::Scan { .. } | PhysicalPlan::PartitionedScan { .. } => None,
+        PhysicalPlan::Filter { input, predicate } => {
+            reads_above(input, target, with(predicate.columns()))
+        }
+        PhysicalPlan::Sort { input, key, .. } => reads_above(input, target, with(vec![key])),
+        PhysicalPlan::Limit { input, .. } | PhysicalPlan::Exchange { input, .. } => {
+            reads_above(input, target, with(Vec::new()))
+        }
+        PhysicalPlan::Project { input, columns } => reads_above(
+            input,
+            target,
+            Some(columns.iter().map(String::as_str).collect()),
+        ),
+        PhysicalPlan::GroupBy {
+            input, keys, aggs, ..
+        } => {
+            let read = keys.iter().map(String::as_str);
+            let read = read.chain(aggs.iter().filter_map(|a| a.column.as_deref()));
+            reads_above(input, target, Some(read.collect()))
+        }
+        PhysicalPlan::Join {
+            left,
+            right,
+            left_key,
+            right_key,
+            ..
+        } => {
+            let above = with(vec![left_key, right_key]);
+            reads_above(left, target, above.clone()).or_else(|| reads_above(right, target, above))
+        }
+    }
 }
 
 /// Whether a single-key HG/SPHG over `input` reads `key` from a base

@@ -68,6 +68,7 @@ pub mod engine;
 pub mod error;
 pub mod executor;
 pub mod feedback;
+mod join_memo;
 pub mod memo;
 pub mod optimizer;
 pub mod partition_prune;

@@ -8,8 +8,9 @@
 //! picked it), wall time, rows produced, pipeline breakers, bytes the
 //! node copied into new column buffers, and — on `Filter` nodes — the
 //! conjuncts binary search answered and the 64-row blocks in which no row
-//! passed, and — on `Exchange` nodes — granted DOP, morsels dispatched,
-//! and steals.
+//! passed, on HJ/SPHJ nodes where the join index came from and the build
+//! columns carried into its order, and — on `Exchange` nodes — granted
+//! DOP, morsels dispatched, and steals.
 
 use crate::catalog::Catalog;
 use crate::feedback::FeedbackStore;
@@ -65,7 +66,10 @@ pub fn estimate_rows(
 /// filter whose narrowing kernel found no surviving row in `k` of the `n`
 /// 64-row blocks it tested (explicit row ids test no blocks), `tail=t/n`
 /// on a scan of a sorted projection that holds `t` of its `n` rows in
-/// its tail, in append order — plus
+/// its tail, in append order, `index=built|memo|av` on an HJ or SPHJ (its
+/// index built for the query, taken from the build table's memo or from
+/// an SPH-index AV) with `carried=c,…`, the build columns it reads in the
+/// index's posting order — plus
 /// parallel-runtime detail on `Exchange` nodes. The estimates are [`estimate_rows`] under
 /// `feedback`. Empty runtimes (untraced execution) render the plain tree.
 pub fn render_annotated(
@@ -101,6 +105,12 @@ pub fn render_annotated(
         }
         if let Some((tail, rows)) = m.tail {
             parts.push(format!("tail={tail}/{rows}"));
+        }
+        if let Some((from, carried)) = &m.index {
+            parts.push(format!("index={from}"));
+            if !carried.is_empty() {
+                parts.push(format!("carried={}", carried.join(",")));
+            }
         }
         if let PhysicalPlan::Exchange { .. } = node {
             parts.push(format!("dop={}", m.dop.unwrap_or(0)));

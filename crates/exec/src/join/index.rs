@@ -1,7 +1,8 @@
 //! The join index HJ and SPHJ share — the join twins of HG and SPHG.
 //!
-//! A [`JoinIndex`] maps a build key to the build rows holding it, in
-//! ascending row order. It has two parts:
+//! A [`JoinIndex`] maps a build key to its *postings*: the positions in the
+//! index that hold the build rows with that key, in ascending row order.
+//! It has two parts:
 //!
 //! * A **slot map** from a key to a dense slot:
 //!   * *identity* — slot `key - min` over a dense build domain (SPHJ,
@@ -13,31 +14,42 @@
 //!     charges `4·(|R|+|S|)`, mirroring HG's `4·|R|`.
 //! * A **row layout** over the slots, which the build keys pick:
 //!   * *unique* — no two build rows share a slot (a primary key): one
-//!     array holds each slot's build row, or an empty marker. One fill
-//!     pass, nothing else.
+//!     array holds each slot's build row, or an empty marker, and a key's
+//!     one posting is its slot. One fill pass, nothing else. When every
+//!     slot holds a row — a dense primary key, and every hashed unique
+//!     index — a probe finds its posting without reading the array.
 //!   * *CSR* — some key repeats: a compressed-sparse-row layout, offsets
 //!     per slot into the build rows grouped by slot (one count pass, one
-//!     fill pass). A patched identity index keeps the rows appended to its
-//!     build side in a second, small CSR over the same slots — the
-//!     *tail* — and shares its main CSR with the index it was patched
-//!     from (see [`JoinIndex::patch`]).
+//!     fill pass); a key's postings are the offsets of its rows. A patched
+//!     identity index keeps the rows appended to its build side in a
+//!     second, small CSR over the same slots — the *tail*, whose postings
+//!     follow the main CSR's — and shares its main CSR with the index it
+//!     was patched from (see [`JoinIndex::patch`]).
 //!
 //! A build fills the unique array first and falls back to CSR at the first
-//! repeat. [`JoinIndex::matches`] answers a probe key under either slot map
-//! and either layout, so probing never looks at which one it got.
+//! repeat. [`JoinIndex::matches`] answers a probe key with its postings
+//! under either slot map and either layout, so probing never looks at
+//! which one it got; [`JoinIndex::row`] names the build row at each.
+//! A reader that holds a build column gathered into posting order
+//! ([`JoinIndex::posting_rows`]) reads it at a match's postings directly —
+//! one access per pair, where reading the build row first makes two
+//! dependent ones.
 
 use crate::error::ExecError;
 use crate::join::JoinResult;
 use crate::Result;
 use dqo_hashtable::{first_seen, Fibonacci, GroupTable, LinearProbingTable};
+use std::ops::Range;
 use std::sync::Arc;
 
-/// A prebuilt join index: it maps each build key to the build rows holding
-/// it, in ascending row order.
+/// A prebuilt join index: it maps each build key to the postings of the
+/// build rows holding it, in ascending row order.
 ///
 /// Building this once and probing many times is exactly what an
 /// *Algorithmic View* (§3) materialises offline — `dqo-core`'s AV catalog
-/// stores identity-mapped ones.
+/// stores identity-mapped ones, and its catalog memoises the index a join
+/// builds over a whole table beside that table's rows, with the build
+/// columns the queries read carried into posting order.
 ///
 /// Two indexes are equal when they map keys to slots alike, have the same
 /// layout kind and give every slot the same rows in the same order —
@@ -61,8 +73,9 @@ enum SlotMap {
 /// build keys alone, so equal key columns give equal indexes.
 #[derive(Debug, Clone)]
 enum Layout {
-    /// No slot holds two rows: slot `g` holds its build row, or [`EMPTY`].
-    Unique(Vec<u32>),
+    /// No slot holds two rows: slot `g` holds its build row, or [`EMPTY`];
+    /// `full` when no slot is empty.
+    Unique { rows: Vec<u32>, full: bool },
     /// Slot `g` owns its rows in `main`, then its rows in `tail`. A build
     /// has no tail; a patch shares `main` with the index it patched and
     /// rebuilds only the tail, until the tail outgrows [`tail_bound`] and
@@ -115,18 +128,35 @@ impl JoinIndex {
 
     /// True when no two build rows share a key (the unique layout).
     pub fn is_unique(&self) -> bool {
-        matches!(self.layout, Layout::Unique(_))
+        matches!(self.layout, Layout::Unique { .. })
     }
 
-    /// The build rows holding `key`, ascending, as two runs: the main
-    /// layout's, then a patched CSR's tail's (empty unless patched). Both
-    /// are empty for a key no build row holds (no FK guarantee assumed).
+    /// The postings of the build rows holding `key`, in ascending row
+    /// order, as two runs: the main layout's, then a patched CSR's tail's
+    /// (empty unless patched). Both are empty for a key no build row holds
+    /// (no FK guarantee assumed). [`JoinIndex::row`] names the row at
+    /// each.
     #[inline]
-    pub fn matches(&self, key: u32) -> [&[u32]; 2] {
-        self.layout.rows(match &self.slots {
+    pub fn matches(&self, key: u32) -> [Range<u32>; 2] {
+        self.layout.positions(match &self.slots {
             SlotMap::Identity { min } => slot(key, *min, self.layout.domain()),
             SlotMap::Hashed(map) => map.get(key).map(|&id| id as usize),
         })
+    }
+
+    /// The build row at posting `p`.
+    #[inline]
+    pub fn row(&self, p: u32) -> u32 {
+        self.layout.row(p)
+    }
+
+    /// The build row at every posting, in order — the gather order of a
+    /// build column carried into posting order. An empty slot of the
+    /// unique layout reads row 0, which no match names.
+    pub fn posting_rows(&self) -> Vec<u32> {
+        let [main, tail] = self.layout.postings();
+        let fill = |&row: &u32| if row == EMPTY { 0 } else { row };
+        main.iter().chain(tail).map(fill).collect()
     }
 
     /// Probe with the right-side keys: pairs in probe order, each probe
@@ -150,7 +180,7 @@ impl JoinIndex {
         // One loop per layout too: the unique one emits at most one pair
         // per probe key, with no inner loop.
         match &self.layout {
-            Layout::Unique(rows) => {
+            Layout::Unique { rows, .. } => {
                 for (j, &k) in right_keys.iter().enumerate() {
                     if let Some(&li) = slot_of(k).map(|off| &rows[off]) {
                         if li != EMPTY {
@@ -162,9 +192,9 @@ impl JoinIndex {
             }
             Layout::Csr { .. } => {
                 for (j, &k) in right_keys.iter().enumerate() {
-                    for part in self.layout.rows(slot_of(k)) {
-                        for &li in part {
-                            left_rows.push(li);
+                    for run in self.layout.positions(slot_of(k)) {
+                        for p in run {
+                            left_rows.push(self.row(p));
                             right_rows.push(j as u32);
                         }
                     }
@@ -184,7 +214,7 @@ impl JoinIndex {
     /// an identity slot map holds nothing on the heap).
     pub fn byte_size(&self) -> usize {
         match &self.layout {
-            Layout::Unique(rows) => std::mem::size_of_val(&rows[..]),
+            Layout::Unique { rows, .. } => std::mem::size_of_val(&rows[..]),
             Layout::Csr { main, tail } => {
                 main.byte_size() + tail.as_ref().map_or(0, Csr::byte_size)
             }
@@ -241,7 +271,7 @@ impl JoinIndex {
         let slot_of = |k: u32| slot(k, min, domain);
         let delta = || Csr::build(delta_keys, domain, slot_of, first_row).expect("validated above");
         let layout = match &self.layout {
-            Layout::Unique(rows) => {
+            Layout::Unique { rows, full } => {
                 let mut patched = rows.clone();
                 // Stops at the first delta key whose slot is taken.
                 let fits = delta_keys.iter().zip(first_row..).all(|(&k, row)| {
@@ -249,7 +279,11 @@ impl JoinIndex {
                     std::mem::replace(&mut patched[at], row) == EMPTY
                 });
                 if fits {
-                    Layout::Unique(patched)
+                    let full = *full || !patched.contains(&EMPTY);
+                    Layout::Unique {
+                        rows: patched,
+                        full,
+                    }
                 } else {
                     let main = Csr::of_unique(rows).then(&delta());
                     Layout::Csr {
@@ -317,7 +351,8 @@ impl Layout {
             }
             rows[off] = i as u32;
         }
-        Ok(Some(Layout::Unique(rows)))
+        let full = keys.len() == domain;
+        Ok(Some(Layout::Unique { rows, full }))
     }
 
     /// The CSR layout, with no tail.
@@ -332,28 +367,51 @@ impl Layout {
         })
     }
 
-    /// The build rows of slot `off`, ascending: those of the main layout,
-    /// then those of a CSR's tail. None for no slot.
+    /// The postings of slot `off`, ascending: those of the main layout,
+    /// then those of a CSR's tail, numbered after the main's. None for no
+    /// slot.
     #[inline(always)]
-    fn rows(&self, off: Option<usize>) -> [&[u32]; 2] {
+    fn positions(&self, off: Option<usize>) -> [Range<u32>; 2] {
         let Some(off) = off else {
-            return [&[], &[]];
+            return [0..0, 0..0];
         };
         match self {
-            Layout::Unique(rows) => {
-                let row = &rows[off..off + 1];
-                [if row[0] == EMPTY { &[] } else { row }, &[]]
-            }
+            Layout::Unique { rows, full } => match *full || rows[off] != EMPTY {
+                true => [off as u32..off as u32 + 1, 0..0],
+                false => [0..0, 0..0],
+            },
             Layout::Csr { main, tail } => {
-                [main.slot(off), tail.as_ref().map_or(&[], |t| t.slot(off))]
+                let base = main.rows.len() as u32;
+                let tail = tail.as_ref().map_or(0..0, |t| t.span(off));
+                [main.span(off), tail.start + base..tail.end + base]
             }
+        }
+    }
+
+    /// The build row at each posting, as two parts laid end to end: the
+    /// main layout's — in the unique layout one entry per slot, [`EMPTY`]
+    /// for a slot no row holds, which no match names — then a CSR tail's.
+    fn postings(&self) -> [&[u32]; 2] {
+        match self {
+            Layout::Unique { rows, .. } => [rows, &[]],
+            Layout::Csr { main, tail } => [&main.rows, tail.as_ref().map_or(&[], |t| &t.rows)],
+        }
+    }
+
+    /// The build row at posting `p`.
+    #[inline(always)]
+    fn row(&self, p: u32) -> u32 {
+        let [main, tail] = self.postings();
+        match main.get(p as usize) {
+            Some(&row) => row,
+            None => tail[p as usize - main.len()],
         }
     }
 
     /// Number of slots.
     fn domain(&self) -> usize {
         match self {
-            Layout::Unique(rows) => rows.len(),
+            Layout::Unique { rows, .. } => rows.len(),
             Layout::Csr { main, .. } => main.offsets.len() - 1,
         }
     }
@@ -362,10 +420,11 @@ impl Layout {
 impl PartialEq for Layout {
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {
-            (Layout::Unique(a), Layout::Unique(b)) => a == b,
+            (Layout::Unique { rows: a, .. }, Layout::Unique { rows: b, .. }) => a == b,
             (Layout::Csr { .. }, Layout::Csr { .. }) => {
-                let [ours, theirs] =
-                    [self, other].map(|l| move |g| l.rows(Some(g)).into_iter().flatten());
+                let [ours, theirs] = [self, other].map(|l| {
+                    move |g| (l.positions(Some(g)).into_iter().flatten()).map(move |p| l.row(p))
+                });
                 self.domain() == other.domain() && (0..self.domain()).all(|g| ours(g).eq(theirs(g)))
             }
             _ => false,
@@ -435,6 +494,12 @@ impl Csr {
         &self.rows[self.offsets[g] as usize..self.offsets[g + 1] as usize]
     }
 
+    /// The postings of slot `g`: where its rows sit in `rows`.
+    #[inline(always)]
+    fn span(&self, g: usize) -> Range<u32> {
+        self.offsets[g]..self.offsets[g + 1]
+    }
+
     fn byte_size(&self) -> usize {
         std::mem::size_of_val(&self.offsets[..]) + std::mem::size_of_val(&self.rows[..])
     }
@@ -469,9 +534,12 @@ mod tests {
     use super::*;
     use crate::join::nested_loop_oracle;
 
-    /// The build rows `index` matches `key` with, in order.
+    /// The build rows `index` matches `key` with, in order: its postings'
+    /// rows.
     fn matched(index: &JoinIndex, key: u32) -> Vec<u32> {
-        index.matches(key).concat()
+        let rows = index.layout.postings().concat();
+        let postings = index.matches(key).into_iter().flatten();
+        postings.map(|p| rows[p as usize]).collect()
     }
 
     /// Both slot maps over `left` (identity over its own min/max), probed
@@ -843,5 +911,63 @@ mod tests {
         };
         // Probe keys outside the build domain.
         check("dataset", &spread(700, 50), &spread(900, 60));
+    }
+
+    #[test]
+    fn a_column_in_posting_order_answers_at_the_postings() {
+        // A value per build row; read in posting order at a key's postings
+        // it must give the values of the key's rows, in row order, under
+        // every slot map and layout: unique with every slot held, unique
+        // with empty slots, CSR, and a patched CSR with a tail.
+        let dense: Vec<u32> = keys(300, 0);
+        let gaps: Vec<u32> = (0..200).map(|i| i * 3 % 600).collect();
+        let repeats = keys(300, 60);
+        let patched = JoinIndex::identity(&repeats, 0, 299)
+            .unwrap()
+            .patch(&[4, 4, 299], repeats.len() as u32)
+            .unwrap();
+        assert!(
+            !patched.layout.postings()[1].is_empty(),
+            "the patch left a tail"
+        );
+        let mut grown = repeats.clone();
+        grown.extend([4, 4, 299]);
+        let cases = [
+            (
+                "full",
+                dense.clone(),
+                JoinIndex::identity(&dense, 0, 299).unwrap(),
+            ),
+            (
+                "gaps",
+                gaps.clone(),
+                JoinIndex::identity(&gaps, 0, 599).unwrap(),
+            ),
+            ("hashed", gaps.clone(), JoinIndex::hashed(&gaps)),
+            (
+                "csr",
+                repeats.clone(),
+                JoinIndex::identity(&repeats, 0, 299).unwrap(),
+            ),
+            ("tail", grown, patched),
+        ];
+        for (case, build, index) in cases {
+            let value: Vec<u32> = (0..build.len() as u32).map(|r| r * 7 + 1).collect();
+            let carried: Vec<u32> = index
+                .posting_rows()
+                .iter()
+                .map(|&r| value[r as usize])
+                .collect();
+            for key in 0..610u32 {
+                let via_postings: Vec<u32> = (index.matches(key).into_iter().flatten())
+                    .map(|p| carried[p as usize])
+                    .collect();
+                let via_rows: Vec<u32> = (0..build.len())
+                    .filter(|&r| build[r] == key)
+                    .map(|r| value[r])
+                    .collect();
+                assert_eq!(via_postings, via_rows, "{case}: key {key}");
+            }
+        }
     }
 }

@@ -102,6 +102,11 @@ pub struct OperatorMetrics {
     /// For a scan of a sorted projection whose tail is not empty:
     /// `(tail, rows)`, the rows still in append order out of all.
     pub tail: Option<(u64, u64)>,
+    /// For an HJ or SPHJ: where its index came from — `"built"` for this
+    /// query, `"memo"` from the build table's memo, `"av"` from an
+    /// SPH-index AV — and the build columns it reads in the index's
+    /// posting order.
+    pub index: Option<(&'static str, Vec<String>)>,
 }
 
 impl fmt::Display for PipelineStats {

@@ -62,6 +62,12 @@ pub mod names {
     pub const EXEC_SECONDS: &str = "dqo_exec_seconds";
     /// Bytes of column data executions copied into new buffers (counter).
     pub const EXEC_BYTES_MATERIALISED: &str = "dqo_exec_bytes_materialised_total";
+    /// Join indexes HJ and SPHJ built, per query or into a table's memo
+    /// (counter).
+    pub const JOIN_INDEX_BUILDS: &str = "dqo_join_index_builds_total";
+    /// Build columns gathered into a memoised join index's posting order
+    /// (counter).
+    pub const JOIN_CARRIED_COLUMNS: &str = "dqo_join_carried_columns_total";
     /// Algorithmic views materialised (counter).
     pub const AV_BUILDS: &str = "dqo_av_builds_total";
     /// Bytes across all materialised AV artifacts (counter).
@@ -142,6 +148,8 @@ pub mod names {
         OPTIMISE_SECONDS,
         EXEC_SECONDS,
         EXEC_BYTES_MATERIALISED,
+        JOIN_INDEX_BUILDS,
+        JOIN_CARRIED_COLUMNS,
         AV_BUILDS,
         AV_BUILD_BYTES,
         AV_BUILD_SECONDS,

@@ -417,7 +417,7 @@ fn stitch<A: Aggregator>(
 /// BSG's sorted array. Both are folds of one decomposable aggregate over
 /// disjoint rows, so the result is the grouping of all the rows.
 ///
-/// An index loop, not [`stitch`] over a merged iterator: served behind
+/// An index loop, not `stitch` over a merged iterator: served behind
 /// OG on spine's `mixed.insert_read` (2-core x86-64), that version made
 /// the `filter.key` class p50 478 µs against this loop's 367.
 pub fn merge_ascending<A: Aggregator>(

@@ -144,6 +144,15 @@ impl KeyCodes {
         }
     }
 
+    /// The codes of the column gathered at `rows`, in that order: the same
+    /// keys, so the same codes.
+    pub fn gather(&self, rows: &[u32]) -> KeyCodes {
+        KeyCodes {
+            codes: rows.iter().map(|&r| self.codes[r as usize]).collect(),
+            keys: self.keys.clone(),
+        }
+    }
+
     /// Per row, the code of its key.
     pub fn codes(&self) -> &[u32] {
         &self.codes

@@ -48,7 +48,9 @@ pub use partition::{
 pub use properties::{DataProps, Density, Seam, Sortedness, MIN_RUN};
 pub use relation::{AppendedRelation, Relation};
 pub use schema::{Field, Schema};
-pub use selection::{narrow_rows, search_ranges, Blocks, Piece, Selection, BLOCK_ROWS};
+pub use selection::{
+    narrow_rows, search_ranges, Blocks, Piece, Selection, BLOCK_ROWS, SPARSE_BLOCK_ROWS,
+};
 pub use value::{DataType, Value};
 
 /// Crate-wide result type.

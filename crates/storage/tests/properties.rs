@@ -252,6 +252,44 @@ proptest! {
 }
 
 proptest! {
+    /// A mixed block with `kept` survivors at scattered places writes them
+    /// by walking its mask's set bits when `kept` is at most
+    /// `SPARSE_BLOCK_ROWS`, through the cursor above it: each arm keeps
+    /// exactly the rows a plain filter keeps, in order, after what `out`
+    /// held, from any start and over a short last block.
+    #[test]
+    fn both_mixed_block_arms_agree_with_a_plain_filter(
+        kept in 1usize..64,
+        start in 0usize..130,
+        blocks in 1usize..6,
+        short in 0usize..64,
+        seed in any::<u64>(),
+    ) {
+        let end = start + blocks * dqo_storage::BLOCK_ROWS + short;
+        // `kept` distinct places in every 64 rows, shuffled by the seed.
+        let mut state = seed | 1;
+        let mut col = vec![0u8; end];
+        for block in col[start..].chunks_mut(dqo_storage::BLOCK_ROWS) {
+            let mut places: Vec<usize> = (0..block.len()).collect();
+            for i in (1..places.len()).rev() {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                places.swap(i, state as usize % (i + 1));
+            }
+            for &p in places.iter().take(kept) {
+                block[p] = 1;
+            }
+        }
+        let want: Vec<u32> = (start..end).filter(|&i| col[i] == 1).map(|i| i as u32).collect();
+        let mut out = vec![7, 9];
+        Range(start..end).narrow(&col, |v| v == 1, &mut out);
+        prop_assert_eq!(&out[..2], &[7, 9]);
+        prop_assert_eq!(&out[2..], &want[..]);
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// `fold` is the statistics oracle's O(delta) twin: for an append, an

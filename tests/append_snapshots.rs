@@ -386,3 +386,126 @@ fn the_sorted_projection_copies_only_when_its_tail_merges() {
     }
     assert_eq!(merges, 3, "one merge per ⌈√rows⌉ ≈ 317 tail rows");
 }
+
+/// Reader threads run a join whose build side scans `b` whole while a
+/// writer appends to `b`. Each run probes the index memoised on the entry
+/// its scan took, which the writer's INSERTs leave behind — several
+/// readers may race to build one entry's index — and must answer for
+/// exactly that entry's rows: its result equals the oracle's over some
+/// acknowledged prefix of `b`, no older than the last one the reader saw.
+#[test]
+fn readers_probe_the_memo_of_the_snapshot_they_read_while_a_writer_appends() {
+    use dqo::core::executor::{execute_with, naive_eval, sorted_rows, ExecContext};
+    use dqo::plan::physical::GroupingMolecules;
+    use dqo::plan::{
+        AggExpr, AggFunc, CmpOp, GroupingAlgorithm, JoinAlgorithm, LogicalPlan, PhysicalPlan,
+        Predicate,
+    };
+    const BASE: usize = 1_000;
+    const BATCHES: usize = 24;
+    const READERS: usize = 3;
+    let mut state = 0x3e3e;
+    // `b(id, g)`: ids 0..BASE, then batches of new ids and repeats, so the
+    // index goes from unique to CSR and its domain grows.
+    let b: Vec<(u32, u32)> = (0..BASE + BATCHES * BATCH)
+        .map(|i| {
+            let id = match i < BASE || i % 3 == 0 {
+                true => i as u32,
+                false => next(&mut state) as u32 % BASE as u32,
+            };
+            (id, next(&mut state) as u32 % 40)
+        })
+        .collect();
+    let relation = |names: [&str; 2], rows: &[(u32, u32)]| {
+        let fields = names
+            .iter()
+            .map(|n| Field::new(*n, DataType::U32))
+            .collect();
+        let (x, y): (Vec<u32>, Vec<u32>) = rows.iter().copied().unzip();
+        Relation::new(
+            Schema::new(fields).unwrap(),
+            vec![Column::U32(x), Column::U32(y)],
+        )
+        .unwrap()
+    };
+    let p: Vec<(u32, u32)> = (0..4_000)
+        .map(|_| {
+            let fk = next(&mut state) as u32 % b.len() as u32;
+            (fk, next(&mut state) as u32 % 100)
+        })
+        .collect();
+    let engine = Engine::new();
+    engine.register_table("b", relation(["id", "g"], &b[..BASE]));
+    engine.register_table("p", relation(["fk", "y"], &p));
+    let aggs = vec![
+        AggExpr::count_star("n"),
+        AggExpr::on(AggFunc::Sum, "y", "s"),
+    ];
+    let below = Predicate::cmp("y", CmpOp::Lt, 70u32);
+    let join = PhysicalPlan::Join {
+        left: Box::new(PhysicalPlan::Scan { table: "b".into() }),
+        right: Box::new(PhysicalPlan::Scan { table: "p".into() }),
+        left_key: "id".into(),
+        right_key: "fk".into(),
+        algo: JoinAlgorithm::HashBased,
+    };
+    let plan = PhysicalPlan::GroupBy {
+        input: Box::new(PhysicalPlan::Filter {
+            input: Box::new(join),
+            predicate: below.clone(),
+        }),
+        keys: vec!["g".into()],
+        aggs: aggs.clone(),
+        algo: GroupingAlgorithm::HashBased,
+        molecules: GroupingMolecules::defaults_for(GroupingAlgorithm::HashBased),
+    };
+    let logical = LogicalPlan::join(LogicalPlan::scan("b"), LogicalPlan::scan("p"), "id", "fk");
+    let logical = LogicalPlan::group_by(LogicalPlan::filter(logical, below), "g", aggs);
+    // The oracle's answer over every prefix the writer acknowledges.
+    let expected: Vec<_> = (0..=BATCHES)
+        .map(|k| {
+            let oracle = dqo::core::Catalog::new();
+            oracle.register("b", relation(["id", "g"], &b[..BASE + k * BATCH]));
+            oracle.register("p", relation(["fk", "y"], &p));
+            sorted_rows(&naive_eval(&logical, &oracle).expect("naive"))
+        })
+        .collect();
+    for k in 1..=BATCHES {
+        assert_ne!(expected[k], expected[k - 1], "batch {k} moves the answer");
+    }
+    let acked = std::sync::atomic::AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for k in 0..BATCHES {
+                let batch: Vec<Vec<Value>> = b[BASE + k * BATCH..BASE + (k + 1) * BATCH]
+                    .iter()
+                    .map(|&(id, g)| vec![Value::U32(id), Value::U32(g)])
+                    .collect();
+                engine.insert("b", &batch).expect("insert");
+                acked.store(k + 1, std::sync::atomic::Ordering::SeqCst);
+            }
+        });
+        for reader in 0..READERS {
+            let (engine, plan, expected, acked) = (&engine, &plan, &expected, &acked);
+            scope.spawn(move || {
+                let mut seen = 0;
+                let ctx = ExecContext::default();
+                loop {
+                    let done = acked.load(std::sync::atomic::Ordering::SeqCst) == BATCHES;
+                    let (out, _) = execute_with(plan, engine.catalog(), &ctx).expect("execute");
+                    let upto = acked.load(std::sync::atomic::Ordering::SeqCst);
+                    let rows = sorted_rows(&out.relation);
+                    let at = (seen..=upto).find(|&k| expected[k] == rows);
+                    let at = at.unwrap_or_else(|| {
+                        panic!("reader {reader}: no prefix of {seen}..={upto} batches answers so")
+                    });
+                    seen = at;
+                    if done {
+                        assert_eq!(at, BATCHES, "reader {reader}: the last answer");
+                        break;
+                    }
+                }
+            });
+        }
+    });
+}

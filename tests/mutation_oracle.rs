@@ -1128,3 +1128,226 @@ fn a_catalog_read_shows_a_projection_with_a_tail_as_a_rebuild() {
     assert!(Arc::ptr_eq(&stored, &again), "a read publishes nothing");
     assert_matches_rebuild(&engine, "after one INSERT");
 }
+
+/// The key shapes of the join-memo oracle's build side: unique and dense
+/// (SPHJ's unique layout, every slot held), each key on three rows (CSR),
+/// and unique and sparse (HJ only).
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum KeyShape {
+    Dense,
+    Repeated,
+    Sparse,
+}
+
+impl KeyShape {
+    /// The `i`-th key of the shape.
+    fn key(self, i: u32) -> u32 {
+        match self {
+            KeyShape::Dense => i,
+            KeyShape::Repeated => i / 3,
+            // An odd multiplier permutes `u32`: unique, spread wide.
+            KeyShape::Sparse => i.wrapping_mul(2_654_435_761),
+        }
+    }
+
+    /// The joins whose index this shape's keys admit.
+    fn algos(self) -> &'static [JoinAlgorithm] {
+        match self {
+            KeyShape::Sparse => &[JoinAlgorithm::HashBased],
+            _ => &[JoinAlgorithm::HashBased, JoinAlgorithm::StaticPerfectHash],
+        }
+    }
+}
+
+/// `b(id, g, x)` rows for keys `from..to` of `shape`, in a scrambled row
+/// order: `g` a grouping key, `x` a value.
+fn build_rows(shape: KeyShape, from: u32, to: u32, state: &mut u64) -> Vec<Vec<Value>> {
+    let n = to - from;
+    // 7 919 is prime and divides no `n` used here: a permutation of 0..n.
+    (0..n)
+        .map(|r| {
+            let i = from + r * 7_919 % n;
+            let g = next(state) as u32 % 20;
+            let x = next(state) as u32 % 1_000;
+            vec![Value::U32(shape.key(i)), Value::U32(g), Value::U32(x)]
+        })
+        .collect()
+}
+
+fn relation_of(names: [&str; 3], rows: &[Vec<Value>]) -> Relation {
+    let fields = names
+        .iter()
+        .map(|n| Field::new(*n, DataType::U32))
+        .collect();
+    let column = |c: usize| {
+        let cells = rows.iter().map(|r| match r[c] {
+            Value::U32(v) => v,
+            ref other => panic!("{other:?}"),
+        });
+        Column::U32(cells.collect())
+    };
+    Relation::new(Schema::new(fields).unwrap(), (0..3).map(column).collect()).unwrap()
+}
+
+/// `p(fk, y, z)`: probe keys over the shape's first `keys` keys — some of
+/// them held by no build row yet — with values `y` and `z`.
+fn probe_side(shape: KeyShape, keys: u32, rows: u32, state: &mut u64) -> Relation {
+    let rows: Vec<Vec<Value>> = (0..rows)
+        .map(|_| {
+            let fk = shape.key(next(state) as u32 % keys);
+            let (y, z) = (next(state) as u32 % 1_000, next(state) as u32 % 7);
+            vec![Value::U32(fk), Value::U32(y), Value::U32(z)]
+        })
+        .collect();
+    relation_of(["fk", "y", "z"], &rows)
+}
+
+/// The physical and logical forms of the join-memo oracle's plans over
+/// `left ⋈ p`: the join alone (every column of both sides reaches the
+/// root), a build-side and a probe-side conjunct under a projection of
+/// build and probe columns, and an HG grouping on a build column under a
+/// probe-side conjunct. At `dop` > 1 the join and the plan run under
+/// `Exchange`.
+fn join_plans(
+    left: PhysicalPlan,
+    algo: JoinAlgorithm,
+    dop: usize,
+) -> Vec<(&'static str, PhysicalPlan, Arc<LogicalPlan>)> {
+    let exchange = |plan: PhysicalPlan| match dop {
+        1 => plan,
+        _ => PhysicalPlan::Exchange {
+            input: Box::new(plan),
+            dop,
+        },
+    };
+    let join = exchange(PhysicalPlan::Join {
+        left: Box::new(left),
+        right: Box::new(PhysicalPlan::Scan { table: "p".into() }),
+        left_key: "id".into(),
+        right_key: "fk".into(),
+        algo,
+    });
+    let logical = LogicalPlan::join(LogicalPlan::scan("b"), LogicalPlan::scan("p"), "id", "fk");
+    let both = Predicate::And(vec![
+        Predicate::cmp("x", CmpOp::Lt, 600u32),
+        Predicate::cmp("y", CmpOp::Ge, 300u32),
+    ]);
+    let columns = vec!["x".to_string(), "y".to_string(), "g".to_string()];
+    let filtered = PhysicalPlan::Project {
+        input: Box::new(PhysicalPlan::Filter {
+            input: Box::new(join.clone()),
+            predicate: both.clone(),
+        }),
+        columns: columns.clone(),
+    };
+    let aggs = vec![
+        AggExpr::count_star("n"),
+        AggExpr::on(AggFunc::Sum, "x", "s"),
+    ];
+    let probe_only = Predicate::cmp("y", CmpOp::Lt, 500u32);
+    let grouped = PhysicalPlan::GroupBy {
+        input: Box::new(PhysicalPlan::Filter {
+            input: Box::new(join.clone()),
+            predicate: probe_only.clone(),
+        }),
+        keys: vec!["g".into()],
+        aggs: aggs.clone(),
+        algo: GroupingAlgorithm::HashBased,
+        molecules: GroupingMolecules::defaults_for(GroupingAlgorithm::HashBased),
+    };
+    vec![
+        ("join", join.clone(), Arc::clone(&logical)),
+        (
+            "filtered",
+            exchange(filtered),
+            LogicalPlan::project(LogicalPlan::filter(Arc::clone(&logical), both), columns),
+        ),
+        (
+            "grouped",
+            exchange(grouped),
+            LogicalPlan::group_by(LogicalPlan::filter(logical, probe_only), "g", aggs),
+        ),
+    ]
+}
+
+/// Run `plan` with metrics on `catalog`: its relation and where its join's
+/// index came from.
+fn run_join_plan(plan: &PhysicalPlan, catalog: &dqo::core::Catalog) -> (Relation, &'static str) {
+    let ctx = ExecContext {
+        collect_metrics: true,
+        ..ExecContext::default()
+    };
+    let (out, nodes) = execute_with(plan, catalog, &ctx).expect("execute");
+    let from = nodes.iter().find_map(|m| m.index.as_ref().map(|i| i.0));
+    (out.relation, from.expect("a join reports its index"))
+}
+
+/// A join whose build side scans a table whole takes its index from that
+/// table's memo, built over the rows of the entry it reads; it must never
+/// answer for other rows. For unique dense, repeated and sparse build
+/// keys, under HJ and (where the keys are dense) SPHJ, at DOP 1, 2 and
+/// 8: each plan of [`join_plans`] answers as a fresh catalog's build, as
+/// the same plan with a build side that is not a whole scan (an index
+/// built for the query), and as `naive_eval` — before any change, after
+/// INSERTs of new keys and of repeated keys into the build table, and
+/// after a re-registration — and a second run, which reads the memo and
+/// its carried columns, answers as the first.
+#[test]
+fn a_memoised_join_index_answers_only_for_the_rows_it_was_built_from() {
+    for shape in [KeyShape::Dense, KeyShape::Repeated, KeyShape::Sparse] {
+        for &algo in shape.algos() {
+            for dop in [1usize, 2, 8] {
+                let mut state = 0x1d3c ^ dop as u64;
+                let engine = Engine::new().with_threads(dop);
+                let b = build_rows(shape, 0, 600, &mut state);
+                engine.register_table("b", relation_of(["id", "g", "x"], &b));
+                engine.register_table("p", probe_side(shape, 660, 2_000, &mut state));
+                let steps = ["registered", "new keys", "repeated keys", "re-registered"];
+                for step in steps {
+                    match step {
+                        "new keys" => {
+                            let rows = build_rows(shape, 600, 630, &mut state);
+                            engine.insert("b", &rows).expect("insert");
+                        }
+                        "repeated keys" => {
+                            let rows = build_rows(shape, 0, 12, &mut state);
+                            engine.insert("b", &rows).expect("insert");
+                        }
+                        "re-registered" => {
+                            let rows = build_rows(shape, 20, 660, &mut state);
+                            engine.register_table("b", relation_of(["id", "g", "x"], &rows));
+                        }
+                        _ => {}
+                    }
+                    let combined = engine.catalog().get("b").unwrap();
+                    let fresh = dqo::core::Catalog::new();
+                    fresh.register("b", (*combined.relation).clone());
+                    fresh.register("p", (*engine.catalog().get("p").unwrap().relation).clone());
+                    let whole = PhysicalPlan::Scan { table: "b".into() };
+                    let built = PhysicalPlan::Limit {
+                        input: Box::new(whole.clone()),
+                        n: u64::MAX,
+                    };
+                    let plans = join_plans(whole, algo, dop).into_iter();
+                    for ((what, plan, logical), (_, per_query, _)) in
+                        plans.zip(join_plans(built, algo, dop))
+                    {
+                        let ctx = format!("{shape:?} {algo:?} dop={dop} {step}: {what}");
+                        let (first, from) = run_join_plan(&plan, engine.catalog());
+                        assert_eq!(from, "memo", "{ctx}");
+                        let (again, _) = run_join_plan(&plan, engine.catalog());
+                        assert_relations_eq(&again, &first, &ctx);
+                        let (cold, _) = run_join_plan(&plan, &fresh);
+                        assert_relations_eq(&first, &cold, &ctx);
+                        let (want, from) = run_join_plan(&per_query, engine.catalog());
+                        assert_eq!(from, "built", "{ctx}");
+                        assert_relations_eq(&first, &want, &ctx);
+                        let naive = naive_eval(&logical, engine.catalog()).expect("naive");
+                        assert_eq!(sorted_rows(&first), sorted_rows(&naive), "{ctx}");
+                        assert!(first.rows() > 0, "{ctx}: the oracle sees rows");
+                    }
+                }
+            }
+        }
+    }
+}

@@ -757,3 +757,89 @@ fn bytes_materialised_shows_copies_were_removed_not_moved() {
         "two executions of the same statement"
     );
 }
+
+/// The count guard of the join memo: serve.scan's join statement run 50
+/// times over unchanged tables builds `r.id`'s index once and carries
+/// the one build column the plan above reads, `a`, once — every later
+/// run probes the memo, and answers as the first. One INSERT into the
+/// build table publishes a new snapshot with an empty memo, so the next
+/// run builds and carries exactly once more. EXPLAIN ANALYZE names where
+/// the index came from and what it carries.
+#[test]
+fn a_join_index_is_built_once_per_table_snapshot() {
+    let (r, s) = dqo::storage::datagen::ForeignKeySpec {
+        r_rows: 20_000,
+        s_rows: 20_000,
+        groups: 256,
+        r_sorted: false,
+        s_sorted: false,
+        dense: true,
+        seed: 11,
+    }
+    .generate()
+    .unwrap();
+    let registry = Arc::new(MetricsRegistry::new());
+    let engine = Engine::new()
+        .with_threads(1)
+        .with_metrics_registry(Arc::clone(&registry));
+    let db = Dqo::with_engine(engine);
+    db.register_table("r", r);
+    db.register_table("s", s);
+    let sql = "SELECT a, COUNT(*) AS n FROM r JOIN s ON r.id = s.r_id WHERE payload < 500 \
+               GROUP BY a ORDER BY a";
+    let counts = || {
+        let snap = registry.snapshot();
+        let count = |name| snap.counter(name).unwrap_or(0);
+        [
+            count(names::JOIN_INDEX_BUILDS),
+            count(names::JOIN_CARRIED_COLUMNS),
+        ]
+    };
+    let first = run_sorted(&db, sql);
+    let plan = db.sql(sql).unwrap().planned.plan.explain();
+    assert!(plan.contains("SPHJ on id = r_id"), "{plan}");
+    for _ in 1..50 {
+        assert_eq!(run_sorted(&db, sql), first);
+    }
+    assert_eq!(counts(), [1, 1], "51 runs on one snapshot");
+    let text = db.explain_analyze(sql).unwrap();
+    let join = text.lines().find(|l| l.contains("SPHJ")).unwrap();
+    assert!(join.contains("index=memo carried=a"), "{text}");
+
+    let id = db.engine().catalog().get("r").unwrap().relation.rows() as u32;
+    let row = vec![Value::U32(id), Value::U32(3)];
+    db.engine().insert("r", &[row]).unwrap();
+    let after = run_sorted(&db, sql);
+    assert_eq!(counts(), [2, 2], "one more of each after an INSERT");
+    for _ in 0..5 {
+        assert_eq!(run_sorted(&db, sql), after);
+    }
+    assert_eq!(counts(), [2, 2]);
+}
+
+/// EXPLAIN ANALYZE names an SPH-index AV as the join's index when one
+/// answers: the AV comes before the build table's memo.
+#[test]
+fn explain_analyze_names_where_a_join_index_came_from() {
+    use dqo::core::av::{AvKind, AvSignature};
+    let db = Dqo::with_engine(Engine::new().with_threads(1).with_tracing(true));
+    let keys = DatasetSpec::new(50_000, 256).seed(3).relation().unwrap();
+    db.register_table("t", keys);
+    let dim = |n: u32| Column::U32((0..n).map(|i| i * 3 % 256).collect());
+    let schema = Schema::new(vec![
+        Field::new("k", DataType::U32),
+        Field::new("w", DataType::U32),
+    ])
+    .unwrap();
+    db.register_table(
+        "d",
+        dqo::Relation::new(schema, vec![dim(64), dim(64)]).unwrap(),
+    );
+    let sph = AvSignature::new("t", "key", AvKind::SphIndex);
+    db.engine().av_builder().build_batch(&[sph]).unwrap();
+    let sql = "SELECT w, COUNT(*) AS n FROM t JOIN d ON t.key = d.k WHERE w < 100 \
+               GROUP BY w ORDER BY w";
+    let text = db.explain_analyze(sql).unwrap();
+    let join = text.lines().find(|l| l.contains("SPHJ on key = k"));
+    assert!(join.is_some_and(|l| l.contains("index=av")), "{text}");
+}

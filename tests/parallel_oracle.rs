@@ -1327,3 +1327,183 @@ fn oj_and_bsj_on_the_pool_equal_their_serial_kernels() {
         }
     }
 }
+
+/// A join index memoised on its build table's entry answers as one built
+/// for the query at every DOP, over a probe side of several morsels: for
+/// unique dense and repeated build keys under SPHJ and sparse ones under
+/// HJ, at DOP 1, 2 and 8, the join under build- and probe-side
+/// conjuncts with a projection of build and probe columns, and under an
+/// SPHG grouping on a build column each equal, row for row, the
+/// same plan over a build side that is not a whole scan, a second run
+/// (which reads the memo) and the plan at DOP 1, which equals
+/// `naive_eval` as sorted rows — before and
+/// after appends of new and of repeated keys to the build table, and
+/// after a re-registration.
+#[test]
+fn memoised_join_indexes_match_per_query_builds_at_every_dop() {
+    use dqo::core::executor::{execute_with, naive_eval, ExecContext};
+    use dqo::parallel::DEFAULT_MORSEL_ROWS;
+    use dqo::plan::physical::GroupingMolecules;
+    use dqo::plan::{
+        AggExpr, AggFunc, CmpOp, GroupingAlgorithm, LogicalPlan, PhysicalPlan, Predicate,
+    };
+    use dqo::storage::{Column, DataType, Field, Relation, Schema};
+    const BUILD: u32 = 48;
+    const PROBE: u32 = DEFAULT_MORSEL_ROWS as u32 + 4_000;
+    let relation = |names: [&str; 2], a: Vec<u32>, b: Vec<u32>| {
+        let fields = names
+            .iter()
+            .map(|n| Field::new(*n, DataType::U32))
+            .collect();
+        Relation::new(
+            Schema::new(fields).unwrap(),
+            vec![Column::U32(a), Column::U32(b)],
+        )
+        .unwrap()
+    };
+    let both = Predicate::And(vec![
+        Predicate::cmp("g", CmpOp::Lt, 60u32),
+        Predicate::cmp("y", CmpOp::Ge, 250u32),
+    ]);
+    let aggs = vec![
+        AggExpr::count_star("n"),
+        AggExpr::on(AggFunc::Sum, "y", "s"),
+    ];
+    let columns = vec!["g".to_string(), "y".to_string()];
+    let logical = LogicalPlan::join(LogicalPlan::scan("b"), LogicalPlan::scan("p"), "id", "fk");
+    let filtered = LogicalPlan::filter(logical, both.clone());
+    let logicals = [
+        LogicalPlan::project(Arc::clone(&filtered), columns.clone()),
+        LogicalPlan::group_by(filtered, "g", aggs.clone()),
+    ];
+    // The two plans over `left ⋈ p` under `algo` at `dop`.
+    let plans = |left: PhysicalPlan, algo: JoinAlgorithm, dop: usize| {
+        let exchange = |plan: PhysicalPlan| match dop {
+            1 => plan,
+            _ => PhysicalPlan::Exchange {
+                input: Box::new(plan),
+                dop,
+            },
+        };
+        let join = exchange(PhysicalPlan::Join {
+            left: Box::new(left),
+            right: Box::new(PhysicalPlan::Scan { table: "p".into() }),
+            left_key: "id".into(),
+            right_key: "fk".into(),
+            algo,
+        });
+        let filter = || {
+            Box::new(PhysicalPlan::Filter {
+                input: Box::new(join.clone()),
+                predicate: both.clone(),
+            })
+        };
+        let sph = GroupingAlgorithm::StaticPerfectHash;
+        [
+            exchange(PhysicalPlan::Project {
+                input: filter(),
+                columns: columns.clone(),
+            }),
+            exchange(PhysicalPlan::GroupBy {
+                input: filter(),
+                keys: vec!["g".into()],
+                aggs: aggs.clone(),
+                algo: sph,
+                molecules: GroupingMolecules::defaults_for(sph),
+            }),
+        ]
+    };
+    let traced = ExecContext {
+        collect_metrics: true,
+        ..ExecContext::default()
+    };
+    let shapes = [
+        ("dense", JoinAlgorithm::StaticPerfectHash),
+        ("repeated", JoinAlgorithm::StaticPerfectHash),
+        ("sparse", JoinAlgorithm::HashBased),
+    ];
+    for (shape, algo) in shapes {
+        let key = |i: u32| match shape {
+            "dense" => i,
+            "repeated" => i / 4,
+            _ => i.wrapping_mul(2_654_435_761),
+        };
+        // `b(id, g)` over keys `from..to` in a scrambled row order; `p(fk,
+        // y)` probes keys of the first `BUILD + 8` indexes, some held by
+        // no row until the appends.
+        let build = |from: u32, to: u32| {
+            let ids = (0..to - from).map(|r| key(from + r * 7_919 % (to - from)));
+            let ids: Vec<u32> = ids.collect();
+            let g = ids.iter().map(|&k| k.wrapping_mul(31) % 97).collect();
+            relation(["id", "g"], ids, g)
+        };
+        let fk = (0..PROBE).map(|i| key(i.wrapping_mul(40_503) % (BUILD + 8)));
+        let y = (0..PROBE).map(|i| i * 13 % 1_000);
+        let cat = dqo::Catalog::new();
+        cat.register("b", build(0, BUILD));
+        cat.register("p", relation(["fk", "y"], fk.collect(), y.collect()));
+        let append = |rows: Relation| {
+            let from = cat.get("b").unwrap();
+            let cells: Vec<Vec<Value>> = (0..rows.rows()).map(|r| rows.row(r).unwrap()).collect();
+            let grown = from.relation.append_rows(&cells).unwrap();
+            cat.replace_data("b", &from, grown.combined, None).unwrap();
+        };
+        for step in ["registered", "appended", "re-registered"] {
+            match step {
+                "appended" => {
+                    append(build(BUILD, BUILD + 8));
+                    append(build(0, 24));
+                }
+                "re-registered" => {
+                    cat.register("b", build(4, BUILD + 8));
+                }
+                _ => {}
+            }
+            let naive = logicals
+                .each_ref()
+                .map(|l| sorted_rows(&naive_eval(l, &cat).unwrap()));
+            let same = |a: &Relation, b: &Relation, ctx: &str| {
+                assert_eq!(a.schema(), b.schema(), "{ctx}");
+                for c in 0..a.schema().width() {
+                    assert!(
+                        a.column_at(c).unwrap() == b.column_at(c).unwrap(),
+                        "{ctx}: {c}"
+                    );
+                }
+            };
+            let run = |plan: &PhysicalPlan| {
+                let (out, nodes) = execute_with(plan, &cat, &traced).unwrap();
+                let from = nodes.iter().find_map(|m| m.index.as_ref().map(|i| i.0));
+                (out.relation, from.unwrap())
+            };
+            let mut serial = Vec::new();
+            for dop in THREAD_COUNTS {
+                let whole = PhysicalPlan::Scan { table: "b".into() };
+                let limited = PhysicalPlan::Limit {
+                    input: Box::new(whole.clone()),
+                    n: u64::MAX,
+                };
+                let pairs = plans(whole, algo, dop)
+                    .into_iter()
+                    .zip(plans(limited, algo, dop));
+                for (i, (memo, built)) in pairs.enumerate() {
+                    let ctx = format!("{shape} {algo:?} dop={dop} {step}: plan {i}");
+                    let (out, from) = run(&memo);
+                    assert_eq!(from, "memo", "{ctx}");
+                    let (want, from) = run(&built);
+                    assert_eq!(from, "built", "{ctx}");
+                    same(&out, &want, &ctx);
+                    assert!(out.rows() > 0, "{ctx}");
+                    match dop {
+                        1 => {
+                            same(&run(&memo).0, &out, &ctx);
+                            assert_eq!(sorted_rows(&out), naive[i], "{ctx}");
+                            serial.push(out);
+                        }
+                        _ => same(&out, &serial[i], &ctx),
+                    }
+                }
+            }
+        }
+    }
+}

@@ -524,3 +524,51 @@ fn a_code_outside_its_dictionary_is_an_error() {
         }
     }
 }
+
+#[test]
+fn mixed_blocks_take_both_narrowing_arms() {
+    // `v` is scattered over 0..1000, so `v < 125·e` keeps about e/8 of
+    // each 64-row block: from 1/8 to 7/8 the blocks are mixed, holding
+    // survivors on both sides of the set-bit walk's threshold. Every
+    // selectivity answers as the oracle, through a filter alone and one
+    // fused into each grouping consumer, at every DOP.
+    let cat = catalog();
+    let v = table();
+    let v = v.column("v").unwrap().as_u32().unwrap();
+    let mut arms = [0usize; 2];
+    for eighths in 1..8u32 {
+        let bound = 125 * eighths;
+        for block in v.chunks(dqo::storage::BLOCK_ROWS) {
+            let kept = block.iter().filter(|&&x| x < bound).count() as u32;
+            if kept > 0 && kept < block.len() as u32 {
+                arms[usize::from(kept > dqo::storage::SPARSE_BLOCK_ROWS)] += 1;
+            }
+        }
+        let predicate = Predicate::cmp("v", CmpOp::Lt, bound);
+        let input = || LogicalPlan::filter(LogicalPlan::scan("t"), predicate.clone());
+        for dop in DOPS {
+            let filter = || PhysicalPlan::Filter {
+                input: Box::new(PhysicalPlan::Scan { table: "t".into() }),
+                predicate: predicate.clone(),
+            };
+            let what = format!("v < {bound} dop={dop}");
+            let oracle = naive_eval(&input(), &cat).unwrap();
+            let out = execute(&at_dop(filter(), dop), &cat).unwrap();
+            assert_identical(&out.relation, &oracle, &what);
+            for consumer in consumers() {
+                let oracle = naive_eval(&(consumer.logical)(input()), &cat).unwrap();
+                let plan = (consumer.physical)(at_dop(filter(), dop), dop);
+                let out = execute(&plan, &cat).unwrap();
+                let ctx = format!("{what}: {}", consumer.name);
+                match consumer.ordered {
+                    true => assert_identical(&out.relation, &oracle, &ctx),
+                    false => assert_eq!(sorted_rows(&out.relation), sorted_rows(&oracle), "{ctx}"),
+                }
+            }
+        }
+    }
+    assert!(
+        arms.iter().all(|&n| n > 10),
+        "sparse and dense mixed blocks: {arms:?}"
+    );
+}
