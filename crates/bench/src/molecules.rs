@@ -10,11 +10,17 @@
 //! that keeps 1/8, 2/8, 4/8 and 8/8 of the keys, run as a physical plan
 //! through `dqo_core::executor::execute` at DOP 1 — the loader that
 //! narrows each piece and the fold that reads keys and values at the
-//! surviving rows — reported as input rows per second. Two more rows run
-//! SPHG under `Filter s = ?` on a dictionary-coded column that keeps 1/8
-//! of the rows, clustered in runs of 1 000 rows or shuffled: the string
-//! equality runs as one code compare, and the narrowing kernel skips the
-//! 64-row blocks no row passes.
+//! surviving rows — reported as input rows per second. Then SPHG over the
+//! sparse keys' catalog codes (`{key=codes}`, spine's `group.us`) under
+//! the same filter, which compares the codes with the bound's rank; SPHG
+//! under `Filter key >= ? AND key < ?` keeping 1/8 of the dense keys
+//! (spine's `pruned.p`), one compare per row; SPHG on `r.a` over a fused
+//! SPHJ `r ⋈ s` on `r.id = s.r_id` whose probe side `s` is filtered by
+//! `payload < ?` keeping 1/8–8/8 (spine's `join.r_s`, with `|r| = |s| =
+//! rows / 4`); and SPHG under `Filter s = ?` on a dictionary-coded column
+//! that keeps 1/8 of the rows, clustered in runs of 1 000 rows or
+//! shuffled: the string equality runs as one code compare, and the
+//! narrowing kernel skips the 64-row blocks no row passes.
 //!
 //! ```text
 //! cargo run -p dqo-bench --release -- molecules [--rows 5000000 --groups 10000]
@@ -28,8 +34,8 @@ use dqo_exec::grouping::hg::{hash_grouping_with, HgTable};
 use dqo_exec::grouping::sphg::sph_grouping;
 use dqo_plan::expr::{AggExpr, AggFunc, CmpOp, Predicate};
 use dqo_plan::physical::GroupingMolecules;
-use dqo_plan::{GroupingAlgorithm, HashFnMolecule, PhysicalPlan, TableMolecule};
-use dqo_storage::datagen::DatasetSpec;
+use dqo_plan::{GroupingAlgorithm, HashFnMolecule, JoinAlgorithm, PhysicalPlan, TableMolecule};
+use dqo_storage::datagen::{DatasetSpec, ForeignKeySpec};
 use dqo_storage::{Column, DataType, Dictionary, Field, Relation, Schema};
 use std::sync::Arc;
 use std::time::Instant;
@@ -90,7 +96,7 @@ pub(crate) fn main(args: &Args) -> Result<(), String> {
         }),
         "-".into(),
     ]);
-    let loader = loader_table(dense, groups, reps);
+    let loader = loader_table(dense, sparse, groups, reps)?;
     for table in [table, loader] {
         args.emit(&table);
         println!();
@@ -104,10 +110,17 @@ pub(crate) fn main(args: &Args) -> Result<(), String> {
 }
 
 /// HG and SPHG over a fused filter on `keys` (dense over `0..groups`) that
-/// keeps 1/8 to 8/8 of the keys, then SPHG over a string equality that
-/// keeps 1/8 of the rows, clustered or shuffled, through the executor at
-/// DOP 1: input rows per second, best of `reps`.
-fn loader_table(keys: Vec<u32>, groups: usize, reps: usize) -> Table {
+/// keeps 1/8 to 8/8 of the keys, SPHG over the codes of `sparse` under the
+/// same filter, SPHG under a two-sided range, SPHG over a filtered fused
+/// join, then SPHG over a string equality that keeps 1/8 of the rows,
+/// clustered or shuffled, through the executor at DOP 1: input rows per
+/// second, best of `reps`.
+fn loader_table(
+    keys: Vec<u32>,
+    sparse: Vec<u32>,
+    groups: usize,
+    reps: usize,
+) -> Result<Table, String> {
     let rows = keys.len();
     let values = (0..rows as u32).map(|i| i.wrapping_mul(2_654_435_761) >> 22);
     // Eight strings: in runs of 1 000 rows, or one row's string drawn by
@@ -139,6 +152,35 @@ fn loader_table(keys: Vec<u32>, groups: usize, reps: usize) -> Table {
         .expect("relation");
     let catalog = Catalog::new();
     catalog.register("t", relation);
+    let mut distinct = sparse.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    let u = Relation::new(
+        Schema::new(vec![
+            Field::new("key", DataType::U32),
+            Field::new("v", DataType::U32),
+        ])
+        .expect("schema"),
+        vec![
+            Column::U32(sparse),
+            Column::U32((0..rows as u32).map(|i| i % 1_000).collect()),
+        ],
+    )
+    .expect("relation");
+    catalog.register("u", u);
+    let (r, s) = ForeignKeySpec {
+        r_rows: (rows / 4).max(1),
+        s_rows: rows / 4,
+        groups: groups.min((rows / 4).max(1)),
+        r_sorted: false,
+        s_sorted: false,
+        dense: true,
+        seed: 30,
+    }
+    .generate()
+    .map_err(|e| e.to_string())?;
+    catalog.register("r", r);
+    catalog.register("s", s);
 
     let hg = GroupingMolecules {
         table: Some(TableMolecule::LinearProbing),
@@ -146,9 +188,14 @@ fn loader_table(keys: Vec<u32>, groups: usize, reps: usize) -> Table {
         ..GroupingMolecules::default()
     };
     let sph = GroupingAlgorithm::StaticPerfectHash;
-    let group = |predicate, algo, molecules| PhysicalPlan::GroupBy {
+    let scan = |table: &str| {
+        Box::new(PhysicalPlan::Scan {
+            table: table.into(),
+        })
+    };
+    let over = |table, predicate, algo, molecules| PhysicalPlan::GroupBy {
         input: Box::new(PhysicalPlan::Filter {
-            input: Box::new(PhysicalPlan::Scan { table: "t".into() }),
+            input: scan(table),
             predicate,
         }),
         keys: vec!["key".into()],
@@ -159,6 +206,7 @@ fn loader_table(keys: Vec<u32>, groups: usize, reps: usize) -> Table {
         algo,
         molecules,
     };
+    let group = |predicate, algo, molecules| over("t", predicate, algo, molecules);
     // Input rows per second, best of `reps`; each run's groups checked.
     let rate = |plan: &PhysicalPlan, expected: &dyn Fn(usize) -> bool| {
         let mut best = f64::INFINITY;
@@ -185,6 +233,53 @@ fn loader_table(keys: Vec<u32>, groups: usize, reps: usize) -> Table {
             ]);
         }
     }
+    let codes = GroupingMolecules {
+        codes: true,
+        ..GroupingMolecules::defaults_for(sph)
+    };
+    for eighths in [1, 2, 4, 8] {
+        let bound = distinct.get(distinct.len() * eighths / 8).copied();
+        let kept = distinct.len() * eighths / 8;
+        let predicate = Predicate::cmp("key", CmpOp::Lt, bound.unwrap_or(u32::MAX));
+        table.row(vec![
+            format!("{sph} γ[key] {{key=codes}} over Filter key < ? (sparse)"),
+            format!("{eighths}/8"),
+            rate(&over("u", predicate, sph, codes), &|n| n == kept),
+        ]);
+    }
+    let range = |op, eighths: usize| Predicate::cmp("key", op, (groups * eighths / 16) as u32);
+    let predicate = Predicate::And(vec![range(CmpOp::Ge, 4), range(CmpOp::Lt, 6)]);
+    table.row(vec![
+        format!("{sph} γ[key] over Filter key >= ? AND key < ?"),
+        "1/8".into(),
+        rate(
+            &group(predicate, sph, GroupingMolecules::defaults_for(sph)),
+            &|n| n == groups * 6 / 16 - groups * 4 / 16,
+        ),
+    ]);
+    for eighths in [1, 2, 4, 8] {
+        let join = PhysicalPlan::GroupBy {
+            input: Box::new(PhysicalPlan::Filter {
+                input: Box::new(PhysicalPlan::Join {
+                    left: scan("r"),
+                    right: scan("s"),
+                    left_key: "id".into(),
+                    right_key: "r_id".into(),
+                    algo: JoinAlgorithm::StaticPerfectHash,
+                }),
+                predicate: Predicate::cmp("payload", CmpOp::Lt, (1_000 * eighths / 8) as u32),
+            }),
+            keys: vec!["a".into()],
+            aggs: vec![AggExpr::count_star("n")],
+            algo: sph,
+            molecules: GroupingMolecules::defaults_for(sph),
+        };
+        table.row(vec![
+            format!("{sph} γ[a] over Filter payload < ? over SPHJ r ⋈ s"),
+            format!("{eighths}/8"),
+            rate(&join, &|n| n <= groups),
+        ]);
+    }
     for column in ["clustered", "shuffled"] {
         let predicate = Predicate::cmp(column, CmpOp::Eq, "s3");
         table.row(vec![
@@ -196,5 +291,5 @@ fn loader_table(keys: Vec<u32>, groups: usize, reps: usize) -> Table {
             ),
         ]);
     }
-    table
+    Ok(table)
 }

@@ -81,8 +81,9 @@ use dqo_plan::expr::{AggExpr, AggFunc, CmpOp, Predicate};
 use dqo_plan::physical::GroupingMolecules;
 use dqo_plan::{GroupingAlgorithm, JoinAlgorithm, LogicalPlan, PhysicalPlan, SortMolecule};
 use dqo_storage::{
-    narrow_rows, search_ranges, Blocks, Column, DataProps, DataType, Dictionary, Field, KeyCodes,
-    Piece, Relation, Schema, Selection, Sortedness, StorageError, Value, MIN_RUN,
+    mask_and, mask_range, narrow_rows, search_ranges, Blocks, Column, DataProps, DataType,
+    Dictionary, Field, KeyCodes, Masked, Piece, Relation, Schema, Selection, Sortedness,
+    StorageError, Value, BLOCK_ROWS, MIN_RUN,
 };
 use std::collections::HashMap;
 use std::ops::{Bound, Range};
@@ -273,13 +274,18 @@ impl Table {
     /// that reads them was planned against; an error when the relation is
     /// not a base table or the column has none.
     fn codes(&self, column: &str) -> Result<&KeyCodes> {
-        let codes = self.stats.as_ref().and_then(|e| e.key_codes.get(column));
-        codes.map(|c| &**c).ok_or_else(|| {
+        self.coded(column).map(|c| &**c).ok_or_else(|| {
             CoreError::Exec(ExecError::PreconditionViolated {
                 algorithm: "SPHG",
                 detail: format!("no key codes for {column}"),
             })
         })
+    }
+
+    /// The catalog's dense codes of the base column `column`, when it
+    /// keeps them.
+    fn coded(&self, column: &str) -> Option<&Arc<KeyCodes>> {
+        self.stats.as_ref()?.key_codes.get(column)
     }
 
     /// Whether the base column `column` ascends, by the catalog's exact
@@ -942,6 +948,7 @@ impl<'a> Exec<'a> {
             let (t, conjunct) = compile(&view, leaf)?;
             conjuncts[t].push(conjunct);
         }
+        let conjuncts: Vec<_> = conjuncts.into_iter().map(merge_ranges).collect();
         // The searches cut a sorted projection's prefix: its tail's rows
         // take their conjuncts too.
         let tail = match view.tables[0]
@@ -952,7 +959,7 @@ impl<'a> Exec<'a> {
             Some(prefix) => {
                 let all = searched.into_iter().chain(left);
                 let all = all.map(|leaf| Ok(compile(&view, leaf)?.1));
-                Some((prefix.rows, all.collect::<Result<_>>()?))
+                Some((prefix.rows, merge_ranges(all.collect::<Result<_>>()?)))
             }
             None => None,
         };
@@ -1009,6 +1016,7 @@ impl<'a> Exec<'a> {
             let sink = &mut |rows: Loaded<'_>| match rows {
                 Loaded::Piece(Piece::Range(r)) => got[0].extend(r.start as u32..r.end as u32),
                 Loaded::Piece(Piece::Rows(_)) => kept = true,
+                Loaded::Masked(masked) => masked.take(&mut got[0]),
                 Loaded::Rows(lists) => {
                     for (got, list) in got.iter_mut().zip(lists) {
                         got.extend_from_slice(list);
@@ -1016,8 +1024,9 @@ impl<'a> Exec<'a> {
                 }
             };
             src.load(&pieces[t], &mut scratch, &ran, sink)?;
-            // Listed ids are the ones the conjuncts kept (a loader with none
-            // returned above): take them rather than copy them.
+            // Listed ids are the ones the conjuncts kept of listed rows (a
+            // loader with none returned above): take them rather than copy
+            // them.
             if kept {
                 got[0] = scratch.ids;
             }
@@ -1150,6 +1159,7 @@ impl<'a> Exec<'a> {
                 src.load(piece, scratch, &ran, &mut |rows| {
                     sink(match rows {
                         Loaded::Piece(piece) => Rows::Piece(piece),
+                        Loaded::Masked(masked) => Rows::Masked(masked),
                         Loaded::Rows(lists) => Rows::Pairs {
                             keys: lists[kt],
                             values: lists[vt],
@@ -1373,10 +1383,12 @@ struct Probe {
 }
 
 /// What a loader hands its sink for one piece: the rows of its one table
-/// — the piece itself, or the row ids its conjuncts kept in
-/// `Scratch::ids` — or one row list per table, row by row.
+/// — the piece itself, the row ids its conjuncts kept of listed rows in
+/// `Scratch::ids`, or the block masks they left over a range in
+/// `Scratch::masks` — or one row list per table, row by row.
 enum Loaded<'s> {
     Piece(Piece<'s>),
+    Masked(Masked<'s>),
     Rows(&'s [&'s [u32]]),
 }
 
@@ -1476,9 +1488,11 @@ impl Source<'_> {
     /// join, probe each survivor in order and narrow the matches by the
     /// build side's conjuncts — the rows the join and the filter above it
     /// would have emitted, in their order; then hand what survives to
-    /// `emit` — the piece itself, or one row list per table, left empty
-    /// for a table the sink does not read (see `Source::reads`) — tallied
-    /// in `ran`. No column but the conjuncts' and the probe key is read.
+    /// `emit` — the piece itself, the masks a range's conjuncts left (a
+    /// range they keep whole or not at all stays a range), or one row list
+    /// per table, left empty for a table the sink does not read (see
+    /// `Source::reads`) — tallied in `ran`. No column but the conjuncts'
+    /// and the probe key is read.
     fn load(
         &self,
         piece: &Piece<'_>,
@@ -1486,18 +1500,29 @@ impl Source<'_> {
         ran: &Counters,
         emit: &mut dyn FnMut(Loaded<'_>),
     ) -> std::result::Result<(), ExecError> {
-        let Scratch { ids, rows } = scratch;
+        let Scratch { masks, ids, rows } = scratch;
         let (tables, builds, single) = (self.view.tables.len(), self.builds, self.single());
         let mut piece = piece.clone();
+        // The first row of a range whose rows `masks` name.
+        let mut masked = None;
         let own = match &self.tail {
             Some((prefix, all)) if matches!(&piece, Piece::Range(r) if r.start >= *prefix) => all,
             _ => &self.conjuncts[builds],
         };
         if single && !own.is_empty() {
             ids.clear();
-            ran.blocks(narrow_piece(&piece, own, ids)?);
+            let blocks = narrow_piece(&piece, own, masks, ids)?;
             piece = match piece {
-                Piece::Range(_) => Piece::ascending(ids),
+                Piece::Range(r) => {
+                    let start = r.start;
+                    let (kept, full) = Masked { start, masks }.tally(r.len());
+                    ran.blocks(Blocks { full, ..blocks });
+                    masked = (kept > 0 && kept < r.len()).then_some(start);
+                    match kept {
+                        0 => Piece::Range(start..start),
+                        _ => Piece::Range(r),
+                    }
+                }
                 Piece::Rows(_) => Piece::Rows(ids),
             };
         } else if !single && self.conjuncts[builds..].iter().any(|c| !c.is_empty()) {
@@ -1514,13 +1539,27 @@ impl Source<'_> {
             *ids = at;
             piece = Piece::Rows(ids);
         }
+        let kept = masked.map(|start| Masked { start, masks });
         if single && self.probe.is_none() {
-            ran.add(piece.len(), 0);
-            emit(Loaded::Piece(piece));
+            match kept {
+                Some(masked) => {
+                    ran.add(masked.len(), 0);
+                    emit(Loaded::Masked(masked));
+                }
+                None => {
+                    ran.add(piece.len(), 0);
+                    emit(Loaded::Piece(piece));
+                }
+            }
             return Ok(());
         }
         // The pairs' positions — build, then probe — and each table's rows.
+        // A probe fills the probe positions only when the build side's
+        // conjuncts or the sink read them.
         let rows_of = self.rows_of();
+        let read = |t: usize| self.reads.is_none_or(|r| r.contains(&t));
+        let stepped = self.conjuncts[..builds].iter().any(|c| !c.is_empty());
+        let probed = stepped || (builds..tables).any(read);
         rows.resize_with(tables + 2, Vec::new);
         let (at, lists) = rows.split_at_mut(2);
         let [build_at, probe_at] = at else {
@@ -1531,18 +1570,22 @@ impl Source<'_> {
         match &self.probe {
             Some(probe) => {
                 let (on, key) = (probe.on.as_u32()?, &rows_of[probe.table]);
-                each(&piece, |j| {
+                let find = |j: u32| {
                     for run in probe.index.matches(on[key.row(j) as usize]) {
-                        for at in run {
-                            build_at.push(at);
-                            probe_at.push(j);
+                        if probed {
+                            probe_at.extend(std::iter::repeat_n(j, run.len()));
                         }
+                        build_at.extend(run);
                     }
-                });
+                };
+                match kept {
+                    Some(masked) => masked.each(find),
+                    None => each(&piece, find),
+                }
             }
             None => each(&piece, |j| probe_at.push(j)),
         }
-        let pairs = probe_at.len();
+        let pairs = build_at.len();
         for (conjuncts, rows_of) in self.conjuncts.iter().zip(&rows_of).take(builds) {
             match (conjuncts.is_empty(), rows_of) {
                 (true, _) => {}
@@ -1555,7 +1598,10 @@ impl Source<'_> {
                 }
             }
         }
-        ran.add(probe_at.len(), if self.probe.is_some() { pairs } else { 0 });
+        match self.probe {
+            Some(_) => ran.add(build_at.len(), pairs),
+            None => ran.add(probe_at.len(), 0),
+        }
         // A table whose rows are its side's positions reads them in place.
         let mut out: Vec<&[u32]> = Vec::with_capacity(tables);
         for ((t, rows_of), list) in rows_of.iter().enumerate().zip(lists.iter_mut()) {
@@ -1568,7 +1614,7 @@ impl Source<'_> {
                 out.push(at);
                 continue;
             }
-            if self.reads.is_some_and(|r| !r.contains(&t)) {
+            if !read(t) {
                 out.push(&[]);
                 continue;
             }
@@ -1605,7 +1651,7 @@ impl Source<'_> {
                     slot.dop = Some(*dop);
                     slot.morsels = self.pieces().len() as u64;
                 }
-                (PhysicalPlan::Filter { .. }, Some(slot)) => slot.skipped = ran.skipped(),
+                (PhysicalPlan::Filter { .. }, Some(slot)) => slot.blocks = ran.tested(),
                 _ => {}
             }
         }
@@ -1664,7 +1710,7 @@ fn narrow_in_step(
     kept: &mut Vec<u32>,
 ) -> std::result::Result<(), ExecError> {
     kept.clear();
-    narrow_piece(&Piece::Rows(lists[0]), conjuncts, kept)?;
+    narrow_piece(&Piece::Rows(lists[0]), conjuncts, &mut Vec::new(), kept)?;
     let mut next = kept.iter().peekable();
     let mut n = 0;
     for i in 0..lists[0].len() {
@@ -1689,6 +1735,8 @@ struct Counters {
     /// The narrowing kernel's blocks, skipped ones in the high 32 bits and
     /// tested ones in the low: one add per piece.
     blocks: AtomicU64,
+    /// The blocks every row of which passed.
+    full: AtomicU64,
 }
 
 impl Counters {
@@ -1701,13 +1749,18 @@ impl Counters {
         if blocks.tested > 0 {
             let packed = blocks.skipped << 32 | blocks.tested;
             self.blocks.fetch_add(packed, Ordering::Relaxed);
+            self.full.fetch_add(blocks.full, Ordering::Relaxed);
         }
     }
 
-    /// `(skipped, tested)` blocks, when any were tested.
-    fn skipped(&self) -> Option<(u64, u64)> {
+    /// The blocks tested, skipped and full, when any were tested.
+    fn tested(&self) -> Option<Blocks> {
         let packed = self.blocks.load(Ordering::Relaxed);
-        (packed > 0).then_some((packed >> 32, packed & u64::from(u32::MAX)))
+        (packed > 0).then(|| Blocks {
+            tested: packed & u64::from(u32::MAX),
+            skipped: packed >> 32,
+            full: self.full.load(Ordering::Relaxed),
+        })
     }
 
     fn time(&self, began: Option<Instant>) {
@@ -1868,11 +1921,14 @@ fn sort_under(plan: &PhysicalPlan) -> Option<&PhysicalPlan> {
 
 /// One conjunct of a filter predicate, bound to its column.
 enum Conjunct {
-    /// `u32` column against a `u32` constant — the dominant case.
-    U32 {
-        data: Arc<Column>,
-        op: CmpOp,
-        v: u32,
+    /// `u32` values against a `u32` constant — the dominant case.
+    U32 { data: Ints, op: CmpOp, v: u32 },
+    /// Two or more comparisons on one column's `u32` values as one: the
+    /// values in `lo..=hi` pass, tested by one compare, `x - lo <= hi -
+    /// lo` in wrapping arithmetic; `None` passes nothing.
+    Between {
+        data: Ints,
+        range: Option<(u32, u32)>,
     },
     /// Dictionary-encoded string column (comparison, prefix, `LIKE`): the
     /// predicate is evaluated once per *code* under real string order,
@@ -1894,6 +1950,109 @@ enum Conjunct {
         value: Value,
         column: String,
     },
+}
+
+/// The `u32` values a comparison reads: a `u32` column's own, or the
+/// catalog's dense codes of it ([`KeyCodes`]), which keep the keys'
+/// order, so a comparison with a key's rank keeps the rows a comparison
+/// with the key would — and a grouping that reads the codes then reads
+/// one column, not two.
+#[derive(Clone)]
+enum Ints {
+    Column(Arc<Column>),
+    Codes(Arc<KeyCodes>),
+}
+
+impl Ints {
+    fn values(&self) -> std::result::Result<&[u32], ExecError> {
+        match self {
+            Ints::Column(col) => Ok(col.as_u32()?),
+            Ints::Codes(codes) => Ok(codes.codes()),
+        }
+    }
+
+    /// Whether both read the same values.
+    fn same(&self, other: &Ints) -> bool {
+        match (self, other) {
+            (Ints::Column(a), Ints::Column(b)) => Arc::ptr_eq(a, b),
+            (Ints::Codes(a), Ints::Codes(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+}
+
+impl Conjunct {
+    /// The values a comparison other than `<>` reads, and the ones it
+    /// keeps, `lo..=hi`; `None` inside when it keeps none.
+    fn interval(&self) -> Option<(&Ints, Option<(u32, u32)>)> {
+        match self {
+            Conjunct::U32 { data, op, v } => {
+                let (lo, hi) = within(*op, *v)?;
+                let lo = match lo {
+                    Bound::Included(l) => Some(l),
+                    Bound::Excluded(l) => l.checked_add(1),
+                    Bound::Unbounded => Some(0),
+                };
+                let hi = match hi {
+                    Bound::Included(h) => Some(h),
+                    Bound::Excluded(h) => h.checked_sub(1),
+                    Bound::Unbounded => Some(u32::MAX),
+                };
+                Some((data, lo.zip(hi).filter(|(l, h)| l <= h)))
+            }
+            Conjunct::Between { data, range } => Some((data, *range)),
+            _ => None,
+        }
+    }
+}
+
+/// `conjuncts` with every two or more comparisons other than `<>` on one
+/// column's values folded into one [`Conjunct::Between`], at the first
+/// one's place: `key >= ? AND key < ?` tests one compare per row, not
+/// two.
+fn merge_ranges(conjuncts: Vec<Conjunct>) -> Vec<Conjunct> {
+    let mut out: Vec<Conjunct> = Vec::with_capacity(conjuncts.len());
+    for c in conjuncts {
+        let merged = c.interval().and_then(|(data, range)| {
+            let (at, kept) = out.iter().enumerate().find_map(|(at, o)| {
+                let (d, kept) = o.interval()?;
+                d.same(data).then_some((at, kept))
+            })?;
+            let range = kept.zip(range).map(|((a, b), (c, d))| (a.max(c), b.min(d)));
+            let range = range.filter(|(lo, hi)| lo <= hi);
+            let data = data.clone();
+            Some((at, Conjunct::Between { data, range }))
+        });
+        match merged {
+            Some((at, between)) => out[at] = between,
+            None => out.push(c),
+        }
+    }
+    out
+}
+
+/// The comparison `op v` on a column as the same comparison on its
+/// order-preserving codes, whose keys ascend in `keys`: against the rank
+/// `v` has, or would have, among them. An `=` with a key the column lacks
+/// compares with `keys.len()`, which no code equals.
+fn ranked(keys: &[u32], op: CmpOp, v: u32) -> (CmpOp, u32) {
+    let rank = |p: usize| p as u32;
+    let (below, upto) = (
+        rank(keys.partition_point(|&k| k < v)),
+        rank(keys.partition_point(|&k| k <= v)),
+    );
+    let at = if upto > below {
+        below
+    } else {
+        rank(keys.len())
+    };
+    match op {
+        CmpOp::Lt => (CmpOp::Lt, below),
+        CmpOp::Le => (CmpOp::Lt, upto),
+        CmpOp::Gt => (CmpOp::Ge, upto),
+        CmpOp::Ge => (CmpOp::Ge, below),
+        CmpOp::Eq | CmpOp::Ne => (op, at),
+    }
 }
 
 /// The codes a string conjunct keeps, in the cheapest form a row tests.
@@ -1979,10 +2138,17 @@ fn compile(view: &View, leaf: &Predicate) -> Result<(usize, Conjunct)> {
                     "string column '{column}' compared to non-string literal {value}"
                 )))
             }
-            (_, Ok(_), Value::U32(v)) => Conjunct::U32 {
-                data: rel.column_arc(name)?,
-                op: *op,
-                v: *v,
+            (_, Ok(_), Value::U32(v)) => match table.coded(name) {
+                Some(codes) => {
+                    let (op, v) = ranked(codes.keys(), *op, *v);
+                    let data = Ints::Codes(codes.clone());
+                    Conjunct::U32 { data, op, v }
+                }
+                None => Conjunct::U32 {
+                    data: Ints::Column(rel.column_arc(name)?),
+                    op: *op,
+                    v: *v,
+                },
             },
             _ => Conjunct::Slow {
                 col: rel.column_arc(name)?,
@@ -2027,29 +2193,45 @@ fn within(op: CmpOp, v: u32) -> Option<(Bound<u32>, Bound<u32>)> {
     })
 }
 
-/// Append to `out` the rows of `piece` that satisfy every conjunct: the
-/// first conjunct reads the piece, each further one runs over the
-/// survivors of the previous one. Returns the blocks the first conjunct
-/// tested (see [`Piece::narrow`]).
+/// The rows of `piece` that satisfy every conjunct: of a range, as block
+/// masks in `masks` (see [`mask_range`]), each further conjunct ANDed
+/// into them ([`mask_and`]); of listed rows, appended to `ids`, each
+/// further conjunct running over the survivors of the one before. Returns
+/// the blocks the first conjunct tested.
 fn narrow_piece(
     piece: &Piece<'_>,
     conjuncts: &[Conjunct],
-    out: &mut Vec<u32>,
+    masks: &mut Vec<u64>,
+    ids: &mut Vec<u32>,
 ) -> std::result::Result<Blocks, ExecError> {
-    let (from, mut blocks) = (out.len(), Blocks::default());
+    let (from, mut blocks) = (ids.len(), Blocks::default());
     for (n, conjunct) in conjuncts.iter().enumerate() {
         // One monomorphic loop per predicate, over the column's values.
         macro_rules! keep {
             ($col:expr, $keep:expr) => {
-                match n {
-                    0 => blocks = piece.narrow($col, $keep, out),
-                    _ => narrow_rows(out, from, $col, $keep),
+                match (piece, n) {
+                    (Piece::Range(r), 0) => blocks = mask_range($col, r.clone(), $keep, masks),
+                    (Piece::Range(r), _) => mask_and($col, r.clone(), $keep, masks),
+                    (Piece::Rows(_), 0) => blocks = piece.narrow($col, $keep, ids),
+                    (Piece::Rows(_), _) => narrow_rows(ids, from, $col, $keep),
+                }
+            };
+        }
+        // No row passes, and none needs checking: nothing is read.
+        macro_rules! none {
+            () => {
+                match piece {
+                    Piece::Range(r) => {
+                        masks.clear();
+                        masks.resize(r.len().div_ceil(BLOCK_ROWS), 0);
+                    }
+                    Piece::Rows(_) => ids.truncate(from),
                 }
             };
         }
         match conjunct {
             Conjunct::U32 { data, op, v } => {
-                let (data, v) = (data.as_u32()?, *v);
+                let (data, v) = (data.values()?, *v);
                 match op {
                     CmpOp::Eq => keep!(data, |x| x == v),
                     CmpOp::Ne => keep!(data, |x| x != v),
@@ -2059,6 +2241,13 @@ fn narrow_piece(
                     CmpOp::Ge => keep!(data, |x| x >= v),
                 }
             }
+            Conjunct::Between { data, range } => match *range {
+                Some((lo, hi)) => {
+                    let (data, span) = (data.values()?, hi - lo);
+                    keep!(data, |x: u32| x.wrapping_sub(lo) <= span)
+                }
+                None => none!(),
+            },
             Conjunct::Code {
                 codes,
                 hits,
@@ -2082,8 +2271,7 @@ fn narrow_piece(
                     }};
                 }
                 match hits {
-                    // No code passes, and none needs checking: nothing is read.
-                    Hits::None if check.is_none() => out.truncate(from),
+                    Hits::None if check.is_none() => none!(),
                     Hits::None => coded!(|_| false),
                     Hits::Run(lo, hi) => {
                         let (lo, span) = (*lo, hi - lo);

@@ -63,8 +63,10 @@ pub fn estimate_rows(
 /// with ` (est=… act=… Δ=… wall=…)` per node — `breakers=` and `bytes=`
 /// (bytes materialised) where non-zero, `search=k/n` on a filter that
 /// answered `k` of its `n` conjuncts by binary search, `skipped=k/n` on a
-/// filter whose narrowing kernel found no surviving row in `k` of the `n`
-/// 64-row blocks it tested (explicit row ids test no blocks), `tail=t/n`
+/// filter whose narrowing kernel found no row passing its first conjunct
+/// in `k` of the `n` 64-row blocks it tested (explicit row ids test no
+/// blocks) and `full=f`, the blocks every row of which passed — a
+/// grouping folds them whole —, `tail=t/n`
 /// on a scan of a sorted projection that holds `t` of its `n` rows in
 /// its tail, in append order, `index=built|memo|av` on an HJ or SPHJ (its
 /// index built for the query, taken from the build table's memo or from
@@ -100,8 +102,9 @@ pub fn render_annotated(
         if let Some((searched, conjuncts)) = m.searched {
             parts.push(format!("search={searched}/{conjuncts}"));
         }
-        if let Some((skipped, tested)) = m.skipped {
-            parts.push(format!("skipped={skipped}/{tested}"));
+        if let Some(blocks) = m.blocks {
+            parts.push(format!("skipped={}/{}", blocks.skipped, blocks.tested));
+            parts.push(format!("full={}", blocks.full));
         }
         if let Some((tail, rows)) = m.tail {
             parts.push(format!("tail={tail}/{rows}"));

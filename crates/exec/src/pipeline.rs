@@ -8,6 +8,7 @@
 //! aggregates the counts so plans can be compared on blocking behaviour,
 //! not just abstract cost.
 
+use dqo_storage::Blocks;
 use std::fmt;
 use std::time::Duration;
 
@@ -95,10 +96,10 @@ pub struct OperatorMetrics {
     /// answered at least one conjunct by binary search instead of a scan:
     /// `(searched, conjuncts)`.
     pub searched: Option<(usize, usize)>,
-    /// For a filter whose first scanned conjunct tested row ranges in
-    /// 64-row blocks: `(skipped, tested)`, the blocks in which no row
-    /// passed out of the blocks tested.
-    pub skipped: Option<(u64, u64)>,
+    /// For a filter whose conjuncts tested row ranges in 64-row blocks:
+    /// the blocks tested, those in which no row passed the first
+    /// conjunct, and those every row of which passed every conjunct.
+    pub blocks: Option<Blocks>,
     /// For a scan of a sorted projection whose tail is not empty:
     /// `(tail, rows)`, the rows still in append order out of all.
     pub tail: Option<(u64, u64)>,

@@ -16,12 +16,17 @@
 //!
 //! A task's rows come from a caller-supplied loader, and the fold reads
 //! the key and value columns *at* them ([`Rows`]): a dense range in
-//! place, the row ids a fused filter kept (or a sort's order), or a fused
+//! place; the block masks a fused filter left over a range, one 64-row
+//! block at a time — an empty block skipped, a stretch of full blocks
+//! folded in place as a range, a mixed block by walking its set bits;
+//! listed row ids (a filter over listed rows, a sort's order); or a fused
 //! join's pairs of build and probe rows. Nothing is gathered — the
-//! loader's only buffers are the row ids in the worker's [`Scratch`] — and
-//! each shape has one monomorphic update loop. The dense entry points are
-//! loaders that hand out ranges. The state is whatever [`Aggregator`] the
-//! caller folds: COUNT/SUM's 16 bytes unless the query reads MIN or MAX.
+//! loader's only buffers are the masks, ids and pair lists in the
+//! worker's [`Scratch`], and a filter over a range writes no row id at
+//! all — and each shape has one monomorphic update loop, which keeps the
+//! partial's array or table in locals. The dense entry points are loaders that hand out ranges.
+//! The state is whatever [`Aggregator`] the caller folds: COUNT/SUM's 16
+//! bytes unless the query reads MIN or MAX.
 //!
 //! When the caller knows every range's keys ascend, a worker folds each
 //! run of equal keys into a register and merges it into the key's slot
@@ -41,8 +46,9 @@ use dqo_exec::grouping::GroupedResult;
 use dqo_exec::pipeline::{Blocking, PipelineStats};
 use dqo_exec::ExecError;
 use dqo_hashtable::GroupTable;
-use dqo_storage::Piece;
+use dqo_storage::{Masked, Piece, SetBits, BLOCK_ROWS};
 use std::collections::HashSet;
+use std::ops::Range;
 
 /// Which thread-local structure each worker aggregates into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,11 +72,13 @@ pub enum GroupingStrategy {
     BinarySearch,
 }
 
-/// Morsel-local row ids a loader may fill; one set per worker, reused
+/// Morsel-local buffers a loader may fill; one set per worker, reused
 /// across the morsels that worker runs.
 #[derive(Debug, Default)]
 pub struct Scratch {
-    /// Row ids surviving a fused filter.
+    /// A fused filter's block masks over a range (see [`Masked`]).
+    pub masks: Vec<u64>,
+    /// Row ids surviving a fused filter over listed rows.
     pub ids: Vec<u32>,
     /// A fused join's matches: one list of rows per table the loader
     /// reads, match by match.
@@ -84,6 +92,9 @@ pub enum Rows<'a> {
     /// The same rows of both columns: a dense range, read in place, or
     /// listed row ids.
     Piece(Piece<'a>),
+    /// The same rows of both columns: the rows a fused filter kept of a
+    /// range, as block masks.
+    Masked(Masked<'a>),
     /// A fused join's matches: match `i` reads its key at row `keys[i]` of
     /// the key column and its value at row `values[i]` of the value
     /// column — the pair's build or probe row, by the side each column is
@@ -100,6 +111,7 @@ impl Rows<'_> {
     fn len(&self) -> usize {
         match self {
             Rows::Piece(piece) => piece.len(),
+            Rows::Masked(masked) => masked.len(),
             Rows::Pairs { keys, values } => {
                 assert_eq!(keys.len(), values.len(), "loader delivers aligned pairs");
                 keys.len()
@@ -247,7 +259,8 @@ struct Table<T>(T);
 impl<A: Aggregator, T: GroupTable<A::State>> Partial<A> for Table<T> {
     #[inline]
     fn rows(&mut self, agg: A, rows: impl Iterator<Item = (u32, u32)>) {
-        rows.for_each(|(k, v)| agg.update(self.0.upsert_with(k, A::State::default), v));
+        let table = &mut self.0;
+        rows.for_each(|(k, v)| agg.update(table.upsert_with(k, A::State::default), v));
     }
 
     #[inline]
@@ -319,23 +332,50 @@ impl<L: Fn(usize, &mut Scratch, Sink<'_>) -> Result<(), ExecError> + Sync> Fold<
     }
 
     /// Fold the columns at `at` into `partial`, one monomorphic loop per
-    /// shape: a range in place (run by run when its keys ascend), listed
-    /// rows and a join's pairs by row id.
+    /// shape: a range in place; masks block by block — an empty block
+    /// skipped, a stretch of full blocks in place as a range, a mixed block
+    /// at its set bits; listed rows and a join's pairs by row id.
     fn step<A: Aggregator>(&self, agg: A, partial: &mut impl Partial<A>, at: Rows<'_>) {
         let (keys, values) = self.columns;
-        let pair = |(k, v): (&u32, &u32)| (*k, *v);
         let at_rows = |(k, v): (&u32, &u32)| (keys[*k as usize], values[*v as usize]);
         match at {
-            Rows::Piece(Piece::Range(r)) if self.ascending => {
-                for (k, run) in runs(&keys[r.clone()], &values[r]) {
-                    partial.run(agg, k, &register(agg, run));
+            Rows::Piece(Piece::Range(r)) => self.range(agg, partial, r),
+            Rows::Masked(Masked { start, masks }) => {
+                let mut b = 0;
+                while let Some(&mask) = masks.get(b) {
+                    let at = start + b * BLOCK_ROWS;
+                    match mask {
+                        0 => b += 1,
+                        u64::MAX => {
+                            let full = masks[b..].iter().take_while(|&&m| m == mask).count();
+                            self.range(agg, partial, at..at + full * BLOCK_ROWS);
+                            b += full;
+                        }
+                        _ => {
+                            let (k, v) = (&keys[at..], &values[at..]);
+                            partial.rows(agg, SetBits(mask).map(|j| (k[j], v[j])));
+                            b += 1;
+                        }
+                    }
                 }
-            }
-            Rows::Piece(Piece::Range(r)) => {
-                partial.rows(agg, keys[r.clone()].iter().zip(&values[r]).map(pair))
             }
             Rows::Piece(Piece::Rows(ids)) => partial.rows(agg, ids.iter().map(|i| at_rows((i, i)))),
             Rows::Pairs { keys: k, values: v } => partial.rows(agg, k.iter().zip(v).map(at_rows)),
+        }
+    }
+
+    /// Fold the rows `r` of the columns into `partial` in place: run by
+    /// run when their keys ascend, else row by row.
+    #[inline]
+    fn range<A: Aggregator>(&self, agg: A, partial: &mut impl Partial<A>, r: Range<usize>) {
+        let (keys, values) = (&self.columns.0[r.clone()], &self.columns.1[r]);
+        match self.ascending {
+            true => {
+                for (k, run) in runs(keys, values) {
+                    partial.run(agg, k, &register(agg, run));
+                }
+            }
+            false => partial.rows(agg, keys.iter().zip(values).map(|(k, v)| (*k, *v))),
         }
     }
 }
@@ -482,12 +522,22 @@ impl<S> SphPartial<S> {
 }
 
 impl<A: Aggregator> Partial<A> for SphPartial<A::State> {
+    /// The array's base and slots held in locals for the loop: a key below
+    /// the base wraps past every slot.
     #[inline]
     fn rows(&mut self, agg: A, rows: impl Iterator<Item = (u32, u32)>) {
+        let (min, slots) = (self.min, &mut self.slots[..]);
+        let mut outside = None;
         for (key, value) in rows {
-            if let Some(slot) = self.slot(key) {
-                agg.update(slot, value);
+            match slots.get_mut(key.wrapping_sub(min) as usize) {
+                Some(slot) => agg.update(slot, value),
+                None => {
+                    outside.get_or_insert(key);
+                }
             }
+        }
+        if let Some(key) = outside {
+            self.out_of_domain.get_or_insert(key);
         }
     }
 
@@ -588,6 +638,7 @@ impl<A: Aggregator> Partial<A> for Runs<A::State> {
 
     /// Each run of equal keys folds in a register, merged into its group
     /// once.
+    #[inline]
     fn rows(&mut self, agg: A, rows: impl Iterator<Item = (u32, u32)>) {
         let mut rows = rows.peekable();
         while let Some((k, v)) = rows.next() {
@@ -848,6 +899,106 @@ mod tests {
                 let expect = fold_with(pool, FullAgg, &keys, &v, strategy, false).unwrap();
                 assert_eq!(pairs, expect, "{strategy:?} pool={}", pool.is_some());
             }
+        }
+    }
+
+    /// Masks over ranges fold as the rows they keep: empty, full and
+    /// mixed blocks, pieces that start mid-block and end short, folded row
+    /// by row and — for full blocks — run by run, by every partial.
+    #[test]
+    fn masked_rows_fold_as_the_rows_they_keep() {
+        let (runs, vals) = ascending_runs(30_000);
+        let kept =
+            |i: usize| (i / 700).is_multiple_of(3) || (i.is_multiple_of(5) && (i / 700) % 3 == 1);
+        let ids: Vec<u32> = (0..runs.len() as u32)
+            .filter(|&i| kept(i as usize))
+            .collect();
+        // Pieces of 1 000 rows from row 40: none starts on a block edge.
+        let starts: Vec<usize> = (40..runs.len()).step_by(1_000).collect();
+        let masks: Vec<Vec<u64>> = starts
+            .iter()
+            .map(|&s| {
+                let end = (s + 1_000).min(runs.len());
+                (s..end)
+                    .step_by(BLOCK_ROWS)
+                    .map(|b| {
+                        (b..end.min(b + BLOCK_ROWS))
+                            .filter(|&i| kept(i))
+                            .fold(0u64, |m, i| m | 1 << (i - b))
+                    })
+                    .collect()
+            })
+            .collect();
+        let masked = |t: usize, _: &mut Scratch, sink: Sink<'_>| {
+            let (start, masks) = (starts[t], &masks[t][..]);
+            sink(Rows::Masked(Masked { start, masks }));
+            Ok(())
+        };
+        let ids: Vec<u32> = ids.into_iter().filter(|&i| i >= 40).collect();
+        let gathered = |col: &[u32]| -> Vec<u32> { ids.iter().map(|&i| col[i as usize]).collect() };
+        let (k, v) = (gathered(&runs), gathered(&vals));
+        let pool = ThreadPool::new(2);
+        let low = &runs[..runs.len() - 50];
+        for strategy in [
+            GroupingStrategy::Hash(HgTable::default()),
+            GroupingStrategy::BinarySearch,
+            GroupingStrategy::Order,
+        ] {
+            for pool in [None, Some(&pool)] {
+                for ascending in [false, true] {
+                    let columns = (&runs[..], &vals[..]);
+                    let got = fold_tasks(
+                        pool,
+                        starts.len(),
+                        &masked,
+                        columns,
+                        ascending,
+                        FullAgg,
+                        strategy,
+                    )
+                    .unwrap();
+                    let want = fold_with(pool, FullAgg, &k, &v, strategy, false).unwrap();
+                    assert_eq!(
+                        got.0,
+                        want.0,
+                        "{strategy:?} pool={} ascending={ascending}",
+                        pool.is_some()
+                    );
+                    assert_eq!(
+                        got.1.materialised_rows + got.1.streamed_rows,
+                        want.1.materialised_rows + want.1.streamed_rows
+                    );
+                }
+            }
+        }
+        // SPHG over the keys below the marker run.
+        let strategy = GroupingStrategy::StaticPerfectHash {
+            min: 0,
+            max: low[low.len() - 1],
+        };
+        let starts_low = starts.iter().filter(|&&s| s + 1_000 <= low.len()).count();
+        let ids_low: Vec<u32> = ids
+            .iter()
+            .copied()
+            .filter(|&i| (i as usize) < 40 + starts_low * 1_000)
+            .collect();
+        let (k, v): (Vec<u32>, Vec<u32>) = ids_low
+            .iter()
+            .map(|&i| (runs[i as usize], vals[i as usize]))
+            .unzip();
+        for pool in [None, Some(&pool)] {
+            let got = fold_tasks(
+                pool,
+                starts_low,
+                &masked,
+                (&runs[..], &vals[..]),
+                false,
+                FullAgg,
+                strategy,
+            )
+            .unwrap();
+            let want = fold_with(pool, FullAgg, &k, &v, strategy, false).unwrap();
+            assert_eq!(got.0, want.0, "SPHG pool={}", pool.is_some());
         }
     }
 

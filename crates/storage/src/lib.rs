@@ -49,7 +49,8 @@ pub use properties::{DataProps, Density, Seam, Sortedness, MIN_RUN};
 pub use relation::{AppendedRelation, Relation};
 pub use schema::{Field, Schema};
 pub use selection::{
-    narrow_rows, search_ranges, Blocks, Piece, Selection, BLOCK_ROWS, SPARSE_BLOCK_ROWS,
+    mask_and, mask_range, narrow_rows, search_ranges, Blocks, Masked, Piece, Selection, SetBits,
+    BLOCK_ROWS, SPARSE_BLOCK_ROWS,
 };
 pub use value::{DataType, Value};
 

@@ -8,15 +8,20 @@
 //! on a column that ascends over every range is answered by
 //! [`search_ranges`]: two binary searches per range, which cost per
 //! range, not per row. Every other conjunct runs through the one
-//! narrowing kernel, [`Piece::narrow`], which tests every selected row's
-//! *value*: over a range, [`BLOCK_ROWS`] values at a time into a bit mask
-//! (vectorised, as in MonetDB/X100's predicate primitives), so a block no
-//! row passes costs its compares and writes nothing, a block every row
-//! passes appends its ids as a run, and a block few rows pass writes just
-//! theirs by walking the mask's set bits; over explicit row ids, and for a
-//! further conjunct ([`narrow_rows`]), row by row through a branch-free
-//! cursor. Either way the output is row ids, strictly ascending over a
-//! range. Consumers read columns *through* the selection with
+//! narrowing kernel, which tests every selected row's *value*. Over a
+//! range it tests [`BLOCK_ROWS`] values at a time into one bit mask per
+//! block ([`mask_range`]; vectorised, as in MonetDB/X100's predicate
+//! primitives), and a further conjunct ANDs into those masks, testing only
+//! the blocks some row still passes ([`mask_and`]). The masks
+//! ([`Masked`]) are what a consumer that folds rows in place reads: it
+//! skips a block no row passes, takes a full block whole and walks a
+//! mixed block's set bits, and no row id is written. A consumer that needs
+//! ids takes them from the masks ([`Masked::take`]): a full block as a
+//! run, a sparse one by walking its set bits, a dense one through a
+//! branch-free cursor — strictly ascending. [`Piece::narrow`] is the two
+//! steps at once. Explicit row ids are narrowed row by row through that
+//! cursor, a further conjunct over the survivors of the one before
+//! ([`narrow_rows`]). Consumers read columns *through* the selection with
 //! [`Piece::read`] / [`Selection::read`], and only the plan root gathers
 //! whole columns.
 
@@ -54,20 +59,35 @@ pub enum Piece<'a> {
 /// `u64` mask.
 pub const BLOCK_ROWS: usize = 64;
 
-/// The most survivors a mixed block of [`Piece::narrow`] may hold for its
-/// ids to be written by walking the mask's set bits (one
-/// `trailing_zeros` per survivor) instead of through the branch-free
-/// cursor (one write per row).
+/// The most survivors a mixed block may hold for [`Masked::take`] to
+/// write its ids by walking the mask's set bits (one `trailing_zeros` per
+/// survivor) instead of through the branch-free cursor (one write per
+/// row).
 pub const SPARSE_BLOCK_ROWS: u32 = 40;
 
-/// The blocks of [`BLOCK_ROWS`] rows one [`Piece::narrow`] tested (a
-/// range's last block may be shorter), and how many of them kept no row.
+/// The blocks of [`BLOCK_ROWS`] rows a narrowing tested (a range's last
+/// block may be shorter): how many, how many of them the first conjunct
+/// kept no row of, and how many every conjunct kept every row of.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Blocks {
     /// Blocks tested; zero for explicit row ids.
     pub tested: u64,
-    /// Blocks in which no row passed.
+    /// Blocks in which no row passed the first conjunct.
     pub skipped: u64,
+    /// Blocks in which every row passed every conjunct: a consumer takes
+    /// them whole.
+    pub full: u64,
+}
+
+/// The survivors of a range of rows, one bit per row: bit `j` of
+/// `masks[b]` stands for row `start + b * BLOCK_ROWS + j`. Bits past the
+/// range's end are clear.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Masked<'a> {
+    /// The range's first row.
+    pub start: usize,
+    /// One mask per block of the range.
+    pub masks: &'a [u64],
 }
 
 impl Selection {
@@ -219,18 +239,6 @@ impl Selection {
 }
 
 impl<'a> Piece<'a> {
-    /// The piece holding the strictly ascending row ids `ids`: a dense
-    /// range when they are contiguous.
-    pub fn ascending(ids: &'a [u32]) -> Piece<'a> {
-        match (ids.first(), ids.last()) {
-            (Some(&first), Some(&last)) if (last - first) as usize + 1 == ids.len() => {
-                Piece::Range(first as usize..last as usize + 1)
-            }
-            (None, _) => Piece::Range(0..0),
-            _ => Piece::Rows(ids),
-        }
-    }
-
     /// Number of rows in the piece.
     pub fn len(&self) -> usize {
         match self {
@@ -247,67 +255,45 @@ impl<'a> Piece<'a> {
     /// Append to `out`, ascending, the row ids of this piece whose value
     /// in `col` satisfies `keep`, and say what its blocks held.
     ///
-    /// A range is tested [`BLOCK_ROWS`] rows at a time: `keep` fills one
-    /// bit of a mask per value, a loop over values alone that the compiler
-    /// vectorises. A block whose mask is empty writes nothing, a full one
-    /// appends its ids as a run, and a mixed one with at most
-    /// [`SPARSE_BLOCK_ROWS`] survivors writes just theirs, walking the
-    /// mask's set bits; a denser one writes every id through a cursor that
-    /// advances only for survivors — branch-free, so its speed does not
-    /// depend on how predictable the predicate is. Explicit row ids take
-    /// that cursor one row at a time and test no blocks.
+    /// A range is tested into block masks ([`mask_range`]) whose ids are
+    /// then taken ([`Masked::take`]). Explicit row ids take a branch-free
+    /// cursor that advances only for survivors, one row at a time, and
+    /// test no blocks.
     pub fn narrow<T: Copy>(
         &self,
         col: &[T],
         keep: impl Fn(T) -> bool,
         out: &mut Vec<u32>,
     ) -> Blocks {
-        out.reserve(self.len());
-        let dst = &mut out.spare_capacity_mut()[..self.len()];
-        let (mut n, mut blocks) = (0, Blocks::default());
         match self {
             Piece::Range(r) => {
-                let mut row = r.start as u32;
-                let mut take = |mask: u64, len: usize| {
-                    blocks.tested += 1;
-                    if mask == 0 {
-                        blocks.skipped += 1;
-                    } else if mask == u64::MAX >> (BLOCK_ROWS - len) {
-                        for (slot, id) in dst[n..n + len].iter_mut().zip(row..) {
-                            slot.write(id);
-                        }
-                        n += len;
-                    } else if mask.count_ones() <= SPARSE_BLOCK_ROWS {
-                        n += set_bits(mask, row, &mut dst[n..]);
-                    } else {
-                        for j in 0..len {
-                            dst[n].write(row + j as u32);
-                            n += (mask >> j & 1) as usize;
-                        }
-                    }
-                    row += len as u32;
+                let mut masks = Vec::new();
+                let blocks = mask_range(col, r.clone(), keep, &mut masks);
+                let masked = Masked {
+                    start: r.start,
+                    masks: &masks,
                 };
-                let (full, tail) = col[r.clone()].as_chunks::<BLOCK_ROWS>();
-                for block in full {
-                    take(mask(block, &keep), BLOCK_ROWS);
-                }
-                if !tail.is_empty() {
-                    take(mask(tail, &keep), tail.len());
+                masked.take(out);
+                Blocks {
+                    full: masked.tally(r.len()).1,
+                    ..blocks
                 }
             }
             Piece::Rows(ids) => {
+                out.reserve(ids.len());
+                let dst = &mut out.spare_capacity_mut()[..ids.len()];
+                let mut n = 0;
                 for &i in *ids {
                     dst[n].write(i);
                     n += usize::from(keep(col[i as usize]));
                 }
+                // SAFETY: `reserve` made room for `ids.len()` more
+                // elements, `n` never exceeds the ids tested, and slot `k`
+                // is written before the cursor moves past it.
+                unsafe { out.set_len(out.len() + n) };
+                Blocks::default()
             }
         }
-        // SAFETY: `reserve` made room for `self.len()` more elements, `n`
-        // never exceeds the rows tested (`<= self.len()`), and every path
-        // initialised `dst[0..n]` — slot `k` is written before the cursor
-        // moves past it, and a run writes its slots before moving it.
-        unsafe { out.set_len(out.len() + n) };
-        blocks
     }
 
     /// The values of `col` at this piece's rows: borrowed for a dense
@@ -321,6 +307,143 @@ impl<'a> Piece<'a> {
                 buf
             }
         }
+    }
+}
+
+impl Masked<'_> {
+    /// Number of rows kept.
+    pub fn len(&self) -> usize {
+        self.masks.iter().map(|m| m.count_ones() as usize).sum()
+    }
+
+    /// True when no row is kept.
+    pub fn is_empty(&self) -> bool {
+        self.masks.iter().all(|&m| m == 0)
+    }
+
+    /// The rows kept, and the blocks every row of which is kept, of a
+    /// range of `rows` rows (whose last block may be short).
+    pub fn tally(&self, rows: usize) -> (usize, u64) {
+        let short = rows % BLOCK_ROWS;
+        let (mut kept, mut full) = (0, 0);
+        for (b, &m) in self.masks.iter().enumerate() {
+            kept += m.count_ones() as usize;
+            let all = match short > 0 && b + 1 == self.masks.len() {
+                true => u64::MAX >> (BLOCK_ROWS - short),
+                false => u64::MAX,
+            };
+            full += u64::from(m == all);
+        }
+        (kept, full)
+    }
+
+    /// Append the ids of the rows kept to `out`, ascending. A block whose
+    /// mask is empty writes nothing, a full one appends its ids as a run,
+    /// and a mixed one with at most [`SPARSE_BLOCK_ROWS`] survivors writes
+    /// just theirs, walking the mask's set bits; a denser one writes every
+    /// id through a cursor that advances only for survivors — branch-free,
+    /// so its speed does not depend on how predictable the predicate is.
+    pub fn take(&self, out: &mut Vec<u32>) {
+        let room = self.masks.len() * BLOCK_ROWS;
+        out.reserve(room);
+        let dst = &mut out.spare_capacity_mut()[..room];
+        let mut n = 0;
+        let rows = (self.start as u32..).step_by(BLOCK_ROWS);
+        for (&mask, row) in self.masks.iter().zip(rows) {
+            if mask == 0 {
+                continue;
+            } else if mask == u64::MAX {
+                for (slot, id) in dst[n..n + BLOCK_ROWS].iter_mut().zip(row..) {
+                    slot.write(id);
+                }
+                n += BLOCK_ROWS;
+            } else if mask.count_ones() <= SPARSE_BLOCK_ROWS {
+                n += set_bits(mask, row, &mut dst[n..]);
+            } else {
+                for j in 0..BLOCK_ROWS as u32 {
+                    dst[n].write(row + j);
+                    n += (mask >> j & 1) as usize;
+                }
+            }
+        }
+        // SAFETY: `reserve` made room for `BLOCK_ROWS` ids per block, a
+        // block adds at most that many to `n`, and every path initialised
+        // `dst[0..n]` — slot `k` is written before the cursor moves past
+        // it, and a run writes its slots before moving it.
+        unsafe { out.set_len(out.len() + n) };
+    }
+
+    /// Call `f` on each row kept, ascending, walking each mask's set bits.
+    #[inline]
+    pub fn each(&self, mut f: impl FnMut(u32)) {
+        let rows = (self.start as u32..).step_by(BLOCK_ROWS);
+        for (&mask, row) in self.masks.iter().zip(rows) {
+            let mut bits = mask;
+            while bits != 0 {
+                f(row + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+    }
+}
+
+/// The positions of a mask's set bits, ascending.
+#[derive(Debug, Clone, Copy)]
+pub struct SetBits(pub u64);
+
+impl Iterator for SetBits {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        let at = (self.0 != 0).then(|| self.0.trailing_zeros() as usize)?;
+        self.0 &= self.0 - 1;
+        Some(at)
+    }
+}
+
+/// Test `keep` on the values of `col` at `rows`, [`BLOCK_ROWS`] at a time:
+/// `masks` becomes one mask per block of `rows` (see [`Masked`]), its last
+/// block's bits past the range clear. `keep` fills one bit of a mask per
+/// value, a loop over values alone that the compiler vectorises. Returns
+/// the blocks tested and those no row passed.
+pub fn mask_range<T: Copy>(
+    col: &[T],
+    rows: Range<usize>,
+    keep: impl Fn(T) -> bool,
+    masks: &mut Vec<u64>,
+) -> Blocks {
+    masks.clear();
+    let (full, tail) = col[rows].as_chunks::<BLOCK_ROWS>();
+    masks.extend(full.iter().map(|block| mask(block, &keep)));
+    if !tail.is_empty() {
+        masks.push(mask(tail, &keep));
+    }
+    Blocks {
+        tested: masks.len() as u64,
+        skipped: masks.iter().filter(|&&m| m == 0).count() as u64,
+        full: 0,
+    }
+}
+
+/// A further conjunct over `masks` of the range `rows` (see
+/// [`mask_range`]): each block some row still passes is tested whole and
+/// its mask ANDed with the result; a block no row passes is not read.
+pub fn mask_and<T: Copy>(
+    col: &[T],
+    rows: Range<usize>,
+    keep: impl Fn(T) -> bool,
+    masks: &mut [u64],
+) {
+    let (full, tail) = col[rows].as_chunks::<BLOCK_ROWS>();
+    let (masks, last) = masks.split_at_mut(full.len());
+    for (m, block) in masks.iter_mut().zip(full) {
+        if *m != 0 {
+            *m &= mask(block, &keep);
+        }
+    }
+    if let Some(m) = last.first_mut().filter(|m| **m != 0) {
+        *m &= mask(tail, &keep);
     }
 }
 

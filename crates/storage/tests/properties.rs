@@ -4,8 +4,8 @@
 use dqo_storage::datagen::DatasetSpec;
 use dqo_storage::Piece::{Range, Rows};
 use dqo_storage::{
-    narrow_rows, Column, DataProps, DataType, Dictionary, Field, Relation, Schema, Seam, Selection,
-    Value,
+    mask_and, mask_range, narrow_rows, Column, DataProps, DataType, Dictionary, Field, Masked,
+    Relation, Schema, Seam, Selection, SetBits, Value, BLOCK_ROWS,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -248,6 +248,89 @@ proptest! {
             prop_assert_eq!(&out[prefilled.len()..], &want[..]);
             prop_assert!(out[prefilled.len()..].windows(2).all(|w| w[0] < w[1]));
         }
+    }
+}
+
+proptest! {
+    /// One to three conjuncts over a range as block masks — the first
+    /// filling them, each further one ANDed in — name exactly the rows a
+    /// naive filter keeps, and the rows `narrow` of all conjuncts at once
+    /// keeps: through the masks' ids, their set bits, their count and
+    /// their full blocks, for every block shape (all, none, mixed,
+    /// straddling runs), a start anywhere and a last block of any length.
+    #[test]
+    fn masks_then_ids_agree_with_narrow_and_a_naive_filter(
+        start in 0usize..200,
+        (len_pick, any_len) in (0usize..12, 0usize..700),
+        patterns in proptest::collection::vec(0usize..6, 1..4),
+        seed in any::<u64>(),
+        prefilled in proptest::collection::vec(any::<u32>(), 0..3),
+    ) {
+        // Block edges and their neighbours, or any length.
+        let len = [0, 1, 63, 64, 65, 128, 129].get(len_pick).copied().unwrap_or(any_len);
+        let end = start + len;
+        let bits = |i: usize, salt: usize| (seed.rotate_left((i + salt) as u32 % 64) ^ i as u64) & 1 == 1;
+        // Conjunct `c` keeps row `i` by its own pattern.
+        let kept = |c: usize, i: usize| match patterns[c] {
+            0 => true,
+            1 => false,
+            2 => (i + c).is_multiple_of(2),
+            3 => i % BLOCK_ROWS != (seed as usize + c) % BLOCK_ROWS,
+            4 => ((i + 37 * c) / 100) % 2 == 1,
+            _ => bits(i, c),
+        };
+        let n = patterns.len();
+        // Column `c` holds bit `c` of each row's verdicts.
+        let col: Vec<u8> = (0..end)
+            .map(|i| (0..n).fold(0u8, |acc, c| acc | u8::from(kept(c, i)) << c))
+            .collect();
+        let want: Vec<u32> = (start..end)
+            .filter(|&i| (0..n).all(|c| kept(c, i)))
+            .map(|i| i as u32)
+            .collect();
+        let mut masks = Vec::new();
+        let blocks = mask_range(&col, start..end, |v| v & 1 == 1, &mut masks);
+        prop_assert_eq!(blocks.tested, len.div_ceil(BLOCK_ROWS) as u64);
+        let empty = (start..end)
+            .step_by(BLOCK_ROWS)
+            .filter(|&b| (b..end.min(b + BLOCK_ROWS)).all(|i| !kept(0, i)))
+            .count();
+        prop_assert_eq!(blocks.skipped, empty as u64);
+        for c in 1..n {
+            mask_and(&col, start..end, move |v| v >> c & 1 == 1, &mut masks);
+        }
+        let masked = Masked { start, masks: &masks };
+        let mut out = prefilled.clone();
+        masked.take(&mut out);
+        prop_assert_eq!(&out[..prefilled.len()], &prefilled[..]);
+        prop_assert_eq!(&out[prefilled.len()..], &want[..]);
+        let mut walked = Vec::new();
+        masked.each(|row| walked.push(row));
+        prop_assert_eq!(&walked, &want);
+        let by_bits: Vec<u32> = masks
+            .iter()
+            .enumerate()
+            .flat_map(|(b, &m)| SetBits(m).map(move |j| (start + b * BLOCK_ROWS + j) as u32))
+            .collect();
+        prop_assert_eq!(&by_bits, &want);
+        prop_assert_eq!(masked.len(), want.len());
+        prop_assert_eq!(masked.is_empty(), want.is_empty());
+        let full = (start..end)
+            .step_by(BLOCK_ROWS)
+            .filter(|&b| (b..end.min(b + BLOCK_ROWS)).all(|i| (0..n).all(|c| kept(c, i))))
+            .count();
+        prop_assert_eq!(masked.tally(len), (want.len(), full as u64));
+        // `narrow` of every conjunct at once keeps the same ids, and says
+        // the same about the blocks.
+        let all = (1u8 << n) - 1;
+        let mut narrowed = Vec::new();
+        let at_once = Range(start..end).narrow(&col, |v| v & all == all, &mut narrowed);
+        prop_assert_eq!(&narrowed, &want);
+        prop_assert_eq!(at_once.full, full as u64);
+        let listed: Vec<u32> = (start as u32..end as u32).collect();
+        let mut by_rows = Vec::new();
+        Rows(&listed).narrow(&col, |v| v & all == all, &mut by_rows);
+        prop_assert_eq!(&by_rows, &want);
     }
 }
 

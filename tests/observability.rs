@@ -111,9 +111,11 @@ fn explain_analyze_shows_the_conjuncts_a_filter_searched() {
 }
 
 /// The narrowing kernel tests 64-row blocks and EXPLAIN ANALYZE shows on
-/// the filter's line how many of them no row passed: on a clustered,
-/// unsorted column most blocks of an equality hold no match, and a filter
-/// every row passes skips none.
+/// the filter's line how many of them no row passed and how many every
+/// row passed (`full=`, the blocks a grouping folds whole): on a
+/// clustered, unsorted column most blocks of an equality hold no match
+/// and the blocks inside its one run are full, and a filter every row
+/// passes skips none and finds every block full.
 #[test]
 fn explain_analyze_shows_the_blocks_a_filter_skipped() {
     let rows = 300_000u32;
@@ -123,17 +125,20 @@ fn explain_analyze_shows_the_blocks_a_filter_skipped() {
         vec![Column::U32(key)],
     )
     .unwrap();
-    let skipped = |text: &str| -> (u64, u64) {
+    let skipped = |text: &str| -> (u64, u64, u64) {
         let filter = text
             .lines()
             .find(|l| l.trim_start().starts_with("Filter"))
             .unwrap_or_else(|| panic!("no filter line:\n{text}"));
-        let field = filter
-            .split([' ', ')'])
-            .find_map(|f| f.strip_prefix("skipped="))
-            .unwrap_or_else(|| panic!("no skipped= on the filter:\n{text}"));
-        let (k, n) = field.split_once('/').expect("k/n");
-        (k.parse().unwrap(), n.parse().unwrap())
+        let field = |name: &str| {
+            filter
+                .split([' ', ')'])
+                .find_map(|f| f.strip_prefix(name))
+                .unwrap_or_else(|| panic!("no {name} on the filter:\n{text}"))
+        };
+        let (k, n) = field("skipped=").split_once('/').expect("k/n");
+        let full: u64 = field("full=").parse().unwrap();
+        (k.parse().unwrap(), n.parse().unwrap(), full)
     };
     let tested = u64::from(rows).div_ceil(64);
     for threads in [1, 4] {
@@ -141,15 +146,17 @@ fn explain_analyze_shows_the_blocks_a_filter_skipped() {
         db.register_table("t", rel.clone());
         let one = "SELECT key, COUNT(*) AS n FROM t WHERE key = 37 GROUP BY key";
         let text = db.explain_analyze(one).expect("explain analyze runs");
-        let (k, n) = skipped(&text);
+        let (k, n, full) = skipped(&text);
         assert!(k > 0 && k < n, "clustered, threads={threads}:\n{text}");
         // Morsels cut at multiples of 64 rows: every row is in one block.
         assert_eq!(n, tested, "threads={threads}:\n{text}");
+        // Key 37 is rows 1 000..2 000: the blocks from 1 024 to 1 984.
+        assert_eq!(full, 15, "threads={threads}:\n{text}");
         let all = "SELECT key, COUNT(*) AS n FROM t WHERE key < 1000 GROUP BY key";
         let text = db.explain_analyze(all).expect("explain analyze runs");
         assert_eq!(
             skipped(&text),
-            (0, tested),
+            (0, tested, tested),
             "all pass, threads={threads}:\n{text}"
         );
     }

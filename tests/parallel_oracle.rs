@@ -1507,3 +1507,175 @@ fn memoised_join_indexes_match_per_query_builds_at_every_dop() {
         }
     }
 }
+
+/// A fused filter hands the grouping fold block masks: an empty block
+/// skipped, a full one folded whole, a mixed one at its set bits. Pinned
+/// plans over a table whose length is no multiple of 64 — filter → SPHG,
+/// HG, BSG and OG (the filter on a scattered column, OG's key ascending),
+/// SPHG over a sparse key's codes under a coded one- and two-sided range,
+/// SPHG under a two-sided range, filter → SPHJ → SPHG, and SPHG over
+/// pruned partitions whose segments start mid-block — at DOP 1, 2 and 8
+/// and selectivities 0, 1/64, 1/8, 7/8 and 1: every answer equals
+/// `naive_eval`'s.
+#[test]
+fn masked_loaders_match_the_oracle_at_every_selectivity_and_dop() {
+    use dqo::core::executor::{execute, naive_eval};
+    use dqo::core::Catalog;
+    use dqo::plan::physical::GroupingMolecules;
+    use dqo::plan::{
+        AggExpr, AggFunc, CmpOp, GroupingAlgorithm as G, JoinAlgorithm as J, LogicalPlan,
+        PhysicalPlan, Predicate,
+    };
+    use dqo::storage::{Column, DataType, Field, PartitionSpec, PartitionedRelation, Schema};
+    let rows = 20_000u32 + 37;
+    let hash = |i: u32, m: u32| i.wrapping_mul(2_654_435_761) % m;
+    // `key` dense and scattered over 0..256, `k` ascending, `v` scattered
+    // over 0..1024, `sk` sparse and scattered: 40 keys, each ~500 times.
+    let columns = vec![
+        Column::U32((0..rows).map(|i| hash(i, 256)).collect()),
+        Column::U32((0..rows).map(|i| i / 97).collect()),
+        Column::U32((0..rows).map(|i| hash(i ^ 0x5bd1, 1024)).collect()),
+        Column::U32((0..rows).map(|i| 1_000_003 * hash(i, 40) + 7).collect()),
+    ];
+    let names = ["key", "k", "v", "sk"];
+    let schema = Schema::new(names.map(|n| Field::new(n, DataType::U32)).to_vec()).unwrap();
+    let t = dqo::Relation::new(schema, columns).unwrap();
+    let cat = Catalog::new();
+    cat.register("t", t.clone());
+    assert!(cat.stored("t").unwrap().key_codes.contains_key("sk"));
+    // Partitions 1 and 2 hold keys 37..150: two segments, each starting
+    // at a row no multiple of 64.
+    let spec = PartitionSpec::range("key", vec![37, 101, 150, 203]);
+    cat.register_partitioned("p", PartitionedRelation::new(t, spec).unwrap());
+    let (r, s) = ForeignKeySpec {
+        r_rows: 3_001,
+        s_rows: 9_037,
+        groups: 300,
+        r_sorted: false,
+        s_sorted: false,
+        dense: true,
+        seed: 11,
+    }
+    .generate()
+    .unwrap();
+    cat.register("r", r);
+    cat.register("s", s);
+    let aggs = |value: &str| {
+        vec![
+            AggExpr::count_star("n"),
+            AggExpr::on(AggFunc::Sum, value, "s"),
+            AggExpr::on(AggFunc::Max, value, "hi"),
+        ]
+    };
+    let scan = |table: &str| {
+        Box::new(PhysicalPlan::Scan {
+            table: table.into(),
+        })
+    };
+    let lt = |column: &str, b: u32| Predicate::cmp(column, CmpOp::Lt, b);
+    let between = |column: &str, lo: u32, hi: u32| {
+        Predicate::And(vec![
+            Predicate::cmp(column, CmpOp::Ge, lo),
+            Predicate::cmp(column, CmpOp::Lt, hi),
+        ])
+    };
+    let sk = |eighths: u32| 1_000_003 * (40 * eighths / 8) + 7;
+    let join = || PhysicalPlan::Join {
+        left: scan("r"),
+        right: scan("s"),
+        left_key: "id".into(),
+        right_key: "r_id".into(),
+        algo: J::StaticPerfectHash,
+    };
+    let pruned = || PhysicalPlan::PartitionedScan {
+        table: "p".into(),
+        parts: vec![1, 2],
+        total: 5,
+    };
+    let (t_rows, r_s) = (
+        || LogicalPlan::scan("t"),
+        || LogicalPlan::join(LogicalPlan::scan("r"), LogicalPlan::scan("s"), "id", "r_id"),
+    );
+    let p_rows = || LogicalPlan::filter(LogicalPlan::scan("t"), between("key", 37, 150));
+    for (share, v, payload) in [
+        ("0", 0, 0),
+        ("1/64", 16, 16),
+        ("1/8", 128, 125),
+        ("7/8", 896, 875),
+        ("1", 1024, 1000),
+    ] {
+        let eighths = v / 128;
+        let sph = G::StaticPerfectHash;
+        // (input, its rows for the oracle, predicate, key, value, algo, codes)
+        let mut cases = vec![];
+        for algo in [sph, G::HashBased, G::BinarySearch] {
+            cases.push((*scan("t"), t_rows(), lt("v", v), "key", "v", algo, false));
+        }
+        cases.push((
+            *scan("t"),
+            t_rows(),
+            lt("v", v),
+            "k",
+            "v",
+            G::OrderBased,
+            false,
+        ));
+        for predicate in [lt("sk", sk(eighths)), between("sk", sk(1), sk(eighths + 1))] {
+            cases.push((*scan("t"), t_rows(), predicate, "sk", "v", sph, true));
+        }
+        let two = between("v", 1024 - v, 1024 - v / 2);
+        cases.push((*scan("t"), t_rows(), two, "key", "v", sph, false));
+        cases.push((pruned(), p_rows(), lt("v", v), "key", "v", sph, false));
+        cases.push((
+            join(),
+            r_s(),
+            lt("payload", payload),
+            "a",
+            "payload",
+            sph,
+            false,
+        ));
+        for (input, rows, predicate, key, value, algo, codes) in cases {
+            let logical = LogicalPlan::filter(rows, predicate.clone());
+            let oracle = sorted_rows(
+                &naive_eval(&LogicalPlan::group_by(logical, key, aggs(value)), &cat).unwrap(),
+            );
+            for dop in THREAD_COUNTS {
+                let what = format!("{algo:?} γ[{key}] over {predicate} ({share}) dop={dop}");
+                let filter = PhysicalPlan::Filter {
+                    input: Box::new(input.clone()),
+                    predicate: predicate.clone(),
+                };
+                let (filter, group) = match dop {
+                    1 => (filter, None),
+                    _ => (
+                        PhysicalPlan::Exchange {
+                            input: Box::new(filter),
+                            dop,
+                        },
+                        Some(dop),
+                    ),
+                };
+                let plan = PhysicalPlan::GroupBy {
+                    input: Box::new(filter),
+                    keys: vec![key.into()],
+                    aggs: aggs(value),
+                    algo,
+                    molecules: GroupingMolecules {
+                        codes,
+                        ..GroupingMolecules::defaults_for(algo)
+                    },
+                };
+                let plan = match group {
+                    Some(dop) => PhysicalPlan::Exchange {
+                        input: Box::new(plan),
+                        dop,
+                    },
+                    None => plan,
+                };
+                let out = execute(&plan, &cat).unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert_eq!(sorted_rows(&out.relation), oracle, "{what}");
+            }
+        }
+    }
+}

@@ -572,3 +572,186 @@ fn mixed_blocks_take_both_narrowing_arms() {
         "sparse and dense mixed blocks: {arms:?}"
     );
 }
+
+/// Two comparisons on one column fold into one compare: every pairing of
+/// `>`, `>=`, `<` and `<=` (both ends, and two on one end), bounds inside,
+/// crossed, equal and at the edges of the `u32` domain — an empty range
+/// passes nothing — and a third conjunct on the same or another column.
+/// Through a bare filter and SPHG, HG and OG consumers, at every DOP,
+/// each answers as the oracle.
+#[test]
+fn two_comparisons_on_one_column_match_the_oracle() {
+    let cat = catalog();
+    let ops = [CmpOp::Gt, CmpOp::Ge, CmpOp::Lt, CmpOp::Le];
+    let bounds = [
+        (250, 750),
+        (750, 250),
+        (500, 500),
+        (0, u32::MAX),
+        (u32::MAX, 0),
+        (u32::MAX, u32::MAX),
+        (0, 0),
+    ];
+    let mut predicates = Vec::new();
+    for a in ops {
+        for b in ops {
+            for (x, y) in bounds {
+                predicates.push(Predicate::And(vec![
+                    Predicate::cmp("v", a, x),
+                    Predicate::cmp("v", b, y),
+                ]));
+            }
+        }
+    }
+    predicates.push(Predicate::And(vec![
+        Predicate::cmp("v", CmpOp::Ge, 100u32),
+        Predicate::cmp("c", CmpOp::Lt, 12u32),
+        Predicate::cmp("v", CmpOp::Lt, 900u32),
+        Predicate::cmp("v", CmpOp::Ne, 500u32),
+        Predicate::cmp("v", CmpOp::Gt, 120u32),
+    ]));
+    let consumers: Vec<Consumer> = consumers()
+        .into_iter()
+        .filter(|c| {
+            [
+                "bare filter",
+                "group StaticPerfectHash",
+                "group HashBased",
+                "group OrderBased",
+            ]
+            .contains(&c.name.as_str())
+        })
+        .collect();
+    assert_eq!(consumers.len(), 4);
+    for predicate in predicates {
+        let input = LogicalPlan::filter(LogicalPlan::scan("t"), predicate.clone());
+        for consumer in &consumers {
+            let oracle = naive_eval(&(consumer.logical)(input.clone()), &cat).unwrap();
+            for dop in DOPS {
+                let what = format!("{predicate} | {} | dop={dop}", consumer.name);
+                let filter = PhysicalPlan::Filter {
+                    input: Box::new(PhysicalPlan::Scan { table: "t".into() }),
+                    predicate: predicate.clone(),
+                };
+                let out = execute(&(consumer.physical)(at_dop(filter, dop), dop), &cat)
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert_eq!(sorted_rows(&out.relation), sorted_rows(&oracle), "{what}");
+            }
+        }
+    }
+}
+
+/// A comparison on a column the catalog keeps dense codes of compares the
+/// codes with the bound's rank: bounds below the smallest key, at it,
+/// between keys, at a key, at the largest and above it, under every
+/// operator and as a two-sided range, through a bare filter and SPHG over
+/// the codes; then again after INSERTs of keys below, between and above
+/// the old ones, which remap the codes.
+#[test]
+fn comparisons_on_coded_keys_match_the_oracle_before_and_after_inserts() {
+    use dqo::core::Engine;
+    let rows = 3_000u32;
+    // 30 sparse keys 1 000 apart, from 5 000, each ~100 times, scattered.
+    let key = |i: u32| 5_000 + 1_000 * (i.wrapping_mul(2_654_435_761) % 30);
+    let schema = Schema::new(vec![
+        Field::new("key", DataType::U32),
+        Field::new("v", DataType::U32),
+    ])
+    .unwrap();
+    let columns = vec![
+        Column::U32((0..rows).map(key).collect()),
+        Column::U32((0..rows).map(|i| i % 101).collect()),
+    ];
+    let engine = Engine::new();
+    engine.register_table("u", Relation::new(schema, columns).unwrap());
+    let coded = |engine: &Engine| {
+        let entry = engine.catalog().stored("u").unwrap();
+        entry.key_codes.contains_key("key")
+    };
+    assert!(coded(&engine));
+    let aggs = vec![
+        AggExpr::count_star("n"),
+        AggExpr::on(AggFunc::Sum, "v", "s"),
+    ];
+    let sph = GroupingAlgorithm::StaticPerfectHash;
+    let check = |engine: &Engine, ctx: &str| {
+        let bounds = [
+            0,
+            4_999,
+            5_000,
+            5_500,
+            17_000,
+            34_000,
+            34_001,
+            40_000,
+            u32::MAX,
+        ];
+        let ops = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ];
+        let mut predicates: Vec<Predicate> = ops
+            .iter()
+            .flat_map(|&op| bounds.map(|b| Predicate::cmp("key", op, b)))
+            .collect();
+        for (lo, hi) in [
+            (5_500u32, 17_000u32),
+            (5_000, 34_000),
+            (17_000, 17_000),
+            (0, u32::MAX),
+        ] {
+            predicates.push(Predicate::And(vec![
+                Predicate::cmp("key", CmpOp::Ge, lo),
+                Predicate::cmp("key", CmpOp::Lt, hi),
+            ]));
+        }
+        for predicate in predicates {
+            let input = LogicalPlan::filter(LogicalPlan::scan("u"), predicate.clone());
+            let grouped = LogicalPlan::group_by(input.clone(), "key", aggs.clone());
+            for dop in DOPS {
+                let what = format!("{ctx}: {predicate} dop={dop}");
+                let filter = || PhysicalPlan::Filter {
+                    input: Box::new(PhysicalPlan::Scan { table: "u".into() }),
+                    predicate: predicate.clone(),
+                };
+                let group = PhysicalPlan::GroupBy {
+                    input: Box::new(at_dop(filter(), dop)),
+                    keys: vec!["key".into()],
+                    aggs: aggs.clone(),
+                    algo: sph,
+                    molecules: GroupingMolecules {
+                        codes: true,
+                        ..GroupingMolecules::defaults_for(sph)
+                    },
+                };
+                for (plan, logical) in [
+                    (at_dop(filter(), dop), &input),
+                    (at_dop(group, dop), &grouped),
+                ] {
+                    let out =
+                        execute(&plan, engine.catalog()).unwrap_or_else(|e| panic!("{what}: {e}"));
+                    let oracle = naive_eval(logical, engine.catalog()).unwrap();
+                    assert_eq!(sorted_rows(&out.relation), sorted_rows(&oracle), "{what}");
+                }
+            }
+        }
+    };
+    check(&engine, "registered");
+    for (what, keys) in [
+        ("a key below the smallest", [4_000, 5_000]),
+        ("a key between two", [17_500, 6_000]),
+        ("keys above the largest and u32::MAX", [90_000, u32::MAX]),
+    ] {
+        let values: Vec<Vec<Value>> = keys
+            .iter()
+            .map(|&k| vec![Value::U32(k), Value::U32(7)])
+            .collect();
+        engine.insert("u", &values).expect("insert");
+        assert!(coded(&engine), "{what}: still coded");
+        check(&engine, what);
+    }
+}
