@@ -18,6 +18,7 @@
 //! | Unnest-depth / optimisation-time ablation (E8) | `depth_ablation` |
 //! | Hash-table molecule ablation (E9) | `molecules` |
 //! | Adaptive-AV convergence (cracking; extension, §6) | `cracking` |
+//! | A served statement against its hand-fused floor (not in the paper) | `layers` |
 //!
 //! Serving, concurrency and scaling are measured by the `spine` package
 //! at the repository root (`BENCHMARK.json` is its contract), not here.
@@ -36,6 +37,8 @@ mod crossover;
 mod depth_ablation;
 pub mod fig4;
 pub mod fig5;
+pub mod floor;
+mod layers;
 mod molecules;
 pub mod report;
 mod table1;
@@ -62,6 +65,7 @@ const ARTEFACTS: &[Artefact] = &[
     ("depth_ablation", "unnest depth vs optimisation time", &[], depth_ablation::main),
     ("molecules", "hash-table molecules", &["--rows <n>", "--groups <n>", "--reps <n>"], molecules::main),
     ("cracking", "adaptive-AV convergence", &["--rows <n>", "--queries <n>"], cracking::main),
+    ("layers", "served statement vs hand-fused floor", &["--rows <n>", "--reps <n>", "--json <file>"], layers::main),
 ];
 
 /// Run the artefact that `argv` (the process arguments after the program

@@ -102,6 +102,8 @@ fn a_flag_the_artefact_does_not_take_is_rejected() {
 fn a_size_the_artefact_cannot_run_at_is_rejected() {
     rejects(&["molecules", "--groups", "0"], &["--groups"]);
     rejects(&["molecules", "--rows", "0"], &["--rows"]);
+    rejects(&["layers", "--reps", "0"], &["--reps"]);
+    rejects(&["layers", "--json"], &["--json"]);
     rejects(&["crossover", "--reps", "0"], &["--reps"]);
     rejects(&["fig5", "--scale", "0"], &["--scale"]);
     rejects(&["fig5", "--scale", "-1"], &["--scale"]);

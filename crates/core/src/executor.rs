@@ -23,7 +23,11 @@
 //! by binary search per range instead — and expands them through an HJ or
 //! SPHJ probe into pairs. It ends in a sink: the grouping fold of a
 //! single-key HG, SPHG, OG or BSG, which reads the key and value columns at
-//! the rows named (one loop, `dqo_parallel::parallel_grouping_tasks`), or a
+//! the rows named (one loop, `dqo_parallel::parallel_grouping_tasks`) — or,
+//! for SPHG above a probe of a unique index with no build-side conjunct,
+//! whose fold reads build columns only carried (or none), at each kept
+//! probe row's one match, which the fold finds itself, so the probe
+//! writes no pair (`fold=in-place`) —, or a
 //! collect sink handing the row ids to a breaker — Sort, Limit, SOG, a
 //! composite grouping, an OJ/SOJ/BSJ input, a join's build side — or to the
 //! root. SOG sorts its key and folds it as OG does, in the sorted order; a
@@ -33,8 +37,9 @@
 //! memoised on that table's catalog entry, built by the first query that
 //! needs it, with the build columns the plan above reads carried into the
 //! index's posting order — the probe's matches are then those columns'
-//! rows; else one built for the query. A probe emits postings, and a
-//! build table not carried reads its rows through them. OJ, SOJ and BSJ
+//! rows; else one built for the query. A probe that does not fold in
+//! place emits postings, and a build table not carried reads its rows
+//! through them. OJ, SOJ and BSJ
 //! hand on the pairs their loops return. The fold takes runs of an
 //! ascending key whose runs average `MIN_RUN` rows when no conjunct thins
 //! them; SPHG over a coded key (`{key=codes}`) reads its dense codes and
@@ -74,8 +79,8 @@ use dqo_exec::pipeline::{Blocking, OperatorMetrics, PipelineStats};
 use dqo_exec::sort::argsort;
 use dqo_exec::ExecError;
 use dqo_parallel::{
-    merge_ascending, parallel_grouping, parallel_sog, BatchObs, Fold, GroupingStrategy,
-    PersistentPool, Rows, Scratch, Sink, ThreadPool, DEFAULT_MORSEL_ROWS,
+    merge_ascending, parallel_grouping, parallel_sog, BatchObs, Fold, GroupingStrategy, Kept,
+    PersistentPool, Probed, Rows, Scratch, Sink, ThreadPool, DEFAULT_MORSEL_ROWS,
 };
 use dqo_plan::expr::{AggExpr, AggFunc, CmpOp, Predicate};
 use dqo_plan::physical::GroupingMolecules;
@@ -980,6 +985,7 @@ impl<'a> Exec<'a> {
             tail,
             below,
             reads: None,
+            in_place: None,
         })
     }
 
@@ -1013,15 +1019,20 @@ impl<'a> Exec<'a> {
             let began = timed.then(Instant::now);
             let (mut got, mut scratch, mut kept) =
                 (vec![Vec::new(); tables], Scratch::default(), false);
-            let sink = &mut |rows: Loaded<'_>| match rows {
-                Loaded::Piece(Piece::Range(r)) => got[0].extend(r.start as u32..r.end as u32),
-                Loaded::Piece(Piece::Rows(_)) => kept = true,
-                Loaded::Masked(masked) => masked.take(&mut got[0]),
-                Loaded::Rows(lists) => {
-                    for (got, list) in got.iter_mut().zip(lists) {
-                        got.extend_from_slice(list);
+            // Only a grouping fold probes in place, so no count is read.
+            let sink = &mut |rows: Loaded<'_>| {
+                match rows {
+                    Loaded::Piece(Piece::Range(r)) => got[0].extend(r.start as u32..r.end as u32),
+                    Loaded::Piece(Piece::Rows(_)) => kept = true,
+                    Loaded::Masked(masked) => masked.take(&mut got[0]),
+                    Loaded::Rows(lists) => {
+                        for (got, list) in got.iter_mut().zip(lists) {
+                            got.extend_from_slice(list);
+                        }
                     }
+                    Loaded::Probed(_) => unreachable!("a collect sink takes pairs"),
                 }
+                0
             };
             src.load(&pieces[t], &mut scratch, &ran, sink)?;
             // Listed ids are the ones the conjuncts kept of listed rows (a
@@ -1115,6 +1126,19 @@ impl<'a> Exec<'a> {
                 None => kt,
             };
             src.reads = Some([kt, vt]);
+            // A unique index under no build-side conjunct hands SPHG's
+            // fold its probe rows when the fold reads no build column or
+            // reads them carried: each row folds at its one match, and no
+            // pair is written. The other groupings take the pairs, so the
+            // in-place loop is compiled for SPHG's array alone.
+            let builds = src.builds;
+            let build = [kt < builds, vt < builds];
+            let unique = (src.probe.as_ref())
+                .is_some_and(|p| p.index.is_unique() && (p.carried || build == [false, false]));
+            let sph = algo == GroupingAlgorithm::StaticPerfectHash;
+            if sph && unique && src.single() && src.conjuncts[..builds].iter().all(Vec::is_empty) {
+                src.in_place = Some(build);
+            }
             let name = src.view.column(key)?.1;
             let table = &src.view.tables[kt];
             let data = table.rel.column(name)?.as_u32()?;
@@ -1164,6 +1188,7 @@ impl<'a> Exec<'a> {
                             keys: lists[kt],
                             values: lists[vt],
                         },
+                        Loaded::Probed(probed) => Rows::Probed(probed),
                     })
                 })?;
                 ran.time(began);
@@ -1368,6 +1393,10 @@ struct Source<'a> {
     /// The tables whose rows the sink reads, when not every table's: a
     /// grouping fold's key and value tables.
     reads: Option<[usize; 2]>,
+    /// Set when the grouping fold reads a unique probe's rows in place
+    /// (see [`Probed`]): whether its key, and its value, is a build
+    /// column.
+    in_place: Option<[bool; 2]>,
 }
 
 /// A fused join as its loader sees it.
@@ -1385,11 +1414,13 @@ struct Probe {
 /// What a loader hands its sink for one piece: the rows of its one table
 /// — the piece itself, the row ids its conjuncts kept of listed rows in
 /// `Scratch::ids`, or the block masks they left over a range in
-/// `Scratch::masks` — or one row list per table, row by row.
+/// `Scratch::masks` —, one row list per table, row by row, or the probe
+/// rows a grouping fold matches in place.
 enum Loaded<'s> {
     Piece(Piece<'s>),
     Masked(Masked<'s>),
     Rows(&'s [&'s [u32]]),
+    Probed(Probed<'s>),
 }
 
 /// The row behind each position of a selection: `start + p` for one dense
@@ -1434,6 +1465,7 @@ impl Source<'_> {
             tail: None,
             below: OperatorMetrics::default(),
             reads: None,
+            in_place: None,
             view,
         }
     }
@@ -1489,16 +1521,17 @@ impl Source<'_> {
     /// build side's conjuncts — the rows the join and the filter above it
     /// would have emitted, in their order; then hand what survives to
     /// `emit` — the piece itself, the masks a range's conjuncts left (a
-    /// range they keep whole or not at all stays a range), or one row list
+    /// range they keep whole or not at all stays a range), one row list
     /// per table, left empty for a table the sink does not read (see
-    /// `Source::reads`) — tallied in `ran`. No column but the conjuncts'
-    /// and the probe key is read.
+    /// `Source::reads`), or, to a fold that probes in place, the probe
+    /// rows and the index, which the fold matches and counts — tallied in
+    /// `ran`. No column but the conjuncts' and the probe key is read.
     fn load(
         &self,
         piece: &Piece<'_>,
         scratch: &mut Scratch,
         ran: &Counters,
-        emit: &mut dyn FnMut(Loaded<'_>),
+        emit: &mut dyn FnMut(Loaded<'_>) -> usize,
     ) -> std::result::Result<(), ExecError> {
         let Scratch { masks, ids, rows } = scratch;
         let (tables, builds, single) = (self.view.tables.len(), self.builds, self.single());
@@ -1540,6 +1573,21 @@ impl Source<'_> {
             piece = Piece::Rows(ids);
         }
         let kept = masked.map(|start| Masked { start, masks });
+        if let (Some(probe), Some(build)) = (&self.probe, self.in_place) {
+            let rows = match kept {
+                Some(masked) => Kept::Masked(masked),
+                None => Kept::Piece(piece),
+            };
+            let (on, index) = (probe.on.as_u32()?, &*probe.index);
+            let pairs = emit(Loaded::Probed(Probed {
+                rows,
+                on,
+                index,
+                build,
+            }));
+            ran.add(pairs, pairs);
+            return Ok(());
+        }
         if single && self.probe.is_none() {
             match kept {
                 Some(masked) => {
@@ -1652,6 +1700,7 @@ impl Source<'_> {
                     slot.morsels = self.pieces().len() as u64;
                 }
                 (PhysicalPlan::Filter { .. }, Some(slot)) => slot.blocks = ran.tested(),
+                (PhysicalPlan::Join { .. }, Some(slot)) => slot.in_place = self.in_place.is_some(),
                 _ => {}
             }
         }

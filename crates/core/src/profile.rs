@@ -8,8 +8,9 @@
 //! picked it), wall time, rows produced, pipeline breakers, bytes the
 //! node copied into new column buffers, and — on `Filter` nodes — the
 //! conjuncts binary search answered and the 64-row blocks in which no row
-//! passed, on HJ/SPHJ nodes where the join index came from and the build
-//! columns carried into its order, and — on `Exchange` nodes — granted
+//! passed, on HJ/SPHJ nodes where the join index came from, the build
+//! columns carried into its order and whether the probe folded in place,
+//! and — on `Exchange` nodes — granted
 //! DOP, morsels dispatched, and steals.
 
 use crate::catalog::Catalog;
@@ -71,7 +72,8 @@ pub fn estimate_rows(
 /// its tail, in append order, `index=built|memo|av` on an HJ or SPHJ (its
 /// index built for the query, taken from the build table's memo or from
 /// an SPH-index AV) with `carried=c,…`, the build columns it reads in the
-/// index's posting order — plus
+/// index's posting order, and `fold=in-place` when its probe handed each
+/// match straight to the SPHG grouping above it, writing no pair — plus
 /// parallel-runtime detail on `Exchange` nodes. The estimates are [`estimate_rows`] under
 /// `feedback`. Empty runtimes (untraced execution) render the plain tree.
 pub fn render_annotated(
@@ -114,6 +116,9 @@ pub fn render_annotated(
             if !carried.is_empty() {
                 parts.push(format!("carried={}", carried.join(",")));
             }
+        }
+        if m.in_place {
+            parts.push("fold=in-place".to_owned());
         }
         if let PhysicalPlan::Exchange { .. } = node {
             parts.push(format!("dop={}", m.dop.unwrap_or(0)));

@@ -33,7 +33,9 @@
 //! A reader that holds a build column gathered into posting order
 //! ([`JoinIndex::posting_rows`]) reads it at a match's postings directly —
 //! one access per pair, where reading the build row first makes two
-//! dependent ones.
+//! dependent ones. Over a unique index, [`JoinIndex::with_posting`] hands
+//! a loop the key-to-posting map itself, one closure type per slot map,
+//! so a probe can fold each match where it finds it.
 
 use crate::error::ExecError;
 use crate::join::JoinResult;
@@ -58,6 +60,19 @@ use std::sync::Arc;
 pub struct JoinIndex {
     slots: SlotMap,
     layout: Layout,
+}
+
+/// A loop over a unique index's postings (see
+/// [`JoinIndex::with_posting`]). `run` is generic over the map, so the
+/// loop is compiled once per slot map and no row branches on which one
+/// it got — the way [`crate::grouping::hg::WithTable`] compiles a loop
+/// once per table molecule.
+pub trait WithPosting {
+    /// What the loop returns.
+    type Out;
+    /// Run the loop with `posting`, the map from a probe key to its one
+    /// posting.
+    fn run(self, posting: impl Fn(u32) -> Option<u32> + Copy) -> Self::Out;
 }
 
 /// How a [`JoinIndex`] finds a key's slot.
@@ -148,6 +163,29 @@ impl JoinIndex {
     #[inline]
     pub fn row(&self, p: u32) -> u32 {
         self.layout.row(p)
+    }
+
+    /// Run `with` on a unique index's map from a probe key to its one
+    /// posting, or `None` for a key no build row holds — the identity
+    /// map's (a key outside the domain, or on an empty slot, has none) or
+    /// the hashed map's. A CSR index, whose keys own runs of postings,
+    /// returns `None` without running it.
+    pub fn with_posting<W: WithPosting>(&self, with: W) -> Option<W::Out> {
+        let Layout::Unique { rows, full } = &self.layout else {
+            return None;
+        };
+        Some(match &self.slots {
+            &SlotMap::Identity { min } => {
+                let (rows, full) = (&rows[..], *full);
+                with.run(move |key: u32| {
+                    let off = key.wrapping_sub(min) as usize;
+                    (off < rows.len() && (full || rows[off] != EMPTY)).then_some(off as u32)
+                })
+            }
+            // Every hashed unique index is full: a key's slot id is its
+            // posting.
+            SlotMap::Hashed(map) => with.run(|key: u32| map.get(key).copied()),
+        })
     }
 
     /// The build row at every posting, in order — the gather order of a

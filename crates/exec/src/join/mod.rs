@@ -25,7 +25,7 @@ pub mod soj;
 
 use crate::Result;
 pub use dqo_plan::JoinAlgorithm;
-pub use index::JoinIndex;
+pub use index::{JoinIndex, WithPosting};
 
 /// The output of an equi-join: matching row-index pairs into the left and
 /// right inputs, plus the output-order plan property.

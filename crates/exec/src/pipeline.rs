@@ -108,6 +108,10 @@ pub struct OperatorMetrics {
     /// SPH-index AV — and the build columns it reads in the index's
     /// posting order.
     pub index: Option<(&'static str, Vec<String>)>,
+    /// On an HJ or SPHJ: its probe handed each match straight to the
+    /// SPHG fold above it — a unique index, its build columns carried —
+    /// and wrote no pair.
+    pub in_place: bool,
 }
 
 impl fmt::Display for PipelineStats {

@@ -19,12 +19,15 @@
 //! place; the block masks a fused filter left over a range, one 64-row
 //! block at a time — an empty block skipped, a stretch of full blocks
 //! folded in place as a range, a mixed block by walking its set bits;
-//! listed row ids (a filter over listed rows, a sort's order); or a fused
-//! join's pairs of build and probe rows. Nothing is gathered — the
-//! loader's only buffers are the masks, ids and pair lists in the
-//! worker's [`Scratch`], and a filter over a range writes no row id at
-//! all — and each shape has one monomorphic update loop, which keeps the
-//! partial's array or table in locals. The dense entry points are loaders that hand out ranges.
+//! listed row ids (a filter over listed rows, a sort's order); a fused
+//! join's pairs of build and probe rows; or, for SPHG under a unique join
+//! index, the probe rows themselves ([`Probed`]), each folded at its one
+//! match where the probe finds it. Nothing is gathered — the loader's only
+//! buffers are the masks, ids and pair lists in the worker's [`Scratch`],
+//! and a filter over a range or a probe that folds in place writes no row
+//! id at all — and each shape has one monomorphic update loop, which
+//! keeps the partial's array or table in locals. The dense entry points
+//! are loaders that hand out ranges.
 //! The state is whatever [`Aggregator`] the caller folds: COUNT/SUM's 16
 //! bytes unless the query reads MIN or MAX.
 //!
@@ -43,10 +46,12 @@ use crate::pool::ThreadPool;
 use dqo_exec::aggregate::Aggregator;
 use dqo_exec::grouping::hg::{HgTable, WithTable};
 use dqo_exec::grouping::GroupedResult;
+use dqo_exec::join::{JoinIndex, WithPosting};
 use dqo_exec::pipeline::{Blocking, PipelineStats};
 use dqo_exec::ExecError;
 use dqo_hashtable::GroupTable;
 use dqo_storage::{Masked, Piece, SetBits, BLOCK_ROWS};
+use std::cell::Cell;
 use std::collections::HashSet;
 use std::ops::Range;
 
@@ -105,23 +110,41 @@ pub enum Rows<'a> {
         /// The value column's row of each match.
         values: &'a [u32],
     },
+    /// A fused join's probe rows under a unique index, each folded at its
+    /// one match, if any. Only SPHG folds them; a loader hands them to no
+    /// other grouping, which would panic.
+    Probed(Probed<'a>),
 }
 
-impl Rows<'_> {
-    fn len(&self) -> usize {
-        match self {
-            Rows::Piece(piece) => piece.len(),
-            Rows::Masked(masked) => masked.len(),
-            Rows::Pairs { keys, values } => {
-                assert_eq!(keys.len(), values.len(), "loader delivers aligned pairs");
-                keys.len()
-            }
-        }
-    }
+/// A fused join's probe rows under a unique join index, folded in place:
+/// probe row `j` matches at most the one posting of `on[j]`, and the fold
+/// reads a build column at that posting — the column is carried in
+/// posting order — and a probe column at `j`. No pair is written.
+#[derive(Debug, Clone)]
+pub struct Probed<'a> {
+    /// The probe rows the loader kept of one piece.
+    pub rows: Kept<'a>,
+    /// The probe key column, read at each kept row.
+    pub on: &'a [u32],
+    /// The unique index the keys probe (a CSR index never comes here).
+    pub index: &'a JoinIndex,
+    /// Whether the key column, and the value column, are build columns.
+    pub build: [bool; 2],
 }
 
-/// Where a loader delivers the rows of a task.
-pub type Sink<'a> = &'a mut dyn FnMut(Rows<'_>);
+/// The rows a loader kept of one piece: the piece itself, or the block
+/// masks its conjuncts left over a range.
+#[derive(Debug, Clone)]
+pub enum Kept<'a> {
+    /// Every row of the piece.
+    Piece(Piece<'a>),
+    /// The rows the masks name.
+    Masked(Masked<'a>),
+}
+
+/// Where a loader delivers the rows of a task; it returns the rows it
+/// folded — a unique probe's matches, which only the fold counts.
+pub type Sink<'a> = &'a mut dyn FnMut(Rows<'_>) -> usize;
 
 /// A grouping of `keys`/`values` under `agg`, on `pool` or, with none, on
 /// the caller thread (see [`parallel_grouping_tasks`]).
@@ -251,6 +274,13 @@ trait Partial<A: Aggregator> {
     fn rows(&mut self, agg: A, rows: impl Iterator<Item = (u32, u32)>);
     /// Merge a run's state, folded in a register, into its key's group.
     fn run(&mut self, agg: A, key: u32, run: &A::State);
+    /// Fold a unique probe's kept rows at their matches (see [`Probed`]);
+    /// returns the matches. Only SPHG's array folds a probe in place — the
+    /// caller hands [`Rows::Probed`] to no other grouping — so the loop is
+    /// compiled for its partial alone.
+    fn probed(&mut self, _agg: A, _columns: (&[u32], &[u32]), _probed: &Probed<'_>) -> usize {
+        unreachable!("only SPHG folds a unique probe's rows in place")
+    }
 }
 
 /// HG's partial: one table of the plan's molecule.
@@ -306,8 +336,9 @@ impl<L: Fn(usize, &mut Scratch, Sink<'_>) -> Result<(), ExecError> + Sync> Fold<
             let (partial, rows) = (&mut w.partial, &mut w.rows);
             partial.begin(t);
             let loaded = (self.load)(t, &mut w.scratch, &mut |at| {
-                *rows += at.len() as u64;
-                self.step(agg, partial, at);
+                let n = self.step(agg, partial, at);
+                *rows += n as u64;
+                n
             });
             w.failed = w.failed.take().or(loaded.err());
         };
@@ -332,35 +363,44 @@ impl<L: Fn(usize, &mut Scratch, Sink<'_>) -> Result<(), ExecError> + Sync> Fold<
     }
 
     /// Fold the columns at `at` into `partial`, one monomorphic loop per
-    /// shape: a range in place; masks block by block — an empty block
-    /// skipped, a stretch of full blocks in place as a range, a mixed block
-    /// at its set bits; listed rows and a join's pairs by row id.
-    fn step<A: Aggregator>(&self, agg: A, partial: &mut impl Partial<A>, at: Rows<'_>) {
+    /// shape: a range in place; masks block by block (see [`blocks`]), a
+    /// stretch of full blocks in place as a range, a mixed block at its
+    /// set bits; listed rows and a join's pairs by row id; a unique
+    /// probe's rows at their matches (see [`fold_probed`]). Returns the
+    /// rows folded.
+    fn step<A: Aggregator>(&self, agg: A, partial: &mut impl Partial<A>, at: Rows<'_>) -> usize {
         let (keys, values) = self.columns;
         let at_rows = |(k, v): (&u32, &u32)| (keys[*k as usize], values[*v as usize]);
         match at {
-            Rows::Piece(Piece::Range(r)) => self.range(agg, partial, r),
-            Rows::Masked(Masked { start, masks }) => {
-                let mut b = 0;
-                while let Some(&mask) = masks.get(b) {
-                    let at = start + b * BLOCK_ROWS;
-                    match mask {
-                        0 => b += 1,
-                        u64::MAX => {
-                            let full = masks[b..].iter().take_while(|&&m| m == mask).count();
-                            self.range(agg, partial, at..at + full * BLOCK_ROWS);
-                            b += full;
-                        }
-                        _ => {
-                            let (k, v) = (&keys[at..], &values[at..]);
-                            partial.rows(agg, SetBits(mask).map(|j| (k[j], v[j])));
-                            b += 1;
-                        }
-                    }
-                }
+            Rows::Piece(Piece::Range(r)) => {
+                let n = r.len();
+                self.range(agg, partial, r);
+                n
             }
-            Rows::Piece(Piece::Rows(ids)) => partial.rows(agg, ids.iter().map(|i| at_rows((i, i)))),
-            Rows::Pairs { keys: k, values: v } => partial.rows(agg, k.iter().zip(v).map(at_rows)),
+            Rows::Masked(masked) => blocks(
+                masked,
+                partial,
+                |partial, r| {
+                    let n = r.len();
+                    self.range(agg, partial, r);
+                    n
+                },
+                |partial, at, mask| {
+                    let (k, v) = (&keys[at..], &values[at..]);
+                    partial.rows(agg, SetBits(mask).map(|j| (k[j], v[j])));
+                    mask.count_ones() as usize
+                },
+            ),
+            Rows::Piece(Piece::Rows(ids)) => {
+                partial.rows(agg, ids.iter().map(|i| at_rows((i, i))));
+                ids.len()
+            }
+            Rows::Pairs { keys: k, values: v } => {
+                assert_eq!(k.len(), v.len(), "loader delivers aligned pairs");
+                partial.rows(agg, k.iter().zip(v).map(at_rows));
+                k.len()
+            }
+            Rows::Probed(probed) => partial.probed(agg, self.columns, &probed),
         }
     }
 
@@ -377,6 +417,156 @@ impl<L: Fn(usize, &mut Scratch, Sink<'_>) -> Result<(), ExecError> + Sync> Fold<
             }
             false => partial.rows(agg, keys.iter().zip(values).map(|(k, v)| (*k, *v))),
         }
+    }
+}
+
+/// A unique probe's fold into SPHG's `partial` over the columns, run with
+/// the index's posting map (see [`JoinIndex::with_posting`]).
+struct InPlace<'p, 'a, A: Aggregator> {
+    agg: A,
+    partial: &'p mut SphPartial<A::State>,
+    columns: (&'a [u32], &'a [u32]),
+    probed: &'p Probed<'a>,
+}
+
+impl<A: Aggregator> WithPosting for InPlace<'_, '_, A> {
+    type Out = usize;
+
+    /// One loop per side the key and the value are on, so no row picks
+    /// the row it reads: a build column at the posting `p`, a probe column
+    /// at the probe row `j`.
+    fn run(self, posting: impl Fn(u32) -> Option<u32> + Copy) -> usize {
+        let InPlace {
+            agg,
+            partial,
+            columns: (k, v),
+            probed,
+        } = self;
+        match probed.build {
+            [true, true] => fold_probed(agg, partial, probed, posting, |p, _| (k[p], v[p])),
+            [true, false] => fold_probed(agg, partial, probed, posting, |p, j| (k[p], v[j])),
+            [false, true] => fold_probed(agg, partial, probed, posting, |p, j| (k[j], v[p])),
+            [false, false] => fold_probed(agg, partial, probed, posting, |_, j| (k[j], v[j])),
+        }
+    }
+}
+
+/// Fold the `(key, value)` that `read` takes at each kept probe row `j`
+/// of `probed` that `posting` matches, and at its posting `p`, into
+/// `partial`; returns the matches. One loop per aggregate, slot map and
+/// pair of sides, called once per piece and kept out of line so the
+/// loaders' other shapes compile as they would without it: a range or
+/// listed rows row by row, masks block by block (see [`blocks`]).
+#[inline(never)]
+fn fold_probed<A: Aggregator>(
+    agg: A,
+    partial: &mut SphPartial<A::State>,
+    probed: &Probed<'_>,
+    posting: impl Fn(u32) -> Option<u32> + Copy,
+    read: impl Fn(usize, usize) -> (u32, u32) + Copy,
+) -> usize {
+    let fold = |partial: &mut SphPartial<A::State>, rows: Range<usize>| {
+        let len = rows.len();
+        fold_matched(agg, partial, (rows, len), probed, posting, read)
+    };
+    match &probed.rows {
+        Kept::Piece(Piece::Range(r)) => fold(partial, r.clone()),
+        Kept::Piece(Piece::Rows(ids)) => {
+            let rows = ids.iter().map(|&i| i as usize);
+            fold_matched(agg, partial, (rows, ids.len()), probed, posting, read)
+        }
+        &Kept::Masked(masked) => blocks(masked, partial, fold, |partial, at, mask| {
+            let rows = SetBits(mask).map(|j| at + j);
+            let len = mask.count_ones() as usize;
+            fold_matched(agg, partial, (rows, len), probed, posting, read)
+        }),
+    }
+}
+
+/// Walk `masked` block by block, `state` handed to each step: an empty
+/// block skipped, a stretch of full blocks to `range` as one range, a
+/// mixed block to `bits` with its first row and its mask. Each step
+/// returns the rows it folded; returns their sum.
+#[inline(always)]
+fn blocks<S: ?Sized>(
+    Masked { start, masks }: Masked<'_>,
+    state: &mut S,
+    mut range: impl FnMut(&mut S, Range<usize>) -> usize,
+    mut bits: impl FnMut(&mut S, usize, u64) -> usize,
+) -> usize {
+    let (mut b, mut n) = (0, 0);
+    while let Some(&mask) = masks.get(b) {
+        let at = start + b * BLOCK_ROWS;
+        match mask {
+            0 => b += 1,
+            u64::MAX => {
+                let full = masks[b..].iter().take_while(|&&m| m == mask).count();
+                n += range(state, at..at + full * BLOCK_ROWS);
+                b += full;
+            }
+            _ => {
+                n += bits(state, at, mask);
+                b += 1;
+            }
+        }
+    }
+    n
+}
+
+/// Fold the matches of `rows`, `len` rows, into `partial` (see
+/// [`Matched`]); returns how many there were.
+#[inline(always)]
+fn fold_matched<A: Aggregator>(
+    agg: A,
+    partial: &mut SphPartial<A::State>,
+    (rows, len): (impl Iterator<Item = usize>, usize),
+    probed: &Probed<'_>,
+    posting: impl Fn(u32) -> Option<u32>,
+    read: impl Fn(usize, usize) -> (u32, u32),
+) -> usize {
+    let missed = &Cell::new(0);
+    let matched = Matched {
+        rows,
+        on: probed.on,
+        posting,
+        read,
+        missed,
+    };
+    partial.rows(agg, matched);
+    len - missed.get()
+}
+
+/// The `(key, value)` that `read` takes at each of `rows` that `posting`
+/// matches, and at its posting, counting in `missed` the rows it does
+/// not. The fold takes it by value, so its cursor stays in a register,
+/// and a probe key most often matches, so the count costs nothing on the
+/// common path.
+struct Matched<'a, I, F, R> {
+    rows: I,
+    on: &'a [u32],
+    posting: F,
+    read: R,
+    missed: &'a Cell<usize>,
+}
+
+impl<I, F, R> Iterator for Matched<'_, I, F, R>
+where
+    I: Iterator<Item = usize>,
+    F: Fn(u32) -> Option<u32>,
+    R: Fn(usize, usize) -> (u32, u32),
+{
+    type Item = (u32, u32);
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<(u32, u32)> {
+        for j in self.rows.by_ref() {
+            let Some(p) = (self.posting)(self.on[j]) else {
+                self.missed.set(self.missed.get() + 1);
+                continue;
+            };
+            return Some((self.read)(p as usize, j));
+        }
+        None
     }
 }
 
@@ -546,6 +736,16 @@ impl<A: Aggregator> Partial<A> for SphPartial<A::State> {
         if let Some(slot) = self.slot(key) {
             agg.merge(slot, run);
         }
+    }
+
+    fn probed(&mut self, agg: A, columns: (&[u32], &[u32]), probed: &Probed<'_>) -> usize {
+        let in_place = InPlace {
+            agg,
+            partial: self,
+            columns,
+            probed,
+        };
+        (probed.index.with_posting(in_place)).expect("a probe folds in place over a unique index")
     }
 }
 

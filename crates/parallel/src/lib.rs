@@ -73,8 +73,8 @@ pub mod sort;
 
 pub use admission::{AdmissionController, AdmissionPermit};
 pub use grouping::{
-    merge_ascending, parallel_grouping, parallel_grouping_tasks, Fold, GroupingStrategy, Rows,
-    Scratch, Sink,
+    merge_ascending, parallel_grouping, parallel_grouping_tasks, Fold, GroupingStrategy, Kept,
+    Probed, Rows, Scratch, Sink,
 };
 pub use join::{parallel_binary_search_join, parallel_order_join};
 pub use morsel::{morsels, morsels_within, Morsel, DEFAULT_MORSEL_ROWS};

@@ -755,3 +755,233 @@ fn comparisons_on_coded_keys_match_the_oracle_before_and_after_inserts() {
         check(&engine, what);
     }
 }
+
+/// A fused join → SPHG folds a unique index's probe rows in place: the
+/// probe hands the grouping each kept probe row, which the fold matches
+/// to its one posting itself. Over a full identity index, one with holes
+/// (probe keys below and above its domain too) and a hashed unique one it
+/// must; over a CSR index, a CSR index an INSERT patched a tail onto (an
+/// SPH-index AV), under a build-side conjunct, or under HG, BSG or OG it
+/// must not. Each plan — a probe table scanned whole, split into
+/// partitions or sorted (listed rows); probe-side conjuncts keeping none,
+/// 1/64, 1/8, 7/8 or all of the rows, scattered or in runs, so that masks
+/// are empty, mixed and full; COUNT(*), SUM of a build column and SUM of
+/// a probe column; a grouping key on either side; HG, SPHG and BSG, and
+/// OG over the probe sorted by its key; DOP 1, 2 and 4 — must answer as
+/// `naive_eval`, and its join's and filter's `act=` must equal the pair
+/// path's (the same plan under SOG, which collects the pairs).
+#[test]
+fn a_unique_probe_folds_in_place_and_counts_as_the_pair_path() {
+    use dqo::core::av::{AvKind, AvSignature};
+    use dqo::core::executor::{execute_with, ExecContext};
+    use dqo::core::Engine;
+    const BUILD: u32 = 300;
+    const PROBE: u32 = 3_000;
+    let mix = |i: u32, salt: u32| (i ^ salt).wrapping_mul(2_654_435_761) >> 7;
+    let u32s = |names: &[&str], cols: Vec<Vec<u32>>| {
+        let fields = names
+            .iter()
+            .map(|n| Field::new(*n, DataType::U32))
+            .collect();
+        Relation::new(
+            Schema::new(fields).unwrap(),
+            cols.into_iter().map(Column::U32).collect(),
+        )
+        .unwrap()
+    };
+    // `(id, g, w)`: `g` a build-side grouping key, `w` a build value.
+    let build = |id: &dyn Fn(u32) -> u32| {
+        u32s(
+            &["id", "g", "w"],
+            vec![
+                (0..BUILD).map(id).collect(),
+                (0..BUILD).map(|i| i % 13).collect(),
+                (0..BUILD).map(|i| i * 5 % 101).collect(),
+            ],
+        )
+    };
+    // `(k, pv, pg, sel, run)`: `k` covers 0..720, beyond every build
+    // domain; `sel` is scattered over 0..64, `run` in runs of 150 rows.
+    let probe = u32s(
+        &["k", "pv", "pg", "sel", "run"],
+        vec![
+            (0..PROBE).map(|i| mix(i, 1) % 720).collect(),
+            (0..PROBE).map(|i| i % 17).collect(),
+            (0..PROBE).map(|i| i * 3 % 11).collect(),
+            (0..PROBE).map(|i| mix(i, 2) % 64).collect(),
+            (0..PROBE).map(|i| (i / 150) * 37 % 64).collect(),
+        ],
+    );
+    let engine = Engine::new();
+    let cat = engine.catalog();
+    engine.register_table("b_full", build(&|i| i * 7 % BUILD));
+    engine.register_table("b_holes", build(&|i| 40 + 2 * i));
+    engine.register_table("b_csr", build(&|i| i / 2));
+    engine.register_table("b_av", build(&|i| i / 2));
+    engine.register_table("p", probe.clone());
+    let spec = PartitionSpec::range("k", vec![180, 360, 540]);
+    cat.register_partitioned("pp", PartitionedRelation::new(probe, spec).unwrap());
+    let av = AvSignature::new("b_av", "id", AvKind::SphIndex);
+    engine.av_builder().build_batch(&[av]).unwrap();
+    let appended: Vec<Vec<Value>> = [3u32, 3, 77, 149, 0]
+        .iter()
+        .map(|&id| vec![Value::U32(id), Value::U32(5), Value::U32(9)])
+        .collect();
+    engine.insert("b_av", &appended).unwrap();
+
+    let (sph, hj) = (JoinAlgorithm::StaticPerfectHash, JoinAlgorithm::HashBased);
+    // (build table, join, whether its index is unique and carried)
+    let joins = [
+        ("b_full", sph, true),
+        ("b_holes", sph, true),
+        ("b_holes", hj, true),
+        ("b_csr", sph, false),
+        ("b_csr", hj, false),
+        ("b_av", sph, false),
+    ];
+    let scan = |t: &str| PhysicalPlan::Scan { table: t.into() };
+    let probes: [(&str, PhysicalPlan); 3] = [
+        ("whole", scan("p")),
+        (
+            "partitioned",
+            PhysicalPlan::PartitionedScan {
+                table: "pp".into(),
+                parts: vec![0, 1, 2, 3],
+                total: 4,
+            },
+        ),
+        (
+            "sorted",
+            PhysicalPlan::Sort {
+                input: Box::new(scan("p")),
+                key: "pg".into(),
+                molecule: SortMolecule::Comparison,
+            },
+        ),
+    ];
+    let lt = |c: &str, v: u32| Predicate::cmp(c, CmpOp::Lt, v);
+    // (predicate, whether it reads a build column)
+    let predicates = [
+        (lt("sel", 0), false),
+        (lt("sel", 1), false),
+        (lt("sel", 8), false),
+        (lt("sel", 56), false),
+        (lt("sel", 64), false),
+        (lt("run", 8), false),
+        (Predicate::And(vec![lt("sel", 56), lt("w", 50)]), true),
+    ];
+    let aggs = |value: Option<&str>| {
+        let mut aggs = vec![AggExpr::count_star("n")];
+        aggs.extend(value.map(|v| AggExpr::on(AggFunc::Sum, v, "s")));
+        aggs
+    };
+    let find = |plan: &PhysicalPlan, m: &[dqo::exec::pipeline::OperatorMetrics], join: bool| {
+        let at = plan.preorder().iter().position(|n| match join {
+            true => matches!(n, PhysicalPlan::Join { .. }),
+            false => matches!(n, PhysicalPlan::Filter { .. }),
+        });
+        m[at.unwrap()].clone()
+    };
+    let ctx = ExecContext {
+        avs: Some(engine.avs()),
+        collect_metrics: true,
+        ..ExecContext::default()
+    };
+    let (mut folded, mut paired, mut og_runs) = (0, 0, 0);
+    for (table, algo, unique) in joins {
+        for (predicate, build_side) in &predicates {
+            for (key, value) in [
+                ("g", None),
+                ("g", Some("w")),
+                ("g", Some("pv")),
+                ("pg", None),
+                ("pg", Some("w")),
+                ("pg", Some("pv")),
+            ] {
+                let logical = LogicalPlan::group_by(
+                    LogicalPlan::filter(
+                        LogicalPlan::join(
+                            LogicalPlan::scan(table),
+                            LogicalPlan::scan("p"),
+                            "id",
+                            "k",
+                        ),
+                        predicate.clone(),
+                    ),
+                    key,
+                    aggs(value),
+                );
+                let oracle = sorted_rows(&naive_eval(&logical, cat).unwrap());
+                for (layout, right) in &probes {
+                    for dop in [1, 2, 4] {
+                        let group = |grouping: GroupingAlgorithm| {
+                            let join = PhysicalPlan::Join {
+                                left: Box::new(scan(table)),
+                                right: Box::new(right.clone()),
+                                left_key: "id".into(),
+                                right_key: "k".into(),
+                                algo,
+                            };
+                            let filter = PhysicalPlan::Filter {
+                                input: Box::new(join),
+                                predicate: predicate.clone(),
+                            };
+                            let group = PhysicalPlan::GroupBy {
+                                input: Box::new(at_dop(filter, dop)),
+                                keys: vec![key.into()],
+                                aggs: aggs(value),
+                                algo: grouping,
+                                molecules: GroupingMolecules::defaults_for(grouping),
+                            };
+                            at_dop(group, dop)
+                        };
+                        let pairs = group(GroupingAlgorithm::SortOrderBased);
+                        let (_, want) = execute_with(&pairs, cat, &ctx).unwrap();
+                        // OG needs its input in key order: the probe
+                        // sorted by `pg`, which the join keeps.
+                        let ordered = *layout == "sorted" && key == "pg";
+                        let mut groupings = vec![
+                            GroupingAlgorithm::HashBased,
+                            GroupingAlgorithm::StaticPerfectHash,
+                            GroupingAlgorithm::BinarySearch,
+                        ];
+                        groupings.extend(ordered.then_some(GroupingAlgorithm::OrderBased));
+                        for grouping in groupings {
+                            let what = format!(
+                                "{algo:?} over {table}, probe {layout} | {predicate} | \
+                                 γ[{key}] SUM({value:?}) {grouping:?} | dop={dop}"
+                            );
+                            let plan = group(grouping);
+                            let (out, got) = execute_with(&plan, cat, &ctx)
+                                .unwrap_or_else(|e| panic!("{what}: {e}"));
+                            assert_eq!(sorted_rows(&out.relation), oracle, "{what}");
+                            let (join, filter) =
+                                (find(&plan, &got, true), find(&plan, &got, false));
+                            let sph = grouping == GroupingAlgorithm::StaticPerfectHash;
+                            let in_place = sph && unique && !build_side;
+                            assert_eq!(join.in_place, in_place, "{what}");
+                            assert_eq!(join.rows_out, find(&pairs, &want, true).rows_out, "{what}");
+                            assert_eq!(
+                                filter.rows_out,
+                                find(&pairs, &want, false).rows_out,
+                                "{what}"
+                            );
+                            assert!(!find(&pairs, &want, true).in_place, "{what}: SOG pairs");
+                            let index = join.index.as_ref().map(|(from, _)| *from);
+                            assert_eq!(index == Some("av"), table == "b_av", "{what}");
+                            match in_place {
+                                true => folded += 1,
+                                false => paired += 1,
+                            }
+                            og_runs += usize::from(grouping == GroupingAlgorithm::OrderBased);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        folded > 0 && paired > 0 && og_runs > 0,
+        "{folded} folded in place, {paired} paired ({og_runs} by OG)"
+    );
+}
