@@ -18,9 +18,12 @@
 //! at `payload < ?` keeping 1/8, 2/8, 4/8 and 8/8 of `s`, on one thread
 //! and at DOP 2 (a session on a shared two-worker pool, as spine's server
 //! builds it); the floor is one thread. Each time is the median of
-//! `--reps` runs after five warm-ups, the served and floor runs
-//! interleaved so drift reaches both. A DOP 2 ratio is no speed-up claim
-//! on a box of two cores or fewer, and the table says so.
+//! `--reps` runs after five warm-ups, printed beside the fastest run. At
+//! each selectivity the served runs come in one block, one thread and
+//! DOP 2 alternating, and the floor's two loops in a block of their own
+//! after it, so no floor run follows a served run on the shared pool. A
+//! DOP 2 ratio is no speed-up claim on a box of two cores or fewer, and
+//! the table says so.
 //!
 //! ```text
 //! cargo run -p dqo-bench --release -- layers [--rows 1000000] [--json FILE]
@@ -63,12 +66,20 @@ impl SchemaProvider for Schemas<'_> {
     }
 }
 
-/// One measured cell: selectivity, DOP and the two medians in µs.
+/// One measured cell: selectivity, DOP and each side's median and
+/// fastest run in µs.
 struct Point {
     eighths: u32,
     dop: usize,
-    served_us: f64,
-    floor_us: f64,
+    served: Spread,
+    floor: Spread,
+}
+
+/// The median and the fastest of a side's timed runs, in µs.
+#[derive(Clone, Copy)]
+struct Spread {
+    median: f64,
+    min: f64,
 }
 
 pub(crate) fn main(args: &Args) -> Result<(), String> {
@@ -144,28 +155,20 @@ pub(crate) fn main(args: &Args) -> Result<(), String> {
             assert_eq!(answer(&counts), expected, "floor at {eighths}/8");
             us
         };
-        let mut times: [Vec<f64>; 4] = Default::default();
-        for rep in 0..WARM + reps {
-            let round = [
-                served(&one)?,
-                served(&two)?,
-                hand(&|b| floor.branchy(b)),
-                hand(&|b| floor.branch_free(b)),
-            ];
-            if rep >= WARM {
-                for (t, us) in times.iter_mut().zip(round) {
-                    t.push(us);
-                }
-            }
-        }
-        let [one_us, two_us, branchy, branch_free] = times.map(median);
-        let floor_us = branchy.min(branch_free);
+        let [one_us, two_us] = timed(reps, || Ok([served(&one)?, served(&two)?]))?;
+        let [branchy, branch_free] = timed(reps, || {
+            Ok([hand(&|b| floor.branchy(b)), hand(&|b| floor.branch_free(b))])
+        })?;
+        let floor_us = Spread {
+            median: branchy.median.min(branch_free.median),
+            min: branchy.min.min(branch_free.min),
+        };
         for (dop, served_us) in [(1, one_us), (2, two_us)] {
             points.push(Point {
                 eighths,
                 dop,
-                served_us,
-                floor_us,
+                served: served_us,
+                floor: floor_us,
             });
         }
     }
@@ -176,7 +179,9 @@ pub(crate) fn main(args: &Args) -> Result<(), String> {
         "kept",
         "dop",
         "served µs",
+        "served min",
         "floor µs",
+        "floor min",
         "served ÷ floor",
     ]);
     for p in &points {
@@ -184,9 +189,11 @@ pub(crate) fn main(args: &Args) -> Result<(), String> {
             "join.r_s".into(),
             format!("{}/8", p.eighths),
             p.dop.to_string(),
-            format!("{:.0}", p.served_us),
-            format!("{:.0}", p.floor_us),
-            format!("{:.2}", p.served_us / p.floor_us),
+            format!("{:.0}", p.served.median),
+            format!("{:.0}", p.served.min),
+            format!("{:.0}", p.floor.median),
+            format!("{:.0}", p.floor.min),
+            format!("{:.2}", p.served.median / p.floor.median),
         ]);
     }
     args.emit(&table);
@@ -205,12 +212,15 @@ pub(crate) fn main(args: &Args) -> Result<(), String> {
             .map(|p| {
                 format!(
                     "{{\"statement\":\"join.r_s\",\"kept_eighths\":{},\"dop\":{},\
-                     \"served_us\":{:.1},\"floor_us\":{:.1},\"served_over_floor\":{:.3}}}",
+                     \"served_us\":{:.1},\"served_min_us\":{:.1},\"floor_us\":{:.1},\
+                     \"floor_min_us\":{:.1},\"served_over_floor\":{:.3}}}",
                     p.eighths,
                     p.dop,
-                    p.served_us,
-                    p.floor_us,
-                    p.served_us / p.floor_us
+                    p.served.median,
+                    p.served.min,
+                    p.floor.median,
+                    p.floor.min,
+                    p.served.median / p.floor.median
                 )
             })
             .collect::<Vec<_>>()
@@ -224,10 +234,26 @@ pub(crate) fn main(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The median of `times`.
-fn median(mut times: Vec<f64>) -> f64 {
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
+/// `WARM + reps` rounds of `round`, each timing `N` runs in µs: the
+/// median and the fastest of each run's last `reps` times.
+fn timed<const N: usize>(
+    reps: usize,
+    mut round: impl FnMut() -> Result<[f64; N], String>,
+) -> Result<[Spread; N], String> {
+    let mut times: [Vec<f64>; N] = std::array::from_fn(|_| Vec::with_capacity(reps));
+    for rep in 0..WARM + reps {
+        let us = round()?;
+        if rep >= WARM {
+            times.iter_mut().zip(us).for_each(|(t, us)| t.push(us));
+        }
+    }
+    Ok(times.map(|mut t| {
+        t.sort_by(f64::total_cmp);
+        Spread {
+            median: t[t.len() / 2],
+            min: t[0],
+        }
+    }))
 }
 
 /// The commit, the paths changed against it, the core count and the

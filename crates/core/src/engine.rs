@@ -82,11 +82,6 @@ pub struct Engine {
     /// Phase traces + per-operator metrics on every `query` when true
     /// (default from `DQO_OBS`, on unless `off`/`0`/`false`).
     tracing: bool,
-    /// Plan-time partition pruning on partitioned tables (default from
-    /// `DQO_PRUNE`, on unless `off`/`0`/`false`). Folded into the plan
-    /// store's keys, so toggling it never serves a plan derived under the
-    /// other setting.
-    pruning: bool,
     /// Engine-level metric handles and the registry they live in.
     obs: EngineObs,
     /// The plan store: the only optimiser state that outlives a
@@ -279,7 +274,6 @@ impl Default for Engine {
             threads: dqo_parallel::default_threads(),
             pool: None,
             tracing: tracing_default(),
-            pruning: crate::partition_prune::prune_default(),
             plan_cache: PlanCache::new(crate::plan_cache::DEFAULT_CAPACITY, &registry),
             searches: SearchTotals::default(),
             feedback: Arc::new(FeedbackStore::new()),
@@ -346,27 +340,6 @@ impl Engine {
     /// Whether `query` records phase traces and per-operator metrics.
     pub fn tracing(&self) -> bool {
         self.tracing
-    }
-
-    /// Builder: enable or disable plan-time partition pruning. The
-    /// initial value comes from `DQO_PRUNE` (on unless `off`/`0`/`false`);
-    /// this knob overrides it programmatically — tests use it instead of
-    /// racing on the process environment.
-    pub fn with_pruning(mut self, pruning: bool) -> Self {
-        self.set_pruning(pruning);
-        self
-    }
-
-    /// Enable or disable plan-time partition pruning (see
-    /// [`Engine::with_pruning`]). Stored plans are keyed on the flag, so
-    /// no invalidation is needed on toggle.
-    pub fn set_pruning(&mut self, pruning: bool) {
-        self.pruning = pruning;
-    }
-
-    /// Whether plan-time partition pruning is enabled.
-    pub fn pruning(&self) -> bool {
-        self.pruning
     }
 
     /// Builder: register this engine's metrics (queries, optimise/exec
@@ -548,7 +521,6 @@ impl Engine {
         let knobs = Knobs {
             mode: self.mode,
             dop,
-            pruning: self.pruning,
         };
         let (key, valid) = match prepared {
             Some(p) => (
@@ -588,7 +560,6 @@ impl Engine {
             pmodel: PropertyModel::AttributeStrict,
             dop,
             feedback: Some(&self.feedback),
-            pruning: self.pruning,
             ..SearchContext::new(self.mode)
         };
         let mut search = MemoOptimizer::new(&self.catalog, &ctx);

@@ -23,7 +23,10 @@
 //! by binary search per range instead — and expands them through an HJ or
 //! SPHJ probe into pairs. It ends in a sink: the grouping fold of a
 //! single-key HG, SPHG, OG or BSG, which reads the key and value columns at
-//! the rows named (one loop, `dqo_parallel::parallel_grouping_tasks`) — or,
+//! the rows named (one loop, `dqo_parallel::parallel_grouping_tasks`; the
+//! loader is one `dyn` call per task, so each partial's loop is compiled
+//! once per aggregate and molecule whatever the loader — 24 copies
+//! of `Fold::step` in spine's release binary, see `tools/fold_text.sh`) — or,
 //! for SPHG above a probe of a unique index with no build-side conjunct,
 //! whose fold reads build columns only carried (or none), at each kept
 //! probe row's one match, which the fold finds itself, so the probe
@@ -52,7 +55,8 @@
 //! prefix, and the loader narrows the tail's rows by every conjunct. The
 //! groupings that do not read order (HG, SPHG, BSG, SOG) take both ranges
 //! as they are; OG folds the prefix in runs and the tail into BSG's
-//! sorted array, then merges the two; the root, Limit, Sort, every
+//! sorted array, each through a loader over its own pieces, then merges
+//! the two; the root, Limit, Sort, every
 //! join's sides and any other OG put the rows in key order first
 //! (`View::in_key_order`).
 //!
@@ -92,7 +96,7 @@ use dqo_storage::{
 };
 use std::collections::HashMap;
 use std::ops::{Bound, Range};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -1168,19 +1172,14 @@ impl<'a> Exec<'a> {
             let workers = tp.map_or(1, ThreadPool::threads);
             // OG over a sorted projection folds the prefix in runs and the
             // tail, in append order, into BSG's sorted array, then merges
-            // the two ascending group lists. One loader serves both folds,
-            // from the piece `first` on: a second loader type compiles the
-            // fold twice, which made served OG ~30 % slower on a 2-core box.
-            let (mut pieces, tail) = match table.tail.as_ref().filter(|_| order) {
+            // the two ascending group lists.
+            let (pieces, tail) = match table.tail.as_ref().filter(|_| order) {
                 Some(prefix) => split_pieces(pieces, prefix.rows),
                 None => (pieces, Vec::new()),
             };
-            let (head, first) = (pieces.len(), AtomicUsize::new(0));
-            pieces.extend(tail);
-            let load = |t: usize, scratch: &mut Scratch, sink: Sink<'_>| {
+            let load = |pieces: &[Piece<'_>], t: usize, scratch: &mut Scratch, sink: Sink<'_>| {
                 let began = timed.then(Instant::now);
-                let piece = &pieces[first.load(Ordering::Relaxed) + t];
-                src.load(piece, scratch, &ran, &mut |rows| {
+                src.load(&pieces[t], scratch, &ran, &mut |rows| {
                     sink(match rows {
                         Loaded::Piece(piece) => Rows::Piece(piece),
                         Loaded::Masked(masked) => Rows::Masked(masked),
@@ -1196,18 +1195,18 @@ impl<'a> Exec<'a> {
             };
             let fold = Fold {
                 pool: tp,
-                tasks: head,
-                load: &load,
+                tasks: pieces.len(),
+                load: &|t, scratch: &mut Scratch, sink: Sink<'_>| load(&pieces, t, scratch, sink),
                 columns: (keys, values),
                 ascending,
             };
             let mut result = self.grouped(&fold, strategy, aggs)?;
-            if head < pieces.len() {
+            if !tail.is_empty() {
                 // At most ⌈√rows⌉ rows: not worth a dispatch to the pool.
-                first.store(head, Ordering::Relaxed);
                 let tail = Fold {
                     pool: None,
-                    tasks: pieces.len() - head,
+                    tasks: tail.len(),
+                    load: &|t, scratch: &mut Scratch, sink: Sink<'_>| load(&tail, t, scratch, sink),
                     ..fold
                 };
                 let groups = self.grouped(&tail, GroupingStrategy::BinarySearch, aggs)?;
@@ -1302,15 +1301,12 @@ impl<'a> Exec<'a> {
     /// Run `fold` into `strategy`'s partials of the narrowest state `aggs`
     /// reads: COUNT/SUM's unless a MIN or MAX needs [`FullAgg`]'s, widened
     /// only for the output (see [`widened`]).
-    fn grouped<L>(
+    fn grouped(
         &mut self,
-        fold: &Fold<'_, L>,
+        fold: &Fold<'_>,
         strategy: GroupingStrategy,
         aggs: &[AggExpr],
-    ) -> Result<GroupedResult<FullAggState>>
-    where
-        L: Fn(usize, &mut Scratch, Sink<'_>) -> std::result::Result<(), ExecError> + Sync,
-    {
+    ) -> Result<GroupedResult<FullAggState>> {
         let (result, par) = match extrema(aggs) {
             true => dqo_parallel::parallel_grouping_tasks(fold, FullAgg, strategy)?,
             false => widened(dqo_parallel::parallel_grouping_tasks(

@@ -87,7 +87,7 @@ pub use executor::{execute, ExecOutput};
 pub use feedback::FeedbackStore;
 pub use memo::{Memo, MemoOptimizer, MemoStamp, MemoStats};
 pub use optimizer::{optimize, OptimizerMode, PlannedQuery};
-pub use partition_prune::{prune_default, prune_partitions};
+pub use partition_prune::prune_partitions;
 pub use plan_cache::{plan_shape, PlanCache};
 pub use profile::PlanRuntime;
 

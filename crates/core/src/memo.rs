@@ -434,7 +434,6 @@ pub struct MemoOptimizer<'a> {
     pub(crate) avs: Option<&'a AvCatalog>,
     pub(crate) pmodel: PropertyModel,
     pub(crate) dop: usize,
-    pub(crate) pruning: bool,
     pub(crate) props: PropertyBuilder<'a>,
 }
 
@@ -449,7 +448,6 @@ impl<'a> MemoOptimizer<'a> {
             avs: ctx.avs,
             pmodel: ctx.pmodel,
             dop: ctx.dop.max(1),
-            pruning: ctx.pruning,
             props: PropertyBuilder::new(catalog, ctx.feedback),
         }
     }

@@ -228,14 +228,12 @@ pub struct SearchContext<'a> {
     pub dop: usize,
     /// Learned selectivity corrections applied to estimates.
     pub feedback: Option<&'a FeedbackStore>,
-    /// Whether the partition-pruning rule fires.
-    pub pruning: bool,
 }
 
 impl SearchContext<'_> {
     /// The paper's configuration under `mode`: Table 2 cost model, no
     /// AVs, stream property model (reproduces Figure 5 verbatim), serial
-    /// plans, no feedback, pruning as the `DQO_PRUNE` environment says.
+    /// plans, no feedback.
     pub fn new(mode: OptimizerMode) -> Self {
         SearchContext {
             mode,
@@ -244,7 +242,6 @@ impl SearchContext<'_> {
             pmodel: PropertyModel::PaperStream,
             dop: 1,
             feedback: None,
-            pruning: crate::partition_prune::prune_default(),
         }
     }
 }

@@ -29,15 +29,6 @@ pub fn prune_partitions(spec: &PartitionSpec, predicate: &Predicate) -> Vec<usiz
         .collect()
 }
 
-/// Whether `DQO_PRUNE` enables partition pruning — on unless explicitly
-/// `off`/`0`/`false` (mirroring `DQO_OBS`).
-pub fn prune_default() -> bool {
-    !matches!(
-        std::env::var("DQO_PRUNE").as_deref(),
-        Ok("off") | Ok("0") | Ok("false")
-    )
-}
-
 /// Flatten nested conjunctions.
 fn collect_conjuncts<'a>(p: &'a Predicate, out: &mut Vec<&'a Predicate>) {
     match p {

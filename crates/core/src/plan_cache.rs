@@ -70,8 +70,6 @@ pub(crate) struct Knobs {
     pub(crate) mode: OptimizerMode,
     /// Degree of parallelism the plan is for.
     pub(crate) dop: usize,
-    /// Whether plan-time partition pruning is on.
-    pub(crate) pruning: bool,
 }
 
 /// What an entry was planned under; it is served only to a lookup that
@@ -321,7 +319,7 @@ impl PlanCache {
         let stored = stored.filter(|(_, orders)| kept_order(orders, catalog));
         let plan = stored.and_then(|(planned, _)| {
             let plan = if key.is_prepared() {
-                rebind_plan(&planned.plan, fresh, catalog, key.knobs.pruning)?
+                rebind_plan(&planned.plan, fresh, catalog)?
             } else {
                 planned.plan.clone()
             };
@@ -440,7 +438,6 @@ fn rebind_plan(
     cached: &PhysicalPlan,
     fresh: &LogicalPlan,
     catalog: &Catalog,
-    pruning: bool,
 ) -> Option<PhysicalPlan> {
     let mut predicates = Vec::new();
     collect_predicates(fresh, &mut predicates);
@@ -448,7 +445,6 @@ fn rebind_plan(
     let cx = RebindCx {
         predicates: &predicates,
         catalog,
-        pruning,
     };
     let rebound = rebind_node(cached, &cx, &mut next)?;
     (next == predicates.len()).then_some(rebound)
@@ -457,7 +453,6 @@ fn rebind_plan(
 struct RebindCx<'a> {
     predicates: &'a [&'a Predicate],
     catalog: &'a Catalog,
-    pruning: bool,
 }
 
 fn collect_predicates<'a>(plan: &'a LogicalPlan, out: &mut Vec<&'a Predicate>) {
@@ -486,14 +481,9 @@ fn rebind_node(plan: &PhysicalPlan, cx: &RebindCx<'_>, next: &mut usize) -> Opti
                     if partitioning.part_count() != *total {
                         return None;
                     }
-                    let parts = if cx.pruning {
-                        prune_partitions(partitioning.spec(), fresh)
-                    } else {
-                        (0..*total).collect()
-                    };
                     PhysicalPlan::PartitionedScan {
                         table: table.clone(),
-                        parts,
+                        parts: prune_partitions(partitioning.spec(), fresh),
                         total: *total,
                     }
                 }
@@ -607,7 +597,6 @@ mod tests {
     const KNOBS: Knobs = Knobs {
         mode: OptimizerMode::Deep,
         dop: 1,
-        pruning: true,
     };
 
     /// A prepared key as `Engine::prepare` + `Engine::planned` build it.

@@ -141,7 +141,7 @@ fn filter_rules(
         // match. The decision reads **only the spec** (append-proof — see
         // `crate::partition_prune`); the filter's cost shrinks to the
         // survivors' observed rowcounts.
-        if let (true, Some(survivors)) = (opt.pruning, survivors) {
+        if let Some(survivors) = survivors {
             input = opt.prune_scan(input, survivors);
         }
         let c = opt.memo.candidate(input);

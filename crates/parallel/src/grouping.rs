@@ -201,15 +201,11 @@ pub fn parallel_grouping<A: Aggregator>(
 /// (HG's table drained unsorted, SPHG's one array, BSG's one sorted array,
 /// OG's runs), and no merge breaker. OG checks at the stitch that no key
 /// opens two groups, and fails with the serial kernel's typed error.
-pub fn parallel_grouping_tasks<A, L>(
-    fold: &Fold<'_, L>,
+pub fn parallel_grouping_tasks<A: Aggregator>(
+    fold: &Fold<'_>,
     agg: A,
     strategy: GroupingStrategy,
-) -> Result<(GroupedResult<A::State>, PipelineStats), ExecError>
-where
-    A: Aggregator,
-    L: Fn(usize, &mut Scratch, Sink<'_>) -> Result<(), ExecError> + Sync,
-{
+) -> Result<(GroupedResult<A::State>, PipelineStats), ExecError> {
     assert!(
         A::IS_DECOMPOSABLE,
         "parallel grouping requires a decomposable aggregate"
@@ -249,13 +245,17 @@ struct Worker<P> {
 /// `load(t, scratch, sink)` hands task `t`'s [`Rows`] (a range, or row ids
 /// kept in the worker's scratch) to `sink` — and the `(keys, values)`
 /// columns the fold reads at them.
-pub struct Fold<'a, L> {
+///
+/// The loader is a trait object, called once per task, so each partial's
+/// update loops are compiled once per aggregate whatever loader feeds
+/// them, not once per loader.
+pub struct Fold<'a> {
     /// The pool the tasks run on; `None` for the caller thread.
     pub pool: Option<&'a ThreadPool>,
     /// How many tasks `load` supplies.
     pub tasks: usize,
     /// The loader.
-    pub load: &'a L,
+    pub load: &'a (dyn Fn(usize, &mut Scratch, Sink<'_>) -> Result<(), ExecError> + Sync),
     /// The key and value columns, read at the rows loaded.
     pub columns: (&'a [u32], &'a [u32]),
     /// The caller promises that the keys of every delivered range ascend,
@@ -317,7 +317,7 @@ fn register<A: Aggregator>(agg: A, values: &[u32]) -> A::State {
     state
 }
 
-impl<L: Fn(usize, &mut Scratch, Sink<'_>) -> Result<(), ExecError> + Sync> Fold<'_, L> {
+impl Fold<'_> {
     /// Fold every task into per-worker partials (the caller is the one
     /// worker without a pool): returns the partials of the workers that
     /// ran at least one task, and the rows consumed.
@@ -574,16 +574,12 @@ where
 /// plan's molecule; worker tables merge into a key-sorted result, so the
 /// output does not depend on the molecule or on the split. The caller's
 /// one table drains as it is, in the table's own order.
-struct HashStrategy<'a, A, L> {
-    fold: &'a Fold<'a, L>,
+struct HashStrategy<'a, A> {
+    fold: &'a Fold<'a>,
     agg: A,
 }
 
-impl<A, L> WithTable<A::State> for HashStrategy<'_, A, L>
-where
-    A: Aggregator,
-    L: Fn(usize, &mut Scratch, Sink<'_>) -> Result<(), ExecError> + Sync,
-{
+impl<A: Aggregator> WithTable<A::State> for HashStrategy<'_, A> {
     type Out = Result<(GroupedResult<A::State>, u64), ExecError>;
 
     fn run<T: GroupTable<A::State> + Send>(self, make: impl Fn() -> T + Sync) -> Self::Out {
@@ -753,16 +749,12 @@ impl<A: Aggregator> Partial<A> for SphPartial<A::State> {
 /// static-perfect-hash molecule as serial SPHG — and the other workers'
 /// arrays merge element-wise into the first one's. Output order is the
 /// array order: ascending keys.
-fn sph_strategy<A, L>(
-    fold: &Fold<'_, L>,
+fn sph_strategy<A: Aggregator>(
+    fold: &Fold<'_>,
     agg: A,
     min: u32,
     max: u32,
-) -> Result<(GroupedResult<A::State>, u64), ExecError>
-where
-    A: Aggregator,
-    L: Fn(usize, &mut Scratch, Sink<'_>) -> Result<(), ExecError> + Sync,
-{
+) -> Result<(GroupedResult<A::State>, u64), ExecError> {
     if max < min {
         return Err(ExecError::PreconditionViolated {
             algorithm: "SPHG",
@@ -856,14 +848,10 @@ impl<A: Aggregator> Partial<A> for Runs<A::State> {
 /// is partitioned by key exactly when no key then opens two groups — a
 /// check that costs nothing when the keys ascend, and one hash-set insert
 /// per group when they do not.
-fn order_strategy<A, L>(
-    fold: &Fold<'_, L>,
+fn order_strategy<A: Aggregator>(
+    fold: &Fold<'_>,
     agg: A,
-) -> Result<(GroupedResult<A::State>, u64), ExecError>
-where
-    A: Aggregator,
-    L: Fn(usize, &mut Scratch, Sink<'_>) -> Result<(), ExecError> + Sync,
-{
+) -> Result<(GroupedResult<A::State>, u64), ExecError> {
     let (partials, rows) = fold.run(agg, || Runs { tasks: Vec::new() })?;
     let mut lists: Vec<_> = partials.into_iter().flat_map(|p| p.tasks).collect();
     lists.sort_unstable_by_key(|&(t, ..)| t);
@@ -948,14 +936,10 @@ impl<A: Aggregator> Partial<A> for SortedArray<A::State> {
 
 /// BSG: each worker searches its own sorted array, and the arrays merge by
 /// key as HG's tables do.
-fn bsg_strategy<A, L>(
-    fold: &Fold<'_, L>,
+fn bsg_strategy<A: Aggregator>(
+    fold: &Fold<'_>,
     agg: A,
-) -> Result<(GroupedResult<A::State>, u64), ExecError>
-where
-    A: Aggregator,
-    L: Fn(usize, &mut Scratch, Sink<'_>) -> Result<(), ExecError> + Sync,
-{
+) -> Result<(GroupedResult<A::State>, u64), ExecError> {
     let (partials, rows) = fold.run(agg, || SortedArray {
         groups: Vec::new(),
         misses: Vec::new(),
@@ -1035,18 +1019,15 @@ mod tests {
     }
 
     /// [`parallel_grouping_tasks`] over the `tasks` that `load` supplies.
-    fn fold_tasks<A: Aggregator, L>(
+    fn fold_tasks<A: Aggregator>(
         pool: Option<&ThreadPool>,
         tasks: usize,
-        load: &L,
+        load: &(dyn Fn(usize, &mut Scratch, Sink<'_>) -> Result<(), ExecError> + Sync),
         columns: (&[u32], &[u32]),
         ascending: bool,
         agg: A,
         strategy: GroupingStrategy,
-    ) -> Result<(GroupedResult<A::State>, PipelineStats), ExecError>
-    where
-        L: Fn(usize, &mut Scratch, Sink<'_>) -> Result<(), ExecError> + Sync,
-    {
+    ) -> Result<(GroupedResult<A::State>, PipelineStats), ExecError> {
         let fold = Fold {
             pool,
             tasks,

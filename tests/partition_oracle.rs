@@ -236,11 +236,7 @@ fn majority_pruned_scan_is_counted_and_bit_identical() {
     let sql = "SELECT key, val FROM t WHERE key < 200";
     for dop in DOPS {
         let registry = Arc::new(MetricsRegistry::new());
-        // Pruning forced on: this test pins the pruning observables and
-        // must hold even on the DQO_PRUNE=off CI parity leg.
-        let mut engine = Engine::new()
-            .with_pruning(true)
-            .with_metrics_registry(Arc::clone(&registry));
+        let mut engine = Engine::new().with_metrics_registry(Arc::clone(&registry));
         engine.set_threads(dop);
         engine.register_table_partitioned("t", pr.clone());
         let part_db = Dqo::with_engine(engine);
@@ -263,45 +259,23 @@ fn majority_pruned_scan_is_counted_and_bit_identical() {
 }
 
 #[test]
-fn pruning_disabled_parity() {
-    // `set_pruning(false)` (the programmatic face of DQO_PRUNE=off):
-    // every partition is scanned — the pruned counter stays at zero and
-    // the plan keeps all parts — yet results stay bit-identical to both
-    // the pruning engine and the flat table.
+fn pruned_filters_are_bit_identical_to_flat() {
+    // Every filter statement over 16 skewed range partitions, pruned as
+    // its predicate allows, returns the flat table's rows in its order.
     const DOMAIN: u32 = 1_600;
     let spec = PartitionSpec::range("key", range_bounds(16, DOMAIN));
     let pr = PartitionedRelation::new(part_table(50_000, DOMAIN, 0.9, 0xAC), spec).unwrap();
     let flat = pr.flat().clone();
     for dop in [1usize, 4] {
-        let registry = Arc::new(MetricsRegistry::new());
-        let mut engine = Engine::new().with_metrics_registry(Arc::clone(&registry));
-        engine.set_threads(dop);
-        engine.set_pruning(false);
-        engine.register_table_partitioned("t", pr.clone());
-        let off_db = Dqo::with_engine(engine);
-
-        let mut on_db = db_with_partitioned(&pr, dop);
-        on_db.engine_mut().set_pruning(true);
+        let part_db = db_with_partitioned(&pr, dop);
         let flat_db = db_with_flat(&flat, dop);
         for sql in FILTER_SQLS {
-            let off = off_db.sql(sql).unwrap().output.relation;
             assert_relations_identical(
-                &off,
-                &on_db.sql(sql).unwrap().output.relation,
-                &format!("off-vs-on dop={dop} {sql}"),
-            );
-            assert_relations_identical(
-                &off,
+                &part_db.sql(sql).unwrap().output.relation,
                 &flat_db.sql(sql).unwrap().output.relation,
-                &format!("off-vs-flat dop={dop} {sql}"),
+                &format!("pruned-vs-flat dop={dop} {sql}"),
             );
         }
-        let explain = off_db
-            .explain("SELECT key, val FROM t WHERE key < 200")
-            .unwrap();
-        assert!(explain.contains("parts=16/16"), "dop={dop} plan: {explain}");
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter(names::PART_PRUNED).unwrap(), 0, "dop={dop}");
     }
 }
 
@@ -314,8 +288,7 @@ fn prepared_statements_reprune_on_rebind() {
     let spec = PartitionSpec::range("key", range_bounds(16, DOMAIN));
     let pr = PartitionedRelation::new(part_table(50_000, DOMAIN, 0.0, 0x5E), spec).unwrap();
     let flat = pr.flat().clone();
-    let mut part_db = db_with_partitioned(&pr, 4);
-    part_db.engine_mut().set_pruning(true);
+    let part_db = db_with_partitioned(&pr, 4);
     let flat_db = db_with_flat(&flat, 4);
     let stmt = part_db
         .prepare("SELECT key, val FROM t WHERE key < ?")
@@ -369,7 +342,7 @@ fn assert_pruned_filter_estimate(sql: &str, parts: &str) {
         digits.parse().unwrap()
     };
     for dop in [1usize, 4] {
-        let mut engine = Engine::new().with_pruning(true).with_tracing(true);
+        let mut engine = Engine::new().with_tracing(true);
         engine.set_threads(dop);
         engine.register_table_partitioned("t", pr.clone());
         let db = Dqo::with_engine(engine);
@@ -425,8 +398,7 @@ fn explain_analyze_reports_post_pruning_estimate() {
         "survivors hold more than the match set"
     );
 
-    let mut db = db_with_partitioned(&pr, 1);
-    db.engine_mut().set_pruning(true);
+    let db = db_with_partitioned(&pr, 1);
     let analyzed = db
         .explain_analyze("SELECT key, val FROM t WHERE key < 150")
         .unwrap();

@@ -115,7 +115,6 @@ fn cold_search(engine: &Engine, q: &LogicalPlan) -> (PlannedQuery, usize) {
         pmodel: PropertyModel::default(),
         dop: engine.threads(),
         feedback: Some(engine.feedback()),
-        pruning: engine.pruning(),
         ..SearchContext::new(engine.mode())
     };
     let mut search = MemoOptimizer::new(engine.catalog(), &ctx);

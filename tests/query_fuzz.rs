@@ -543,11 +543,11 @@ fn partition_spec(k_groups: u32, scheme_pick: u8, parts_pick: u8, on_v: bool) ->
 ///
 /// * **naive agreement** — the partitioned engine matches the naive
 ///   evaluator over its own flat layout at DOP 1/2/8, and
-/// * **pruning soundness** — an identically partitioned engine with
-///   pruning disabled returns the same result: a partition may be
-///   pruned only if scanning it anyway changes nothing. Queries without
-///   a GROUP BY are compared byte-for-byte (scan/filter pipelines emit
-///   flat row order); grouped queries in sorted canonical form.
+/// * **pruning soundness** — an engine over the flat table at the same
+///   DOP returns the same result: a partition may be pruned only if
+///   scanning it anyway changes nothing. Queries without a GROUP BY are
+///   compared byte-for-byte (scan/filter pipelines emit flat row order);
+///   grouped queries in sorted canonical form.
 fn check_partitioned(
     rel: Relation,
     k_groups: u32,
@@ -583,12 +583,12 @@ fn check_partitioned(
             ));
         }
 
-        let off = Dqo::with_engine(Engine::new().with_threads(threads).with_pruning(false));
-        off.register_table_partitioned("t", pr.clone());
-        let out_off = off
+        let flat = Dqo::with_engine(Engine::new().with_threads(threads));
+        flat.register_table("t", pr.flat().clone());
+        let out_flat = flat
             .sql(sql)
-            .map_err(|e| format!("pruning-off threads={threads} {spec:?} {sql}: {e}"))?;
-        let (a, b) = (&out_on.output.relation, &out_off.output.relation);
+            .map_err(|e| format!("flat threads={threads} {spec:?} {sql}: {e}"))?;
+        let (a, b) = (&out_on.output.relation, &out_flat.output.relation);
         let sound = if grouped {
             sorted_rows(a) == sorted_rows(b)
         } else {
@@ -600,9 +600,9 @@ fn check_partitioned(
         };
         if !sound {
             return Err(format!(
-                "pruning unsound at threads={threads} {spec:?} for {sql}\npruned plan:\n{}\nfull plan:\n{}",
+                "pruning unsound at threads={threads} {spec:?} for {sql}\npruned plan:\n{}\nflat plan:\n{}",
                 out_on.planned.plan.explain(),
-                out_off.planned.plan.explain()
+                out_flat.planned.plan.explain()
             ));
         }
     }
